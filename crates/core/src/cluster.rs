@@ -7,28 +7,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polardbx_columnar::ColumnIndex;
-use polardbx_common::{
-    ColumnDef, DcId, Error, IdGenerator, IndexDef, IndexKind, Key, NodeId, PartitionSpec,
-    Result, Row, TableSchema, TenantId, Value,
-};
-use polardbx_executor::memory::Reservation;
-use polardbx_executor::{
-    execute_plan, ExecCtx, JobClass, MemoryManager, MppExecutor, TableProvider,
-    WorkloadManager,
-};
-use polardbx_executor::scheduler::{run_with_demotion, TickState};
+use polardbx_common::{DcId, Error, IdGenerator, NodeId, Result, Row, TenantId};
+use polardbx_executor::{MemoryManager, WorkloadManager};
 use polardbx_hlc::Hlc;
-use polardbx_optimizer::{classify_with_threshold, optimize_with_stats, WorkloadClass};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
 use polardbx_mt::{RehomeConfig, RehomeExecutor};
 use polardbx_placement::{plan as placement_plan, CoAccessSketch, PlannerConfig};
-use polardbx_sql::ast::{self, IndexPlacement, Statement};
-use polardbx_sql::expr::Expr;
 use polardbx_storage::RwNode;
-use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg, WireWriteOp};
+use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg};
 
 use crate::gms::{shard_table_id, Gms};
-use crate::provider::ClusterProvider;
+use crate::session::Session;
 use crate::traffic::TrafficControl;
 
 /// Cluster shape.
@@ -103,32 +92,32 @@ pub struct Dn {
     pub service: Arc<DnService>,
 }
 
-struct Inner {
-    config: ClusterConfig,
-    gms: Arc<Gms>,
+pub(crate) struct Inner {
+    pub(crate) config: ClusterConfig,
+    pub(crate) gms: Arc<Gms>,
     /// Owning handle keeps the fabric's delivery threads alive.
     #[allow(dead_code)]
-    net: Arc<SimNet<TxnMsg>>,
-    cns: Vec<Arc<CnNode>>,
-    dns: HashMap<NodeId, Arc<Dn>>,
+    pub(crate) net: Arc<SimNet<TxnMsg>>,
+    pub(crate) cns: Vec<Arc<CnNode>>,
+    pub(crate) dns: HashMap<NodeId, Arc<Dn>>,
     /// Logical-table-name → hidden GSI table names.
-    gsi_tables: RwLock<HashMap<String, Vec<String>>>,
-    column_indexes: RwLock<HashMap<String, Arc<ColumnIndex>>>,
+    pub(crate) gsi_tables: RwLock<HashMap<String, Vec<String>>>,
+    pub(crate) column_indexes: RwLock<HashMap<String, Arc<ColumnIndex>>>,
     /// CN-side workload pools (shared fleet-wide: the host has one CPU
     /// domain; per-CN pools would oversubscribe it meaninglessly).
-    workload: Arc<WorkloadManager>,
+    pub(crate) workload: Arc<WorkloadManager>,
     /// TP/AP memory regions with preemption (§VI-D).
-    memory: Arc<MemoryManager>,
-    traffic: TrafficControl,
+    pub(crate) memory: Arc<MemoryManager>,
+    pub(crate) traffic: TrafficControl,
     /// Route AP queries to RO replicas when available (§VI-A).
-    htap_ro: AtomicBool,
-    shipper_stop: Arc<AtomicBool>,
+    pub(crate) htap_ro: AtomicBool,
+    pub(crate) shipper_stop: Arc<AtomicBool>,
     /// Cluster-wide transaction counters (shared by every CN coordinator,
     /// so 1PC/2PC fractions aggregate across the fleet).
-    txn_metrics: Arc<TxnMetrics>,
+    pub(crate) txn_metrics: Arc<TxnMetrics>,
     /// Commit-time co-access sketch feeding the adaptive placer.
-    sketch: Arc<CoAccessSketch>,
-    placer_stop: Arc<AtomicBool>,
+    pub(crate) sketch: Arc<CoAccessSketch>,
+    pub(crate) placer_stop: Arc<AtomicBool>,
 }
 
 /// A compute node: coordinator + clock.
@@ -151,7 +140,7 @@ impl Handler<TxnMsg> for CnStub {
 /// The cluster handle.
 #[derive(Clone)]
 pub struct PolarDbx {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl PolarDbx {
@@ -640,624 +629,6 @@ impl PolarDbx {
     }
 }
 
-/// A client session bound to one CN.
-pub struct Session {
-    inner: Arc<Inner>,
-    cn: Arc<CnNode>,
-}
-
-impl Session {
-    /// The CN this session landed on (load-balancer tests).
-    pub fn cn_id(&self) -> NodeId {
-        self.cn.id
-    }
-
-    /// The CN's datacenter.
-    pub fn cn_dc(&self) -> DcId {
-        self.cn.dc
-    }
-
-    /// Direct access to the CN's transaction coordinator — benchmark
-    /// drivers use it to bypass SQL parsing on hot paths.
-    pub fn coordinator(&self) -> &Coordinator {
-        &self.cn.coordinator
-    }
-
-    /// Route a primary-key tuple of `table` to its (shard-table id, DN).
-    pub fn route(
-        &self,
-        table: &str,
-        pk: &[Value],
-    ) -> Result<(polardbx_common::TableId, NodeId)> {
-        let schema = self.inner.gms.table(table)?;
-        let (shard, dn) = self.inner.gms.route_key(&schema, pk)?;
-        Ok((shard_table_id(schema.id, shard), dn))
-    }
-
-    /// Like [`Session::route`], but also captures the shard's routing
-    /// epoch for commit-time fencing, and bounces retryably while the
-    /// shard is frozen for a re-home cutover. Drivers pin the returned
-    /// epoch on their transaction (`DistTxn::pin_epoch`) before writing.
-    pub fn route_fenced(
-        &self,
-        table: &str,
-        pk: &[Value],
-    ) -> Result<(polardbx_common::TableId, NodeId, u64)> {
-        let schema = self.inner.gms.table(table)?;
-        let (shard, dn, epoch) = self.inner.gms.route_key_fenced(&schema, pk)?;
-        Ok((shard_table_id(schema.id, shard), dn, epoch))
-    }
-
-    /// Execute a DDL/DML statement; returns affected row count.
-    pub fn execute(&self, sql: &str) -> Result<u64> {
-        let stmt = polardbx_sql::parse(sql)?;
-        self.execute_statement(sql, &stmt)
-    }
-
-    /// Execute an already-parsed DDL/DML statement. The front door's
-    /// prepared-statement path parses once at PREPARE and replays the AST
-    /// here on every EXECUTE; `sql` is the original text, used only for
-    /// traffic-control fingerprinting.
-    pub fn execute_statement(&self, sql: &str, stmt: &Statement) -> Result<u64> {
-        let _permit = self.inner.traffic.admit(sql)?;
-        match stmt {
-            Statement::CreateTable(ct) => self.create_table(ct.clone()).map(|_| 0),
-            Statement::CreateIndex(ci) => self.create_index(ci.clone()).map(|_| 0),
-            // DML retries the whole statement on a re-home bounce: the
-            // retry re-routes and lands on the shard's new home.
-            Statement::Insert(ins) => self.retry_dml(|| self.insert(ins)),
-            Statement::Update(u) => self.retry_dml(|| self.update(u)),
-            Statement::Delete(d) => self.retry_dml(|| self.delete(d)),
-            Statement::Select(_) => {
-                Err(Error::invalid("use query() for SELECT statements"))
-            }
-        }
-    }
-
-    /// Execute a SELECT; returns result rows.
-    pub fn query(&self, sql: &str) -> Result<Vec<Row>> {
-        self.query_classified(sql).map(|(rows, _)| rows)
-    }
-
-    /// EXPLAIN: parse and plan a SELECT without executing it, returning
-    /// the optimized operator tree, the TP/AP classification, and the
-    /// row-store vs column-index choice per scanned table (§VI-B/E).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
-            return Err(Error::invalid("EXPLAIN supports SELECT only"));
-        };
-        let stats = self.inner.gms.statistics();
-        let plan = optimize_with_stats(
-            polardbx_sql::build_plan(&sel, self.inner.gms.as_ref())?,
-            &stats,
-        );
-        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
-        let cost = polardbx_optimizer::estimate(&plan, &stats);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "class: {class:?} (est. cost {:.0}, rows {:.0})\n",
-            cost.total(),
-            cost.rows_out
-        ));
-        for table in plan.tables() {
-            let choice = polardbx_optimizer::choose_storage(&plan, &table, &stats);
-            out.push_str(&format!("scan {table}: {choice:?}\n"));
-        }
-        out.push_str(&plan.explain());
-        Ok(out)
-    }
-
-    /// Execute a SELECT and report how the optimizer classified it.
-    pub fn query_classified(&self, sql: &str) -> Result<(Vec<Row>, WorkloadClass)> {
-        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
-            return Err(Error::invalid("query() only accepts SELECT"));
-        };
-        self.query_statement(sql, &sel)
-    }
-
-    /// Execute an already-parsed SELECT (the front door's parse-once
-    /// path); `sql` is the original text, used only for traffic-control
-    /// fingerprinting.
-    pub fn query_statement(
-        &self,
-        sql: &str,
-        sel: &polardbx_sql::ast::Select,
-    ) -> Result<(Vec<Row>, WorkloadClass)> {
-        let _permit = self.inner.traffic.admit(sql)?;
-        let stats = self.inner.gms.statistics();
-        let plan = polardbx_sql::build_plan(sel, self.inner.gms.as_ref())?;
-        let plan = optimize_with_stats(plan, &stats);
-        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
-        let rows = self.run_plan(plan, class)?;
-        Ok((rows, class))
-    }
-
-    fn run_plan(
-        &self,
-        plan: polardbx_sql::LogicalPlan,
-        class: WorkloadClass,
-    ) -> Result<Vec<Row>> {
-        // Reserve working memory from the class's region before executing
-        // (§VI-D): TP reservations may preempt AP headroom; an AP query that
-        // cannot reserve fails with a retryable error instead of thrashing.
-        let stats = self.inner.gms.statistics();
-        let est = polardbx_optimizer::estimate(&plan, &stats);
-        // Working-set proxy: rows the operators touch, not just output rows.
-        let bytes = ((est.cpu as usize).saturating_mul(8)).clamp(4 << 10, 64 << 20);
-        let _reservation = match class {
-            WorkloadClass::Tp => Reservation::tp(Arc::clone(&self.inner.memory), bytes)?,
-            WorkloadClass::Ap => Reservation::ap(Arc::clone(&self.inner.memory), bytes)?,
-        };
-        let snapshot_ts = self.cn.coordinator.clock().now().raw();
-        let provider: Arc<dyn TableProvider> =
-            Arc::new(self.build_provider(class, snapshot_ts));
-        let inner = Arc::clone(&self.inner);
-        match class {
-            WorkloadClass::Tp => {
-                // TP pool with a slice; overruns demote to AP, then slow
-                // (§VI-D's misclassification recovery).
-                let plan = Arc::new(plan);
-                let mgr = Arc::clone(&inner.workload);
-                let (result, _pool) =
-                    run_with_demotion(&mgr, JobClass::Tp, move |deadline, governor| {
-                        let ctx = ExecCtx::with_ticks(TickState::new(governor, deadline));
-                        match execute_plan(&plan, provider.as_ref(), &ctx) {
-                            Err(Error::Throttled { .. }) => None, // slice expired
-                            other => Some(other),
-                        }
-                    });
-                result
-            }
-            WorkloadClass::Ap => {
-                // The MPP engine borrows morsel workers from the CN's own
-                // persistent pools, so concurrent AP queries share workers
-                // (under the AP governor) instead of each spawning threads.
-                let mpp = MppExecutor::with_pool(
-                    inner.config.mpp_workers,
-                    Arc::clone(&inner.workload),
-                );
-                let governor = inner.workload.governor_for(JobClass::Ap);
-                let plan = plan.clone();
-                let mgr = Arc::clone(&inner.workload);
-                mgr.run(JobClass::Ap, move || {
-                    let ctx = ExecCtx::with_ticks(TickState::new(governor, None));
-                    mpp.execute(&plan, &provider, &ctx)
-                })
-            }
-        }
-    }
-
-    fn build_provider(&self, class: WorkloadClass, snapshot_ts: u64) -> ClusterProvider {
-        // AP queries read RO replicas when present and HTAP routing is on;
-        // TP (and AP without replicas) reads the RW engines.
-        let use_ro = class == WorkloadClass::Ap
-            && self.inner.htap_ro.load(Ordering::Relaxed)
-            && self.inner.dns.values().any(|d| !d.rw.ros().is_empty());
-        let engines: HashMap<NodeId, Arc<polardbx_storage::StorageEngine>> = self
-            .inner
-            .dns
-            .iter()
-            .map(|(&id, dn)| {
-                let engine = if use_ro {
-                    match dn.rw.ros().first() {
-                        Some(ro) => {
-                            // Session consistency (§II-C): the read carries
-                            // the RW's current LSN as a token; the replica
-                            // must catch up to it before serving. Take the
-                            // token BEFORE shipping: ship() synchronously
-                            // applies everything flushed at call time, so
-                            // the wait then succeeds immediately instead of
-                            // chasing commits that landed between ship()
-                            // and the token snapshot.
-                            let token = dn.rw.session_token();
-                            dn.rw.ship();
-                            let _ = ro.wait_for(token, Duration::from_millis(200));
-                            Arc::clone(&ro.engine)
-                        }
-                        None => Arc::clone(&dn.rw.engine),
-                    }
-                } else {
-                    Arc::clone(&dn.rw.engine)
-                };
-                (id, engine)
-            })
-            .collect();
-        let indexes = self.inner.column_indexes.read().clone();
-        ClusterProvider::new(Arc::clone(&self.inner.gms), engines, snapshot_ts)
-            .with_column_indexes(indexes)
-    }
-
-    // ------------------------------------------------------------------- DDL
-
-    fn create_table(&self, ct: ast::CreateTable) -> Result<()> {
-        let id = self.inner.gms.next_table_id();
-        let columns: Vec<ColumnDef> = ct
-            .columns
-            .iter()
-            .map(|(n, t, nn)| {
-                let mut c = ColumnDef::new(n.clone(), *t);
-                if *nn {
-                    c = c.not_null();
-                }
-                c
-            })
-            .collect();
-        let mut schema = match &ct.partition {
-            Some((cols, shards)) => TableSchema::new(
-                id,
-                &ct.name,
-                columns,
-                ct.primary_key.clone(),
-                PartitionSpec::Hash { columns: cols.clone(), shards: *shards },
-            )?,
-            None => TableSchema::hash_on_pk(
-                id,
-                &ct.name,
-                columns,
-                ct.primary_key.clone(),
-                self.inner.config.default_shards,
-            )?,
-        };
-        if let Some(g) = &ct.table_group {
-            schema = schema.in_table_group(g.clone());
-        }
-        self.inner.gms.create_table(schema.clone())?;
-        // Create the shard tables on their DNs (and RO mirrors).
-        for shard in 0..schema.partition.shard_count() {
-            let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-            let dn = &self.inner.dns[&dn_id];
-            dn.rw.create_table(shard_table_id(schema.id, shard), TenantId(schema.id.raw()));
-        }
-        Ok(())
-    }
-
-    fn create_index(&self, ci: ast::CreateIndex) -> Result<()> {
-        let mut schema = self.inner.gms.table(&ci.table)?;
-        let kind = match ci.placement {
-            IndexPlacement::Local => IndexKind::Local,
-            IndexPlacement::Global => IndexKind::GlobalNonClustered,
-            IndexPlacement::GlobalClustered => IndexKind::GlobalClustered,
-        };
-        schema = schema.with_index(IndexDef {
-            name: ci.name.clone(),
-            columns: ci.columns.clone(),
-            kind,
-            unique: ci.unique,
-        })?;
-        self.inner.gms.record_index(&ci.table, &ci.columns);
-
-        if matches!(kind, IndexKind::GlobalNonClustered | IndexKind::GlobalClustered) {
-            // Global index = hidden table partitioned by the indexed
-            // columns (§II-B). Schema: indexed cols + pk cols (+ the rest
-            // when clustered).
-            let hidden_name = format!("__gsi_{}_{}", ci.table, ci.name);
-            let mut cols: Vec<ColumnDef> = Vec::new();
-            for c in &ci.columns {
-                let i = schema.column_index(c)?;
-                cols.push(schema.columns[i].clone());
-            }
-            let pk_names: Vec<String> =
-                schema.primary_key.iter().map(|&i| schema.columns[i].name.clone()).collect();
-            for &i in &schema.primary_key {
-                if !ci.columns.contains(&schema.columns[i].name) {
-                    cols.push(schema.columns[i].clone());
-                }
-            }
-            if kind == IndexKind::GlobalClustered {
-                for c in &schema.columns {
-                    if !cols.iter().any(|x| x.name == c.name) {
-                        cols.push(c.clone());
-                    }
-                }
-            }
-            let hidden_id = self.inner.gms.next_table_id();
-            let hidden = TableSchema::new(
-                hidden_id,
-                &hidden_name,
-                cols,
-                // Index rows are keyed by indexed cols + pk for uniqueness.
-                ci.columns.iter().chain(pk_names.iter()).cloned().collect(),
-                PartitionSpec::Hash {
-                    columns: ci.columns.clone(),
-                    shards: schema.partition.shard_count(),
-                },
-            )?;
-            self.inner.gms.create_table(hidden.clone())?;
-            for shard in 0..hidden.partition.shard_count() {
-                // lint:allow(fence_completeness, DDL provisioning of the just-created hidden index table: nothing can re-home a shard that has no data yet, and GSI writes go through write_gsi_row's fenced route)
-                let dn_id = self.inner.gms.shard_dn(hidden.id, shard)?;
-                let dn = &self.inner.dns[&dn_id];
-                dn.rw.create_table(
-                    shard_table_id(hidden.id, shard),
-                    TenantId(hidden.id.raw()),
-                );
-            }
-            self.inner
-                .gsi_tables
-                .write()
-                .entry(ci.table.clone())
-                .or_default()
-                .push(hidden_name.clone());
-            // Backfill from existing rows.
-            let ts = self.cn.coordinator.clock().now().raw();
-            for shard in 0..schema.partition.shard_count() {
-                // lint:allow(fence_completeness, backfill scan routing is read-only: the index rows it produces are written through write_gsi_row's fenced route, so a racing re-home fails the DDL retryably instead of losing writes)
-                let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-                let dn = &self.inner.dns[&dn_id];
-                for (_, row) in
-                    dn.rw.engine.scan_table(shard_table_id(schema.id, shard), ts)?
-                {
-                    self.write_gsi_row(&hidden, &schema, &ci.columns, &row, false)?;
-                }
-            }
-        }
-        self.inner.gms.update_table(schema);
-        Ok(())
-    }
-
-    fn gsi_row(
-        &self,
-        hidden: &TableSchema,
-        base: &TableSchema,
-        base_row: &Row,
-    ) -> Result<Row> {
-        let mut vals = Vec::with_capacity(hidden.arity());
-        for c in &hidden.columns {
-            let i = base.column_index(&c.name)?;
-            vals.push(base_row.get(i)?.clone());
-        }
-        Ok(Row::new(vals))
-    }
-
-    fn write_gsi_row(
-        &self,
-        hidden: &TableSchema,
-        base: &TableSchema,
-        _index_cols: &[String],
-        base_row: &Row,
-        delete: bool,
-    ) -> Result<()> {
-        let idx_row = self.gsi_row(hidden, base, base_row)?;
-        let key = hidden.pk_of(&idx_row)?;
-        self.retry_dml(|| {
-            let (shard, dn, epoch) = self.inner.gms.route_row_fenced(hidden, &idx_row)?;
-            let stid = shard_table_id(hidden.id, shard);
-            let mut txn = self.cn.coordinator.begin();
-            txn.pin_epoch(stid, epoch)?;
-            if delete {
-                txn.write(dn, stid, key.clone(), WireWriteOp::Delete)?;
-            } else {
-                txn.write(dn, stid, key.clone(), WireWriteOp::Update(idx_row.clone()))?;
-            }
-            txn.commit()?;
-            Ok(())
-        })
-    }
-
-    // ------------------------------------------------------------------- DML
-
-    /// Run one DML statement, retrying it wholesale while it bounces off
-    /// a re-home cutover (`Throttled`: a frozen shard at route or write
-    /// time, a pinned routing epoch that moved by commit time, or a store
-    /// detached between routing and execution — the DN remaps that
-    /// retryably too). Each retry re-routes from scratch and lands on the
-    /// new home. Bounded: a cutover pauses a shard for milliseconds, so a
-    /// statement still bouncing at the deadline surfaces the error.
-    fn retry_dml<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-        let deadline = polardbx_common::time::mono_now() + Duration::from_secs(10);
-        loop {
-            match f() {
-                Err(Error::Throttled { .. })
-                    if polardbx_common::time::mono_now() < deadline =>
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn insert(&self, ins: &ast::Insert) -> Result<u64> {
-        let schema = self.inner.gms.table(&ins.table)?;
-        let visible: Vec<String> = schema
-            .columns
-            .iter()
-            .take(schema.visible_arity())
-            .map(|c| c.name.clone())
-            .collect();
-        let positions: Vec<usize> = match &ins.columns {
-            None => (0..visible.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.column_index(c))
-                .collect::<Result<_>>()?,
-        };
-        let gsis = self.gsi_schemas(&ins.table)?;
-        let mut txn = self.cn.coordinator.begin();
-        let mut count = 0u64;
-        for value_exprs in &ins.values {
-            if value_exprs.len() != positions.len() {
-                return Err(Error::Schema {
-                    message: format!(
-                        "INSERT arity {} vs column list {}",
-                        value_exprs.len(),
-                        positions.len()
-                    ),
-                });
-            }
-            let mut vals = vec![Value::Null; schema.arity()];
-            for (expr, &pos) in value_exprs.iter().zip(&positions) {
-                vals[pos] = expr.eval(&Row::empty())?;
-            }
-            if schema.implicit_pk {
-                let seq = self.inner.gms.next_sequence(schema.id)?;
-                vals[schema.arity() - 1] = Value::Int(seq);
-            }
-            let row = Row::new(vals);
-            schema.validate_row(&row)?;
-            let key = schema.pk_of(&row)?;
-            // Fenced routing: pin each written shard's routing epoch on the
-            // transaction so a re-home cutover racing this statement aborts
-            // the commit retryably instead of stranding the write on the
-            // detached old home (a silently lost update).
-            let (shard, dn, epoch) = self.inner.gms.route_row_fenced(&schema, &row)?;
-            let stid = shard_table_id(schema.id, shard);
-            txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Insert(row.clone()))?;
-            // Maintain global indexes in the same distributed transaction
-            // (§II-B: "updated in a single distributed transaction").
-            for hidden in &gsis {
-                let idx_row = self.gsi_row(hidden, &schema, &row)?;
-                let (ishard, idn, iepoch) =
-                    self.inner.gms.route_row_fenced(hidden, &idx_row)?;
-                let ikey = hidden.pk_of(&idx_row)?;
-                let istid = shard_table_id(hidden.id, ishard);
-                txn.pin_epoch(istid, iepoch)?;
-                txn.write(idn, istid, ikey, WireWriteOp::Insert(idx_row))?;
-            }
-            count += 1;
-        }
-        txn.commit()?;
-        self.inner.gms.record_rows(&ins.table, count as i64);
-        self.capture_column_index(&ins.table)?;
-        Ok(count)
-    }
-
-    fn gsi_schemas(&self, table: &str) -> Result<Vec<TableSchema>> {
-        let names = self.inner.gsi_tables.read().get(table).cloned().unwrap_or_default();
-        names.iter().map(|n| self.inner.gms.table(n)).collect()
-    }
-
-    /// Find rows matching a predicate, returning (shard, key, full row).
-    fn find_matches(
-        &self,
-        schema: &TableSchema,
-        predicate: &Option<Expr>,
-    ) -> Result<Vec<(u32, Key, Row)>> {
-        // Fast path: pk-equality predicates route to one shard.
-        let resolved = match predicate {
-            Some(p) => {
-                let names: Vec<String> =
-                    schema.columns.iter().map(|c| c.name.clone()).collect();
-                Some(p.resolve(&names)?)
-            }
-            None => None,
-        };
-        let ts = self.cn.coordinator.clock().now().raw();
-        let mut out = Vec::new();
-        let mut txn = self.cn.coordinator.begin();
-        for shard in 0..schema.partition.shard_count() {
-            let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows =
-                txn.scan(dn, shard_table_id(schema.id, shard), None, None)?;
-            let _ = ts;
-            for (key, row) in rows {
-                let keep = match &resolved {
-                    Some(p) => p.eval_bool(&row)?,
-                    None => true,
-                };
-                if keep {
-                    out.push((shard, key, row));
-                }
-            }
-        }
-        txn.abort();
-        Ok(out)
-    }
-
-    fn update(&self, u: &ast::Update) -> Result<u64> {
-        let schema = self.inner.gms.table(&u.table)?;
-        let gsis = self.gsi_schemas(&u.table)?;
-        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-        let assignments: Vec<(usize, Expr)> = u
-            .assignments
-            .iter()
-            .map(|(c, e)| Ok((schema.column_index(c)?, e.resolve(&names)?)))
-            .collect::<Result<_>>()?;
-        let matches = self.find_matches(&schema, &u.predicate)?;
-        let mut txn = self.cn.coordinator.begin();
-        let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
-            let mut new_row = old_row.clone();
-            for (idx, expr) in &assignments {
-                new_row.set(*idx, expr.eval(&old_row)?)?;
-            }
-            schema.validate_row(&new_row)?;
-            // Fenced re-route of the matched shard: the write pins the
-            // routing epoch so a racing re-home aborts the commit retryably
-            // instead of losing the update on the detached old home.
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
-            txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Update(new_row.clone()))?;
-            for hidden in &gsis {
-                // Replace the index entry when it changed.
-                let old_idx = self.gsi_row(hidden, &schema, &old_row)?;
-                let new_idx = self.gsi_row(hidden, &schema, &new_row)?;
-                if old_idx != new_idx {
-                    let (os, od, oepoch) =
-                        self.inner.gms.route_row_fenced(hidden, &old_idx)?;
-                    let ostid = shard_table_id(hidden.id, os);
-                    txn.pin_epoch(ostid, oepoch)?;
-                    txn.write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete)?;
-                    let (ns, nd, nepoch) =
-                        self.inner.gms.route_row_fenced(hidden, &new_idx)?;
-                    let nstid = shard_table_id(hidden.id, ns);
-                    txn.pin_epoch(nstid, nepoch)?;
-                    txn.write(
-                        nd,
-                        nstid,
-                        hidden.pk_of(&new_idx)?,
-                        WireWriteOp::Update(new_idx),
-                    )?;
-                }
-            }
-        }
-        txn.commit()?;
-        self.capture_column_index(&u.table)?;
-        Ok(count)
-    }
-
-    fn delete(&self, d: &ast::Delete) -> Result<u64> {
-        let schema = self.inner.gms.table(&d.table)?;
-        let gsis = self.gsi_schemas(&d.table)?;
-        let matches = self.find_matches(&schema, &d.predicate)?;
-        let mut txn = self.cn.coordinator.begin();
-        let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
-            txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Delete)?;
-            for hidden in &gsis {
-                let old_idx = self.gsi_row(hidden, &schema, &old_row)?;
-                let (os, od, oepoch) =
-                    self.inner.gms.route_row_fenced(hidden, &old_idx)?;
-                let ostid = shard_table_id(hidden.id, os);
-                txn.pin_epoch(ostid, oepoch)?;
-                txn.write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete)?;
-            }
-        }
-        txn.commit()?;
-        self.inner.gms.record_rows(&d.table, -(count as i64));
-        self.capture_column_index(&d.table)?;
-        Ok(count)
-    }
-
-    /// Refresh the column index after DML (simple strategy: incremental
-    /// rebuild only of the touched table when an index exists; the
-    /// maintainer path in `polardbx-columnar` covers log-capture, this
-    /// keeps the cluster-level index fresh without tailing every log).
-    fn capture_column_index(&self, table: &str) -> Result<()> {
-        let index = self.inner.column_indexes.read().get(table).cloned();
-        let Some(_) = index else { return Ok(()) };
-        // Rebuild-on-write is wasteful; drop and lazily rebuild instead.
-        self.inner.column_indexes.write().remove(table);
-        let this = PolarDbx { inner: Arc::clone(&self.inner) };
-        this.enable_column_index(table)
-    }
-}
-
 impl Drop for Inner {
     fn drop(&mut self) {
         self.shipper_stop.store(true, Ordering::Relaxed);
@@ -1268,6 +639,9 @@ impl Drop for Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polardbx_common::Value;
+    use polardbx_optimizer::WorkloadClass;
+    use polardbx_txn::WireWriteOp;
 
     fn cluster() -> PolarDbx {
         PolarDbx::build(ClusterConfig { dns: 3, default_shards: 6, ..Default::default() })

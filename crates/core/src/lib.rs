@@ -18,7 +18,9 @@
 //! * [`provider`] — the executor's view of the cluster: partitioned scans
 //!   over DN shards, RO-replica routing, column-index snapshots (§VI).
 //! * [`cluster`] — the `PolarDbx` facade: build a cluster, connect
-//!   sessions through the locality-aware load balancer, execute SQL.
+//!   sessions through the locality-aware load balancer, re-home shards.
+//! * [`session`] — a client session bound to one CN: SQL in, rows out
+//!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).
 //! * [`hotspot`] — anti-hotspot tooling: skew detection, shard split,
 //!   hot-key isolation (§VIII).
 //! * [`traffic`] — automated traffic control: anomaly detection over query
@@ -29,8 +31,10 @@ pub mod durability;
 pub mod gms;
 pub mod hotspot;
 pub mod provider;
+pub mod session;
 pub mod traffic;
 
-pub use cluster::{ClusterConfig, PlacerConfig, PolarDbx, Session};
+pub use cluster::{ClusterConfig, PlacerConfig, PolarDbx};
 pub use gms::Gms;
 pub use provider::ClusterProvider;
+pub use session::Session;

@@ -1,0 +1,383 @@
+//! A client session: SQL in, rows or affected counts out.
+//!
+//! The session owns the statement surface (`execute` / `query` / `explain`),
+//! the SELECT path (plan, classify, run on the TP or AP engine) and DDL;
+//! [`dml`] holds INSERT / UPDATE / DELETE and global-index maintenance.
+
+mod dml;
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+use polardbx_common::{
+    ColumnDef, DcId, Error, IndexDef, IndexKind, NodeId, PartitionSpec, Result, Row,
+    TableSchema, TenantId, Value,
+};
+use polardbx_executor::memory::Reservation;
+use polardbx_executor::scheduler::{run_with_demotion, TickState};
+use polardbx_executor::{execute_plan, ExecCtx, JobClass, MppExecutor, TableProvider};
+use polardbx_optimizer::{classify_with_threshold, optimize_with_stats, WorkloadClass};
+use polardbx_sql::ast::{self, IndexPlacement, Statement};
+use polardbx_txn::Coordinator;
+
+use crate::cluster::{CnNode, Inner};
+use crate::gms::shard_table_id;
+use crate::provider::ClusterProvider;
+
+/// A client session bound to one CN.
+pub struct Session {
+    pub(crate) inner: Arc<Inner>,
+    pub(crate) cn: Arc<CnNode>,
+}
+
+impl Session {
+    /// The CN this session landed on (load-balancer tests).
+    pub fn cn_id(&self) -> NodeId {
+        self.cn.id
+    }
+
+    /// The CN's datacenter.
+    pub fn cn_dc(&self) -> DcId {
+        self.cn.dc
+    }
+
+    /// Direct access to the CN's transaction coordinator — benchmark
+    /// drivers use it to bypass SQL parsing on hot paths.
+    pub fn coordinator(&self) -> &Coordinator {
+        &self.cn.coordinator
+    }
+
+    /// Route a primary-key tuple of `table` to its (shard-table id, DN).
+    pub fn route(
+        &self,
+        table: &str,
+        pk: &[Value],
+    ) -> Result<(polardbx_common::TableId, NodeId)> {
+        let schema = self.inner.gms.table(table)?;
+        let (shard, dn) = self.inner.gms.route_key(&schema, pk)?;
+        Ok((shard_table_id(schema.id, shard), dn))
+    }
+
+    /// Like [`Session::route`], but also captures the shard's routing
+    /// epoch for commit-time fencing, and bounces retryably while the
+    /// shard is frozen for a re-home cutover. Drivers pin the returned
+    /// epoch on their transaction (`DistTxn::pin_epoch`) before writing.
+    pub fn route_fenced(
+        &self,
+        table: &str,
+        pk: &[Value],
+    ) -> Result<(polardbx_common::TableId, NodeId, u64)> {
+        let schema = self.inner.gms.table(table)?;
+        let (shard, dn, epoch) = self.inner.gms.route_key_fenced(&schema, pk)?;
+        Ok((shard_table_id(schema.id, shard), dn, epoch))
+    }
+
+    /// Execute a DDL/DML statement; returns affected row count.
+    pub fn execute(&self, sql: &str) -> Result<u64> {
+        let stmt = polardbx_sql::parse(sql)?;
+        self.execute_statement(sql, &stmt)
+    }
+
+    /// Execute an already-parsed DDL/DML statement. The front door's
+    /// prepared-statement path parses once at PREPARE and replays the AST
+    /// here on every EXECUTE; `sql` is the original text, used only for
+    /// traffic-control fingerprinting.
+    pub fn execute_statement(&self, sql: &str, stmt: &Statement) -> Result<u64> {
+        let _permit = self.inner.traffic.admit(sql)?;
+        match stmt {
+            Statement::CreateTable(ct) => self.create_table(ct.clone()).map(|_| 0),
+            Statement::CreateIndex(ci) => self.create_index(ci.clone()).map(|_| 0),
+            // DML retries the whole statement on a re-home bounce: the
+            // retry re-routes and lands on the shard's new home.
+            Statement::Insert(ins) => self.retry_dml(|| self.insert(ins)),
+            Statement::Update(u) => self.retry_dml(|| self.update(u)),
+            Statement::Delete(d) => self.retry_dml(|| self.delete(d)),
+            Statement::Select(_) => {
+                Err(Error::invalid("use query() for SELECT statements"))
+            }
+        }
+    }
+
+    /// Execute a SELECT; returns result rows.
+    pub fn query(&self, sql: &str) -> Result<Vec<Row>> {
+        self.query_classified(sql).map(|(rows, _)| rows)
+    }
+
+    /// EXPLAIN: parse and plan a SELECT without executing it, returning
+    /// the optimized operator tree, the TP/AP classification, and the
+    /// row-store vs column-index choice per scanned table (§VI-B/E).
+    pub fn explain(&self, sql: &str) -> Result<String> {
+        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
+            return Err(Error::invalid("EXPLAIN supports SELECT only"));
+        };
+        let stats = self.inner.gms.statistics();
+        let plan = optimize_with_stats(
+            polardbx_sql::build_plan(&sel, self.inner.gms.as_ref())?,
+            &stats,
+        );
+        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
+        let cost = polardbx_optimizer::estimate(&plan, &stats);
+        let mut out = String::new();
+        out.push_str(&format!(
+            "class: {class:?} (est. cost {:.0}, rows {:.0})\n",
+            cost.total(),
+            cost.rows_out
+        ));
+        for table in plan.tables() {
+            let choice = polardbx_optimizer::choose_storage(&plan, &table, &stats);
+            out.push_str(&format!("scan {table}: {choice:?}\n"));
+        }
+        out.push_str(&plan.explain());
+        Ok(out)
+    }
+
+    /// Execute a SELECT and report how the optimizer classified it.
+    pub fn query_classified(&self, sql: &str) -> Result<(Vec<Row>, WorkloadClass)> {
+        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
+            return Err(Error::invalid("query() only accepts SELECT"));
+        };
+        self.query_statement(sql, &sel)
+    }
+
+    /// Execute an already-parsed SELECT (the front door's parse-once
+    /// path); `sql` is the original text, used only for traffic-control
+    /// fingerprinting.
+    pub fn query_statement(
+        &self,
+        sql: &str,
+        sel: &polardbx_sql::ast::Select,
+    ) -> Result<(Vec<Row>, WorkloadClass)> {
+        let _permit = self.inner.traffic.admit(sql)?;
+        let stats = self.inner.gms.statistics();
+        let plan = polardbx_sql::build_plan(sel, self.inner.gms.as_ref())?;
+        let plan = optimize_with_stats(plan, &stats);
+        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
+        let rows = self.run_plan(plan, class)?;
+        Ok((rows, class))
+    }
+
+    fn run_plan(
+        &self,
+        plan: polardbx_sql::LogicalPlan,
+        class: WorkloadClass,
+    ) -> Result<Vec<Row>> {
+        // Reserve working memory from the class's region before executing
+        // (§VI-D): TP reservations may preempt AP headroom; an AP query that
+        // cannot reserve fails with a retryable error instead of thrashing.
+        let stats = self.inner.gms.statistics();
+        let est = polardbx_optimizer::estimate(&plan, &stats);
+        // Working-set proxy: rows the operators touch, not just output rows.
+        let bytes = ((est.cpu as usize).saturating_mul(8)).clamp(4 << 10, 64 << 20);
+        let _reservation = match class {
+            WorkloadClass::Tp => Reservation::tp(Arc::clone(&self.inner.memory), bytes)?,
+            WorkloadClass::Ap => Reservation::ap(Arc::clone(&self.inner.memory), bytes)?,
+        };
+        let snapshot_ts = self.cn.coordinator.clock().now().raw();
+        let provider: Arc<dyn TableProvider> =
+            Arc::new(self.build_provider(class, snapshot_ts));
+        let inner = Arc::clone(&self.inner);
+        match class {
+            WorkloadClass::Tp => {
+                // TP pool with a slice; overruns demote to AP, then slow
+                // (§VI-D's misclassification recovery).
+                let plan = Arc::new(plan);
+                let mgr = Arc::clone(&inner.workload);
+                let (result, _pool) =
+                    run_with_demotion(&mgr, JobClass::Tp, move |deadline, governor| {
+                        let ctx = ExecCtx::with_ticks(TickState::new(governor, deadline));
+                        match execute_plan(&plan, provider.as_ref(), &ctx) {
+                            Err(Error::Throttled { .. }) => None, // slice expired
+                            other => Some(other),
+                        }
+                    });
+                result
+            }
+            WorkloadClass::Ap => {
+                // The MPP engine borrows morsel workers from the CN's own
+                // persistent pools, so concurrent AP queries share workers
+                // (under the AP governor) instead of each spawning threads.
+                let mpp = MppExecutor::with_pool(
+                    inner.config.mpp_workers,
+                    Arc::clone(&inner.workload),
+                );
+                let governor = inner.workload.governor_for(JobClass::Ap);
+                let plan = plan.clone();
+                let mgr = Arc::clone(&inner.workload);
+                mgr.run(JobClass::Ap, move || {
+                    let ctx = ExecCtx::with_ticks(TickState::new(governor, None));
+                    mpp.execute(&plan, &provider, &ctx)
+                })
+            }
+        }
+    }
+
+    fn build_provider(&self, class: WorkloadClass, snapshot_ts: u64) -> ClusterProvider {
+        // AP queries read RO replicas when present and HTAP routing is on;
+        // TP (and AP without replicas) reads the RW engines.
+        let use_ro = class == WorkloadClass::Ap
+            && self.inner.htap_ro.load(Ordering::Relaxed)
+            && self.inner.dns.values().any(|d| !d.rw.ros().is_empty());
+        let engines: HashMap<NodeId, Arc<polardbx_storage::StorageEngine>> = self
+            .inner
+            .dns
+            .iter()
+            .map(|(&id, dn)| {
+                let engine = if use_ro {
+                    match dn.rw.ros().first() {
+                        Some(ro) => {
+                            // Session consistency (§II-C): the read carries
+                            // the RW's current LSN as a token; the replica
+                            // must catch up to it before serving. Take the
+                            // token BEFORE shipping: ship() synchronously
+                            // applies everything flushed at call time, so
+                            // the wait then succeeds immediately instead of
+                            // chasing commits that landed between ship()
+                            // and the token snapshot.
+                            let token = dn.rw.session_token();
+                            dn.rw.ship();
+                            let _ = ro.wait_for(token, Duration::from_millis(200));
+                            Arc::clone(&ro.engine)
+                        }
+                        None => Arc::clone(&dn.rw.engine),
+                    }
+                } else {
+                    Arc::clone(&dn.rw.engine)
+                };
+                (id, engine)
+            })
+            .collect();
+        let indexes = self.inner.column_indexes.read().clone();
+        ClusterProvider::new(Arc::clone(&self.inner.gms), engines, snapshot_ts)
+            .with_column_indexes(indexes)
+    }
+
+    // ------------------------------------------------------------------- DDL
+
+    fn create_table(&self, ct: ast::CreateTable) -> Result<()> {
+        let id = self.inner.gms.next_table_id();
+        let columns: Vec<ColumnDef> = ct
+            .columns
+            .iter()
+            .map(|(n, t, nn)| {
+                let mut c = ColumnDef::new(n.clone(), *t);
+                if *nn {
+                    c = c.not_null();
+                }
+                c
+            })
+            .collect();
+        let mut schema = match &ct.partition {
+            Some((cols, shards)) => TableSchema::new(
+                id,
+                &ct.name,
+                columns,
+                ct.primary_key.clone(),
+                PartitionSpec::Hash { columns: cols.clone(), shards: *shards },
+            )?,
+            None => TableSchema::hash_on_pk(
+                id,
+                &ct.name,
+                columns,
+                ct.primary_key.clone(),
+                self.inner.config.default_shards,
+            )?,
+        };
+        if let Some(g) = &ct.table_group {
+            schema = schema.in_table_group(g.clone());
+        }
+        self.inner.gms.create_table(schema.clone())?;
+        // Create the shard tables on their DNs (and RO mirrors).
+        for shard in 0..schema.partition.shard_count() {
+            let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
+            let dn = &self.inner.dns[&dn_id];
+            dn.rw.create_table(shard_table_id(schema.id, shard), TenantId(schema.id.raw()));
+        }
+        Ok(())
+    }
+
+    fn create_index(&self, ci: ast::CreateIndex) -> Result<()> {
+        let mut schema = self.inner.gms.table(&ci.table)?;
+        let kind = match ci.placement {
+            IndexPlacement::Local => IndexKind::Local,
+            IndexPlacement::Global => IndexKind::GlobalNonClustered,
+            IndexPlacement::GlobalClustered => IndexKind::GlobalClustered,
+        };
+        schema = schema.with_index(IndexDef {
+            name: ci.name.clone(),
+            columns: ci.columns.clone(),
+            kind,
+            unique: ci.unique,
+        })?;
+        self.inner.gms.record_index(&ci.table, &ci.columns);
+
+        if matches!(kind, IndexKind::GlobalNonClustered | IndexKind::GlobalClustered) {
+            // Global index = hidden table partitioned by the indexed
+            // columns (§II-B). Schema: indexed cols + pk cols (+ the rest
+            // when clustered).
+            let hidden_name = format!("__gsi_{}_{}", ci.table, ci.name);
+            let mut cols: Vec<ColumnDef> = Vec::new();
+            for c in &ci.columns {
+                let i = schema.column_index(c)?;
+                cols.push(schema.columns[i].clone());
+            }
+            let pk_names: Vec<String> =
+                schema.primary_key.iter().map(|&i| schema.columns[i].name.clone()).collect();
+            for &i in &schema.primary_key {
+                if !ci.columns.contains(&schema.columns[i].name) {
+                    cols.push(schema.columns[i].clone());
+                }
+            }
+            if kind == IndexKind::GlobalClustered {
+                for c in &schema.columns {
+                    if !cols.iter().any(|x| x.name == c.name) {
+                        cols.push(c.clone());
+                    }
+                }
+            }
+            let hidden_id = self.inner.gms.next_table_id();
+            let hidden = TableSchema::new(
+                hidden_id,
+                &hidden_name,
+                cols,
+                // Index rows are keyed by indexed cols + pk for uniqueness.
+                ci.columns.iter().chain(pk_names.iter()).cloned().collect(),
+                PartitionSpec::Hash {
+                    columns: ci.columns.clone(),
+                    shards: schema.partition.shard_count(),
+                },
+            )?;
+            self.inner.gms.create_table(hidden.clone())?;
+            for shard in 0..hidden.partition.shard_count() {
+                // lint:allow(fence_completeness, DDL provisioning of the just-created hidden index table: nothing can re-home a shard that has no data yet, and GSI writes go through write_gsi_row's fenced route)
+                let dn_id = self.inner.gms.shard_dn(hidden.id, shard)?;
+                let dn = &self.inner.dns[&dn_id];
+                dn.rw.create_table(
+                    shard_table_id(hidden.id, shard),
+                    TenantId(hidden.id.raw()),
+                );
+            }
+            self.inner
+                .gsi_tables
+                .write()
+                .entry(ci.table.clone())
+                .or_default()
+                .push(hidden_name.clone());
+            // Backfill from existing rows.
+            let ts = self.cn.coordinator.clock().now().raw();
+            for shard in 0..schema.partition.shard_count() {
+                // lint:allow(fence_completeness, backfill scan routing is read-only: the index rows it produces are written through write_gsi_row's fenced route, so a racing re-home fails the DDL retryably instead of losing writes)
+                let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
+                let dn = &self.inner.dns[&dn_id];
+                for (_, row) in
+                    dn.rw.engine.scan_table(shard_table_id(schema.id, shard), ts)?
+                {
+                    self.write_gsi_row(&hidden, &schema, &ci.columns, &row, false)?;
+                }
+            }
+        }
+        self.inner.gms.update_table(schema);
+        Ok(())
+    }
+}
