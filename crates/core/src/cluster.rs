@@ -95,8 +95,7 @@ pub struct Dn {
 pub(crate) struct Inner {
     pub(crate) config: ClusterConfig,
     pub(crate) gms: Arc<Gms>,
-    /// Owning handle keeps the fabric's delivery threads alive.
-    #[allow(dead_code)]
+    /// The CN ↔ DN fabric; owning it keeps its delivery threads alive.
     pub(crate) net: Arc<SimNet<TxnMsg>>,
     pub(crate) cns: Vec<Arc<CnNode>>,
     pub(crate) dns: HashMap<NodeId, Arc<Dn>>,
@@ -260,6 +259,12 @@ impl PolarDbx {
     /// The metadata service.
     pub fn gms(&self) -> &Arc<Gms> {
         &self.inner.gms
+    }
+
+    /// The CN ↔ DN fabric (tests re-register a DN behind a counting
+    /// handler to see which messages a statement sends).
+    pub fn net(&self) -> &Arc<SimNet<TxnMsg>> {
+        &self.inner.net
     }
 
     /// DN handles (benchmarks and tests).
@@ -805,12 +810,19 @@ mod tests {
     }
 
     /// The SQL DML path (not the explicit fenced-driver API above) under a
-    /// live re-home: every acked `UPDATE v = v + 1` must survive the
-    /// cutovers. Before DML routed fenced, a statement could land on the
-    /// old home inside the drain-to-detach window and be silently lost —
-    /// acked to the client, stamped nowhere.
+    /// live re-home, with every writer on the **same row**: snapshot
+    /// isolation promises that concurrent `v = v + 1` statements serialize
+    /// (first committer wins, the loser gets a retryable `WriteConflict`),
+    /// and the routing fence that none of them lands on a detached old
+    /// home. So the row must end at exactly the number of acked updates.
     #[test]
     fn sql_dml_survives_rehome_without_lost_updates() {
+        use rand::{Rng, SeedableRng};
+        let seed = polardbx_common::testseed::seed_from_env(0x5A1_D311);
+        eprintln!(
+            "core rehome seed: POLARDBX_TEST_SEED={}",
+            polardbx_common::testseed::format_seed(seed)
+        );
         let db = cluster();
         let s = db.connect(DcId(1));
         s.execute(
@@ -821,32 +833,44 @@ mod tests {
         for i in 0..8 {
             s.execute(&format!("INSERT INTO t (id, v) VALUES ({i}, 0)")).unwrap();
         }
+        const WRITERS: u64 = 3;
         let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let s2 = db.connect(DcId(1));
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || -> (u64, Option<Error>) {
-                let mut applied = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match s2.execute("UPDATE t SET v = v + 1 WHERE id = 0") {
-                        Ok(1) => applied += 1,
-                        Ok(n) => {
-                            return (applied, Some(Error::invalid(format!("matched {n} rows"))))
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                // One session per CN slot, so writers race across coordinators.
+                let s2 = db.connect_nth(w as usize);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || -> (u64, Option<Error>) {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ w);
+                    let mut applied = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        match s2.execute("UPDATE t SET v = v + 1 WHERE id = 0") {
+                            Ok(1) => applied += 1,
+                            Ok(n) => {
+                                return (
+                                    applied,
+                                    Some(Error::invalid(format!("matched {n} rows"))),
+                                )
+                            }
+                            // Lost the row to another writer, or bounced off
+                            // a cutover: back off a hair and go again.
+                            Err(e) if e.is_retryable() => std::thread::sleep(
+                                Duration::from_micros(rng.gen_range(20..200)),
+                            ),
+                            Err(e) => return (applied, Some(e)),
                         }
-                        Err(e) if e.is_retryable() => {}
-                        Err(e) => return (applied, Some(e)),
                     }
-                }
-                (applied, None)
+                    (applied, None)
+                })
             })
-        };
+            .collect();
         let schema = db.gms().table("t").unwrap();
         let dns: Vec<NodeId> = db.gms().dns();
         for _round in 0..2 {
             for shard in 0..4u32 {
                 let cur = db.gms().shard_dn(schema.id, shard).unwrap();
                 let dest = *dns.iter().find(|&&d| d != cur).unwrap();
-                // A drain can time out retryably under the hammering writer.
+                // A drain can time out retryably under the hammering writers.
                 for attempt in 0.. {
                     match db.rehome_shard("t", shard, dest) {
                         Ok(_) => break,
@@ -861,15 +885,23 @@ mod tests {
             }
         }
         stop.store(true, Ordering::Relaxed);
-        let (applied, fatal) = writer.join().unwrap();
-        assert!(fatal.is_none(), "SQL writer hit non-retryable error: {fatal:?}");
-        assert!(applied > 0, "writer made progress across cutovers");
+        let mut acked = 0u64;
+        for (w, writer) in writers.into_iter().enumerate() {
+            let (applied, fatal) = writer.join().unwrap();
+            assert!(fatal.is_none(), "SQL writer {w} hit non-retryable error: {fatal:?}");
+            acked += applied;
+        }
+        assert!(acked > 0, "writers made progress across cutovers");
+        // HLC orders what is causally related: this session's CN took no
+        // part in the other CN's last commits, so its snapshot is certain
+        // to cover them only once its physical clock passes their tick.
+        std::thread::sleep(Duration::from_millis(2));
         let rows = s.query("SELECT v FROM t WHERE id = 0").unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(
             rows[0].get(0).unwrap(),
-            &Value::Int(applied as i64),
-            "every acked UPDATE must survive the re-homes (no lost updates)"
+            &Value::Int(acked as i64),
+            "final v must equal the sum of acked UPDATEs (seed {seed:#x})"
         );
         db.shutdown();
     }
@@ -986,6 +1018,15 @@ mod tests {
         db.gms().record_rows("big", 10_000_000);
         let (_, class) = s.query_classified("SELECT id FROM big WHERE id = 5").unwrap();
         assert_eq!(class, WorkloadClass::Tp);
+        // EXPLAIN shows whether the scan was narrowed to the named keys.
+        let plan = s.explain("SELECT id FROM big WHERE id = 5").unwrap();
+        assert!(plan.contains("access big: keys(1)\n"), "{plan}");
+        let plan = s.explain("SELECT id FROM big WHERE id IN (1, 2) AND v = 0").unwrap();
+        assert!(plan.contains("access big: keys(2)\n"), "{plan}");
+        for sql in ["SELECT id FROM big WHERE v = 5", "SELECT v, COUNT(*) FROM big GROUP BY v"] {
+            let plan = s.explain(sql).unwrap();
+            assert!(plan.contains("access big: all shards\n"), "{plan}");
+        }
         let (rows, class) =
             s.query_classified("SELECT v, COUNT(*) FROM big GROUP BY v").unwrap();
         assert_eq!(class, WorkloadClass::Ap);

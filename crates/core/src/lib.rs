@@ -15,6 +15,8 @@
 //!   statistics, and the migration planner used during scale-out (§V).
 //! * [`durability`] — plugs the X-Paxos group in as the DN durability path
 //!   for cross-DC deployments (§III).
+//! * [`access`] — which rows a predicate can name: primary-key routing for
+//!   point SELECT / UPDATE / DELETE (§II-B), with a full scan as fallback.
 //! * [`provider`] — the executor's view of the cluster: partitioned scans
 //!   over DN shards, RO-replica routing, column-index snapshots (§VI).
 //! * [`cluster`] — the `PolarDbx` facade: build a cluster, connect
@@ -26,6 +28,7 @@
 //! * [`traffic`] — automated traffic control: anomaly detection over query
 //!   fingerprints and concurrency limiting (§VIII).
 
+pub mod access;
 pub mod cluster;
 pub mod durability;
 pub mod gms;

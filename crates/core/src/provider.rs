@@ -4,10 +4,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use polardbx_columnar::{ColumnIndex, ColumnSnapshot};
-use polardbx_common::{Result, Row};
+use polardbx_common::{NodeId, Result, Row};
 use polardbx_executor::TableProvider;
+use polardbx_sql::expr::Expr;
 use polardbx_storage::StorageEngine;
 
+use crate::access::{key_access, KeyAccess};
 use crate::gms::{shard_table_id, Gms};
 
 /// A snapshot-consistent provider over a set of DN engines (the RW engines
@@ -43,6 +45,13 @@ impl ClusterProvider {
     pub fn snapshot_ts(&self) -> u64 {
         self.snapshot_ts
     }
+
+    fn engine(&self, dn: NodeId) -> Result<&StorageEngine> {
+        self.engines
+            .get(&dn)
+            .map(Arc::as_ref)
+            .ok_or_else(|| polardbx_common::Error::execution(format!("no engine for {dn}")))
+    }
 }
 
 impl TableProvider for ClusterProvider {
@@ -57,12 +66,8 @@ impl TableProvider for ClusterProvider {
         let schema = self.gms.table(table)?;
         let shard = partition as u32;
         let dn = self.gms.shard_dn(schema.id, shard)?;
-        let engine = self
-            .engines
-            .get(&dn)
-            .ok_or_else(|| polardbx_common::Error::execution(format!("no engine for {dn}")))?;
         let stid = shard_table_id(schema.id, shard);
-        let rows = engine.scan_table(stid, self.snapshot_ts)?;
+        let rows = self.engine(dn)?.scan_table(stid, self.snapshot_ts)?;
         // Hide the implicit primary key from SQL-visible output.
         let visible = schema.visible_arity();
         Ok(rows
@@ -75,6 +80,27 @@ impl TableProvider for ClusterProvider {
                 }
             })
             .collect())
+    }
+
+    /// Point reads of the keys the predicate names (see [`key_access`]), at
+    /// the same snapshot and with the same wait on PREPARED versions as a
+    /// scan; every shard when it names none. Keyed tables have no implicit
+    /// primary key, so there is no hidden column to trim.
+    fn scan_where(&self, table: &str, predicate: &Expr) -> Result<Vec<Row>> {
+        let schema = self.gms.table(table)?;
+        let KeyAccess::Keys(keys) = key_access(&schema, predicate) else {
+            return self.scan_all(table);
+        };
+        let mut rows = Vec::with_capacity(keys.len());
+        for key in keys {
+            let (shard, dn) = self.gms.route_row(&schema, &key)?;
+            let stid = shard_table_id(schema.id, shard);
+            let pk = schema.pk_of(&key)?;
+            if let Some(row) = self.engine(dn)?.read(stid, &pk, self.snapshot_ts, None)? {
+                rows.push(row);
+            }
+        }
+        Ok(rows)
     }
 
     fn columnar(&self, table: &str) -> Option<ColumnSnapshot> {

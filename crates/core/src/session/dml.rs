@@ -3,14 +3,26 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_common::{Error, Key, Result, Row, TableSchema, Value};
+use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, TableSchema, Value};
 use polardbx_sql::ast;
 use polardbx_sql::expr::Expr;
-use polardbx_txn::WireWriteOp;
+use polardbx_txn::{DistTxn, WireWriteOp};
 
 use super::Session;
+use crate::access::{key_access, key_columns, KeyAccess};
 use crate::cluster::PolarDbx;
 use crate::gms::shard_table_id;
+
+/// A row an UPDATE / DELETE predicate kept, and where it was read.
+struct Match {
+    /// Shard table and DN the row was read from.
+    stid: TableId,
+    dn: NodeId,
+    /// The shard's routing epoch at that read.
+    epoch: u64,
+    key: Key,
+    row: Row,
+}
 
 impl Session {
     fn gsi_row(
@@ -146,40 +158,44 @@ impl Session {
         names.iter().map(|n| self.inner.gms.table(n)).collect()
     }
 
-    /// Find rows matching a predicate, returning (shard, key, full row).
-    fn find_matches(
+    /// Read, inside `txn`, the rows of `schema` that `predicate` keeps. The
+    /// statement's reads and writes share `txn`, hence one snapshot: the
+    /// write of a row another transaction committed after that snapshot
+    /// fails first-committer-wins instead of overwriting it.
+    fn read_matches(
         &self,
+        txn: &mut DistTxn<'_>,
         schema: &TableSchema,
+        names: &[String],
         predicate: &Option<Expr>,
-    ) -> Result<Vec<(u32, Key, Row)>> {
-        // Fast path: pk-equality predicates route to one shard.
-        let resolved = match predicate {
-            Some(p) => {
-                let names: Vec<String> =
-                    schema.columns.iter().map(|c| c.name.clone()).collect();
-                Some(p.resolve(&names)?)
-            }
-            None => None,
+    ) -> Result<Vec<Match>> {
+        let predicate = predicate.as_ref().map(|p| p.resolve(names)).transpose()?;
+        let access = predicate.as_ref().map_or(KeyAccess::All, |p| key_access(schema, p));
+        // One visit per key the predicate names, or one per shard.
+        let visits: Vec<(u32, Option<Key>)> = match access {
+            KeyAccess::Keys(keys) => keys
+                .iter()
+                .map(|key| Ok((schema.shard_of(key)?, Some(schema.pk_of(key)?))))
+                .collect::<Result<_>>()?,
+            KeyAccess::All => (0..schema.partition.shard_count()).map(|s| (s, None)).collect(),
         };
-        let ts = self.cn.coordinator.clock().now().raw();
         let mut out = Vec::new();
-        let mut txn = self.cn.coordinator.begin();
-        for shard in 0..schema.partition.shard_count() {
-            let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows =
-                txn.scan(dn, shard_table_id(schema.id, shard), None, None)?;
-            let _ = ts;
+        for (shard, key) in visits {
+            // Fenced: the epoch read here is pinned before the shard is
+            // written, so a re-home between this read and the commit aborts
+            // the statement retryably instead of stranding the write.
+            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
+            let stid = shard_table_id(schema.id, shard);
+            let rows = match key {
+                Some(key) => txn.read(dn, stid, &key)?.map(|row| (key, row)).into_iter().collect(),
+                None => txn.scan(dn, stid, None, None)?,
+            };
             for (key, row) in rows {
-                let keep = match &resolved {
-                    Some(p) => p.eval_bool(&row)?,
-                    None => true,
-                };
-                if keep {
-                    out.push((shard, key, row));
+                if predicate.as_ref().map_or(Ok(true), |p| p.eval_bool(&row))? {
+                    out.push(Match { stid, dn, epoch, key, row });
                 }
             }
         }
-        txn.abort();
         Ok(out)
     }
 
@@ -192,20 +208,25 @@ impl Session {
             .iter()
             .map(|(c, e)| Ok((schema.column_index(c)?, e.resolve(&names)?)))
             .collect::<Result<_>>()?;
-        let matches = self.find_matches(&schema, &u.predicate)?;
+        // A row is stored under its primary key on the shard its partition
+        // columns hash to; rewriting either in place would leave it where
+        // no lookup by the new value goes.
+        let key_cols = key_columns(&schema);
+        if let Some((idx, _)) = assignments.iter().find(|(idx, _)| key_cols.contains(idx)) {
+            return Err(Error::invalid(format!(
+                "UPDATE of key column {}.{} is not supported",
+                schema.name, schema.columns[*idx].name
+            )));
+        }
         let mut txn = self.cn.coordinator.begin();
+        let matches = self.read_matches(&mut txn, &schema, &names, &u.predicate)?;
         let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
+        for Match { stid, dn, epoch, key, row: old_row } in matches {
             let mut new_row = old_row.clone();
             for (idx, expr) in &assignments {
                 new_row.set(*idx, expr.eval(&old_row)?)?;
             }
             schema.validate_row(&new_row)?;
-            // Fenced re-route of the matched shard: the write pins the
-            // routing epoch so a racing re-home aborts the commit retryably
-            // instead of losing the update on the detached old home.
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
             txn.pin_epoch(stid, epoch)?;
             txn.write(dn, stid, key, WireWriteOp::Update(new_row.clone()))?;
             for hidden in &gsis {
@@ -239,12 +260,11 @@ impl Session {
     pub(super) fn delete(&self, d: &ast::Delete) -> Result<u64> {
         let schema = self.inner.gms.table(&d.table)?;
         let gsis = self.gsi_schemas(&d.table)?;
-        let matches = self.find_matches(&schema, &d.predicate)?;
+        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
         let mut txn = self.cn.coordinator.begin();
+        let matches = self.read_matches(&mut txn, &schema, &names, &d.predicate)?;
         let count = matches.len() as u64;
-        for (shard, key, old_row) in matches {
-            let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
-            let stid = shard_table_id(schema.id, shard);
+        for Match { stid, dn, epoch, key, row: old_row } in matches {
             txn.pin_epoch(stid, epoch)?;
             txn.write(dn, stid, key, WireWriteOp::Delete)?;
             for hidden in &gsis {
@@ -273,5 +293,37 @@ impl Session {
         self.inner.column_indexes.write().remove(table);
         let this = PolarDbx { inner: Arc::clone(&self.inner) };
         this.enable_column_index(table)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use polardbx_common::{DcId, Error, Value};
+
+    use crate::cluster::{ClusterConfig, PolarDbx};
+
+    #[test]
+    fn update_of_a_key_column_is_rejected() {
+        let db = PolarDbx::build(ClusterConfig::default()).unwrap();
+        let s = db.connect(DcId(1));
+        s.execute(
+            "CREATE TABLE t (id BIGINT NOT NULL, r BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
+             PARTITION BY HASH(r) PARTITIONS 4",
+        )
+        .unwrap();
+        s.execute("INSERT INTO t (id, r, v) VALUES (1, 10, 0)").unwrap();
+        for sql in [
+            "UPDATE t SET id = 2 WHERE id = 1",
+            "UPDATE t SET r = 11 WHERE id = 1",
+            "UPDATE t SET v = 1, id = id + 1",
+        ] {
+            let err = s.execute(sql).unwrap_err();
+            assert!(matches!(err, Error::Invalid { .. }) && !err.is_retryable(), "{sql}: {err:?}");
+        }
+        assert_eq!(s.execute("UPDATE t SET v = v + 5 WHERE id = 1 AND r = 10").unwrap(), 1);
+        let rows = s.query("SELECT id, r, v FROM t").unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].values(), &[Value::Int(1), Value::Int(10), Value::Int(5)]);
+        db.shutdown();
     }
 }

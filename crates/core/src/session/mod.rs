@@ -18,10 +18,15 @@ use polardbx_common::{
 use polardbx_executor::memory::Reservation;
 use polardbx_executor::scheduler::{run_with_demotion, TickState};
 use polardbx_executor::{execute_plan, ExecCtx, JobClass, MppExecutor, TableProvider};
-use polardbx_optimizer::{classify_with_threshold, optimize_with_stats, WorkloadClass};
+use polardbx_optimizer::{
+    classify_cost, estimate, optimize_with_stats, PlanCost, Statistics, WorkloadClass,
+};
 use polardbx_sql::ast::{self, IndexPlacement, Statement};
+use polardbx_sql::expr::Expr;
+use polardbx_sql::LogicalPlan;
 use polardbx_txn::Coordinator;
 
+use crate::access::{key_access, KeyAccess};
 use crate::cluster::{CnNode, Inner};
 use crate::gms::shard_table_id;
 use crate::provider::ClusterProvider;
@@ -105,20 +110,31 @@ impl Session {
         self.query_classified(sql).map(|(rows, _)| rows)
     }
 
+    /// Plan, optimize, estimate and classify a SELECT against one
+    /// statistics snapshot.
+    fn plan_select(
+        &self,
+        sel: &ast::Select,
+        stats: &Statistics,
+    ) -> Result<(LogicalPlan, PlanCost, WorkloadClass)> {
+        let plan = polardbx_sql::build_plan(sel, self.inner.gms.as_ref())?;
+        let plan = optimize_with_stats(plan, stats);
+        let cost = estimate(&plan, stats);
+        let class = classify_cost(&cost, self.inner.config.ap_threshold);
+        Ok((plan, cost, class))
+    }
+
     /// EXPLAIN: parse and plan a SELECT without executing it, returning
-    /// the optimized operator tree, the TP/AP classification, and the
-    /// row-store vs column-index choice per scanned table (§VI-B/E).
+    /// the optimized operator tree, the TP/AP classification, and per
+    /// scanned table the row-store vs column-index choice (§VI-B/E) and
+    /// the row-store access path: `keys(n)` when the filter above the scan
+    /// names n primary keys, else `all shards`.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
             return Err(Error::invalid("EXPLAIN supports SELECT only"));
         };
         let stats = self.inner.gms.statistics();
-        let plan = optimize_with_stats(
-            polardbx_sql::build_plan(&sel, self.inner.gms.as_ref())?,
-            &stats,
-        );
-        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
-        let cost = polardbx_optimizer::estimate(&plan, &stats);
+        let (plan, cost, class) = self.plan_select(&sel, &stats)?;
         let mut out = String::new();
         out.push_str(&format!(
             "class: {class:?} (est. cost {:.0}, rows {:.0})\n",
@@ -129,8 +145,41 @@ impl Session {
             let choice = polardbx_optimizer::choose_storage(&plan, &table, &stats);
             out.push_str(&format!("scan {table}: {choice:?}\n"));
         }
+        self.explain_access(&plan, None, &mut out)?;
         out.push_str(&plan.explain());
         Ok(out)
+    }
+
+    /// One `access <table>: …` line per scan of `plan`; `filter` is the
+    /// predicate of the Filter node directly above, if any.
+    fn explain_access(
+        &self,
+        plan: &LogicalPlan,
+        filter: Option<&Expr>,
+        out: &mut String,
+    ) -> Result<()> {
+        match plan {
+            LogicalPlan::Scan { table, .. } => {
+                let schema = self.inner.gms.table(table)?;
+                let access = match filter.map_or(KeyAccess::All, |p| key_access(&schema, p)) {
+                    KeyAccess::Keys(keys) => format!("keys({})", keys.len()),
+                    KeyAccess::All => "all shards".to_string(),
+                };
+                out.push_str(&format!("access {table}: {access}\n"));
+                Ok(())
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                self.explain_access(input, Some(predicate), out)
+            }
+            LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => self.explain_access(input, None, out),
+            LogicalPlan::Join { left, right, .. } => {
+                self.explain_access(left, None, out)?;
+                self.explain_access(right, None, out)
+            }
+        }
     }
 
     /// Execute a SELECT and report how the optimizer classified it.
@@ -147,29 +196,25 @@ impl Session {
     pub fn query_statement(
         &self,
         sql: &str,
-        sel: &polardbx_sql::ast::Select,
+        sel: &ast::Select,
     ) -> Result<(Vec<Row>, WorkloadClass)> {
         let _permit = self.inner.traffic.admit(sql)?;
-        let stats = self.inner.gms.statistics();
-        let plan = polardbx_sql::build_plan(sel, self.inner.gms.as_ref())?;
-        let plan = optimize_with_stats(plan, &stats);
-        let class = classify_with_threshold(&plan, &stats, self.inner.config.ap_threshold);
-        let rows = self.run_plan(plan, class)?;
+        let (plan, cost, class) = self.plan_select(sel, &self.inner.gms.statistics())?;
+        let rows = self.run_plan(plan, class, &cost)?;
         Ok((rows, class))
     }
 
     fn run_plan(
         &self,
-        plan: polardbx_sql::LogicalPlan,
+        plan: LogicalPlan,
         class: WorkloadClass,
+        cost: &PlanCost,
     ) -> Result<Vec<Row>> {
         // Reserve working memory from the class's region before executing
         // (§VI-D): TP reservations may preempt AP headroom; an AP query that
         // cannot reserve fails with a retryable error instead of thrashing.
-        let stats = self.inner.gms.statistics();
-        let est = polardbx_optimizer::estimate(&plan, &stats);
         // Working-set proxy: rows the operators touch, not just output rows.
-        let bytes = ((est.cpu as usize).saturating_mul(8)).clamp(4 << 10, 64 << 20);
+        let bytes = ((cost.cpu as usize).saturating_mul(8)).clamp(4 << 10, 64 << 20);
         let _reservation = match class {
             WorkloadClass::Tp => Reservation::tp(Arc::clone(&self.inner.memory), bytes)?,
             WorkloadClass::Ap => Reservation::ap(Arc::clone(&self.inner.memory), bytes)?,

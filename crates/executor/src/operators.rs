@@ -35,6 +35,15 @@ pub trait TableProvider: Send + Sync {
         Ok(out)
     }
 
+    /// The rows of the table that `predicate` (resolved against the table's
+    /// columns) can possibly keep: any superset of them will do, since the
+    /// caller still applies the predicate. A provider that can find rows
+    /// by key overrides this; the default is the whole table.
+    fn scan_where(&self, table: &str, predicate: &Expr) -> Result<Vec<Row>> {
+        let _ = predicate;
+        self.scan_all(table)
+    }
+
     /// A columnar snapshot of the table, when a column index exists.
     fn columnar(&self, table: &str) -> Option<polardbx_columnar::ColumnSnapshot> {
         let _ = table;
@@ -94,7 +103,21 @@ pub fn execute_plan(
             Ok(rows)
         }
         LogicalPlan::Filter { input, predicate } => {
-            let rows = execute_plan(input, provider, ctx)?;
+            let rows = match input.as_ref() {
+                // A row-store scan under a filter reads only the rows the
+                // filter can name (the column index, as for any scan, first).
+                LogicalPlan::Scan { table, .. } => {
+                    match columnar_exec::try_columnar(input, provider, ctx) {
+                        Some(rows) => rows?,
+                        None => {
+                            let rows = provider.scan_where(table, predicate)?;
+                            ctx.tick(rows.len() as u64)?;
+                            rows
+                        }
+                    }
+                }
+                _ => execute_plan(input, provider, ctx)?,
+            };
             apply_filter(rows, predicate, ctx)
         }
         LogicalPlan::Project { input, exprs, .. } => {

@@ -146,7 +146,7 @@ pub struct Finding {
     /// `Some(reason)` when a well-formed `lint:allow` covers the line.
     pub allowed: Option<String>,
     /// Symbol path of the enclosing function, when the rule knows it
-    /// (`core::cluster::Session::insert`); surfaced in the JSON report.
+    /// (`core::dml::Session::insert`); surfaced in the JSON report.
     pub symbol: Option<String>,
 }
 

@@ -9,7 +9,7 @@
 
 use polardbx_sql::plan::LogicalPlan;
 
-use crate::cost::{estimate, Statistics};
+use crate::cost::{estimate, PlanCost, Statistics};
 
 /// Workload class of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,17 +25,22 @@ pub enum WorkloadClass {
 /// classify TP and TPC-H shapes classify AP at our default statistics.
 pub const DEFAULT_AP_THRESHOLD: f64 = 500_000.0;
 
+/// Classify an already estimated cost against `threshold`.
+pub fn classify_cost(cost: &PlanCost, threshold: f64) -> WorkloadClass {
+    if cost.total() > threshold {
+        WorkloadClass::Ap
+    } else {
+        WorkloadClass::Tp
+    }
+}
+
 /// Classify a plan by estimated cost against `threshold`.
 pub fn classify_with_threshold(
     plan: &LogicalPlan,
     stats: &Statistics,
     threshold: f64,
 ) -> WorkloadClass {
-    if estimate(plan, stats).total() > threshold {
-        WorkloadClass::Ap
-    } else {
-        WorkloadClass::Tp
-    }
+    classify_cost(&estimate(plan, stats), threshold)
 }
 
 /// Classify with the default threshold.

@@ -28,7 +28,9 @@ pub mod rewrite;
 pub mod storage;
 
 pub use advisor::{recommend_indexes, IndexRecommendation};
-pub use classify::{classify, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD};
+pub use classify::{
+    classify, classify_cost, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD,
+};
 pub use cost::{estimate, PlanCost, Statistics, TableStats};
 pub use rewrite::{optimize, optimize_with_stats};
 pub use storage::{choose_storage, StorageChoice};

@@ -1,7 +1,8 @@
 //! Tier-1 tests for the SQL front door: the full statement surface over
 //! the wire, typed error classification across the boundary, per-tenant
-//! admission, quota release on abrupt disconnect, and the lost-update
-//! rehome test lifted from the in-process SQL path to real TCP clients.
+//! admission, quota release on abrupt disconnect, and the same-row
+//! multi-writer rehome test lifted from the in-process SQL path to real
+//! TCP clients.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,6 +84,9 @@ fn wire_smoke_covers_the_full_statement_surface() {
     assert!(matches!(err, Error::UnknownTable { ref name } if name == "nosuch"));
     let err = c.query("SELECT nosuchcol FROM w").unwrap_err();
     assert!(matches!(err, Error::Schema { .. }), "schema failure: {err:?}");
+    // A row cannot be re-keyed in place: typed, and not worth retrying.
+    let err = c.execute("UPDATE w SET id = 11 WHERE id = 1").unwrap_err();
+    assert!(matches!(err, Error::Schema { .. }) && !err.is_retryable(), "key update: {err:?}");
 
     // The connection survives all those errors; clean goodbye works.
     assert_eq!(c.query("SELECT COUNT(*) FROM w").unwrap()[0].get(0).unwrap(), &Value::Int(9));
@@ -204,11 +208,13 @@ fn abrupt_disconnect_releases_connection_quota() {
     db.shutdown();
 }
 
-/// The lost-update rehome test lifted to the wire: concurrent TCP clients
-/// hammer `UPDATE v = v + 1` through the front door while the placement
-/// layer re-homes every shard twice. Every acked update must be visible
-/// in the final row — an ack that didn't survive the cutover would show
-/// up as `final < sum(applied)`.
+/// Snapshot isolation over the wire, under re-homes: four TCP clients all
+/// hammer `UPDATE t SET v = v + 1 WHERE id = 0` — the same row — through
+/// the front door while the placement layer re-homes every shard twice.
+/// Each statement reads and writes in one coordinator transaction, so two
+/// racing increments cannot both commit on the same snapshot (the loser
+/// sees a retryable conflict), and no ack may be lost to a cutover: the
+/// row must end at exactly the sum of the acked updates.
 #[test]
 fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
     let seed = seed_from_env(0x0F2E_4A3D);
@@ -226,10 +232,6 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
         admin.execute(&format!("INSERT INTO t (id, v) VALUES ({i}, 0)")).unwrap();
     }
 
-    // One wire client per row: each client is the sole writer of its row,
-    // so its acked count must equal the row's final value exactly (the
-    // same single-writer-per-key contract as the in-process template
-    // test, scaled out to concurrent TCP connections).
     const CLIENTS: usize = 4;
     let stop = Arc::new(AtomicBool::new(false));
     let addr = front.addr();
@@ -242,16 +244,17 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
                     Ok(c) => c,
                     Err(e) => return (0, Some(e)),
                 };
-                let sql = format!("UPDATE t SET v = v + 1 WHERE id = {w}");
                 let mut applied = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    match c.execute(&sql) {
+                    match c.execute("UPDATE t SET v = v + 1 WHERE id = 0") {
                         Ok(1) => applied += 1,
                         Ok(n) => {
                             return (applied, Some(Error::invalid(format!("matched {n} rows"))))
                         }
                         Err(e) if e.is_retryable() => {
-                            // Back off a hair so the drain can win.
+                            // Lost the row to another client, or bounced
+                            // off a cutover: back off a hair so the other
+                            // writer, or the drain, can win.
                             std::thread::sleep(Duration::from_micros(
                                 rng.gen_range(50..500),
                             ));
@@ -285,20 +288,24 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
     }
     stop.store(true, Ordering::Relaxed);
 
-    let mut total = 0u64;
+    let mut acked = 0u64;
     for (w, handle) in workers.into_iter().enumerate() {
         let (applied, fatal) = handle.join().unwrap();
         assert!(fatal.is_none(), "wire writer {w} hit non-retryable error: {fatal:?}");
-        total += applied;
-        let rows = admin.query(&format!("SELECT v FROM t WHERE id = {w}")).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            rows[0].get(0).unwrap(),
-            &Value::Int(applied as i64),
-            "client {w}: every acked wire UPDATE must survive the re-homes"
-        );
+        acked += applied;
     }
-    assert!(total > 0, "writers made progress across cutovers");
+    assert!(acked > 0, "writers made progress across cutovers");
+    // HLC orders what is causally related: the admin connection's CN took
+    // no part in the other CN's last commits, so its snapshot is certain to
+    // cover them only once its physical clock passes their tick.
+    std::thread::sleep(Duration::from_millis(2));
+    let rows = admin.query("SELECT v FROM t WHERE id = 0").unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(
+        rows[0].get(0).unwrap(),
+        &Value::Int(acked as i64),
+        "final v must equal the sum of acked wire UPDATEs (seed {seed:#x})"
+    );
 
     admin.quit().unwrap();
     drop(front);
