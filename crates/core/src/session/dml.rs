@@ -6,7 +6,7 @@ use std::time::Duration;
 use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, TableSchema, Value};
 use polardbx_sql::ast;
 use polardbx_sql::expr::Expr;
-use polardbx_txn::{DistTxn, WireWriteOp};
+use polardbx_txn::{DistTxn, ReadOp, WireWriteOp};
 
 use super::Session;
 use crate::access::{key_access, key_columns, KeyAccess};
@@ -43,7 +43,6 @@ impl Session {
         &self,
         hidden: &TableSchema,
         base: &TableSchema,
-        _index_cols: &[String],
         base_row: &Row,
         delete: bool,
     ) -> Result<()> {
@@ -54,11 +53,8 @@ impl Session {
             let stid = shard_table_id(hidden.id, shard);
             let mut txn = self.cn.coordinator.begin();
             txn.pin_epoch(stid, epoch)?;
-            if delete {
-                txn.write(dn, stid, key.clone(), WireWriteOp::Delete)?;
-            } else {
-                txn.write(dn, stid, key.clone(), WireWriteOp::Update(idx_row.clone()))?;
-            }
+            let op = if delete { WireWriteOp::Delete } else { WireWriteOp::Update(idx_row.clone()) };
+            txn.stage_write(dn, stid, key.clone(), op);
             txn.commit()?;
             Ok(())
         })
@@ -67,12 +63,13 @@ impl Session {
     // ------------------------------------------------------------------- DML
 
     /// Run one DML statement, retrying it wholesale while it bounces off
-    /// a re-home cutover (`Throttled`: a frozen shard at route or write
-    /// time, a pinned routing epoch that moved by commit time, or a store
-    /// detached between routing and execution — the DN remaps that
-    /// retryably too). Each retry re-routes from scratch and lands on the
-    /// new home. Bounded: a cutover pauses a shard for milliseconds, so a
-    /// statement still bouncing at the deadline surfaces the error.
+    /// a re-home cutover (`Throttled`: a frozen shard at route time or when
+    /// the commit round delivers the write, a pinned routing epoch that
+    /// moved by commit time, or a store detached between routing and
+    /// execution — the DN remaps that retryably too). Each retry re-routes
+    /// from scratch and lands on the new home. Bounded: a cutover pauses a
+    /// shard for milliseconds, so a statement still bouncing at the
+    /// deadline surfaces the error.
     pub(super) fn retry_dml<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
         let deadline = polardbx_common::time::mono_now() + Duration::from_secs(10);
         loop {
@@ -133,7 +130,7 @@ impl Session {
             let (shard, dn, epoch) = self.inner.gms.route_row_fenced(&schema, &row)?;
             let stid = shard_table_id(schema.id, shard);
             txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Insert(row.clone()))?;
+            txn.stage_write(dn, stid, key, WireWriteOp::Insert(row.clone()));
             // Maintain global indexes in the same distributed transaction
             // (§II-B: "updated in a single distributed transaction").
             for hidden in &gsis {
@@ -143,7 +140,7 @@ impl Session {
                 let ikey = hidden.pk_of(&idx_row)?;
                 let istid = shard_table_id(hidden.id, ishard);
                 txn.pin_epoch(istid, iepoch)?;
-                txn.write(idn, istid, ikey, WireWriteOp::Insert(idx_row))?;
+                txn.stage_write(idn, istid, ikey, WireWriteOp::Insert(idx_row));
             }
             count += 1;
         }
@@ -158,10 +155,11 @@ impl Session {
         names.iter().map(|n| self.inner.gms.table(n)).collect()
     }
 
-    /// Read, inside `txn`, the rows of `schema` that `predicate` keeps. The
-    /// statement's reads and writes share `txn`, hence one snapshot: the
-    /// write of a row another transaction committed after that snapshot
-    /// fails first-committer-wins instead of overwriting it.
+    /// Read, inside `txn`, the rows of `schema` that `predicate` keeps: the
+    /// whole access set in one round. The statement's reads and writes
+    /// share `txn`, hence one snapshot: the write of a row another
+    /// transaction committed after that snapshot fails
+    /// first-committer-wins instead of overwriting it.
     fn read_matches(
         &self,
         txn: &mut DistTxn<'_>,
@@ -171,25 +169,33 @@ impl Session {
     ) -> Result<Vec<Match>> {
         let predicate = predicate.as_ref().map(|p| p.resolve(names)).transpose()?;
         let access = predicate.as_ref().map_or(KeyAccess::All, |p| key_access(schema, p));
-        // One visit per key the predicate names, or one per shard.
-        let visits: Vec<(u32, Option<Key>)> = match access {
-            KeyAccess::Keys(keys) => keys
-                .iter()
-                .map(|key| Ok((schema.shard_of(key)?, Some(schema.pk_of(key)?))))
-                .collect::<Result<_>>()?,
-            KeyAccess::All => (0..schema.partition.shard_count()).map(|s| (s, None)).collect(),
-        };
-        let mut out = Vec::new();
-        for (shard, key) in visits {
+        let mut homes = Vec::new();
+        let mut reads = Vec::new();
+        let mut visit = |shard: u32, op: ReadOp| -> Result<()> {
             // Fenced: the epoch read here is pinned before the shard is
             // written, so a re-home between this read and the commit aborts
             // the statement retryably instead of stranding the write.
             let (dn, epoch) = self.inner.gms.shard_dn_fenced(schema.id, shard)?;
             let stid = shard_table_id(schema.id, shard);
-            let rows = match key {
-                Some(key) => txn.read(dn, stid, &key)?.map(|row| (key, row)).into_iter().collect(),
-                None => txn.scan(dn, stid, None, None)?,
-            };
+            homes.push((stid, dn, epoch));
+            reads.push((dn, stid, op));
+            Ok(())
+        };
+        // One visit per key the predicate names, or one per shard.
+        match access {
+            KeyAccess::Keys(keys) => {
+                for key in &keys {
+                    visit(schema.shard_of(key)?, ReadOp::Point(schema.pk_of(key)?))?;
+                }
+            }
+            KeyAccess::All => {
+                for shard in 0..schema.partition.shard_count() {
+                    visit(shard, ReadOp::Scan { lower: None, upper: None })?;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for ((stid, dn, epoch), rows) in homes.into_iter().zip(txn.read_many(reads)?) {
             for (key, row) in rows {
                 if predicate.as_ref().map_or(Ok(true), |p| p.eval_bool(&row))? {
                     out.push(Match { stid, dn, epoch, key, row });
@@ -228,7 +234,7 @@ impl Session {
             }
             schema.validate_row(&new_row)?;
             txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Update(new_row.clone()))?;
+            txn.stage_write(dn, stid, key, WireWriteOp::Update(new_row.clone()));
             for hidden in &gsis {
                 // Replace the index entry when it changed.
                 let old_idx = self.gsi_row(hidden, &schema, &old_row)?;
@@ -238,17 +244,17 @@ impl Session {
                         self.inner.gms.route_row_fenced(hidden, &old_idx)?;
                     let ostid = shard_table_id(hidden.id, os);
                     txn.pin_epoch(ostid, oepoch)?;
-                    txn.write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete)?;
+                    txn.stage_write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete);
                     let (ns, nd, nepoch) =
                         self.inner.gms.route_row_fenced(hidden, &new_idx)?;
                     let nstid = shard_table_id(hidden.id, ns);
                     txn.pin_epoch(nstid, nepoch)?;
-                    txn.write(
+                    txn.stage_write(
                         nd,
                         nstid,
                         hidden.pk_of(&new_idx)?,
                         WireWriteOp::Update(new_idx),
-                    )?;
+                    );
                 }
             }
         }
@@ -266,14 +272,14 @@ impl Session {
         let count = matches.len() as u64;
         for Match { stid, dn, epoch, key, row: old_row } in matches {
             txn.pin_epoch(stid, epoch)?;
-            txn.write(dn, stid, key, WireWriteOp::Delete)?;
+            txn.stage_write(dn, stid, key, WireWriteOp::Delete);
             for hidden in &gsis {
                 let old_idx = self.gsi_row(hidden, &schema, &old_row)?;
                 let (os, od, oepoch) =
                     self.inner.gms.route_row_fenced(hidden, &old_idx)?;
                 let ostid = shard_table_id(hidden.id, os);
                 txn.pin_epoch(ostid, oepoch)?;
-                txn.write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete)?;
+                txn.stage_write(od, ostid, hidden.pk_of(&old_idx)?, WireWriteOp::Delete);
             }
         }
         txn.commit()?;

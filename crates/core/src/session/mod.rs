@@ -418,7 +418,7 @@ impl Session {
                 for (_, row) in
                     dn.rw.engine.scan_table(shard_table_id(schema.id, shard), ts)?
                 {
-                    self.write_gsi_row(&hidden, &schema, &ci.columns, &row, false)?;
+                    self.write_gsi_row(&hidden, &schema, &row, false)?;
                 }
             }
         }

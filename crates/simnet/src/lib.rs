@@ -9,8 +9,10 @@
 //!   placed in datacenters,
 //! * injects per-link one-way delays from a configurable [`LatencyMatrix`]
 //!   (intra-DC vs inter-DC, optional jitter),
-//! * supports synchronous RPC ([`SimNet::call`]) and asynchronous one-way
-//!   posts ([`SimNet::post`]) with in-order delivery per destination,
+//! * supports synchronous RPC ([`SimNet::call`]), scatter-gather rounds
+//!   whose messages are in flight together ([`SimNet::call_many`]) and
+//!   asynchronous one-way posts ([`SimNet::post`]) with in-order delivery
+//!   per destination,
 //! * can partition datacenters from each other to exercise failover, and
 //! * counts messages per link so experiments can report network usage.
 //!

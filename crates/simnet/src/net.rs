@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use polardbx_common::{DcId, Error, NodeId, Result};
 
@@ -39,6 +39,9 @@ pub struct NetStats {
     pub cross_dc_calls: AtomicU64,
     /// Posts that crossed a datacenter boundary.
     pub cross_dc_posts: AtomicU64,
+    /// Blocking waits by a caller: a [`SimNet::call`] is a round of one, a
+    /// [`SimNet::call_many`] is one round however many messages it carries.
+    pub rounds: AtomicU64,
 }
 
 impl NetStats {
@@ -108,11 +111,7 @@ impl<M: Send + 'static> SimNet<M> {
                     // Propagation delay, not serialization delay: messages
                     // posted close together arrive close together. Sleep
                     // only the remaining time until this message's arrival.
-                    // lint:allow(determinism, "latency-model pacing: deliver_at ordering is seed-derived; the real clock only times the sleep")
-                    let now = Instant::now();
-                    if deliver_at > now {
-                        std::thread::sleep(deliver_at - now);
-                    }
+                    sleep_until(deliver_at);
                     // A crashed destination loses in-flight messages: the
                     // node stays registered (it can restart) but nothing
                     // reaches its handler while it is down.
@@ -303,11 +302,50 @@ impl<M: Send + 'static> SimNet<M> {
     }
 }
 
+/// A request that has left its sender: what [`SimNet::send_request`] rolled
+/// for the outbound leg, and where the leg ends.
+struct Outbound<M: Send + 'static> {
+    service: Arc<dyn Handler<M>>,
+    from_dc: DcId,
+    to_dc: DcId,
+    /// The plan in force when the request left; its reply rolls against it.
+    faults: Option<Arc<FaultState>>,
+    /// One-way delay of this leg, spike included.
+    delay: Duration,
+    /// The request vanishes on the way: the handler never runs.
+    lost: bool,
+    /// The handler runs twice (the first reply has no slot to return in).
+    duplicate: bool,
+}
+
+/// A reply on its way back to the caller.
+struct Inbound<M> {
+    reply: M,
+    delay: Duration,
+    /// The handler ran, but the caller will never know.
+    lost: bool,
+}
+
+/// A message of a [`SimNet::call_many`] round that is still on the wire.
+enum InFlight<M: Send + 'static> {
+    Request { to: NodeId, out: Outbound<M>, msg: M },
+    Reply { to: NodeId, back: Inbound<M> },
+}
+
+fn sleep_until(at: Instant) {
+    // lint:allow(determinism, "latency-model pacing: the arrival instant is seed-derived; the real clock only times the sleep")
+    let now = Instant::now();
+    if at > now {
+        std::thread::sleep(at - now);
+    }
+}
+
 impl<M: Send + Clone + 'static> SimNet<M> {
     /// Synchronous RPC from `from` to `to`: sleeps the one-way delay, runs
     /// the destination handler on the calling thread, sleeps the return
     /// delay, and returns the reply. Concurrency comes from concurrent
-    /// callers, exactly like a thread-per-connection server.
+    /// callers, exactly like a thread-per-connection server, or from
+    /// [`SimNet::call_many`] when one caller has several messages to send.
     ///
     /// Under an active [`FaultPlan`] the request and reply legs are rolled
     /// independently: a dropped request means the handler never ran, while a
@@ -317,6 +355,85 @@ impl<M: Send + Clone + 'static> SimNet<M> {
     /// call (also a timeout: a dead peer is indistinguishable from a slow
     /// one).
     pub fn call(&self, from: NodeId, to: NodeId, msg: M) -> Result<M> {
+        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
+        self.exchange(from, to, msg)
+    }
+
+    /// Scatter-gather: send every `(to, msg)` at once and wait for all the
+    /// replies, returned in request order. The outcome is that of issuing
+    /// the [`SimNet::call`]s concurrently — every message is counted, bumps
+    /// the sender's one-shot send counter and rolls its two legs against
+    /// the fault plan, in request order — but the caller waits once: the
+    /// round costs the slowest exchange, not their sum.
+    ///
+    /// No thread is spawned. The calling thread plays the round in time
+    /// order, sleeping to each message's *absolute* arrival instant (so the
+    /// sleeps of messages in flight together overlap) and running each
+    /// destination handler as its request lands; handlers of one round
+    /// therefore run one after another. A round of one is `call`.
+    pub fn call_many(&self, from: NodeId, mut msgs: Vec<(NodeId, M)>) -> Vec<Result<M>> {
+        if msgs.is_empty() {
+            return Vec::new();
+        }
+        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
+        if msgs.len() == 1 {
+            let (to, msg) = msgs.pop().expect("one message");
+            return vec![self.exchange(from, to, msg)];
+        }
+        // lint:allow(determinism, "latency-model pacing: delays are seed-derived; the real clock only anchors the arrival instants")
+        let sent = Instant::now();
+        let mut results: Vec<Option<Result<M>>> = msgs.iter().map(|_| None).collect();
+        let mut wire: Vec<(Instant, usize, InFlight<M>)> = Vec::with_capacity(msgs.len());
+        for (i, (to, msg)) in msgs.into_iter().enumerate() {
+            match self.send_request(from, to) {
+                Ok(out) => wire.push((sent + out.delay, i, InFlight::Request { to, out, msg })),
+                Err(e) => results[i] = Some(Err(e)),
+            }
+        }
+        // Next to land; messages landing together keep request order.
+        while let Some(next) = (0..wire.len()).min_by_key(|&w| (wire[w].0, wire[w].1)) {
+            let (lands, i, message) = wire.swap_remove(next);
+            sleep_until(lands);
+            match message {
+                InFlight::Request { to, out, .. } if out.lost => {
+                    results[i] = Some(Err(lost_request(from, to)));
+                }
+                InFlight::Request { to, out, msg } => {
+                    let back = self.deliver(from, &out, msg);
+                    // lint:allow(determinism, "latency-model pacing: the reply leaves when the handler returns")
+                    let lands = Instant::now() + back.delay;
+                    wire.push((lands, i, InFlight::Reply { to, back }));
+                }
+                InFlight::Reply { to, back } => {
+                    results[i] = Some(self.receive_reply(from, to, back));
+                }
+            }
+        }
+        results.into_iter().map(|r| r.expect("every message of the round ended")).collect()
+    }
+
+    /// One request/reply exchange on the calling thread.
+    fn exchange(&self, from: NodeId, to: NodeId, msg: M) -> Result<M> {
+        let out = self.send_request(from, to)?;
+        if !out.delay.is_zero() {
+            std::thread::sleep(out.delay);
+        }
+        if out.lost {
+            // The caller waited out its leg of the trip before concluding
+            // the request vanished.
+            return Err(lost_request(from, to));
+        }
+        let back = self.deliver(from, &out, msg);
+        if !back.delay.is_zero() {
+            std::thread::sleep(back.delay);
+        }
+        self.receive_reply(from, to, back)
+    }
+
+    /// Put a request on the wire: resolve both ends, count the send against
+    /// the one-shot schedule, refuse a dead endpoint or a severed link, and
+    /// roll the outbound leg.
+    fn send_request(&self, from: NodeId, to: NodeId) -> Result<Outbound<M>> {
         let (from_dc, to_dc, service) = {
             let nodes = self.nodes.read();
             let from_dc = nodes
@@ -340,47 +457,47 @@ impl<M: Send + Clone + 'static> SimNet<M> {
         }
         let faults = self.faults.read().clone();
         let req = faults.as_ref().map(|f| f.decide(from_dc, to_dc));
-        let mut d1 = self.latency.one_way(from_dc, to_dc);
+        let mut delay = self.latency.one_way(from_dc, to_dc);
         if let Some(extra) = req.as_ref().and_then(|d| d.extra_delay) {
             self.fault_stats.delay_spikes.inc();
-            d1 += extra;
+            delay += extra;
         }
-        if drop_this || req.as_ref().is_some_and(|d| d.drop) {
-            // The caller still waits out its leg of the trip before
-            // concluding the request vanished.
+        let lost = drop_this || req.as_ref().is_some_and(|d| d.drop);
+        if lost {
             self.fault_stats.dropped_requests.inc();
-            if !d1.is_zero() {
-                std::thread::sleep(d1);
-            }
-            return Err(Error::Timeout { what: format!("request {from} -> {to} lost") });
         }
-        if !d1.is_zero() {
-            std::thread::sleep(d1);
-        }
-        let reply = if req.as_ref().is_some_and(|d| d.duplicate) {
+        let duplicate = req.as_ref().is_some_and(|d| d.duplicate);
+        Ok(Outbound { service, from_dc, to_dc, faults, delay, lost, duplicate })
+    }
+
+    /// The request landed: run the handler and roll the reply leg.
+    fn deliver(&self, from: NodeId, out: &Outbound<M>, msg: M) -> Inbound<M> {
+        let reply = if out.duplicate {
             // Deliver twice: exercises participant idempotency. The first
             // reply is discarded (the network has no slot for it).
             self.fault_stats.duplicated_calls.inc();
-            let _ = service.handle(from, msg.clone());
-            service.handle(from, msg)
+            let _ = out.service.handle(from, msg.clone());
+            out.service.handle(from, msg)
         } else {
-            service.handle(from, msg)
+            out.service.handle(from, msg)
         };
-        let rep = faults.as_ref().map(|f| f.decide(to_dc, from_dc));
-        let mut d2 = self.latency.one_way(to_dc, from_dc);
+        let rep = out.faults.as_ref().map(|f| f.decide(out.to_dc, out.from_dc));
+        let mut delay = self.latency.one_way(out.to_dc, out.from_dc);
         if let Some(extra) = rep.as_ref().and_then(|d| d.extra_delay) {
             self.fault_stats.delay_spikes.inc();
-            d2 += extra;
+            delay += extra;
         }
-        if rep.as_ref().is_some_and(|d| d.drop) {
+        let lost = rep.as_ref().is_some_and(|d| d.drop);
+        if lost {
             self.fault_stats.dropped_replies.inc();
-            if !d2.is_zero() {
-                std::thread::sleep(d2);
-            }
-            return Err(Error::Timeout { what: format!("reply {to} -> {from} lost") });
         }
-        if !d2.is_zero() {
-            std::thread::sleep(d2);
+        Inbound { reply, delay, lost }
+    }
+
+    /// The reply leg ended at the caller.
+    fn receive_reply(&self, from: NodeId, to: NodeId, back: Inbound<M>) -> Result<M> {
+        if back.lost {
+            return Err(Error::Timeout { what: format!("reply {to} -> {from} lost") });
         }
         if self.is_crashed(from) {
             // The caller died while the call was in flight; nobody is left
@@ -388,7 +505,7 @@ impl<M: Send + Clone + 'static> SimNet<M> {
             self.fault_stats.blackholed.inc();
             return Err(Error::Timeout { what: format!("caller {from} crashed mid-call") });
         }
-        Ok(reply)
+        Ok(back.reply)
     }
 
     /// Fire-and-forget message: enqueued to the destination's delivery
@@ -440,6 +557,10 @@ impl<M: Send + Clone + 'static> SimNet<M> {
         tx.send((from, msg, deliver_at))
             .map_err(|_| Error::Network { message: format!("node {to} shut down") })
     }
+}
+
+fn lost_request(from: NodeId, to: NodeId) -> Error {
+    Error::Timeout { what: format!("request {from} -> {to} lost") }
 }
 
 impl<M: Send + 'static> Drop for SimNet<M> {
@@ -665,6 +786,135 @@ mod tests {
             (0..50).map(|i| net.call(NodeId(1), NodeId(2), i).is_ok()).collect()
         };
         assert_eq!(outcomes(99), outcomes(99));
+    }
+
+    /// Echo plus a log of the order requests were handled in.
+    struct Recording {
+        handled: parking_lot::Mutex<Vec<u64>>,
+    }
+
+    impl Handler<u64> for Recording {
+        fn handle(&self, _from: NodeId, msg: u64) -> u64 {
+            self.handled.lock().push(msg);
+            msg + 1
+        }
+    }
+
+    /// A caller in DC1 and one recording node in each of DC1..=DC3.
+    fn three_dcs(lat: LatencyMatrix) -> (Arc<SimNet<u64>>, Arc<Recording>) {
+        let net = SimNet::new(lat);
+        let rec = Arc::new(Recording { handled: parking_lot::Mutex::new(Vec::new()) });
+        net.register(NodeId(9), DcId(1), rec.clone());
+        for i in 1..=3 {
+            net.register(NodeId(i), DcId(i), rec.clone());
+        }
+        (net, rec)
+    }
+
+    #[test]
+    fn call_many_replies_in_request_order_and_counts_every_message() {
+        let (net, rec) = three_dcs(LatencyMatrix::zero());
+        let replies = net.call_many(NodeId(9), vec![(NodeId(3), 30), (NodeId(1), 10), (NodeId(2), 20)]);
+        let replies: Vec<u64> = replies.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(replies, vec![31, 11, 21]);
+        assert_eq!(*rec.handled.lock(), vec![30, 10, 20], "equal arrivals keep request order");
+        assert_eq!(net.stats.snapshot(), (3, 0, 2, 0));
+        assert_eq!(net.stats.rounds.load(Ordering::Relaxed), 1);
+        // A round of one is a call; an empty round is no wait at all.
+        assert_eq!(net.call_many(NodeId(9), vec![(NodeId(2), 1)])[0].as_ref().unwrap(), &2);
+        assert!(net.call_many(NodeId(9), Vec::new()).is_empty());
+        net.call(NodeId(9), NodeId(2), 1).unwrap();
+        assert_eq!(net.stats.rounds.load(Ordering::Relaxed), 3);
+        assert_eq!(net.stats.snapshot().0, 5);
+    }
+
+    #[test]
+    fn call_many_costs_the_slowest_exchange_and_lands_nearest_first() {
+        let lat = LatencyMatrix {
+            intra_dc: Duration::ZERO,
+            inter_dc: Duration::from_millis(5),
+            jitter: 0.0,
+        };
+        let (net, rec) = three_dcs(lat);
+        let msgs: Vec<(NodeId, u64)> =
+            (0..8).map(|i| (NodeId(3 - i % 3), i)).collect();
+        let t0 = Instant::now();
+        let replies = net.call_many(NodeId(9), msgs);
+        let took = t0.elapsed();
+        assert!(replies.iter().enumerate().all(|(i, r)| *r.as_ref().unwrap() == i as u64 + 1));
+        assert!(took >= Duration::from_millis(10), "one RTT applied: {took:?}");
+        assert!(took < Duration::from_millis(40), "eight RTTs in series would be 80 ms: {took:?}");
+        // The same-DC node (messages 2 and 5) is reached at once, the rest
+        // one inter-DC delay later, in request order.
+        assert_eq!(*rec.handled.lock(), vec![2, 5, 0, 1, 3, 4, 6, 7]);
+    }
+
+    #[test]
+    fn call_many_fails_only_the_message_at_fault() {
+        use crate::fault::{FaultPlan, OneShot, OneShotFault};
+        let (net, rec) = three_dcs(LatencyMatrix::zero());
+        // The sender's 2nd send vanishes; an unknown destination and a
+        // severed link are refused at send time. The rest go through.
+        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
+            from: NodeId(9),
+            after_sends: 2,
+            fault: OneShotFault::DropNext,
+        }));
+        net.partition(DcId(1), DcId(3));
+        let replies = net.call_many(
+            NodeId(9),
+            vec![(NodeId(1), 1), (NodeId(2), 2), (NodeId(77), 3), (NodeId(3), 4), (NodeId(2), 5)],
+        );
+        assert_eq!(replies[0].as_ref().unwrap(), &2);
+        assert!(matches!(replies[1], Err(Error::Timeout { .. })));
+        assert!(matches!(replies[2], Err(Error::Network { .. })));
+        assert!(matches!(replies[3], Err(Error::Network { .. })));
+        assert_eq!(replies[4].as_ref().unwrap(), &6);
+        assert_eq!(*rec.handled.lock(), vec![1, 5]);
+        assert_eq!(net.fault_stats.dropped_requests.get(), 1);
+        assert_eq!(net.stats.snapshot().0, 3, "refused sends are not calls");
+    }
+
+    #[test]
+    fn call_many_rolls_each_leg_like_the_same_calls_in_series() {
+        use crate::fault::{FaultPlan, LinkFaults};
+        let plan = |seed| {
+            FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.3).with_duplicate(0.3))
+        };
+        let stats = |net: &SimNet<u64>| {
+            let f = &net.fault_stats;
+            [f.dropped_requests.get(), f.dropped_replies.get(), f.duplicated_calls.get()]
+        };
+        for seed in [7, 8, 9] {
+            let msgs: Vec<(NodeId, u64)> = (0..40).map(|i| (NodeId(2 + i % 2), i)).collect();
+            let (serial, _) = three_dcs(LatencyMatrix::zero());
+            serial.set_fault_plan(plan(seed));
+            let one_by_one: Vec<bool> =
+                msgs.iter().map(|&(to, m)| serial.call(NodeId(9), to, m).is_ok()).collect();
+            let (fanned, _) = three_dcs(LatencyMatrix::zero());
+            fanned.set_fault_plan(plan(seed));
+            let together: Vec<bool> =
+                fanned.call_many(NodeId(9), msgs).iter().map(|r| r.is_ok()).collect();
+            assert_eq!(together, one_by_one, "seed {seed}");
+            assert_eq!(stats(&fanned), stats(&serial), "seed {seed}");
+            assert!(stats(&fanned).iter().all(|n| *n > 0), "seed {seed} injected every fault");
+        }
+    }
+
+    #[test]
+    fn call_many_sender_crash_mid_round_loses_every_reply() {
+        use crate::fault::{FaultPlan, OneShot, OneShotFault};
+        let (net, rec) = three_dcs(LatencyMatrix::zero());
+        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
+            from: NodeId(9),
+            after_sends: 2,
+            fault: OneShotFault::Crash(NodeId(9)),
+        }));
+        let replies = net.call_many(NodeId(9), vec![(NodeId(1), 1), (NodeId(2), 2), (NodeId(3), 3)]);
+        assert!(replies.iter().all(|r| matches!(r, Err(Error::Timeout { .. }))));
+        // The first request had left before the sender died: it was served,
+        // and nobody was left to hear the answer.
+        assert_eq!(*rec.handled.lock(), vec![1]);
     }
 
     #[test]

@@ -133,29 +133,32 @@ fn main() {
                     &[AnomalyKind::LostUpdate, AnomalyKind::LostWrite, AnomalyKind::GSIb]
                 }
             };
-            let mutated = explorer::run_mutated(m, args.base_seed);
-            let twin = explorer::run_unmutated_twin(m, args.base_seed);
-            let caught = expect.iter().any(|k| mutated.report.has(*k));
-            let twin_clean = twin.report.is_clean();
-            let expect_names =
-                expect.iter().map(|k| k.name()).collect::<Vec<_>>().join(" | ");
-            let line = format!(
-                "=== {} === expected {} : {} | unmutated twin: {}\n",
-                mutated.schedule_label,
-                expect_names,
-                if caught { "DETECTED" } else { "MISSED" },
-                if twin_clean { "clean" } else { "ANOMALOUS" },
-            );
-            print!("{line}");
-            report_text.push_str(&line);
-            report_text.push_str(&render_report(&mutated));
-            if !twin_clean {
-                report_text.push_str(&render_report(&twin));
+            let expect_names = expect.iter().map(|k| k.name()).collect::<Vec<_>>().join(" | ");
+            // The seed's low bit picks the scenario's write path
+            // (`write()`s, or writes staged into the commit round).
+            for (seed, path) in [(args.base_seed & !1, "write"), (args.base_seed | 1, "staged")] {
+                let mutated = explorer::run_mutated(m, seed);
+                let twin = explorer::run_unmutated_twin(m, seed);
+                let caught = expect.iter().any(|k| mutated.report.has(*k));
+                let twin_clean = twin.report.is_clean();
+                let line = format!(
+                    "=== {} ({path}) === expected {} : {} | unmutated twin: {}\n",
+                    mutated.schedule_label,
+                    expect_names,
+                    if caught { "DETECTED" } else { "MISSED" },
+                    if twin_clean { "clean" } else { "ANOMALOUS" },
+                );
+                print!("{line}");
+                report_text.push_str(&line);
+                report_text.push_str(&render_report(&mutated));
+                if !twin_clean {
+                    report_text.push_str(&render_report(&twin));
+                }
+                if !caught || !twin_clean {
+                    failed = true;
+                }
+                flush_report(args.out.as_ref(), &report_text);
             }
-            if !caught || !twin_clean {
-                failed = true;
-            }
-            flush_report(args.out.as_ref(), &report_text);
         }
     }
 

@@ -419,11 +419,12 @@ fn seed_registers(coord: &Coordinator, n: usize) {
     }
 }
 
-/// One register read-modify-write: read, increment, write back. With a
+/// One register read-modify-write: read, increment, write back — the
+/// write sent on its own, or `staged` into the commit message. With a
 /// `route`, the register's home is dynamic and the commit is pinned to the
 /// routing epoch captured here — a concurrent cutover rejects it
 /// retryably instead of letting it land on the old home.
-fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>) -> bool {
+fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>, staged: bool) -> bool {
     let (home, pin) = match route {
         Some(rt) => {
             if rt.epochs.is_frozen(REGISTERS) {
@@ -453,8 +454,10 @@ fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>) -> boo
         txn.abort();
         return false;
     };
-    let row = Row::new(vec![Value::Int(id), Value::Int(v + 1)]);
-    if txn.write(home, REGISTERS, key, WireWriteOp::Update(row)).is_err() {
+    let op = WireWriteOp::Update(Row::new(vec![Value::Int(id), Value::Int(v + 1)]));
+    if staged {
+        txn.stage_write(home, REGISTERS, key, op);
+    } else if txn.write(home, REGISTERS, key, op).is_err() {
         txn.abort();
         return false;
     }
@@ -653,8 +656,12 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
                         if a == b {
                             b = (b + 1) % h.accounts;
                         }
+                        // Each writer picks, by seed, how it reaches the
+                        // DNs: a message per statement, or one read round
+                        // and a commit round that carries the writes.
+                        let staged = rng.gen();
                         for _ in 0..3 {
-                            match h.transfer(&coord, a, b, 1) {
+                            match h.transfer(&coord, a, b, 1, staged) {
                                 Ok(()) => break,
                                 Err(e) if e.is_retryable() => continue,
                                 Err(_) => break,
@@ -673,8 +680,9 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
                     let mut rng = StdRng::seed_from_u64(0x4A7_0000 ^ seed);
                     for _ in 0..n {
                         let r = rng.gen_range(0..regs);
+                        let staged = rng.gen();
                         for _ in 0..5 {
-                            if rmw_once(&coord, r, route) {
+                            if rmw_once(&coord, r, route, staged) {
                                 break;
                             }
                         }
@@ -755,8 +763,11 @@ pub fn sweep(seeds: &[u64], schedules: &[Schedule]) -> ExplorerOutcome {
 
 /// Deterministic scenario for one mutation. `mutated = false` runs the
 /// identical schedule with the protocol intact — the twin that must come
-/// back clean.
+/// back clean. The seed's low bit picks how the scenario's writer reaches
+/// its DNs (odd: reads in one round, writes staged into the commit round),
+/// so two consecutive seeds cover both.
 fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
+    let staged = seed & 1 == 1;
     let c = build_cluster(false, None, false);
     let accounts = 4usize;
     let harness = BankHarness {
@@ -787,7 +798,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     ..Default::default()
                 });
             let _ = harness.seed(&coord);
-            let _ = harness.transfer(&coord, 0, 1, 5);
+            let _ = harness.transfer(&coord, 0, 1, 5, staged);
             let _ = harness.audit(&coord);
         }
         Mutation::IgnorePreparedReads => {
@@ -811,7 +822,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     }
                 }));
             // Accounts 0 → DN1 (DC1, reachable) and 1 → DN2 (DC2, severed).
-            let committed = harness.transfer(&coord, 0, 1, 5).is_ok();
+            let committed = harness.transfer(&coord, 0, 1, 5, staged).is_ok();
             c.net.heal(DcId(1), DcId(2));
             if committed {
                 if mutated {
@@ -844,7 +855,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     drop_participant: if mutated { Some(NodeId(2)) } else { None },
                     ..Default::default()
                 });
-            let _ = harness.transfer(&coord, 0, 1, 5);
+            let _ = harness.transfer(&coord, 0, 1, 5, staged);
             // Expire whatever the dropped participant was left holding.
             c.dns[1].resolve_once(&c.net, &drain_cfg);
             let _ = harness.audit(&seeder);
@@ -879,12 +890,12 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                 Ok(Some(row)) => row.get(1).ok().and_then(|x| x.as_int().ok()).unwrap_or(0),
                 _ => 0,
             };
-            let _ = txn.write(
-                REGISTER_DN,
-                REGISTERS,
-                key.clone(),
-                WireWriteOp::Update(Row::new(vec![Value::Int(1000), Value::Int(v + 1)])),
-            );
+            let bump = WireWriteOp::Update(Row::new(vec![Value::Int(1000), Value::Int(v + 1)]));
+            if staged {
+                txn.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump);
+            } else {
+                let _ = txn.write(REGISTER_DN, REGISTERS, key.clone(), bump);
+            }
             // The cutover: freeze + epoch bump, copy the committed register
             // to DN1 (the mover's own transaction is unfenced — it *is* the
             // cutover), unfreeze. The old home's row is left behind; only

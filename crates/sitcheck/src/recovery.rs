@@ -46,6 +46,7 @@ use polardbx_consensus::{GroupConfig, PaxosGroup, Replica, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
 use polardbx_simnet::{FaultPlan, FlushShot, Handler, LatencyMatrix, OneShotFault, SimNet};
 use polardbx_storage::{recovered_engine, replay_records, StorageEngine, SyncLocalDurability};
+use polardbx_txn::checker::read_points;
 use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp};
 use polardbx_wal::{
     scan_frames, scan_records, EpochConfig, LocalEpochSink, LogBuffer, LogSink, Mtr, RedoPayload,
@@ -262,17 +263,21 @@ fn coordinator(
 }
 
 /// One two-shard transfer plus a ledger insert on the victim. Returns the
-/// commit timestamp when the commit was *acked* to the client.
-fn transfer(coord: &Coordinator, i: usize, a: i64, b: i64) -> Result<u64> {
+/// commit timestamp when the commit was *acked* to the client. `staged`
+/// sends both reads in one round and the three writes inside the commit
+/// round; otherwise each is a message of its own.
+fn transfer(coord: &Coordinator, i: usize, a: i64, b: i64, staged: bool) -> Result<u64> {
     let mut txn = coord.begin();
     let read = (|| -> Result<(i64, i64)> {
-        let ra = txn
-            .read(dn_of(a), BANK, &acct_key(a))?
-            .ok_or_else(|| Error::execution("missing account"))?;
-        let rb = txn
-            .read(dn_of(b), BANK, &acct_key(b))?
-            .ok_or_else(|| Error::execution("missing account"))?;
-        Ok((bal(&ra), bal(&rb)))
+        let (ra, rb) = if staged {
+            let reads = vec![(dn_of(a), BANK, acct_key(a)), (dn_of(b), BANK, acct_key(b))];
+            let mut found = read_points(&mut txn, reads)?.into_iter();
+            (found.next().flatten(), found.next().flatten())
+        } else {
+            (txn.read(dn_of(a), BANK, &acct_key(a))?, txn.read(dn_of(b), BANK, &acct_key(b))?)
+        };
+        let missing = || Error::execution("missing account");
+        Ok((bal(&ra.ok_or_else(missing)?), bal(&rb.ok_or_else(missing)?)))
     })();
     let (ba, bb) = match read {
         Ok(v) => v,
@@ -281,17 +286,18 @@ fn transfer(coord: &Coordinator, i: usize, a: i64, b: i64) -> Result<u64> {
             return Err(e);
         }
     };
-    let wrote = (|| -> Result<()> {
-        txn.write(dn_of(a), BANK, acct_key(a), WireWriteOp::Update(acct_row(a, ba - 1)))?;
-        txn.write(dn_of(b), BANK, acct_key(b), WireWriteOp::Update(acct_row(b, bb + 1)))?;
-        txn.write(DN1, LEDGER, ledger_key(i), WireWriteOp::Insert(Row::new(vec![
-            Value::Int(10_000 + i as i64),
-            Value::Int(1),
-        ])))
-    })();
-    if let Err(e) = wrote {
-        txn.abort();
-        return Err(e);
+    let ledger = Row::new(vec![Value::Int(10_000 + i as i64), Value::Int(1)]);
+    for (dn, table, key, op) in [
+        (dn_of(a), BANK, acct_key(a), WireWriteOp::Update(acct_row(a, ba - 1))),
+        (dn_of(b), BANK, acct_key(b), WireWriteOp::Update(acct_row(b, bb + 1))),
+        (DN1, LEDGER, ledger_key(i), WireWriteOp::Insert(ledger)),
+    ] {
+        if staged {
+            txn.stage_write(dn, table, key, op);
+        } else if let Err(e) = txn.write(dn, table, key, op) {
+            txn.abort();
+            return Err(e);
+        }
     }
     txn.commit()
 }
@@ -431,7 +437,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     for i in 0..cfg.transfers {
         let a = 2 * rng.gen_range(0..cfg.accounts as i64 / 2);
         let b = 2 * rng.gen_range(0..cfg.accounts as i64 / 2) + 1;
-        if transfer(&coord, i, a, b).is_ok() {
+        if transfer(&coord, i, a, b, rng.gen()).is_ok() {
             acked.push(i);
         }
         if crash_at.is_none() && net.is_crashed(DN1) {

@@ -11,8 +11,19 @@ use std::sync::Arc;
 
 use polardbx_common::{Key, NodeId, Result, Row, TableId, Value};
 
-use crate::coordinator::Coordinator;
+use crate::coordinator::{Coordinator, DistTxn, ReadOp};
 use crate::msg::WireWriteOp;
+
+/// Point-read every `(dn, table, key)` in one round
+/// ([`DistTxn::read_many`]): the row found under each, in the order given.
+pub fn read_points(
+    txn: &mut DistTxn<'_>,
+    reads: Vec<(NodeId, TableId, Key)>,
+) -> Result<Vec<Option<Row>>> {
+    let ops = reads.into_iter().map(|(dn, table, key)| (dn, table, ReadOp::Point(key))).collect();
+    let found = txn.read_many(ops)?;
+    Ok(found.into_iter().map(|rows| rows.into_iter().next().map(|(_, row)| row)).collect())
+}
 
 /// Account layout helper: account `i` lives on `dns[i % dns.len()]`.
 pub struct BankHarness {
@@ -62,28 +73,38 @@ impl BankHarness {
 
     /// Transfer `amount` from account `a` to account `b` in one distributed
     /// transaction. Returns Err on conflict (caller may retry).
-    pub fn transfer(&self, coord: &Coordinator, a: usize, b: usize, amount: i64) -> Result<()> {
+    ///
+    /// `staged` picks how the transaction reaches its DNs: a message per
+    /// read and per write, then the commit (an interactive driver), or both
+    /// reads in one round and both writes staged into the commit round (an
+    /// autocommit statement). Checkers run both.
+    pub fn transfer(
+        &self,
+        coord: &Coordinator,
+        a: usize,
+        b: usize,
+        amount: i64,
+        staged: bool,
+    ) -> Result<()> {
         let mut txn = coord.begin();
-        let ra = txn
-            .read(self.dn_of(a), self.table, &self.key(a))?
-            .ok_or(polardbx_common::Error::KeyNotFound)?;
-        let rb = txn
-            .read(self.dn_of(b), self.table, &self.key(b))?
-            .ok_or(polardbx_common::Error::KeyNotFound)?;
-        let ba = ra.get(1)?.as_int()?;
-        let bb = rb.get(1)?.as_int()?;
-        txn.write(
-            self.dn_of(a),
-            self.table,
-            self.key(a),
-            WireWriteOp::Update(Row::new(vec![Value::Int(a as i64), Value::Int(ba - amount)])),
-        )?;
-        txn.write(
-            self.dn_of(b),
-            self.table,
-            self.key(b),
-            WireWriteOp::Update(Row::new(vec![Value::Int(b as i64), Value::Int(bb + amount)])),
-        )?;
+        let (dn_a, dn_b) = (self.dn_of(a), self.dn_of(b));
+        let (ra, rb) = if staged {
+            let reads = vec![(dn_a, self.table, self.key(a)), (dn_b, self.table, self.key(b))];
+            let mut found = read_points(&mut txn, reads)?.into_iter();
+            (found.next().flatten(), found.next().flatten())
+        } else {
+            (txn.read(dn_a, self.table, &self.key(a))?, txn.read(dn_b, self.table, &self.key(b))?)
+        };
+        let ba = ra.ok_or(polardbx_common::Error::KeyNotFound)?.get(1)?.as_int()?;
+        let bb = rb.ok_or(polardbx_common::Error::KeyNotFound)?.get(1)?.as_int()?;
+        for (i, dn, balance) in [(a, dn_a, ba - amount), (b, dn_b, bb + amount)] {
+            let op = WireWriteOp::Update(Row::new(vec![Value::Int(i as i64), Value::Int(balance)]));
+            if staged {
+                txn.stage_write(dn, self.table, self.key(i), op);
+            } else {
+                txn.write(dn, self.table, self.key(i), op)?;
+            }
+        }
         txn.commit()?;
         Ok(())
     }
@@ -146,7 +167,7 @@ pub fn stress_seeded(
                     }
                     // Conflicts are expected; retry a few times then move on.
                     for _ in 0..3 {
-                        match h.transfer(&coord, a, b, 1) {
+                        match h.transfer(&coord, a, b, 1, rng.gen()) {
                             Ok(()) => break,
                             Err(e) if e.is_retryable() => continue,
                             Err(_) => break,
@@ -249,12 +270,13 @@ mod tests {
         let (_net, coords, dns) = cluster(2, 1);
         let harness = BankHarness { table: T, dns, accounts: 2, initial: 100 };
         harness.seed(&coords[0]).unwrap();
-        harness.transfer(&coords[0], 0, 1, 30).unwrap();
+        harness.transfer(&coords[0], 0, 1, 30, false).unwrap();
+        harness.transfer(&coords[0], 1, 0, 10, true).unwrap();
         let mut txn = coords[0].begin();
         let a = txn.read(harness.dn_of(0), T, &harness.key(0)).unwrap().unwrap();
         let b = txn.read(harness.dn_of(1), T, &harness.key(1)).unwrap().unwrap();
         txn.abort();
-        assert_eq!(a.get(1).unwrap().as_int().unwrap(), 70);
-        assert_eq!(b.get(1).unwrap().as_int().unwrap(), 130);
+        assert_eq!(a.get(1).unwrap().as_int().unwrap(), 80);
+        assert_eq!(b.get(1).unwrap().as_int().unwrap(), 120);
     }
 }

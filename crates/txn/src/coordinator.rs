@@ -1,6 +1,5 @@
 //! The CN-side transaction coordinator.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -13,7 +12,7 @@ use polardbx_simnet::SimNet;
 
 use crate::config::TxnConfig;
 use crate::metrics::TxnMetrics;
-use crate::msg::{Decision, TxnMsg, WireWriteOp};
+use crate::msg::{Decision, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
 use crate::route::{AccessObserver, CommitGuard, PartTouch, RoutingFence};
 
 /// Upper bound on distinct partitions a transaction can pin routing epochs
@@ -36,9 +35,12 @@ pub struct ProtocolMutations {
     /// transactions from this CN may take snapshots below commit
     /// timestamps they causally follow.
     pub skip_commit_clock_update: bool,
-    /// Silently drop this participant from the 2PC fan-out (no Prepare, no
-    /// phase-two Commit), while still committing the others: its writes
-    /// are lost even though the coordinator reports success.
+    /// Silently drop this participant from the 2PC fan-out (no vote
+    /// request, no phase-two Commit), while still committing the others:
+    /// its writes are lost even though the coordinator reports success.
+    /// Writes staged for it still reach it, as plain `Write`s: the
+    /// mutation drops the vote a commit-round message carries, not the
+    /// statement.
     pub drop_participant: Option<NodeId>,
     /// Skip the routing-epoch fence at commit: a transaction routed before
     /// a partition re-home commits to the *old* home as if nothing moved,
@@ -170,24 +172,41 @@ impl Coordinator {
         }
     }
 
-    /// Commit-path RPC with bounded, deterministic exponential backoff on
-    /// timeouts and transient network failures. Only used for idempotent
-    /// messages (Prepare, CommitLocal, LogDecision): a lost *reply* means
-    /// the handler already ran, and retrying must be harmless.
-    fn call_retry(&self, dn: NodeId, msg: TxnMsg) -> Result<TxnMsg> {
+    /// One commit-path round with bounded, deterministic exponential
+    /// backoff: every message goes out together ([`SimNet::call_many`]),
+    /// and those whose exchange timed out or hit a transient network
+    /// failure go out again, together, after the backoff. Replies come back
+    /// in request order. Only used for idempotent messages (Prepare,
+    /// CommitLocal, LogDecision): a lost *reply* means the handler already
+    /// ran, and retrying must be harmless.
+    fn round_retry(&self, msgs: &[(NodeId, TxnMsg)]) -> Vec<Result<TxnMsg>> {
+        let mut replies = self.net.call_many(self.me, msgs.to_vec());
         let mut attempt = 1u32;
         loop {
-            match self.net.call(self.me, dn, msg.clone()) {
-                Err(Error::Timeout { .. } | Error::Network { .. })
-                    if attempt < self.config.max_attempts =>
-                {
-                    self.metrics.rpc_retries.inc();
-                    std::thread::sleep(self.config.backoff(attempt));
-                    attempt += 1;
-                }
-                other => return other,
+            let lost: Vec<usize> = replies
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| matches!(r, Err(Error::Timeout { .. } | Error::Network { .. })))
+                .map(|(i, _)| i)
+                .collect();
+            if lost.is_empty() || attempt >= self.config.max_attempts {
+                return replies;
+            }
+            self.metrics.rpc_retries.add(lost.len() as u64);
+            std::thread::sleep(self.config.backoff(attempt));
+            attempt += 1;
+            let again = lost.iter().map(|&i| msgs[i].clone()).collect();
+            for (i, reply) in lost.into_iter().zip(self.net.call_many(self.me, again)) {
+                replies[i] = reply;
             }
         }
+    }
+
+    /// [`Coordinator::round_retry`] of one message.
+    fn call_retry(&self, dn: NodeId, msg: TxnMsg) -> Result<TxnMsg> {
+        self.round_retry(&[(dn, msg)])
+            .pop()
+            .unwrap_or_else(|| Err(Error::execution("a round of one returned no reply")))
     }
 
     /// Begin a distributed transaction: `snapshot_ts = ClockNow()` (step ①;
@@ -205,8 +224,8 @@ impl Coordinator {
             coord: self,
             trx,
             snapshot_ts,
-            participants: HashSet::new(),
-            write_dns: HashSet::new(),
+            participants: Vec::new(),
+            write_sets: Vec::new(),
             touched: [PartTouch { table: TableId(0), dn: NodeId(0), epoch: 0 }; MAX_TOUCHED],
             touched_len: 0,
             touched_overflow: false,
@@ -241,16 +260,34 @@ impl Coordinator {
     }
 }
 
+/// One read of a statement's read set (see [`DistTxn::read_many`]).
+#[derive(Debug, Clone)]
+pub enum ReadOp {
+    /// Snapshot point read of one key.
+    Point(Key),
+    /// Snapshot range scan; bounds as in [`DistTxn::scan`].
+    Scan {
+        /// Inclusive lower bound (`None` = unbounded).
+        lower: Option<Key>,
+        /// Exclusive upper bound (`None` = unbounded).
+        upper: Option<Key>,
+    },
+}
+
 /// An in-flight distributed transaction handle.
 pub struct DistTxn<'a> {
     coord: &'a Coordinator,
     trx: TrxId,
     snapshot_ts: HlcTimestamp,
-    /// Every DN touched (reads included) — these hold per-transaction
-    /// state at the engine and must be released on any outcome.
-    participants: HashSet<NodeId>,
-    /// DNs holding write intents — only these vote in the commit.
-    write_dns: HashSet<NodeId>,
+    /// Every DN a message of this transaction was sent to (reads included)
+    /// — these may hold per-transaction state at the engine and must be
+    /// released on any outcome.
+    participants: Vec<NodeId>,
+    /// The DNs this transaction writes — only these vote in the commit —
+    /// in first-write order, each with the writes staged for it: not sent
+    /// yet, delivered by its commit-round message. A DN written only
+    /// through [`DistTxn::write`] has none.
+    write_sets: Vec<(NodeId, Vec<StagedWrite>)>,
     /// Write-touched partitions, fixed-size: streamed to the access
     /// observer on commit without allocating.
     touched: [PartTouch; MAX_TOUCHED],
@@ -274,14 +311,33 @@ impl DistTxn<'_> {
         self.snapshot_ts
     }
 
-    /// Participant DNs touched so far (reads included).
+    /// Participant DNs sent a message so far (reads included).
     pub fn participants(&self) -> usize {
         self.participants.len()
     }
 
-    /// DNs holding write intents — the set that decides 1PC vs 2PC.
+    /// DNs written, staged writes included — the set that decides 1PC vs
+    /// 2PC.
     pub fn write_participants(&self) -> usize {
-        self.write_dns.len()
+        self.write_sets.len()
+    }
+
+    fn note_participant(&mut self, dn: NodeId) {
+        if !self.participants.contains(&dn) {
+            self.participants.push(dn);
+        }
+    }
+
+    /// The writes staged for `dn`, which from now on votes in the commit.
+    fn write_set(&mut self, dn: NodeId) -> &mut Vec<StagedWrite> {
+        let at = match self.write_sets.iter().position(|(d, _)| *d == dn) {
+            Some(at) => at,
+            None => {
+                self.write_sets.push((dn, Vec::new()));
+                self.write_sets.len() - 1
+            }
+        };
+        &mut self.write_sets[at].1
     }
 
     /// Pin the routing epoch captured when a statement was routed to
@@ -365,7 +421,11 @@ impl DistTxn<'_> {
         self.coord.net.call(self.coord.me, dn, msg)
     }
 
-    /// Execute a write on `dn` (step ②).
+    /// Execute a write on `dn` now (step ②): one blocking round trip, and
+    /// the participant's verdict on this write (`WriteConflict`,
+    /// `DuplicateKey`, …) before the next statement. For a driver that
+    /// decides what to do next from that verdict; a statement that already
+    /// knows its whole write set stages it with [`DistTxn::stage_write`].
     pub fn write(
         &mut self,
         dn: NodeId,
@@ -373,8 +433,8 @@ impl DistTxn<'_> {
         key: Key,
         op: WireWriteOp,
     ) -> Result<()> {
-        self.participants.insert(dn);
-        self.write_dns.insert(dn);
+        self.note_participant(dn);
+        self.write_set(dn);
         self.note_touch(dn, table);
         match self.call(
             dn,
@@ -386,9 +446,20 @@ impl DistTxn<'_> {
         }
     }
 
+    /// Stage a write for `dn` without sending anything: it travels in the
+    /// one message [`DistTxn::commit`] sends `dn`, which applies the
+    /// staged writes in order — after any [`DistTxn::write`] already sent
+    /// there — and then votes. The participant's verdict on the write
+    /// therefore arrives as `commit`'s error, typed as `write` would have
+    /// returned it.
+    pub fn stage_write(&mut self, dn: NodeId, table: TableId, key: Key, op: WireWriteOp) {
+        self.note_touch(dn, table);
+        self.write_set(dn).push((table, key, op));
+    }
+
     /// Snapshot point read on `dn`.
     pub fn read(&mut self, dn: NodeId, table: TableId, key: &Key) -> Result<Option<Row>> {
-        self.participants.insert(dn);
+        self.note_participant(dn);
         match self.call(
             dn,
             TxnMsg::Read {
@@ -412,7 +483,7 @@ impl DistTxn<'_> {
         lower: Option<Key>,
         upper: Option<Key>,
     ) -> Result<Vec<(Key, Row)>> {
-        self.participants.insert(dn);
+        self.note_participant(dn);
         match self.call(
             dn,
             TxnMsg::Scan {
@@ -429,220 +500,246 @@ impl DistTxn<'_> {
         }
     }
 
+    /// A statement's whole read set in one blocking round: the same `Read`
+    /// / `Scan` messages [`DistTxn::read`] and [`DistTxn::scan`] send, all
+    /// at once. Returns, per read and in the order given, the rows it
+    /// found (none or one for a point read). Any failed read fails the
+    /// round, after every reply is in.
+    pub fn read_many(
+        &mut self,
+        reads: Vec<(NodeId, TableId, ReadOp)>,
+    ) -> Result<Vec<Vec<(Key, Row)>>> {
+        let (trx, snapshot_ts) = (self.trx, self.snapshot_ts.raw());
+        let mut round = Vec::with_capacity(reads.len());
+        for (dn, table, op) in &reads {
+            self.note_participant(*dn);
+            let table = *table;
+            round.push((
+                *dn,
+                match op.clone() {
+                    ReadOp::Point(key) => TxnMsg::Read { trx, snapshot_ts, table, key },
+                    ReadOp::Scan { lower, upper } => {
+                        TxnMsg::Scan { trx, snapshot_ts, table, lower, upper }
+                    }
+                },
+            ));
+        }
+        let replies = self.coord.net.call_many(self.coord.me, round);
+        replies
+            .into_iter()
+            .zip(reads)
+            .map(|(reply, (_, _, op))| match (reply?, op) {
+                (TxnMsg::RowResult(row), ReadOp::Point(key)) => {
+                    Ok(row.map(|r| (key, r)).into_iter().collect())
+                }
+                (TxnMsg::Rows(rows), ReadOp::Scan { .. }) => Ok(rows),
+                (TxnMsg::Failed(e), _) => Err(e),
+                (other, _) => Err(Error::execution(format!("unexpected reply {other:?}"))),
+            })
+            .collect()
+    }
+
     /// Commit. The decision is keyed off the *write* set: DNs that only
     /// served snapshot reads hold no votes under SI, so they are released
-    /// up front and never pay a Prepare. A single write DN → one-phase
+    /// up front and never pay a Prepare. Every write DN is sent exactly one
+    /// message, all in one round: the writes staged for it (possibly none)
+    /// and the vote request. A single write DN → `CommitLocal`, one-phase
     /// (the participant's `ClockAdvance` is the commit timestamp), even
-    /// when reads touched other DNs. Multiple write DNs → full 2PC with
-    /// parallel prepares, `commit_ts = max(prepare_ts)` and one batched
-    /// `ClockUpdate` at the coordinator (the §IV contention optimization).
-    /// Returns the commit timestamp.
+    /// when reads touched other DNs. Several → `Prepare`, full 2PC with
+    /// `commit_ts = max(prepare_ts)` and one batched `ClockUpdate` at the
+    /// coordinator (the §IV contention optimization). Returns the commit
+    /// timestamp.
+    ///
+    /// The routing fence is entered before that round leaves — so a
+    /// transaction routed before a cutover aborts before any staged write
+    /// is sent — and held until phase two is handed to the fabric.
+    ///
+    /// A participant's refusal comes back as its own error: the typed
+    /// verdict on a staged write (`WriteConflict`, `DuplicateKey`,
+    /// `Throttled`, …) exactly as [`DistTxn::write`] would have returned
+    /// it, or `PrepareRejected` naming the node when the vote itself
+    /// failed.
     ///
     /// With a decision log configured, the commit decision is recorded at
     /// the arbiter DN *before* phase two, making the outcome recoverable by
     /// in-doubt participants if this coordinator dies. An `Err(Timeout)`
     /// from this method means the outcome is IN DOUBT — the transaction may
     /// yet commit or abort, settled by the participants' resolvers against
-    /// the decision log. Any other error means the transaction aborted.
+    /// the decision log (2PC), or already settled by the one participant
+    /// whose answer was lost (one-phase). Any other error means the
+    /// transaction aborted.
     pub fn commit(mut self) -> Result<u64> {
         self.finished = true;
+        let mut write_sets = std::mem::take(&mut self.write_sets);
+        let votes = |dn: &NodeId| write_sets.iter().any(|(w, _)| w == dn);
         // Release DNs that only served reads: their snapshot reads are
         // already consistent and they hold no write intents, so they play
         // no part in the commit decision. (The engine records no history
         // event for aborting a writeless transaction.)
-        for &dn in &self.participants {
-            if !self.write_dns.contains(&dn) {
-                let _ = self.coord.net.post(self.coord.me, dn, TxnMsg::Abort { trx: self.trx });
+        for dn in self.participants.iter().filter(|dn| !votes(dn)) {
+            self.post_abort(*dn);
+        }
+        if write_sets.is_empty() {
+            let commit_ts = self.snapshot_ts.raw(); // wrote-nothing transaction
+            self.absorb_and_record_commit(commit_ts, false);
+            return Ok(commit_ts);
+        }
+        // Routing-epoch fence: validate before anything of the commit round
+        // is paid for, and hold the commit gates until phase two is handed
+        // to the fabric so a cutover waits for this commit.
+        let _fence = match self.enter_fence() {
+            Ok(guards) => guards,
+            Err(e) => {
+                // Nothing of the round has left: only a DN an earlier
+                // message reached holds anything to roll back.
+                for dn in self.participants.iter().filter(|dn| votes(dn)) {
+                    self.post_abort(*dn);
+                }
+                self.record_abort();
+                return Err(e);
+            }
+        };
+        let one_phase = write_sets.len() == 1;
+        let (trx, snapshot_ts) = (self.trx, self.snapshot_ts.raw());
+        // The drop_participant mutation silently forgets one DN: it gets
+        // neither a vote request nor a phase-two Commit, while the rest of
+        // the transaction commits normally.
+        if let (Some(victim), false) = (self.coord.mutations.drop_participant, one_phase) {
+            if let Some(at) = write_sets.iter().position(|(dn, _)| *dn == victim) {
+                for (table, key, op) in write_sets.remove(at).1 {
+                    let _ = self.call(victim, TxnMsg::Write { trx, snapshot_ts, table, key, op });
+                }
             }
         }
-        let parts: Vec<NodeId> = self.write_dns.iter().copied().collect();
-        match parts.len() {
-            0 => {
-                let commit_ts = self.snapshot_ts.raw(); // wrote-nothing transaction
-                self.absorb_and_record_commit(commit_ts, false);
-                Ok(commit_ts)
-            }
-            1 => {
-                let dn = parts[0];
-                let _fence = match self.enter_fence() {
-                    Ok(guards) => guards,
-                    Err(e) => {
-                        self.send_aborts(&parts);
-                        self.record_abort();
-                        return Err(e);
-                    }
+        let decision_node = self.coord.decision_node;
+        let round: Vec<(NodeId, TxnMsg)> = write_sets
+            .into_iter()
+            .map(|(dn, writes)| {
+                let staged = StagedWrites { snapshot_ts, writes };
+                let vote = if one_phase {
+                    TxnMsg::CommitLocal { trx, staged }
+                } else {
+                    TxnMsg::Prepare { trx, decision_node, staged }
                 };
-                // CommitLocal is idempotent at the participant (a duplicate
-                // returns the recorded commit_ts), so it is safe to retry.
-                match self.coord.call_retry(dn, TxnMsg::CommitLocal { trx: self.trx })? {
-                    TxnMsg::Committed { commit_ts } => {
-                        self.coord.metrics.one_phase_commits.inc();
-                        self.observe(true);
-                        // Absorb the participant's timestamp so later
-                        // transactions from this CN observe it.
-                        self.absorb_and_record_commit(commit_ts, true);
-                        Ok(commit_ts)
-                    }
-                    TxnMsg::Failed(e) => {
-                        self.record_abort();
-                        Err(e)
-                    }
-                    other => Err(Error::execution(format!("unexpected reply {other:?}"))),
+                (dn, vote)
+            })
+            .collect();
+        let abort_voters = || round.iter().for_each(|(dn, _)| self.post_abort(*dn));
+        // Both messages are idempotent at the participant (a duplicate gets
+        // the recorded timestamp and re-applies nothing), so the round is
+        // safe to retry.
+        let mut commit_ts = 0u64;
+        let (mut refused, mut unheard) = (None, None);
+        for reply in self.coord.round_retry(&round) {
+            match reply {
+                // Step ⑤: commit_ts = max(prepare_ts).
+                Ok(TxnMsg::Prepared { prepare_ts }) if !one_phase => {
+                    commit_ts = commit_ts.max(prepare_ts)
                 }
-            }
-            _ => {
-                // The drop_participant mutation silently forgets one DN:
-                // it gets neither a Prepare nor a phase-two Commit, while
-                // the rest of the transaction commits normally.
-                let parts: Vec<NodeId> = match self.coord.mutations.drop_participant {
-                    Some(victim) if parts.len() > 1 => {
-                        parts.iter().copied().filter(|dn| *dn != victim).collect()
-                    }
-                    _ => parts,
-                };
-                // Routing-epoch fence: validate before paying for prepares,
-                // and hold the commit gates until phase two is handed to
-                // the fabric so a cutover waits for this commit.
-                let _fence = match self.enter_fence() {
-                    Ok(guards) => guards,
-                    Err(e) => {
-                        self.send_aborts(&parts);
-                        self.record_abort();
-                        return Err(e);
-                    }
-                };
-                // Phase one, in parallel across participants, with retries.
-                let this = &self;
-                let results: Vec<Result<TxnMsg>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = parts
-                        .iter()
-                        .map(|&dn| {
-                            s.spawn(move || {
-                                this.coord.call_retry(
-                                    dn,
-                                    TxnMsg::Prepare {
-                                        trx: this.trx,
-                                        decision_node: this.coord.decision_node,
-                                    },
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            // A panicked prepare worker is a failed prepare,
-                            // not a coordinator crash: fold it into the
-                            // abort path below instead of unwinding.
-                            h.join().unwrap_or_else(|_| {
-                                Err(Error::execution("prepare worker panicked"))
-                            })
-                        })
-                        .collect()
-                });
-                let mut prepare_ts = Vec::with_capacity(parts.len());
-                let mut failure: Option<Error> = None;
-                for r in results {
-                    match r {
-                        Ok(TxnMsg::Prepared { prepare_ts: ts }) => prepare_ts.push(ts),
-                        Ok(TxnMsg::Failed(e)) => {
-                            failure = Some(Error::PrepareRejected {
-                                participant: "dn".into(),
-                                reason: e.to_string(),
-                            })
-                        }
-                        Ok(other) => {
-                            failure =
-                                Some(Error::execution(format!("unexpected reply {other:?}")))
-                        }
-                        Err(e) => failure = Some(e),
-                    }
+                Ok(TxnMsg::Committed { commit_ts: ts }) if one_phase => commit_ts = ts,
+                Ok(TxnMsg::Failed(e)) => refused = refused.or(Some(e)),
+                Ok(other) => {
+                    refused =
+                        refused.or(Some(Error::execution(format!("unexpected reply {other:?}"))))
                 }
-                if let Some(e) = failure {
-                    // No commit decision was (or ever will be) logged, so
-                    // aborting is sound even if some prepares timed out
-                    // with the participant actually PREPARED: its resolver
-                    // will reach the same verdict via presumed abort. Best
-                    // effort: record the abort so resolvers find it sooner.
-                    if let Some(arbiter) = self.coord.decision_node {
-                        let _ = self.coord.net.call(
-                            self.coord.me,
-                            arbiter,
-                            TxnMsg::LogDecision { trx: self.trx, decision: Decision::Abort },
-                        );
-                    }
-                    self.send_aborts(&parts);
+                Err(e) => unheard = unheard.or(Some(e)),
+            }
+        }
+        // A participant's verdict says more than a lost message beside it.
+        let in_doubt = one_phase && refused.is_none();
+        if let Some(e) = refused.or(unheard) {
+            // 2PC: no commit decision was (or ever will be) logged, so
+            // aborting is sound even if some prepares timed out with the
+            // participant actually PREPARED: its resolver will reach the
+            // same verdict via presumed abort. Best effort: record the
+            // abort so resolvers find it sooner.
+            if let (Some(arbiter), false) = (decision_node, one_phase) {
+                let _ = self.coord.net.call(
+                    self.coord.me,
+                    arbiter,
+                    TxnMsg::LogDecision { trx, decision: Decision::Abort },
+                );
+            }
+            // One-phase: the participant decides alone, and when its answer
+            // was lost it may have committed. The Abort is then a no-op
+            // there, otherwise it rolls back what a `write` left behind;
+            // but the outcome is the participant's to record, not ours.
+            abort_voters();
+            if !in_doubt {
+                self.record_abort();
+            }
+            return Err(e);
+        }
+        if one_phase {
+            self.coord.metrics.one_phase_commits.inc();
+            self.observe(true);
+            // Absorb the participant's timestamp so later transactions
+            // from this CN observe it.
+            self.absorb_and_record_commit(commit_ts, true);
+            return Ok(commit_ts);
+        }
+        self.coord.hit_failpoint("txn.before_decision");
+        if let Some(arbiter) = decision_node {
+            match self.coord.call_retry(
+                arbiter,
+                TxnMsg::LogDecision { trx, decision: Decision::Commit(commit_ts) },
+            ) {
+                Ok(TxnMsg::DecisionIs { decision: Decision::Commit(_) }) => {}
+                Ok(TxnMsg::DecisionIs { decision: Decision::Abort }) => {
+                    // A resolver presumed abort before our decision
+                    // landed; the log is authoritative.
+                    abort_voters();
                     self.record_abort();
-                    return Err(e);
+                    return Err(Error::TxnAborted {
+                        reason: "presumed abort already on record".into(),
+                    });
                 }
-                // Steps ⑤/⑥: commit_ts = max; a single batched ClockUpdate.
-                let commit_ts = prepare_ts.iter().copied().max().ok_or_else(|| {
-                    Error::execution("commit decision with no prepared participants")
-                })?;
-                self.coord.hit_failpoint("txn.before_decision");
-                if let Some(arbiter) = self.coord.decision_node {
-                    match self.coord.call_retry(
-                        arbiter,
-                        TxnMsg::LogDecision { trx: self.trx, decision: Decision::Commit(commit_ts) },
-                    ) {
-                        Ok(TxnMsg::DecisionIs { decision: Decision::Commit(_) }) => {}
-                        Ok(TxnMsg::DecisionIs { decision: Decision::Abort }) => {
-                            // A resolver presumed abort before our decision
-                            // landed; the log is authoritative.
-                            self.send_aborts(&parts);
-                            self.record_abort();
-                            return Err(Error::TxnAborted {
-                                reason: "presumed abort already on record".into(),
-                            });
-                        }
-                        Ok(other) => {
-                            self.send_aborts(&parts);
-                            self.record_abort();
-                            return Err(Error::execution(format!("unexpected reply {other:?}")));
-                        }
-                        Err(e) => {
-                            // IN DOUBT: the decision may or may not be on
-                            // record. Crucially we must NOT send aborts —
-                            // the arbiter might have recorded Commit and
-                            // acked into a lost reply. The participants'
-                            // resolvers settle it from the log.
-                            return Err(Error::Timeout {
-                                what: format!("logging decision for {}: {e}", self.trx),
-                            });
-                        }
-                    }
+                Ok(other) => {
+                    abort_voters();
+                    self.record_abort();
+                    return Err(Error::execution(format!("unexpected reply {other:?}")));
                 }
-                self.coord.hit_failpoint("txn.after_decision");
-                // Phase two is asynchronous: post and return. New readers
-                // hitting PREPARED versions wait for the decision, so this
-                // is safe under HLC-SI (§IV case 2).
-                for &dn in &parts {
-                    let _ = self
-                        .coord
-                        .net
-                        .post(self.coord.me, dn, TxnMsg::Commit { trx: self.trx, commit_ts });
+                Err(e) => {
+                    // IN DOUBT: the decision may or may not be on
+                    // record. Crucially we must NOT send aborts —
+                    // the arbiter might have recorded Commit and
+                    // acked into a lost reply. The participants'
+                    // resolvers settle it from the log.
+                    return Err(Error::Timeout {
+                        what: format!("logging decision for {}: {e}", self.trx),
+                    });
                 }
-                self.coord.metrics.two_phase_commits.inc();
-                self.observe(false);
-                // Step ⑥: a single batched ClockUpdate, paired atomically
-                // with the commit record.
-                self.absorb_and_record_commit(commit_ts, true);
-                Ok(commit_ts)
             }
         }
+        self.coord.hit_failpoint("txn.after_decision");
+        // Phase two is asynchronous: post and return. New readers
+        // hitting PREPARED versions wait for the decision, so this
+        // is safe under HLC-SI (§IV case 2).
+        for (dn, _) in &round {
+            let _ = self.coord.net.post(self.coord.me, *dn, TxnMsg::Commit { trx, commit_ts });
+        }
+        self.coord.metrics.two_phase_commits.inc();
+        self.observe(false);
+        // Step ⑥: a single batched ClockUpdate, paired atomically
+        // with the commit record.
+        self.absorb_and_record_commit(commit_ts, true);
+        Ok(commit_ts)
     }
 
     /// Abort everywhere.
     pub fn abort(mut self) {
         self.finished = true;
-        let parts: Vec<NodeId> = self.participants.iter().copied().collect();
-        self.send_aborts(&parts);
+        self.send_aborts(&self.participants);
         self.record_abort();
+    }
+
+    fn post_abort(&self, dn: NodeId) {
+        let _ = self.coord.net.post(self.coord.me, dn, TxnMsg::Abort { trx: self.trx });
     }
 
     fn send_aborts(&self, parts: &[NodeId]) {
         for &dn in parts {
-            let _ = self.coord.net.post(self.coord.me, dn, TxnMsg::Abort { trx: self.trx });
+            self.post_abort(dn);
         }
     }
 
@@ -674,8 +771,7 @@ impl DistTxn<'_> {
 impl Drop for DistTxn<'_> {
     fn drop(&mut self) {
         if !self.finished {
-            let parts: Vec<NodeId> = self.participants.iter().copied().collect();
-            self.send_aborts(&parts);
+            self.send_aborts(&self.participants);
             self.record_abort();
         }
     }
@@ -948,7 +1044,10 @@ mod tests {
         let trx = txn.id();
         dns[2].handle(NodeId(8), TxnMsg::Abort { trx });
         let err = txn.commit().unwrap_err();
-        assert!(matches!(err, Error::PrepareRejected { .. }), "{err:?}");
+        assert!(
+            matches!(&err, Error::PrepareRejected { participant, .. } if participant == "node3"),
+            "the refusal names the node: {err:?}"
+        );
         assert_eq!(
             dns[1].recorded_decision(trx),
             Some(crate::msg::Decision::Abort),
@@ -1114,6 +1213,171 @@ mod tests {
             0,
             "gate released after commit"
         );
+    }
+
+    fn rounds(net: &SimNet<TxnMsg>) -> u64 {
+        net.stats.rounds.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn staged_writes_cost_one_round_and_one_message_per_dn() {
+        let (net, coord, dns) = cluster();
+        let (calls, waits) = (net.stats.snapshot().0, rounds(&net));
+        let mut txn = coord.begin();
+        txn.stage_write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 100)));
+        txn.stage_write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 200)));
+        txn.stage_write(NodeId(3), T, key(3), WireWriteOp::Insert(row(3, 300)));
+        txn.stage_write(NodeId(3), T, key(3), WireWriteOp::Update(row(3, 301)));
+        assert_eq!(txn.write_participants(), 3);
+        assert_eq!(net.stats.snapshot().0, calls, "staging sends nothing");
+        let commit_ts = txn.commit().unwrap();
+        assert_eq!(net.stats.snapshot().0 - calls, 3, "one Prepare per write DN");
+        assert_eq!(rounds(&net) - waits, 1);
+        assert_eq!(coord.metrics().two_phase_commits.get(), 1);
+        // DN3's clock is the furthest ahead; the max rule still applies.
+        assert!(HlcTimestamp::from_raw(commit_ts).pt() >= 3000);
+        assert_eq!(await_visible(&dns[0], &key(1), Duration::from_secs(1)), Some(row(1, 100)));
+        assert_eq!(await_visible(&dns[1], &key(2), Duration::from_secs(1)), Some(row(2, 200)));
+        // Staged writes to one DN are applied in the order staged.
+        assert_eq!(await_visible(&dns[2], &key(3), Duration::from_secs(1)), Some(row(3, 301)));
+    }
+
+    #[test]
+    fn staged_single_dn_commits_in_one_message() {
+        let (net, coord, dns) = cluster();
+        let (calls, waits) = (net.stats.snapshot().0, rounds(&net));
+        let mut txn = coord.begin();
+        txn.stage_write(NodeId(2), T, key(1), WireWriteOp::Insert(row(1, 1)));
+        txn.stage_write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 2)));
+        txn.commit().unwrap();
+        // The writes ride the CommitLocal: 1 sync call where write() +
+        // commit() pay one per write and one more.
+        assert_eq!(net.stats.snapshot().0 - calls, 1);
+        assert_eq!(rounds(&net) - waits, 1);
+        assert_eq!(coord.metrics().one_phase_commits.get(), 1);
+        assert_eq!(dns[1].engine.read(T, &key(2), u64::MAX, None).unwrap(), Some(row(2, 2)));
+        assert!(!dns[1].engine.has_active_txns());
+    }
+
+    #[test]
+    fn read_many_is_one_round_in_request_order() {
+        let (net, coord, dns) = cluster();
+        let mut seed = coord.begin();
+        for n in 1..=3 {
+            seed.stage_write(NodeId(n as u64), T, key(n), WireWriteOp::Insert(row(n, 10 * n)));
+            seed.stage_write(NodeId(n as u64), T, key(n + 10), WireWriteOp::Insert(row(n + 10, 0)));
+        }
+        seed.commit().unwrap();
+        for (dn, n) in dns.iter().zip(1..) {
+            await_visible(dn, &key(n), Duration::from_secs(1)).unwrap();
+        }
+        let (calls, waits) = (net.stats.snapshot().0, rounds(&net));
+        let mut txn = coord.begin();
+        let got = txn
+            .read_many(vec![
+                (NodeId(3), T, ReadOp::Point(key(3))),
+                (NodeId(1), T, ReadOp::Scan { lower: None, upper: None }),
+                (NodeId(2), T, ReadOp::Point(key(99))),
+                (NodeId(2), T, ReadOp::Scan { lower: Some(key(5)), upper: None }),
+            ])
+            .unwrap();
+        assert_eq!(net.stats.snapshot().0 - calls, 4);
+        assert_eq!(rounds(&net) - waits, 1);
+        assert_eq!(txn.participants(), 3);
+        assert_eq!(got[0], vec![(key(3), row(3, 30))]);
+        assert_eq!(got[1], vec![(key(1), row(1, 10)), (key(11), row(11, 0))]);
+        assert_eq!(got[2], vec![]);
+        assert_eq!(got[3], vec![(key(12), row(12, 0))]);
+        // One failed read fails the round.
+        let err = txn
+            .read_many(vec![
+                (NodeId(1), T, ReadOp::Point(key(1))),
+                (NodeId(2), TableId(77), ReadOp::Point(key(1))),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, Error::Throttled { .. }), "a missing store is a stale route: {err:?}");
+        txn.abort();
+    }
+
+    #[test]
+    fn staged_write_refusal_reaches_the_caller_typed_and_rolls_back_everywhere() {
+        let (_net, coord, dns) = cluster();
+        let mut seed = coord.begin();
+        seed.stage_write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 0)));
+        seed.commit().unwrap();
+
+        // 2PC: DN2 refuses its second write; DN1 prepared and must roll back.
+        let mut txn = coord.begin();
+        txn.stage_write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1)));
+        txn.stage_write(NodeId(2), T, key(20), WireWriteOp::Insert(row(20, 1)));
+        txn.stage_write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 1)));
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, Error::DuplicateKey { .. }) && !err.is_retryable(), "{err:?}");
+        assert!(await_drained(&dns[0], Duration::from_secs(1)));
+        assert!(await_drained(&dns[1], Duration::from_secs(1)));
+        assert_eq!(dns[0].engine.read(T, &key(1), u64::MAX, None).unwrap(), None);
+        assert_eq!(dns[1].engine.read(T, &key(20), u64::MAX, None).unwrap(), None, "all or nothing");
+
+        // One-phase: first committer wins, the loser learns it at commit.
+        let mut t1 = coord.begin();
+        let mut t2 = coord.begin();
+        t1.write(NodeId(2), T, key(2), WireWriteOp::Update(row(2, 1))).unwrap();
+        t2.stage_write(NodeId(2), T, key(2), WireWriteOp::Update(row(2, 2)));
+        let err = t2.commit().unwrap_err();
+        assert!(matches!(err, Error::WriteConflict { .. }), "{err:?}");
+        t1.commit().unwrap();
+        assert_eq!(dns[1].engine.read(T, &key(2), u64::MAX, None).unwrap(), Some(row(2, 1)));
+    }
+
+    #[test]
+    fn stale_routing_epoch_aborts_before_a_staged_write_is_sent() {
+        let (net, coord, dns) = cluster();
+        let fence = test_fence();
+        let coord = coord.with_fence(Arc::clone(&fence) as _);
+        let calls = net.stats.snapshot();
+        let mut txn = coord.begin();
+        let trx = txn.id();
+        txn.pin_epoch(T, 0).unwrap();
+        txn.stage_write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1)));
+        txn.stage_write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 2)));
+        fence.epoch.store(1, std::sync::atomic::Ordering::SeqCst);
+        let err = txn.commit().unwrap_err();
+        assert!(err.is_retryable(), "fence abort must be retryable: {err:?}");
+        assert_eq!(net.stats.snapshot(), calls, "no message of any kind left the coordinator");
+        assert_eq!(dns[0].engine.txn_state(trx), None);
+        assert_eq!(dns[1].engine.txn_state(trx), None);
+        assert_eq!(fence.gate.load(std::sync::atomic::Ordering::SeqCst), 0, "no guard may leak");
+    }
+
+    #[test]
+    fn failed_one_phase_commit_leaves_no_intent_behind() {
+        use polardbx_simnet::{FaultPlan, OneShot, OneShotFault};
+        let (net, coord, dns) = cluster();
+        let coord = coord.with_config(crate::config::TxnConfig {
+            max_attempts: 1,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(1),
+        });
+        let mut seed = coord.begin();
+        seed.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 0))).unwrap();
+        seed.commit().unwrap();
+        // The CommitLocal (the CN's 2nd send from here) is lost and there is
+        // no retry: the DN is left holding the write's ACTIVE intent.
+        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
+            from: NodeId(9),
+            after_sends: 2,
+            fault: OneShotFault::DropNext,
+        }));
+        let mut txn = coord.begin();
+        txn.write(NodeId(1), T, key(1), WireWriteOp::Update(row(1, 1))).unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
+        assert!(await_drained(&dns[0], Duration::from_secs(1)), "the Abort must follow");
+        // So the row is not blocked for the next writer.
+        let mut next = coord.begin();
+        next.stage_write(NodeId(1), T, key(1), WireWriteOp::Update(row(1, 2)));
+        next.commit().unwrap();
+        assert_eq!(dns[0].engine.read(T, &key(1), u64::MAX, None).unwrap(), Some(row(1, 2)));
     }
 
     #[test]

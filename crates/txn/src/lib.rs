@@ -12,6 +12,14 @@
 //! 4. the coordinator picks `commit_ts = max(prepare_ts)` ⑤, runs a single
 //!    batched `ClockUpdate` ⑥, and ships `commit_ts` to participants ⑦.
 //!
+//! A driver that knows a statement's whole read set and write set hands
+//! them over whole: [`DistTxn::read_many`] sends the reads of step 2 in one
+//! round, [`DistTxn::stage_write`] holds the writes back, and the message
+//! that asks a participant for its vote in step 3 delivers them — two
+//! blocking rounds per statement instead of one per row. A driver that
+//! needs each write's verdict before its next statement keeps
+//! [`DistTxn::write`].
+//!
 //! Swapping the [`polardbx_hlc::Clock`] implementation yields the baselines
 //! of Fig 7: TSO-SI (both timestamps are RPCs to a central oracle) and
 //! Clock-SI (local physical clocks; participants must *wait out* skew
@@ -41,8 +49,8 @@ pub mod participant;
 pub mod route;
 
 pub use config::{ResolverConfig, TxnConfig};
-pub use coordinator::{Coordinator, DistTxn, Failpoint, ProtocolMutations, MAX_TOUCHED};
+pub use coordinator::{Coordinator, DistTxn, Failpoint, ProtocolMutations, ReadOp, MAX_TOUCHED};
 pub use metrics::TxnMetrics;
 pub use route::{AccessObserver, CommitGuard, PartTouch, RoutingFence};
-pub use msg::{Decision, TxnMsg, WireWriteOp};
+pub use msg::{Decision, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
 pub use participant::{DnService, ResolverHandle};

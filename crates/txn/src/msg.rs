@@ -23,6 +23,21 @@ pub enum WireWriteOp {
     Delete,
 }
 
+/// One write waiting for its transaction's commit round: `(table, key, op)`.
+pub type StagedWrite = (TableId, Key, WireWriteOp);
+
+/// The writes a commit-round message delivers ahead of its vote request:
+/// what the coordinator staged for this participant instead of sending a
+/// [`TxnMsg::Write`] each. Empty when every write already went out on its own.
+#[derive(Debug, Clone, Default)]
+pub struct StagedWrites {
+    /// The transaction's snapshot timestamp (raw HLC), as in
+    /// [`TxnMsg::Write`]. Unused when `writes` is empty.
+    pub snapshot_ts: u64,
+    /// In the order they were staged.
+    pub writes: Vec<StagedWrite>,
+}
+
 /// 2PC and statement messages.
 #[derive(Debug, Clone)]
 pub enum TxnMsg {
@@ -64,10 +79,13 @@ pub enum TxnMsg {
         /// Exclusive upper bound.
         upper: Option<Key>,
     },
-    /// 2PC phase one.
+    /// 2PC phase one. The participant first applies `staged` exactly as if
+    /// each had arrived as a [`TxnMsg::Write`], then votes.
     Prepare {
         /// Transaction to prepare.
         trx: TrxId,
+        /// Writes to apply before voting.
+        staged: StagedWrites,
         /// Where the coordinator will record its commit decision. A
         /// participant left PREPARED past its in-doubt timeout asks this
         /// node for the outcome instead of blocking forever (None = legacy
@@ -82,10 +100,13 @@ pub enum TxnMsg {
         commit_ts: u64,
     },
     /// One-phase commit for single-participant transactions: the
-    /// participant allocates the commit timestamp locally.
+    /// participant applies `staged`, then allocates the commit timestamp
+    /// locally.
     CommitLocal {
         /// Transaction to commit.
         trx: TrxId,
+        /// Writes to apply before committing.
+        staged: StagedWrites,
     },
     /// Roll back.
     Abort {

@@ -16,7 +16,7 @@ use polardbx_storage::{StorageEngine, TxnState, WriteOp};
 
 use crate::config::ResolverConfig;
 use crate::metrics::TxnMetrics;
-use crate::msg::{Decision, TxnMsg, WireWriteOp};
+use crate::msg::{Decision, StagedWrites, TxnMsg, WireWriteOp};
 
 /// A PREPARED transaction awaiting its 2PC outcome.
 struct InDoubt {
@@ -238,7 +238,34 @@ impl DnService {
             WireWriteOp::Update(row) => WriteOp::Update(row),
             WireWriteOp::Delete => WriteOp::Delete,
         };
-        self.engine.write(trx, table, key, op)
+        self.engine.write(trx, table, key, op).map_err(remap_stale_route)
+    }
+
+    /// Apply the writes a commit-round message carries, each exactly as a
+    /// `Write` message would have been, before the vote.
+    ///
+    /// Idempotency rule: only a transaction that has not voted here takes
+    /// them. Once it is PREPARED or decided, this is a duplicated or
+    /// retried copy of a message already served — its writes stand (or
+    /// fell with the abort), nothing is re-applied, and the vote code the
+    /// caller runs next answers from the recorded state. All or nothing:
+    /// when a write is refused the transaction is rolled back here at
+    /// once, so a retry never meets half of its own writes, and the
+    /// refusal goes back as the participant's own typed error.
+    fn apply_staged(&self, trx: TrxId, staged: StagedWrites) -> Result<()> {
+        if staged.writes.is_empty()
+            || !matches!(self.engine.txn_state(trx), None | Some(TxnState::Active))
+        {
+            return Ok(());
+        }
+        for (table, key, op) in staged.writes {
+            if let Err(e) = self.do_write(trx, staged.snapshot_ts, table, key, op) {
+                self.finish(trx);
+                self.engine.abort(trx);
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -261,7 +288,7 @@ impl Handler<TxnMsg> for DnService {
             TxnMsg::Write { trx, snapshot_ts, table, key, op } => {
                 match self.do_write(trx, snapshot_ts, table, key, op) {
                     Ok(()) => TxnMsg::Ok,
-                    Err(e) => TxnMsg::Failed(remap_stale_route(e)),
+                    Err(e) => TxnMsg::Failed(e),
                 }
             }
             TxnMsg::Read { trx, snapshot_ts, table, key } => {
@@ -288,12 +315,15 @@ impl Handler<TxnMsg> for DnService {
                     Err(e) => TxnMsg::Failed(remap_stale_route(e)),
                 }
             }
-            TxnMsg::Prepare { trx, decision_node } => {
+            TxnMsg::Prepare { trx, decision_node, staged } => {
                 // Idempotency first: a duplicated or retried Prepare must
                 // return the SAME prepare_ts, not advance the state again.
                 if let Some(TxnState::Prepared { prepare_ts }) = self.engine.txn_state(trx) {
                     self.metrics.duplicate_msgs.inc();
                     return TxnMsg::Prepared { prepare_ts };
+                }
+                if let Err(e) = self.apply_staged(trx, staged) {
+                    return TxnMsg::Failed(e);
                 }
                 // Step ④: validate, enter PREPARED, return ClockAdvance().
                 // The advance happens inside the transaction table's lock:
@@ -307,7 +337,12 @@ impl Handler<TxnMsg> for DnService {
                             .insert(trx, InDoubt { decision_node, since: mono_now() });
                         TxnMsg::Prepared { prepare_ts }
                     }
-                    Err(e) => TxnMsg::Failed(e),
+                    // The vote itself failed (the transaction is unknown
+                    // here, or already decided): say which node refused.
+                    Err(e) => TxnMsg::Failed(Error::PrepareRejected {
+                        participant: self.node.to_string(),
+                        reason: e.to_string(),
+                    }),
                 }
             }
             TxnMsg::Commit { trx, commit_ts } => {
@@ -334,13 +369,16 @@ impl Handler<TxnMsg> for DnService {
                     Err(e) => TxnMsg::Failed(e),
                 }
             }
-            TxnMsg::CommitLocal { trx } => {
+            TxnMsg::CommitLocal { trx, staged } => {
                 // Idempotency: a retried CommitLocal (lost reply) must ack
                 // the original commit timestamp, not allocate a new one.
                 if let Some(TxnState::Committed { commit_ts }) = self.engine.txn_state(trx) {
                     self.metrics.duplicate_msgs.inc();
                     self.finish(trx);
                     return TxnMsg::Committed { commit_ts };
+                }
+                if let Err(e) = self.apply_staged(trx, staged) {
+                    return TxnMsg::Failed(e);
                 }
                 // Single-participant fast path: the commit timestamp is this
                 // node's ClockAdvance — no cross-node max needed. The
@@ -494,7 +532,7 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None });
+        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
         let TxnMsg::Prepared { prepare_ts } = r1 else { panic!("expected Prepared, got {r1:?}") };
         assert!(prepare_ts > HlcTimestamp::new(100, 0).raw());
     }
@@ -531,7 +569,7 @@ mod tests {
             .unwrap();
         assert!(matches!(w, TxnMsg::Ok));
         let p = net
-            .call(NodeId(9), NodeId(1), TxnMsg::Prepare { trx: TrxId(7), decision_node: None })
+            .call(NodeId(9), NodeId(1), TxnMsg::Prepare { trx: TrxId(7), decision_node: None, staged: Default::default() })
             .unwrap();
         let TxnMsg::Prepared { prepare_ts } = p else { panic!() };
         let c = net
@@ -593,12 +631,100 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None });
-        let r2 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None });
+        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
+        let r2 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
         let TxnMsg::Prepared { prepare_ts: t1 } = r1 else { panic!("{r1:?}") };
         let TxnMsg::Prepared { prepare_ts: t2 } = r2 else { panic!("{r2:?}") };
         assert_eq!(t1, t2, "duplicate Prepare must not advance the timestamp");
         assert_eq!(dn.metrics.duplicate_msgs.get(), 1);
+    }
+
+    fn staged(writes: Vec<(Key, WireWriteOp)>) -> StagedWrites {
+        StagedWrites {
+            snapshot_ts: HlcTimestamp::new(100, 0).raw(),
+            writes: writes.into_iter().map(|(k, op)| (TableId(1), k, op)).collect(),
+        }
+    }
+
+    #[test]
+    fn duplicated_commit_round_message_applies_its_writes_once() {
+        let engine = StorageEngine::in_memory();
+        engine.create_table(TableId(1), TenantId(1));
+        let dn = DnService::new(NodeId(1), Arc::clone(&engine), Hlc::with_physical(TestClock::at(100)));
+        // 2PC: the second copy of an Insert-carrying Prepare re-applies
+        // nothing (it would be a DuplicateKey against the first) and votes
+        // with the same timestamp.
+        let prepare = TxnMsg::Prepare {
+            trx: TrxId(5),
+            decision_node: None,
+            staged: staged(vec![(key(1), WireWriteOp::Insert(row(1)))]),
+        };
+        let TxnMsg::Prepared { prepare_ts: t1 } = dn.handle(NodeId(9), prepare.clone()) else {
+            panic!("first copy must prepare")
+        };
+        let TxnMsg::Prepared { prepare_ts: t2 } = dn.handle(NodeId(9), prepare) else {
+            panic!("second copy must re-ack")
+        };
+        assert_eq!(t1, t2);
+        assert_eq!(dn.metrics.duplicate_msgs.get(), 1);
+        dn.handle(NodeId(9), TxnMsg::Commit { trx: TrxId(5), commit_ts: t1 });
+        // One-phase: same rule, the second copy re-acks the commit.
+        let local = TxnMsg::CommitLocal {
+            trx: TrxId(6),
+            staged: staged(vec![(key(2), WireWriteOp::Insert(row(2)))]),
+        };
+        let TxnMsg::Committed { commit_ts: c1 } = dn.handle(NodeId(9), local.clone()) else {
+            panic!("first copy must commit")
+        };
+        let TxnMsg::Committed { commit_ts: c2 } = dn.handle(NodeId(9), local) else {
+            panic!("second copy must re-ack")
+        };
+        assert_eq!(c1, c2);
+        assert_eq!(dn.metrics.duplicate_msgs.get(), 2);
+        assert_eq!(engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), Some(row(1)));
+        assert_eq!(engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), Some(row(2)));
+        assert!(!engine.has_active_txns());
+    }
+
+    #[test]
+    fn refused_staged_write_rolls_back_and_a_retry_finds_the_abort() {
+        let engine = StorageEngine::in_memory();
+        engine.create_table(TableId(1), TenantId(1));
+        let dn = DnService::new(NodeId(1), Arc::clone(&engine), Hlc::with_physical(TestClock::at(100)));
+        dn.handle(
+            NodeId(9),
+            TxnMsg::CommitLocal {
+                trx: TrxId(1),
+                staged: staged(vec![(key(2), WireWriteOp::Insert(row(2)))]),
+            },
+        );
+        // The first write installs, the second is a duplicate key: the
+        // participant's own typed error comes back and nothing stays.
+        let prepare = TxnMsg::Prepare {
+            trx: TrxId(5),
+            decision_node: None,
+            staged: StagedWrites {
+                snapshot_ts: u64::MAX >> 1,
+                writes: vec![
+                    (TableId(1), key(1), WireWriteOp::Insert(row(1))),
+                    (TableId(1), key(2), WireWriteOp::Insert(row(2))),
+                ],
+            },
+        };
+        let reply = dn.handle(NodeId(9), prepare.clone());
+        assert!(matches!(reply, TxnMsg::Failed(Error::DuplicateKey { .. })), "{reply:?}");
+        assert!(!engine.has_active_txns(), "rolled back at once");
+        // A retried copy (the refusal was lost on the way back) meets the
+        // abort: refused by name, retryably, with nothing re-applied.
+        let reply = dn.handle(NodeId(9), prepare);
+        let TxnMsg::Failed(e) = reply else { panic!("{reply:?}") };
+        assert!(
+            matches!(&e, Error::PrepareRejected { participant, .. } if participant == "node1"),
+            "{e:?}"
+        );
+        assert!(e.is_retryable());
+        assert!(!engine.has_active_txns());
+        assert_eq!(engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
     }
 
     #[test]
@@ -618,7 +744,7 @@ mod tests {
             },
         );
         let TxnMsg::Prepared { prepare_ts } =
-            dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None })
+            dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() })
         else {
             panic!()
         };
@@ -688,7 +814,7 @@ mod tests {
         );
         let TxnMsg::Prepared { prepare_ts } = dn.handle(
             NodeId(9),
-            TxnMsg::Prepare { trx: TrxId(5), decision_node: Some(NodeId(2)) },
+            TxnMsg::Prepare { trx: TrxId(5), decision_node: Some(NodeId(2)), staged: Default::default() },
         ) else {
             panic!()
         };
@@ -736,7 +862,7 @@ mod tests {
                 op: WireWriteOp::Insert(row(2)),
             },
         );
-        dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(6), decision_node: Some(NodeId(2)) });
+        dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(6), decision_node: Some(NodeId(2)), staged: Default::default() });
         // Coordinator "died" before logging: resolver must presume abort.
         let cfg = ResolverConfig {
             interval: Duration::from_millis(5),

@@ -70,6 +70,20 @@ fn chaos_cluster() -> (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>) {
     (net, coord, dns)
 }
 
+/// Insert `row(v)` under `key(k)` on both cross-DC participants: a `Write`
+/// message each, or — `staged` — nothing until the commit round carries
+/// them. False when a write was refused or lost (the caller aborts).
+fn write_pair(txn: &mut polardbx_txn::DistTxn<'_>, k: i64, v: i64, staged: bool) -> bool {
+    if staged {
+        txn.stage_write(NodeId(2), TableId(1), key(k), WireWriteOp::Insert(row(v)));
+        txn.stage_write(NodeId(3), TableId(1), key(k), WireWriteOp::Insert(row(v)));
+        return true;
+    }
+    txn.write(NodeId(2), TableId(1), key(k), WireWriteOp::Insert(row(v)))
+        .and_then(|_| txn.write(NodeId(3), TableId(1), key(k), WireWriteOp::Insert(row(v))))
+        .is_ok()
+}
+
 fn start_resolvers(net: &Arc<SimNet<TxnMsg>>, dns: &[Arc<DnService>]) -> Vec<ResolverHandle> {
     let cfg = ResolverConfig {
         interval: Duration::from_millis(10),
@@ -108,11 +122,9 @@ fn two_pc_atomic_under_lossy_duplicating_links() {
     for i in 0..TXNS {
         let mut txn = coord.begin();
         // Statement shipping also rides the lossy links: a failed write
-        // aborts the transaction, which must still be all-or-nothing.
-        let wrote = txn
-            .write(NodeId(2), TableId(1), key(100 + i), WireWriteOp::Insert(row(i)))
-            .and_then(|_| txn.write(NodeId(3), TableId(1), key(100 + i), WireWriteOp::Insert(row(i))))
-            .is_ok();
+        // aborts the transaction, which must still be all-or-nothing. Every
+        // other transaction stages its writes into the commit round.
+        let wrote = write_pair(&mut txn, 100 + i, i, i % 2 == 1);
         if wrote {
             outcomes.push(txn.commit().ok());
         } else {
@@ -154,6 +166,13 @@ fn two_pc_atomic_under_lossy_duplicating_links() {
 /// must settle on presumed abort via the decision log.
 #[test]
 fn coordinator_crash_before_decision_presumes_abort() {
+    // Votes requested by stand-alone Prepares, then by Prepares that also
+    // delivered the writes.
+    crash_before_decision_presumes_abort(false);
+    crash_before_decision_presumes_abort(true);
+}
+
+fn crash_before_decision_presumes_abort(staged: bool) {
     let (net, coord, dns) = chaos_cluster();
     let _resolvers = start_resolvers(&net, &dns);
     let net_fp = Arc::clone(&net);
@@ -165,13 +184,14 @@ fn coordinator_crash_before_decision_presumes_abort() {
 
     let mut txn = coord.begin();
     let trx = txn.id();
-    txn.write(NodeId(2), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
-    txn.write(NodeId(3), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
+    assert!(write_pair(&mut txn, 1, 1, staged));
     txn.commit().expect_err("a coordinator dead before logging cannot report success");
 
     assert!(await_drained(&dns, Duration::from_secs(5)), "in-doubt txn must resolve");
     assert_eq!(dns[1].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
-    assert_eq!(dns[2].engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), None);
+    assert_eq!(dns[2].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
+    assert!(!dns[1].engine.has_active_writes_on(TableId(1)), "no intent may outlive the abort");
+    assert!(!dns[2].engine.has_active_writes_on(TableId(1)), "no intent may outlive the abort");
     assert_eq!(
         dns[0].recorded_decision(trx),
         Some(Decision::Abort),
@@ -217,6 +237,95 @@ fn coordinator_crash_after_decision_resolver_commits() {
     assert!(net.fault_stats.blackholed.get() > 0, "the crashed CN must have been black-holed");
 }
 
+/// DN2 behind a hook that runs before its first `Prepare` is served, and a
+/// log of every vote it returns.
+struct FirstPrepareHook {
+    inner: Arc<DnService>,
+    hook: Box<dyn Fn() + Send + Sync>,
+    prepares_seen: std::sync::atomic::AtomicU64,
+    votes: std::sync::Mutex<Vec<u64>>,
+}
+
+impl Handler<TxnMsg> for FirstPrepareHook {
+    fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+        if matches!(msg, TxnMsg::Prepare { .. })
+            && self.prepares_seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0
+        {
+            (self.hook)();
+        }
+        let reply = self.inner.handle(from, msg);
+        if let TxnMsg::Prepared { prepare_ts } = reply {
+            self.votes.lock().unwrap().push(prepare_ts);
+        }
+        reply
+    }
+    fn handle_oneway(&self, from: NodeId, msg: TxnMsg) {
+        self.inner.handle_oneway(from, msg)
+    }
+}
+
+/// The reply to a commit-round message that carried writes is lost: the
+/// coordinator cannot tell whether they were applied, so it sends the whole
+/// message again. The participant had applied them and voted; the second
+/// copy must re-apply nothing (the write is an Insert — a second
+/// application would be a DuplicateKey) and repeat the same vote.
+#[test]
+fn lost_reply_of_a_write_carrying_prepare_is_retried_without_reapplying() {
+    let (net, coord, dns) = chaos_cluster();
+    // Every reply DN2 → CN is dropped until the hook lifts the plan. A call
+    // rolls its reply against the plan in force when its request left, so
+    // lifting it while the first Prepare is being served loses exactly that
+    // one reply.
+    net.set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+    let hook_net = Arc::clone(&net);
+    let dn2 = Arc::new(FirstPrepareHook {
+        inner: Arc::clone(&dns[1]),
+        hook: Box::new(move || hook_net.clear_fault_plan()),
+        prepares_seen: Default::default(),
+        votes: Default::default(),
+    });
+    net.register(NodeId(2), DcId(2), Arc::clone(&dn2) as Arc<dyn Handler<TxnMsg>>);
+
+    let mut txn = coord.begin();
+    assert!(write_pair(&mut txn, 7, 7, true));
+    let commit_ts = txn.commit().expect("the retry must carry the commit through");
+
+    assert_eq!(net.fault_stats.dropped_replies.get(), 1);
+    assert_eq!(coord.metrics().rpc_retries.get(), 1);
+    assert_eq!(dns[1].metrics.duplicate_msgs.get(), 1, "the second copy was absorbed");
+    let votes = dn2.votes.lock().unwrap().clone();
+    assert_eq!(votes.len(), 2, "both copies were answered");
+    assert_eq!(votes[0], votes[1], "one prepare_ts");
+    assert!(commit_ts >= votes[0]);
+    assert!(await_drained(&dns, Duration::from_secs(5)));
+    assert_eq!(dns[1].engine.read(TableId(1), &key(7), u64::MAX, None).unwrap(), Some(row(7)));
+    assert_eq!(dns[2].engine.read(TableId(1), &key(7), u64::MAX, None).unwrap(), Some(row(7)));
+}
+
+/// Every cross-DC message is delivered twice. A staged Insert therefore
+/// reaches its DN twice inside the commit round — 2PC and one-phase — and
+/// must not fail the transaction with a DuplicateKey against itself.
+#[test]
+fn duplicated_commit_round_applies_a_staged_insert_once() {
+    let (net, coord, dns) = chaos_cluster();
+    net.set_fault_plan(FaultPlan::new(1).with_cross_dc(LinkFaults::none().with_duplicate(1.0)));
+    let mut txn = coord.begin();
+    assert!(write_pair(&mut txn, 1, 1, true));
+    txn.commit().expect("2PC: a duplicated Prepare must not re-apply its Insert");
+    let mut txn = coord.begin();
+    txn.stage_write(NodeId(3), TableId(1), key(2), WireWriteOp::Insert(row(2)));
+    txn.commit().expect("one-phase: a duplicated CommitLocal must not re-apply its Insert");
+    net.clear_fault_plan();
+
+    assert!(net.fault_stats.duplicated_calls.get() >= 3);
+    assert!(dns[1].metrics.duplicate_msgs.get() >= 1);
+    assert!(dns[2].metrics.duplicate_msgs.get() >= 2);
+    assert!(await_drained(&dns, Duration::from_secs(5)));
+    assert_eq!(dns[1].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), Some(row(1)));
+    assert_eq!(dns[2].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), Some(row(1)));
+    assert_eq!(dns[2].engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), Some(row(2)));
+}
+
 /// One full chaos run: seeded faults during a serialized workload, then
 /// heal, then resolver-driven settlement. Returns everything observable
 /// that must be identical across same-seed runs.
@@ -228,10 +337,7 @@ fn seeded_run(seed: u64) -> (Vec<bool>, Vec<(bool, bool)>, [u64; 5]) {
     let mut outcomes = Vec::new();
     for i in 0..15i64 {
         let mut txn = coord.begin();
-        let wrote = txn
-            .write(NodeId(2), TableId(1), key(i), WireWriteOp::Insert(row(i)))
-            .and_then(|_| txn.write(NodeId(3), TableId(1), key(i), WireWriteOp::Insert(row(i))))
-            .is_ok();
+        let wrote = write_pair(&mut txn, i, i, i % 2 == 1);
         if wrote {
             outcomes.push(txn.commit().is_ok());
         } else {

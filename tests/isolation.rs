@@ -69,16 +69,24 @@ fn quick_matrix_reports_zero_anomalies() {
     }
 }
 
-/// Shared shape of the three mutation assertions: the mutated run surfaces
-/// `expect` with a witness, the unmutated twin is clean.
+/// Shared shape of the mutation assertions: the mutated run surfaces
+/// `expect` with a witness, the unmutated twin is clean — on two
+/// consecutive seeds, because the seed's low bit picks whether the
+/// scenario's writer sends `write()`s or stages them into the commit round.
 fn assert_mutation_detected(m: Mutation, expect: AnomalyKind) {
-    let seed = seed_from_env(BASE_SEED);
+    let base = seed_from_env(BASE_SEED);
+    assert_mutation_detected_on(m, expect, base);
+    assert_mutation_detected_on(m, expect, base ^ 1);
+}
+
+fn assert_mutation_detected_on(m: Mutation, expect: AnomalyKind, seed: u64) {
     let mutated = explorer::run_mutated(m, seed);
     let found = mutated.report.of_kind(expect);
     assert!(
         !found.is_empty(),
-        "{}: expected a {} anomaly, checker reported:\n{}",
+        "{} (seed {}): expected a {} anomaly, checker reported:\n{}",
         m.label(),
+        format_seed(seed),
         expect.name(),
         render_report(&mutated),
     );

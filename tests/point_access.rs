@@ -207,7 +207,9 @@ impl Gen {
                 let a = self.rng.gen_range(-2..ROWS);
                 let low = ["id >=", "id >", "NOT id <"][self.rng.gen_range(0..3)];
                 let high = ["id <", "id <="][self.rng.gen_range(0..2)];
-                format!("{low} {a} AND {high} {a} + {}", self.rng.gen_range(0..11))
+                // Mostly a few keys; sometimes dozens, or past the bound.
+                let width = if self.rng.gen_bool(0.25) { 80 } else { 11 };
+                format!("{low} {a} AND {high} {a} + {}", self.rng.gen_range(0..width))
             }
             10 => {
                 let a = self.rng.gen_range(-2..ROWS);
