@@ -13,14 +13,15 @@
 //!   where `f` is each plan's parallelizable cost fraction from the
 //!   optimizer (see `polardbx_bench::modeled_mpp_time`). On multi-core
 //!   hosts `MppExecutor` realizes this directly.
-//! * **Column index** — measured directly: the same plans execute through
-//!   the vectorized kernels when their shapes are columnar-eligible
-//!   (single-table pipelines and single-key joins, §VI-E), and fall back
-//!   to the row path otherwise.
-//! * **Vectorized MPP** — measured directly: `MppExecutor` pulls batches
-//!   through the morsel-driven vectorized engine (typed filter loops,
-//!   hashed group slots) on the persistent worker pool. Per-operator
-//!   metric counters are printed at the end.
+//! * **Column index** — measured directly, and measured on what ships:
+//!   the AP engine (`MppExecutor`, one worker, so the column isolates the
+//!   source from the fan-out) over a provider that attaches every table's
+//!   column index — each scan leaf draws selection ranges over the
+//!   snapshot's typed lanes instead of scanning row partitions (§VI-E).
+//! * **Vectorized MPP** — measured directly: the same engine at four
+//!   workers over the row partitions (typed filter loops, hashed group
+//!   slots, morsels on the persistent worker pool). Per-operator metric
+//!   counters are printed at the end.
 //!
 //! Run: `cargo run --release -p polardbx-bench --bin fig10_mpp_column [--quick]`
 
@@ -32,6 +33,19 @@ use polardbx_bench::{fmt_dur, header, modeled_mpp_time, parallel_fraction, quick
 use polardbx_common::DcId;
 use polardbx_executor::{exec_metrics, execute_plan, ExecCtx, MppExecutor, TableProvider};
 use polardbx_workloads::tpch;
+
+/// Warm-up, then best-of-`reps` (stable on a shared host).
+fn best_of(reps: usize, mut run: impl FnMut()) -> Duration {
+    run();
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed()
+        })
+        .min()
+        .unwrap()
+}
 
 fn main() {
     let sf = if quick() { 0.02 } else { 0.08 };
@@ -58,6 +72,7 @@ fn main() {
     let ctx = ExecCtx::unrestricted();
 
     let mpp = MppExecutor::new(4);
+    let mpp_serial = MppExecutor::new(1);
     exec_metrics().reset();
 
     header(&[
@@ -84,32 +99,15 @@ fn main() {
             &stats,
         );
 
-        let time_with = |provider: &Arc<dyn TableProvider>| -> Duration {
-            // Warm-up, then best-of-reps (stable on a shared host).
-            let _ = execute_plan(&plan, provider.as_ref(), &ctx).unwrap();
-            (0..reps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let _ = execute_plan(&plan, provider.as_ref(), &ctx).unwrap();
-                    t0.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-
-        let t_row = time_with(&row_provider);
-        let t_col = time_with(&col_provider);
-        let t_vec = {
-            let _ = mpp.execute(&plan, &row_provider, &ctx).unwrap();
-            (0..reps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let _ = mpp.execute(&plan, &row_provider, &ctx).unwrap();
-                    t0.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
+        let t_row = best_of(reps, || {
+            execute_plan(&plan, row_provider.as_ref(), &ctx).unwrap();
+        });
+        let t_col = best_of(reps, || {
+            mpp_serial.execute(&plan, &col_provider, &ctx).unwrap();
+        });
+        let t_vec = best_of(reps, || {
+            mpp.execute(&plan, &row_provider, &ctx).unwrap();
+        });
         let f = parallel_fraction(&plan, &stats);
         let t_mpp = modeled_mpp_time(t_row, f, 4, Duration::from_micros(150));
 

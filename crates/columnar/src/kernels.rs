@@ -1,11 +1,12 @@
-//! Vectorized kernels over column snapshots.
+//! Reference kernels over column snapshots.
 //!
-//! These are the primitives behind §VI-E's claim that "in a column store …
-//! the execution of certain operations such as filter, join, aggregation
-//! becomes much faster": tight loops over dense typed vectors driven by
-//! selection vectors, no per-row boxing.
-
-use std::collections::HashMap;
+//! The shape of loop behind §VI-E's claim that "in a column store … the
+//! execution of certain operations such as filter, join, aggregation
+//! becomes much faster": a tight pass over a dense typed vector driven by a
+//! selection vector, no per-row boxing. Queries do not run through these —
+//! the AP engine has its own lane loops over the same `ColumnData`
+//! (`polardbx-executor`'s `vectorized`) — the benchmarks time them as the
+//! cost floor of a filtered columnar scan.
 
 use polardbx_common::{Error, Result, Value};
 
@@ -42,8 +43,10 @@ impl CmpOp {
     }
 }
 
-/// Filter `selection` by comparing `column` against a constant. NULL rows
-/// never match.
+/// Filter `selection` by comparing `column` against a constant, as
+/// `Value::sql_cmp` would: an `Int` column against a `Double` constant
+/// compares as `f64`, never by truncating the constant. NULL rows never
+/// match.
 pub fn filter_cmp(
     column: &ColumnData,
     selection: &[u32],
@@ -52,6 +55,14 @@ pub fn filter_cmp(
 ) -> Result<Vec<u32>> {
     let mut out = Vec::with_capacity(selection.len() / 2);
     match (column, constant) {
+        (ColumnData::Int(data, nulls), Value::Double(c)) => {
+            for &id in selection {
+                let i = id as usize;
+                if !nulls[i] && (data[i] as f64).partial_cmp(c).is_some_and(|ord| op.keep(ord)) {
+                    out.push(id);
+                }
+            }
+        }
         (ColumnData::Int(data, nulls), c) => {
             let c = c.as_int()?;
             for &id in selection {
@@ -96,89 +107,6 @@ pub fn filter_cmp(
     Ok(out)
 }
 
-/// Filter by comparing two columns of the same table (`l_receiptdate >
-/// l_commitdate` in Q12/Q21). NULL on either side never matches.
-pub fn filter_cmp_cols(
-    a: &ColumnData,
-    b: &ColumnData,
-    selection: &[u32],
-    op: CmpOp,
-) -> Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(selection.len() / 2);
-    match (a, b) {
-        (ColumnData::Int(da, na), ColumnData::Int(db, nb)) => {
-            for &id in selection {
-                let i = id as usize;
-                if !na[i] && !nb[i] && op.keep(da[i].cmp(&db[i])) {
-                    out.push(id);
-                }
-            }
-        }
-        (ColumnData::Double(da, na), ColumnData::Double(db, nb)) => {
-            for &id in selection {
-                let i = id as usize;
-                if !na[i] && !nb[i] {
-                    if let Some(ord) = da[i].partial_cmp(&db[i]) {
-                        if op.keep(ord) {
-                            out.push(id);
-                        }
-                    }
-                }
-            }
-        }
-        (ColumnData::Date(da, na), ColumnData::Date(db, nb)) => {
-            for &id in selection {
-                let i = id as usize;
-                if !na[i] && !nb[i] && op.keep(da[i].cmp(&db[i])) {
-                    out.push(id);
-                }
-            }
-        }
-        _ => {
-            // Generic fallback through Value comparison.
-            for &id in selection {
-                let i = id as usize;
-                let (va, vb) = (a.get(i), b.get(i));
-                if va.is_null() || vb.is_null() {
-                    continue;
-                }
-                if let Some(ord) = va.sql_cmp(&vb) {
-                    if op.keep(ord) {
-                        out.push(id);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Filter by inclusive range `[lo, hi]` in one pass (common TPC-H shape).
-pub fn filter_between(
-    column: &ColumnData,
-    selection: &[u32],
-    lo: &Value,
-    hi: &Value,
-) -> Result<Vec<u32>> {
-    let step = filter_cmp(column, selection, CmpOp::Ge, lo)?;
-    filter_cmp(column, &step, CmpOp::Le, hi)
-}
-
-/// Filter strings by a `LIKE 'prefix%'`-style prefix.
-pub fn filter_prefix(column: &ColumnData, selection: &[u32], prefix: &str) -> Result<Vec<u32>> {
-    match column {
-        ColumnData::Str(data, nulls) => Ok(selection
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let i = id as usize;
-                !nulls[i] && data[i].starts_with(prefix)
-            })
-            .collect()),
-        _ => Err(Error::execution("filter_prefix on non-string column")),
-    }
-}
-
 /// Sum a numeric column over a selection (NULLs skipped).
 pub fn sum(column: &ColumnData, selection: &[u32]) -> Result<f64> {
     match column {
@@ -198,97 +126,6 @@ pub fn sum(column: &ColumnData, selection: &[u32]) -> Result<f64> {
             .sum()),
         _ => Err(Error::execution("sum on non-numeric column")),
     }
-}
-
-/// Count non-null values over a selection.
-pub fn count(column: &ColumnData, selection: &[u32]) -> usize {
-    selection.iter().filter(|&&id| !column.is_null(id as usize)).count()
-}
-
-/// Min/Max over a selection (None when empty or all NULL).
-pub fn min_max(column: &ColumnData, selection: &[u32]) -> (Option<Value>, Option<Value>) {
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
-    for &id in selection {
-        let v = column.get(id as usize);
-        if v.is_null() {
-            continue;
-        }
-        match &min {
-            None => min = Some(v.clone()),
-            Some(m) if v < *m => min = Some(v.clone()),
-            _ => {}
-        }
-        match &max {
-            None => max = Some(v),
-            Some(m) if v > *m => max = Some(v),
-            _ => {}
-        }
-    }
-    (min, max)
-}
-
-/// Hash group-by: group `selection` by the values of `keys` columns,
-/// returning (group key values → row ids).
-pub fn hash_group(
-    keys: &[&ColumnData],
-    selection: &[u32],
-) -> HashMap<Vec<Value>, Vec<u32>> {
-    let mut groups: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-    for &id in selection {
-        let key: Vec<Value> = keys.iter().map(|c| c.get(id as usize)).collect();
-        groups.entry(key).or_default().push(id);
-    }
-    groups
-}
-
-/// In-memory hash join on single columns: returns (build_row, probe_row)
-/// pairs. This is the "built-in hash join of column index" that Q12/Q21
-/// push down (§VII-C).
-pub fn hash_join(
-    build: &ColumnData,
-    build_sel: &[u32],
-    probe: &ColumnData,
-    probe_sel: &[u32],
-) -> Vec<(u32, u32)> {
-    let mut table: HashMap<Value, Vec<u32>> = HashMap::new();
-    for &id in build_sel {
-        let v = build.get(id as usize);
-        if !v.is_null() {
-            table.entry(v).or_default().push(id);
-        }
-    }
-    let mut out = Vec::new();
-    for &pid in probe_sel {
-        let v = probe.get(pid as usize);
-        if v.is_null() {
-            continue;
-        }
-        if let Some(bids) = table.get(&v) {
-            for &bid in bids {
-                out.push((bid, pid));
-            }
-        }
-    }
-    out
-}
-
-/// Build a bloom-filter-like membership set from a column selection and
-/// test another selection against it — the push-down Q8 uses to cut CN↔DN
-/// transfer (§VII-C). Returns the surviving probe-side selection.
-pub fn semi_join_filter(
-    build: &ColumnData,
-    build_sel: &[u32],
-    probe: &ColumnData,
-    probe_sel: &[u32],
-) -> Vec<u32> {
-    let set: std::collections::HashSet<Value> =
-        build_sel.iter().map(|&id| build.get(id as usize)).collect();
-    probe_sel
-        .iter()
-        .copied()
-        .filter(|&id| set.contains(&probe.get(id as usize)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -327,64 +164,27 @@ mod tests {
     }
 
     #[test]
-    fn between_and_prefix() {
-        let c = int_col(&[Some(1), Some(5), Some(8), Some(12)]);
-        assert_eq!(
-            filter_between(&c, &all(4), &Value::Int(5), &Value::Int(10)).unwrap(),
-            vec![1, 2]
-        );
-        let mut s = ColumnData::new(DataType::Str);
-        for v in ["PROMO A", "REGULAR", "PROMO B"] {
-            s.push(&Value::str(v)).unwrap();
-        }
-        assert_eq!(filter_prefix(&s, &all(3), "PROMO").unwrap(), vec![0, 2]);
-    }
-
-    #[test]
-    fn aggregates() {
-        let c = int_col(&[Some(1), Some(2), None, Some(4)]);
+    fn int_column_against_double_constant_compares_as_f64() {
+        let c = int_col(&[Some(9), Some(10), None, Some(11)]);
         let sel = all(4);
-        assert_eq!(sum(&c, &sel).unwrap(), 7.0);
-        assert_eq!(count(&c, &sel), 3);
-        let (mn, mx) = min_max(&c, &sel);
-        assert_eq!(mn, Some(Value::Int(1)));
-        assert_eq!(mx, Some(Value::Int(4)));
-        let (mn, mx) = min_max(&c, &[]);
-        assert_eq!((mn, mx), (None, None));
+        let half = Value::Double(10.5);
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Lt, &half).unwrap(), vec![0, 1]);
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Le, &half).unwrap(), vec![0, 1]);
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Gt, &half).unwrap(), vec![3]);
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Eq, &half).unwrap(), Vec::<u32>::new());
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Eq, &Value::Double(10.0)).unwrap(), vec![1]);
+        assert_eq!(filter_cmp(&c, &sel, CmpOp::Lt, &Value::Double(f64::NAN)).unwrap(), vec![]);
     }
 
     #[test]
-    fn group_by_hash() {
-        let c = int_col(&[Some(1), Some(2), Some(1), Some(2), Some(1)]);
-        let groups = hash_group(&[&c], &all(5));
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&vec![Value::Int(1)]], vec![0, 2, 4]);
-        assert_eq!(groups[&vec![Value::Int(2)]], vec![1, 3]);
-    }
-
-    #[test]
-    fn cmp_cols_kernel() {
-        let a = int_col(&[Some(1), Some(5), Some(3), None]);
-        let b = int_col(&[Some(2), Some(4), Some(3), Some(9)]);
-        assert_eq!(filter_cmp_cols(&a, &b, &all(4), CmpOp::Lt).unwrap(), vec![0]);
-        assert_eq!(filter_cmp_cols(&a, &b, &all(4), CmpOp::Gt).unwrap(), vec![1]);
-        assert_eq!(filter_cmp_cols(&a, &b, &all(4), CmpOp::Eq).unwrap(), vec![2]);
-    }
-
-    #[test]
-    fn join_kernels() {
-        let build = int_col(&[Some(1), Some(2), Some(3)]);
-        let probe = int_col(&[Some(2), Some(2), Some(4), None]);
-        let pairs = hash_join(&build, &all(3), &probe, &all(4));
-        assert_eq!(pairs, vec![(1, 0), (1, 1)]);
-        let surviving = semi_join_filter(&build, &all(3), &probe, &all(4));
-        assert_eq!(surviving, vec![0, 1]);
+    fn sum_skips_nulls() {
+        let c = int_col(&[Some(1), Some(2), None, Some(4)]);
+        assert_eq!(sum(&c, &all(4)).unwrap(), 7.0);
     }
 
     #[test]
     fn type_errors_surface() {
         let c = int_col(&[Some(1)]);
-        assert!(filter_prefix(&c, &all(1), "x").is_err());
         let mut s = ColumnData::new(DataType::Str);
         s.push(&Value::str("a")).unwrap();
         assert!(sum(&s, &all(1)).is_err());

@@ -14,8 +14,9 @@
 //!   visibility (insert/update/delete as append + tombstone),
 //! * [`maintain`] — redo-log capture with delayed, batched application and
 //!   a lagging index version,
-//! * [`kernels`] — the vectorized scan/filter/aggregate/join primitives the
-//!   MPP executor's columnar operators call into.
+//! * [`kernels`] — reference filter and sum loops over a snapshot's typed
+//!   vectors, timed by the benchmarks (queries run on the executor's own
+//!   lane loops over the same [`ColumnData`]).
 
 pub mod column;
 pub mod index;

@@ -19,7 +19,8 @@ use polardbx_executor::memory::Reservation;
 use polardbx_executor::scheduler::{run_with_demotion, TickState};
 use polardbx_executor::{execute_plan, ExecCtx, JobClass, MppExecutor, TableProvider};
 use polardbx_optimizer::{
-    classify_cost, estimate, optimize_with_stats, PlanCost, Statistics, WorkloadClass,
+    choose_storage, classify_cost, estimate, optimize_with_stats, PlanCost, Statistics,
+    StorageChoice, WorkloadClass,
 };
 use polardbx_sql::ast::{self, IndexPlacement, Statement};
 use polardbx_sql::expr::Expr;
@@ -124,10 +125,32 @@ impl Session {
         Ok((plan, cost, class))
     }
 
+    /// The store each table `plan` scans is read from (§VI-E): a TP plan
+    /// runs on the row engine, which reads the row store; an AP plan reads
+    /// what the optimizer's `choose_storage` picks. This is the one
+    /// decision: `EXPLAIN` prints it and [`Session::build_provider`]
+    /// attaches exactly the column indexes it names.
+    fn storage_choices(
+        plan: &LogicalPlan,
+        class: WorkloadClass,
+        stats: &Statistics,
+    ) -> Vec<(String, StorageChoice)> {
+        plan.tables()
+            .into_iter()
+            .map(|table| {
+                let choice = match class {
+                    WorkloadClass::Tp => StorageChoice::RowStore,
+                    WorkloadClass::Ap => choose_storage(plan, &table, stats),
+                };
+                (table, choice)
+            })
+            .collect()
+    }
+
     /// EXPLAIN: parse and plan a SELECT without executing it, returning
     /// the optimized operator tree, the TP/AP classification, and per
-    /// scanned table the row-store vs column-index choice (§VI-B/E) and
-    /// the row-store access path: `keys(n)` when the filter above the scan
+    /// scanned table the store the executor reads (§VI-B/E) and the
+    /// row-store access path: `keys(n)` when the filter above the scan
     /// names n primary keys, else `all shards`.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
@@ -141,8 +164,7 @@ impl Session {
             cost.total(),
             cost.rows_out
         ));
-        for table in plan.tables() {
-            let choice = polardbx_optimizer::choose_storage(&plan, &table, &stats);
+        for (table, choice) in Self::storage_choices(&plan, class, &stats) {
             out.push_str(&format!("scan {table}: {choice:?}\n"));
         }
         self.explain_access(&plan, None, &mut out)?;
@@ -199,8 +221,9 @@ impl Session {
         sel: &ast::Select,
     ) -> Result<(Vec<Row>, WorkloadClass)> {
         let _permit = self.inner.traffic.admit(sql)?;
-        let (plan, cost, class) = self.plan_select(sel, &self.inner.gms.statistics())?;
-        let rows = self.run_plan(plan, class, &cost)?;
+        let stats = self.inner.gms.statistics();
+        let (plan, cost, class) = self.plan_select(sel, &stats)?;
+        let rows = self.run_plan(plan, class, &cost, &stats)?;
         Ok((rows, class))
     }
 
@@ -209,6 +232,7 @@ impl Session {
         plan: LogicalPlan,
         class: WorkloadClass,
         cost: &PlanCost,
+        stats: &Statistics,
     ) -> Result<Vec<Row>> {
         // Reserve working memory from the class's region before executing
         // (§VI-D): TP reservations may preempt AP headroom; an AP query that
@@ -221,7 +245,7 @@ impl Session {
         };
         let snapshot_ts = self.cn.coordinator.clock().now().raw();
         let provider: Arc<dyn TableProvider> =
-            Arc::new(self.build_provider(class, snapshot_ts));
+            Arc::new(self.build_provider(&plan, class, stats, snapshot_ts));
         let inner = Arc::clone(&self.inner);
         match class {
             WorkloadClass::Tp => {
@@ -258,7 +282,13 @@ impl Session {
         }
     }
 
-    fn build_provider(&self, class: WorkloadClass, snapshot_ts: u64) -> ClusterProvider {
+    fn build_provider(
+        &self,
+        plan: &LogicalPlan,
+        class: WorkloadClass,
+        stats: &Statistics,
+        snapshot_ts: u64,
+    ) -> ClusterProvider {
         // AP queries read RO replicas when present and HTAP routing is on;
         // TP (and AP without replicas) reads the RW engines.
         let use_ro = class == WorkloadClass::Ap
@@ -293,9 +323,25 @@ impl Session {
                 (id, engine)
             })
             .collect();
-        let indexes = self.inner.column_indexes.read().clone();
-        ClusterProvider::new(Arc::clone(&self.inner.gms), engines, snapshot_ts)
-            .with_column_indexes(indexes)
+        let provider = ClusterProvider::new(Arc::clone(&self.inner.gms), engines, snapshot_ts);
+        if class == WorkloadClass::Tp {
+            return provider;
+        }
+        // The executor reads an index iff the provider has one, so an index
+        // that cannot answer at this snapshot is simply not attached: one
+        // that DML dropped to rebuild, or one rebuilt after the snapshot was
+        // taken — a rebuild keeps no history older than itself, and would
+        // show this statement an empty table.
+        let registered = self.inner.column_indexes.read();
+        let chosen = Self::storage_choices(plan, class, stats)
+            .into_iter()
+            .filter(|(_, choice)| *choice == StorageChoice::ColumnIndex)
+            .filter_map(|(table, _)| {
+                let index = registered.get(&table)?;
+                (index.version() <= snapshot_ts).then(|| (table, Arc::clone(index)))
+            })
+            .collect();
+        provider.with_column_indexes(chosen)
     }
 
     // ------------------------------------------------------------------- DDL
@@ -424,5 +470,36 @@ impl Session {
         }
         self.inner.gms.update_table(schema);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use polardbx_common::DcId;
+    use polardbx_executor::TableProvider;
+    use polardbx_sql::ast::Statement;
+
+    use crate::cluster::{ClusterConfig, PolarDbx};
+
+    #[test]
+    fn an_index_rebuilt_after_the_snapshot_is_not_attached() {
+        let db = PolarDbx::build(ClusterConfig { ap_threshold: 0.0, ..Default::default() }).unwrap();
+        let s = db.connect(DcId(1));
+        s.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))").unwrap();
+        s.execute("INSERT INTO t (id, v) VALUES (1, 1), (2, 2)").unwrap();
+        db.enable_column_index("t").unwrap();
+        let built_at = db.inner.column_indexes.read()["t"].version();
+
+        let Statement::Select(sel) = polardbx_sql::parse("SELECT SUM(v) FROM t").unwrap() else {
+            unreachable!()
+        };
+        let stats = db.gms().statistics();
+        let (plan, _, class) = s.plan_select(&sel, &stats).unwrap();
+        let attached = |snapshot_ts| {
+            s.build_provider(&plan, class, &stats, snapshot_ts).columnar("t").is_some()
+        };
+        assert!(attached(built_at), "the index serves its own version and later");
+        assert!(!attached(built_at - 1), "an older snapshot falls back to the row store");
+        db.shutdown();
     }
 }

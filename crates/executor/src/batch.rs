@@ -1,6 +1,7 @@
-//! Columnar row batches for the vectorized engine.
+//! Columnar row batches for the AP engine.
 //!
-//! Operators exchange fixed-size [`RowBatch`]es (~[`BATCH_ROWS`] rows)
+//! Its operators work on [`RowBatch`]es — ~[`BATCH_ROWS`] rows cut from a
+//! scanned partition, or a selection range over a column-index snapshot —
 //! instead of whole `Vec<Row>`s. A batch is columnar-major: one [`Lane`]
 //! per column plus an optional selection vector, so filters narrow the
 //! selection without copying data and projections of plain columns are
@@ -16,7 +17,7 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use polardbx_columnar::{ColumnData, ColumnSnapshot};
+use polardbx_columnar::ColumnData;
 use polardbx_common::{Row, Value};
 
 /// Target rows per batch.
@@ -473,17 +474,6 @@ impl RowBatch {
         }
         let lanes = cols.into_iter().map(|vals| Arc::new(Lane::from_values(vals))).collect();
         RowBatch { lanes, sel: None }
-    }
-
-    /// Wrap a column-index snapshot as a single batch (zero row
-    /// materialization; the snapshot's visibility list becomes the
-    /// selection vector).
-    pub fn from_snapshot(snap: ColumnSnapshot) -> RowBatch {
-        let full = snap.columns.first().map(|c| c.len()).unwrap_or(0);
-        let sel_all = snap.selection.len() == full;
-        let lanes =
-            snap.columns.into_iter().map(|c| Arc::new(Lane::from_column(c))).collect();
-        RowBatch { lanes, sel: if sel_all { None } else { Some(snap.selection) } }
     }
 
     /// Batch with the given lanes and selection.

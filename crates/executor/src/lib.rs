@@ -1,16 +1,28 @@
-//! The HTAP executor (§VI-C/D of the paper).
+//! The HTAP executor (§VI-C/D of the paper): two plan interpreters, one per
+//! job, and one reader of the column index.
 //!
-//! * [`operators`] — the physical operators (scan, filter, project, hash
-//!   join, hash aggregate, sort, limit) executing resolved logical plans
-//!   against a [`operators::TableProvider`], with composable aggregate
-//!   accumulators that support partial/merge evaluation for MPP.
-//! * [`columnar_exec`] — pattern-matched fast paths that execute
-//!   scan/filter/aggregate pipelines on the in-memory column index's
-//!   vectorized kernels instead of row-at-a-time evaluation (§VI-E).
-//! * [`mpp`] — the MPP model: plans split into fragments; scan/filter/
-//!   partial-aggregate/probe fragments fan out across worker tasks (one
-//!   per partition), exchange results, and a coordinator fragment merges
-//!   (§VI-C "MPP model").
+//! * [`operators`] — the **TP engine**, [`execute_plan`]: row-at-a-time
+//!   physical operators (scan, filter, project, hash join, hash aggregate,
+//!   sort, limit) over the row store of a [`operators::TableProvider`],
+//!   plus the aggregate accumulators whose partial/merge evaluation the AP
+//!   engine shares.
+//! * [`mpp`] — the **AP engine**, [`MppExecutor::execute`]: plans split
+//!   into fragments; scan/filter/partial-aggregate/probe fragments fan out
+//!   across worker tasks, exchange results, and a coordinator fragment
+//!   merges (§VI-C "MPP model"). It reads a table from the in-memory
+//!   column index when the provider attaches one (§VI-E — the optimizer's
+//!   `choose_storage` decides which) and from the row partitions
+//!   otherwise.
+//! * [`morsel`] — the one scan source and the one scheduling primitive
+//!   behind every AP fragment: a table arrives as morsels (selection
+//!   ranges over the snapshot's shared lanes, or stealable chunks of
+//!   scanned row partitions) drained by the caller plus helpers from the
+//!   persistent [`WorkloadManager`] pools; pipeline breakers keep
+//!   per-worker state merged at the barrier.
+//! * [`batch`] / [`vectorized`] — what the AP engine runs over each morsel:
+//!   columnar [`batch::RowBatch`]es (selection vectors, typed lanes,
+//!   hashed key slots) and the operator library over them (filter lanes,
+//!   projection, join build/probe, the hash-aggregation table).
 //! * [`scheduler`] — workload pools and the time-slicing discipline: the
 //!   TP pool is unrestricted, the AP and slow-AP pools run under CPU
 //!   governors that cap their share (standing in for cgroups), and a TP
@@ -19,18 +31,10 @@
 //! * [`memory`] — TP/AP memory regions with asymmetric preemption: TP may
 //!   take AP memory and keep it until completion; AP must yield
 //!   immediately when TP asks (§VI-D).
-//! * [`batch`] / [`vectorized`] — the streaming vectorized engine:
-//!   operators pull fixed-size columnar [`batch::RowBatch`]es (selection
-//!   vectors, typed lanes, hashed key slots) through a pull pipeline
-//!   instead of materializing `Vec<Row>`s between operators.
-//! * [`morsel`] — morsel-driven scheduling on the persistent
-//!   [`WorkloadManager`] pools: scans split into stealable row chunks,
-//!   pipeline breakers keep per-worker state merged at the barrier.
 //! * [`exec_metrics`] — per-operator counters (batches, rows, ns, bytes)
-//!   for the vectorized path.
+//!   for the AP engine.
 
 pub mod batch;
-pub mod columnar_exec;
 pub mod exec_metrics;
 pub mod memory;
 pub mod morsel;
@@ -42,8 +46,8 @@ pub mod vectorized;
 pub use batch::{batches_of, RowBatch, BATCH_ROWS};
 pub use exec_metrics::{exec_metrics, ExecMetrics};
 pub use memory::{MemoryManager, MemoryRegion};
-pub use morsel::{run_parallel_pooled, shared_pool};
+pub use morsel::shared_pool;
 pub use mpp::MppExecutor;
 pub use operators::{execute_plan, ExecCtx, TableProvider};
 pub use scheduler::{CpuGovernor, JobClass, WorkloadManager};
-pub use vectorized::{execute as execute_vectorized, VecAggTable};
+pub use vectorized::VecAggTable;

@@ -1,12 +1,16 @@
-//! Morsel-driven scheduling on the persistent `WorkloadManager` pools.
+//! Morsel-driven scheduling on the persistent `WorkloadManager` pools: one
+//! scan source, one primitive.
 //!
-//! The seed MPP path spawned a fresh `thread::scope` per query, so
-//! concurrent AP queries oversubscribed the host and a skewed partition
-//! left its siblings idle. Here every query borrows workers from the
-//! shared, persistent AP pool instead, and scans are split into fixed-size
-//! *morsels* (row chunks) that idle workers steal from a shared queue, so
-//! a skewed partition is drained by everyone rather than blocking one
-//! thread.
+//! A [`ScanSource`] is what a `Filter*/Project*`-over-`Scan` leaf reads:
+//! the table's column-index snapshot when the provider attaches one, its
+//! row partitions otherwise. Either way the table arrives as *morsels* of
+//! at most [`MORSEL_ROWS`] rows on one shared queue, and
+//! [`morsel_execute`] drains that queue with the calling thread plus
+//! helpers borrowed from the pool, folding every batch into per-worker
+//! state that the caller merges at the barrier. A row partition that scans
+//! larger than a morsel is split and the surplus chunks go back on the
+//! queue, so a skewed partition is drained by everyone rather than
+//! blocking one thread.
 //!
 //! The scheduling is **caller-helping**: the thread that owns the query
 //! participates in draining the queue. That keeps the design deadlock-free
@@ -18,13 +22,16 @@
 //! exactly how many helper partials to collect.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
-use polardbx_common::{Result, Row};
+use polardbx_common::time::Timer;
+use polardbx_common::{Error, Result, Row};
 
+use crate::batch::{batches_of, Lane, RowBatch};
 use crate::exec_metrics::exec_metrics;
+use crate::operators::TableProvider;
 use crate::scheduler::{JobClass, WorkloadManager};
 
 /// Rows per morsel: large enough to amortize dispatch, small enough that a
@@ -48,104 +55,111 @@ pub fn shared_pool() -> Arc<WorkloadManager> {
     }))
 }
 
-/// Run `f` over `inputs` on the pool, preserving input order in the output.
-/// The caller helps drain the queue, so this never deadlocks even when it
-/// is itself running on the target pool. Replaces the seed `run_parallel`
-/// (fresh `thread::scope` per query) for fan-out that is per-*partition*
-/// rather than per-morsel (e.g. parallel join probes).
-pub fn run_parallel_pooled<I, O, F>(
-    mgr: &Arc<WorkloadManager>,
-    class: JobClass,
-    workers: usize,
-    inputs: Vec<I>,
-    f: F,
-) -> Result<Vec<O>>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    F: Fn(I) -> Result<O> + Send + Sync + 'static,
-{
-    let n = inputs.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if workers <= 1 || n == 1 {
-        return inputs.into_iter().map(f).collect();
-    }
-    let queue: Arc<Mutex<VecDeque<(usize, I)>>> =
-        Arc::new(Mutex::new(inputs.into_iter().enumerate().collect()));
-    let f = Arc::new(f);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Result<O>)>();
-    for _ in 0..workers.saturating_sub(1).min(n - 1) {
-        let queue = Arc::clone(&queue);
-        let f = Arc::clone(&f);
-        let tx = tx.clone();
-        mgr.submit(class, move || {
-            loop {
-                let Some((idx, item)) = queue.lock().pop_front() else { break };
-                let _ = tx.send((idx, f(item)));
-            }
-        });
-    }
-    drop(tx);
-    let mut slots: Vec<Option<Result<O>>> = (0..n).map(|_| None).collect();
-    let mut self_done = 0usize;
-    loop {
-        // Take from the front so the caller and helpers interleave; any
-        // item the caller does NOT see here was popped by a helper that is
-        // already running and will send its result.
-        let Some((idx, item)) = queue.lock().pop_front() else { break };
-        slots[idx] = Some(f(item));
-        self_done += 1;
-    }
-    for _ in 0..n - self_done {
-        let (idx, r) = rx.recv().expect("pool worker died");
-        slots[idx] = Some(r);
-    }
-    slots.into_iter().map(|s| s.expect("all slots filled")).collect()
-}
-
-/// One unit of morsel work: a whole partition still to be scanned, or a
-/// chunk of already-scanned rows stolen from whoever scanned them.
+/// One unit of morsel work.
 enum Task {
+    /// A row partition still to be scanned.
     Partition(usize),
+    /// A chunk of already-scanned rows, split off by whoever scanned them.
     Rows(Vec<Row>),
+    /// A range of a column-index snapshot's visible rows.
+    Batch(RowBatch),
 }
 
-/// A query fragment that morsel workers execute: scan partitions, fold row
-/// chunks into per-worker state `W` (which embeds any forked `ExecCtx` the
-/// impl needs), merged by the caller at the barrier.
+/// The one source a scan leaf draws its batches from.
+pub(crate) struct ScanSource {
+    provider: Arc<dyn TableProvider>,
+    table: String,
+    tasks: VecDeque<Task>,
+}
+
+impl ScanSource {
+    /// Open `table`: the column-index snapshot when the provider attaches
+    /// one (§VI-E) — its typed columns become the lanes every morsel
+    /// shares, its visible row ids are cut into selection ranges, and no
+    /// row is materialized — otherwise one task per row partition.
+    pub(crate) fn open(provider: &Arc<dyn TableProvider>, table: &str) -> ScanSource {
+        let t0 = Timer::start();
+        let tasks = match provider.columnar(table) {
+            Some(snap) => {
+                let lanes: Vec<Arc<Lane>> =
+                    snap.columns.into_iter().map(|c| Arc::new(Lane::from_column(c))).collect();
+                let bytes: usize = lanes.iter().map(|l| l.bytes()).sum();
+                exec_metrics().scan.record(snap.selection.len() as u64, bytes as u64, t0);
+                snap.selection
+                    .chunks(MORSEL_ROWS)
+                    .map(|ids| Task::Batch(RowBatch::new(lanes.clone(), Some(ids.to_vec()))))
+                    .collect()
+            }
+            None => (0..provider.partitions(table)).map(Task::Partition).collect(),
+        };
+        ScanSource { provider: Arc::clone(provider), table: table.to_string(), tasks }
+    }
+}
+
+/// A query fragment that morsel workers execute: fold batches into
+/// per-worker state `W` (which embeds the forked `ExecCtx` the impl ticks),
+/// merged by the caller at the barrier.
 pub(crate) trait MorselWork<W>: Send + Sync {
     /// Fresh thread-local state for one worker.
     fn new_local(&self) -> W;
-    /// Produce the rows of one partition.
-    fn scan(&self, partition: usize) -> Result<Vec<Row>>;
-    /// Fold one morsel of rows into the worker's local state.
-    fn process(&self, rows: Vec<Row>, local: &mut W) -> Result<()>;
+    /// Fold one batch into the worker's local state.
+    fn process(&self, batch: RowBatch, local: &mut W) -> Result<()>;
+}
+
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Tasks not yet fully processed. A partition counts as one until its
+    /// scan splits it into chunks (then each extra chunk adds one).
+    pending: usize,
+    /// The first worker error; once set, every worker stops.
+    error: Option<Error>,
 }
 
 struct MorselState {
-    queue: Mutex<VecDeque<Task>>,
-    /// Tasks not yet fully processed. A partition counts as one until its
-    /// scan splits it into chunks (then each extra chunk adds one).
-    pending: Mutex<usize>,
+    provider: Arc<dyn TableProvider>,
+    table: String,
+    /// `pending` and `error` live under the queue's lock, so a worker that
+    /// found the queue empty cannot miss the wake-up of the last task
+    /// finishing or of a failure.
+    queue: Mutex<Queue>,
     cv: Condvar,
-    abort: AtomicBool,
-    error: Mutex<Option<polardbx_common::Error>>,
     /// Helper handshake word (count | CLOSED bit).
     helpers: AtomicUsize,
 }
 
 impl MorselState {
-    fn fail(&self, e: polardbx_common::Error) {
-        self.abort.store(true, Ordering::Release);
-        let mut err = self.error.lock();
-        if err.is_none() {
-            *err = Some(e);
+    /// Run one task: produce its rows, share what exceeds a morsel, fold
+    /// the rest.
+    fn run<W, T: MorselWork<W> + ?Sized>(&self, task: Task, work: &T, local: &mut W) -> Result<()> {
+        let mut rows = match task {
+            Task::Batch(batch) => {
+                exec_metrics().morsels.inc();
+                return work.process(batch, local);
+            }
+            Task::Partition(p) => {
+                let t0 = Timer::start();
+                let rows = self.provider.scan_partition(&self.table, p)?;
+                exec_metrics().scan.record(rows.len() as u64, 0, t0);
+                rows
+            }
+            Task::Rows(rows) => {
+                exec_metrics().steals.inc();
+                rows
+            }
+        };
+        if rows.len() > MORSEL_ROWS {
+            let mut extra = Vec::new();
+            while rows.len() > MORSEL_ROWS {
+                extra.push(Task::Rows(rows.split_off(rows.len() - MORSEL_ROWS)));
+            }
+            let mut q = self.queue.lock();
+            q.pending += extra.len();
+            q.tasks.extend(extra);
+            drop(q);
+            self.cv.notify_all();
         }
-        drop(err);
-        self.queue.lock().clear();
-        self.cv.notify_all();
+        exec_metrics().morsels.inc();
+        batches_of(rows).into_iter().try_for_each(|batch| work.process(batch, local))
     }
 }
 
@@ -155,173 +169,124 @@ fn morsel_worker<W, T: MorselWork<W> + ?Sized>(work: &T, state: &MorselState) ->
         let task = {
             let mut q = state.queue.lock();
             loop {
-                if state.abort.load(Ordering::Acquire) {
+                if q.error.is_some() {
                     return local;
                 }
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
-                if *state.pending.lock() == 0 {
+                if q.pending == 0 {
                     return local;
                 }
                 // Queue empty but a scan elsewhere may still push chunks.
                 state.cv.wait(&mut q);
             }
         };
-        let rows = match task {
-            Task::Partition(p) => match work.scan(p) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    state.fail(e);
-                    return local;
-                }
-            },
-            Task::Rows(rows) => {
-                exec_metrics().steals.inc();
-                rows
-            }
-        };
-        // Split a large scan into stealable chunks; keep the first, share
-        // the rest.
-        let mut rows = rows;
-        if rows.len() > MORSEL_ROWS {
-            let mut extra = Vec::new();
-            while rows.len() > MORSEL_ROWS {
-                extra.push(rows.split_off(rows.len() - MORSEL_ROWS));
-            }
-            // Account the chunks *before* exposing them, so `pending`
-            // can't transiently hit zero while work still exists.
-            *state.pending.lock() += extra.len();
-            state.queue.lock().extend(extra.into_iter().map(Task::Rows));
-            state.cv.notify_all();
+        let result = state.run(task, work, &mut local);
+        let mut q = state.queue.lock();
+        q.pending -= 1;
+        if let Err(e) = result {
+            // The first error wins and aborts the rest.
+            q.error.get_or_insert(e);
+            q.tasks.clear();
         }
-        exec_metrics().morsels.inc();
-        if let Err(e) = work.process(rows, &mut local) {
-            state.fail(e);
-            return local;
-        }
-        let mut pending = state.pending.lock();
-        *pending -= 1;
-        if *pending == 0 {
-            drop(pending);
+        let finished = q.error.is_some() || q.pending == 0;
+        drop(q);
+        if finished {
             state.cv.notify_all();
         }
     }
 }
 
-/// Execute `work` over `partitions` with up to `workers` threads (the
-/// caller plus pool helpers), returning every worker's local state for the
-/// caller to merge at the barrier.
+/// Drain `source` through `work` with up to `workers` threads (the caller
+/// plus pool helpers), returning every worker's local state for the caller
+/// to merge at the barrier. A source with one morsel, or one worker, runs
+/// on the calling thread: no pool submit, no channel.
 pub(crate) fn morsel_execute<W, T>(
     mgr: &Arc<WorkloadManager>,
     class: JobClass,
     workers: usize,
-    partitions: usize,
+    source: ScanSource,
     work: Arc<T>,
 ) -> Result<Vec<W>>
 where
     W: Send + 'static,
     T: MorselWork<W> + 'static,
 {
+    let tasks = source.tasks.len();
+    let helpers = workers.saturating_sub(1).min(tasks.saturating_sub(1));
     let state = Arc::new(MorselState {
-        queue: Mutex::new((0..partitions).map(Task::Partition).collect()),
-        pending: Mutex::new(partitions),
+        provider: source.provider,
+        table: source.table,
+        queue: Mutex::new(Queue { tasks: source.tasks, pending: tasks, error: None }),
         cv: Condvar::new(),
-        abort: AtomicBool::new(false),
-        error: Mutex::new(None),
         helpers: AtomicUsize::new(0),
     });
-    let (tx, rx) = crossbeam::channel::unbounded::<W>();
-    for _ in 0..workers.saturating_sub(1).min(partitions.saturating_sub(1)) {
-        let state = Arc::clone(&state);
-        let work = Arc::clone(&work);
-        let tx = tx.clone();
-        mgr.submit(class, move || {
-            // Announce; if the caller already closed the work, stay out.
-            if state.helpers.fetch_add(1, Ordering::AcqRel) & CLOSED != 0 {
-                return;
-            }
-            let local = morsel_worker(work.as_ref(), &state);
-            let _ = tx.send(local);
-        });
+    let mut locals = Vec::with_capacity(helpers + 1);
+    if helpers == 0 {
+        locals.push(morsel_worker(work.as_ref(), &state));
+    } else {
+        let (tx, rx) = crossbeam::channel::unbounded::<W>();
+        for _ in 0..helpers {
+            let state = Arc::clone(&state);
+            let work = Arc::clone(&work);
+            let tx = tx.clone();
+            mgr.submit(class, move || {
+                // Announce; if the caller already closed the work, stay out.
+                if state.helpers.fetch_add(1, Ordering::AcqRel) & CLOSED != 0 {
+                    return;
+                }
+                let local = morsel_worker(work.as_ref(), &state);
+                let _ = tx.send(local);
+            });
+        }
+        drop(tx);
+        locals.push(morsel_worker(work.as_ref(), &state));
+        // Close the handshake: the returned count is exactly how many
+        // helpers announced before the bit was set — each sends one partial.
+        let started = state.helpers.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED;
+        for _ in 0..started {
+            locals.push(rx.recv().expect("morsel helper died"));
+        }
     }
-    drop(tx);
-    let mut locals = vec![morsel_worker(work.as_ref(), &state)];
-    // Close the handshake: the returned count is exactly how many helpers
-    // announced before the bit was set — each will send one partial.
-    let started = state.helpers.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED;
-    state.cv.notify_all();
-    for _ in 0..started {
-        locals.push(rx.recv().expect("morsel helper died"));
-    }
-    if let Some(e) = state.error.lock().take() {
-        return Err(e);
-    }
-    Ok(locals)
+    let error = state.queue.lock().error.take();
+    error.map_or(Ok(locals), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::{Error, Value};
+    use crate::operators::MemTables;
+    use polardbx_columnar::{ColumnData, ColumnSnapshot};
+    use polardbx_common::Value;
 
     fn pool() -> Arc<WorkloadManager> {
         WorkloadManager::new(2, 2, 1.0, 1.0)
     }
 
-    #[test]
-    fn run_parallel_pooled_preserves_order() {
-        let mgr = pool();
-        let out = run_parallel_pooled(&mgr, JobClass::Ap, 4, (0..32).collect(), |i: i32| {
-            Ok(i * 10)
-        })
-        .unwrap();
-        assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+    /// Sums column 0 and remembers which threads folded a batch.
+    struct SumWork;
+
+    #[derive(Default)]
+    struct Sum {
+        total: i64,
+        batches: usize,
+        threads: Vec<std::thread::ThreadId>,
     }
 
-    #[test]
-    fn run_parallel_pooled_propagates_errors() {
-        let mgr = pool();
-        let out = run_parallel_pooled(&mgr, JobClass::Ap, 4, (0..8).collect(), |i: i32| {
-            if i == 5 {
-                Err(Error::execution("boom"))
-            } else {
-                Ok(i)
-            }
-        });
-        assert!(out.is_err());
-    }
-
-    #[test]
-    fn run_parallel_pooled_from_inside_the_pool_does_not_deadlock() {
-        // A 1-thread AP pool running a job that fans out to itself: the
-        // caller-helping loop must drain the queue alone.
-        let mgr = pool();
-        let mgr2 = Arc::clone(&mgr);
-        let out = mgr.run(JobClass::SlowAp, move || {
-            run_parallel_pooled(&mgr2, JobClass::SlowAp, 4, (0..16).collect(), |i: i32| Ok(i))
-        })
-        .unwrap();
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    struct SumWork {
-        partitions: Vec<Vec<Row>>,
-    }
-
-    impl MorselWork<i64> for SumWork {
-        fn new_local(&self) -> i64 {
-            0
+    impl MorselWork<Sum> for SumWork {
+        fn new_local(&self) -> Sum {
+            Sum::default()
         }
-        fn scan(&self, p: usize) -> Result<Vec<Row>> {
-            Ok(self.partitions[p].clone())
-        }
-        fn process(&self, rows: Vec<Row>, local: &mut i64) -> Result<()> {
-            for r in rows {
-                if let Value::Int(v) = r.get(0)? {
-                    *local += v;
+        fn process(&self, batch: RowBatch, local: &mut Sum) -> Result<()> {
+            assert!(batch.num_rows() <= MORSEL_ROWS);
+            for i in batch.live_rows() {
+                if let Value::Int(v) = batch.lane(0).get(i as usize) {
+                    local.total += v;
                 }
             }
+            local.batches += 1;
+            local.threads.push(std::thread::current().id());
             Ok(())
         }
     }
@@ -330,50 +295,101 @@ mod tests {
         range.map(|i| Row::new(vec![Value::Int(i)])).collect()
     }
 
+    fn partitions(parts: Vec<Vec<Row>>) -> ScanSource {
+        let mut mem = MemTables::new();
+        mem.add("t", parts);
+        let provider: Arc<dyn TableProvider> = Arc::new(mem);
+        ScanSource::open(&provider, "t")
+    }
+
     #[test]
-    fn morsel_execute_covers_skewed_partitions() {
+    fn skewed_partition_is_split_and_shared() {
         let mgr = pool();
         // One huge partition and two tiny ones: the big one must split
         // into stealable chunks.
         let total: i64 = (0..100_000).sum::<i64>() + 7 + 9;
-        let work = Arc::new(SumWork {
-            partitions: vec![
-                int_rows(0..100_000),
-                vec![Row::new(vec![Value::Int(7)])],
-                vec![Row::new(vec![Value::Int(9)])],
-            ],
-        });
-        let locals = morsel_execute(&mgr, JobClass::Ap, 4, 3, work).unwrap();
-        assert_eq!(locals.iter().sum::<i64>(), total);
+        let source = partitions(vec![int_rows(0..100_000), int_rows(7..8), int_rows(9..10)]);
+        let steals = exec_metrics().steals.get();
+        let locals = morsel_execute(&mgr, JobClass::Ap, 4, source, Arc::new(SumWork)).unwrap();
+        assert_eq!(locals.iter().map(|l| l.total).sum::<i64>(), total);
+        let chunks = 100_000 / MORSEL_ROWS as u64;
+        assert!(exec_metrics().steals.get() >= steals + chunks, "surplus chunks went on the queue");
     }
 
     #[test]
-    fn morsel_execute_propagates_scan_errors() {
+    fn scan_errors_propagate() {
         struct Failing;
-        impl MorselWork<()> for Failing {
-            fn new_local(&self) {}
-            fn scan(&self, _p: usize) -> Result<Vec<Row>> {
+        impl TableProvider for Failing {
+            fn partitions(&self, _t: &str) -> usize {
+                2
+            }
+            fn scan_partition(&self, _t: &str, _p: usize) -> Result<Vec<Row>> {
                 Err(Error::execution("scan failed"))
             }
-            fn process(&self, _rows: Vec<Row>, _local: &mut ()) -> Result<()> {
-                Ok(())
-            }
         }
-        let mgr = pool();
-        assert!(morsel_execute(&mgr, JobClass::Ap, 4, 2, Arc::new(Failing)).is_err());
+        let provider: Arc<dyn TableProvider> = Arc::new(Failing);
+        let source = ScanSource::open(&provider, "t");
+        assert!(morsel_execute(&pool(), JobClass::Ap, 4, source, Arc::new(SumWork)).is_err());
     }
 
     #[test]
-    fn morsel_execute_on_its_own_pool_does_not_deadlock() {
+    fn fanning_out_on_its_own_pool_does_not_deadlock() {
+        // The slow pool has one thread: the query occupies it and fans out
+        // to it, so the caller must drain the queue alone.
         let mgr = pool();
         let mgr2 = Arc::clone(&mgr);
-        let work = Arc::new(SumWork { partitions: vec![int_rows(0..50_000), int_rows(0..10)] });
+        let source = partitions(vec![int_rows(0..50_000), int_rows(0..10)]);
         let locals = mgr
             .run(JobClass::SlowAp, move || {
-                morsel_execute(&mgr2, JobClass::SlowAp, 4, 2, work)
+                morsel_execute(&mgr2, JobClass::SlowAp, 4, source, Arc::new(SumWork))
             })
             .unwrap();
         let total: i64 = (0..50_000).sum::<i64>() + (0..10).sum::<i64>();
-        assert_eq!(locals.iter().sum::<i64>(), total);
+        assert_eq!(locals.iter().map(|l| l.total).sum::<i64>(), total);
+    }
+
+    /// Serves `rows` ids behind a column-index snapshot whose odd ids are
+    /// tombstoned; scanning its row partitions is an error.
+    struct Indexed(i64);
+
+    impl TableProvider for Indexed {
+        fn partitions(&self, _t: &str) -> usize {
+            4
+        }
+        fn scan_partition(&self, _t: &str, _p: usize) -> Result<Vec<Row>> {
+            Err(Error::execution("the snapshot is the source"))
+        }
+        fn columnar(&self, _t: &str) -> Option<ColumnSnapshot> {
+            let n = self.0 as usize;
+            Some(ColumnSnapshot {
+                columns: vec![ColumnData::Int((0..self.0).collect(), vec![false; n])],
+                selection: (0..n as u32).step_by(2).collect(),
+                ts: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn snapshot_is_cut_into_selection_ranges() {
+        let provider: Arc<dyn TableProvider> = Arc::new(Indexed(40_000));
+        let source = ScanSource::open(&provider, "t");
+        let locals = morsel_execute(&pool(), JobClass::Ap, 4, source, Arc::new(SumWork)).unwrap();
+        let visible: i64 = (0..40_000).step_by(2).sum();
+        assert_eq!(locals.iter().map(|l| l.total).sum::<i64>(), visible);
+        assert_eq!(locals.iter().map(|l| l.batches).sum::<usize>(), 20_000usize.div_ceil(MORSEL_ROWS));
+    }
+
+    #[test]
+    fn one_morsel_or_one_worker_stays_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let provider: Arc<dyn TableProvider> = Arc::new(Indexed(1_000));
+        let one_morsel = ScanSource::open(&provider, "t");
+        let one_worker = partitions(vec![int_rows(0..20_000), int_rows(0..10), int_rows(0..10)]);
+        for (workers, source) in [(4, one_morsel), (1, one_worker)] {
+            let locals =
+                morsel_execute(&pool(), JobClass::Ap, workers, source, Arc::new(SumWork)).unwrap();
+            assert_eq!(locals.len(), 1);
+            assert!(locals[0].threads.iter().all(|&t| t == me));
+        }
     }
 }

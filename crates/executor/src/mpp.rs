@@ -6,25 +6,30 @@
 //! others. When all tasks complete, partial results are sent back to Query
 //! Coordinator, who assembles the final result."
 //!
-//! Parallelism is morsel-driven: partition scans split into fixed-size row
-//! chunks drained by a persistent worker pool (the `WorkloadManager` AP
-//! pool) with work stealing, so a skewed partition no longer pins a single
-//! worker while its siblings sit idle, and concurrent queries share the
-//! pool instead of each spawning a fresh `thread::scope`. Pipeline
-//! breakers (partial aggregation) keep per-worker state merged once at the
-//! barrier; per-chunk operator work runs through the vectorized engine
-//! (`crate::vectorized`).
+//! [`MppExecutor::execute`] is the AP engine, and the only interpreter of
+//! a plan on this side of the house. Every `Filter*/Project*`-over-`Scan`
+//! leaf is a [`ScanSource`] — the column-index snapshot when the provider
+//! attaches one, the row partitions otherwise — drained morsel by morsel
+//! on a persistent worker pool (the `WorkloadManager` AP pool) by
+//! [`morsel_execute`]. What consumes the leaf's batches is the fragment's
+//! [`MorselWork`]: collect them as rows, fold them into a partial
+//! aggregate, or probe a join's build side. Pipeline breakers keep
+//! per-worker state merged once at the barrier; per-batch operator work is
+//! the operator library of [`crate::vectorized`].
 
 use std::sync::Arc;
 
+use polardbx_common::time::Timer;
 use polardbx_common::{Result, Row};
-use polardbx_sql::plan::LogicalPlan;
+use polardbx_sql::expr::Expr;
+use polardbx_sql::plan::{AggSpec, LogicalPlan};
 
-use crate::batch::batches_of;
-use crate::morsel::{morsel_execute, run_parallel_pooled, shared_pool, MorselWork};
+use crate::batch::{batches_of, RowBatch};
+use crate::exec_metrics::exec_metrics;
+use crate::morsel::{morsel_execute, shared_pool, MorselWork, ScanSource};
 use crate::operators::{apply_join, apply_sort, ExecCtx, TableProvider};
 use crate::scheduler::{JobClass, WorkloadManager};
-use crate::vectorized::{self, pipeline_stages, run_stages, JoinBuild, StageOp, VecAggTable};
+use crate::vectorized::{pipeline_stages, run_stages, JoinBuild, StageOp, VecAggTable};
 
 /// The MPP engine: a degree of parallelism (worker tasks ≈ CN nodes ×
 /// cores) on a persistent worker pool.
@@ -34,68 +39,86 @@ pub struct MppExecutor {
     pool: Arc<WorkloadManager>,
 }
 
-/// Per-worker state of a morsel fragment: the fragment's partial result
-/// plus a forked execution context (same governor/deadline as the query,
-/// own row counter).
+/// Per-worker state of a fragment: its partial result plus a forked
+/// execution context (same governor/deadline as the query, own row
+/// counter), which every batch ticks.
 struct Local<T> {
     out: T,
     ctx: ExecCtx,
 }
 
-/// Morsel fragment for a `Filter*/Project*`-over-`Scan` pipeline: each
-/// chunk runs the fused stages through the vectorized engine.
-struct PipelineWork {
-    provider: Arc<dyn TableProvider>,
-    table: String,
+/// The fused `Filter*/Project*` stages every fragment runs over a batch
+/// before consuming it.
+struct Pipeline {
     stages: Vec<StageOp>,
     ctx: ExecCtx,
 }
 
-impl MorselWork<Local<Vec<Row>>> for PipelineWork {
+impl Pipeline {
+    fn local<T>(&self, out: T) -> Local<T> {
+        Local { out, ctx: self.ctx.fork() }
+    }
+
+    fn run<T>(&self, batch: RowBatch, local: &Local<T>) -> Result<RowBatch> {
+        run_stages(batch, &self.stages, &local.ctx)
+    }
+}
+
+/// Fragment that materializes the pipeline's output rows.
+struct Collect(Pipeline);
+
+impl MorselWork<Local<Vec<Row>>> for Collect {
     fn new_local(&self) -> Local<Vec<Row>> {
-        Local { out: Vec::new(), ctx: self.ctx.fork() }
+        self.0.local(Vec::new())
     }
-    fn scan(&self, partition: usize) -> Result<Vec<Row>> {
-        let t0 = polardbx_common::time::Timer::start();
-        let rows = self.provider.scan_partition(&self.table, partition)?;
-        crate::exec_metrics::exec_metrics().scan.record(rows.len() as u64, 0, t0);
-        Ok(rows)
-    }
-    fn process(&self, rows: Vec<Row>, local: &mut Local<Vec<Row>>) -> Result<()> {
-        for batch in batches_of(rows) {
-            let batch = run_stages(batch, &self.stages, &local.ctx)?;
-            local.out.extend(batch.to_rows());
-        }
+    fn process(&self, batch: RowBatch, local: &mut Local<Vec<Row>>) -> Result<()> {
+        let batch = self.0.run(batch, local)?;
+        local.ctx.tick(batch.num_rows() as u64)?;
+        local.out.extend(batch.to_rows());
         Ok(())
     }
 }
 
-/// Morsel fragment for two-phase aggregation: per-worker partial
-/// [`VecAggTable`]s folded chunk by chunk, merged at the coordinator.
-struct PartialAggWork {
-    pipeline: PipelineWork,
-    group_by: Vec<polardbx_sql::expr::Expr>,
-    aggs: Vec<polardbx_sql::plan::AggSpec>,
+/// Fragment for two-phase aggregation: per-worker partial [`VecAggTable`]s
+/// folded batch by batch, merged at the coordinator.
+struct PartialAgg {
+    pipeline: Pipeline,
+    group_by: Vec<Expr>,
+    aggs: Vec<AggSpec>,
 }
 
-impl MorselWork<Local<VecAggTable>> for PartialAggWork {
+impl MorselWork<Local<VecAggTable>> for PartialAgg {
     fn new_local(&self) -> Local<VecAggTable> {
-        Local {
-            out: VecAggTable::new(self.group_by.clone(), self.aggs.clone()),
-            ctx: self.pipeline.ctx.fork(),
-        }
+        self.pipeline.local(VecAggTable::new(self.group_by.clone(), self.aggs.clone()))
     }
-    fn scan(&self, partition: usize) -> Result<Vec<Row>> {
-        self.pipeline.scan(partition)
+    fn process(&self, batch: RowBatch, local: &mut Local<VecAggTable>) -> Result<()> {
+        let batch = self.pipeline.run(batch, local)?;
+        let t0 = Timer::start();
+        local.out.update_batch(&batch, &local.ctx)?;
+        exec_metrics().aggregate.record(batch.num_rows() as u64, 0, t0);
+        Ok(())
     }
-    fn process(&self, rows: Vec<Row>, local: &mut Local<VecAggTable>) -> Result<()> {
-        for batch in batches_of(rows) {
-            let batch = run_stages(batch, &self.pipeline.stages, &local.ctx)?;
-            let t0 = polardbx_common::time::Timer::start();
-            let n = batch.num_rows() as u64;
-            local.out.update_batch(&batch, &local.ctx)?;
-            crate::exec_metrics::exec_metrics().aggregate.record(n, 0, t0);
-        }
+}
+
+/// Fragment that probes a join's build side and collects the joined rows.
+struct Probe {
+    pipeline: Pipeline,
+    build: JoinBuild,
+    probe_cols: Vec<usize>,
+    filter: Option<Expr>,
+}
+
+impl MorselWork<Local<Vec<Row>>> for Probe {
+    fn new_local(&self) -> Local<Vec<Row>> {
+        self.pipeline.local(Vec::new())
+    }
+    fn process(&self, batch: RowBatch, local: &mut Local<Vec<Row>>) -> Result<()> {
+        let batch = self.pipeline.run(batch, local)?;
+        let t0 = Timer::start();
+        let rows =
+            self.build.probe_batch(&batch, &self.probe_cols, self.filter.as_ref(), &local.ctx)?;
+        exec_metrics().join.record(rows.len() as u64, 0, t0);
+        local.out.extend(rows);
         Ok(())
     }
 }
@@ -129,162 +152,84 @@ impl MppExecutor {
             }
             LogicalPlan::Sort { input, keys } => {
                 let rows = self.execute(input, provider, ctx)?;
-                let t0 = polardbx_common::time::Timer::start();
+                let t0 = Timer::start();
                 let rows = apply_sort(rows, keys, ctx)?;
-                crate::exec_metrics::exec_metrics().sort.record(rows.len() as u64, 0, t0);
+                exec_metrics().sort.record(rows.len() as u64, 0, t0);
                 Ok(rows)
             }
             LogicalPlan::Project { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Scan { .. } => {
-                if let Some(work) = self.pipeline_work(plan, provider, ctx) {
-                    let locals = morsel_execute(
-                        &self.pool,
-                        JobClass::Ap,
-                        self.workers,
-                        provider.partitions(&work.table),
-                        Arc::new(work),
-                    )?;
-                    return Ok(locals.into_iter().flat_map(|l| l.out).collect());
-                }
-                // Not a partitioned pipeline (or a single partition):
-                // serial vectorized execution, which also covers pipelines
-                // over non-Scan inputs via recursion-free streaming.
-                match plan {
-                    LogicalPlan::Project { input, .. } | LogicalPlan::Filter { input, .. }
-                        if !matches!(
-                            input.as_ref(),
-                            LogicalPlan::Scan { .. }
-                                | LogicalPlan::Filter { .. }
-                                | LogicalPlan::Project { .. }
-                        ) =>
-                    {
-                        // The input needs MPP treatment (aggregate/join
-                        // below); execute it, then stream the last stage.
-                        let rows = self.execute(input, provider, ctx)?;
-                        let stages = last_stage(plan);
-                        let mut out = Vec::new();
-                        for batch in batches_of(rows) {
-                            out.extend(run_stages(batch, &stages, ctx)?.to_rows());
-                        }
-                        Ok(out)
-                    }
-                    _ => vectorized::execute(plan, provider.as_ref(), ctx),
-                }
+                let locals = self.drive(plan, provider, ctx, Collect)?;
+                Ok(locals.into_iter().flat_map(|l| l.out).collect())
             }
             LogicalPlan::Aggregate { input, group_by, aggs, .. } => {
-                // Partial aggregation per morsel, merged at the coordinator
+                // Partial aggregation per worker, merged at the coordinator
                 // — the classic two-phase MPP aggregate.
-                if let Some(pipeline) = self.pipeline_work(input, provider, ctx) {
-                    let nparts = provider.partitions(&pipeline.table);
-                    let work = PartialAggWork {
-                        pipeline,
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    };
-                    let locals = morsel_execute(
-                        &self.pool,
-                        JobClass::Ap,
-                        self.workers,
-                        nparts,
-                        Arc::new(work),
-                    )?;
-                    let mut locals = locals.into_iter();
-                    let mut merged =
-                        locals.next().map(|l| l.out).unwrap_or_else(|| {
-                            VecAggTable::new(group_by.clone(), aggs.clone())
-                        });
-                    for l in locals {
-                        merged.merge(l.out);
-                    }
-                    return merged.finish();
+                let locals = self.drive(input, provider, ctx, |pipeline| PartialAgg {
+                    pipeline,
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                })?;
+                let mut partials = locals.into_iter().map(|l| l.out);
+                let mut merged = partials.next().expect("the caller's own partial");
+                for partial in partials {
+                    merged.merge(partial);
                 }
-                let rows = self.execute(input, provider, ctx)?;
-                let mut table = VecAggTable::new(group_by.clone(), aggs.clone());
-                for batch in batches_of(rows) {
-                    table.update_batch(&batch, ctx)?;
-                }
-                table.finish()
+                merged.finish()
             }
             LogicalPlan::Join { left, right, on, filter } => {
-                // Build once (left), probe partition-parallel (right).
+                // Build once (left), probe morsel-parallel (right).
                 let build_rows = self.execute(left, provider, ctx)?;
                 if on.is_empty() {
                     // Cross join: row-engine nested loop.
                     let probe = self.execute(right, provider, ctx)?;
-                    return apply_join(build_rows, probe, on, filter.as_ref(), ctx);
+                    let t0 = Timer::start();
+                    let rows = apply_join(build_rows, probe, on, filter.as_ref(), ctx)?;
+                    exec_metrics().join.record(rows.len() as u64, 0, t0);
+                    return Ok(rows);
                 }
-                let key_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-                let probe_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+                let t0 = Timer::start();
                 ctx.tick(build_rows.len() as u64)?;
-                let build = Arc::new(JoinBuild::build(build_rows, key_cols)?);
-                if let Some(work) = self.pipeline_work(right, provider, ctx) {
-                    let nparts = provider.partitions(&work.table);
-                    let work = Arc::new(work);
-                    let filter = filter.clone();
-                    let parts: Vec<Vec<Row>> = run_parallel_pooled(
-                        &self.pool,
-                        JobClass::Ap,
-                        self.workers,
-                        (0..nparts).collect(),
-                        move |part| {
-                            let c = work.ctx.fork();
-                            let rows = work.scan(part)?;
-                            let mut out = Vec::new();
-                            for batch in batches_of(rows) {
-                                let batch = run_stages(batch, &work.stages, &c)?;
-                                out.extend(build.probe_batch(
-                                    &batch,
-                                    &probe_cols,
-                                    filter.as_ref(),
-                                    &c,
-                                )?);
-                            }
-                            Ok(out)
-                        },
-                    )?;
-                    return Ok(parts.into_iter().flatten().collect());
-                }
-                let probe = self.execute(right, provider, ctx)?;
-                let mut out = Vec::new();
-                for batch in batches_of(probe) {
-                    out.extend(build.probe_batch(&batch, &probe_cols, filter.as_ref(), ctx)?);
-                }
-                Ok(out)
+                let build = JoinBuild::build(build_rows, on.iter().map(|&(l, _)| l).collect())?;
+                exec_metrics().join.record(build.len() as u64, 0, t0);
+                let locals = self.drive(right, provider, ctx, |pipeline| Probe {
+                    pipeline,
+                    build,
+                    probe_cols: on.iter().map(|&(_, r)| r).collect(),
+                    filter: filter.clone(),
+                })?;
+                Ok(locals.into_iter().flat_map(|l| l.out).collect())
             }
         }
     }
 
-    /// Fuse a `Filter*/Project*`-over-`Scan` subtree into a morsel
-    /// fragment, when the shape matches and the table has enough
-    /// partitions to be worth fanning out.
-    fn pipeline_work(
+    /// Feed every batch of `plan`'s output to the fragment `fragment`
+    /// builds around the plan's fused `Filter*/Project*` stages. Over a
+    /// `Scan` the fragment drains the table's [`ScanSource`] morsel by
+    /// morsel, on as many workers as the source has morsels for; over a
+    /// pipeline breaker, that runs first and its rows are fed through on
+    /// the calling thread.
+    fn drive<W, T>(
         &self,
         plan: &LogicalPlan,
         provider: &Arc<dyn TableProvider>,
         ctx: &ExecCtx,
-    ) -> Option<PipelineWork> {
-        let (table, stages) = pipeline_stages(plan)?;
-        if provider.partitions(&table) <= 1 || self.workers <= 1 {
-            return None;
+        fragment: impl FnOnce(Pipeline) -> T,
+    ) -> Result<Vec<W>>
+    where
+        W: Send + 'static,
+        T: MorselWork<W> + 'static,
+    {
+        let (base, stages) = pipeline_stages(plan);
+        let work = fragment(Pipeline { stages, ctx: ctx.fork() });
+        if let LogicalPlan::Scan { table, .. } = base {
+            let source = ScanSource::open(provider, table);
+            return morsel_execute(&self.pool, JobClass::Ap, self.workers, source, Arc::new(work));
         }
-        Some(PipelineWork {
-            provider: Arc::clone(provider),
-            table,
-            stages,
-            ctx: ctx.fork(),
-        })
-    }
-}
-
-/// The outermost Filter/Project of `plan` as a single vectorized stage.
-fn last_stage(plan: &LogicalPlan) -> Vec<StageOp> {
-    match plan {
-        LogicalPlan::Filter { predicate, .. } => {
-            let mut conjuncts = Vec::new();
-            polardbx_sql::plan::split_conjuncts(predicate, &mut conjuncts);
-            vec![StageOp::Filter(conjuncts)]
+        let mut local = work.new_local();
+        for batch in batches_of(self.execute(base, provider, ctx)?) {
+            work.process(batch, &mut local)?;
         }
-        LogicalPlan::Project { exprs, .. } => vec![StageOp::Project(exprs.clone())],
-        _ => Vec::new(),
+        Ok(vec![local])
     }
 }
 
@@ -453,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn single_partition_falls_back_to_serial() {
+    fn single_partition_is_scanned_whole() {
         let p = provider(1, 50);
         let mpp = MppExecutor::new(4);
         let rows = mpp.execute(&scan(), &p, &ExecCtx::unrestricted()).unwrap();
@@ -499,7 +444,7 @@ mod tests {
 
     #[test]
     fn project_over_aggregate_over_partitions() {
-        // Exercises the "last stage over an MPP subtree" path.
+        // A stage over a pipeline breaker runs on the breaker's rows.
         let p = provider(4, 100);
         let plan = LogicalPlan::Project {
             input: Box::new(LogicalPlan::Aggregate {

@@ -1,9 +1,13 @@
-//! Physical operators executing logical plans.
+//! The row engine: physical operators executing logical plans over the
+//! row store.
 //!
-//! Execution is materialized (operator at a time): each node produces a
-//! `Vec<Row>`. Every inner loop accounts its work to the [`ExecCtx`], which
-//! paces AP jobs (CPU governor) and aborts jobs whose time slice expired —
-//! the executor-side half of §VI-C's time-slicing model.
+//! [`execute_plan`] is the TP engine. It reads the row store only
+//! (`scan_where` / `scan_all`) and never asks the provider for a column
+//! index — that is the AP engine's source ([`crate::mpp`]). Execution is
+//! materialized (operator at a time): each node produces a `Vec<Row>`.
+//! Every inner loop accounts its work to the [`ExecCtx`], which paces AP
+//! jobs (CPU governor) and aborts jobs whose time slice expired — the
+//! executor-side half of §VI-C's time-slicing model.
 
 use std::collections::HashMap;
 
@@ -11,12 +15,12 @@ use polardbx_common::{Error, Result, Row, Value};
 use polardbx_sql::expr::{AggFunc, Expr};
 use polardbx_sql::plan::{AggSpec, LogicalPlan};
 
-use crate::columnar_exec;
 use crate::scheduler::TickState;
 
 /// Row source the executor reads from. One implementation wraps the DN
 /// engines (row store); the optional columnar hook serves the in-memory
-/// column index (§VI-E).
+/// column index (§VI-E) to the AP engine, which reads a table from the
+/// index exactly when the provider attaches one.
 pub trait TableProvider: Send + Sync {
     /// Number of partitions (shards) of `table` — MPP parallelism units.
     fn partitions(&self, _table: &str) -> usize {
@@ -85,17 +89,12 @@ impl ExecCtx {
     }
 }
 
-/// Execute a plan to completion.
+/// Execute a plan to completion on the row store.
 pub fn execute_plan(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
     ctx: &ExecCtx,
 ) -> Result<Vec<Row>> {
-    // Columnar fast path first (§VI-E): pattern-matched pipelines run on
-    // vectorized kernels when the table has a column index.
-    if let Some(result) = columnar_exec::try_columnar(plan, provider, ctx) {
-        return result;
-    }
     match plan {
         LogicalPlan::Scan { table, .. } => {
             let rows = provider.scan_all(table)?;
@@ -104,17 +103,12 @@ pub fn execute_plan(
         }
         LogicalPlan::Filter { input, predicate } => {
             let rows = match input.as_ref() {
-                // A row-store scan under a filter reads only the rows the
-                // filter can name (the column index, as for any scan, first).
+                // A scan under a filter reads only the rows the filter can
+                // name.
                 LogicalPlan::Scan { table, .. } => {
-                    match columnar_exec::try_columnar(input, provider, ctx) {
-                        Some(rows) => rows?,
-                        None => {
-                            let rows = provider.scan_where(table, predicate)?;
-                            ctx.tick(rows.len() as u64)?;
-                            rows
-                        }
-                    }
+                    let rows = provider.scan_where(table, predicate)?;
+                    ctx.tick(rows.len() as u64)?;
+                    rows
                 }
                 _ => execute_plan(input, provider, ctx)?,
             };

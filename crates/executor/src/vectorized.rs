@@ -1,13 +1,16 @@
-//! Streaming, vectorized execution engine.
+//! The vectorized operator library.
 //!
-//! Operators pull [`RowBatch`]es through a pull-based pipeline instead of
-//! materializing whole `Vec<Row>`s between operators. Hot inner loops run
-//! as typed lane loops (comparisons, numeric arithmetic, hashed group/join
+//! What the AP engine ([`crate::mpp::MppExecutor`]) runs over each
+//! [`RowBatch`]: the filter lanes, batch projection, the hash-join build
+//! and probe, the hash-aggregation table, and the fused `Filter*/Project*`
+//! stages of a scan leaf. There is no driver here — the engine decides
+//! where batches come from and who consumes them. Hot inner loops run as
+//! typed lane loops (comparisons, numeric arithmetic, hashed group/join
 //! keys with collision verification); anything a typed loop can't express
 //! falls back to scalar `Expr::eval` on a materialized row, so results are
 //! byte-identical to the row engine (`operators::execute_plan`) — the
-//! differential property test in `tests/properties.rs` holds the engines to
-//! exactly that.
+//! differential property tests in `tests/properties.rs` hold the engines
+//! to exactly that.
 //!
 //! Key identity follows `Key::encode` (variant-tagged), not SQL `=`: the
 //! hashed key slots replace the row engine's per-row `Vec<u8>` key
@@ -15,189 +18,20 @@
 //! join together (NULL keys match, `Int(5)` and `Double(5.0)` stay
 //! distinct).
 
-use std::collections::{HashMap, VecDeque};
-use polardbx_common::time::Timer;
+use std::collections::HashMap;
 
-use polardbx_common::{Error, Result, Row, Value};
 use polardbx_columnar::ColumnData;
+use polardbx_common::time::Timer;
+use polardbx_common::{Error, Result, Row, Value};
 use polardbx_sql::expr::{like_match, AggFunc, BinOp, Expr};
 use polardbx_sql::plan::{split_conjuncts, AggSpec, LogicalPlan};
 
 use crate::batch::{
-    batches_of, ident_eq, ident_hash_lanes, ident_hash_one, ident_hash_value,
-    ident_hash_values, Lane, RowBatch,
+    ident_eq, ident_hash_lanes, ident_hash_one, ident_hash_value, ident_hash_values, Lane,
+    RowBatch,
 };
 use crate::exec_metrics::exec_metrics;
-use crate::operators::{apply_join, apply_sort, AggState, ExecCtx, TableProvider};
-
-/// A pull-based batch stream: `None` = exhausted.
-pub type BatchStream<'a> = Box<dyn FnMut() -> Result<Option<RowBatch>> + 'a>;
-
-/// Execute a plan through the vectorized engine and materialize the result.
-pub fn execute(
-    plan: &LogicalPlan,
-    provider: &dyn TableProvider,
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let mut s = stream(plan, provider, ctx)?;
-    let mut out = Vec::new();
-    while let Some(b) = s()? {
-        out.extend(b.to_rows());
-    }
-    Ok(out)
-}
-
-/// Build the pull pipeline for `plan`.
-pub fn stream<'a>(
-    plan: &'a LogicalPlan,
-    provider: &'a dyn TableProvider,
-    ctx: &'a ExecCtx,
-) -> Result<BatchStream<'a>> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => Ok(scan_stream(table, provider, ctx)),
-        LogicalPlan::Filter { input, predicate } => {
-            let mut inner = stream(input, provider, ctx)?;
-            let mut conjuncts = Vec::new();
-            split_conjuncts(predicate, &mut conjuncts);
-            Ok(Box::new(move || loop {
-                let Some(batch) = inner()? else { return Ok(None) };
-                let t0 = Timer::start();
-                ctx.tick(batch.num_rows() as u64)?;
-                let mut live = batch.live_rows();
-                for c in &conjuncts {
-                    if live.is_empty() {
-                        break;
-                    }
-                    live = apply_conjunct(&batch, c, live)?;
-                }
-                let out = batch.with_sel(live);
-                exec_metrics().filter.record(out.num_rows() as u64, out.bytes() as u64, t0);
-                if out.num_rows() == 0 {
-                    continue;
-                }
-                return Ok(Some(out));
-            }))
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let mut inner = stream(input, provider, ctx)?;
-            Ok(Box::new(move || {
-                let Some(batch) = inner()? else { return Ok(None) };
-                let t0 = Timer::start();
-                ctx.tick(batch.num_rows() as u64)?;
-                let out = apply_project_batch(&batch, exprs)?;
-                exec_metrics().project.record(out.num_rows() as u64, out.bytes() as u64, t0);
-                Ok(Some(out))
-            }))
-        }
-        LogicalPlan::Join { left, right, on, filter } => {
-            join_stream(left, right, on, filter.as_ref(), provider, ctx)
-        }
-        LogicalPlan::Aggregate { input, group_by, aggs, .. } => {
-            let mut inner = stream(input, provider, ctx)?;
-            let mut table = Some(VecAggTable::new(group_by.clone(), aggs.clone()));
-            let mut outq: Option<VecDeque<RowBatch>> = None;
-            Ok(Box::new(move || {
-                if outq.is_none() {
-                    let tbl = table.as_mut().expect("aggregate pulled after finish");
-                    while let Some(b) = inner()? {
-                        let t0 = Timer::start();
-                        tbl.update_batch(&b, ctx)?;
-                        exec_metrics().aggregate.record(b.num_rows() as u64, 0, t0);
-                    }
-                    let rows = table.take().expect("state present").finish()?;
-                    outq = Some(batches_of(rows).into());
-                }
-                Ok(outq.as_mut().expect("filled above").pop_front())
-            }))
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut inner = stream(input, provider, ctx)?;
-            let mut outq: Option<VecDeque<RowBatch>> = None;
-            Ok(Box::new(move || {
-                if outq.is_none() {
-                    let mut rows = Vec::new();
-                    while let Some(b) = inner()? {
-                        rows.extend(b.to_rows());
-                    }
-                    let t0 = Timer::start();
-                    let n = rows.len() as u64;
-                    let rows = apply_sort(rows, keys, ctx)?;
-                    exec_metrics().sort.record(n, 0, t0);
-                    outq = Some(batches_of(rows).into());
-                }
-                Ok(outq.as_mut().expect("filled above").pop_front())
-            }))
-        }
-        LogicalPlan::Limit { input, n } => {
-            let mut inner = stream(input, provider, ctx)?;
-            let mut remaining = *n;
-            let mut drained = false;
-            Ok(Box::new(move || {
-                if remaining == 0 {
-                    // The row engine materializes its input before
-                    // truncating, so evaluation errors past the limit still
-                    // surface. Drain (and discard) the rest to match.
-                    if !drained {
-                        drained = true;
-                        while inner()?.is_some() {}
-                    }
-                    return Ok(None);
-                }
-                let Some(batch) = inner()? else { return Ok(None) };
-                let rows = batch.num_rows();
-                if rows <= remaining {
-                    remaining -= rows;
-                    return Ok(Some(batch));
-                }
-                let mut live = batch.live_rows();
-                live.truncate(remaining);
-                remaining = 0;
-                Ok(Some(batch.with_sel(live)))
-            }))
-        }
-    }
-}
-
-fn scan_stream<'a>(
-    table: &'a str,
-    provider: &'a dyn TableProvider,
-    ctx: &'a ExecCtx,
-) -> BatchStream<'a> {
-    let mut snapshot_done = false;
-    let mut part = 0usize;
-    let mut queue: VecDeque<RowBatch> = VecDeque::new();
-    Box::new(move || loop {
-        if let Some(b) = queue.pop_front() {
-            ctx.tick(b.num_rows() as u64)?;
-            return Ok(Some(b));
-        }
-        if !snapshot_done {
-            snapshot_done = true;
-            // Column-index fast source (§VI-E): the snapshot's typed
-            // vectors become the batch lanes directly — no row
-            // materialization at all.
-            if let Some(snap) = provider.columnar(table) {
-                let t0 = Timer::start();
-                let b = RowBatch::from_snapshot(snap);
-                exec_metrics().scan.record(b.num_rows() as u64, b.bytes() as u64, t0);
-                part = usize::MAX; // row partitions are not scanned
-                queue.push_back(b);
-                continue;
-            }
-        }
-        if part == usize::MAX || part >= provider.partitions(table).max(1) {
-            return Ok(None);
-        }
-        let t0 = Timer::start();
-        let rows = provider.scan_partition(table, part)?;
-        part += 1;
-        let n = rows.len();
-        let batches = batches_of(rows);
-        let bytes: usize = batches.iter().map(|b| b.bytes()).sum();
-        exec_metrics().scan.record(n as u64, bytes as u64, t0);
-        queue.extend(batches);
-    })
-}
+use crate::operators::{AggState, ExecCtx};
 
 // ------------------------------------------------------------------ filters
 
@@ -534,69 +368,6 @@ impl JoinBuild {
         }
         Ok(out)
     }
-}
-
-fn join_stream<'a>(
-    left: &'a LogicalPlan,
-    right: &'a LogicalPlan,
-    on: &'a [(usize, usize)],
-    filter: Option<&'a Expr>,
-    provider: &'a dyn TableProvider,
-    ctx: &'a ExecCtx,
-) -> Result<BatchStream<'a>> {
-    let mut left_stream = Some(stream(left, provider, ctx)?);
-    let mut right_stream = stream(right, provider, ctx)?;
-    let mut build: Option<JoinBuild> = None;
-    let probe_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let key_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let mut crossq: Option<VecDeque<RowBatch>> = None;
-    Ok(Box::new(move || {
-        if on.is_empty() {
-            // Cross join: materialize both sides and reuse the row
-            // engine's nested loop (identical semantics, small inputs).
-            if crossq.is_none() {
-                let mut l = Vec::new();
-                if let Some(mut ls) = left_stream.take() {
-                    while let Some(b) = ls()? {
-                        l.extend(b.to_rows());
-                    }
-                }
-                let mut r = Vec::new();
-                while let Some(b) = right_stream()? {
-                    r.extend(b.to_rows());
-                }
-                let t0 = Timer::start();
-                let rows = apply_join(l, r, &[], filter, ctx)?;
-                exec_metrics().join.record(rows.len() as u64, 0, t0);
-                crossq = Some(batches_of(rows).into());
-            }
-            return Ok(crossq.as_mut().expect("filled above").pop_front());
-        }
-        if build.is_none() {
-            let mut rows = Vec::new();
-            if let Some(mut ls) = left_stream.take() {
-                while let Some(b) = ls()? {
-                    rows.extend(b.to_rows());
-                }
-            }
-            let t0 = Timer::start();
-            ctx.tick(rows.len() as u64)?;
-            let b = JoinBuild::build(rows, key_cols.clone())?;
-            exec_metrics().join.record(b.len() as u64, 0, t0);
-            build = Some(b);
-        }
-        let build = build.as_ref().expect("built above");
-        loop {
-            let Some(batch) = right_stream()? else { return Ok(None) };
-            let t0 = Timer::start();
-            let rows = build.probe_batch(&batch, &probe_cols, filter, ctx)?;
-            exec_metrics().join.record(rows.len() as u64, 0, t0);
-            if rows.is_empty() {
-                continue;
-            }
-            return Ok(Some(RowBatch::from_rows(rows)));
-        }
-    }))
 }
 
 // -------------------------------------------------------------- aggregation
@@ -974,32 +745,32 @@ impl VecAggTable {
     }
 }
 
-// --------------------------------------- partition pipelines (morsel units)
+// ------------------------------------------- fused stages (morsel units)
 
-/// One fused pipeline stage over a scan.
+/// One fused pipeline stage.
 pub(crate) enum StageOp {
     Filter(Vec<Expr>),
     Project(Vec<Expr>),
 }
 
-/// Decompose a `Filter*/Project*` tree over a single `Scan` into bottom-up
-/// stages, the unit a morsel worker runs over each chunk of scanned rows.
-pub(crate) fn pipeline_stages(plan: &LogicalPlan) -> Option<(String, Vec<StageOp>)> {
+/// Peel the `Filter*/Project*` nodes off the top of `plan`: the node they
+/// sit on, and the peeled nodes as bottom-up stages — the unit a morsel
+/// worker runs over each batch.
+pub(crate) fn pipeline_stages(plan: &LogicalPlan) -> (&LogicalPlan, Vec<StageOp>) {
     match plan {
-        LogicalPlan::Scan { table, .. } => Some((table.clone(), Vec::new())),
         LogicalPlan::Filter { input, predicate } => {
-            let (table, mut stages) = pipeline_stages(input)?;
+            let (base, mut stages) = pipeline_stages(input);
             let mut conjuncts = Vec::new();
             split_conjuncts(predicate, &mut conjuncts);
             stages.push(StageOp::Filter(conjuncts));
-            Some((table, stages))
+            (base, stages)
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            let (table, mut stages) = pipeline_stages(input)?;
+            let (base, mut stages) = pipeline_stages(input);
             stages.push(StageOp::Project(exprs.clone()));
-            Some((table, stages))
+            (base, stages)
         }
-        _ => None,
+        base => (base, Vec::new()),
     }
 }
 
@@ -1041,8 +812,9 @@ pub(crate) fn run_stages(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::{execute_plan, MemTables};
-    use polardbx_sql::plan::AggSpec;
+    use crate::mpp::MppExecutor;
+    use crate::operators::{execute_plan, MemTables, TableProvider};
+    use std::sync::Arc;
 
     fn provider() -> MemTables {
         let mut p = MemTables::new();
@@ -1068,15 +840,23 @@ mod tests {
         }
     }
 
-    fn assert_same(plan: &LogicalPlan) {
-        let p = provider();
+    /// The AP engine, serial and fanned out, against the row engine.
+    fn assert_same_over(p: MemTables, plan: &LogicalPlan) -> Vec<Row> {
+        let p: Arc<dyn TableProvider> = Arc::new(p);
         let ctx = ExecCtx::unrestricted();
-        let mut slow = execute_plan(plan, &p, &ctx).unwrap();
-        let mut fast = execute(plan, &p, &ctx).unwrap();
         let key = |r: &Row| format!("{r:?}");
+        let mut slow = execute_plan(plan, p.as_ref(), &ctx).unwrap();
         slow.sort_by_key(key);
-        fast.sort_by_key(key);
-        assert_eq!(slow, fast);
+        for workers in [1, 4] {
+            let mut fast = MppExecutor::new(workers).execute(plan, &p, &ctx).unwrap();
+            fast.sort_by_key(key);
+            assert_eq!(slow, fast, "{workers} workers");
+        }
+        slow
+    }
+
+    fn assert_same(plan: &LogicalPlan) {
+        assert_same_over(provider(), plan);
     }
 
     #[test]
@@ -1177,14 +957,8 @@ mod tests {
             }],
             names: vec!["k".into(), "s".into()],
         };
-        let ctx = ExecCtx::unrestricted();
-        let mut fast = execute(&plan, &p, &ctx).unwrap();
-        assert_eq!(fast.len(), 2, "Int(5) and Double(5.0) are distinct keys");
-        let mut slow = execute_plan(&plan, &p, &ctx).unwrap();
-        let key = |r: &Row| format!("{r:?}");
-        slow.sort_by_key(key);
-        fast.sort_by_key(key);
-        assert_eq!(slow, fast);
+        let rows = assert_same_over(p, &plan);
+        assert_eq!(rows.len(), 2, "Int(5) and Double(5.0) are distinct keys");
     }
 
     #[test]
@@ -1197,9 +971,11 @@ mod tests {
                 Expr::int(1),
             ),
         };
-        let p = provider();
+        let p: Arc<dyn TableProvider> = Arc::new(provider());
         let ctx = ExecCtx::unrestricted();
-        assert!(execute_plan(&plan, &p, &ctx).is_err());
-        assert!(execute(&plan, &p, &ctx).is_err());
+        assert!(execute_plan(&plan, p.as_ref(), &ctx).is_err());
+        for workers in [1, 4] {
+            assert!(MppExecutor::new(workers).execute(&plan, &p, &ctx).is_err());
+        }
     }
 }

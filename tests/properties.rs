@@ -485,9 +485,9 @@ fn frame_roundtrip_and_corruption_detection() {
 }
 
 // ------------------------------------------------------------------------
-// Vectorized-engine differential tests: the morsel-driven batch engine must
-// be row-for-row equivalent to the seed row engine (`execute_plan`) on
-// randomized tables and plans — including NULL group/join keys, mixed
+// Engine differential tests: the AP engine (`MppExecutor`, morsel-driven
+// batches) must be row-for-row equivalent to the row engine
+// (`execute_plan`) on randomized tables and plans — including NULL group/join keys, mixed
 // types, empty and heavily skewed partitions, and error cases.
 
 fn diff_rand_pred(rng: &mut StdRng, width: usize, str_col: usize) -> polardbx_sql::expr::Expr {
@@ -662,60 +662,126 @@ fn diff_canon(rows: &[Row]) -> Vec<String> {
     out
 }
 
-/// Serial vectorized execution is equivalent to the seed row engine on
-/// randomized plans over mixed-type data with NULLs — identical result
-/// multisets when both succeed, and agreement on failure.
+/// The same rows behind a column index: `columnar()` serves a snapshot in
+/// which decoy rows and overwritten images are tombstoned, and the row
+/// partitions refuse to be read — whoever gets an answer from this provider
+/// got it from the index.
+struct IndexedOnly {
+    index: std::sync::Arc<polardbx_columnar::ColumnIndex>,
+    ts: u64,
+}
+
+impl IndexedOnly {
+    fn build(rng: &mut StdRng, rows: &[Row]) -> IndexedOnly {
+        use polardbx_common::DataType;
+        let types = vec![DataType::Int, DataType::Int, DataType::Double, DataType::Str];
+        let index = polardbx_columnar::ColumnIndex::new(types);
+        let decoy =
+            Row::new(vec![Value::Int(-1), Value::Int(0), Value::Double(0.25), Value::str("zz")]);
+        let mut ts = 0u64;
+        for (i, row) in rows.iter().enumerate() {
+            let key = Key::encode(&[row.get(0).unwrap().clone()]);
+            if rng.gen_bool(0.3) {
+                // An older image of the same key: tombstoned by the put below.
+                ts += 1;
+                index.apply_put(TrxId(ts), ts, key.clone(), &decoy).unwrap();
+            }
+            ts += 1;
+            index.apply_put(TrxId(ts), ts, key, row).unwrap();
+            if rng.gen_bool(0.2) {
+                // A row that is inserted and deleted again.
+                let gone = Key::encode(&[Value::Int(-(i as i64) - 1)]);
+                ts += 1;
+                index.apply_put(TrxId(ts), ts, gone.clone(), &decoy).unwrap();
+                ts += 1;
+                index.apply_delete(TrxId(ts), ts, &gone);
+            }
+        }
+        IndexedOnly { index, ts }
+    }
+}
+
+impl polardbx_executor::TableProvider for IndexedOnly {
+    fn scan_partition(&self, table: &str, _partition: usize) -> polardbx_common::Result<Vec<Row>> {
+        Err(polardbx_common::Error::execution(format!("{table}: only the index is attached")))
+    }
+
+    fn columnar(&self, _table: &str) -> Option<polardbx_columnar::ColumnSnapshot> {
+        Some(self.index.snapshot(self.ts))
+    }
+}
+
+/// The AP engine is equivalent to the row engine on randomized plans over
+/// mixed-type data with NULLs — identical result multisets when both
+/// succeed, and agreement on failure — serial and fanned out, over the row
+/// partitions and over the same rows served by a column index (typed
+/// `Lane::from_column` lanes, tombstoned ids behind the selection).
 #[test]
 fn vectorized_engine_matches_row_engine() {
     use polardbx_executor::operators::MemTables;
-    use polardbx_executor::{execute_plan, execute_vectorized, ExecCtx};
+    use polardbx_executor::{execute_plan, ExecCtx, MppExecutor, TableProvider};
+    use std::sync::Arc;
 
-    let mut rng = rng_for("vectorized_engine_matches_row_engine");
     let width = 4;
-    for case in 0..CASES {
-        // Random partitioning: empty partitions and size skew included.
-        let nparts = rng.gen_range(1..5);
-        let mut id = 0i64;
-        let parts: Vec<Vec<Row>> = (0..nparts)
-            .map(|p| {
-                let n = if p == 0 { rng.gen_range(0..90) } else { rng.gen_range(0..30) };
-                (0..n)
-                    .map(|_| {
-                        id += 1;
-                        Row::new(vec![
-                            Value::Int(id),
-                            if rng.gen_bool(0.2) {
-                                Value::Null
-                            } else {
-                                Value::Int(rng.gen_range(-3..3))
-                            },
-                            if rng.gen_bool(0.15) {
-                                Value::Null
-                            } else {
-                                Value::Double((rng.gen_range(-40..40) as f64) * 0.5)
-                            },
-                            if rng.gen_bool(0.15) {
-                                Value::Null
-                            } else {
-                                Value::Str(rand_string(&mut rng, b"abc", 3))
-                            },
-                        ])
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut mem = MemTables::new();
-        mem.add("t", parts);
-        let plan = diff_rand_plan(&mut rng, width);
-        let ctx = ExecCtx::unrestricted();
-        let slow = execute_plan(&plan, &mem, &ctx);
-        let fast = execute_vectorized(&plan, &mem, &ctx);
-        match (slow, fast) {
-            (Ok(s), Ok(f)) => {
-                assert_eq!(diff_canon(&s), diff_canon(&f), "case {case}: {plan:?}")
+    for seed in 0..3 {
+        let mut rng = rng_for(&format!("vectorized_engine_matches_row_engine/{seed}"));
+        for case in 0..CASES {
+            // Random partitioning: empty partitions and size skew included.
+            let nparts = rng.gen_range(1..5);
+            let mut id = 0i64;
+            let parts: Vec<Vec<Row>> = (0..nparts)
+                .map(|p| {
+                    let n = if p == 0 { rng.gen_range(0..90) } else { rng.gen_range(0..30) };
+                    (0..n)
+                        .map(|_| {
+                            id += 1;
+                            Row::new(vec![
+                                Value::Int(id),
+                                if rng.gen_bool(0.2) {
+                                    Value::Null
+                                } else {
+                                    Value::Int(rng.gen_range(-3..3))
+                                },
+                                if rng.gen_bool(0.15) {
+                                    Value::Null
+                                } else {
+                                    Value::Double((rng.gen_range(-40..40) as f64) * 0.5)
+                                },
+                                if rng.gen_bool(0.15) {
+                                    Value::Null
+                                } else {
+                                    Value::Str(rand_string(&mut rng, b"abc", 3))
+                                },
+                            ])
+                        })
+                        .collect()
+                })
+                .collect();
+            let all_rows: Vec<Row> = parts.iter().flatten().cloned().collect();
+            let indexed: Arc<dyn TableProvider> = Arc::new(IndexedOnly::build(&mut rng, &all_rows));
+            let mut mem = MemTables::new();
+            mem.add("t", parts);
+            let mem: Arc<dyn TableProvider> = Arc::new(mem);
+            let plan = diff_rand_plan(&mut rng, width);
+            let ctx = ExecCtx::unrestricted();
+            let slow = execute_plan(&plan, mem.as_ref(), &ctx);
+            for (source, provider) in [("partitions", &mem), ("index", &indexed)] {
+                for workers in [1, 4] {
+                    let fast = MppExecutor::new(workers).execute(&plan, provider, &ctx);
+                    match (&slow, fast) {
+                        (Ok(s), Ok(f)) => assert_eq!(
+                            diff_canon(s),
+                            diff_canon(&f),
+                            "seed {seed} case {case}, {source}, {workers} workers: {plan:?}"
+                        ),
+                        (Err(_), Err(_)) => {}
+                        (s, f) => panic!(
+                            "seed {seed} case {case}, {source}, {workers} workers: engines disagree: \
+                             {s:?} vs {f:?}\nplan: {plan:?}"
+                        ),
+                    }
+                }
             }
-            (Err(_), Err(_)) => {}
-            (s, f) => panic!("case {case}: engines disagree on success: {s:?} vs {f:?}\nplan: {plan:?}"),
         }
     }
 }
