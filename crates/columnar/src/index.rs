@@ -5,8 +5,13 @@
 //! `ts` selects rows with `created_ts <= ts < deleted_ts`. The `trx_id` of
 //! each row mirrors the row store's, which is what lets a hybrid plan read
 //! both stores under one InnoDB read view (§VI-E).
+//!
+//! The index lives across statements, so a snapshot does not copy it: each
+//! column sits behind an `Arc` the snapshot shares, and a write that finds
+//! a column shared copies it first (`Arc::make_mut`) — once per snapshot
+//! still alive at a write, not once per query.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,16 +19,44 @@ use polardbx_common::{DataType, Key, Result, Row, TrxId, Value};
 
 use crate::column::ColumnData;
 
+/// [`ColumnIndex::reclaim`] compacts once more than this share of the
+/// stored images is tombstoned.
+pub const COMPACT_DEAD_SHARE: f64 = 0.5;
+
+const LIVE: u64 = u64::MAX;
+
 struct IndexState {
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     /// Row-store transaction that created each row.
     trx_ids: Vec<TrxId>,
     created: Vec<u64>,
-    deleted: Vec<u64>, // u64::MAX = live
+    deleted: Vec<u64>, // LIVE until tombstoned
+    /// Tombstoned images still stored.
+    dead: usize,
     /// Primary key → current row id (for update/delete capture).
     key_index: HashMap<Key, usize>,
-    /// Index version: everything committed at or before this is applied.
+    /// Index version: the highest commit timestamp applied.
     applied_ts: u64,
+    /// The oldest snapshot the index can answer: it holds no history from
+    /// before it was built, nor images compacted away since.
+    floor: u64,
+}
+
+impl IndexState {
+    fn tombstone(&mut self, row_id: usize, commit_ts: u64) {
+        self.deleted[row_id] = commit_ts;
+        self.dead += 1;
+    }
+
+    fn snapshot(&self, ts: u64) -> ColumnSnapshot {
+        let selection = (0..self.created.len())
+            .filter(|&i| {
+                self.created[i] <= ts && (self.deleted[i] == LIVE || ts < self.deleted[i])
+            })
+            .map(|i| i as u32)
+            .collect();
+        ColumnSnapshot { columns: self.columns.clone(), selection, ts }
+    }
 }
 
 /// The in-memory column index for one table.
@@ -32,10 +65,46 @@ pub struct ColumnIndex {
     state: RwLock<IndexState>,
 }
 
+/// Exclusive access to an index: the changes made through one writer
+/// become visible to snapshots together.
+pub struct IndexWriter<'a>(RwLockWriteGuard<'a, IndexState>);
+
+impl IndexWriter<'_> {
+    /// Apply a committed insert/update: appends the image, tombstoning any
+    /// previous image of `key`.
+    pub fn put(&mut self, trx: TrxId, commit_ts: u64, key: Key, row: &Row) -> Result<()> {
+        let st = &mut *self.0;
+        if let Some(&old) = st.key_index.get(&key) {
+            st.tombstone(old, commit_ts);
+        }
+        // Rows shorter than the index schema pad with NULLs; a longer one
+        // (the hidden implicit key) is cut to it.
+        let values = row.values().iter().chain(std::iter::repeat(&Value::Null));
+        for (column, v) in st.columns.iter_mut().zip(values) {
+            Arc::make_mut(column).push(v)?;
+        }
+        st.trx_ids.push(trx);
+        st.created.push(commit_ts);
+        st.deleted.push(LIVE);
+        st.key_index.insert(key, st.created.len() - 1);
+        st.applied_ts = st.applied_ts.max(commit_ts);
+        Ok(())
+    }
+
+    /// Apply a committed delete.
+    pub fn delete(&mut self, commit_ts: u64, key: &Key) {
+        let st = &mut *self.0;
+        if let Some(old) = st.key_index.remove(key) {
+            st.tombstone(old, commit_ts);
+        }
+        st.applied_ts = st.applied_ts.max(commit_ts);
+    }
+}
+
 impl ColumnIndex {
     /// An empty index over columns of the given types.
     pub fn new(types: Vec<DataType>) -> Arc<ColumnIndex> {
-        let columns = types.iter().map(|t| ColumnData::new(*t)).collect();
+        let columns = types.iter().map(|t| Arc::new(ColumnData::new(*t))).collect();
         Arc::new(ColumnIndex {
             types,
             state: RwLock::new(IndexState {
@@ -43,8 +112,10 @@ impl ColumnIndex {
                 trx_ids: Vec::new(),
                 created: Vec::new(),
                 deleted: Vec::new(),
+                dead: 0,
                 key_index: HashMap::new(),
                 applied_ts: 0,
+                floor: 0,
             }),
         })
     }
@@ -54,46 +125,36 @@ impl ColumnIndex {
         &self.types
     }
 
-    /// Apply a committed insert/update: appends the image, tombstoning any
-    /// previous image of `key`.
+    /// Lock the index for a run of changes.
+    pub fn writer(&self) -> IndexWriter<'_> {
+        IndexWriter(self.state.write())
+    }
+
+    /// [`IndexWriter::put`] of one image.
     pub fn apply_put(&self, trx: TrxId, commit_ts: u64, key: Key, row: &Row) -> Result<()> {
-        let mut st = self.state.write();
-        if let Some(&old) = st.key_index.get(&key) {
-            st.deleted[old] = commit_ts;
-        }
-        for (i, v) in row.values().iter().enumerate().take(st.columns.len()) {
-            st.columns[i].push(v)?;
-        }
-        // Rows shorter than the index schema pad with NULLs.
-        for i in row.arity()..st.columns.len() {
-            st.columns[i].push(&Value::Null)?;
-        }
-        st.trx_ids.push(trx);
-        st.created.push(commit_ts);
-        st.deleted.push(u64::MAX);
-        let row_id = st.created.len() - 1;
-        st.key_index.insert(key, row_id);
-        if commit_ts > st.applied_ts {
-            st.applied_ts = commit_ts;
-        }
-        Ok(())
+        self.writer().put(trx, commit_ts, key, row)
     }
 
-    /// Apply a committed delete.
+    /// [`IndexWriter::delete`] of one key.
     pub fn apply_delete(&self, _trx: TrxId, commit_ts: u64, key: &Key) {
-        let mut st = self.state.write();
-        if let Some(old) = st.key_index.remove(key) {
-            st.deleted[old] = commit_ts;
-        }
-        if commit_ts > st.applied_ts {
-            st.applied_ts = commit_ts;
-        }
+        self.writer().delete(commit_ts, key)
     }
 
-    /// The index version (highest applied commit timestamp). AP queries run
-    /// at `min(requested_ts, version)` when maintenance is delayed.
+    /// The index version (highest applied commit timestamp).
     pub fn version(&self) -> u64 {
         self.state.read().applied_ts
+    }
+
+    /// The oldest snapshot timestamp the index can answer.
+    pub fn floor(&self) -> u64 {
+        self.state.read().floor
+    }
+
+    /// The index holds nothing older than `ts` (it was built from a scan at
+    /// `ts`): snapshots below it are refused from now on.
+    pub fn raise_floor(&self, ts: u64) {
+        let mut st = self.state.write();
+        st.floor = st.floor.max(ts);
     }
 
     /// Total physical rows (including tombstoned images).
@@ -101,22 +162,48 @@ impl ColumnIndex {
         self.state.read().created.len()
     }
 
-    /// Snapshot the index at `ts`: a consistent selection + column access.
-    pub fn snapshot(&self, ts: u64) -> ColumnSnapshot {
+    /// Rows visible to the newest snapshot.
+    pub fn live_rows(&self) -> usize {
         let st = self.state.read();
-        let selection: Vec<u32> = (0..st.created.len())
-            .filter(|&i| {
-                st.created[i] <= ts
-                    && (st.deleted[i] == u64::MAX || ts < st.deleted[i])
-            })
-            .map(|i| i as u32)
-            .collect();
-        ColumnSnapshot { columns: st.columns.clone(), selection, ts }
+        st.created.len() - st.dead
     }
 
-    /// Compact: drop rows tombstoned before `horizon` (GC).
+    /// Snapshot the index at `ts`: a consistent selection + column access.
+    /// The columns are shared with the index, not copied. The caller knows
+    /// `ts` is not below the [floor](ColumnIndex::floor).
+    pub fn snapshot(&self, ts: u64) -> ColumnSnapshot {
+        self.state.read().snapshot(ts)
+    }
+
+    /// [`ColumnIndex::snapshot`], or `None` when `ts` lies below the floor:
+    /// the index no longer (or never did) hold that version of the table.
+    pub fn snapshot_at(&self, ts: u64) -> Option<ColumnSnapshot> {
+        let st = self.state.read();
+        (ts >= st.floor).then(|| st.snapshot(ts))
+    }
+
+    /// Reclaim tombstones once they pass [`COMPACT_DEAD_SHARE`] of the
+    /// stored images: compact at the index version, which drops every dead
+    /// image. Returns whether it compacted.
+    pub fn reclaim(&self) -> bool {
+        let (dead, physical, version) = {
+            let st = self.state.read();
+            (st.dead, st.created.len(), st.applied_ts)
+        };
+        let due = dead as f64 > physical as f64 * COMPACT_DEAD_SHARE;
+        if due {
+            self.compact(version);
+        }
+        due
+    }
+
+    /// Compact: drop rows tombstoned at or before `horizon` and raise the
+    /// floor to it — a snapshot older than `horizon` would read a hole
+    /// where a dropped image was, so it is refused instead. Snapshots
+    /// already taken keep the columns they share.
     pub fn compact(&self, horizon: u64) {
-        let mut st = self.state.write();
+        let st = &mut *self.state.write();
+        st.floor = st.floor.max(horizon);
         let keep: Vec<usize> =
             (0..st.created.len()).filter(|&i| st.deleted[i] > horizon).collect();
         if keep.len() == st.created.len() {
@@ -124,17 +211,11 @@ impl ColumnIndex {
         }
         let mut new_cols: Vec<ColumnData> =
             self.types.iter().map(|t| ColumnData::new(*t)).collect();
-        let mut new_trx = Vec::with_capacity(keep.len());
-        let mut new_created = Vec::with_capacity(keep.len());
-        let mut new_deleted = Vec::with_capacity(keep.len());
-        let mut remap: HashMap<usize, usize> = HashMap::new();
+        let mut remap: HashMap<usize, usize> = HashMap::with_capacity(keep.len());
         for (new_id, &old_id) in keep.iter().enumerate() {
             for (c, col) in new_cols.iter_mut().enumerate() {
                 col.push(&st.columns[c].get(old_id)).expect("same type");
             }
-            new_trx.push(st.trx_ids[old_id]);
-            new_created.push(st.created[old_id]);
-            new_deleted.push(st.deleted[old_id]);
             remap.insert(old_id, new_id);
         }
         st.key_index = st
@@ -142,26 +223,27 @@ impl ColumnIndex {
             .iter()
             .filter_map(|(k, &old)| remap.get(&old).map(|&n| (k.clone(), n)))
             .collect();
-        st.columns = new_cols;
-        st.trx_ids = new_trx;
-        st.created = new_created;
-        st.deleted = new_deleted;
+        st.columns = new_cols.into_iter().map(Arc::new).collect();
+        st.trx_ids = keep.iter().map(|&i| st.trx_ids[i]).collect();
+        st.created = keep.iter().map(|&i| st.created[i]).collect();
+        st.deleted = keep.iter().map(|&i| st.deleted[i]).collect();
+        st.dead = st.deleted.iter().filter(|&&d| d != LIVE).count();
     }
 
     /// Approximate memory footprint.
     pub fn heap_size(&self) -> usize {
         let st = self.state.read();
-        st.columns.iter().map(ColumnData::heap_size).sum::<usize>() + st.created.len() * 24
+        st.columns.iter().map(|c| c.heap_size()).sum::<usize>() + st.created.len() * 24
     }
 }
 
-/// A consistent view of the index at one timestamp: cloned column vectors
-/// plus the selection of live row ids. Cloning columns keeps the snapshot
-/// immune to concurrent maintenance (simple, and snapshots are short-lived
-/// per query in the executor).
+/// A consistent view of the index at one timestamp: the index's column
+/// vectors, shared, plus the selection of row ids live at `ts`. A write to
+/// the index after the snapshot copies a column the snapshot still holds
+/// instead of changing it, so the view is immune to maintenance.
 pub struct ColumnSnapshot {
     /// The column vectors.
-    pub columns: Vec<ColumnData>,
+    pub columns: Vec<Arc<ColumnData>>,
     /// Live row ids at `ts`.
     pub selection: Vec<u32>,
     /// Snapshot timestamp.
@@ -275,5 +357,43 @@ mod tests {
         let snap = idx.snapshot(10);
         idx.apply_put(TrxId(2), 20, key(2), &row(2, 2.0)).unwrap();
         assert_eq!(snap.len(), 1, "snapshot unaffected by concurrent apply");
+        assert_eq!(snap.columns[0].len(), 1, "its columns did not grow under it");
+    }
+
+    #[test]
+    fn snapshots_share_the_columns_and_a_write_copies_only_while_one_is_alive() {
+        let idx = index();
+        idx.apply_put(TrxId(1), 10, key(1), &row(1, 1.0)).unwrap();
+        let (a, b) = (idx.snapshot(10), idx.snapshot(10));
+        assert!(a.columns.iter().zip(&b.columns).all(|(x, y)| Arc::ptr_eq(x, y)));
+        // `a` and `b` are alive: the write leaves them their column.
+        idx.apply_put(TrxId(2), 20, key(2), &row(2, 2.0)).unwrap();
+        let c = idx.snapshot(20);
+        assert!(!Arc::ptr_eq(&a.columns[0], &c.columns[0]));
+        assert_eq!((a.rows(), c.len()), (vec![row(1, 1.0)], 2));
+        // With no snapshot alive the next write appends in place.
+        drop((a, b));
+        let before = Arc::as_ptr(&c.columns[0]);
+        drop(c);
+        idx.apply_put(TrxId(3), 30, key(3), &row(3, 3.0)).unwrap();
+        assert_eq!(Arc::as_ptr(&idx.snapshot(30).columns[0]), before);
+    }
+
+    #[test]
+    fn compaction_raises_the_floor_and_outstanding_snapshots_keep_their_rows() {
+        let idx = index();
+        idx.apply_put(TrxId(1), 10, key(1), &row(1, 1.0)).unwrap();
+        idx.apply_put(TrxId(2), 20, key(1), &row(1, 2.0)).unwrap();
+        idx.apply_put(TrxId(3), 30, key(2), &row(2, 3.0)).unwrap();
+        assert!(!idx.reclaim(), "one dead image of three is under the share");
+        let old = idx.snapshot_at(15).expect("nothing compacted yet");
+        idx.apply_put(TrxId(4), 40, key(2), &row(2, 4.0)).unwrap();
+        idx.apply_delete(TrxId(5), 50, &key(1));
+        assert_eq!((idx.live_rows(), idx.physical_rows()), (1, 4));
+        assert!(idx.reclaim(), "three dead images of four");
+        assert_eq!((idx.live_rows(), idx.physical_rows(), idx.floor()), (1, 1, 50));
+        assert!(idx.snapshot_at(49).is_none(), "a hole where the dead images were");
+        assert_eq!(idx.snapshot_at(50).unwrap().rows(), vec![row(2, 4.0)]);
+        assert_eq!(old.rows(), vec![row(1, 1.0)], "taken before: still whole");
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! * [`mod@column`] — typed column vectors with null bitmaps,
 //! * [`index`] — the per-table columnar replica with commit-timestamp
-//!   visibility (insert/update/delete as append + tombstone),
-//! * [`maintain`] — redo-log capture with delayed, batched application and
-//!   a lagging index version,
+//!   visibility (insert/update/delete as append + tombstone), columns
+//!   shared with its snapshots, a history floor and tombstone reclaim,
+//! * [`maintain`] — the index as a consumer of the DNs' redo feed, with
+//!   the per-node applied LSN that snapshot reads wait on,
 //! * [`kernels`] — reference filter and sum loops over a snapshot's typed
 //!   vectors, timed by the benchmarks (queries run on the executor's own
 //!   lane loops over the same [`ColumnData`]).
@@ -24,5 +25,5 @@ pub mod kernels;
 pub mod maintain;
 
 pub use column::ColumnData;
-pub use index::{ColumnIndex, ColumnSnapshot};
+pub use index::{ColumnIndex, ColumnSnapshot, IndexWriter};
 pub use maintain::ColumnIndexMaintainer;

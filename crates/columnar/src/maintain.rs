@@ -1,236 +1,257 @@
-//! Redo-log capture with delayed, batched application (§VI-E).
+//! Column-index maintenance from the redo feed (§VI-E).
 //!
 //! "The logical operations on the indexed column are captured from the log
 //! and converted to the corresponding operations on the index. … its
 //! updates can be delayed and batched. In this case, its version lags
 //! behind the row store's, and AP queries run on the version of snapshot
 //! subject to the column index."
+//!
+//! A [`ColumnIndexMaintainer`] is one more consumer of each DN's
+//! committed-transaction feed, beside the RO replicas: the batch is what one
+//! `ship()` carries, applied under one index write lock, and the feed's LSN
+//! per source node is the watermark a snapshot read waits on — the RO
+//! replica's session-consistency rule.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
-use polardbx_common::{Result, TableId, TrxId};
-use polardbx_wal::RedoPayload;
+use polardbx_common::time::mono_now;
+use polardbx_common::{Error, Lsn, NodeId, Result, TableId};
+use polardbx_storage::{CommittedTxn, RedoConsumer, RowChange, SessionToken};
 
 use crate::index::ColumnIndex;
 
-/// Decodes committed changes for one table out of the redo stream and
-/// applies them to its column index, optionally in delayed batches.
+/// Keeps one table's column index equal to its row store by applying the
+/// committed transactions the DNs' feeds carry.
+///
+/// Life cycle: create it, subscribe it to every DN, scan the table into the
+/// index at some `ts` the DNs' clocks have passed, then
+/// [`finish_build`](ColumnIndexMaintainer::finish_build)`(ts)`. What the
+/// feeds bring while the scan runs is held back; afterwards, and for good,
+/// a transaction committed at or below `ts` is skipped — the scan already
+/// holds its images.
 pub struct ColumnIndexMaintainer {
-    table: TableId,
     index: Arc<ColumnIndex>,
-    /// Uncommitted ops buffered per transaction (like the RO applier).
-    pending_txns: Mutex<HashMap<TrxId, Vec<RedoPayload>>>,
-    /// Committed batches not yet applied (delayed maintenance).
-    backlog: Mutex<Vec<(TrxId, u64, Vec<RedoPayload>)>>,
-    /// Apply immediately (batch size 1) or defer until `flush`.
-    batch_threshold: usize,
+    /// The shard tables whose rows the index holds.
+    shard_tables: HashSet<TableId>,
+    state: Mutex<FeedState>,
+}
+
+struct FeedState {
+    /// Per source node, the LSN its feed has been applied through.
+    applied: HashMap<NodeId, Lsn>,
+    /// The table's transactions fed while the initial scan runs; `None`
+    /// once the index is live.
+    held: Option<Vec<CommittedTxn>>,
+    /// The timestamp of the initial scan.
+    built_at: u64,
 }
 
 impl ColumnIndexMaintainer {
-    /// A maintainer applying each commit immediately.
-    pub fn immediate(table: TableId, index: Arc<ColumnIndex>) -> ColumnIndexMaintainer {
-        Self::with_batching(table, index, 1)
-    }
-
-    /// A maintainer that defers application until `batch_threshold`
-    /// committed transactions have accumulated (or `flush` is called).
-    pub fn with_batching(
-        table: TableId,
+    /// A maintainer for a fresh `index` over the rows of `shard_tables`.
+    pub fn new(
         index: Arc<ColumnIndex>,
-        batch_threshold: usize,
-    ) -> ColumnIndexMaintainer {
-        ColumnIndexMaintainer {
-            table,
+        shard_tables: impl IntoIterator<Item = TableId>,
+    ) -> Arc<ColumnIndexMaintainer> {
+        Arc::new(ColumnIndexMaintainer {
             index,
-            pending_txns: Mutex::new(HashMap::new()),
-            backlog: Mutex::new(Vec::new()),
-            batch_threshold: batch_threshold.max(1),
-        }
-    }
-
-    /// Feed one redo record from the log stream.
-    pub fn capture(&self, record: &RedoPayload) -> Result<()> {
-        match record {
-            RedoPayload::Insert { trx, table, .. }
-            | RedoPayload::Update { trx, table, .. }
-            | RedoPayload::Delete { trx, table, .. } if *table == self.table => {
-                self.pending_txns.lock().entry(*trx).or_default().push(record.clone());
-            }
-            RedoPayload::TxnCommit { trx, commit_ts } => {
-                let ops = self.pending_txns.lock().remove(trx);
-                if let Some(ops) = ops {
-                    if !ops.is_empty() {
-                        let ready = {
-                            let mut backlog = self.backlog.lock();
-                            backlog.push((*trx, *commit_ts, ops));
-                            backlog.len() >= self.batch_threshold
-                        };
-                        if ready {
-                            self.flush()?;
-                        }
-                    }
-                }
-            }
-            RedoPayload::TxnAbort { trx } => {
-                self.pending_txns.lock().remove(trx);
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Apply everything in the backlog (the batched maintenance step).
-    pub fn flush(&self) -> Result<()> {
-        let batch: Vec<_> = std::mem::take(&mut *self.backlog.lock());
-        for (trx, commit_ts, ops) in batch {
-            for op in ops {
-                match op {
-                    RedoPayload::Insert { key, row, .. }
-                    | RedoPayload::Update { key, row, .. } => {
-                        let decoded = polardbx_common::Key(row.to_vec()).decode();
-                        self.index.apply_put(
-                            trx,
-                            commit_ts,
-                            key,
-                            &polardbx_common::Row::new(decoded),
-                        )?;
-                    }
-                    RedoPayload::Delete { key, .. } => {
-                        self.index.apply_delete(trx, commit_ts, &key);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Committed transactions waiting for batched application.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.lock().len()
+            shard_tables: shard_tables.into_iter().collect(),
+            state: Mutex::new(FeedState {
+                applied: HashMap::new(),
+                held: Some(Vec::new()),
+                built_at: 0,
+            }),
+        })
     }
 
     /// The maintained index.
     pub fn index(&self) -> &Arc<ColumnIndex> {
         &self.index
     }
+
+    /// The initial scan at `built_at` is in the index: apply what was held
+    /// back meanwhile and go live. The index answers no snapshot older than
+    /// `built_at`.
+    pub fn finish_build(&self, built_at: u64) -> Result<()> {
+        let mut state = self.state.lock();
+        state.built_at = built_at;
+        self.index.raise_floor(built_at);
+        let held = state.held.take().unwrap_or_default();
+        self.apply(built_at, &held)
+    }
+
+    /// Is `change` to a row of the indexed table?
+    fn holds(&self, change: &RowChange) -> bool {
+        self.shard_tables.contains(&change.table)
+    }
+
+    /// Apply the changes `txns` made to the indexed table, under one write
+    /// lock: a snapshot sees a batch whole or not at all.
+    fn apply(&self, built_at: u64, txns: &[CommittedTxn]) -> Result<()> {
+        let mut writer = None;
+        for txn in txns.iter().filter(|txn| txn.commit_ts > built_at) {
+            for change in txn.changes.iter().filter(|c| self.holds(c)) {
+                let writer = writer.get_or_insert_with(|| self.index.writer());
+                match &change.row {
+                    Some(row) => writer.put(txn.trx, txn.commit_ts, change.key.clone(), row)?,
+                    None => writer.delete(txn.commit_ts, &change.key),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// LSN of `node`'s feed applied so far.
+    pub fn applied_lsn(&self, node: NodeId) -> Lsn {
+        self.state.lock().applied.get(&node).copied().unwrap_or(Lsn::ZERO)
+    }
+
+    /// Block until `node`'s feed has been applied through `token` — what
+    /// `RoNode::wait_for` is to a replica.
+    pub fn wait_for(&self, node: NodeId, token: SessionToken, timeout: Duration) -> Result<()> {
+        let deadline = mono_now() + timeout;
+        while self.applied_lsn(node) < token.0 {
+            if mono_now() >= deadline {
+                let what = format!("column index catch-up to {} of {node}", token.0);
+                return Err(Error::Timeout { what });
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
+}
+
+impl RedoConsumer for ColumnIndexMaintainer {
+    fn consume(&self, source: NodeId, through: Lsn, txns: &[CommittedTxn]) {
+        let mut state = self.state.lock();
+        match &mut state.held {
+            Some(held) => {
+                let touches = |txn: &&CommittedTxn| txn.changes.iter().any(|c| self.holds(c));
+                held.extend(txns.iter().filter(touches).cloned());
+            }
+            // A row the index cannot store retires it: no snapshot is
+            // answered from here on, and the row store serves the table.
+            None => {
+                if self.apply(state.built_at, txns).is_err() {
+                    self.index.raise_floor(u64::MAX);
+                }
+            }
+        }
+        state.applied.insert(source, through);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use polardbx_common::{DataType, Key, Row, Value};
+    use polardbx_common::{DataType, Key, Row, TrxId, Value};
+
+    const T: TableId = TableId(1);
+    const DN: NodeId = NodeId(7);
 
     fn key(n: i64) -> Key {
         Key::encode(&[Value::Int(n)])
     }
 
-    fn row_bytes(a: i64, b: f64) -> Bytes {
-        Bytes::from(Key::encode(&[Value::Int(a), Value::Double(b)]).0)
+    fn row(n: i64, b: f64) -> Row {
+        Row::new(vec![Value::Int(n), Value::Double(b)])
     }
 
-    const T: TableId = TableId(1);
-
-    fn insert(trx: u64, n: i64, b: f64) -> RedoPayload {
-        RedoPayload::Insert { trx: TrxId(trx), table: T, key: key(n), row: row_bytes(n, b) }
+    fn put(trx: u64, ts: u64, table: TableId, n: i64, b: f64) -> CommittedTxn {
+        let changes = vec![RowChange { table, key: key(n), row: Some(row(n, b)) }];
+        CommittedTxn { trx: TrxId(trx), commit_ts: ts, changes }
     }
 
-    fn commit(trx: u64, ts: u64) -> RedoPayload {
-        RedoPayload::TxnCommit { trx: TrxId(trx), commit_ts: ts }
+    fn delete(trx: u64, ts: u64, n: i64) -> CommittedTxn {
+        let changes = vec![RowChange { table: T, key: key(n), row: None }];
+        CommittedTxn { trx: TrxId(trx), commit_ts: ts, changes }
+    }
+
+    /// A live maintainer over an empty table built at `built_at`.
+    fn live(built_at: u64) -> (Arc<ColumnIndex>, Arc<ColumnIndexMaintainer>) {
+        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
+        let m = ColumnIndexMaintainer::new(Arc::clone(&idx), [T]);
+        m.finish_build(built_at).unwrap();
+        (idx, m)
     }
 
     #[test]
-    fn immediate_capture_applies_on_commit() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::immediate(T, Arc::clone(&idx));
-        m.capture(&insert(1, 5, 2.5)).unwrap();
-        assert_eq!(idx.snapshot(u64::MAX).len(), 0, "uncommitted: not applied");
-        m.capture(&commit(1, 10)).unwrap();
-        assert_eq!(idx.snapshot(10).len(), 1);
-        assert_eq!(
-            idx.snapshot(10).row(0),
-            Row::new(vec![Value::Int(5), Value::Double(2.5)])
-        );
-    }
-
-    #[test]
-    fn aborted_txn_dropped() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::immediate(T, Arc::clone(&idx));
-        m.capture(&insert(1, 5, 2.5)).unwrap();
-        m.capture(&RedoPayload::TxnAbort { trx: TrxId(1) }).unwrap();
-        m.capture(&commit(1, 10)).unwrap(); // late commit for a dropped txn
-        assert_eq!(idx.snapshot(u64::MAX).len(), 0);
-    }
-
-    #[test]
-    fn other_tables_ignored() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::immediate(T, Arc::clone(&idx));
-        m.capture(&RedoPayload::Insert {
-            trx: TrxId(1),
-            table: TableId(99),
-            key: key(1),
-            row: row_bytes(1, 1.0),
-        })
-        .unwrap();
-        m.capture(&commit(1, 10)).unwrap();
-        assert_eq!(idx.snapshot(u64::MAX).len(), 0);
-    }
-
-    #[test]
-    fn delayed_batching_lags_version() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::with_batching(T, Arc::clone(&idx), 3);
-        for t in 1..=2u64 {
-            m.capture(&insert(t, t as i64, 1.0)).unwrap();
-            m.capture(&commit(t, t * 10)).unwrap();
-        }
-        // Two commits buffered — the index version lags the row store.
-        assert_eq!(m.backlog_len(), 2);
-        assert_eq!(idx.version(), 0);
-        // Third commit crosses the threshold: all three apply.
-        m.capture(&insert(3, 3, 1.0)).unwrap();
-        m.capture(&commit(3, 30)).unwrap();
-        assert_eq!(m.backlog_len(), 0);
-        assert_eq!(idx.version(), 30);
-        assert_eq!(idx.snapshot(30).len(), 3);
-    }
-
-    #[test]
-    fn explicit_flush_drains_backlog() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::with_batching(T, Arc::clone(&idx), 100);
-        m.capture(&insert(1, 1, 1.0)).unwrap();
-        m.capture(&commit(1, 10)).unwrap();
-        assert_eq!(idx.version(), 0);
-        m.flush().unwrap();
-        assert_eq!(idx.version(), 10);
-    }
-
-    #[test]
-    fn update_and_delete_capture() {
-        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
-        let m = ColumnIndexMaintainer::immediate(T, Arc::clone(&idx));
-        m.capture(&insert(1, 5, 1.0)).unwrap();
-        m.capture(&commit(1, 10)).unwrap();
-        m.capture(&RedoPayload::Update {
-            trx: TrxId(2),
-            table: T,
-            key: key(5),
-            row: row_bytes(5, 9.0),
-        })
-        .unwrap();
-        m.capture(&commit(2, 20)).unwrap();
-        assert_eq!(
-            idx.snapshot(25).row(0),
-            Row::new(vec![Value::Int(5), Value::Double(9.0)])
-        );
-        m.capture(&RedoPayload::Delete { trx: TrxId(3), table: T, key: key(5) }).unwrap();
-        m.capture(&commit(3, 30)).unwrap();
+    fn a_fed_commit_is_applied_at_its_timestamp() {
+        let (idx, m) = live(0);
+        m.consume(DN, Lsn(40), &[put(1, 10, T, 5, 2.5)]);
+        assert_eq!(idx.snapshot(9).len(), 0);
+        assert_eq!(idx.snapshot(10).rows(), vec![row(5, 2.5)]);
+        m.consume(DN, Lsn(80), &[put(2, 20, T, 5, 9.0), delete(3, 30, 5)]);
+        assert_eq!(idx.snapshot(25).rows(), vec![row(5, 9.0)]);
         assert_eq!(idx.snapshot(30).len(), 0);
+        assert_eq!(m.applied_lsn(DN), Lsn(80));
+        assert_eq!(m.applied_lsn(NodeId(8)), Lsn::ZERO);
+    }
+
+    #[test]
+    fn other_tables_are_ignored() {
+        let (idx, m) = live(0);
+        m.consume(DN, Lsn(40), &[put(1, 10, TableId(99), 1, 1.0)]);
+        assert_eq!(idx.physical_rows(), 0);
+        assert_eq!(m.applied_lsn(DN), Lsn(40), "the feed still moved");
+    }
+
+    #[test]
+    fn the_build_holds_the_feed_back_and_skips_what_the_scan_reflects() {
+        let idx = ColumnIndex::new(vec![DataType::Int, DataType::Double]);
+        let m = ColumnIndexMaintainer::new(Arc::clone(&idx), [T]);
+        // Fed while the scan runs: one commit the scan at 15 reflects, one
+        // it does not.
+        m.consume(DN, Lsn(40), &[put(1, 10, T, 1, 1.0), put(2, 20, T, 2, 2.0)]);
+        assert_eq!(idx.physical_rows(), 0, "held back");
+        idx.apply_put(TrxId(0), 15, key(1), &row(1, 1.0)).unwrap();
+        m.finish_build(15).unwrap();
+        assert_eq!(idx.physical_rows(), 2, "key 1 was not applied twice");
+        assert_eq!(idx.snapshot(20).rows(), vec![row(1, 1.0), row(2, 2.0)]);
+        assert!(idx.snapshot_at(14).is_none(), "no history from before the build");
+        // A commit at or below the build that the feed delivers late.
+        m.consume(DN, Lsn(80), &[put(3, 12, T, 1, 1.0)]);
+        assert_eq!(idx.physical_rows(), 2);
+    }
+
+    #[test]
+    fn wait_for_is_the_replica_rule() {
+        let (_idx, m) = live(0);
+        m.consume(DN, Lsn(40), &[]);
+        m.wait_for(DN, SessionToken(Lsn(40)), Duration::ZERO).unwrap();
+        let err = m.wait_for(DN, SessionToken(Lsn(41)), Duration::from_millis(5)).unwrap_err();
+        assert!(matches!(err, Error::Timeout { .. }));
+    }
+
+    #[test]
+    fn tombstones_are_reclaimed_and_answers_unchanged() {
+        let (idx, m) = live(0);
+        let mut model = HashMap::new();
+        let (mut ts, mut most) = (0u64, 0usize);
+        // 10 000 updates of 100 keys, in feed batches of 50; the shipper
+        // offers a compaction after each.
+        for batch in 0..200u64 {
+            let txns: Vec<CommittedTxn> = (0..50u64)
+                .map(|i| {
+                    ts += 1;
+                    let k = ((batch * 50 + i) * 37 % 100) as i64;
+                    model.insert(k, ts as f64);
+                    put(ts, ts, T, k, ts as f64)
+                })
+                .collect();
+            m.consume(DN, Lsn(ts), &txns);
+            idx.reclaim();
+            most = most.max(idx.physical_rows());
+        }
+        assert_eq!(idx.live_rows(), 100);
+        assert!(most <= 100 * 2 + 50, "physical rows peaked at {most}");
+        assert!(idx.floor() > 0, "compaction raised the floor");
+        let mut rows = idx.snapshot_at(ts).expect("the newest snapshot is served").rows();
+        rows.sort_by(|a, b| a.values().cmp(b.values()));
+        let mut expect: Vec<Row> = model.iter().map(|(&k, &v)| row(k, v)).collect();
+        expect.sort_by(|a, b| a.values().cmp(b.values()));
+        assert_eq!(rows, expect);
     }
 }

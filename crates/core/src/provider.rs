@@ -103,12 +103,11 @@ impl TableProvider for ClusterProvider {
         Ok(rows)
     }
 
+    /// The table as of this provider's snapshot, from its column index —
+    /// whoever attached the index has waited for it to catch up with the
+    /// snapshot. `None` without an index, or for a snapshot below its floor.
     fn columnar(&self, table: &str) -> Option<ColumnSnapshot> {
-        let index = self.column_indexes.get(table)?;
-        // §VI-E: with delayed maintenance "AP queries run on the version of
-        // snapshot subject to the column index".
-        let ts = self.snapshot_ts.min(index.version());
-        Some(index.snapshot(ts))
+        self.column_indexes.get(table)?.snapshot_at(self.snapshot_ts)
     }
 }
 
@@ -187,27 +186,26 @@ mod tests {
     }
 
     #[test]
-    fn columnar_snapshot_lags_to_index_version() {
+    fn columnar_snapshot_is_taken_at_the_providers_timestamp() {
         use polardbx_columnar::ColumnIndex;
         use polardbx_executor::TableProvider;
         let (gms, engines, _schema) = setup();
         let index = ColumnIndex::new(vec![DataType::Int, DataType::Int]);
-        index
-            .apply_put(
-                TrxId(1),
-                50,
-                polardbx_common::Key::encode(&[Value::Int(1)]),
-                &polardbx_common::Row::new(vec![Value::Int(1), Value::Int(1)]),
-            )
-            .unwrap();
-        let mut indexes = HashMap::new();
-        indexes.insert("t".to_string(), index);
-        // Snapshot far ahead of the index version clamps down to it (§VI-E:
-        // delayed maintenance → AP runs at the index's version).
-        let p = ClusterProvider::new(gms, engines, 1_000_000).with_column_indexes(indexes);
-        let snap = p.columnar("t").unwrap();
-        assert_eq!(snap.ts, 50);
-        assert_eq!(snap.len(), 1);
-        assert!(p.columnar("other").is_none());
+        for (n, ts) in [(1, 50), (2, 70)] {
+            let row = polardbx_common::Row::new(vec![Value::Int(n), Value::Int(n)]);
+            let key = polardbx_common::Key::encode(&[Value::Int(n)]);
+            index.apply_put(TrxId(1), ts, key, &row).unwrap();
+        }
+        index.raise_floor(40);
+        let indexes: HashMap<_, _> = [("t".to_string(), index)].into();
+        let at = |ts| {
+            ClusterProvider::new(Arc::clone(&gms), engines.clone(), ts)
+                .with_column_indexes(indexes.clone())
+        };
+        let snap = at(60).columnar("t").unwrap();
+        assert_eq!((snap.ts, snap.len()), (60, 1));
+        assert_eq!(at(1_000_000).columnar("t").unwrap().len(), 2);
+        assert!(at(39).columnar("t").is_none(), "below the index's floor");
+        assert!(at(60).columnar("other").is_none());
     }
 }

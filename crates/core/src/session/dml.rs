@@ -1,6 +1,5 @@
 //! Session DML: INSERT / UPDATE / DELETE and global-index maintenance.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, TableSchema, Value};
@@ -10,7 +9,6 @@ use polardbx_txn::{DistTxn, ReadOp, WireWriteOp};
 
 use super::Session;
 use crate::access::{key_access, key_columns, KeyAccess};
-use crate::cluster::PolarDbx;
 use crate::gms::shard_table_id;
 
 /// A row an UPDATE / DELETE predicate kept, and where it was read.
@@ -146,7 +144,6 @@ impl Session {
         }
         txn.commit()?;
         self.inner.gms.record_rows(&ins.table, count as i64);
-        self.capture_column_index(&ins.table)?;
         Ok(count)
     }
 
@@ -259,7 +256,6 @@ impl Session {
             }
         }
         txn.commit()?;
-        self.capture_column_index(&u.table)?;
         Ok(count)
     }
 
@@ -284,21 +280,7 @@ impl Session {
         }
         txn.commit()?;
         self.inner.gms.record_rows(&d.table, -(count as i64));
-        self.capture_column_index(&d.table)?;
         Ok(count)
-    }
-
-    /// Refresh the column index after DML (simple strategy: incremental
-    /// rebuild only of the touched table when an index exists; the
-    /// maintainer path in `polardbx-columnar` covers log-capture, this
-    /// keeps the cluster-level index fresh without tailing every log).
-    fn capture_column_index(&self, table: &str) -> Result<()> {
-        let index = self.inner.column_indexes.read().get(table).cloned();
-        let Some(_) = index else { return Ok(()) };
-        // Rebuild-on-write is wasteful; drop and lazily rebuild instead.
-        self.inner.column_indexes.write().remove(table);
-        let this = PolarDbx { inner: Arc::clone(&self.inner) };
-        this.enable_column_index(table)
     }
 }
 

@@ -9,7 +9,6 @@ mod dml;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use polardbx_common::{
     ColumnDef, DcId, Error, IndexDef, IndexKind, NodeId, PartitionSpec, Result, Row,
@@ -149,9 +148,10 @@ impl Session {
 
     /// EXPLAIN: parse and plan a SELECT without executing it, returning
     /// the optimized operator tree, the TP/AP classification, and per
-    /// scanned table the store the executor reads (§VI-B/E) and the
-    /// row-store access path: `keys(n)` when the filter above the scan
-    /// names n primary keys, else `all shards`.
+    /// scanned table the store the executor reads (§VI-B/E) — with what a
+    /// column index can answer — and the row-store access path: `keys(n)`
+    /// when the filter above the scan names n primary keys, else `all
+    /// shards`.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
             return Err(Error::invalid("EXPLAIN supports SELECT only"));
@@ -165,7 +165,21 @@ impl Session {
             cost.rows_out
         ));
         for (table, choice) in Self::storage_choices(&plan, class, &stats) {
-            out.push_str(&format!("scan {table}: {choice:?}\n"));
+            out.push_str(&format!("scan {table}: {choice:?}"));
+            // What the index can answer: how far the feed has brought it,
+            // the oldest snapshot it serves, and how much of it is dead.
+            let index = self.inner.column_indexes.read().get(&table).cloned();
+            if let (StorageChoice::ColumnIndex, Some(index)) = (choice, index) {
+                let index = index.index();
+                out.push_str(&format!(
+                    " (applied ts {}, floor {}, rows {} live / {} physical)",
+                    index.version(),
+                    index.floor(),
+                    index.live_rows(),
+                    index.physical_rows()
+                ));
+            }
+            out.push('\n');
         }
         self.explain_access(&plan, None, &mut out)?;
         out.push_str(&plan.explain());
@@ -289,59 +303,27 @@ impl Session {
         stats: &Statistics,
         snapshot_ts: u64,
     ) -> ClusterProvider {
-        // AP queries read RO replicas when present and HTAP routing is on;
-        // TP (and AP without replicas) reads the RW engines.
-        let use_ro = class == WorkloadClass::Ap
-            && self.inner.htap_ro.load(Ordering::Relaxed)
-            && self.inner.dns.values().any(|d| !d.rw.ros().is_empty());
-        let engines: HashMap<NodeId, Arc<polardbx_storage::StorageEngine>> = self
-            .inner
-            .dns
-            .iter()
-            .map(|(&id, dn)| {
-                let engine = if use_ro {
-                    match dn.rw.ros().first() {
-                        Some(ro) => {
-                            // Session consistency (§II-C): the read carries
-                            // the RW's current LSN as a token; the replica
-                            // must catch up to it before serving. Take the
-                            // token BEFORE shipping: ship() synchronously
-                            // applies everything flushed at call time, so
-                            // the wait then succeeds immediately instead of
-                            // chasing commits that landed between ship()
-                            // and the token snapshot.
-                            let token = dn.rw.session_token();
-                            dn.rw.ship();
-                            let _ = ro.wait_for(token, Duration::from_millis(200));
-                            Arc::clone(&ro.engine)
-                        }
-                        None => Arc::clone(&dn.rw.engine),
-                    }
-                } else {
-                    Arc::clone(&dn.rw.engine)
-                };
-                (id, engine)
-            })
-            .collect();
-        let provider = ClusterProvider::new(Arc::clone(&self.inner.gms), engines, snapshot_ts);
+        // TP reads the RW engines and no index. AP queries read RO replicas
+        // when present and HTAP routing is on, and exactly the indexes
+        // `storage_choices` names: the executor reads an index iff the
+        // provider has one. One that cannot answer at this snapshot — the
+        // statement's snapshot is older than the index's floor — yields no
+        // snapshot, and the row store answers.
         if class == WorkloadClass::Tp {
-            return provider;
+            return self.inner.provider_at(snapshot_ts, false, HashMap::new());
         }
-        // The executor reads an index iff the provider has one, so an index
-        // that cannot answer at this snapshot is simply not attached: one
-        // that DML dropped to rebuild, or one rebuilt after the snapshot was
-        // taken — a rebuild keeps no history older than itself, and would
-        // show this statement an empty table.
         let registered = self.inner.column_indexes.read();
         let chosen = Self::storage_choices(plan, class, stats)
             .into_iter()
             .filter(|(_, choice)| *choice == StorageChoice::ColumnIndex)
             .filter_map(|(table, _)| {
-                let index = registered.get(&table)?;
-                (index.version() <= snapshot_ts).then(|| (table, Arc::clone(index)))
+                let index = Arc::clone(registered.get(&table)?);
+                Some((table, index))
             })
             .collect();
-        provider.with_column_indexes(chosen)
+        drop(registered);
+        let use_ro = self.inner.htap_ro.load(Ordering::Relaxed);
+        self.inner.provider_at(snapshot_ts, use_ro, chosen)
     }
 
     // ------------------------------------------------------------------- DDL
@@ -482,13 +464,13 @@ mod tests {
     use crate::cluster::{ClusterConfig, PolarDbx};
 
     #[test]
-    fn an_index_rebuilt_after_the_snapshot_is_not_attached() {
+    fn an_index_serves_no_snapshot_older_than_its_build() {
         let db = PolarDbx::build(ClusterConfig { ap_threshold: 0.0, ..Default::default() }).unwrap();
         let s = db.connect(DcId(1));
         s.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))").unwrap();
         s.execute("INSERT INTO t (id, v) VALUES (1, 1), (2, 2)").unwrap();
         db.enable_column_index("t").unwrap();
-        let built_at = db.inner.column_indexes.read()["t"].version();
+        let built_at = db.column_index("t").unwrap().floor();
 
         let Statement::Select(sel) = polardbx_sql::parse("SELECT SUM(v) FROM t").unwrap() else {
             unreachable!()
@@ -498,8 +480,12 @@ mod tests {
         let attached = |snapshot_ts| {
             s.build_provider(&plan, class, &stats, snapshot_ts).columnar("t").is_some()
         };
-        assert!(attached(built_at), "the index serves its own version and later");
+        assert!(attached(built_at), "the index serves its build timestamp and later");
         assert!(!attached(built_at - 1), "an older snapshot falls back to the row store");
+        // A write does not move the floor: the index keeps its history.
+        s.execute("INSERT INTO t (id, v) VALUES (3, 3)").unwrap();
+        assert_eq!(db.column_index("t").unwrap().floor(), built_at);
+        assert!(attached(built_at));
         db.shutdown();
     }
 }

@@ -33,17 +33,32 @@ pub struct Lane {
 
 #[derive(Debug)]
 enum LaneData {
-    /// Monomorphic column in kernel layout (dense vector + null bitmap).
-    Col(ColumnData),
+    /// Monomorphic column in kernel layout (dense vector + null bitmap),
+    /// shared with the column index when the lane came from a snapshot.
+    Col(Arc<ColumnData>),
     /// Mixed-type or Bytes column: exact values, no coercion.
     Vals(Vec<Value>),
 }
 
+/// [`LaneData`] borrowed, for the per-row loops to match on.
+enum LaneRef<'a> {
+    Col(&'a ColumnData),
+    Vals(&'a [Value]),
+}
+
 impl Lane {
-    /// Wrap an existing typed column (column-index snapshots).
-    pub fn from_column(col: ColumnData) -> Lane {
+    /// Wrap an existing typed column (column-index snapshots) without
+    /// copying it.
+    pub fn from_column(col: Arc<ColumnData>) -> Lane {
         let bytes = col.heap_size();
         Lane { data: LaneData::Col(col), bytes }
+    }
+
+    fn data(&self) -> LaneRef<'_> {
+        match &self.data {
+            LaneData::Col(c) => LaneRef::Col(c),
+            LaneData::Vals(v) => LaneRef::Vals(v),
+        }
     }
 
     /// Build a lane from exact values, choosing a typed layout when the
@@ -153,7 +168,7 @@ impl Lane {
                         ColumnData::Date(d, nulls)
                     }
                 };
-                return Lane { data: LaneData::Col(data), bytes };
+                return Lane { data: LaneData::Col(Arc::new(data)), bytes };
             }
         }
         bytes = vals.iter().map(Value::heap_size).sum();
@@ -213,8 +228,8 @@ impl Lane {
     /// Key-identity hash of physical row `i` (see [`ident_hash_value`])
     /// without materializing a `Value`.
     pub fn ident_hash(&self, i: usize, h: &mut impl Hasher) {
-        match &self.data {
-            LaneData::Col(ColumnData::Int(d, n)) => {
+        match self.data() {
+            LaneRef::Col(ColumnData::Int(d, n)) => {
                 if n[i] {
                     h.write_u8(0);
                 } else {
@@ -222,7 +237,7 @@ impl Lane {
                     h.write_i64(d[i]);
                 }
             }
-            LaneData::Col(ColumnData::Double(d, n)) => {
+            LaneRef::Col(ColumnData::Double(d, n)) => {
                 if n[i] {
                     h.write_u8(0);
                 } else {
@@ -230,7 +245,7 @@ impl Lane {
                     h.write_u64(d[i].to_bits());
                 }
             }
-            LaneData::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(d, n)) => {
                 if n[i] {
                     h.write_u8(0);
                 } else {
@@ -239,7 +254,7 @@ impl Lane {
                     h.write_u8(0xff);
                 }
             }
-            LaneData::Col(ColumnData::Date(d, n)) => {
+            LaneRef::Col(ColumnData::Date(d, n)) => {
                 if n[i] {
                     h.write_u8(0);
                 } else {
@@ -247,21 +262,21 @@ impl Lane {
                     h.write_i32(d[i]);
                 }
             }
-            LaneData::Vals(v) => ident_hash_value(&v[i], h),
+            LaneRef::Vals(v) => ident_hash_value(&v[i], h),
         }
     }
 
     /// SQL comparison of physical row `i` against a constant, without
     /// cloning string payloads. Mirrors [`Value::sql_cmp`] exactly.
     pub fn sql_cmp_const(&self, i: usize, v: &Value) -> Option<std::cmp::Ordering> {
-        match &self.data {
-            LaneData::Col(ColumnData::Int(d, n)) => {
+        match self.data() {
+            LaneRef::Col(ColumnData::Int(d, n)) => {
                 if n[i] { Value::Null.sql_cmp(v) } else { Value::Int(d[i]).sql_cmp(v) }
             }
-            LaneData::Col(ColumnData::Double(d, n)) => {
+            LaneRef::Col(ColumnData::Double(d, n)) => {
                 if n[i] { Value::Null.sql_cmp(v) } else { Value::Double(d[i]).sql_cmp(v) }
             }
-            LaneData::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(d, n)) => {
                 if n[i] {
                     Value::Null.sql_cmp(v)
                 } else {
@@ -272,38 +287,38 @@ impl Lane {
                     }
                 }
             }
-            LaneData::Col(ColumnData::Date(d, n)) => {
+            LaneRef::Col(ColumnData::Date(d, n)) => {
                 if n[i] { Value::Null.sql_cmp(v) } else { Value::Date(d[i]).sql_cmp(v) }
             }
-            LaneData::Vals(vals) => vals[i].sql_cmp(v),
+            LaneRef::Vals(vals) => vals[i].sql_cmp(v),
         }
     }
 
     /// Key-identity equality of physical row `i` against `v` (see
     /// [`ident_eq`]) without materializing a `Value`.
     pub fn ident_eq(&self, i: usize, v: &Value) -> bool {
-        match &self.data {
-            LaneData::Col(ColumnData::Int(d, n)) => match v {
+        match self.data() {
+            LaneRef::Col(ColumnData::Int(d, n)) => match v {
                 Value::Null => n[i],
                 Value::Int(x) => !n[i] && d[i] == *x,
                 _ => false,
             },
-            LaneData::Col(ColumnData::Double(d, n)) => match v {
+            LaneRef::Col(ColumnData::Double(d, n)) => match v {
                 Value::Null => n[i],
                 Value::Double(x) => !n[i] && d[i].to_bits() == x.to_bits(),
                 _ => false,
             },
-            LaneData::Col(ColumnData::Str(d, n)) => match v {
+            LaneRef::Col(ColumnData::Str(d, n)) => match v {
                 Value::Null => n[i],
                 Value::Str(s) => !n[i] && d[i] == *s,
                 _ => false,
             },
-            LaneData::Col(ColumnData::Date(d, n)) => match v {
+            LaneRef::Col(ColumnData::Date(d, n)) => match v {
                 Value::Null => n[i],
                 Value::Date(x) => !n[i] && d[i] == *x,
                 _ => false,
             },
-            LaneData::Vals(vals) => ident_eq(&vals[i], v),
+            LaneRef::Vals(vals) => ident_eq(&vals[i], v),
         }
     }
 }
@@ -398,17 +413,17 @@ impl Lane {
     /// Single-key identity hash of physical row `i`; agrees with
     /// [`ident_hash_one`] on the equivalent `Value`.
     pub fn ident_hash_row(&self, i: usize) -> u64 {
-        match &self.data {
-            LaneData::Col(ColumnData::Int(d, n)) => {
+        match self.data() {
+            LaneRef::Col(ColumnData::Int(d, n)) => {
                 if n[i] { mix64(TAG_NULL) } else { mix64(d[i] as u64 ^ TAG_INT) }
             }
-            LaneData::Col(ColumnData::Double(d, n)) => {
+            LaneRef::Col(ColumnData::Double(d, n)) => {
                 if n[i] { mix64(TAG_NULL) } else { mix64(d[i].to_bits() ^ TAG_DOUBLE) }
             }
-            LaneData::Col(ColumnData::Date(d, n)) => {
+            LaneRef::Col(ColumnData::Date(d, n)) => {
                 if n[i] { mix64(TAG_NULL) } else { mix64(d[i] as u64 ^ TAG_DATE) }
             }
-            LaneData::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(d, n)) => {
                 if n[i] {
                     mix64(TAG_NULL)
                 } else {
@@ -419,7 +434,7 @@ impl Lane {
                     h.finish()
                 }
             }
-            LaneData::Vals(v) => ident_hash_one(&v[i]),
+            LaneRef::Vals(v) => ident_hash_one(&v[i]),
         }
     }
 }

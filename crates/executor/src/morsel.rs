@@ -74,9 +74,10 @@ pub(crate) struct ScanSource {
 
 impl ScanSource {
     /// Open `table`: the column-index snapshot when the provider attaches
-    /// one (§VI-E) — its typed columns become the lanes every morsel
-    /// shares, its visible row ids are cut into selection ranges, and no
-    /// row is materialized — otherwise one task per row partition.
+    /// one (§VI-E) — the index's typed columns, shared not copied, become
+    /// the lanes every morsel shares, its visible row ids are cut into
+    /// selection ranges, and no row is materialized — otherwise one task
+    /// per row partition.
     pub(crate) fn open(provider: &Arc<dyn TableProvider>, table: &str) -> ScanSource {
         let t0 = Timer::start();
         let tasks = match provider.columnar(table) {
@@ -362,7 +363,7 @@ mod tests {
         fn columnar(&self, _t: &str) -> Option<ColumnSnapshot> {
             let n = self.0 as usize;
             Some(ColumnSnapshot {
-                columns: vec![ColumnData::Int((0..self.0).collect(), vec![false; n])],
+                columns: vec![Arc::new(ColumnData::Int((0..self.0).collect(), vec![false; n]))],
                 selection: (0..n as u32).step_by(2).collect(),
                 ts: 1,
             })

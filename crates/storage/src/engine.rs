@@ -26,6 +26,7 @@ use polardbx_wal::{
 };
 
 use crate::bufferpool::BufferPool;
+use crate::feed::{CommittedTxn, TxnAssembler};
 use crate::mvcc::{VersionOp, VersionStore};
 use crate::rowcodec::{decode_row, encode_row};
 use crate::shard::ShardedMap;
@@ -744,16 +745,19 @@ impl StorageEngine {
     }
 
     fn commit_impl(&self, trx: TrxId, commit_ts: u64, decided: bool) -> Result<Lsn> {
-        let ctx = self
-            .active
-            .remove(&trx)
-            .ok_or(Error::TxnAborted { reason: format!("unknown trx {trx}") })?;
-        // The table-map read guard spans this detach check through the
+        // The table-map read guard spans the detach check through the
         // commit stamps below: a store present here stays present for the
         // stamping loop (detach takes the write side). A write whose store
         // is already gone — a re-home cutover detached it mid-transaction —
         // must fail the commit, never skip the stamp and report success.
+        // It is taken before the context leaves `active`: a cutover drains
+        // on `has_active_writes_on`, and a context that vanished from there
+        // with the guard not yet held would let the detach in between.
         let tables = self.tables.read();
+        let ctx = match self.active.remove(&trx) {
+            Some(ctx) => ctx,
+            None => return Err(Error::TxnAborted { reason: format!("unknown trx {trx}") }),
+        };
         if let Some((missing, _)) = ctx.writes.iter().find(|(t, _)| !tables.contains_key(t)) {
             let missing = *missing;
             if decided {
@@ -930,6 +934,18 @@ impl StorageEngine {
         self.txns.forget_aborted();
     }
 
+    /// Install a transaction another node committed (replica apply): its
+    /// rows become versions stamped at its commit timestamp. Changes to a
+    /// table this engine does not hold are skipped.
+    pub fn apply_committed(&self, txn: &CommittedTxn) {
+        for change in &txn.changes {
+            if let Ok(store) = self.store(change.table) {
+                let op = change.row.clone().map_or(VersionOp::Delete, VersionOp::Put);
+                store.apply_committed(txn.trx, txn.commit_ts, change.key.clone(), op);
+            }
+        }
+    }
+
     /// Total visible row count of a table at `snapshot_ts` (tests/metrics).
     pub fn count_rows(&self, table: TableId, snapshot_ts: u64) -> Result<usize> {
         Ok(self.scan_table(table, snapshot_ts)?.len())
@@ -1000,72 +1016,39 @@ impl Drop for StorageEngine {
     }
 }
 
-/// Replays a redo stream onto an engine's stores: buffers row ops per
-/// transaction and applies them when the commit record arrives, with the
-/// commit timestamp. This is the apply loop of RO nodes (§II-C) and Paxos
+/// Replays a redo stream onto an engine's stores: each committed
+/// transaction the [`TxnAssembler`] yields is applied with its commit
+/// timestamp. This is the apply loop of RO nodes (§II-C) and Paxos
 /// followers (§III); aborted transactions' ops are dropped.
 pub struct RedoApplier {
     engine: Arc<StorageEngine>,
-    pending: Mutex<HashMap<TrxId, Vec<RedoPayload>>>,
+    assembler: Mutex<TxnAssembler>,
 }
 
 impl RedoApplier {
     /// An applier targeting `engine`.
     pub fn new(engine: Arc<StorageEngine>) -> RedoApplier {
-        RedoApplier { engine, pending: Mutex::new(HashMap::new()) }
+        RedoApplier { engine, assembler: Mutex::new(TxnAssembler::default()) }
     }
 
     /// Feed one record.
     pub fn apply(&self, record: &RedoPayload) {
-        match record {
-            RedoPayload::Insert { trx, .. }
-            | RedoPayload::Update { trx, .. }
-            | RedoPayload::Delete { trx, .. } => {
-                self.pending.lock().entry(*trx).or_default().push(record.clone());
-            }
-            RedoPayload::TxnCommit { trx, commit_ts } => {
-                let ops = self.pending.lock().remove(trx).unwrap_or_default();
-                for op in ops {
-                    match op {
-                        RedoPayload::Insert { table, key, row, .. }
-                        | RedoPayload::Update { table, key, row, .. } => {
-                            if let Ok(store) = self.engine.store(table) {
-                                store.apply_committed(
-                                    *trx,
-                                    *commit_ts,
-                                    key,
-                                    VersionOp::Put(decode_row(&row)),
-                                );
-                            }
-                        }
-                        RedoPayload::Delete { table, key, .. } => {
-                            if let Ok(store) = self.engine.store(table) {
-                                store.apply_committed(*trx, *commit_ts, key, VersionOp::Delete);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            RedoPayload::TxnAbort { trx } => {
-                self.pending.lock().remove(trx);
-            }
-            // Prepare/checkpoint/tenant markers carry no row changes.
-            _ => {}
+        let committed = self.assembler.lock().push(record.clone());
+        if let Some(txn) = committed {
+            self.engine.apply_committed(&txn);
         }
     }
 
     /// Feed a whole byte run of encoded records.
     pub fn apply_bytes(&self, bytes: Bytes) -> Result<()> {
-        for rec in RedoPayload::decode_all(bytes)? {
-            self.apply(&rec);
-        }
+        let committed = self.assembler.lock().feed(bytes)?;
+        committed.iter().for_each(|txn| self.engine.apply_committed(txn));
         Ok(())
     }
 
     /// Transactions whose commit record has not arrived yet.
     pub fn in_flight(&self) -> usize {
-        self.pending.lock().len()
+        self.assembler.lock().in_flight()
     }
 }
 
@@ -1491,5 +1474,66 @@ mod tests {
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "x"))).unwrap();
         e.commit(TrxId(1), 10).unwrap();
         assert_eq!(e.read(T, &key(1), 20, None).unwrap(), Some(row(1, "x")));
+    }
+    /// A cutover drains on `has_active_writes_on` and then detaches. The
+    /// drain must not see a committing transaction gone before the commit
+    /// holds the table map: the detach would slip in, and a decided
+    /// phase-two commit would find its store missing and stay PREPARED for
+    /// good (nothing re-drives it), its readers waiting on it.
+    #[test]
+    fn a_drained_cutover_never_strands_a_decided_commit() {
+        use std::sync::atomic::AtomicU64;
+        let e = engine();
+        let stop = Arc::new(AtomicBool::new(false));
+        let committed = Arc::new(AtomicU64::new(0));
+        let committer = {
+            let (e, stop, committed) = (Arc::clone(&e), Arc::clone(&stop), Arc::clone(&committed));
+            std::thread::spawn(move || -> Result<()> {
+                for n in 1.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let trx = TrxId(n);
+                    e.begin(trx, 2 * n);
+                    match e.write(trx, T, key(1), WriteOp::Update(row(1, "x"))) {
+                        Ok(()) => {}
+                        // Frozen, or between detach and attach.
+                        Err(Error::Throttled { .. } | Error::UnknownTable { .. }) => {
+                            e.abort(trx);
+                            continue;
+                        }
+                        Err(err) => panic!("write: {err:?}"),
+                    }
+                    e.prepare(trx, 2 * n)?;
+                    // Stranded: stop the cutovers, whose drain would now
+                    // wait on this transaction for ever.
+                    e.commit_decided(trx, 2 * n + 1)
+                        .inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
+                    committed.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(())
+            })
+        };
+        // 2 000 cutovers, and more for as long as it takes the committer to
+        // get 50 commits through between them.
+        let mut cutovers = 0;
+        while (cutovers < 2_000 || committed.load(Ordering::Relaxed) < 50)
+            && !stop.load(Ordering::Relaxed)
+        {
+            cutovers += 1;
+            e.freeze_writes(T);
+            while e.has_active_writes_on(T) && !stop.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
+            if !stop.load(Ordering::Relaxed) {
+                let store = e.detach_table(T).unwrap();
+                std::thread::yield_now(); // the store is on its way to another node
+                e.attach_table(T, store, TEN);
+            }
+            e.unfreeze_writes(T);
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
+        committer.join().unwrap().expect("stranded by a drained cutover");
     }
 }

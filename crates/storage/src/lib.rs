@@ -20,9 +20,13 @@
 //!   redo stream, apply up to `lsn_RO`, serve snapshot reads, and support
 //!   session consistency by waiting for a required LSN; laggards are
 //!   detected and evicted (§II-C).
+//! * **The committed-transaction feed** ([`feed`]) — the shipped redo
+//!   decoded once into whole transactions, for the replicas and for every
+//!   other consumer of a node's log (the column index, §VI-E).
 
 pub mod bufferpool;
 pub mod engine;
+pub mod feed;
 pub mod mvcc;
 pub mod recovery;
 pub mod replication;
@@ -31,6 +35,7 @@ pub mod shard;
 pub mod txn;
 
 pub use bufferpool::{BufferPool, BufferPoolStats};
+pub use feed::{CommittedTxn, RedoConsumer, RowChange, TxnAssembler};
 pub use engine::{Durability, LocalDurability, StorageEngine, SyncLocalDurability, WriteOp};
 pub use recovery::{recover_from_sink, recovered_engine, replay_records, RecoveryReport};
 pub use mvcc::{ReadResult, VersionStore};

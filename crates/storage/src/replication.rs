@@ -6,10 +6,14 @@
 //! `min(lsn_ROi)` and evicts replicas lagging beyond a threshold. Session
 //! consistency is implemented by CN tracking `LSN_RW` and the RO waiting
 //! until its applied LSN catches up before serving the read.
+//!
+//! The shipped log range is decoded once ([`TxnAssembler`]) and its
+//! committed transactions go to every [`RedoConsumer`] of the node: the RO
+//! replicas, and whoever else subscribed (the column indexes, §VI-E).
 
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -17,7 +21,8 @@ use polardbx_common::time::mono_now;
 use polardbx_common::{Error, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId};
 use polardbx_wal::{EpochConfig, EpochPipeline, LocalEpochSink, LogBuffer, LogSink, Mtr, VecSink};
 
-use crate::engine::{Durability, LocalDurability, RedoApplier, StorageEngine, WriteOp};
+use crate::engine::{Durability, LocalDurability, StorageEngine, WriteOp};
+use crate::feed::{CommittedTxn, RedoConsumer, TxnAssembler};
 use crate::mvcc as polardbx_storage_mvcc;
 
 /// Session-consistency token: the RW LSN the client last observed. Reads
@@ -31,7 +36,6 @@ pub struct RoNode {
     pub id: NodeId,
     /// The replica's engine (applied state).
     pub engine: Arc<StorageEngine>,
-    applier: RedoApplier,
     applied: AtomicU64,
     /// Artificial per-batch apply delay for lag-injection tests.
     apply_delay: Mutex<Duration>,
@@ -40,11 +44,9 @@ pub struct RoNode {
 
 impl RoNode {
     fn new(id: NodeId) -> Arc<RoNode> {
-        let engine = StorageEngine::in_memory();
         Arc::new(RoNode {
             id,
-            applier: RedoApplier::new(Arc::clone(&engine)),
-            engine,
+            engine: StorageEngine::in_memory(),
             applied: AtomicU64::new(0),
             apply_delay: Mutex::new(Duration::ZERO),
             alive: std::sync::atomic::AtomicBool::new(true),
@@ -61,14 +63,6 @@ impl RoNode {
         *self.apply_delay.lock() = d;
     }
 
-    fn apply_batch(&self, end: Lsn, bytes: Bytes) {
-        let d = *self.apply_delay.lock();
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-        let _ = self.applier.apply_bytes(bytes);
-        self.applied.fetch_max(end.raw(), Ordering::AcqRel);
-    }
 
     /// Snapshot read at the replica's current applied snapshot, honouring a
     /// session token: waits until `token` is applied (§II-C session
@@ -102,6 +96,26 @@ impl RoNode {
     }
 }
 
+impl RedoConsumer for RoNode {
+    fn consume(&self, _source: NodeId, through: Lsn, txns: &[CommittedTxn]) {
+        let d = *self.apply_delay.lock();
+        if !d.is_zero() {
+            std::thread::sleep(d);
+        }
+        txns.iter().for_each(|txn| self.engine.apply_committed(txn));
+        self.applied.fetch_max(through.raw(), Ordering::AcqRel);
+    }
+}
+
+/// How far the node's log has been shipped, and the transactions that
+/// prefix left undecided. One lock: a batch is decoded and handed to every
+/// consumer before the next one starts, so consumers see log order.
+#[derive(Default)]
+struct Feed {
+    shipped: Lsn,
+    assembler: TxnAssembler,
+}
+
 /// The read-write node: owns the authoritative engine and the redo feed.
 pub struct RwNode {
     /// Node id.
@@ -111,8 +125,10 @@ pub struct RwNode {
     log: Arc<LogBuffer>,
     sink: Arc<VecSink>,
     ros: RwLock<Vec<Arc<RoNode>>>,
-    /// Offset of log already shipped to ROs.
-    shipped: Mutex<Lsn>,
+    /// Feed consumers besides the replicas; one that was dropped is
+    /// forgotten at the next ship.
+    subscribers: RwLock<Vec<Weak<dyn RedoConsumer>>>,
+    feed: Mutex<Feed>,
     next_ro: AtomicU64,
     /// Mirror of created tables so new ROs can register them.
     tables: Mutex<Vec<(TableId, TenantId)>>,
@@ -143,7 +159,8 @@ impl RwNode {
             log,
             sink,
             ros: RwLock::new(Vec::new()),
-            shipped: Mutex::new(Lsn::ZERO),
+            subscribers: RwLock::new(Vec::new()),
+            feed: Mutex::new(Feed::default()),
             next_ro: AtomicU64::new(id.raw() * 100 + 1),
             tables: Mutex::new(Vec::new()),
         })
@@ -167,17 +184,33 @@ impl RwNode {
             ro.engine.create_table(table, tenant);
         }
         // Catch the newcomer up to everything already shipped, holding the
-        // ship lock so a concurrent ship cannot slip a batch past us.
-        let shipped = self.shipped.lock();
-        if *shipped > Lsn::ZERO {
-            let batch = Bytes::from(self.sink.range(Lsn::ZERO, *shipped));
-            ro.apply_batch(*shipped, batch);
+        // feed so a concurrent ship cannot slip a batch past us. What that
+        // prefix left undecided the node's assembler holds too, so the
+        // batches to come carry those transactions whole.
+        let feed = self.feed.lock();
+        if feed.shipped > Lsn::ZERO {
+            let prefix = Bytes::from(self.sink.range(Lsn::ZERO, feed.shipped));
+            let txns = TxnAssembler::default().feed(prefix).unwrap_or_default();
+            ro.consume(self.id, feed.shipped, &txns);
         }
         self.ros.write().push(Arc::clone(&ro));
-        drop(shipped);
+        drop(feed);
         // And anything flushed but not yet shipped.
         self.ship();
         ro
+    }
+
+    /// Subscribe `consumer` to the feed: it is told where the feed stands
+    /// (an empty batch), then receives, whole, every transaction whose
+    /// commit record lies above that LSN. The log below it is decoded
+    /// first, consumers or not: the assembler has to know which
+    /// transactions that prefix left undecided. The node holds `consumer`
+    /// weakly; dropping it ends the subscription.
+    pub fn subscribe(&self, consumer: &Arc<dyn RedoConsumer>) {
+        let mut feed = self.feed.lock();
+        self.advance(&mut feed, &self.consumers());
+        consumer.consume(self.id, feed.shipped, &[]);
+        self.subscribers.write().push(Arc::downgrade(consumer));
     }
 
     fn table_map(&self) -> Vec<(TableId, TenantId)> {
@@ -199,24 +232,68 @@ impl RwNode {
         SessionToken(self.log.flushed())
     }
 
-    /// Broadcast new log to replicas (step ④/⑤ of Fig 3). Called after
-    /// commits; returns the shipped-through LSN.
+    /// Broadcast new log to the feed's consumers (step ④/⑤ of Fig 3);
+    /// returns the shipped-through LSN. With no consumer nothing is read or
+    /// decoded: the feed stays where it is until one arrives.
     pub fn ship(&self) -> Lsn {
-        let mut shipped = self.shipped.lock();
-        let head = self.log.flushed();
-        if head > *shipped {
-            // Ship only the unshipped tail: `range` copies just those
-            // bytes, so the 1ms-cadence shipper stays O(new bytes) instead
-            // of re-concatenating the whole log every tick.
-            let batch = Bytes::from(self.sink.range(*shipped, head));
-            for ro in self.ros.read().iter() {
-                if ro.is_alive() {
-                    ro.apply_batch(head, batch.clone());
-                }
-            }
-            *shipped = head;
+        let mut feed = self.feed.lock();
+        self.ship_locked(&mut feed);
+        feed.shipped
+    }
+
+    fn ship_locked(&self, feed: &mut Feed) {
+        let consumers = self.consumers();
+        if !consumers.is_empty() {
+            self.advance(feed, &consumers);
         }
-        *shipped
+    }
+
+    /// The live replicas and subscribers.
+    fn consumers(&self) -> Vec<Arc<dyn RedoConsumer>> {
+        let mut subscribers = self.subscribers.write();
+        subscribers.retain(|s| s.strong_count() > 0);
+        let ros = self.ros.read();
+        let ros = ros.iter().filter(|ro| ro.is_alive());
+        ros.map(|ro| Arc::clone(ro) as Arc<dyn RedoConsumer>)
+            .chain(subscribers.iter().filter_map(Weak::upgrade))
+            .collect()
+    }
+
+    /// Decode the unshipped tail once and hand its committed transactions
+    /// to `consumers`. Only that tail is copied, so the 1ms-cadence shipper
+    /// stays O(new bytes).
+    fn advance(&self, feed: &mut Feed, consumers: &[Arc<dyn RedoConsumer>]) {
+        let head = self.log.flushed();
+        if head > feed.shipped {
+            let batch = Bytes::from(self.sink.range(feed.shipped, head));
+            let txns = feed.assembler.feed(batch).unwrap_or_default();
+            for consumer in consumers {
+                consumer.consume(self.id, head, &txns);
+            }
+            feed.shipped = head;
+        }
+    }
+
+    /// Ship until the feed holds every commit a snapshot at `snapshot_ts`
+    /// may see: what is flushed now, plus the decision of each transaction
+    /// the log shows PREPARED at or below `snapshot_ts` — phase two of a
+    /// commit is posted after its client was answered, so an acknowledged
+    /// commit can still be undecided here. The caller has already moved
+    /// the node's clock past `snapshot_ts`, so nothing prepared from now on
+    /// commits below it. Returns the token consumers wait for; gives up on
+    /// a decision after `timeout`, as a reader of the row store would.
+    pub fn ship_for_snapshot(&self, snapshot_ts: u64, timeout: Duration) -> SessionToken {
+        let deadline = mono_now() + timeout;
+        loop {
+            let token = self.session_token();
+            let mut feed = self.feed.lock();
+            self.ship_locked(&mut feed);
+            if !feed.assembler.in_doubt_at(snapshot_ts) || mono_now() >= deadline {
+                return token;
+            }
+            drop(feed);
+            std::thread::yield_now();
+        }
     }
 
     /// The log purge horizon: `min(lsn_ROi)` (step ⑧ of Fig 3).

@@ -8,20 +8,31 @@
 //! * the one remaining join records its time;
 //! * an index-sourced query still runs under the AP governor;
 //! * all 22 TPC-H shapes agree across both engines, both sources and both
-//!   degrees of parallelism.
+//!   degrees of parallelism;
+//! * the column index is fed by the DNs' redo: a write reaches it whoever
+//!   made it and from whichever CN, an indexed INSERT scans nothing and
+//!   appends one row, snapshots share the index's columns, and at every
+//!   commit timestamp of a concurrent run — built mid-run, through a
+//!   re-home round — the index equals the row store.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use polardbx::{ClusterConfig, PolarDbx};
+use polardbx::gms::shard_table_id;
+use polardbx::{ClusterConfig, PolarDbx, Session};
 use polardbx_columnar::ColumnSnapshot;
-use polardbx_common::{DcId, Result, Row, Value};
+use polardbx_common::testseed::{format_seed, seed_from_env};
+use polardbx_common::{DcId, Error, Key, NodeId, Result, Row, Value};
 use polardbx_executor::{
     exec_metrics, execute_plan, ExecCtx, MppExecutor, TableProvider, WorkloadManager,
 };
 use polardbx_sql::{LogicalPlan, Statement};
+use polardbx_txn::WireWriteOp;
+use polardbx_wal::RedoPayload;
 use polardbx_workloads::tpch;
+use rand::{Rng, SeedableRng};
 
 fn plan(db: &PolarDbx, sql: &str) -> LogicalPlan {
     let Statement::Select(sel) = polardbx_sql::parse(sql).unwrap() else {
@@ -198,6 +209,11 @@ fn paused_governor_stalls_an_index_sourced_query() {
     let sql = "SELECT COUNT(*), SUM(v) FROM m WHERE v >= 0";
     let explain = s.explain(sql).unwrap();
     assert!(explain.contains("class: Ap") && explain.contains("scan m: ColumnIndex"), "{explain}");
+    // What the index can answer: the build stamped every row at its floor.
+    let floor = db.column_index("m").unwrap().floor();
+    let can_answer =
+        format!("(applied ts {floor}, floor {floor}, rows 3000 live / 3000 physical)\n");
+    assert!(floor > 0 && explain.contains(&can_answer), "{explain}");
 
     db.workload().ap_governor.set_paused(true);
     let (tx, rx) = std::sync::mpsc::channel();
@@ -266,4 +282,250 @@ fn tpch_shapes_agree_across_engines_and_sources() {
         }
         db.shutdown();
     }
+}
+
+// ------------------------------------------------- the index is fed by redo
+
+/// `SELECT COUNT(*), SUM(v) FROM t` as the AP engine answers it.
+fn count_and_sum(s: &Session) -> (i64, i64) {
+    let rows = s.query("SELECT COUNT(*), SUM(v) FROM t").unwrap();
+    (rows[0].get(0).unwrap().as_int().unwrap(), rows[0].get(1).unwrap().as_int().unwrap())
+}
+
+/// A write that does not go through `Session` DML — the coordinator API
+/// every loader and driver uses — reaches the index like any other commit.
+#[test]
+fn a_write_through_the_coordinator_reaches_the_index() {
+    let db = PolarDbx::build(ClusterConfig { ap_threshold: 0.0, ..Default::default() }).unwrap();
+    let s = db.connect(DcId(1));
+    s.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))").unwrap();
+    s.execute("INSERT INTO t (id, v) VALUES (1, 10), (2, 20), (3, 30)").unwrap();
+    db.enable_column_index("t").unwrap();
+    let explain = s.explain("SELECT COUNT(*), SUM(v) FROM t").unwrap();
+    assert!(explain.contains("scan t: ColumnIndex"), "{explain}");
+    assert_eq!(count_and_sum(&s), (3, 60));
+
+    let pk = [Value::Int(4)];
+    let (stid, dn, epoch) = s.route_fenced("t", &pk).unwrap();
+    let mut txn = s.coordinator().begin();
+    txn.pin_epoch(stid, epoch).unwrap();
+    let row = Row::new(vec![Value::Int(4), Value::Int(40)]);
+    txn.write(dn, stid, Key::encode(&pk), WireWriteOp::Insert(row)).unwrap();
+    txn.commit().unwrap();
+
+    assert_eq!(count_and_sum(&s), (4, 100), "the AP aggregate missed a committed row");
+    assert_eq!(db.column_index("t").unwrap().physical_rows(), 4);
+    db.shutdown();
+}
+
+/// Read-your-writes through the index from a CN other than the one the
+/// index was built on: the index waits for the DNs' logs, not for some
+/// CN's clock. Every fourth INSERT spans shards, so its phase two is still
+/// in flight when the aggregate starts.
+#[test]
+fn a_session_in_another_dc_reads_its_own_inserts_through_the_index() {
+    let db = PolarDbx::build(ClusterConfig {
+        dcs: 3,
+        cns_per_dc: 1,
+        dns: 3,
+        ap_threshold: 0.0,
+        ..Default::default()
+    })
+    .unwrap();
+    db.connect(DcId(1))
+        .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))")
+        .unwrap();
+    db.enable_column_index("t").unwrap();
+    let s = db.connect(DcId(2));
+    assert_eq!(s.cn_dc(), DcId(2));
+    let (mut count, mut sum) = (0i64, 0i64);
+    for i in 0..200i64 {
+        let ids: Vec<i64> = if i % 4 == 3 { (0..3).map(|k| 1_000 + 3 * i + k).collect() } else { vec![i] };
+        let values: Vec<String> = ids.iter().map(|id| format!("({id}, {id})")).collect();
+        s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(","))).unwrap();
+        count += ids.len() as i64;
+        sum += ids.iter().sum::<i64>();
+        assert_eq!(count_and_sum(&s), (count, sum), "after INSERT #{i} of {ids:?}");
+    }
+    assert_eq!(db.column_index("t").unwrap().live_rows() as i64, count);
+    assert_eq!(db.column_index_builds(), 1, "reads and writes rebuild nothing");
+    db.shutdown();
+}
+
+/// The exact counts of an indexed INSERT: no table scan (a build is the
+/// only thing that scans for the index, and none runs), one appended index
+/// row, and snapshots that share the index's columns instead of copying.
+#[test]
+fn an_indexed_insert_appends_one_row_and_snapshots_share_the_columns() {
+    let db = fact_and_dim();
+    let s = db.connect(DcId(1));
+    let index = db.column_index("fact").unwrap();
+    assert_eq!((db.column_index_builds(), index.physical_rows()), (1, 2_000));
+
+    s.execute("INSERT INTO fact (id, grp, amt) VALUES (2000, 0, 1.5)").unwrap();
+    db.ship_now();
+    assert_eq!(db.column_index_builds(), 1, "the INSERT rebuilt the index");
+    assert!(Arc::ptr_eq(&index, &db.column_index("fact").unwrap()), "the index was replaced");
+    assert_eq!(index.physical_rows(), 2_001);
+
+    let (a, b) = (index.snapshot(u64::MAX), index.snapshot(u64::MAX));
+    assert_eq!(a.len(), 2_001);
+    for (x, y) in a.columns.iter().zip(&b.columns) {
+        assert!(Arc::ptr_eq(x, y), "two snapshots with no write between them copied a column");
+    }
+    // A write while a snapshot is alive copies; the snapshot does not move.
+    s.execute("INSERT INTO fact (id, grp, amt) VALUES (2001, 1, 2.5)").unwrap();
+    db.ship_now();
+    assert_eq!((a.len(), a.columns[0].len()), (2_001, 2_001));
+    assert_eq!(index.snapshot(u64::MAX).len(), 2_002);
+    db.shutdown();
+}
+
+// ---------------------------------- row store ≡ column index, with history
+
+/// One seed: four writers run INSERT / UPDATE / DELETE, single- and
+/// multi-shard (one-phase commits, and 2PC whose phase two is posted),
+/// while the index is built and then every shard is re-homed once. After
+/// they stop, the index must hold the table's whole history since its
+/// build: at every commit timestamp, the rows the row store shows.
+fn index_equals_row_store_at_every_commit(seed: u64) {
+    eprintln!("index history differential seed: POLARDBX_TEST_SEED={}", format_seed(seed));
+    const WRITERS: u64 = 4;
+    const SHARED: i64 = 400;
+    let db = PolarDbx::build(ClusterConfig { dns: 3, default_shards: 6, ..Default::default() })
+        .unwrap();
+    let s = db.connect(DcId(1));
+    s.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, note VARCHAR(8), PRIMARY KEY (id))")
+        .unwrap();
+    for chunk in 0..4 {
+        let values: Vec<String> =
+            (chunk * 100..(chunk + 1) * 100).map(|i| format!("({i}, 0, 'seed')")).collect();
+        s.execute(&format!("INSERT INTO t (id, v, note) VALUES {}", values.join(","))).unwrap();
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicU64::new(0));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let session = db.connect_nth(w as usize);
+            let (stop, done) = (Arc::clone(&stop), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ w);
+                // Ids this writer inserted and has not deleted; nobody else
+                // touches them.
+                let (mut own, mut next) = (Vec::<i64>::new(), 10_000 * (w as i64 + 1));
+                while !stop.load(Ordering::Relaxed) {
+                    let n = if rng.gen_bool(0.5) { 1 } else { 3 };
+                    let sql = match rng.gen_range(0..10) {
+                        0..=4 => {
+                            let ids: Vec<i64> = (next..next + n).collect();
+                            next += n;
+                            own.extend(&ids);
+                            let values: Vec<String> =
+                                ids.iter().map(|id| format!("({id}, {w}, 'new')")).collect();
+                            format!("INSERT INTO t (id, v, note) VALUES {}", values.join(","))
+                        }
+                        5..=7 => {
+                            let ids: Vec<String> =
+                                (0..n).map(|_| rng.gen_range(0..SHARED).to_string()).collect();
+                            format!("UPDATE t SET v = v + 1, note = 'upd' WHERE id IN ({})", ids.join(","))
+                        }
+                        _ if own.len() >= n as usize => {
+                            let ids: Vec<String> =
+                                own.drain(..n as usize).map(|id| id.to_string()).collect();
+                            format!("DELETE FROM t WHERE id IN ({})", ids.join(","))
+                        }
+                        _ => continue,
+                    };
+                    match session.execute(&sql) {
+                        Ok(_) => {}
+                        // Lost a shared row to another writer.
+                        Err(e) if e.is_retryable() => {}
+                        Err(e) => panic!("writer {w}: {sql}: {e:?}"),
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        })
+        .collect();
+    // Each step starts once the writers have got 60 statements further, so
+    // the build and the cutovers run under them.
+    let writers_advance = || {
+        let target = done.load(Ordering::Relaxed) + 60;
+        while done.load(Ordering::Relaxed) < target {
+            std::thread::yield_now();
+        }
+    };
+    writers_advance();
+    db.enable_column_index("t").unwrap();
+    let built_at = db.column_index("t").unwrap().floor();
+    writers_advance();
+    let schema = db.gms().table("t").unwrap();
+    let dns: Vec<NodeId> = db.gms().dns();
+    for shard in 0..6u32 {
+        let cur = db.gms().shard_dn(schema.id, shard).unwrap();
+        let dest = *dns.iter().find(|&&d| d != cur).unwrap();
+        // A drain can time out retryably under the writers.
+        let moved = (0..50).any(|_| match db.rehome_shard("t", shard, dest) {
+            Ok(_) => true,
+            Err(Error::Timeout { .. }) => false,
+            Err(e) => panic!("rehome of shard {shard}: {e:?}"),
+        });
+        assert!(moved, "shard {shard} never moved");
+    }
+    writers_advance();
+    stop.store(true, Ordering::Relaxed);
+    writers.into_iter().for_each(|w| w.join().unwrap());
+    db.ship_now();
+
+    let index = db.column_index("t").unwrap();
+    assert_eq!(db.column_index_builds(), 1);
+    // The mix keeps the tombstoned share under the reclaimer's trigger, so
+    // the whole history since the build is there to compare.
+    let floor = index.floor();
+    assert_eq!(floor, built_at, "seed {seed:#x}: the index was compacted mid-run");
+    // Every commit timestamp in any DN's log since the build, and the
+    // build's own.
+    let mut stamps = BTreeSet::from([floor]);
+    for dn in db.dns() {
+        let log = bytes::Bytes::from(dn.rw.log_sink_bytes());
+        for record in RedoPayload::decode_all(log).unwrap() {
+            if let RedoPayload::TxnCommit { commit_ts, .. } = record {
+                stamps.extend((commit_ts >= floor).then_some(commit_ts));
+            }
+        }
+    }
+    assert!(stamps.len() > 100, "only {} commits after the build", stamps.len());
+    eprintln!("seed {seed:#x}: {} commit timestamps, {} index rows", stamps.len(), index.physical_rows());
+    let row_store_at = |ts: u64| -> Vec<Row> {
+        let mut rows = Vec::new();
+        for shard in 0..6u32 {
+            let home = db.gms().shard_dn(schema.id, shard).unwrap();
+            let dn = db.dns().into_iter().find(|dn| dn.id == home).unwrap();
+            // A transaction left PREPARED for good would show here, as a
+            // reader timing out on its decision.
+            let scanned = dn
+                .rw
+                .engine
+                .scan_table(shard_table_id(schema.id, shard), ts)
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: shard {shard} at {ts}: {e:?}"));
+            rows.extend(scanned.into_iter().map(|(_, row)| row));
+        }
+        sorted(rows)
+    };
+    for &ts in &stamps {
+        let snapshot = index.snapshot_at(ts).expect("at or above the floor");
+        assert_eq!(sorted(snapshot.rows()), row_store_at(ts), "seed {seed:#x}: at commit ts {ts}");
+    }
+    db.shutdown();
+}
+
+#[test]
+fn index_equals_row_store_at_every_commit_on_three_seeds() {
+    // POLARDBX_TEST_SEED replays one seed; the default is three fixed ones.
+    let seeds = match seed_from_env(0) {
+        0 => vec![0x1DC0_FEED_0001, 0x1DC0_FEED_0002, 0x1DC0_FEED_0003],
+        pinned => vec![pinned],
+    };
+    seeds.into_iter().for_each(index_equals_row_store_at_every_commit);
 }
