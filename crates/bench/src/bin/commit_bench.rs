@@ -1,38 +1,31 @@
 //! Commit-throughput benchmark: per-transaction durability vs group commit
 //! vs the epoch-pipelined commit path.
 //!
-//! The TP write path used to pay one synchronous durability round per
-//! transaction — one log flush under local durability, one full Paxos
-//! replication + cross-DC wait under `PaxosDurability`. This harness
-//! measures commits/s at 1, 8 and 32 concurrent committers for both
-//! providers, across three commit paths:
+//! This harness measures commits/s at 1, 8 and 32 concurrent committers
+//! for two providers:
 //!
-//! * **before** — per-transaction durability (the seed): one flush /
-//!   replication round per commit.
-//! * **grouped** — group commit (PR 6): concurrent committers share
-//!   flush/replication rounds. Helps only when committers > 1.
-//! * **epoch** — the epoch pipeline (ISSUE 7): commit decision decoupled
-//!   from the durability ack. Single-stream commits pipeline through the
-//!   ticket window (`commit_pipelined` + deferred `wait_ticket`), so even
-//!   ONE committer amortizes flushes — the case group commit cannot help.
-//!   Multi-committer rows use the synchronous `commit` (which rides the
-//!   pipeline internally) so latency is comparable with grouped.
+//! * **local** — three commit paths over a sink that charges a modelled
+//!   fsync wait per write ([`SlowSink`]; with a free sink there is nothing
+//!   to coalesce and nothing to measure):
+//!   * **before** — `SyncLocalDurability`: one flush per commit.
+//!   * **grouped** — `LocalDurability` (GroupCommitter): concurrent
+//!     committers share flushes. Helps only when committers > 1.
+//!   * **epoch** — `LocalEpochSink`: commit decision decoupled from the
+//!     durability ack. Single-stream commits pipeline through the ticket
+//!     window (`commit_pipelined` + deferred `wait_ticket`), so even ONE
+//!     committer amortizes flushes — the case group commit cannot help.
+//!     Multi-committer rows use the synchronous `commit` (which rides the
+//!     pipeline internally) so latency is comparable with grouped.
+//! * **paxos** — `PaxosEpochSink`, the one way an engine commits through
+//!   consensus: each sealed epoch = one `replicate_raw` + one majority
+//!   wait. Three DCs at ~1 ms RTT, every replica's log sink paying the
+//!   same modelled fsync. Reported with consensus rounds per committed
+//!   transaction (`PaxosEpochSink::rounds` ÷ commits).
 //!
-//! * **local** — `SyncLocalDurability` vs `LocalDurability`
-//!   (GroupCommitter) vs `LocalEpochSink`. The sink charges a modelled
-//!   fsync wait per write ([`SlowSink`]); with a free sink there is
-//!   nothing to coalesce and nothing to measure.
-//! * **paxos** — `PaxosDurability::per_transaction` vs the batched default
-//!   vs `PaxosEpochSink` (each sealed epoch = one `replicate_raw` + one
-//!   majority wait). Three DCs at ~1 ms RTT, every replica's log sink
-//!   paying the same modelled fsync.
-//!
-//! Results go to `BENCH_commit.json` (now with the epoch column). The
-//! full-size run enforces the acceptance bars: >= 2x grouped at 32
-//! committers under local durability, >= 3x under Paxos, < 0.5 mean Paxos
-//! rounds per txn, >= 3x *single-stream* epoch speedup under Paxos, and
-//! epoch p99 at 32 committers no worse than grouped (25% noise slack).
-//! `--quick` (the CI smoke) enforces the >= 2x single-stream epoch bar.
+//! Results go to `BENCH_commit.json`. Every run enforces: single-stream
+//! epoch >= 2x per-transaction under local durability, and <= 0.5 Paxos
+//! rounds per transaction single-stream. The full-size run adds >= 2x
+//! grouped at 32 committers under local durability.
 //!
 //! Run: `cargo run --release -p polardbx-bench --bin commit_bench [--quick]`
 
@@ -41,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use polardbx::durability::{enable_paxos_epoch, PaxosDurability};
+use polardbx::durability::PaxosEpochSink;
 use polardbx_bench::{closed_loop, fmt_dur, header, quick, row, LoopResult, SlowSink};
 use polardbx_common::{DcId, Key, NodeId, Row, TableId, TenantId, TrxId, Value};
 use polardbx_consensus::Replica;
@@ -86,12 +79,13 @@ fn run(engine: &Arc<StorageEngine>, committers: usize, dur: Duration) -> LoopRes
 /// The epoch path's headline case: ONE logical commit stream, pipelined.
 /// Commit decisions are published immediately (`commit_pipelined`); the
 /// stream harvests durability tickets a window behind, so consecutive
-/// commits share epoch flushes instead of serializing on them.
+/// commits share epoch flushes instead of serializing on them. Returns
+/// the commits made and their rate per second.
 fn run_epoch_single_stream(
     engine: &Arc<StorageEngine>,
     pipe: &Arc<EpochPipeline>,
     dur: Duration,
-) -> f64 {
+) -> (u64, f64) {
     let mut inflight: VecDeque<EpochTicket> = VecDeque::with_capacity(WINDOW);
     let t0 = Instant::now();
     let mut id = 0u64;
@@ -116,7 +110,7 @@ fn run_epoch_single_stream(
         pipe.wait_ticket(t, Duration::from_secs(10)).unwrap();
         ops += 1;
     }
-    ops as f64 / t0.elapsed().as_secs_f64()
+    (ops, ops as f64 / t0.elapsed().as_secs_f64())
 }
 
 /// Build a three-DC Paxos group whose replicas all log through a
@@ -160,16 +154,15 @@ fn build_local_epoch(fsync: Duration) -> (Arc<StorageEngine>, Arc<EpochPipeline>
 }
 
 /// A fresh epoch-mode engine over Paxos durability (each sealed epoch is
-/// one raw replication round).
-fn build_paxos_epoch(fsync: Duration) -> (Arc<StorageEngine>, Arc<EpochPipeline>) {
-    let leader = build_paxos_leader(fsync);
-    let engine = StorageEngine::with_durability(PaxosDurability::per_transaction(
-        Arc::clone(&leader),
-        Duration::from_secs(10),
-    ));
-    let pipe = enable_paxos_epoch(&engine, leader, Duration::from_secs(10), EpochConfig::default());
+/// one raw replication round), with the sink that counts the rounds.
+fn build_paxos_epoch(
+    fsync: Duration,
+) -> (Arc<StorageEngine>, Arc<EpochPipeline>, Arc<PaxosEpochSink>) {
+    let sink = PaxosEpochSink::new(build_paxos_leader(fsync), Duration::from_secs(10));
+    let engine = StorageEngine::in_memory();
+    let pipe = engine.enable_epoch(Arc::clone(&sink) as _, EpochConfig::default());
     engine.create_table(T, TenantId(1));
-    (engine, pipe)
+    (engine, pipe, sink)
 }
 
 struct Cell {
@@ -179,30 +172,27 @@ struct Cell {
     epoch_tps: f64,
 }
 
-/// Per-provider @32 latency + diagnostics captured for the report.
-#[derive(Default)]
-struct At32 {
-    grouped_p99: Duration,
-    epoch_p99: Duration,
-    grouped_report: String,
-    epoch_report: String,
+struct PaxosCell {
+    committers: usize,
+    epoch_tps: f64,
+    rounds_per_txn: f64,
 }
 
 fn main() {
     let dur = if quick() { Duration::from_millis(300) } else { Duration::from_secs(2) };
     let fsync = Duration::from_micros(400);
+    let last = *COMMITTERS.last().unwrap();
 
     println!("# commit_bench — per-txn vs grouped vs epoch-pipelined commit (fsync model {fsync:?})");
     println!();
 
-    let cols =
-        ["committers", "before tps", "grouped tps", "epoch tps", "grouped speedup", "epoch speedup"];
-
     // ---- Local durability -------------------------------------------------
     println!("## local durability (flush per commit / grouped flush / epoch pipeline)");
-    header(&cols);
+    header(&["committers", "before tps", "grouped tps", "epoch tps", "grouped speedup", "epoch speedup"]);
     let mut local_cells = Vec::new();
-    let mut local32 = At32::default();
+    // Diagnostics of the last (largest) cell: each cell overwrites them.
+    let (mut grouped_p99, mut epoch_p99) = (Duration::ZERO, Duration::ZERO);
+    let (mut grouped_report, mut epoch_report) = (String::new(), String::new());
     for &committers in &COMMITTERS {
         let before_engine = StorageEngine::with_durability(SyncLocalDurability::new(
             LogBuffer::new(SlowSink::new(fsync) as Arc<dyn LogSink>),
@@ -218,18 +208,16 @@ fn main() {
 
         let (epoch_engine, pipe) = build_local_epoch(fsync);
         let epoch_tps = if committers == 1 {
-            run_epoch_single_stream(&epoch_engine, &pipe, dur)
+            run_epoch_single_stream(&epoch_engine, &pipe, dur).1
         } else {
             let r = run(&epoch_engine, committers, dur);
-            if committers == *COMMITTERS.last().unwrap() {
-                local32.epoch_p99 = r.p99_latency;
-            }
+            epoch_p99 = r.p99_latency;
             r.tps()
         };
-        if committers == *COMMITTERS.last().unwrap() {
-            local32.grouped_p99 = after.p99_latency;
-            local32.grouped_report = after_engine.wal_metrics().unwrap().report();
-            local32.epoch_report = pipe.metrics.report();
+        if committers == last {
+            grouped_p99 = after.p99_latency;
+            grouped_report = after_engine.wal_metrics().unwrap().report();
+            epoch_report = pipe.metrics.report();
         }
 
         row(&[
@@ -243,159 +231,102 @@ fn main() {
         local_cells.push(Cell { committers, before_tps, after_tps: after.tps(), epoch_tps });
     }
     println!();
-    println!("  group-commit metrics @32: {}", local32.grouped_report);
-    println!("  epoch metrics @32: {}", local32.epoch_report);
-    println!(
-        "  p99 @32: grouped {} · epoch {}",
-        fmt_dur(local32.grouped_p99),
-        fmt_dur(local32.epoch_p99)
-    );
+    println!("  group-commit metrics @{last}: {grouped_report}");
+    println!("  epoch metrics @{last}: {epoch_report}");
+    println!("  p99 @{last}: grouped {} · epoch {}", fmt_dur(grouped_p99), fmt_dur(epoch_p99));
     println!();
 
     // ---- Paxos durability -------------------------------------------------
-    println!("## paxos durability (round per commit / batched rounds / epoch per round)");
-    header(&cols);
+    println!("## paxos durability (one replication round per sealed epoch)");
+    header(&["committers", "epoch tps", "rounds/txn"]);
     let mut paxos_cells = Vec::new();
-    let mut paxos32 = At32::default();
-    let mut rounds_per_txn_at_32 = f64::NAN;
+    let mut paxos_p99 = Duration::ZERO;
+    let mut paxos_report = String::new();
     for &committers in &COMMITTERS {
-        let before_leader = build_paxos_leader(fsync);
-        let before = PaxosDurability::per_transaction(before_leader, Duration::from_secs(10));
-        let before_engine = StorageEngine::with_durability(before);
-        before_engine.create_table(T, TenantId(1));
-        let before_tps = run(&before_engine, committers, dur).tps();
-
-        let after_leader = build_paxos_leader(fsync);
-        let after_dur = PaxosDurability::new(after_leader);
-        let metrics = Arc::clone(&after_dur.metrics);
-        let after_engine = StorageEngine::with_durability(after_dur);
-        after_engine.create_table(T, TenantId(1));
-        let after = run(&after_engine, committers, dur);
-
-        let (epoch_engine, pipe) = build_paxos_epoch(fsync);
-        let epoch_tps = if committers == 1 {
-            run_epoch_single_stream(&epoch_engine, &pipe, dur)
+        let (engine, pipe, sink) = build_paxos_epoch(fsync);
+        let (commits, epoch_tps) = if committers == 1 {
+            run_epoch_single_stream(&engine, &pipe, dur)
         } else {
-            let r = run(&epoch_engine, committers, dur);
-            if committers == *COMMITTERS.last().unwrap() {
-                paxos32.epoch_p99 = r.p99_latency;
-            }
-            r.tps()
+            let r = run(&engine, committers, dur);
+            paxos_p99 = r.p99_latency;
+            (r.ops, r.tps())
         };
-        if committers == *COMMITTERS.last().unwrap() {
-            rounds_per_txn_at_32 = metrics.rounds_per_txn();
-            paxos32.grouped_p99 = after.p99_latency;
-            paxos32.grouped_report = metrics.report();
-            paxos32.epoch_report = pipe.metrics.report();
+        let rounds_per_txn = sink.rounds.get() as f64 / commits as f64;
+        if committers == last {
+            paxos_report = pipe.metrics.report();
         }
-
-        row(&[
-            committers.to_string(),
-            format!("{before_tps:.0}"),
-            format!("{:.0}", after.tps()),
-            format!("{epoch_tps:.0}"),
-            format!("{:.2}x", after.tps() / before_tps),
-            format!("{:.2}x", epoch_tps / before_tps),
-        ]);
-        paxos_cells.push(Cell { committers, before_tps, after_tps: after.tps(), epoch_tps });
+        row(&[committers.to_string(), format!("{epoch_tps:.0}"), format!("{rounds_per_txn:.3}")]);
+        paxos_cells.push(PaxosCell { committers, epoch_tps, rounds_per_txn });
     }
     println!();
-    println!("  batch metrics @32: {}", paxos32.grouped_report);
-    println!("  epoch metrics @32: {}", paxos32.epoch_report);
-    println!(
-        "  p99 @32: grouped {} · epoch {}",
-        fmt_dur(paxos32.grouped_p99),
-        fmt_dur(paxos32.epoch_p99)
-    );
+    println!("  epoch metrics @{last}: {paxos_report}");
+    println!("  p99 @{last}: {}", fmt_dur(paxos_p99));
     println!();
 
     // ---- Report + bars ----------------------------------------------------
     let l32 = local_cells.last().unwrap();
-    let p32 = paxos_cells.last().unwrap();
     let local_speedup = l32.after_tps / l32.before_tps;
-    let paxos_speedup = p32.after_tps / p32.before_tps;
     let local_epoch_single = local_cells[0].epoch_tps / local_cells[0].before_tps;
-    let paxos_epoch_single = paxos_cells[0].epoch_tps / paxos_cells[0].before_tps;
+    let paxos_rounds_single = paxos_cells[0].rounds_per_txn;
 
-    let cell_json = |cells: &[Cell]| {
-        cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"committers\": {}, \"before_tps\": {:.1}, \"after_tps\": {:.1}, \"epoch_tps\": {:.1}, \"speedup\": {:.3}, \"epoch_speedup\": {:.3}}}",
-                    c.committers,
-                    c.before_tps,
-                    c.after_tps,
-                    c.epoch_tps,
-                    c.after_tps / c.before_tps,
-                    c.epoch_tps / c.before_tps,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+    let local_json = local_cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"committers\": {}, \"before_tps\": {:.1}, \"after_tps\": {:.1}, \"epoch_tps\": {:.1}, \"speedup\": {:.3}, \"epoch_speedup\": {:.3}}}",
+                c.committers,
+                c.before_tps,
+                c.after_tps,
+                c.epoch_tps,
+                c.after_tps / c.before_tps,
+                c.epoch_tps / c.before_tps,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let paxos_json = paxos_cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"committers\": {}, \"epoch_tps\": {:.1}, \"rounds_per_txn\": {:.4}}}",
+                c.committers, c.epoch_tps, c.rounds_per_txn,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
     let json = format!(
-        "{{\n  \"benchmark\": \"commit_bench\",\n  \"fsync_model_us\": {},\n  \"local\": [{}],\n  \"paxos\": [{}],\n  \"local_speedup_at_32\": {:.3},\n  \"paxos_speedup_at_32\": {:.3},\n  \"paxos_rounds_per_txn_at_32\": {:.4},\n  \"local_epoch_single_stream_speedup\": {:.3},\n  \"paxos_epoch_single_stream_speedup\": {:.3},\n  \"local_p99_at_32_us\": {{\"grouped\": {}, \"epoch\": {}}},\n  \"paxos_p99_at_32_us\": {{\"grouped\": {}, \"epoch\": {}}}\n}}\n",
+        "{{\n  \"benchmark\": \"commit_bench\",\n  \"fsync_model_us\": {},\n  \"local\": [{}],\n  \"paxos\": [{}],\n  \"local_speedup_at_32\": {:.3},\n  \"local_epoch_single_stream_speedup\": {:.3},\n  \"paxos_rounds_per_txn_single_stream\": {:.4},\n  \"local_p99_at_32_us\": {{\"grouped\": {}, \"epoch\": {}}},\n  \"paxos_p99_at_32_us\": {}\n}}\n",
         fsync.as_micros(),
-        cell_json(&local_cells),
-        cell_json(&paxos_cells),
+        local_json,
+        paxos_json,
         local_speedup,
-        paxos_speedup,
-        rounds_per_txn_at_32,
         local_epoch_single,
-        paxos_epoch_single,
-        local32.grouped_p99.as_micros(),
-        local32.epoch_p99.as_micros(),
-        paxos32.grouped_p99.as_micros(),
-        paxos32.epoch_p99.as_micros(),
+        paxos_rounds_single,
+        grouped_p99.as_micros(),
+        epoch_p99.as_micros(),
+        paxos_p99.as_micros(),
     );
     std::fs::write("BENCH_commit.json", &json).unwrap();
     println!("  wrote BENCH_commit.json ({})", fmt_dur(dur));
 
+    // The epoch bars gate every run, the downsized CI smoke included: the
+    // single-stream win is large (measured ~20x, bar 2x) and rounds per
+    // transaction is a ratio of two counters, so neither is runner noise.
+    // NaN (a cell that never ran) must fail too, hence no plain `<`.
     let mut failed = false;
-    if local_speedup < 2.0 {
-        println!("  WARNING: local speedup {local_speedup:.2}x below the 2x acceptance bar");
+    if local_epoch_single.is_nan() || local_epoch_single < 2.0 {
+        println!("  FAIL: local single-stream epoch speedup {local_epoch_single:.2}x below 2x");
         failed = true;
     }
-    if paxos_speedup < 3.0 {
-        println!("  WARNING: paxos speedup {paxos_speedup:.2}x below the 3x acceptance bar");
+    if paxos_rounds_single.is_nan() || paxos_rounds_single > 0.5 {
+        println!("  FAIL: {paxos_rounds_single:.3} paxos rounds/txn single-stream (bar: <= 0.5)");
         failed = true;
     }
-    // NaN (cell never ran) must fail the bar too, hence no plain `<`.
-    if rounds_per_txn_at_32.is_nan() || rounds_per_txn_at_32 >= 0.5 {
-        println!("  WARNING: {rounds_per_txn_at_32:.3} paxos rounds/txn at 32 committers (bar: < 0.5)");
+    if !quick() && local_speedup < 2.0 {
+        println!("  FAIL: local grouped speedup {local_speedup:.2}x below the 2x acceptance bar");
         failed = true;
     }
-    // NaN must fail the bar too, matching the rounds gate above.
-    if paxos_epoch_single.is_nan() || paxos_epoch_single < 3.0 {
-        println!(
-            "  WARNING: paxos single-stream epoch speedup {paxos_epoch_single:.2}x below the 3x bar"
-        );
-        failed = true;
-    }
-    // Epoch must not buy throughput with tail latency: p99 at 32 no worse
-    // than grouped. The histogram's percentile is bucketed (adjacent
-    // buckets are 1.33x apart) and runs land on either side of a bucket
-    // edge, so the slack must cover one bucket step plus runner noise.
-    if paxos32.epoch_p99 > paxos32.grouped_p99.mul_f64(1.5) {
-        println!(
-            "  WARNING: paxos epoch p99@32 {} worse than grouped {}",
-            fmt_dur(paxos32.epoch_p99),
-            fmt_dur(paxos32.grouped_p99)
-        );
-        failed = true;
-    }
-    // The full-size run enforces every bar. The downsized CI smoke run is
-    // too noisy for latency gates but still enforces the headline epoch
-    // win at reduced strength: >= 2x single-stream under Paxos.
-    if quick() {
-        if paxos_epoch_single.is_nan() || paxos_epoch_single < 2.0 {
-            println!(
-                "  FAIL (quick): paxos single-stream epoch speedup {paxos_epoch_single:.2}x below 2x"
-            );
-            std::process::exit(1);
-        }
-    } else if failed {
+    if failed {
         std::process::exit(1);
     }
 }

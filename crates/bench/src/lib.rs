@@ -56,7 +56,7 @@ pub fn closed_loop(
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    let hist = polardbx_common::metrics::Histogram::new();
+    let hist = polardbx_common::metrics::HdrHistogram::new();
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {

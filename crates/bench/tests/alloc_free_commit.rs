@@ -79,10 +79,7 @@ fn steady_state_epoch_commit_is_allocation_free_on_the_paxos_path() {
     }
     let group = polardbx_consensus::PaxosGroup::build(polardbx_consensus::GroupConfig::three_dc(1));
     let leader = group.leader().unwrap();
-    let engine = StorageEngine::with_durability(polardbx::durability::PaxosDurability::per_transaction(
-        Arc::clone(&leader),
-        Duration::from_secs(5),
-    ));
+    let engine = StorageEngine::in_memory();
     polardbx::durability::enable_paxos_epoch(
         &engine,
         leader,

@@ -120,11 +120,6 @@ impl ColumnIndex {
         })
     }
 
-    /// Column types.
-    pub fn types(&self) -> &[DataType] {
-        &self.types
-    }
-
     /// Lock the index for a run of changes.
     pub fn writer(&self) -> IndexWriter<'_> {
         IndexWriter(self.state.write())

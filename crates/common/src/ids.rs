@@ -112,11 +112,6 @@ impl IdGenerator {
         IdGenerator { next: AtomicU64::new(1) }
     }
 
-    /// Start from an explicit value (e.g. after recovery).
-    pub fn starting_at(v: u64) -> Self {
-        IdGenerator { next: AtomicU64::new(v) }
-    }
-
     /// Allocate the next id.
     pub fn next_id(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)

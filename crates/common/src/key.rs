@@ -30,11 +30,6 @@ impl Key {
         Key(out)
     }
 
-    /// Encode a single value.
-    pub fn from_value(v: &Value) -> Key {
-        Key::encode(std::slice::from_ref(v))
-    }
-
     /// Decode the key back into its component values.
     ///
     /// Round-trips everything `encode` produces; used by index scans that

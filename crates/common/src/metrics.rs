@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::time::{mono_now, Timer};
+use crate::time::mono_now;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -44,103 +44,10 @@ impl Counter {
     }
 }
 
-/// Latency histogram with logarithmic buckets from 1 µs to ~17 s.
-///
-/// Percentile queries are approximate (bucket upper bound) which is plenty
-/// for reproducing the *shape* of the paper's latency comparisons.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_micros: AtomicU64,
-    max_micros: AtomicU64,
-}
-
-const BUCKETS: usize = 48; // 2^(i/2) µs spacing covers 1 µs .. ~16 s
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
-            max_micros: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_for(micros: u64) -> usize {
-        if micros <= 1 {
-            return 0;
-        }
-        // Two buckets per power of two.
-        let log2 = 63 - micros.leading_zeros() as u64;
-        let half = if micros >= (1 << log2) + (1 << log2.saturating_sub(1)) { 1 } else { 0 };
-        ((log2 * 2 + half) as usize).min(BUCKETS - 1)
-    }
-
-    fn bucket_upper(idx: usize) -> u64 {
-        let log2 = idx as u64 / 2;
-        let base = 1u64 << log2;
-        if idx.is_multiple_of(2) { base + base / 2 } else { base * 2 }
-    }
-
-    /// Record one latency observation.
-    pub fn record(&self, d: Duration) {
-        let micros = d.as_micros() as u64;
-        self.buckets[Self::bucket_for(micros)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency.
-    pub fn mean(&self) -> Duration {
-        let c = self.count();
-        if c == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_micros(self.sum_micros.load(Ordering::Relaxed) / c)
-    }
-
-    /// Maximum observed latency.
-    pub fn max(&self) -> Duration {
-        Duration::from_micros(self.max_micros.load(Ordering::Relaxed))
-    }
-
-    /// Approximate percentile (0.0..=1.0).
-    pub fn percentile(&self, p: f64) -> Duration {
-        let total = self.count();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((total as f64) * p).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return Duration::from_micros(Self::bucket_upper(i));
-            }
-        }
-        self.max()
-    }
-}
-
-/// Histogram over plain `u64` values (group sizes, batch byte counts) with
-/// the same logarithmic bucketing as [`Histogram`] but value-typed
-/// accessors. Used by the group-commit metrics, where "how many committers
-/// shared this flush" is a count, not a latency.
+/// Histogram over plain `u64` values (group sizes, batch byte counts) in
+/// logarithmic buckets, two per power of two; percentiles report the
+/// bucket's upper bound. Used by the group-commit metrics, where "how many
+/// committers shared this flush" is a count, not a latency.
 #[derive(Debug)]
 pub struct ValueHistogram {
     buckets: Vec<AtomicU64>,
@@ -148,6 +55,8 @@ pub struct ValueHistogram {
     sum: AtomicU64,
     max: AtomicU64,
 }
+
+const BUCKETS: usize = 48; // 2^(i/2) spacing covers 1 .. ~16 M
 
 impl Default for ValueHistogram {
     fn default() -> Self {
@@ -166,9 +75,25 @@ impl ValueHistogram {
         }
     }
 
+    fn bucket_for(v: u64) -> usize {
+        if v <= 1 {
+            return 0;
+        }
+        // Two buckets per power of two.
+        let log2 = 63 - v.leading_zeros() as u64;
+        let half = if v >= (1 << log2) + (1 << log2.saturating_sub(1)) { 1 } else { 0 };
+        ((log2 * 2 + half) as usize).min(BUCKETS - 1)
+    }
+
+    fn bucket_upper(idx: usize) -> u64 {
+        let log2 = idx as u64 / 2;
+        let base = 1u64 << log2;
+        if idx.is_multiple_of(2) { base + base / 2 } else { base * 2 }
+    }
+
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        self.buckets[Histogram::bucket_for(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_for(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -209,7 +134,7 @@ impl ValueHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                return Histogram::bucket_upper(i);
+                return Self::bucket_upper(i);
             }
         }
         self.max()
@@ -256,28 +181,12 @@ impl ThroughputSeries {
     pub fn windows(&self) -> Vec<u64> {
         self.counts.lock().clone()
     }
-
-    /// Per-window rate in events/second.
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let w = self.window.as_secs_f64();
-        self.windows().iter().map(|&c| c as f64 / w).collect()
-    }
-}
-
-/// Convenience: time a closure and record it into a histogram.
-pub fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> T {
-    let t0 = Timer::start();
-    let out = f();
-    hist.record(t0.elapsed());
-    out
 }
 
 // ---- HDR-style latency histogram -------------------------------------
 
 /// Linear sub-buckets per octave: 32 → worst-case relative error 1/32
-/// (~3.1%), fine enough to compare tail percentiles across scenarios
-/// (the coarse [`Histogram`] above has ~41% buckets — fine for shapes,
-/// too blunt for a "p99 within 3×" bar).
+/// (~3.1%), fine enough to compare tail percentiles across scenarios.
 const HDR_SUB_BITS: u32 = 5;
 const HDR_SUBS: usize = 1 << HDR_SUB_BITS;
 /// Highest representable exponent: values are clamped to < 2^36 µs (~19 h).
@@ -286,8 +195,9 @@ const HDR_LEN: usize = (HDR_MAX_EXP as usize - HDR_SUB_BITS as usize + 2) * HDR_
 
 /// HDR-style latency histogram: exact below 32 µs, then 32 linear
 /// sub-buckets per power of two, for ≤3.1% relative error at any
-/// magnitude. Thread-safe, allocation-free after construction. Used by the
-/// front-door load harness for p50/p99/p999 reporting.
+/// magnitude. Thread-safe, allocation-free after construction. The one
+/// latency histogram: group-commit follower waits, the bench drivers and
+/// the front door's p50/p99/p999 all record into it.
 #[derive(Debug)]
 pub struct HdrHistogram {
     counts: Vec<AtomicU64>,
@@ -434,33 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentiles_monotonic() {
-        let h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(Duration::from_micros(i));
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        assert!(p50 <= p99, "{p50:?} > {p99:?}");
-        assert!(p50 >= Duration::from_micros(400) && p50 <= Duration::from_micros(1200));
-        assert!(h.mean() >= Duration::from_micros(300));
-        assert!(h.max() >= Duration::from_micros(1000));
-    }
-
-    #[test]
-    fn histogram_empty_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(0.99), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
     fn bucket_mapping_monotonic() {
         let mut prev = 0;
-        for micros in [1u64, 2, 3, 7, 8, 100, 1000, 65_536, 10_000_000] {
-            let b = Histogram::bucket_for(micros);
-            assert!(b >= prev, "bucket decreased at {micros}");
+        for v in [1u64, 2, 3, 7, 8, 100, 1000, 65_536, 10_000_000] {
+            let b = ValueHistogram::bucket_for(v);
+            assert!(b >= prev, "bucket decreased at {v}");
             prev = b;
         }
     }

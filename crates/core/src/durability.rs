@@ -1,221 +1,17 @@
 //! Paxos-backed DN durability (§III): commits block on cross-DC majority.
 //!
-//! The batched variant reproduces X-Paxos group commit on the replication
-//! side: concurrent committers enqueue their MTR batches and a *drain
-//! leader* concatenates everything pending into one [`Replica::replicate`]
-//! call and one majority wait, so N concurrent commits cost ~1 cross-DC
-//! round instead of N. Up to [`MAX_IN_FLIGHT`] drain rounds may be in
-//! flight at once — batching alone would serialize commit throughput on
-//! the round-trip latency, while the per-transaction path pipelines its
-//! waits for free; pipelined drains (X-Paxos pipelined log slots) keep
-//! both wins. Leadership is handed off on the queue's condvar — when a
-//! drain completes, any enqueued committer whose result slot is still
-//! empty may lead the next round — so no dedicated flusher thread exists
-//! and an idle system costs nothing.
+//! An engine commits through consensus in exactly one way: its epoch
+//! pipeline seals concurrent commits into an epoch and [`PaxosEpochSink`]
+//! replicates the epoch as one raw batch — one [`Replica::replicate_raw`]
+//! and one majority wait per *epoch*, so N concurrent commits cost ~1
+//! cross-DC round instead of N (STAR's one durability round per epoch).
 
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_common::time::Timer;
-use polardbx_common::metrics::{Counter, Histogram, ValueHistogram};
+use polardbx_common::metrics::Counter;
 use polardbx_common::{Lsn, Result};
 use polardbx_consensus::Replica;
-use polardbx_storage::engine::Durability;
-use polardbx_wal::Mtr;
-
-/// How many queued commit batches one drain may merge into a single
-/// replication round. Bounds per-round frame bytes (and follower apply
-/// chunkiness) without practically limiting grouping at bench scales.
-const MAX_GROUP: usize = 64;
-
-/// How many drain rounds may be replicating concurrently. One round per
-/// group amortizes the per-frame costs (leader/follower log writes, per-
-/// message overhead); keeping a few rounds in flight hides the cross-DC
-/// round-trip the way the per-transaction path's concurrent waits do.
-const MAX_IN_FLIGHT: usize = 4;
-
-/// Batching observability: how many consensus rounds the commit load
-/// actually paid.
-#[derive(Debug, Default)]
-pub struct BatchMetrics {
-    /// Commit batches submitted (one per `make_durable` call).
-    pub txns: Counter,
-    /// Replication rounds issued (one `replicate` + one majority wait).
-    pub rounds: Counter,
-    /// Commit batches merged into each round.
-    pub group_size: ValueHistogram,
-    /// Time committers spent parked waiting for a drain leader.
-    pub wait_for_leader: Histogram,
-}
-
-impl BatchMetrics {
-    /// Paxos rounds per committed transaction — the acceptance-bar number
-    /// (1.0 = no batching; the ISSUE bar is < 0.5 at 32 committers).
-    pub fn rounds_per_txn(&self) -> f64 {
-        let t = self.txns.get();
-        if t == 0 {
-            return 0.0;
-        }
-        self.rounds.get() as f64 / t as f64
-    }
-
-    /// One-line summary for harness output.
-    pub fn report(&self) -> String {
-        format!(
-            "txns={} · paxos rounds={} ({:.3} rounds/txn) · group size: mean={:.1} p95={} max={} · wait: mean={:?} p95={:?}",
-            self.txns.get(),
-            self.rounds.get(),
-            self.rounds_per_txn(),
-            self.group_size.mean(),
-            self.group_size.percentile(0.95),
-            self.group_size.max(),
-            self.wait_for_leader.mean(),
-            self.wait_for_leader.percentile(0.95),
-        )
-    }
-
-    /// Reset counters (between bench rounds).
-    pub fn reset(&self) {
-        self.txns.reset();
-        self.rounds.reset();
-        self.group_size.reset();
-    }
-}
-
-/// A committer's result slot: filled by whichever drain leader replicated
-/// its batch.
-struct Slot {
-    result: Mutex<Option<Result<Lsn>>>,
-}
-
-struct Entry {
-    mtrs: Vec<Mtr>,
-    slot: Arc<Slot>,
-}
-
-struct QueueState {
-    pending: VecDeque<Entry>,
-    /// Drain rounds replicating right now (bounded by [`MAX_IN_FLIGHT`]).
-    in_flight: usize,
-}
-
-/// Durability provider that routes commit-time redo through an X-Paxos
-/// group: the transaction is durable once a majority of datacenters
-/// persisted the log. Batched by default — use
-/// [`PaxosDurability::per_transaction`] for the seed's one-round-per-commit
-/// behavior (the `commit_bench` baseline).
-pub struct PaxosDurability {
-    replica: Arc<Replica>,
-    timeout: Duration,
-    /// `None` = per-transaction mode (no queue, one round per call).
-    queue: Option<Mutex<QueueState>>,
-    cv: Condvar,
-    /// Batching metrics (rounds per txn, group sizes).
-    pub metrics: Arc<BatchMetrics>,
-}
-
-impl PaxosDurability {
-    /// Wrap the leader replica of a DN's Paxos group (batched group commit).
-    pub fn new(replica: Arc<Replica>) -> Arc<PaxosDurability> {
-        Self::with_timeout(replica, Duration::from_secs(10))
-    }
-
-    /// Batched, with an explicit majority-wait timeout.
-    pub fn with_timeout(replica: Arc<Replica>, timeout: Duration) -> Arc<PaxosDurability> {
-        Arc::new(PaxosDurability {
-            replica,
-            timeout,
-            queue: Some(Mutex::new(QueueState { pending: VecDeque::new(), in_flight: 0 })),
-            cv: Condvar::new(),
-            metrics: Arc::new(BatchMetrics::default()),
-        })
-    }
-
-    /// The seed's behavior: every `make_durable` call pays its own
-    /// replication round. Kept as the baseline group commit is measured
-    /// against.
-    pub fn per_transaction(replica: Arc<Replica>, timeout: Duration) -> Arc<PaxosDurability> {
-        Arc::new(PaxosDurability {
-            replica,
-            timeout,
-            queue: None,
-            cv: Condvar::new(),
-            metrics: Arc::new(BatchMetrics::default()),
-        })
-    }
-
-    /// Issue one replication round for `entries` and distribute the shared
-    /// outcome to every slot.
-    fn drain_round(&self, entries: Vec<Entry>) {
-        let all: Vec<Mtr> = entries.iter().flat_map(|e| e.mtrs.iter().cloned()).collect();
-        let res = self.replica.replicate_and_wait(&all, self.timeout);
-        if res.is_err() {
-            // The callers will report their commits as failed; fence the
-            // un-acked log suffix so retransmission and crash recovery
-            // agree with them (see `PaxosEpochSink::persist`).
-            let _ = self.replica.abandon_unacked();
-        }
-        self.metrics.rounds.inc();
-        self.metrics.group_size.record(entries.len() as u64);
-        for e in &entries {
-            *e.slot.result.lock() = Some(res.clone());
-        }
-    }
-
-    fn make_durable_batched(&self, queue: &Mutex<QueueState>, mtrs: &[Mtr]) -> Result<Lsn> {
-        let slot = Arc::new(Slot { result: Mutex::new(None) });
-        self.metrics.txns.inc();
-        let enrolled_at = Timer::start();
-        let mut parked = false;
-        let mut st = queue.lock();
-        st.pending.push_back(Entry { mtrs: mtrs.to_vec(), slot: Arc::clone(&slot) });
-        loop {
-            if let Some(res) = slot.result.lock().take() {
-                if parked {
-                    self.metrics.wait_for_leader.record(enrolled_at.elapsed());
-                }
-                return res;
-            }
-            if st.in_flight < MAX_IN_FLIGHT && !st.pending.is_empty() {
-                // Become a drain leader: take up to MAX_GROUP pending
-                // batches (our own is among them unless another round
-                // already claimed it) and pay one replication round for
-                // all of them.
-                st.in_flight += 1;
-                let n = st.pending.len().min(MAX_GROUP);
-                let entries: Vec<Entry> = st.pending.drain(..n).collect();
-                drop(st);
-                self.drain_round(entries);
-                st = queue.lock();
-                st.in_flight -= 1;
-                self.cv.notify_all();
-            } else {
-                parked = true;
-                self.cv.wait(&mut st);
-            }
-        }
-    }
-}
-
-impl Durability for PaxosDurability {
-    fn make_durable(&self, mtrs: &[Mtr]) -> Result<Lsn> {
-        match &self.queue {
-            Some(queue) => self.make_durable_batched(queue, mtrs),
-            None => {
-                self.metrics.txns.inc();
-                let res = self.replica.replicate_and_wait(mtrs, self.timeout);
-                if res.is_err() {
-                    let _ = self.replica.abandon_unacked();
-                }
-                self.metrics.rounds.inc();
-                self.metrics.group_size.record(1);
-                res
-            }
-        }
-    }
-}
 
 /// Epoch sink that replicates each sealed epoch as one raw batch through
 /// the DN's X-Paxos group: one majority wait per *epoch*, not per
@@ -320,7 +116,13 @@ mod tests {
     fn engine_commits_ride_paxos() {
         let group = PaxosGroup::build(GroupConfig::three_dc(1));
         let leader = group.leader().unwrap();
-        let engine = StorageEngine::with_durability(PaxosDurability::new(Arc::clone(&leader)));
+        let engine = StorageEngine::in_memory();
+        enable_paxos_epoch(
+            &engine,
+            Arc::clone(&leader),
+            Duration::from_secs(5),
+            polardbx_wal::EpochConfig::default(),
+        );
         engine.create_table(TableId(1), TenantId(1));
         engine.begin(TrxId(1), 0);
         engine
@@ -342,85 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_fails_without_quorum() {
-        let group = PaxosGroup::build(GroupConfig::three_dc(1));
-        let leader = group.leader().unwrap();
-        group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(2));
-        group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(3));
-        let durability =
-            PaxosDurability::with_timeout(Arc::clone(&leader), Duration::from_millis(50));
-        let engine = StorageEngine::with_durability(durability);
-        engine.create_table(TableId(1), TenantId(1));
-        engine.begin(TrxId(1), 0);
-        engine
-            .write(
-                TrxId(1),
-                TableId(1),
-                Key::encode(&[Value::Int(1)]),
-                WriteOp::Insert(Row::new(vec![Value::Int(1)])),
-            )
-            .unwrap();
-        let err = engine.commit(TrxId(1), 10).unwrap_err();
-        assert!(matches!(err, polardbx_common::Error::Timeout { .. }));
-        // The write was rolled back: nothing visible.
-        assert_eq!(
-            engine
-                .read(TableId(1), &Key::encode(&[Value::Int(1)]), u64::MAX, None)
-                .unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn concurrent_commits_share_rounds() {
-        // With cross-DC latency, concurrent committers must coalesce:
-        // rounds/txn well below 1 and every commit durable and visible.
-        let group = PaxosGroup::build(
-            GroupConfig::three_dc(1)
-                .with_latency(LatencyMatrix::uniform(Duration::from_millis(2))),
-        );
-        let leader = group.leader().unwrap();
-        let durability = PaxosDurability::new(Arc::clone(&leader));
-        let metrics = Arc::clone(&durability.metrics);
-        let engine = StorageEngine::with_durability(durability);
-        engine.create_table(TableId(1), TenantId(1));
-
-        const THREADS: u64 = 8;
-        const PER: u64 = 10;
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let engine = Arc::clone(&engine);
-                s.spawn(move || {
-                    for i in 0..PER {
-                        let trx = TrxId(t * 1000 + i + 1);
-                        let k = (t * 1000 + i) as i64;
-                        engine.begin(trx, 0);
-                        engine
-                            .write(
-                                trx,
-                                TableId(1),
-                                Key::encode(&[Value::Int(k)]),
-                                WriteOp::Insert(Row::new(vec![Value::Int(k)])),
-                            )
-                            .unwrap();
-                        engine.commit(trx, t * 1000 + i + 1).unwrap();
-                    }
-                });
-            }
-        });
-        let txns = THREADS * PER;
-        assert_eq!(metrics.txns.get(), txns);
-        assert!(
-            metrics.rounds.get() < txns,
-            "no batching: {} rounds for {txns} txns",
-            metrics.rounds.get()
-        );
-        assert_eq!(metrics.group_size.sum(), txns, "every batch accounted for");
-        // Every commit is visible.
-        assert_eq!(engine.count_rows(TableId(1), u64::MAX).unwrap(), txns as usize);
-    }
-
-    #[test]
     fn epoch_commits_ride_paxos_and_amortize_rounds() {
         // Epoch mode over a Paxos group: commits resolve once their epoch
         // reaches majority durability, and concurrent committers share
@@ -430,10 +153,7 @@ mod tests {
                 .with_latency(LatencyMatrix::uniform(Duration::from_millis(2))),
         );
         let leader = group.leader().unwrap();
-        let engine = StorageEngine::with_durability(PaxosDurability::per_transaction(
-            Arc::clone(&leader),
-            Duration::from_secs(5),
-        ));
+        let engine = StorageEngine::in_memory();
         let sink = PaxosEpochSink::new(Arc::clone(&leader), Duration::from_secs(5));
         let rounds = Arc::clone(&sink);
         let pipe = engine.enable_epoch(sink, polardbx_wal::EpochConfig::default());
@@ -483,10 +203,7 @@ mod tests {
         let leader = group.leader().unwrap();
         group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(2));
         group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(3));
-        let engine = StorageEngine::with_durability(PaxosDurability::per_transaction(
-            Arc::clone(&leader),
-            Duration::from_millis(50),
-        ));
+        let engine = StorageEngine::in_memory();
         enable_paxos_epoch(
             &engine,
             Arc::clone(&leader),
@@ -494,6 +211,8 @@ mod tests {
             polardbx_wal::EpochConfig::default(),
         );
         engine.create_table(TableId(1), TenantId(1));
+        let history = polardbx_common::HistoryRecorder::new();
+        engine.set_recorder(Arc::clone(&history), polardbx_common::NodeId(1), false);
         engine.begin(TrxId(1), 0);
         engine
             .write(
@@ -528,6 +247,18 @@ mod tests {
             )
             .unwrap();
         engine.commit(TrxId(2), 30).unwrap();
+        // The history holds the commit that became durable and only the
+        // abort of the one that did not: a `Commit` recorded at the early
+        // stamp would make the torn epoch read as a lost write.
+        let committed: Vec<TrxId> = history
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e {
+                polardbx_common::TxnEvent::Commit { trx, .. } => Some(*trx),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(committed, [TrxId(2)]);
         assert!(engine
             .read(TableId(1), &Key::encode(&[Value::Int(2)]), u64::MAX, None)
             .unwrap()
@@ -569,30 +300,5 @@ mod tests {
                 .is_some(),
             "replaying the leader's log must keep the healed commit"
         );
-    }
-
-    #[test]
-    fn batched_quorum_loss_fails_every_queued_commit() {
-        let group = PaxosGroup::build(GroupConfig::three_dc(1));
-        let leader = group.leader().unwrap();
-        group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(2));
-        group.net.partition(polardbx_common::DcId(1), polardbx_common::DcId(3));
-        let durability =
-            PaxosDurability::with_timeout(Arc::clone(&leader), Duration::from_millis(40));
-        let results = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for i in 0..4u64 {
-                let d = Arc::clone(&durability);
-                let results = &results;
-                s.spawn(move || {
-                    let mtr = Mtr::single(polardbx_wal::RedoPayload::TxnCommit {
-                        trx: TrxId(i),
-                        commit_ts: i,
-                    });
-                    results.lock().push(d.make_durable(&[mtr]).is_err());
-                });
-            }
-        });
-        assert!(results.into_inner().iter().all(|e| *e), "all queued commits must fail");
     }
 }

@@ -175,11 +175,6 @@ impl Gms {
         self.tables.write().insert(schema.name.clone(), schema);
     }
 
-    /// All table names.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// DN hosting a shard.
     pub fn shard_dn(&self, table: TableId, shard: u32) -> Result<NodeId> {
         self.placement

@@ -41,11 +41,6 @@ impl ClusterProvider {
         self
     }
 
-    /// The provider's snapshot timestamp.
-    pub fn snapshot_ts(&self) -> u64 {
-        self.snapshot_ts
-    }
-
     fn engine(&self, dn: NodeId) -> Result<&StorageEngine> {
         self.engines
             .get(&dn)

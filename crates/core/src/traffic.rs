@@ -12,7 +12,6 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use polardbx_common::{Error, Result};
 
@@ -172,9 +171,6 @@ impl Drop for Permit<'_> {
         self.control.release(&self.fp);
     }
 }
-
-/// Shared handle variant used by multi-threaded harnesses.
-pub type SharedTrafficControl = Arc<TrafficControl>;
 
 #[cfg(test)]
 mod tests {

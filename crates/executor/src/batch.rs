@@ -539,7 +539,7 @@ impl RowBatch {
 
     /// Approximate heap footprint chargeable to this batch. Reads the
     /// per-lane byte counts accumulated at build time — O(width), not
-    /// O(rows) (the fix for the old `batch_bytes` recomputation).
+    /// O(rows).
     pub fn bytes(&self) -> usize {
         let lane_bytes: usize = self.lanes.iter().map(|l| l.bytes()).sum();
         lane_bytes + 24 * self.num_rows()

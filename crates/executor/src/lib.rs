@@ -45,7 +45,7 @@ pub mod vectorized;
 
 pub use batch::{batches_of, RowBatch, BATCH_ROWS};
 pub use exec_metrics::{exec_metrics, ExecMetrics};
-pub use memory::{MemoryManager, MemoryRegion};
+pub use memory::MemoryManager;
 pub use morsel::shared_pool;
 pub use mpp::MppExecutor;
 pub use operators::{execute_plan, ExecCtx, TableProvider};

@@ -12,19 +12,6 @@ use std::sync::Arc;
 
 use polardbx_common::{Error, Result};
 
-/// The four regions of CN heap memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemoryRegion {
-    /// Temporary data for TP queries.
-    Tp,
-    /// Temporary data for AP queries (hash tables, sort runs).
-    Ap,
-    /// Metadata, temporary objects.
-    Other,
-    /// Privileged usage.
-    SystemReserved,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct RegionState {
     /// Guaranteed minimum.

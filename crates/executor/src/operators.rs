@@ -449,15 +449,6 @@ impl AggTable {
     }
 }
 
-/// Memory-accounting helper: approximate footprint of a slice of rows.
-/// This walks every row (O(rows)) so it must not sit on a per-batch
-/// accounting path — the vectorized engine tracks bytes incrementally as
-/// lanes are built and exposes them in O(width) via
-/// [`crate::batch::RowBatch::bytes`]; prefer that for anything hot.
-pub fn batch_bytes(rows: &[Row]) -> usize {
-    rows.iter().map(Row::heap_size).sum()
-}
-
 /// A trivially simple provider over in-memory tables — used by tests here
 /// and in downstream crates.
 pub struct MemTables {

@@ -212,15 +212,6 @@ impl WorkloadManager {
         });
         rx.recv().expect("pool worker died")
     }
-
-    /// Queue depths (tp, ap, slow) for monitoring.
-    pub fn queue_depths(&self) -> (u64, u64, u64) {
-        (
-            self.tp.queued.load(Ordering::Relaxed),
-            self.ap.queued.load(Ordering::Relaxed),
-            self.slow.queued.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// Helper implementing the slice-overrun → demote discipline: runs `job`

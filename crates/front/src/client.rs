@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 
 use polardbx_common::{Error, Result, Row};
 
-use crate::wire::{self, ErrCode, Frame, FrameReader};
+use crate::wire::{self, Frame, FrameReader};
 
 fn net_err(what: &str, e: std::io::Error) -> Error {
     Error::Network { message: format!("{what}: {e}") }
@@ -144,30 +144,8 @@ impl FrontClient {
             other => Err(unexpected(other)),
         }
     }
-
-    /// Send a raw frame and return the raw reply (protocol tests).
-    pub fn raw_roundtrip(&mut self, frame: &Frame) -> Result<Frame> {
-        self.send(frame)?;
-        self.recv()
-    }
 }
 
 fn unexpected(f: Frame) -> Error {
     Error::Network { message: format!("unexpected response frame {f:?}") }
-}
-
-/// True when `e` is a throttle bounce (the client should back off and
-/// retry rather than count a failure).
-pub fn is_throttled(e: &Error) -> bool {
-    matches!(e, Error::Throttled { .. })
-        || matches!(
-            e,
-            Error::Shared(inner) if matches!(**inner, Error::Throttled { .. })
-        )
-}
-
-/// Classification helper mirroring the server: true when the error carries
-/// [`ErrCode::Throttled`] semantics.
-pub fn err_code_of(e: &Error) -> ErrCode {
-    wire::classify_error(e).0
 }

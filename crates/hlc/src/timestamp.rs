@@ -24,9 +24,6 @@ pub const PT_MAX: u64 = (1 << PT_BITS) - 1;
 pub struct HlcTimestamp(pub u64);
 
 impl HlcTimestamp {
-    /// Zero timestamp (before everything).
-    pub const ZERO: HlcTimestamp = HlcTimestamp(0);
-
     /// Pack physical milliseconds and a logical counter.
     pub fn new(pt_millis: u64, lc: u16) -> HlcTimestamp {
         debug_assert!(pt_millis <= PT_MAX, "physical time overflows 46 bits");

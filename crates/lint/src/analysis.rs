@@ -2,7 +2,7 @@
 //! workspace-level interprocedural pass ([`workspace_pass`]) fed by the
 //! symbol table / call graph / summary layers.
 //!
-//! Ten rules (see DESIGN.md "Correctness tooling"):
+//! Ten rules, plus `unreached` in [`crate::census`] (see DESIGN.md "Correctness tooling"):
 //!
 //! - `lock_order` — every nested `lock()/read()/write()` acquisition adds
 //!   an edge `held → acquired` to a cross-crate graph; cycles (reported by
@@ -79,6 +79,8 @@ pub enum Rule {
     ReleaseOnAllPaths,
     /// Relaxed store to an atomic that is Acquire-loaded elsewhere.
     AtomicPublish,
+    /// A `pub` item of a product crate that no root reaches (the census).
+    Unreached,
     /// A malformed `lint:allow` (unknown rule or missing reason).
     BadAllow,
 }
@@ -96,6 +98,7 @@ impl Rule {
             Rule::FenceCompleteness => "fence_completeness",
             Rule::ReleaseOnAllPaths => "release_on_all_paths",
             Rule::AtomicPublish => "atomic_publish",
+            Rule::Unreached => "unreached",
             Rule::BadAllow => "bad_allow",
         }
     }
@@ -111,6 +114,7 @@ impl Rule {
             "fence_completeness" => Some(Rule::FenceCompleteness),
             "release_on_all_paths" => Some(Rule::ReleaseOnAllPaths),
             "atomic_publish" => Some(Rule::AtomicPublish),
+            "unreached" => Some(Rule::Unreached),
             _ => None,
         }
     }
@@ -127,6 +131,7 @@ impl Rule {
             "fence_completeness",
             "release_on_all_paths",
             "atomic_publish",
+            "unreached",
             "bad_allow",
         ]
     }
@@ -909,7 +914,7 @@ fn path_prefix_is(toks: &[Tok], i: usize, last: &[&str]) -> bool {
 }
 
 /// The identifier preceding `i` across a `::` separator, if any.
-fn prev_path_ident(toks: &[Tok], i: usize) -> Option<String> {
+pub(crate) fn prev_path_ident(toks: &[Tok], i: usize) -> Option<String> {
     if i >= 3 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
         let p = &toks[i - 3];
         if p.kind == TokKind::Ident {
@@ -921,7 +926,7 @@ fn prev_path_ident(toks: &[Tok], i: usize) -> Option<String> {
 
 /// Token-index mask: true where the token sits in `#[cfg(test)] mod { … }`
 /// or a `#[test] fn { … }` body.
-fn test_mask(toks: &[Tok]) -> Vec<bool> {
+pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -971,7 +976,7 @@ fn test_mask(toks: &[Tok]) -> Vec<bool> {
 /// Per-token enclosing `impl Type` / `trait Type` name. For
 /// `impl Trait for Type` the *type* wins (that's what `Type::method`
 /// call qualifiers name).
-fn impl_mask(toks: &[Tok]) -> Vec<Option<String>> {
+pub(crate) fn impl_mask(toks: &[Tok]) -> Vec<Option<String>> {
     let mut mask: Vec<Option<String>> = vec![None; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -1056,7 +1061,7 @@ fn impl_mask(toks: &[Tok]) -> Vec<Option<String>> {
 }
 
 /// Index of the punct matching the opener at `open_idx`.
-fn matching(toks: &[Tok], open_idx: usize, open: char, close: char) -> Option<usize> {
+pub(crate) fn matching(toks: &[Tok], open_idx: usize, open: char, close: char) -> Option<usize> {
     let mut depth = 0i64;
     for (j, t) in toks.iter().enumerate().skip(open_idx) {
         if t.is_punct(open) {
@@ -1074,7 +1079,7 @@ fn matching(toks: &[Tok], open_idx: usize, open: char, close: char) -> Option<us
 /// For a `fn` keyword at `fn_idx`, the `(body_start, body_end)` token
 /// indices of its `{ … }` body (both pointing at the braces), or `None`
 /// for bodyless trait signatures.
-fn fn_body(toks: &[Tok], fn_idx: usize) -> Option<(usize, usize)> {
+pub(crate) fn fn_body(toks: &[Tok], fn_idx: usize) -> Option<(usize, usize)> {
     let mut j = fn_idx + 1;
     let mut angle = 0i64;
     while j < toks.len() {

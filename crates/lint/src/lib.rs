@@ -12,6 +12,7 @@
 
 pub mod analysis;
 pub mod callgraph;
+pub mod census;
 pub mod graph;
 pub mod summary;
 pub mod symbols;
@@ -34,6 +35,8 @@ pub struct LintReport {
     pub cycles: Vec<Cycle>,
     /// Number of files analyzed.
     pub files: usize,
+    /// The reachability census (filled by [`lint_workspace`] only).
+    pub census: Vec<census::CensusItem>,
 }
 
 impl LintReport {
@@ -116,6 +119,23 @@ impl LintReport {
             }
         }
         s
+    }
+
+    /// Render the census: one JSON object per `pub` item, one per line.
+    pub fn render_census(&self) -> String {
+        let line = |c: &census::CensusItem| {
+            let from: Vec<String> = c.reached_from().iter().map(|r| json_str(r)).collect();
+            format!(
+                "{{\"item\": {}, \"kind\": {}, \"file\": {}, \"line\": {}, \"reached_from\": [{}], \"allowed\": {}}}\n",
+                json_str(&c.item),
+                json_str(&c.kind),
+                json_str(&c.file),
+                c.line,
+                from.join(", "),
+                c.allowed.as_deref().map_or("null".into(), json_str),
+            )
+        };
+        self.census.iter().map(line).collect()
     }
 
     /// Render the machine-readable report. The schema is stable and
@@ -269,7 +289,7 @@ pub fn workspace_rs_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Lint every `.rs` file under the workspace root.
+/// Lint every `.rs` file under the workspace root, census included.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> {
     let files = workspace_rs_files(root);
     let mut owned: Vec<(String, String)> = Vec::with_capacity(files.len());
@@ -282,7 +302,11 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<LintReport> 
         let src = std::fs::read_to_string(&f)?;
         owned.push((rel, src));
     }
-    Ok(lint_sources(owned.iter().map(|(p, s)| (p.as_str(), s.as_str())), cfg))
+    let mut report = lint_sources(owned.iter().map(|(p, s)| (p.as_str(), s.as_str())), cfg);
+    let (items, findings) = census::census(&owned);
+    report.census = items;
+    report.findings.extend(findings);
+    Ok(report)
 }
 
 pub use analysis::{Config as LintConfig, Rule as LintRule};

@@ -1,14 +1,15 @@
 //! `polarlint` CLI.
 //!
 //! Usage: `polarlint [--workspace] [--root <dir>] [--format text|json]
-//!         [--report <path>] [--json-report <path>]`
+//!         [--report <path>] [--json-report <path>] [--census <path>]`
 //!
 //! Exits 1 when the workspace has unjustified findings or lock-order
 //! cycles; the report in the selected `--format` goes to stdout. With
 //! `--report` the text report is also written to a file, and with
 //! `--json-report` the machine-readable report (stable versioned
-//! schema, see `LintReport::render_json`) is written alongside it — CI
-//! archives both as artifacts.
+//! schema, see `LintReport::render_json`) is written alongside it, and
+//! with `--census` the reachability census (one JSON line per `pub` item
+//! of the product crates) — CI archives all three as artifacts.
 
 use polardbx_lint::{lint_workspace, LintConfig};
 use std::path::PathBuf;
@@ -18,6 +19,7 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
     let mut json_report_path: Option<PathBuf> = None;
+    let mut census_path: Option<PathBuf> = None;
     let mut format = String::from("text");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -27,6 +29,7 @@ fn main() -> ExitCode {
             "--root" => root = args.next().map(PathBuf::from),
             "--report" => report_path = args.next().map(PathBuf::from),
             "--json-report" => json_report_path = args.next().map(PathBuf::from),
+            "--census" => census_path = args.next().map(PathBuf::from),
             "--format" => {
                 format = args.next().unwrap_or_default();
                 if format != "text" && format != "json" {
@@ -37,7 +40,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "polarlint [--workspace] [--root <dir>] [--format text|json] \
-                     [--report <path>] [--json-report <path>]"
+                     [--report <path>] [--json-report <path>] [--census <path>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -70,6 +73,12 @@ fn main() -> ExitCode {
     if let Some(p) = json_report_path {
         if let Err(e) = std::fs::write(&p, report.render_json()) {
             eprintln!("polarlint: failed to write json report {}: {e}", p.display());
+            return ExitCode::from(2);
+        }
+    }
+    if let Some(p) = census_path {
+        if let Err(e) = std::fs::write(&p, report.render_census()) {
+            eprintln!("polarlint: failed to write census {}: {e}", p.display());
             return ExitCode::from(2);
         }
     }

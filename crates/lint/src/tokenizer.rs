@@ -255,7 +255,13 @@ fn scan_string(b: &[u8], i: usize, line: &mut u32) -> usize {
     let mut j = i + 1;
     while j < b.len() {
         match b[j] {
-            b'\\' => j += 2,
+            b'\\' => {
+                // A `\` line continuation still ends a source line.
+                if b.get(j + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                j += 2;
+            }
             b'\n' => {
                 *line += 1;
                 j += 1;
@@ -409,7 +415,8 @@ mod tests {
 
     #[test]
     fn line_numbers_survive_multiline_strings() {
-        let src = "let a = \"one\ntwo\nthree\";\nb";
+        // The second newline follows a `\` line continuation.
+        let src = "let a = \"one\ntwo \\\nthree\";\nb";
         let toks = tokenize(src).toks;
         let b = toks.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b.line, 4);

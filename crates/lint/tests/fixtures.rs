@@ -375,3 +375,36 @@ fn trait_methods_resolve_by_qualifier_not_by_name() {
     assert_eq!(to_trait.len(), 1);
     assert_eq!(table.fns[to_trait[0]].impl_ty.as_deref(), Some("Flusher"));
 }
+
+/// The census fixture pair: a product file, and the figure binary that
+/// reaches part of it.
+#[test]
+fn census_classes_a_reached_item_and_flags_an_unreached_one() {
+    let product = "pub struct Widget;\n\
+                   impl Widget {\n\
+                   \x20   pub fn new() -> Widget { Widget }\n\
+                   \x20   pub fn used(&self) { self.helper() }\n\
+                   \x20   fn helper(&self) { Gadget::new(); }\n\
+                   \x20   pub fn orphan(&self) {}\n\
+                   \x20   // lint:allow(unreached, kept for the operator console)\n\
+                   \x20   pub fn spare(&self) {}\n\
+                   }\n\
+                   pub struct Gadget;\n\
+                   impl Gadget { pub fn new() -> Gadget { Gadget } }\n\
+                   pub struct Island;\n\
+                   impl Island { pub fn new() -> Island { Island } }\n";
+    let figure = "fn main() { Widget::new().used(); }";
+    let sources = [("crates/storage/src/widget.rs", product), ("examples/demo.rs", figure)]
+        .map(|(p, s)| (p.to_string(), s.to_string()));
+    let (items, findings) = polardbx_lint::census::census(&sources);
+    let reached = |item: &str| {
+        items.iter().find(|i| i.item == format!("storage::widget::{item}")).unwrap().reached_from()
+    };
+    // Reach passes through the private helper; `Widget::new` in the figure
+    // is a mention of neither `Gadget::new` nor `Island::new`.
+    assert_eq!((reached("Widget::used"), reached("Gadget::new")), (vec!["figure"], vec!["figure"]));
+    assert!(reached("Widget::orphan").is_empty() && reached("Island::new").is_empty());
+    let open: Vec<_> = findings.iter().filter(|f| f.allowed.is_none()).collect();
+    assert_eq!(open.len(), 3, "orphan, Island and Island::new: {open:?}");
+    assert!(findings.iter().any(|f| f.allowed.is_some() && f.message.contains("Widget::spare")));
+}

@@ -167,11 +167,6 @@ impl PageStore {
     pub fn read_page(&self, page_no: u64) -> Result<Vec<u8>> {
         self.volume.read(self.base + page_no * self.page_size, self.page_size as usize)
     }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
-    }
 }
 
 /// Redo-log sink writing the log region of a volume: LSN maps directly to a

@@ -284,11 +284,6 @@ impl<M: Send + 'static> SimNet<M> {
         &self.latency
     }
 
-    /// Registered node ids.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.read().keys().copied().collect()
-    }
-
     /// Stop delivery threads. Called on teardown; nodes stay registered but
     /// one-way delivery halts.
     pub fn shutdown(&self) {

@@ -302,8 +302,13 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
             r.set_event_recorder(Arc::clone(&rec));
         }
         let leader = group.leader().expect("bootstrap leader");
-        let engine =
-            StorageEngine::with_durability(polardbx::durability::PaxosDurability::new(leader));
+        let engine = StorageEngine::in_memory();
+        polardbx::durability::enable_paxos_epoch(
+            &engine,
+            leader,
+            Duration::from_secs(10),
+            polardbx_wal::EpochConfig::default(),
+        );
         (engine, Some(group))
     } else {
         (StorageEngine::in_memory(), None)

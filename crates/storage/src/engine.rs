@@ -61,11 +61,6 @@ impl LocalDurability {
     pub fn new(log: Arc<LogBuffer>) -> Arc<LocalDurability> {
         Arc::new(LocalDurability { gc: GroupCommitter::new(log) })
     }
-
-    /// The underlying group committer.
-    pub fn group_committer(&self) -> &Arc<GroupCommitter> {
-        &self.gc
-    }
 }
 
 impl Durability for LocalDurability {
@@ -130,6 +125,7 @@ struct TrxCtx {
 /// versions to demote and whether the decision is externally durable.
 struct UnstableCtx {
     snapshot_ts: u64,
+    commit_ts: u64,
     writes: Vec<(TableId, Key)>,
     /// 2PC phase two: the decision is durable at the arbiter, so a torn
     /// epoch reverts the transaction to PREPARED instead of aborting it.
@@ -148,8 +144,15 @@ impl EpochListener for EngineEpochListener {
     fn epoch_stable(&self, txns: &[TrxId], _end: Lsn) {
         let Some(engine) = self.engine.upgrade() else { return };
         engine.txns.mark_stable_batch(txns);
+        // The history learns of a commit here, not at the early stamp: an
+        // epoch that tears rolls the stamp back, and a commit nobody could
+        // observe followed by an abort would read as a lost write.
+        let tap = engine.tap();
         for t in txns {
-            engine.unstable_ctx.remove(t);
+            if let (Some(ctx), Some(tap)) = (engine.unstable_ctx.remove(t), &tap) {
+                let (trx, commit_ts) = (*t, ctx.commit_ts);
+                tap.rec.record(TxnEvent::Commit { trx, node: tap.node, commit_ts });
+            }
         }
     }
 
@@ -273,12 +276,6 @@ impl StorageEngine {
     pub fn set_recorder(&self, rec: Arc<HistoryRecorder>, node: NodeId, replica: bool) {
         *self.recorder.lock() = Some(RecorderTap { rec, node, replica });
         self.recording.store(true, Ordering::Release);
-    }
-
-    /// Remove the history tap.
-    pub fn clear_recorder(&self) {
-        self.recording.store(false, Ordering::Release);
-        *self.recorder.lock() = None;
     }
 
     /// The installed tap, if recording is on. Clones the `Arc` out so the
@@ -657,11 +654,9 @@ impl StorageEngine {
                 stamp_skipped = true;
             }
         }
-        if let Some(tap) = self.tap() {
-            tap.rec.record(TxnEvent::Commit { trx, node: tap.node, commit_ts });
-        }
         let TrxCtx { snapshot_ts, writes, redo } = ctx;
-        self.unstable_ctx.insert(trx, UnstableCtx { snapshot_ts, writes, decided, prepare_ts });
+        let unstable = UnstableCtx { snapshot_ts, commit_ts, writes, decided, prepare_ts };
+        self.unstable_ctx.insert(trx, unstable);
         if stamp_skipped {
             // Revert the early release exactly as a torn epoch would:
             // undecided aborts wholesale, a decided phase-two reverts to

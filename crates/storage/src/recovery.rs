@@ -143,28 +143,6 @@ pub fn replay_records(engine: &Arc<StorageEngine>, records: &[RedoPayload]) -> R
     })
 }
 
-/// Scan `sink` (scan-and-truncate) and replay its valid prefix into
-/// `engine`. Returns the full report including the durable horizon.
-pub fn recover_from_sink(engine: &Arc<StorageEngine>, sink: &VecSink) -> Result<RecoveryReport> {
-    let base = sink
-        .writes()
-        .iter()
-        .map(|(at, _)| *at)
-        .min()
-        .unwrap_or(Lsn::ZERO);
-    let content = sink.contiguous();
-    let scan = scan_records(&content);
-    let durable = scan.durable_lsn(base);
-    let truncated = (content.len() - scan.valid_len) as u64;
-    if truncated > 0 {
-        sink.truncate_to(durable);
-    }
-    let mut report = replay_records(engine, &scan.records)?;
-    report.durable_lsn = durable;
-    report.truncated_bytes = truncated;
-    Ok(report)
-}
-
 /// Build a fresh engine from nothing but a durable sink: scan-and-truncate,
 /// recreate `tables`, replay, and wire the engine's new log buffer to
 /// resume appending at the recovered horizon (so post-recovery commits

@@ -19,9 +19,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use polardbx_common::time::mono_now;
 use polardbx_common::{Error, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId};
-use polardbx_wal::{EpochConfig, EpochPipeline, LocalEpochSink, LogBuffer, LogSink, Mtr, VecSink};
+use polardbx_wal::{EpochConfig, EpochPipeline, LocalEpochSink, LogBuffer, LogSink, VecSink};
 
-use crate::engine::{Durability, LocalDurability, StorageEngine, WriteOp};
+use crate::engine::{LocalDurability, StorageEngine, WriteOp};
 use crate::feed::{CommittedTxn, RedoConsumer, TxnAssembler};
 use crate::mvcc as polardbx_storage_mvcc;
 
@@ -134,25 +134,12 @@ pub struct RwNode {
     tables: Mutex<Vec<(TableId, TenantId)>>,
 }
 
-/// Durability provider that also feeds the RO replication stream.
-struct RwDurability {
-    local: Arc<LocalDurability>,
-}
-
-impl Durability for RwDurability {
-    fn make_durable(&self, mtrs: &[Mtr]) -> Result<Lsn> {
-        self.local.make_durable(mtrs)
-    }
-}
-
 impl RwNode {
     /// A fresh RW node.
     pub fn new(id: NodeId) -> Arc<RwNode> {
         let sink = VecSink::new();
         let log = LogBuffer::new(sink.clone() as Arc<dyn LogSink>);
-        let local = LocalDurability::new(Arc::clone(&log));
-        let engine =
-            StorageEngine::with_durability(Arc::new(RwDurability { local }) as Arc<dyn Durability>);
+        let engine = StorageEngine::with_durability(LocalDurability::new(Arc::clone(&log)));
         Arc::new(RwNode {
             id,
             engine,

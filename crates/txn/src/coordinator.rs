@@ -306,11 +306,6 @@ impl DistTxn<'_> {
         self.trx
     }
 
-    /// This transaction's snapshot timestamp.
-    pub fn snapshot_ts(&self) -> HlcTimestamp {
-        self.snapshot_ts
-    }
-
     /// Participant DNs sent a message so far (reads included).
     pub fn participants(&self) -> usize {
         self.participants.len()

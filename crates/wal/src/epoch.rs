@@ -67,14 +67,6 @@ pub trait EpochListener: Send + Sync {
     fn epoch_failed(&self, txns: &[TrxId], err: &Error);
 }
 
-/// A no-op listener for sinks tested without an engine.
-pub struct NullListener;
-
-impl EpochListener for NullListener {
-    fn epoch_stable(&self, _txns: &[TrxId], _end_lsn: Lsn) {}
-    fn epoch_failed(&self, _txns: &[TrxId], _err: &Error) {}
-}
-
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EpochConfig {

@@ -193,19 +193,9 @@ impl FrameBatcher {
         Some(frame)
     }
 
-    /// Next LSN to be assigned (after everything batched so far).
-    pub fn next_lsn(&self) -> Lsn {
-        self.next_lsn.advance(self.pending_bytes as u64)
-    }
-
     /// Index the next cut frame will carry.
     pub fn next_index(&self) -> u64 {
         self.next_index
-    }
-
-    /// Change epoch after a re-election; frame indexes continue.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 }
 

@@ -32,7 +32,7 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use polardbx_common::time::Timer;
 
-use polardbx_common::metrics::{Counter, Histogram, ValueHistogram};
+use polardbx_common::metrics::{Counter, HdrHistogram, ValueHistogram};
 use polardbx_common::{Error, Lsn, Result};
 
 use crate::buffer::LogBuffer;
@@ -48,7 +48,7 @@ pub struct WalMetrics {
     /// Committers sharing each flush (1 = no grouping happened).
     pub group_size: ValueHistogram,
     /// Time followers spent parked waiting for a leader's flush.
-    pub wait_for_leader: Histogram,
+    pub wait_for_leader: HdrHistogram,
 }
 
 impl WalMetrics {
@@ -87,8 +87,7 @@ impl WalMetrics {
         self.commits.reset();
         self.flushes.reset();
         self.group_size.reset();
-        // Histogram has no reset; follower-wait carries over, which only
-        // matters for pretty-printing, not for the ratios the bench gates on.
+        self.wait_for_leader.reset();
     }
 }
 

@@ -33,7 +33,7 @@ pub mod recovery;
 pub use buffer::{LogBuffer, LogSink, VecSink};
 pub use epoch::{
     EpochConfig, EpochListener, EpochMetrics, EpochPipeline, EpochSink, EpochTicket,
-    LocalEpochSink, NullListener,
+    LocalEpochSink,
 };
 pub use frame::{FrameBatcher, FrameError, PaxosFrame, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 pub use group_commit::{GroupCommitter, WalMetrics};

@@ -263,13 +263,6 @@ impl TpccDriver {
         }
     }
 
-    /// One NewOrder transaction. Returns Err on conflict (caller retries
-    /// or counts an abort).
-    pub fn new_order(&self, s: &Session, rng: &mut StdRng) -> Result<()> {
-        let w = rng.gen_range(0..self.cfg.warehouses);
-        self.new_order_at(s, rng, w)
-    }
-
     /// NewOrder pinned to warehouse `w` (placement bench workers keep a
     /// home warehouse; see [`TpccDriver::transaction_from`]).
     pub fn new_order_at(&self, s: &Session, rng: &mut StdRng, w: i64) -> Result<()> {
@@ -424,11 +417,6 @@ impl TpccDriver {
             s.coordinator().read_autocommit(c_dn, c_tid, &Key::encode(&cpk))?;
             Ok(false)
         }
-    }
-
-    /// Driver config.
-    pub fn config(&self) -> &TpccConfig {
-        &self.cfg
     }
 }
 

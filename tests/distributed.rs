@@ -156,9 +156,13 @@ fn paxos_backed_engine_survives_failover() {
         }));
     }
 
-    let engine = StorageEngine::with_durability(polardbx::durability::PaxosDurability::new(
+    let engine = StorageEngine::in_memory();
+    polardbx::durability::enable_paxos_epoch(
+        &engine,
         Arc::clone(&leader),
-    ));
+        Duration::from_secs(5),
+        polardbx_wal::EpochConfig::default(),
+    );
     engine.create_table(TableId(1), TenantId(1));
     for i in 0..30i64 {
         let trx = TrxId(100 + i as u64);

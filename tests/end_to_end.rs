@@ -280,7 +280,7 @@ fn shard_rebalancing_moves_data_without_copy() {
     let schema = db.gms().table("events").unwrap();
     let src = db.gms().shard_dn(schema.id, 0).unwrap();
     let dest = db.dns().into_iter().map(|d| d.id).find(|&id| id != src).unwrap();
-    db.move_shard("events", 0, dest).unwrap();
+    db.rehome_shard("events", 0, dest).unwrap();
     assert_eq!(db.gms().shard_dn(schema.id, 0).unwrap(), dest);
 
     // All data still present and queryable after the move.
@@ -298,6 +298,102 @@ fn shard_rebalancing_moves_data_without_copy() {
     assert_eq!(db.count_rows("events").unwrap(), 121);
     let r = s.query("SELECT COUNT(*) FROM events WHERE id < 120").unwrap();
     assert_eq!(r[0].get(0).unwrap(), &Value::Int(120));
+    db.shutdown();
+}
+
+/// `rebalance` under live traffic: every move is the per-shard cutover
+/// (`rehome_shard`), so writers only ever see retryable bounces, no
+/// acknowledged `v = v + 1` is lost, and a transaction left open on
+/// another table of the source DN holds no move up. (The engine-wide
+/// drain it used to call waited for that transaction until it timed out.)
+#[test]
+fn rebalance_under_live_traffic_loses_no_update() {
+    use polardbx_common::{Key, Row};
+    use polardbx_txn::WireWriteOp;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+    use std::time::Duration;
+
+    const ROWS: i64 = 64;
+    let seed = polardbx_common::testseed::seed_from_env(0x4EBA_1A2C);
+    eprintln!(
+        "rebalance_under_live_traffic: POLARDBX_TEST_SEED={}",
+        polardbx_common::testseed::format_seed(seed)
+    );
+    let db = cluster(3);
+    let s = db.connect(DcId(1));
+    s.execute(
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 8",
+    )
+    .unwrap();
+    let values: Vec<String> = (0..ROWS).map(|i| format!("({i}, 0)")).collect();
+    s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(","))).unwrap();
+    s.execute(
+        "CREATE TABLE bystander (id BIGINT NOT NULL, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 1",
+    )
+    .unwrap();
+    // Pile every shard on one DN so the rebalance has shards to move, and
+    // leave a transaction open there on the other table.
+    let schema = db.gms().table("t").unwrap();
+    let crowded = db.dns()[0].id;
+    for shard in 0..8 {
+        db.rehome_shard("t", shard, crowded).unwrap();
+    }
+    db.rehome_shard("bystander", 0, crowded).unwrap();
+    let (stid, dn, epoch) = s.route_fenced("bystander", &[Value::Int(1)]).unwrap();
+    let mut open = s.coordinator().begin();
+    open.pin_epoch(stid, epoch).unwrap();
+    let row = WireWriteOp::Insert(Row::new(vec![Value::Int(1)]));
+    open.write(dn, stid, Key::encode(&[Value::Int(1)]), row).unwrap();
+
+    let stop = AtomicBool::new(false);
+    let acked = AtomicI64::new(0);
+    // Traffic is flowing before the first move and still lands after the last.
+    let await_acks = |n: i64| {
+        let target = acked.load(Ordering::Relaxed) + n;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while acked.load(Ordering::Relaxed) < target {
+            assert!(std::time::Instant::now() < deadline, "writers stalled");
+            std::thread::yield_now();
+        }
+    };
+    let moved = std::thread::scope(|scope| {
+        for w in 0..3u64 {
+            let session = db.connect_nth(w as usize);
+            let (stop, acked) = (&stop, &acked);
+            scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ w);
+                while !stop.load(Ordering::Relaxed) {
+                    let id = rng.gen_range(0..ROWS);
+                    match session.execute(&format!("UPDATE t SET v = v + 1 WHERE id = {id}")) {
+                        Ok(1) => drop(acked.fetch_add(1, Ordering::Relaxed)),
+                        Ok(n) => panic!("UPDATE of id {id} matched {n} rows"),
+                        Err(e) => assert!(e.is_retryable(), "writer {w} saw {e:?}"),
+                    }
+                }
+            });
+        }
+        await_acks(50);
+        let moved = db.rebalance("t");
+        await_acks(50);
+        stop.store(true, Ordering::Relaxed);
+        moved
+    });
+    let acked = acked.into_inner();
+    let moved = moved.expect("rebalance must succeed under live traffic");
+    open.commit().unwrap();
+    assert_eq!(db.count_rows("bystander").unwrap(), 1);
+    assert!(moved > 0, "a table crowded on one DN has shards to move");
+    let homes: std::collections::HashSet<_> =
+        (0..8).map(|shard| db.gms().shard_dn(schema.id, shard).unwrap()).collect();
+    assert!(homes.len() > 1, "shards still crowded on {crowded:?}");
+    // A session on a CN that took no part in the last commits is certain
+    // to see them only once its clock passes their tick (HLC is causal).
+    std::thread::sleep(Duration::from_millis(2));
+    let r = s.query("SELECT SUM(v) FROM t").unwrap();
+    assert_eq!(r[0].get(0).unwrap(), &Value::Int(acked), "final must equal the acked updates");
     db.shutdown();
 }
 
@@ -334,7 +430,7 @@ fn hotspot_detection_drives_rebalance() {
     // Remediate: move the hot shard off the overloaded DN.
     let hot_dn = placements[&0];
     let dest = db.dns().into_iter().map(|d| d.id).find(|&id| id != hot_dn).unwrap();
-    db.move_shard("hot", 0, dest).unwrap();
+    db.rehome_shard("hot", 0, dest).unwrap();
     assert_eq!(db.count_rows("hot").unwrap(), 40);
     db.shutdown();
 }
