@@ -31,6 +31,16 @@ pub enum KeyAccess {
     All,
 }
 
+/// As `EXPLAIN` prints it: `keys(n)` or `all shards`.
+impl std::fmt::Display for KeyAccess {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KeyAccess::Keys(keys) => write!(f, "keys({})", keys.len()),
+            KeyAccess::All => f.write_str("all shards"),
+        }
+    }
+}
+
 /// What the conjuncts say about one key column.
 #[derive(Default)]
 struct Bound {

@@ -151,10 +151,17 @@ impl Session {
     /// scanned table the store the executor reads (§VI-B/E) — with what a
     /// column index can answer — and the row-store access path: `keys(n)`
     /// when the filter above the scan names n primary keys, else `all
-    /// shards`.
+    /// shards`. For an UPDATE / DELETE: the access path and how the
+    /// statement writes — `pushed (1 round)`, or `read-then-write (2
+    /// rounds)` and why the read cannot ride the write.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
-            return Err(Error::invalid("EXPLAIN supports SELECT only"));
+        let sel = match polardbx_sql::parse(sql)? {
+            Statement::Select(sel) => sel,
+            Statement::Update(u) => {
+                return self.explain_dml(&u.table, &u.predicate, Some(&u.assignments))
+            }
+            Statement::Delete(d) => return self.explain_dml(&d.table, &d.predicate, None),
+            _ => return Err(Error::invalid("EXPLAIN supports SELECT, UPDATE and DELETE only")),
         };
         let stats = self.inner.gms.statistics();
         let (plan, cost, class) = self.plan_select(&sel, &stats)?;
@@ -197,10 +204,7 @@ impl Session {
         match plan {
             LogicalPlan::Scan { table, .. } => {
                 let schema = self.inner.gms.table(table)?;
-                let access = match filter.map_or(KeyAccess::All, |p| key_access(&schema, p)) {
-                    KeyAccess::Keys(keys) => format!("keys({})", keys.len()),
-                    KeyAccess::All => "all shards".to_string(),
-                };
+                let access = filter.map_or(KeyAccess::All, |p| key_access(&schema, p));
                 out.push_str(&format!("access {table}: {access}\n"));
                 Ok(())
             }

@@ -12,6 +12,7 @@ use polardbx_common::testseed::{format_seed, parse_seed, seed_from_env};
 use polardbx_sitcheck::explorer::{self, ExplorerConfig, Mutation, Schedule};
 use polardbx_sitcheck::report::render_report;
 use polardbx_sitcheck::AnomalyKind;
+use polardbx_txn::checker::WritePath;
 
 const DEFAULT_BASE_SEED: u64 = 0x51_C4EC;
 
@@ -132,17 +133,19 @@ fn main() {
                 Mutation::SkipRoutingEpochFence => {
                     &[AnomalyKind::LostUpdate, AnomalyKind::LostWrite, AnomalyKind::GSIb]
                 }
+                Mutation::SkipEditConflictCheck => &[AnomalyKind::LostUpdate],
             };
             let expect_names = expect.iter().map(|k| k.name()).collect::<Vec<_>>().join(" | ");
-            // The seed's low bit picks the scenario's write path
-            // (`write()`s, or writes staged into the commit round).
-            for (seed, path) in [(args.base_seed & !1, "write"), (args.base_seed | 1, "staged")] {
+            // Three consecutive seeds cover the scenario's three write paths
+            // (`write()`s, writes staged into the commit round, pushed edits).
+            for seed in (0..3).map(|i| args.base_seed.wrapping_add(i)) {
+                let path = WritePath::pick(seed);
                 let mutated = explorer::run_mutated(m, seed);
                 let twin = explorer::run_unmutated_twin(m, seed);
                 let caught = expect.iter().any(|k| mutated.report.has(*k));
                 let twin_clean = twin.report.is_clean();
                 let line = format!(
-                    "=== {} ({path}) === expected {} : {} | unmutated twin: {}\n",
+                    "=== {} ({path:?}) === expected {} : {} | unmutated twin: {}\n",
                     mutated.schedule_label,
                     expect_names,
                     if caught { "DETECTED" } else { "MISSED" },

@@ -14,7 +14,7 @@
 //! All clocks are `TestClock`-backed HLCs with deliberately skewed bases
 //! (DN *i* at `1000·i` ms, CNs at 500/700 ms), so causality is carried by
 //! HLC propagation alone — exactly the property the protocol mutations
-//! break. The three [`Mutation`]s re-run a deterministic scenario with one
+//! break. The [`Mutation`]s re-run a deterministic scenario with one
 //! protocol step disabled; each must surface a named anomaly while its
 //! unmutated twin stays clean. That pair of assertions is what makes the
 //! checker self-validating.
@@ -38,7 +38,7 @@ use polardbx_hlc::{Clock, Hlc, TestClock};
 use polardbx_placement::EpochMap;
 use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
 use polardbx_storage::{RwNode, StorageEngine};
-use polardbx_txn::checker::BankHarness;
+use polardbx_txn::checker::{AddInt, BankHarness, WritePath};
 use polardbx_txn::{
     Coordinator, DnService, ProtocolMutations, ResolverConfig, RoutingFence, TxnConfig, TxnMsg,
     WireWriteOp,
@@ -125,8 +125,8 @@ impl Schedule {
     }
 }
 
-/// The three self-validation mutations: each disables one protocol step
-/// the checker must notice.
+/// The self-validation mutations: each disables one protocol step the
+/// checker must notice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Skip the coordinator's commit-time HLC absorb (paper step ⑥): the
@@ -142,6 +142,10 @@ pub enum Mutation {
     /// a transaction that routed before the move commits to the *old*
     /// home, splitting the key's history across two DNs → LostUpdate.
     SkipRoutingEpochFence,
+    /// A pushed edit is not checked against its transaction's snapshot: it
+    /// reads the row there, then overwrites a version committed since —
+    /// first committer no longer wins → LostUpdate.
+    SkipEditConflictCheck,
 }
 
 impl Mutation {
@@ -152,6 +156,7 @@ impl Mutation {
             Mutation::IgnorePreparedReads,
             Mutation::DropPrepare,
             Mutation::SkipRoutingEpochFence,
+            Mutation::SkipEditConflictCheck,
         ]
     }
 
@@ -162,6 +167,7 @@ impl Mutation {
             Mutation::IgnorePreparedReads => "mutation-ignore-prepared-reads",
             Mutation::DropPrepare => "mutation-drop-prepare",
             Mutation::SkipRoutingEpochFence => "mutation-skip-routing-epoch-fence",
+            Mutation::SkipEditConflictCheck => "mutation-skip-edit-conflict-check",
         }
     }
 }
@@ -424,12 +430,18 @@ fn seed_registers(coord: &Coordinator, n: usize) {
     }
 }
 
-/// One register read-modify-write: read, increment, write back — the
-/// write sent on its own, or `staged` into the commit message. With a
-/// `route`, the register's home is dynamic and the commit is pinned to the
-/// routing epoch captured here — a concurrent cutover rejects it
-/// retryably instead of letting it land on the old home.
-fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>, staged: bool) -> bool {
+/// The register increment as an edit the register's DN applies.
+fn bump_register() -> WireWriteOp {
+    WireWriteOp::Edit(Arc::new(AddInt { column: 1, delta: 1 }))
+}
+
+/// One register read-modify-write down `path`: read, increment, write back
+/// — the write sent on its own or staged into the commit message — or the
+/// whole increment pushed to the register's DN as an edit. With a `route`,
+/// the register's home is dynamic and the commit is pinned to the routing
+/// epoch captured here — a concurrent cutover rejects it retryably instead
+/// of letting it land on the old home.
+fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>, path: WritePath) -> bool {
     let (home, pin) = match route {
         Some(rt) => {
             if rt.epochs.is_frozen(REGISTERS) {
@@ -451,6 +463,10 @@ fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>, staged
             return false;
         }
     }
+    if path == WritePath::Pushed {
+        txn.stage_write(home, REGISTERS, key, bump_register());
+        return matches!(txn.commit_counting(), Ok((_, 1)));
+    }
     let got = match txn.read(home, REGISTERS, &key) {
         Ok(Some(row)) => row.get(1).ok().and_then(|v| v.as_int().ok()),
         _ => None,
@@ -460,7 +476,7 @@ fn rmw_once(coord: &Coordinator, r: usize, route: Option<&RegisterRoute>, staged
         return false;
     };
     let op = WireWriteOp::Update(Row::new(vec![Value::Int(id), Value::Int(v + 1)]));
-    if staged {
+    if path == WritePath::Staged {
         txn.stage_write(home, REGISTERS, key, op);
     } else if txn.write(home, REGISTERS, key, op).is_err() {
         txn.abort();
@@ -662,11 +678,12 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
                             b = (b + 1) % h.accounts;
                         }
                         // Each writer picks, by seed, how it reaches the
-                        // DNs: a message per statement, or one read round
-                        // and a commit round that carries the writes.
-                        let staged = rng.gen();
+                        // DNs: a message per statement, one read round and
+                        // a commit round that carries the writes, or a
+                        // commit round that carries the edits.
+                        let path = WritePath::pick(rng.gen());
                         for _ in 0..3 {
-                            match h.transfer(&coord, a, b, 1, staged) {
+                            match h.transfer(&coord, a, b, 1, path) {
                                 Ok(()) => break,
                                 Err(e) if e.is_retryable() => continue,
                                 Err(_) => break,
@@ -685,9 +702,9 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
                     let mut rng = StdRng::seed_from_u64(0x4A7_0000 ^ seed);
                     for _ in 0..n {
                         let r = rng.gen_range(0..regs);
-                        let staged = rng.gen();
+                        let path = WritePath::pick(rng.gen());
                         for _ in 0..5 {
-                            if rmw_once(&coord, r, route, staged) {
+                            if rmw_once(&coord, r, route, path) {
                                 break;
                             }
                         }
@@ -768,11 +785,10 @@ pub fn sweep(seeds: &[u64], schedules: &[Schedule]) -> ExplorerOutcome {
 
 /// Deterministic scenario for one mutation. `mutated = false` runs the
 /// identical schedule with the protocol intact — the twin that must come
-/// back clean. The seed's low bit picks how the scenario's writer reaches
-/// its DNs (odd: reads in one round, writes staged into the commit round),
-/// so two consecutive seeds cover both.
+/// back clean. The seed picks how the scenario's writer reaches its DNs
+/// ([`WritePath::pick`]), so three consecutive seeds cover all three.
 fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
-    let staged = seed & 1 == 1;
+    let path = WritePath::pick(seed);
     let c = build_cluster(false, None, false);
     let accounts = 4usize;
     let harness = BankHarness {
@@ -803,7 +819,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     ..Default::default()
                 });
             let _ = harness.seed(&coord);
-            let _ = harness.transfer(&coord, 0, 1, 5, staged);
+            let _ = harness.transfer(&coord, 0, 1, 5, path);
             let _ = harness.audit(&coord);
         }
         Mutation::IgnorePreparedReads => {
@@ -827,7 +843,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     }
                 }));
             // Accounts 0 → DN1 (DC1, reachable) and 1 → DN2 (DC2, severed).
-            let committed = harness.transfer(&coord, 0, 1, 5, staged).is_ok();
+            let committed = harness.transfer(&coord, 0, 1, 5, path).is_ok();
             c.net.heal(DcId(1), DcId(2));
             if committed {
                 if mutated {
@@ -860,7 +876,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     drop_participant: if mutated { Some(NodeId(2)) } else { None },
                     ..Default::default()
                 });
-            let _ = harness.transfer(&coord, 0, 1, 5, staged);
+            let _ = harness.transfer(&coord, 0, 1, 5, path);
             // Expire whatever the dropped participant was left holding.
             c.dns[1].resolve_once(&c.net, &drain_cfg);
             let _ = harness.audit(&seeder);
@@ -891,15 +907,19 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             // pre-move epoch, held open across the cutover.
             let mut txn = coord.begin();
             let _ = txn.pin_epoch(REGISTERS, epochs.epoch_of(REGISTERS));
-            let v = match txn.read(REGISTER_DN, REGISTERS, &key) {
-                Ok(Some(row)) => row.get(1).ok().and_then(|x| x.as_int().ok()).unwrap_or(0),
-                _ => 0,
-            };
-            let bump = WireWriteOp::Update(Row::new(vec![Value::Int(1000), Value::Int(v + 1)]));
-            if staged {
-                txn.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump);
+            if path == WritePath::Pushed {
+                txn.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump_register());
             } else {
-                let _ = txn.write(REGISTER_DN, REGISTERS, key.clone(), bump);
+                let v = match txn.read(REGISTER_DN, REGISTERS, &key) {
+                    Ok(Some(row)) => row.get(1).ok().and_then(|x| x.as_int().ok()).unwrap_or(0),
+                    _ => 0,
+                };
+                let bump = WireWriteOp::Update(Row::new(vec![Value::Int(1000), Value::Int(v + 1)]));
+                if path == WritePath::Staged {
+                    txn.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump);
+                } else {
+                    let _ = txn.write(REGISTER_DN, REGISTERS, key.clone(), bump);
+                }
             }
             // The cutover: freeze + epoch bump, copy the committed register
             // to DN1 (the mover's own transaction is unfenced — it *is* the
@@ -943,6 +963,30 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let mut reader = seeder.begin();
             let _ = reader.read(new_home, REGISTERS, &key);
             reader.abort();
+        }
+        Mutation::SkipEditConflictCheck => {
+            // Two pushed increments of one register: the first to begin is
+            // the last to commit, so its edit reads the register at a
+            // snapshot the other has since committed over. Intact protocol:
+            // its write fails first-committer-wins and the session runs it
+            // again. Mutated: the register DN checks an edit's write against
+            // the end of time, so it overwrites the other's version — both
+            // read the seeded value, both committed a write over it.
+            let coord = coordinator(&c, CN_A, Hlc::with_physical(TestClock::at(500)));
+            seed_registers(&coord, 1);
+            let register_dn = c.dns.iter().find(|d| d.node == REGISTER_DN).expect("register DN");
+            register_dn.set_skip_edit_conflict_check(mutated);
+            let key = register_key(1000);
+            let mut slow = coord.begin();
+            slow.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump_register());
+            let mut fast = coord.begin();
+            fast.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump_register());
+            let _ = fast.commit();
+            if slow.commit().is_err() {
+                let mut again = coord.begin();
+                again.stage_write(REGISTER_DN, REGISTERS, key, bump_register());
+                let _ = again.commit();
+            }
         }
     }
 

@@ -12,7 +12,45 @@ use std::sync::Arc;
 use polardbx_common::{Key, NodeId, Result, Row, TableId, Value};
 
 use crate::coordinator::{Coordinator, DistTxn, ReadOp};
-use crate::msg::WireWriteOp;
+use crate::msg::{Edit, RowEdit, WireWriteOp};
+
+/// How a checker's writer reaches its DNs. Checkers run all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WritePath {
+    /// A message per read and per write, then the commit (an interactive
+    /// driver).
+    PerStatement,
+    /// The reads in one round, full rows staged into the commit round (an
+    /// autocommit statement that keeps its read).
+    Staged,
+    /// No read: [`WireWriteOp::Edit`]s staged into the commit round, each
+    /// row read and edited on its DN (an autocommit keyed statement).
+    Pushed,
+}
+
+impl WritePath {
+    /// The path a seed or a random draw picks: `n mod 3`.
+    pub fn pick(n: u64) -> WritePath {
+        [WritePath::PerStatement, WritePath::Staged, WritePath::Pushed][(n % 3) as usize]
+    }
+}
+
+/// The edit `row[column] ← row[column] + delta` over an integer column.
+#[derive(Debug)]
+pub struct AddInt {
+    /// Column index.
+    pub column: usize,
+    /// What to add.
+    pub delta: i64,
+}
+
+impl RowEdit for AddInt {
+    fn apply(&self, old: &Row) -> Result<Edit> {
+        let mut new = old.clone();
+        new.set(self.column, Value::Int(old.get(self.column)?.as_int()? + self.delta))?;
+        Ok(Edit::Put(new))
+    }
+}
 
 /// Point-read every `(dn, table, key)` in one round
 /// ([`DistTxn::read_many`]): the row found under each, in the order given.
@@ -72,22 +110,33 @@ impl BankHarness {
     }
 
     /// Transfer `amount` from account `a` to account `b` in one distributed
-    /// transaction. Returns Err on conflict (caller may retry).
-    ///
-    /// `staged` picks how the transaction reaches its DNs: a message per
-    /// read and per write, then the commit (an interactive driver), or both
-    /// reads in one round and both writes staged into the commit round (an
-    /// autocommit statement). Checkers run both.
+    /// transaction, reaching the DNs down `path`. Returns Err on conflict
+    /// (caller may retry).
     pub fn transfer(
         &self,
         coord: &Coordinator,
         a: usize,
         b: usize,
         amount: i64,
-        staged: bool,
+        path: WritePath,
     ) -> Result<()> {
         let mut txn = coord.begin();
         let (dn_a, dn_b) = (self.dn_of(a), self.dn_of(b));
+        if path == WritePath::Pushed {
+            for (i, dn, delta) in [(a, dn_a, -amount), (b, dn_b, amount)] {
+                let edit = WireWriteOp::Edit(Arc::new(AddInt { column: 1, delta }));
+                txn.stage_write(dn, self.table, self.key(i), edit);
+            }
+            // Both accounts exist, so anything but 2 is a miscount (say, a
+            // duplicated message's edit counted twice).
+            return match txn.commit_counting()? {
+                (_, 2) => Ok(()),
+                (_, n) => Err(polardbx_common::Error::execution(format!(
+                    "pushed transfer {a} -> {b} edited {n} rows, not 2"
+                ))),
+            };
+        }
+        let staged = path == WritePath::Staged;
         let (ra, rb) = if staged {
             let reads = vec![(dn_a, self.table, self.key(a)), (dn_b, self.table, self.key(b))];
             let mut found = read_points(&mut txn, reads)?.into_iter();
@@ -167,7 +216,7 @@ pub fn stress_seeded(
                     }
                     // Conflicts are expected; retry a few times then move on.
                     for _ in 0..3 {
-                        match h.transfer(&coord, a, b, 1, rng.gen()) {
+                        match h.transfer(&coord, a, b, 1, WritePath::pick(rng.gen())) {
                             Ok(()) => break,
                             Err(e) if e.is_retryable() => continue,
                             Err(_) => break,
@@ -270,13 +319,14 @@ mod tests {
         let (_net, coords, dns) = cluster(2, 1);
         let harness = BankHarness { table: T, dns, accounts: 2, initial: 100 };
         harness.seed(&coords[0]).unwrap();
-        harness.transfer(&coords[0], 0, 1, 30, false).unwrap();
-        harness.transfer(&coords[0], 1, 0, 10, true).unwrap();
+        harness.transfer(&coords[0], 0, 1, 30, WritePath::PerStatement).unwrap();
+        harness.transfer(&coords[0], 1, 0, 10, WritePath::Staged).unwrap();
+        harness.transfer(&coords[0], 0, 1, 5, WritePath::Pushed).unwrap();
         let mut txn = coords[0].begin();
         let a = txn.read(harness.dn_of(0), T, &harness.key(0)).unwrap().unwrap();
         let b = txn.read(harness.dn_of(1), T, &harness.key(1)).unwrap().unwrap();
         txn.abort();
-        assert_eq!(a.get(1).unwrap().as_int().unwrap(), 80);
-        assert_eq!(b.get(1).unwrap().as_int().unwrap(), 120);
+        assert_eq!(a.get(1).unwrap().as_int().unwrap(), 75);
+        assert_eq!(b.get(1).unwrap().as_int().unwrap(), 125);
     }
 }

@@ -420,7 +420,9 @@ impl DistTxn<'_> {
     /// the participant's verdict on this write (`WriteConflict`,
     /// `DuplicateKey`, …) before the next statement. For a driver that
     /// decides what to do next from that verdict; a statement that already
-    /// knows its whole write set stages it with [`DistTxn::stage_write`].
+    /// knows its whole write set stages it with [`DistTxn::stage_write`]
+    /// (which is also the only way to learn how many rows a
+    /// [`WireWriteOp::Edit`] wrote: this reply carries no count).
     pub fn write(
         &mut self,
         dn: NodeId,
@@ -446,7 +448,9 @@ impl DistTxn<'_> {
     /// staged writes in order — after any [`DistTxn::write`] already sent
     /// there — and then votes. The participant's verdict on the write
     /// therefore arrives as `commit`'s error, typed as `write` would have
-    /// returned it.
+    /// returned it. A staged [`WireWriteOp::Edit`] is a whole
+    /// read-modify-write with no round of its own; how many rows the
+    /// staged edits wrote comes back from [`DistTxn::commit_counting`].
     pub fn stage_write(&mut self, dn: NodeId, table: TableId, key: Key, op: WireWriteOp) {
         self.note_touch(dn, table);
         self.write_set(dn).push((table, key, op));
@@ -563,7 +567,15 @@ impl DistTxn<'_> {
     /// the decision log (2PC), or already settled by the one participant
     /// whose answer was lost (one-phase). Any other error means the
     /// transaction aborted.
-    pub fn commit(mut self) -> Result<u64> {
+    pub fn commit(self) -> Result<u64> {
+        self.commit_counting().map(|(commit_ts, _)| commit_ts)
+    }
+
+    /// [`DistTxn::commit`] that also returns, after the commit timestamp,
+    /// how many rows the staged [`WireWriteOp::Edit`]s wrote, summed over
+    /// the participants' replies: the affected count of a statement whose
+    /// read-modify-writes ran where the rows live.
+    pub fn commit_counting(mut self) -> Result<(u64, u64)> {
         self.finished = true;
         let mut write_sets = std::mem::take(&mut self.write_sets);
         let votes = |dn: &NodeId| write_sets.iter().any(|(w, _)| w == dn);
@@ -577,7 +589,7 @@ impl DistTxn<'_> {
         if write_sets.is_empty() {
             let commit_ts = self.snapshot_ts.raw(); // wrote-nothing transaction
             self.absorb_and_record_commit(commit_ts, false);
-            return Ok(commit_ts);
+            return Ok((commit_ts, 0));
         }
         // Routing-epoch fence: validate before anything of the commit round
         // is paid for, and hold the commit gates until phase two is handed
@@ -623,15 +635,19 @@ impl DistTxn<'_> {
         // Both messages are idempotent at the participant (a duplicate gets
         // the recorded timestamp and re-applies nothing), so the round is
         // safe to retry.
-        let mut commit_ts = 0u64;
+        let (mut commit_ts, mut edited) = (0u64, 0u64);
         let (mut refused, mut unheard) = (None, None);
         for reply in self.coord.round_retry(&round) {
             match reply {
                 // Step ⑤: commit_ts = max(prepare_ts).
-                Ok(TxnMsg::Prepared { prepare_ts }) if !one_phase => {
-                    commit_ts = commit_ts.max(prepare_ts)
+                Ok(TxnMsg::Prepared { prepare_ts, edited: n }) if !one_phase => {
+                    commit_ts = commit_ts.max(prepare_ts);
+                    edited += n;
                 }
-                Ok(TxnMsg::Committed { commit_ts: ts }) if one_phase => commit_ts = ts,
+                Ok(TxnMsg::Committed { commit_ts: ts, edited: n }) if one_phase => {
+                    commit_ts = ts;
+                    edited += n;
+                }
                 Ok(TxnMsg::Failed(e)) => refused = refused.or(Some(e)),
                 Ok(other) => {
                     refused =
@@ -671,7 +687,7 @@ impl DistTxn<'_> {
             // Absorb the participant's timestamp so later transactions
             // from this CN observe it.
             self.absorb_and_record_commit(commit_ts, true);
-            return Ok(commit_ts);
+            return Ok((commit_ts, edited));
         }
         self.coord.hit_failpoint("txn.before_decision");
         if let Some(arbiter) = decision_node {
@@ -718,7 +734,7 @@ impl DistTxn<'_> {
         // Step ⑥: a single batched ClockUpdate, paired atomically
         // with the commit record.
         self.absorb_and_record_commit(commit_ts, true);
-        Ok(commit_ts)
+        Ok((commit_ts, edited))
     }
 
     /// Abort everywhere.
@@ -781,6 +797,7 @@ mod tests {
     use polardbx_storage::StorageEngine;
     use std::time::Duration;
 
+    use crate::msg::testing::bump;
     use crate::participant::DnService;
 
     struct CnStub;
@@ -1322,6 +1339,119 @@ mod tests {
         assert!(matches!(err, Error::WriteConflict { .. }), "{err:?}");
         t1.commit().unwrap();
         assert_eq!(dns[1].engine.read(T, &key(2), u64::MAX, None).unwrap(), Some(row(2, 1)));
+    }
+
+    /// Rows `(n, 10 n)` for `n` in 1..=3, row `n` on DN `n`, visible to the
+    /// next transaction.
+    fn seed_pairs(coord: &Coordinator, dns: &[Arc<DnService>]) {
+        let mut seed = coord.begin();
+        for n in 1..=3 {
+            seed.stage_write(NodeId(n as u64), T, key(n), WireWriteOp::Insert(row(n, 10 * n)));
+        }
+        seed.commit().unwrap();
+        for (dn, n) in dns.iter().zip(1..) {
+            await_visible(dn, &key(n), Duration::from_secs(1)).unwrap();
+        }
+    }
+
+    fn v_of(dn: &DnService, n: i64) -> i64 {
+        let row = dn.engine.read(T, &key(n), u64::MAX, None).unwrap().unwrap();
+        row.get(1).unwrap().as_int().unwrap()
+    }
+
+    #[test]
+    fn staged_edits_cost_one_round_and_commit_counts_their_rows() {
+        use polardbx_simnet::{FaultPlan, LinkFaults};
+        let (net, coord, dns) = cluster();
+        seed_pairs(&coord, &dns);
+        // Every message is delivered twice: each DN answers from the count
+        // it remembered, and the sum is still one per row.
+        net.set_fault_plan(FaultPlan::new(1).with_all_links(LinkFaults::none().with_duplicate(1.0)));
+        let (calls, waits) = (net.stats.snapshot().0, rounds(&net));
+        let mut txn = coord.begin();
+        for n in 1..=3 {
+            txn.stage_write(NodeId(n as u64), T, key(n), bump(99));
+            txn.stage_write(NodeId(n as u64), T, key(n + 50), bump(99)); // no such row
+        }
+        let (_, edited) = txn.commit_counting().unwrap();
+        net.clear_fault_plan();
+        assert_eq!(edited, 3);
+        assert_eq!(net.stats.snapshot().0 - calls, 3, "no read travels: one Prepare per DN");
+        assert_eq!(rounds(&net) - waits, 1);
+        for (dn, n) in dns.iter().zip(1..) {
+            assert!(await_drained(dn, Duration::from_secs(1)));
+            assert_eq!(v_of(dn, n), 10 * n + 1, "applied once");
+            assert!(dn.metrics.duplicate_msgs.get() >= 1);
+        }
+    }
+
+    /// Forwards to a DN; lifts the fabric's fault plan when the first
+    /// `CommitLocal` lands, so exactly that message's reply is lost.
+    struct LiftOnCommitLocal {
+        inner: Arc<DnService>,
+        net: Arc<SimNet<TxnMsg>>,
+    }
+
+    impl Handler<TxnMsg> for LiftOnCommitLocal {
+        fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+            if matches!(msg, TxnMsg::CommitLocal { .. }) {
+                self.net.clear_fault_plan();
+            }
+            self.inner.handle(from, msg)
+        }
+    }
+
+    #[test]
+    fn lost_reply_of_an_edit_carrying_commit_local_reports_the_same_count() {
+        use polardbx_simnet::{FaultPlan, LinkFaults};
+        let (net, coord, dns) = cluster();
+        let coord = coord.with_config(crate::config::TxnConfig {
+            max_attempts: 4,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+        });
+        seed_pairs(&coord, &dns);
+        let lift = LiftOnCommitLocal { inner: Arc::clone(&dns[1]), net: Arc::clone(&net) };
+        net.register(NodeId(2), DcId(2), Arc::new(lift));
+        // A call rolls its reply against the plan in force when it left.
+        net.set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+        let mut txn = coord.begin();
+        txn.stage_write(NodeId(2), T, key(2), bump(99));
+        txn.stage_write(NodeId(2), T, key(52), bump(99)); // no such row
+        let (_, edited) = txn.commit_counting().unwrap();
+        assert_eq!(edited, 1, "the retry reports what the lost reply carried");
+        assert_eq!(net.fault_stats.dropped_replies.get(), 1);
+        assert_eq!(coord.metrics().rpc_retries.get(), 1);
+        assert_eq!(dns[1].metrics.duplicate_msgs.get(), 1, "the second copy was absorbed");
+        assert_eq!(v_of(&dns[1], 2), 21, "applied once");
+    }
+
+    #[test]
+    fn refused_edit_reaches_the_caller_typed_and_rolls_back_every_edit() {
+        let (_net, coord, dns) = cluster();
+        seed_pairs(&coord, &dns);
+        // The edit's own refusal: DN1 and DN3 edited and prepared, DN2's
+        // row fails validation.
+        let mut txn = coord.begin();
+        for (n, limit) in [(1, 99), (2, 20), (3, 99)] {
+            txn.stage_write(NodeId(n as u64), T, key(n), bump(limit));
+        }
+        let err = txn.commit_counting().unwrap_err();
+        assert!(matches!(err, Error::Schema { .. }) && !err.is_retryable(), "{err:?}");
+        // The engine's refusal: first committer wins against a transaction
+        // that began before `winner` committed.
+        let mut loser = coord.begin();
+        let mut winner = coord.begin();
+        winner.stage_write(NodeId(2), T, key(2), bump(99));
+        assert_eq!(winner.commit_counting().unwrap().1, 1);
+        loser.stage_write(NodeId(1), T, key(1), bump(99));
+        loser.stage_write(NodeId(2), T, key(2), bump(99));
+        let err = loser.commit_counting().unwrap_err();
+        assert!(matches!(err, Error::WriteConflict { .. }), "{err:?}");
+        for (dn, n) in dns.iter().zip(1..) {
+            assert!(await_drained(dn, Duration::from_secs(1)));
+            assert_eq!(v_of(dn, n), 10 * n + (n == 2) as i64, "only the winner's edit stands");
+        }
     }
 
     #[test]

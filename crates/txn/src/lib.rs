@@ -16,9 +16,12 @@
 //! them over whole: [`DistTxn::read_many`] sends the reads of step 2 in one
 //! round, [`DistTxn::stage_write`] holds the writes back, and the message
 //! that asks a participant for its vote in step 3 delivers them — two
-//! blocking rounds per statement instead of one per row. A driver that
-//! needs each write's verdict before its next statement keeps
-//! [`DistTxn::write`].
+//! blocking rounds per statement instead of one per row. When the reads
+//! only feed the writes, the driver stages the read-modify-write itself
+//! ([`WireWriteOp::Edit`] over a [`RowEdit`]): the participant reads, edits
+//! and writes the row in that one message, and the statement is one round.
+//! A driver that needs each write's verdict before its next statement
+//! keeps [`DistTxn::write`].
 //!
 //! Swapping the [`polardbx_hlc::Clock`] implementation yields the baselines
 //! of Fig 7: TSO-SI (both timestamps are RPCs to a central oracle) and
@@ -52,5 +55,5 @@ pub use config::{ResolverConfig, TxnConfig};
 pub use coordinator::{Coordinator, DistTxn, Failpoint, ProtocolMutations, ReadOp, MAX_TOUCHED};
 pub use metrics::TxnMetrics;
 pub use route::{AccessObserver, CommitGuard, PartTouch, RoutingFence};
-pub use msg::{Decision, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
+pub use msg::{Decision, Edit, RowEdit, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
 pub use participant::{DnService, ResolverHandle};

@@ -1,6 +1,9 @@
 //! Coordinator ↔ participant wire messages.
 
-use polardbx_common::{Key, NodeId, Row, TableId, TrxId};
+use std::fmt::Debug;
+use std::sync::Arc;
+
+use polardbx_common::{Key, NodeId, Result, Row, TableId, TrxId};
 
 /// The final fate of a distributed transaction, as recorded in a decision
 /// log (see [`crate::participant::DnService`]'s arbiter role).
@@ -12,6 +15,28 @@ pub enum Decision {
     Abort,
 }
 
+/// What a [`RowEdit`] decides for the row it was shown.
+#[derive(Debug)]
+pub enum Edit {
+    /// Leave the row as it is (the statement's predicate rejected it).
+    Keep,
+    /// Overwrite the row with this one.
+    Put(Row),
+    /// Delete the row.
+    Delete,
+}
+
+/// A statement's effect on one row, decided where the row lives: the
+/// participant reads the row at the transaction's snapshot and writes what
+/// `apply` returns, in one visit. The driver implements it (for SQL: residual
+/// predicate, assignments, row validation); this crate only carries it.
+pub trait RowEdit: Send + Sync + Debug {
+    /// The edit of `old`, the row as the transaction's snapshot sees it. An
+    /// error refuses the write: the transaction rolls back and the error
+    /// reaches the client as the participant's own.
+    fn apply(&self, old: &Row) -> Result<Edit>;
+}
+
 /// A write operation on the wire.
 #[derive(Debug, Clone)]
 pub enum WireWriteOp {
@@ -21,6 +46,10 @@ pub enum WireWriteOp {
     Update(Row),
     /// Delete a row.
     Delete,
+    /// Read the row under the key and write what the edit makes of it; a
+    /// key with no row is left alone. Unlike the blind ops above, the read
+    /// waits out a PREPARED writer of the row before the write is checked.
+    Edit(Arc<dyn RowEdit>),
 }
 
 /// One write waiting for its transaction's commit round: `(table, key, op)`.
@@ -143,11 +172,16 @@ pub enum TxnMsg {
     Prepared {
         /// The participant's `prepare_ts`.
         prepare_ts: u64,
+        /// Rows the [`WireWriteOp::Edit`]s this `Prepare` carried wrote.
+        edited: u64,
     },
     /// Commit confirmation carrying the commit timestamp used.
     Committed {
         /// The commit timestamp.
         commit_ts: u64,
+        /// Rows the [`WireWriteOp::Edit`]s this `CommitLocal` carried
+        /// wrote (0 in reply to a phase-two `Commit`).
+        edited: u64,
     },
     /// The decision on record at the arbiter.
     DecisionIs {
@@ -156,4 +190,31 @@ pub enum TxnMsg {
     },
     /// Failure reply.
     Failed(polardbx_common::Error),
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use polardbx_common::{Error, Value};
+
+    /// `v ← v + 1` on `(id, v)` rows; refuses to pass `limit`, the way a
+    /// statement's row validation refuses a row.
+    #[derive(Debug)]
+    struct Bump {
+        limit: i64,
+    }
+
+    impl RowEdit for Bump {
+        fn apply(&self, old: &Row) -> Result<Edit> {
+            let (id, v) = (old.get(0)?.clone(), old.get(1)?.as_int()?);
+            if v >= self.limit {
+                return Err(Error::Schema { message: format!("v would pass {}", self.limit) });
+            }
+            Ok(Edit::Put(Row::new(vec![id, Value::Int(v + 1)])))
+        }
+    }
+
+    pub(crate) fn bump(limit: i64) -> WireWriteOp {
+        WireWriteOp::Edit(Arc::new(Bump { limit }))
+    }
 }

@@ -1,7 +1,7 @@
 //! The DN-side participant service.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,7 +16,14 @@ use polardbx_storage::{StorageEngine, TxnState, WriteOp};
 
 use crate::config::ResolverConfig;
 use crate::metrics::TxnMetrics;
-use crate::msg::{Decision, StagedWrites, TxnMsg, WireWriteOp};
+use crate::msg::{Decision, Edit, StagedWrites, TxnMsg, WireWriteOp};
+
+/// How long the row count of a commit-round message's edits is kept for a
+/// duplicated or retried copy of that message to report again. A copy trails
+/// the original by at most the coordinator's retry schedule plus the longest
+/// wait of a message beside it in the round (the engine's 5 s PREPARED
+/// wait), so this is generous.
+const EDIT_COUNT_RETENTION: Duration = Duration::from_secs(10);
 
 /// A PREPARED transaction awaiting its 2PC outcome.
 struct InDoubt {
@@ -48,6 +55,14 @@ pub struct DnService {
     /// History tap for arbiter decisions (the engine carries its own tap
     /// for reads/writes/commit stamps).
     recorder: Mutex<Option<Arc<HistoryRecorder>>>,
+    /// Rows written by the edits of the commit-round messages served in the
+    /// last [`EDIT_COUNT_RETENTION`], oldest first: what a duplicated or
+    /// retried copy of such a message reports again instead of re-applying.
+    /// A message whose edits wrote nothing is not listed (absent reads 0).
+    edit_counts: Mutex<VecDeque<(Duration, TrxId, u64)>>,
+    /// Checker-validation breakage, see
+    /// [`DnService::set_skip_edit_conflict_check`].
+    skip_edit_conflict_check: AtomicBool,
 }
 
 impl DnService {
@@ -62,7 +77,19 @@ impl DnService {
             prepared: Mutex::new(HashMap::new()),
             decisions: Mutex::new(HashMap::new()),
             recorder: Mutex::new(None),
+            edit_counts: Mutex::new(VecDeque::new()),
+            skip_edit_conflict_check: AtomicBool::new(false),
         })
+    }
+
+    /// Deliberately broken mode used only to validate the isolation checker
+    /// (`sitcheck` mutation runs): a transaction whose first message here
+    /// carries a [`WireWriteOp::Edit`] validates its writes against the end
+    /// of time instead of its snapshot, so the edit reads the row at the
+    /// snapshot and then overwrites a version committed after it — first
+    /// committer no longer wins.
+    pub fn set_skip_edit_conflict_check(&self, on: bool) {
+        self.skip_edit_conflict_check.store(on, Ordering::SeqCst);
     }
 
     /// Attach a history recorder: installs the MVCC tap on this node's
@@ -223,6 +250,8 @@ impl DnService {
         self.prepared.lock().remove(&trx);
     }
 
+    /// Serve one write; returns how many rows an edit wrote (0 for the
+    /// blind ops, whose senders already know their count).
     fn do_write(
         &self,
         trx: TrxId,
@@ -230,42 +259,84 @@ impl DnService {
         table: polardbx_common::TableId,
         key: polardbx_common::Key,
         op: WireWriteOp,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         self.sync_snapshot(snapshot_ts);
-        self.ensure_started(trx, snapshot_ts);
+        let is_edit = matches!(op, WireWriteOp::Edit(_));
+        let validate_at = if is_edit && self.skip_edit_conflict_check.load(Ordering::SeqCst) {
+            u64::MAX
+        } else {
+            snapshot_ts
+        };
+        self.ensure_started(trx, validate_at);
         let op = match op {
             WireWriteOp::Insert(row) => WriteOp::Insert(row),
             WireWriteOp::Update(row) => WriteOp::Update(row),
             WireWriteOp::Delete => WriteOp::Delete,
+            WireWriteOp::Edit(edit) => {
+                // The `Read` message this replaces, served in place: it
+                // waits out a PREPARED writer of the row, and the history
+                // tap records the version it observed.
+                let old = self
+                    .engine
+                    .read(table, &key, snapshot_ts, Some(trx))
+                    .map_err(remap_stale_route)?;
+                match old.map(|old| edit.apply(&old)).transpose()? {
+                    None | Some(Edit::Keep) => return Ok(0),
+                    Some(Edit::Put(row)) => WriteOp::Update(row),
+                    Some(Edit::Delete) => WriteOp::Delete,
+                }
+            }
         };
-        self.engine.write(trx, table, key, op).map_err(remap_stale_route)
+        self.engine.write(trx, table, key, op).map_err(remap_stale_route)?;
+        Ok(is_edit as u64)
     }
 
     /// Apply the writes a commit-round message carries, each exactly as a
-    /// `Write` message would have been, before the vote.
+    /// `Write` message would have been, before the vote. Returns the rows
+    /// its edits wrote.
     ///
     /// Idempotency rule: only a transaction that has not voted here takes
     /// them. Once it is PREPARED or decided, this is a duplicated or
     /// retried copy of a message already served — its writes stand (or
     /// fell with the abort), nothing is re-applied, and the vote code the
-    /// caller runs next answers from the recorded state. All or nothing:
-    /// when a write is refused the transaction is rolled back here at
-    /// once, so a retry never meets half of its own writes, and the
-    /// refusal goes back as the participant's own typed error.
-    fn apply_staged(&self, trx: TrxId, staged: StagedWrites) -> Result<()> {
+    /// caller runs next answers from the recorded state, count included
+    /// ([`DnService::remembered_edit_count`]). All or nothing: when a write
+    /// is refused the transaction is rolled back here at once, so a retry
+    /// never meets half of its own writes, and the refusal goes back as
+    /// the participant's own typed error.
+    fn apply_staged(&self, trx: TrxId, staged: StagedWrites) -> Result<u64> {
         if staged.writes.is_empty()
             || !matches!(self.engine.txn_state(trx), None | Some(TxnState::Active))
         {
-            return Ok(());
+            return Ok(0);
         }
+        let mut edited = 0;
         for (table, key, op) in staged.writes {
-            if let Err(e) = self.do_write(trx, staged.snapshot_ts, table, key, op) {
-                self.finish(trx);
-                self.engine.abort(trx);
-                return Err(e);
+            match self.do_write(trx, staged.snapshot_ts, table, key, op) {
+                Ok(n) => edited += n,
+                Err(e) => {
+                    self.finish(trx);
+                    self.engine.abort(trx);
+                    return Err(e);
+                }
             }
         }
-        Ok(())
+        if edited > 0 {
+            let now = mono_now();
+            let mut counts = self.edit_counts.lock();
+            while counts.front().is_some_and(|(at, ..)| *at + EDIT_COUNT_RETENTION < now) {
+                counts.pop_front();
+            }
+            counts.push_back((now, trx, edited));
+        }
+        Ok(edited)
+    }
+
+    /// Rows the edits of `trx`'s commit-round message wrote when its first
+    /// copy was served.
+    fn remembered_edit_count(&self, trx: TrxId) -> u64 {
+        let counts = self.edit_counts.lock();
+        counts.iter().rev().find(|(_, t, _)| *t == trx).map_or(0, |(.., n)| *n)
     }
 }
 
@@ -287,7 +358,7 @@ impl Handler<TxnMsg> for DnService {
         match msg {
             TxnMsg::Write { trx, snapshot_ts, table, key, op } => {
                 match self.do_write(trx, snapshot_ts, table, key, op) {
-                    Ok(()) => TxnMsg::Ok,
+                    Ok(_) => TxnMsg::Ok,
                     Err(e) => TxnMsg::Failed(e),
                 }
             }
@@ -317,14 +388,16 @@ impl Handler<TxnMsg> for DnService {
             }
             TxnMsg::Prepare { trx, decision_node, staged } => {
                 // Idempotency first: a duplicated or retried Prepare must
-                // return the SAME prepare_ts, not advance the state again.
+                // return the SAME prepare_ts and edit count, not advance
+                // the state again.
                 if let Some(TxnState::Prepared { prepare_ts }) = self.engine.txn_state(trx) {
                     self.metrics.duplicate_msgs.inc();
-                    return TxnMsg::Prepared { prepare_ts };
+                    return TxnMsg::Prepared { prepare_ts, edited: self.remembered_edit_count(trx) };
                 }
-                if let Err(e) = self.apply_staged(trx, staged) {
-                    return TxnMsg::Failed(e);
-                }
+                let edited = match self.apply_staged(trx, staged) {
+                    Ok(edited) => edited,
+                    Err(e) => return TxnMsg::Failed(e),
+                };
                 // Step ④: validate, enter PREPARED, return ClockAdvance().
                 // The advance happens inside the transaction table's lock:
                 // allocated-but-not-yet-PREPARED is a window in which a
@@ -335,7 +408,7 @@ impl Handler<TxnMsg> for DnService {
                         self.prepared
                             .lock()
                             .insert(trx, InDoubt { decision_node, since: mono_now() });
-                        TxnMsg::Prepared { prepare_ts }
+                        TxnMsg::Prepared { prepare_ts, edited }
                     }
                     // The vote itself failed (the transaction is unknown
                     // here, or already decided): say which node refused.
@@ -355,7 +428,7 @@ impl Handler<TxnMsg> for DnService {
                 {
                     self.metrics.duplicate_msgs.inc();
                     self.finish(trx);
-                    return TxnMsg::Committed { commit_ts: recorded };
+                    return TxnMsg::Committed { commit_ts: recorded, edited: 0 };
                 }
                 // The decision is durable at the arbiter and may already be
                 // acked upstream: a local durability failure leaves the
@@ -364,22 +437,24 @@ impl Handler<TxnMsg> for DnService {
                 match self.engine.commit_decided(trx, commit_ts) {
                     Ok(_) => {
                         self.finish(trx);
-                        TxnMsg::Committed { commit_ts }
+                        TxnMsg::Committed { commit_ts, edited: 0 }
                     }
                     Err(e) => TxnMsg::Failed(e),
                 }
             }
             TxnMsg::CommitLocal { trx, staged } => {
                 // Idempotency: a retried CommitLocal (lost reply) must ack
-                // the original commit timestamp, not allocate a new one.
+                // the original commit timestamp and edit count, not
+                // allocate or apply again.
                 if let Some(TxnState::Committed { commit_ts }) = self.engine.txn_state(trx) {
                     self.metrics.duplicate_msgs.inc();
                     self.finish(trx);
-                    return TxnMsg::Committed { commit_ts };
+                    return TxnMsg::Committed { commit_ts, edited: self.remembered_edit_count(trx) };
                 }
-                if let Err(e) = self.apply_staged(trx, staged) {
-                    return TxnMsg::Failed(e);
-                }
+                let edited = match self.apply_staged(trx, staged) {
+                    Ok(edited) => edited,
+                    Err(e) => return TxnMsg::Failed(e),
+                };
                 // Single-participant fast path: the commit timestamp is this
                 // node's ClockAdvance — no cross-node max needed. The
                 // advance rides the same in-lock PREPARED transition as a
@@ -393,7 +468,7 @@ impl Handler<TxnMsg> for DnService {
                     };
                 self.finish(trx);
                 match self.engine.commit(trx, commit_ts) {
-                    Ok(_) => TxnMsg::Committed { commit_ts },
+                    Ok(_) => TxnMsg::Committed { commit_ts, edited },
                     Err(e) => TxnMsg::Failed(e),
                 }
             }
@@ -487,6 +562,7 @@ impl Drop for ResolverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::testing::bump;
     use polardbx_common::{DcId, Key, Row, TableId, TenantId, Value};
     use polardbx_hlc::{Hlc, TestClock};
     use polardbx_simnet::{LatencyMatrix, SimNet};
@@ -533,7 +609,7 @@ mod tests {
             },
         );
         let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
-        let TxnMsg::Prepared { prepare_ts } = r1 else { panic!("expected Prepared, got {r1:?}") };
+        let TxnMsg::Prepared { prepare_ts, .. } = r1 else { panic!("expected Prepared, got {r1:?}") };
         assert!(prepare_ts > HlcTimestamp::new(100, 0).raw());
     }
 
@@ -571,7 +647,7 @@ mod tests {
         let p = net
             .call(NodeId(9), NodeId(1), TxnMsg::Prepare { trx: TrxId(7), decision_node: None, staged: Default::default() })
             .unwrap();
-        let TxnMsg::Prepared { prepare_ts } = p else { panic!() };
+        let TxnMsg::Prepared { prepare_ts, .. } = p else { panic!() };
         let c = net
             .call(NodeId(9), NodeId(1), TxnMsg::Commit { trx: TrxId(7), commit_ts: prepare_ts })
             .unwrap();
@@ -633,15 +709,19 @@ mod tests {
         );
         let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
         let r2 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
-        let TxnMsg::Prepared { prepare_ts: t1 } = r1 else { panic!("{r1:?}") };
-        let TxnMsg::Prepared { prepare_ts: t2 } = r2 else { panic!("{r2:?}") };
+        let TxnMsg::Prepared { prepare_ts: t1, .. } = r1 else { panic!("{r1:?}") };
+        let TxnMsg::Prepared { prepare_ts: t2, .. } = r2 else { panic!("{r2:?}") };
         assert_eq!(t1, t2, "duplicate Prepare must not advance the timestamp");
         assert_eq!(dn.metrics.duplicate_msgs.get(), 1);
     }
 
     fn staged(writes: Vec<(Key, WireWriteOp)>) -> StagedWrites {
+        staged_at(HlcTimestamp::new(100, 0).raw(), writes)
+    }
+
+    fn staged_at(snapshot_ts: u64, writes: Vec<(Key, WireWriteOp)>) -> StagedWrites {
         StagedWrites {
-            snapshot_ts: HlcTimestamp::new(100, 0).raw(),
+            snapshot_ts,
             writes: writes.into_iter().map(|(k, op)| (TableId(1), k, op)).collect(),
         }
     }
@@ -659,10 +739,10 @@ mod tests {
             decision_node: None,
             staged: staged(vec![(key(1), WireWriteOp::Insert(row(1)))]),
         };
-        let TxnMsg::Prepared { prepare_ts: t1 } = dn.handle(NodeId(9), prepare.clone()) else {
+        let TxnMsg::Prepared { prepare_ts: t1, .. } = dn.handle(NodeId(9), prepare.clone()) else {
             panic!("first copy must prepare")
         };
-        let TxnMsg::Prepared { prepare_ts: t2 } = dn.handle(NodeId(9), prepare) else {
+        let TxnMsg::Prepared { prepare_ts: t2, .. } = dn.handle(NodeId(9), prepare) else {
             panic!("second copy must re-ack")
         };
         assert_eq!(t1, t2);
@@ -673,10 +753,10 @@ mod tests {
             trx: TrxId(6),
             staged: staged(vec![(key(2), WireWriteOp::Insert(row(2)))]),
         };
-        let TxnMsg::Committed { commit_ts: c1 } = dn.handle(NodeId(9), local.clone()) else {
+        let TxnMsg::Committed { commit_ts: c1, .. } = dn.handle(NodeId(9), local.clone()) else {
             panic!("first copy must commit")
         };
-        let TxnMsg::Committed { commit_ts: c2 } = dn.handle(NodeId(9), local) else {
+        let TxnMsg::Committed { commit_ts: c2, .. } = dn.handle(NodeId(9), local) else {
             panic!("second copy must re-ack")
         };
         assert_eq!(c1, c2);
@@ -727,6 +807,147 @@ mod tests {
         assert_eq!(engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
     }
 
+    fn pair(id: i64, v: i64) -> Row {
+        Row::new(vec![Value::Int(id), Value::Int(v)])
+    }
+
+    /// A snapshot that sees [`dn_with_pairs`]' rows (HLC raw, pt = 1000 ms).
+    const SEEDED: u64 = 1000 << polardbx_hlc::timestamp::LC_BITS;
+
+    /// A DN holding `(1, 10)`, `(2, 20)` and `(3, 30)`.
+    fn dn_with_pairs() -> (Arc<StorageEngine>, Arc<DnService>) {
+        let engine = StorageEngine::in_memory();
+        engine.create_table(TableId(1), TenantId(1));
+        let dn = DnService::new(NodeId(1), Arc::clone(&engine), Hlc::with_physical(TestClock::at(50)));
+        let seed = (1..=3).map(|n| (key(n), WireWriteOp::Insert(pair(n, 10 * n)))).collect();
+        let reply = dn.handle(NodeId(9), TxnMsg::CommitLocal { trx: TrxId(1), staged: staged(seed) });
+        assert!(matches!(reply, TxnMsg::Committed { edited: 0, .. }), "{reply:?}");
+        (engine, dn)
+    }
+
+    fn v_of(engine: &StorageEngine, n: i64) -> i64 {
+        let row = engine.read(TableId(1), &key(n), u64::MAX, None).unwrap().unwrap();
+        row.get(1).unwrap().as_int().unwrap()
+    }
+
+    #[test]
+    fn duplicated_edit_carrying_message_applies_once_and_reports_the_same_count() {
+        let (engine, dn) = dn_with_pairs();
+        // 2PC: two rows edited, one key with no row. The second copy edits
+        // nothing again (`v + 1` twice is the bug) and repeats vote and count.
+        let prepare = TxnMsg::Prepare {
+            trx: TrxId(5),
+            decision_node: None,
+            staged: staged_at(
+                SEEDED,
+                vec![(key(1), bump(99)), (key(77), bump(99)), (key(2), bump(99))],
+            ),
+        };
+        let TxnMsg::Prepared { prepare_ts: t1, edited: n1 } = dn.handle(NodeId(9), prepare.clone())
+        else {
+            panic!("first copy must prepare")
+        };
+        let TxnMsg::Prepared { prepare_ts: t2, edited: n2 } = dn.handle(NodeId(9), prepare) else {
+            panic!("second copy must re-ack")
+        };
+        assert_eq!((t1, n1), (t2, n2));
+        assert_eq!(n1, 2, "the key with no row counts for nothing");
+        dn.handle(NodeId(9), TxnMsg::Commit { trx: TrxId(5), commit_ts: t1 });
+        assert_eq!((v_of(&engine, 1), v_of(&engine, 2), v_of(&engine, 3)), (11, 21, 30));
+        // One-phase: the reply of the first copy was lost, the retry meets
+        // the commit and must report the count the first copy would have.
+        let local = TxnMsg::CommitLocal {
+            trx: TrxId(6),
+            staged: staged_at(u64::MAX >> 1, vec![(key(1), bump(99))]),
+        };
+        let TxnMsg::Committed { commit_ts: c1, edited: n1 } = dn.handle(NodeId(9), local.clone())
+        else {
+            panic!("first copy must commit")
+        };
+        let TxnMsg::Committed { commit_ts: c2, edited: n2 } = dn.handle(NodeId(9), local) else {
+            panic!("second copy must re-ack")
+        };
+        assert_eq!((c1, n1), (c2, n2));
+        assert_eq!(n1, 1);
+        assert_eq!(v_of(&engine, 1), 12);
+        assert_eq!(dn.metrics.duplicate_msgs.get(), 2);
+        // An edit that keeps the row, or finds none, writes and counts nothing.
+        let reply = dn.handle(
+            NodeId(9),
+            TxnMsg::CommitLocal { trx: TrxId(7), staged: staged(vec![(key(77), bump(99))]) },
+        );
+        assert!(matches!(reply, TxnMsg::Committed { edited: 0, .. }), "{reply:?}");
+        assert!(!engine.has_active_txns());
+    }
+
+    #[test]
+    fn refused_edit_rolls_back_every_edit_of_its_message() {
+        let (engine, dn) = dn_with_pairs();
+        let late = u64::MAX >> 1;
+        let message = |trx, second: WireWriteOp| TxnMsg::Prepare {
+            trx: TrxId(trx),
+            decision_node: None,
+            staged: staged_at(late, vec![(key(1), bump(99)), (key(2), second)]),
+        };
+        // The edit's own refusal (a row that fails validation) comes back typed.
+        let reply = dn.handle(NodeId(9), message(5, bump(20)));
+        assert!(matches!(reply, TxnMsg::Failed(Error::Schema { .. })), "{reply:?}");
+        assert!(!engine.has_active_txns(), "rolled back at once");
+        assert_eq!(v_of(&engine, 1), 10, "the first edit fell with the second");
+        // So does the engine's: another transaction holds row 2.
+        dn.handle(
+            NodeId(9),
+            TxnMsg::Write {
+                trx: TrxId(6),
+                snapshot_ts: late,
+                table: TableId(1),
+                key: key(2),
+                op: WireWriteOp::Update(pair(2, 0)),
+            },
+        );
+        let reply = dn.handle(NodeId(9), message(7, bump(99)));
+        assert!(matches!(reply, TxnMsg::Failed(Error::WriteConflict { .. })), "{reply:?}");
+        assert_eq!(engine.txn_state(TrxId(7)), Some(TxnState::Aborted));
+        dn.handle(NodeId(9), TxnMsg::Abort { trx: TrxId(6) });
+        assert_eq!((v_of(&engine, 1), v_of(&engine, 2)), (10, 20));
+        assert!(!engine.has_active_txns());
+    }
+
+    #[test]
+    fn edit_waits_out_a_prepared_writer_where_a_blind_update_bounces() {
+        let (engine, dn) = dn_with_pairs();
+        // Trx 5 holds row 1 PREPARED: voted, phase two still on its way.
+        let holder = TxnMsg::Prepare {
+            trx: TrxId(5),
+            decision_node: None,
+            staged: staged_at(SEEDED, vec![(key(1), bump(99))]),
+        };
+        let TxnMsg::Prepared { prepare_ts, .. } = dn.handle(NodeId(9), holder) else { panic!() };
+        let next = |trx, op| TxnMsg::CommitLocal {
+            trx: TrxId(trx),
+            // The next statement of the same session: its snapshot is past
+            // the holder's commit timestamp.
+            staged: staged_at(prepare_ts + 1, vec![(key(1), op)]),
+        };
+        // A blind write has no read in front of it and bounces at once.
+        let reply = dn.handle(NodeId(9), next(6, WireWriteOp::Update(pair(1, 0))));
+        assert!(matches!(reply, TxnMsg::Failed(Error::WriteConflict { .. })), "{reply:?}");
+        // The edit's read waits for the holder's outcome, as the `Read`
+        // message it replaces did. Phase two lands only once the edit's
+        // transaction has begun here, i.e. while its message is being served.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while engine.txn_state(TrxId(7)).is_none() {
+                    std::thread::yield_now();
+                }
+                dn.handle(NodeId(9), TxnMsg::Commit { trx: TrxId(5), commit_ts: prepare_ts });
+            });
+            let reply = dn.handle(NodeId(9), next(7, bump(99)));
+            assert!(matches!(reply, TxnMsg::Committed { edited: 1, .. }), "{reply:?}");
+        });
+        assert_eq!(v_of(&engine, 1), 12, "both increments stand");
+    }
+
     #[test]
     fn duplicate_commit_and_late_abort_are_absorbed() {
         let clock = Hlc::with_physical(TestClock::at(100));
@@ -743,7 +964,7 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let TxnMsg::Prepared { prepare_ts } =
+        let TxnMsg::Prepared { prepare_ts, .. } =
             dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() })
         else {
             panic!()
@@ -752,7 +973,7 @@ mod tests {
         assert!(matches!(c1, TxnMsg::Committed { .. }));
         // Duplicate Commit re-acks instead of failing on the gone context.
         let c2 = dn.handle(NodeId(9), TxnMsg::Commit { trx: TrxId(5), commit_ts: prepare_ts });
-        let TxnMsg::Committed { commit_ts } = c2 else { panic!("{c2:?}") };
+        let TxnMsg::Committed { commit_ts, .. } = c2 else { panic!("{c2:?}") };
         assert_eq!(commit_ts, prepare_ts);
         // A late Abort (redelivered under loss) must not clobber the commit.
         let a = dn.handle(NodeId(9), TxnMsg::Abort { trx: TrxId(5) });
@@ -812,7 +1033,7 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let TxnMsg::Prepared { prepare_ts } = dn.handle(
+        let TxnMsg::Prepared { prepare_ts, .. } = dn.handle(
             NodeId(9),
             TxnMsg::Prepare { trx: TrxId(5), decision_node: Some(NodeId(2)), staged: Default::default() },
         ) else {

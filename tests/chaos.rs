@@ -254,7 +254,7 @@ impl Handler<TxnMsg> for FirstPrepareHook {
             (self.hook)();
         }
         let reply = self.inner.handle(from, msg);
-        if let TxnMsg::Prepared { prepare_ts } = reply {
+        if let TxnMsg::Prepared { prepare_ts, .. } = reply {
             self.votes.lock().unwrap().push(prepare_ts);
         }
         reply

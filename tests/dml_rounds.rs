@@ -3,17 +3,20 @@
 //! A statement blocks its caller once per *round* (`NetStats::rounds`): one
 //! round that carries its whole read set, one that carries its writes
 //! together with the vote request — whatever the number of rows, shards or
-//! DNs. The counts below are exact, on a 3-DC / 3-DN cluster whose DNs sit
-//! behind a handler that tallies what they are sent.
+//! DNs. An UPDATE / DELETE whose predicate names its keys and that changes
+//! no global-index entry has no read round: the commit round carries the
+//! edit and each DN reads, edits and writes its rows in that one visit. The
+//! counts below are exact, on a 3-DC / 3-DN cluster whose DNs sit behind a
+//! handler that tallies what they are sent.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use polardbx::gms::shard_table_id;
 use polardbx::{ClusterConfig, PolarDbx, Session};
-use polardbx_common::{DcId, Error, NodeId, Value};
+use polardbx_common::{DcId, Error, NodeId, TrxId, Value};
 use polardbx_simnet::Handler;
 use polardbx_txn::{DnService, TxnMsg};
 
@@ -126,6 +129,47 @@ impl Cluster {
         )
     }
 
+    /// Three ids of `t`, one on each DN.
+    fn one_id_per_dn(&self) -> Vec<i64> {
+        let mut ids: Vec<i64> = Vec::new();
+        for id in 0..96 {
+            if ids.iter().all(|&other| self.home(other) != self.home(id)) {
+                ids.push(id);
+            }
+        }
+        assert_eq!(ids.len(), 3, "the table spans the three DNs");
+        ids
+    }
+
+    /// `g(id, k, v)`: ids `0..16` over 8 hash shards, a global index on `k`.
+    fn with_indexed_table(self) -> Cluster {
+        self.s
+            .execute(
+                "CREATE TABLE g (id BIGINT NOT NULL, k INT, v INT, PRIMARY KEY (id)) \
+                 PARTITION BY HASH(id) PARTITIONS 8",
+            )
+            .unwrap();
+        let values: Vec<String> = (0..16).map(|i| format!("({i}, {i}, 0)")).collect();
+        self.s.execute(&format!("INSERT INTO g (id, k, v) VALUES {}", values.join(", "))).unwrap();
+        self.s.execute("CREATE GLOBAL INDEX by_k ON g (k)").unwrap();
+        self
+    }
+
+    /// Wait until no DN outside `skip` holds a transaction (posted aborts
+    /// and phase-two commits have landed).
+    fn await_drained(&self, skip: &[NodeId]) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while self
+            .db
+            .dns()
+            .iter()
+            .any(|dn| !skip.contains(&dn.id) && dn.rw.engine.has_active_txns())
+        {
+            assert!(std::time::Instant::now() < deadline, "a DN still holds a transaction");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn value_of(&self, id: i64) -> Value {
         let rows = self.s.query(&format!("SELECT v FROM t WHERE id = {id}")).unwrap();
         rows[0].get(0).unwrap().clone()
@@ -141,22 +185,15 @@ fn await_eq(what: &str, counter: &AtomicU64, want: u64) {
 }
 
 #[test]
-fn three_row_update_spanning_dns_is_two_rounds() {
+fn three_row_update_spanning_dns_is_one_round() {
     let c = cluster();
-    // Three ids, one on each DN.
-    let mut ids: Vec<i64> = Vec::new();
-    for id in 0..96 {
-        if ids.iter().all(|&other| c.home(other) != c.home(id)) {
-            ids.push(id);
-        }
-    }
-    assert_eq!(ids.len(), 3, "the table spans the three DNs");
+    let ids = c.one_id_per_dn();
     c.db.sketch().reset();
     let two_phase = c.db.txn_metrics().two_phase_commits.get();
 
     let sql = format!("UPDATE t SET v = v + 1 WHERE id IN ({}, {}, {})", ids[0], ids[1], ids[2]);
-    // 3 Reads in the first round, one write-carrying Prepare per DN in the second.
-    assert_eq!(c.cost(&sql, 3), (2, 6, 3, 0));
+    // No Read: one Prepare per DN carries that DN's edit.
+    assert_eq!(c.cost(&sql, 3), (1, 3, 0, 0));
     assert_eq!(c.total(|t| &t.writes), 0, "no write travels alone");
     assert_eq!(c.total(|t| &t.bare_votes), 0, "no vote travels alone");
     for (dn, tally) in &c.tallies {
@@ -189,20 +226,30 @@ fn three_row_update_spanning_dns_is_two_rounds() {
 }
 
 #[test]
-fn one_row_update_is_two_rounds_and_two_calls() {
+fn one_row_update_is_one_round_and_one_call() {
     let c = cluster();
     let one_phase = c.db.txn_metrics().one_phase_commits.get();
-    // Read, then a CommitLocal that carries the write.
-    assert_eq!(c.cost("UPDATE t SET v = v + 1 WHERE id = 42", 1), (2, 2, 1, 0));
+    // A CommitLocal that carries the edit, like a one-row INSERT.
+    assert_eq!(c.cost("UPDATE t SET v = v + 1 WHERE id = 42", 1), (1, 1, 0, 0));
     assert_eq!(c.db.txn_metrics().one_phase_commits.get(), one_phase + 1);
     assert_eq!(c.tallies[&c.home(42)].commit_round.load(Ordering::Relaxed), 1);
     assert_eq!(c.total(|t| &t.commit_round), 1);
     assert_eq!(c.total(|t| &t.writes) + c.total(|t| &t.bare_votes), 0);
     assert_eq!(c.total(|t| &t.phase_two), 0, "one-phase: nothing to post");
     assert_eq!(c.value_of(42), Value::Int(1));
-    // The same for a DELETE; a statement that matches nothing only reads.
-    assert_eq!(c.cost("DELETE FROM t WHERE id = 43", 1), (2, 2, 1, 0));
-    assert_eq!(c.cost("DELETE FROM t WHERE id = 43", 0), (1, 1, 1, 0));
+    // The same for a DELETE, for a statement that finds no row, and for one
+    // whose residual predicate rejects the row it finds.
+    assert_eq!(c.cost("DELETE FROM t WHERE id = 43", 1), (1, 1, 0, 0));
+    assert_eq!(c.cost("DELETE FROM t WHERE id = 43", 0), (1, 1, 0, 0));
+    assert_eq!(c.cost("UPDATE t SET v = v + 1 WHERE id = 42 AND pad = 'nope'", 0), (1, 1, 0, 0));
+    let homes: HashSet<NodeId> = [44, 45, 46].into_iter().map(|id| c.home(id)).collect();
+    assert_eq!(
+        c.cost("DELETE FROM t WHERE id IN (44, 45, 46) AND v = 0", 3),
+        (1, homes.len() as u64, 0, 0)
+    );
+    assert_eq!(c.total(|t| &t.writes) + c.total(|t| &t.bare_votes), 0);
+    assert_eq!(c.value_of(42), Value::Int(1));
+    assert_eq!(c.db.count_rows("t").unwrap(), 92);
     c.db.shutdown();
 }
 
@@ -237,15 +284,115 @@ fn update_by_a_non_key_predicate_is_two_rounds() {
     c.db.shutdown();
 }
 
+/// Holds each phase-two `Commit` back until a commit-round message of a
+/// later transaction has reached this DN, and counts the commit-round
+/// messages that met an earlier transaction still PREPARED here.
+struct LatePhaseTwo {
+    inner: Arc<DnService>,
+    /// The newest transaction a commit-round message arrived for.
+    newest: Mutex<TrxId>,
+    arrival: Condvar,
+    met_prepared: Arc<AtomicU64>,
+}
+
+impl Handler<TxnMsg> for LatePhaseTwo {
+    fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+        if let TxnMsg::Prepare { trx, .. } | TxnMsg::CommitLocal { trx, .. } = &msg {
+            if self.inner.in_doubt_count() > 0 {
+                self.met_prepared.fetch_add(1, Ordering::Relaxed);
+            }
+            *self.newest.lock().unwrap() = *trx;
+            self.arrival.notify_all();
+        }
+        self.inner.handle(from, msg)
+    }
+
+    fn handle_oneway(&self, from: NodeId, msg: TxnMsg) {
+        if let TxnMsg::Commit { trx, .. } = &msg {
+            // The last statement has no successor: give up after a moment.
+            let _ = self
+                .arrival
+                .wait_timeout_while(
+                    self.newest.lock().unwrap(),
+                    Duration::from_millis(100),
+                    |newest| *newest <= *trx,
+                )
+                .unwrap();
+        }
+        self.inner.handle_oneway(from, msg)
+    }
+}
+
+/// A client's next statement can reach a row while its previous statement's
+/// posted phase two is still on the way, i.e. while the row's newest version
+/// is PREPARED. The pushed edit's read waits that out, exactly as the `Read`
+/// message it replaced did; were it a blind write it would bounce off the
+/// client's own last transaction with a `WriteConflict`.
+#[test]
+fn back_to_back_updates_wait_out_their_own_previous_phase_two() {
+    let c = cluster();
+    let ids = c.one_id_per_dn();
+    c.await_drained(&[]); // the load's own phase two
+    let met_prepared = Arc::new(AtomicU64::new(0));
+    for dn in c.db.dns() {
+        let late = LatePhaseTwo {
+            inner: Arc::clone(&dn.service),
+            newest: Mutex::new(TrxId(0)),
+            arrival: Condvar::new(),
+            met_prepared: Arc::clone(&met_prepared),
+        };
+        c.db.net().register(dn.id, dn.dc, Arc::new(late));
+    }
+    let sql = format!("UPDATE t SET v = v + 1 WHERE id IN ({}, {}, {})", ids[0], ids[1], ids[2]);
+    let mut acked = 0;
+    for n in 0..200 {
+        match c.s.execute(&sql) {
+            Ok(rows) => acked += rows,
+            Err(e) => panic!("statement {n} collided with statement {}: {e:?}", n - 1),
+        }
+    }
+    // Every statement but the first met its predecessor PREPARED on every DN.
+    assert_eq!(met_prepared.load(Ordering::Relaxed), 3 * 199);
+    assert_eq!(acked, 3 * 200);
+    for id in ids {
+        assert_eq!(c.value_of(id), Value::Int(200), "final = sum of acked");
+    }
+    c.db.shutdown();
+}
+
+/// A statement that changes a global-index entry needs the old row on the CN
+/// to find that entry, so it keeps its read round.
+#[test]
+fn statements_that_change_a_global_index_entry_stay_two_rounds() {
+    let c = cluster().with_indexed_table();
+    let rounds_and_reads = |sql: &str| {
+        let (rounds, _, reads, scans) = c.cost(sql, 1);
+        (rounds, reads, scans)
+    };
+    // An assigned column the index stores; a DELETE, which drops the entry.
+    assert_eq!(rounds_and_reads("UPDATE g SET k = k + 100 WHERE id = 5"), (2, 1, 0));
+    assert_eq!(rounds_and_reads("DELETE FROM g WHERE id = 6"), (2, 1, 0));
+    // A column the index does not store: the edit is pushed.
+    assert_eq!(c.cost("UPDATE g SET v = v + 1 WHERE id = 5", 1), (1, 1, 0, 0));
+    assert_eq!(c.total(|t| &t.writes) + c.total(|t| &t.bare_votes), 0);
+    let rows = c.s.query("SELECT id, v FROM g WHERE k = 105").unwrap();
+    assert_eq!(rows.len(), 1, "the index entry moved with the row");
+    assert_eq!(rows[0].values(), &[Value::Int(5), Value::Int(1)]);
+    assert!(c.s.query("SELECT id FROM g WHERE k = 6").unwrap().is_empty());
+    c.db.shutdown();
+}
+
 /// The CN loses its link to a row's DN after the statement's read and before
-/// its commit round. The statement fails, and because the write had not been
-/// sent ahead of the vote there is no intent on the DN to outlive it: once
-/// the link heals the row can be written again.
+/// its commit round (the statement changes a global-index entry, so it has a
+/// read round). The statement fails, and because the write had not been sent
+/// ahead of the vote there is no intent on the DN to outlive it: once the
+/// link heals the row can be written again.
 #[test]
 fn partition_during_a_point_update_leaves_the_row_writable() {
-    let c = cluster();
-    let id = (0..96).find(|&id| c.db.net().dc_of(c.home(id)) != Some(DcId(1))).unwrap();
-    let dn = c.db.dns().into_iter().find(|d| d.id == c.home(id)).unwrap();
+    let c = cluster().with_indexed_table();
+    let home = |id: i64| c.s.route("g", &[Value::Int(id)]).unwrap();
+    let id = (0..16).find(|&id| c.db.net().dc_of(home(id).1) != Some(DcId(1))).unwrap();
+    let dn = c.db.dns().into_iter().find(|d| d.id == home(id).1).unwrap();
     let armed = Arc::new(AtomicBool::new(true));
     let hook = {
         let (net, armed, dc) = (Arc::clone(c.db.net()), Arc::clone(&armed), dn.dc);
@@ -262,15 +409,51 @@ fn partition_during_a_point_update_leaves_the_row_writable() {
     };
     c.db.net().register(dn.id, dn.dc, Arc::new(counting));
 
-    let sql = format!("UPDATE t SET v = v + 1 WHERE id = {id}");
+    let sql = format!("UPDATE g SET k = k + 100 WHERE id = {id}");
+    let commit_rounds = c.tallies[&dn.id].commit_round.load(Ordering::Relaxed);
     let err = c.s.execute(&sql).unwrap_err();
     assert!(matches!(err, Error::Network { .. }), "{err:?}");
     assert!(!armed.load(Ordering::SeqCst), "the partition began during the statement");
-    assert_eq!(c.tallies[&dn.id].commit_round.load(Ordering::Relaxed), 0);
+    assert_eq!(c.tallies[&dn.id].commit_round.load(Ordering::Relaxed), commit_rounds);
     c.db.net().heal(DcId(1), dn.dc);
 
-    assert!(!dn.rw.engine.has_active_writes_on(c.s.route("t", &[Value::Int(id)]).unwrap().0));
+    assert!(!dn.rw.engine.has_active_writes_on(home(id).0));
+    // The index entries' DNs prepared and were told to abort. (The Abort
+    // posted to the row's own DN met the partition: the writeless context
+    // its Read opened is still there, and blocks nothing.)
+    c.await_drained(&[dn.id]);
     assert_eq!(c.s.execute(&sql).unwrap(), 1, "the row must not be blocked");
-    assert_eq!(c.value_of(id), Value::Int(1), "only the second UPDATE took effect");
+    let rows = c.s.query(&format!("SELECT k FROM g WHERE id = {id}")).unwrap();
+    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(id + 100), "only the second UPDATE took effect");
+    c.db.shutdown();
+}
+
+/// A pushed statement sends nothing ahead of its commit round, so one that
+/// cannot reach a DN leaves nothing anywhere: the DNs it did reach roll
+/// their edits back, and the statement can simply run again.
+#[test]
+fn unreachable_dn_fails_a_pushed_update_and_every_edit_rolls_back() {
+    let c = cluster();
+    let ids = c.one_id_per_dn();
+    let far = c.db.dns().into_iter().find(|d| d.dc != DcId(1)).unwrap();
+    c.db.net().partition(DcId(1), far.dc);
+
+    let sql = format!("UPDATE t SET v = v + 1 WHERE id IN ({}, {}, {})", ids[0], ids[1], ids[2]);
+    let err = c.s.execute(&sql).unwrap_err();
+    assert!(matches!(err, Error::Network { .. }), "{err:?}");
+    assert_eq!(c.total(|t| &t.reads) + c.total(|t| &t.scans) + c.total(|t| &t.writes), 0);
+    for (dn, tally) in &c.tallies {
+        let reached = (*dn != far.id) as u64;
+        assert_eq!(tally.commit_round.load(Ordering::Relaxed), reached, "{dn}");
+    }
+    c.db.net().heal(DcId(1), far.dc);
+    c.await_drained(&[]);
+    for &id in &ids {
+        assert_eq!(c.value_of(id), Value::Int(0), "no edit survived the failed statement");
+    }
+    assert_eq!(c.s.execute(&sql).unwrap(), 3);
+    for &id in &ids {
+        assert_eq!(c.value_of(id), Value::Int(1), "each row edited once");
+    }
     c.db.shutdown();
 }

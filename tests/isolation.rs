@@ -70,13 +70,15 @@ fn quick_matrix_reports_zero_anomalies() {
 }
 
 /// Shared shape of the mutation assertions: the mutated run surfaces
-/// `expect` with a witness, the unmutated twin is clean — on two
-/// consecutive seeds, because the seed's low bit picks whether the
-/// scenario's writer sends `write()`s or stages them into the commit round.
+/// `expect` with a witness, the unmutated twin is clean — on three
+/// consecutive seeds, because the seed picks whether the scenario's writer
+/// sends `write()`s, stages full rows into the commit round, or pushes
+/// edits to the rows' DNs.
 fn assert_mutation_detected(m: Mutation, expect: AnomalyKind) {
     let base = seed_from_env(BASE_SEED);
-    assert_mutation_detected_on(m, expect, base);
-    assert_mutation_detected_on(m, expect, base ^ 1);
+    for offset in 0..3 {
+        assert_mutation_detected_on(m, expect, base.wrapping_add(offset));
+    }
 }
 
 fn assert_mutation_detected_on(m: Mutation, expect: AnomalyKind, seed: u64) {
@@ -135,4 +137,12 @@ fn mutation_skip_routing_epoch_fence_yields_lost_update() {
     // transaction both read the pre-move version and both committed writes
     // over it — a lost update split across two DNs.
     assert_mutation_detected(Mutation::SkipRoutingEpochFence, AnomalyKind::LostUpdate);
+}
+
+#[test]
+fn mutation_skip_edit_conflict_check_yields_lost_update() {
+    // A pushed edit that is not validated against its snapshot reads the
+    // row there and overwrites a version committed since: two increments,
+    // one survives.
+    assert_mutation_detected(Mutation::SkipEditConflictCheck, AnomalyKind::LostUpdate);
 }

@@ -4,10 +4,13 @@
 //!
 //! * exact counts on the benchmark's point table (2 000 rows, 8 shards):
 //!   a point SELECT hands the executor 1 row, a point UPDATE / DELETE sends
-//!   its DN 1 `Read` and 0 `Scan` messages;
+//!   its DN no `Read` and no `Scan` message (the edit rides the commit);
 //! * a seeded differential over random predicates and four table shapes:
 //!   `scan_where` + filter ≡ `scan_all` + filter, and `UPDATE` / `DELETE …
-//!   WHERE p` ≡ the same statement forced down the all-shards path.
+//!   WHERE p` ≡ the same statement forced down the all-shards path;
+//! * a second one over keyed statements only: the edit pushed to the row's
+//!   DN ≡ the same statement read back and edited on the CN — affected
+//!   count, table contents and error class.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -112,7 +115,7 @@ fn point_select_examines_one_row() {
 }
 
 #[test]
-fn point_dml_sends_one_read_and_no_scan() {
+fn point_dml_sends_no_read_and_no_scan() {
     let db = PolarDbx::build(ClusterConfig::default()).unwrap();
     let s = db.connect(DcId(1));
     point_table(&s);
@@ -131,10 +134,10 @@ fn point_dml_sends_one_read_and_no_scan() {
         assert_eq!(s.execute(sql).unwrap(), affected, "{sql}");
         (reads.load(Ordering::Relaxed) - before.0, scans.load(Ordering::Relaxed) - before.1)
     };
-    assert_eq!(sent("UPDATE b SET v = v + 1 WHERE id = 77", 1), (1, 0));
-    assert_eq!(sent("UPDATE b SET v = v + 1 WHERE id >= 10 AND id < 10 + 3", 3), (3, 0));
-    assert_eq!(sent("DELETE FROM b WHERE id = 78", 1), (1, 0));
-    assert_eq!(sent("DELETE FROM b WHERE id = 78", 0), (1, 0));
+    assert_eq!(sent("UPDATE b SET v = v + 1 WHERE id = 77", 1), (0, 0));
+    assert_eq!(sent("UPDATE b SET v = v + 1 WHERE id >= 10 AND id < 10 + 3", 3), (0, 0));
+    assert_eq!(sent("DELETE FROM b WHERE id = 78", 1), (0, 0));
+    assert_eq!(sent("DELETE FROM b WHERE id = 78", 0), (0, 0));
     // A predicate that names no key visits every shard once.
     assert_eq!(sent("UPDATE b SET v = v + 1 WHERE pad = 'p5'", 1), (0, 8));
     let rows = s.query("SELECT v FROM b WHERE id = 77").unwrap();
@@ -377,5 +380,121 @@ fn pruned_access_matches_unpruned_on_three_seeds() {
             );
         }
         assert_eq!(keyed[3], 0, "an implicit primary key is never named");
+    }
+}
+
+// ------------------------------------------- pushed ≡ read-then-write
+
+const EDIT_ROUNDS: usize = 3;
+const EDITS_PER_ROUND: usize = 40;
+
+impl Gen {
+    /// A conjunction that binds every key column of `shape` — so the
+    /// statement is keyed — to present and missing keys, lists with
+    /// repeats, and for `byg` several partition values per id, some of
+    /// which hash to one shard.
+    fn keyed(&mut self, shape: usize) -> String {
+        let id = match self.rng.gen_range(0..4) {
+            0 => format!("id = {}", self.int(ROWS)),
+            1 => {
+                let k = self.int(ROWS);
+                format!("id IN ({k}, {}, {k})", self.int(ROWS))
+            }
+            2 => {
+                let a = self.rng.gen_range(-2..ROWS);
+                format!("id >= {a} AND id < {a} + {}", self.rng.gen_range(0..6))
+            }
+            _ => format!("id IN ({}, {}, {})", self.int(ROWS), self.int(ROWS), self.int(ROWS)),
+        };
+        let rest = match (SHAPES[shape].0, self.rng.gen_bool(0.5)) {
+            ("two", true) => format!(" AND s = 's{}'", self.rng.gen_range(0..3)),
+            ("two", false) => " AND s IN ('s0', 's1', 's0')".to_string(),
+            ("byg", true) => format!(" AND g = {}", self.int(5)),
+            ("byg", false) => " AND g IN (0, 1, 2, 3, 4)".to_string(),
+            _ => String::new(),
+        };
+        // Sometimes a residual conjunct the keys do not decide.
+        let residual = match self.rng.gen_range(0..8) {
+            0 => format!(" AND v = {}", self.rng.gen_range(0..4)),
+            1 => " AND v IS NULL".to_string(),
+            2 => format!(" AND g > {}", self.rng.gen_range(0..4)),
+            3 => " AND v + 1 > 2".to_string(),
+            _ => String::new(),
+        };
+        format!("{id}{rest}{residual}")
+    }
+
+    /// An UPDATE's `SET` list or a DELETE: plain arithmetic, NULL-producing,
+    /// `NOT NULL`-violating (always, or on the rows whose `v` is NULL),
+    /// ill-typed, and key-column assignments.
+    fn statement(&mut self) -> &'static str {
+        [
+            "UPDATE {t} SET v = v + 1 WHERE {p}",
+            "UPDATE {t} SET v = v + 1 WHERE {p}",
+            "UPDATE {t} SET v = g * 2, s = 'x' WHERE {p}",
+            "UPDATE {t} SET v = NULL WHERE {p}",
+            "UPDATE {t} SET g = v WHERE {p}",
+            "UPDATE {t} SET s = NULL WHERE {p}",
+            "UPDATE {t} SET v = s WHERE {p}",
+            "UPDATE {t} SET v = 12 / v WHERE {p}",
+            "DELETE FROM {t} WHERE {p}",
+        ][self.rng.gen_range(0..9)]
+    }
+}
+
+/// One seed; returns how many statements ran pushed.
+fn pushed_matches_read_then_write(seed: u64) -> usize {
+    eprintln!("pushed-edit differential seed: POLARDBX_TEST_SEED={}", format_seed(seed));
+    let db = PolarDbx::build(ClusterConfig { dns: 3, ..Default::default() }).unwrap();
+    let s = db.connect(DcId(1));
+    let mut gen = Gen { rng: StdRng::seed_from_u64(seed) };
+    let mut pushed = 0;
+    for round in 0..EDIT_ROUNDS {
+        // The three shapes with a nameable key.
+        for (shape, (kind, _)) in SHAPES.iter().enumerate().take(3) {
+            let table = format!("e{kind}_{round}");
+            let reference = format!("{table}_ref");
+            create_and_load(&s, shape, &table);
+            create_and_load(&s, shape, &reference);
+            for n in 0..EDITS_PER_ROUND {
+                let (p, statement) = (gen.keyed(shape), gen.statement());
+                let sql = |t: &str, p: &str| statement.replace("{t}", t).replace("{p}", p);
+                let ctx = format!("seed {seed:#x} round {round} #{n}: {}", sql(&table, &p));
+                // `NOT (NOT (p))` keeps the same rows and names no key, so the
+                // twin reads every shard back and edits on the CN. A key
+                // column in the SET list is refused before either path.
+                let twin = sql(&reference, &format!("NOT (NOT ({p}))"));
+                if let Ok(plan) = s.explain(&sql(&table, &p)) {
+                    assert!(plan.contains("pushed (1 round)"), "{ctx}: {plan}");
+                    assert!(s.explain(&twin).unwrap().contains("read-then-write"), "{ctx}");
+                    pushed += 1;
+                }
+                match (s.execute(&sql(&table, &p)), s.execute(&twin)) {
+                    (Ok(pushed), Ok(read)) => assert_eq!(pushed, read, "{ctx}: affected rows"),
+                    (Err(pushed), Err(read)) => assert_eq!(
+                        std::mem::discriminant(&pushed),
+                        std::mem::discriminant(&read),
+                        "{ctx}: {pushed} vs {read}"
+                    ),
+                    (pushed, read) => panic!("{ctx}: pushed {pushed:?}, read-then-write {read:?}"),
+                }
+                assert_eq!(contents(&db, &table), contents(&db, &reference), "{ctx}: contents");
+            }
+        }
+    }
+    db.shutdown();
+    pushed
+}
+
+#[test]
+fn pushed_edit_matches_read_then_write_on_three_seeds() {
+    let seeds = match seed_from_env(0) {
+        0 => vec![0x00ED_17ED_0001, 0x00ED_17ED_0002, 0x00ED_17ED_0003],
+        pinned => vec![pinned],
+    };
+    for seed in seeds {
+        let pushed = pushed_matches_read_then_write(seed);
+        let total = EDIT_ROUNDS * 3 * EDITS_PER_ROUND;
+        assert!(pushed > total / 2, "seed {seed:#x}: {pushed} of {total} statements ran pushed");
     }
 }
