@@ -133,6 +133,7 @@ fn main() {
     header(&[
         "step",
         "nodes",
+        "moved / planned",
         "MT scale time",
         "max pause",
         "tps before",
@@ -147,6 +148,7 @@ fn main() {
     let bg_router = Arc::clone(&world.router);
     let bg_tenants = world.tenants.clone();
     let bg_threads = if quick() { 8 } else { 16 };
+    let mut unmoved = 0usize; // planned migrations that failed, over all steps
     // Background load threads run across the whole experiment.
     std::thread::scope(|s| {
         for t in 0..bg_threads {
@@ -173,7 +175,7 @@ fn main() {
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     for node in router.nodes() {
-                        node.engine.purge(u64::MAX);
+                        node.rw.engine.purge(u64::MAX);
                     }
                     std::thread::sleep(Duration::from_millis(100));
                 }
@@ -202,11 +204,12 @@ fn main() {
             world.next_node += nodes;
             // Plan: move every tenant currently on node k to new node k'.
             let mut max_pause = Duration::ZERO;
-            let mut moved = 0usize;
+            let (mut planned, mut moved) = (0usize, 0usize);
             for (i, &tenant) in world.tenants.iter().enumerate() {
                 if i % 2 == 0 {
                     continue; // half the tenants move each step
                 }
+                planned += 1;
                 let dest = new_nodes[(i / 2) % new_nodes.len()];
                 match migrate_tenant(
                     &world.router,
@@ -230,6 +233,7 @@ fn main() {
             row(&[
                 format!("{step}"),
                 format!("{}→{}", nodes / 2, nodes),
+                format!("{moved} / {planned}"),
                 fmt_dur(scale_time),
                 fmt_dur(max_pause),
                 format!("{tps_before:.0}"),
@@ -241,10 +245,11 @@ fn main() {
                 fmt_dur(copy_time),
                 format!("{:.0}x", copy_time.as_secs_f64() / scale_time.as_secs_f64()),
             ]);
-            let _ = moved;
+            unmoved += planned - moved;
         }
         stop.store(true, Ordering::Relaxed);
     });
+    assert_eq!(unmoved, 0, "planned migrations that did not happen");
 
     println!();
     println!("  Paper: MT steps 4.2/4.5/4.6 s; data transfer 489/527/660 s (116–143x).");

@@ -12,8 +12,7 @@ use polardbx_common::{DcId, Error, IdGenerator, NodeId, Result, Row, TenantId, T
 use polardbx_executor::{MemoryManager, WorkloadManager};
 use polardbx_hlc::{Hlc, HlcTimestamp};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
-use polardbx_mt::{RehomeConfig, RehomeExecutor};
-use polardbx_placement::{plan as placement_plan, CoAccessSketch, PlannerConfig};
+use polardbx_placement::CoAccessSketch;
 use polardbx_storage::{RedoConsumer, RwNode, StorageEngine};
 use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg};
 
@@ -56,27 +55,6 @@ impl Default for ClusterConfig {
             latency: LatencyMatrix::zero(),
             mpp_workers: 4,
             ap_threshold: polardbx_optimizer::DEFAULT_AP_THRESHOLD,
-        }
-    }
-}
-
-/// Adaptive-placer knobs (see [`PolarDbx::start_placer`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PlacerConfig {
-    /// How often the placer snapshots the sketch and plans.
-    pub interval: Duration,
-    /// Affinity-clustering knobs.
-    pub planner: PlannerConfig,
-    /// Cutover throttle (min gap between moves, per-pass cap).
-    pub rehome: RehomeConfig,
-}
-
-impl Default for PlacerConfig {
-    fn default() -> Self {
-        PlacerConfig {
-            interval: Duration::from_millis(200),
-            planner: PlannerConfig::default(),
-            rehome: RehomeConfig::default(),
         }
     }
 }
@@ -425,208 +403,6 @@ impl PolarDbx {
         &self.inner.sketch
     }
 
-    /// Re-home one shard under **live traffic** — the adaptive-placement
-    /// cutover and the anti-hotspot rebalancing primitive of §VIII ("we can
-    /// migrate shards to achieve a balanced state between DNs"). Only the
-    /// one shard's routing epoch is frozen:
-    ///
-    /// 1. freeze + epoch bump — new routes and stale-pinned commits bounce
-    ///    with a retryable error,
-    /// 2. drain the shard's commit gate (in-flight fenced commits finish),
-    /// 3. drain the source engine's in-flight write sets on the shard —
-    ///    phase-two Commit messages are *posted* asynchronously, so a
-    ///    committed write set can outlive the commit gate; detaching
-    ///    before it applies would strand the write,
-    /// 4. flush + detach the shard store, ship the source's redo tail to
-    ///    its feed's consumers, attach at the destination (by reference
-    ///    over shared storage — zero rows copied), raise the destination
-    ///    clock past the source so moved versions stay in the
-    ///    destination's timestamp past,
-    /// 5. update placement, unfreeze.
-    ///
-    /// Returns how long the shard's traffic was paused.
-    pub fn rehome_shard(&self, table: &str, shard: u32, dest: NodeId) -> Result<Duration> {
-        let schema = self.inner.gms.table(table)?;
-        self.rehome_shard_by_id(schema.id, shard, dest)
-    }
-
-    /// [`PolarDbx::rehome_shard`] by logical table id (the placer works on
-    /// ids, not names).
-    pub fn rehome_shard_by_id(
-        &self,
-        table: polardbx_common::TableId,
-        shard: u32,
-        dest: NodeId,
-    ) -> Result<Duration> {
-        // lint:allow(fence_completeness, migration source lookup, not DML routing: the cutover freezes the epoch before touching data, and a racing re-home serializes behind the same freeze)
-        let src_id = self.inner.gms.shard_dn(table, shard)?;
-        if src_id == dest {
-            return Ok(Duration::ZERO);
-        }
-        let src = self
-            .inner
-            .dns
-            .get(&src_id)
-            .ok_or_else(|| Error::invalid("unknown source DN"))?;
-        let dst = self
-            .inner
-            .dns
-            .get(&dest)
-            .ok_or_else(|| Error::invalid("unknown destination DN"))?;
-        let stid = shard_table_id(table, shard);
-        let epochs = self.inner.gms.epochs();
-        let t0 = polardbx_common::time::mono_now();
-        epochs.freeze(stid);
-        // Engine-level write freeze on top of the routing freeze: a write
-        // already past routing when the epoch froze would otherwise install
-        // an intent between the drain below and the detach, stranding it
-        // inside the moved store.
-        src.rw.engine.freeze_writes(stid);
-        // The cutover body runs in a closure so every exit — success or any
-        // error, including `?` propagation — flows through the single
-        // unfreeze below. A shard left frozen bounces every fenced route
-        // and commit retryably forever: a permanent livelock.
-        let cutover = || -> Result<()> {
-            if !epochs.drain(stid, Duration::from_secs(2)) {
-                return Err(Error::Timeout { what: "draining shard commit gate".into() });
-            }
-            // Async phase-two tail: wait for posted Commit/Abort deliveries
-            // to consume every in-flight write set on this shard table.
-            let deadline = polardbx_common::time::mono_now() + Duration::from_secs(2);
-            while src.rw.engine.has_active_writes_on(stid) {
-                if polardbx_common::time::mono_now() > deadline {
-                    return Err(Error::Timeout { what: "draining shard write sets".into() });
-                }
-                std::thread::yield_now();
-            }
-            let tenant = TenantId(table.raw());
-            src.rw.engine.pool.flush_tenant(tenant, None)?;
-            // Writes are frozen and the drain passed, but the flush spans
-            // time: re-verify nothing slipped in right before the detach.
-            if src.rw.engine.has_active_writes_on(stid) {
-                return Err(Error::Timeout { what: "late write set on shard".into() });
-            }
-            let store = src
-                .rw
-                .detach_table(stid)
-                .ok_or_else(|| Error::invalid("shard store missing on source"))?;
-            // The shard's later commits arrive on the destination's feed.
-            // A commit holds the table map until its record is flushed and
-            // `detach_table` waited for that, so shipping the source's tail
-            // now — before the destination can take a write — hands a
-            // column index every image of a key in commit order.
-            src.rw.ship();
-            dst.rw.attach_table(stid, store, tenant);
-            // Commit timestamps at the new home must stay above every
-            // version the shard carries (the source's clock may run ahead).
-            dst.service.clock.update(src.service.clock.now());
-            self.inner.gms.move_shard(table, shard, dest);
-            Ok(())
-        };
-        let result = cutover();
-        src.rw.engine.unfreeze_writes(stid);
-        epochs.unfreeze(stid);
-        result.map(|()| polardbx_common::time::mono_now() - t0)
-    }
-
-    /// Start the adaptive placer: a background thread that periodically
-    /// snapshots the co-access sketch, plans affinity moves, and applies
-    /// them through the throttled re-home executor. Stops on
-    /// [`PolarDbx::shutdown`].
-    pub fn start_placer(&self, cfg: PlacerConfig) {
-        // The thread holds only a Weak handle: a strong clone would keep
-        // `Inner` alive forever, making the Drop-based stop unreachable —
-        // a cluster dropped without shutdown() would leak the thread and
-        // all cluster state for the process lifetime.
-        let weak = Arc::downgrade(&self.inner);
-        let stop = Arc::clone(&self.inner.placer_stop);
-        std::thread::Builder::new()
-            .name("polardbx-placer".into())
-            .spawn(move || {
-                let executor = RehomeExecutor::new(cfg.rehome);
-                let mut next = polardbx_common::time::mono_now() + cfg.interval;
-                while !stop.load(Ordering::Relaxed) {
-                    if polardbx_common::time::mono_now() < next {
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    next = polardbx_common::time::mono_now() + cfg.interval;
-                    // Upgrade per pass and drop the strong handle at the end
-                    // of the pass; the cluster going away ends the thread.
-                    let Some(inner) = weak.upgrade() else { break };
-                    let db = PolarDbx { inner };
-                    let mut snap = db.inner.sketch.snapshot();
-                    // Tumbling window: plan on this interval's traffic only.
-                    // Without the reset, counts from cold placements distort
-                    // the balance cap indefinitely.
-                    db.inner.sketch.reset();
-                    // Sketch homes are commit-time observations and can mix
-                    // pre- and post-cutover values inside one window; a plan
-                    // built on a stale home proposes moves toward a DN the
-                    // partition already left — oscillation. Placement is the
-                    // truth: re-resolve every home before planning.
-                    snap.parts.retain_mut(|p| {
-                        let table = polardbx_common::TableId(p.part / 10_000);
-                        let shard = (p.part % 10_000) as u32;
-                        // lint:allow(fence_completeness, planning-only home resolution: staleness merely proposes a worse move, and the executed cutover re-checks under its own epoch freeze)
-                        match db.inner.gms.shard_dn(table, shard) {
-                            Ok(dn) => {
-                                p.home = dn;
-                                true
-                            }
-                            Err(_) => false, // shard dropped since observed
-                        }
-                    });
-                    let moves = placement_plan(&snap, &cfg.planner);
-                    if moves.is_empty() {
-                        continue;
-                    }
-                    executor.execute(&moves, |mv| {
-                        // Shard-table ids encode (table, shard); see
-                        // `gms::shard_table_id`.
-                        let table = polardbx_common::TableId(mv.part / 10_000);
-                        let shard = (mv.part % 10_000) as u32;
-                        // The sketch home may lag a move executed after the
-                        // snapshot was taken; placement is the truth.
-                        // lint:allow(fence_completeness, no-op-move check before a re-home: a stale read at worst skips or repeats a move attempt, and the cutover itself is epoch-fenced)
-                        if db.inner.gms.shard_dn(table, shard)? == mv.to {
-                            return Ok(Duration::ZERO);
-                        }
-                        let pause = db.rehome_shard_by_id(table, shard, mv.to)?;
-                        db.inner.txn_metrics.rehomes_applied.inc();
-                        Ok(pause)
-                    });
-                }
-            })
-            .expect("spawn placer");
-    }
-
-    /// Balance a table's shards across all DNs by current row counts
-    /// (the GMS background-rebalance task of §II-A). Returns the number of
-    /// shards moved.
-    pub fn rebalance(&self, table: &str) -> Result<usize> {
-        let schema = self.inner.gms.table(table)?;
-        let mut loads = Vec::new();
-        for shard in 0..schema.partition.shard_count() {
-            // lint:allow(fence_completeness, planning-only load count: a stale home at worst mis-weighs one shard, and each move re-checks under its own epoch freeze)
-            let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows = self.inner.dns[&dn]
-                .rw
-                .engine
-                .count_rows(shard_table_id(schema.id, shard), u64::MAX)
-                .unwrap_or(0) as u64;
-            loads.push((shard, rows));
-        }
-        let targets: Vec<NodeId> = self.inner.dns.keys().copied().collect();
-        let plan = self.inner.gms.plan_rebalance(schema.id, &loads, &targets);
-        let mut moved = 0;
-        for (shard, dest) in plan {
-            self.rehome_shard_by_id(schema.id, shard, dest)?;
-            moved += 1;
-        }
-        Ok(moved)
-    }
-
     /// Build a snapshot provider over the RW engines, optionally exposing
     /// the registered column indexes — benchmark harnesses drive the
     /// executor directly through this.
@@ -700,7 +476,6 @@ mod tests {
     use super::*;
     use polardbx_common::Value;
     use polardbx_optimizer::WorkloadClass;
-    use polardbx_txn::WireWriteOp;
 
     fn cluster() -> PolarDbx {
         PolarDbx::build(ClusterConfig { dns: 3, default_shards: 6, ..Default::default() })
@@ -795,245 +570,6 @@ mod tests {
         // Deletes remove it.
         s.execute("DELETE FROM orders WHERE id = 2").unwrap();
         assert_eq!(db.count_rows("__gsi_orders_by_cust").unwrap(), 3);
-        db.shutdown();
-    }
-
-    #[test]
-    fn rehome_shard_under_live_traffic() {
-        let db = cluster();
-        let s = db.connect(DcId(1));
-        s.execute(
-            "CREATE TABLE t (id BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
-             PARTITION BY HASH(id) PARTITIONS 4",
-        )
-        .unwrap();
-        for i in 0..40 {
-            s.execute(&format!("INSERT INTO t (id, v) VALUES ({i}, {i})")).unwrap();
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let s2 = db.connect(DcId(1));
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || -> (u64, Option<Error>) {
-                let mut applied = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let attempt = (|| -> Result<()> {
-                        let (stid, dn, epoch) =
-                            s2.route_fenced("t", &[Value::Int(0)])?;
-                        let mut txn = s2.coordinator().begin();
-                        txn.pin_epoch(stid, epoch)?;
-                        txn.write(
-                            dn,
-                            stid,
-                            polardbx_common::Key::encode(&[Value::Int(0)]),
-                            WireWriteOp::Update(Row::new(vec![
-                                Value::Int(0),
-                                Value::Int(applied as i64),
-                            ])),
-                        )?;
-                        txn.commit()?;
-                        Ok(())
-                    })();
-                    match attempt {
-                        Ok(()) => applied += 1,
-                        Err(e) if e.is_retryable() => {}
-                        Err(e) => return (applied, Some(e)),
-                    }
-                }
-                (applied, None)
-            })
-        };
-        // Move every shard to a different DN while the writer hammers.
-        let schema = db.gms().table("t").unwrap();
-        let dns: Vec<NodeId> = db.gms().dns();
-        for shard in 0..4u32 {
-            let cur = db.gms().shard_dn(schema.id, shard).unwrap();
-            let dest = *dns.iter().find(|&&d| d != cur).unwrap();
-            let pause = db.rehome_shard("t", shard, dest).unwrap();
-            assert!(pause < Duration::from_secs(2), "cutover pause bounded");
-            assert_eq!(db.gms().shard_dn(schema.id, shard).unwrap(), dest);
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        stop.store(true, Ordering::Relaxed);
-        let (applied, fatal) = writer.join().unwrap();
-        assert!(fatal.is_none(), "writer hit non-retryable error: {fatal:?}");
-        assert!(applied > 0, "writer made progress across cutovers");
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(db.count_rows("t").unwrap(), 40, "no rows lost or duplicated");
-        db.shutdown();
-    }
-
-    /// The SQL DML path (not the explicit fenced-driver API above) under a
-    /// live re-home, with every writer on the **same row**: snapshot
-    /// isolation promises that concurrent `v = v + 1` statements serialize
-    /// (first committer wins, the loser gets a retryable `WriteConflict`),
-    /// and the routing fence that none of them lands on a detached old
-    /// home. So the row must end at exactly the number of acked updates.
-    #[test]
-    fn sql_dml_survives_rehome_without_lost_updates() {
-        use rand::{Rng, SeedableRng};
-        let seed = polardbx_common::testseed::seed_from_env(0x5A1_D311);
-        eprintln!(
-            "core rehome seed: POLARDBX_TEST_SEED={}",
-            polardbx_common::testseed::format_seed(seed)
-        );
-        let db = cluster();
-        let s = db.connect(DcId(1));
-        s.execute(
-            "CREATE TABLE t (id BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
-             PARTITION BY HASH(id) PARTITIONS 4",
-        )
-        .unwrap();
-        for i in 0..8 {
-            s.execute(&format!("INSERT INTO t (id, v) VALUES ({i}, 0)")).unwrap();
-        }
-        const WRITERS: u64 = 3;
-        let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                // One session per CN slot, so writers race across coordinators.
-                let s2 = db.connect_nth(w as usize);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || -> (u64, Option<Error>) {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ w);
-                    let mut applied = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        match s2.execute("UPDATE t SET v = v + 1 WHERE id = 0") {
-                            Ok(1) => applied += 1,
-                            Ok(n) => {
-                                return (
-                                    applied,
-                                    Some(Error::invalid(format!("matched {n} rows"))),
-                                )
-                            }
-                            // Lost the row to another writer, or bounced off
-                            // a cutover: back off a hair and go again.
-                            Err(e) if e.is_retryable() => std::thread::sleep(
-                                Duration::from_micros(rng.gen_range(20..200)),
-                            ),
-                            Err(e) => return (applied, Some(e)),
-                        }
-                    }
-                    (applied, None)
-                })
-            })
-            .collect();
-        let schema = db.gms().table("t").unwrap();
-        let dns: Vec<NodeId> = db.gms().dns();
-        for _round in 0..2 {
-            for shard in 0..4u32 {
-                let cur = db.gms().shard_dn(schema.id, shard).unwrap();
-                let dest = *dns.iter().find(|&&d| d != cur).unwrap();
-                // A drain can time out retryably under the hammering writers.
-                for attempt in 0.. {
-                    match db.rehome_shard("t", shard, dest) {
-                        Ok(_) => break,
-                        Err(_) if attempt < 20 => {
-                            std::thread::sleep(Duration::from_millis(2))
-                        }
-                        Err(e) => panic!("rehome never succeeded: {e:?}"),
-                    }
-                }
-                assert_eq!(db.gms().shard_dn(schema.id, shard).unwrap(), dest);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        let mut acked = 0u64;
-        for (w, writer) in writers.into_iter().enumerate() {
-            let (applied, fatal) = writer.join().unwrap();
-            assert!(fatal.is_none(), "SQL writer {w} hit non-retryable error: {fatal:?}");
-            acked += applied;
-        }
-        assert!(acked > 0, "writers made progress across cutovers");
-        // HLC orders what is causally related: this session's CN took no
-        // part in the other CN's last commits, so its snapshot is certain
-        // to cover them only once its physical clock passes their tick.
-        std::thread::sleep(Duration::from_millis(2));
-        let rows = s.query("SELECT v FROM t WHERE id = 0").unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(
-            rows[0].get(0).unwrap(),
-            &Value::Int(acked as i64),
-            "final v must equal the sum of acked UPDATEs (seed {seed:#x})"
-        );
-        db.shutdown();
-    }
-
-    #[test]
-    fn placer_converts_cross_dn_txns_to_one_phase() {
-        let db = cluster();
-        let s = db.connect(DcId(1));
-        s.execute(
-            "CREATE TABLE p (id BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
-             PARTITION BY HASH(id) PARTITIONS 6",
-        )
-        .unwrap();
-        for i in 0..12 {
-            s.execute(&format!("INSERT INTO p (id, v) VALUES ({i}, 0)")).unwrap();
-        }
-        // Pick two ids whose shards live on different DNs.
-        let (a, b) = (0..12i64)
-            .flat_map(|x| (0..12i64).map(move |y| (x, y)))
-            .find(|&(x, y)| {
-                x != y
-                    && s.route("p", &[Value::Int(x)]).unwrap().1
-                        != s.route("p", &[Value::Int(y)]).unwrap().1
-            })
-            .expect("some pair crosses DNs");
-        db.start_placer(PlacerConfig {
-            interval: Duration::from_millis(20),
-            planner: PlannerConfig { max_moves: 4, min_edge_weight: 4, balance_slack: 10.0 },
-            rehome: RehomeConfig {
-                min_gap: Duration::from_millis(5),
-                max_per_pass: 2,
-            },
-        });
-        let metrics = Arc::clone(db.txn_metrics());
-        let commit_pair = |val: i64| -> Result<bool> {
-            let before_1pc = metrics.one_phase_commits.get();
-            let (ta, da, ea) = s.route_fenced("p", &[Value::Int(a)])?;
-            let (tb, dbn, eb) = s.route_fenced("p", &[Value::Int(b)])?;
-            let mut txn = s.coordinator().begin();
-            txn.pin_epoch(ta, ea)?;
-            txn.pin_epoch(tb, eb)?;
-            txn.write(
-                da,
-                ta,
-                polardbx_common::Key::encode(&[Value::Int(a)]),
-                WireWriteOp::Update(Row::new(vec![Value::Int(a), Value::Int(val)])),
-            )?;
-            txn.write(
-                dbn,
-                tb,
-                polardbx_common::Key::encode(&[Value::Int(b)]),
-                WireWriteOp::Update(Row::new(vec![Value::Int(b), Value::Int(val)])),
-            )?;
-            txn.commit()?;
-            Ok(metrics.one_phase_commits.get() > before_1pc)
-        };
-        let deadline = polardbx_common::time::mono_now() + Duration::from_secs(20);
-        let mut converged = false;
-        let mut i = 0i64;
-        while polardbx_common::time::mono_now() < deadline {
-            i += 1;
-            match commit_pair(i) {
-                Ok(true) if metrics.rehomes_applied.get() > 0 => {
-                    converged = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => assert!(e.is_retryable(), "unexpected error: {e:?}"),
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(
-            converged,
-            "placer failed to colocate the hot pair (rehomes={}, 1pc={}, 2pc={})",
-            metrics.rehomes_applied.get(),
-            metrics.one_phase_commits.get(),
-            metrics.two_phase_commits.get(),
-        );
         db.shutdown();
     }
 

@@ -20,7 +20,9 @@
 //! * [`provider`] — the executor's view of the cluster: partitioned scans
 //!   over DN shards, RO-replica routing, column-index snapshots (§VI).
 //! * [`cluster`] — the `PolarDbx` facade: build a cluster, connect
-//!   sessions through the locality-aware load balancer, re-home shards.
+//!   sessions through the locality-aware load balancer, set up column indexes.
+//! * [`rehome`] — re-homing a shard under live traffic; rebalance (§VIII).
+//! * [`placer`] — the adaptive placer: co-access sketch → throttled re-homes.
 //! * [`session`] — a client session bound to one CN: SQL in, rows out
 //!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).
 //! * [`hotspot`] — anti-hotspot tooling: skew detection, shard split,
@@ -33,11 +35,14 @@ pub mod cluster;
 pub mod durability;
 pub mod gms;
 pub mod hotspot;
+pub mod placer;
 pub mod provider;
+pub mod rehome;
 pub mod session;
 pub mod traffic;
 
-pub use cluster::{ClusterConfig, PlacerConfig, PolarDbx};
+pub use cluster::{ClusterConfig, PolarDbx};
 pub use gms::Gms;
+pub use placer::PlacerConfig;
 pub use provider::ClusterProvider;
 pub use session::Session;

@@ -10,12 +10,12 @@
 //! * [`dictionary`] — the shared data dictionary: one master RW holds the
 //!   authority, other RWs keep read caches of tables they open, and DDL
 //!   goes through an exclusive MDL + master validation.
-//! * [`node`] — an MT-enabled RW node: private redo log, per-tenant dirty
-//!   page tracking, ownership checks on every transaction.
+//! * [`node`] — an MT-enabled RW node: a storage `RwNode` (private redo
+//!   log, per-tenant dirty pages) behind ownership checks on every transaction.
 //! * [`transfer`] — the §V tenant-transfer protocol (pause → drain → flush
-//!   dirty pages → rebind → open at destination → resume), which moves
-//!   **no table data** thanks to shared storage; plus the shared-nothing
-//!   row-copy baseline whose cost Fig 8(b) measures.
+//!   dirty pages → rebind → open at destination → resume): the router gate
+//!   and binding + lease around `RwNode::hand_off`, the cluster's cutover,
+//!   moving **no table data**; plus the row-copy baseline of Fig 8(b).
 //! * [`recovery`] — per-tenant parallel redo replay: because each RW's log
 //!   only touches its own tenants, logs replay independently and a peer RW
 //!   can take over a failed node's tenants from its log.

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, TenantId, TrxId};
-use polardbx_storage::{StorageEngine, WriteOp};
-use polardbx_wal::{LogSink, RedoPayload, VecSink};
+use polardbx_storage::{RwNode, WriteOp};
+use polardbx_wal::RedoPayload;
 
 use crate::binding::BindingTable;
 
@@ -18,10 +18,8 @@ use crate::binding::BindingTable;
 pub struct MtRwNode {
     /// Node id.
     pub id: NodeId,
-    /// The node's engine.
-    pub engine: Arc<StorageEngine>,
-    /// This node's private redo log sink (inspectable for recovery tests).
-    pub log_sink: Arc<VecSink>,
+    /// The PolarDB instance: the engine and this node's private redo log.
+    pub rw: Arc<RwNode>,
     bindings: Arc<BindingTable>,
     ts: AtomicU64,
     trx: AtomicU64,
@@ -30,12 +28,9 @@ pub struct MtRwNode {
 impl MtRwNode {
     /// A fresh node against the shared binding table.
     pub fn new(id: NodeId, bindings: Arc<BindingTable>) -> Arc<MtRwNode> {
-        let sink = VecSink::new();
-        let engine = StorageEngine::with_sink(sink.clone() as Arc<dyn LogSink>);
         Arc::new(MtRwNode {
             id,
-            engine,
-            log_sink: sink,
+            rw: RwNode::new(id),
             bindings,
             ts: AtomicU64::new(1),
             trx: AtomicU64::new(id.raw() * 1_000_000 + 1),
@@ -72,8 +67,8 @@ impl MtRwNode {
     /// (per-tenant log division for parallel recovery, §V).
     pub fn create_table(&self, table: TableId, tenant: TenantId) -> Result<()> {
         self.check_ownership(tenant)?;
-        self.engine.create_table(table, tenant);
-        self.engine.log_marker(RedoPayload::TenantMark { tenant }).map(|_| ())
+        self.rw.create_table(table, tenant);
+        self.rw.engine.log_marker(RedoPayload::TenantMark { tenant }).map(|_| ())
     }
 
     /// Run a single-row write transaction for `tenant`.
@@ -85,36 +80,36 @@ impl MtRwNode {
         op: WriteOp,
     ) -> Result<()> {
         self.check_ownership(tenant)?;
-        if self.engine.tenant_of(table) != Some(tenant) {
+        if self.rw.engine.tenant_of(table) != Some(tenant) {
             return Err(Error::NotOwner { tenant: tenant.raw(), node: self.id.raw() });
         }
         let trx = TrxId(self.trx.fetch_add(1, Ordering::Relaxed));
         let snapshot = self.next_ts();
-        self.engine.begin(trx, snapshot);
-        if let Err(e) = self.engine.write(trx, table, key, op) {
-            self.engine.abort(trx);
+        self.rw.engine.begin(trx, snapshot);
+        if let Err(e) = self.rw.engine.write(trx, table, key, op) {
+            self.rw.engine.abort(trx);
             return Err(e);
         }
         // Re-check the lease before commit: a tenant that migrated away
         // mid-transaction must abort (§V).
         if let Err(e) = self.check_ownership(tenant) {
-            self.engine.abort(trx);
+            self.rw.engine.abort(trx);
             return Err(e);
         }
         let commit_ts = self.next_ts();
-        self.engine.commit(trx, commit_ts)?;
+        self.rw.engine.commit(trx, commit_ts)?;
         Ok(())
     }
 
     /// Snapshot point read for `tenant`.
     pub fn read_row(&self, tenant: TenantId, table: TableId, key: &Key) -> Result<Option<Row>> {
         self.check_ownership(tenant)?;
-        self.engine.read(table, key, u64::MAX, None)
+        self.rw.engine.read(table, key, u64::MAX, None)
     }
 
     /// Tenant-scoped row count.
     pub fn count_rows(&self, table: TableId) -> Result<usize> {
-        self.engine.count_rows(table, u64::MAX)
+        self.rw.engine.count_rows(table, u64::MAX)
     }
 
     /// Current timestamp floor for attach-time continuity.
@@ -190,15 +185,15 @@ mod tests {
         let (b, rw1, _rw2) = setup();
         rw1.create_table(TableId(1), TenantId(1)).unwrap();
         // Manually drive the transaction to control the rebind timing.
-        rw1.engine.begin(TrxId(42), 1);
-        rw1.engine
+        rw1.rw.engine.begin(TrxId(42), 1);
+        rw1.rw.engine
             .write(TrxId(42), TableId(1), key(9), WriteOp::Insert(row(9)))
             .unwrap();
         // The tenant migrates away (version bump invalidates rw1's lease).
         b.bind(TenantId(1), NodeId(2));
         assert!(rw1.check_ownership(TenantId(1)).is_err());
-        rw1.engine.abort(TrxId(42));
-        assert_eq!(rw1.engine.read(TableId(1), &key(9), u64::MAX, None).unwrap(), None);
+        rw1.rw.engine.abort(TrxId(42));
+        assert_eq!(rw1.rw.engine.read(TableId(1), &key(9), u64::MAX, None).unwrap(), None);
     }
 
     #[test]
@@ -208,8 +203,8 @@ mod tests {
         rw2.create_table(TableId(2), TenantId(2)).unwrap();
         rw1.write_row(TenantId(1), TableId(1), key(1), WriteOp::Insert(row(1))).unwrap();
         // Each node's log contains only its own tenant's marker/changes.
-        let log1 = rw1.log_sink.contiguous();
-        let log2 = rw2.log_sink.contiguous();
+        let log1 = rw1.rw.log_sink_bytes();
+        let log2 = rw2.rw.log_sink_bytes();
         assert!(!log1.is_empty() && !log2.is_empty());
         let recs1 = RedoPayload::decode_all(bytes::Bytes::from(log1)).unwrap();
         assert!(recs1

@@ -125,15 +125,15 @@ mod tests {
             node.write_row(TenantId(2), TableId(2), key(i), WriteOp::Insert(row(i))).unwrap();
         }
         // One aborted write on tenant 1 that must NOT resurrect.
-        node.engine.begin(polardbx_common::TrxId(777), 1_000_000);
-        node.engine
+        node.rw.engine.begin(polardbx_common::TrxId(777), 1_000_000);
+        node.rw.engine
             .write(polardbx_common::TrxId(777), TableId(1), key(99), WriteOp::Insert(row(99)))
             .unwrap();
-        node.engine.abort(polardbx_common::TrxId(777));
+        node.rw.engine.abort(polardbx_common::TrxId(777));
         let mut map = HashMap::new();
         map.insert(TableId(1), TenantId(1));
         map.insert(TableId(2), TenantId(2));
-        (Bytes::from(node.log_sink.contiguous()), map)
+        (Bytes::from(node.rw.log_sink_bytes()), map)
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! rejects, leaving it for a later pass when the co-access pattern still
 //! warrants it.
 //!
-//! The actual cutover is a callback: the cluster layer passes its
-//! freeze-drain-move-unfreeze routine and gets back the per-move pause,
-//! which the report aggregates for the bench's p99-disruption bar.
+//! The executor moves nothing itself: the placer hands it
+//! `PolarDbx::rehome_shard_by_id` per move and it gets back the per-move
+//! pause, which the report aggregates for the bench's p99-disruption bar.
 
 use std::time::Duration;
 

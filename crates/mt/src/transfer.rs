@@ -1,9 +1,10 @@
 //! Tenant transfer: fast migration over shared storage vs. row copy.
 //!
-//! §V's protocol, reproduced step by step in [`migrate_tenant`]:
+//! §V's protocol in [`migrate_tenant`] (the data nodes' part of 2, 3 and 5
+//! is `RwNode::hand_off`, the cutover the cluster's shard re-home runs too):
 //!
 //! 1. the router pauses new transactions to the tenant,
-//! 2. the source RW drains in-flight statements,
+//! 2. the source RW drains the tenant's in-flight statements,
 //! 3. the source flushes all of the tenant's dirty pages to PolarFS, evicts
 //!    its cached pages/metadata and closes the tenant's resources,
 //! 4. the binding system table is updated,
@@ -20,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_common::time::{mono_now, Timer};
+use polardbx_common::time::Timer;
 use polardbx_common::{Error, NodeId, Result, TenantId};
 use polardbx_polarfs::TransferModel;
 use polardbx_storage::WriteOp;
@@ -145,36 +146,20 @@ pub fn migrate_tenant(
     let pause_start = Timer::start();
     let _paused = gate.write();
 
-    // 2. Drain: wait for the source's in-flight transactions to finish.
-    let drain_deadline = mono_now() + Duration::from_secs(5);
-    while src.engine.has_active_txns() {
-        if mono_now() > drain_deadline {
-            return Err(Error::Timeout { what: "draining source RW".into() });
-        }
-        std::thread::yield_now();
-    }
-
-    // 3. Flush the tenant's dirty pages; evict cache; close resources.
-    let pages_flushed = src.engine.pool.flush_tenant(tenant, None)?;
-    src.engine.pool.evict_tenant(tenant);
+    // 2–3. The cutover: the source drains the tenant's own write sets,
+    //    flushes, hands its tables over by reference. Then evict cache.
+    let tables = src.rw.engine.tenant_tables(tenant);
+    let pages_flushed = src.rw.hand_off(&dst.rw, &tables, tenant)?;
+    src.rw.engine.pool.evict_tenant(tenant);
     dict.evict_tenant_cache(src_id, tenant);
-    let tables = src.engine.tenant_tables(tenant);
-    let mut detached = Vec::with_capacity(tables.len());
-    for t in &tables {
-        if let Some(store) = src.engine.detach_table(*t) {
-            detached.push((*t, store));
-        }
-    }
 
     // 4. Update the binding (bumps version: source's lease goes stale).
     bindings.bind(tenant, dest);
     bindings.acquire_lease(dest);
 
-    // 5. Destination opens the tenant's files + metadata. The stores are
-    //    attached by reference — zero data movement.
-    for (t, store) in detached {
-        dst.engine.attach_table(t, store, tenant);
-        let _ = dict.open_table(dest, t);
+    // 5. Destination fetches the metadata of the tables it now holds.
+    for t in &tables {
+        let _ = dict.open_table(dest, *t);
     }
     // Timestamp continuity: the destination must issue timestamps above
     // anything the source used for this tenant's data.
@@ -205,20 +190,20 @@ pub fn migrate_by_copy(
 
     let mut rows = 0usize;
     let mut bytes = 0u64;
-    let tables = src.engine.tenant_tables(tenant);
+    let tables = src.rw.engine.tenant_tables(tenant);
     for t in &tables {
-        dst.engine.create_table(*t, tenant);
+        dst.rw.create_table(*t, tenant);
         // Full scan + per-row insert — the data path a shared-nothing
         // system must take.
-        for (key, row) in src.engine.scan_table(*t, u64::MAX)? {
+        for (key, row) in src.rw.engine.scan_table(*t, u64::MAX)? {
             bytes += key.len() as u64 + row.heap_size() as u64;
             let trx = polardbx_common::TrxId(u64::MAX - rows as u64);
-            dst.engine.begin(trx, u64::MAX - 1);
-            dst.engine.write(trx, *t, key, WriteOp::Update(row))?;
-            dst.engine.commit(trx, u64::MAX - 1)?;
+            dst.rw.engine.begin(trx, u64::MAX - 1);
+            dst.rw.engine.write(trx, *t, key, WriteOp::Update(row))?;
+            dst.rw.engine.commit(trx, u64::MAX - 1)?;
             rows += 1;
         }
-        src.engine.detach_table(*t);
+        src.rw.detach_table(*t);
     }
     bindings.bind(tenant, dest);
     bindings.acquire_lease(dest);

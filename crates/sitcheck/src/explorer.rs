@@ -37,7 +37,7 @@ use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
 use polardbx_placement::EpochMap;
 use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
-use polardbx_storage::{RwNode, StorageEngine};
+use polardbx_storage::RwNode;
 use polardbx_txn::checker::{AddInt, BankHarness, WritePath};
 use polardbx_txn::{
     Coordinator, DnService, ProtocolMutations, ResolverConfig, RoutingFence, TxnConfig, TxnMsg,
@@ -262,6 +262,7 @@ struct Cluster {
     net: Arc<SimNet<TxnMsg>>,
     rec: Arc<HistoryRecorder>,
     rws: Vec<Arc<RwNode>>,
+    register_rw: Arc<RwNode>,
     dns: Vec<Arc<DnService>>,
     ids: Arc<IdGenerator>,
     paxos: Option<PaxosGroup>,
@@ -302,25 +303,23 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
     // The register DN: plain in-memory, or commits riding a Paxos group
     // (leader re-election schedule). Consensus decisions show up in the
     // history as Note events via the replicas' event recorder.
-    let (engine, paxos) = if register_dn_paxos {
+    let register_rw = RwNode::new(REGISTER_DN);
+    let paxos = register_dn_paxos.then(|| {
         let group = PaxosGroup::build(GroupConfig::three_dc(1));
         for r in &group.replicas {
             r.set_event_recorder(Arc::clone(&rec));
         }
         let leader = group.leader().expect("bootstrap leader");
-        let engine = StorageEngine::in_memory();
         polardbx::durability::enable_paxos_epoch(
-            &engine,
+            &register_rw.engine,
             leader,
             Duration::from_secs(10),
             polardbx_wal::EpochConfig::default(),
         );
-        (engine, Some(group))
-    } else {
-        (StorageEngine::in_memory(), None)
-    };
-    engine.create_table(REGISTERS, TenantId(1));
-    let dn4 = DnService::new(REGISTER_DN, engine, dn_clock(4));
+        group
+    });
+    register_rw.create_table(REGISTERS, TenantId(1));
+    let dn4 = DnService::new(REGISTER_DN, Arc::clone(&register_rw.engine), dn_clock(4));
     dn4.attach_recorder(Arc::clone(&rec));
     net.register(REGISTER_DN, DcId(1), Arc::clone(&dn4) as Arc<dyn Handler<TxnMsg>>);
     dns.push(dn4);
@@ -328,7 +327,7 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
     net.register(CN_A, DcId(1), Arc::new(CnStub));
     net.register(CN_B, DcId(2), Arc::new(CnStub));
     let ids = Arc::new(IdGenerator::new());
-    Cluster { net, rec, rws, dns, ids, paxos }
+    Cluster { net, rec, rws, register_rw, dns, ids, paxos }
 }
 
 fn coordinator(c: &Cluster, me: NodeId, clock: Arc<dyn Clock>) -> Coordinator {
@@ -377,34 +376,26 @@ impl RegisterRoute {
     }
 }
 
-/// Live cutover of the REGISTERS partition from the register DN to DN1,
-/// mirroring `PolarDbx::rehome_shard`: freeze + epoch bump, drain fenced
-/// commits, wait out in-flight write intents, move the version store
-/// wholesale, raise the destination clock (the register DN's HLC base is
-/// 3 s ahead of DN1's — without the raise, moved versions would sit in the
-/// destination's timestamp future), cut routing over, unfreeze.
+/// Live cutover of the REGISTERS partition from the register DN to DN1:
+/// [`RwNode::hand_off`], the cutover `PolarDbx::rehome_shard` runs, inside
+/// this world's own epoch freeze + drain, destination clock raise (the
+/// register DN's HLC base is 3 s ahead of DN1's — without the raise, moved
+/// versions would sit in DN1's timestamp future) and route flip.
+///
+/// `hand_off` attaches REGISTERS to DN1's RO too, which would re-apply DN1's
+/// redo into the shared store (ROADMAP item 7): the verdicts rely on the
+/// explorer shipping once, at quiescence, and not reading REGISTERS after.
 fn rehome_registers(c: &Cluster, route: &RegisterRoute) {
     let src = c.dns.iter().find(|d| d.node == REGISTER_DN).expect("register DN");
     let dst = c.dns.iter().find(|d| d.node == NodeId(1)).expect("DN1");
     c.rec.note(NodeId(0), "rehome: freezing registers");
     route.epochs.freeze(REGISTERS);
-    let gates_drained = route.epochs.drain(REGISTERS, Duration::from_secs(2));
-    let deadline = mono_now() + Duration::from_secs(2);
-    let mut writes_clear = false;
-    while mono_now() < deadline {
-        if !src.engine.has_active_writes_on(REGISTERS) {
-            writes_clear = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if gates_drained && writes_clear {
-        if let Some(store) = src.engine.detach_table(REGISTERS) {
-            dst.engine.attach_table(REGISTERS, store, TenantId(1));
-            dst.clock.update(src.clock.now());
-            route.home.store(NodeId(1).raw(), Ordering::SeqCst);
-            c.rec.note(NodeId(0), "rehome: registers cut over to DN1");
-        }
+    let moved = route.epochs.drain(REGISTERS, Duration::from_secs(2))
+        && c.register_rw.hand_off(&c.rws[0], &[REGISTERS], TenantId(1)).is_ok();
+    if moved {
+        dst.clock.update(src.clock.now());
+        route.home.store(NodeId(1).raw(), Ordering::SeqCst);
+        c.rec.note(NodeId(0), "rehome: registers cut over to DN1");
     } else {
         c.rec.note(NodeId(0), "rehome: drain TIMEOUT, move skipped");
     }

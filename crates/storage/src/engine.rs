@@ -26,9 +26,9 @@ use polardbx_wal::{
 };
 
 use crate::bufferpool::BufferPool;
-use crate::feed::{CommittedTxn, TxnAssembler};
+use crate::feed::{CommittedTxn, RowChange, TxnAssembler};
 use crate::mvcc::{VersionOp, VersionStore};
-use crate::rowcodec::{decode_row, encode_row};
+use crate::rowcodec::encode_row;
 use crate::shard::ShardedMap;
 use crate::txn::TxnTable;
 
@@ -307,14 +307,14 @@ impl StorageEngine {
     }
 
     /// Attach an existing store (tenant migration destination / RO share).
-    pub fn attach_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
+    pub(crate) fn attach_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
         self.tables.write().insert(table, store);
         self.tenants.write().insert(table, tenant);
     }
 
     /// Detach a table, returning its store (tenant migration source). The
     /// data itself never moves — that is the shared-storage guarantee.
-    pub fn detach_table(&self, table: TableId) -> Option<Arc<VersionStore>> {
+    pub(crate) fn detach_table(&self, table: TableId) -> Option<Arc<VersionStore>> {
         self.tenants.write().remove(&table);
         self.tables.write().remove(&table)
     }
@@ -326,13 +326,13 @@ impl StorageEngine {
     /// waits out any write currently mid-install (the write path holds the
     /// read side across the install), so after this returns every intent
     /// on `table` is visible to [`StorageEngine::has_active_writes_on`].
-    pub fn freeze_writes(&self, table: TableId) {
+    pub(crate) fn freeze_writes(&self, table: TableId) {
         self.write_frozen.write().insert(table);
     }
 
     /// Reopen `table` for writes after a cutover attempt (successful or
     /// bailed — every exit must reopen or the shard livelocks).
-    pub fn unfreeze_writes(&self, table: TableId) {
+    pub(crate) fn unfreeze_writes(&self, table: TableId) {
         self.write_frozen.write().remove(&table);
     }
 
@@ -947,7 +947,7 @@ impl StorageEngine {
     }
 
     /// Crash recovery: reinstall a PREPARED-but-undecided transaction from
-    /// its replayed redo (`ops` are its row records in log order, `prepare_ts`
+    /// its replayed redo (`changes` are its rows in log order, `prepare_ts`
     /// the recorded prepare timestamp).
     ///
     /// Intents go back into the version stores and the transaction lands in
@@ -964,37 +964,23 @@ impl StorageEngine {
         &self,
         trx: TrxId,
         prepare_ts: u64,
-        ops: &[RedoPayload],
+        changes: &[RowChange],
     ) -> Result<()> {
         if self.txns.state(trx).is_some() {
             return Ok(());
         }
         self.txns.begin(trx);
-        self.active
-            .insert(trx, TrxCtx { snapshot_ts: prepare_ts, writes: Vec::new(), redo: Vec::new() });
-        for op in ops {
-            let (table, key, version_op) = match op {
-                RedoPayload::Insert { table, key, row, .. }
-                | RedoPayload::Update { table, key, row, .. } => {
-                    (*table, key.clone(), VersionOp::Put(decode_row(row)))
-                }
-                RedoPayload::Delete { table, key, .. } => (*table, key.clone(), VersionOp::Delete),
-                _ => continue,
-            };
-            let store = self.store(table)?;
+        let mut writes = Vec::with_capacity(changes.len());
+        for RowChange { table, key, row } in changes {
+            let version_op = row.clone().map_or(VersionOp::Delete, VersionOp::Put);
             // Validation passes by construction: these intents were the
             // newest versions of their keys at crash time, and every commit
             // logged before the prepare has already been replayed with a
             // commit_ts at or below prepare_ts.
-            store.write(&self.txns, trx, prepare_ts, key.clone(), version_op)?;
-            let tenant = self.tenant_of(table).unwrap_or_default();
-            self.pool.touch_read(self.pool.page_of(table, &key), tenant);
-            self.active.with(&trx, |ctx| {
-                let ctx = ctx.ok_or(Error::TxnAborted { reason: format!("trx {trx} vanished") })?;
-                ctx.writes.push((table, key));
-                Ok(())
-            })?;
+            self.store(*table)?.write(&self.txns, trx, prepare_ts, key.clone(), version_op)?;
+            writes.push((*table, key.clone()));
         }
+        self.active.insert(trx, TrxCtx { snapshot_ts: prepare_ts, writes, redo: Vec::new() });
         self.txns.prepare_with(trx, || prepare_ts)?;
         Ok(())
     }

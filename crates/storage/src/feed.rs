@@ -92,6 +92,15 @@ impl TxnAssembler {
         self.undecided.len()
     }
 
+    /// Surrender what the stream left undecided, ordered by transaction id:
+    /// its prepare timestamp if it was prepared, its row changes in log order.
+    pub fn into_undecided(self) -> Vec<(TrxId, Option<u64>, Vec<RowChange>)> {
+        let mut left: Vec<_> =
+            self.undecided.into_iter().map(|(trx, u)| (trx, u.prepare_ts, u.changes)).collect();
+        left.sort_unstable_by_key(|(trx, ..)| *trx);
+        left
+    }
+
     /// Is a transaction the stream showed PREPARED at or below `ts` still
     /// undecided? Its commit timestamp may yet land at or below `ts`.
     pub fn in_doubt_at(&self, ts: u64) -> bool {
@@ -145,6 +154,19 @@ mod tests {
         assert!(a.push(RedoPayload::TxnAbort { trx: TrxId(1) }).is_none());
         assert!(a.push(RedoPayload::TxnCommit { trx: TrxId(1), commit_ts: 10 }).is_none());
         assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn what_is_left_undecided_comes_out_ordered_by_transaction() {
+        let mut a = TxnAssembler::default();
+        a.push(insert(9, 1));
+        a.push(insert(3, 2));
+        a.push(RedoPayload::TxnPrepare { trx: TrxId(3), prepare_ts: 20 });
+        a.push(insert(5, 3));
+        a.push(RedoPayload::TxnCommit { trx: TrxId(5), commit_ts: 30 });
+        let left = a.into_undecided();
+        let shape: Vec<_> = left.iter().map(|(t, p, c)| (*t, *p, c.len())).collect();
+        assert_eq!(shape, vec![(TrxId(3), Some(20), 1), (TrxId(9), None, 1)]);
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!    finds the longest valid prefix of the sink's byte stream; any torn
 //!    tail beyond it is physically truncated so future appends resume at a
 //!    clean horizon.
-//! 2. **Classify** — each transaction's *final* fate in the valid prefix
-//!    decides what replay does: a commit record → apply its row ops with
-//!    the recorded commit timestamp; an abort record → drop its ops; a
-//!    prepare record with no decision → **in-doubt**; row ops with neither
-//!    prepare nor decision → the transaction was still ACTIVE, it never
-//!    voted, presumed abort applies and nothing is installed.
+//! 2. **Classify** — the [`TxnAssembler`] every redo consumer shares holds
+//!    row ops per transaction until its decision; each transaction's
+//!    *final* fate in the valid prefix decides what replay does: a commit
+//!    record → apply its row ops with the recorded commit timestamp; an
+//!    abort record → drop its ops; a prepare record with no decision →
+//!    **in-doubt**; row ops with neither prepare nor decision → the
+//!    transaction was still ACTIVE, it never voted, presumed abort applies
+//!    and nothing is installed.
 //! 3. **Replay** — committed transactions become visible versions stamped
 //!    at their recorded commit-ts (and land COMMITTED in the transaction
 //!    table, which is what makes a second replay a no-op); in-doubt ones
@@ -25,7 +27,6 @@
 //! observable state, because each transaction's entry in the transaction
 //! table guards its application.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use polardbx_common::{Lsn, Result, TableId, TenantId, TrxId};
@@ -33,8 +34,7 @@ use polardbx_wal::recovery::scan_records;
 use polardbx_wal::{LogBuffer, LogSink, RedoPayload, VecSink};
 
 use crate::engine::{LocalDurability, StorageEngine};
-use crate::mvcc::VersionOp;
-use crate::rowcodec::decode_row;
+use crate::feed::TxnAssembler;
 use crate::txn::TxnState;
 
 /// What a recovery pass found and did.
@@ -68,69 +68,45 @@ pub struct RecoveryReport {
 /// Safe to call more than once with the same records — each transaction's
 /// state in the engine's transaction table makes reapplication a no-op.
 pub fn replay_records(engine: &Arc<StorageEngine>, records: &[RedoPayload]) -> Result<RecoveryReport> {
-    // Row ops buffered until their transaction's fate is known.
-    let mut buffered: HashMap<TrxId, Vec<RedoPayload>> = HashMap::new();
-    // Prepares awaiting a decision, in log order (determinism matters for
-    // reinstallation: later intents may stack on earlier commits).
-    let mut prepared: Vec<(TrxId, u64)> = Vec::new();
+    // Row ops wait in the assembler until their transaction's fate is known.
+    let mut assembler = TxnAssembler::default();
     let mut committed = 0usize;
     let mut aborted = 0usize;
 
     for rec in records {
+        let txn = assembler.push(rec.clone());
         match rec {
-            RedoPayload::Insert { trx, .. }
-            | RedoPayload::Update { trx, .. }
-            | RedoPayload::Delete { trx, .. } => {
-                buffered.entry(*trx).or_default().push(rec.clone());
-            }
-            RedoPayload::TxnPrepare { trx, prepare_ts } => {
-                prepared.push((*trx, *prepare_ts));
-            }
             RedoPayload::TxnCommit { trx, commit_ts } => {
-                let ops = buffered.remove(trx).unwrap_or_default();
-                prepared.retain(|(t, _)| t != trx);
                 if matches!(engine.txns.state(*trx), Some(TxnState::Committed { .. })) {
                     continue; // already replayed (idempotence)
                 }
-                for op in &ops {
-                    let (table, key, version_op) = match op {
-                        RedoPayload::Insert { table, key, row, .. }
-                        | RedoPayload::Update { table, key, row, .. } => {
-                            (*table, key.clone(), VersionOp::Put(decode_row(row)))
-                        }
-                        RedoPayload::Delete { table, key, .. } => {
-                            (*table, key.clone(), VersionOp::Delete)
-                        }
-                        _ => continue,
-                    };
-                    let store = engine.store(table)?;
-                    store.apply_committed(*trx, *commit_ts, key.clone(), version_op);
-                    let tenant = engine.tenant_of(table).unwrap_or_default();
-                    engine.pool.touch_read(engine.pool.page_of(table, &key), tenant);
+                if let Some(txn) = &txn {
+                    // A replica may skip a table it lacks; recovery must fail.
+                    txn.changes.iter().try_for_each(|c| engine.store(c.table).map(drop))?;
+                    engine.apply_committed(txn);
                 }
                 engine.txns.begin(*trx);
                 engine.txns.commit(*trx, *commit_ts)?;
                 committed += 1;
             }
-            RedoPayload::TxnAbort { trx } => {
-                buffered.remove(trx);
-                prepared.retain(|(t, _)| t != trx);
-                if engine.txns.state(*trx).is_none() {
-                    engine.txns.abort(*trx);
-                    aborted += 1;
-                }
+            RedoPayload::TxnAbort { trx } if engine.txns.state(*trx).is_none() => {
+                engine.txns.abort(*trx);
+                aborted += 1;
             }
-            RedoPayload::Checkpoint { .. } | RedoPayload::TenantMark { .. } => {}
+            _ => {}
         }
     }
 
-    let mut in_doubt = Vec::with_capacity(prepared.len());
-    for (trx, prepare_ts) in prepared {
-        let ops = buffered.remove(&trx).unwrap_or_default();
-        engine.recover_in_doubt(trx, prepare_ts, &ops)?;
+    let mut in_doubt = Vec::new();
+    let mut active_dropped = 0usize;
+    for (trx, prepare_ts, changes) in assembler.into_undecided() {
+        let Some(prepare_ts) = prepare_ts else {
+            active_dropped += 1; // never voted: presumed abort, nothing installed
+            continue;
+        };
+        engine.recover_in_doubt(trx, prepare_ts, &changes)?;
         in_doubt.push((trx, prepare_ts));
     }
-    let active_dropped = buffered.len();
 
     Ok(RecoveryReport {
         durable_lsn: Lsn::ZERO, // filled in by the sink-level entry points
@@ -290,6 +266,16 @@ mod tests {
             twice.scan_table(T, u64::MAX).unwrap()
         );
         assert_eq!(once.scan_table(T, u64::MAX).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_commit_on_a_table_the_engine_lacks_fails_the_replay() {
+        let scan = scan_records(&crashed_sink().contiguous());
+        let bare = StorageEngine::in_memory();
+        let err = replay_records(&bare, &scan.records).unwrap_err();
+        assert!(matches!(err, polardbx_common::Error::UnknownTable { .. }), "{err:?}");
+        // Nothing was counted as committed on the way out.
+        assert_eq!(bare.txn_state(TrxId(1)), None);
     }
 
     #[test]

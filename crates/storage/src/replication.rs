@@ -107,6 +107,9 @@ impl RedoConsumer for RoNode {
     }
 }
 
+/// How long [`RwNode::hand_off`] waits for in-flight write sets to drain.
+const HAND_OFF_DRAIN: Duration = Duration::from_secs(2);
+
 /// How far the node's log has been shipped, and the transactions that
 /// prefix left undecided. One lock: a batch is decoded and handed to every
 /// consumer before the next one starts, so consumers see log order.
@@ -326,7 +329,7 @@ impl RwNode {
     /// over shared storage). The replicas share the same store by
     /// reference: they only read, and MVCC versions carry their commit
     /// timestamps, so shared access is consistent.
-    pub fn attach_table(
+    pub(crate) fn attach_table(
         &self,
         table: TableId,
         store: Arc<polardbx_storage_mvcc::VersionStore>,
@@ -349,6 +352,65 @@ impl RwNode {
             ro.engine.detach_table(table);
         }
         self.engine.detach_table(table)
+    }
+
+    /// The data-node half of a live cutover (§V tenant transfer, §VIII shard
+    /// re-home): hand `tables` of `tenant` over to `dst` by reference over
+    /// shared storage — zero rows copied. Returns the dirty pages flushed.
+    /// The caller has paused the tables' routing and drained what it
+    /// admitted; afterwards it raises `dst`'s clock and rebinds. On an error
+    /// nothing moved and every table is open for writes here again.
+    pub fn hand_off(&self, dst: &RwNode, tables: &[TableId], tenant: TenantId) -> Result<usize> {
+        // Engine-level write freeze on top of the routing pause: a write
+        // already past routing when the pause began would otherwise install
+        // an intent between the drain below and the detach, stranding it
+        // inside the moved store.
+        for &table in tables {
+            self.engine.freeze_writes(table);
+        }
+        let in_flight = || tables.iter().any(|&t| self.engine.has_active_writes_on(t));
+        // The cutover body runs in a closure so every exit — success or any
+        // error, including `?` propagation — flows through the single
+        // unfreeze below. A table left frozen bounces every write
+        // retryably forever: a permanent livelock.
+        let cutover = || -> Result<usize> {
+            // Async phase-two tail: wait for posted Commit/Abort deliveries
+            // to consume every in-flight write set on these tables.
+            let deadline = mono_now() + HAND_OFF_DRAIN;
+            while in_flight() {
+                if mono_now() > deadline {
+                    return Err(Error::Timeout { what: "draining shard write sets".into() });
+                }
+                std::thread::yield_now();
+            }
+            let pages_flushed = self.engine.pool.flush_tenant(tenant, None)?;
+            // Writes are frozen and the drain passed, but the flush spans
+            // time: re-verify nothing slipped in right before the detach.
+            if in_flight() {
+                return Err(Error::Timeout { what: "late write set on shard".into() });
+            }
+            // All or nothing: find every store before the first detach.
+            let stores: Vec<_> =
+                tables.iter().map(|&t| Ok((t, self.engine.store(t)?))).collect::<Result<_>>()?;
+            for &table in tables {
+                self.detach_table(table);
+            }
+            // The tables' later commits arrive on the destination's feed.
+            // A commit holds the table map until its record is flushed and
+            // `detach_table` waited for that, so shipping the source's tail
+            // now — before the destination can take a write — hands a
+            // column index every image of a key in commit order.
+            self.ship();
+            for (table, store) in stores {
+                dst.attach_table(table, store, tenant);
+            }
+            Ok(pages_flushed)
+        };
+        let result = cutover();
+        for &table in tables {
+            self.engine.unfreeze_writes(table);
+        }
+        result
     }
 
     /// Convenience write path: run a single-row transaction and ship.
@@ -386,6 +448,7 @@ mod tests {
     }
 
     const T: TableId = TableId(1);
+    const T2: TableId = TableId(2);
 
     #[test]
     fn ro_applies_rw_commits() {
@@ -471,6 +534,54 @@ mod tests {
         // Hold one replica back.
         r1.applied.store(1, Ordering::Release);
         assert_eq!(rw.purge_horizon(), Lsn(1));
+    }
+
+    #[test]
+    fn hand_off_moves_the_stores_by_reference() {
+        let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
+        let dst_ro = dst.add_ro();
+        for t in [T, T2] {
+            src.create_table(t, TenantId(1));
+            src.execute_write(TrxId(t.raw()), 0, 10, t, key(1), WriteOp::Insert(row(1, "x")))
+                .unwrap();
+        }
+        // Another tenant's open transaction is not this hand-off's business.
+        src.create_table(TableId(3), TenantId(2));
+        src.engine.begin(TrxId(9), 10);
+        src.engine.write(TrxId(9), TableId(3), key(1), WriteOp::Insert(row(1, "other"))).unwrap();
+
+        let flushed = src.hand_off(&dst, &[T, T2], TenantId(1)).unwrap();
+        assert!(flushed > 0, "the tenant had dirty pages");
+        for t in [T, T2] {
+            assert!(matches!(src.engine.read(t, &key(1), 20, None), Err(Error::UnknownTable { .. })));
+            assert_eq!(dst.engine.read(t, &key(1), 20, None).unwrap(), Some(row(1, "x")));
+            assert_eq!(dst_ro.engine.read(t, &key(1), 20, None).unwrap(), Some(row(1, "x")));
+        }
+        dst.execute_write(TrxId(7), 20, 30, T, key(2), WriteOp::Insert(row(2, "y"))).unwrap();
+        src.engine.commit(TrxId(9), 40).unwrap();
+    }
+
+    #[test]
+    fn hand_off_with_an_open_write_set_times_out_and_moves_nothing() {
+        let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
+        for t in [T, T2] {
+            src.create_table(t, TenantId(1));
+        }
+        src.engine.begin(TrxId(1), 0);
+        src.engine.write(TrxId(1), T2, key(1), WriteOp::Insert(row(1, "open"))).unwrap();
+
+        let err = src.hand_off(&dst, &[T, T2], TenantId(1)).unwrap_err();
+        assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
+        for t in [T, T2] {
+            assert!(matches!(dst.engine.read(t, &key(1), 20, None), Err(Error::UnknownTable { .. })));
+        }
+        // Still attached at the source, and open for writes again.
+        src.execute_write(TrxId(2), 0, 10, T, key(2), WriteOp::Insert(row(2, "after"))).unwrap();
+        src.engine.commit(TrxId(1), 20).unwrap();
+        assert_eq!(src.engine.read(T2, &key(1), 20, None).unwrap(), Some(row(1, "open")));
+        // A missing table fails the hand-off before anything is detached.
+        assert!(src.hand_off(&dst, &[T, TableId(99)], TenantId(1)).is_err());
+        assert_eq!(src.engine.read(T, &key(2), 20, None).unwrap(), Some(row(2, "after")));
     }
 
     #[test]

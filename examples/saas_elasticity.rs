@@ -53,8 +53,9 @@ fn main() -> polardbx_common::Result<()> {
     router.add_node(MtRwNode::new(NodeId(3), Arc::clone(&bindings)));
     bindings.acquire_lease(NodeId(3));
     let report = migrate_tenant(&router, &dict, &bindings, TenantId(3), NodeId(3))?;
+    // The pause is what `fig8_elasticity` reports as "max pause".
     println!(
-        "migrated tenant 3 in {:?} (client pause {:?}, {} dirty pages flushed) — zero rows copied",
+        "migrated tenant 3 in {:?} (cutover pause {:?}, {} dirty pages flushed) — zero rows copied",
         report.total, report.pause, report.pages_flushed
     );
 

@@ -264,15 +264,15 @@ fn mt_node_failure_takeover() {
             .unwrap();
     }
     // The node dies; two survivors divide its tenants and replay its log.
-    let log = bytes::Bytes::from(failed.log_sink.contiguous());
+    let log = bytes::Bytes::from(failed.rw.log_sink_bytes());
     let survivor_a = MtRwNode::new(NodeId(2), Arc::clone(&bindings));
     let survivor_b = MtRwNode::new(NodeId(3), Arc::clone(&bindings));
     let mut table_tenants = HashMap::new();
     table_tenants.insert(TableId(1), TenantId(1));
     table_tenants.insert(TableId(2), TenantId(2));
     let mut takeover = HashMap::new();
-    takeover.insert(TenantId(1), Arc::clone(&survivor_a.engine));
-    takeover.insert(TenantId(2), Arc::clone(&survivor_b.engine));
+    takeover.insert(TenantId(1), Arc::clone(&survivor_a.rw.engine));
+    takeover.insert(TenantId(2), Arc::clone(&survivor_b.rw.engine));
     let counts = recovery::parallel_recover(log, &table_tenants, &takeover).unwrap();
     assert_eq!(counts.len(), 2);
 
@@ -287,6 +287,45 @@ fn mt_node_failure_takeover() {
         .write_row(TenantId(1), TableId(1), key(100), WriteOp::Insert(row(100)))
         .unwrap();
     assert_eq!(survivor_a.count_rows(TableId(1)).unwrap(), 26);
+}
+
+/// A tenant's migration waits for that tenant's write sets only: another
+/// tenant's transaction, open on the same source node throughout, neither
+/// delays the cutover nor is disturbed by it.
+#[test]
+fn tenant_migration_does_not_wait_for_another_tenants_open_transaction() {
+    use polardbx_mt::{migrate_tenant, BindingTable, DataDictionary, MtRwNode, Router};
+
+    let bindings = Arc::new(BindingTable::new(Duration::from_secs(30)));
+    let dict = DataDictionary::new(NodeId(1));
+    let router = Router::new(Arc::clone(&bindings));
+    for n in 1..=2u64 {
+        router.add_node(MtRwNode::new(NodeId(n), Arc::clone(&bindings)));
+        bindings.acquire_lease(NodeId(n));
+    }
+    let (a, b) = (TenantId(1), TenantId(2));
+    let src = router.node(NodeId(1)).unwrap();
+    for (tenant, table) in [(a, TableId(1)), (b, TableId(2))] {
+        bindings.bind(tenant, NodeId(1));
+        bindings.acquire_lease(NodeId(1));
+        src.create_table(table, tenant).unwrap();
+        for i in 0..10i64 {
+            src.write_row(tenant, table, key(i), WriteOp::Insert(row(i))).unwrap();
+        }
+    }
+    // Tenant B: one write, not committed.
+    src.rw.engine.begin(TrxId(77), 1_000);
+    src.rw.engine.write(TrxId(77), TableId(2), key(50), WriteOp::Insert(row(50))).unwrap();
+
+    // A drain that waited for B would run out its timeout and fail here
+    // (no wall-clock bound: a loaded runner is slow, not wrong).
+    migrate_tenant(&router, &dict, &bindings, a, NodeId(2)).unwrap();
+    assert_eq!(bindings.owner(a), Some(NodeId(2)));
+    assert_eq!(router.execute(a, |node| node.count_rows(TableId(1))).unwrap(), 10);
+
+    // B's transaction commits where it began.
+    src.rw.engine.commit(TrxId(77), 2_000).unwrap();
+    assert_eq!(src.read_row(b, TableId(2), &key(50)).unwrap(), Some(row(50)));
 }
 
 /// Session consistency on RO replicas: a read carrying the RW's session
