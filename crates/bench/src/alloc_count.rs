@@ -5,8 +5,8 @@
 //! every test binary linking it) runs under a [`GlobalAlloc`] shim that
 //! forwards to the system allocator and bumps a thread-local counter while
 //! the calling thread is *armed*. Arming is per-thread and scoped tightly
-//! around the call under test, so warmup, other threads (epoch flusher,
-//! simnet delivery) and test bookkeeping never pollute the count.
+//! around the call under test, so warmup, other threads (simnet
+//! delivery) and test bookkeeping never pollute the count.
 //!
 //! The counter state is `const`-initialized `Cell`s — no lazy TLS init,
 //! no `Drop` registration — so the shim itself never allocates or

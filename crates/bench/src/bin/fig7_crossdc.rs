@@ -12,31 +12,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_bench::{closed_loop, fmt_dur, header, quick, row, SlowSink};
+use polardbx_bench::{closed_loop, fmt_dur, header, quick, row};
 use polardbx_common::{DcId, IdGenerator, NodeId, TableId, TenantId};
 use polardbx_hlc::{Clock, ClockSiClock, Hlc, RealClock, SkewedClock, TsoClient, TsoServer};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
-use polardbx_storage::engine::{LocalDurability, SyncLocalDurability};
 use polardbx_storage::StorageEngine;
 use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg};
-use polardbx_wal::{LogBuffer, LogSink};
 use polardbx_workloads::sysbench::{self, RouteFn, SysbenchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Modelled PolarFS log-write cost per DN flush, charged in the DN
-/// durability comparison section (§II): commit-time durability is not
-/// free on the paper's testbed either, and group commit is what keeps it
-/// off the critical path. The scheme-comparison table above it runs on
-/// instant sinks — it isolates the timestamp schemes, not the log device.
-const DN_FSYNC: Duration = Duration::from_micros(200);
-
-/// Closed-loop clients for the DN durability comparison. Lower than the
-/// scheme table's thread count on purpose: with a real per-flush cost,
-/// 48 writers over 3 k rows tips into an abort storm (conflict → abort
-/// record → flush → longer txns → more conflicts) in BOTH configurations,
-/// which measures the spiral rather than the durability pipeline.
-const DURABILITY_THREADS: usize = 24;
 
 struct CnStub;
 impl Handler<TxnMsg> for CnStub {
@@ -70,18 +54,9 @@ struct World {
     txn_metrics: Arc<TxnMetrics>,
 }
 
+/// The table charges no flush cost: every DN commits over an instant
+/// sink, so the cells isolate the SI schemes themselves.
 fn build(scheme: Scheme, latency: LatencyMatrix) -> World {
-    // The scheme table charges no flush cost: every DN group-commits over
-    // an instant sink, so the cells isolate the SI schemes themselves.
-    build_with_durability(scheme, latency, true, Duration::ZERO)
-}
-
-fn build_with_durability(
-    scheme: Scheme,
-    latency: LatencyMatrix,
-    grouped: bool,
-    fsync: Duration,
-) -> World {
     let net = SimNet::new(latency.clone());
     let trx_ids = Arc::new(IdGenerator::new());
     let cfg = SysbenchConfig { rows: 3000, ..Default::default() };
@@ -114,12 +89,7 @@ fn build_with_durability(
     let mut dns = Vec::new();
     for dc in 1..=3u64 {
         let dn_id = NodeId(100 + dc);
-        let log = LogBuffer::new(SlowSink::new(fsync) as Arc<dyn LogSink>);
-        let engine = if grouped {
-            StorageEngine::with_durability(LocalDurability::new(log))
-        } else {
-            StorageEngine::with_durability(SyncLocalDurability::new(log))
-        };
+        let engine = StorageEngine::in_memory();
         engine.create_table(TableId(base_table + dc), TenantId(1));
         dns.push(Arc::clone(&engine));
         let dn = DnService::new(dn_id, engine, clock_for(dn_id, DcId(dc)));
@@ -198,23 +168,21 @@ fn main() {
             if workload == "oltp-write-only" {
                 println!("    {scheme:?} txn metrics: {}", world.txn_metrics.report());
             }
-            // The DN write path group-commits: report how much flushing the
-            // workload actually shared (writes only — reads never flush).
+            // Concurrent committers on a DN share persists: report how
+            // much flushing the workload actually shared (writes only —
+            // reads never flush).
             if workload == "oltp-write-only" {
                 let (mut commits, mut flushes) = (0u64, 0u64);
                 for dn in &world.dns {
-                    if let Some(m) = dn.wal_metrics() {
-                        commits += m.commits.get();
-                        flushes += m.flushes.get();
-                    }
+                    let m = &dn.pipeline().metrics;
+                    commits += m.commits.get();
+                    flushes += m.flushes.get();
                 }
-                if commits > 0 {
-                    println!(
-                        "    {scheme:?} DN group commit: {commits} commits in {flushes} flushes ({:.3} flushes/commit, mean group {:.1})",
-                        flushes as f64 / commits as f64,
-                        commits as f64 / flushes.max(1) as f64,
-                    );
-                }
+                println!(
+                    "    {scheme:?} DN commit path: {commits} submissions in {flushes} flushes ({:.3} flushes/commit, mean group {:.1})",
+                    flushes as f64 / commits.max(1) as f64,
+                    commits as f64 / flushes.max(1) as f64,
+                );
             }
         }
         let hlc = peak.iter().find(|(s, _)| *s == Scheme::HlcSi).unwrap().1;
@@ -226,59 +194,4 @@ fn main() {
         );
         println!();
     }
-
-    // Multi-statement commit latency: the HLC-SI write-only cell with the
-    // seed's per-transaction DN flush vs the group-commit pipeline, every
-    // DN flush charged the modelled PolarFS write cost — the fig7-level
-    // view of commit_bench's result.
-    let cmp_threads = if quick() { DURABILITY_THREADS.min(threads) } else { DURABILITY_THREADS };
-    println!(
-        "## DN durability — per-transaction flush vs group commit \
-         (HLC-SI write-only, {cmp_threads} threads, {DN_FSYNC:?} flush model)"
-    );
-    header(&["dn durability", "tps", "mean lat", "p95 lat", "errors", "flushes/commit"]);
-    let mut compare = Vec::new();
-    for grouped in [false, true] {
-        let world = build_with_durability(Scheme::HlcSi, latency.clone(), grouped, DN_FSYNC);
-        sysbench::seed(&world.cfg, &world.coordinators[0], &world.route, 1).unwrap();
-        let cfg = &world.cfg;
-        let route = &world.route;
-        let coords = &world.coordinators;
-        let result = closed_loop(cmp_threads, Duration::from_secs(run_secs), |t| {
-            let coord = &coords[t % coords.len()];
-            let mut rng = StdRng::seed_from_u64((t as u64) << 20 | rand::random::<u16>() as u64);
-            sysbench::write_only(cfg, coord, route, &mut rng).is_ok()
-        });
-        let (mut commits, mut flushes) = (0u64, 0u64);
-        for dn in &world.dns {
-            if let Some(m) = dn.wal_metrics() {
-                commits += m.commits.get();
-                flushes += m.flushes.get();
-            }
-        }
-        // The baseline provider pays one flush per record by construction
-        // and exposes no group metrics — print the ratio only when the
-        // group committer measured one.
-        let fpc = if commits > 0 {
-            format!("{:.3}", flushes as f64 / commits as f64)
-        } else {
-            "—".to_string()
-        };
-        row(&[
-            if grouped { "grouped" } else { "per-txn flush" }.to_string(),
-            format!("{:.0}", result.tps()),
-            fmt_dur(result.mean_latency),
-            fmt_dur(result.p95_latency),
-            result.errors.to_string(),
-            fpc,
-        ]);
-        compare.push(result);
-    }
-    println!();
-    println!(
-        "  group commit: {:.2}x write tps, mean commit-path latency {} -> {}",
-        compare[1].tps() / compare[0].tps(),
-        fmt_dur(compare[0].mean_latency),
-        fmt_dur(compare[1].mean_latency),
-    );
 }

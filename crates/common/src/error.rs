@@ -56,7 +56,7 @@ pub enum Error {
     /// Generic invalid-argument error.
     Invalid { message: String },
     /// A shared reference to one error delivered to many waiters (e.g.
-    /// every committer of a failed group-commit era or epoch): cloning is
+    /// every committer of a failed epoch): cloning is
     /// a refcount bump, not a deep copy of the inner error's strings.
     Shared(std::sync::Arc<Error>),
 }

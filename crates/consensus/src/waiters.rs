@@ -106,11 +106,6 @@ impl CommitWaiters {
         }
     }
 
-    /// Current durable mark.
-    pub fn durable(&self) -> Lsn {
-        *self.durable.lock()
-    }
-
     /// Number of transactions parked (for tests / introspection).
     pub fn pending(&self) -> usize {
         self.map.lock().values().map(Vec::len).sum()

@@ -91,10 +91,10 @@ impl polardbx_wal::EpochSink for PaxosEpochSink {
     }
 }
 
-/// Wire an epoch pipeline over a Paxos-replicated engine: sealed epochs
-/// ride [`Replica::replicate_raw_and_wait`] (majority ack per epoch) while
-/// prepare/abort/marker redo funnels through the same pipeline for
-/// ordering. Returns the started pipeline; the engine owns its shutdown.
+/// Put a DN's Paxos group under an engine's commit pipeline: from here on
+/// each epoch — commits, and the prepare/abort/marker redo ordered among
+/// them — is one [`Replica::replicate_raw`] and one majority wait. Call it
+/// before the engine takes traffic. Returns the engine's pipeline.
 pub fn enable_paxos_epoch(
     engine: &Arc<polardbx_storage::StorageEngine>,
     replica: Arc<Replica>,
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn epoch_commits_ride_paxos_and_amortize_rounds() {
-        // Epoch mode over a Paxos group: commits resolve once their epoch
+        // Over a Paxos group: commits resolve once their epoch
         // reaches majority durability, and concurrent committers share
         // consensus rounds (one per epoch, not one per txn).
         let group = PaxosGroup::build(

@@ -16,10 +16,12 @@
 //!   the allowlist breaks same-seed chaos reproducibility.
 //! - `unwrap` — `unwrap()/expect()` in protocol crates turns injected
 //!   faults into panics instead of typed errors.
-//! - `durability_order` — in a function that calls `make_durable`, a
-//!   visibility stamp (`txns.commit(…)` / `store.commit(…)`) sequenced
-//!   *before* the durability call acks a commit that crash recovery can
-//!   never reconstruct — the redo-ahead invariant, statically.
+//! - `durability_order` — a commit stamp (`txns.commit(…)` /
+//!   `store.commit(…)`) is published before its epoch is durable (early
+//!   lock release), so it must be sequenced *after* `mark_unstable(…)`:
+//!   a stamp published first is a dirty read of an undurable commit. And
+//!   a function that submits `Some(trx)` to the pipeline without ever
+//!   flagging it unstable has nothing gating its readers at all.
 //! - `hotpath_alloc` — inside a function annotated `// lint:hotpath`
 //!   (the steady-state commit path), per-call heap allocation
 //!   (`Vec::new`, `vec!`, `Box::new`, `.to_vec()`, `.clone()`…) defeats
@@ -852,14 +854,16 @@ fn check_hotpath_alloc(
     }
 }
 
-/// The redo-ahead invariant, statically: in a function that makes redo
-/// durable (`make_durable(…)`), every visibility stamp — `txns.commit(…)`
-/// or `…store.commit(…)` — must be sequenced *after* the first durability
-/// call. A commit made visible first would be acked without its redo, so a
-/// crash in the gap is a silent RPO violation (see `StorageEngine::commit`
-/// and the matching runtime `debug_assert`). Functions with no
-/// `make_durable` at all are out of scope: replay and resolver paths stamp
-/// visibility for records that are durable by definition.
+/// The early-release gate, statically. The one commit path publishes a
+/// transaction's commit stamp *before* its epoch is durable and relies on
+/// the unstable flag to keep external readers (and the client ack) off it
+/// until then. So in a function that calls `mark_unstable(…)`, every
+/// visibility stamp — `txns.commit(…)` or `…store.commit(…)` — must be
+/// sequenced *after* the first such call; and a function that submits a
+/// tracked transaction (`submit(Some(…), …)`) to the pipeline without
+/// calling `mark_unstable` at all is a finding too. Functions with neither
+/// are out of scope: replay and resolver paths stamp visibility for
+/// records that are durable by definition.
 fn check_durability_order(
     path: &str,
     toks: &[Tok],
@@ -868,40 +872,60 @@ fn check_durability_order(
     allow_for: &dyn Fn(Rule, u32) -> Option<String>,
     out: &mut FileAnalysis,
 ) {
-    let mut first_durable: Option<(usize, u32)> = None;
+    let mut first_unstable: Option<(usize, u32)> = None;
     let mut visibility: Vec<(usize, u32, String)> = Vec::new();
+    let mut tracked_submits: Vec<u32> = Vec::new();
     for i in body_start..=body_end {
         let t = &toks[i];
         if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
             continue;
         }
-        if t.text == "make_durable" {
-            if first_durable.is_none() {
-                first_durable = Some((i, t.line));
-            }
-        } else if t.text == "commit" && i > body_start && toks[i - 1].is_punct('.') {
+        let method = i > body_start && toks[i - 1].is_punct('.');
+        if t.text == "mark_unstable" {
+            first_unstable.get_or_insert((i, t.line));
+        } else if t.text == "commit" && method {
             let recv = receiver_path(toks, i - 1, body_start);
             let last = recv.rsplit('.').next().unwrap_or(&recv);
             if last == "txns" || last.ends_with("store") {
                 visibility.push((i, t.line, recv));
             }
+        } else if matches!(t.text.as_str(), "submit" | "submit_sync")
+            && method
+            && toks.get(i + 2).is_some_and(|n| n.is_ident("Some"))
+        {
+            tracked_submits.push(t.line);
         }
     }
-    if let Some((d, durable_line)) = first_durable {
-        for (i, line, recv) in visibility {
-            if i < d {
-                out.findings.push(Finding {
-                    rule: Rule::DurabilityOrder,
-                    file: path.to_string(),
+    let mut report = |line: u32, message: String| {
+        out.findings.push(Finding {
+            rule: Rule::DurabilityOrder,
+            file: path.to_string(),
+            line,
+            message,
+            allowed: allow_for(Rule::DurabilityOrder, line),
+            symbol: None,
+        });
+    };
+    match first_unstable {
+        Some((u, unstable_line)) => {
+            for (_, line, recv) in visibility.into_iter().filter(|(i, ..)| *i < u) {
+                report(
                     line,
-                    message: format!(
-                        "'{recv}.commit()' makes versions visible before `make_durable` \
-                         (line {durable_line}) returns — durability must be acked first \
-                         (redo-ahead)",
+                    format!(
+                        "'{recv}.commit()' publishes the stamp before `mark_unstable` (line \
+                         {unstable_line}) — readers would see an undurable commit ungated",
                     ),
-                    allowed: allow_for(Rule::DurabilityOrder, line),
-                    symbol: None,
-                });
+                );
+            }
+        }
+        None => {
+            for line in tracked_submits {
+                report(
+                    line,
+                    "a tracked transaction is submitted to the pipeline in a function that \
+                     never calls `mark_unstable` — nothing gates its early-released stamp"
+                        .to_string(),
+                );
             }
         }
     }

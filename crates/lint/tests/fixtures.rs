@@ -90,29 +90,31 @@ fn unwrap_fires_only_in_protocol_crates_and_not_in_tests() {
 }
 
 #[test]
-fn durability_order_fires_on_visibility_before_ack() {
+fn durability_order_fires_on_a_stamp_before_the_unstable_flag() {
     let fa = analyze_source("crates/storage/src/fixture.rs", BAD_DURABILITY_ORDER, &cfg());
     let hits: Vec<_> =
         fa.findings.iter().filter(|f| f.rule == Rule::DurabilityOrder).collect();
     // `commit_wrong` stamps both the txn table and the version store
-    // before make_durable; the correct and replay-only shapes stay quiet.
-    assert_eq!(hits.len(), 2, "{:?}", fa.findings);
+    // before mark_unstable; `commit_unflagged` never flags what it
+    // submits; the correct, replay-only and log-only shapes stay quiet.
+    assert_eq!(hits.len(), 3, "{:?}", fa.findings);
     assert!(hits.iter().any(|f| f.message.contains("txns.commit")));
     assert!(hits.iter().any(|f| f.message.contains("store.commit")));
-    assert!(hits.iter().all(|f| f.line < 10), "only commit_wrong may fire: {hits:?}");
+    assert!(hits.iter().any(|f| f.message.contains("never calls `mark_unstable`")));
+    assert!(hits.iter().all(|f| f.line < 16), "only the two bad shapes may fire: {hits:?}");
 }
 
 #[test]
 fn durability_order_respects_allow() {
-    let src = "pub fn f(e: &E) -> Result<Lsn> {\n\
-               \x20   // lint:allow(durability_order, visibility is rolled back on flush failure)\n\
+    let src = "pub fn f(e: &E) {\n\
+               \x20   // lint:allow(durability_order, the stamp is private to this thread until the flag is up)\n\
                \x20   e.txns.commit(t, ts)?;\n\
-               \x20   e.durability.make_durable(m)\n}\n";
+               \x20   e.txns.mark_unstable(t);\n}\n";
     let fa = analyze_source("crates/storage/src/fixture.rs", src, &cfg());
     let hits: Vec<_> =
         fa.findings.iter().filter(|f| f.rule == Rule::DurabilityOrder).collect();
     assert_eq!(hits.len(), 1);
-    assert!(hits[0].allowed.as_deref().unwrap().contains("rolled back"));
+    assert!(hits[0].allowed.as_deref().unwrap().contains("private to this thread"));
 }
 
 #[test]

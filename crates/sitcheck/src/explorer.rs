@@ -282,10 +282,6 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
     let mut dns = Vec::new();
     for i in 1..=DN_COUNT {
         let rw = RwNode::new(NodeId(i));
-        // Bank DNs commit through the epoch pipeline: the whole schedule
-        // explorer (and the mutation suite) exercises early lock release
-        // and the durability watermark, not just the serial path.
-        rw.enable_epoch();
         rw.create_table(BANK, TenantId(1));
         let dn = DnService::new(NodeId(i), Arc::clone(&rw.engine), dn_clock(i));
         dn.attach_recorder(Arc::clone(&rec));

@@ -6,14 +6,12 @@
 //! kills the victim DN at a seeded crashpoint:
 //!
 //! * **mid-group-flush** — a [`FlushShot`] crashes DN1 on its Nth redo
-//!   flush; the triggering write fails, so the group commit it carried is
-//!   never acked (optionally after a torn prefix lands on the sink).
-//! * **mid-epoch-flush** — same trigger, but the victim runs the epoch
-//!   commit pipeline (ISSUE 7): the failed write is an epoch-flusher
-//!   persist, so a torn *epoch* (several transactions' concatenated redo)
-//!   lands on the sink. Early-released locks mean later txns may have
-//!   read the doomed epoch's stamps — recovery must roll the whole torn
-//!   epoch back and the Adya checker must still come back clean.
+//!   flush. The failed write is an epoch persist, so what it carried — the
+//!   concatenated redo of every submission sharing that epoch — is never
+//!   acked (optionally after a torn prefix of it lands on the sink).
+//!   Early-released locks mean later txns may have read the doomed epoch's
+//!   stamps — recovery must roll the whole torn epoch back and the Adya
+//!   checker must still come back clean.
 //! * **between prepare and commit** — a coordinator failpoint crashes DN1
 //!   right after the decision is logged at the arbiter but before phase
 //!   two is posted. The client holds an ack for a commit the victim never
@@ -45,13 +43,10 @@ use polardbx_common::{
 use polardbx_consensus::{GroupConfig, PaxosGroup, Replica, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
 use polardbx_simnet::{FaultPlan, FlushShot, Handler, LatencyMatrix, OneShotFault, SimNet};
-use polardbx_storage::{recovered_engine, replay_records, StorageEngine, SyncLocalDurability};
+use polardbx_storage::{recovered_engine, replay_records, StorageEngine};
 use polardbx_txn::checker::read_points;
 use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp};
-use polardbx_wal::{
-    scan_frames, scan_records, EpochConfig, LocalEpochSink, LogBuffer, LogSink, Mtr, RedoPayload,
-    VecSink,
-};
+use polardbx_wal::{scan_frames, scan_records, LogSink, Mtr, RedoPayload, VecSink};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::checker::{check, derived_audit_totals, CheckReport};
@@ -78,12 +73,8 @@ const TENANT: TenantId = TenantId(1);
 /// Where in the run the victim dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Power loss during a redo flush on the victim.
+    /// Power loss during a redo flush — an epoch persist — on the victim.
     MidGroupFlush,
-    /// Power loss during an epoch-pipeline persist on the victim (the
-    /// victim commits through the epoch path; the torn tail is a
-    /// multi-transaction epoch batch).
-    MidEpochFlush,
     /// Victim dies after the 2PC decision is logged but before phase two.
     BetweenPrepareAndCommit,
     /// A consensus follower dies while the leader keeps replicating.
@@ -94,7 +85,6 @@ impl CrashPoint {
     pub fn label(&self) -> &'static str {
         match self {
             CrashPoint::MidGroupFlush => "mid-group-flush",
-            CrashPoint::MidEpochFlush => "mid-epoch-flush",
             CrashPoint::BetweenPrepareAndCommit => "between-prepare-and-commit",
             CrashPoint::DuringPaxosDrain => "during-paxos-drain",
         }
@@ -105,7 +95,6 @@ impl CrashPoint {
     pub fn all() -> Vec<CrashPoint> {
         vec![
             CrashPoint::MidGroupFlush,
-            CrashPoint::MidEpochFlush,
             CrashPoint::BetweenPrepareAndCommit,
             CrashPoint::DuringPaxosDrain,
         ]
@@ -349,16 +338,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
             cfg.torn_tail.then(|| StdRng::seed_from_u64(cfg.seed ^ 0x7042_7A11)),
         ),
     });
-    let e1 = if cfg.crashpoint == CrashPoint::MidEpochFlush {
-        // Victim commits through the epoch pipeline; the crash lands on an
-        // epoch-flusher persist, tearing a multi-txn epoch batch.
-        let log = LogBuffer::new(cp_sink as Arc<dyn LogSink>);
-        let e = StorageEngine::with_durability(SyncLocalDurability::new(Arc::clone(&log)));
-        e.enable_epoch(LocalEpochSink::new(log), EpochConfig::default());
-        e
-    } else {
-        StorageEngine::with_sink(cp_sink as Arc<dyn LogSink>)
-    };
+    let e1 = StorageEngine::with_sink(cp_sink as Arc<dyn LogSink>);
     e1.create_table(BANK, TENANT);
     e1.create_table(LEDGER, TENANT);
     let dn1 = DnService::new(DN1, Arc::clone(&e1), dn_clock(1));
@@ -397,11 +377,11 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
 
     // Arm the crash.
     let coord = match cfg.crashpoint {
-        CrashPoint::MidGroupFlush | CrashPoint::MidEpochFlush => {
-            // Each transfer costs the victim ~2 flushes (prepare + commit
-            // apply; in epoch mode, the epochs carrying them); fire inside
-            // the first handful so plenty of acked state both precedes and
-            // follows the crash.
+        CrashPoint::MidGroupFlush => {
+            // Each transfer costs the victim ~2 flushes (the epochs
+            // carrying its prepare and its commit); fire inside the first
+            // handful so plenty of acked state both precedes and follows
+            // the crash.
             net.set_fault_plan(
                 FaultPlan::new(cfg.seed).with_label("recovery-mid-group-flush").with_flush_shot(
                     FlushShot {
@@ -722,13 +702,6 @@ mod tests {
     #[test]
     fn mid_group_flush_crash_recovers_clean() {
         let r = run_crashpoint(&RecoveryConfig::quick(1, CrashPoint::MidGroupFlush));
-        assert!(r.amnesia_restarts >= 1);
-        assert_run(&r);
-    }
-
-    #[test]
-    fn mid_epoch_flush_crash_rolls_back_the_torn_epoch() {
-        let r = run_crashpoint(&RecoveryConfig::quick(1, CrashPoint::MidEpochFlush));
         assert!(r.amnesia_restarts >= 1);
         assert_run(&r);
     }

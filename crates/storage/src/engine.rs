@@ -1,18 +1,19 @@
 //! The storage engine: transactions + redo + buffer pool over the MVCC
-//! store, with pluggable commit durability.
+//! store, committing through one epoch pipeline.
 //!
-//! The engine is the kernel of a DN node. Its durability path is abstracted
-//! by [`Durability`] so the same engine runs in three configurations:
+//! The engine is the kernel of a DN node. Every durability request —
+//! commit, prepare, abort, marker — goes through its [`EpochPipeline`];
+//! what differs between deployments is only the [`EpochSink`] under it:
 //!
-//! * standalone (tests, quickstart): a local log buffer,
-//! * PolarDB basic (§II-C): local log buffer on a PolarFS volume, RO nodes
-//!   tailing the stream,
-//! * PolarDB-X DN (§III): commit rides the Paxos group across datacenters.
+//! * standalone (tests, quickstart) and PolarDB basic (§II-C): a local log
+//!   buffer ([`LocalEpochSink`]), RO nodes tailing the stream,
+//! * PolarDB-X DN (§III): each epoch rides the Paxos group across
+//!   datacenters (`polardbx::durability::PaxosEpochSink`).
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +22,7 @@ use polardbx_common::{
     Error, HistoryRecorder, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId, TxnEvent,
 };
 use polardbx_wal::{
-    EpochConfig, EpochListener, EpochPipeline, EpochSink, EpochTicket, GroupCommitter, LogBuffer,
+    EpochConfig, EpochListener, EpochPipeline, EpochSink, EpochTicket, LocalEpochSink, LogBuffer,
     LogSink, Mtr, RedoPayload, VecSink, WalMetrics,
 };
 
@@ -32,75 +33,9 @@ use crate::rowcodec::encode_row;
 use crate::shard::ShardedMap;
 use crate::txn::TxnTable;
 
-/// How commit-time redo becomes durable.
-pub trait Durability: Send + Sync {
-    /// Make `mtrs` durable; blocks until safe, returns the end LSN.
-    fn make_durable(&self, mtrs: &[Mtr]) -> Result<Lsn>;
-
-    /// Group-commit metrics, when the provider coalesces flushes.
-    fn wal_metrics(&self) -> Option<Arc<WalMetrics>> {
-        None
-    }
-
-    /// The provider's current durable horizon, when it can report one.
-    /// Used by the commit path's redo-ahead assertion: a version must not
-    /// become visible at an LSN the provider has not yet acknowledged.
-    fn durable_lsn(&self) -> Option<Lsn> {
-        None
-    }
-}
-
-/// Local durability through the group committer: concurrent callers
-/// (commits, aborts, prepares) coalesce into shared flushes.
-pub struct LocalDurability {
-    gc: Arc<GroupCommitter>,
-}
-
-impl LocalDurability {
-    /// Wrap a log buffer in a group committer.
-    pub fn new(log: Arc<LogBuffer>) -> Arc<LocalDurability> {
-        Arc::new(LocalDurability { gc: GroupCommitter::new(log) })
-    }
-}
-
-impl Durability for LocalDurability {
-    fn make_durable(&self, mtrs: &[Mtr]) -> Result<Lsn> {
-        self.gc.commit(mtrs)
-    }
-
-    fn wal_metrics(&self) -> Option<Arc<WalMetrics>> {
-        Some(Arc::clone(&self.gc.metrics))
-    }
-
-    fn durable_lsn(&self) -> Option<Lsn> {
-        Some(self.gc.durable())
-    }
-}
-
-/// The seed's per-transaction durability: every caller appends and flushes
-/// alone. Kept as the baseline `commit_bench` compares group commit against.
-pub struct SyncLocalDurability {
-    log: Arc<LogBuffer>,
-}
-
-impl SyncLocalDurability {
-    /// Wrap a log buffer.
-    pub fn new(log: Arc<LogBuffer>) -> Arc<SyncLocalDurability> {
-        Arc::new(SyncLocalDurability { log })
-    }
-}
-
-impl Durability for SyncLocalDurability {
-    fn make_durable(&self, mtrs: &[Mtr]) -> Result<Lsn> {
-        let (_, end) = self.log.append_batch(mtrs);
-        self.log.flush()?;
-        Ok(end)
-    }
-
-    fn durable_lsn(&self) -> Option<Lsn> {
-        Some(self.log.flushed())
-    }
-}
+/// The local-log sink under the name `benchmark/src/layers.rs` imports.
+/// Goes with ROADMAP step 2-A, when `benchmark/` may be edited.
+pub type SyncLocalDurability = LocalEpochSink;
 
 /// A logical write operation on a row.
 #[derive(Debug, Clone)]
@@ -134,15 +69,25 @@ struct UnstableCtx {
 }
 
 /// Bridges epoch resolution back into the engine: stability lifts the
-/// read gate, failure rolls early-released commits back. Holds a `Weak`
-/// so a forgotten engine doesn't keep its flusher alive.
+/// read gate, failure rolls early-released commits back. Holds a `Weak`:
+/// the engine owns the pipeline that owns this.
 struct EngineEpochListener {
     engine: std::sync::Weak<StorageEngine>,
 }
 
 impl EpochListener for EngineEpochListener {
-    fn epoch_stable(&self, txns: &[TrxId], _end: Lsn) {
+    fn epoch_stable(&self, txns: &[TrxId], end: Lsn) {
         let Some(engine) = self.engine.upgrade() else { return };
+        // Redo-ahead invariant that crash recovery depends on: no commit
+        // may be acked, or its stamp shown to a gated reader, before the
+        // sink has acknowledged the epoch holding its commit record. A
+        // crash in the gap would ack a commit replay can never
+        // reconstruct — a silent RPO violation.
+        let durable = engine.pipe.durable_lsn();
+        assert!(
+            end <= durable,
+            "epoch ending at {end:?} declared stable above the durable horizon {durable:?}"
+        );
         engine.txns.mark_stable_batch(txns);
         // The history learns of a commit here, not at the early stamp: an
         // epoch that tears rolls the stamp back, and a commit nobody could
@@ -161,6 +106,24 @@ impl EpochListener for EngineEpochListener {
         for t in txns {
             engine.fail_unstable(*t, err);
         }
+    }
+}
+
+/// A transaction's accumulated row redo, into the open epoch's arena.
+fn encode_redo(redo: &[Mtr], buf: &mut Vec<u8>) {
+    for record in redo.iter().flat_map(Mtr::records) {
+        record.encode(buf);
+    }
+}
+
+/// Marks a commit whose context is on its way from `active` to
+/// `unstable_ctx` (or back), in neither map: see
+/// [`StorageEngine::has_active_writes_on`].
+struct Transit<'a>(&'a AtomicU64);
+
+impl Drop for Transit<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -183,9 +146,10 @@ pub struct StorageEngine {
     tenants: RwLock<HashMap<TableId, TenantId>>,
     /// In-flight transaction contexts, lock-sharded: every begin, write,
     /// commit and abort touches this map, and a single global mutex would
-    /// serialize committers before they ever reach the group committer.
+    /// serialize committers before they ever reach the pipeline.
     active: ShardedMap<TrxId, TrxCtx>,
-    durability: Arc<dyn Durability>,
+    /// The one commit path: every redo record of this engine goes through it.
+    pipe: Arc<EpochPipeline>,
     wait_timeout: Duration,
     /// Fast-path flag for the history tap: the hot path pays one relaxed
     /// load when recording is off (the common case).
@@ -194,13 +158,12 @@ pub struct StorageEngine {
     /// Checker-validation mutation: treat PREPARED writers as invisible
     /// instead of waiting (reads below the snapshot watermark).
     ignore_prepared_reads: AtomicBool,
-    /// Epoch-pipelined commit path, when enabled (`epoch_on` is the
-    /// hot-path fast check so the default path pays one relaxed load).
-    epoch: RwLock<Option<Arc<EpochPipeline>>>,
-    epoch_on: AtomicBool,
     /// Early-released commits awaiting their epoch's durability horizon;
     /// the torn-epoch rollback consumes these.
     unstable_ctx: ShardedMap<TrxId, UnstableCtx>,
+    /// Commits that started, and finished, moving their context between
+    /// `active` and `unstable_ctx`.
+    transits: (AtomicU64, AtomicU64),
     /// Shard tables frozen for a re-home cutover. New writes bounce
     /// retryably, and the write path installs intents under a read guard
     /// on this set, so once `freeze_writes` returns no intent can land
@@ -209,64 +172,52 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// An engine with local durability over an in-memory sink (tests and
-    /// single-node uses).
+    /// An engine logging to an in-memory sink (tests and single-node uses).
     pub fn in_memory() -> Arc<StorageEngine> {
-        let sink = VecSink::new();
-        Self::with_sink(sink as Arc<dyn LogSink>)
+        Self::with_sink(VecSink::new())
     }
 
     /// An engine logging locally to `sink`.
     pub fn with_sink(sink: Arc<dyn LogSink>) -> Arc<StorageEngine> {
-        Self::with_durability(LocalDurability::new(LogBuffer::new(sink)))
+        Self::with_durability(LocalEpochSink::new(LogBuffer::new(sink)))
     }
 
-    /// An engine with an arbitrary durability provider (e.g. Paxos).
-    pub fn with_durability(durability: Arc<dyn Durability>) -> Arc<StorageEngine> {
-        Arc::new(StorageEngine {
-            txns: Arc::new(TxnTable::new()),
-            pool: BufferPool::new(4096, 256),
-            tables: RwLock::new(HashMap::new()),
-            tenants: RwLock::new(HashMap::new()),
-            active: ShardedMap::new(),
-            durability,
-            wait_timeout: Duration::from_secs(5),
-            recording: AtomicBool::new(false),
-            recorder: Mutex::new(None),
-            ignore_prepared_reads: AtomicBool::new(false),
-            epoch: RwLock::new(None),
-            epoch_on: AtomicBool::new(false),
-            unstable_ctx: ShardedMap::new(),
-            write_frozen: RwLock::new(HashSet::new()),
+    /// An engine whose epochs persist through `sink` (a local log, a Paxos
+    /// group). The name is the one `benchmark/` calls, kept until ROADMAP
+    /// step 2-A.
+    pub fn with_durability(sink: Arc<dyn EpochSink>) -> Arc<StorageEngine> {
+        Arc::new_cyclic(|engine| {
+            let listener = Arc::new(EngineEpochListener { engine: engine.clone() });
+            StorageEngine {
+                txns: Arc::new(TxnTable::new()),
+                pool: BufferPool::new(4096, 256),
+                tables: RwLock::new(HashMap::new()),
+                tenants: RwLock::new(HashMap::new()),
+                active: ShardedMap::new(),
+                pipe: EpochPipeline::new(sink, listener, EpochConfig::default()),
+                wait_timeout: Duration::from_secs(5),
+                recording: AtomicBool::new(false),
+                recorder: Mutex::new(None),
+                ignore_prepared_reads: AtomicBool::new(false),
+                unstable_ctx: ShardedMap::new(),
+                transits: (AtomicU64::new(0), AtomicU64::new(0)),
+                write_frozen: RwLock::new(HashSet::new()),
+            }
         })
     }
 
-    /// Switch this engine's commit path to the epoch pipeline: commits
-    /// stamp versions immediately (early lock release) and `sink`
-    /// persists whole sealed epochs; external reads and client acks gate
-    /// on the epoch watermark. The pipeline persists the exact byte
-    /// stream the serial path would have written, so recovery and
-    /// replicas are unaffected.
-    pub fn enable_epoch(
-        self: &Arc<Self>,
-        sink: Arc<dyn EpochSink>,
-        cfg: EpochConfig,
-    ) -> Arc<EpochPipeline> {
-        let listener = Arc::new(EngineEpochListener { engine: Arc::downgrade(self) });
-        let pipe = EpochPipeline::start(sink, listener, cfg);
-        *self.epoch.write() = Some(Arc::clone(&pipe));
-        self.epoch_on.store(true, Ordering::Release);
-        pipe
+    /// Put another sink under this engine's pipeline (a Paxos group in
+    /// place of the local log) before it takes traffic; what was submitted
+    /// so far is persisted through the old sink first.
+    pub fn enable_epoch(&self, sink: Arc<dyn EpochSink>, cfg: EpochConfig) -> Arc<EpochPipeline> {
+        self.pipe.replace_sink(sink, cfg);
+        Arc::clone(&self.pipe)
     }
 
-    /// The epoch pipeline, when [`StorageEngine::enable_epoch`] was called.
-    // lint:hotpath
-    pub fn epoch_pipeline(&self) -> Option<Arc<EpochPipeline>> {
-        if !self.epoch_on.load(Ordering::Acquire) {
-            return None;
-        }
-        // lint:allow(hotpath_alloc, "Option<Arc> clone is a refcount bump, not a heap copy")
-        self.epoch.read().clone()
+    /// The engine's commit pipeline: where [`StorageEngine::commit_pipelined`]
+    /// tickets resolve.
+    pub fn pipeline(&self) -> &Arc<EpochPipeline> {
+        &self.pipe
     }
 
     /// Install a history tap: MVCC reads, writes, commit stamps and aborts
@@ -295,9 +246,10 @@ impl StorageEngine {
         self.ignore_prepared_reads.store(on, Ordering::Release);
     }
 
-    /// Group-commit metrics of the durability provider, if it batches.
+    /// The pipeline's metrics. Always `Some`: the `Option` is the shape
+    /// `benchmark/` reads, kept until ROADMAP step 2-A.
     pub fn wal_metrics(&self) -> Option<Arc<WalMetrics>> {
-        self.durability.wal_metrics()
+        Some(Arc::clone(&self.pipe.metrics))
     }
 
     /// Create an empty table owned by `tenant`.
@@ -528,32 +480,22 @@ impl StorageEngine {
     /// consult). Participants pass their HLC's `ClockAdvance` as `alloc`.
     pub fn prepare_with(&self, trx: TrxId, alloc: impl FnOnce() -> u64) -> Result<(u64, Lsn)> {
         let prepare_ts = self.txns.prepare_with(trx, alloc)?;
-        let mut mtrs = self
+        let redo = self
             .active
             .with(&trx, |c| c.map(|c| std::mem::take(&mut c.redo)))
             .ok_or(Error::TxnAborted { reason: format!("unknown trx {trx}") })?;
-        mtrs.push(Mtr::single(RedoPayload::TxnPrepare { trx, prepare_ts }));
-        let lsn = self.durable_submit(&mtrs)?;
+        let lsn = self.pipe.submit_sync(None, self.wait_timeout, |buf| {
+            encode_redo(&redo, buf);
+            RedoPayload::TxnPrepare { trx, prepare_ts }.encode(buf);
+        })?;
         Ok((prepare_ts, lsn))
     }
 
-    /// Route a standalone durability request (prepare, abort, marker)
-    /// through the epoch pipeline when enabled — every record funnels
-    /// through one ordered stream, keeping the durable bytes identical to
-    /// the serial path — or through the provider directly otherwise.
-    /// These submissions carry no early-released transaction, so they
-    /// block for durability exactly like the provider would.
-    fn durable_submit(&self, mtrs: &[Mtr]) -> Result<Lsn> {
-        if let Some(pipe) = self.epoch_pipeline() {
-            return pipe.submit_sync(None, self.wait_timeout, |buf| {
-                for m in mtrs {
-                    for r in m.records() {
-                        r.encode(buf);
-                    }
-                }
-            });
-        }
-        self.durability.make_durable(mtrs)
+    /// Log one standalone record (abort, marker) and wait for it. It
+    /// releases nothing early, so there is no transaction to track to
+    /// stability; it shares the persist of whatever commits alongside it.
+    fn log_record(&self, record: RedoPayload) -> Result<Lsn> {
+        self.pipe.submit_sync(None, self.wait_timeout, |buf| record.encode(buf))
     }
 
     /// In-memory ACTIVE → PREPARED transition with in-lock timestamp
@@ -567,29 +509,28 @@ impl StorageEngine {
         self.txns.prepare_with(trx, alloc)
     }
 
-    /// Commit (one-phase from ACTIVE, or phase two from PREPARED). Stamps
-    /// versions, makes the commit record durable, releases the context.
+    /// Commit (one-phase from ACTIVE, or phase two from PREPARED): stamps
+    /// versions, logs the commit record, and returns once its epoch is
+    /// durable — persisted by this thread unless another committer's
+    /// persist already carries it.
     ///
     /// On a durability failure the transaction is rolled back — correct
     /// only while nothing has been acked to the client. Phase two of a 2PC
     /// commit whose decision is already durable elsewhere must use
     /// [`StorageEngine::commit_decided`] instead.
     pub fn commit(&self, trx: TrxId, commit_ts: u64) -> Result<Lsn> {
-        if let Some(pipe) = self.epoch_pipeline() {
-            let ticket = self.commit_pipelined_impl(trx, commit_ts, false)?;
-            return pipe.wait_ticket(ticket, self.wait_timeout);
-        }
-        self.commit_impl(trx, commit_ts, false)
+        let ticket = self.commit_pipelined(trx, commit_ts)?;
+        self.pipe.wait_ticket(ticket, self.wait_timeout)
     }
 
-    /// Epoch-mode commit that does *not* block for durability: the commit
-    /// stamp is published immediately (early lock release — later
-    /// transactions may read and overwrite it, gated readers wait on the
-    /// epoch watermark) and the returned ticket resolves through
-    /// [`EpochPipeline::wait_ticket`]. No client may be acked before the
-    /// ticket resolves. Pipelined submitters overlap many commits per
-    /// durability round — the single-stream speedup `commit_bench`
-    /// measures.
+    /// A commit that does *not* block for durability: the commit stamp is
+    /// published immediately (early lock release — later transactions may
+    /// read and overwrite it, gated readers wait on the epoch watermark)
+    /// and the returned ticket resolves through
+    /// [`EpochPipeline::wait_ticket`] on [`StorageEngine::pipeline`]. No
+    /// client may be acked before the ticket resolves. Pipelined submitters
+    /// overlap many commits per durability round — the single-stream
+    /// speedup `commit_bench` measures.
     // lint:hotpath
     pub fn commit_pipelined(&self, trx: TrxId, commit_ts: u64) -> Result<EpochTicket> {
         self.commit_pipelined_impl(trx, commit_ts, false)
@@ -602,9 +543,9 @@ impl StorageEngine {
         commit_ts: u64,
         decided: bool,
     ) -> Result<EpochTicket> {
-        let pipe = self
-            .epoch_pipeline()
-            .ok_or_else(|| Error::Storage { message: "epoch pipeline not enabled".into() })?;
+        // From here until the context sits in `unstable_ctx` it is in
+        // neither map; a cutover's drain must not take that for "gone".
+        let transit = self.transit();
         let ctx = self
             .active
             .remove(&trx)
@@ -657,6 +598,7 @@ impl StorageEngine {
         let TrxCtx { snapshot_ts, writes, redo } = ctx;
         let unstable = UnstableCtx { snapshot_ts, commit_ts, writes, decided, prepare_ts };
         self.unstable_ctx.insert(trx, unstable);
+        drop(transit);
         if stamp_skipped {
             // Revert the early release exactly as a torn epoch would:
             // undecided aborts wholesale, a decided phase-two reverts to
@@ -665,12 +607,8 @@ impl StorageEngine {
             self.fail_unstable(trx, &e);
             return Err(e);
         }
-        let ticket = pipe.submit(Some(trx), |buf| {
-            for mtr in &redo {
-                for r in mtr.records() {
-                    r.encode(buf);
-                }
-            }
+        let ticket = self.pipe.submit(Some(trx), |buf| {
+            encode_redo(&redo, buf);
             RedoPayload::TxnCommit { trx, commit_ts }.encode(buf);
         });
         match ticket {
@@ -689,6 +627,8 @@ impl StorageEngine {
     /// restored for a re-driven commit — a globally durable decision must
     /// never abort.
     fn fail_unstable(&self, trx: TrxId, _err: &Error) {
+        // A decided commit's context travels back to `active` through here.
+        let _transit = self.transit();
         let Some(ctx) = self.unstable_ctx.remove(&trx) else { return };
         // Versions strictly before state: demotion clears the unstable
         // flag and wakes readers gated in `wait_stable`, so the stamped
@@ -732,96 +672,13 @@ impl StorageEngine {
     /// waiting on it, and a retried Commit, the in-doubt resolver, or
     /// crash recovery finishes the job.
     pub fn commit_decided(&self, trx: TrxId, commit_ts: u64) -> Result<Lsn> {
-        if let Some(pipe) = self.epoch_pipeline() {
-            let ticket = self.commit_pipelined_impl(trx, commit_ts, true)?;
-            return pipe.wait_ticket(ticket, self.wait_timeout);
-        }
-        self.commit_impl(trx, commit_ts, true)
+        let ticket = self.commit_pipelined_impl(trx, commit_ts, true)?;
+        self.pipe.wait_ticket(ticket, self.wait_timeout)
     }
 
-    fn commit_impl(&self, trx: TrxId, commit_ts: u64, decided: bool) -> Result<Lsn> {
-        // The table-map read guard spans the detach check through the
-        // commit stamps below: a store present here stays present for the
-        // stamping loop (detach takes the write side). A write whose store
-        // is already gone — a re-home cutover detached it mid-transaction —
-        // must fail the commit, never skip the stamp and report success.
-        // It is taken before the context leaves `active`: a cutover drains
-        // on `has_active_writes_on`, and a context that vanished from there
-        // with the guard not yet held would let the detach in between.
-        let tables = self.tables.read();
-        let ctx = match self.active.remove(&trx) {
-            Some(ctx) => ctx,
-            None => return Err(Error::TxnAborted { reason: format!("unknown trx {trx}") }),
-        };
-        if let Some((missing, _)) = ctx.writes.iter().find(|(t, _)| !tables.contains_key(t)) {
-            let missing = *missing;
-            if decided {
-                // The decision is durable elsewhere: keep the transaction
-                // in-doubt (PREPARED, context intact) for the resolver —
-                // mirroring the durability-failure path below.
-                drop(tables);
-                self.active.insert(trx, ctx);
-            } else {
-                // One-phase, nothing acked: roll back what is reachable.
-                drop(tables);
-                self.rollback_writes(trx, &ctx.writes);
-                self.txns.abort(trx);
-            }
-            return Err(Error::Throttled { rule: format!("store-detached:{missing}") });
-        }
-        let mut mtrs = ctx.redo;
-        mtrs.push(Mtr::single(RedoPayload::TxnCommit { trx, commit_ts }));
-        // Durability first (redo-ahead), then visibility.
-        let lsn = match self.durability.make_durable(&mtrs) {
-            Ok(lsn) => lsn,
-            Err(e) => {
-                drop(tables);
-                if decided {
-                    // Keep the intent in-doubt: restore the context (minus
-                    // the commit record we appended) for a later retry.
-                    mtrs.pop();
-                    self.active.insert(
-                        trx,
-                        TrxCtx { snapshot_ts: ctx.snapshot_ts, writes: ctx.writes, redo: mtrs },
-                    );
-                } else {
-                    // Nothing acked anywhere (one-phase commit, or
-                    // leadership lost before a decision existed): roll the
-                    // transaction back.
-                    self.rollback_writes(trx, &ctx.writes);
-                    self.txns.abort(trx);
-                }
-                return Err(e);
-            }
-        };
-        // Redo-ahead invariant that crash recovery depends on: by the time
-        // any version of `trx` becomes visible (the `txns.commit` and store
-        // stamps below), the durability provider must have acknowledged the
-        // commit record's LSN. If a version could become visible first, a
-        // crash in the gap would ack a commit to the client that replay can
-        // never reconstruct — a silent RPO violation.
-        if let Some(durable) = self.durability.durable_lsn() {
-            debug_assert!(
-                durable >= lsn,
-                "commit {trx} would become visible before its durability ack: \
-                 durable horizon {durable:?} < commit record end {lsn:?}"
-            );
-        }
-        self.txns.commit(trx, commit_ts)?;
-        let mut by_table: HashMap<TableId, Vec<Key>> = HashMap::new();
-        for (t, k) in ctx.writes {
-            by_table.entry(t).or_default().push(k);
-        }
-        for (t, keys) in by_table {
-            if let Some(store) = tables.get(&t) {
-                store.commit(trx, commit_ts, &keys);
-            }
-        }
-        drop(tables);
-        if let Some(tap) = self.tap() {
-            tap.rec.record(TxnEvent::Commit { trx, node: tap.node, commit_ts });
-        }
-        Ok(lsn)
+    fn transit(&self) -> Transit<'_> {
+        self.transits.0.fetch_add(1, Ordering::SeqCst);
+        Transit(&self.transits.1)
     }
 
     /// State of a transaction in the local table (None = never seen here,
@@ -846,10 +703,9 @@ impl StorageEngine {
             self.rollback_writes(trx, &ctx.writes);
         }
         self.txns.abort(trx);
-        // The abort record rides the same group committer (or epoch
-        // pipeline) as commits: a storm of rollbacks shares flushes
-        // instead of paying one each.
-        let _ = self.durable_submit(&[Mtr::single(RedoPayload::TxnAbort { trx })]);
+        // The abort record rides the same pipeline as commits: a storm of
+        // rollbacks shares persists instead of paying one each.
+        let _ = self.log_record(RedoPayload::TxnAbort { trx });
         // History event only when the abort discarded actual writes: a
         // coordinator releasing a read-only participant after commit is not
         // an abort of the (committed) transaction, and recording one would
@@ -876,7 +732,7 @@ impl StorageEngine {
         if let Some(ctx) = ctx {
             self.rollback_writes(trx, &ctx.writes);
         }
-        let _ = self.durable_submit(&[Mtr::single(RedoPayload::TxnAbort { trx })]);
+        let _ = self.log_record(RedoPayload::TxnAbort { trx });
         if discarded_writes {
             if let Some(tap) = self.tap() {
                 tap.rec.record(TxnEvent::Abort { trx, node: tap.node });
@@ -897,10 +753,10 @@ impl StorageEngine {
         }
     }
 
-    /// Append a standalone marker record through the engine's durability
+    /// Append a standalone marker record through the engine's commit
     /// path (e.g. PolarDB-MT's per-tenant log markers).
     pub fn log_marker(&self, payload: RedoPayload) -> Result<Lsn> {
-        self.durable_submit(&[Mtr::single(payload)])
+        self.log_record(payload)
     }
 
     /// Any transactions still in flight? (Tenant migration waits for zero.)
@@ -912,13 +768,22 @@ impl StorageEngine {
     /// cutover drains this *after* the commit gate: phase-two Commit
     /// messages are posted asynchronously, so a committed-but-unapplied
     /// write set can outlive the coordinator's commit guard. Detaching the
-    /// store while one exists would strand the write.
+    /// store while one exists would strand the write. Never answers "none"
+    /// wrongly; may answer "some" for the moment any commit on this engine
+    /// spends between the two context maps — poll it, as a drain does.
     pub fn has_active_writes_on(&self, table: TableId) -> bool {
-        self.active.any(|_, ctx| ctx.writes.iter().any(|(t, _)| *t == table))
-            // Early-released pipelined commits are out of `active` but their
-            // stamps may still be rolled back by a torn epoch — the rollback
-            // needs the store attached, so a cutover must wait these out too.
-            || self.unstable_ctx.any(|_, ctx| ctx.writes.iter().any(|(t, _)| *t == table))
+        let on_table = |writes: &[(TableId, Key)]| writes.iter().any(|(t, _)| *t == table);
+        let finished = self.transits.1.load(Ordering::SeqCst);
+        self.active.any(|_, ctx| on_table(&ctx.writes))
+            // Early-released commits are out of `active` but their stamps may
+            // still be rolled back by a torn epoch — the rollback needs the
+            // store attached, so a cutover must wait these out too.
+            || self.unstable_ctx.any(|_, ctx| on_table(&ctx.writes))
+            // A commit moves its context from one map to the other by
+            // remove-then-insert. Every move that had started by now had
+            // finished before the scans began only if the two counts agree;
+            // otherwise one may have been in neither map when looked for.
+            || self.transits.0.load(Ordering::SeqCst) != finished
     }
 
     /// Multi-version GC across all tables.
@@ -933,7 +798,12 @@ impl StorageEngine {
     /// rows become versions stamped at its commit timestamp. Changes to a
     /// table this engine does not hold are skipped.
     pub fn apply_committed(&self, txn: &CommittedTxn) {
-        for change in &txn.changes {
+        self.apply_committed_where(txn, |_| true);
+    }
+
+    /// [`StorageEngine::apply_committed`] for the tables `keep` admits.
+    pub fn apply_committed_where(&self, txn: &CommittedTxn, keep: impl Fn(TableId) -> bool) {
+        for change in txn.changes.iter().filter(|c| keep(c.table)) {
             if let Ok(store) = self.store(change.table) {
                 let op = change.row.clone().map_or(VersionOp::Delete, VersionOp::Put);
                 store.apply_committed(txn.trx, txn.commit_ts, change.key.clone(), op);
@@ -983,17 +853,6 @@ impl StorageEngine {
         self.active.insert(trx, TrxCtx { snapshot_ts: prepare_ts, writes, redo: Vec::new() });
         self.txns.prepare_with(trx, || prepare_ts)?;
         Ok(())
-    }
-}
-
-impl Drop for StorageEngine {
-    fn drop(&mut self) {
-        // The flusher thread holds its own Arc to the pipeline, so the
-        // pipeline's Drop alone never fires while the thread runs; the
-        // engine going away is the signal to drain and stop it.
-        if let Some(pipe) = self.epoch.write().take() {
-            pipe.stop();
-        }
     }
 }
 
@@ -1190,32 +1049,18 @@ mod tests {
     }
 
     #[test]
-    fn aborts_ride_the_group_committer() {
-        let e = engine();
-        let m = e.wal_metrics().expect("local durability exposes group-commit metrics");
-        e.begin(TrxId(1), 0);
-        e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
-        let before = m.commits.get();
-        e.abort(TrxId(1));
-        assert_eq!(m.commits.get(), before + 1, "abort record uses the shared flush path");
-        // abort_if_active takes the same path.
-        e.begin(TrxId(2), 0);
-        assert!(e.abort_if_active(TrxId(2)));
-        assert_eq!(m.commits.get(), before + 2);
-    }
-
-    #[test]
-    fn sync_durability_still_flushes_per_transaction() {
+    fn a_lone_commit_is_one_sink_write() {
+        // Also the construction `benchmark/src/layers.rs` spells out.
         let sink = VecSink::new();
         let e = StorageEngine::with_durability(SyncLocalDurability::new(LogBuffer::new(
             sink.clone() as Arc<dyn LogSink>,
         )));
         e.create_table(T, TEN);
-        assert!(e.wal_metrics().is_none(), "baseline provider has no group metrics");
         e.begin(TrxId(1), 0);
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
         e.commit(TrxId(1), 10).unwrap();
         assert_eq!(sink.writes().len(), 1);
+        assert_eq!(e.wal_metrics().unwrap().flushes_per_commit(), 1.0);
         assert_eq!(e.read(T, &key(1), 10, None).unwrap(), Some(row(1, "a")));
     }
 
@@ -1248,60 +1093,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decided_commit_survives_a_durability_failure_as_in_doubt() {
-        // Phase two of an externally decided commit hits a flush failure:
-        // the prepared intent must stay PREPARED (reader waits, then sees
-        // the commit), never be skipped or rolled back — a reader skipping
-        // it would miss a globally committed write (G-SIb).
-        let flaky =
-            Arc::new(FlakySink { inner: VecSink::new(), fail: AtomicBool::new(false) });
-        let e = StorageEngine::with_sink(Arc::clone(&flaky) as Arc<dyn LogSink>);
-        e.create_table(T, TEN);
-
-        e.begin(TrxId(1), 0);
-        e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
-        let (prepare_ts, _) = e.prepare_with(TrxId(1), || 10).unwrap();
-
-        flaky.fail.store(true, Ordering::SeqCst);
-        e.commit_decided(TrxId(1), prepare_ts).unwrap_err();
-        // Still PREPARED: a reader above the timestamp must wait it out,
-        // not skip to an older version.
-        assert!(matches!(e.txn_state(TrxId(1)), Some(crate::txn::TxnState::Prepared { .. })));
-        let err = e
-            .store(T)
-            .unwrap()
-            .read_waiting(&e.txns, &key(1), 20, None, Duration::from_millis(10))
-            .unwrap_err();
-        assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
-
-        // The durability hiccup clears; a retried decided commit lands and
-        // the version becomes visible at the decided timestamp.
-        flaky.fail.store(false, Ordering::SeqCst);
-        e.commit_decided(TrxId(1), prepare_ts).unwrap();
-        assert_eq!(e.read(T, &key(1), 20, None).unwrap(), Some(row(1, "a")));
-
-        // Contrast: an undecided one-phase commit under the same failure
-        // rolls back, and the key simply is not there.
-        flaky.fail.store(true, Ordering::SeqCst);
-        e.begin(TrxId(2), 20);
-        e.write(TrxId(2), T, key(2), WriteOp::Insert(row(2, "b"))).unwrap();
-        e.commit(TrxId(2), 30).unwrap_err();
-        flaky.fail.store(false, Ordering::SeqCst);
-        assert_eq!(e.read(T, &key(2), 40, None).unwrap(), None);
-    }
-
-    /// An engine in epoch mode over `sink`, plus the pipeline handle.
+    /// An engine over `sink`, plus its pipeline and log.
     fn epoch_engine(
         sink: Arc<dyn LogSink>,
     ) -> (Arc<StorageEngine>, Arc<EpochPipeline>, Arc<LogBuffer>) {
         let log = LogBuffer::new(sink);
-        let e = StorageEngine::with_durability(SyncLocalDurability::new(Arc::clone(&log)));
+        let e = StorageEngine::with_durability(LocalEpochSink::new(Arc::clone(&log)));
         e.create_table(T, TEN);
-        let pipe = e.enable_epoch(
-            polardbx_wal::LocalEpochSink::new(Arc::clone(&log)),
-            EpochConfig::default(),
-        );
+        let pipe = Arc::clone(e.pipeline());
         (e, pipe, log)
     }
 
@@ -1318,9 +1117,9 @@ mod tests {
         for n in 1..=10i64 {
             assert_eq!(e.read(T, &key(n), 100, None).unwrap(), Some(row(n, "v")));
         }
-        assert_eq!(pipe.metrics.txns.get(), 10);
+        assert_eq!(pipe.metrics.commits.get(), 10);
         assert_eq!(log.flushed(), log.head(), "every epoch flushed");
-        // The durable stream decodes to exactly the serial path's records:
+        // The durable stream decodes to each transaction's records as a run:
         // one row record + one commit record per transaction, in order.
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
         assert_eq!(records.len(), 20);
@@ -1343,7 +1142,8 @@ mod tests {
         for t in tickets {
             pipe.wait_ticket(t, Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(pipe.metrics.txns.get(), 50);
+        assert_eq!(pipe.metrics.commits.get(), 50);
+        assert_eq!(pipe.metrics.flushes.get(), 1, "the first harvest persists the window");
         for n in 1..=50i64 {
             assert_eq!(e.read(T, &key(n), 1000, None).unwrap(), Some(row(n, "w")));
         }
@@ -1401,9 +1201,9 @@ mod tests {
     }
 
     #[test]
-    fn epoch_prepare_and_abort_ride_the_pipeline() {
+    fn prepare_and_abort_ride_the_pipeline() {
         let sink = VecSink::new();
-        let (e, _pipe, log) = epoch_engine(sink.clone());
+        let (e, pipe, log) = epoch_engine(sink.clone());
         e.begin(TrxId(1), 0);
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "p"))).unwrap();
         e.prepare_with(TrxId(1), || 10).unwrap();
@@ -1411,6 +1211,10 @@ mod tests {
         e.write(TrxId(2), T, key(2), WriteOp::Insert(row(2, "x"))).unwrap();
         e.abort(TrxId(2));
         e.commit_decided(TrxId(1), 10).unwrap();
+        // abort_if_active takes the same path.
+        e.begin(TrxId(3), 0);
+        assert!(e.abort_if_active(TrxId(3)));
+        assert_eq!(pipe.metrics.commits.get(), 4, "prepare, abort, commit, abort");
         assert_eq!(log.flushed(), log.head());
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
         // Insert+Prepare(T1), Abort(T2), Commit(T1) — submission order.
@@ -1428,16 +1232,6 @@ mod tests {
         // A re-home cutover detaches the store while the transaction still
         // holds an intent in it: the commit must surface an error — a
         // silent stamp-skip would ack a write that no longer exists here.
-        let _store = e.detach_table(T).unwrap();
-        let err = e.commit(TrxId(1), 10).unwrap_err();
-        assert!(err.is_retryable(), "detached-store commit must bounce retryably: {err:?}");
-    }
-
-    #[test]
-    fn pipelined_commit_with_detached_store_fails_instead_of_skipping() {
-        let (e, _pipe, _log) = epoch_engine(VecSink::new());
-        e.begin(TrxId(1), 0);
-        e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "x"))).unwrap();
         let _store = e.detach_table(T).unwrap();
         let err = e.commit(TrxId(1), 10).unwrap_err();
         assert!(err.is_retryable(), "detached-store commit must bounce retryably: {err:?}");

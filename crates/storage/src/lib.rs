@@ -36,7 +36,7 @@ pub mod txn;
 
 pub use bufferpool::{BufferPool, BufferPoolStats};
 pub use feed::{CommittedTxn, RedoConsumer, RowChange, TxnAssembler};
-pub use engine::{Durability, LocalDurability, StorageEngine, SyncLocalDurability, WriteOp};
+pub use engine::{StorageEngine, SyncLocalDurability, WriteOp};
 pub use recovery::{recovered_engine, replay_records, RecoveryReport};
 pub use mvcc::{ReadResult, VersionStore};
 pub use shard::ShardedMap;

@@ -31,9 +31,9 @@ use std::sync::Arc;
 
 use polardbx_common::{Lsn, Result, TableId, TenantId, TrxId};
 use polardbx_wal::recovery::scan_records;
-use polardbx_wal::{LogBuffer, LogSink, RedoPayload, VecSink};
+use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, RedoPayload, VecSink};
 
-use crate::engine::{LocalDurability, StorageEngine};
+use crate::engine::StorageEngine;
 use crate::feed::TxnAssembler;
 use crate::txn::TxnState;
 
@@ -144,7 +144,7 @@ pub fn recovered_engine(
     }
 
     let log = LogBuffer::starting_at(Arc::clone(&sink) as Arc<dyn LogSink>, durable);
-    let engine = StorageEngine::with_durability(LocalDurability::new(log));
+    let engine = StorageEngine::with_durability(LocalEpochSink::new(log));
     for (table, tenant) in tables {
         engine.create_table(*table, *tenant);
     }

@@ -12,6 +12,7 @@
 //! replicas, and whoever else subscribed (the column indexes, §VI-E).
 
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -19,11 +20,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use polardbx_common::time::mono_now;
 use polardbx_common::{Error, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId};
-use polardbx_wal::{EpochConfig, EpochPipeline, LocalEpochSink, LogBuffer, LogSink, VecSink};
+use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, VecSink};
 
-use crate::engine::{LocalDurability, StorageEngine, WriteOp};
+use crate::engine::{StorageEngine, WriteOp};
 use crate::feed::{CommittedTxn, RedoConsumer, TxnAssembler};
-use crate::mvcc as polardbx_storage_mvcc;
+use crate::mvcc::VersionStore;
 
 /// Session-consistency token: the RW LSN the client last observed. Reads
 /// routed to an RO must wait until the replica has applied at least this.
@@ -36,6 +37,10 @@ pub struct RoNode {
     pub id: NodeId,
     /// The replica's engine (applied state).
     pub engine: Arc<StorageEngine>,
+    /// Tables whose store this replica shares with its RW by reference
+    /// (they arrived through a hand-off). The RW's commits are already in
+    /// such a store; applying the feed to it would write each one twice.
+    shared: RwLock<HashSet<TableId>>,
     applied: AtomicU64,
     /// Artificial per-batch apply delay for lag-injection tests.
     apply_delay: Mutex<Duration>,
@@ -47,6 +52,7 @@ impl RoNode {
         Arc::new(RoNode {
             id,
             engine: StorageEngine::in_memory(),
+            shared: RwLock::new(HashSet::new()),
             applied: AtomicU64::new(0),
             apply_delay: Mutex::new(Duration::ZERO),
             alive: std::sync::atomic::AtomicBool::new(true),
@@ -94,6 +100,12 @@ impl RoNode {
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Relaxed)
     }
+
+    /// Hold `table` by reference to the RW's own store.
+    fn share_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
+        self.shared.write().insert(table);
+        self.engine.attach_table(table, store, tenant);
+    }
 }
 
 impl RedoConsumer for RoNode {
@@ -102,7 +114,10 @@ impl RedoConsumer for RoNode {
         if !d.is_zero() {
             std::thread::sleep(d);
         }
-        txns.iter().for_each(|txn| self.engine.apply_committed(txn));
+        let shared = self.shared.read();
+        for txn in txns {
+            self.engine.apply_committed_where(txn, |table| !shared.contains(&table));
+        }
         self.applied.fetch_max(through.raw(), Ordering::AcqRel);
     }
 }
@@ -133,8 +148,9 @@ pub struct RwNode {
     subscribers: RwLock<Vec<Weak<dyn RedoConsumer>>>,
     feed: Mutex<Feed>,
     next_ro: AtomicU64,
-    /// Mirror of created tables so new ROs can register them.
-    tables: Mutex<Vec<(TableId, TenantId)>>,
+    /// Mirror of the node's tables so new ROs can register them, and
+    /// whether each arrived by reference (a hand-off) or was created here.
+    tables: Mutex<Vec<(TableId, TenantId, bool)>>,
 }
 
 impl RwNode {
@@ -142,7 +158,7 @@ impl RwNode {
     pub fn new(id: NodeId) -> Arc<RwNode> {
         let sink = VecSink::new();
         let log = LogBuffer::new(sink.clone() as Arc<dyn LogSink>);
-        let engine = StorageEngine::with_durability(LocalDurability::new(Arc::clone(&log)));
+        let engine = StorageEngine::with_durability(LocalEpochSink::new(Arc::clone(&log)));
         Arc::new(RwNode {
             id,
             engine,
@@ -156,22 +172,19 @@ impl RwNode {
         })
     }
 
-    /// Switch this node's engine to the epoch commit pipeline (ISSUE 7),
-    /// writing epochs through the same [`LogBuffer`] the RO stream ships
-    /// from. Epochs are plain concatenations of the per-txn encodings the
-    /// serial path writes, so replication and RO apply are unchanged.
-    pub fn enable_epoch(&self) -> Arc<EpochPipeline> {
-        self.engine.enable_epoch(LocalEpochSink::new(Arc::clone(&self.log)), EpochConfig::default())
-    }
-
     /// Add an RO replica. The replica starts empty and catches up from the
     /// start of the log — "add RO nodes … in minutes" because no table data
-    /// is copied, only log applied (here: instantaneous at test scale).
+    /// is copied, only log applied (here: instantaneous at test scale). A
+    /// table that was handed to this node has no history in this node's
+    /// log; the replica shares its store, as the older replicas do.
     pub fn add_ro(&self) -> Arc<RoNode> {
         let ro = RoNode::new(NodeId(self.next_ro.fetch_add(1, Ordering::Relaxed)));
         // Mirror table registrations.
-        for (table, tenant) in self.table_map() {
-            ro.engine.create_table(table, tenant);
+        for (table, tenant, by_reference) in self.tables.lock().clone() {
+            match self.engine.store(table) {
+                Ok(store) if by_reference => ro.share_table(table, store, tenant),
+                _ => ro.engine.create_table(table, tenant),
+            }
         }
         // Catch the newcomer up to everything already shipped, holding the
         // feed so a concurrent ship cannot slip a batch past us. What that
@@ -201,10 +214,6 @@ impl RwNode {
         self.advance(&mut feed, &self.consumers());
         consumer.consume(self.id, feed.shipped, &[]);
         self.subscribers.write().push(Arc::downgrade(consumer));
-    }
-
-    fn table_map(&self) -> Vec<(TableId, TenantId)> {
-        self.tables.lock().clone()
     }
 
     /// Raw contents of the node's redo log (tests/debugging).
@@ -319,7 +328,7 @@ impl RwNode {
     /// Create a table on the RW and all replicas.
     pub fn create_table(&self, table: TableId, tenant: TenantId) {
         self.engine.create_table(table, tenant);
-        self.tables.lock().push((table, tenant));
+        self.tables.lock().push((table, tenant, false));
         for ro in self.ros.read().iter() {
             ro.engine.create_table(table, tenant);
         }
@@ -332,13 +341,13 @@ impl RwNode {
     pub(crate) fn attach_table(
         &self,
         table: TableId,
-        store: Arc<polardbx_storage_mvcc::VersionStore>,
+        store: Arc<VersionStore>,
         tenant: TenantId,
     ) {
         self.engine.attach_table(table, Arc::clone(&store), tenant);
-        self.tables.lock().push((table, tenant));
+        self.tables.lock().push((table, tenant, true));
         for ro in self.ros.read().iter() {
-            ro.engine.attach_table(table, Arc::clone(&store), tenant);
+            ro.share_table(table, Arc::clone(&store), tenant);
         }
     }
 
@@ -346,9 +355,10 @@ impl RwNode {
     pub fn detach_table(
         &self,
         table: TableId,
-    ) -> Option<Arc<polardbx_storage_mvcc::VersionStore>> {
-        self.tables.lock().retain(|(t, _)| *t != table);
+    ) -> Option<Arc<VersionStore>> {
+        self.tables.lock().retain(|(t, ..)| *t != table);
         for ro in self.ros.read().iter() {
+            ro.shared.write().remove(&table);
             ro.engine.detach_table(table);
         }
         self.engine.detach_table(table)
@@ -368,7 +378,20 @@ impl RwNode {
         for &table in tables {
             self.engine.freeze_writes(table);
         }
-        let in_flight = || tables.iter().any(|&t| self.engine.has_active_writes_on(t));
+        // Wait until no in-flight write set touches these tables. The engine
+        // may answer "in flight" for a moment with none left (any commit
+        // caught between its two context maps counts), hence always a wait,
+        // never a single look.
+        let drained = |what: &str| -> Result<()> {
+            let deadline = mono_now() + HAND_OFF_DRAIN;
+            while tables.iter().any(|&t| self.engine.has_active_writes_on(t)) {
+                if mono_now() > deadline {
+                    return Err(Error::Timeout { what: what.into() });
+                }
+                std::thread::yield_now();
+            }
+            Ok(())
+        };
         // The cutover body runs in a closure so every exit — success or any
         // error, including `?` propagation — flows through the single
         // unfreeze below. A table left frozen bounces every write
@@ -376,19 +399,11 @@ impl RwNode {
         let cutover = || -> Result<usize> {
             // Async phase-two tail: wait for posted Commit/Abort deliveries
             // to consume every in-flight write set on these tables.
-            let deadline = mono_now() + HAND_OFF_DRAIN;
-            while in_flight() {
-                if mono_now() > deadline {
-                    return Err(Error::Timeout { what: "draining shard write sets".into() });
-                }
-                std::thread::yield_now();
-            }
+            drained("draining shard write sets")?;
             let pages_flushed = self.engine.pool.flush_tenant(tenant, None)?;
             // Writes are frozen and the drain passed, but the flush spans
             // time: re-verify nothing slipped in right before the detach.
-            if in_flight() {
-                return Err(Error::Timeout { what: "late write set on shard".into() });
-            }
+            drained("late write set on shard")?;
             // All or nothing: find every store before the first detach.
             let stores: Vec<_> =
                 tables.iter().map(|&t| Ok((t, self.engine.store(t)?))).collect::<Result<_>>()?;
@@ -396,10 +411,11 @@ impl RwNode {
                 self.detach_table(table);
             }
             // The tables' later commits arrive on the destination's feed.
-            // A commit holds the table map until its record is flushed and
-            // `detach_table` waited for that, so shipping the source's tail
-            // now — before the destination can take a write — hands a
-            // column index every image of a key in commit order.
+            // A commit stays in the engine's unstable set until the epoch
+            // holding its record is flushed, and the drain above waited
+            // that set out, so shipping the source's tail now — before the
+            // destination can take a write — hands a column index every
+            // image of a key in commit order.
             self.ship();
             for (table, store) in stores {
                 dst.attach_table(table, store, tenant);
@@ -559,6 +575,18 @@ mod tests {
         }
         dst.execute_write(TrxId(7), 20, 30, T, key(2), WriteOp::Insert(row(2, "y"))).unwrap();
         src.engine.commit(TrxId(9), 40).unwrap();
+        // The replicas hold the moved stores by reference: the feed must not
+        // write the destination's commit into the shared store a second
+        // time, and a replica added now shares the store like the old one.
+        let late_ro = dst.add_ro();
+        dst.execute_write(TrxId(8), 30, 40, T, key(2), WriteOp::Update(row(2, "z"))).unwrap();
+        let store = dst.engine.store(T).unwrap();
+        assert_eq!(store.version_count(), 3, "x, y, z: one version per commit");
+        for ro in [&dst_ro, &late_ro] {
+            assert!(Arc::ptr_eq(&ro.engine.store(T).unwrap(), &store));
+            let token = dst.session_token();
+            assert_eq!(ro.read(T, &key(2), token, Duration::from_secs(1)).unwrap(), Some(row(2, "z")));
+        }
     }
 
     #[test]

@@ -1,25 +1,30 @@
-//! Differential property test for the epoch commit path (ISSUE 7): for a
-//! seeded random workload applied transaction-by-transaction, the
-//! epoch-pipelined engine must be observationally identical to the serial
-//! (per-commit flush) engine —
+//! Differential test of the commit path against an engine-free oracle.
 //!
-//! 1. **byte-identical durable redo**: an epoch is a plain concatenation
-//!    of the same `RedoPayload` encodings the serial path writes, in the
-//!    same submission order, so the two sinks hold the same bytes;
-//! 2. **identical visible state** after the workload settles;
-//! 3. **identical recovery**: cutting the log at a seeded byte offset
-//!    (usually mid-record, i.e. a torn epoch tail) and replaying the
-//!    prefix through `recovery::recovered_engine` yields the same state
-//!    from either log — torn tails truncate to the durable horizon and
-//!    replay at whole-transaction granularity.
+//! The serial per-transaction writer the engine once had survives only
+//! here, as arithmetic: for a seeded script of transactions,
 //!
-//! Eight seeds; each runs both engines over the same generated script.
+//! * the **expected log** is each transaction's `RedoPayload` encodings
+//!   followed by its `TxnCommit` (an aborted transaction: its `TxnAbort`
+//!   alone), concatenated in commit order;
+//! * the **expected state** is a model map the committed transactions are
+//!   applied to in that order;
+//! * the **expected recovery** from a log cut at byte `c` is the model map
+//!   of the transactions whose last record ends at or before `c`, with the
+//!   durable horizon at the last whole record.
+//!
+//! Two drivers, eight seeds each: one committer (the log is the expected
+//! one byte for byte) and four concurrent committers (the order is the
+//! pipeline's to choose, so the expectation is rebuilt from the order the
+//! log shows — each transaction's records one contiguous run, the run the
+//! oracle encodes, no hole in the sink below the flushed LSN).
 
 use bytes::Bytes;
 use polardbx_common::{Key, Lsn, Row, TableId, TenantId, TrxId, Value};
 use polardbx_storage::recovery::recovered_engine;
-use polardbx_storage::{StorageEngine, SyncLocalDurability, WriteOp};
-use polardbx_wal::{EpochConfig, LocalEpochSink, LogBuffer, LogSink, VecSink};
+use polardbx_storage::rowcodec::encode_row;
+use polardbx_storage::{StorageEngine, WriteOp};
+use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, RedoPayload, VecSink};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 const T: TableId = TableId(1);
@@ -56,18 +61,64 @@ enum Stmt {
     Delete(u64),
 }
 
+impl Stmt {
+    fn key(&self) -> Key {
+        let (Stmt::Upsert(k, _) | Stmt::Delete(k)) = self;
+        Key::encode(&[Value::Int(*k as i64)])
+    }
+
+    fn row(&self) -> Option<Row> {
+        match self {
+            Stmt::Upsert(_, v) => Some(Row::new(vec![Value::Int(*v)])),
+            Stmt::Delete(_) => None,
+        }
+    }
+}
+
 /// One scripted transaction; aborted txns still stage writes first, so
-/// rollback paths diverge loudly if the epoch path mishandles them.
+/// rollback paths diverge loudly if the commit path mishandles them.
 #[derive(Clone)]
 struct Txn {
+    trx: TrxId,
+    /// Snapshot and commit timestamp.
+    ts: u64,
     stmts: Vec<Stmt>,
     abort: bool,
 }
 
+impl Txn {
+    /// What the log must hold for this transaction, as one run.
+    fn records(&self) -> Vec<RedoPayload> {
+        let trx = self.trx;
+        if self.abort {
+            return vec![RedoPayload::TxnAbort { trx }];
+        }
+        let rows = self.stmts.iter().map(|s| match s.row() {
+            Some(row) => RedoPayload::Update { trx, table: T, key: s.key(), row: encode_row(&row) },
+            None => RedoPayload::Delete { trx, table: T, key: s.key() },
+        });
+        rows.chain([RedoPayload::TxnCommit { trx, commit_ts: self.ts }]).collect()
+    }
+
+    fn run(&self, engine: &StorageEngine) {
+        engine.begin(self.trx, self.ts);
+        for stmt in &self.stmts {
+            let op = stmt.row().map_or(WriteOp::Delete, WriteOp::Update);
+            engine.write(self.trx, T, stmt.key(), op).unwrap();
+        }
+        if self.abort {
+            engine.abort(self.trx);
+        } else {
+            engine.commit(self.trx, self.ts).unwrap();
+        }
+    }
+}
+
+/// Transactions over `KEYS` shared keys, timestamps in script order.
 fn script(seed: u64) -> Vec<Txn> {
     let mut rng = Rng::new(seed);
-    (0..TXNS)
-        .map(|_| {
+    (1..=TXNS)
+        .map(|n| {
             let stmts = (0..1 + rng.below(3))
                 .map(|_| {
                     let key = rng.below(KEYS);
@@ -78,120 +129,171 @@ fn script(seed: u64) -> Vec<Txn> {
                     }
                 })
                 .collect();
-            Txn { stmts, abort: rng.below(6) == 0 }
+            Txn { trx: TrxId(n), ts: n, stmts, abort: rng.below(6) == 0 }
         })
         .collect()
 }
 
-/// Apply the script single-threaded; commit timestamps are the txn index,
-/// so both engines assign identical versions.
-fn apply(engine: &Arc<StorageEngine>, txns: &[Txn]) {
-    for (i, txn) in txns.iter().enumerate() {
-        let trx = TrxId(i as u64 + 1);
-        let ts = i as u64 + 1;
-        engine.begin(trx, ts);
-        for stmt in &txn.stmts {
-            let (key, op) = match stmt {
-                Stmt::Upsert(k, v) => {
-                    (Key::encode(&[Value::Int(*k as i64)]), WriteOp::Update(Row::new(vec![Value::Int(*v)])))
-                }
-                Stmt::Delete(k) => (Key::encode(&[Value::Int(*k as i64)]), WriteOp::Delete),
-            };
-            engine.write(trx, T, key, op).unwrap();
+/// The oracle: the log and the state after `txns` in the order given, and
+/// where in the log each record and each transaction ends.
+#[derive(Default)]
+struct Oracle {
+    log: Vec<u8>,
+    record_ends: Vec<usize>,
+    /// (end offset of the transaction's run, the state once it is applied).
+    states: Vec<(usize, BTreeMap<Key, Row>)>,
+}
+
+impl Oracle {
+    fn of<'a>(txns: impl IntoIterator<Item = &'a Txn>) -> Oracle {
+        let mut oracle = Oracle::default();
+        let mut state = BTreeMap::new();
+        for txn in txns {
+            for record in txn.records() {
+                record.encode(&mut oracle.log);
+                oracle.record_ends.push(oracle.log.len());
+            }
+            for stmt in txn.stmts.iter().filter(|_| !txn.abort) {
+                match stmt.row() {
+                    Some(row) => state.insert(stmt.key(), row),
+                    None => state.remove(&stmt.key()),
+                };
+            }
+            oracle.states.push((oracle.log.len(), state.clone()));
         }
-        if txn.abort {
-            engine.abort(trx);
-        } else {
-            engine.commit(trx, ts).unwrap();
-        }
+        oracle
+    }
+
+    fn state(&self) -> Vec<(Key, Row)> {
+        self.state_at(self.log.len())
+    }
+
+    /// The state of the transactions whose runs end at or before `cut`.
+    fn state_at(&self, cut: usize) -> Vec<(Key, Row)> {
+        let done = self.states.iter().rev().find(|(end, _)| *end <= cut);
+        done.map_or_else(Vec::new, |(_, state)| state.clone().into_iter().collect())
+    }
+
+    /// End of the last whole record at or before `cut`.
+    fn durable_at(&self, cut: usize) -> usize {
+        self.record_ends.iter().rev().find(|end| **end <= cut).copied().unwrap_or(0)
     }
 }
 
-fn serial_engine() -> (Arc<StorageEngine>, Arc<VecSink>) {
+fn engine() -> (Arc<StorageEngine>, Arc<VecSink>, Arc<LogBuffer>) {
     let sink = VecSink::new();
     let log = LogBuffer::new(Arc::clone(&sink) as Arc<dyn LogSink>);
-    let engine = StorageEngine::with_durability(SyncLocalDurability::new(log));
+    let engine = StorageEngine::with_durability(LocalEpochSink::new(Arc::clone(&log)));
     engine.create_table(T, TEN);
-    (engine, sink)
+    (engine, sink, log)
 }
 
-fn epoch_engine() -> (Arc<StorageEngine>, Arc<VecSink>) {
+fn visible_state(engine: &StorageEngine) -> Vec<(Key, Row)> {
+    engine.scan_table(T, u64::MAX).unwrap()
+}
+
+/// Cut `log` at a seeded byte offset in its back half (usually mid-record,
+/// i.e. a torn epoch tail), replay the prefix into a fresh engine via
+/// scan-and-truncate recovery, and hold the result against the oracle.
+/// Returns whether the cut tore a record.
+fn recovery_agrees(seed: u64, log: &[u8], oracle: &Oracle) -> bool {
+    let mut rng = Rng::new(seed ^ 0xDEAD_BEEF);
+    let len = log.len();
+    let cut = len / 2 + rng.below((len - len / 2) as u64) as usize;
     let sink = VecSink::new();
-    let log = LogBuffer::new(Arc::clone(&sink) as Arc<dyn LogSink>);
-    let engine = StorageEngine::with_durability(SyncLocalDurability::new(Arc::clone(&log)));
-    engine.enable_epoch(LocalEpochSink::new(log), EpochConfig::default());
-    engine.create_table(T, TEN);
-    (engine, sink)
-}
-
-fn visible_state(engine: &Arc<StorageEngine>) -> Vec<(Key, Row)> {
-    engine.scan_table(T, TXNS + 10).unwrap()
-}
-
-/// Replay `bytes` (a log prefix, possibly torn mid-record) into a fresh
-/// engine via scan-and-truncate recovery and dump its visible state.
-fn recover_prefix(bytes: &[u8]) -> (Vec<(Key, Row)>, Lsn, u64) {
-    let sink = VecSink::new();
-    sink.write(Lsn::ZERO, Bytes::copy_from_slice(bytes)).unwrap();
-    let (engine, report) = recovered_engine(sink, &[(T, TEN)]).unwrap();
-    (visible_state(&engine), report.durable_lsn, report.truncated_bytes)
+    sink.write(Lsn::ZERO, Bytes::copy_from_slice(&log[..cut])).unwrap();
+    let (recovered, report) = recovered_engine(sink, &[(T, TEN)]).unwrap();
+    let durable = oracle.durable_at(cut);
+    assert_eq!(report.durable_lsn, Lsn(durable as u64), "seed {seed}: recovered horizon");
+    assert_eq!(report.truncated_bytes, (cut - durable) as u64, "seed {seed}: truncation");
+    assert_eq!(
+        visible_state(&recovered),
+        oracle.state_at(cut),
+        "seed {seed}: recovered state diverges at cut {cut}"
+    );
+    cut > durable
 }
 
 #[test]
-fn epoch_and_serial_paths_are_observationally_identical_across_seeds() {
+fn one_committer_writes_the_oracle_log_byte_for_byte_across_seeds() {
     let mut torn_seeds = 0u32;
     for seed in 0..8u64 {
         let txns = script(seed);
+        let oracle = Oracle::of(&txns);
+        let (engine, sink, log) = engine();
+        txns.iter().for_each(|txn| txn.run(&engine));
 
-        let (serial, serial_sink) = serial_engine();
-        apply(&serial, &txns);
-        let (epoch, epoch_sink) = epoch_engine();
-        apply(&epoch, &txns);
-
-        // (1) Byte-identical durable redo: epochs are concatenations of
-        // the exact per-txn encodings the serial path flushes.
-        let serial_bytes = serial_sink.contiguous();
-        let epoch_bytes = epoch_sink.contiguous();
-        assert!(!serial_bytes.is_empty(), "seed {seed}: workload produced no redo");
+        let bytes = sink.contiguous();
+        assert!(!bytes.is_empty(), "seed {seed}: workload produced no redo");
+        assert_eq!(log.flushed(), log.head(), "seed {seed}: unflushed redo");
         assert_eq!(
-            serial_bytes, epoch_bytes,
-            "seed {seed}: epoch log diverges from serial log ({} vs {} bytes)",
-            serial_bytes.len(),
-            epoch_bytes.len()
+            bytes,
+            oracle.log,
+            "seed {seed}: log diverges from the oracle ({} vs {} bytes)",
+            bytes.len(),
+            oracle.log.len()
         );
-
-        // (2) Identical visible state.
-        let serial_state = visible_state(&serial);
-        assert!(!serial_state.is_empty(), "seed {seed}: workload left no rows");
-        assert_eq!(serial_state, visible_state(&epoch), "seed {seed}: visible state diverges");
-
-        // (3) Seeded mid-epoch crash: cut the log at an arbitrary byte
-        // offset in its back half and recover both prefixes.
-        let mut rng = Rng::new(seed ^ 0xDEAD_BEEF);
-        let len = epoch_bytes.len();
-        let cut = len / 2 + rng.below((len - len / 2) as u64) as usize;
-        let (epoch_rec, epoch_lsn, epoch_torn) = recover_prefix(&epoch_bytes[..cut]);
-        let (serial_rec, serial_lsn, serial_torn) = recover_prefix(&serial_bytes[..cut]);
-        assert_eq!(epoch_lsn, serial_lsn, "seed {seed}: recovered horizons diverge");
-        assert_eq!(epoch_torn, serial_torn, "seed {seed}: truncation diverges");
-        assert_eq!(epoch_rec, serial_rec, "seed {seed}: recovered state diverges at cut {cut}");
-        if epoch_torn > 0 {
-            torn_seeds += 1;
-        }
-
-        // The recovered prefix must agree with the full run on every key
-        // it managed to recover a version for at the recovered horizon —
-        // i.e. recovery replays a prefix of the same history, never an
-        // invented one. (Keys whose last write fell past the cut differ
-        // by construction; prefix-of-history is exactly what torn-epoch
-        // rollback promises.)
-        let full_at_cut: std::collections::HashMap<Key, Row> = serial_rec.iter().cloned().collect();
-        for (k, row) in &epoch_rec {
-            assert_eq!(full_at_cut.get(k), Some(row), "seed {seed}: phantom row after recovery");
-        }
+        let state = visible_state(&engine);
+        assert!(!state.is_empty(), "seed {seed}: workload left no rows");
+        assert_eq!(state, oracle.state(), "seed {seed}: visible state diverges");
+        torn_seeds += recovery_agrees(seed, &bytes, &oracle) as u32;
     }
     // An arbitrary byte cut lands mid-record nearly always; if no seed
     // produced a torn tail the cut logic regressed to record boundaries
     // and the test stopped exercising torn-epoch recovery.
     assert!(torn_seeds >= 4, "only {torn_seeds}/8 seeds produced a torn tail");
+}
+
+fn trx_of(record: &RedoPayload) -> TrxId {
+    match record {
+        RedoPayload::Insert { trx, .. }
+        | RedoPayload::Update { trx, .. }
+        | RedoPayload::Delete { trx, .. }
+        | RedoPayload::TxnCommit { trx, .. }
+        | RedoPayload::TxnAbort { trx } => *trx,
+        other => panic!("unexpected record in this workload: {other:?}"),
+    }
+}
+
+#[test]
+fn concurrent_committers_write_whole_runs_of_the_oracle_log_across_seeds() {
+    for seed in 0..8u64 {
+        // Disjoint keys per transaction and one timestamp for all: any
+        // commit order gives the same state, so four committers may race.
+        let mut rng = Rng::new(seed ^ 0xC0_4C);
+        let txns: Vec<Txn> = (1..=20 + rng.below(40))
+            .map(|n| {
+                let stmts = (0..1 + rng.below(4))
+                    .map(|j| Stmt::Upsert(n * 100 + j, rng.next() as i64))
+                    .collect();
+                Txn { trx: TrxId(n), ts: 1, stmts, abort: rng.below(5) == 0 }
+            })
+            .collect();
+        let (engine, sink, log) = engine();
+        std::thread::scope(|s| {
+            for w in 0..4 {
+                let (engine, txns) = (&engine, &txns);
+                s.spawn(move || txns.iter().skip(w).step_by(4).for_each(|txn| txn.run(engine)));
+            }
+        });
+
+        // Fully durable and hole-free: every appended byte was flushed and
+        // the sink writes tile the whole range.
+        let bytes = sink.contiguous();
+        assert_eq!(log.flushed(), log.head(), "seed {seed}");
+        assert_eq!(bytes.len() as u64, log.flushed().raw(), "seed {seed}: sink has holes");
+
+        // The pipeline may interleave *transactions*, never the records
+        // *within* one: the log is the oracle's for the order it shows.
+        let records = RedoPayload::decode_all(Bytes::from(bytes.clone())).unwrap();
+        let mut order: Vec<TrxId> = records.iter().map(trx_of).collect();
+        order.dedup();
+        let by_trx: HashMap<TrxId, &Txn> = txns.iter().map(|t| (t.trx, t)).collect();
+        assert_eq!(order.len(), txns.len(), "seed {seed}: a transaction's records were split");
+        let oracle = Oracle::of(order.iter().map(|trx| by_trx[trx]));
+        assert_eq!(bytes, oracle.log, "seed {seed}: redo differs from the oracle's");
+
+        assert_eq!(visible_state(&engine), oracle.state(), "seed {seed}: visible state");
+        recovery_agrees(seed, &bytes, &oracle);
+    }
 }

@@ -229,23 +229,6 @@ impl LogBuffer {
         (start, end)
     }
 
-    /// Append a batch of MTRs contiguously under one lock acquisition;
-    /// returns the `[start, end)` range covering the whole batch. The
-    /// group committer uses this so a transaction's redo plus its commit
-    /// record occupy one contiguous run even under concurrent committers.
-    pub fn append_batch(&self, mtrs: &[Mtr]) -> (Lsn, Lsn) {
-        let mut encoded = Vec::with_capacity(mtrs.iter().map(Mtr::encoded_len).sum());
-        for m in mtrs {
-            encoded.extend_from_slice(&m.encode());
-        }
-        let mut st = self.state.lock();
-        let start = st.head;
-        let end = start.advance(encoded.len() as u64);
-        st.pending.extend_from_slice(&encoded);
-        st.head = end;
-        (start, end)
-    }
-
     /// Append already-encoded record bytes contiguously; returns the
     /// `[start, end)` range. The epoch pipeline uses this to hand a whole
     /// sealed epoch (records pre-encoded into its arena buffer) to the
@@ -284,7 +267,7 @@ impl LogBuffer {
     }
 
     /// Append then immediately flush (write-through), returning the MTR's
-    /// range. Used by single-node setups without a group-commit thread.
+    /// range, for callers with no commit pipeline in front of the log.
     pub fn append_sync(&self, mtr: &Mtr) -> Result<(Lsn, Lsn)> {
         let range = self.append(mtr);
         self.flush()?;

@@ -1,49 +1,57 @@
-//! Epoch-pipelined commit path (STAR-style, ROADMAP item 5).
+//! The commit path: an epoch pipeline flushed by whoever needs the answer.
 //!
-//! Group commit (PR 3) amortizes *flushes* across concurrent committers,
-//! but a single committer still pays one full durability round — local
-//! fsync or Paxos replication RTT — per transaction, because the commit
-//! *decision* and the durability *acknowledgment* are welded together.
-//! The epoch pipeline decouples them:
+//! Every durability request of the engine — commit, prepare, abort, marker
+//! — goes through one [`EpochPipeline`]:
 //!
-//! * every committing transaction encodes its redo (data records + the
-//!   commit record) into the **open epoch**, a reused `Vec<u8>` arena, and
-//!   receives a *ticket* (the epoch's sequence number);
-//! * the transaction's write locks are released and its versions stamped
-//!   **immediately** (early lock release) — later transactions may read
-//!   and overwrite the stamped versions without waiting;
-//! * a background flusher **seals** epochs (on a size bound, or as soon as
-//!   the previous flush returns) and persists each sealed epoch with one
-//!   [`EpochSink::persist`] call — one fsync / one replication round for
-//!   the whole epoch;
+//! * a submission encodes its redo (data records + the decision record)
+//!   into the **open epoch**, a reused `Vec<u8>` arena, and receives a
+//!   *ticket* (the epoch's sequence number);
+//! * a committing transaction's write locks are released and its versions
+//!   stamped **immediately** (early lock release) — later transactions may
+//!   read and overwrite the stamped versions without waiting;
 //! * no client ack escapes until the transaction's epoch is durable: the
 //!   committer (or a pipelined harvester) blocks in
 //!   [`EpochPipeline::wait_ticket`], and the storage engine consults the
 //!   same stability watermark before letting an external read observe a
 //!   committed-but-unacked version.
 //!
-//! **Torn epochs roll back wholesale.** If a persist fails (lost quorum,
-//! sink error), the failed epoch *and every epoch behind it* (they may
-//! have read its early-released writes) are failed together: the listener
-//! rolls their transactions back, ticket holders get one shared
-//! [`Error::Shared`] clone each, and the pipeline resets for new work.
-//! Crash recovery needs no new machinery: an epoch is a plain
-//! concatenation of the same records the serial path writes, so replay
-//! classifies a torn epoch's transactions by the presence of their commit
-//! records — absent means presumed abort, exactly as before.
+//! **Leader hand-off, no flusher thread.** The pipeline owns no thread.
+//! A thread in [`EpochPipeline::wait_ticket`] whose epoch is unresolved
+//! becomes the **flush leader** when no persist is in flight: it seals the
+//! open epoch, releases the state lock, makes one [`EpochSink::persist`]
+//! call — one fsync / one replication round for everything submitted so
+//! far — settles the epoch and wakes the **followers**, who parked on the
+//! condvar meanwhile. Whatever was submitted during that persist forms the
+//! next epoch, and one of its waiters leads it. So a lone committer pays no
+//! thread hop, N concurrent committers share a persist (InnoDB's group
+//! commit), a windowed `commit_pipelined` stream lands a whole window in
+//! one epoch, and an idle system costs nothing. A submitter that finds the
+//! open epoch at its size bound leads it the same way, so a stream that
+//! never waits still makes progress.
 //!
-//! The submit path is allocation-free in steady state: epoch buffers are
-//! recycled through a pool with their capacity preserved, and records are
+//! **Torn epochs roll back wholesale.** If a persist fails (lost quorum,
+//! sink error), the failed epoch *and the open epoch behind it* (its
+//! transactions may have read the failed one's early-released writes) are
+//! failed together: the listener rolls their transactions back, ticket
+//! holders get one shared [`Error::Shared`] clone each, and the pipeline
+//! carries on with new work. Crash recovery needs no new machinery: an
+//! epoch is a plain concatenation of per-transaction record runs, so replay
+//! classifies a torn epoch's transactions by the presence of their commit
+//! records — absent means presumed abort.
+//!
+//! The submit path is allocation-free in steady state: the two epoch
+//! arenas are recycled with their capacity preserved, and records are
 //! encoded straight into the arena (`RedoPayload::encode` is generic over
-//! the output cursor).
+//! the output cursor). What a *persist* allocates belongs to the sink and
+//! does not grow with the epoch.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use polardbx_common::metrics::{Counter, ValueHistogram};
+use polardbx_common::metrics::{Counter, HdrHistogram, ValueHistogram};
 use polardbx_common::{Error, Lsn, Result, TrxId};
 
 /// Durability provider for sealed epochs: one call persists one epoch.
@@ -70,23 +78,14 @@ pub trait EpochListener: Send + Sync {
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EpochConfig {
-    /// Seal the open epoch once its arena reaches this size.
+    /// A submitter that finds the open epoch at this size has it persisted
+    /// before adding to it.
     pub max_epoch_bytes: usize,
-    /// Sealed epochs allowed to queue behind the in-flight persist before
-    /// submitters block (bounded pipeline depth).
-    pub max_in_flight: usize,
-    /// Idle tick: how long the flusher sleeps when there is nothing to
-    /// seal or persist.
-    pub tick: Duration,
 }
 
 impl Default for EpochConfig {
     fn default() -> EpochConfig {
-        EpochConfig {
-            max_epoch_bytes: 64 * 1024,
-            max_in_flight: 4,
-            tick: Duration::from_millis(1),
-        }
+        EpochConfig { max_epoch_bytes: 64 * 1024 }
     }
 }
 
@@ -119,7 +118,7 @@ impl EpochBuf {
     }
 }
 
-/// One failed seal range: epochs `lo..=hi` resolved with `err`.
+/// One failed persist: epochs `lo..=hi` resolved with `err`.
 struct FailedRange {
     lo: u64,
     hi: u64,
@@ -128,19 +127,13 @@ struct FailedRange {
 
 struct PipeState {
     open: EpochBuf,
-    sealed: VecDeque<EpochBuf>,
-    /// Recycled arenas (capacity preserved across epochs).
-    pool: Vec<EpochBuf>,
+    /// The arena not in use: two exist, one open and one being persisted.
+    spare: Option<EpochBuf>,
     next_seq: u64,
     /// Every epoch `<= resolved_seq` is resolved (durable or failed).
     resolved_seq: u64,
-    /// Seq of the epoch the flusher is persisting right now, if any.
-    /// Tracked so [`EpochPipeline::barrier`] covers in-flight work: the
-    /// flusher pops an epoch off `sealed` before calling persist, so
-    /// neither `open` nor `sealed` accounts for it.
-    persisting: Option<u64>,
-    /// Durable horizon reported by the sink.
-    durable: Lsn,
+    /// A leader is persisting the epoch after `resolved_seq` right now.
+    persisting: bool,
     /// Recent failures, newest last (bounded; failures are rare).
     failures: Vec<FailedRange>,
     /// Highest epoch seq whose failure record was evicted from the
@@ -148,100 +141,95 @@ struct PipeState {
     /// has an unknowable outcome and must not be reported durable.
     failures_evicted_hi: u64,
     stopping: bool,
+    sink: Arc<dyn EpochSink>,
+    max_epoch_bytes: usize,
 }
 
-/// Counters and distributions for the epoch pipeline.
-#[derive(Default)]
-pub struct EpochMetrics {
-    /// Epochs persisted.
-    pub epochs: Counter,
-    /// Transactions committed through the pipeline.
-    pub txns: Counter,
+/// Commit-path observability: how well submissions coalesce into persists.
+#[derive(Debug, Default)]
+pub struct WalMetrics {
+    /// Submissions accepted (one per commit / prepare / abort / marker).
+    pub commits: Counter,
+    /// Epochs persisted (leaders only).
+    pub flushes: Counter,
+    /// Submissions sharing each persist (1 = no grouping happened).
+    pub group_size: ValueHistogram,
+    /// Time followers spent parked waiting for a leader's persist.
+    pub wait_for_leader: HdrHistogram,
     /// Payload bytes persisted.
     pub bytes: Counter,
-    /// Transactions per sealed epoch.
-    pub epoch_txns: ValueHistogram,
-    /// Failed persists (each fails a whole epoch suffix).
+    /// Failed persists (each fails the epoch and the one behind it).
     pub failures: Counter,
 }
 
-impl EpochMetrics {
-    /// Mean transactions amortized per persist call.
-    pub fn txns_per_epoch(&self) -> f64 {
-        let e = self.epochs.get();
-        if e == 0 {
+impl WalMetrics {
+    /// Persists per submission — the headline grouping ratio (1.0 means
+    /// no grouping; 1/N means N submissions per sink write).
+    pub fn flushes_per_commit(&self) -> f64 {
+        let c = self.commits.get();
+        if c == 0 {
             return 0.0;
         }
-        self.txns.get() as f64 / e as f64
+        self.flushes.get() as f64 / c as f64
     }
 
-    /// One-line summary for benches.
+    /// One-line summary for harness output.
     pub fn report(&self) -> String {
         format!(
-            "epochs={} txns={} txns/epoch={:.1} (p95={}) bytes={} failures={}",
-            self.epochs.get(),
-            self.txns.get(),
-            self.txns_per_epoch(),
-            self.epoch_txns.percentile(0.95),
+            "commits={} · flushes={} ({:.3} flushes/commit) · group size: mean={:.1} p95={} max={} · follower wait: mean={:?} p95={:?} · bytes={} · failures={}",
+            self.commits.get(),
+            self.flushes.get(),
+            self.flushes_per_commit(),
+            self.group_size.mean(),
+            self.group_size.percentile(0.95),
+            self.group_size.max(),
+            self.wait_for_leader.mean(),
+            self.wait_for_leader.percentile(0.95),
             self.bytes.get(),
             self.failures.get(),
         )
     }
 }
 
-/// The always-on epoch pipeline. See the module docs for the protocol.
+/// The commit pipeline. See the module docs for the protocol.
 pub struct EpochPipeline {
     st: Mutex<PipeState>,
-    /// Wakes the flusher (new work) and backpressured submitters.
-    work: Condvar,
-    /// Wakes ticket waiters on epoch resolution.
+    /// Wakes followers and backpressured submitters when a persist settles.
     resolved: Condvar,
-    sink: Arc<dyn EpochSink>,
+    /// End LSN of the last persisted epoch. Published before the listener
+    /// hears of the epoch, so the listener can check one against the other.
+    durable: AtomicU64,
     listener: Arc<dyn EpochListener>,
-    cfg: EpochConfig,
-    /// Pipeline observability, shared with benches.
-    pub metrics: Arc<EpochMetrics>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Pipeline observability, shared with harnesses.
+    pub metrics: Arc<WalMetrics>,
 }
 
 impl EpochPipeline {
-    /// Build the pipeline and start its flusher thread.
-    pub fn start(
+    /// A pipeline over `sink`. It spawns nothing: persists run on the
+    /// threads that wait for them.
+    pub fn new(
         sink: Arc<dyn EpochSink>,
         listener: Arc<dyn EpochListener>,
         cfg: EpochConfig,
     ) -> Arc<EpochPipeline> {
-        let cap = cfg.max_epoch_bytes + 4096;
-        let pipeline = Arc::new(EpochPipeline {
+        Arc::new(EpochPipeline {
             st: Mutex::new(PipeState {
-                open: EpochBuf::new(1, cap),
-                sealed: VecDeque::new(),
-                pool: Vec::new(),
+                open: EpochBuf::new(1, cfg.max_epoch_bytes + 4096),
+                spare: None,
                 next_seq: 2,
                 resolved_seq: 0,
-                persisting: None,
-                durable: Lsn::ZERO,
+                persisting: false,
                 failures: Vec::new(),
                 failures_evicted_hi: 0,
                 stopping: false,
+                sink,
+                max_epoch_bytes: cfg.max_epoch_bytes,
             }),
-            work: Condvar::new(),
             resolved: Condvar::new(),
-            sink,
+            durable: AtomicU64::new(0),
             listener,
-            cfg,
-            metrics: Arc::new(EpochMetrics::default()),
-            flusher: Mutex::new(None),
-        });
-        let runner = Arc::clone(&pipeline);
-        let handle = std::thread::Builder::new()
-            .name("epoch-flusher".into())
-            .spawn(move || runner.run_flusher());
-        match handle {
-            Ok(h) => *pipeline.flusher.lock() = Some(h),
-            Err(e) => panic!("spawning epoch flusher: {e}"),
-        }
-        pipeline
+            metrics: Arc::new(WalMetrics::default()),
+        })
     }
 
     /// Append one submission (all of a transaction's redo records,
@@ -257,18 +245,10 @@ impl EpochPipeline {
         encode: F,
     ) -> Result<EpochTicket> {
         let mut st = self.st.lock();
-        // Backpressure: the pipeline is full when the open epoch hit its
-        // size bound and the sealed queue is at depth.
-        while st.open.buf.len() >= self.cfg.max_epoch_bytes {
-            if st.sealed.len() < self.cfg.max_in_flight {
-                self.seal_open(&mut st);
-                self.work.notify_all();
-                break;
-            }
-            if st.stopping {
-                return Err(Error::storage("epoch pipeline stopped"));
-            }
-            self.work.wait(&mut st);
+        // Backpressure: a full open epoch is persisted before it grows
+        // further — by this submitter, unless a persist is in flight.
+        while st.open.buf.len() >= st.max_epoch_bytes && !st.stopping {
+            st = self.lead_or_wait(st);
         }
         if st.stopping {
             return Err(Error::storage("epoch pipeline stopped"));
@@ -280,21 +260,32 @@ impl EpochPipeline {
         if let Some(t) = txn {
             st.open.txns.push(t);
         }
-        self.work.notify_all();
+        self.metrics.commits.inc();
         Ok(seq)
     }
 
     /// Block until `ticket`'s epoch is resolved; `Ok(durable_lsn)` when it
-    /// persisted, the epoch's shared error when it failed.
+    /// persisted, the epoch's shared error when it failed. The caller does
+    /// the flush itself whenever nobody else is (see the module docs);
+    /// `timeout` bounds the time it spends parked behind another leader.
     // lint:hotpath
     pub fn wait_ticket(&self, ticket: EpochTicket, timeout: Duration) -> Result<Lsn> {
         let mut st = self.st.lock();
-        // lint:allow(determinism, "Condvar::wait_until needs an Instant deadline; bounded by the caller's timeout")
-        let deadline = std::time::Instant::now() + timeout;
+        // Read at the first park: a leader never looks at the clock.
+        let mut parked_at: Option<Instant> = None;
         while st.resolved_seq < ticket {
-            if self.resolved.wait_until(&mut st, deadline).timed_out() {
+            if !st.persisting && !st.open.is_empty() {
+                st = self.lead(st);
+                continue;
+            }
+            // lint:allow(determinism, "Condvar::wait_until needs an Instant deadline; bounded by the caller's timeout")
+            let since = *parked_at.get_or_insert_with(Instant::now);
+            if self.resolved.wait_until(&mut st, since + timeout).timed_out() {
                 return Err(Error::Timeout { what: format!("epoch {ticket} durability") });
             }
+        }
+        if let Some(since) = parked_at {
+            self.metrics.wait_for_leader.record(since.elapsed());
         }
         for f in st.failures.iter().rev() {
             if ticket >= f.lo && ticket <= f.hi {
@@ -310,11 +301,11 @@ impl EpochPipeline {
                 "epoch {ticket} outcome unknown: its resolution record was evicted"
             )));
         }
-        Ok(st.durable)
+        Ok(self.durable_lsn())
     }
 
-    /// Submit and wait in one step: the synchronous commit path (and the
-    /// prepare/abort/marker path, which must not ack before durability).
+    /// Submit and wait in one step: the prepare/abort/marker path, which
+    /// must not ack before durability.
     pub fn submit_sync<F: FnOnce(&mut Vec<u8>)>(
         &self,
         txn: Option<TrxId>,
@@ -325,160 +316,121 @@ impl EpochPipeline {
         self.wait_ticket(ticket, timeout)
     }
 
-    /// Wait until everything submitted so far is resolved. Covers the
-    /// open epoch, the sealed queue, *and* the epoch the flusher is
-    /// persisting right now (which sits in neither).
-    pub fn barrier(&self, timeout: Duration) -> Result<Lsn> {
-        let upto = {
-            let st = self.st.lock();
-            let mut upto = st.resolved_seq;
-            if let Some(seq) = st.persisting {
-                upto = upto.max(seq);
-            }
-            if let Some(b) = st.sealed.back() {
-                upto = upto.max(b.seq);
-            }
-            if !st.open.is_empty() {
-                upto = upto.max(st.open.seq);
-            }
-            upto
-        };
-        self.wait_ticket(upto, timeout)
-    }
-
     /// Durable horizon (end LSN of the last persisted epoch).
     pub fn durable_lsn(&self) -> Lsn {
-        self.st.lock().durable
+        Lsn(self.durable.load(Ordering::Acquire))
     }
 
-    /// Stop the flusher after draining already-submitted epochs.
+    /// Persist whatever was submitted and refuse new submissions.
     pub fn stop(&self) {
-        {
-            let mut st = self.st.lock();
-            st.stopping = true;
-            self.work.notify_all();
+        let mut st = self.st.lock();
+        st.stopping = true;
+        drop(self.drain(st));
+    }
+
+    /// Persist whatever was submitted through the current sink, then send
+    /// later epochs to `sink`. For wiring an engine up, before it takes
+    /// traffic: the new sink counts LSNs in its own log.
+    pub fn replace_sink(&self, sink: Arc<dyn EpochSink>, cfg: EpochConfig) {
+        let mut st = self.drain(self.st.lock());
+        st.sink = sink;
+        st.max_epoch_bytes = cfg.max_epoch_bytes;
+        self.durable.store(0, Ordering::Release);
+    }
+
+    /// Lead or wait until nothing submitted is unresolved.
+    fn drain<'a>(&'a self, mut st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        while st.persisting || !st.open.is_empty() {
+            st = self.lead_or_wait(st);
         }
-        let handle = self.flusher.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
+        st
+    }
+
+    /// One step towards an empty pipeline: lead the (non-empty) open epoch,
+    /// or wait out the persist in flight.
+    // lint:hotpath
+    fn lead_or_wait<'a>(&'a self, mut st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        if st.persisting {
+            self.resolved.wait(&mut st);
+            st
+        } else {
+            self.lead(st)
         }
     }
 
-    /// Move the open epoch to the sealed queue and start a fresh one from
-    /// the pool. Caller holds the state lock.
-    fn seal_open(&self, st: &mut PipeState) {
+    /// Take the open epoch, leaving a fresh one (the spare arena) in its
+    /// place. Caller holds the state lock.
+    fn seal_open(&self, st: &mut PipeState) -> EpochBuf {
         let seq = st.next_seq;
         st.next_seq += 1;
-        let mut fresh = match st.pool.pop() {
+        let fresh = match st.spare.take() {
             Some(mut b) => {
                 b.reset(seq);
                 b
             }
-            None => EpochBuf::new(seq, self.cfg.max_epoch_bytes + 4096),
+            None => EpochBuf::new(seq, st.max_epoch_bytes + 4096),
         };
-        std::mem::swap(&mut st.open, &mut fresh);
-        st.sealed.push_back(fresh);
+        std::mem::replace(&mut st.open, fresh)
     }
 
-    fn run_flusher(&self) {
-        loop {
-            let job = {
-                let mut st = self.st.lock();
-                loop {
-                    if let Some(b) = st.sealed.pop_front() {
-                        st.persisting = Some(b.seq);
-                        break Some(b);
-                    }
-                    if !st.open.is_empty() {
-                        // The previous persist returned (or the first
-                        // submission landed on an idle pipeline): seal
-                        // immediately — the flush itself is the tick.
-                        self.seal_open(&mut st);
-                        continue;
-                    }
-                    if st.stopping {
-                        break None;
-                    }
-                    // lint:allow(determinism, "idle tick: Condvar::wait_until needs an Instant deadline; bounded by cfg.tick")
-                    let tick = std::time::Instant::now() + self.cfg.tick;
-                    let _ = self.work.wait_until(&mut st, tick);
-                }
-            };
-            let Some(buf) = job else { return };
-            match self.sink.persist(&buf.buf, &buf.cuts) {
-                Ok(end) => self.settle_ok(buf, end),
-                Err(e) => self.settle_failed(buf, e),
+    /// Flush leader: seal the open epoch, persist it with the state lock
+    /// released, settle it. The caller holds the lock and saw no persist in
+    /// flight and a non-empty open epoch.
+    // lint:hotpath
+    fn lead<'a>(&'a self, mut st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        let epoch = self.seal_open(&mut st);
+        st.persisting = true;
+        let sink = Arc::clone(&st.sink);
+        drop(st);
+        let behind = match sink.persist(&epoch.buf, &epoch.cuts) {
+            Ok(end) => {
+                self.metrics.flushes.inc();
+                self.metrics.group_size.record(epoch.cuts.len() as u64);
+                self.metrics.bytes.add(epoch.buf.len() as u64);
+                // The horizon, then stability, then the tickets: the
+                // listener checks the epoch against the horizon, and a
+                // ticket holder acks the instant it wakes — its client's
+                // next read must not be gated on a stale flag.
+                self.durable.fetch_max(end.raw(), Ordering::AcqRel);
+                self.listener.epoch_stable(&epoch.txns, end);
+                None
             }
-        }
-    }
-
-    /// A sealed epoch persisted: publish stability, then resolve tickets.
-    fn settle_ok(&self, buf: EpochBuf, end: Lsn) {
-        self.metrics.epochs.inc();
-        self.metrics.txns.add(buf.txns.len() as u64);
-        self.metrics.bytes.add(buf.buf.len() as u64);
-        self.metrics.epoch_txns.record(buf.txns.len() as u64);
-        // Stability first: a ticket holder acks the instant it wakes, and
-        // its client's next read must not be gated on a stale flag.
-        self.listener.epoch_stable(&buf.txns, end);
+            Err(e) => self.fail_suffix(&epoch, e),
+        };
         let mut st = self.st.lock();
-        st.resolved_seq = buf.seq;
-        st.persisting = None;
-        if end > st.durable {
-            st.durable = end;
-        }
-        self.recycle(&mut st, buf);
+        st.resolved_seq = behind.as_ref().map_or(epoch.seq, |b| b.seq);
+        st.persisting = false;
+        // Sealing took the spare; one arena goes back, a third is dropped.
+        st.spare = Some(behind.unwrap_or(epoch));
         self.resolved.notify_all();
-        self.work.notify_all();
+        st
     }
 
-    /// A persist failed: fail the whole in-flight suffix (the epochs
-    /// behind it may have read its early-released writes), roll the
-    /// transactions back, then resolve tickets with one shared error.
-    fn settle_failed(&self, buf: EpochBuf, err: Error) {
+    /// A persist failed: fail `epoch` and the open epoch behind it (its
+    /// transactions may have read the failed one's early-released writes),
+    /// roll the transactions back, and leave one shared error for their
+    /// ticket holders. Returns the epoch taken from behind, if any.
+    fn fail_suffix(&self, epoch: &EpochBuf, err: Error) -> Option<EpochBuf> {
         self.metrics.failures.inc();
-        let shared = Arc::new(err);
-        let victims: Vec<EpochBuf> = {
+        let err = Arc::new(err);
+        let behind = {
             let mut st = self.st.lock();
-            let mut v = vec![buf];
-            while let Some(b) = st.sealed.pop_front() {
-                v.push(b);
-            }
-            if !st.open.is_empty() {
-                self.seal_open(&mut st);
-                if let Some(b) = st.sealed.pop_front() {
-                    v.push(b);
-                }
-            }
-            v
+            (!st.open.is_empty()).then(|| self.seal_open(&mut st))
         };
-        let lo = victims.first().map(|b| b.seq).unwrap_or(0);
-        let hi = victims.last().map(|b| b.seq).unwrap_or(lo);
         // Roll back outside the lock: the listener takes engine locks, and
         // gated readers keep waiting until the demotions land.
-        for v in &victims {
-            self.listener.epoch_failed(&v.txns, &shared);
+        self.listener.epoch_failed(&epoch.txns, &err);
+        if let Some(b) = &behind {
+            self.listener.epoch_failed(&b.txns, &err);
         }
         let mut st = self.st.lock();
-        st.failures.push(FailedRange { lo, hi, err: shared });
+        let hi = behind.as_ref().map_or(epoch.seq, |b| b.seq);
+        st.failures.push(FailedRange { lo: epoch.seq, hi, err });
         if st.failures.len() > 64 {
             let evicted = st.failures.remove(0);
             st.failures_evicted_hi = st.failures_evicted_hi.max(evicted.hi);
         }
-        st.resolved_seq = hi.max(st.resolved_seq);
-        st.persisting = None;
-        for v in victims {
-            self.recycle(&mut st, v);
-        }
-        self.resolved.notify_all();
-        self.work.notify_all();
-    }
-
-    fn recycle(&self, st: &mut PipeState, mut buf: EpochBuf) {
-        if st.pool.len() < self.cfg.max_in_flight + 2 {
-            buf.reset(0);
-            st.pool.push(buf);
-        }
+        behind
     }
 }
 
@@ -489,15 +441,15 @@ impl Drop for EpochPipeline {
 }
 
 /// Local-durability epoch sink: one [`crate::LogBuffer`] append + flush
-/// per sealed epoch. Byte-compatible with the serial per-transaction path
-/// (an epoch is the same record stream, batched), so recovery, log
-/// shipping and RO replicas need no changes.
+/// per sealed epoch. The log holds each submission's records as one
+/// contiguous run, in submission order, so recovery, log shipping and RO
+/// replicas read it like any redo stream.
 pub struct LocalEpochSink {
     log: Arc<crate::LogBuffer>,
 }
 
 impl LocalEpochSink {
-    /// Wrap a log buffer (usually the engine's existing one).
+    /// Wrap a log buffer.
     pub fn new(log: Arc<crate::LogBuffer>) -> Arc<LocalEpochSink> {
         Arc::new(LocalEpochSink { log })
     }
@@ -520,7 +472,10 @@ mod tests {
     use crate::{LogBuffer, LogSink, Mtr};
     use bytes::Bytes;
     use polardbx_common::{Key, TableId, Value};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicBool;
+    use std::thread::ThreadId;
+
+    const WAIT: Duration = Duration::from_secs(5);
 
     fn record(n: i64) -> RedoPayload {
         RedoPayload::Insert {
@@ -535,15 +490,19 @@ mod tests {
         RedoPayload::TxnCommit { trx: TrxId(n), commit_ts: n * 10 }
     }
 
+    /// Submit transaction `n` (one row + its commit record).
+    fn submit_txn(pipe: &EpochPipeline, n: u64) -> EpochTicket {
+        pipe.submit(Some(TrxId(n)), |buf| {
+            record(n as i64).encode(buf);
+            commit_record(n).encode(buf);
+        })
+        .unwrap()
+    }
+
+    #[derive(Default)]
     struct Tracking {
         stable: Mutex<Vec<TrxId>>,
         failed: Mutex<Vec<TrxId>>,
-    }
-
-    impl Tracking {
-        fn new() -> Arc<Tracking> {
-            Arc::new(Tracking { stable: Mutex::new(Vec::new()), failed: Mutex::new(Vec::new()) })
-        }
     }
 
     impl EpochListener for Tracking {
@@ -555,179 +514,270 @@ mod tests {
         }
     }
 
-    #[test]
-    fn epoch_stream_is_byte_identical_to_serial_appends() {
-        // Serial path: append_sync per MTR.
-        let serial_sink = VecSink::new();
-        let serial = LogBuffer::new(serial_sink.clone());
-        // Epoch path: same records through the pipeline.
-        let epoch_sink = VecSink::new();
-        let log = LogBuffer::new(epoch_sink.clone());
-        let pipe =
-            EpochPipeline::start(LocalEpochSink::new(log), Tracking::new(), EpochConfig::default());
-
-        for n in 0..20u64 {
-            let recs = vec![record(n as i64), commit_record(n)];
-            serial.append_sync(&Mtr::new(recs.clone())).unwrap();
-            pipe.submit_sync(Some(TrxId(n)), Duration::from_secs(5), |buf| {
-                for r in &recs {
-                    r.encode(buf);
-                }
-            })
-            .unwrap();
-        }
-        pipe.barrier(Duration::from_secs(5)).unwrap();
-        assert_eq!(serial_sink.contiguous(), epoch_sink.contiguous());
-        assert_eq!(pipe.durable_lsn(), serial.flushed());
-    }
-
-    #[test]
-    fn pipelined_tickets_resolve_in_order_and_amortize_flushes() {
-        let sink = VecSink::new();
-        let log = LogBuffer::new(sink.clone());
-        let tracking = Tracking::new();
-        let pipe = EpochPipeline::start(
-            LocalEpochSink::new(log),
+    fn local_pipe(sink: Arc<dyn LogSink>) -> (Arc<EpochPipeline>, Arc<Tracking>, Arc<LogBuffer>) {
+        let log = LogBuffer::new(sink);
+        let tracking = Arc::new(Tracking::default());
+        let pipe = EpochPipeline::new(
+            LocalEpochSink::new(Arc::clone(&log)),
             Arc::clone(&tracking) as Arc<dyn EpochListener>,
             EpochConfig::default(),
         );
-        let tickets: Vec<EpochTicket> = (0..100u64)
-            .map(|n| {
-                pipe.submit(Some(TrxId(n)), |buf| {
-                    record(n as i64).encode(buf);
-                    commit_record(n).encode(buf);
-                })
-                .unwrap()
-            })
-            .collect();
-        for (i, w) in tickets.windows(2).enumerate() {
-            assert!(w[0] <= w[1], "tickets must be monotone at {i}");
-        }
-        for t in &tickets {
-            pipe.wait_ticket(*t, Duration::from_secs(5)).unwrap();
-        }
-        assert_eq!(tracking.stable.lock().len(), 100);
-        assert!(tracking.failed.lock().is_empty());
-        let epochs = pipe.metrics.epochs.get();
-        assert!((1..=100).contains(&epochs), "pipelining batched {epochs} epochs");
-        // Every record made it to the sink, contiguously.
-        let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
-        assert_eq!(records.len(), 200);
+        (pipe, tracking, log)
     }
 
-    /// A sink that fails every write after the first `ok` epochs.
-    struct FailingSink {
-        ok: AtomicU64,
+    /// A test sink over a [`VecSink`]: records which thread ran each
+    /// persist, spins `delay` per call, holds every call while `gate` is
+    /// shut, and fails the calls after the first `ok`.
+    struct ProbeSink {
         inner: Arc<VecSink>,
+        threads: Mutex<Vec<ThreadId>>,
+        delay: Duration,
+        gate: (Mutex<bool>, Condvar),
+        ok: AtomicU64,
     }
 
-    impl EpochSink for FailingSink {
+    impl ProbeSink {
+        fn new(delay: Duration, ok: u64) -> Arc<ProbeSink> {
+            Arc::new(ProbeSink {
+                inner: VecSink::new(),
+                threads: Mutex::new(Vec::new()),
+                delay,
+                gate: (Mutex::new(true), Condvar::new()),
+                ok: AtomicU64::new(ok),
+            })
+        }
+
+        fn set_gate(&self, open: bool) {
+            *self.gate.0.lock() = open;
+            self.gate.1.notify_all();
+        }
+
+        fn calls(&self) -> usize {
+            self.threads.lock().len()
+        }
+    }
+
+    impl EpochSink for ProbeSink {
         fn persist(&self, bytes: &[u8], _cuts: &[usize]) -> Result<Lsn> {
-            if self.ok.fetch_sub(1, Ordering::SeqCst) == 0 {
-                self.ok.store(0, Ordering::SeqCst);
+            self.threads.lock().push(std::thread::current().id());
+            let started = Instant::now();
+            while started.elapsed() < self.delay {
+                std::hint::spin_loop();
+            }
+            let mut open = self.gate.0.lock();
+            while !*open {
+                self.gate.1.wait(&mut open);
+            }
+            if self.ok.load(Ordering::SeqCst) == 0 {
                 return Err(Error::NoQuorum { acks: 1, needed: 2 });
             }
+            self.ok.fetch_sub(1, Ordering::SeqCst);
             let at = self.inner.end_lsn();
             self.inner.write(at, Bytes::copy_from_slice(bytes))?;
             Ok(at.advance(bytes.len() as u64))
         }
     }
 
-    #[test]
-    fn failed_epoch_fails_the_whole_suffix_and_pipeline_recovers() {
-        let tracking = Tracking::new();
-        let sink = Arc::new(FailingSink { ok: AtomicU64::new(1), inner: VecSink::new() });
-        let pipe = EpochPipeline::start(
-            Arc::clone(&sink) as Arc<dyn EpochSink>,
+    fn probe_pipe(sink: &Arc<ProbeSink>) -> (Arc<EpochPipeline>, Arc<Tracking>) {
+        let tracking = Arc::new(Tracking::default());
+        let pipe = EpochPipeline::new(
+            Arc::clone(sink) as Arc<dyn EpochSink>,
             Arc::clone(&tracking) as Arc<dyn EpochListener>,
-            EpochConfig { tick: Duration::from_millis(1), ..EpochConfig::default() },
+            EpochConfig::default(),
         );
-        // First submission persists.
-        pipe.submit_sync(Some(TrxId(1)), Duration::from_secs(5), |b| commit_record(1).encode(b))
-            .unwrap();
-        // The next epoch fails; its waiters all get the shared error.
-        let t2 = pipe.submit(Some(TrxId(2)), |b| commit_record(2).encode(b)).unwrap();
-        let t3 = pipe.submit(Some(TrxId(3)), |b| commit_record(3).encode(b)).unwrap();
-        let e2 = pipe.wait_ticket(t2, Duration::from_secs(5)).unwrap_err();
+        (pipe, tracking)
+    }
+
+    /// Spin until the sink has been entered `n` times.
+    fn await_calls(sink: &ProbeSink, n: usize) {
+        let started = Instant::now();
+        while sink.calls() < n {
+            assert!(started.elapsed() < WAIT, "persist #{n} never started");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn epoch_stream_is_byte_identical_to_serial_appends() {
+        // Reference: append_sync per MTR, no pipeline.
+        let serial_sink = VecSink::new();
+        let serial = LogBuffer::new(serial_sink.clone());
+        let epoch_sink = VecSink::new();
+        let (pipe, _, _) = local_pipe(epoch_sink.clone());
+        for n in 0..20u64 {
+            let recs = vec![record(n as i64), commit_record(n)];
+            serial.append_sync(&Mtr::new(recs.clone())).unwrap();
+            pipe.submit_sync(Some(TrxId(n)), WAIT, |buf| recs.iter().for_each(|r| r.encode(buf)))
+                .unwrap();
+        }
+        assert_eq!(serial_sink.contiguous(), epoch_sink.contiguous());
+        assert_eq!(pipe.durable_lsn(), serial.flushed());
+        assert_eq!(pipe.metrics.flushes.get(), 20, "a lone sync stream persists per submission");
+    }
+
+    #[test]
+    fn a_lone_committer_persists_on_its_own_thread() {
+        let sink = ProbeSink::new(Duration::ZERO, u64::MAX);
+        let (pipe, tracking) = probe_pipe(&sink);
+        for n in 1..=10 {
+            let t = submit_txn(&pipe, n);
+            pipe.wait_ticket(t, WAIT).unwrap();
+        }
+        // Every persist ran here: the pipeline has no thread of its own.
+        let me = std::thread::current().id();
+        assert_eq!(*sink.threads.lock(), vec![me; 10]);
+        assert_eq!(tracking.stable.lock().len(), 10);
+        assert_eq!(pipe.metrics.wait_for_leader.count(), 0, "nobody to wait for");
+    }
+
+    #[test]
+    fn a_window_of_pipelined_submissions_lands_in_one_epoch() {
+        let sink = VecSink::new();
+        let (pipe, tracking, _) = local_pipe(sink.clone());
+        let tickets: Vec<EpochTicket> = (0..100).map(|n| submit_txn(&pipe, n)).collect();
+        assert!(tickets.windows(2).all(|w| w[0] <= w[1]), "tickets must be monotone");
+        assert!(sink.contiguous().is_empty(), "nothing persists until somebody waits");
+        for t in &tickets {
+            pipe.wait_ticket(*t, WAIT).unwrap();
+        }
+        assert_eq!(tracking.stable.lock().len(), 100);
+        assert!(tracking.failed.lock().is_empty());
+        assert_eq!(pipe.metrics.flushes.get(), 1, "the first waiter persists the whole window");
+        assert_eq!(pipe.metrics.group_size.sum(), 100);
+        let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
+        assert_eq!(records.len(), 200);
+    }
+
+    #[test]
+    fn concurrent_committers_share_persists() {
+        let sink = ProbeSink::new(Duration::from_micros(200), u64::MAX);
+        let (pipe, tracking) = probe_pipe(&sink);
+        const THREADS: u64 = 8;
+        const PER: u64 = 50;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let pipe = &pipe;
+                s.spawn(move || {
+                    for i in 0..PER {
+                        let ticket = submit_txn(pipe, t * 1000 + i);
+                        pipe.wait_ticket(ticket, WAIT).unwrap();
+                    }
+                });
+            }
+        });
+        let commits = THREADS * PER;
+        let m = &pipe.metrics;
+        assert_eq!(m.commits.get(), commits);
+        assert!(
+            m.flushes.get() < commits,
+            "no grouping: {} flushes for {commits} commits",
+            m.flushes.get()
+        );
+        // Every submission was released by exactly one persist.
+        assert_eq!(m.group_size.sum(), commits);
+        assert_eq!(m.group_size.count(), m.flushes.get());
+        assert!(m.wait_for_leader.count() > 0, "followers parked behind a leader");
+        assert_eq!(tracking.stable.lock().len() as u64, commits);
+        // Every record present exactly once, each transaction's run whole.
+        let records = RedoPayload::decode_all(Bytes::from(sink.inner.contiguous())).unwrap();
+        assert_eq!(records.len() as u64, commits * 2);
+        for pair in records.chunks(2) {
+            let (RedoPayload::Insert { trx, .. }, RedoPayload::TxnCommit { trx: c, .. }) =
+                (&pair[0], &pair[1])
+            else {
+                panic!("a transaction's records were split: {pair:?}");
+            };
+            assert_eq!(trx, c);
+        }
+    }
+
+    #[test]
+    fn flushed_never_passes_a_sink_hole_under_concurrent_leaders() {
+        // A reader snapshots the log's flushed horizon and asserts the sink
+        // tiles up to it, while leadership hops between four committers.
+        let sink = VecSink::new();
+        let (pipe, _, log) = local_pipe(sink.clone());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let flushed = log.flushed().raw() as usize;
+                    assert!(sink.contiguous().len() >= flushed, "flushed past sink contents");
+                }
+            });
+            let committers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let pipe = &pipe;
+                    s.spawn(move || {
+                        for i in 0..200 {
+                            let ticket = submit_txn(pipe, t * 1000 + i);
+                            pipe.wait_ticket(ticket, WAIT).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            committers.into_iter().for_each(|c| c.join().unwrap());
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(log.flushed(), log.head());
+        assert_eq!(pipe.durable_lsn(), log.flushed());
+    }
+
+    #[test]
+    fn a_submitter_that_never_waits_makes_progress_past_backpressure() {
+        let sink = VecSink::new();
+        let tracking = Arc::new(Tracking::default());
+        let pipe = EpochPipeline::new(
+            LocalEpochSink::new(LogBuffer::new(sink.clone())),
+            Arc::clone(&tracking) as Arc<dyn EpochListener>,
+            EpochConfig { max_epoch_bytes: 256 },
+        );
+        for n in 0..200 {
+            submit_txn(&pipe, n);
+        }
+        let flushes = pipe.metrics.flushes.get();
+        assert!(flushes >= 10, "the size bound must have persisted epochs, saw {flushes}");
+        assert!(tracking.stable.lock().len() >= 150, "most of the stream is already stable");
+        pipe.stop();
+        assert_eq!(tracking.stable.lock().len(), 200);
+        let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
+        assert_eq!(records.len(), 400);
+    }
+
+    #[test]
+    fn a_failed_persist_fails_the_epoch_behind_it_with_one_shared_error() {
+        let sink = ProbeSink::new(Duration::ZERO, 1);
+        let (pipe, tracking) = probe_pipe(&sink);
+        // The first epoch persists.
+        let t1 = submit_txn(&pipe, 1);
+        pipe.wait_ticket(t1, WAIT).unwrap();
+        // The second is held inside the sink, which will fail it; the
+        // third is submitted behind it meanwhile and goes down with it.
+        sink.set_gate(false);
+        let t2 = submit_txn(&pipe, 2);
+        let (e2, t3, e3) = std::thread::scope(|s| {
+            let pipe = &pipe;
+            let leader = s.spawn(move || pipe.wait_ticket(t2, WAIT).unwrap_err());
+            await_calls(&sink, 2);
+            let t3 = submit_txn(pipe, 3);
+            let follower = s.spawn(move || pipe.wait_ticket(t3, WAIT).unwrap_err());
+            std::thread::sleep(Duration::from_millis(10));
+            sink.set_gate(true);
+            (leader.join().unwrap(), t3, follower.join().unwrap())
+        });
+        assert!(t3 > t2, "the third landed in the epoch behind");
         assert!(matches!(e2, Error::Shared(_)), "shared error, got {e2:?}");
         assert!(!e2.is_retryable(), "NoQuorum is not blind-retryable: {e2}");
-        let e3 = pipe.wait_ticket(t3, Duration::from_secs(5)).unwrap_err();
         assert_eq!(e2, e3, "every waiter of the failed range shares one error");
-        let failed = tracking.failed.lock().clone();
-        assert!(failed.contains(&TrxId(2)) && failed.contains(&TrxId(3)), "{failed:?}");
-        // The pipeline reset: new submissions persist again.
+        assert_eq!(*tracking.failed.lock(), vec![TrxId(2), TrxId(3)]);
+        assert_eq!(*tracking.stable.lock(), vec![TrxId(1)]);
+        assert_eq!(sink.calls(), 2, "the epoch behind was never sent to the sink");
+        assert_eq!(pipe.metrics.failures.get(), 1);
+        // The pipeline carries on: new submissions persist again.
         sink.ok.store(5, Ordering::SeqCst);
-        pipe.submit_sync(Some(TrxId(4)), Duration::from_secs(5), |b| commit_record(4).encode(b))
-            .unwrap();
+        let t4 = submit_txn(&pipe, 4);
+        pipe.wait_ticket(t4, WAIT).unwrap();
         assert!(tracking.stable.lock().contains(&TrxId(4)));
-    }
-
-    #[test]
-    fn size_bound_seals_and_backpressure_holds_submitters() {
-        let sink = VecSink::new();
-        let log = LogBuffer::new(sink);
-        let pipe = EpochPipeline::start(
-            LocalEpochSink::new(log),
-            Tracking::new(),
-            EpochConfig {
-                max_epoch_bytes: 256,
-                max_in_flight: 2,
-                tick: Duration::from_millis(1),
-            },
-        );
-        for n in 0..200u64 {
-            pipe.submit_sync(Some(TrxId(n)), Duration::from_secs(5), |b| {
-                record(n as i64).encode(b);
-                commit_record(n).encode(b);
-            })
-            .unwrap();
-        }
-        assert!(pipe.metrics.epochs.get() >= 2, "size bound must have sealed epochs");
-    }
-
-    #[test]
-    fn barrier_covers_the_in_flight_epoch() {
-        // The flusher pops an epoch off `sealed` before persisting it, so
-        // a barrier issued mid-persist sees open and sealed both empty.
-        // It must still wait for the in-flight epoch rather than return
-        // the stale resolved horizon.
-        struct GatedSink {
-            release: Arc<(Mutex<bool>, Condvar)>,
-            inner: Arc<VecSink>,
-        }
-        impl EpochSink for GatedSink {
-            fn persist(&self, bytes: &[u8], _cuts: &[usize]) -> Result<Lsn> {
-                let (lock, cv) = &*self.release;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                let at = self.inner.end_lsn();
-                self.inner.write(at, Bytes::copy_from_slice(bytes))?;
-                Ok(at.advance(bytes.len() as u64))
-            }
-        }
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
-        let sink =
-            Arc::new(GatedSink { release: Arc::clone(&release), inner: VecSink::new() });
-        let pipe = EpochPipeline::start(sink, Tracking::new(), EpochConfig::default());
-        let t = pipe.submit(Some(TrxId(1)), |b| commit_record(1).encode(b)).unwrap();
-        // Give the flusher time to seal and enter the gated persist.
-        std::thread::sleep(Duration::from_millis(20));
-        let barrier = {
-            let pipe = Arc::clone(&pipe);
-            std::thread::spawn(move || pipe.barrier(Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!barrier.is_finished(), "barrier resolved while the epoch was in flight");
-        {
-            let (lock, cv) = &*release;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        let lsn = barrier.join().unwrap().unwrap();
-        assert!(lsn > Lsn::ZERO, "barrier must report the in-flight epoch's horizon");
-        pipe.wait_ticket(t, Duration::from_secs(1)).unwrap();
     }
 
     #[test]
@@ -736,28 +786,17 @@ mod tests {
         // pruned from the bounded list must get an "outcome unknown"
         // error, not a silent Ok presenting a rolled-back commit as
         // durable.
-        struct AlwaysFail;
-        impl EpochSink for AlwaysFail {
-            fn persist(&self, _bytes: &[u8], _cuts: &[usize]) -> Result<Lsn> {
-                Err(Error::NoQuorum { acks: 1, needed: 2 })
-            }
-        }
-        let pipe = EpochPipeline::start(
-            Arc::new(AlwaysFail),
-            Tracking::new(),
-            EpochConfig { tick: Duration::from_millis(1), ..EpochConfig::default() },
-        );
-        let stale = pipe.submit(Some(TrxId(1)), |b| commit_record(1).encode(b)).unwrap();
-        let first = pipe.wait_ticket(stale, Duration::from_secs(5)).unwrap_err();
+        let sink = ProbeSink::new(Duration::ZERO, 0);
+        let (pipe, _) = probe_pipe(&sink);
+        let stale = submit_txn(&pipe, 1);
+        let first = pipe.wait_ticket(stale, WAIT).unwrap_err();
         assert!(matches!(first, Error::Shared(_)), "got {first:?}");
         // 70 later failures evict the stale ticket's failure range.
-        for n in 0..70u64 {
-            let t = pipe
-                .submit(Some(TrxId(n + 2)), |b| commit_record(n + 2).encode(b))
-                .unwrap();
-            assert!(pipe.wait_ticket(t, Duration::from_secs(5)).is_err());
+        for n in 0..70 {
+            let t = submit_txn(&pipe, n + 2);
+            assert!(pipe.wait_ticket(t, WAIT).is_err());
         }
-        let late = pipe.wait_ticket(stale, Duration::from_secs(5)).unwrap_err();
+        let late = pipe.wait_ticket(stale, WAIT).unwrap_err();
         assert!(
             format!("{late}").contains("outcome unknown"),
             "late waiter must not be told durable or failed-with-someone-else's-error: {late}"
@@ -765,17 +804,48 @@ mod tests {
     }
 
     #[test]
+    fn a_follower_times_out_behind_a_stuck_leader() {
+        let sink = ProbeSink::new(Duration::ZERO, u64::MAX);
+        let (pipe, _) = probe_pipe(&sink);
+        sink.set_gate(false);
+        let t1 = submit_txn(&pipe, 1);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| pipe.wait_ticket(t1, WAIT));
+            await_calls(&sink, 1);
+            let t2 = submit_txn(&pipe, 2);
+            let err = pipe.wait_ticket(t2, Duration::from_millis(20)).unwrap_err();
+            assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
+            sink.set_gate(true);
+            leader.join().unwrap().unwrap();
+            // The timed-out ticket is still good: whoever waits next leads it.
+            pipe.wait_ticket(t2, WAIT).unwrap();
+        });
+    }
+
+    #[test]
     fn stop_drains_submitted_work() {
         let sink = VecSink::new();
-        let log = LogBuffer::new(sink.clone());
-        let pipe =
-            EpochPipeline::start(LocalEpochSink::new(log), Tracking::new(), EpochConfig::default());
-        let t = pipe.submit(Some(TrxId(1)), |b| commit_record(1).encode(b)).unwrap();
+        let (pipe, _, _) = local_pipe(sink.clone());
+        let t = submit_txn(&pipe, 1);
         pipe.stop();
-        // The sealed work still resolved before the flusher exited.
         pipe.wait_ticket(t, Duration::from_secs(1)).unwrap();
         assert!(!sink.contiguous().is_empty());
         // Post-stop submissions fail typed.
         assert!(pipe.submit(None, |b| commit_record(2).encode(b)).is_err());
+    }
+
+    #[test]
+    fn replace_sink_drains_into_the_old_sink_first() {
+        let old = VecSink::new();
+        let (pipe, _, _) = local_pipe(old.clone());
+        let t1 = submit_txn(&pipe, 1);
+        let new = VecSink::new();
+        pipe.replace_sink(LocalEpochSink::new(LogBuffer::new(new.clone())), EpochConfig::default());
+        pipe.wait_ticket(t1, WAIT).unwrap();
+        let t2 = submit_txn(&pipe, 2);
+        pipe.wait_ticket(t2, WAIT).unwrap();
+        assert_eq!(RedoPayload::decode_all(Bytes::from(old.contiguous())).unwrap().len(), 2);
+        assert_eq!(RedoPayload::decode_all(Bytes::from(new.contiguous())).unwrap().len(), 2);
+        assert_eq!(pipe.durable_lsn().raw() as usize, new.contiguous().len());
     }
 }

@@ -388,12 +388,13 @@ fn same_seed_replays_identical_chaos() {
 }
 
 /// Group commit under chaos: concurrent committers drive 2PC transactions
-/// whose DN-side durability rides the group-commit pipeline, over seeded
-/// lossy, duplicating cross-DC links; mid-run the coordinator node crashes,
-/// stranding in-flight transactions PREPARED on the DNs. After the fabric
-/// heals, the PR 1 decision-log resolvers must settle every one of them
-/// all-or-nothing, and the group committer's flush accounting must balance
-/// (every durable commit released by exactly one flush, no flush lost).
+/// whose DN-side durability shares persists through the commit pipeline's
+/// leader hand-off, over seeded lossy, duplicating cross-DC links; mid-run
+/// the coordinator node crashes, stranding in-flight transactions PREPARED
+/// on the DNs. After the fabric heals, the PR 1 decision-log resolvers must
+/// settle every one of them all-or-nothing, and the pipeline's flush
+/// accounting must balance (every submission released by exactly one
+/// persist, no persist lost).
 ///
 /// The fault plan is seeded, so the injected fault path replays bit-for-bit;
 /// every assertion is an interleaving-independent safety property, so the
@@ -477,20 +478,21 @@ fn group_commit_chaos_settles_in_flight_txns() {
     assert!(net.fault_stats.total_injected() > 0, "{}", net.fault_stats.report());
     assert!(net.fault_stats.blackholed.get() > 0, "the crashed CN must have been black-holed");
 
-    // Group-commit accounting on every DN: prepares, commits and the
-    // resolver's settlement storm all rode the group committer, every
-    // durable call was released by exactly one flush, and no flush ran
+    // Commit-path accounting on every DN: prepares, commits and the
+    // resolver's settlement storm all rode the one pipeline, every
+    // submission was released by exactly one persist, and no persist ran
     // without work.
     for (i, dn) in dns.iter().enumerate() {
-        let m = dn.engine.wal_metrics().expect("DN engines group-commit");
+        let m = &dn.engine.pipeline().metrics;
         // DN1 (index 0) only arbitrates the decision log; DN2/DN3 are the
         // write participants and must have paid durable work.
         assert!(i == 0 || m.commits.get() > 0, "participant DN saw no durable work");
         assert!(m.flushes.get() <= m.commits.get());
+        assert_eq!(m.failures.get(), 0);
         assert_eq!(
             m.group_size.sum(),
             m.commits.get(),
-            "every group-committed batch must be released by exactly one flush"
+            "every submission must be released by exactly one persist"
         );
     }
 }

@@ -171,6 +171,87 @@ fn ro_replicas_serve_fresh_reads() {
     db.shutdown();
 }
 
+/// A DN's RO replicas hold a handed-off shard store *by reference*. The
+/// redo feed must not write the destination's commits into that store a
+/// second time (a late copy of commit N would shadow the intent of commit
+/// N + 2), and a replica added after the move must share the store too —
+/// the destination's log has none of the shard's history.
+#[test]
+fn ro_replicas_of_a_rehomed_shard_neither_lose_nor_double_an_update() {
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+    use std::time::Duration;
+
+    let db = PolarDbx::build(ClusterConfig { dns: 2, ros_per_dn: 1, ..Default::default() })
+        .unwrap();
+    let s = db.connect(DcId(1));
+    s.execute(
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 2",
+    )
+    .unwrap();
+    s.execute("INSERT INTO t (id, v) VALUES (0, 0), (1, 0)").unwrap();
+    // The writers sit on other CNs: their snapshots see the rows once their
+    // clocks pass the insert's tick (HLC is causal, not global).
+    std::thread::sleep(Duration::from_millis(2));
+    let schema = db.gms().table("t").unwrap();
+    let (shard, home, _) = db.gms().route_key_fenced(&schema, &[Value::Int(0)]).unwrap();
+    let away = db.dns().iter().map(|dn| dn.id).find(|id| *id != home).unwrap();
+
+    let stop = AtomicBool::new(false);
+    let acked = AtomicI64::new(0);
+    let await_acks = |n: i64| {
+        let target = acked.load(Ordering::Relaxed) + n;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while acked.load(Ordering::Relaxed) < target {
+            assert!(std::time::Instant::now() < deadline, "writers stalled");
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|scope| {
+        for w in 0..3 {
+            let session = db.connect_nth(w);
+            let (stop, acked) = (&stop, &acked);
+            scope.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    match session.execute("UPDATE t SET v = v + 1 WHERE id = 0") {
+                        Ok(1) => drop(acked.fetch_add(1, Ordering::Relaxed)),
+                        Ok(n) => panic!("UPDATE matched {n} rows"),
+                        Err(e) => assert!(e.is_retryable(), "writer {w} saw {e:?}"),
+                    }
+                }
+            });
+        }
+        // One re-home round under the writers: there and back again.
+        for dest in [away, home] {
+            await_acks(100);
+            db.rehome_shard("t", shard, dest).expect("re-home under live traffic");
+        }
+        await_acks(100);
+        stop.store(true, Ordering::Relaxed);
+    });
+    let acked = acked.into_inner();
+    std::thread::sleep(Duration::from_millis(2));
+    let r = s.query("SELECT SUM(v) FROM t").unwrap();
+    assert_eq!(r[0].get(0).unwrap(), &Value::Int(acked), "final must equal the acked updates");
+
+    // A replica added now answers like the RW: through SQL on the AP route
+    // (which reads the replicas), and replica by replica.
+    db.add_ros(1);
+    db.ship_now();
+    db.gms().record_rows("t", 10_000_000);
+    let (rows, class) = s.query_classified("SELECT SUM(v) FROM t").unwrap();
+    assert_eq!(class, WorkloadClass::Ap);
+    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(acked));
+    let (stid, ..) = s.route_fenced("t", &[Value::Int(0)]).unwrap();
+    let dn = db.dns().into_iter().find(|dn| dn.id == home).unwrap();
+    let on_rw = dn.rw.engine.scan_table(stid, u64::MAX).unwrap();
+    assert_eq!(dn.rw.ros().len(), 2);
+    for ro in dn.rw.ros() {
+        assert_eq!(ro.engine.scan_table(stid, u64::MAX).unwrap(), on_rw, "replica {}", ro.id);
+    }
+    db.shutdown();
+}
+
 #[test]
 fn traffic_control_guards_the_endpoint() {
     let db = cluster(1);

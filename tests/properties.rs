@@ -787,152 +787,6 @@ fn vectorized_engine_matches_row_engine() {
 }
 
 // ------------------------------------------------------------------------
-// Group-commit differential test: concurrent transactions committed through
-// the grouped durability pipeline must be equivalent to the same
-// transactions committed serially with one flush each — no lost, torn,
-// duplicated or interleaved redo, the flushed LSN covering the whole log
-// with no sink holes (extends the PR 2 WAL-race regression), and identical
-// visible engine state.
-
-/// Grouped concurrent commits ≡ serial per-transaction commits.
-#[test]
-fn grouped_commits_equivalent_to_serial() {
-    use polardbx_common::{Lsn, TableId, TenantId};
-    use polardbx_storage::engine::{LocalDurability, SyncLocalDurability};
-    use polardbx_storage::{StorageEngine, WriteOp};
-    use polardbx_wal::{LogBuffer, LogSink, RedoPayload, VecSink};
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
-    fn trx_of(r: &RedoPayload) -> TrxId {
-        match r {
-            RedoPayload::Insert { trx, .. }
-            | RedoPayload::Update { trx, .. }
-            | RedoPayload::Delete { trx, .. }
-            | RedoPayload::TxnCommit { trx, .. }
-            | RedoPayload::TxnAbort { trx } => *trx,
-            other => panic!("unexpected record in this workload: {other:?}"),
-        }
-    }
-
-    // Decode a sink's contiguous byte run into per-transaction record
-    // sequences, asserting along the way that each transaction's records
-    // form exactly one contiguous run (group commit may interleave
-    // *transactions*, never records *within* one).
-    fn per_txn_runs(bytes: Vec<u8>) -> HashMap<TrxId, Vec<RedoPayload>> {
-        let records = RedoPayload::decode_all(bytes::Bytes::from(bytes)).unwrap();
-        let mut runs: HashMap<TrxId, Vec<RedoPayload>> = HashMap::new();
-        let mut closed: Vec<TrxId> = Vec::new();
-        let mut current: Option<TrxId> = None;
-        for r in records {
-            let t = trx_of(&r);
-            if current != Some(t) {
-                if let Some(prev) = current.replace(t) {
-                    closed.push(prev);
-                }
-                assert!(!closed.contains(&t), "records of {t} split across runs");
-            }
-            runs.entry(t).or_default().push(r);
-        }
-        runs
-    }
-
-    let mut rng = rng_for("grouped_commits_equivalent_to_serial");
-    for case in 0..8 {
-        // Transaction specs on disjoint keys: id, row values, abort flag.
-        let specs: Vec<(u64, Vec<i64>, bool)> = (1..=rng.gen_range(20u64..60))
-            .map(|t| {
-                let n = rng.gen_range(1..5);
-                let vals = (0..n)
-                    .map(|j| (t as i64) * 100 + (j as i64) * 7 + rng.gen_range(0..5))
-                    .collect();
-                (t, vals, rng.gen_bool(0.2))
-            })
-            .collect();
-
-        let apply = |engine: &Arc<StorageEngine>, spec: &(u64, Vec<i64>, bool)| {
-            let (t, vals, abort) = spec;
-            let trx = TrxId(*t);
-            engine.begin(trx, 0);
-            for &v in vals {
-                engine
-                    .write(
-                        trx,
-                        TableId(1),
-                        Key::encode(&[Value::Int(v)]),
-                        WriteOp::Insert(Row::new(vec![Value::Int(v)])),
-                    )
-                    .unwrap();
-            }
-            if *abort {
-                engine.abort(trx);
-            } else {
-                engine.commit(trx, *t).unwrap();
-            }
-        };
-
-        // Reference: every transaction serially, one flush each.
-        let serial_sink = VecSink::new();
-        let serial = StorageEngine::with_durability(SyncLocalDurability::new(LogBuffer::new(
-            Arc::clone(&serial_sink) as Arc<dyn LogSink>,
-        )));
-        serial.create_table(TableId(1), TenantId(1));
-        for spec in &specs {
-            apply(&serial, spec);
-        }
-
-        // Subject: the same transactions from 4 concurrent committers
-        // through the group-commit pipeline.
-        let grouped_sink = VecSink::new();
-        let grouped_log = LogBuffer::new(Arc::clone(&grouped_sink) as Arc<dyn LogSink>);
-        let grouped =
-            StorageEngine::with_durability(LocalDurability::new(Arc::clone(&grouped_log)));
-        grouped.create_table(TableId(1), TenantId(1));
-        std::thread::scope(|s| {
-            for w in 0..4usize {
-                let grouped = Arc::clone(&grouped);
-                let specs = &specs;
-                s.spawn(move || {
-                    for spec in specs.iter().skip(w).step_by(4) {
-                        apply(&grouped, spec);
-                    }
-                });
-            }
-        });
-
-        // The grouped log is fully durable and hole-free: every appended
-        // byte was flushed and the sink writes tile the whole range.
-        assert_eq!(grouped_log.flushed(), grouped_log.head(), "case {case}");
-        assert_eq!(
-            grouped_sink.contiguous().len() as u64,
-            grouped_log.flushed().raw() - Lsn::ZERO.raw(),
-            "case {case}: sink has holes below the flushed LSN"
-        );
-
-        // Same per-transaction redo, each transaction's records contiguous.
-        assert_eq!(
-            per_txn_runs(serial_sink.contiguous()),
-            per_txn_runs(grouped_sink.contiguous()),
-            "case {case}: redo differs between serial and grouped commits"
-        );
-
-        // Identical visible state at the latest snapshot.
-        for (t, vals, abort) in &specs {
-            for &v in vals {
-                let key = Key::encode(&[Value::Int(v)]);
-                let s = serial.read(TableId(1), &key, u64::MAX, None).unwrap();
-                let g = grouped.read(TableId(1), &key, u64::MAX, None).unwrap();
-                assert_eq!(s, g, "case {case}: txn {t} key {v} differs");
-                assert_eq!(s.is_some(), !abort, "case {case}: txn {t} visibility");
-            }
-        }
-        assert_eq!(
-            serial.count_rows(TableId(1), u64::MAX).unwrap(),
-            grouped.count_rows(TableId(1), u64::MAX).unwrap()
-        );
-    }
-}
-
 /// Morsel-driven MPP execution on the persistent pool matches serial
 /// execution on integer-only data (exact in any merge order), including
 /// NULL group/join keys, skewed and empty partitions.
