@@ -2,8 +2,9 @@
 //!
 //! The paper's architecture names several kinds of nodes and data units:
 //! datacenters (DC1..DC3), CN/DN/SN nodes, shards (hash partitions),
-//! tenants (units of RW-node binding in PolarDB-MT), tables, transactions,
-//! and redo-log positions (LSN). Newtypes prevent mixing them up.
+//! tenants (owners of tables, the unit a migration moves), tables,
+//! transactions, and redo-log positions (LSN). Newtypes prevent mixing them
+//! up.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,8 @@ id_type!(
     "shard"
 );
 id_type!(
-    /// A tenant: the unit of binding to an RW node in PolarDB-MT (§V).
+    /// A tenant: owns the tables its sessions create; the unit of admission
+    /// and of migration between DNs (§V).
     TenantId,
     "tenant"
 );

@@ -208,9 +208,9 @@ impl PolarDbx {
         Ok(PolarDbx { inner })
     }
 
-    /// Connect a session. The load balancer is locality-aware: it picks a
-    /// CN in the client's datacenter, spilling to other DCs only when the
-    /// local ones are absent (§II-A).
+    /// Connect a session acting for the default tenant. The load balancer
+    /// is locality-aware: it picks a CN in the client's datacenter, spilling
+    /// to other DCs only when the local ones are absent (§II-A).
     pub fn connect(&self, client_dc: DcId) -> Session {
         let cn = self
             .inner
@@ -220,7 +220,7 @@ impl PolarDbx {
             .or_else(|| self.inner.cns.first())
             .expect("cluster has CNs")
             .clone();
-        Session { inner: Arc::clone(&self.inner), cn }
+        Session { inner: Arc::clone(&self.inner), cn, tenant: TenantId::default() }
     }
 
     /// Connect to a specific CN by fleet index (wraps around). The front
@@ -229,11 +229,12 @@ impl PolarDbx {
     pub fn connect_nth(&self, n: usize) -> Session {
         let cns = &self.inner.cns;
         let cn = Arc::clone(&cns[n % cns.len()]);
-        Session { inner: Arc::clone(&self.inner), cn }
+        Session { inner: Arc::clone(&self.inner), cn, tenant: TenantId::default() }
     }
 
-    /// Register a front-door tenant (name + admission quotas) in the GMS
-    /// tenant catalog; returns the id wire clients handshake with.
+    /// Register a tenant (name + admission quotas) in the GMS tenant
+    /// catalog; returns the id wire clients handshake with. The tables its
+    /// sessions create are its own (see [`Session::for_tenant`]).
     pub fn register_tenant(
         &self,
         name: &str,

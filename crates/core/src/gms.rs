@@ -29,6 +29,9 @@ pub struct Gms {
     tables: RwLock<HashMap<String, TableSchema>>,
     /// (logical table, shard) → DN node hosting it.
     placement: RwLock<HashMap<(TableId, u32), NodeId>>,
+    /// Logical table → the tenant owning it: the unit a tenant migration
+    /// moves (§V). Ownership places data; it grants no access.
+    owners: RwLock<HashMap<TableId, TenantId>>,
     /// Table-group → anchor table placements (shared shard placement).
     group_anchor: RwLock<HashMap<String, TableId>>,
     stats: RwLock<Statistics>,
@@ -51,6 +54,7 @@ impl Gms {
         Arc::new(Gms {
             tables: RwLock::new(HashMap::new()),
             placement: RwLock::new(HashMap::new()),
+            owners: RwLock::new(HashMap::new()),
             group_anchor: RwLock::new(HashMap::new()),
             stats: RwLock::new(Statistics::new()),
             table_ids: IdGenerator::new(),
@@ -113,11 +117,11 @@ impl Gms {
         TableId(self.table_ids.next_id())
     }
 
-    /// Install a table schema and place its shards. Members of a table
-    /// group land shard-for-shard on the same DNs ("the shards in a
-    /// partition group are always located on the same DN", §II-B); other
-    /// tables round-robin across DNs.
-    pub fn create_table(&self, schema: TableSchema) -> Result<()> {
+    /// Install a table schema owned by `owner` and place its shards.
+    /// Members of a table group land shard-for-shard on the same DNs ("the
+    /// shards in a partition group are always located on the same DN",
+    /// §II-B); other tables round-robin across DNs.
+    pub fn create_table(&self, schema: TableSchema, owner: TenantId) -> Result<()> {
         let name = schema.name.clone();
         if self.tables.read().contains_key(&name) {
             return Err(Error::Schema { message: format!("table {name} already exists") });
@@ -147,6 +151,7 @@ impl Gms {
                 placement.insert((schema.id, s), dn);
             }
         }
+        self.owners.write().insert(schema.id, owner);
         if let Some(g) = &schema.table_group {
             self.group_anchor.write().entry(g.clone()).or_insert(schema.id);
         }
@@ -175,6 +180,31 @@ impl Gms {
         self.tables.write().insert(schema.name.clone(), schema);
     }
 
+    /// The tenant owning a table.
+    pub fn owner(&self, table: TableId) -> TenantId {
+        self.owners.read().get(&table).copied().unwrap_or_default()
+    }
+
+    /// Every shard of every table `tenant` owns.
+    pub fn tenant_shards(&self, tenant: TenantId) -> Vec<(TableId, u32)> {
+        let owned: Vec<TableId> = self
+            .owners
+            .read()
+            .iter()
+            .filter(|(_, &owner)| owner == tenant)
+            .map(|(&table, _)| table)
+            .collect();
+        let mut shards: Vec<(TableId, u32)> = self
+            .tables
+            .read()
+            .values()
+            .filter(|schema| owned.contains(&schema.id))
+            .flat_map(|schema| (0..schema.partition.shard_count()).map(|s| (schema.id, s)))
+            .collect();
+        shards.sort_unstable();
+        shards
+    }
+
     /// DN hosting a shard.
     pub fn shard_dn(&self, table: TableId, shard: u32) -> Result<NodeId> {
         self.placement
@@ -184,7 +214,7 @@ impl Gms {
             .ok_or(Error::Schema { message: format!("unplaced shard {table}/{shard}") })
     }
 
-    /// Move a shard to another DN (anti-hotspot rebalancing).
+    /// Move a shard to another DN (the last step of a cutover).
     pub fn move_shard(&self, table: TableId, shard: u32, to: NodeId) {
         self.placement.write().insert((table, shard), to);
     }
@@ -220,19 +250,8 @@ impl Gms {
         stats.set(name, ts);
     }
 
-    /// Record a secondary index on `columns` in the statistics (used by the
-    /// advisor to skip already-indexed columns).
-    pub fn record_index(&self, name: &str, columns: &[String]) {
-        let mut stats = self.stats.write();
-        let mut ts = stats.get(name);
-        for c in columns {
-            ts.indexed_columns.insert(c.clone());
-        }
-        stats.set(name, ts);
-    }
-
     /// Shard-level load distribution of a table (row counts supplied by the
-    /// caller); used by the migration planner and anti-hotspot checks.
+    /// caller); used by the rebalance planner.
     pub fn plan_rebalance(
         &self,
         table: TableId,
@@ -374,17 +393,32 @@ mod tests {
     #[test]
     fn create_and_lookup() {
         let gms = gms_with_dns(2);
-        gms.create_table(schema(&gms, "t1", 4, None)).unwrap();
+        gms.create_table(schema(&gms, "t1", 4, None), TenantId::default()).unwrap();
         let t = gms.table("t1").unwrap();
         assert_eq!(t.partition.shard_count(), 4);
-        assert!(gms.create_table(schema(&gms, "t1", 4, None)).is_err(), "duplicate");
+        let duplicate = gms.create_table(schema(&gms, "t1", 4, None), TenantId::default());
+        assert!(duplicate.is_err(), "duplicate");
         assert!(gms.table("nope").is_err());
+    }
+
+    #[test]
+    fn a_tenant_owns_the_shards_of_its_tables() {
+        let gms = gms_with_dns(2);
+        let (a, b) = (TenantId(1), TenantId(2));
+        gms.create_table(schema(&gms, "t1", 2, None), a).unwrap();
+        gms.create_table(schema(&gms, "t2", 3, None), b).unwrap();
+        gms.create_table(schema(&gms, "t3", 1, None), a).unwrap();
+        let (t1, t3) = (gms.table("t1").unwrap().id, gms.table("t3").unwrap().id);
+        assert_eq!(gms.owner(t3), a);
+        assert_eq!(gms.tenant_shards(a), vec![(t1, 0), (t1, 1), (t3, 0)]);
+        assert_eq!(gms.tenant_shards(b).len(), 3);
+        assert!(gms.tenant_shards(TenantId(3)).is_empty());
     }
 
     #[test]
     fn shards_spread_across_dns() {
         let gms = gms_with_dns(3);
-        gms.create_table(schema(&gms, "t1", 6, None)).unwrap();
+        gms.create_table(schema(&gms, "t1", 6, None), TenantId::default()).unwrap();
         let t = gms.table("t1").unwrap();
         let mut dns: Vec<NodeId> =
             (0..6).map(|s| gms.shard_dn(t.id, s).unwrap()).collect();
@@ -396,8 +430,8 @@ mod tests {
     #[test]
     fn table_group_members_colocate() {
         let gms = gms_with_dns(3);
-        gms.create_table(schema(&gms, "orders", 6, Some("g1"))).unwrap();
-        gms.create_table(schema(&gms, "lineitem", 6, Some("g1"))).unwrap();
+        gms.create_table(schema(&gms, "orders", 6, Some("g1")), TenantId::default()).unwrap();
+        gms.create_table(schema(&gms, "lineitem", 6, Some("g1")), TenantId::default()).unwrap();
         let a = gms.table("orders").unwrap();
         let b = gms.table("lineitem").unwrap();
         for s in 0..6 {
@@ -412,7 +446,7 @@ mod tests {
     #[test]
     fn routing_is_stable() {
         let gms = gms_with_dns(2);
-        gms.create_table(schema(&gms, "t", 8, None)).unwrap();
+        gms.create_table(schema(&gms, "t", 8, None), TenantId::default()).unwrap();
         let t = gms.table("t").unwrap();
         let row = Row::new(vec![Value::Int(42), Value::str("x")]);
         let (s1, d1) = gms.route_row(&t, &row).unwrap();
@@ -423,7 +457,7 @@ mod tests {
     #[test]
     fn fenced_routes_bounce_while_frozen() {
         let gms = gms_with_dns(2);
-        gms.create_table(schema(&gms, "t", 2, None)).unwrap();
+        gms.create_table(schema(&gms, "t", 2, None), TenantId::default()).unwrap();
         let t = gms.table("t").unwrap();
         let row = Row::new(vec![Value::Int(1), Value::str("x")]);
         let (shard, _, e1) = gms.route_row_fenced(&t, &row).unwrap();
@@ -448,29 +482,27 @@ mod tests {
             2,
         )
         .unwrap();
-        gms.create_table(s).unwrap();
+        gms.create_table(s, TenantId::default()).unwrap();
         let a = gms.next_sequence(id).unwrap();
         let b = gms.next_sequence(id).unwrap();
         assert!(b > a);
     }
 
     #[test]
-    fn stats_track_row_counts_and_indexes() {
+    fn stats_track_row_counts_and_column_indexes() {
         let gms = gms_with_dns(1);
-        gms.create_table(schema(&gms, "t", 2, None)).unwrap();
+        gms.create_table(schema(&gms, "t", 2, None), TenantId::default()).unwrap();
         gms.record_rows("t", 500);
         gms.record_rows("t", -100);
         assert_eq!(gms.statistics().get("t").rows, 400);
         gms.set_column_index("t", true);
         assert!(gms.statistics().get("t").has_column_index);
-        gms.record_index("t", &["v".into()]);
-        assert!(gms.statistics().get("t").indexed_columns.contains("v"));
     }
 
     #[test]
     fn rebalance_plan_balances() {
         let gms = gms_with_dns(2);
-        gms.create_table(schema(&gms, "t", 4, None)).unwrap();
+        gms.create_table(schema(&gms, "t", 4, None), TenantId::default()).unwrap();
         let t = gms.table("t").unwrap();
         // All load on two shards; plan across two DNs must split them.
         let plan = gms.plan_rebalance(
@@ -502,7 +534,7 @@ mod tests {
             1,
         )
         .unwrap();
-        gms.create_table(s).unwrap();
+        gms.create_table(s, TenantId::default()).unwrap();
         assert_eq!(gms.table_columns("nopk").unwrap(), vec!["v".to_string()]);
     }
 

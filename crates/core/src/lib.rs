@@ -11,8 +11,8 @@
 //! ```
 //!
 //! * [`gms`] — the Global Meta Service: catalog with hash partitioning,
-//!   table groups and global/local indexes (§II-B), shard placement,
-//!   statistics, and the migration planner used during scale-out (§V).
+//!   table groups and global/local indexes (§II-B), which tenant owns each
+//!   table, shard placement, statistics, and the rebalance planner.
 //! * [`durability`] — plugs the X-Paxos group in as the DN durability path
 //!   for cross-DC deployments (§III).
 //! * [`access`] — which rows a predicate can name: primary-key routing for
@@ -21,12 +21,11 @@
 //!   over DN shards, RO-replica routing, column-index snapshots (§VI).
 //! * [`cluster`] — the `PolarDbx` facade: build a cluster, connect
 //!   sessions through the locality-aware load balancer, set up column indexes.
-//! * [`rehome`] — re-homing a shard under live traffic; rebalance (§VIII).
+//! * [`rehome`] — the one cutover that moves shards under live traffic: a
+//!   shard re-home and rebalance (§VIII), a tenant migration (§V).
 //! * [`placer`] — the adaptive placer: co-access sketch → throttled re-homes.
 //! * [`session`] — a client session bound to one CN: SQL in, rows out
 //!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).
-//! * [`hotspot`] — anti-hotspot tooling: skew detection, shard split,
-//!   hot-key isolation (§VIII).
 //! * [`traffic`] — automated traffic control: anomaly detection over query
 //!   fingerprints and concurrency limiting (§VIII).
 
@@ -34,7 +33,6 @@ pub mod access;
 pub mod cluster;
 pub mod durability;
 pub mod gms;
-pub mod hotspot;
 pub mod placer;
 pub mod provider;
 pub mod rehome;

@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use polardbx_columnar::{ColumnIndex, ColumnSnapshot};
-use polardbx_common::{NodeId, Result, Row};
+use polardbx_common::time::mono_now;
+use polardbx_common::{Error, NodeId, Result, Row, TableId};
 use polardbx_executor::TableProvider;
 use polardbx_sql::expr::Expr;
 use polardbx_storage::StorageEngine;
@@ -45,7 +47,35 @@ impl ClusterProvider {
         self.engines
             .get(&dn)
             .map(Arc::as_ref)
-            .ok_or_else(|| polardbx_common::Error::execution(format!("no engine for {dn}")))
+            .ok_or_else(|| Error::execution(format!("no engine for {dn}")))
+    }
+
+    /// `read` shard `shard` of `table` on the engine of its home. A cutover
+    /// can detach the store between the route and the read; the same store,
+    /// versions and all, is then — or once the shard's epoch thaws — at its
+    /// new home, so the read follows it there.
+    fn at_home<T>(
+        &self,
+        table: TableId,
+        shard: u32,
+        read: impl Fn(&StorageEngine, TableId) -> Result<T>,
+    ) -> Result<T> {
+        let stid = shard_table_id(table, shard);
+        let mut deadline = None;
+        loop {
+            let dn = self.gms.shard_dn(table, shard)?;
+            let result = read(self.engine(dn)?, stid);
+            if !matches!(result, Err(Error::UnknownTable { .. })) {
+                return result;
+            }
+            let deadline = *deadline.get_or_insert_with(|| mono_now() + Duration::from_secs(2));
+            let moving =
+                self.gms.epochs().is_frozen(stid) || self.gms.shard_dn(table, shard)? != dn;
+            if !moving || mono_now() >= deadline {
+                return result;
+            }
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -59,10 +89,9 @@ impl TableProvider for ClusterProvider {
 
     fn scan_partition(&self, table: &str, partition: usize) -> Result<Vec<Row>> {
         let schema = self.gms.table(table)?;
-        let shard = partition as u32;
-        let dn = self.gms.shard_dn(schema.id, shard)?;
-        let stid = shard_table_id(schema.id, shard);
-        let rows = self.engine(dn)?.scan_table(stid, self.snapshot_ts)?;
+        let rows = self.at_home(schema.id, partition as u32, |engine, stid| {
+            engine.scan_table(stid, self.snapshot_ts)
+        })?;
         // Hide the implicit primary key from SQL-visible output.
         let visible = schema.visible_arity();
         Ok(rows
@@ -88,10 +117,9 @@ impl TableProvider for ClusterProvider {
         };
         let mut rows = Vec::with_capacity(keys.len());
         for key in keys {
-            let (shard, dn) = self.gms.route_row(&schema, &key)?;
-            let stid = shard_table_id(schema.id, shard);
             let pk = schema.pk_of(&key)?;
-            if let Some(row) = self.engine(dn)?.read(stid, &pk, self.snapshot_ts, None)? {
+            let read = |engine: &StorageEngine, stid| engine.read(stid, &pk, self.snapshot_ts, None);
+            if let Some(row) = self.at_home(schema.id, schema.shard_of(&key)?, read)? {
                 rows.push(row);
             }
         }
@@ -128,7 +156,7 @@ mod tests {
             4,
         )
         .unwrap();
-        gms.create_table(schema.clone()).unwrap();
+        gms.create_table(schema.clone(), TenantId::default()).unwrap();
         let mut engines = HashMap::new();
         for n in [NodeId(1), NodeId(2)] {
             engines.insert(n, StorageEngine::in_memory());

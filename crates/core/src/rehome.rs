@@ -1,26 +1,21 @@
-//! Re-homing shards under live traffic (§VIII): one shard's cutover, and
-//! the rebalance built on it.
+//! Moving shards under live traffic: one cutover for any set of shards,
+//! and what is built on it — a shard re-home and rebalance (§VIII), and a
+//! tenant migration (§V).
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use polardbx_common::{Error, NodeId, Result, TenantId};
+use polardbx_common::time::mono_now;
+use polardbx_common::{Error, NodeId, Result, TableId, TenantId};
 
 use crate::cluster::PolarDbx;
 use crate::gms::shard_table_id;
 
 impl PolarDbx {
     /// Re-home one shard under **live traffic** — the adaptive-placement
-    /// cutover and the anti-hotspot rebalancing primitive of §VIII ("we can
-    /// migrate shards to achieve a balanced state between DNs"). Only the
-    /// one shard's routing epoch is frozen — new routes and stale-pinned
-    /// commits bounce with a retryable error — and its commit gate drained
-    /// (in-flight fenced commits finish) around
-    /// [`RwNode::hand_off`][polardbx_storage::RwNode::hand_off], the cutover
-    /// the §V tenant transfer runs too; then the destination clock is raised
-    /// past the source's, so moved versions stay in its timestamp past, and
-    /// placement is updated.
-    ///
-    /// Returns how long the shard's traffic was paused.
+    /// cutover and the rebalancing primitive of §VIII ("we can migrate
+    /// shards to achieve a balanced state between DNs"). Returns how long
+    /// the shard's traffic was paused.
     pub fn rehome_shard(&self, table: &str, shard: u32, dest: NodeId) -> Result<Duration> {
         let schema = self.inner.gms.table(table)?;
         self.rehome_shard_by_id(schema.id, shard, dest)
@@ -28,49 +23,78 @@ impl PolarDbx {
 
     /// [`PolarDbx::rehome_shard`] by logical table id (the placer works on
     /// ids, not names).
-    pub fn rehome_shard_by_id(
-        &self,
-        table: polardbx_common::TableId,
-        shard: u32,
-        dest: NodeId,
-    ) -> Result<Duration> {
-        // lint:allow(fence_completeness, migration source lookup, not DML routing: the cutover freezes the epoch before touching data, and a racing re-home serializes behind the same freeze)
-        let src_id = self.inner.gms.shard_dn(table, shard)?;
-        if src_id == dest {
-            return Ok(Duration::ZERO);
-        }
-        let src = self
-            .inner
-            .dns
-            .get(&src_id)
-            .ok_or_else(|| Error::invalid("unknown source DN"))?;
+    pub fn rehome_shard_by_id(&self, table: TableId, shard: u32, dest: NodeId) -> Result<Duration> {
+        self.move_shards(&[(table, shard)], dest)
+    }
+
+    /// The §V tenant transfer: move every shard of every table `tenant`
+    /// owns — hidden global-index tables included — to `dest` in one
+    /// routing pause, copying no row. Returns how long the tenant's
+    /// traffic was paused. A move that fails leaves each shard routed to
+    /// where its store is, so running it again finishes it.
+    pub fn migrate_tenant(&self, tenant: TenantId, dest: NodeId) -> Result<Duration> {
+        self.move_shards(&self.inner.gms.tenant_shards(tenant), dest)
+    }
+
+    /// The cutover. Only the listed shards' routing epochs are frozen — new
+    /// routes and stale-pinned commits bounce with a retryable error — and
+    /// their commit gates drained (in-flight fenced commits finish). Then
+    /// each source DN runs one [`RwNode::hand_off`][polardbx_storage::RwNode::hand_off]
+    /// of its shards, the destination clock is raised past the source's, so
+    /// moved versions stay in its timestamp past, and placement is updated.
+    fn move_shards(&self, shards: &[(TableId, u32)], dest: NodeId) -> Result<Duration> {
         let dst = self
             .inner
             .dns
             .get(&dest)
             .ok_or_else(|| Error::invalid("unknown destination DN"))?;
-        let stid = shard_table_id(table, shard);
+        let mut by_src: BTreeMap<NodeId, Vec<(TableId, u32)>> = BTreeMap::new();
+        for &(table, shard) in shards {
+            // lint:allow(fence_completeness, migration source lookup, not DML routing: the cutover freezes the epoch before touching data, and a racing re-home serializes behind the same freeze)
+            let src = self.inner.gms.shard_dn(table, shard)?;
+            if src != dest {
+                by_src.entry(src).or_default().push((table, shard));
+            }
+        }
+        let stids: Vec<TableId> =
+            by_src.values().flatten().map(|&(table, shard)| shard_table_id(table, shard)).collect();
+        if stids.is_empty() {
+            return Ok(Duration::ZERO);
+        }
         let epochs = self.inner.gms.epochs();
-        let t0 = polardbx_common::time::mono_now();
-        epochs.freeze(stid);
+        let t0 = mono_now();
+        for &stid in &stids {
+            epochs.freeze(stid);
+        }
         // The cutover body runs in a closure so every exit — success or any
         // error, including `?` propagation — flows through the single
         // unfreeze below. A shard left frozen bounces every fenced route
         // and commit retryably forever: a permanent livelock.
         let cutover = || -> Result<()> {
-            if !epochs.drain(stid, Duration::from_secs(2)) {
-                return Err(Error::Timeout { what: "draining shard commit gate".into() });
+            for &stid in &stids {
+                if !epochs.drain(stid, Duration::from_secs(2)) {
+                    return Err(Error::Timeout { what: "draining shard commit gate".into() });
+                }
             }
-            src.rw.hand_off(&dst.rw, &[stid], TenantId(table.raw()))?;
-            // Commit timestamps at the new home must stay above every
-            // version the shard carries (the source's clock may run ahead).
-            dst.service.clock.update(src.service.clock.now());
-            self.inner.gms.move_shard(table, shard, dest);
+            for (src_id, moving) in &by_src {
+                let src = &self.inner.dns[src_id];
+                let tables: Vec<TableId> =
+                    moving.iter().map(|&(table, shard)| shard_table_id(table, shard)).collect();
+                src.rw.hand_off(&dst.rw, &tables)?;
+                // Commit timestamps at the new home must stay above every
+                // version the shards carry (the source's clock may run ahead).
+                dst.service.clock.update(src.service.clock.now());
+                for &(table, shard) in moving {
+                    self.inner.gms.move_shard(table, shard, dest);
+                }
+            }
             Ok(())
         };
         let result = cutover();
-        epochs.unfreeze(stid);
-        result.map(|()| polardbx_common::time::mono_now() - t0)
+        for &stid in &stids {
+            epochs.unfreeze(stid);
+        }
+        result.map(|()| mono_now() - t0)
     }
 
     /// Balance a table's shards across all DNs by current row counts
@@ -273,6 +297,45 @@ mod tests {
             &Value::Int(acked as i64),
             "final v must equal the sum of acked UPDATEs (seed {seed:#x})"
         );
+        db.shutdown();
+    }
+
+    /// A point read or scan routed to a shard's old home just before the
+    /// cutover detaches its store follows the store to the new home: reads
+    /// racing a stream of tenant migrations all answer, none errs.
+    #[test]
+    fn reads_follow_a_store_across_tenant_migrations() {
+        let db = cluster();
+        let tenant = db.register_tenant("t", polardbx_common::TenantQuotas::unlimited());
+        let s = db.connect(DcId(1)).for_tenant(tenant);
+        s.execute("CREATE TABLE t (id BIGINT NOT NULL, v INT, PRIMARY KEY (id))").unwrap();
+        s.execute("INSERT INTO t (id, v) VALUES (0, 0), (1, 1), (2, 2), (3, 3)").unwrap();
+        let stop = AtomicBool::new(false);
+        let dns = db.gms().dns();
+        let failures = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3)
+                .map(|r| {
+                    let (session, stop) = (db.connect_nth(r), &stop);
+                    scope.spawn(move || {
+                        let mut failures = Vec::new();
+                        while !stop.load(Ordering::Relaxed) {
+                            let sql = ["SELECT v FROM t WHERE id = 2", "SELECT COUNT(*) FROM t"][r % 2];
+                            match session.query(sql) {
+                                Ok(rows) if rows.len() == 1 => {}
+                                other => failures.push(format!("{sql}: {other:?}")),
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            for round in 0..30 {
+                db.migrate_tenant(tenant, dns[round % dns.len()]).unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            readers.into_iter().flat_map(|r| r.join().unwrap()).collect::<Vec<_>>()
+        });
+        assert!(failures.is_empty(), "{failures:?}");
         db.shutdown();
     }
 }

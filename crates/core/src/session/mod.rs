@@ -31,13 +31,23 @@ use crate::cluster::{CnNode, Inner};
 use crate::gms::shard_table_id;
 use crate::provider::ClusterProvider;
 
-/// A client session bound to one CN.
+/// A client session bound to one CN, acting for one tenant.
 pub struct Session {
     pub(crate) inner: Arc<Inner>,
     pub(crate) cn: Arc<CnNode>,
+    pub(crate) tenant: TenantId,
 }
 
 impl Session {
+    /// This session acting for `tenant`: the tables it creates are the
+    /// tenant's, the unit [`PolarDbx::migrate_tenant`][crate::PolarDbx::migrate_tenant]
+    /// moves. Ownership places data and grants nothing: any session reads
+    /// and writes any table.
+    pub fn for_tenant(mut self, tenant: TenantId) -> Session {
+        self.tenant = tenant;
+        self
+    }
+
     /// The CN this session landed on (load-balancer tests).
     pub fn cn_id(&self) -> NodeId {
         self.cn.id
@@ -364,12 +374,12 @@ impl Session {
         if let Some(g) = &ct.table_group {
             schema = schema.in_table_group(g.clone());
         }
-        self.inner.gms.create_table(schema.clone())?;
+        self.inner.gms.create_table(schema.clone(), self.tenant)?;
         // Create the shard tables on their DNs (and RO mirrors).
         for shard in 0..schema.partition.shard_count() {
             let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
             let dn = &self.inner.dns[&dn_id];
-            dn.rw.create_table(shard_table_id(schema.id, shard), TenantId(schema.id.raw()));
+            dn.rw.create_table(shard_table_id(schema.id, shard), self.tenant);
         }
         Ok(())
     }
@@ -387,7 +397,6 @@ impl Session {
             kind,
             unique: ci.unique,
         })?;
-        self.inner.gms.record_index(&ci.table, &ci.columns);
 
         if matches!(kind, IndexKind::GlobalNonClustered | IndexKind::GlobalClustered) {
             // Global index = hidden table partitioned by the indexed
@@ -425,15 +434,14 @@ impl Session {
                     shards: schema.partition.shard_count(),
                 },
             )?;
-            self.inner.gms.create_table(hidden.clone())?;
+            // The index belongs to its table's tenant and moves with it.
+            let owner = self.inner.gms.owner(schema.id);
+            self.inner.gms.create_table(hidden.clone(), owner)?;
             for shard in 0..hidden.partition.shard_count() {
                 // lint:allow(fence_completeness, DDL provisioning of the just-created hidden index table: nothing can re-home a shard that has no data yet, and GSI writes go through write_gsi_row's fenced route)
                 let dn_id = self.inner.gms.shard_dn(hidden.id, shard)?;
                 let dn = &self.inner.dns[&dn_id];
-                dn.rw.create_table(
-                    shard_table_id(hidden.id, shard),
-                    TenantId(hidden.id.raw()),
-                );
+                dn.rw.create_table(shard_table_id(hidden.id, shard), owner);
             }
             self.inner
                 .gsi_tables

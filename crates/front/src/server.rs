@@ -8,8 +8,9 @@
 //!    tenant is looked up in the GMS tenant catalog, its quotas installed
 //!    in the admission controller, and a connection slot acquired. Any
 //!    failure answers with a typed `Err` frame and closes the socket.
-//! 2. **Session** — a handshaken connection owns a [`Session`] pinned to
-//!    one CN (round-robin over the fleet) and a bounded per-connection
+//! 2. **Session** — a handshaken connection owns a [`Session`] acting for
+//!    its tenant (the tables it creates are the tenant's), pinned to one CN
+//!    (round-robin over the fleet) and a bounded per-connection
 //!    prepared-statement cache.
 //! 3. **Requests** — `Query` parses and runs; `Prepare`/`Execute` split
 //!    parse from run through the statement cache; `CloseStmt` frees a
@@ -241,7 +242,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
 
     let n = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    let session = shared.db.connect_nth(n as usize);
+    let session = shared.db.connect_nth(n as usize).for_tenant(tenant);
     if wire::write_frame(&mut writer, &Frame::HelloOk { cn: n }).is_err() {
         return;
     }

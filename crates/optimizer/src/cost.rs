@@ -1,6 +1,6 @@
 //! Statistics and cost estimation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use polardbx_sql::expr::{BinOp, Expr};
 use polardbx_sql::plan::LogicalPlan;
@@ -14,8 +14,6 @@ pub struct TableStats {
     pub avg_row_bytes: u64,
     /// Whether an in-memory column index covers this table (§VI-E).
     pub has_column_index: bool,
-    /// Columns covered by secondary indexes (bare names).
-    pub indexed_columns: HashSet<String>,
 }
 
 /// The statistics catalog.
@@ -41,7 +39,6 @@ impl Statistics {
             rows: 1000,
             avg_row_bytes: 100,
             has_column_index: false,
-            indexed_columns: HashSet::new(),
         })
     }
 }

@@ -1,4 +1,4 @@
-//! The HTAP-oriented cost-based optimizer (§VI-B and §VIII).
+//! The HTAP-oriented cost-based optimizer (§VI-B, §VI-E).
 //!
 //! Four responsibilities, mirroring the paper:
 //!
@@ -18,16 +18,12 @@
 //!   (§VI-E): "large data scans and push-down plans with join or
 //!   aggregation prefer in-memory column index, while point queries choose
 //!   InnoDB row store".
-//! * [`advisor`] — the SQL Advisor of §VIII: indexable-column analysis,
-//!   candidate enumeration, what-if cost evaluation and recommendation.
 
-pub mod advisor;
 pub mod classify;
 pub mod cost;
 pub mod rewrite;
 pub mod storage;
 
-pub use advisor::{recommend_indexes, IndexRecommendation};
 pub use classify::{
     classify, classify_cost, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD,
 };

@@ -123,7 +123,6 @@ mod tests {
                 rows: 6_000_000,
                 avg_row_bytes: 120,
                 has_column_index: with_ci,
-                ..Default::default()
             },
         );
         s

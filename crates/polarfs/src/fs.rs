@@ -195,33 +195,6 @@ impl LogSink for VolumeLogSink {
     }
 }
 
-/// Bandwidth/latency model for bulk data movement — used to cost the
-/// shared-nothing "data transfer" scaling baseline of Fig 8(b).
-#[derive(Debug, Clone)]
-pub struct TransferModel {
-    /// Sustained copy bandwidth in bytes/second (network + storage bound).
-    pub bandwidth_bytes_per_sec: u64,
-    /// Fixed per-transfer setup cost.
-    pub setup: Duration,
-}
-
-impl TransferModel {
-    /// The paper's elasticity experiment moved 40 GB in ~489-660 s per step,
-    /// i.e. an effective ~60-80 MB/s including re-sharding overhead; we
-    /// default to 75 MB/s.
-    pub fn paper_default() -> TransferModel {
-        TransferModel {
-            bandwidth_bytes_per_sec: 75 * 1024 * 1024,
-            setup: Duration::from_secs(2),
-        }
-    }
-
-    /// Time to move `bytes`.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
-        self.setup + Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,17 +242,6 @@ mod tests {
         let read_back = sink.read(start, (end.raw() - start.raw()) as usize).unwrap();
         let decoded = Mtr::decode(Bytes::from(read_back)).unwrap();
         assert_eq!(decoded, mtr);
-    }
-
-    #[test]
-    fn transfer_model_scales_linearly() {
-        let m = TransferModel { bandwidth_bytes_per_sec: 100, setup: Duration::from_secs(1) };
-        assert_eq!(m.transfer_time(0), Duration::from_secs(1));
-        assert_eq!(m.transfer_time(1000), Duration::from_secs(11));
-        // Paper scale: 40 GB at defaults lands in the few-hundred-seconds
-        // range that Fig 8(b) reports.
-        let t = TransferModel::paper_default().transfer_time(40 * (1 << 30));
-        assert!(t > Duration::from_secs(400) && t < Duration::from_secs(800), "{t:?}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The real PolarFS is "a durable, atomic and horizontally scalable
 //! distributed storage service" providing virtual volumes partitioned into
 //! 10 GB chunks, each replicated three times within a datacenter through
-//! ParallelRaft (§II-A). The upper layers — the DN storage engine, the redo
-//! log, PolarDB-MT tenant files — only rely on that contract:
+//! ParallelRaft (§II-A). The upper layers — the DN storage engine and the
+//! redo log — only rely on that contract:
 //!
 //! * byte-addressable volumes whose space grows on demand,
 //! * atomic writes with majority-replicated durability,
@@ -13,7 +13,7 @@
 //!
 //! We reproduce the contract in memory with a faithful structure: volumes →
 //! chunks → a 3-replica [`raft::ParallelRaftGroup`] per chunk hosted on
-//! [`chunk::ChunkServer`]s, plus a latency/bandwidth model so experiments
+//! [`chunk::ChunkServer`]s, with an optional per-I/O latency so experiments
 //! can account for I/O cost. The chunk size is configurable (default scaled
 //! down from 10 GB) so tests stay laptop-sized; all invariants are
 //! size-independent.
@@ -24,6 +24,6 @@ pub mod raft;
 pub mod volume;
 
 pub use chunk::{ChunkId, ChunkServer};
-pub use fs::{PageStore, PolarFs, PolarFsConfig, TransferModel, VolumeLogSink};
+pub use fs::{PageStore, PolarFs, PolarFsConfig, VolumeLogSink};
 pub use raft::ParallelRaftGroup;
 pub use volume::{Volume, VolumeId};

@@ -387,7 +387,7 @@ fn rehome_registers(c: &Cluster, route: &RegisterRoute) {
     c.rec.note(NodeId(0), "rehome: freezing registers");
     route.epochs.freeze(REGISTERS);
     let moved = route.epochs.drain(REGISTERS, Duration::from_secs(2))
-        && c.register_rw.hand_off(&c.rws[0], &[REGISTERS], TenantId(1)).is_ok();
+        && c.register_rw.hand_off(&c.rws[0], &[REGISTERS]).is_ok();
     if moved {
         dst.clock.update(src.clock.now());
         route.home.store(NodeId(1).raw(), Ordering::SeqCst);

@@ -6,9 +6,10 @@
 //!
 //! * checkpointing — "the leader can safely flush dirty pages modified
 //!   before DLSN" (§III);
-//! * tenant migration — "the source RW will flush all dirty pages
-//!   associated with the tenant" (§V), which is why migration takes seconds
-//!   rather than the minutes a data copy takes;
+//! * a cutover — "the source RW will flush all dirty pages associated with
+//!   the tenant" (§V): the source flushes the pages of the tables it hands
+//!   over, which is why a migration takes seconds rather than the minutes a
+//!   data copy takes;
 //! * RO-node page warmth — a fresh replica faults pages until warm.
 //!
 //! Pages are synthetic: a row maps to page `hash(key) % pages_per_table`
@@ -138,30 +139,30 @@ impl BufferPool {
     /// Flush every dirty page first-dirtied before `upto` (checkpoint).
     /// Returns the number of pages flushed.
     pub fn flush_before(&self, upto: Lsn, store: Option<&PageStore>) -> Result<usize> {
-        self.flush_where(store, |f| f.first_dirty_lsn < upto)
+        self.flush_where(store, |_, f| f.first_dirty_lsn < upto)
     }
 
-    /// Flush every dirty page of `tenant` (tenant migration). Returns the
-    /// number flushed.
-    pub fn flush_tenant(&self, tenant: TenantId, store: Option<&PageStore>) -> Result<usize> {
-        self.flush_where(store, |f| f.tenant == tenant)
+    /// Flush every dirty page of `tables` (the cutover that hands them to
+    /// another node). Returns the number flushed.
+    pub fn flush_tables(&self, tables: &[TableId], store: Option<&PageStore>) -> Result<usize> {
+        self.flush_where(store, |page, _| tables.contains(&page.table))
     }
 
     /// Flush everything dirty.
     pub fn flush_all(&self, store: Option<&PageStore>) -> Result<usize> {
-        self.flush_where(store, |_| true)
+        self.flush_where(store, |_, _| true)
     }
 
     fn flush_where(
         &self,
         store: Option<&PageStore>,
-        pred: impl Fn(&Frame) -> bool,
+        pred: impl Fn(&PageId, &Frame) -> bool,
     ) -> Result<usize> {
         let victims: Vec<PageId> = {
             let st = self.state.lock();
             st.frames
                 .iter()
-                .filter(|(_, f)| f.dirty && pred(f))
+                .filter(|(p, f)| f.dirty && pred(p, f))
                 .map(|(&p, _)| p)
                 .collect()
         };
@@ -180,15 +181,6 @@ impl BufferPool {
             }
         }
         Ok(victims.len())
-    }
-
-    /// Drop every frame belonging to `tenant` (post-migration cleanup on
-    /// the source RW: "clean tables' cached metadata and close resources").
-    pub fn evict_tenant(&self, tenant: TenantId) -> usize {
-        let mut st = self.state.lock();
-        let before = st.frames.len();
-        st.frames.retain(|_, f| f.tenant != tenant);
-        before - st.frames.len()
     }
 
     /// Evict pages dirtied at or after `from` without flushing — the
@@ -285,21 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn tenant_flush_and_eviction() {
+    fn table_flush_leaves_other_tables_dirty() {
         let pool = BufferPool::new(100, 100);
         for i in 0..5 {
             pool.mark_dirty(PageId { table: TableId(1), page_no: i }, TenantId(1), Lsn(i));
         }
         for i in 0..3 {
-            pool.mark_dirty(PageId { table: TableId(2), page_no: i }, TenantId(2), Lsn(i));
+            pool.mark_dirty(PageId { table: TableId(2), page_no: i }, TenantId(1), Lsn(i));
         }
-        assert_eq!(pool.dirty_count(Some(TenantId(1))), 5);
-        assert_eq!(pool.flush_tenant(TenantId(1), None).unwrap(), 5);
-        assert_eq!(pool.dirty_count(Some(TenantId(1))), 0);
-        assert_eq!(pool.dirty_count(Some(TenantId(2))), 3);
-        let evicted = pool.evict_tenant(TenantId(1));
-        assert_eq!(evicted, 5);
-        assert_eq!(pool.resident(), 3);
+        assert_eq!(pool.flush_tables(&[TableId(1)], None).unwrap(), 5);
+        assert_eq!(pool.dirty_count(None), 3);
+        assert_eq!(pool.resident(), 8, "a flush keeps the pages cached");
     }
 
     #[test]

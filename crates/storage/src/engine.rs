@@ -258,13 +258,13 @@ impl StorageEngine {
         self.tenants.write().insert(table, tenant);
     }
 
-    /// Attach an existing store (tenant migration destination / RO share).
+    /// Attach an existing store (cutover destination / RO share).
     pub(crate) fn attach_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
         self.tables.write().insert(table, store);
         self.tenants.write().insert(table, tenant);
     }
 
-    /// Detach a table, returning its store (tenant migration source). The
+    /// Detach a table, returning its store (cutover source). The
     /// data itself never moves — that is the shared-storage guarantee.
     pub(crate) fn detach_table(&self, table: TableId) -> Option<Arc<VersionStore>> {
         self.tenants.write().remove(&table);
@@ -286,16 +286,6 @@ impl StorageEngine {
     /// bailed — every exit must reopen or the shard livelocks).
     pub(crate) fn unfreeze_writes(&self, table: TableId) {
         self.write_frozen.write().remove(&table);
-    }
-
-    /// Tables currently owned by `tenant`.
-    pub fn tenant_tables(&self, tenant: TenantId) -> Vec<TableId> {
-        self.tenants
-            .read()
-            .iter()
-            .filter(|(_, t)| **t == tenant)
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// The tenant owning `table`.
@@ -753,13 +743,7 @@ impl StorageEngine {
         }
     }
 
-    /// Append a standalone marker record through the engine's commit
-    /// path (e.g. PolarDB-MT's per-tenant log markers).
-    pub fn log_marker(&self, payload: RedoPayload) -> Result<Lsn> {
-        self.log_record(payload)
-    }
-
-    /// Any transactions still in flight? (Tenant migration waits for zero.)
+    /// Any transactions still in flight?
     pub fn has_active_txns(&self) -> bool {
         !self.active.is_empty()
     }

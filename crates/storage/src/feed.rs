@@ -74,8 +74,8 @@ impl TxnAssembler {
                 self.undecided.remove(&trx);
                 return None;
             }
-            // Checkpoint and tenant markers carry no row changes.
-            RedoPayload::Checkpoint { .. } | RedoPayload::TenantMark { .. } => return None,
+            // A checkpoint carries no row changes.
+            RedoPayload::Checkpoint { .. } => return None,
         };
         self.undecided.entry(trx).or_default().changes.push(change);
         None

@@ -365,12 +365,13 @@ impl RwNode {
     }
 
     /// The data-node half of a live cutover (§V tenant transfer, §VIII shard
-    /// re-home): hand `tables` of `tenant` over to `dst` by reference over
-    /// shared storage — zero rows copied. Returns the dirty pages flushed.
-    /// The caller has paused the tables' routing and drained what it
-    /// admitted; afterwards it raises `dst`'s clock and rebinds. On an error
-    /// nothing moved and every table is open for writes here again.
-    pub fn hand_off(&self, dst: &RwNode, tables: &[TableId], tenant: TenantId) -> Result<usize> {
+    /// re-home): hand `tables` over to `dst` by reference over shared
+    /// storage — zero rows copied — each keeping its tenant. Returns the
+    /// dirty pages flushed, which are those of `tables` only. The caller has
+    /// paused the tables' routing and drained what it admitted; afterwards
+    /// it raises `dst`'s clock and rebinds. On an error nothing moved and
+    /// every table is open for writes here again.
+    pub fn hand_off(&self, dst: &RwNode, tables: &[TableId]) -> Result<usize> {
         // Engine-level write freeze on top of the routing pause: a write
         // already past routing when the pause began would otherwise install
         // an intent between the drain below and the detach, stranding it
@@ -400,13 +401,15 @@ impl RwNode {
             // Async phase-two tail: wait for posted Commit/Abort deliveries
             // to consume every in-flight write set on these tables.
             drained("draining shard write sets")?;
-            let pages_flushed = self.engine.pool.flush_tenant(tenant, None)?;
+            let pages_flushed = self.engine.pool.flush_tables(tables, None)?;
             // Writes are frozen and the drain passed, but the flush spans
             // time: re-verify nothing slipped in right before the detach.
             drained("late write set on shard")?;
             // All or nothing: find every store before the first detach.
-            let stores: Vec<_> =
-                tables.iter().map(|&t| Ok((t, self.engine.store(t)?))).collect::<Result<_>>()?;
+            let stores: Vec<_> = tables
+                .iter()
+                .map(|&t| Ok((t, self.engine.store(t)?, self.engine.tenant_of(t).unwrap_or_default())))
+                .collect::<Result<_>>()?;
             for &table in tables {
                 self.detach_table(table);
             }
@@ -417,7 +420,7 @@ impl RwNode {
             // destination can take a write — hands a column index every
             // image of a key in commit order.
             self.ship();
-            for (table, store) in stores {
+            for (table, store, tenant) in stores {
                 dst.attach_table(table, store, tenant);
             }
             Ok(pages_flushed)
@@ -566,7 +569,7 @@ mod tests {
         src.engine.begin(TrxId(9), 10);
         src.engine.write(TrxId(9), TableId(3), key(1), WriteOp::Insert(row(1, "other"))).unwrap();
 
-        let flushed = src.hand_off(&dst, &[T, T2], TenantId(1)).unwrap();
+        let flushed = src.hand_off(&dst, &[T, T2]).unwrap();
         assert!(flushed > 0, "the tenant had dirty pages");
         for t in [T, T2] {
             assert!(matches!(src.engine.read(t, &key(1), 20, None), Err(Error::UnknownTable { .. })));
@@ -590,6 +593,28 @@ mod tests {
     }
 
     #[test]
+    fn hand_off_flushes_the_moved_tables_pages_only() {
+        let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
+        // Two shards of one logical table share its tenant.
+        for t in [T, T2] {
+            src.create_table(t, TenantId(1));
+        }
+        for i in 0..3 {
+            src.execute_write(TrxId(1 + i as u64), 0, 10, T, key(i), WriteOp::Insert(row(i, "x")))
+                .unwrap();
+        }
+        src.execute_write(TrxId(9), 0, 10, T2, key(0), WriteOp::Insert(row(0, "y"))).unwrap();
+        let pages = |t, keys: std::ops::Range<i64>| -> HashSet<_> {
+            keys.map(|i| src.engine.pool.page_of(t, &key(i))).collect()
+        };
+        assert_eq!(src.engine.pool.dirty_count(None), pages(T, 0..3).len() + 1);
+
+        assert_eq!(src.hand_off(&dst, &[T]).unwrap(), pages(T, 0..3).len());
+        assert_eq!(src.engine.pool.dirty_count(None), 1, "the sibling shard's page stays dirty");
+        assert_eq!(dst.engine.tenant_of(T), Some(TenantId(1)), "the store keeps its tenant");
+    }
+
+    #[test]
     fn hand_off_with_an_open_write_set_times_out_and_moves_nothing() {
         let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
         for t in [T, T2] {
@@ -598,7 +623,7 @@ mod tests {
         src.engine.begin(TrxId(1), 0);
         src.engine.write(TrxId(1), T2, key(1), WriteOp::Insert(row(1, "open"))).unwrap();
 
-        let err = src.hand_off(&dst, &[T, T2], TenantId(1)).unwrap_err();
+        let err = src.hand_off(&dst, &[T, T2]).unwrap_err();
         assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
         for t in [T, T2] {
             assert!(matches!(dst.engine.read(t, &key(1), 20, None), Err(Error::UnknownTable { .. })));
@@ -608,7 +633,7 @@ mod tests {
         src.engine.commit(TrxId(1), 20).unwrap();
         assert_eq!(src.engine.read(T2, &key(1), 20, None).unwrap(), Some(row(1, "open")));
         // A missing table fails the hand-off before anything is detached.
-        assert!(src.hand_off(&dst, &[T, TableId(99)], TenantId(1)).is_err());
+        assert!(src.hand_off(&dst, &[T, TableId(99)]).is_err());
         assert_eq!(src.engine.read(T, &key(2), 20, None).unwrap(), Some(row(2, "after")));
     }
 

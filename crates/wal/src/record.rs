@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes};
 
-use polardbx_common::{Error, Key, Lsn, Result, TableId, TenantId, TrxId};
+use polardbx_common::{Error, Key, Lsn, Result, TableId, TrxId};
 
 /// A single redo record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,9 +27,6 @@ pub enum RedoPayload {
     TxnAbort { trx: TrxId },
     /// Checkpoint: pages dirtied before `upto` have been flushed.
     Checkpoint { upto: Lsn },
-    /// Tenant ownership marker used by PolarDB-MT recovery to divide log
-    /// entries by tenant (§V: logs are replayed per-tenant in parallel).
-    TenantMark { tenant: TenantId },
 }
 
 const TAG_INSERT: u8 = 1;
@@ -39,7 +36,6 @@ const TAG_PREPARE: u8 = 4;
 const TAG_COMMIT: u8 = 5;
 const TAG_ABORT: u8 = 6;
 const TAG_CHECKPOINT: u8 = 7;
-const TAG_TENANT: u8 = 8;
 
 impl RedoPayload {
     /// Serialize into `out`. Layout: `tag:u8` then tag-specific fields,
@@ -86,10 +82,6 @@ impl RedoPayload {
                 out.put_u8(TAG_CHECKPOINT);
                 out.put_u64_le(upto.raw());
             }
-            RedoPayload::TenantMark { tenant } => {
-                out.put_u8(TAG_TENANT);
-                out.put_u64_le(tenant.raw());
-            }
         }
     }
 
@@ -101,8 +93,7 @@ impl RedoPayload {
             }
             RedoPayload::Delete { key, .. } => 16 + 4 + key.len(),
             RedoPayload::TxnPrepare { .. } | RedoPayload::TxnCommit { .. } => 16,
-            RedoPayload::TxnAbort { .. } | RedoPayload::Checkpoint { .. }
-            | RedoPayload::TenantMark { .. } => 8,
+            RedoPayload::TxnAbort { .. } | RedoPayload::Checkpoint { .. } => 8,
         }
     }
 
@@ -140,7 +131,6 @@ impl RedoPayload {
             },
             TAG_ABORT => RedoPayload::TxnAbort { trx: TrxId(get_u64(buf)?) },
             TAG_CHECKPOINT => RedoPayload::Checkpoint { upto: Lsn(get_u64(buf)?) },
-            TAG_TENANT => RedoPayload::TenantMark { tenant: TenantId(get_u64(buf)?) },
             other => return Err(Error::storage(format!("bad redo tag {other}"))),
         };
         Ok(rec)
@@ -219,7 +209,6 @@ mod tests {
             RedoPayload::TxnCommit { trx: TrxId(9), commit_ts: 778 },
             RedoPayload::TxnAbort { trx: TrxId(10) },
             RedoPayload::Checkpoint { upto: Lsn(1024) },
-            RedoPayload::TenantMark { tenant: TenantId(5) },
         ]
     }
 

@@ -1,81 +1,74 @@
 //! SaaS multi-tenancy and live tenant migration (§V of the paper).
 //!
-//! A SaaS provider consolidates many subscriber tenants onto a few RW
-//! nodes. When load grows, new RW nodes join and tenants migrate to them
-//! in milliseconds — no table data moves, because storage is shared.
+//! A SaaS provider consolidates many subscriber tenants onto a few DNs.
+//! When load grows, a tenant moves to another DN in milliseconds — no table
+//! data moves, because storage is shared: its shards are handed over by
+//! reference, under the same cutover a shard re-home runs.
 //!
 //! ```sh
 //! cargo run --release --example saas_elasticity
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::BTreeMap;
 
-use polardbx_common::{Key, NodeId, Row, TableId, TenantId, Value};
-use polardbx_mt::{migrate_tenant, BindingTable, DataDictionary, MtRwNode, Router};
+use polardbx::gms::shard_table_id;
+use polardbx::{ClusterConfig, PolarDbx};
+use polardbx_common::{DcId, Key, NodeId, Row, TenantQuotas, TrxId, Value};
 use polardbx_storage::WriteOp;
 
+/// How many shards each DN holds.
+fn load(db: &PolarDbx) -> BTreeMap<NodeId, usize> {
+    let mut load: BTreeMap<NodeId, usize> = db.gms().dns().into_iter().map(|dn| (dn, 0)).collect();
+    for tenant in db.gms().tenants() {
+        for (table, shard) in db.gms().tenant_shards(tenant.id) {
+            *load.entry(db.gms().shard_dn(table, shard).expect("placed")).or_default() += 1;
+        }
+    }
+    load
+}
+
 fn main() -> polardbx_common::Result<()> {
-    // Control plane: the shared binding table and data dictionary.
-    let bindings = Arc::new(BindingTable::new(Duration::from_secs(30)));
-    let dict = DataDictionary::new(NodeId(1));
-    let router = Router::new(Arc::clone(&bindings));
+    let db = PolarDbx::build(ClusterConfig { dns: 3, default_shards: 2, ..Default::default() })?;
+    let dns = db.gms().dns();
 
-    // Two RW nodes to start.
-    for n in 1..=2u64 {
-        router.add_node(MtRwNode::new(NodeId(n), Arc::clone(&bindings)));
-        bindings.acquire_lease(NodeId(n));
+    // Six subscriber tenants on the first two DNs, each with an orders
+    // table its own session creates.
+    let mut tenants = Vec::new();
+    for t in 1..=6usize {
+        let tenant = db.register_tenant(&format!("subscriber{t}"), TenantQuotas::unlimited());
+        let s = db.connect(DcId(1)).for_tenant(tenant);
+        s.execute(&format!("CREATE TABLE orders{t} (id BIGINT NOT NULL, item VARCHAR(32), PRIMARY KEY (id))"))?;
+        let values: Vec<String> = (0..200).map(|i| format!("({i}, 'order-{i}')")).collect();
+        s.execute(&format!("INSERT INTO orders{t} (id, item) VALUES {}", values.join(",")))?;
+        db.migrate_tenant(tenant, dns[t % 2])?;
+        tenants.push(tenant);
     }
+    println!("6 tenants live on 2 DNs; shards per DN: {:?}", load(&db));
 
-    // Six subscriber tenants, three per node, each with an orders table.
-    for t in 1..=6u64 {
-        let tenant = TenantId(t);
-        bindings.bind(tenant, NodeId(1 + (t - 1) % 2));
-        router.execute(tenant, |node| {
-            node.create_table(TableId(t), tenant)?;
-            for i in 0..200i64 {
-                node.write_row(
-                    tenant,
-                    TableId(t),
-                    Key::encode(&[Value::Int(i)]),
-                    WriteOp::Insert(Row::new(vec![
-                        Value::Int(i),
-                        Value::Str(format!("order-{i} of tenant {t}")),
-                    ])),
-                )?;
-            }
-            Ok(())
-        })?;
-    }
-    println!("6 tenants live on 2 RW nodes; load: {:?}", bindings.load_distribution());
-
-    // Tenant 3 becomes hot — scale out: add a node, migrate the tenant.
-    router.add_node(MtRwNode::new(NodeId(3), Arc::clone(&bindings)));
-    bindings.acquire_lease(NodeId(3));
-    let report = migrate_tenant(&router, &dict, &bindings, TenantId(3), NodeId(3))?;
+    // Tenant 3 becomes hot: move it to the idle DN.
+    let (hot, old, new) = (tenants[2], dns[1], dns[2]);
+    let pause = db.migrate_tenant(hot, new)?;
     // The pause is what `fig8_elasticity` reports as "max pause".
-    println!(
-        "migrated tenant 3 in {:?} (cutover pause {:?}, {} dirty pages flushed) — zero rows copied",
-        report.total, report.pause, report.pages_flushed
-    );
+    println!("migrated {hot} to {new}: cutover pause {pause:?}, zero rows copied");
+    for (table, shard) in db.gms().tenant_shards(hot) {
+        assert_eq!(db.gms().shard_dn(table, shard)?, new, "every shard of {hot} moved");
+    }
 
-    // Traffic follows the binding transparently.
-    let rows = router.execute(TenantId(3), |node| {
-        println!("tenant 3 now served by {}", node.id);
-        node.count_rows(TableId(3))
-    })?;
-    println!("tenant 3 still sees all {rows} rows");
+    // Traffic follows the placement transparently.
+    let rows = db.count_rows("orders3")?;
+    assert_eq!(rows, 200);
+    println!("{hot} still sees all {rows} rows");
 
-    // Writes to the old node are rejected — single-writer per tenant.
-    let old = router.node(NodeId(1)).unwrap();
-    let err = old.write_row(
-        TenantId(3),
-        TableId(3),
-        Key::encode(&[Value::Int(999)]),
-        WriteOp::Insert(Row::new(vec![Value::Int(999), Value::str("stale")])),
-    );
-    println!("write via old owner rejected: {}", err.unwrap_err());
+    // The old DN no longer holds the tenant's stores: single writer.
+    let old_dn = db.dns().into_iter().find(|dn| dn.id == old).expect("old DN");
+    let stid = shard_table_id(db.gms().table("orders3")?.id, 0);
+    old_dn.rw.engine.begin(TrxId(u64::MAX), 0);
+    let row = Row::new(vec![Value::Int(999), Value::str("stale")]);
+    let err = old_dn.rw.engine.write(TrxId(u64::MAX), stid, Key::encode(&[Value::Int(999)]), WriteOp::Insert(row));
+    old_dn.rw.engine.abort(TrxId(u64::MAX));
+    println!("write via old owner rejected: {}", err.expect_err("the old DN detached the store"));
 
-    println!("final load: {:?}", bindings.load_distribution());
+    println!("final shards per DN: {:?}", load(&db));
+    db.shutdown();
     Ok(())
 }

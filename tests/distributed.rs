@@ -1,14 +1,20 @@
-//! Distributed-systems integration tests spanning the consensus, storage,
-//! transaction and multi-tenancy crates: cross-DC commits riding Paxos,
-//! leader failover without losing committed data, per-tenant parallel
-//! recovery, and snapshot isolation under real network latency.
+//! Distributed-systems integration tests spanning the consensus, storage
+//! and transaction crates and the assembled cluster: cross-DC commits
+//! riding Paxos, leader failover without losing committed data, tenant
+//! migration under live traffic, and snapshot isolation under real network
+//! latency.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use polardbx::{ClusterConfig, PolarDbx};
 use polardbx_common::testseed::{format_seed, seed_from_env};
-use polardbx_common::{DcId, IdGenerator, Key, NodeId, Row, TableId, TenantId, TrxId, Value};
+use polardbx_common::{
+    DcId, Error, IdGenerator, Key, NodeId, Row, TableId, TenantId, TenantQuotas, TrxId, Value,
+};
+use polardbx_front::{FrontClient, FrontDoor};
+use rand::{Rng, SeedableRng};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
@@ -242,90 +248,183 @@ fn bank_invariant_under_cross_dc_latency() {
     }
 }
 
-/// A failed MT node's tenants recover in parallel onto two survivors from
-/// its private redo log, and the survivors serve them afterwards.
-#[test]
-fn mt_node_failure_takeover() {
-    use polardbx_mt::{recovery, BindingTable, MtRwNode};
-
-    let bindings = Arc::new(BindingTable::new(Duration::from_secs(30)));
-    let failed = MtRwNode::new(NodeId(1), Arc::clone(&bindings));
-    bindings.bind(TenantId(1), NodeId(1));
-    bindings.bind(TenantId(2), NodeId(1));
-    bindings.acquire_lease(NodeId(1));
-    failed.create_table(TableId(1), TenantId(1)).unwrap();
-    failed.create_table(TableId(2), TenantId(2)).unwrap();
-    for i in 0..25i64 {
-        failed
-            .write_row(TenantId(1), TableId(1), key(i), WriteOp::Insert(row(i)))
-            .unwrap();
-        failed
-            .write_row(TenantId(2), TableId(2), key(i), WriteOp::Insert(row(i)))
-            .unwrap();
-    }
-    // The node dies; two survivors divide its tenants and replay its log.
-    let log = bytes::Bytes::from(failed.rw.log_sink_bytes());
-    let survivor_a = MtRwNode::new(NodeId(2), Arc::clone(&bindings));
-    let survivor_b = MtRwNode::new(NodeId(3), Arc::clone(&bindings));
-    let mut table_tenants = HashMap::new();
-    table_tenants.insert(TableId(1), TenantId(1));
-    table_tenants.insert(TableId(2), TenantId(2));
-    let mut takeover = HashMap::new();
-    takeover.insert(TenantId(1), Arc::clone(&survivor_a.rw.engine));
-    takeover.insert(TenantId(2), Arc::clone(&survivor_b.rw.engine));
-    let counts = recovery::parallel_recover(log, &table_tenants, &takeover).unwrap();
-    assert_eq!(counts.len(), 2);
-
-    // Rebind and serve.
-    bindings.bind(TenantId(1), NodeId(2));
-    bindings.bind(TenantId(2), NodeId(3));
-    bindings.acquire_lease(NodeId(2));
-    bindings.acquire_lease(NodeId(3));
-    assert_eq!(survivor_a.count_rows(TableId(1)).unwrap(), 25);
-    assert_eq!(survivor_b.count_rows(TableId(2)).unwrap(), 25);
-    survivor_a
-        .write_row(TenantId(1), TableId(1), key(100), WriteOp::Insert(row(100)))
-        .unwrap();
-    assert_eq!(survivor_a.count_rows(TableId(1)).unwrap(), 26);
-}
-
 /// A tenant's migration waits for that tenant's write sets only: another
-/// tenant's transaction, open on the same source node throughout, neither
+/// tenant's transaction, open on the same source DN throughout, neither
 /// delays the cutover nor is disturbed by it.
 #[test]
 fn tenant_migration_does_not_wait_for_another_tenants_open_transaction() {
-    use polardbx_mt::{migrate_tenant, BindingTable, DataDictionary, MtRwNode, Router};
-
-    let bindings = Arc::new(BindingTable::new(Duration::from_secs(30)));
-    let dict = DataDictionary::new(NodeId(1));
-    let router = Router::new(Arc::clone(&bindings));
-    for n in 1..=2u64 {
-        router.add_node(MtRwNode::new(NodeId(n), Arc::clone(&bindings)));
-        bindings.acquire_lease(NodeId(n));
-    }
-    let (a, b) = (TenantId(1), TenantId(2));
-    let src = router.node(NodeId(1)).unwrap();
-    for (tenant, table) in [(a, TableId(1)), (b, TableId(2))] {
-        bindings.bind(tenant, NodeId(1));
-        bindings.acquire_lease(NodeId(1));
-        src.create_table(table, tenant).unwrap();
-        for i in 0..10i64 {
-            src.write_row(tenant, table, key(i), WriteOp::Insert(row(i))).unwrap();
-        }
+    let db = PolarDbx::build(ClusterConfig { dns: 2, default_shards: 1, ..Default::default() })
+        .unwrap();
+    let [src, dest] = db.gms().dns()[..] else { unreachable!("two DNs") };
+    let a = db.register_tenant("a", TenantQuotas::unlimited());
+    let b = db.register_tenant("b", TenantQuotas::unlimited());
+    for (tenant, table) in [(a, "ta"), (b, "tb")] {
+        let s = db.connect(DcId(1)).for_tenant(tenant);
+        s.execute(&format!("CREATE TABLE {table} (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))"))
+            .unwrap();
+        s.execute(&format!("INSERT INTO {table} (id, v) VALUES (1, 1), (2, 2)")).unwrap();
+        db.migrate_tenant(tenant, src).unwrap();
     }
     // Tenant B: one write, not committed.
-    src.rw.engine.begin(TrxId(77), 1_000);
-    src.rw.engine.write(TrxId(77), TableId(2), key(50), WriteOp::Insert(row(50))).unwrap();
+    let s = db.connect(DcId(1));
+    let (stid, dn, epoch) = s.route_fenced("tb", &[Value::Int(50)]).unwrap();
+    let mut open = s.coordinator().begin();
+    open.pin_epoch(stid, epoch).unwrap();
+    let row = Row::new(vec![Value::Int(50), Value::Int(50)]);
+    open.write(dn, stid, key(50), WireWriteOp::Insert(row)).unwrap();
 
     // A drain that waited for B would run out its timeout and fail here
     // (no wall-clock bound: a loaded runner is slow, not wrong).
-    migrate_tenant(&router, &dict, &bindings, a, NodeId(2)).unwrap();
-    assert_eq!(bindings.owner(a), Some(NodeId(2)));
-    assert_eq!(router.execute(a, |node| node.count_rows(TableId(1))).unwrap(), 10);
+    db.migrate_tenant(a, dest).unwrap();
+    assert_eq!(db.gms().shard_dn(db.gms().table("ta").unwrap().id, 0).unwrap(), dest);
+    assert_eq!(db.count_rows("ta").unwrap(), 2);
 
     // B's transaction commits where it began.
-    src.rw.engine.commit(TrxId(77), 2_000).unwrap();
-    assert_eq!(src.read_row(b, TableId(2), &key(50)).unwrap(), Some(row(50)));
+    open.commit().unwrap();
+    assert_eq!(db.count_rows("tb").unwrap(), 3);
+    db.shutdown();
+}
+
+/// A tenant migrates twice while wire clients read a row of its two tables
+/// and run `v = v + 1` on it: after each move every shard — of both tables
+/// and of the hidden global-index table — is on the destination, a read
+/// never fails (it follows the store), the writers see only retryable
+/// bounces, no acked update is lost, and another tenant's transaction,
+/// open on every source throughout, commits afterwards.
+#[test]
+fn tenant_migration_over_the_wire_loses_no_update() {
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+
+    let seed = seed_from_env(0x7E4A_0F1D);
+    eprintln!("tenant migration seed: POLARDBX_TEST_SEED={}", format_seed(seed));
+    const ROWS: i64 = 8;
+    const TABLES: [&str; 2] = ["a", "b"];
+    let db = PolarDbx::build(ClusterConfig { dns: 3, default_shards: 3, ..Default::default() })
+        .unwrap();
+    let dns = db.gms().dns();
+    let tenant = db.register_tenant("app", TenantQuotas::unlimited());
+    let front = FrontDoor::start_default(db.clone()).unwrap();
+    let mut admin = FrontClient::connect(front.addr(), tenant.raw()).unwrap();
+    for table in TABLES {
+        admin
+            .execute(&format!(
+                "CREATE TABLE {table} (id BIGINT NOT NULL, k INT, v INT, PRIMARY KEY (id))"
+            ))
+            .unwrap();
+        let values: Vec<String> = (0..ROWS).map(|i| format!("({i}, {}, 0)", i % 3)).collect();
+        admin
+            .execute(&format!("INSERT INTO {table} (id, k, v) VALUES {}", values.join(",")))
+            .unwrap();
+    }
+    admin.execute("CREATE GLOBAL INDEX by_k ON b (k)").unwrap();
+    let owned: Vec<TableId> =
+        ["a", "b", "__gsi_b_by_k"].map(|t| db.gms().table(t).unwrap().id).to_vec();
+
+    // Another tenant's transaction writes one row on every DN, so it is
+    // open on the source of each move.
+    let other =
+        db.connect(DcId(1)).for_tenant(db.register_tenant("other", TenantQuotas::unlimited()));
+    other
+        .execute(
+            "CREATE TABLE o (id BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
+             PARTITION BY HASH(id) PARTITIONS 3",
+        )
+        .unwrap();
+    let mut open = other.coordinator().begin();
+    let mut touched = HashSet::new();
+    for id in 0..1000 {
+        let (stid, dn, epoch) = other.route_fenced("o", &[Value::Int(id)]).unwrap();
+        if touched.insert(dn) {
+            open.pin_epoch(stid, epoch).unwrap();
+            let row = Row::new(vec![Value::Int(id), Value::Int(0)]);
+            open.write(dn, stid, key(id), WireWriteOp::Insert(row)).unwrap();
+        }
+    }
+    assert_eq!(touched.len(), dns.len(), "the open transaction spans every DN");
+
+    let stop = AtomicBool::new(false);
+    let acked = [AtomicI64::new(0), AtomicI64::new(0)];
+    let total = || acked.iter().map(|a| a.load(Ordering::Relaxed)).sum::<i64>();
+    let progressed = |n: i64| {
+        let (target, deadline) = (total() + n, Instant::now() + Duration::from_secs(10));
+        while total() < target && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        total() >= target
+    };
+    let (mut stalled, mut misplaced) = (0, Vec::new());
+    let writers = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3u64)
+            .map(|w| {
+                let (stop, acked, addr) = (&stop, &acked, front.addr());
+                scope.spawn(move || -> polardbx_common::Result<()> {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ w);
+                    let mut c = FrontClient::connect(addr, tenant.raw())?;
+                    while !stop.load(Ordering::Relaxed) {
+                        let (t, id) = (rng.gen_range(0..TABLES.len()), rng.gen_range(0..ROWS));
+                        let read = c.query(&format!("SELECT v FROM {} WHERE id = {id}", TABLES[t]))?;
+                        if read.len() != 1 {
+                            return Err(Error::invalid(format!("read {} rows of id {id}", read.len())));
+                        }
+                        match c.execute(&format!("UPDATE {} SET v = v + 1 WHERE id = {id}", TABLES[t])) {
+                            Ok(1) => drop(acked[t].fetch_add(1, Ordering::Relaxed)),
+                            Ok(n) => return Err(Error::invalid(format!("matched {n} rows"))),
+                            Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_micros(
+                                rng.gen_range(20..200),
+                            )),
+                            Err(e) => return Err(e),
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        for dest in [dns[0], dns[1]] {
+            stalled += usize::from(!progressed(20));
+            // A drain can time out retryably under the hammering writers;
+            // running the move again finishes it.
+            let moved = (0..20).any(|attempt| {
+                if attempt > 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                db.migrate_tenant(tenant, dest).is_ok()
+            });
+            for &table in &owned {
+                for shard in 0..3 {
+                    let home = db.gms().shard_dn(table, shard).unwrap();
+                    if !moved || home != dest {
+                        misplaced.push((table, shard, home, dest));
+                    }
+                }
+            }
+        }
+        stalled += usize::from(!progressed(20));
+        stop.store(true, Ordering::Relaxed);
+        handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+    });
+    for (w, result) in writers.into_iter().enumerate() {
+        assert!(result.is_ok(), "wire writer {w} hit a non-retryable error: {result:?}");
+    }
+    assert!(misplaced.is_empty(), "shards not on the destination: {misplaced:?}");
+    assert_eq!(stalled, 0, "writers made no progress around a move");
+
+    open.commit().unwrap();
+    assert_eq!(db.count_rows("o").unwrap(), dns.len());
+    assert_eq!(db.count_rows("__gsi_b_by_k").unwrap(), ROWS as usize);
+    // The admin connection's CN took no part in the writers' last commits:
+    // its snapshot covers them once its clock passes their tick.
+    std::thread::sleep(Duration::from_millis(2));
+    for (t, table) in TABLES.iter().enumerate() {
+        let sum = admin.query(&format!("SELECT SUM(v) FROM {table}")).unwrap();
+        assert_eq!(
+            sum[0].get(0).unwrap(),
+            &Value::Int(acked[t].load(Ordering::Relaxed)),
+            "final v of {table} must equal its acked UPDATEs (seed {seed:#x})"
+        );
+    }
+    admin.quit().unwrap();
+    drop(front);
+    db.shutdown();
 }
 
 /// Session consistency on RO replicas: a read carrying the RW's session

@@ -322,29 +322,6 @@ fn locality_aware_load_balancer() {
 }
 
 #[test]
-fn index_advisor_on_live_workload() {
-    let db = cluster(1);
-    let s = db.connect(DcId(1));
-    s.execute(
-        "CREATE TABLE orders2 (id BIGINT NOT NULL, cust BIGINT, total DOUBLE, PRIMARY KEY (id))",
-    )
-    .unwrap();
-    db.gms().record_rows("orders2", 2_000_000);
-    // The workload keeps filtering on `cust` — the advisor should notice.
-    let workload: Vec<_> = (0..5)
-        .map(|i| {
-            polardbx_sql::parse(&format!("SELECT total FROM orders2 WHERE cust = {i}")).unwrap()
-        })
-        .collect();
-    let recs =
-        polardbx_optimizer::recommend_indexes(&workload, &db.gms().statistics(), 2);
-    assert!(!recs.is_empty());
-    assert_eq!(recs[0].table, "orders2");
-    assert_eq!(recs[0].columns, vec!["cust"]);
-    db.shutdown();
-}
-
-#[test]
 fn shard_rebalancing_moves_data_without_copy() {
     let db = cluster(3);
     let s = db.connect(DcId(1));
@@ -475,44 +452,6 @@ fn rebalance_under_live_traffic_loses_no_update() {
     std::thread::sleep(Duration::from_millis(2));
     let r = s.query("SELECT SUM(v) FROM t").unwrap();
     assert_eq!(r[0].get(0).unwrap(), &Value::Int(acked), "final must equal the acked updates");
-    db.shutdown();
-}
-
-#[test]
-fn hotspot_detection_drives_rebalance() {
-    use polardbx::hotspot::{detect_dn_hotspots, HotspotPolicy, ShardLoad};
-    use std::collections::HashMap;
-
-    let db = cluster(2);
-    let s = db.connect(DcId(1));
-    s.execute(
-        "CREATE TABLE hot (id BIGINT NOT NULL, PRIMARY KEY (id)) \
-         PARTITION BY HASH(id) PARTITIONS 4",
-    )
-    .unwrap();
-    let values: Vec<String> = (0..40).map(|i| format!("({i})")).collect();
-    s.execute(&format!("INSERT INTO hot (id) VALUES {}", values.join(","))).unwrap();
-
-    // Telemetry says one DN takes nearly all traffic.
-    let schema = db.gms().table("hot").unwrap();
-    let mut placements = HashMap::new();
-    let mut loads = HashMap::new();
-    for shard in 0..4u32 {
-        let dn = db.gms().shard_dn(schema.id, shard).unwrap();
-        placements.insert(shard, dn);
-        loads.insert(
-            shard,
-            ShardLoad { rows: 10, accesses: if shard == 0 { 10_000 } else { 100 } },
-        );
-    }
-    let hotspots = detect_dn_hotspots(&placements, &loads, &HotspotPolicy::default());
-    assert!(!hotspots.is_empty(), "skewed telemetry must flag a hotspot");
-
-    // Remediate: move the hot shard off the overloaded DN.
-    let hot_dn = placements[&0];
-    let dest = db.dns().into_iter().map(|d| d.id).find(|&id| id != hot_dn).unwrap();
-    db.rehome_shard("hot", 0, dest).unwrap();
-    assert_eq!(db.count_rows("hot").unwrap(), 40);
     db.shutdown();
 }
 
