@@ -51,6 +51,9 @@ pub enum Error {
     DuplicateKey { key: String },
     /// The operation timed out.
     Timeout { what: String },
+    /// A commit answer was lost and nobody refused: it may have committed,
+    /// so it is not retryable (a re-run could apply it twice).
+    InDoubt { what: String },
     /// Traffic control rejected the statement (concurrency limit reached).
     Throttled { rule: String },
     /// Generic invalid-argument error.
@@ -144,6 +147,7 @@ impl fmt::Display for Error {
             Error::KeyNotFound => write!(f, "key not found"),
             Error::DuplicateKey { key } => write!(f, "duplicate key {key}"),
             Error::Timeout { what } => write!(f, "timeout waiting for {what}"),
+            Error::InDoubt { what } => write!(f, "outcome in doubt: {what}"),
             Error::Throttled { rule } => write!(f, "throttled by traffic-control rule {rule}"),
             Error::Invalid { message } => write!(f, "invalid argument: {message}"),
             Error::Shared(inner) => inner.fmt(f),
@@ -164,6 +168,7 @@ mod tests {
         assert!(Error::Throttled { rule: "r".into() }.is_retryable());
         assert!(!Error::UnknownTable { name: "t".into() }.is_retryable());
         assert!(!Error::DuplicateKey { key: "k".into() }.is_retryable());
+        assert!(!Error::InDoubt { what: "c".into() }.is_retryable());
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! A [`HistoryRecorder`] collects a totally-ordered log of transaction
 //! events — begins, reads (with the version they observed), writes (with
-//! the row they installed), per-node commits/aborts and arbiter decisions —
-//! from every component willing to report them. The `sitcheck` crate
-//! rebuilds per-key version orders and the direct serialization graph from
-//! this log and checks Adya's phenomena against it.
+//! the row they installed) and per-node commits/aborts — from every
+//! component willing to report them. The `sitcheck` crate rebuilds per-key
+//! version orders and the direct serialization graph from this log and
+//! checks Adya's phenomena against it.
 //!
 //! Recording is strictly opt-in: components hold an
 //! `Option<Arc<HistoryRecorder>>` (or an atomic enable flag) that defaults
@@ -96,16 +96,6 @@ pub enum TxnEvent {
         /// The node reporting the abort.
         node: NodeId,
     },
-    /// The 2PC arbiter durably logged a decision for `trx`
-    /// (`commit_ts = None` = abort).
-    Decision {
-        /// The decided transaction.
-        trx: TrxId,
-        /// The arbiter node.
-        node: NodeId,
-        /// Commit timestamp, or `None` for an abort decision.
-        commit_ts: Option<u64>,
-    },
     /// Free-form annotation (fault injections, leader elections, …) giving
     /// witness reports schedule context.
     Note {
@@ -124,8 +114,7 @@ impl TxnEvent {
             | TxnEvent::Read { trx, .. }
             | TxnEvent::Write { trx, .. }
             | TxnEvent::Commit { trx, .. }
-            | TxnEvent::Abort { trx, .. }
-            | TxnEvent::Decision { trx, .. } => Some(*trx),
+            | TxnEvent::Abort { trx, .. } => Some(*trx),
             TxnEvent::Note { .. } => None,
         }
     }

@@ -1,6 +1,6 @@
 //! The `PolarDbx` facade: build a cluster, connect, execute SQL.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use polardbx_hlc::{Hlc, HlcTimestamp};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
 use polardbx_placement::CoAccessSketch;
 use polardbx_storage::{RedoConsumer, RwNode, StorageEngine};
-use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg};
+use polardbx_txn::{Coordinator, DnService, ResolverConfig, ResolverHandle, TxnMetrics, TxnMsg};
 
 use crate::gms::{shard_table_id, Gms};
 use crate::provider::ClusterProvider;
@@ -100,6 +100,9 @@ pub(crate) struct Inner {
     /// Commit-time co-access sketch feeding the adaptive placer.
     pub(crate) sketch: Arc<CoAccessSketch>,
     pub(crate) placer_stop: Arc<AtomicBool>,
+    /// One in-doubt resolver per DN: settles a 2PC transaction whose phase
+    /// two did not arrive by asking its peers.
+    resolvers: Mutex<Vec<ResolverHandle>>,
 }
 
 /// A compute node: coordinator + clock.
@@ -134,6 +137,7 @@ impl PolarDbx {
         let trx_ids = Arc::new(IdGenerator::new());
 
         let mut dns = HashMap::new();
+        let mut resolvers = Vec::new();
         for i in 0..config.dns {
             let id = NodeId(1000 + i as u64);
             let dc = DcId(1 + (i % config.dcs) as u64);
@@ -143,6 +147,7 @@ impl PolarDbx {
             }
             let service = DnService::new(id, Arc::clone(&rw.engine), Hlc::new());
             net.register(id, dc, service.clone() as Arc<dyn Handler<TxnMsg>>);
+            resolvers.push(service.start_resolver(Arc::clone(&net), ResolverConfig::default())?);
             gms.register_dn(id);
             dns.insert(id, Arc::new(Dn { id, dc, rw, service }));
         }
@@ -182,6 +187,7 @@ impl PolarDbx {
             txn_metrics,
             sketch,
             placer_stop: Arc::new(AtomicBool::new(false)),
+            resolvers: Mutex::new(resolvers),
         });
         // Background shipper: each DN's flushed redo goes to its feed's
         // consumers — the RO replicas and the column indexes — and an index
@@ -389,8 +395,7 @@ impl PolarDbx {
 
     /// Stop background threads (drop hygiene for long test suites).
     pub fn shutdown(&self) {
-        self.inner.shipper_stop.store(true, Ordering::Relaxed);
-        self.inner.placer_stop.store(true, Ordering::Relaxed);
+        self.inner.stop_background();
     }
 
     /// Cluster-wide transaction counters (shared by all CN coordinators).
@@ -429,6 +434,13 @@ impl PolarDbx {
 }
 
 impl Inner {
+    /// Signal every background thread to stop; the resolvers are joined.
+    fn stop_background(&self) {
+        self.shipper_stop.store(true, Ordering::Relaxed);
+        self.placer_stop.store(true, Ordering::Relaxed);
+        drop(std::mem::take(&mut *self.resolvers.lock()));
+    }
+
     /// A provider reading at `snapshot_ts`: the RW engines, or each DN's
     /// first RO replica when `use_ro`, and `indexes`.
     ///
@@ -467,8 +479,7 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.shipper_stop.store(true, Ordering::Relaxed);
-        self.placer_stop.store(true, Ordering::Relaxed);
+        self.stop_background();
     }
 }
 

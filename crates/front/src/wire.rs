@@ -661,6 +661,7 @@ mod tests {
             Error::Schema { message: "m".into() },
             Error::WriteConflict { key: "k".into() },
             Error::Timeout { what: "w".into() },
+            Error::InDoubt { what: "w".into() },
             Error::NoQuorum { acks: 1, needed: 2 },
             Error::DuplicateKey { key: "k".into() },
             Error::execution("boom"),

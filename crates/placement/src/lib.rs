@@ -1,8 +1,8 @@
 //! Adaptive placement: co-access-driven partition re-homing (ROADMAP
 //! item 2, after *Lion* and *STAR*).
 //!
-//! Cross-DN transactions pay full 2PC — prepare round, decision log,
-//! resolver exposure — yet most of that cost is avoidable when the keys a
+//! Cross-DN transactions pay full 2PC — prepare round, posted phase two,
+//! in-doubt exposure — yet most of that cost is avoidable when the keys a
 //! transaction touches co-reside on one DN: the coordinator already takes
 //! the `CommitLocal` one-phase path for single-DN write sets. Nothing in
 //! the system *creates* that locality, though; hash partitioning scatters

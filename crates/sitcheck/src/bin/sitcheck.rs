@@ -12,7 +12,6 @@ use polardbx_common::testseed::{format_seed, parse_seed, seed_from_env};
 use polardbx_sitcheck::explorer::{self, ExplorerConfig, Mutation, Schedule};
 use polardbx_sitcheck::report::render_report;
 use polardbx_sitcheck::AnomalyKind;
-use polardbx_txn::checker::WritePath;
 
 const DEFAULT_BASE_SEED: u64 = 0x51_C4EC;
 
@@ -134,12 +133,15 @@ fn main() {
                     &[AnomalyKind::LostUpdate, AnomalyKind::LostWrite, AnomalyKind::GSIb]
                 }
                 Mutation::SkipEditConflictCheck => &[AnomalyKind::LostUpdate],
+                Mutation::ResolveOnPartialView | Mutation::ForgetRefusal => {
+                    &[AnomalyKind::LostWrite]
+                }
             };
             let expect_names = expect.iter().map(|k| k.name()).collect::<Vec<_>>().join(" | ");
             // Three consecutive seeds cover the scenario's three write paths
             // (`write()`s, writes staged into the commit round, pushed edits).
             for seed in (0..3).map(|i| args.base_seed.wrapping_add(i)) {
-                let path = WritePath::pick(seed);
+                let path = m.path(seed);
                 let mutated = explorer::run_mutated(m, seed);
                 let twin = explorer::run_unmutated_twin(m, seed);
                 let caught = expect.iter().any(|k| mutated.report.has(*k));

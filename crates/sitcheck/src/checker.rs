@@ -402,13 +402,6 @@ pub fn check(events: &[TxnEvent]) -> CheckReport {
             TxnEvent::Abort { trx, node } => {
                 txns.entry(*trx).or_default().abort_nodes.push(*node);
             }
-            TxnEvent::Decision { trx, commit_ts, .. } => {
-                // An arbiter's Commit decision is commit evidence even if
-                // the phase-two stamp never got recorded.
-                if let Some(ts) = commit_ts {
-                    txns.entry(*trx).or_default().commit_ts.get_or_insert(*ts);
-                }
-            }
             TxnEvent::Note { label, .. } => stats.notes.push(label.clone()),
         }
     }

@@ -7,9 +7,10 @@
 //! engine, and drives a mixed workload: multi-DN bank transfers, read-only
 //! audits, register read-modify-writes and cross-DN range scans. A
 //! [`Schedule`] picks the fault injection: seeded message loss and
-//! duplication, a coordinator crash at either 2PC failpoint, a Paxos
-//! leader re-election under the register DN's durability, RO apply lag, or
-//! a partition that strands a participant PREPARED mid phase-two.
+//! duplication, a coordinator crash in the middle of its vote round or after
+//! its votes, a Paxos leader re-election under the register DN's
+//! durability, RO apply lag, or a partition that strands a participant
+//! PREPARED mid phase-two.
 //!
 //! All clocks are `TestClock`-backed HLCs with deliberately skewed bases
 //! (DN *i* at `1000·i` ms, CNs at 500/700 ms), so causality is carried by
@@ -26,12 +27,12 @@
 //! can never produce a false fractured read on a replica.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use polardbx_common::time::mono_now;
 use polardbx_common::{
-    DcId, HistoryRecorder, IdGenerator, Key, NodeId, Row, TableId, TenantId, TrxId, Value,
+    DcId, Error, HistoryRecorder, IdGenerator, Key, NodeId, Row, TableId, TenantId, TrxId, Value,
 };
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
@@ -40,8 +41,8 @@ use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
 use polardbx_storage::RwNode;
 use polardbx_txn::checker::{AddInt, BankHarness, WritePath};
 use polardbx_txn::{
-    Coordinator, DnService, ProtocolMutations, ResolverConfig, RoutingFence, TxnConfig, TxnMsg,
-    WireWriteOp,
+    Coordinator, DnService, ParticipantMutations, ProtocolMutations, ResolverConfig, RoutingFence,
+    TxnConfig, TxnMsg, WireWriteOp,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -64,18 +65,19 @@ pub enum Schedule {
     Clean,
     /// Seeded cross-DC message loss and duplication.
     LossyDup,
-    /// CN A crashes at `txn.before_decision` mid-workload (in-doubt →
-    /// presumed abort).
-    CoordCrashBefore,
-    /// CN A crashes at `txn.after_decision` (participants stranded
-    /// PREPARED, settled from the decision log).
-    CoordCrashAfter,
+    /// CN A crashes while its Prepare to DN3 is in flight: the round's
+    /// other DN votes yes, DN3 never votes. Resolvers must abort through
+    /// DN3's refusal.
+    CoordCrashMidPrepare,
+    /// CN A crashes at `txn.after_votes` (participants stranded PREPARED;
+    /// resolvers must commit at the max `prepare_ts`).
+    CoordCrashAfterVotes,
     /// The register DN's durability rides a Paxos group whose leader is
     /// deposed and re-elected mid-wave.
     LeaderReelection,
     /// RO replicas apply with artificial lag.
     RoLag,
-    /// A partition severs CN A from DC2 right after a commit decision,
+    /// A partition severs CN A from DC2 right after a round of yes votes,
     /// stranding DN2 PREPARED mid phase-two.
     PreparedWindow,
     /// The hot REGISTERS partition is re-homed to DN1 mid-workload (the
@@ -90,8 +92,8 @@ impl Schedule {
         match self {
             Schedule::Clean => "clean",
             Schedule::LossyDup => "lossy-dup",
-            Schedule::CoordCrashBefore => "coord-crash-before-decision",
-            Schedule::CoordCrashAfter => "coord-crash-after-decision",
+            Schedule::CoordCrashMidPrepare => "coord-crash-mid-prepare",
+            Schedule::CoordCrashAfterVotes => "coord-crash-after-votes",
             Schedule::LeaderReelection => "leader-reelection",
             Schedule::RoLag => "ro-lag",
             Schedule::PreparedWindow => "prepared-window",
@@ -104,7 +106,7 @@ impl Schedule {
         &[
             Schedule::Clean,
             Schedule::LossyDup,
-            Schedule::CoordCrashAfter,
+            Schedule::CoordCrashAfterVotes,
             Schedule::RoLag,
             Schedule::Rehome,
         ]
@@ -115,8 +117,8 @@ impl Schedule {
         &[
             Schedule::Clean,
             Schedule::LossyDup,
-            Schedule::CoordCrashBefore,
-            Schedule::CoordCrashAfter,
+            Schedule::CoordCrashMidPrepare,
+            Schedule::CoordCrashAfterVotes,
             Schedule::LeaderReelection,
             Schedule::RoLag,
             Schedule::PreparedWindow,
@@ -146,6 +148,12 @@ pub enum Mutation {
     /// reads the row there, then overwrites a version committed since —
     /// first committer no longer wins → LostUpdate.
     SkipEditConflictCheck,
+    /// A resolver counts a peer it cannot reach as PREPARED: it commits a
+    /// transaction that peer refused → LostWrite.
+    ResolveOnPartialView,
+    /// A late `Write` re-opens a transaction its DN refused, and the
+    /// Prepare behind it votes yes after the refusal → LostWrite.
+    ForgetRefusal,
 }
 
 impl Mutation {
@@ -157,6 +165,8 @@ impl Mutation {
             Mutation::DropPrepare,
             Mutation::SkipRoutingEpochFence,
             Mutation::SkipEditConflictCheck,
+            Mutation::ResolveOnPartialView,
+            Mutation::ForgetRefusal,
         ]
     }
 
@@ -168,6 +178,18 @@ impl Mutation {
             Mutation::DropPrepare => "mutation-drop-prepare",
             Mutation::SkipRoutingEpochFence => "mutation-skip-routing-epoch-fence",
             Mutation::SkipEditConflictCheck => "mutation-skip-edit-conflict-check",
+            Mutation::ResolveOnPartialView => "mutation-resolve-on-partial-view",
+            Mutation::ForgetRefusal => "mutation-forget-refusal",
+        }
+    }
+
+    /// How the scenario's writer reaches its DNs on `seed`. The refusal
+    /// scenarios send each write as a message: the history sees an abort
+    /// only where writes were discarded, and a `Write` can arrive late.
+    pub fn path(&self, seed: u64) -> WritePath {
+        match self {
+            Mutation::ResolveOnPartialView | Mutation::ForgetRefusal => WritePath::PerStatement,
+            _ => WritePath::pick(seed),
         }
     }
 }
@@ -235,20 +257,6 @@ pub struct ScheduleRun {
     /// bank table, joined through the history (satellite of the bank
     /// harness's side-channel audit).
     pub audit_totals: Vec<(TrxId, i64)>,
-}
-
-/// All runs of one matrix sweep.
-#[derive(Debug, Clone, Default)]
-pub struct ExplorerOutcome {
-    /// One entry per (seed, schedule) pair.
-    pub runs: Vec<ScheduleRun>,
-}
-
-impl ExplorerOutcome {
-    /// True when every run's history checked clean.
-    pub fn all_clean(&self) -> bool {
-        self.runs.iter().all(|r| r.report.is_clean())
-    }
 }
 
 struct CnStub;
@@ -328,13 +336,47 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
 
 fn coordinator(c: &Cluster, me: NodeId, clock: Arc<dyn Clock>) -> Coordinator {
     Coordinator::new(me, Arc::clone(&c.net), clock, Arc::clone(&c.ids))
-        .with_decision_log(NodeId(1))
         .with_config(TxnConfig {
             max_attempts: 5,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(8),
         })
         .with_recorder(Arc::clone(&c.rec))
+}
+
+/// A DN behind a hook that sees each request first: `Some` answers it in
+/// the DN's place.
+struct Hooked<F>(Arc<DnService>, F);
+
+impl<F: Fn(NodeId, &TxnMsg) -> Option<TxnMsg> + Send + Sync> Handler<TxnMsg> for Hooked<F> {
+    fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+        (self.1)(from, &msg).unwrap_or_else(|| self.0.handle(from, msg))
+    }
+
+    fn handle_oneway(&self, from: NodeId, msg: TxnMsg) {
+        self.0.handle_oneway(from, msg)
+    }
+}
+
+/// Put bank DN `dn` (1-based, in DC `dn`) behind `hook`.
+fn hook(c: &Cluster, dn: u64, hook: impl Fn(NodeId, &TxnMsg) -> Option<TxnMsg> + Send + Sync + 'static) {
+    let inner = Arc::clone(&c.dns[dn as usize - 1]);
+    c.net.register(NodeId(dn), DcId(dn), Arc::new(Hooked(inner, hook)));
+}
+
+/// CN A dies while its `nth` Prepare to DN3 is in flight: DN3 never sees
+/// it, and the other DN of that round, whose Prepare left first (a round
+/// puts all its requests on the wire before any lands), votes.
+fn crash_cn_a_mid_prepare(c: &Cluster, nth: u64) {
+    let (net, rec, seen) = (Arc::clone(&c.net), Arc::clone(&c.rec), AtomicU64::new(0));
+    hook(c, 3, move |from, msg| {
+        let prepare = from == CN_A && matches!(msg, TxnMsg::Prepare { .. });
+        (prepare && seen.fetch_add(1, Ordering::SeqCst) + 1 == nth).then(|| {
+            rec.note(CN_A, "crash CN A mid-prepare");
+            net.crash(CN_A);
+            TxnMsg::Failed(Error::Timeout { what: "CN A crashed mid-prepare".into() })
+        })
+    });
 }
 
 fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
@@ -562,30 +604,28 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
         None => coord,
     };
 
-    // CN A carries the schedule's failpoint; CN B stays healthy so the
+    // CN A carries the schedule's fault; CN B stays healthy so the
     // workload keeps making progress when A crashes.
-    let decisions = Arc::new(AtomicU64::new(0));
+    let rounds = Arc::new(AtomicU64::new(0));
     let coord_a = {
         let base = coordinator(&c, CN_A, Hlc::with_physical(TestClock::at(500)));
         let net = Arc::clone(&c.net);
         let rec = Arc::clone(&c.rec);
-        let count = Arc::clone(&decisions);
+        let count = Arc::clone(&rounds);
         match cfg.schedule {
-            Schedule::CoordCrashBefore => base.with_failpoint(Arc::new(move |point| {
-                if point == "txn.before_decision" && count.fetch_add(1, Ordering::SeqCst) + 1 == 4 {
-                    rec.note(CN_A, "failpoint: crash CN before decision");
-                    net.crash(CN_A);
-                }
-            })),
-            Schedule::CoordCrashAfter => base.with_failpoint(Arc::new(move |point| {
-                if point == "txn.after_decision" && count.fetch_add(1, Ordering::SeqCst) + 1 == 4 {
-                    rec.note(CN_A, "failpoint: crash CN after decision");
+            Schedule::CoordCrashMidPrepare => {
+                crash_cn_a_mid_prepare(&c, 4);
+                base
+            }
+            Schedule::CoordCrashAfterVotes => base.with_failpoint(Arc::new(move |point| {
+                if point == "txn.after_votes" && count.fetch_add(1, Ordering::SeqCst) + 1 == 4 {
+                    rec.note(CN_A, "failpoint: crash CN after votes");
                     net.crash(CN_A);
                 }
             })),
             Schedule::PreparedWindow => base.with_failpoint(Arc::new(move |point| {
-                if point == "txn.after_decision" && count.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
-                    rec.note(CN_A, "failpoint: partition dc1/dc2 after decision");
+                if point == "txn.after_votes" && count.fetch_add(1, Ordering::SeqCst) + 1 == 3 {
+                    rec.note(CN_A, "failpoint: partition dc1/dc2 after votes");
                     net.partition(DcId(1), DcId(2));
                 }
             })),
@@ -745,9 +785,7 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
         c.rec.note(NodeId(0), "replica ship: TIMEOUT");
     }
 
-    for r in resolvers {
-        r.stop();
-    }
+    drop(resolvers);
     finish(c, cfg.schedule.label(), cfg.seed, cfg.accounts)
 }
 
@@ -759,23 +797,12 @@ fn finish(c: Cluster, label: &str, seed: u64, accounts: usize) -> ScheduleRun {
     ScheduleRun { schedule_label: label.into(), seed, report, audit_totals }
 }
 
-/// Run the full (seed × schedule) sweep.
-pub fn sweep(seeds: &[u64], schedules: &[Schedule]) -> ExplorerOutcome {
-    let mut out = ExplorerOutcome::default();
-    for &seed in seeds {
-        for &schedule in schedules {
-            out.runs.push(run(&ExplorerConfig::quick(seed, schedule)));
-        }
-    }
-    out
-}
-
 /// Deterministic scenario for one mutation. `mutated = false` runs the
 /// identical schedule with the protocol intact — the twin that must come
 /// back clean. The seed picks how the scenario's writer reaches its DNs
-/// ([`WritePath::pick`]), so three consecutive seeds cover all three.
+/// ([`Mutation::path`]), so three consecutive seeds cover all three.
 fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
-    let path = WritePath::pick(seed);
+    let path = m.path(seed);
     let c = build_cluster(false, None, false);
     let accounts = 4usize;
     let harness = BankHarness {
@@ -787,7 +814,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
     let drain_cfg = ResolverConfig {
         interval: Duration::from_millis(1),
         in_doubt_after: Duration::ZERO,
-        abandon_active_after: if m == Mutation::DropPrepare {
+        abandon_active_after: if matches!(m, Mutation::DropPrepare | Mutation::ResolveOnPartialView) {
             Duration::ZERO
         } else {
             Duration::from_secs(1)
@@ -814,7 +841,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             // failpointed one commits a transfer whose phase-two post to
             // DN2 is severed by a partition. The audit then runs while DN2
             // is still PREPARED. Correct behaviour: the audit's DN2 read
-            // waits until a resolver commits from the decision log.
+            // waits until DN2's resolver learns the commit from DN1.
             // Mutated: the read skips the PREPARED version → fracture.
             let clock: Arc<Hlc> = Hlc::with_physical(TestClock::at(500));
             let seeder = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>);
@@ -825,7 +852,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let net = Arc::clone(&c.net);
             let coord = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>)
                 .with_failpoint(Arc::new(move |point| {
-                    if point == "txn.after_decision" {
+                    if point == "txn.after_votes" {
                         net.partition(DcId(1), DcId(2));
                     }
                 }));
@@ -840,7 +867,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                     c.dns[1].resolve_once(&c.net, &drain_cfg);
                 } else {
                     // The audit blocks on DN2's PREPARED version until the
-                    // resolver learns the commit from the decision log.
+                    // resolver learns the commit from DN1's vote.
                     std::thread::scope(|s| {
                         s.spawn(|| {
                             std::thread::sleep(Duration::from_millis(10));
@@ -962,7 +989,10 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let coord = coordinator(&c, CN_A, Hlc::with_physical(TestClock::at(500)));
             seed_registers(&coord, 1);
             let register_dn = c.dns.iter().find(|d| d.node == REGISTER_DN).expect("register DN");
-            register_dn.set_skip_edit_conflict_check(mutated);
+            register_dn.set_mutations(ParticipantMutations {
+                skip_edit_conflict_check: mutated,
+                ..Default::default()
+            });
             let key = register_key(1000);
             let mut slow = coord.begin();
             slow.stage_write(REGISTER_DN, REGISTERS, key.clone(), bump_register());
@@ -974,6 +1004,57 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
                 again.stage_write(REGISTER_DN, REGISTERS, key, bump_register());
                 let _ = again.commit();
             }
+        }
+        Mutation::ResolveOnPartialView => {
+            // CN A dies with its Prepare to DN3 in flight: DN1 votes yes,
+            // DN3 holds the transfer ACTIVE and never votes. DN1 resolves
+            // cut off from DN3. Intact: it waits, and after the heal DN3
+            // refuses and both abort. Mutated: DN1 counts DN3 as PREPARED
+            // and commits; DN3's write expires beside the commit.
+            let coord = coordinator(&c, CN_A, Hlc::with_physical(TestClock::at(500)));
+            let _ = harness.seed(&coord);
+            c.dns[0].set_mutations(ParticipantMutations {
+                resolve_on_partial_view: mutated,
+                ..Default::default()
+            });
+            crash_cn_a_mid_prepare(&c, 1);
+            let _ = harness.transfer(&coord, 0, 2, 5, path);
+            c.net.partition(DcId(1), DcId(3));
+            c.dns[0].resolve_once(&c.net, &drain_cfg);
+            c.net.heal(DcId(1), DcId(3));
+            c.net.restart(CN_A);
+        }
+        Mutation::ForgetRefusal => {
+            // DN2's Prepare is held up past DN1's in-doubt timeout: DN1
+            // asks, DN2 (holding the transfer ACTIVE) refuses, DN1 aborts.
+            // Then a copy of DN2's `Write` the network delayed lands, and
+            // the Prepare. Intact: both are refused. Mutated: the Write
+            // re-opens the transaction, DN2 votes yes, and the coordinator
+            // commits what DN1 and DN2 aborted.
+            let coord = coordinator(&c, CN_A, Hlc::with_physical(TestClock::at(500)));
+            let _ = harness.seed(&coord);
+            c.dns[1].set_mutations(ParticipantMutations {
+                forget_refusals: mutated,
+                ..Default::default()
+            });
+            let (dn1, dn2, net) = (Arc::clone(&c.dns[0]), Arc::clone(&c.dns[1]), Arc::clone(&c.net));
+            let writes = Mutex::new(Vec::new());
+            hook(&c, 2, move |from, msg| {
+                // Not held across `resolve_once`: DN1's question comes back
+                // through this hook.
+                let log = || writes.lock().expect("no hook panics holding the write log");
+                match msg {
+                    TxnMsg::Write { .. } => log().push(msg.clone()),
+                    TxnMsg::Prepare { .. } => {
+                        dn1.resolve_once(&net, &drain_cfg);
+                        let late = std::mem::take(&mut *log());
+                        late.into_iter().for_each(|w| drop(dn2.handle(from, w)));
+                    }
+                    _ => {}
+                }
+                None
+            });
+            let _ = harness.transfer(&coord, 0, 1, 5, path);
         }
     }
 

@@ -31,6 +31,6 @@ pub use checker::{
     check, derived_audit_totals, Anomaly, AnomalyKind, CheckReport, EdgeKind, HistoryStats,
     WitnessEdge, WriteSkewCandidate,
 };
-pub use explorer::{ExplorerConfig, ExplorerOutcome, Mutation, Schedule, ScheduleRun};
+pub use explorer::{ExplorerConfig, Mutation, Schedule, ScheduleRun};
 pub use recovery::{run_crashpoint, CrashPoint, RecoveryConfig, RecoveryRun};
 pub use report::{render_recovery_report, render_report};

@@ -1,9 +1,8 @@
 //! Crashpoint torture: amnesia restarts under the isolation checker.
 //!
-//! Each run builds a small cluster (two DNs, a never-crashing arbiter that
-//! hosts the 2PC decision log, and a CN), drives a bank workload whose
-//! transfers always span both DNs plus a ledger insert on the victim, then
-//! kills the victim DN at a seeded crashpoint:
+//! Each run builds a small cluster (two DNs and a CN), drives a bank
+//! workload whose transfers always span both DNs plus a ledger insert on
+//! the victim, then kills the victim DN at a seeded crashpoint:
 //!
 //! * **mid-group-flush** — a [`FlushShot`] crashes DN1 on its Nth redo
 //!   flush. The failed write is an epoch persist, so what it carried — the
@@ -13,10 +12,11 @@
 //!   stamps — recovery must roll the whole torn epoch back and the Adya
 //!   checker must still come back clean.
 //! * **between prepare and commit** — a coordinator failpoint crashes DN1
-//!   right after the decision is logged at the arbiter but before phase
-//!   two is posted. The client holds an ack for a commit the victim never
-//!   applied — the sharpest RPO case: recovery must surface the PREPARED
-//!   txn as in-doubt and the resolver must re-commit it from the log.
+//!   at `txn.after_votes`: both DNs voted yes, phase two is not yet
+//!   posted. The client holds an ack for a commit the victim never applied
+//!   — the sharpest RPO case: recovery must surface the PREPARED txn as
+//!   in-doubt, with the peers its prepare record names, and the resolver
+//!   must commit it by asking them.
 //! * **during paxos drain** — a consensus follower is crashed while the
 //!   leader keeps replicating, then rejoins from its durable frames
 //!   ([`Replica::recovered`]) and catches up via reject-resend.
@@ -55,10 +55,6 @@ use crate::checker::{check, derived_audit_totals, CheckReport};
 const DN1: NodeId = NodeId(1);
 /// Survivor DN: hosts odd bank accounts.
 const DN2: NodeId = NodeId(2);
-/// Decision-log host. The arbiter is never a crash victim — the decision
-/// log is in-memory, so crashing it would lose decisions the protocol
-/// treats as durable. (A Paxos-backed decision log is the production fix.)
-const ARBITER: NodeId = NodeId(3);
 /// The coordinator's node id.
 const CN: NodeId = NodeId(9);
 
@@ -75,7 +71,7 @@ const TENANT: TenantId = TenantId(1);
 pub enum CrashPoint {
     /// Power loss during a redo flush — an epoch persist — on the victim.
     MidGroupFlush,
-    /// Victim dies after the 2PC decision is logged but before phase two.
+    /// Victim dies after every vote is yes but before phase two.
     BetweenPrepareAndCommit,
     /// A consensus follower dies while the leader keeps replicating.
     DuringPaxosDrain,
@@ -242,7 +238,6 @@ fn coordinator(
     clock: &Arc<Hlc>,
 ) -> Coordinator {
     Coordinator::new(CN, Arc::clone(net), Arc::clone(clock) as Arc<dyn Clock>, Arc::clone(ids))
-        .with_decision_log(ARBITER)
         .with_config(TxnConfig {
             max_attempts: 5,
             backoff_base: Duration::from_millis(1),
@@ -351,10 +346,6 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     dn2.attach_recorder(Arc::clone(&rec));
     net.register(DN2, DcId(2), Arc::clone(&dn2) as Arc<dyn Handler<TxnMsg>>);
 
-    let ea = StorageEngine::in_memory();
-    let arb = DnService::new(ARBITER, ea, dn_clock(3));
-    net.register(ARBITER, DcId(3), Arc::clone(&arb) as Arc<dyn Handler<TxnMsg>>);
-
     net.register(CN, DcId(1), Arc::new(CnStub));
 
     let resolver_cfg = ResolverConfig {
@@ -365,7 +356,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     let res2 = dn2.start_resolver(Arc::clone(&net), resolver_cfg).expect("resolver");
 
     // Seed the bank before arming any crash trigger, so flush counts and
-    // decision counts are workload-relative (deterministic per seed).
+    // vote-round counts are workload-relative (deterministic per seed).
     let seeder = coordinator(&net, &ids, &rec, &cn_clock);
     for i in 0..cfg.accounts as i64 {
         let mut txn = seeder.begin();
@@ -394,14 +385,13 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
             coordinator(&net, &ids, &rec, &cn_clock)
         }
         CrashPoint::BetweenPrepareAndCommit => {
-            // Crash the victim on the Mth logged decision, after the
-            // arbiter has it but before phase two reaches the victim. The
-            // client still gets its ack.
+            // Crash the victim after the Mth round of yes votes, before
+            // phase two reaches it. The client still gets its ack.
             let m = rng.gen_range(2..=4u64);
             let seen = AtomicU64::new(0);
             let fp_net = Arc::clone(&net);
             coordinator(&net, &ids, &rec, &cn_clock).with_failpoint(Arc::new(move |point| {
-                if point == "txn.after_decision"
+                if point == "txn.after_votes"
                     && seen.fetch_add(1, Ordering::SeqCst) + 1 == m
                 {
                     fp_net.crash(DN1);
@@ -451,8 +441,8 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
         r2.committed == 0 && r2.aborted == 0 && r2.in_doubt.len() == r1.in_doubt.len();
 
     let dn1b = DnService::new(DN1, Arc::clone(&engine), Hlc::with_physical(TestClock::at(0)));
-    for (trx, _) in &r1.in_doubt {
-        dn1b.adopt_in_doubt(*trx, Some(ARBITER));
+    for (trx, _, peers) in &r1.in_doubt {
+        dn1b.adopt_in_doubt(*trx, peers.clone());
     }
     dn1b.attach_recorder(Arc::clone(&rec));
     net.register(DN1, DcId(1), Arc::clone(&dn1b) as Arc<dyn Handler<TxnMsg>>);
@@ -502,8 +492,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     let present: std::collections::HashSet<Key> = ledger.into_iter().map(|(k, _)| k).collect();
     let lost_acked = acked.iter().filter(|i| !present.contains(&ledger_key(**i))).count();
 
-    res1.stop();
-    res2.stop();
+    drop((res1, res2));
     let events = rec.take();
     let report = check(&events);
     if !report.is_clean() && std::env::var_os("POLARDBX_RECOVERY_DEBUG").is_some() {
@@ -666,19 +655,6 @@ fn run_paxos_drain(cfg: &RecoveryConfig) -> RecoveryRun {
         truncated_bytes,
         amnesia_restarts,
     }
-}
-
-/// Run the (crashpoint × seed) matrix.
-pub fn sweep(seeds: &[u64], crashpoints: &[CrashPoint], torn_tail: bool) -> Vec<RecoveryRun> {
-    let mut out = Vec::new();
-    for &seed in seeds {
-        for &cp in crashpoints {
-            let mut cfg = RecoveryConfig::quick(seed, cp);
-            cfg.torn_tail = torn_tail;
-            out.push(run_crashpoint(&cfg));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

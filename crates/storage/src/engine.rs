@@ -62,8 +62,9 @@ struct UnstableCtx {
     snapshot_ts: u64,
     commit_ts: u64,
     writes: Vec<(TableId, Key)>,
-    /// 2PC phase two: the decision is durable at the arbiter, so a torn
-    /// epoch reverts the transaction to PREPARED instead of aborting it.
+    /// 2PC phase two: every participant voted yes, so the decision stands
+    /// and a torn epoch reverts the transaction to PREPARED instead of
+    /// aborting it.
     decided: bool,
     prepare_ts: u64,
 }
@@ -301,10 +302,15 @@ impl StorageEngine {
             .ok_or_else(|| Error::UnknownTable { name: format!("{table}") })
     }
 
-    /// Begin a transaction with the given snapshot timestamp.
-    pub fn begin(&self, trx: TrxId, snapshot_ts: u64) {
-        self.txns.begin(trx);
-        self.active.insert(trx, TrxCtx { snapshot_ts, writes: Vec::new(), redo: Vec::new() });
+    /// Begin a transaction with the given snapshot timestamp. Returns false,
+    /// and begins nothing, for a transaction this engine already knows:
+    /// one still running keeps its context, a decided one stays decided.
+    pub fn begin(&self, trx: TrxId, snapshot_ts: u64) -> bool {
+        let fresh = self.txns.begin(trx);
+        if fresh {
+            self.active.insert(trx, TrxCtx { snapshot_ts, writes: Vec::new(), redo: Vec::new() });
+        }
+        fresh
     }
 
     /// Execute a write op inside `trx`. Validates conflicts, installs the
@@ -457,27 +463,32 @@ impl StorageEngine {
         self.scan(table, Bound::Unbounded, Bound::Unbounded, snapshot_ts, None)
     }
 
-    /// 2PC phase one: validate (already done at write time), mark PREPARED,
-    /// make the transaction's redo + prepare record durable.
-    pub fn prepare(&self, trx: TrxId, prepare_ts: u64) -> Result<Lsn> {
-        Ok(self.prepare_with(trx, || prepare_ts)?.1)
-    }
-
-    /// [`StorageEngine::prepare`] with the prepare timestamp allocated
-    /// inside the transaction table's critical section (see
+    /// 2PC phase one: validate (already done at write time), mark PREPARED
+    /// and make the transaction's redo + prepare record — with `peers`, the
+    /// DNs the vote round went to — durable. The prepare timestamp is
+    /// allocated inside the transaction table's critical section (see
     /// [`TxnTable::prepare_with`][crate::txn::TxnTable::prepare_with] for
     /// why the allocation must be atomic with the state transition readers
-    /// consult). Participants pass their HLC's `ClockAdvance` as `alloc`.
-    pub fn prepare_with(&self, trx: TrxId, alloc: impl FnOnce() -> u64) -> Result<(u64, Lsn)> {
+    /// consult); participants pass their HLC's `ClockAdvance` as `alloc`.
+    pub fn prepare_with(
+        &self,
+        trx: TrxId,
+        peers: &[NodeId],
+        alloc: impl FnOnce() -> u64,
+    ) -> Result<(u64, Lsn)> {
         let prepare_ts = self.txns.prepare_with(trx, alloc)?;
         let redo = self
             .active
             .with(&trx, |c| c.map(|c| std::mem::take(&mut c.redo)))
             .ok_or(Error::TxnAborted { reason: format!("unknown trx {trx}") })?;
+        let record = RedoPayload::TxnPrepare { trx, prepare_ts, peers: peers.to_vec() };
         let lsn = self.pipe.submit_sync(None, self.wait_timeout, |buf| {
             encode_redo(&redo, buf);
-            RedoPayload::TxnPrepare { trx, prepare_ts }.encode(buf);
-        })?;
+            record.encode(buf);
+        });
+        // A prepare record that did not persist is no vote: the transaction
+        // must not stay PREPARED here while the coordinator hears a refusal.
+        let lsn = lsn.inspect_err(|_| self.abort(trx))?;
         Ok((prepare_ts, lsn))
     }
 
@@ -652,9 +663,9 @@ impl StorageEngine {
         }
     }
 
-    /// Phase-two commit of an externally decided transaction: the COMMIT
-    /// decision is durable at the arbiter/coordinator log and may already
-    /// be acked to the client. A local durability failure therefore must
+    /// Phase-two commit of a transaction every participant voted for: the
+    /// COMMIT decision is fixed by their durable votes and may already be
+    /// acked to the client. A local durability failure therefore must
     /// *not* roll back the prepared intent — doing so would let a
     /// concurrent reader skip a globally committed write (a G-SIb missed
     /// effect, caught by the crashpoint torture harness). Instead the
@@ -687,48 +698,39 @@ impl StorageEngine {
         if let Some(crate::txn::TxnState::Committed { .. }) = self.txns.state(trx) {
             return;
         }
+        let _ = self.roll_back(trx);
+    }
+
+    /// Vote NO on `trx` unless it has voted: abort it if it is ACTIVE or
+    /// unknown here, and wait for the abort record. From then on a Prepare
+    /// of `trx` is refused. The state transition is atomic against a racing
+    /// `prepare`: either the prepare fails or this returns `Ok(false)` (the
+    /// transaction had voted, or was decided, and nothing changed).
+    pub fn refuse(&self, trx: TrxId) -> Result<bool> {
+        if !self.txns.try_abort_unvoted(trx) {
+            return Ok(false);
+        }
+        self.roll_back(trx).map(|_| true)
+    }
+
+    /// Drop `trx`'s context and intents, decide it ABORTED and log the abort
+    /// record — on the same pipeline as commits, so a storm of rollbacks
+    /// shares persists. The history hears of it only when writes were
+    /// discarded: a coordinator releasing a read-only participant after
+    /// commit is not an abort of the (committed) transaction, and recording
+    /// one would read as a lost write to the checker.
+    fn roll_back(&self, trx: TrxId) -> Result<Lsn> {
         let ctx = self.active.remove(&trx);
         let discarded_writes = ctx.as_ref().is_some_and(|c| !c.writes.is_empty());
         if let Some(ctx) = ctx {
             self.rollback_writes(trx, &ctx.writes);
         }
         self.txns.abort(trx);
-        // The abort record rides the same pipeline as commits: a storm of
-        // rollbacks shares persists instead of paying one each.
-        let _ = self.log_record(RedoPayload::TxnAbort { trx });
-        // History event only when the abort discarded actual writes: a
-        // coordinator releasing a read-only participant after commit is not
-        // an abort of the (committed) transaction, and recording one would
-        // read as a lost write to the checker.
-        if discarded_writes {
-            if let Some(tap) = self.tap() {
-                tap.rec.record(TxnEvent::Abort { trx, node: tap.node });
-            }
+        let logged = self.log_record(RedoPayload::TxnAbort { trx });
+        if let (true, Some(tap)) = (discarded_writes, self.tap()) {
+            tap.rec.record(TxnEvent::Abort { trx, node: tap.node });
         }
-    }
-
-    /// Abort `trx` only if it is still ACTIVE; returns whether it aborted.
-    /// The state transition is decided atomically by the transaction table,
-    /// so a concurrent `prepare` racing this call leaves exactly one winner:
-    /// either the prepare fails (the transaction is gone) or this returns
-    /// false (the transaction made it to PREPARED and must be resolved via
-    /// the 2PC decision, never expired locally).
-    pub fn abort_if_active(&self, trx: TrxId) -> bool {
-        if !self.txns.try_abort_active(trx) {
-            return false;
-        }
-        let ctx = self.active.remove(&trx);
-        let discarded_writes = ctx.as_ref().is_some_and(|c| !c.writes.is_empty());
-        if let Some(ctx) = ctx {
-            self.rollback_writes(trx, &ctx.writes);
-        }
-        let _ = self.log_record(RedoPayload::TxnAbort { trx });
-        if discarded_writes {
-            if let Some(tap) = self.tap() {
-                tap.rec.record(TxnEvent::Abort { trx, node: tap.node });
-            }
-        }
-        true
+        logged
     }
 
     fn rollback_writes(&self, trx: TrxId, writes: &[(TableId, Key)]) {
@@ -775,7 +777,6 @@ impl StorageEngine {
         for store in self.tables.read().values() {
             store.purge(horizon);
         }
-        self.txns.forget_aborted();
     }
 
     /// Install a transaction another node committed (replica apply): its
@@ -807,13 +808,13 @@ impl StorageEngine {
     /// Intents go back into the version stores and the transaction lands in
     /// PREPARED state, so snapshot readers once again *wait* for its
     /// decision exactly as they did before the crash (§IV case 2); the
-    /// in-doubt resolver then settles its fate through the arbiter. The
+    /// in-doubt resolver then settles its fate by asking its peers. The
     /// rebuilt context carries no redo: a 2PC prepare already drained the
     /// row redo to the durable log, so the eventual phase-two commit only
     /// appends its commit record — same as before the crash.
     ///
     /// Idempotent: a transaction the table already knows (replayed twice,
-    /// or already resolved by the arbiter) is left untouched.
+    /// or already settled by the resolver) is left untouched.
     pub fn recover_in_doubt(
         &self,
         trx: TrxId,
@@ -955,7 +956,7 @@ mod tests {
         let e = engine();
         e.begin(TrxId(1), 0);
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "2pc"))).unwrap();
-        let lsn1 = e.prepare(TrxId(1), 50).unwrap();
+        let (_, lsn1) = e.prepare_with(TrxId(1), &[], || 50).unwrap();
         assert!(lsn1 > Lsn::ZERO, "prepare persists redo");
         let lsn2 = e.commit(TrxId(1), 60).unwrap();
         assert!(lsn2 > lsn1, "commit record follows");
@@ -1166,10 +1167,10 @@ mod tests {
         let (e, _pipe, _log) = epoch_engine(Arc::clone(&flaky) as Arc<dyn LogSink>);
         e.begin(TrxId(1), 0);
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "2pc"))).unwrap();
-        let (prepare_ts, _) = e.prepare_with(TrxId(1), || 10).unwrap();
+        let (prepare_ts, _) = e.prepare_with(TrxId(1), &[], || 10).unwrap();
         flaky.fail.store(true, Ordering::SeqCst);
         e.commit_decided(TrxId(1), prepare_ts).unwrap_err();
-        // The decision is durable at the arbiter: never aborted, back to
+        // Every participant voted yes: never aborted, back to
         // PREPARED with readers waiting on it.
         assert!(matches!(e.txn_state(TrxId(1)), Some(crate::txn::TxnState::Prepared { .. })));
         let err = e
@@ -1190,14 +1191,15 @@ mod tests {
         let (e, pipe, log) = epoch_engine(sink.clone());
         e.begin(TrxId(1), 0);
         e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "p"))).unwrap();
-        e.prepare_with(TrxId(1), || 10).unwrap();
+        e.prepare_with(TrxId(1), &[], || 10).unwrap();
         e.begin(TrxId(2), 0);
         e.write(TrxId(2), T, key(2), WriteOp::Insert(row(2, "x"))).unwrap();
         e.abort(TrxId(2));
         e.commit_decided(TrxId(1), 10).unwrap();
-        // abort_if_active takes the same path.
+        // A refusal takes the same path, and refuses once.
         e.begin(TrxId(3), 0);
-        assert!(e.abort_if_active(TrxId(3)));
+        assert!(e.refuse(TrxId(3)).unwrap());
+        assert!(!e.refuse(TrxId(3)).unwrap() && !e.refuse(TrxId(1)).unwrap());
         assert_eq!(pipe.metrics.commits.get(), 4, "prepare, abort, commit, abort");
         assert_eq!(log.flushed(), log.head());
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
@@ -1263,7 +1265,7 @@ mod tests {
                         }
                         Err(err) => panic!("write: {err:?}"),
                     }
-                    e.prepare(trx, 2 * n)?;
+                    e.prepare_with(trx, &[], || 2 * n)?;
                     // Stranded: stop the cutovers, whose drain would now
                     // wait on this transaction for ever.
                     e.commit_decided(trx, 2 * n + 1)

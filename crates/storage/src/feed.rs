@@ -38,11 +38,15 @@ pub struct CommittedTxn {
     pub changes: Vec<RowChange>,
 }
 
+/// What a prepare record holds beside the transaction: its `prepare_ts`
+/// and the DNs of its vote round.
+pub type Prepared = (u64, Vec<NodeId>);
+
 #[derive(Default)]
 struct Undecided {
     changes: Vec<RowChange>,
     /// Set once the stream carried the transaction's prepare record.
-    prepare_ts: Option<u64>,
+    prepared: Option<Prepared>,
 }
 
 /// Turns a redo stream into committed transactions: row operations wait
@@ -62,8 +66,8 @@ impl TxnAssembler {
                 (trx, RowChange { table, key, row: Some(decode_row(&row)) })
             }
             RedoPayload::Delete { trx, table, key } => (trx, RowChange { table, key, row: None }),
-            RedoPayload::TxnPrepare { trx, prepare_ts } => {
-                self.undecided.entry(trx).or_default().prepare_ts = Some(prepare_ts);
+            RedoPayload::TxnPrepare { trx, prepare_ts, peers } => {
+                self.undecided.entry(trx).or_default().prepared = Some((prepare_ts, peers));
                 return None;
             }
             RedoPayload::TxnCommit { trx, commit_ts } => {
@@ -93,10 +97,11 @@ impl TxnAssembler {
     }
 
     /// Surrender what the stream left undecided, ordered by transaction id:
-    /// its prepare timestamp if it was prepared, its row changes in log order.
-    pub fn into_undecided(self) -> Vec<(TrxId, Option<u64>, Vec<RowChange>)> {
+    /// its prepare timestamp and peers if it was prepared, its row changes
+    /// in log order.
+    pub fn into_undecided(self) -> Vec<(TrxId, Option<Prepared>, Vec<RowChange>)> {
         let mut left: Vec<_> =
-            self.undecided.into_iter().map(|(trx, u)| (trx, u.prepare_ts, u.changes)).collect();
+            self.undecided.into_iter().map(|(trx, u)| (trx, u.prepared, u.changes)).collect();
         left.sort_unstable_by_key(|(trx, ..)| *trx);
         left
     }
@@ -104,7 +109,7 @@ impl TxnAssembler {
     /// Is a transaction the stream showed PREPARED at or below `ts` still
     /// undecided? Its commit timestamp may yet land at or below `ts`.
     pub fn in_doubt_at(&self, ts: u64) -> bool {
-        self.undecided.values().any(|u| u.prepare_ts.is_some_and(|p| p <= ts))
+        self.undecided.values().any(|u| u.prepared.as_ref().is_some_and(|(p, _)| *p <= ts))
     }
 }
 
@@ -161,12 +166,13 @@ mod tests {
         let mut a = TxnAssembler::default();
         a.push(insert(9, 1));
         a.push(insert(3, 2));
-        a.push(RedoPayload::TxnPrepare { trx: TrxId(3), prepare_ts: 20 });
+        let peers = vec![NodeId(1), NodeId(2)];
+        a.push(RedoPayload::TxnPrepare { trx: TrxId(3), prepare_ts: 20, peers: peers.clone() });
         a.push(insert(5, 3));
         a.push(RedoPayload::TxnCommit { trx: TrxId(5), commit_ts: 30 });
         let left = a.into_undecided();
-        let shape: Vec<_> = left.iter().map(|(t, p, c)| (*t, *p, c.len())).collect();
-        assert_eq!(shape, vec![(TrxId(3), Some(20), 1), (TrxId(9), None, 1)]);
+        let shape: Vec<_> = left.into_iter().map(|(t, p, c)| (t, p, c.len())).collect();
+        assert_eq!(shape, vec![(TrxId(3), Some((20, peers)), 1), (TrxId(9), None, 1)]);
     }
 
     #[test]
@@ -174,7 +180,7 @@ mod tests {
         let mut a = TxnAssembler::default();
         a.push(insert(1, 5));
         assert!(!a.in_doubt_at(u64::MAX), "ACTIVE: its prepare will be stamped later");
-        a.push(RedoPayload::TxnPrepare { trx: TrxId(1), prepare_ts: 20 });
+        a.push(RedoPayload::TxnPrepare { trx: TrxId(1), prepare_ts: 20, peers: vec![] });
         assert!(a.in_doubt_at(20) && !a.in_doubt_at(19));
         a.push(RedoPayload::TxnCommit { trx: TrxId(1), commit_ts: 25 });
         assert!(!a.in_doubt_at(u64::MAX));

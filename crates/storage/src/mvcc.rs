@@ -167,8 +167,8 @@ impl VersionStore {
 
     /// Torn-epoch rollback of a *decided* transaction: revert `trx`'s
     /// stamped versions to undecided intents (`decided_ts` back to `None`).
-    /// The commit decision is durable at the arbiter, so the versions must
-    /// survive — they return to the PREPARED visibility regime until the
+    /// Every participant voted yes, so the decision stands and the versions
+    /// must survive — they return to the PREPARED visibility regime until the
     /// decision is re-driven.
     pub fn unstamp(&self, trx: TrxId, keys: &[Key]) {
         for key in keys {

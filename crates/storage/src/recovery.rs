@@ -21,7 +21,8 @@
 //!    table, which is what makes a second replay a no-op); in-doubt ones
 //!    get their intents reinstated via
 //!    [`StorageEngine::recover_in_doubt`], so readers block on them again
-//!    until the 2PC resolver re-settles their fate through the arbiter.
+//!    until the 2PC resolver re-settles their fate by asking the peers
+//!    their prepare record names.
 //!
 //! Replay is **idempotent**: feeding the same prefix twice leaves the same
 //! observable state, because each transaction's entry in the transaction
@@ -29,7 +30,7 @@
 
 use std::sync::Arc;
 
-use polardbx_common::{Lsn, Result, TableId, TenantId, TrxId};
+use polardbx_common::{Lsn, NodeId, Result, TableId, TenantId, TrxId};
 use polardbx_wal::recovery::scan_records;
 use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, RedoPayload, VecSink};
 
@@ -52,9 +53,10 @@ pub struct RecoveryReport {
     /// Transactions replayed to ABORTED.
     pub aborted: usize,
     /// Transactions left PREPARED-but-undecided, with their prepare
-    /// timestamps: the caller must re-adopt these with the participant's
-    /// in-doubt resolver so presumed-abort can settle them.
-    pub in_doubt: Vec<(TrxId, u64)>,
+    /// timestamps and the peers of their vote rounds: the caller must
+    /// re-adopt these with the participant's in-doubt resolver, which asks
+    /// those peers for the outcome.
+    pub in_doubt: Vec<(TrxId, u64, Vec<NodeId>)>,
     /// Transactions that were still ACTIVE at the crash (row redo but no
     /// prepare/decision). Nothing is installed for them: they never voted,
     /// so presumed abort applies trivially.
@@ -99,13 +101,13 @@ pub fn replay_records(engine: &Arc<StorageEngine>, records: &[RedoPayload]) -> R
 
     let mut in_doubt = Vec::new();
     let mut active_dropped = 0usize;
-    for (trx, prepare_ts, changes) in assembler.into_undecided() {
-        let Some(prepare_ts) = prepare_ts else {
+    for (trx, prepared, changes) in assembler.into_undecided() {
+        let Some((prepare_ts, peers)) = prepared else {
             active_dropped += 1; // never voted: presumed abort, nothing installed
             continue;
         };
         engine.recover_in_doubt(trx, prepare_ts, &changes)?;
-        in_doubt.push((trx, prepare_ts));
+        in_doubt.push((trx, prepare_ts, peers));
     }
 
     Ok(RecoveryReport {
@@ -162,6 +164,8 @@ mod tests {
 
     const T: TableId = TableId(1);
     const TEN: TenantId = TenantId(1);
+    /// The vote round of the in-doubt transaction: whom recovery must ask.
+    const PEERS: [NodeId; 2] = [NodeId(1), NodeId(2)];
 
     fn key(n: i64) -> Key {
         Key::encode(&[Value::Int(n)])
@@ -188,7 +192,7 @@ mod tests {
         // Prepared, no decision: in-doubt at the crash.
         e.begin(TrxId(3), 10);
         e.write(TrxId(3), T, key(3), WriteOp::Insert(row(3, "indoubt"))).unwrap();
-        e.prepare(TrxId(3), 20).unwrap();
+        e.prepare_with(TrxId(3), &PEERS, || 20).unwrap();
         // Active, never prepared: its redo never hit the log (redo ships at
         // prepare/commit), so replay sees nothing of it.
         e.begin(TrxId(4), 10);
@@ -202,7 +206,7 @@ mod tests {
         let (e, report) = recovered_engine(sink, &[(T, TEN)]).unwrap();
         assert_eq!(report.committed, 1);
         assert_eq!(report.aborted, 1);
-        assert_eq!(report.in_doubt, vec![(TrxId(3), 20)]);
+        assert_eq!(report.in_doubt, vec![(TrxId(3), 20, PEERS.to_vec())]);
         assert_eq!(report.truncated_bytes, 0);
         assert!(report.records > 0);
         // Committed row visible at its recorded commit-ts.
@@ -221,7 +225,7 @@ mod tests {
         let sink = crashed_sink();
         let (e, report) = recovered_engine(sink, &[(T, TEN)]).unwrap();
         assert_eq!(report.in_doubt.len(), 1);
-        // The resolver learns COMMIT from the arbiter and finishes phase 2.
+        // The resolver learns COMMIT from a peer and finishes phase 2.
         e.commit(TrxId(3), 25).unwrap();
         assert_eq!(e.read(T, &key(3), 25, None).unwrap(), Some(row(3, "indoubt")));
         assert_eq!(e.read(T, &key(3), 19, None).unwrap(), None);

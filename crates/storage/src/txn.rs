@@ -61,9 +61,24 @@ impl TxnTable {
         TxnTable::default()
     }
 
-    /// Register a new ACTIVE transaction.
-    pub fn begin(&self, trx: TrxId) {
-        self.inner.lock().states.insert(trx, TxnState::Active);
+    /// Register a new ACTIVE transaction. A transaction the table already
+    /// knows keeps its state and the call returns false: a late or
+    /// duplicated statement never re-opens one this node decided — above
+    /// all one it refused, whose NO vote must stand.
+    pub fn begin(&self, trx: TrxId) -> bool {
+        let mut inner = self.inner.lock();
+        let fresh = !inner.states.contains_key(&trx);
+        if fresh {
+            inner.states.insert(trx, TxnState::Active);
+        }
+        fresh
+    }
+
+    /// Drop what the table knows of `trx`, as if it had never been seen.
+    /// Checker validation only (`sitcheck`'s `ForgetRefusal`): forgetting a
+    /// refusal lets a late statement re-open the transaction.
+    pub fn forget(&self, trx: TrxId) {
+        self.inner.lock().states.remove(&trx);
     }
 
     /// Move `trx` to PREPARED (2PC phase one).
@@ -128,21 +143,19 @@ impl TxnTable {
         self.decided.notify_all();
     }
 
-    /// Atomically abort `trx` only if it is still ACTIVE. Returns whether
-    /// the abort happened. Used by the in-doubt resolver to expire
-    /// abandoned transactions without racing a concurrent Prepare: exactly
-    /// one of {prepare, try_abort_active} wins the state transition, and
-    /// the loser observes a decided state and backs off.
-    pub fn try_abort_active(&self, trx: TrxId) -> bool {
+    /// Atomically abort `trx` unless it has voted: it is ACTIVE, or this
+    /// table never saw it (which records it ABORTED, so a late Prepare is
+    /// refused). Returns whether the abort happened. Exactly one of
+    /// {prepare, try_abort_unvoted} wins the state transition, and the
+    /// loser observes the other's state and backs off.
+    pub fn try_abort_unvoted(&self, trx: TrxId) -> bool {
         let mut inner = self.inner.lock();
-        match inner.states.get_mut(&trx) {
-            Some(s @ TxnState::Active) => {
-                *s = TxnState::Aborted;
-                self.decided.notify_all();
-                true
-            }
-            _ => false,
+        if !matches!(inner.states.get(&trx), None | Some(TxnState::Active)) {
+            return false;
         }
+        inner.states.insert(trx, TxnState::Aborted);
+        self.decided.notify_all();
+        true
     }
 
     /// Current state, if known.
@@ -163,8 +176,8 @@ impl TxnTable {
             match inner.states.get(&trx) {
                 Some(s) if !s.is_pending() => return Ok(*s),
                 None => {
-                    // Unknown = purged after decision; treat as aborted
-                    // (purge keeps committed states, see `forget`).
+                    // Unknown = never began here (or forgotten by a
+                    // checker mutation); nothing of it can commit.
                     return Ok(TxnState::Aborted);
                 }
                 Some(_) => {
@@ -233,8 +246,8 @@ impl TxnTable {
         ts
     }
 
-    /// Torn-epoch rollback of a *decided* (2PC phase-two) transaction: the
-    /// commit decision is durable at the arbiter, so the transaction must
+    /// Torn-epoch rollback of a *decided* (2PC phase-two) transaction: every
+    /// participant voted yes, so the decision stands and the transaction must
     /// never abort — it reverts to PREPARED and the decision will be
     /// re-driven (commit record re-logged) when durability returns.
     /// Returns the stamped commit timestamp if the demotion happened.
@@ -252,13 +265,6 @@ impl TxnTable {
         ts
     }
 
-    /// Drop state for decided transactions older than needed (GC). Only
-    /// aborted entries may be forgotten outright; committed entries are
-    /// kept by the version store through their commit timestamps instead.
-    pub fn forget_aborted(&self) {
-        self.inner.lock().states.retain(|_, s| !matches!(s, TxnState::Aborted));
-    }
-
     /// Number of tracked transactions.
     pub fn len(&self) -> usize {
         self.inner.lock().states.len()
@@ -269,16 +275,6 @@ impl TxnTable {
         self.len() == 0
     }
 
-    /// Ids of all pending (active or prepared) transactions.
-    pub fn pending(&self) -> Vec<TrxId> {
-        self.inner
-            .lock()
-            .states
-            .iter()
-            .filter(|(_, s)| s.is_pending())
-            .map(|(t, _)| *t)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -353,18 +349,23 @@ mod tests {
     }
 
     #[test]
-    fn try_abort_active_spares_prepared_and_decided() {
+    fn try_abort_unvoted_spares_prepared_and_decided() {
         let t = TxnTable::new();
         t.begin(TrxId(1));
         t.prepare(TrxId(1), 5).unwrap();
-        assert!(!t.try_abort_active(TrxId(1)), "PREPARED must not be expired");
+        assert!(!t.try_abort_unvoted(TrxId(1)), "PREPARED must not be expired");
         t.begin(TrxId(2));
-        assert!(t.try_abort_active(TrxId(2)));
+        assert!(t.try_abort_unvoted(TrxId(2)));
         assert_eq!(t.state(TrxId(2)), Some(TxnState::Aborted));
         t.begin(TrxId(3));
         t.commit(TrxId(3), 9).unwrap();
-        assert!(!t.try_abort_active(TrxId(3)));
+        assert!(!t.try_abort_unvoted(TrxId(3)));
         assert_eq!(t.state(TrxId(3)), Some(TxnState::Committed { commit_ts: 9 }));
+        // Never seen: recorded ABORTED, and no later begin re-opens it.
+        assert!(t.try_abort_unvoted(TrxId(4)));
+        assert!(!t.begin(TrxId(4)));
+        assert_eq!(t.state(TrxId(4)), Some(TxnState::Aborted));
+        assert!(t.prepare(TrxId(4), 10).is_err());
     }
 
     #[test]
@@ -420,15 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn gc_keeps_committed_drops_aborted() {
+    fn begin_leaves_a_known_transaction_as_it_is() {
         let t = TxnTable::new();
-        t.begin(TrxId(1));
+        assert!(t.begin(TrxId(1)));
         t.commit(TrxId(1), 1).unwrap();
-        t.begin(TrxId(2));
+        assert!(t.begin(TrxId(2)));
+        assert!(!t.begin(TrxId(2)), "already ACTIVE");
         t.abort(TrxId(2));
-        t.forget_aborted();
-        assert!(t.state(TrxId(1)).is_some());
-        assert!(t.state(TrxId(2)).is_none());
-        assert_eq!(t.pending(), vec![]);
+        assert!(!t.begin(TrxId(1)) && !t.begin(TrxId(2)));
+        assert_eq!(t.state(TrxId(1)), Some(TxnState::Committed { commit_ts: 1 }));
+        assert_eq!(t.state(TrxId(2)), Some(TxnState::Aborted));
     }
 }

@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 
-/// Coordinator retry policy for commit-path RPCs (Prepare, CommitLocal,
-/// LogDecision). Backoff is exponential, capped, and deliberately
+/// Coordinator retry policy for commit-path RPCs (Prepare, CommitLocal).
+/// Backoff is exponential, capped, and deliberately
 /// jitter-free: under a seeded fault plan the retry schedule must replay
 /// identically run to run.
 #[derive(Debug, Clone, Copy)]
@@ -36,9 +36,10 @@ impl TxnConfig {
 }
 
 /// Participant resolver policy: how long a PREPARED transaction may sit
-/// undecided before the participant asks the arbiter, and how long an
-/// ACTIVE transaction may sit idle before it is presumed abandoned (its
-/// coordinator died before prepare, so a local abort is always safe).
+/// undecided before the participant asks its peers for their votes, and
+/// how long an ACTIVE transaction may sit idle before it is presumed
+/// abandoned (its coordinator died before prepare, so a local abort — a
+/// refusal — is always safe).
 #[derive(Debug, Clone, Copy)]
 pub struct ResolverConfig {
     /// Sweep period of the resolver thread.
@@ -46,7 +47,8 @@ pub struct ResolverConfig {
     /// A PREPARED transaction older than this is in doubt.
     pub in_doubt_after: Duration,
     /// An ACTIVE transaction older than this is abandoned. Must comfortably
-    /// exceed the longest legitimate statement-to-prepare gap.
+    /// exceed the longest legitimate statement-to-prepare gap — including a
+    /// transaction a client holds open between statements.
     pub abandon_active_after: Duration,
 }
 
@@ -55,7 +57,7 @@ impl Default for ResolverConfig {
         ResolverConfig {
             interval: Duration::from_millis(25),
             in_doubt_after: Duration::from_millis(100),
-            abandon_active_after: Duration::from_millis(500),
+            abandon_active_after: Duration::from_secs(60),
         }
     }
 }

@@ -12,7 +12,7 @@ use polardbx_simnet::SimNet;
 
 use crate::config::TxnConfig;
 use crate::metrics::TxnMetrics;
-use crate::msg::{Decision, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
+use crate::msg::{StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
 use crate::route::{AccessObserver, CommitGuard, PartTouch, RoutingFence};
 
 /// Upper bound on distinct partitions a transaction can pin routing epochs
@@ -56,7 +56,6 @@ pub struct Coordinator {
     clock: Arc<dyn Clock>,
     trx_ids: Arc<IdGenerator>,
     config: TxnConfig,
-    decision_node: Option<NodeId>,
     metrics: Arc<TxnMetrics>,
     failpoint: Option<Failpoint>,
     recorder: Option<Arc<HistoryRecorder>>,
@@ -87,7 +86,6 @@ impl Coordinator {
             clock,
             trx_ids,
             config: TxnConfig::default(),
-            decision_node: None,
             metrics: Arc::new(TxnMetrics::new()),
             failpoint: None,
             recorder: None,
@@ -104,23 +102,15 @@ impl Coordinator {
         self
     }
 
-    /// Builder: record commit decisions on `dn` before phase two, enabling
-    /// participant-side in-doubt resolution (and presumed abort) when this
-    /// coordinator dies or its phase-two messages are lost.
-    pub fn with_decision_log(mut self, dn: NodeId) -> Coordinator {
-        self.decision_node = Some(dn);
-        self
-    }
-
     /// Builder: share a metrics sink (retry and in-doubt counters).
     pub fn with_metrics(mut self, metrics: Arc<TxnMetrics>) -> Coordinator {
         self.metrics = metrics;
         self
     }
 
-    /// Builder: install a failpoint hook. The commit path announces
-    /// `"txn.before_decision"` (prepares acked, decision not yet logged) and
-    /// `"txn.after_decision"` (decision logged, phase two not yet sent).
+    /// Builder: install a failpoint hook. The 2PC commit path announces
+    /// `"txn.after_votes"`: every participant voted yes, phase two is not
+    /// yet sent.
     pub fn with_failpoint(mut self, fp: Failpoint) -> Coordinator {
         self.failpoint = Some(fp);
         self
@@ -177,8 +167,8 @@ impl Coordinator {
     /// and those whose exchange timed out or hit a transient network
     /// failure go out again, together, after the backoff. Replies come back
     /// in request order. Only used for idempotent messages (Prepare,
-    /// CommitLocal, LogDecision): a lost *reply* means the handler already
-    /// ran, and retrying must be harmless.
+    /// CommitLocal): a lost *reply* means the handler already ran, and
+    /// retrying must be harmless.
     fn round_retry(&self, msgs: &[(NodeId, TxnMsg)]) -> Vec<Result<TxnMsg>> {
         let mut replies = self.net.call_many(self.me, msgs.to_vec());
         let mut attempt = 1u32;
@@ -200,13 +190,6 @@ impl Coordinator {
                 replies[i] = reply;
             }
         }
-    }
-
-    /// [`Coordinator::round_retry`] of one message.
-    fn call_retry(&self, dn: NodeId, msg: TxnMsg) -> Result<TxnMsg> {
-        self.round_retry(&[(dn, msg)])
-            .pop()
-            .unwrap_or_else(|| Err(Error::execution("a round of one returned no reply")))
     }
 
     /// Begin a distributed transaction: `snapshot_ts = ClockNow()` (step ①;
@@ -559,14 +542,15 @@ impl DistTxn<'_> {
     /// it, or `PrepareRejected` naming the node when the vote itself
     /// failed.
     ///
-    /// With a decision log configured, the commit decision is recorded at
-    /// the arbiter DN *before* phase two, making the outcome recoverable by
-    /// in-doubt participants if this coordinator dies. An `Err(Timeout)`
-    /// from this method means the outcome is IN DOUBT — the transaction may
-    /// yet commit or abort, settled by the participants' resolvers against
-    /// the decision log (2PC), or already settled by the one participant
-    /// whose answer was lost (one-phase). Any other error means the
-    /// transaction aborted.
+    /// A lost message with no refusal beside it means the outcome is IN
+    /// DOUBT, and the commit returns [`Error::InDoubt`], which is not
+    /// retryable: the transaction may have committed, and running it again
+    /// could apply it twice. 2PC: the votes decide it — the transaction
+    /// commits iff every participant is PREPARED — and the participants'
+    /// resolvers settle it by asking each other; this coordinator posts
+    /// nothing, for it never aborts a PREPARED participant on its own.
+    /// One-phase: the one participant whose answer was lost already
+    /// decided. Any other error means the transaction aborted.
     pub fn commit(self) -> Result<u64> {
         self.commit_counting().map(|(commit_ts, _)| commit_ts)
     }
@@ -618,7 +602,8 @@ impl DistTxn<'_> {
                 }
             }
         }
-        let decision_node = self.coord.decision_node;
+        let peers: Vec<NodeId> =
+            if one_phase { Vec::new() } else { write_sets.iter().map(|(dn, _)| *dn).collect() };
         let round: Vec<(NodeId, TxnMsg)> = write_sets
             .into_iter()
             .map(|(dn, writes)| {
@@ -626,7 +611,7 @@ impl DistTxn<'_> {
                 let vote = if one_phase {
                     TxnMsg::CommitLocal { trx, staged }
                 } else {
-                    TxnMsg::Prepare { trx, decision_node, staged }
+                    TxnMsg::Prepare { trx, staged, peers: peers.clone() }
                 };
                 (dn, vote)
             })
@@ -656,30 +641,23 @@ impl DistTxn<'_> {
                 Err(e) => unheard = unheard.or(Some(e)),
             }
         }
-        // A participant's verdict says more than a lost message beside it.
-        let in_doubt = one_phase && refused.is_none();
-        if let Some(e) = refused.or(unheard) {
-            // 2PC: no commit decision was (or ever will be) logged, so
-            // aborting is sound even if some prepares timed out with the
-            // participant actually PREPARED: its resolver will reach the
-            // same verdict via presumed abort. Best effort: record the
-            // abort so resolvers find it sooner.
-            if let (Some(arbiter), false) = (decision_node, one_phase) {
-                let _ = self.coord.net.call(
-                    self.coord.me,
-                    arbiter,
-                    TxnMsg::LogDecision { trx, decision: Decision::Abort },
-                );
-            }
-            // One-phase: the participant decides alone, and when its answer
-            // was lost it may have committed. The Abort is then a no-op
-            // there, otherwise it rolls back what a `write` left behind;
-            // but the outcome is the participant's to record, not ours.
+        // A participant's verdict says more than a lost message beside it:
+        // a refusal decides, and the voters roll back.
+        if let Some(e) = refused {
             abort_voters();
-            if !in_doubt {
-                self.record_abort();
-            }
+            self.record_abort();
             return Err(e);
+        }
+        if let Some(e) = unheard {
+            // In doubt. 2PC: the PREPARED voters settle it with the unheard
+            // one, so nothing is posted. One-phase: when the participant's
+            // answer was lost it may have committed; the Abort is then a
+            // no-op there, otherwise it rolls back what a `write` left
+            // behind — but the outcome is the participant's to record.
+            if one_phase {
+                abort_voters();
+            }
+            return Err(Error::InDoubt { what: format!("commit of {trx}: {e}") });
         }
         if one_phase {
             self.coord.metrics.one_phase_commits.inc();
@@ -689,40 +667,7 @@ impl DistTxn<'_> {
             self.absorb_and_record_commit(commit_ts, true);
             return Ok((commit_ts, edited));
         }
-        self.coord.hit_failpoint("txn.before_decision");
-        if let Some(arbiter) = decision_node {
-            match self.coord.call_retry(
-                arbiter,
-                TxnMsg::LogDecision { trx, decision: Decision::Commit(commit_ts) },
-            ) {
-                Ok(TxnMsg::DecisionIs { decision: Decision::Commit(_) }) => {}
-                Ok(TxnMsg::DecisionIs { decision: Decision::Abort }) => {
-                    // A resolver presumed abort before our decision
-                    // landed; the log is authoritative.
-                    abort_voters();
-                    self.record_abort();
-                    return Err(Error::TxnAborted {
-                        reason: "presumed abort already on record".into(),
-                    });
-                }
-                Ok(other) => {
-                    abort_voters();
-                    self.record_abort();
-                    return Err(Error::execution(format!("unexpected reply {other:?}")));
-                }
-                Err(e) => {
-                    // IN DOUBT: the decision may or may not be on
-                    // record. Crucially we must NOT send aborts —
-                    // the arbiter might have recorded Commit and
-                    // acked into a lost reply. The participants'
-                    // resolvers settle it from the log.
-                    return Err(Error::Timeout {
-                        what: format!("logging decision for {}: {e}", self.trx),
-                    });
-                }
-            }
-        }
-        self.coord.hit_failpoint("txn.after_decision");
+        self.coord.hit_failpoint("txn.after_votes");
         // Phase two is asynchronous: post and return. New readers
         // hitting PREPARED versions wait for the decision, so this
         // is safe under HLC-SI (§IV case 2).
@@ -740,18 +685,12 @@ impl DistTxn<'_> {
     /// Abort everywhere.
     pub fn abort(mut self) {
         self.finished = true;
-        self.send_aborts(&self.participants);
+        self.participants.iter().for_each(|dn| self.post_abort(*dn));
         self.record_abort();
     }
 
     fn post_abort(&self, dn: NodeId) {
         let _ = self.coord.net.post(self.coord.me, dn, TxnMsg::Abort { trx: self.trx });
-    }
-
-    fn send_aborts(&self, parts: &[NodeId]) {
-        for &dn in parts {
-            self.post_abort(dn);
-        }
     }
 
     /// Absorb `commit_ts` into the CN clock (step ⑥, unless this is a
@@ -782,7 +721,7 @@ impl DistTxn<'_> {
 impl Drop for DistTxn<'_> {
     fn drop(&mut self) {
         if !self.finished {
-            self.send_aborts(&self.participants);
+            self.participants.iter().for_each(|dn| self.post_abort(*dn));
             self.record_abort();
         }
     }
@@ -794,7 +733,7 @@ mod tests {
     use polardbx_common::{DcId, TenantId, Value};
     use polardbx_hlc::{Hlc, TestClock};
     use polardbx_simnet::{Handler, LatencyMatrix};
-    use polardbx_storage::StorageEngine;
+    use polardbx_storage::{StorageEngine, TxnState};
     use std::time::Duration;
 
     use crate::msg::testing::bump;
@@ -994,62 +933,40 @@ mod tests {
     }
 
     #[test]
-    fn commit_records_decision_at_arbiter_before_phase_two() {
-        let (_net, coord, dns) = cluster();
-        let coord = coord.with_decision_log(NodeId(2));
-        let mut txn = coord.begin();
-        txn.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1))).unwrap();
-        txn.write(NodeId(3), T, key(3), WireWriteOp::Insert(row(3, 3))).unwrap();
-        let commit_ts = txn.commit().unwrap();
-        assert_eq!(
-            dns[1].recorded_decision(TrxId(1)),
-            Some(crate::msg::Decision::Commit(commit_ts)),
-            "arbiter must hold the commit decision"
-        );
-        assert_eq!(await_visible(&dns[0], &key(1), Duration::from_secs(1)), Some(row(1, 1)));
-    }
-
-    #[test]
-    fn unreachable_arbiter_leaves_outcome_in_doubt_without_aborts() {
+    fn a_lost_vote_leaves_the_outcome_to_the_participants() {
         let (net, coord, dns) = cluster();
-        let coord = coord
-            .with_decision_log(NodeId(2))
-            .with_config(crate::config::TxnConfig {
-                max_attempts: 3,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(2),
-            });
+        let coord = coord.with_config(crate::config::TxnConfig {
+            max_attempts: 3,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+        });
         let mut txn = coord.begin();
-        txn.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1))).unwrap();
-        txn.write(NodeId(3), T, key(3), WireWriteOp::Insert(row(3, 3))).unwrap();
-        // The arbiter dies after the statements but before commit: the
-        // decision cannot be logged, so the outcome is in doubt — the
-        // coordinator must NOT unilaterally abort (the log write might have
-        // landed into a lost reply).
-        net.crash(NodeId(2));
+        let trx = txn.id();
+        txn.stage_write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1)));
+        txn.stage_write(NodeId(3), T, key(3), WireWriteOp::Insert(row(3, 3)));
+        // DN3 cannot be reached: its vote is unheard, not refused, so the
+        // outcome is in doubt and the coordinator must not abort DN1 — the
+        // vote might have been a yes lost on its way back.
+        net.crash(NodeId(3));
         let err = txn.commit().unwrap_err();
-        assert!(matches!(err, Error::Timeout { .. }), "in-doubt surfaces as timeout: {err:?}");
-        // Participants are still PREPARED: resolution belongs to their
-        // resolvers, not to this coordinator.
-        assert!(matches!(
-            dns[0].engine.txn_state(TrxId(1)),
-            Some(polardbx_storage::TxnState::Prepared { .. })
-        ));
-        assert!(matches!(
-            dns[2].engine.txn_state(TrxId(1)),
-            Some(polardbx_storage::TxnState::Prepared { .. })
-        ));
-        net.restart(NodeId(2));
+        assert!(matches!(err, Error::InDoubt { .. }) && !err.is_retryable(), "{err:?}");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(matches!(dns[0].engine.txn_state(trx), Some(TxnState::Prepared { .. })));
+        // Resolution belongs to the participants: DN3 comes back, never
+        // voted, and refuses when DN1 asks.
+        net.restart(NodeId(3));
+        let now = crate::config::ResolverConfig { in_doubt_after: Duration::ZERO, ..Default::default() };
+        dns[0].resolve_once(&net, &now);
+        assert_eq!(dns[0].engine.txn_state(trx), Some(TxnState::Aborted));
+        assert_eq!(dns[2].engine.txn_state(trx), Some(TxnState::Aborted));
+        assert!(!dns[0].engine.has_active_txns());
     }
 
     #[test]
-    fn prepare_failure_logs_abort_decision() {
+    fn prepare_refusal_aborts_every_voter() {
         let (_net, coord, dns) = cluster();
-        let coord = coord.with_decision_log(NodeId(2));
-        // Seed a row so a second insert of the same key fails at write time
-        // on DN1... write-time failures abort before prepare; to exercise a
-        // prepare-time failure, abort the trx on DN3 behind the
-        // coordinator's back so its Prepare is rejected.
+        // Write-time failures abort before prepare; to exercise a refused
+        // vote, abort the trx on DN3 behind the coordinator's back.
         let mut txn = coord.begin();
         txn.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1))).unwrap();
         txn.write(NodeId(3), T, key(3), WireWriteOp::Insert(row(3, 3))).unwrap();
@@ -1060,15 +977,10 @@ mod tests {
             matches!(&err, Error::PrepareRejected { participant, .. } if participant == "node3"),
             "the refusal names the node: {err:?}"
         );
-        assert_eq!(
-            dns[1].recorded_decision(trx),
-            Some(crate::msg::Decision::Abort),
-            "failed prepare must record abort for future resolvers"
-        );
         // Everything rolled back.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!dns[0].engine.has_active_txns());
-        assert!(!dns[2].engine.has_active_txns());
+        assert!(await_drained(&dns[0], Duration::from_secs(1)));
+        assert!(await_drained(&dns[2], Duration::from_secs(1)));
+        assert_eq!(dns[0].engine.txn_state(trx), Some(TxnState::Aborted));
     }
 
     #[test]
@@ -1082,7 +994,7 @@ mod tests {
         txn.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1))).unwrap();
         txn.write(NodeId(2), T, key(2), WireWriteOp::Insert(row(2, 2))).unwrap();
         txn.commit().unwrap();
-        assert_eq!(*seen.lock(), vec!["txn.before_decision", "txn.after_decision"]);
+        assert_eq!(*seen.lock(), vec!["txn.after_votes"]);
     }
 
     fn await_drained(dn: &DnService, timeout: Duration) -> bool {
@@ -1496,7 +1408,7 @@ mod tests {
         let mut txn = coord.begin();
         txn.write(NodeId(1), T, key(1), WireWriteOp::Update(row(1, 1))).unwrap();
         let err = txn.commit().unwrap_err();
-        assert!(matches!(err, Error::Timeout { .. }), "{err:?}");
+        assert!(matches!(err, Error::InDoubt { .. }), "{err:?}");
         assert!(await_drained(&dns[0], Duration::from_secs(1)), "the Abort must follow");
         // So the row is not blocked for the next writer.
         let mut next = coord.begin();

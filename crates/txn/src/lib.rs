@@ -35,13 +35,18 @@
 //!
 //! The commit path is hardened against a lossy, crash-prone fabric:
 //! commit-path RPCs retry with bounded deterministic backoff ([`config`]),
-//! participants absorb duplicated 2PC messages idempotently, and a
-//! coordinator configured with [`Coordinator::with_decision_log`] records
-//! its commit decision on an arbiter DN *before* phase two. A participant
-//! stuck PREPARED past its in-doubt timeout resolves itself through that
-//! log via [`DnService::start_resolver`]; querying an absent record writes
-//! a presumed abort that permanently blocks a slow coordinator from
-//! committing. See DESIGN.md's "Fault model" section.
+//! and participants absorb duplicated 2PC messages idempotently.
+//!
+//! A 2PC outcome is a function of the votes: the transaction commits iff
+//! every participant of its vote round is durably PREPARED, at the max of
+//! their `prepare_ts` (step ⑤), and aborts iff one refused. Each `Prepare`
+//! names the round's DNs and the prepare record keeps them, so when phase
+//! two does not arrive any participant settles the outcome by asking its
+//! peers ([`TxnMsg::Vote`], [`DnService::start_resolver`]). One asked
+//! before it voted refuses, durably and for good — the fence that makes
+//! the rule sound. The coordinator never aborts a PREPARED participant on
+//! its own, and the happy path pays no extra round. See DESIGN.md's "An
+//! outcome any participant can compute".
 
 pub mod checker;
 pub mod config;
@@ -55,5 +60,5 @@ pub use config::{ResolverConfig, TxnConfig};
 pub use coordinator::{Coordinator, DistTxn, Failpoint, ProtocolMutations, ReadOp, MAX_TOUCHED};
 pub use metrics::TxnMetrics;
 pub use route::{AccessObserver, CommitGuard, PartTouch, RoutingFence};
-pub use msg::{Decision, Edit, RowEdit, StagedWrite, StagedWrites, TxnMsg, WireWriteOp};
-pub use participant::{DnService, ResolverHandle};
+pub use msg::{Edit, RowEdit, StagedWrite, StagedWrites, TxnMsg, Vote, WireWriteOp};
+pub use participant::{DnService, ParticipantMutations, ResolverHandle};

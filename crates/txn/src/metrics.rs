@@ -10,13 +10,10 @@ use polardbx_common::metrics::Counter;
 pub struct TxnMetrics {
     /// Commit-path RPCs retried after a timeout or network error.
     pub rpc_retries: Counter,
-    /// In-doubt PREPARED transactions resolved to COMMIT via the arbiter.
+    /// In-doubt PREPARED transactions the peers' votes resolved to COMMIT.
     pub in_doubt_commits: Counter,
-    /// In-doubt PREPARED transactions resolved to ABORT via the arbiter.
+    /// In-doubt PREPARED transactions the peers' votes resolved to ABORT.
     pub in_doubt_aborts: Counter,
-    /// Presumed-abort records written by the arbiter on a query for a
-    /// transaction whose coordinator never logged a decision.
-    pub presumed_aborts: Counter,
     /// Duplicate Prepare/Commit/Abort deliveries absorbed idempotently.
     pub duplicate_msgs: Counter,
     /// Abandoned ACTIVE transactions expired by the resolver.
@@ -39,12 +36,11 @@ impl TxnMetrics {
     /// One-line summary for harness output.
     pub fn report(&self) -> String {
         format!(
-            "retries={} · in-doubt: commit={} abort={} presumed={} · dups={} · expired-active={} \
+            "retries={} · in-doubt: commit={} abort={} · dups={} · expired-active={} \
              · 1pc={} 2pc={} rehomes={}",
             self.rpc_retries.get(),
             self.in_doubt_commits.get(),
             self.in_doubt_aborts.get(),
-            self.presumed_aborts.get(),
             self.duplicate_msgs.get(),
             self.expired_active.get(),
             self.one_phase_commits.get(),
@@ -69,7 +65,6 @@ impl TxnMetrics {
         self.rpc_retries.reset();
         self.in_doubt_commits.reset();
         self.in_doubt_aborts.reset();
-        self.presumed_aborts.reset();
         self.duplicate_msgs.reset();
         self.expired_active.reset();
         self.one_phase_commits.reset();
@@ -86,9 +81,9 @@ mod tests {
     fn report_and_reset() {
         let m = TxnMetrics::new();
         m.rpc_retries.add(2);
-        m.presumed_aborts.inc();
+        m.in_doubt_aborts.inc();
         assert!(m.report().contains("retries=2"));
-        assert!(m.report().contains("presumed=1"));
+        assert!(m.report().contains("abort=1"));
         m.reset();
         assert!(m.report().contains("retries=0"));
     }

@@ -5,14 +5,20 @@ use std::sync::Arc;
 
 use polardbx_common::{Key, NodeId, Result, Row, TableId, TrxId};
 
-/// The final fate of a distributed transaction, as recorded in a decision
-/// log (see [`crate::participant::DnService`]'s arbiter role).
+/// A participant's answer to [`TxnMsg::Vote`]: where it stands on a 2PC
+/// transaction. A transaction commits iff every participant of its vote
+/// round is PREPARED, at the max of their `prepare_ts`; it aborts iff one
+/// refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub enum Vote {
+    /// Voted yes, durably, at this `prepare_ts`; the outcome is not known
+    /// here yet.
+    Prepared(u64),
     /// Committed at this timestamp.
-    Commit(u64),
-    /// Rolled back (explicitly, or presumed after coordinator failure).
-    Abort,
+    Committed(u64),
+    /// Voted no: durable and final. A participant asked before it voted
+    /// refuses then and there, and refuses any Prepare that comes later.
+    Refused,
 }
 
 /// What a [`RowEdit`] decides for the row it was shown.
@@ -115,11 +121,11 @@ pub enum TxnMsg {
         trx: TrxId,
         /// Writes to apply before voting.
         staged: StagedWrites,
-        /// Where the coordinator will record its commit decision. A
-        /// participant left PREPARED past its in-doubt timeout asks this
-        /// node for the outcome instead of blocking forever (None = legacy
-        /// protocol without termination).
-        decision_node: Option<NodeId>,
+        /// Every DN this vote round goes to, the recipient included. A
+        /// participant left PREPARED past its in-doubt timeout asks them
+        /// for their [`Vote`]s; the prepare record keeps the list across a
+        /// restart.
+        peers: Vec<NodeId>,
     },
     /// 2PC phase two (commit).
     Commit {
@@ -142,21 +148,9 @@ pub enum TxnMsg {
         /// Transaction to abort.
         trx: TrxId,
     },
-    /// Coordinator → arbiter DN: record the commit decision durably BEFORE
-    /// phase two begins. First writer wins; the reply always carries the
-    /// decision actually on record, so a coordinator that lost the race to
-    /// a presumed abort learns it must not commit.
-    LogDecision {
-        /// The transaction decided.
-        trx: TrxId,
-        /// The decision the coordinator wants recorded.
-        decision: Decision,
-    },
-    /// In-doubt participant → arbiter DN: what happened to `trx`? If no
-    /// decision is on record the arbiter records ABORT (presumed abort):
-    /// the coordinator provably had not decided commit, and this write
-    /// blocks it from ever doing so.
-    QueryDecision {
+    /// In-doubt participant → a peer of its vote round: where do you stand
+    /// on `trx`? Answered with [`TxnMsg::Voted`].
+    Vote {
         /// The in-doubt transaction.
         trx: TrxId,
     },
@@ -183,11 +177,8 @@ pub enum TxnMsg {
         /// wrote (0 in reply to a phase-two `Commit`).
         edited: u64,
     },
-    /// The decision on record at the arbiter.
-    DecisionIs {
-        /// The recorded decision.
-        decision: Decision,
-    },
+    /// A participant's answer to [`TxnMsg::Vote`].
+    Voted(Vote),
     /// Failure reply.
     Failed(polardbx_common::Error),
 }

@@ -9,14 +9,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use polardbx_common::time::mono_now;
-use polardbx_common::{Error, HistoryRecorder, NodeId, Result, TrxId, TxnEvent};
+use polardbx_common::{Error, HistoryRecorder, NodeId, Result, TrxId};
 use polardbx_hlc::{Clock, HlcTimestamp};
 use polardbx_simnet::{Handler, SimNet};
 use polardbx_storage::{StorageEngine, TxnState, WriteOp};
 
 use crate::config::ResolverConfig;
 use crate::metrics::TxnMetrics;
-use crate::msg::{Decision, Edit, StagedWrites, TxnMsg, WireWriteOp};
+use crate::msg::{Edit, StagedWrites, TxnMsg, Vote, WireWriteOp};
 
 /// How long the row count of a commit-round message's edits is kept for a
 /// duplicated or retried copy of that message to report again. A copy trails
@@ -27,10 +27,27 @@ const EDIT_COUNT_RETENTION: Duration = Duration::from_secs(10);
 
 /// A PREPARED transaction awaiting its 2PC outcome.
 struct InDoubt {
-    /// Where the coordinator logs its decision (None = legacy protocol).
-    decision_node: Option<NodeId>,
+    /// The DNs of its vote round, this one included: whom to ask.
+    peers: Vec<NodeId>,
     /// When this participant entered PREPARED.
     since: Duration,
+}
+
+/// Deliberate participant breakages that validate the isolation checker
+/// (`sitcheck` mutation runs), like [`crate::ProtocolMutations`]. Never
+/// enable these outside checker validation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ParticipantMutations {
+    /// A transaction whose first message here carries a
+    /// [`WireWriteOp::Edit`] validates its writes against the end of time,
+    /// not its snapshot: the edit reads the row at the snapshot and then
+    /// overwrites a version committed after it.
+    pub skip_edit_conflict_check: bool,
+    /// The resolver counts a peer it cannot reach as PREPARED.
+    pub resolve_on_partial_view: bool,
+    /// A statement arriving after a refusal re-opens the transaction, so a
+    /// later Prepare votes yes.
+    pub forget_refusals: bool,
 }
 
 /// A DN participant: storage engine + node clock, attached to the fabric.
@@ -48,21 +65,13 @@ pub struct DnService {
     started: Mutex<HashMap<TrxId, Duration>>,
     /// PREPARED transactions whose outcome is not yet known here.
     prepared: Mutex<HashMap<TrxId, InDoubt>>,
-    /// The decision log this node hosts as an arbiter: trx → final fate.
-    /// First writer wins — a presumed-abort write by a querying participant
-    /// permanently blocks a slow coordinator's commit, and vice versa.
-    decisions: Mutex<HashMap<TrxId, Decision>>,
-    /// History tap for arbiter decisions (the engine carries its own tap
-    /// for reads/writes/commit stamps).
-    recorder: Mutex<Option<Arc<HistoryRecorder>>>,
     /// Rows written by the edits of the commit-round messages served in the
     /// last [`EDIT_COUNT_RETENTION`], oldest first: what a duplicated or
     /// retried copy of such a message reports again instead of re-applying.
     /// A message whose edits wrote nothing is not listed (absent reads 0).
     edit_counts: Mutex<VecDeque<(Duration, TrxId, u64)>>,
-    /// Checker-validation breakage, see
-    /// [`DnService::set_skip_edit_conflict_check`].
-    skip_edit_conflict_check: AtomicBool,
+    /// Checker-validation breakages, see [`DnService::set_mutations`].
+    mutations: Mutex<ParticipantMutations>,
 }
 
 impl DnService {
@@ -75,48 +84,25 @@ impl DnService {
             metrics: TxnMetrics::new(),
             started: Mutex::new(HashMap::new()),
             prepared: Mutex::new(HashMap::new()),
-            decisions: Mutex::new(HashMap::new()),
-            recorder: Mutex::new(None),
             edit_counts: Mutex::new(VecDeque::new()),
-            skip_edit_conflict_check: AtomicBool::new(false),
+            mutations: Mutex::new(ParticipantMutations::default()),
         })
     }
 
-    /// Deliberately broken mode used only to validate the isolation checker
-    /// (`sitcheck` mutation runs): a transaction whose first message here
-    /// carries a [`WireWriteOp::Edit`] validates its writes against the end
-    /// of time instead of its snapshot, so the edit reads the row at the
-    /// snapshot and then overwrites a version committed after it — first
-    /// committer no longer wins.
-    pub fn set_skip_edit_conflict_check(&self, on: bool) {
-        self.skip_edit_conflict_check.store(on, Ordering::SeqCst);
+    /// Enable deliberate breakages. Checker validation (`sitcheck` mutation
+    /// runs) only.
+    pub fn set_mutations(&self, mutations: ParticipantMutations) {
+        *self.mutations.lock() = mutations;
+    }
+
+    fn mutations(&self) -> ParticipantMutations {
+        *self.mutations.lock()
     }
 
     /// Attach a history recorder: installs the MVCC tap on this node's
-    /// engine (reads, writes, local commit stamps, aborts) and records
-    /// arbiter decisions made here.
+    /// engine (reads, writes, local commit stamps, aborts and refusals).
     pub fn attach_recorder(&self, rec: Arc<HistoryRecorder>) {
-        self.engine.set_recorder(Arc::clone(&rec), self.node, false);
-        *self.recorder.lock() = Some(rec);
-    }
-
-    /// Record a first-writer-wins arbiter decision. Called after the
-    /// decision-log lock is released (the recorder is a leaf lock, but
-    /// taps here keep the discipline of never nesting it anyway).
-    fn record_decision(&self, trx: TrxId, decision: Decision) {
-        let rec = self.recorder.lock().clone();
-        if let Some(rec) = rec {
-            let commit_ts = match decision {
-                Decision::Commit(ts) => Some(ts),
-                Decision::Abort => None,
-            };
-            rec.record(TxnEvent::Decision { trx, node: self.node, commit_ts });
-        }
-    }
-
-    /// The decision on record for `trx`, if this node is its arbiter.
-    pub fn recorded_decision(&self, trx: TrxId) -> Option<Decision> {
-        self.decisions.lock().get(&trx).copied()
+        self.engine.set_recorder(rec, self.node, false);
     }
 
     /// Number of PREPARED transactions still awaiting their outcome here.
@@ -125,27 +111,20 @@ impl DnService {
     }
 
     /// Crash recovery: re-adopt a PREPARED-but-undecided transaction found
-    /// in the replayed redo log, so the in-doubt resolver settles it via
-    /// the arbiter (presumed abort if no decision was ever logged).
-    ///
-    /// The prepare record carries only `{trx, prepare_ts}` — the arbiter's
-    /// identity lives in cluster metadata, so the recovery harness supplies
-    /// `decision_node` from configuration (None degrades to the legacy
-    /// expiry path). `since` is backdated to the epoch: a recovered
-    /// in-doubt transaction has by definition already waited long enough,
-    /// so the very next sweep may query the arbiter.
-    pub fn adopt_in_doubt(&self, trx: TrxId, decision_node: Option<NodeId>) {
-        self.prepared
-            .lock()
-            .insert(trx, InDoubt { decision_node, since: Duration::ZERO });
+    /// in the replayed redo log, with the `peers` its prepare record names,
+    /// so the in-doubt resolver settles it by asking them. `since` is
+    /// backdated to the epoch: a recovered in-doubt transaction has by
+    /// definition already waited long enough, so the very next sweep asks.
+    pub fn adopt_in_doubt(&self, trx: TrxId, peers: Vec<NodeId>) {
+        self.prepared.lock().insert(trx, InDoubt { peers, since: Duration::ZERO });
     }
 
-    /// Spawn the in-doubt resolver: a background sweep that queries the
-    /// arbiter for PREPARED transactions older than `cfg.in_doubt_after`
-    /// and locally aborts ACTIVE transactions abandoned longer than
-    /// `cfg.abandon_active_after` (safe: an ACTIVE transaction has not
-    /// voted, so nothing can have committed it). Stop via the returned
-    /// handle.
+    /// Spawn the in-doubt resolver: a background sweep that settles
+    /// PREPARED transactions older than `cfg.in_doubt_after` by their
+    /// peers' votes and locally aborts ACTIVE transactions abandoned longer
+    /// than `cfg.abandon_active_after` (safe: an ACTIVE transaction has not
+    /// voted, so nothing can have committed it; the abort is a refusal).
+    /// Stop via the returned handle.
     pub fn start_resolver(
         self: &Arc<Self>,
         net: Arc<SimNet<TxnMsg>>,
@@ -169,33 +148,25 @@ impl DnService {
     /// One resolver sweep (also callable directly from tests).
     pub fn resolve_once(&self, net: &SimNet<TxnMsg>, cfg: &ResolverConfig) {
         let now = mono_now();
-        // In-doubt PREPARED: ask the arbiter for the outcome. A failed
-        // query (the chaos fabric may drop it) just leaves the transaction
-        // for the next sweep.
-        let in_doubt: Vec<(TrxId, NodeId)> = self
+        // In-doubt PREPARED: settle by the peers' votes. A peer that cannot
+        // be heard (the fabric may drop the question) leaves the
+        // transaction for the next sweep.
+        let in_doubt: Vec<(TrxId, Vec<NodeId>)> = self
             .prepared
             .lock()
             .iter()
             .filter(|(_, d)| now.saturating_sub(d.since) >= cfg.in_doubt_after)
-            .filter_map(|(t, d)| d.decision_node.map(|n| (*t, n)))
+            .map(|(t, d)| (*t, d.peers.clone()))
             .collect();
-        for (trx, arbiter) in in_doubt {
-            match net.call(self.node, arbiter, TxnMsg::QueryDecision { trx }) {
-                Ok(TxnMsg::DecisionIs { decision: Decision::Commit(commit_ts) }) => {
-                    self.metrics.in_doubt_commits.inc();
-                    let _ = self.handle(self.node, TxnMsg::Commit { trx, commit_ts });
-                }
-                Ok(TxnMsg::DecisionIs { decision: Decision::Abort }) => {
-                    self.metrics.in_doubt_aborts.inc();
-                    let _ = self.handle(self.node, TxnMsg::Abort { trx });
-                }
-                _ => {}
+        for (trx, peers) in in_doubt {
+            if let Some(outcome) = self.outcome(net, trx, &peers) {
+                let _ = self.handle(self.node, outcome);
             }
         }
         // Abandoned ACTIVE: the coordinator died (or gave up) before ever
-        // asking for a vote. `abort_if_active` is atomic against a racing
-        // Prepare, so a transaction that slips into PREPARED under our feet
-        // is left for the in-doubt path above.
+        // asking for a vote. Expiring it is a refusal, atomic against a
+        // racing Prepare: a transaction that slips into PREPARED under our
+        // feet is left for the in-doubt path above.
         let abandoned: Vec<TrxId> = self
             .started
             .lock()
@@ -204,13 +175,45 @@ impl DnService {
             .map(|(t, _)| *t)
             .collect();
         for trx in abandoned {
-            if self.prepared.lock().contains_key(&trx) {
-                continue;
-            }
-            if self.engine.abort_if_active(trx) {
+            if !matches!(self.engine.refuse(trx), Ok(false)) {
                 self.metrics.expired_active.inc();
                 self.started.lock().remove(&trx);
             }
+        }
+    }
+
+    /// What the votes of `trx`'s peers decide, as the message that applies
+    /// it here: any `Committed(ts)` commits at `ts`; every peer PREPARED
+    /// commits at the max `prepare_ts`, ours included — the coordinator's
+    /// own rule (step ⑤); a refusal aborts. `None` while a peer is unheard.
+    fn outcome(&self, net: &SimNet<TxnMsg>, trx: TrxId, peers: &[NodeId]) -> Option<TxnMsg> {
+        let Some(TxnState::Prepared { prepare_ts }) = self.engine.txn_state(trx) else {
+            return None;
+        };
+        let partial_view = self.mutations().resolve_on_partial_view;
+        let others = peers.iter().filter(|p| **p != self.node);
+        let asks = others.map(|p| (*p, TxnMsg::Vote { trx })).collect();
+        let (mut commit_ts, mut refused, mut unheard) = (prepare_ts, false, false);
+        for reply in net.call_many(self.node, asks) {
+            match reply {
+                Ok(TxnMsg::Voted(Vote::Committed(ts))) => {
+                    self.metrics.in_doubt_commits.inc();
+                    return Some(TxnMsg::Commit { trx, commit_ts: ts });
+                }
+                Ok(TxnMsg::Voted(Vote::Prepared(ts))) => commit_ts = commit_ts.max(ts),
+                Ok(TxnMsg::Voted(Vote::Refused)) => refused = true,
+                Err(_) if partial_view => {}
+                _ => unheard = true,
+            }
+        }
+        if refused {
+            self.metrics.in_doubt_aborts.inc();
+            Some(TxnMsg::Abort { trx })
+        } else if unheard {
+            None
+        } else {
+            self.metrics.in_doubt_commits.inc();
+            Some(TxnMsg::Commit { trx, commit_ts })
         }
     }
 
@@ -234,14 +237,23 @@ impl DnService {
         }
     }
 
+    /// Begin `trx` here on its first message. A transaction this node
+    /// already knows is left as it is — above all a refused one: a late or
+    /// duplicated `Write` then fails `TxnAborted` instead of re-opening it,
+    /// and the Prepare behind it is refused too.
     fn ensure_started(&self, trx: TrxId, snapshot_ts: u64) {
         if trx.raw() == 0 {
             return;
         }
-        let mut started = self.started.lock();
-        if let std::collections::hash_map::Entry::Vacant(e) = started.entry(trx) {
-            e.insert(mono_now());
-            self.engine.begin(trx, snapshot_ts);
+        let fresh = self.engine.begin(trx, snapshot_ts)
+            || self.mutations().forget_refusals
+                && self.engine.txn_state(trx) == Some(TxnState::Aborted)
+                && {
+                    self.engine.txns.forget(trx);
+                    self.engine.begin(trx, snapshot_ts)
+                };
+        if fresh {
+            self.started.lock().insert(trx, mono_now());
         }
     }
 
@@ -262,7 +274,7 @@ impl DnService {
     ) -> Result<u64> {
         self.sync_snapshot(snapshot_ts);
         let is_edit = matches!(op, WireWriteOp::Edit(_));
-        let validate_at = if is_edit && self.skip_edit_conflict_check.load(Ordering::SeqCst) {
+        let validate_at = if is_edit && self.mutations().skip_edit_conflict_check {
             u64::MAX
         } else {
             snapshot_ts
@@ -386,11 +398,16 @@ impl Handler<TxnMsg> for DnService {
                     Err(e) => TxnMsg::Failed(remap_stale_route(e)),
                 }
             }
-            TxnMsg::Prepare { trx, decision_node, staged } => {
+            TxnMsg::Prepare { trx, staged, peers } => {
                 // Idempotency first: a duplicated or retried Prepare must
                 // return the SAME prepare_ts and edit count, not advance
-                // the state again.
-                if let Some(TxnState::Prepared { prepare_ts }) = self.engine.txn_state(trx) {
+                // the state again. A copy that arrives once the peers have
+                // settled the commit asked for a yes vote: the commit
+                // timestamp, the max of every vote, stands in for it.
+                if let Some(
+                    TxnState::Prepared { prepare_ts } | TxnState::Committed { commit_ts: prepare_ts },
+                ) = self.engine.txn_state(trx)
+                {
                     self.metrics.duplicate_msgs.inc();
                     return TxnMsg::Prepared { prepare_ts, edited: self.remembered_edit_count(trx) };
                 }
@@ -403,19 +420,23 @@ impl Handler<TxnMsg> for DnService {
                 // allocated-but-not-yet-PREPARED is a window in which a
                 // reader could sync a higher snapshot and skip our ACTIVE
                 // intents, then miss the commit below its snapshot.
-                match self.engine.prepare_with(trx, || self.clock.advance().raw()) {
+                match self.engine.prepare_with(trx, &peers, || self.clock.advance().raw()) {
                     Ok((prepare_ts, _)) => {
-                        self.prepared
-                            .lock()
-                            .insert(trx, InDoubt { decision_node, since: mono_now() });
+                        self.prepared.lock().insert(trx, InDoubt { peers, since: mono_now() });
                         TxnMsg::Prepared { prepare_ts, edited }
                     }
                     // The vote itself failed (the transaction is unknown
-                    // here, or already decided): say which node refused.
-                    Err(e) => TxnMsg::Failed(Error::PrepareRejected {
-                        participant: self.node.to_string(),
-                        reason: e.to_string(),
-                    }),
+                    // here, or already aborted): refuse for good — so no
+                    // later copy of this Prepare votes yes — and say which
+                    // node refused.
+                    Err(e) => {
+                        let _ = self.engine.refuse(trx);
+                        self.finish(trx);
+                        TxnMsg::Failed(Error::PrepareRejected {
+                            participant: self.node.to_string(),
+                            reason: e.to_string(),
+                        })
+                    }
                 }
             }
             TxnMsg::Commit { trx, commit_ts } => {
@@ -430,7 +451,7 @@ impl Handler<TxnMsg> for DnService {
                     self.finish(trx);
                     return TxnMsg::Committed { commit_ts: recorded, edited: 0 };
                 }
-                // The decision is durable at the arbiter and may already be
+                // Every participant voted yes and the commit may already be
                 // acked upstream: a local durability failure leaves the
                 // transaction PREPARED (in-doubt, still tracked for the
                 // resolver) rather than rolling it back.
@@ -484,43 +505,26 @@ impl Handler<TxnMsg> for DnService {
                 self.engine.abort(trx);
                 TxnMsg::Ok
             }
-            TxnMsg::LogDecision { trx, decision } => {
-                // Arbiter role: first writer wins, and the reply carries
-                // whatever is actually on record — a coordinator beaten to
-                // the log by a presumed abort learns it here.
-                let (recorded, inserted) = {
-                    let mut log = self.decisions.lock();
-                    let mut inserted = false;
-                    let recorded = *log.entry(trx).or_insert_with(|| {
-                        inserted = true;
-                        decision
-                    });
-                    (recorded, inserted)
-                };
-                if inserted {
-                    self.record_decision(trx, recorded);
+            TxnMsg::Vote { trx } => {
+                // One that has not voted refuses first — whether it holds
+                // the transaction ACTIVE or never saw it — and the refusal
+                // is durable before it is told.
+                match self.engine.refuse(trx) {
+                    Ok(true) => self.finish(trx),
+                    Ok(false) => {}
+                    Err(e) => return TxnMsg::Failed(e),
                 }
-                TxnMsg::DecisionIs { decision: recorded }
-            }
-            TxnMsg::QueryDecision { trx } => {
-                // Arbiter role: an in-doubt participant is asking. If no
-                // decision is on record, the coordinator provably never
-                // finished logging Commit — record ABORT, which from now on
-                // blocks it from committing (presumed abort).
-                let (recorded, inserted) = {
-                    let mut log = self.decisions.lock();
-                    let mut inserted = false;
-                    let recorded = *log.entry(trx).or_insert_with(|| {
-                        self.metrics.presumed_aborts.inc();
-                        inserted = true;
-                        Decision::Abort
-                    });
-                    (recorded, inserted)
-                };
-                if inserted {
-                    self.record_decision(trx, recorded);
-                }
-                TxnMsg::DecisionIs { decision: recorded }
+                // A yes counts once `prepared` lists it, i.e. its prepare
+                // record is durable; until then the asker hears nothing.
+                let durable = self.prepared.lock().contains_key(&trx);
+                TxnMsg::Voted(match self.engine.txn_state(trx) {
+                    Some(TxnState::Prepared { prepare_ts }) if durable => Vote::Prepared(prepare_ts),
+                    Some(TxnState::Prepared { .. }) => {
+                        return TxnMsg::Failed(Error::Timeout { what: format!("prepare of {trx}") })
+                    }
+                    Some(TxnState::Committed { commit_ts }) => Vote::Committed(commit_ts),
+                    _ => Vote::Refused,
+                })
             }
             other => other,
         }
@@ -532,30 +536,18 @@ impl Handler<TxnMsg> for DnService {
     }
 }
 
-/// Handle to a running in-doubt resolver; stops and joins it on demand
-/// (and on drop).
+/// Handle to a running in-doubt resolver; dropping it stops and joins it.
 pub struct ResolverHandle {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl ResolverHandle {
-    /// Signal the resolver to stop and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for ResolverHandle {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for ResolverHandle {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -608,7 +600,7 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
+        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), staged: Default::default(), peers: vec![] });
         let TxnMsg::Prepared { prepare_ts, .. } = r1 else { panic!("expected Prepared, got {r1:?}") };
         assert!(prepare_ts > HlcTimestamp::new(100, 0).raw());
     }
@@ -645,7 +637,7 @@ mod tests {
             .unwrap();
         assert!(matches!(w, TxnMsg::Ok));
         let p = net
-            .call(NodeId(9), NodeId(1), TxnMsg::Prepare { trx: TrxId(7), decision_node: None, staged: Default::default() })
+            .call(NodeId(9), NodeId(1), TxnMsg::Prepare { trx: TrxId(7), staged: Default::default(), peers: vec![] })
             .unwrap();
         let TxnMsg::Prepared { prepare_ts, .. } = p else { panic!() };
         let c = net
@@ -707,8 +699,8 @@ mod tests {
                 op: WireWriteOp::Insert(row(1)),
             },
         );
-        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
-        let r2 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() });
+        let r1 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), staged: Default::default(), peers: vec![] });
+        let r2 = dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), staged: Default::default(), peers: vec![] });
         let TxnMsg::Prepared { prepare_ts: t1, .. } = r1 else { panic!("{r1:?}") };
         let TxnMsg::Prepared { prepare_ts: t2, .. } = r2 else { panic!("{r2:?}") };
         assert_eq!(t1, t2, "duplicate Prepare must not advance the timestamp");
@@ -736,7 +728,7 @@ mod tests {
         // with the same timestamp.
         let prepare = TxnMsg::Prepare {
             trx: TrxId(5),
-            decision_node: None,
+            peers: vec![],
             staged: staged(vec![(key(1), WireWriteOp::Insert(row(1)))]),
         };
         let TxnMsg::Prepared { prepare_ts: t1, .. } = dn.handle(NodeId(9), prepare.clone()) else {
@@ -782,7 +774,7 @@ mod tests {
         // participant's own typed error comes back and nothing stays.
         let prepare = TxnMsg::Prepare {
             trx: TrxId(5),
-            decision_node: None,
+            peers: vec![],
             staged: StagedWrites {
                 snapshot_ts: u64::MAX >> 1,
                 writes: vec![
@@ -837,7 +829,7 @@ mod tests {
         // nothing again (`v + 1` twice is the bug) and repeats vote and count.
         let prepare = TxnMsg::Prepare {
             trx: TrxId(5),
-            decision_node: None,
+            peers: vec![],
             staged: staged_at(
                 SEEDED,
                 vec![(key(1), bump(99)), (key(77), bump(99)), (key(2), bump(99))],
@@ -886,7 +878,7 @@ mod tests {
         let late = u64::MAX >> 1;
         let message = |trx, second: WireWriteOp| TxnMsg::Prepare {
             trx: TrxId(trx),
-            decision_node: None,
+            peers: vec![],
             staged: staged_at(late, vec![(key(1), bump(99)), (key(2), second)]),
         };
         // The edit's own refusal (a row that fails validation) comes back typed.
@@ -919,7 +911,7 @@ mod tests {
         // Trx 5 holds row 1 PREPARED: voted, phase two still on its way.
         let holder = TxnMsg::Prepare {
             trx: TrxId(5),
-            decision_node: None,
+            peers: vec![],
             staged: staged_at(SEEDED, vec![(key(1), bump(99))]),
         };
         let TxnMsg::Prepared { prepare_ts, .. } = dn.handle(NodeId(9), holder) else { panic!() };
@@ -965,7 +957,7 @@ mod tests {
             },
         );
         let TxnMsg::Prepared { prepare_ts, .. } =
-            dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), decision_node: None, staged: Default::default() })
+            dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(5), staged: Default::default(), peers: vec![] })
         else {
             panic!()
         };
@@ -982,121 +974,120 @@ mod tests {
         assert_eq!(dn.metrics.duplicate_msgs.get(), 2);
     }
 
-    #[test]
-    fn decision_log_is_first_writer_wins() {
-        let clock = Hlc::with_physical(TestClock::at(1));
-        let engine = StorageEngine::in_memory();
-        let dn = DnService::new(NodeId(1), engine, clock);
-        // A query for an unknown transaction writes the presumed abort…
-        let q = dn.handle(NodeId(2), TxnMsg::QueryDecision { trx: TrxId(9) });
-        assert!(matches!(q, TxnMsg::DecisionIs { decision: Decision::Abort }));
-        assert_eq!(dn.metrics.presumed_aborts.get(), 1);
-        // …which permanently blocks the slow coordinator's commit.
-        let l = dn.handle(
-            NodeId(9),
-            TxnMsg::LogDecision { trx: TrxId(9), decision: Decision::Commit(42) },
-        );
-        assert!(matches!(l, TxnMsg::DecisionIs { decision: Decision::Abort }));
-        // The reverse order: a logged commit survives queries.
-        let l = dn.handle(
-            NodeId(9),
-            TxnMsg::LogDecision { trx: TrxId(10), decision: Decision::Commit(77) },
-        );
-        assert!(matches!(l, TxnMsg::DecisionIs { decision: Decision::Commit(77) }));
-        let q = dn.handle(NodeId(2), TxnMsg::QueryDecision { trx: TrxId(10) });
-        assert!(matches!(q, TxnMsg::DecisionIs { decision: Decision::Commit(77) }));
-        assert_eq!(dn.recorded_decision(TrxId(10)), Some(Decision::Commit(77)));
-    }
-
-    #[test]
-    fn resolver_commits_in_doubt_txn_from_decision_log() {
-        use polardbx_simnet::LatencyMatrix;
+    /// DN 1 and DN 2 on one fabric (no CN: the tests hand messages in).
+    fn two_dns() -> (Arc<SimNet<TxnMsg>>, Arc<DnService>, Arc<DnService>) {
         let net = SimNet::new(LatencyMatrix::zero());
         let mk = |n: u64| {
             let engine = StorageEngine::in_memory();
             engine.create_table(TableId(1), TenantId(1));
-            DnService::new(NodeId(n), engine, Hlc::with_physical(TestClock::at(100)))
+            let dn = DnService::new(NodeId(n), engine, Hlc::with_physical(TestClock::at(100 * n)));
+            net.register(NodeId(n), DcId(n), Arc::clone(&dn) as Arc<dyn Handler<TxnMsg>>);
+            dn
         };
-        let dn = mk(1);
-        let arbiter = mk(2);
-        net.register(NodeId(1), DcId(1), dn.clone());
-        net.register(NodeId(2), DcId(1), arbiter.clone());
-        // dn prepares trx 5, coordinator's phase-two post is "lost"; the
-        // decision made it to the arbiter.
-        dn.handle(
+        let (dn1, dn2) = (mk(1), mk(2));
+        (net, dn1, dn2)
+    }
+
+    /// `trx` inserting `row(n)` on `dn`, voted with peers DN 1 and DN 2.
+    fn prepare_on(dn: &DnService, trx: u64, n: i64) -> u64 {
+        let reply = dn.handle(
             NodeId(9),
-            TxnMsg::Write {
-                trx: TrxId(5),
-                snapshot_ts: 1,
-                table: TableId(1),
-                key: key(1),
-                op: WireWriteOp::Insert(row(1)),
+            TxnMsg::Prepare {
+                trx: TrxId(trx),
+                staged: staged_at(1, vec![(key(n), WireWriteOp::Insert(row(n)))]),
+                peers: vec![NodeId(1), NodeId(2)],
             },
         );
-        let TxnMsg::Prepared { prepare_ts, .. } = dn.handle(
-            NodeId(9),
-            TxnMsg::Prepare { trx: TrxId(5), decision_node: Some(NodeId(2)), staged: Default::default() },
-        ) else {
-            panic!()
-        };
-        arbiter.handle(
-            NodeId(9),
-            TxnMsg::LogDecision { trx: TrxId(5), decision: Decision::Commit(prepare_ts) },
-        );
-        assert_eq!(dn.in_doubt_count(), 1);
-        let cfg = ResolverConfig {
-            interval: Duration::from_millis(5),
-            in_doubt_after: Duration::from_millis(10),
-            abandon_active_after: Duration::from_millis(200),
-        };
-        std::thread::sleep(Duration::from_millis(15));
-        dn.resolve_once(&net, &cfg);
-        assert_eq!(dn.in_doubt_count(), 0);
-        assert_eq!(dn.metrics.in_doubt_commits.get(), 1);
-        assert_eq!(
-            dn.engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(),
-            Some(row(1)),
-            "in-doubt txn must land as committed"
-        );
+        let TxnMsg::Prepared { prepare_ts, .. } = reply else { panic!("{reply:?}") };
+        prepare_ts
+    }
+
+    const NOW: ResolverConfig = ResolverConfig {
+        interval: Duration::from_millis(5),
+        in_doubt_after: Duration::ZERO,
+        abandon_active_after: Duration::from_secs(60),
+    };
+
+    #[test]
+    fn resolver_commits_when_every_peer_is_prepared() {
+        let (net, dn1, dn2) = two_dns();
+        // Both voted yes; phase two never came.
+        let (t1, t2) = (prepare_on(&dn1, 5, 1), prepare_on(&dn2, 5, 2));
+        // A peer that cannot be heard leaves the transaction in doubt.
+        net.crash(NodeId(2));
+        dn1.resolve_once(&net, &NOW);
+        assert_eq!(dn1.in_doubt_count(), 1);
+        net.restart(NodeId(2));
+        dn1.resolve_once(&net, &NOW);
+        assert_eq!(dn1.in_doubt_count(), 0);
+        assert_eq!(dn1.metrics.in_doubt_commits.get(), 1);
+        // At the max of the votes: the coordinator's own rule.
+        let commit_ts = t1.max(t2);
+        assert_eq!(dn1.engine.txn_state(TrxId(5)), Some(TxnState::Committed { commit_ts }));
+        assert_eq!(dn1.engine.read(TableId(1), &key(1), commit_ts, None).unwrap(), Some(row(1)));
+        // DN2 then hears that DN1 committed, and commits at the same ts.
+        dn2.resolve_once(&net, &NOW);
+        assert_eq!(dn2.engine.txn_state(TrxId(5)), Some(TxnState::Committed { commit_ts }));
     }
 
     #[test]
-    fn resolver_presumes_abort_when_no_decision_logged() {
-        use polardbx_simnet::LatencyMatrix;
-        let net = SimNet::new(LatencyMatrix::zero());
-        let mk = |n: u64| {
-            let engine = StorageEngine::in_memory();
-            engine.create_table(TableId(1), TenantId(1));
-            DnService::new(NodeId(n), engine, Hlc::with_physical(TestClock::at(100)))
-        };
-        let dn = mk(1);
-        let arbiter = mk(2);
-        net.register(NodeId(1), DcId(1), dn.clone());
-        net.register(NodeId(2), DcId(1), arbiter.clone());
-        dn.handle(
+    fn resolver_aborts_through_a_refusal() {
+        let (net, dn1, dn2) = two_dns();
+        // DN2's Prepare never arrived: asked, it refuses before it votes.
+        prepare_on(&dn1, 6, 1);
+        dn1.resolve_once(&net, &NOW);
+        assert_eq!(dn1.in_doubt_count(), 0);
+        assert_eq!(dn1.metrics.in_doubt_aborts.get(), 1);
+        assert_eq!(dn1.engine.txn_state(TrxId(6)), Some(TxnState::Aborted));
+        assert_eq!(dn1.engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
+        assert!(!dn1.engine.has_active_txns());
+        // The refusal is final: the late Prepare is refused too.
+        let late = dn2.handle(
             NodeId(9),
-            TxnMsg::Write {
+            TxnMsg::Prepare {
                 trx: TrxId(6),
-                snapshot_ts: 1,
-                table: TableId(1),
-                key: key(2),
-                op: WireWriteOp::Insert(row(2)),
+                staged: staged_at(1, vec![(key(2), WireWriteOp::Insert(row(2)))]),
+                peers: vec![NodeId(1), NodeId(2)],
             },
         );
-        dn.handle(NodeId(9), TxnMsg::Prepare { trx: TrxId(6), decision_node: Some(NodeId(2)), staged: Default::default() });
-        // Coordinator "died" before logging: resolver must presume abort.
-        let cfg = ResolverConfig {
-            interval: Duration::from_millis(5),
-            in_doubt_after: Duration::from_millis(10),
-            abandon_active_after: Duration::from_millis(200),
+        assert!(matches!(late, TxnMsg::Failed(Error::PrepareRejected { .. })), "{late:?}");
+        assert_eq!(dn2.engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), None);
+    }
+
+    #[test]
+    fn a_refused_transaction_stays_refused() {
+        let (_net, dn1, dn2) = two_dns();
+        let write = |trx: u64| TxnMsg::Write {
+            trx: TrxId(trx),
+            snapshot_ts: 1,
+            table: TableId(1),
+            key: key(7),
+            op: WireWriteOp::Insert(row(7)),
         };
-        std::thread::sleep(Duration::from_millis(15));
-        dn.resolve_once(&net, &cfg);
-        assert_eq!(dn.in_doubt_count(), 0);
-        assert_eq!(dn.metrics.in_doubt_aborts.get(), 1);
-        assert_eq!(arbiter.metrics.presumed_aborts.get(), 1);
-        assert_eq!(dn.engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), None);
-        assert!(!dn.engine.has_active_txns());
+        let prepare = |trx: u64| TxnMsg::Prepare {
+            trx: TrxId(trx),
+            staged: Default::default(),
+            peers: vec![NodeId(1), NodeId(2)],
+        };
+        // Trx 7 aborted on DN1; trx 8 refused on DN2, which held it ACTIVE.
+        assert!(matches!(dn1.handle(NodeId(9), write(7)), TxnMsg::Ok));
+        dn1.handle(NodeId(9), TxnMsg::Abort { trx: TrxId(7) });
+        assert!(matches!(dn2.handle(NodeId(9), write(8)), TxnMsg::Ok));
+        let vote = dn2.handle(NodeId(1), TxnMsg::Vote { trx: TrxId(8) });
+        assert!(matches!(vote, TxnMsg::Voted(Vote::Refused)), "{vote:?}");
+        for (dn, trx) in [(&dn1, 7), (&dn2, 8)] {
+            // A duplicated Write, then a Prepare: both refused, nothing installed.
+            let w = dn.handle(NodeId(9), write(trx));
+            assert!(matches!(w, TxnMsg::Failed(Error::TxnAborted { .. })), "{w:?}");
+            let p = dn.handle(NodeId(9), prepare(trx));
+            assert!(matches!(p, TxnMsg::Failed(Error::PrepareRejected { .. })), "{p:?}");
+            assert_eq!(dn.engine.txn_state(TrxId(trx)), Some(TxnState::Aborted));
+            assert_eq!(dn.engine.read(TableId(1), &key(7), u64::MAX, None).unwrap(), None);
+            assert!(!dn.engine.has_active_txns());
+        }
+        // A peer asking again hears the same answer.
+        let again = dn2.handle(NodeId(1), TxnMsg::Vote { trx: TrxId(8) });
+        assert!(matches!(again, TxnMsg::Voted(Vote::Refused)), "{again:?}");
     }
 
     #[test]

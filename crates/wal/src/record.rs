@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes};
 
-use polardbx_common::{Error, Key, Lsn, Result, TableId, TrxId};
+use polardbx_common::{Error, Key, Lsn, NodeId, Result, TableId, TrxId};
 
 /// A single redo record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,8 +19,10 @@ pub enum RedoPayload {
     Update { trx: TrxId, table: TableId, key: Key, row: Bytes },
     /// Delete the row at `key`.
     Delete { trx: TrxId, table: TableId, key: Key },
-    /// Transaction entered the PREPARED state (2PC first phase).
-    TxnPrepare { trx: TrxId, prepare_ts: u64 },
+    /// Transaction entered the PREPARED state (2PC first phase). `peers`
+    /// are the DNs its vote round went to, this one included: whom a
+    /// recovered participant asks for the outcome.
+    TxnPrepare { trx: TrxId, prepare_ts: u64, peers: Vec<NodeId> },
     /// Transaction committed with `commit_ts`.
     TxnCommit { trx: TrxId, commit_ts: u64 },
     /// Transaction rolled back.
@@ -64,10 +66,12 @@ impl RedoPayload {
                 out.put_u64_le(table.raw());
                 put_bytes(out, key.as_bytes());
             }
-            RedoPayload::TxnPrepare { trx, prepare_ts } => {
+            RedoPayload::TxnPrepare { trx, prepare_ts, peers } => {
                 out.put_u8(TAG_PREPARE);
                 out.put_u64_le(trx.raw());
                 out.put_u64_le(*prepare_ts);
+                out.put_u32_le(peers.len() as u32);
+                peers.iter().for_each(|p| out.put_u64_le(p.raw()));
             }
             RedoPayload::TxnCommit { trx, commit_ts } => {
                 out.put_u8(TAG_COMMIT);
@@ -92,7 +96,8 @@ impl RedoPayload {
                 16 + 4 + key.len() + 4 + row.len()
             }
             RedoPayload::Delete { key, .. } => 16 + 4 + key.len(),
-            RedoPayload::TxnPrepare { .. } | RedoPayload::TxnCommit { .. } => 16,
+            RedoPayload::TxnPrepare { peers, .. } => 16 + 4 + 8 * peers.len(),
+            RedoPayload::TxnCommit { .. } => 16,
             RedoPayload::TxnAbort { .. } | RedoPayload::Checkpoint { .. } => 8,
         }
     }
@@ -121,10 +126,12 @@ impl RedoPayload {
                 let key = Key(get_bytes(buf)?.to_vec());
                 RedoPayload::Delete { trx, table, key }
             }
-            TAG_PREPARE => RedoPayload::TxnPrepare {
-                trx: TrxId(get_u64(buf)?),
-                prepare_ts: get_u64(buf)?,
-            },
+            TAG_PREPARE => {
+                let (trx, prepare_ts) = (TrxId(get_u64(buf)?), get_u64(buf)?);
+                let n = get_len(buf, 8)?;
+                let peers = (0..n).map(|_| NodeId(buf.get_u64_le())).collect();
+                RedoPayload::TxnPrepare { trx, prepare_ts, peers }
+            }
             TAG_COMMIT => RedoPayload::TxnCommit {
                 trx: TrxId(get_u64(buf)?),
                 commit_ts: get_u64(buf)?,
@@ -169,14 +176,21 @@ fn get_u64(buf: &mut Bytes) -> Result<u64> {
     Ok(buf.get_u64_le())
 }
 
-fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
+/// A `u32` count of `width`-byte items, checked against what the buffer
+/// still holds before anything is allocated for them.
+fn get_len(buf: &mut Bytes, width: usize) -> Result<usize> {
     if buf.remaining() < 4 {
         return Err(Error::storage("truncated redo record"));
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
+    if buf.remaining() < len.saturating_mul(width) {
         return Err(Error::storage("truncated redo payload"));
     }
+    Ok(len)
+}
+
+fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
+    let len = get_len(buf, 1)?;
     Ok(buf.copy_to_bytes(len))
 }
 
@@ -205,7 +219,13 @@ mod tests {
                 table: TableId(4),
                 key: Key::encode(&[Value::str("k")]),
             },
-            RedoPayload::TxnPrepare { trx: TrxId(9), prepare_ts: 777 },
+            RedoPayload::TxnPrepare { trx: TrxId(9), prepare_ts: 777, peers: vec![] },
+            RedoPayload::TxnPrepare { trx: TrxId(9), prepare_ts: 777, peers: vec![NodeId(4)] },
+            RedoPayload::TxnPrepare {
+                trx: TrxId(9),
+                prepare_ts: 777,
+                peers: vec![NodeId(1000), NodeId(1), NodeId(u64::MAX)],
+            },
             RedoPayload::TxnCommit { trx: TrxId(9), commit_ts: 778 },
             RedoPayload::TxnAbort { trx: TrxId(10) },
             RedoPayload::Checkpoint { upto: Lsn(1024) },
@@ -238,12 +258,14 @@ mod tests {
 
     #[test]
     fn truncated_buffer_errors() {
-        let mut buf = BytesMut::new();
-        samples()[0].encode(&mut buf);
-        let full = buf.freeze();
-        for cut in [1, 5, full.len() - 1] {
-            let mut trunc = full.slice(0..cut);
-            assert!(RedoPayload::decode(&mut trunc).is_err(), "cut at {cut} must fail");
+        for rec in samples() {
+            let mut buf = BytesMut::new();
+            rec.encode(&mut buf);
+            let full = buf.freeze();
+            for cut in 1..full.len() {
+                let mut trunc = full.slice(0..cut);
+                assert!(RedoPayload::decode(&mut trunc).is_err(), "{rec:?} cut at {cut} must fail");
+            }
         }
     }
 
@@ -256,6 +278,6 @@ mod tests {
     #[test]
     fn table_accessor() {
         assert_eq!(samples()[0].table(), Some(TableId(3)));
-        assert_eq!(samples()[6].table(), None);
+        assert_eq!(samples().last().unwrap().table(), None);
     }
 }

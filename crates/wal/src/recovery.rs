@@ -120,7 +120,7 @@ mod tests {
     use crate::frame::{FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
     use crate::mtr::Mtr;
     use bytes::BytesMut;
-    use polardbx_common::{Key, TableId, TrxId, Value};
+    use polardbx_common::{Key, NodeId, TableId, TrxId, Value};
 
     fn mtr(n: i64, payload_size: usize) -> Mtr {
         Mtr::single(RedoPayload::Insert {
@@ -291,7 +291,7 @@ mod tests {
                 key: Key::encode(&[Value::Int(1)]),
                 row: Bytes::from_static(b"balance=100"),
             },
-            RedoPayload::TxnPrepare { trx: TrxId(7), prepare_ts: 41 },
+            RedoPayload::TxnPrepare { trx: TrxId(7), prepare_ts: 41, peers: vec![NodeId(1), NodeId(2)] },
             RedoPayload::TxnCommit { trx: TrxId(7), commit_ts: 42 },
         ]
     }

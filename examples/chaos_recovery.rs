@@ -2,9 +2,9 @@
 //!
 //! Cross-DC links drop and duplicate messages under a seeded fault plan
 //! while a coordinator runs two-phase commits against three DNs; then a
-//! coordinator is crashed right after logging its commit decision, and
-//! the participants' resolvers finish the transaction from the decision
-//! log. The same seed replays the exact same fault sequence:
+//! coordinator is crashed right after its participants voted yes, and the
+//! stranded participants commit by asking each other for their votes. The
+//! same seed replays the exact same fault sequence:
 //!
 //! ```sh
 //! cargo run --release --example chaos_recovery [seed]
@@ -16,7 +16,7 @@ use std::time::Duration;
 use polardbx_common::{DcId, IdGenerator, Key, NodeId, Row, TableId, TenantId, Value};
 use polardbx_hlc::Hlc;
 use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
-use polardbx_storage::StorageEngine;
+use polardbx_storage::{StorageEngine, TxnState};
 use polardbx_txn::{
     Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp,
 };
@@ -34,8 +34,8 @@ fn main() {
         .map(|s| s.parse().expect("seed must be a u64"))
         .unwrap_or(0xC4A0_5EED);
 
-    // Three DNs in three DCs, a CN in DC1; commit decisions are recorded
-    // on DN1 so in-doubt participants can settle without the coordinator.
+    // Three DNs in three DCs, a CN in DC1; every DN runs a resolver that
+    // settles what the coordinator leaves in doubt by its peers' votes.
     let net: Arc<SimNet<TxnMsg>> = SimNet::new(LatencyMatrix::zero());
     let mut dns = Vec::new();
     for i in 1..=3u64 {
@@ -53,13 +53,10 @@ fn main() {
     };
     let _resolvers: Vec<_> =
         dns.iter().map(|d| d.start_resolver(Arc::clone(&net), resolver_cfg)).collect();
-    let coord = Coordinator::new(
-        NodeId(9),
-        Arc::clone(&net),
-        Hlc::new(),
-        Arc::new(IdGenerator::new()),
-    )
-    .with_decision_log(NodeId(1))
+    // Both coordinators draw from one id space: a DN never re-opens a
+    // transaction id it has already seen decided.
+    let trx_ids = Arc::new(IdGenerator::new());
+    let coord = Coordinator::new(NodeId(9), Arc::clone(&net), Hlc::new(), Arc::clone(&trx_ids))
     .with_config(TxnConfig {
         max_attempts: 5,
         backoff_base: Duration::from_millis(1),
@@ -86,31 +83,26 @@ fn main() {
     println!("  fault stats: {}", net.fault_stats.report());
     println!("  coordinator: {}", coord.metrics().report());
 
-    println!("== phase 2: coordinator crash after logging the decision ==");
+    println!("== phase 2: coordinator crash after the votes ==");
     net.clear_fault_plan();
     net.register(NodeId(10), DcId(1), Arc::new(CnStub));
     let net_fp = Arc::clone(&net);
-    let doomed = Coordinator::new(
-        NodeId(10),
-        Arc::clone(&net),
-        Hlc::new(),
-        Arc::new(IdGenerator::new()),
-    )
-    .with_decision_log(NodeId(1))
-    .with_failpoint(Arc::new(move |point| {
-        if point == "txn.after_decision" {
-            println!("  !! crashing CN node10 at {point}");
-            net_fp.crash(NodeId(10));
-        }
-    }));
+    let doomed = Coordinator::new(NodeId(10), Arc::clone(&net), Hlc::new(), trx_ids)
+        .with_failpoint(Arc::new(move |point| {
+            if point == "txn.after_votes" {
+                println!("  !! crashing CN node10 at {point}");
+                net_fp.crash(NodeId(10));
+            }
+        }));
     let mut txn = doomed.begin();
     let k = Key::encode(&[Value::Int(777)]);
     txn.write(NodeId(2), TableId(1), k.clone(), WireWriteOp::Insert(Row::new(vec![Value::Int(777)]))).unwrap();
     txn.write(NodeId(3), TableId(1), k.clone(), WireWriteOp::Insert(Row::new(vec![Value::Int(777)]))).unwrap();
-    let commit_ts = txn.commit().expect("decision is durable before the crash");
+    let trx = txn.id();
+    let commit_ts = txn.commit().expect("every vote was yes before the crash");
     println!("  commit decided at ts {commit_ts}; phase-2 posts were black-holed");
 
-    // The resolvers must finish the job from the decision log.
+    // The stranded participants must finish the job by their votes.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while std::time::Instant::now() < deadline
         && dns.iter().any(|d| d.engine.has_active_txns() || d.in_doubt_count() > 0)
@@ -120,10 +112,16 @@ fn main() {
     for (i, dn) in dns.iter().enumerate() {
         assert!(!dn.engine.has_active_txns(), "DN{} still has active txns", i + 1);
     }
-    let on2 = dns[1].engine.read(TableId(1), &k, commit_ts, None).unwrap();
-    let on3 = dns[2].engine.read(TableId(1), &k, commit_ts, None).unwrap();
-    assert!(on2.is_some() && on3.is_some(), "resolver must commit from the log");
-    println!("  resolvers committed the stranded txn on DN2 and DN3");
+    for dn in &dns[1..] {
+        assert_eq!(
+            dn.engine.txn_state(trx),
+            Some(TxnState::Committed { commit_ts }),
+            "{}: a stranded participant must commit at the max prepare_ts",
+            dn.node
+        );
+        assert!(dn.engine.read(TableId(1), &k, commit_ts, None).unwrap().is_some());
+    }
+    println!("  the stranded participants committed at ts {commit_ts} on DN2 and DN3");
     for (i, dn) in dns.iter().enumerate() {
         println!("  DN{}: {}", i + 1, dn.metrics.report());
     }

@@ -12,19 +12,22 @@
 //! announces its seed on stderr, which the test harness surfaces exactly
 //! when the test fails — copy it into the env var to replay.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use bytes::Bytes;
 use polardbx_common::testseed::{format_seed, seed_from_env};
-use polardbx_common::{DcId, IdGenerator, Key, NodeId, Row, TableId, TenantId, Value};
+use polardbx_common::{
+    DcId, Error, IdGenerator, Key, Lsn, NodeId, Row, TableId, TenantId, TrxId, Value,
+};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
-use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
-use polardbx_storage::StorageEngine;
+use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, OneShot, OneShotFault, SimNet};
+use polardbx_storage::{StorageEngine, TxnState};
 use polardbx_txn::{
-    Coordinator, Decision, DnService, ResolverConfig, ResolverHandle, TxnConfig, TxnMsg,
-    WireWriteOp,
+    Coordinator, DnService, ResolverConfig, ResolverHandle, TxnConfig, TxnMsg, Vote, WireWriteOp,
 };
+use polardbx_wal::{LogSink, VecSink};
 
 fn key(n: i64) -> Key {
     Key::encode(&[Value::Int(n)])
@@ -41,9 +44,8 @@ impl Handler<TxnMsg> for CnStub {
     }
 }
 
-/// Three DNs in three DCs (NodeId 1..=3), a CN at NodeId(9) in DC1, and a
-/// coordinator that records commit decisions on DN1 (same DC as the CN, so
-/// decision logging itself rides a reliable link).
+/// Three DNs in three DCs (NodeId 1..=3), a CN at NodeId(9) in DC1, and its
+/// coordinator.
 fn chaos_cluster() -> (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>) {
     let net = SimNet::new(LatencyMatrix::zero());
     let mut dns = Vec::new();
@@ -61,7 +63,6 @@ fn chaos_cluster() -> (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>) {
         Hlc::new(),
         Arc::new(IdGenerator::new()),
     )
-    .with_decision_log(NodeId(1))
     .with_config(TxnConfig {
         max_attempts: 5,
         backoff_base: Duration::from_millis(1),
@@ -161,56 +162,54 @@ fn two_pc_atomic_under_lossy_duplicating_links() {
     );
 }
 
-/// Coordinator crashes BEFORE the commit decision reaches the log: the
-/// outcome is in doubt, nobody may unilaterally commit, and the resolvers
-/// must settle on presumed abort via the decision log.
+/// Coordinator crashes while its vote round is on the wire: DN2 got its
+/// Prepare and voted yes, DN3's Prepare was the message the crash lost. The
+/// outcome is in doubt and nobody may commit: DN2's resolver asks DN3,
+/// which never voted and refuses, and the transaction aborts everywhere.
 #[test]
-fn coordinator_crash_before_decision_presumes_abort() {
+fn coordinator_crash_mid_prepare_aborts_through_a_refusal() {
     // Votes requested by stand-alone Prepares, then by Prepares that also
     // delivered the writes.
-    crash_before_decision_presumes_abort(false);
-    crash_before_decision_presumes_abort(true);
+    crash_mid_prepare_aborts_through_a_refusal(false);
+    crash_mid_prepare_aborts_through_a_refusal(true);
 }
 
-fn crash_before_decision_presumes_abort(staged: bool) {
+fn crash_mid_prepare_aborts_through_a_refusal(staged: bool) {
     let (net, coord, dns) = chaos_cluster();
     let _resolvers = start_resolvers(&net, &dns);
-    let net_fp = Arc::clone(&net);
-    let coord = coord.with_failpoint(Arc::new(move |point| {
-        if point == "txn.before_decision" {
-            net_fp.crash(NodeId(9));
-        }
+    // The CN's sends: two Writes unless staged, then Prepare to DN2 and to
+    // DN3 — the CN dies on that last one.
+    let crash_at = if staged { 2 } else { 4 };
+    net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
+        from: NodeId(9),
+        after_sends: crash_at,
+        fault: OneShotFault::Crash(NodeId(9)),
     }));
 
     let mut txn = coord.begin();
     let trx = txn.id();
     assert!(write_pair(&mut txn, 1, 1, staged));
-    txn.commit().expect_err("a coordinator dead before logging cannot report success");
+    txn.commit().expect_err("a coordinator dead mid-round cannot report success");
 
     assert!(await_drained(&dns, Duration::from_secs(5)), "in-doubt txn must resolve");
     assert_eq!(dns[1].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
     assert_eq!(dns[2].engine.read(TableId(1), &key(1), u64::MAX, None).unwrap(), None);
     assert!(!dns[1].engine.has_active_writes_on(TableId(1)), "no intent may outlive the abort");
     assert!(!dns[2].engine.has_active_writes_on(TableId(1)), "no intent may outlive the abort");
-    assert_eq!(
-        dns[0].recorded_decision(trx),
-        Some(Decision::Abort),
-        "the arbiter must have presumed abort"
-    );
-    assert!(dns[0].metrics.presumed_aborts.get() >= 1);
-    assert!(dns[1].metrics.in_doubt_aborts.get() + dns[2].metrics.in_doubt_aborts.get() >= 2);
+    assert_eq!(dns[1].metrics.in_doubt_aborts.get(), 1, "DN2 voted yes, then learned the refusal");
+    assert_eq!(dns[2].engine.txn_state(trx), Some(TxnState::Aborted), "DN3 refused");
 }
 
-/// Coordinator crashes AFTER logging the commit decision but before any
-/// phase-two message leaves: every participant is stranded PREPARED and
-/// must learn the commit from the decision log.
+/// Coordinator crashes after every vote came back yes, before any
+/// phase-two message leaves: every participant is stranded PREPARED and the
+/// votes alone commit it, at the coordinator's own timestamp.
 #[test]
-fn coordinator_crash_after_decision_resolver_commits() {
+fn coordinator_crash_after_the_votes_commits_through_the_peers() {
     let (net, coord, dns) = chaos_cluster();
     let _resolvers = start_resolvers(&net, &dns);
     let net_fp = Arc::clone(&net);
     let coord = coord.with_failpoint(Arc::new(move |point| {
-        if point == "txn.after_decision" {
+        if point == "txn.after_votes" {
             net_fp.crash(NodeId(9));
         }
     }));
@@ -219,20 +218,17 @@ fn coordinator_crash_after_decision_resolver_commits() {
     let trx = txn.id();
     txn.write(NodeId(2), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
     txn.write(NodeId(3), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
-    let commit_ts = txn.commit().expect("the decision is durable; commit stands");
+    let commit_ts = txn.commit().expect("every vote was yes; the commit stands");
 
     assert!(await_drained(&dns, Duration::from_secs(5)), "prepared txns must resolve");
-    assert_eq!(
-        dns[1].engine.read(TableId(1), &key(1), commit_ts, None).unwrap(),
-        Some(row(1)),
-        "resolver must have committed from the log"
-    );
-    assert_eq!(
-        dns[2].engine.read(TableId(1), &key(2), commit_ts, None).unwrap(),
-        Some(row(2)),
-        "resolver must have committed from the log"
-    );
-    assert_eq!(dns[0].recorded_decision(trx), Some(Decision::Commit(commit_ts)));
+    for (dn, k) in [(&dns[1], 1), (&dns[2], 2)] {
+        assert_eq!(dn.engine.txn_state(trx), Some(TxnState::Committed { commit_ts }));
+        assert_eq!(
+            dn.engine.read(TableId(1), &key(k), commit_ts, None).unwrap(),
+            Some(row(k)),
+            "the peers must have committed at the max prepare_ts"
+        );
+    }
     assert!(dns[1].metrics.in_doubt_commits.get() + dns[2].metrics.in_doubt_commits.get() >= 2);
     assert!(net.fault_stats.blackholed.get() > 0, "the crashed CN must have been black-holed");
 }
@@ -326,6 +322,83 @@ fn duplicated_commit_round_applies_a_staged_insert_once() {
     assert_eq!(dns[2].engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), Some(row(2)));
 }
 
+/// A log sink that, once armed, holds its next write until the test gives
+/// the verdict: `true` persists it, `false` fails it (a lost flush). No
+/// verdict within 5 s fails it too, so a failed assertion cannot hang.
+struct StalledSink {
+    inner: Arc<VecSink>,
+    verdict: Mutex<Option<mpsc::Receiver<bool>>>,
+}
+
+impl LogSink for StalledSink {
+    fn write(&self, at: Lsn, bytes: Bytes) -> polardbx_common::Result<()> {
+        let armed = self.verdict.lock().unwrap().take();
+        if armed.is_some_and(|rx| !rx.recv_timeout(Duration::from_secs(5)).unwrap_or(false)) {
+            return Err(Error::storage("flush failed"));
+        }
+        self.inner.write(at, bytes)
+    }
+}
+
+/// A participant is PREPARED in memory before its prepare record is
+/// durable. A peer asking in that window must not hear a yes: a failed
+/// persist turns the vote into a refusal, and the peer that counted the yes
+/// would commit what this DN aborts.
+#[test]
+fn a_prepare_still_persisting_casts_no_vote() {
+    let net = SimNet::new(LatencyMatrix::zero());
+    let sink = Arc::new(StalledSink { inner: VecSink::new(), verdict: Mutex::new(None) });
+    let engines = [StorageEngine::with_sink(Arc::clone(&sink) as _), StorageEngine::in_memory()];
+    let dns: Vec<Arc<DnService>> = (1..=2u64)
+        .zip(engines)
+        .map(|(n, engine)| {
+            engine.create_table(TableId(1), TenantId(1));
+            let dn = DnService::new(NodeId(n), engine, Hlc::new());
+            net.register(NodeId(n), DcId(n), dn.clone() as Arc<dyn Handler<TxnMsg>>);
+            dn
+        })
+        .collect();
+    let now = ResolverConfig { in_doubt_after: Duration::ZERO, ..Default::default() };
+    let prepare = |dn: &DnService, trx: TrxId, k: i64| {
+        let op = WireWriteOp::Insert(row(k));
+        let write = TxnMsg::Write { trx, snapshot_ts: 1, table: TableId(1), key: key(k), op };
+        assert!(matches!(dn.handle(NodeId(9), write), TxnMsg::Ok));
+        let peers = vec![NodeId(1), NodeId(2)];
+        dn.handle(NodeId(9), TxnMsg::Prepare { trx, staged: Default::default(), peers })
+    };
+    // DN2 voted yes, durably; DN1's prepare record waits on the sink.
+    for (trx, persists) in [(TrxId(5), false), (TrxId(6), true)] {
+        assert!(matches!(prepare(&dns[1], trx, 2), TxnMsg::Prepared { .. }));
+        let (tx, rx) = mpsc::channel();
+        *sink.verdict.lock().unwrap() = Some(rx);
+        std::thread::scope(|s| {
+            let voting = s.spawn(|| prepare(&dns[0], trx, 1));
+            while !matches!(dns[0].engine.txn_state(trx), Some(TxnState::Prepared { .. })) {
+                std::thread::yield_now();
+            }
+            let asked = dns[0].handle(NodeId(2), TxnMsg::Vote { trx });
+            assert!(matches!(asked, TxnMsg::Failed(_)), "a vote not yet durable: {asked:?}");
+            dns[1].resolve_once(&net, &now);
+            assert_eq!(dns[1].in_doubt_count(), 1, "DN2 must stay in doubt");
+            tx.send(persists).unwrap();
+            let vote = voting.join().unwrap();
+            assert_eq!(matches!(vote, TxnMsg::Prepared { .. }), persists, "{vote:?}");
+        });
+        let asked = dns[0].handle(NodeId(2), TxnMsg::Vote { trx });
+        assert_eq!(matches!(asked, TxnMsg::Voted(Vote::Prepared(_))), persists, "{asked:?}");
+        // DN2 now hears the durable answer: a refusal aborts, two yeses commit.
+        dns[1].resolve_once(&net, &now);
+        assert_eq!(dns[1].in_doubt_count(), 0);
+        let on2 = dns[1].engine.read(TableId(1), &key(2), u64::MAX, None).unwrap();
+        assert_eq!(on2.is_some(), persists, "DN2 must follow DN1's durable vote");
+        // And DN1 settles the same way, through DN2.
+        dns[0].resolve_once(&net, &now);
+        let states = dns.iter().map(|dn| dn.engine.txn_state(trx)).collect::<Vec<_>>();
+        assert_eq!(states[0], states[1]);
+        assert_eq!(matches!(states[0], Some(TxnState::Committed { .. })), persists, "{states:?}");
+    }
+}
+
 /// One full chaos run: seeded faults during a serialized workload, then
 /// heal, then resolver-driven settlement. Returns everything observable
 /// that must be identical across same-seed runs.
@@ -391,8 +464,8 @@ fn same_seed_replays_identical_chaos() {
 /// whose DN-side durability shares persists through the commit pipeline's
 /// leader hand-off, over seeded lossy, duplicating cross-DC links; mid-run
 /// the coordinator node crashes, stranding in-flight transactions PREPARED
-/// on the DNs. After the fabric heals, the PR 1 decision-log resolvers must
-/// settle every one of them all-or-nothing, and the pipeline's flush
+/// on the DNs. After the fabric heals, the resolvers must settle every one
+/// of them all-or-nothing by the participants' votes, and the pipeline's flush
 /// accounting must balance (every submission released by exactly one
 /// persist, no persist lost).
 ///
@@ -411,14 +484,13 @@ fn group_commit_chaos_settles_in_flight_txns() {
         FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.08).with_duplicate(0.05)),
     );
 
-    // Crash the CN after a fixed number of commit decisions: whatever is
-    // mid-2PC at that point is stranded PREPARED with its fate only in the
-    // decision log.
+    // Crash the CN after a fixed number of rounds of yes votes: whatever is
+    // mid-2PC at that point is stranded PREPARED, its fate in the votes.
     let commits_seen = Arc::new(AtomicU64::new(0));
     let net_fp = Arc::clone(&net);
     let commits_fp = Arc::clone(&commits_seen);
     let coord = Arc::new(coord.with_failpoint(Arc::new(move |point| {
-        if point == "txn.before_decision" && commits_fp.fetch_add(1, Ordering::SeqCst) + 1 == 12 {
+        if point == "txn.after_votes" && commits_fp.fetch_add(1, Ordering::SeqCst) + 1 == 12 {
             net_fp.crash(NodeId(9));
         }
     })));
@@ -460,7 +532,7 @@ fn group_commit_chaos_settles_in_flight_txns() {
     net.clear_fault_plan();
     assert!(
         await_drained(&dns, Duration::from_secs(20)),
-        "every in-flight transaction must resolve via the decision log"
+        "every in-flight transaction must resolve by its votes"
     );
 
     // Atomicity on the cross-DC participants; reported commits visible.
@@ -484,8 +556,8 @@ fn group_commit_chaos_settles_in_flight_txns() {
     // without work.
     for (i, dn) in dns.iter().enumerate() {
         let m = &dn.engine.pipeline().metrics;
-        // DN1 (index 0) only arbitrates the decision log; DN2/DN3 are the
-        // write participants and must have paid durable work.
+        // DN1 (index 0) takes no part; DN2/DN3 are the write participants
+        // and must have paid durable work.
         assert!(i == 0 || m.commits.get() > 0, "participant DN saw no durable work");
         assert!(m.flushes.get() <= m.commits.get());
         assert_eq!(m.failures.get(), 0);

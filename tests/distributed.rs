@@ -5,7 +5,8 @@
 //! latency.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use polardbx::{ClusterConfig, PolarDbx};
@@ -14,12 +15,13 @@ use polardbx_common::{
     DcId, Error, IdGenerator, Key, NodeId, Row, TableId, TenantId, TenantQuotas, TrxId, Value,
 };
 use polardbx_front::{FrontClient, FrontDoor};
+use polardbx_optimizer::WorkloadClass;
 use rand::{Rng, SeedableRng};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
-use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
+use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
 use polardbx_storage::engine::RedoApplier;
-use polardbx_storage::{StorageEngine, WriteOp};
+use polardbx_storage::{StorageEngine, TxnState, WriteOp};
 use polardbx_txn::{
     checker, Coordinator, DnService, ResolverConfig, ResolverHandle, TxnConfig, TxnMsg,
     WireWriteOp,
@@ -36,8 +38,7 @@ fn row(n: i64) -> Row {
 /// Fabric, coordinator, DN services and their resolver threads.
 type ResolverCluster = (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>, Vec<ResolverHandle>);
 
-/// Two DNs in two DCs with running in-doubt resolvers, plus a CN in DC1
-/// whose coordinator records commit decisions on DN1.
+/// Two DNs in two DCs with running in-doubt resolvers, plus a CN in DC1.
 fn resolver_cluster() -> ResolverCluster {
     struct CnStub;
     impl Handler<TxnMsg> for CnStub {
@@ -63,7 +64,6 @@ fn resolver_cluster() -> ResolverCluster {
     }
     net.register(NodeId(9), DcId(1), Arc::new(CnStub));
     let coord = Coordinator::new(NodeId(9), Arc::clone(&net), Hlc::new(), Arc::new(IdGenerator::new()))
-        .with_decision_log(NodeId(1))
         .with_config(TxnConfig {
             max_attempts: 2,
             backoff_base: Duration::from_millis(1),
@@ -85,8 +85,8 @@ fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
 
 /// A partition that strikes during prepare leaves one participant ACTIVE
 /// (it never saw the prepare) and everything must drain after heal: the
-/// reachable participant aborts on command, the stranded one expires its
-/// abandoned transaction locally.
+/// reachable participant, PREPARED, asks the stranded one, which never
+/// voted and refuses — the transaction aborts on both.
 #[test]
 fn partition_during_prepare_drains_after_heal() {
     let (net, coord, dns, _resolvers) = resolver_cluster();
@@ -95,10 +95,7 @@ fn partition_during_prepare_drains_after_heal() {
     txn.write(NodeId(2), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
     net.partition(DcId(1), DcId(2));
     let err = txn.commit().unwrap_err();
-    assert!(
-        matches!(err, polardbx_common::Error::Network { .. } | polardbx_common::Error::Timeout { .. }),
-        "partitioned prepare must fail: {err:?}"
-    );
+    assert!(matches!(err, Error::InDoubt { .. }), "a partitioned vote is unheard: {err:?}");
     net.heal(DcId(1), DcId(2));
     assert!(await_drained(&dns, Duration::from_secs(3)), "active txns must drain after heal");
     // Atomicity: the aborted transaction left nothing behind on either DN.
@@ -106,25 +103,25 @@ fn partition_during_prepare_drains_after_heal() {
     assert_eq!(dns[1].engine.read(TableId(1), &key(2), u64::MAX, None).unwrap(), None);
 }
 
-/// A partition that strikes between the commit decision and phase two
-/// strands a PREPARED participant. Its resolver must find the commit in
-/// the decision log once the partition heals — the transaction lands as
-/// committed everywhere, never "half gone".
+/// A partition that strikes between the votes and phase two strands a
+/// PREPARED participant. Once the partition heals its resolver hears that
+/// its peer committed — the transaction lands as committed everywhere,
+/// never "half gone".
 #[test]
-fn partition_during_commit_decision_drains_after_heal() {
+fn partition_after_the_votes_drains_after_heal() {
     let (net, coord, dns, _resolvers) = resolver_cluster();
-    // Sever the cross-DC link exactly after the decision is logged and
-    // before phase-two posts go out.
+    // Sever the cross-DC link exactly after the votes are in and before
+    // phase-two posts go out.
     let net_fp = Arc::clone(&net);
     let coord = coord.with_failpoint(Arc::new(move |point| {
-        if point == "txn.after_decision" {
+        if point == "txn.after_votes" {
             net_fp.partition(DcId(1), DcId(2));
         }
     }));
     let mut txn = coord.begin();
     txn.write(NodeId(1), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
     txn.write(NodeId(2), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
-    let commit_ts = txn.commit().expect("decision was logged; commit succeeds");
+    let commit_ts = txn.commit().expect("every vote was yes; commit succeeds");
     // DN2 is stranded PREPARED behind the partition.
     std::thread::sleep(Duration::from_millis(30));
     net.heal(DcId(1), DcId(2));
@@ -138,7 +135,181 @@ fn partition_during_commit_decision_drains_after_heal() {
         dns[1].engine.read(TableId(1), &key(2), commit_ts, None).unwrap(),
         Some(row(2))
     );
-    assert!(dns[1].metrics.in_doubt_commits.get() >= 1, "resolver must have used the log");
+    assert!(dns[1].metrics.in_doubt_commits.get() >= 1, "DN2 must have settled through DN1");
+}
+
+/// A DN's participant service that counts the `Vote`s it is asked and, when
+/// `lossy`, swallows the first phase-two `Commit` posted to it.
+struct PhaseTwoLoss {
+    inner: Arc<DnService>,
+    lossy: bool,
+    votes: Arc<AtomicU64>,
+    /// The swallowed `Commit`: its transaction and commit timestamp.
+    swallowed: Mutex<Option<(TrxId, u64)>>,
+}
+
+impl Handler<TxnMsg> for PhaseTwoLoss {
+    fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+        if matches!(msg, TxnMsg::Vote { .. }) {
+            self.votes.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.handle(from, msg)
+    }
+
+    fn handle_oneway(&self, from: NodeId, msg: TxnMsg) {
+        if let TxnMsg::Commit { trx, commit_ts } = msg {
+            let mut swallowed = self.swallowed.lock().unwrap();
+            if self.lossy && swallowed.is_none() {
+                *swallowed = Some((trx, commit_ts));
+                return;
+            }
+        }
+        self.inner.handle_oneway(from, msg)
+    }
+}
+
+/// A DN that misses phase two of a statement the client saw acked stays
+/// PREPARED only until its resolver asks the transaction's peers: it then
+/// commits at the acked timestamp, and reads routed to the RO replicas no
+/// longer wait behind it. A statement that meets no fault asks no DN for a
+/// vote.
+#[test]
+fn a_dn_that_misses_phase_two_settles_through_its_peers() {
+    let db = PolarDbx::build(ClusterConfig { dns: 3, ros_per_dn: 1, ..Default::default() })
+        .unwrap();
+    let s = db.connect(DcId(1));
+    s.execute(
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 6",
+    )
+    .unwrap();
+    let values: Vec<String> = (0..24).map(|i| format!("({i}, 0)")).collect();
+    s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while db.dns().iter().any(|dn| dn.rw.engine.has_active_txns()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1)); // the load's own phase two
+    }
+    // Rows `a` and `b` live on two DNs; `a`'s DN will miss phase two.
+    let home = |id: i64| s.route("t", &[Value::Int(id)]).unwrap();
+    let a = 0;
+    let b = (1..24).find(|&id| home(id).1 != home(a).1).unwrap();
+    let (stid, lossy) = home(a);
+    let votes = Arc::new(AtomicU64::new(0));
+    let mut victim = None;
+    for dn in db.dns() {
+        let wrapped = Arc::new(PhaseTwoLoss {
+            inner: Arc::clone(&dn.service),
+            lossy: dn.id == lossy,
+            votes: Arc::clone(&votes),
+            swallowed: Mutex::new(None),
+        });
+        db.net().register(dn.id, dn.dc, Arc::clone(&wrapped) as Arc<dyn Handler<TxnMsg>>);
+        if dn.id == lossy {
+            victim = Some((dn, wrapped));
+        }
+    }
+    let (dn, wrapped) = victim.unwrap();
+    let update = |v: i64| format!("UPDATE t SET v = {v} WHERE id IN ({a}, {b})");
+
+    assert_eq!(s.execute(&update(1)).unwrap(), 2, "the client gets its ack");
+    let acked = Instant::now();
+    let (trx, commit_ts) = loop {
+        if let Some(lost) = *wrapped.swallowed.lock().unwrap() {
+            break lost;
+        }
+        assert!(acked.elapsed() < Duration::from_secs(1), "phase two never reached the DN");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    while dn.service.in_doubt_count() > 0 {
+        assert!(acked.elapsed() < Duration::from_secs(1), "the DN is still PREPARED after 1 s");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(dn.rw.engine.txn_state(trx), Some(TxnState::Committed { commit_ts }));
+    let row = dn.rw.engine.read(stid, &key(a), commit_ts, None).unwrap().unwrap();
+    assert_eq!(row.get(1).unwrap(), &Value::Int(1), "committed at the acked timestamp");
+    let asked = votes.load(Ordering::SeqCst);
+    assert!(asked >= 1, "the DN asked its peer");
+
+    // Reads routed to the RO replicas wait behind nothing any more.
+    db.gms().record_rows("t", 10_000_000);
+    let started = Instant::now();
+    let (rows, class) = s.query_classified("SELECT SUM(v) FROM t").unwrap();
+    let took = started.elapsed();
+    assert_eq!(class, WorkloadClass::Ap);
+    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(2));
+    assert!(took < Duration::from_millis(200), "an RO-routed SELECT took {took:?}");
+
+    // The same statement with nothing lost: no DN is asked for a vote, not
+    // even once a resolver's in-doubt timeout has passed twice.
+    assert_eq!(s.execute(&update(2)).unwrap(), 2);
+    std::thread::sleep(2 * ResolverConfig::default().in_doubt_after + Duration::from_millis(50));
+    assert_eq!(votes.load(Ordering::SeqCst), asked, "a statement that met no fault sent a Vote");
+    db.shutdown();
+}
+
+/// A vote whose reply never reaches the coordinator leaves the commit in
+/// doubt, and the client hears so with an error that is not retryable. A
+/// client that re-runs exactly the statements whose error is retryable
+/// therefore never applies `v = v + 1` twice: the in-doubt statement
+/// commits once, through the peers, and every other one is acked.
+#[test]
+fn a_lost_vote_reply_is_in_doubt_and_applied_once() {
+    let db = PolarDbx::build(ClusterConfig { dcs: 3, cns_per_dc: 1, dns: 3, ..Default::default() })
+        .unwrap();
+    let s = db.connect(DcId(1));
+    s.execute(
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 6",
+    )
+    .unwrap();
+    let values: Vec<String> = (0..24).map(|i| format!("({i}, 0)")).collect();
+    s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
+    // One row on the DN of DC 2, one on the DN of DC 3; the session's CN is
+    // in DC 1.
+    let dns = db.dns();
+    let dc_of = |id: i64| {
+        let dn = s.route("t", &[Value::Int(id)]).unwrap().1;
+        dns.iter().find(|d| d.id == dn).unwrap().dc
+    };
+    let a = (0..24).find(|&id| dc_of(id) == DcId(2)).unwrap();
+    let b = (0..24).find(|&id| dc_of(id) == DcId(3)).unwrap();
+    let update = format!("UPDATE t SET v = v + 1 WHERE id IN ({a}, {b})");
+
+    // Every reply from DC 2 to DC 1 is lost while the first statement runs.
+    db.net().set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+    let (mut acked, mut in_doubt) = (0, 0);
+    for _ in 0..4 {
+        loop {
+            let result = s.execute(&update);
+            db.net().clear_fault_plan();
+            match result {
+                Ok(n) => {
+                    assert_eq!(n, 2);
+                    acked += 1;
+                    break;
+                }
+                Err(e) if e.is_retryable() => continue,
+                Err(e) => {
+                    assert!(matches!(e, Error::InDoubt { .. }), "{e:?}");
+                    in_doubt += 1;
+                    break;
+                }
+            }
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while dns.iter().any(|d| d.service.in_doubt_count() > 0 || d.rw.engine.has_active_txns()) {
+        assert!(Instant::now() < deadline, "the in-doubt statement never settled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Both votes were yes, so the in-doubt statement committed.
+    for id in [a, b] {
+        let rows = s.query(&format!("SELECT v FROM t WHERE id = {id}")).unwrap();
+        let v = rows[0].get(0).unwrap();
+        assert_eq!(v, &Value::Int(acked + in_doubt), "row {id}: every statement applied once");
+    }
+    assert_eq!((acked, in_doubt), (3, 1));
+    db.shutdown();
 }
 
 /// A DN whose commits ride a 3-DC Paxos group keeps all committed rows

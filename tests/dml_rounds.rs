@@ -384,9 +384,10 @@ fn statements_that_change_a_global_index_entry_stay_two_rounds() {
 
 /// The CN loses its link to a row's DN after the statement's read and before
 /// its commit round (the statement changes a global-index entry, so it has a
-/// read round). The statement fails, and because the write had not been sent
-/// ahead of the vote there is no intent on the DN to outlive it: once the
-/// link heals the row can be written again.
+/// read round). The row's vote is unheard, so the statement's outcome is in
+/// doubt; because the write had not been sent ahead of the vote there is no
+/// intent on the DN to outlive it, and once the link heals the row can be
+/// written again.
 #[test]
 fn partition_during_a_point_update_leaves_the_row_writable() {
     let c = cluster().with_indexed_table();
@@ -412,15 +413,16 @@ fn partition_during_a_point_update_leaves_the_row_writable() {
     let sql = format!("UPDATE g SET k = k + 100 WHERE id = {id}");
     let commit_rounds = c.tallies[&dn.id].commit_round.load(Ordering::Relaxed);
     let err = c.s.execute(&sql).unwrap_err();
-    assert!(matches!(err, Error::Network { .. }), "{err:?}");
+    assert!(matches!(err, Error::InDoubt { .. }), "{err:?}");
     assert!(!armed.load(Ordering::SeqCst), "the partition began during the statement");
     assert_eq!(c.tallies[&dn.id].commit_round.load(Ordering::Relaxed), commit_rounds);
     c.db.net().heal(DcId(1), dn.dc);
 
     assert!(!dn.rw.engine.has_active_writes_on(home(id).0));
-    // The index entries' DNs prepared and were told to abort. (The Abort
-    // posted to the row's own DN met the partition: the writeless context
-    // its Read opened is still there, and blocks nothing.)
+    // The index entries' DNs prepared; their resolvers abort once the row's
+    // own DN, which never voted, refuses. (Nothing is posted to that DN: the
+    // writeless context its Read opened ends with the refusal, and blocks
+    // nothing meanwhile.)
     c.await_drained(&[dn.id]);
     assert_eq!(c.s.execute(&sql).unwrap(), 1, "the row must not be blocked");
     let rows = c.s.query(&format!("SELECT k FROM g WHERE id = {id}")).unwrap();
@@ -429,8 +431,9 @@ fn partition_during_a_point_update_leaves_the_row_writable() {
 }
 
 /// A pushed statement sends nothing ahead of its commit round, so one that
-/// cannot reach a DN leaves nothing anywhere: the DNs it did reach roll
-/// their edits back, and the statement can simply run again.
+/// cannot reach a DN leaves nothing anywhere: its outcome is in doubt until
+/// the DNs it did reach hear the unreached one refuse and roll their edits
+/// back, and then the statement can simply run again.
 #[test]
 fn unreachable_dn_fails_a_pushed_update_and_every_edit_rolls_back() {
     let c = cluster();
@@ -440,7 +443,7 @@ fn unreachable_dn_fails_a_pushed_update_and_every_edit_rolls_back() {
 
     let sql = format!("UPDATE t SET v = v + 1 WHERE id IN ({}, {}, {})", ids[0], ids[1], ids[2]);
     let err = c.s.execute(&sql).unwrap_err();
-    assert!(matches!(err, Error::Network { .. }), "{err:?}");
+    assert!(matches!(err, Error::InDoubt { .. }), "{err:?}");
     assert_eq!(c.total(|t| &t.reads) + c.total(|t| &t.scans) + c.total(|t| &t.writes), 0);
     for (dn, tally) in &c.tallies {
         let reached = (*dn != far.id) as u64;

@@ -146,3 +146,18 @@ fn mutation_skip_edit_conflict_check_yields_lost_update() {
     // one survives.
     assert_mutation_detected(Mutation::SkipEditConflictCheck, AnomalyKind::LostUpdate);
 }
+
+#[test]
+fn mutation_resolve_on_partial_view_yields_lost_write() {
+    // A resolver that counts an unreachable peer as PREPARED commits a
+    // transaction that peer never voted for and then refused.
+    assert_mutation_detected(Mutation::ResolveOnPartialView, AnomalyKind::LostWrite);
+}
+
+#[test]
+fn mutation_forget_refusal_yields_lost_write() {
+    // A participant that lets a late Write re-open a transaction it refused
+    // votes yes after its refusal: the coordinator commits what its peer
+    // already aborted.
+    assert_mutation_detected(Mutation::ForgetRefusal, AnomalyKind::LostWrite);
+}

@@ -72,7 +72,8 @@ fn mid_group_flush_crash_with_clean_tail() {
 fn crash_between_prepare_and_commit_recovers_the_acked_commit() {
     // The sharp case: the client holds an ack for a commit whose phase-two
     // post to the victim was lost. Recovery surfaces the PREPARED txn as
-    // in-doubt and the resolver re-commits it from the arbiter's log.
+    // in-doubt, with the peers its prepare record names, and the resolver
+    // commits it by asking them.
     run(2, CrashPoint::BetweenPrepareAndCommit, true);
 }
 
