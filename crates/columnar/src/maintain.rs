@@ -8,18 +8,17 @@
 //!
 //! A [`ColumnIndexMaintainer`] is one more consumer of each DN's
 //! committed-transaction feed, beside the RO replicas: the batch is what one
-//! `ship()` carries, applied under one index write lock, and the feed's LSN
-//! per source node is the watermark a snapshot read waits on — the RO
-//! replica's session-consistency rule.
+//! `ship()` carries, applied under one index write lock before the ship
+//! returns — a reader that shipped up to its snapshot reads the index at
+//! once, the RO replica's session-consistency rule — and followed by a
+//! tombstone reclaim when one is due.
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 
-use polardbx_common::time::mono_now;
-use polardbx_common::{Error, Lsn, NodeId, Result, TableId};
-use polardbx_storage::{CommittedTxn, RedoConsumer, RowChange, SessionToken};
+use polardbx_common::{Lsn, NodeId, Result, TableId};
+use polardbx_storage::{CommittedTxn, RedoConsumer, RowChange};
 
 use crate::index::ColumnIndex;
 
@@ -40,8 +39,6 @@ pub struct ColumnIndexMaintainer {
 }
 
 struct FeedState {
-    /// Per source node, the LSN its feed has been applied through.
-    applied: HashMap<NodeId, Lsn>,
     /// The table's transactions fed while the initial scan runs; `None`
     /// once the index is live.
     held: Option<Vec<CommittedTxn>>,
@@ -58,11 +55,7 @@ impl ColumnIndexMaintainer {
         Arc::new(ColumnIndexMaintainer {
             index,
             shard_tables: shard_tables.into_iter().collect(),
-            state: Mutex::new(FeedState {
-                applied: HashMap::new(),
-                held: Some(Vec::new()),
-                built_at: 0,
-            }),
+            state: Mutex::new(FeedState { held: Some(Vec::new()), built_at: 0 }),
         })
     }
 
@@ -102,29 +95,10 @@ impl ColumnIndexMaintainer {
         }
         Ok(())
     }
-
-    /// LSN of `node`'s feed applied so far.
-    pub fn applied_lsn(&self, node: NodeId) -> Lsn {
-        self.state.lock().applied.get(&node).copied().unwrap_or(Lsn::ZERO)
-    }
-
-    /// Block until `node`'s feed has been applied through `token` — what
-    /// `RoNode::wait_for` is to a replica.
-    pub fn wait_for(&self, node: NodeId, token: SessionToken, timeout: Duration) -> Result<()> {
-        let deadline = mono_now() + timeout;
-        while self.applied_lsn(node) < token.0 {
-            if mono_now() >= deadline {
-                let what = format!("column index catch-up to {} of {node}", token.0);
-                return Err(Error::Timeout { what });
-            }
-            std::thread::yield_now();
-        }
-        Ok(())
-    }
 }
 
 impl RedoConsumer for ColumnIndexMaintainer {
-    fn consume(&self, source: NodeId, through: Lsn, txns: &[CommittedTxn]) {
+    fn consume(&self, _source: NodeId, _through: Lsn, txns: &[CommittedTxn]) {
         let mut state = self.state.lock();
         match &mut state.held {
             Some(held) => {
@@ -137,9 +111,9 @@ impl RedoConsumer for ColumnIndexMaintainer {
                 if self.apply(state.built_at, txns).is_err() {
                     self.index.raise_floor(u64::MAX);
                 }
+                self.index.reclaim();
             }
         }
-        state.applied.insert(source, through);
     }
 }
 
@@ -183,11 +157,14 @@ mod tests {
         m.consume(DN, Lsn(40), &[put(1, 10, T, 5, 2.5)]);
         assert_eq!(idx.snapshot(9).len(), 0);
         assert_eq!(idx.snapshot(10).rows(), vec![row(5, 2.5)]);
-        m.consume(DN, Lsn(80), &[put(2, 20, T, 5, 9.0), delete(3, 30, 5)]);
+        m.consume(DN, Lsn(80), &[put(2, 20, T, 5, 9.0)]);
+        assert_eq!(idx.snapshot(15).rows(), vec![row(5, 2.5)]);
         assert_eq!(idx.snapshot(25).rows(), vec![row(5, 9.0)]);
+        // Every image is dead after this batch: it ends in a compaction.
+        m.consume(DN, Lsn(120), &[delete(3, 30, 5)]);
         assert_eq!(idx.snapshot(30).len(), 0);
-        assert_eq!(m.applied_lsn(DN), Lsn(80));
-        assert_eq!(m.applied_lsn(NodeId(8)), Lsn::ZERO);
+        assert_eq!((idx.physical_rows(), idx.floor()), (0, 30));
+        assert!(idx.snapshot_at(25).is_none());
     }
 
     #[test]
@@ -195,7 +172,6 @@ mod tests {
         let (idx, m) = live(0);
         m.consume(DN, Lsn(40), &[put(1, 10, TableId(99), 1, 1.0)]);
         assert_eq!(idx.physical_rows(), 0);
-        assert_eq!(m.applied_lsn(DN), Lsn(40), "the feed still moved");
     }
 
     #[test]
@@ -217,21 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_is_the_replica_rule() {
-        let (_idx, m) = live(0);
-        m.consume(DN, Lsn(40), &[]);
-        m.wait_for(DN, SessionToken(Lsn(40)), Duration::ZERO).unwrap();
-        let err = m.wait_for(DN, SessionToken(Lsn(41)), Duration::from_millis(5)).unwrap_err();
-        assert!(matches!(err, Error::Timeout { .. }));
-    }
-
-    #[test]
     fn tombstones_are_reclaimed_and_answers_unchanged() {
         let (idx, m) = live(0);
-        let mut model = HashMap::new();
+        let mut model = std::collections::HashMap::new();
         let (mut ts, mut most) = (0u64, 0usize);
-        // 10 000 updates of 100 keys, in feed batches of 50; the shipper
-        // offers a compaction after each.
+        // 10 000 updates of 100 keys, in feed batches of 50; each batch
+        // ends with a compaction when one is due.
         for batch in 0..200u64 {
             let txns: Vec<CommittedTxn> = (0..50u64)
                 .map(|i| {
@@ -242,7 +209,6 @@ mod tests {
                 })
                 .collect();
             m.consume(DN, Lsn(ts), &txns);
-            idx.reclaim();
             most = most.max(idx.physical_rows());
         }
         assert_eq!(idx.live_rows(), 100);

@@ -21,6 +21,9 @@ use crate::provider::ClusterProvider;
 use crate::session::Session;
 use crate::traffic::TrafficControl;
 
+/// How long a catch-up waits for a decision its snapshot may see.
+const CATCH_UP: Duration = Duration::from_millis(200);
+
 /// Cluster shape.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -93,7 +96,6 @@ pub(crate) struct Inner {
     pub(crate) traffic: TrafficControl,
     /// Route AP queries to RO replicas when available (§VI-A).
     pub(crate) htap_ro: AtomicBool,
-    pub(crate) shipper_stop: Arc<AtomicBool>,
     /// Cluster-wide transaction counters (shared by every CN coordinator,
     /// so 1PC/2PC fractions aggregate across the fleet).
     pub(crate) txn_metrics: Arc<TxnMetrics>,
@@ -169,7 +171,6 @@ impl PolarDbx {
             }
         }
 
-        let shipper_stop = Arc::new(AtomicBool::new(false));
         let inner = Arc::new(Inner {
             config,
             gms,
@@ -183,34 +184,11 @@ impl PolarDbx {
             memory: MemoryManager::with_defaults(),
             traffic: TrafficControl::new(),
             htap_ro: AtomicBool::new(true),
-            shipper_stop: Arc::clone(&shipper_stop),
             txn_metrics,
             sketch,
             placer_stop: Arc::new(AtomicBool::new(false)),
             resolvers: Mutex::new(resolvers),
         });
-        // Background shipper: each DN's flushed redo goes to its feed's
-        // consumers — the RO replicas and the column indexes — and an index
-        // that has gathered too many tombstones is compacted.
-        {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("polardbx-shipper".into())
-                .spawn(move || {
-                    while !inner.shipper_stop.load(Ordering::Relaxed) {
-                        for dn in inner.dns.values() {
-                            dn.rw.ship();
-                        }
-                        let indexes: Vec<_> =
-                            inner.column_indexes.read().values().cloned().collect();
-                        for maintainer in indexes {
-                            maintainer.index().reclaim();
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                })
-                .expect("spawn shipper");
-        }
         Ok(PolarDbx { inner })
     }
 
@@ -295,20 +273,26 @@ impl PolarDbx {
         }
     }
 
-    /// Ship pending redo to every feed consumer — RO replicas and column
-    /// indexes — synchronously (tests and admin). Waits briefly first so asynchronously posted 2PC phase-two
-    /// commit records land in the DN logs before shipping.
+    /// Bring every feed consumer — RO replicas and column indexes — up to
+    /// every acknowledged commit (tests and admin): an AP read's catch-up,
+    /// on every DN, at a timestamp no commit so far is stamped above. It
+    /// returns once the posted phase two of each such commit is in the feed.
     pub fn ship_now(&self) {
-        for _ in 0..10 {
-            if self.inner.dns.values().all(|dn| !dn.rw.engine.has_active_txns()) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        let ts = self.cluster_ts().raw();
         for dn in self.inner.dns.values() {
-            dn.rw.ship();
+            self.inner.catch_up(dn, ts);
         }
+    }
+
+    /// A timestamp at or above every DN's clock — a commit already in a
+    /// log was stamped at or below one of them — read from the clock
+    /// `provider()` takes its snapshot from.
+    fn cluster_ts(&self) -> HlcTimestamp {
+        let clock = self.connect(DcId(1)).cn.coordinator.clock().clone();
+        for dn in self.inner.dns.values() {
+            clock.update(dn.service.clock.now());
+        }
+        clock.now()
     }
 
     /// Build an in-memory column index over `table` from its current
@@ -331,16 +315,10 @@ impl PolarDbx {
         for dn in self.inner.dns.values() {
             dn.rw.subscribe(&consumer);
         }
-        // The scan timestamp is at or above every DN's clock — a commit
-        // already in a log, hence perhaps below the subscription, was
-        // stamped at or below one of them — and every DN's clock is moved
-        // to it, so that no commit still to come is stamped at or below it.
-        // The clock is the one `provider()` reads its snapshot from.
-        let clock = self.connect(DcId(1)).cn.coordinator.clock().clone();
-        for dn in self.inner.dns.values() {
-            clock.update(dn.service.clock.now());
-        }
-        let ts = clock.now();
+        // The scan timestamp covers every commit already in a log, hence
+        // perhaps below the subscription, and every DN's clock is moved to
+        // it, so that no commit still to come is stamped at or below it.
+        let ts = self.cluster_ts();
         for dn in self.inner.dns.values() {
             dn.service.clock.update(ts);
         }
@@ -436,37 +414,41 @@ impl PolarDbx {
 impl Inner {
     /// Signal every background thread to stop; the resolvers are joined.
     fn stop_background(&self) {
-        self.shipper_stop.store(true, Ordering::Relaxed);
         self.placer_stop.store(true, Ordering::Relaxed);
         drop(std::mem::take(&mut *self.resolvers.lock()));
+    }
+
+    /// Bring `dn`'s feed consumers up to a snapshot at `ts` (session
+    /// consistency, §II-C): the DN's clock absorbs `ts`, and its redo is
+    /// shipped — applied by every consumer before the ship returns — until
+    /// the feed holds every commit the snapshot may see. Returns whether it
+    /// got there: `false` when a decision at or below `ts` is still missing
+    /// after [`CATCH_UP`].
+    fn catch_up(&self, dn: &Dn, ts: u64) -> bool {
+        dn.service.clock.update(HlcTimestamp::from_raw(ts));
+        dn.rw.ship_for_snapshot(ts, CATCH_UP)
     }
 
     /// A provider reading at `snapshot_ts`: the RW engines, or each DN's
     /// first RO replica when `use_ro`, and `indexes`.
     ///
     /// What is read beside the RW engines is first brought up to the
-    /// snapshot, replica and index alike (session consistency, §II-C): the
-    /// DN's clock absorbs `snapshot_ts`, its redo is shipped up to a token
-    /// that covers every commit the snapshot may see, and each consumer
-    /// waits until it has applied that token. An index that does not get
-    /// there is left out, and the row store answers for its table.
+    /// snapshot, replica and index alike ([`Inner::catch_up`]). A DN whose
+    /// feed lacks a decision the snapshot may see is read from its RW
+    /// engine, which waits out the PREPARED version like any reader, and
+    /// the indexes are left out: the row store answers for their tables.
     pub(crate) fn provider_at(
         &self,
         snapshot_ts: u64,
         use_ro: bool,
         mut indexes: HashMap<String, Arc<ColumnIndexMaintainer>>,
     ) -> ClusterProvider {
-        const CATCH_UP: Duration = Duration::from_millis(200);
         let mut engines: HashMap<NodeId, Arc<StorageEngine>> = HashMap::new();
         for (&id, dn) in &self.dns {
-            let ro = if use_ro { dn.rw.ros().into_iter().next() } else { None };
-            if ro.is_some() || !indexes.is_empty() {
-                dn.service.clock.update(HlcTimestamp::from_raw(snapshot_ts));
-                let token = dn.rw.ship_for_snapshot(snapshot_ts, CATCH_UP);
-                if let Some(ro) = &ro {
-                    let _ = ro.wait_for(token, CATCH_UP);
-                }
-                indexes.retain(|_, index| index.wait_for(id, token, CATCH_UP).is_ok());
+            let mut ro = if use_ro { dn.rw.ros().into_iter().next() } else { None };
+            if (ro.is_some() || !indexes.is_empty()) && !self.catch_up(dn, snapshot_ts) {
+                ro = None;
+                indexes.clear();
             }
             let engine = ro.map_or_else(|| Arc::clone(&dn.rw.engine), |ro| Arc::clone(&ro.engine));
             engines.insert(id, engine);
@@ -492,6 +474,14 @@ mod tests {
     fn cluster() -> PolarDbx {
         PolarDbx::build(ClusterConfig { dns: 3, default_shards: 6, ..Default::default() })
             .unwrap()
+    }
+
+    #[test]
+    fn a_cluster_dropped_without_shutdown_is_freed() {
+        let db = PolarDbx::build(ClusterConfig { ros_per_dn: 1, ..Default::default() }).unwrap();
+        let inner = Arc::downgrade(&db.inner);
+        drop(db);
+        assert!(inner.upgrade().is_none(), "a background thread still holds the cluster");
     }
 
     #[test]

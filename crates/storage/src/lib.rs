@@ -16,10 +16,9 @@
 //! * **Buffer pool** ([`bufferpool`]) — dirty-page tracking with per-tenant
 //!   attribution; the cost of tenant migration in §V is exactly "flush all
 //!   dirty pages associated with the tenant".
-//! * **RW→RO replication** ([`replication`]) — read-only replicas tail the
-//!   redo stream, apply up to `lsn_RO`, serve snapshot reads, and support
-//!   session consistency by waiting for a required LSN; laggards are
-//!   detected and evicted (§II-C).
+//! * **RW→RO replication** ([`replication`]) — read-only replicas apply
+//!   the redo stream a reader ships up to `lsn_RO` and serve snapshot reads;
+//!   a ship returns applied, which is session consistency (§II-C).
 //! * **The committed-transaction feed** ([`feed`]) — the shipped redo
 //!   decoded once into whole transactions, for the replicas and for every
 //!   other consumer of a node's log (the column index, §VI-E).

@@ -1,11 +1,10 @@
 //! RW→RO replication within a PolarDB instance (§II-C).
 //!
-//! The RW node flushes redo to PolarFS, then *broadcasts* the new LSN to RO
-//! nodes, which pull the log range, apply it to their buffer pools, and
-//! piggyback their consumed offset `lsn_ROi` back. The RW purges log below
-//! `min(lsn_ROi)` and evicts replicas lagging beyond a threshold. Session
-//! consistency is implemented by CN tracking `LSN_RW` and the RO waiting
-//! until its applied LSN catches up before serving the read.
+//! The RW node flushes redo to PolarFS; RO nodes apply the log range to
+//! their buffer pools and keep their consumed offset `lsn_ROi`, and the RW
+//! purges log below `min(lsn_ROi)`. Session consistency: a read that needs
+//! a replica ships first, and [`RwNode::ship`] returns once every consumer
+//! has applied the range, on the reader's own thread.
 //!
 //! The shipped log range is decoded once ([`TxnAssembler`]) and its
 //! committed transactions go to every [`RedoConsumer`] of the node: the RO
@@ -44,7 +43,6 @@ pub struct RoNode {
     applied: AtomicU64,
     /// Artificial per-batch apply delay for lag-injection tests.
     apply_delay: Mutex<Duration>,
-    alive: std::sync::atomic::AtomicBool,
 }
 
 impl RoNode {
@@ -55,7 +53,6 @@ impl RoNode {
             shared: RwLock::new(HashSet::new()),
             applied: AtomicU64::new(0),
             apply_delay: Mutex::new(Duration::ZERO),
-            alive: std::sync::atomic::AtomicBool::new(true),
         })
     }
 
@@ -94,11 +91,6 @@ impl RoNode {
             std::thread::yield_now();
         }
         Ok(())
-    }
-
-    /// Is the node in the cluster?
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
     }
 
     /// Hold `table` by reference to the RW's own store.
@@ -203,16 +195,14 @@ impl RwNode {
         ro
     }
 
-    /// Subscribe `consumer` to the feed: it is told where the feed stands
-    /// (an empty batch), then receives, whole, every transaction whose
-    /// commit record lies above that LSN. The log below it is decoded
-    /// first, consumers or not: the assembler has to know which
-    /// transactions that prefix left undecided. The node holds `consumer`
-    /// weakly; dropping it ends the subscription.
+    /// Subscribe `consumer` to the feed: it receives, whole, every
+    /// transaction whose commit record lies above what is flushed now. The
+    /// log below that is decoded first, consumers or not: the assembler has
+    /// to know which transactions that prefix left undecided. The node
+    /// holds `consumer` weakly; dropping it ends the subscription.
     pub fn subscribe(&self, consumer: &Arc<dyn RedoConsumer>) {
         let mut feed = self.feed.lock();
         self.advance(&mut feed, &self.consumers());
-        consumer.consume(self.id, feed.shipped, &[]);
         self.subscribers.write().push(Arc::downgrade(consumer));
     }
 
@@ -252,15 +242,15 @@ impl RwNode {
         let mut subscribers = self.subscribers.write();
         subscribers.retain(|s| s.strong_count() > 0);
         let ros = self.ros.read();
-        let ros = ros.iter().filter(|ro| ro.is_alive());
-        ros.map(|ro| Arc::clone(ro) as Arc<dyn RedoConsumer>)
+        ros.iter()
+            .map(|ro| Arc::clone(ro) as Arc<dyn RedoConsumer>)
             .chain(subscribers.iter().filter_map(Weak::upgrade))
             .collect()
     }
 
     /// Decode the unshipped tail once and hand its committed transactions
-    /// to `consumers`. Only that tail is copied, so the 1ms-cadence shipper
-    /// stays O(new bytes).
+    /// to `consumers`, each of which applies them before this returns.
+    /// Only that tail is copied, so a ship costs O(new bytes).
     fn advance(&self, feed: &mut Feed, consumers: &[Arc<dyn RedoConsumer>]) {
         let head = self.log.flushed();
         if head > feed.shipped {
@@ -279,16 +269,18 @@ impl RwNode {
     /// commit is posted after its client was answered, so an acknowledged
     /// commit can still be undecided here. The caller has already moved
     /// the node's clock past `snapshot_ts`, so nothing prepared from now on
-    /// commits below it. Returns the token consumers wait for; gives up on
-    /// a decision after `timeout`, as a reader of the row store would.
-    pub fn ship_for_snapshot(&self, snapshot_ts: u64, timeout: Duration) -> SessionToken {
+    /// commits below it. Returns whether the feed got there; `false` once
+    /// a decision is still missing after `timeout`.
+    pub fn ship_for_snapshot(&self, snapshot_ts: u64, timeout: Duration) -> bool {
         let deadline = mono_now() + timeout;
         loop {
-            let token = self.session_token();
             let mut feed = self.feed.lock();
             self.ship_locked(&mut feed);
-            if !feed.assembler.in_doubt_at(snapshot_ts) || mono_now() >= deadline {
-                return token;
+            if !feed.assembler.in_doubt_at(snapshot_ts) {
+                return true;
+            }
+            if mono_now() >= deadline {
+                return false;
             }
             drop(feed);
             std::thread::yield_now();
@@ -300,29 +292,9 @@ impl RwNode {
         self.ros
             .read()
             .iter()
-            .filter(|r| r.is_alive())
             .map(|r| r.applied_lsn())
             .min()
             .unwrap_or_else(|| self.log.flushed())
-    }
-
-    /// Evict replicas lagging more than `max_lag` bytes behind (§II-C:
-    /// "such node RO_k will be detected and kicked out of the cluster").
-    /// Returns evicted node ids.
-    pub fn evict_laggards(&self, max_lag: u64) -> Vec<NodeId> {
-        let head = self.log.flushed();
-        let mut evicted = Vec::new();
-        self.ros.write().retain(|ro| {
-            let lag = head.raw().saturating_sub(ro.applied_lsn().raw());
-            if lag > max_lag {
-                ro.alive.store(false, Ordering::Relaxed);
-                evicted.push(ro.id);
-                false
-            } else {
-                true
-            }
-        });
-        evicted
     }
 
     /// Create a table on the RW and all replicas.
@@ -523,23 +495,6 @@ mod tests {
             ro.wait_for(future, Duration::from_millis(20)),
             Err(Error::Timeout { .. })
         ));
-    }
-
-    #[test]
-    fn laggard_eviction() {
-        let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
-        let _ro_ok = rw.add_ro();
-        // A slow replica: block its applies entirely by marking delay large
-        // and never shipping to it — emulate by adding after writes and
-        // manually zeroing its applied LSN.
-        rw.execute_write(TrxId(1), 0, 10, T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
-        let slow = rw.add_ro();
-        slow.applied.store(0, Ordering::Release);
-        let evicted = rw.evict_laggards(0);
-        assert_eq!(evicted, vec![slow.id]);
-        assert_eq!(rw.ros().len(), 1);
-        assert!(!slow.is_alive());
     }
 
     #[test]

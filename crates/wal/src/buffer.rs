@@ -390,8 +390,8 @@ mod tests {
     #[test]
     fn concurrent_flushes_never_expose_sink_holes() {
         // Committers call `append_sync` from many threads while a reader
-        // (the shipper) snapshots `flushed()` and slices the contiguous
-        // sink up to it. If a later flush could land before an earlier one
+        // (a ship on an AP reader's thread) snapshots `flushed()` and
+        // slices the contiguous sink up to it. If a later flush could land before an earlier one
         // (the old outside-the-lock sink write), the reader would observe
         // `flushed` past a hole and `contiguous` would fail its tiling
         // assert.

@@ -185,10 +185,7 @@ fn a_dn_that_misses_phase_two_settles_through_its_peers() {
     .unwrap();
     let values: Vec<String> = (0..24).map(|i| format!("({i}, 0)")).collect();
     s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while db.dns().iter().any(|dn| dn.rw.engine.has_active_txns()) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1)); // the load's own phase two
-    }
+    db.ship_now(); // the load's own phase two
     // Rows `a` and `b` live on two DNs; `a`'s DN will miss phase two.
     let home = |id: i64| s.route("t", &[Value::Int(id)]).unwrap();
     let a = 0;
@@ -244,6 +241,62 @@ fn a_dn_that_misses_phase_two_settles_through_its_peers() {
     assert_eq!(s.execute(&update(2)).unwrap(), 2);
     std::thread::sleep(2 * ResolverConfig::default().in_doubt_after + Duration::from_millis(50));
     assert_eq!(votes.load(Ordering::SeqCst), asked, "a statement that met no fault sent a Vote");
+    db.shutdown();
+}
+
+/// An acked commit whose phase two has not reached one DN — a DN that the
+/// partition also keeps from asking its peers — is still in an RO-routed
+/// read at a later snapshot. That DN's feed lacks the decision, so the read
+/// goes to its RW engine, which waits out the PREPARED row until the heal
+/// lets the DN settle, instead of answering from a replica without it.
+#[test]
+fn an_ro_routed_read_waits_out_a_decision_its_feed_lacks() {
+    let db = PolarDbx::build(ClusterConfig { dcs: 2, dns: 3, ros_per_dn: 1, ..Default::default() })
+        .unwrap();
+    let s = db.connect(DcId(1));
+    s.execute(
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id)) \
+         PARTITION BY HASH(id) PARTITIONS 6",
+    )
+    .unwrap();
+    let values: Vec<String> = (0..24).map(|i| format!("({i}, 0)")).collect();
+    s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
+    db.ship_now(); // the load's own phase two
+    // Row `a` lives on a DN in DC 2, which will miss phase two; `b` in DC 1.
+    let dns = db.dns();
+    let dn_of = |id: i64| {
+        let home = s.route("t", &[Value::Int(id)]).unwrap().1;
+        dns.iter().find(|d| d.id == home).unwrap()
+    };
+    let a = (0..24).find(|&id| dn_of(id).dc == DcId(2)).unwrap();
+    let b = (0..24).find(|&id| dn_of(id).dc == DcId(1)).unwrap();
+    let dn = dn_of(a);
+    let wrapped = Arc::new(PhaseTwoLoss {
+        inner: Arc::clone(&dn.service),
+        lossy: true,
+        votes: Arc::new(AtomicU64::new(0)),
+        swallowed: Mutex::new(None),
+    });
+    db.net().register(dn.id, dn.dc, Arc::clone(&wrapped) as Arc<dyn Handler<TxnMsg>>);
+
+    assert_eq!(s.execute(&format!("UPDATE t SET v = 1 WHERE id IN ({a}, {b})")).unwrap(), 2);
+    let acked = Instant::now();
+    while wrapped.swallowed.lock().unwrap().is_none() {
+        assert!(acked.elapsed() < Duration::from_secs(1), "phase two never reached the DN");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    db.net().partition(DcId(1), DcId(2));
+    let net = Arc::clone(db.net());
+    let heal = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(500));
+        net.heal(DcId(1), DcId(2));
+    });
+
+    db.gms().record_rows("t", 10_000_000);
+    let (rows, class) = s.query_classified("SELECT SUM(v) FROM t").unwrap();
+    assert_eq!(class, WorkloadClass::Ap);
+    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(2), "the acked UPDATE is missing");
+    heal.join().unwrap();
     db.shutdown();
 }
 

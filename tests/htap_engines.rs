@@ -11,7 +11,8 @@
 //!   degrees of parallelism;
 //! * the column index is fed by the DNs' redo: a write reaches it whoever
 //!   made it and from whichever CN, an indexed INSERT scans nothing and
-//!   appends one row, snapshots share the index's columns, and at every
+//!   appends one row, snapshots share the index's columns, `ship_now`
+//!   returns only once a late phase two is in the index, and at every
 //!   commit timestamp of a concurrent run — built mid-run, through a
 //!   re-home round — the index equals the row store.
 
@@ -28,8 +29,9 @@ use polardbx_common::{DcId, Error, Key, NodeId, Result, Row, Value};
 use polardbx_executor::{
     exec_metrics, execute_plan, ExecCtx, MppExecutor, TableProvider, WorkloadManager,
 };
+use polardbx_simnet::Handler;
 use polardbx_sql::{LogicalPlan, Statement};
-use polardbx_txn::WireWriteOp;
+use polardbx_txn::{DnService, TxnMsg, WireWriteOp};
 use polardbx_wal::RedoPayload;
 use polardbx_workloads::tpch;
 use rand::{Rng, SeedableRng};
@@ -378,6 +380,46 @@ fn an_indexed_insert_appends_one_row_and_snapshots_share_the_columns() {
     db.ship_now();
     assert_eq!((a.len(), a.columns[0].len()), (2_001, 2_001));
     assert_eq!(index.snapshot(u64::MAX).len(), 2_002);
+    db.shutdown();
+}
+
+/// A DN's participant service whose posted phase-two `Commit`s arrive
+/// 50 ms late.
+struct LateCommit(Arc<DnService>);
+
+impl Handler<TxnMsg> for LateCommit {
+    fn handle(&self, from: NodeId, msg: TxnMsg) -> TxnMsg {
+        self.0.handle(from, msg)
+    }
+
+    fn handle_oneway(&self, from: NodeId, msg: TxnMsg) {
+        if matches!(msg, TxnMsg::Commit { .. }) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        self.0.handle_oneway(from, msg)
+    }
+}
+
+/// `ship_now` returns once every acknowledged commit is in the feeds: a
+/// multi-shard INSERT acked before its phase two reached one DN is in the
+/// index when `ship_now` returns.
+#[test]
+fn ship_now_waits_for_a_posted_phase_two() {
+    let db = fact_and_dim();
+    let s = db.connect(DcId(1));
+    let ids: Vec<i64> = (2_000..2_008).collect();
+    let homes: BTreeSet<NodeId> =
+        ids.iter().map(|&id| s.route("fact", &[Value::Int(id)]).unwrap().1).collect();
+    assert!(homes.len() > 1, "the INSERT must span DNs");
+    let late = db.dns().into_iter().find(|dn| dn.id == *homes.first().unwrap()).unwrap();
+    db.net().register(late.id, late.dc, Arc::new(LateCommit(Arc::clone(&late.service))));
+
+    let index = db.column_index("fact").unwrap();
+    let before = index.live_rows();
+    let values: Vec<String> = ids.iter().map(|id| format!("({id}, 0, 1.5)")).collect();
+    s.execute(&format!("INSERT INTO fact (id, grp, amt) VALUES {}", values.join(","))).unwrap();
+    db.ship_now();
+    assert_eq!(index.live_rows(), before + ids.len(), "ship_now returned before phase two");
     db.shutdown();
 }
 
