@@ -2,7 +2,9 @@
 //!
 //! §VII-B: a cluster doubles three times while a sysbench oltp-read-write
 //! load runs in the background. With PolarDB-MT each scaling step only
-//! re-binds tenants (flush dirty pages + metadata), completing in seconds;
+//! re-binds tenants (the paper flushes dirty pages and moves metadata;
+//! here the stores move by reference and nothing is flushed), completing
+//! in seconds;
 //! with the shared-nothing data-transfer method the same step must copy
 //! every row, taking 116–143× longer at the paper's 40 GB scale.
 //!
@@ -78,7 +80,7 @@ fn migrate_by_copy(db: &PolarDbx, tenant: TenantId, dest: NodeId) -> Result<Copy
             continue;
         }
         let stid = shard_table_id(table, shard);
-        dst.rw.create_table(stid, tenant);
+        dst.rw.create_table(stid);
         dst.service.clock.update(src.service.clock.now());
         for (key, row) in src.rw.engine.scan_table(stid, u64::MAX)? {
             bytes += (key.len() + row.heap_size()) as u64;

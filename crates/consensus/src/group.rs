@@ -208,13 +208,9 @@ mod tests {
         let _ = leader.replicate(&[mtr(99)]);
         let tail = leader.status().last_lsn;
         assert!(tail > lsn);
+        let abandoned = leader.log_frames().last().unwrap().payload.clone();
 
         // The DC2 follower campaigns and wins with the logger's vote.
-        let cleanup_called = Arc::new(Mutex::new(None));
-        let cc = cleanup_called.clone();
-        leader.set_cleanup(Box::new(move |keep, old| {
-            *cc.lock() = Some((keep, old));
-        }));
         g.replicas[1].campaign();
         let deadline = Instant::now() + Duration::from_secs(2);
         while g.replicas[1].status().role != Role::Leader && Instant::now() < deadline {
@@ -240,8 +236,12 @@ mod tests {
         assert_eq!(st.role, Role::Follower);
         assert_eq!(st.leader, Some(g.replicas[1].me));
         assert!(st.last_lsn >= lsn2, "old leader resyncs from new leader");
-        let (keep, old) = cleanup_called.lock().expect("cleanup must run on deposed leader");
-        assert!(old > keep, "cleanup range covers the truncated tail");
+        let frames = leader.log_frames();
+        assert_eq!(frames.last().unwrap().lsn_end, st.last_lsn);
+        assert!(
+            frames.iter().all(|f| f.payload != abandoned),
+            "the deposed leader truncated the abandoned tail"
+        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   are packed into ≤16 KB frames.
 //! * **Leader election** — on leader failure a follower campaigns with a
 //!   log-completeness check (candidates must hold everything up to the
-//!   voter's DLSN); a deposed leader truncates its uncommitted tail and
-//!   runs a state-cleanup callback (buffer-pool eviction in the DN).
+//!   voter's DLSN); a deposed leader truncates its uncommitted tail, in
+//!   memory and in its durable sink. There is no page state to evict: the
+//!   DN keeps no buffer pool.
 
 pub mod group;
 pub mod msg;

@@ -34,11 +34,6 @@ pub enum Role {
 /// The DN storage engine hooks its redo replay here.
 pub type ApplyFn = Box<dyn Fn(&PaxosFrame) + Send + Sync>;
 
-/// Callback invoked when a deposed leader must clean conflicting state:
-/// receives the `(dlsn, old_last_lsn]` range whose dirty pages must be
-/// evicted and reloaded from PolarFS (§III "Leader Election").
-pub type CleanupFn = Box<dyn Fn(Lsn, Lsn) + Send + Sync>;
-
 struct State {
     epoch: u64,
     voted_in: u64,
@@ -125,7 +120,6 @@ pub struct Replica {
     pub metrics: ConsensusMetrics,
     sink: Arc<dyn LogSink>,
     apply: Mutex<Option<ApplyFn>>,
-    cleanup: Mutex<Option<CleanupFn>>,
     ticker_stop: AtomicBool,
     /// Optional history tap: leadership changes are annotated into recorded
     /// histories so isolation witnesses carry their schedule context.
@@ -166,7 +160,6 @@ impl Replica {
             metrics: ConsensusMetrics::default(),
             sink,
             apply: Mutex::new(None),
-            cleanup: Mutex::new(None),
             ticker_stop: AtomicBool::new(false),
             recorder: Mutex::new(None),
         })
@@ -221,7 +214,6 @@ impl Replica {
             metrics: ConsensusMetrics::default(),
             sink,
             apply: Mutex::new(None),
-            cleanup: Mutex::new(None),
             ticker_stop: AtomicBool::new(false),
             recorder: Mutex::new(None),
         })
@@ -245,11 +237,6 @@ impl Replica {
     /// Install the apply callback (follower-side redo replay).
     pub fn set_apply(&self, f: ApplyFn) {
         *self.apply.lock() = Some(f);
-    }
-
-    /// Install the deposed-leader cleanup callback.
-    pub fn set_cleanup(&self, f: CleanupFn) {
-        *self.cleanup.lock() = Some(f);
     }
 
     /// Snapshot of current state.
@@ -315,9 +302,10 @@ impl Replica {
                 // same encoding (and its checksum computation).
                 let enc = f.encode();
                 self.metrics.frames_encoded.inc();
-                // Leader durability: the frame goes to PolarFS before it is
+                // Leader durability: the frame goes to the sink before it is
                 // offered to followers ("the redo log entries are flushed to
-                // PolarFS, which will also be sent to followers").
+                // PolarFS, which will also be sent to followers"; the sink
+                // plays PolarFS).
                 // lint:allow(guard_blocking, "sink write deliberately under st: last_lsn/log must not expose a hole ahead of the sink")
                 self.sink.write(f.lsn_start, enc.clone())?;
                 st.last_lsn = f.lsn_end;
@@ -597,13 +585,11 @@ impl Replica {
     }
 
     /// A deposed leader (or conflicting follower) truncates its log tail
-    /// beyond `keep` and runs the cleanup callback over the removed range.
-    /// The durable sink is truncated in lockstep: an abandoned frame left
-    /// on disk would be resurrected by crash recovery's scan even though
-    /// the live node no longer acknowledges it.
+    /// beyond `keep`. The durable sink is truncated in lockstep: an
+    /// abandoned frame left on disk would be resurrected by crash
+    /// recovery's scan even though the live node no longer acknowledges it.
     fn truncate_after(&self, st: &mut State, keep: Lsn) {
-        let old_last = st.last_lsn;
-        if old_last <= keep {
+        if st.last_lsn <= keep {
             return;
         }
         st.log.retain(|f| f.lsn_end <= keep);
@@ -613,9 +599,6 @@ impl Replica {
         }
         // lint:allow(guard_blocking, "sink truncation deliberately under st: log/last_lsn must not run ahead of the durable artifact")
         self.sink.truncate(st.last_lsn);
-        if let Some(cleanup) = self.cleanup.lock().as_ref() {
-            cleanup(st.last_lsn, old_last);
-        }
     }
 
     /// Leader-side fence after a failed replication round (quorum-wait
@@ -659,7 +642,8 @@ impl Replica {
         st.votes.clear();
         if was_leader {
             // §III: "determine the range of redo log entries that are not
-            // submitted, evict dirty pages related to them".
+            // submitted, evict dirty pages related to them". The range is
+            // truncated; with no buffer pool there are no pages to evict.
             let dlsn = st.dlsn;
             self.truncate_after(st, dlsn);
             self.waiters.fail_all();

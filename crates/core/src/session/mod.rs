@@ -379,7 +379,7 @@ impl Session {
         for shard in 0..schema.partition.shard_count() {
             let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
             let dn = &self.inner.dns[&dn_id];
-            dn.rw.create_table(shard_table_id(schema.id, shard), self.tenant);
+            dn.rw.create_table(shard_table_id(schema.id, shard));
         }
         Ok(())
     }
@@ -441,7 +441,7 @@ impl Session {
                 // lint:allow(fence_completeness, DDL provisioning of the just-created hidden index table: nothing can re-home a shard that has no data yet, and GSI writes go through write_gsi_row's fenced route)
                 let dn_id = self.inner.gms.shard_dn(hidden.id, shard)?;
                 let dn = &self.inner.dns[&dn_id];
-                dn.rw.create_table(shard_table_id(hidden.id, shard), owner);
+                dn.rw.create_table(shard_table_id(hidden.id, shard));
             }
             self.inner
                 .gsi_tables

@@ -11,18 +11,27 @@
 //! never reached from further than its type is. The lock-order call graph's
 //! resolver is not reused: its stoplist (`new`, `get`, `commit`, …) is right
 //! for lock domains and would leave most constructors unreached here.
+//!
+//! A whole crate is a finding too when more than [`TEST_ONLY_SHARE`] of its
+//! `pub` items are reached only from tests: such a crate models something
+//! the product does not run. A `lint:allow(unreached, …)` on the first line
+//! of its `src/lib.rs` justifies it.
 
 use crate::analysis::{crate_of, fn_body, impl_mask, matching, prev_path_ident, test_mask};
 use crate::analysis::{Finding, Rule};
 use crate::symbols::module_of;
 use crate::tokenizer::{tokenize, Allow, TokKind};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Root classes, in bit order of `CensusItem::reached`.
 pub const CLASSES: [&str; 5] = ["product", "polarbench", "figure", "checker", "test"];
 const ITEM_KW: [&str; 8] = ["fn", "struct", "enum", "union", "trait", "type", "const", "static"];
 const MODIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
 const PRODUCT_ROOTS: [&str; 3] = ["PolarDbx", "Session", "FrontDoor"];
+/// The largest share of a product crate's `pub` items that may be reached
+/// from tests alone.
+pub const TEST_ONLY_SHARE: f64 = 0.25;
+const TEST_ONLY: u8 = 1 << 4;
 
 /// One `pub` item of a product crate and the roots that reach it.
 #[derive(Debug, Clone)]
@@ -79,6 +88,8 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
     let mut nodes: Vec<Node> = Vec::new();
     let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
     let mut files = Vec::new();
+    // Each product crate's `lib.rs` allow, which covers the crate gate.
+    let mut crate_allows: HashMap<String, String> = HashMap::new();
     for (path, src) in sources {
         let stream = tokenize(src);
         let toks = stream.toks;
@@ -90,6 +101,9 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
             let covers = |a: &&Allow| on(a) && (a.line..=a.line + 1).contains(&line);
             stream.allows.iter().find(covers).map(|a| a.reason.clone())
         };
+        if let (true, Some(reason)) = (path.ends_with("/src/lib.rs"), allow_at(1)) {
+            crate_allows.insert(crate_of(path), reason);
+        }
         for i in 0..toks.len() {
             let kw = &toks[i];
             let after_sigil = i > 0 && ["*", "<", ","].contains(&toks[i - 1].text.as_str());
@@ -213,5 +227,66 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
         }
         items.push(item);
     }
+    findings.extend(test_heavy_crates(&items, &crate_allows));
     (items, findings)
+}
+
+/// The crate gate: a finding per product crate whose `pub` items are more
+/// than [`TEST_ONLY_SHARE`] reached from tests alone.
+fn test_heavy_crates(items: &[CensusItem], allows: &HashMap<String, String>) -> Vec<Finding> {
+    let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for item in items {
+        let (test_only, total) = counts.entry(crate_of(&item.file)).or_default();
+        *test_only += (item.reached == TEST_ONLY) as usize;
+        *total += 1;
+    }
+    counts
+        .into_iter()
+        .filter(|&(_, (test_only, total))| test_only as f64 > TEST_ONLY_SHARE * total as f64)
+        .map(|(krate, (test_only, total))| Finding {
+            rule: Rule::Unreached,
+            file: format!("crates/{krate}/src/lib.rs"),
+            line: 1,
+            message: format!(
+                "crate `{krate}`: {test_only} of {total} pub items are reached only from tests \
+                 (more than {:.0} %)",
+                TEST_ONLY_SHARE * 100.0
+            ),
+            allowed: allows.get(&krate).cloned(),
+            symbol: Some(krate),
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A product crate of four `pub` fns, a figure that calls `figure`,
+    /// and a test that calls `tested`.
+    fn crate_gate(lib_head: &str, figure: &[&str], tested: &[&str]) -> Vec<Finding> {
+        let lib = format!("{lib_head}pub fn a() {{}}\npub fn b() {{}}\npub fn c() {{}}\npub fn d() {{}}\n");
+        let call = |names: &[&str]| names.iter().map(|n| format!("{n}(); ")).collect::<String>();
+        let sources = [
+            ("crates/storage/src/lib.rs", lib),
+            ("examples/demo.rs", format!("fn main() {{ {} }}", call(figure))),
+            ("crates/storage/tests/t.rs", format!("fn t() {{ {} }}", call(tested))),
+        ]
+        .map(|(p, s)| (p.to_string(), s));
+        let (_, findings) = census(&sources);
+        findings.into_iter().filter(|f| f.symbol.as_deref() == Some("storage")).collect()
+    }
+
+    #[test]
+    fn a_crate_more_than_a_quarter_test_only_is_a_finding() {
+        // One of four (25 %) is at the bar, not over it.
+        assert!(crate_gate("", &["a", "b", "c"], &["d"]).is_empty());
+        // Reached from a test *and* a figure is not test-only.
+        assert!(crate_gate("", &["a", "b", "c", "d"], &["c", "d"]).is_empty());
+        let over = crate_gate("", &["a", "b"], &["c", "d"]);
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert!(over[0].allowed.is_none() && over[0].message.contains("2 of 4"), "{over:?}");
+        let allowed = crate_gate("// lint:allow(unreached, a model kept for §II-A)\n", &["a", "b"], &["c", "d"]);
+        assert_eq!(allowed[0].allowed.as_deref(), Some("a model kept for §II-A"));
+    }
 }

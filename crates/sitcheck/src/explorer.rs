@@ -290,7 +290,7 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
     let mut dns = Vec::new();
     for i in 1..=DN_COUNT {
         let rw = RwNode::new(NodeId(i));
-        rw.create_table(BANK, TenantId(1));
+        rw.create_table(BANK);
         let dn = DnService::new(NodeId(i), Arc::clone(&rw.engine), dn_clock(i));
         dn.attach_recorder(Arc::clone(&rec));
         net.register(NodeId(i), DcId(i), Arc::clone(&dn) as Arc<dyn Handler<TxnMsg>>);
@@ -322,7 +322,7 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
         );
         group
     });
-    register_rw.create_table(REGISTERS, TenantId(1));
+    register_rw.create_table(REGISTERS);
     let dn4 = DnService::new(REGISTER_DN, Arc::clone(&register_rw.engine), dn_clock(4));
     dn4.attach_recorder(Arc::clone(&rec));
     net.register(REGISTER_DN, DcId(1), Arc::clone(&dn4) as Arc<dyn Handler<TxnMsg>>);

@@ -428,9 +428,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     // `recovered_engine`.
     drop(dn1);
     drop(e1);
-    let (engine, r1) =
-        recovered_engine(Arc::clone(&sink), &[(BANK, TENANT), (LEDGER, TENANT)])
-            .expect("recovery");
+    let (engine, r1) = recovered_engine(Arc::clone(&sink), &[BANK, LEDGER]).expect("recovery");
 
     // Idempotence: replaying the (already clean) log into the same engine
     // again must register nothing new — every record is recognised as

@@ -1,5 +1,5 @@
-//! The storage engine: transactions + redo + buffer pool over the MVCC
-//! store, committing through one epoch pipeline.
+//! The storage engine: transactions + redo over the MVCC store,
+//! committing through one epoch pipeline.
 //!
 //! The engine is the kernel of a DN node. Every durability request —
 //! commit, prepare, abort, marker — goes through its [`EpochPipeline`];
@@ -26,7 +26,6 @@ use polardbx_wal::{
     LogSink, Mtr, RedoPayload, VecSink, WalMetrics,
 };
 
-use crate::bufferpool::BufferPool;
 use crate::feed::{CommittedTxn, RowChange, TxnAssembler};
 use crate::mvcc::{VersionOp, VersionStore};
 use crate::rowcodec::encode_row;
@@ -141,10 +140,7 @@ struct RecorderTap {
 pub struct StorageEngine {
     /// Transaction table shared with readers.
     pub txns: Arc<TxnTable>,
-    /// Buffer pool (dirty-page and warmth modelling).
-    pub pool: BufferPool,
     tables: RwLock<HashMap<TableId, Arc<VersionStore>>>,
-    tenants: RwLock<HashMap<TableId, TenantId>>,
     /// In-flight transaction contexts, lock-sharded: every begin, write,
     /// commit and abort touches this map, and a single global mutex would
     /// serialize committers before they ever reach the pipeline.
@@ -191,9 +187,7 @@ impl StorageEngine {
             let listener = Arc::new(EngineEpochListener { engine: engine.clone() });
             StorageEngine {
                 txns: Arc::new(TxnTable::new()),
-                pool: BufferPool::new(4096, 256),
                 tables: RwLock::new(HashMap::new()),
-                tenants: RwLock::new(HashMap::new()),
                 active: ShardedMap::new(),
                 pipe: EpochPipeline::new(sink, listener, EpochConfig::default()),
                 wait_timeout: Duration::from_secs(5),
@@ -253,22 +247,21 @@ impl StorageEngine {
         Some(Arc::clone(&self.pipe.metrics))
     }
 
-    /// Create an empty table owned by `tenant`.
-    pub fn create_table(&self, table: TableId, tenant: TenantId) {
+    /// Create an empty table. Storage keeps no tenant: the GMS catalog
+    /// owns that. The parameter is the signature `benchmark/src/layers.rs`
+    /// calls, kept until ROADMAP step 2-A.
+    pub fn create_table(&self, table: TableId, _tenant: TenantId) {
         self.tables.write().entry(table).or_insert_with(|| Arc::new(VersionStore::new()));
-        self.tenants.write().insert(table, tenant);
     }
 
     /// Attach an existing store (cutover destination / RO share).
-    pub(crate) fn attach_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
+    pub(crate) fn attach_table(&self, table: TableId, store: Arc<VersionStore>) {
         self.tables.write().insert(table, store);
-        self.tenants.write().insert(table, tenant);
     }
 
     /// Detach a table, returning its store (cutover source). The
     /// data itself never moves — that is the shared-storage guarantee.
     pub(crate) fn detach_table(&self, table: TableId) -> Option<Arc<VersionStore>> {
-        self.tenants.write().remove(&table);
         self.tables.write().remove(&table)
     }
 
@@ -287,11 +280,6 @@ impl StorageEngine {
     /// bailed — every exit must reopen or the shard livelocks).
     pub(crate) fn unfreeze_writes(&self, table: TableId) {
         self.write_frozen.write().remove(&table);
-    }
-
-    /// The tenant owning `table`.
-    pub fn tenant_of(&self, table: TableId) -> Option<TenantId> {
-        self.tenants.read().get(&table).copied()
     }
 
     pub(crate) fn store(&self, table: TableId) -> Result<Arc<VersionStore>> {
@@ -314,10 +302,9 @@ impl StorageEngine {
     }
 
     /// Execute a write op inside `trx`. Validates conflicts, installs the
-    /// intent, accumulates redo, dirties the page.
+    /// intent, accumulates redo.
     pub fn write(&self, trx: TrxId, table: TableId, key: Key, op: WriteOp) -> Result<()> {
         let store = self.store(table)?;
-        let tenant = self.tenant_of(table).unwrap_or_default();
         let snapshot_ts = self
             .active
             .with(&trx, |c| c.map(|c| c.snapshot_ts))
@@ -371,10 +358,6 @@ impl StorageEngine {
                 return Err(Error::Throttled { rule: format!("rehome-freeze:{table}") });
             }
             store.write(&self.txns, trx, snapshot_ts, key.clone(), version_op)?;
-            let page = self.pool.page_of(table, &key);
-            // The page is dirtied "at" the next LSN; exact value only matters
-            // relative to checkpoints, so the current snapshot is adequate.
-            self.pool.mark_dirty(page, tenant, Lsn(snapshot_ts));
             self.active.with(&trx, |ctx| {
                 let ctx = ctx.ok_or(Error::TxnAborted { reason: format!("trx {trx} vanished") })?;
                 ctx.writes.push((table, key));
@@ -397,8 +380,6 @@ impl StorageEngine {
         me: Option<TrxId>,
     ) -> Result<Option<Row>> {
         let store = self.store(table)?;
-        let tenant = self.tenant_of(table).unwrap_or_default();
-        self.pool.touch_read(self.pool.page_of(table, key), tenant);
         let ignore_prepared = self.ignore_prepared_reads.load(Ordering::Acquire);
         let (row, observed) = store.read_waiting_observed(
             &self.txns,
@@ -974,18 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_pages_tracked_per_tenant() {
-        let e = engine();
-        e.create_table(TableId(2), TenantId(2));
-        e.begin(TrxId(1), 0);
-        e.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
-        e.write(TrxId(1), TableId(2), key(1), WriteOp::Insert(row(1, "b"))).unwrap();
-        e.commit(TrxId(1), 10).unwrap();
-        assert!(e.pool.dirty_count(Some(TEN)) >= 1);
-        assert!(e.pool.dirty_count(Some(TenantId(2))) >= 1);
-    }
-
-    #[test]
     fn unknown_table_rejected() {
         let e = engine();
         e.begin(TrxId(1), 0);
@@ -1003,7 +972,7 @@ mod tests {
         assert!(e1.read(T, &key(1), 100, None).is_err(), "source lost ownership");
 
         let e2 = StorageEngine::in_memory();
-        e2.attach_table(T, store, TEN);
+        e2.attach_table(T, store);
         assert_eq!(e2.read(T, &key(1), 100, None).unwrap(), Some(row(1, "moved")));
     }
 
@@ -1289,7 +1258,7 @@ mod tests {
             if !stop.load(Ordering::Relaxed) {
                 let store = e.detach_table(T).unwrap();
                 std::thread::yield_now(); // the store is on its way to another node
-                e.attach_table(T, store, TEN);
+                e.attach_table(T, store);
             }
             e.unfreeze_writes(T);
             std::thread::yield_now();

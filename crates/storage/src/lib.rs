@@ -13,17 +13,19 @@
 //! * **Redo generation** ([`engine`]) — every statement produces an MTR into
 //!   the node's log buffer; commit forces a flush (and, in the replicated
 //!   setup, rides Paxos to other DCs).
-//! * **Buffer pool** ([`bufferpool`]) — dirty-page tracking with per-tenant
-//!   attribution; the cost of tenant migration in §V is exactly "flush all
-//!   dirty pages associated with the tenant".
 //! * **RW→RO replication** ([`replication`]) — read-only replicas apply
 //!   the redo stream a reader ships up to `lsn_RO` and serve snapshot reads;
 //!   a ship returns applied, which is session consistency (§II-C).
 //! * **The committed-transaction feed** ([`feed`]) — the shipped redo
 //!   decoded once into whole transactions, for the replicas and for every
 //!   other consumer of a node's log (the column index, §VI-E).
+//!
+//! There is no buffer pool: the version stores are the data, in memory.
+//! The engine's redo sink and the stores its nodes share by `Arc` stand in
+//! for PolarFS (§II-A): redo is durable through the sink, RW and RO nodes
+//! read the same store, and a cutover ([`RwNode::hand_off`]) moves a store
+//! to another DN by reference, copying no row.
 
-pub mod bufferpool;
 pub mod engine;
 pub mod feed;
 pub mod mvcc;
@@ -33,7 +35,6 @@ pub mod rowcodec;
 pub mod shard;
 pub mod txn;
 
-pub use bufferpool::{BufferPool, BufferPoolStats};
 pub use feed::{CommittedTxn, RedoConsumer, RowChange, TxnAssembler};
 pub use engine::{StorageEngine, SyncLocalDurability, WriteOp};
 pub use recovery::{recovered_engine, replay_records, RecoveryReport};

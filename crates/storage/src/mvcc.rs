@@ -55,10 +55,12 @@ pub enum ReadResult {
 /// index table).
 ///
 /// The store does not own a transaction table; callers pass the node's
-/// [`TxnTable`] to each operation. This keeps stores *relocatable*: during
-/// tenant migration (§V) a store moves between RW nodes without copying —
-/// only the owning engine (and hence the transaction table consulted)
-/// changes, exactly like shared-storage data changing its writer.
+/// [`TxnTable`] to each operation. This keeps stores *relocatable*: a
+/// cutover (§V tenant migration, §VIII shard re-home) hands a store to
+/// another RW node by `Arc`, and RO replicas hold the same `Arc`. That
+/// shared reference is this reproduction's shared storage (§II-A): no row
+/// is copied, only the owning engine (and hence the transaction table
+/// consulted) changes.
 ///
 /// Internally the key space is split into fixed lock shards (hash of the
 /// encoded key) so concurrent committers stamping disjoint keys don't

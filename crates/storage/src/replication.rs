@@ -1,7 +1,7 @@
 //! RW→RO replication within a PolarDB instance (§II-C).
 //!
-//! The RW node flushes redo to PolarFS; RO nodes apply the log range to
-//! their buffer pools and keep their consumed offset `lsn_ROi`, and the RW
+//! The RW node flushes redo to its sink; RO nodes apply the log range to
+//! their engines and keep their consumed offset `lsn_ROi`, and the RW
 //! purges log below `min(lsn_ROi)`. Session consistency: a read that needs
 //! a replica ships first, and [`RwNode::ship`] returns once every consumer
 //! has applied the range, on the reader's own thread.
@@ -94,9 +94,9 @@ impl RoNode {
     }
 
     /// Hold `table` by reference to the RW's own store.
-    fn share_table(&self, table: TableId, store: Arc<VersionStore>, tenant: TenantId) {
+    fn share_table(&self, table: TableId, store: Arc<VersionStore>) {
         self.shared.write().insert(table);
-        self.engine.attach_table(table, store, tenant);
+        self.engine.attach_table(table, store);
     }
 }
 
@@ -142,7 +142,7 @@ pub struct RwNode {
     next_ro: AtomicU64,
     /// Mirror of the node's tables so new ROs can register them, and
     /// whether each arrived by reference (a hand-off) or was created here.
-    tables: Mutex<Vec<(TableId, TenantId, bool)>>,
+    tables: Mutex<Vec<(TableId, bool)>>,
 }
 
 impl RwNode {
@@ -172,10 +172,10 @@ impl RwNode {
     pub fn add_ro(&self) -> Arc<RoNode> {
         let ro = RoNode::new(NodeId(self.next_ro.fetch_add(1, Ordering::Relaxed)));
         // Mirror table registrations.
-        for (table, tenant, by_reference) in self.tables.lock().clone() {
+        for (table, by_reference) in self.tables.lock().clone() {
             match self.engine.store(table) {
-                Ok(store) if by_reference => ro.share_table(table, store, tenant),
-                _ => ro.engine.create_table(table, tenant),
+                Ok(store) if by_reference => ro.share_table(table, store),
+                _ => ro.engine.create_table(table, TenantId::default()),
             }
         }
         // Catch the newcomer up to everything already shipped, holding the
@@ -298,11 +298,11 @@ impl RwNode {
     }
 
     /// Create a table on the RW and all replicas.
-    pub fn create_table(&self, table: TableId, tenant: TenantId) {
-        self.engine.create_table(table, tenant);
-        self.tables.lock().push((table, tenant, false));
+    pub fn create_table(&self, table: TableId) {
+        self.engine.create_table(table, TenantId::default());
+        self.tables.lock().push((table, false));
         for ro in self.ros.read().iter() {
-            ro.engine.create_table(table, tenant);
+            ro.engine.create_table(table, TenantId::default());
         }
     }
 
@@ -310,25 +310,17 @@ impl RwNode {
     /// over shared storage). The replicas share the same store by
     /// reference: they only read, and MVCC versions carry their commit
     /// timestamps, so shared access is consistent.
-    pub(crate) fn attach_table(
-        &self,
-        table: TableId,
-        store: Arc<VersionStore>,
-        tenant: TenantId,
-    ) {
-        self.engine.attach_table(table, Arc::clone(&store), tenant);
-        self.tables.lock().push((table, tenant, true));
+    pub(crate) fn attach_table(&self, table: TableId, store: Arc<VersionStore>) {
+        self.engine.attach_table(table, Arc::clone(&store));
+        self.tables.lock().push((table, true));
         for ro in self.ros.read().iter() {
-            ro.share_table(table, Arc::clone(&store), tenant);
+            ro.share_table(table, Arc::clone(&store));
         }
     }
 
     /// Detach a table from the RW and its replicas, returning the store.
-    pub fn detach_table(
-        &self,
-        table: TableId,
-    ) -> Option<Arc<VersionStore>> {
-        self.tables.lock().retain(|(t, ..)| *t != table);
+    pub fn detach_table(&self, table: TableId) -> Option<Arc<VersionStore>> {
+        self.tables.lock().retain(|(t, _)| *t != table);
         for ro in self.ros.read().iter() {
             ro.shared.write().remove(&table);
             ro.engine.detach_table(table);
@@ -338,12 +330,11 @@ impl RwNode {
 
     /// The data-node half of a live cutover (§V tenant transfer, §VIII shard
     /// re-home): hand `tables` over to `dst` by reference over shared
-    /// storage — zero rows copied — each keeping its tenant. Returns the
-    /// dirty pages flushed, which are those of `tables` only. The caller has
-    /// paused the tables' routing and drained what it admitted; afterwards
-    /// it raises `dst`'s clock and rebinds. On an error nothing moved and
-    /// every table is open for writes here again.
-    pub fn hand_off(&self, dst: &RwNode, tables: &[TableId]) -> Result<usize> {
+    /// storage — zero rows copied. The caller has paused the tables'
+    /// routing and drained what it admitted; afterwards it raises `dst`'s
+    /// clock and rebinds. On an error nothing moved and every table is open
+    /// for writes here again.
+    pub fn hand_off(&self, dst: &RwNode, tables: &[TableId]) -> Result<()> {
         // Engine-level write freeze on top of the routing pause: a write
         // already past routing when the pause began would otherwise install
         // an intent between the drain below and the detach, stranding it
@@ -369,19 +360,16 @@ impl RwNode {
         // error, including `?` propagation — flows through the single
         // unfreeze below. A table left frozen bounces every write
         // retryably forever: a permanent livelock.
-        let cutover = || -> Result<usize> {
+        let cutover = || -> Result<()> {
             // Async phase-two tail: wait for posted Commit/Abort deliveries
             // to consume every in-flight write set on these tables.
             drained("draining shard write sets")?;
-            let pages_flushed = self.engine.pool.flush_tables(tables, None)?;
-            // Writes are frozen and the drain passed, but the flush spans
-            // time: re-verify nothing slipped in right before the detach.
+            // Writes are frozen and the drain passed: re-verify, right
+            // before the detach, that nothing slipped in.
             drained("late write set on shard")?;
             // All or nothing: find every store before the first detach.
-            let stores: Vec<_> = tables
-                .iter()
-                .map(|&t| Ok((t, self.engine.store(t)?, self.engine.tenant_of(t).unwrap_or_default())))
-                .collect::<Result<_>>()?;
+            let stores: Vec<_> =
+                tables.iter().map(|&t| Ok((t, self.engine.store(t)?))).collect::<Result<_>>()?;
             for &table in tables {
                 self.detach_table(table);
             }
@@ -392,10 +380,10 @@ impl RwNode {
             // destination can take a write — hands a column index every
             // image of a key in commit order.
             self.ship();
-            for (table, store, tenant) in stores {
-                dst.attach_table(table, store, tenant);
+            for (table, store) in stores {
+                dst.attach_table(table, store);
             }
-            Ok(pages_flushed)
+            Ok(())
         };
         let result = cutover();
         for &table in tables {
@@ -444,7 +432,7 @@ mod tests {
     #[test]
     fn ro_applies_rw_commits() {
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         let ro = rw.add_ro();
         rw.execute_write(TrxId(1), 0, 10, T, key(1), WriteOp::Insert(row(1, "x"))).unwrap();
         let token = rw.session_token();
@@ -455,7 +443,7 @@ mod tests {
     #[test]
     fn late_ro_catches_up_on_join() {
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         rw.execute_write(TrxId(1), 0, 10, T, key(1), WriteOp::Insert(row(1, "pre"))).unwrap();
         let ro = rw.add_ro();
         let token = rw.session_token();
@@ -468,7 +456,7 @@ mod tests {
     #[test]
     fn session_consistency_waits() {
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         let ro = rw.add_ro();
         ro.set_apply_delay(Duration::from_millis(30));
         // Write commits on RW; shipping happens on a helper thread so the
@@ -488,7 +476,7 @@ mod tests {
     #[test]
     fn stale_token_times_out() {
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         let ro = rw.add_ro();
         let future = SessionToken(Lsn(1_000_000));
         assert!(matches!(
@@ -500,7 +488,7 @@ mod tests {
     #[test]
     fn purge_horizon_is_min_applied() {
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         let r1 = rw.add_ro();
         let _r2 = rw.add_ro();
         rw.execute_write(TrxId(1), 0, 10, T, key(1), WriteOp::Insert(row(1, "a"))).unwrap();
@@ -515,17 +503,16 @@ mod tests {
         let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
         let dst_ro = dst.add_ro();
         for t in [T, T2] {
-            src.create_table(t, TenantId(1));
+            src.create_table(t);
             src.execute_write(TrxId(t.raw()), 0, 10, t, key(1), WriteOp::Insert(row(1, "x")))
                 .unwrap();
         }
         // Another tenant's open transaction is not this hand-off's business.
-        src.create_table(TableId(3), TenantId(2));
+        src.create_table(TableId(3));
         src.engine.begin(TrxId(9), 10);
         src.engine.write(TrxId(9), TableId(3), key(1), WriteOp::Insert(row(1, "other"))).unwrap();
 
-        let flushed = src.hand_off(&dst, &[T, T2]).unwrap();
-        assert!(flushed > 0, "the tenant had dirty pages");
+        src.hand_off(&dst, &[T, T2]).unwrap();
         for t in [T, T2] {
             assert!(matches!(src.engine.read(t, &key(1), 20, None), Err(Error::UnknownTable { .. })));
             assert_eq!(dst.engine.read(t, &key(1), 20, None).unwrap(), Some(row(1, "x")));
@@ -548,32 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn hand_off_flushes_the_moved_tables_pages_only() {
-        let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
-        // Two shards of one logical table share its tenant.
-        for t in [T, T2] {
-            src.create_table(t, TenantId(1));
-        }
-        for i in 0..3 {
-            src.execute_write(TrxId(1 + i as u64), 0, 10, T, key(i), WriteOp::Insert(row(i, "x")))
-                .unwrap();
-        }
-        src.execute_write(TrxId(9), 0, 10, T2, key(0), WriteOp::Insert(row(0, "y"))).unwrap();
-        let pages = |t, keys: std::ops::Range<i64>| -> HashSet<_> {
-            keys.map(|i| src.engine.pool.page_of(t, &key(i))).collect()
-        };
-        assert_eq!(src.engine.pool.dirty_count(None), pages(T, 0..3).len() + 1);
-
-        assert_eq!(src.hand_off(&dst, &[T]).unwrap(), pages(T, 0..3).len());
-        assert_eq!(src.engine.pool.dirty_count(None), 1, "the sibling shard's page stays dirty");
-        assert_eq!(dst.engine.tenant_of(T), Some(TenantId(1)), "the store keeps its tenant");
-    }
-
-    #[test]
     fn hand_off_with_an_open_write_set_times_out_and_moves_nothing() {
         let (src, dst) = (RwNode::new(NodeId(1)), RwNode::new(NodeId(2)));
         for t in [T, T2] {
-            src.create_table(t, TenantId(1));
+            src.create_table(t);
         }
         src.engine.begin(TrxId(1), 0);
         src.engine.write(TrxId(1), T2, key(1), WriteOp::Insert(row(1, "open"))).unwrap();
@@ -597,7 +562,7 @@ mod tests {
         // More replicas serve more reads without touching the RW engine:
         // all replicas return the same data independently.
         let rw = RwNode::new(NodeId(1));
-        rw.create_table(T, TenantId(1));
+        rw.create_table(T);
         for i in 0..10i64 {
             rw.execute_write(
                 TrxId(i as u64 + 1),

@@ -578,60 +578,6 @@ fn paxos_payload(n: i64) -> polardbx_wal::Mtr {
     })
 }
 
-/// PolarFS under chaos: one chunk replica is black-holed mid-append (its
-/// writes vanish while the majority keeps committing), then revived and
-/// caught up. All three replicas must converge byte-identical over the
-/// full appended span — the ParallelRaft §II-A durability contract.
-#[test]
-fn polarfs_replica_blackhole_converges_byte_identical() {
-    use bytes::Bytes;
-    use polardbx_polarfs::{ChunkId, ChunkServer, ParallelRaftGroup};
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    let seed = seed_from_env(0xB1AC_401E);
-    eprintln!(
-        "polarfs_replica_blackhole_converges_byte_identical: POLARDBX_TEST_SEED={}",
-        format_seed(seed)
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let sns: Vec<_> = (0..3).map(|i| ChunkServer::new(NodeId(i), DcId(1))).collect();
-    let g = ParallelRaftGroup::new(ChunkId { volume: 7, index: 0 }, sns, Duration::ZERO);
-
-    let mut offset = 0u64;
-    let append = |rng: &mut StdRng, offset: &mut u64| {
-        let len = rng.gen_range(16..128usize);
-        let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        g.write(*offset, Bytes::from(data)).expect("majority must persist the append");
-        *offset += len as u64;
-    };
-
-    for _ in 0..10 {
-        append(&mut rng, &mut offset);
-    }
-    g.replicas()[2].set_down(true);
-    for _ in 0..20 {
-        append(&mut rng, &mut offset);
-    }
-    g.replicas()[2].set_down(false);
-    // Until catch-up runs, the revived replica has a hole where the
-    // black-holed appends landed; ParallelRaft copies the span across.
-    g.catch_up(2).unwrap();
-
-    let span = offset as usize;
-    let reference = g.replicas()[0].read(g.chunk(), 0, span).unwrap();
-    assert!(!reference.iter().all(|b| *b == 0), "appends must have landed");
-    for (i, r) in g.replicas().iter().enumerate() {
-        assert_eq!(
-            r.read(g.chunk(), 0, span).unwrap(),
-            reference,
-            "replica {i} diverged after catch-up (POLARDBX_TEST_SEED={})",
-            format_seed(seed)
-        );
-    }
-    assert_eq!(g.committed(), 30, "every append must have majority-committed");
-}
-
 /// Consensus under chaos: lossy, duplicating cross-DC links while the
 /// leader streams log, then the leader crashes mid-replication, a follower
 /// is elected, and after heal + restart every replica converges on the new

