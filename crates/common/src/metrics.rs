@@ -7,9 +7,45 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::time::mono_now;
+
+/// A gauge of work in flight, shared by `Arc`: every [`InFlight::enter`]
+/// counts one unit until its guard drops. The CN's TP pool and its
+/// coordinators raise one together, and the AP governor paces only while
+/// it is up.
+#[derive(Debug, Clone, Default)]
+pub struct InFlight(Arc<AtomicU64>);
+
+/// One unit of work counted by an [`InFlight`] gauge until it drops.
+#[derive(Debug)]
+pub struct InFlightGuard(Arc<AtomicU64>);
+
+impl InFlight {
+    /// A gauge at zero.
+    pub fn new() -> InFlight {
+        InFlight::default()
+    }
+
+    /// Count one unit of work until the returned guard drops.
+    pub fn enter(&self) -> InFlightGuard {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        InFlightGuard(Arc::clone(&self.0))
+    }
+
+    /// Is any work in flight?
+    pub fn any(&self) -> bool {
+        self.0.load(Ordering::Relaxed) > 0
+    }
+}
+
+impl Drop for InFlightGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]

@@ -156,6 +156,7 @@ impl PolarDbx {
 
         let txn_metrics = Arc::new(TxnMetrics::new());
         let sketch = Arc::new(CoAccessSketch::new());
+        let workload = WorkloadManager::with_defaults();
         let mut cns = Vec::new();
         for dc_i in 0..config.dcs {
             for c in 0..config.cns_per_dc {
@@ -166,7 +167,8 @@ impl PolarDbx {
                     Coordinator::new(id, Arc::clone(&net), Hlc::new(), Arc::clone(&trx_ids))
                         .with_metrics(Arc::clone(&txn_metrics))
                         .with_fence(Arc::clone(gms.epochs()) as _)
-                        .with_observer(Arc::clone(&sketch) as _);
+                        .with_observer(Arc::clone(&sketch) as _)
+                        .with_tp_work(workload.tp_work().clone());
                 cns.push(Arc::new(CnNode { id, dc, coordinator }));
             }
         }
@@ -180,7 +182,7 @@ impl PolarDbx {
             gsi_tables: RwLock::new(HashMap::new()),
             column_indexes: RwLock::new(HashMap::new()),
             column_index_builds: Counter::new(),
-            workload: WorkloadManager::with_defaults(),
+            workload,
             memory: MemoryManager::with_defaults(),
             traffic: TrafficControl::new(),
             htap_ro: AtomicBool::new(true),

@@ -71,6 +71,11 @@ pub struct ExecMetrics {
     /// Morsels executed by a worker other than the one that scanned the
     /// partition (work stealing events).
     pub steals: Counter,
+    /// `CpuGovernor::pace` calls that slept: the AP cap under TP work, or
+    /// a paused group.
+    pub pacing_sleeps: Counter,
+    /// Wall nanoseconds those calls slept.
+    pub pacing_nanos: Counter,
 }
 
 impl ExecMetrics {
@@ -84,6 +89,8 @@ impl ExecMetrics {
         self.sort.reset();
         self.morsels.reset();
         self.steals.reset();
+        self.pacing_sleeps.reset();
+        self.pacing_nanos.reset();
     }
 
     /// Human-readable dump for bench harnesses.
@@ -104,6 +111,11 @@ impl ExecMetrics {
             "  morsels={} stolen={}\n",
             self.morsels.get(),
             self.steals.get()
+        ));
+        s.push_str(&format!(
+            "  pacing    sleeps={:<9} ns={}\n",
+            self.pacing_sleeps.get(),
+            self.pacing_nanos.get()
         ));
         s
     }

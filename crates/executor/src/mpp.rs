@@ -93,8 +93,10 @@ impl MorselWork<Local<VecAggTable>> for PartialAgg {
     }
     fn process(&self, batch: RowBatch, local: &mut Local<VecAggTable>) -> Result<()> {
         let batch = self.pipeline.run(batch, local)?;
+        // Tick first: a pacing sleep is not aggregation time.
+        local.ctx.tick(batch.num_rows() as u64)?;
         let t0 = Timer::start();
-        local.out.update_batch(&batch, &local.ctx)?;
+        local.out.update_batch(&batch)?;
         exec_metrics().aggregate.record(batch.num_rows() as u64, 0, t0);
         Ok(())
     }
@@ -114,9 +116,9 @@ impl MorselWork<Local<Vec<Row>>> for Probe {
     }
     fn process(&self, batch: RowBatch, local: &mut Local<Vec<Row>>) -> Result<()> {
         let batch = self.pipeline.run(batch, local)?;
+        local.ctx.tick(batch.num_rows() as u64)?;
         let t0 = Timer::start();
-        let rows =
-            self.build.probe_batch(&batch, &self.probe_cols, self.filter.as_ref(), &local.ctx)?;
+        let rows = self.build.probe_batch(&batch, &self.probe_cols, self.filter.as_ref())?;
         exec_metrics().join.record(rows.len() as u64, 0, t0);
         local.out.extend(rows);
         Ok(())
@@ -187,8 +189,8 @@ impl MppExecutor {
                     exec_metrics().join.record(rows.len() as u64, 0, t0);
                     return Ok(rows);
                 }
-                let t0 = Timer::start();
                 ctx.tick(build_rows.len() as u64)?;
+                let t0 = Timer::start();
                 let build = JoinBuild::build(build_rows, on.iter().map(|&(l, _)| l).collect())?;
                 exec_metrics().join.record(build.len() as u64, 0, t0);
                 let locals = self.drive(right, provider, ctx, |pipeline| Probe {

@@ -5,8 +5,8 @@
 //! * **TP Core Pool** — unrestricted CPU; but a job that runs longer than
 //!   its slice "will terminate its current time slice and be re-assigned
 //!   to AP Core Pool for subsequent execution";
-//! * **AP Core Pool** — CPU strictly capped (cgroups in the paper, a
-//!   cooperative [`CpuGovernor`] here);
+//! * **AP Core Pool** — CPU capped (cgroups in the paper, a cooperative
+//!   [`CpuGovernor`] here) while TP work is in flight;
 //! * **Slow Query AP Core Pool** — an even lower share for queries that
 //!   overran the AP slice.
 //!
@@ -20,9 +20,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_common::time::mono_now;
+use polardbx_common::time::{mono_now, Timer};
 
-use polardbx_common::metrics::Counter;
+use polardbx_common::metrics::{Counter, InFlight};
+
+use crate::exec_metrics::exec_metrics;
 
 /// Which pool a job runs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +39,9 @@ pub enum JobClass {
 
 /// Cooperative CPU cap: jobs call [`CpuGovernor::pace`] from their inner
 /// loops; the governor sleeps them whenever their running share exceeds
-/// `quota` (the `cpu.cfs_quota` analogue).
+/// `quota` while TP work is in flight. It is work-conserving, like cgroups'
+/// `cpu.weight` rather than a hard `cpu.cfs_quota`: an AP query that has
+/// the machine to itself runs at full speed.
 pub struct CpuGovernor {
     /// Allowed CPU share in (0, 1], stored as f64 bits (runtime-adjustable:
     /// the HTAP harness re-provisions AP capacity when RO nodes are added).
@@ -45,15 +49,19 @@ pub struct CpuGovernor {
     /// Work-to-time calibration: how long `pace(1)` of work represents.
     work_unit: Duration,
     paused: AtomicBool,
+    /// TP jobs and open coordinator transactions: the pressure that makes
+    /// the quota bind.
+    tp_work: InFlight,
 }
 
 impl CpuGovernor {
-    /// A governor granting `quota` of the CPU.
-    pub fn new(quota: f64) -> Arc<CpuGovernor> {
+    /// A governor granting `quota` of the CPU whenever `tp_work` is up.
+    pub fn new(quota: f64, tp_work: InFlight) -> Arc<CpuGovernor> {
         Arc::new(CpuGovernor {
             quota_bits: AtomicU64::new(quota.clamp(0.01, 1.0).to_bits()),
             work_unit: Duration::from_nanos(50),
             paused: AtomicBool::new(false),
+            tp_work,
         })
     }
 
@@ -67,21 +75,29 @@ impl CpuGovernor {
         self.quota_bits.store(quota.clamp(0.01, 1.0).to_bits(), Ordering::Relaxed);
     }
 
-    /// Account `units` of work and sleep long enough that the caller's duty
-    /// cycle stays at the quota: for quota q, every unit of work earns
-    /// `(1-q)/q` units of sleep.
+    /// Account `units` of work. While paused, stall; while TP work is in
+    /// flight, sleep long enough that the caller's duty cycle stays at the
+    /// quota: for quota q, every unit of work earns `(1-q)/q` units of
+    /// sleep. Otherwise return at once.
     pub fn pace(&self, units: u64) {
+        let t0 = Timer::start();
+        let mut slept = false;
         while self.paused.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_micros(200));
+            slept = true;
         }
         let quota = self.quota();
-        if quota >= 1.0 {
-            return;
+        if quota < 1.0 && self.tp_work.any() {
+            let work = self.work_unit * units as u32;
+            let sleep = work.mul_f64((1.0 - quota) / quota);
+            if sleep > Duration::from_micros(10) {
+                std::thread::sleep(sleep);
+                slept = true;
+            }
         }
-        let work = self.work_unit * units as u32;
-        let sleep = work.mul_f64((1.0 - quota) / quota);
-        if sleep > Duration::from_micros(10) {
-            std::thread::sleep(sleep);
+        if slept {
+            exec_metrics().pacing_sleeps.inc();
+            exec_metrics().pacing_nanos.add(t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -93,35 +109,30 @@ impl CpuGovernor {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Pool {
-    tx: Sender<Job>,
-    queued: Arc<AtomicU64>,
-}
-
-fn spawn_pool(name: &str, threads: usize) -> Pool {
+fn spawn_pool(name: &str, threads: usize) -> Sender<Job> {
     let (tx, rx) = unbounded::<Job>();
-    let queued = Arc::new(AtomicU64::new(0));
     for i in 0..threads {
         let rx = rx.clone();
-        let queued = Arc::clone(&queued);
         std::thread::Builder::new()
             .name(format!("{name}-{i}"))
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    queued.fetch_sub(1, Ordering::Relaxed);
                     job();
                 }
             })
             .expect("spawn pool worker");
     }
-    Pool { tx, queued }
+    tx
 }
 
 /// The CN's workload manager: three pools + governors + counters.
 pub struct WorkloadManager {
-    tp: Pool,
-    ap: Pool,
-    slow: Pool,
+    /// TP work in flight: jobs in the TP pool, plus the open transactions
+    /// of the coordinators that share it (`Coordinator::with_tp_work`).
+    tp_work: InFlight,
+    tp: Sender<Job>,
+    ap: Sender<Job>,
+    slow: Sender<Job>,
     /// AP group governor (shared by all AP jobs).
     pub ap_governor: Arc<CpuGovernor>,
     /// Slow-pool governor (lower share).
@@ -146,12 +157,14 @@ impl WorkloadManager {
         ap_quota: f64,
         slow_quota: f64,
     ) -> Arc<WorkloadManager> {
+        let tp_work = InFlight::new();
         Arc::new(WorkloadManager {
             tp: spawn_pool("tp-core", tp_threads.max(1)),
             ap: spawn_pool("ap-core", ap_threads.max(1)),
             slow: spawn_pool("slow-ap", 1),
-            ap_governor: CpuGovernor::new(ap_quota),
-            slow_governor: CpuGovernor::new(slow_quota),
+            ap_governor: CpuGovernor::new(ap_quota, tp_work.clone()),
+            slow_governor: CpuGovernor::new(slow_quota, tp_work.clone()),
+            tp_work,
             tp_slice: Duration::from_millis(50),
             ap_slice: Duration::from_millis(500),
             tp_demotions: Counter::new(),
@@ -164,6 +177,12 @@ impl WorkloadManager {
     pub fn with_defaults() -> Arc<WorkloadManager> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
         WorkloadManager::new(cores, (cores / 2).max(1), 0.5, 0.1)
+    }
+
+    /// The TP-work gauge the governors read; a coordinator that shares it
+    /// counts its open transactions as TP work.
+    pub fn tp_work(&self) -> &InFlight {
+        &self.tp_work
     }
 
     /// Toggle resource isolation (Fig 9 configuration switch). With
@@ -196,8 +215,18 @@ impl WorkloadManager {
             JobClass::Ap => &self.ap,
             JobClass::SlowAp => &self.slow,
         };
-        pool.queued.fetch_add(1, Ordering::Relaxed);
-        let _ = pool.tx.send(Box::new(job));
+        let job: Job = match class {
+            JobClass::Tp => {
+                // Queued or running, a TP job is TP work in flight.
+                let in_flight = self.tp_work.enter();
+                Box::new(move || {
+                    job();
+                    drop(in_flight);
+                })
+            }
+            JobClass::Ap | JobClass::SlowAp => Box::new(job),
+        };
+        let _ = pool.send(job);
     }
 
     /// Run a job synchronously in a pool and return its result.
@@ -327,7 +356,6 @@ impl TickState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::time::Timer;
 
     #[test]
     fn pools_execute_jobs() {
@@ -338,29 +366,16 @@ mod tests {
         assert_eq!(out, "ap");
     }
 
-    #[test]
-    fn governor_caps_duty_cycle() {
-        // A governed spin loop must take noticeably longer than an
-        // ungoverned one for the same work.
-        let free = CpuGovernor::new(1.0);
-        let capped = CpuGovernor::new(0.25);
-        let work = |g: &CpuGovernor| {
-            let t0 = Timer::start();
-            for _ in 0..200 {
-                g.pace(4096);
-            }
-            t0.elapsed()
-        };
-        let fast = work(&free);
-        let slow = work(&capped);
-        assert!(slow > fast * 2, "quota not enforced: free={fast:?} capped={slow:?}");
-    }
-
-    #[test]
-    fn governor_pause_blocks() {
-        let g = CpuGovernor::new(1.0);
+    /// How long `g` takes over 200 paced quanta of 4 096 rows, and whether
+    /// `set_paused` stalls it for 20 ms.
+    fn paced(g: &Arc<CpuGovernor>) -> (Duration, Duration) {
+        let t0 = Timer::start();
+        for _ in 0..200 {
+            g.pace(4096);
+        }
+        let run = t0.elapsed();
         g.set_paused(true);
-        let g2 = Arc::clone(&g);
+        let g2 = Arc::clone(g);
         let h = std::thread::spawn(move || {
             let t0 = Timer::start();
             g2.pace(1);
@@ -368,7 +383,42 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         g.set_paused(false);
-        assert!(h.join().unwrap() >= Duration::from_millis(15));
+        (run, h.join().unwrap())
+    }
+
+    #[test]
+    fn governor_paces_only_while_tp_work_is_in_flight() {
+        let tp_work = InFlight::new();
+        let capped = CpuGovernor::new(0.25, tp_work.clone());
+        // Idle machine: 200 quanta earn 200 × 614 µs of sleep at quota
+        // 0.25, none of which is taken.
+        let (idle, stalled) = paced(&capped);
+        assert!(idle < Duration::from_millis(60), "paced without TP work: {idle:?}");
+        assert!(stalled >= Duration::from_millis(15), "pause ignored: {stalled:?}");
+        // A TP job or an open transaction holds the cap at the quota.
+        let guard = tp_work.enter();
+        let (busy, stalled) = paced(&capped);
+        assert!(busy >= Duration::from_millis(100), "quota not enforced: {busy:?}");
+        assert!(stalled >= Duration::from_millis(15), "pause ignored: {stalled:?}");
+        drop(guard);
+        assert!(!tp_work.any());
+    }
+
+    #[test]
+    fn a_tp_job_is_tp_work_until_it_returns() {
+        let mgr = WorkloadManager::new(1, 1, 0.5, 0.1);
+        assert!(!mgr.tp_work().any());
+        let gauge = mgr.tp_work().clone();
+        assert!(mgr.run(JobClass::Tp, move || gauge.any()));
+        // The worker drops the job's guard right after the job hands back
+        // its result.
+        let deadline = mono_now() + Duration::from_secs(2);
+        while mgr.tp_work().any() {
+            assert!(mono_now() < deadline, "a finished TP job is still in flight");
+            std::thread::yield_now();
+        }
+        let gauge = mgr.tp_work().clone();
+        assert!(!mgr.run(JobClass::Ap, move || gauge.any()), "an AP job is not TP work");
     }
 
     #[test]

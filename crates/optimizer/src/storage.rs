@@ -6,7 +6,6 @@
 //! with join or aggregation prefer in-memory column index, while point
 //! queries choose InnoDB row store."
 
-use polardbx_sql::expr::{BinOp, Expr};
 use polardbx_sql::plan::LogicalPlan;
 
 use crate::cost::Statistics;
@@ -18,55 +17,6 @@ pub enum StorageChoice {
     RowStore,
     /// In-memory column index (vectorized scan/filter/agg).
     ColumnIndex,
-}
-
-/// Rows a scan is expected to touch after its adjacent filters.
-fn scanned_rows(plan: &LogicalPlan, table: &str, stats: &Statistics) -> f64 {
-    fn walk(p: &LogicalPlan, table: &str, under_eq_filter: &mut bool) -> bool {
-        match p {
-            LogicalPlan::Scan { table: t, .. } => t == table,
-            LogicalPlan::Filter { input, predicate } => {
-                if has_pk_point(predicate) {
-                    *under_eq_filter = true;
-                }
-                walk(input, table, under_eq_filter)
-            }
-            LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => walk(input, table, under_eq_filter),
-            LogicalPlan::Join { left, right, .. } => {
-                walk(left, table, under_eq_filter)
-                    || walk(right, table, under_eq_filter)
-            }
-        }
-    }
-    let mut point = false;
-    if !walk(plan, table, &mut point) {
-        return 0.0;
-    }
-    let rows = stats.get(table).rows as f64;
-    if point {
-        1.0
-    } else {
-        rows
-    }
-}
-
-fn has_pk_point(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = x {
-            let lit_and_col = matches!(
-                (left.as_ref(), right.as_ref()),
-                (Expr::ColumnIdx(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::ColumnIdx(_))
-            );
-            if lit_and_col {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 fn has_join_or_agg(plan: &LogicalPlan) -> bool {
@@ -84,17 +34,24 @@ fn has_join_or_agg(plan: &LogicalPlan) -> bool {
 /// per-row overheads only on bulk scans).
 pub const COLUMNAR_SCAN_THRESHOLD: f64 = 10_000.0;
 
-/// Choose the scan implementation for `table` inside `plan`.
-pub fn choose_storage(plan: &LogicalPlan, table: &str, stats: &Statistics) -> StorageChoice {
-    if !stats.get(table).has_column_index {
+/// Choose the scan implementation for `table` inside `plan`. `point_read`
+/// is the caller's answer to "does the filter directly above every scan of
+/// `table` name its primary keys?" (the CN's `key_access`, the rule its
+/// `EXPLAIN` prints and its row-store scans follow). A point read touches
+/// at most a few dozen rows, which B-tree lookups serve for less than any
+/// scan of the index; a filter on another column, or on another table of
+/// the plan, makes nothing a point read.
+pub fn choose_storage(
+    plan: &LogicalPlan,
+    table: &str,
+    stats: &Statistics,
+    point_read: bool,
+) -> StorageChoice {
+    let table_stats = stats.get(table);
+    if !table_stats.has_column_index || point_read {
         return StorageChoice::RowStore;
     }
-    let rows = scanned_rows(plan, table, stats);
-    if rows <= 1.5 {
-        // Point query: the B-tree wins.
-        return StorageChoice::RowStore;
-    }
-    if rows >= COLUMNAR_SCAN_THRESHOLD || has_join_or_agg(plan) {
+    if table_stats.rows as f64 >= COLUMNAR_SCAN_THRESHOLD || has_join_or_agg(plan) {
         StorageChoice::ColumnIndex
     } else {
         StorageChoice::RowStore
@@ -136,30 +93,24 @@ mod tests {
     #[test]
     fn no_column_index_means_row_store() {
         let p = plan("SELECT a, SUM(b) FROM lineitem GROUP BY a");
-        assert_eq!(choose_storage(&p, "lineitem", &stats(false)), StorageChoice::RowStore);
+        assert_eq!(choose_storage(&p, "lineitem", &stats(false), false), StorageChoice::RowStore);
     }
 
     #[test]
     fn large_scan_prefers_column_index() {
         let p = plan("SELECT a, SUM(b) FROM lineitem GROUP BY a");
-        assert_eq!(choose_storage(&p, "lineitem", &stats(true)), StorageChoice::ColumnIndex);
+        assert_eq!(choose_storage(&p, "lineitem", &stats(true), false), StorageChoice::ColumnIndex);
     }
 
     #[test]
-    fn point_query_prefers_row_store() {
-        let p = plan("SELECT a FROM lineitem WHERE id = 5");
-        assert_eq!(choose_storage(&p, "lineitem", &stats(true)), StorageChoice::RowStore);
+    fn point_read_prefers_row_store() {
+        let p = plan("SELECT a, SUM(b) FROM lineitem WHERE id = 5 GROUP BY a");
+        assert_eq!(choose_storage(&p, "lineitem", &stats(true), true), StorageChoice::RowStore);
     }
 
     #[test]
     fn join_plans_prefer_column_index() {
         let p = plan("SELECT l.a FROM lineitem l JOIN lineitem r ON l.id = r.id");
-        assert_eq!(choose_storage(&p, "lineitem", &stats(true)), StorageChoice::ColumnIndex);
-    }
-
-    #[test]
-    fn unrelated_table_scans_zero_rows() {
-        let p = plan("SELECT a FROM lineitem");
-        assert_eq!(scanned_rows(&p, "nope", &stats(true)), 0.0);
+        assert_eq!(choose_storage(&p, "lineitem", &stats(true), false), StorageChoice::ColumnIndex);
     }
 }

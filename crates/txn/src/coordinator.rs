@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use polardbx_common::metrics::{InFlight, InFlightGuard};
 use polardbx_common::{
     Error, HistoryRecorder, IdGenerator, Key, NodeId, Result, Row, TableId, TrxId, TxnEvent,
 };
@@ -62,6 +63,9 @@ pub struct Coordinator {
     mutations: ProtocolMutations,
     fence: Option<Arc<dyn RoutingFence>>,
     observer: Option<Arc<dyn AccessObserver>>,
+    /// Counts each open transaction as TP work, so the CN's AP governor
+    /// paces while one is open.
+    tp_work: InFlight,
     /// Serializes `begin`'s (ClockNow, Begin-record) pair against commit's
     /// (ClockUpdate, Commit-record) pair — only when a recorder is
     /// installed. The checker infers session order from record sequence
@@ -92,6 +96,7 @@ impl Coordinator {
             mutations: ProtocolMutations::default(),
             fence: None,
             observer: None,
+            tp_work: InFlight::new(),
             session_order: Mutex::named("txn.session_order", ()),
         }
     }
@@ -142,6 +147,13 @@ impl Coordinator {
     /// (the adaptive placer's co-access sketch).
     pub fn with_observer(mut self, observer: Arc<dyn AccessObserver>) -> Coordinator {
         self.observer = Some(observer);
+        self
+    }
+
+    /// Builder: count each open transaction on `tp_work`, the gauge of TP
+    /// work the CN's AP governor reads.
+    pub fn with_tp_work(mut self, tp_work: InFlight) -> Coordinator {
+        self.tp_work = tp_work;
         self
     }
 
@@ -205,6 +217,7 @@ impl Coordinator {
         drop(_order);
         DistTxn {
             coord: self,
+            _tp_work: self.tp_work.enter(),
             trx,
             snapshot_ts,
             participants: Vec::new(),
@@ -260,6 +273,8 @@ pub enum ReadOp {
 /// An in-flight distributed transaction handle.
 pub struct DistTxn<'a> {
     coord: &'a Coordinator,
+    /// Open until dropped: TP work in flight.
+    _tp_work: InFlightGuard,
     trx: TrxId,
     snapshot_ts: HlcTimestamp,
     /// Every DN a message of this transaction was sent to (reads included)

@@ -6,6 +6,7 @@
 //!   the provider attaches one — and then never from the row partitions —
 //!   while the TP engine (`execute_plan`) never asks for an index;
 //! * the one remaining join records its time;
+//! * a filter on one table of a join makes no other table a point read;
 //! * an index-sourced query still runs under the AP governor;
 //! * all 22 TPC-H shapes agree across both engines, both sources and both
 //!   degrees of parallelism;
@@ -191,6 +192,32 @@ fn join_time_is_recorded() {
     // 4 build rows, and every fact row under the filter finds its dim row.
     assert!(join.rows.get() >= rows + 4 + 1_000, "join.rows did not grow");
     assert!(join.nanos.get() > nanos, "join.nanos did not grow");
+    db.shutdown();
+}
+
+// --------------------------------------- which store an AP plan reads
+
+/// A filter on one table makes no other table of the plan a point read:
+/// TPC-H Q3's `c_mktsegment = 'BUILDING'` sits on `customer`, so `orders`
+/// and `lineitem` — filtered on non-key columns — are read from their
+/// column indexes, not row by row from the row store.
+#[test]
+fn an_indexed_join_reads_the_column_indexes() {
+    // At this scale Q3 costs less than the default AP threshold.
+    let config =
+        ClusterConfig { dns: 2, default_shards: 4, ap_threshold: 0.0, ..Default::default() };
+    let db = PolarDbx::build(config).unwrap();
+    tpch::create_schema(&db.connect(DcId(1)), 4).unwrap();
+    tpch::load(&db, tpch::ScaleFactor(0.01), 7).unwrap();
+    for t in ["lineitem", "orders", "customer"] {
+        db.enable_column_index(t).unwrap();
+    }
+    let explain = db.connect(DcId(1)).explain(tpch::query_sql(3)).unwrap();
+    assert!(explain.contains("class: Ap"), "{explain}");
+    for table in ["orders", "lineitem"] {
+        assert!(explain.contains(&format!("scan {table}: ColumnIndex")), "{explain}");
+        assert!(explain.contains(&format!("access {table}: all shards")), "{explain}");
+    }
     db.shutdown();
 }
 

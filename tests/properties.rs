@@ -493,7 +493,7 @@ fn frame_roundtrip_and_corruption_detection() {
 fn diff_rand_pred(rng: &mut StdRng, width: usize, str_col: usize) -> polardbx_sql::expr::Expr {
     use polardbx_sql::expr::{BinOp, Expr};
     let cmp_ops = [BinOp::Eq, BinOp::Neq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
-    match rng.gen_range(0..6) {
+    match rng.gen_range(0..8) {
         0 => {
             // Column ⊗ literal, sometimes flipped, sometimes type-mismatched
             // (both engines must agree on "cannot compare" errors too).
@@ -533,6 +533,34 @@ fn diff_rand_pred(rng: &mut StdRng, width: usize, str_col: usize) -> polardbx_sq
                 _ => format!("%{}%", rand_string(rng, b"abc", 1)),
             };
             Expr::Like { expr: Box::new(Expr::ColumnIdx(c)), pattern: pat }
+        }
+        4 => {
+            // [NOT] IN over any column: Str, Int and Double members, NULL,
+            // and members of another type than the column's (never equal,
+            // never an error).
+            let list = (0..rng.gen_range(1..5))
+                .map(|_| match rng.gen_range(0..5) {
+                    0 => Expr::Literal(Value::Str(rand_string(rng, b"abc", 2))),
+                    1 => Expr::Literal(Value::Double(rng.gen_range(-6..6) as f64 * 0.5)),
+                    2 => Expr::Literal(Value::Null),
+                    _ => Expr::int(rng.gen_range(-3..40)),
+                })
+                .collect();
+            Expr::InList {
+                expr: Box::new(Expr::ColumnIdx(rng.gen_range(0..width))),
+                list,
+                negated: rng.gen_bool(0.3),
+            }
+        }
+        5 => {
+            // Column ⊗ column: same type, Int against Double, Str against
+            // a number (an error in both engines), NULL operands.
+            let op = cmp_ops[rng.gen_range(0..cmp_ops.len())];
+            Expr::binary(
+                op,
+                Expr::ColumnIdx(rng.gen_range(0..width)),
+                Expr::ColumnIdx(rng.gen_range(0..width)),
+            )
         }
         _ => {
             // Conjunction (exercises in-order short-circuit semantics).
