@@ -9,8 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::clock::{Clock, PhysicalClock};
-use crate::timestamp::HlcTimestamp;
+use polardbx_hlc::{Clock, HlcTimestamp, PhysicalClock};
 
 /// A Clock-SI node clock: physical time only, with a configured worst-case
 /// skew bound that remote participants must wait out.
@@ -64,7 +63,12 @@ impl Clock for ClockSiClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TestClock;
+    use polardbx_common::{Key, NodeId, TableId, TenantId, TrxId, Value};
+    use polardbx_hlc::TestClock;
+    use polardbx_simnet::Handler;
+    use polardbx_storage::StorageEngine;
+    use polardbx_txn::{DnService, TxnMsg};
+    use std::time::Duration;
 
     #[test]
     fn now_tracks_physical_time() {
@@ -108,5 +112,40 @@ mod tests {
         pc.set(900); // physical clock steps backwards (NTP correction)
         let b = c.now();
         assert!(b >= a, "logical floor must prevent regression");
+    }
+
+    #[test]
+    fn clock_si_participant_waits_out_skew() {
+        // Participant's physical clock is 5 ms behind the coordinator's.
+        let pc = TestClock::at(1000);
+        let clock = ClockSiClock::new(pc.clone(), 50);
+        let engine = StorageEngine::in_memory();
+        engine.create_table(TableId(1), TenantId(1));
+        let dn = DnService::new(NodeId(1), Arc::clone(&engine), clock);
+        // Ticker moves the physical clock forward in real time.
+        let pc2 = Arc::clone(&pc);
+        let ticker = std::thread::spawn(move || {
+            for _ in 0..60 {
+                std::thread::sleep(Duration::from_millis(1));
+                pc2.tick(1);
+            }
+        });
+        let future_snapshot = HlcTimestamp::at_pt(1010).raw();
+        let t0 = std::time::Instant::now();
+        let reply = dn.handle(
+            NodeId(9),
+            TxnMsg::Read {
+                trx: TrxId(0),
+                snapshot_ts: future_snapshot,
+                table: TableId(1),
+                key: Key::encode(&[Value::Int(1)]),
+            },
+        );
+        assert!(matches!(reply, TxnMsg::RowResult(None)));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(5),
+            "Clock-SI must delay until local clock passes the snapshot"
+        );
+        ticker.join().unwrap();
     }
 }

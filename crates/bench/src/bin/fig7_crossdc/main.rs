@@ -7,20 +7,31 @@
 //! and oltp-read-only run in closed loop; the table reports peak
 //! throughput and latency per scheme.
 //!
+//! Fig 7 is the one cluster built by hand: TSO-SI and Clock-SI are
+//! baselines no `PolarDbx` runs, and their clocks ([`tso`], [`clocksi`])
+//! live here with the [`sysbench`] mixes that drive them.
+//!
 //! Run: `cargo run --release -p polardbx-bench --bin fig7_crossdc [--quick]`
 
 use std::sync::Arc;
 use std::time::Duration;
 
+mod clocksi;
+mod sysbench;
+mod tso;
+
 use polardbx_bench::{closed_loop, fmt_dur, header, quick, row};
 use polardbx_common::{DcId, IdGenerator, NodeId, TableId, TenantId};
-use polardbx_hlc::{Clock, ClockSiClock, Hlc, RealClock, SkewedClock, TsoClient, TsoServer};
+use polardbx_hlc::{Clock, Hlc, RealClock, SkewedClock};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
 use polardbx_storage::StorageEngine;
 use polardbx_txn::{Coordinator, DnService, TxnMetrics, TxnMsg};
-use polardbx_workloads::sysbench::{self, RouteFn, SysbenchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use clocksi::ClockSiClock;
+use sysbench::{RouteFn, SysbenchConfig};
+use tso::{TsoClient, TsoMsg, TsoServer};
 
 struct CnStub;
 impl Handler<TxnMsg> for CnStub {
@@ -30,8 +41,8 @@ impl Handler<TxnMsg> for CnStub {
 }
 
 struct TsoStub;
-impl Handler<polardbx_hlc::TsoMsg> for TsoStub {
-    fn handle(&self, _f: NodeId, m: polardbx_hlc::TsoMsg) -> polardbx_hlc::TsoMsg {
+impl Handler<TsoMsg> for TsoStub {
+    fn handle(&self, _f: NodeId, m: TsoMsg) -> TsoMsg {
         m
     }
 }
@@ -75,7 +86,7 @@ fn build(scheme: Scheme, latency: LatencyMatrix) -> World {
         match scheme {
             Scheme::HlcSi => Hlc::with_physical(SkewedClock::new(Arc::new(RealClock), skew)),
             Scheme::TsoSi => {
-                tso_net.register(node, dc, Arc::new(TsoStub) as Arc<dyn Handler<polardbx_hlc::TsoMsg>>);
+                tso_net.register(node, dc, Arc::new(TsoStub) as Arc<dyn Handler<TsoMsg>>);
                 TsoClient::new(Arc::clone(&tso_net), node, tso_node)
             }
             Scheme::ClockSi => {

@@ -1,4 +1,5 @@
-//! Sysbench OLTP workloads over the transaction coordinator.
+//! Sysbench OLTP workloads over the transaction coordinator: the two
+//! transaction mixes of Fig 7.
 //!
 //! The drivers operate directly on [`polardbx_txn::Coordinator`] (no SQL
 //! parsing on the hot path) so Fig 7 measures clock-scheme costs, not the
@@ -71,19 +72,6 @@ pub fn seed(
     Ok(())
 }
 
-/// One `oltp-point-select` operation.
-pub fn point_select(
-    cfg: &SysbenchConfig,
-    coord: &Coordinator,
-    route: &RouteFn,
-    rng: &mut StdRng,
-) -> Result<()> {
-    let id = rng.gen_range(0..cfg.rows);
-    let (table, dn) = route(id);
-    coord.read_autocommit(dn, table, &pk(id))?;
-    Ok(())
-}
-
 /// One `oltp-read-only` transaction: ten point reads + four range queries.
 pub fn read_only(
     cfg: &SysbenchConfig,
@@ -135,87 +123,45 @@ pub fn write_only(
     Ok(())
 }
 
-/// One `oltp-read-write` transaction: the read-only body plus the
-/// write-only body under one commit.
-pub fn read_write(
-    cfg: &SysbenchConfig,
-    coord: &Coordinator,
-    route: &RouteFn,
-    rng: &mut StdRng,
-) -> Result<()> {
-    let mut txn = coord.begin();
-    for _ in 0..4 {
-        let id = rng.gen_range(0..cfg.rows);
-        let (table, dn) = route(id);
-        txn.read(dn, table, &pk(id))?;
-    }
-    for _ in 0..2 {
-        let id = rng.gen_range(0..cfg.rows);
-        let (table, dn) = route(id);
-        txn.write(dn, table, pk(id), WireWriteOp::Update(sbtest_row(cfg, id, rng)))?;
-    }
-    txn.commit()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::{DcId, IdGenerator, TenantId};
-    use polardbx_hlc::Hlc;
-    use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
-    use polardbx_storage::StorageEngine;
-    use polardbx_txn::{DnService, TxnMsg};
-    use std::sync::Arc;
+    use polardbx::{ClusterConfig, PolarDbx};
 
-    struct CnStub;
-    impl Handler<TxnMsg> for CnStub {
-        fn handle(&self, _f: polardbx_common::NodeId, m: TxnMsg) -> TxnMsg {
-            m
-        }
-    }
-
-    fn world() -> (Coordinator, Vec<Arc<DnService>>, SysbenchConfig) {
-        let net = SimNet::new(LatencyMatrix::zero());
+    /// Three DNs in three DCs, one shard table each, and a route over them.
+    fn world() -> (PolarDbx, Box<RouteFn>, SysbenchConfig) {
+        let db = PolarDbx::build(ClusterConfig { dcs: 3, cns_per_dc: 1, dns: 3, ..Default::default() })
+            .unwrap();
         let cfg = SysbenchConfig { rows: 500, ..Default::default() };
-        let mut dns = Vec::new();
-        for i in 1..=3u64 {
-            let engine = StorageEngine::in_memory();
-            // One shard table per DN.
-            engine.create_table(TableId(cfg.table.raw() * 10 + i), TenantId(1));
-            let dn = DnService::new(NodeId(i), engine, Hlc::new());
-            net.register(NodeId(i), DcId(i), dn.clone() as Arc<dyn Handler<TxnMsg>>);
-            dns.push(dn);
+        let base = cfg.table.raw() * 10;
+        let dns: Vec<NodeId> = db.dns().iter().map(|dn| dn.id).collect();
+        for (i, dn) in db.dns().iter().enumerate() {
+            dn.rw.create_table(TableId(base + i as u64 + 1));
         }
-        net.register(NodeId(9), DcId(1), Arc::new(CnStub));
-        let coord =
-            Coordinator::new(NodeId(9), net, Hlc::new(), Arc::new(IdGenerator::new()));
-        (coord, dns, cfg)
+        let route: Box<RouteFn> = Box::new(move |id: i64| {
+            let i = id as u64 % 3;
+            (TableId(base + i + 1), dns[i as usize])
+        });
+        (db, route, cfg)
     }
 
-    fn route_for(cfg: &SysbenchConfig) -> Box<RouteFn> {
-        let base = cfg.table.raw() * 10;
-        Box::new(move |id: i64| {
-            let dn = 1 + (id as u64 % 3);
-            (TableId(base + dn), NodeId(dn))
-        })
+    fn rows(db: &PolarDbx, cfg: &SysbenchConfig) -> usize {
+        db.dns()
+            .iter()
+            .enumerate()
+            .map(|(i, dn)| {
+                dn.rw.engine.count_rows(TableId(cfg.table.raw() * 10 + i as u64 + 1), u64::MAX).unwrap()
+            })
+            .sum()
     }
 
     #[test]
     fn seed_then_mixed_workload() {
-        let (coord, dns, cfg) = world();
-        let route = route_for(&cfg);
-        seed(&cfg, &coord, &route, 42).unwrap();
-        let total: usize = dns
-            .iter()
-            .enumerate()
-            .map(|(i, dn)| {
-                dn.engine
-                    .count_rows(TableId(cfg.table.raw() * 10 + i as u64 + 1), u64::MAX)
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, 500);
+        let (db, route, cfg) = world();
+        let cn = db.cn(0);
+        let coord = &cn.coordinator;
+        seed(&cfg, coord, &route, 42).unwrap();
+        assert_eq!(rows(&db, &cfg), 500);
 
         // Phase two of a 2PC commit is posted after the client is answered,
         // and a writer does not wait for a row another transaction still
@@ -223,7 +169,7 @@ mod tests {
         // own last one with a retryable `WriteConflict`. A driver retries.
         let mut rng = StdRng::seed_from_u64(7);
         let mut retrying = |op: fn(&SysbenchConfig, &Coordinator, &RouteFn, &mut StdRng) -> Result<()>| {
-            let done = (0..100).any(|_| match op(&cfg, &coord, &route, &mut rng) {
+            let done = (0..100).any(|_| match op(&cfg, coord, &route, &mut rng) {
                 Ok(()) => true,
                 Err(e) => {
                     assert!(e.is_retryable(), "{e:?}");
@@ -234,22 +180,11 @@ mod tests {
             assert!(done, "100 retryable failures in a row");
         };
         for _ in 0..20 {
-            retrying(point_select);
             retrying(read_only);
             retrying(write_only);
-            retrying(read_write);
         }
         // Write-only keeps the row population stable (delete + re-insert).
-        let total_after: usize = dns
-            .iter()
-            .enumerate()
-            .map(|(i, dn)| {
-                dn.engine
-                    .count_rows(TableId(cfg.table.raw() * 10 + i as u64 + 1), u64::MAX)
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total_after, 500);
+        assert_eq!(rows(&db, &cfg), 500);
     }
 
     #[test]

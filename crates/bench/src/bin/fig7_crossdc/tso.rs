@@ -12,8 +12,7 @@ use std::sync::Arc;
 use polardbx_common::NodeId;
 use polardbx_simnet::{Handler, SimNet};
 
-use crate::clock::{Clock, PhysicalClock, RealClock};
-use crate::timestamp::HlcTimestamp;
+use polardbx_hlc::{Clock, HlcTimestamp, PhysicalClock, RealClock};
 
 /// Messages understood by the TSO server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,14 +32,7 @@ pub struct TsoServer {
 impl TsoServer {
     /// New oracle seeded from wall time.
     pub fn new() -> Arc<TsoServer> {
-        Self::with_physical(&RealClock)
-    }
-
-    /// New oracle seeded from a custom physical clock.
-    pub fn with_physical(pc: &dyn PhysicalClock) -> Arc<TsoServer> {
-        Arc::new(TsoServer {
-            next: AtomicU64::new(HlcTimestamp::at_pt(pc.now_millis()).raw()),
-        })
+        Arc::new(TsoServer { next: AtomicU64::new(HlcTimestamp::at_pt(RealClock.now_millis()).raw()) })
     }
 
     /// Allocate the next timestamp (local fast path, used by the handler).
@@ -59,7 +51,7 @@ impl Handler<TsoMsg> for TsoServer {
 }
 
 /// A node-side client of the oracle. Implements [`Clock`] so the
-/// transaction layer can swap it in for [`crate::Hlc`]; both `now` and
+/// transaction layer can swap it in for [`polardbx_hlc::Hlc`]; both `now` and
 /// `advance` are remote allocations, and `update` is a no-op (ordering is
 /// global by construction).
 pub struct TsoClient {

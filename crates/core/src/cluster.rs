@@ -3,17 +3,17 @@
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use polardbx_columnar::{ColumnIndex, ColumnIndexMaintainer};
 use polardbx_common::metrics::Counter;
 use polardbx_common::{DcId, Error, IdGenerator, NodeId, Result, Row, TenantId, TrxId};
 use polardbx_executor::{MemoryManager, WorkloadManager};
-use polardbx_hlc::{Hlc, HlcTimestamp};
+use polardbx_hlc::{Clock, Hlc, HlcTimestamp};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
 use polardbx_placement::CoAccessSketch;
-use polardbx_storage::{RedoConsumer, RwNode, StorageEngine};
+use polardbx_storage::{RecoveryReport, RedoConsumer, RwNode, StorageEngine};
 use polardbx_txn::{Coordinator, DnService, ResolverConfig, ResolverHandle, TxnMetrics, TxnMsg};
 
 use crate::gms::{shard_table_id, Gms};
@@ -73,7 +73,21 @@ pub struct Dn {
     pub rw: Arc<RwNode>,
     /// The participant service.
     pub service: Arc<DnService>,
+    /// The DN its amnesia restart brought up in this one's place. Readers
+    /// follow it without a lock: it is set once, and a restarted DN stays
+    /// allocated as long as the cluster.
+    restarted: OnceLock<Arc<Dn>>,
 }
+
+impl Dn {
+    /// This DN as it runs now: its latest restart, or itself.
+    fn latest(self: &Arc<Dn>) -> &Arc<Dn> {
+        self.restarted.get().map_or(self, Dn::latest)
+    }
+}
+
+/// How a DN's clock is made, from its build index.
+type DnClock = Arc<dyn Fn(usize) -> Arc<dyn Clock> + Send + Sync>;
 
 pub(crate) struct Inner {
     pub(crate) config: ClusterConfig,
@@ -81,7 +95,9 @@ pub(crate) struct Inner {
     /// The CN ↔ DN fabric; owning it keeps its delivery threads alive.
     pub(crate) net: Arc<SimNet<TxnMsg>>,
     pub(crate) cns: Vec<Arc<CnNode>>,
-    pub(crate) dns: HashMap<NodeId, Arc<Dn>>,
+    /// The DNs in build order, as first built: [`Inner::dns`] follows each
+    /// to its latest restart.
+    dns: Vec<Arc<Dn>>,
     /// Logical-table-name → hidden GSI table names.
     pub(crate) gsi_tables: RwLock<HashMap<String, Vec<String>>>,
     /// Logical-table-name → its column index, fed by every DN's redo.
@@ -102,9 +118,15 @@ pub(crate) struct Inner {
     /// Commit-time co-access sketch feeding the adaptive placer.
     pub(crate) sketch: Arc<CoAccessSketch>,
     pub(crate) placer_stop: Arc<AtomicBool>,
-    /// One in-doubt resolver per DN: settles a 2PC transaction whose phase
-    /// two did not arrive by asking its peers.
-    resolvers: Mutex<Vec<ResolverHandle>>,
+    /// The one transaction-id space of every coordinator: a DN never
+    /// re-opens an id it has seen decided.
+    trx_ids: Arc<IdGenerator>,
+    dn_clock: DnClock,
+    resolver: ResolverConfig,
+    /// One in-doubt resolver per DN, in build order: settles a 2PC
+    /// transaction whose phase two did not arrive by asking its peers.
+    /// Emptied by shutdown; a restart holds the lock throughout.
+    resolvers: Mutex<Vec<Option<ResolverHandle>>>,
 }
 
 /// A compute node: coordinator + clock.
@@ -130,15 +152,41 @@ pub struct PolarDbx {
     pub(crate) inner: Arc<Inner>,
 }
 
-impl PolarDbx {
-    /// Build a cluster.
-    pub fn build(config: ClusterConfig) -> Result<PolarDbx> {
+/// A cluster about to be built: its [`ClusterConfig`] plus the two settings
+/// the product leaves at their defaults and the checkers change — the DN
+/// clocks and the resolver timing.
+pub struct ClusterBuilder {
+    config: ClusterConfig,
+    dn_clock: DnClock,
+    resolver: ResolverConfig,
+}
+
+impl ClusterBuilder {
+    /// Give DN `i` (build order) the clock `clock(i)`, at build and at each
+    /// amnesia restart; the default is a wall-clock [`Hlc`].
+    pub fn dn_clocks(
+        mut self,
+        clock: impl Fn(usize) -> Arc<dyn Clock> + Send + Sync + 'static,
+    ) -> ClusterBuilder {
+        self.dn_clock = Arc::new(clock);
+        self
+    }
+
+    /// Run every DN's in-doubt resolver at `cfg` instead of
+    /// [`ResolverConfig::default`].
+    pub fn resolver_timing(mut self, cfg: ResolverConfig) -> ClusterBuilder {
+        self.resolver = cfg;
+        self
+    }
+
+    /// Build the cluster.
+    pub fn build(self) -> Result<PolarDbx> {
+        let ClusterBuilder { config, dn_clock, resolver } = self;
         assert!(config.dcs >= 1 && config.dns >= 1 && config.cns_per_dc >= 1);
         let net = SimNet::new(config.latency.clone());
         let gms = Gms::new();
-        let trx_ids = Arc::new(IdGenerator::new());
 
-        let mut dns = HashMap::new();
+        let mut dns = Vec::new();
         let mut resolvers = Vec::new();
         for i in 0..config.dns {
             let id = NodeId(1000 + i as u64);
@@ -147,51 +195,56 @@ impl PolarDbx {
             for _ in 0..config.ros_per_dn {
                 rw.add_ro();
             }
-            let service = DnService::new(id, Arc::clone(&rw.engine), Hlc::new());
+            let service = DnService::new(id, Arc::clone(&rw.engine), dn_clock(i as usize));
             net.register(id, dc, service.clone() as Arc<dyn Handler<TxnMsg>>);
-            resolvers.push(service.start_resolver(Arc::clone(&net), ResolverConfig::default())?);
+            resolvers.push(Some(service.start_resolver(Arc::clone(&net), resolver)?));
             gms.register_dn(id);
-            dns.insert(id, Arc::new(Dn { id, dc, rw, service }));
+            dns.push(Arc::new(Dn { id, dc, rw, service, restarted: OnceLock::new() }));
         }
 
-        let txn_metrics = Arc::new(TxnMetrics::new());
-        let sketch = Arc::new(CoAccessSketch::new());
-        let workload = WorkloadManager::with_defaults();
-        let mut cns = Vec::new();
-        for dc_i in 0..config.dcs {
-            for c in 0..config.cns_per_dc {
-                let id = NodeId(1 + (dc_i * config.cns_per_dc + c) as u64);
-                let dc = DcId(1 + dc_i as u64);
-                net.register(id, dc, Arc::new(CnStub));
-                let coordinator =
-                    Coordinator::new(id, Arc::clone(&net), Hlc::new(), Arc::clone(&trx_ids))
-                        .with_metrics(Arc::clone(&txn_metrics))
-                        .with_fence(Arc::clone(gms.epochs()) as _)
-                        .with_observer(Arc::clone(&sketch) as _)
-                        .with_tp_work(workload.tp_work().clone());
-                cns.push(Arc::new(CnNode { id, dc, coordinator }));
-            }
-        }
-
-        let inner = Arc::new(Inner {
+        let mut inner = Inner {
             config,
             gms,
             net,
-            cns,
+            cns: Vec::new(),
             dns,
             gsi_tables: RwLock::new(HashMap::new()),
             column_indexes: RwLock::new(HashMap::new()),
             column_index_builds: Counter::new(),
-            workload,
+            workload: WorkloadManager::with_defaults(),
             memory: MemoryManager::with_defaults(),
             traffic: TrafficControl::new(),
             htap_ro: AtomicBool::new(true),
-            txn_metrics,
-            sketch,
+            txn_metrics: Arc::new(TxnMetrics::new()),
+            sketch: Arc::new(CoAccessSketch::new()),
             placer_stop: Arc::new(AtomicBool::new(false)),
+            trx_ids: Arc::new(IdGenerator::new()),
+            dn_clock,
+            resolver,
             resolvers: Mutex::new(resolvers),
-        });
-        Ok(PolarDbx { inner })
+        };
+        for dc_i in 0..inner.config.dcs {
+            for c in 0..inner.config.cns_per_dc {
+                let id = NodeId(1 + (dc_i * inner.config.cns_per_dc + c) as u64);
+                let dc = DcId(1 + dc_i as u64);
+                inner.net.register(id, dc, Arc::new(CnStub));
+                let coordinator = inner.coordinator(id, Hlc::new());
+                inner.cns.push(Arc::new(CnNode { id, dc, coordinator }));
+            }
+        }
+        Ok(PolarDbx { inner: Arc::new(inner) })
+    }
+}
+
+impl PolarDbx {
+    /// Build a cluster.
+    pub fn build(config: ClusterConfig) -> Result<PolarDbx> {
+        PolarDbx::builder(config).build()
+    }
+
+    /// A builder for a cluster of shape `config`, with product defaults.
+    pub fn builder(config: ClusterConfig) -> ClusterBuilder {
+        ClusterBuilder { config, dn_clock: Arc::new(|_| Hlc::new()), resolver: ResolverConfig::default() }
     }
 
     /// Connect a session acting for the default tenant. The load balancer
@@ -240,9 +293,59 @@ impl PolarDbx {
         &self.inner.net
     }
 
-    /// DN handles (benchmarks and tests).
+    /// DN handles, in build order (benchmarks and tests).
     pub fn dns(&self) -> Vec<Arc<Dn>> {
-        self.inner.dns.values().cloned().collect()
+        self.inner.dns().cloned().collect()
+    }
+
+    /// DN `i` in build order (`NodeId(1000 + i)`), as it runs now.
+    pub fn dn(&self, i: usize) -> Arc<Dn> {
+        Arc::clone(self.inner.dns[i].latest())
+    }
+
+    /// CN `i` in build order (`NodeId(1 + i)`; DC by DC).
+    pub fn cn(&self, i: usize) -> Arc<CnNode> {
+        Arc::clone(&self.inner.cns[i])
+    }
+
+    /// Another coordinator on CN `i`, reading `clock`: it shares the CN
+    /// coordinators' id space, metrics, routing fence, access observer and
+    /// TP gauge, exactly as CN `i`'s own does. A harness adds its config,
+    /// recorder, mutations or failpoint with the `with_*` builders.
+    pub fn coordinator(&self, i: usize, clock: Arc<dyn Clock>) -> Coordinator {
+        self.inner.coordinator(self.inner.cns[i].id, clock)
+    }
+
+    /// Amnesia restart of DN `i` (build order): the DN loses everything but
+    /// its durable log. It is crashed on the fabric if it is not down
+    /// already, and its resolver stops. A new DN recovers from the log
+    /// ([`RwNode::restart`]), adopts the transactions the log leaves in
+    /// doubt, takes the old one's place for readers and on the fabric, and
+    /// runs a new resolver, which settles those transactions by asking
+    /// their peers. On an error — a DN holding a table handed to it by
+    /// reference cannot be recovered from its own log — it stays down.
+    pub fn restart_amnesia(&self, i: usize) -> Result<RecoveryReport> {
+        let inner = &self.inner;
+        let mut resolvers = inner.resolvers.lock();
+        let old = Arc::clone(inner.dns[i].latest());
+        inner.net.crash(old.id);
+        if let Some(resolver) = resolvers.get_mut(i) {
+            *resolver = None;
+        }
+        let (rw, report) = old.rw.restart()?;
+        let service = DnService::new(old.id, Arc::clone(&rw.engine), (inner.dn_clock)(i));
+        for (trx, _, peers) in &report.in_doubt {
+            service.adopt_in_doubt(*trx, peers.clone());
+        }
+        let dn = Arc::new(Dn { id: old.id, dc: old.dc, rw, service, restarted: OnceLock::new() });
+        // Only a restart sets it, under the resolvers lock, on the latest DN.
+        let _ = old.restarted.set(Arc::clone(&dn));
+        inner.net.register(dn.id, dn.dc, Arc::clone(&dn.service) as Arc<dyn Handler<TxnMsg>>);
+        inner.net.restart_amnesia(dn.id);
+        if let Some(resolver) = resolvers.get_mut(i) {
+            *resolver = Some(dn.service.start_resolver(Arc::clone(&inner.net), inner.resolver)?);
+        }
+        Ok(report)
     }
 
     /// The shared CN workload manager.
@@ -268,7 +371,7 @@ impl PolarDbx {
     /// Add `n` RO replicas to every DN ("add RO nodes to scale read
     /// throughput in minutes" — here instantly, data is shared).
     pub fn add_ros(&self, n: u32) {
-        for dn in self.inner.dns.values() {
+        for dn in self.inner.dns() {
             for _ in 0..n {
                 dn.rw.add_ro();
             }
@@ -281,7 +384,7 @@ impl PolarDbx {
     /// returns once the posted phase two of each such commit is in the feed.
     pub fn ship_now(&self) {
         let ts = self.cluster_ts().raw();
-        for dn in self.inner.dns.values() {
+        for dn in self.inner.dns() {
             self.inner.catch_up(dn, ts);
         }
     }
@@ -291,7 +394,7 @@ impl PolarDbx {
     /// `provider()` takes its snapshot from.
     fn cluster_ts(&self) -> HlcTimestamp {
         let clock = self.connect(DcId(1)).cn.coordinator.clock().clone();
-        for dn in self.inner.dns.values() {
+        for dn in self.inner.dns() {
             clock.update(dn.service.clock.now());
         }
         clock.now()
@@ -314,14 +417,14 @@ impl PolarDbx {
         // a commit the scan does not reflect then arrives on a feed, and
         // the maintainer holds the feeds back until the scan is in.
         let consumer: Arc<dyn RedoConsumer> = maintainer.clone();
-        for dn in self.inner.dns.values() {
+        for dn in self.inner.dns() {
             dn.rw.subscribe(&consumer);
         }
         // The scan timestamp covers every commit already in a log, hence
         // perhaps below the subscription, and every DN's clock is moved to
         // it, so that no commit still to come is stamped at or below it.
         let ts = self.cluster_ts();
-        for dn in self.inner.dns.values() {
+        for dn in self.inner.dns() {
             dn.service.clock.update(ts);
         }
         self.inner.column_index_builds.inc();
@@ -351,7 +454,7 @@ impl PolarDbx {
         loop {
             // lint:allow(fence_completeness, read-only scan for the column-index build: a racing re-home makes the lookup miss, which is retried, and the shard's writes reach the index through the feeds it already subscribed to)
             let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-            match self.inner.dns[&dn_id].rw.engine.scan_table(stid, ts) {
+            match self.inner.dn(dn_id).rw.engine.scan_table(stid, ts) {
                 Err(Error::UnknownTable { .. })
                     if polardbx_common::time::mono_now() < deadline =>
                 {
@@ -406,7 +509,7 @@ impl PolarDbx {
         let mut n = 0;
         for shard in 0..schema.partition.shard_count() {
             let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-            let dn = &self.inner.dns[&dn_id];
+            let dn = self.inner.dn(dn_id);
             n += dn.rw.engine.count_rows(shard_table_id(schema.id, shard), u64::MAX)?;
         }
         Ok(n)
@@ -414,6 +517,25 @@ impl PolarDbx {
 }
 
 impl Inner {
+    /// The DNs in build order, as they run now.
+    pub(crate) fn dns(&self) -> impl Iterator<Item = &Arc<Dn>> {
+        self.dns.iter().map(Dn::latest)
+    }
+
+    /// The DN with fabric id `id`, as it runs now.
+    pub(crate) fn dn(&self, id: NodeId) -> &Arc<Dn> {
+        self.dns().find(|dn| dn.id == id).unwrap_or_else(|| panic!("no DN {id}"))
+    }
+
+    /// A coordinator on CN `id` reading `clock`, wired like every CN's.
+    fn coordinator(&self, id: NodeId, clock: Arc<dyn Clock>) -> Coordinator {
+        Coordinator::new(id, Arc::clone(&self.net), clock, Arc::clone(&self.trx_ids))
+            .with_metrics(Arc::clone(&self.txn_metrics))
+            .with_fence(Arc::clone(self.gms.epochs()) as _)
+            .with_observer(Arc::clone(&self.sketch) as _)
+            .with_tp_work(self.workload.tp_work().clone())
+    }
+
     /// Signal every background thread to stop; the resolvers are joined.
     fn stop_background(&self) {
         self.placer_stop.store(true, Ordering::Relaxed);
@@ -446,14 +568,14 @@ impl Inner {
         mut indexes: HashMap<String, Arc<ColumnIndexMaintainer>>,
     ) -> ClusterProvider {
         let mut engines: HashMap<NodeId, Arc<StorageEngine>> = HashMap::new();
-        for (&id, dn) in &self.dns {
+        for dn in self.dns() {
             let mut ro = if use_ro { dn.rw.ros().into_iter().next() } else { None };
             if (ro.is_some() || !indexes.is_empty()) && !self.catch_up(dn, snapshot_ts) {
                 ro = None;
                 indexes.clear();
             }
             let engine = ro.map_or_else(|| Arc::clone(&dn.rw.engine), |ro| Arc::clone(&ro.engine));
-            engines.insert(id, engine);
+            engines.insert(dn.id, engine);
         }
         let indexes = indexes.into_iter().map(|(t, m)| (t, Arc::clone(m.index()))).collect();
         ClusterProvider::new(Arc::clone(&self.gms), engines, snapshot_ts)

@@ -39,7 +39,7 @@ pub mod rehome;
 pub mod session;
 pub mod traffic;
 
-pub use cluster::{ClusterConfig, PolarDbx};
+pub use cluster::{ClusterBuilder, ClusterConfig, PolarDbx};
 pub use gms::Gms;
 pub use placer::PlacerConfig;
 pub use provider::ClusterProvider;

@@ -45,8 +45,8 @@ impl PolarDbx {
     fn move_shards(&self, shards: &[(TableId, u32)], dest: NodeId) -> Result<Duration> {
         let dst = self
             .inner
-            .dns
-            .get(&dest)
+            .dns()
+            .find(|dn| dn.id == dest)
             .ok_or_else(|| Error::invalid("unknown destination DN"))?;
         let mut by_src: BTreeMap<NodeId, Vec<(TableId, u32)>> = BTreeMap::new();
         for &(table, shard) in shards {
@@ -77,7 +77,7 @@ impl PolarDbx {
                 }
             }
             for (src_id, moving) in &by_src {
-                let src = &self.inner.dns[src_id];
+                let src = self.inner.dn(*src_id);
                 let tables: Vec<TableId> =
                     moving.iter().map(|&(table, shard)| shard_table_id(table, shard)).collect();
                 src.rw.hand_off(&dst.rw, &tables)?;
@@ -106,14 +106,14 @@ impl PolarDbx {
         for shard in 0..schema.partition.shard_count() {
             // lint:allow(fence_completeness, planning-only load count: a stale home at worst mis-weighs one shard, and each move re-checks under its own epoch freeze)
             let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows = self.inner.dns[&dn]
+            let rows = self.inner.dn(dn)
                 .rw
                 .engine
                 .count_rows(shard_table_id(schema.id, shard), u64::MAX)
                 .unwrap_or(0) as u64;
             loads.push((shard, rows));
         }
-        let targets: Vec<NodeId> = self.inner.dns.keys().copied().collect();
+        let targets: Vec<NodeId> = self.inner.dns().map(|dn| dn.id).collect();
         let plan = self.inner.gms.plan_rebalance(schema.id, &loads, &targets);
         let mut moved = 0;
         for (shard, dest) in plan {

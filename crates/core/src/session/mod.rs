@@ -399,7 +399,7 @@ impl Session {
         // Create the shard tables on their DNs (and RO mirrors).
         for shard in 0..schema.partition.shard_count() {
             let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-            let dn = &self.inner.dns[&dn_id];
+            let dn = self.inner.dn(dn_id);
             dn.rw.create_table(shard_table_id(schema.id, shard));
         }
         Ok(())
@@ -461,7 +461,7 @@ impl Session {
             for shard in 0..hidden.partition.shard_count() {
                 // lint:allow(fence_completeness, DDL provisioning of the just-created hidden index table: nothing can re-home a shard that has no data yet, and GSI writes go through write_gsi_row's fenced route)
                 let dn_id = self.inner.gms.shard_dn(hidden.id, shard)?;
-                let dn = &self.inner.dns[&dn_id];
+                let dn = self.inner.dn(dn_id);
                 dn.rw.create_table(shard_table_id(hidden.id, shard));
             }
             self.inner
@@ -475,7 +475,7 @@ impl Session {
             for shard in 0..schema.partition.shard_count() {
                 // lint:allow(fence_completeness, backfill scan routing is read-only: the index rows it produces are written through write_gsi_row's fenced route, so a racing re-home fails the DDL retryably instead of losing writes)
                 let dn_id = self.inner.gms.shard_dn(schema.id, shard)?;
-                let dn = &self.inner.dns[&dn_id];
+                let dn = self.inner.dn(dn_id);
                 for (_, row) in
                     dn.rw.engine.scan_table(shard_table_id(schema.id, shard), ts)?
                 {

@@ -12,6 +12,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use polardbx_common::{Error, Result};
 
@@ -68,7 +69,7 @@ pub struct TrafficControl {
     /// Multiplier over baseline that counts as an anomaly.
     anomaly_factor: f64,
     /// Auto-throttle on detection.
-    auto: Mutex<bool>,
+    auto: AtomicBool,
 }
 
 impl TrafficControl {
@@ -77,13 +78,13 @@ impl TrafficControl {
         TrafficControl {
             stats: Mutex::new(HashMap::new()),
             anomaly_factor: 8.0,
-            auto: Mutex::new(false),
+            auto: AtomicBool::new(false),
         }
     }
 
     /// Enable automatic throttling on anomaly detection.
     pub fn set_auto(&self, enabled: bool) {
-        *self.auto.lock() = enabled;
+        self.auto.store(enabled, Ordering::Relaxed);
     }
 
     /// Manually limit a fingerprint's concurrency (DBA override).
@@ -101,8 +102,8 @@ impl TrafficControl {
     /// Admit a query; returns a permit whose drop releases the slot.
     pub fn admit(self: &TrafficControl, sql: &str) -> Result<Permit<'_>> {
         let fp = fingerprint(sql);
+        let auto = self.auto.load(Ordering::Relaxed);
         let mut stats = self.stats.lock();
-        let auto = *self.auto.lock();
         let entry = stats.entry(fp.clone()).or_default();
         if let Some(limit) = entry.limit {
             if entry.current >= limit {

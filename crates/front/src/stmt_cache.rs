@@ -1,14 +1,11 @@
 //! Per-connection prepared-statement cache.
 //!
 //! `Prepare` parses once and hands back a statement id; `Execute` replays
-//! the parsed AST without re-parsing. Entries are additionally indexed by
-//! the statement's *fingerprint* (literals stripped — the same
-//! normalisation the traffic-control layer uses for anomaly rules), so a
-//! connection that prepares the same statement shape twice gets the cached
-//! parse back instead of a second slot. A fingerprint hit still requires
-//! an **exact SQL text match**: two statements can share a fingerprint
-//! while differing in literals, and replaying the wrong literals would be
-//! a correctness bug, not a cache miss.
+//! the parsed AST without re-parsing. Entries are keyed by their exact SQL
+//! text, so a connection that prepares the same statement twice gets the
+//! cached parse back instead of a second slot. Two statements that differ
+//! only in literals are two entries: replaying the wrong literals would be
+//! a correctness bug, not a cache hit.
 //!
 //! The cache is bounded with LRU eviction. Evicting a slot invalidates its
 //! statement id (`Execute` on it returns a typed error) but any in-flight
@@ -17,7 +14,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use polardbx::traffic::fingerprint;
 use polardbx_common::{Error, Result};
 use polardbx_sql::ast::Statement;
 
@@ -27,8 +23,6 @@ pub struct PreparedStmt {
     pub id: u32,
     /// Exact SQL text as prepared.
     pub sql: String,
-    /// Literal-stripped shape, shared with traffic control.
-    pub fingerprint: String,
     /// Parsed AST, reused by every `Execute`.
     pub stmt: Statement,
 }
@@ -39,8 +33,8 @@ pub struct StmtCache {
     next_id: u32,
     /// id → entry.
     by_id: HashMap<u32, Arc<PreparedStmt>>,
-    /// fingerprint → id of the most recent statement with that shape.
-    by_fingerprint: HashMap<String, u32>,
+    /// Exact SQL text → id.
+    by_sql: HashMap<String, u32>,
     /// LRU order, least recent first.
     lru: Vec<u32>,
     hits: u64,
@@ -55,7 +49,7 @@ impl StmtCache {
             capacity: capacity.max(1),
             next_id: 1,
             by_id: HashMap::new(),
-            by_fingerprint: HashMap::new(),
+            by_sql: HashMap::new(),
             lru: Vec::new(),
             hits: 0,
             misses: 0,
@@ -79,33 +73,26 @@ impl StmtCache {
         sql: &str,
         parse: impl FnOnce(&str) -> Result<Statement>,
     ) -> Result<(Arc<PreparedStmt>, bool)> {
-        let fp = fingerprint(sql);
-        if let Some(&id) = self.by_fingerprint.get(&fp) {
-            if let Some(entry) = self.by_id.get(&id) {
-                if entry.sql == sql {
-                    let entry = Arc::clone(entry);
-                    self.hits += 1;
-                    self.touch(id);
-                    return Ok((entry, true));
-                }
-            }
+        if let Some(&id) = self.by_sql.get(sql) {
+            let entry = Arc::clone(&self.by_id[&id]);
+            self.hits += 1;
+            self.touch(id);
+            return Ok((entry, true));
         }
         self.misses += 1;
         let stmt = parse(sql)?;
         if self.by_id.len() >= self.capacity {
             let victim = self.lru.remove(0);
             if let Some(old) = self.by_id.remove(&victim) {
-                if self.by_fingerprint.get(&old.fingerprint) == Some(&victim) {
-                    self.by_fingerprint.remove(&old.fingerprint);
-                }
+                self.by_sql.remove(&old.sql);
                 self.evictions += 1;
             }
         }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let entry = Arc::new(PreparedStmt { id, sql: sql.to_string(), fingerprint: fp.clone(), stmt });
+        let entry = Arc::new(PreparedStmt { id, sql: sql.to_string(), stmt });
         self.by_id.insert(id, Arc::clone(&entry));
-        self.by_fingerprint.insert(fp, id);
+        self.by_sql.insert(entry.sql.clone(), id);
         self.lru.push(id);
         Ok((entry, false))
     }
@@ -126,9 +113,7 @@ impl StmtCache {
     /// (the slot may have been evicted already).
     pub fn close(&mut self, id: u32) {
         if let Some(old) = self.by_id.remove(&id) {
-            if self.by_fingerprint.get(&old.fingerprint) == Some(&id) {
-                self.by_fingerprint.remove(&old.fingerprint);
-            }
+            self.by_sql.remove(&old.sql);
             if let Some(pos) = self.lru.iter().position(|&x| x == id) {
                 self.lru.remove(pos);
             }
@@ -181,7 +166,19 @@ mod tests {
         let (b, hit) = c.prepare("SELECT id FROM t WHERE id = 2", parse).unwrap();
         assert!(!hit, "different literals must not replay the wrong parse");
         assert_ne!(a.id, b.id);
-        assert_eq!(a.fingerprint, b.fingerprint);
+    }
+
+    #[test]
+    fn a_statement_prepared_again_after_one_of_its_shape_hits() {
+        let mut c = StmtCache::new(4);
+        let (a, _) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
+        c.prepare("SELECT id FROM t WHERE id = 2", parse).unwrap();
+        let (again, hit) = c
+            .prepare("SELECT id FROM t WHERE id = 1", |_| panic!("cache hit must not re-parse"))
+            .unwrap();
+        assert!(hit);
+        assert_eq!(again.id, a.id);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -201,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn close_frees_slot_and_fingerprint() {
+    fn close_frees_slot_and_text() {
         let mut c = StmtCache::new(2);
         let (a, _) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
         c.close(a.id);

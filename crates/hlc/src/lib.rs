@@ -1,4 +1,4 @@
-//! Hybrid logical clocks and baseline timestamp services (§IV of the paper).
+//! Hybrid logical clocks (§IV of the paper).
 //!
 //! PolarDB-X's HLC-SI replaces the centralized timestamp oracle (TSO) used
 //! by Percolator/TiDB with a per-node hybrid logical clock. This crate
@@ -9,19 +9,12 @@
 //!   (`ClockNow`, `ClockAdvance`, `ClockUpdate`) including the two
 //!   contention optimizations (no `lc` increment in `now`/`update`, and
 //!   batched `update` with the max of all seen timestamps),
-//! * [`TsoServer`]/[`TsoClient`] — the centralized-oracle baseline whose
-//!   cross-DC access cost Fig 7 quantifies,
-//! * [`ClockSiClock`] — the loosely synchronized physical clock baseline
-//!   (Clock-SI) which must wait out clock skew,
-//! * [`Clock`] — the trait the transaction layer programs against so the
-//!   three schemes are interchangeable.
+//! * [`Clock`] — the trait the transaction layer programs against, so the
+//!   baselines Fig 7 compares (a central TSO, Clock-SI's physical clocks;
+//!   both live with the figure in `crates/bench`) swap in for the HLC.
 
 pub mod clock;
-pub mod clocksi;
 pub mod timestamp;
-pub mod tso;
 
 pub use clock::{Clock, Hlc, PhysicalClock, RealClock, SkewedClock, TestClock};
-pub use clocksi::ClockSiClock;
 pub use timestamp::HlcTimestamp;
-pub use tso::{TsoClient, TsoMsg, TsoServer};

@@ -46,6 +46,9 @@ pub struct CensusItem {
     pub line: u32,
     /// Bit `i` set = reached from `CLASSES[i]`.
     pub reached: u8,
+    /// The bits of `reached` whose root names the item itself, not another
+    /// product item that does.
+    pub direct: u8,
     /// Reason of a covering `lint:allow(unreached, …)`.
     pub allowed: Option<String>,
 }
@@ -135,6 +138,7 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
                 file: path.clone(),
                 line: kw.line,
                 reached: 0,
+                direct: 0,
                 allowed: allow_at(kw.line),
             });
             let is_type = !["fn", "const", "static"].contains(&kw.text.as_str());
@@ -187,6 +191,7 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
         }
     }
 
+    let direct = raw.clone();
     // A method is reached from no further than its type: `new` and `get`
     // are mentioned everywhere, the type they build is not.
     let types: Vec<Vec<usize>> = nodes
@@ -215,6 +220,7 @@ pub fn census(sources: &[(String, String)]) -> (Vec<CensusItem>, Vec<Finding>) {
     for (n, node) in nodes.into_iter().enumerate() {
         let Some(mut item) = node.report else { continue };
         item.reached = reach[n];
+        item.direct = direct[n] & reach[n];
         if item.reached == 0 {
             findings.push(Finding {
                 rule: Rule::Unreached,

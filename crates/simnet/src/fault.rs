@@ -15,8 +15,8 @@
 //!   run, which is exactly the ambiguity 2PC in-doubt recovery exists for,
 //! * a **duplicated** message exercises participant idempotency,
 //! * a **delay spike** stretches a link's one-way latency for one message,
-//! * a **crashed** node black-holes all traffic to and from it without
-//!   deregistering (its delivery thread survives for `restart`).
+//! * a **crashed** node black-holes all traffic to and from it and stays
+//!   registered (its delivery thread survives for a restart).
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;

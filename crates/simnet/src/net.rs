@@ -6,7 +6,6 @@ use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use polardbx_common::{DcId, Error, NodeId, Result};
@@ -60,7 +59,6 @@ struct Registration<M: Send + 'static> {
     dc: DcId,
     service: Arc<dyn Handler<M>>,
     oneway_tx: Sender<(NodeId, M, Instant)>,
-    delivery: Option<JoinHandle<()>>,
 }
 
 /// The in-process network. Generic over the message type `M`; protocol
@@ -94,14 +92,15 @@ impl<M: Send + 'static> SimNet<M> {
     }
 
     /// Register `service` as `node` living in `dc`. Spawns the node's
-    /// one-way delivery thread.
+    /// one-way delivery thread, which exits once the registration is
+    /// replaced or the fabric dropped.
     pub fn register(&self, node: NodeId, dc: DcId, service: Arc<dyn Handler<M>>) {
         let (tx, rx) = unbounded::<(NodeId, M, Instant)>();
         let svc = Arc::clone(&service);
         let shutdown = Arc::clone(&self.shutdown);
         let crashed = Arc::clone(&self.crashed);
         let fault_stats = Arc::clone(&self.fault_stats);
-        let delivery = std::thread::Builder::new()
+        std::thread::Builder::new()
             .name(format!("simnet-deliver-{node}"))
             .spawn(move || {
                 while let Ok((from, msg, deliver_at)) = rx.recv() {
@@ -125,25 +124,7 @@ impl<M: Send + 'static> SimNet<M> {
             .expect("spawn delivery thread");
         self.nodes
             .write()
-            .insert(node, Registration { dc, service, oneway_tx: tx, delivery: Some(delivery) });
-    }
-
-    /// Remove a node from the fabric (its delivery thread drains and exits).
-    pub fn deregister(&self, node: NodeId) {
-        // Take the registration out under the write lock, then release the
-        // lock BEFORE joining: the delivery thread only exits once the real
-        // sender inside the registration is dropped, and joining while other
-        // fabric users are blocked on the lock would deadlock traffic.
-        let reg = self.nodes.write().remove(&node);
-        if let Some(mut reg) = reg {
-            let handle = reg.delivery.take();
-            // Dropping the registration drops its `oneway_tx`, closing the
-            // channel and waking the delivery thread out of `recv`.
-            drop(reg);
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-        }
+            .insert(node, Registration { dc, service, oneway_tx: tx });
     }
 
     /// Crash a node: all traffic to and from it is black-holed (calls time
@@ -156,13 +137,6 @@ impl<M: Send + 'static> SimNet<M> {
     /// process died; only durable artifacts come back).
     pub fn crash(&self, node: NodeId) {
         self.crashed.write().insert(node);
-    }
-
-    /// Bring a crashed node back. Alias for [`SimNet::restart_resume`],
-    /// kept for existing chaos tests; prefer the explicit names so a
-    /// schedule states which crash model it exercises.
-    pub fn restart(&self, node: NodeId) {
-        self.restart_resume(node);
     }
 
     /// **Resume** restart: the node comes back with all volatile state
@@ -178,8 +152,9 @@ impl<M: Send + 'static> SimNet<M> {
     /// volatile state; only its durable artifacts (WAL sink contents up to
     /// the flushed horizon, possibly with a torn tail) survive.
     ///
-    /// The fabric is generic over `M` and owns no node state, so the
-    /// *harness* owns the amnesia contract: before calling this it must
+    /// The fabric is generic over `M` and owns no node state, so whoever
+    /// restarts the node (for a DN, `PolarDbx::restart_amnesia`) owns the
+    /// amnesia contract: before calling this it must
     /// discard the old service, rebuild a fresh one from the durable sink
     /// (scan-and-truncate, redo replay, in-doubt re-adoption), and hand it
     /// to [`SimNet::register`] — re-registering a [`NodeId`] atomically
@@ -641,15 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn deregister_removes_node() {
-        let (net, _) = setup(LatencyMatrix::zero());
-        net.deregister(NodeId(2));
-        assert!(net.call(NodeId(1), NodeId(2), 0).is_err());
-        assert!(net.dc_of(NodeId(2)).is_none());
-        assert_eq!(net.dc_of(NodeId(1)), Some(DcId(1)));
-    }
-
-    #[test]
     fn crashed_node_blackholes_and_restart_recovers() {
         let (net, echo) = setup(LatencyMatrix::zero());
         net.crash(NodeId(2));
@@ -664,7 +630,7 @@ mod tests {
         assert_eq!(echo.received.load(Ordering::Relaxed), 0);
         assert!(net.fault_stats.blackholed.get() >= 2);
         // Restart: traffic flows again, lost messages stay lost.
-        net.restart(NodeId(2));
+        net.restart_resume(NodeId(2));
         assert_eq!(net.call(NodeId(1), NodeId(2), 41).unwrap(), 42);
     }
 

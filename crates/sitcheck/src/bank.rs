@@ -9,10 +9,8 @@
 
 use std::sync::Arc;
 
-use polardbx_common::{Key, NodeId, Result, Row, TableId, Value};
-
-use crate::coordinator::{Coordinator, DistTxn, ReadOp};
-use crate::msg::{Edit, RowEdit, WireWriteOp};
+use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, Value};
+use polardbx_txn::{Coordinator, DistTxn, Edit, ReadOp, RowEdit, WireWriteOp};
 
 /// How a checker's writer reaches its DNs. Checkers run all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +129,7 @@ impl BankHarness {
             // duplicated message's edit counted twice).
             return match txn.commit_counting()? {
                 (_, 2) => Ok(()),
-                (_, n) => Err(polardbx_common::Error::execution(format!(
+                (_, n) => Err(Error::execution(format!(
                     "pushed transfer {a} -> {b} edited {n} rows, not 2"
                 ))),
             };
@@ -144,8 +142,8 @@ impl BankHarness {
         } else {
             (txn.read(dn_a, self.table, &self.key(a))?, txn.read(dn_b, self.table, &self.key(b))?)
         };
-        let ba = ra.ok_or(polardbx_common::Error::KeyNotFound)?.get(1)?.as_int()?;
-        let bb = rb.ok_or(polardbx_common::Error::KeyNotFound)?.get(1)?.as_int()?;
+        let ba = ra.ok_or(Error::KeyNotFound)?.get(1)?.as_int()?;
+        let bb = rb.ok_or(Error::KeyNotFound)?.get(1)?.as_int()?;
         for (i, dn, balance) in [(a, dn_a, ba - amount), (b, dn_b, bb + amount)] {
             let op = WireWriteOp::Update(Row::new(vec![Value::Int(i as i64), Value::Int(balance)]));
             if staged {
@@ -166,7 +164,7 @@ impl BankHarness {
         for i in 0..self.accounts {
             let row = txn
                 .read(self.dn_of(i), self.table, &self.key(i))?
-                .ok_or(polardbx_common::Error::KeyNotFound)?;
+                .ok_or(Error::KeyNotFound)?;
             total += row.get(1)?.as_int()?;
         }
         txn.abort(); // read-only; release
@@ -175,20 +173,10 @@ impl BankHarness {
 }
 
 /// Run a concurrent transfer/audit stress and return the list of audit
-/// totals observed (all must equal `expected_total` under SI).
-pub fn stress(
-    harness: Arc<BankHarness>,
-    coords: Vec<Arc<Coordinator>>,
-    transfer_threads: usize,
-    transfers_per_thread: usize,
-    audits: usize,
-) -> Vec<i64> {
-    stress_seeded(harness, coords, transfer_threads, transfers_per_thread, audits, 0xBA2C_0000)
-}
-
-/// [`stress`] with an explicit base seed (per-thread streams derive from
-/// it), so suites can plumb `POLARDBX_TEST_SEED` through and replay a
-/// failing interleaving's transfer choices.
+/// totals observed (all must equal `expected_total` under SI). Per-thread
+/// streams derive from `base_seed`, so suites can plumb
+/// `POLARDBX_TEST_SEED` through and replay a failing interleaving's
+/// transfer choices.
 pub fn stress_seeded(
     harness: Arc<BankHarness>,
     coords: Vec<Arc<Coordinator>>,
@@ -198,7 +186,6 @@ pub fn stress_seeded(
     base_seed: u64,
 ) -> Vec<i64> {
     use rand::{Rng, SeedableRng};
-    let totals = parking_lot::Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for t in 0..transfer_threads {
             let coord = Arc::clone(&coords[t % coords.len()]);
@@ -225,71 +212,47 @@ pub fn stress_seeded(
                 }
             });
         }
-        for a in 0..audits {
-            let coord = Arc::clone(&coords[a % coords.len()]);
-            let h = Arc::clone(&harness);
-            let totals = &totals;
-            s.spawn(move || {
-                for _ in 0..4 {
-                    if let Ok(total) = h.audit(&coord) {
-                        totals.lock().push(total);
+        let auditors: Vec<_> = (0..audits)
+            .map(|a| {
+                let coord = Arc::clone(&coords[a % coords.len()]);
+                let h = Arc::clone(&harness);
+                s.spawn(move || {
+                    let mut totals = Vec::new();
+                    for _ in 0..4 {
+                        totals.extend(h.audit(&coord).ok());
+                        std::thread::sleep(std::time::Duration::from_millis(2));
                     }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-            });
-        }
-    });
-    totals.into_inner()
+                    totals
+                })
+            })
+            .collect();
+        auditors.into_iter().flat_map(|a| a.join().expect("an auditor panicked")).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::{DcId, IdGenerator, TenantId};
+    use polardbx::{ClusterConfig, PolarDbx};
     use polardbx_hlc::Hlc;
-    use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
-    use polardbx_storage::StorageEngine;
-
-    use crate::msg::TxnMsg;
-    use crate::participant::DnService;
-
-    struct CnStub;
-    impl Handler<TxnMsg> for CnStub {
-        fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-            m
-        }
-    }
 
     const T: TableId = TableId(1);
 
-    fn cluster(n_dn: u64, n_cn: u64) -> (Arc<SimNet<TxnMsg>>, Vec<Arc<Coordinator>>, Vec<NodeId>) {
-        let net = SimNet::new(LatencyMatrix::zero());
-        let mut dns = Vec::new();
-        for i in 1..=n_dn {
-            let engine = StorageEngine::in_memory();
-            engine.create_table(T, TenantId(1));
-            let dn = DnService::new(NodeId(i), engine, Hlc::new());
-            net.register(NodeId(i), DcId(1 + i % 3), dn);
-            dns.push(NodeId(i));
-        }
-        let ids = Arc::new(IdGenerator::new());
-        let mut coords = Vec::new();
-        for c in 0..n_cn {
-            let me = NodeId(100 + c);
-            net.register(me, DcId(1 + c % 3), Arc::new(CnStub));
-            coords.push(Arc::new(Coordinator::new(
-                me,
-                Arc::clone(&net),
-                Hlc::new(),
-                Arc::clone(&ids),
-            )));
-        }
-        (net, coords, dns)
+    /// `n_dn` DNs, one per DC, with the bank table, and a coordinator on
+    /// each of `n_cn` CNs, one per DC.
+    fn cluster(n_dn: u32, n_cn: u32) -> (PolarDbx, Vec<Arc<Coordinator>>, Vec<NodeId>) {
+        let dcs = n_dn.max(n_cn);
+        let db = PolarDbx::build(ClusterConfig { dcs, cns_per_dc: 1, dns: n_dn, ..Default::default() })
+            .unwrap();
+        db.dns().iter().for_each(|dn| dn.rw.create_table(T));
+        let coords = (0..n_cn as usize).map(|c| Arc::new(db.coordinator(c, Hlc::new()))).collect();
+        let dns = db.dns().iter().map(|dn| dn.id).collect();
+        (db, coords, dns)
     }
 
     #[test]
     fn audits_always_see_conserved_total() {
-        let (_net, coords, dns) = cluster(3, 2);
+        let (_db, coords, dns) = cluster(3, 2);
         let harness = Arc::new(BankHarness { table: T, dns, accounts: 12, initial: 100 });
         harness.seed(&coords[0]).unwrap();
         // HLC gives causality only through message exchange: coords[1] never
@@ -299,7 +262,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(3));
         assert_eq!(harness.audit(&coords[1]).unwrap(), harness.expected_total());
 
-        let totals = stress(Arc::clone(&harness), coords.clone(), 4, 25, 3);
+        let totals = stress_seeded(Arc::clone(&harness), coords.clone(), 4, 25, 3, 0xBA2C_0000);
         assert!(!totals.is_empty(), "audits must complete");
         for t in &totals {
             assert_eq!(
@@ -316,7 +279,7 @@ mod tests {
 
     #[test]
     fn transfer_moves_money() {
-        let (_net, coords, dns) = cluster(2, 1);
+        let (_db, coords, dns) = cluster(2, 1);
         let harness = BankHarness { table: T, dns, accounts: 2, initial: 100 };
         harness.seed(&coords[0]).unwrap();
         harness.transfer(&coords[0], 0, 1, 30, WritePath::PerStatement).unwrap();

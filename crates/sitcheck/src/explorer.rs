@@ -1,8 +1,8 @@
 //! Deterministic schedule explorer: seeded cluster runs whose complete
 //! histories feed the [`crate::checker`].
 //!
-//! Each run builds a simulated cluster — three RW DNs (each with an RO
-//! replica fed by log shipping), a register DN, two CN sessions — wires a
+//! Each run builds a [`PolarDbx`] — three RW DNs (each with an RO replica
+//! fed by log shipping), a register DN, two CN sessions — wires a
 //! [`HistoryRecorder`] into every coordinator, participant and replica
 //! engine, and drives a mixed workload: multi-DN bank transfers, read-only
 //! audits, register read-modify-writes and cross-DN range scans. A
@@ -13,7 +13,7 @@
 //! PREPARED mid phase-two.
 //!
 //! All clocks are `TestClock`-backed HLCs with deliberately skewed bases
-//! (DN *i* at `1000·i` ms, CNs at 500/700 ms), so causality is carried by
+//! (the *i*-th DN at `1000·i` ms, CNs at 500/700 ms), so causality is carried by
 //! HLC propagation alone — exactly the property the protocol mutations
 //! break. The [`Mutation`]s re-run a deterministic scenario with one
 //! protocol step disabled; each must surface a named anomaly while its
@@ -31,21 +31,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use polardbx_common::time::mono_now;
-use polardbx_common::{
-    DcId, Error, HistoryRecorder, IdGenerator, Key, NodeId, Row, TableId, TenantId, TrxId, Value,
-};
+use polardbx::{ClusterConfig, PolarDbx};
+use polardbx_common::{DcId, Error, HistoryRecorder, Key, NodeId, Row, TableId, TrxId, Value};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
 use polardbx_placement::EpochMap;
-use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
-use polardbx_storage::RwNode;
-use polardbx_txn::checker::{AddInt, BankHarness, WritePath};
+use polardbx_simnet::{FaultPlan, Handler, LinkFaults, SimNet};
 use polardbx_txn::{
     Coordinator, DnService, ParticipantMutations, ProtocolMutations, ResolverConfig, RoutingFence,
     TxnConfig, TxnMsg, WireWriteOp,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::bank::{AddInt, BankHarness, WritePath};
 use crate::checker::{check, derived_audit_totals, CheckReport};
 
 /// Bank accounts live here (conserved-sum invariant).
@@ -53,10 +51,13 @@ pub const BANK: TableId = TableId(1);
 /// RMW registers live here (kept out of the conserved sum).
 pub const REGISTERS: TableId = TableId(2);
 
-const DN_COUNT: u64 = 3;
-const REGISTER_DN: NodeId = NodeId(4);
-const CN_A: NodeId = NodeId(9);
-const CN_B: NodeId = NodeId(10);
+// The cluster's node ids, in build order: DN `i` is `NodeId(1000 + i)` in
+// DC `1 + i % 3`, CN `i` is `NodeId(1 + i)` in DC `1 + i`.
+const DN_COUNT: usize = 3;
+const DN1: NodeId = NodeId(1000);
+const REGISTER_DN: NodeId = NodeId(1003);
+const CN_A: NodeId = NodeId(1);
+const CN_B: NodeId = NodeId(2);
 
 /// A fault schedule for one explorer run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,55 +260,68 @@ pub struct ScheduleRun {
     pub audit_totals: Vec<(TrxId, i64)>,
 }
 
-struct CnStub;
-impl Handler<TxnMsg> for CnStub {
-    fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-        m
-    }
-}
-
 struct Cluster {
+    db: PolarDbx,
     net: Arc<SimNet<TxnMsg>>,
     rec: Arc<HistoryRecorder>,
-    rws: Vec<Arc<RwNode>>,
-    register_rw: Arc<RwNode>,
+    /// The bank DNs' services, then the register DN's.
     dns: Vec<Arc<DnService>>,
-    ids: Arc<IdGenerator>,
     paxos: Option<PaxosGroup>,
 }
 
-/// DN *i* gets an HLC whose physical base is `1000·i` ms: commit
+/// DN *i* gets an HLC whose physical base is `1000·(i+1)` ms: commit
 /// timestamps are far above CN snapshots unless HLC propagation carries
-/// them back — which is exactly what the mutations sabotage.
-fn dn_clock(i: u64) -> Arc<Hlc> {
-    Hlc::with_physical(TestClock::at(1000 * i))
+/// them back — which is exactly what the mutations sabotage. A DN restarted
+/// with amnesia starts its clock over, with no memory of what it issued.
+pub(crate) fn dn_clock(i: usize) -> Arc<dyn Clock> {
+    Hlc::with_physical(TestClock::at(1000 * (i as u64 + 1)))
 }
 
-fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: bool) -> Cluster {
-    let net = SimNet::new(LatencyMatrix::zero());
+/// The mutation scenarios settle by hand ([`DnService::resolve_once`]):
+/// their resolvers never find anything old enough to act on.
+const BY_HAND: ResolverConfig = ResolverConfig {
+    interval: Duration::from_millis(10),
+    in_doubt_after: Duration::MAX,
+    abandon_active_after: Duration::MAX,
+};
+
+fn build_cluster(
+    with_ro: bool,
+    ro_lag: Option<Duration>,
+    register_dn_paxos: bool,
+    resolver: ResolverConfig,
+) -> Cluster {
+    let db = PolarDbx::builder(ClusterConfig {
+        dcs: 3,
+        cns_per_dc: 1,
+        dns: DN_COUNT as u32 + 1,
+        ..Default::default()
+    })
+    .dn_clocks(dn_clock)
+    .resolver_timing(resolver)
+    .build()
+    .expect("cluster");
+    let ids = (db.dn(0).id, db.dn(DN_COUNT).id, db.cn(0).id, db.cn(1).id);
+    assert_eq!(ids, (DN1, REGISTER_DN, CN_A, CN_B));
     let rec = HistoryRecorder::new();
-    let mut rws = Vec::new();
     let mut dns = Vec::new();
-    for i in 1..=DN_COUNT {
-        let rw = RwNode::new(NodeId(i));
-        rw.create_table(BANK);
-        let dn = DnService::new(NodeId(i), Arc::clone(&rw.engine), dn_clock(i));
-        dn.attach_recorder(Arc::clone(&rec));
-        net.register(NodeId(i), DcId(i), Arc::clone(&dn) as Arc<dyn Handler<TxnMsg>>);
+    for i in 0..DN_COUNT {
+        let dn = db.dn(i);
+        dn.rw.create_table(BANK);
+        dn.service.attach_recorder(Arc::clone(&rec));
         if with_ro {
-            let ro = rw.add_ro();
+            let ro = dn.rw.add_ro();
             ro.engine.set_recorder(Arc::clone(&rec), ro.id, true);
             if let Some(lag) = ro_lag {
                 ro.set_apply_delay(lag);
             }
         }
-        rws.push(rw);
-        dns.push(dn);
+        dns.push(Arc::clone(&dn.service));
     }
     // The register DN: plain in-memory, or commits riding a Paxos group
     // (leader re-election schedule). Consensus decisions show up in the
     // history as Note events via the replicas' event recorder.
-    let register_rw = RwNode::new(REGISTER_DN);
+    let register = db.dn(DN_COUNT);
     let paxos = register_dn_paxos.then(|| {
         let group = PaxosGroup::build(GroupConfig::three_dc(1));
         for r in &group.replicas {
@@ -315,33 +329,38 @@ fn build_cluster(with_ro: bool, ro_lag: Option<Duration>, register_dn_paxos: boo
         }
         let leader = group.leader().expect("bootstrap leader");
         polardbx::durability::enable_paxos_epoch(
-            &register_rw.engine,
+            &register.rw.engine,
             leader,
             Duration::from_secs(10),
             polardbx_wal::EpochConfig::default(),
         );
         group
     });
-    register_rw.create_table(REGISTERS);
-    let dn4 = DnService::new(REGISTER_DN, Arc::clone(&register_rw.engine), dn_clock(4));
-    dn4.attach_recorder(Arc::clone(&rec));
-    net.register(REGISTER_DN, DcId(1), Arc::clone(&dn4) as Arc<dyn Handler<TxnMsg>>);
-    dns.push(dn4);
-
-    net.register(CN_A, DcId(1), Arc::new(CnStub));
-    net.register(CN_B, DcId(2), Arc::new(CnStub));
-    let ids = Arc::new(IdGenerator::new());
-    Cluster { net, rec, rws, register_rw, dns, ids, paxos }
+    register.rw.create_table(REGISTERS);
+    register.service.attach_recorder(Arc::clone(&rec));
+    dns.push(Arc::clone(&register.service));
+    let net = Arc::clone(db.net());
+    Cluster { db, net, rec, dns, paxos }
 }
 
-fn coordinator(c: &Cluster, me: NodeId, clock: Arc<dyn Clock>) -> Coordinator {
-    Coordinator::new(me, Arc::clone(&c.net), clock, Arc::clone(&c.ids))
-        .with_config(TxnConfig {
-            max_attempts: 5,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(8),
-        })
-        .with_recorder(Arc::clone(&c.rec))
+/// A coordinator on CN `cn` of `db` with quick retries, recording into `rec`.
+pub(crate) fn recorded_coordinator(
+    db: &PolarDbx,
+    cn: usize,
+    clock: Arc<dyn Clock>,
+    rec: &Arc<HistoryRecorder>,
+) -> Coordinator {
+    let config = TxnConfig {
+        max_attempts: 5,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(8),
+    };
+    db.coordinator(cn, clock).with_config(config).with_recorder(Arc::clone(rec))
+}
+
+/// A coordinator on CN A (CN 0) or CN B (CN 1), recording into the history.
+fn coordinator(c: &Cluster, cn: NodeId, clock: Arc<dyn Clock>) -> Coordinator {
+    recorded_coordinator(&c.db, usize::from(cn == CN_B), clock, &c.rec)
 }
 
 /// A DN behind a hook that sees each request first: `Some` answers it in
@@ -361,7 +380,7 @@ impl<F: Fn(NodeId, &TxnMsg) -> Option<TxnMsg> + Send + Sync> Handler<TxnMsg> for
 /// Put bank DN `dn` (1-based, in DC `dn`) behind `hook`.
 fn hook(c: &Cluster, dn: u64, hook: impl Fn(NodeId, &TxnMsg) -> Option<TxnMsg> + Send + Sync + 'static) {
     let inner = Arc::clone(&c.dns[dn as usize - 1]);
-    c.net.register(NodeId(dn), DcId(dn), Arc::new(Hooked(inner, hook)));
+    c.net.register(inner.node, DcId(dn), Arc::new(Hooked(inner, hook)));
 }
 
 /// CN A dies while its `nth` Prepare to DN3 is in flight: DN3 never sees
@@ -379,7 +398,8 @@ fn crash_cn_a_mid_prepare(c: &Cluster, nth: u64) {
     });
 }
 
-fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
+/// Wait until no DN holds an active or in-doubt transaction.
+pub(crate) fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
     let deadline = mono_now() + timeout;
     while mono_now() < deadline {
         if dns.iter().all(|d| !d.engine.has_active_txns() && d.in_doubt_count() == 0) {
@@ -415,7 +435,7 @@ impl RegisterRoute {
 }
 
 /// Live cutover of the REGISTERS partition from the register DN to DN1:
-/// [`RwNode::hand_off`], the cutover `PolarDbx::rehome_shard` runs, inside
+/// [`polardbx_storage::RwNode::hand_off`], the cutover `PolarDbx::rehome_shard` runs, inside
 /// this world's own epoch freeze + drain, destination clock raise (the
 /// register DN's HLC base is 3 s ahead of DN1's — without the raise, moved
 /// versions would sit in DN1's timestamp future) and route flip.
@@ -425,14 +445,14 @@ impl RegisterRoute {
 /// explorer shipping once, at quiescence, and not reading REGISTERS after.
 fn rehome_registers(c: &Cluster, route: &RegisterRoute) {
     let src = c.dns.iter().find(|d| d.node == REGISTER_DN).expect("register DN");
-    let dst = c.dns.iter().find(|d| d.node == NodeId(1)).expect("DN1");
+    let dst = c.dns.iter().find(|d| d.node == DN1).expect("DN1");
     c.rec.note(NodeId(0), "rehome: freezing registers");
     route.epochs.freeze(REGISTERS);
     let moved = route.epochs.drain(REGISTERS, Duration::from_secs(2))
-        && c.register_rw.hand_off(&c.rws[0], &[REGISTERS]).is_ok();
+        && c.db.dn(DN_COUNT).rw.hand_off(&c.db.dn(0).rw, &[REGISTERS]).is_ok();
     if moved {
         dst.clock.update(src.clock.now());
-        route.home.store(NodeId(1).raw(), Ordering::SeqCst);
+        route.home.store(DN1.raw(), Ordering::SeqCst);
         c.rec.note(NodeId(0), "rehome: registers cut over to DN1");
     } else {
         c.rec.note(NodeId(0), "rehome: drain TIMEOUT, move skipped");
@@ -541,14 +561,18 @@ fn scan_once(coord: &Coordinator, dns: &[NodeId]) -> Option<i64> {
 /// synthetic read-only transaction whose reads are recorded with
 /// `replica = true`.
 fn replica_audit(c: &Cluster, harness: &BankHarness, snapshot: u64) {
-    let trx = TrxId(c.ids.next_id());
+    // An id from the cluster's id space, begun on a coordinator that
+    // records nothing: the reads below are the transaction's only events.
+    let cn = c.db.cn(2);
+    let txn = cn.coordinator.begin();
+    let trx = txn.id();
     for i in 0..harness.accounts {
         let dn = harness.dn_of(i);
-        let rw = &c.rws[(dn.raw() - 1) as usize];
-        if let Some(ro) = rw.ros().first() {
+        if let Some(ro) = c.db.dn((dn.raw() - DN1.raw()) as usize).rw.ros().first() {
             let _ = ro.engine.read(BANK, &harness.key(i), snapshot, Some(trx));
         }
     }
+    txn.abort();
 }
 
 /// Depose the Paxos leader mid-wave, elect a follower, then bring the old
@@ -563,7 +587,7 @@ fn reelection_storm(group: &PaxosGroup) {
         follower.campaign();
         std::thread::sleep(Duration::from_millis(5));
     }
-    group.net.restart(old);
+    group.net.restart_resume(old);
     let deadline = mono_now() + Duration::from_secs(2);
     while leader.status().role != Role::Leader && mono_now() < deadline {
         leader.campaign();
@@ -577,7 +601,13 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
         Schedule::RoLag => Some(Duration::from_millis(10)),
         _ => None,
     };
-    let c = build_cluster(true, lag, cfg.schedule == Schedule::LeaderReelection);
+    // Background resolvers keep PREPARED/abandoned work moving throughout.
+    let resolver_cfg = ResolverConfig {
+        interval: Duration::from_millis(10),
+        in_doubt_after: Duration::from_millis(40),
+        abandon_active_after: Duration::from_millis(150),
+    };
+    let c = build_cluster(true, lag, cfg.schedule == Schedule::LeaderReelection, resolver_cfg);
 
     // The re-home schedule routes registers dynamically through a fenced
     // routing table; every other schedule pins them to the register DN.
@@ -622,7 +652,7 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
 
     let harness = Arc::new(BankHarness {
         table: BANK,
-        dns: (1..=DN_COUNT).map(NodeId).collect(),
+        dns: c.dns[..DN_COUNT].iter().map(|d| d.node).collect(),
         accounts: cfg.accounts,
         initial: cfg.initial,
     });
@@ -644,19 +674,7 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
         );
     }
 
-    // Background resolvers keep PREPARED/abandoned work moving throughout.
-    let resolver_cfg = ResolverConfig {
-        interval: Duration::from_millis(10),
-        in_doubt_after: Duration::from_millis(40),
-        abandon_active_after: Duration::from_millis(150),
-    };
-    let resolvers: Vec<_> = c
-        .dns
-        .iter()
-        .map(|d| d.start_resolver(Arc::clone(&c.net), resolver_cfg).expect("resolver"))
-        .collect();
-
-    let bank_dns: Vec<NodeId> = (1..=DN_COUNT).map(NodeId).collect();
+    let bank_dns: Vec<NodeId> = c.dns[..DN_COUNT].iter().map(|d| d.node).collect();
     for wave in 0..cfg.waves {
         std::thread::scope(|s| {
             if wave == 0 {
@@ -743,7 +761,7 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
     // Heal everything and drain: restart the (possibly crashed) CN, lift
     // partitions and fault plans, then let the resolvers settle the rest.
     c.net.clear_fault_plan();
-    c.net.restart(CN_A);
+    c.net.restart_resume(CN_A);
     c.net.heal(DcId(1), DcId(2));
     if let Some(group) = &c.paxos {
         // Make sure a leader exists so pending register commits can land.
@@ -759,20 +777,20 @@ pub fn run(cfg: &ExplorerConfig) -> ScheduleRun {
     // Quiescent watermark: every commit applied on DN i is at or below DN
     // i's clock now, so the minimum is a consistent replica cut.
     let watermark =
-        c.dns[..DN_COUNT as usize].iter().map(|d| d.clock.now().raw()).min().unwrap_or(u64::MAX);
+        c.dns[..DN_COUNT].iter().map(|d| d.clock.now().raw()).min().unwrap_or(u64::MAX);
     // A ship returns once every replica has applied the shipped tail.
-    for rw in &c.rws {
-        rw.ship();
+    for dn in &c.db.dns()[..DN_COUNT] {
+        dn.rw.ship();
     }
     for _ in 0..2 {
         replica_audit(&c, &harness, watermark);
     }
 
-    drop(resolvers);
     finish(c, cfg.schedule.label(), cfg.seed, cfg.accounts)
 }
 
 fn finish(c: Cluster, label: &str, seed: u64, accounts: usize) -> ScheduleRun {
+    c.db.shutdown();
     let events = c.rec.take();
     let report = check(&events);
     let audit_totals = derived_audit_totals(&events, BANK, 1, accounts);
@@ -786,11 +804,11 @@ fn finish(c: Cluster, label: &str, seed: u64, accounts: usize) -> ScheduleRun {
 /// ([`Mutation::path`]), so three consecutive seeds cover all three.
 fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
     let path = m.path(seed);
-    let c = build_cluster(false, None, false);
+    let c = build_cluster(false, None, false, BY_HAND);
     let accounts = 4usize;
     let harness = BankHarness {
         table: BANK,
-        dns: (1..=DN_COUNT).map(NodeId).collect(),
+        dns: c.dns[..DN_COUNT].iter().map(|d| d.node).collect(),
         accounts,
         initial: 100,
     };
@@ -830,7 +848,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let seeder = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>);
             let _ = harness.seed(&seeder);
             if mutated {
-                c.rws[1].engine.set_ignore_prepared_reads(true);
+                c.dns[1].engine.set_ignore_prepared_reads(true);
             }
             let net = Arc::clone(&c.net);
             let coord = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>)
@@ -870,7 +888,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let _ = harness.seed(&seeder);
             let coord = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>)
                 .with_mutations(ProtocolMutations {
-                    drop_participant: if mutated { Some(NodeId(2)) } else { None },
+                    drop_participant: mutated.then_some(c.dns[1].node),
                     ..Default::default()
                 });
             let _ = harness.transfer(&coord, 0, 1, 5, path);
@@ -891,8 +909,8 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             let epochs = Arc::new(EpochMap::new());
             let seeder = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>);
             seed_registers(&seeder, 1);
-            let new_home = NodeId(1);
-            c.dns[0].engine.create_table(REGISTERS, TenantId(1));
+            let new_home = DN1;
+            c.db.dn(0).rw.create_table(REGISTERS);
             let coord = coordinator(&c, CN_A, Arc::clone(&clock) as Arc<dyn Clock>)
                 .with_fence(Arc::clone(&epochs) as Arc<dyn RoutingFence>)
                 .with_mutations(ProtocolMutations {
@@ -1005,7 +1023,7 @@ fn mutation_scenario(m: Mutation, seed: u64, mutated: bool) -> ScheduleRun {
             c.net.partition(DcId(1), DcId(3));
             c.dns[0].resolve_once(&c.net, &drain_cfg);
             c.net.heal(DcId(1), DcId(3));
-            c.net.restart(CN_A);
+            c.net.restart_resume(CN_A);
         }
         Mutation::ForgetRefusal => {
             // DN2's Prepare is held up past DN1's in-doubt timeout: DN1

@@ -1,7 +1,7 @@
 //! `sitcheck` — history-based snapshot-isolation checking for the
 //! simulated PolarDB-X cluster.
 //!
-//! Three pieces (ROADMAP: isolation testing):
+//! The pieces (ROADMAP: isolation testing):
 //!
 //! * [`checker`] — an Adya-style anomaly detector over recorded histories
 //!   ([`polardbx_common::TxnEvent`] logs tapped from the coordinator, the
@@ -15,13 +15,19 @@
 //!   leader re-election, replica lag) and feeds every completed history
 //!   through the checker. Also hosts the three protocol *mutations* that
 //!   self-validate the checker: each must produce a named anomaly.
+//! * [`bank`] — the bank-transfer harness: accounts spread over DNs whose
+//!   conserved total every snapshot-isolated audit must see.
 //! * [`report`] — plain-text rendering of check results for CI artifacts.
 //! * [`recovery`] — the crashpoint torture harness: amnesia-restart a DN
 //!   at seeded crashpoints (mid-group-flush, between prepare and commit,
 //!   during paxos drain), recover from the durable log, and verify RPO=0,
 //!   replay idempotence, the conserved sum and a clean Adya report across
 //!   the restart boundary.
+//!
+//! Every harness drives a [`polardbx::PolarDbx`] — the cluster the front
+//! door serves — through its DN and CN handles and extra coordinators.
 
+pub mod bank;
 pub mod checker;
 pub mod explorer;
 pub mod recovery;

@@ -1,6 +1,6 @@
 //! Crashpoint torture: amnesia restarts under the isolation checker.
 //!
-//! Each run builds a small cluster (two DNs and a CN), drives a bank
+//! Each run builds a small [`PolarDbx`] (two DNs and a CN), drives a bank
 //! workload whose transfers always span both DNs plus a ledger insert on
 //! the victim, then kills the victim DN at a seeded crashpoint:
 //!
@@ -21,10 +21,10 @@
 //!   leader keeps replicating, then rejoins from its durable frames
 //!   ([`Replica::recovered`]) and catches up via reject-resend.
 //!
-//! Restart is *amnesia*: the old service object and engine are discarded;
-//! the replacement is rebuilt from nothing but the victim's durable sink
-//! ([`recovered_engine`]), re-registered on the same [`NodeId`], and
-//! un-crashed with [`SimNet::restart_amnesia`]. The harness then measures
+//! Restart is *amnesia*: [`PolarDbx::restart_amnesia`] discards the old
+//! service object and engine, rebuilds the DN from nothing but its durable
+//! log sink ([`polardbx_storage::recovered_engine`]), re-registers it on
+//! the same [`NodeId`] and un-crashes it. The harness then measures
 //! RTO (crash → first clean audit), RPO (acked ledger entries lost — must
 //! be zero), replay idempotence (second replay is a no-op), the conserved
 //! bank sum, and runs the Adya checker over the *whole* history, spanning
@@ -35,36 +35,29 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
+use polardbx::{ClusterConfig, PolarDbx};
 use polardbx_common::time::mono_now;
-use polardbx_common::{
-    DcId, Error, HistoryRecorder, IdGenerator, Key, Lsn, NodeId, Result, Row, TableId, TenantId,
-    Value,
-};
+use polardbx_common::{DcId, Error, HistoryRecorder, Key, Lsn, NodeId, Result, Row, TableId, Value};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Replica, Role};
 use polardbx_hlc::{Clock, Hlc, TestClock};
-use polardbx_simnet::{FaultPlan, FlushShot, Handler, LatencyMatrix, OneShotFault, SimNet};
-use polardbx_storage::{recovered_engine, replay_records, StorageEngine};
-use polardbx_txn::checker::read_points;
-use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp};
-use polardbx_wal::{scan_frames, scan_records, LogSink, Mtr, RedoPayload, VecSink};
+use polardbx_simnet::{FaultPlan, FlushShot, Handler, OneShotFault, SimNet};
+use polardbx_storage::replay_records;
+use polardbx_txn::{Coordinator, ResolverConfig, TxnMsg, WireWriteOp};
+use polardbx_wal::{
+    scan_frames, scan_records, EpochConfig, LocalEpochSink, LogBuffer, LogSink, Mtr, RedoPayload,
+    VecSink,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::bank::{read_points, BankHarness};
 use crate::checker::{check, derived_audit_totals, CheckReport};
-
-/// The crash victim: hosts even bank accounts and the ledger.
-const DN1: NodeId = NodeId(1);
-/// Survivor DN: hosts odd bank accounts.
-const DN2: NodeId = NodeId(2);
-/// The coordinator's node id.
-const CN: NodeId = NodeId(9);
+use crate::explorer::{await_drained, dn_clock, recorded_coordinator};
 
 /// Bank accounts (conserved sum).
 const BANK: TableId = TableId(1);
 /// One row per *acked* transfer, inserted on the victim. After recovery,
 /// every acked transfer's row must still be there — that is RPO = 0.
 const LEDGER: TableId = TableId(2);
-
-const TENANT: TenantId = TenantId(1);
 
 /// Where in the run the victim dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,122 +183,41 @@ impl LogSink for CrashpointSink {
     }
 }
 
-fn acct_key(i: i64) -> Key {
-    Key::encode(&[Value::Int(i)])
-}
-
-fn acct_row(i: i64, balance: i64) -> Row {
-    Row::new(vec![Value::Int(i), Value::Int(balance)])
-}
-
 fn ledger_key(i: usize) -> Key {
     Key::encode(&[Value::Int(10_000 + i as i64)])
-}
-
-fn dn_of(i: i64) -> NodeId {
-    if i % 2 == 0 {
-        DN1
-    } else {
-        DN2
-    }
-}
-
-fn bal(r: &Row) -> i64 {
-    r.get(1).ok().and_then(|v| v.as_int().ok()).unwrap_or(0)
-}
-
-struct CnStub;
-impl Handler<TxnMsg> for CnStub {
-    fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-        m
-    }
-}
-
-/// DN clocks start far apart (like the explorer's cluster) so that HLC
-/// propagation, not wall-clock luck, is what keeps snapshots consistent —
-/// including for the *recovered* DN, which restarts at physical zero.
-fn dn_clock(i: u64) -> Arc<Hlc> {
-    Hlc::with_physical(TestClock::at(1000 * i))
-}
-
-/// All CN-side coordinators share one session clock: commit acks raise it
-/// above the DNs' timestamps, so later snapshots (including the
-/// post-restart audits) can see earlier commits — plain HLC propagation.
-fn coordinator(
-    net: &Arc<SimNet<TxnMsg>>,
-    ids: &Arc<IdGenerator>,
-    rec: &Arc<HistoryRecorder>,
-    clock: &Arc<Hlc>,
-) -> Coordinator {
-    Coordinator::new(CN, Arc::clone(net), Arc::clone(clock) as Arc<dyn Clock>, Arc::clone(ids))
-        .with_config(TxnConfig {
-            max_attempts: 5,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(8),
-        })
-        .with_recorder(Arc::clone(rec))
 }
 
 /// One two-shard transfer plus a ledger insert on the victim. Returns the
 /// commit timestamp when the commit was *acked* to the client. `staged`
 /// sends both reads in one round and the three writes inside the commit
 /// round; otherwise each is a message of its own.
-fn transfer(coord: &Coordinator, i: usize, a: i64, b: i64, staged: bool) -> Result<u64> {
+fn transfer(coord: &Coordinator, bank: &BankHarness, i: usize, a: usize, b: usize, staged: bool) -> Result<u64> {
     let mut txn = coord.begin();
-    let read = (|| -> Result<(i64, i64)> {
-        let (ra, rb) = if staged {
-            let reads = vec![(dn_of(a), BANK, acct_key(a)), (dn_of(b), BANK, acct_key(b))];
-            let mut found = read_points(&mut txn, reads)?.into_iter();
-            (found.next().flatten(), found.next().flatten())
-        } else {
-            (txn.read(dn_of(a), BANK, &acct_key(a))?, txn.read(dn_of(b), BANK, &acct_key(b))?)
-        };
-        let missing = || Error::execution("missing account");
-        Ok((bal(&ra.ok_or_else(missing)?), bal(&rb.ok_or_else(missing)?)))
-    })();
-    let (ba, bb) = match read {
-        Ok(v) => v,
-        Err(e) => {
-            txn.abort();
-            return Err(e);
-        }
+    let (ra, rb) = if staged {
+        let reads = vec![(bank.dn_of(a), BANK, bank.key(a)), (bank.dn_of(b), BANK, bank.key(b))];
+        let mut found = read_points(&mut txn, reads)?.into_iter();
+        (found.next().flatten(), found.next().flatten())
+    } else {
+        (txn.read(bank.dn_of(a), BANK, &bank.key(a))?, txn.read(bank.dn_of(b), BANK, &bank.key(b))?)
+    };
+    let balance = |row: Option<Row>| row.ok_or(Error::KeyNotFound)?.get(1)?.as_int();
+    let (ba, bb) = (balance(ra)?, balance(rb)?);
+    let account = |i: usize, balance: i64| {
+        WireWriteOp::Update(Row::new(vec![Value::Int(i as i64), Value::Int(balance)]))
     };
     let ledger = Row::new(vec![Value::Int(10_000 + i as i64), Value::Int(1)]);
     for (dn, table, key, op) in [
-        (dn_of(a), BANK, acct_key(a), WireWriteOp::Update(acct_row(a, ba - 1))),
-        (dn_of(b), BANK, acct_key(b), WireWriteOp::Update(acct_row(b, bb + 1))),
-        (DN1, LEDGER, ledger_key(i), WireWriteOp::Insert(ledger)),
+        (bank.dn_of(a), BANK, bank.key(a), account(a, ba - 1)),
+        (bank.dn_of(b), BANK, bank.key(b), account(b, bb + 1)),
+        (bank.dns[0], LEDGER, ledger_key(i), WireWriteOp::Insert(ledger)),
     ] {
         if staged {
             txn.stage_write(dn, table, key, op);
-        } else if let Err(e) = txn.write(dn, table, key, op) {
-            txn.abort();
-            return Err(e);
+        } else {
+            txn.write(dn, table, key, op)?;
         }
     }
     txn.commit()
-}
-
-/// Single-snapshot read of every account; the conserved-sum probe and the
-/// "is the victim serving again" signal rolled into one.
-fn audit(coord: &Coordinator, accounts: usize) -> Result<i64> {
-    let mut txn = coord.begin();
-    let mut total = 0i64;
-    for i in 0..accounts as i64 {
-        match txn.read(dn_of(i), BANK, &acct_key(i)) {
-            Ok(Some(r)) => total += bal(&r),
-            Ok(None) => {
-                txn.abort();
-                return Err(Error::execution("missing account"));
-            }
-            Err(e) => {
-                txn.abort();
-                return Err(e);
-            }
-        }
-    }
-    txn.abort();
-    Ok(total)
 }
 
 /// Run one crashpoint scenario end to end.
@@ -317,54 +229,54 @@ pub fn run_crashpoint(cfg: &RecoveryConfig) -> RecoveryRun {
 }
 
 fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
-    let net: Arc<SimNet<TxnMsg>> = SimNet::new(LatencyMatrix::zero());
+    let db = PolarDbx::builder(ClusterConfig { dcs: 2, cns_per_dc: 1, dns: 2, ..Default::default() })
+        .dn_clocks(dn_clock)
+        .resolver_timing(ResolverConfig {
+            interval: Duration::from_millis(10),
+            in_doubt_after: Duration::from_millis(50),
+            abandon_active_after: Duration::from_millis(150),
+        })
+        .build()
+        .expect("cluster");
+    // The crash victim, DN 0 ("DN1"), hosts the even accounts and the ledger.
+    let (victim, dn1) = (db.dn(0), db.dn(0).id);
+    let net = Arc::clone(db.net());
     let rec = HistoryRecorder::new();
-    let ids = Arc::new(IdGenerator::new());
-    let cn_clock: Arc<Hlc> = Hlc::with_physical(TestClock::at(500));
+    // All coordinators share one session clock: commit acks raise it above
+    // the DNs' timestamps, so later snapshots (including the post-restart
+    // audits) can see earlier commits — plain HLC propagation.
+    let cn_clock: Arc<dyn Clock> = Hlc::with_physical(TestClock::at(500));
+    let coordinator = || recorded_coordinator(&db, 0, Arc::clone(&cn_clock), &rec);
+    let bank = BankHarness {
+        table: BANK,
+        dns: vec![dn1, db.dn(1).id],
+        accounts: cfg.accounts,
+        initial: cfg.initial,
+    };
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EC0_4E41);
 
-    // Victim DN: a real durable sink behind the crash wrapper.
-    let sink = VecSink::new();
+    // Victim DN: its durable log behind the crash wrapper.
     let cp_sink = Arc::new(CrashpointSink {
-        node: DN1,
+        node: dn1,
         net: Arc::clone(&net),
-        inner: Arc::clone(&sink),
+        inner: Arc::clone(victim.rw.log_sink()),
         torn: Mutex::new(
             cfg.torn_tail.then(|| StdRng::seed_from_u64(cfg.seed ^ 0x7042_7A11)),
         ),
     });
-    let e1 = StorageEngine::with_sink(cp_sink as Arc<dyn LogSink>);
-    e1.create_table(BANK, TENANT);
-    e1.create_table(LEDGER, TENANT);
-    let dn1 = DnService::new(DN1, Arc::clone(&e1), dn_clock(1));
-    dn1.attach_recorder(Arc::clone(&rec));
-    net.register(DN1, DcId(1), Arc::clone(&dn1) as Arc<dyn Handler<TxnMsg>>);
-
-    let e2 = StorageEngine::in_memory();
-    e2.create_table(BANK, TENANT);
-    let dn2 = DnService::new(DN2, Arc::clone(&e2), dn_clock(2));
-    dn2.attach_recorder(Arc::clone(&rec));
-    net.register(DN2, DcId(2), Arc::clone(&dn2) as Arc<dyn Handler<TxnMsg>>);
-
-    net.register(CN, DcId(1), Arc::new(CnStub));
-
-    let resolver_cfg = ResolverConfig {
-        interval: Duration::from_millis(10),
-        in_doubt_after: Duration::from_millis(50),
-        abandon_active_after: Duration::from_millis(150),
-    };
-    let res2 = dn2.start_resolver(Arc::clone(&net), resolver_cfg).expect("resolver");
+    let log = LogBuffer::new(cp_sink as Arc<dyn LogSink>);
+    victim.rw.engine.pipeline().replace_sink(LocalEpochSink::new(log), EpochConfig::default());
+    victim.rw.create_table(BANK);
+    victim.rw.create_table(LEDGER);
+    db.dn(1).rw.create_table(BANK);
+    for i in 0..2 {
+        db.dn(i).service.attach_recorder(Arc::clone(&rec));
+    }
 
     // Seed the bank before arming any crash trigger, so flush counts and
     // vote-round counts are workload-relative (deterministic per seed).
-    let seeder = coordinator(&net, &ids, &rec, &cn_clock);
-    for i in 0..cfg.accounts as i64 {
-        let mut txn = seeder.begin();
-        txn.write(dn_of(i), BANK, acct_key(i), WireWriteOp::Insert(acct_row(i, cfg.initial)))
-            .expect("seed write");
-        txn.commit().expect("seed commit");
-    }
-    let expected_total = cfg.accounts as i64 * cfg.initial;
+    bank.seed(&coordinator()).expect("seed");
+    let expected_total = bank.expected_total();
 
     // Arm the crash.
     let coord = match cfg.crashpoint {
@@ -376,13 +288,13 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
             net.set_fault_plan(
                 FaultPlan::new(cfg.seed).with_label("recovery-mid-group-flush").with_flush_shot(
                     FlushShot {
-                        node: DN1,
+                        node: dn1,
                         after_flushes: rng.gen_range(2..=6),
-                        fault: OneShotFault::Crash(DN1),
+                        fault: OneShotFault::Crash(dn1),
                     },
                 ),
             );
-            coordinator(&net, &ids, &rec, &cn_clock)
+            coordinator()
         }
         CrashPoint::BetweenPrepareAndCommit => {
             // Crash the victim after the Mth round of yes votes, before
@@ -390,11 +302,11 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
             let m = rng.gen_range(2..=4u64);
             let seen = AtomicU64::new(0);
             let fp_net = Arc::clone(&net);
-            coordinator(&net, &ids, &rec, &cn_clock).with_failpoint(Arc::new(move |point| {
+            coordinator().with_failpoint(Arc::new(move |point| {
                 if point == "txn.after_votes"
                     && seen.fetch_add(1, Ordering::SeqCst) + 1 == m
                 {
-                    fp_net.crash(DN1);
+                    fp_net.crash(dn1);
                 }
             }))
         }
@@ -407,53 +319,45 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     for i in 0..cfg.transfers {
         let a = 2 * rng.gen_range(0..cfg.accounts as i64 / 2);
         let b = 2 * rng.gen_range(0..cfg.accounts as i64 / 2) + 1;
-        if transfer(&coord, i, a, b, rng.gen()).is_ok() {
+        if transfer(&coord, &bank, i, a as usize, b as usize, rng.gen()).is_ok() {
             acked.push(i);
         }
-        if crash_at.is_none() && net.is_crashed(DN1) {
+        if crash_at.is_none() && net.is_crashed(dn1) {
             crash_at = Some(mono_now());
         }
     }
     // A seed whose trigger never fired still crashes — at a quiescent
     // point, the easiest case, but the recovery path is identical.
     if crash_at.is_none() {
-        net.crash(DN1);
+        net.crash(dn1);
         crash_at = Some(mono_now());
     }
     let t_crash = crash_at.unwrap();
 
     // ---- Amnesia restart -------------------------------------------------
-    // Drop the dead service and engine on the floor; all that survives is
-    // the durable sink. Scan-and-truncate + replay happen inside
-    // `recovered_engine`.
-    drop(dn1);
-    drop(e1);
-    let (engine, r1) = recovered_engine(Arc::clone(&sink), &[BANK, LEDGER]).expect("recovery");
+    // The cluster drops the dead service and engine on the floor; all that
+    // survives is the durable sink. Scan-and-truncate + replay happen
+    // inside the restart.
+    let r1 = db.restart_amnesia(0).expect("recovery");
+    let recovered = db.dn(0);
+    let engine = Arc::clone(&recovered.rw.engine);
 
-    // Idempotence: replaying the (already clean) log into the same engine
-    // again must register nothing new — every record is recognised as
-    // already applied.
-    let rescan = scan_records(&sink.contiguous());
+    // Idempotence: replaying the recovered prefix of the log into the same
+    // engine again must register nothing new — every record is recognised
+    // as already applied, whatever the resolver appended since.
+    let log = recovered.rw.log_sink_bytes();
+    let rescan = scan_records(&log[..r1.durable_lsn.raw() as usize]);
     let r2 = replay_records(&engine, &rescan.records).expect("second replay");
     let replay_idempotent =
         r2.committed == 0 && r2.aborted == 0 && r2.in_doubt.len() == r1.in_doubt.len();
 
-    let dn1b = DnService::new(DN1, Arc::clone(&engine), Hlc::with_physical(TestClock::at(0)));
-    for (trx, _, peers) in &r1.in_doubt {
-        dn1b.adopt_in_doubt(*trx, peers.clone());
-    }
-    dn1b.attach_recorder(Arc::clone(&rec));
-    net.register(DN1, DcId(1), Arc::clone(&dn1b) as Arc<dyn Handler<TxnMsg>>);
-    net.restart_amnesia(DN1);
-    let res1 = dn1b.start_resolver(Arc::clone(&net), resolver_cfg).expect("resolver");
-
     // ---- RTO: first clean audit through the recovered node ---------------
-    let auditor = coordinator(&net, &ids, &rec, &cn_clock);
+    let auditor = coordinator();
     let deadline = mono_now() + Duration::from_secs(20);
     let mut rto = Duration::ZERO;
     let mut recovered_in_time = false;
     while mono_now() < deadline {
-        match audit(&auditor, cfg.accounts) {
+        match bank.audit(&auditor) {
             Ok(_) => {
                 rto = mono_now() - t_crash;
                 recovered_in_time = true;
@@ -469,20 +373,9 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     }
 
     // Let the resolvers settle every straggler, then take the final sum.
-    let drained = {
-        let dns = [Arc::clone(&dn1b), Arc::clone(&dn2)];
-        let deadline = mono_now() + Duration::from_secs(10);
-        loop {
-            if dns.iter().all(|d| !d.engine.has_active_txns() && d.in_doubt_count() == 0) {
-                break true;
-            }
-            if mono_now() >= deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
-    let observed_total = audit(&auditor, cfg.accounts).unwrap_or(i64::MIN);
+    let services = [Arc::clone(&db.dn(0).service), Arc::clone(&db.dn(1).service)];
+    let drained = await_drained(&services, Duration::from_secs(10));
+    let observed_total = bank.audit(&auditor).unwrap_or(i64::MIN);
     let conserved_ok = drained && observed_total == expected_total;
 
     // ---- RPO: every acked transfer's ledger row survived ------------------
@@ -490,7 +383,7 @@ fn run_txn_crash(cfg: &RecoveryConfig) -> RecoveryRun {
     let present: std::collections::HashSet<Key> = ledger.into_iter().map(|(k, _)| k).collect();
     let lost_acked = acked.iter().filter(|i| !present.contains(&ledger_key(**i))).count();
 
-    drop((res1, res2));
+    db.shutdown();
     let events = rec.take();
     let report = check(&events);
     if !report.is_clean() && std::env::var_os("POLARDBX_RECOVERY_DEBUG").is_some() {
@@ -533,7 +426,7 @@ fn drain_mtr(n: i64) -> Mtr {
     Mtr::single(RedoPayload::Insert {
         trx: polardbx_common::TrxId(777),
         table: BANK,
-        key: acct_key(n),
+        key: Key::encode(&[Value::Int(n)]),
         row: Bytes::from(vec![b'd'; 24]),
     })
 }

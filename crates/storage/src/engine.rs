@@ -224,6 +224,14 @@ impl StorageEngine {
         self.recording.store(true, Ordering::Release);
     }
 
+    /// Record to whatever `other` records to, as the same node (an amnesia
+    /// restart keeps the history a checker is taking).
+    pub(crate) fn record_like(&self, other: &StorageEngine) {
+        if let Some(tap) = other.tap() {
+            self.set_recorder(tap.rec, tap.node, tap.replica);
+        }
+    }
+
     /// The installed tap, if recording is on. Clones the `Arc` out so the
     /// recorder mutex is never held across a `record` call.
     fn tap(&self) -> Option<RecorderTap> {

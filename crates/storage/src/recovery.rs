@@ -122,13 +122,13 @@ pub fn replay_records(engine: &Arc<StorageEngine>, records: &[RedoPayload]) -> R
 }
 
 /// Build a fresh engine from nothing but a durable sink: scan-and-truncate,
-/// recreate `tables`, replay, and wire the engine's new log buffer to
-/// resume appending at the recovered horizon (so post-recovery commits
-/// extend the same log).
+/// recreate `tables`, replay, and wire the engine's new log buffer —
+/// returned first — to resume appending at the recovered horizon (so
+/// post-recovery commits extend the same log).
 pub fn recovered_engine(
     sink: Arc<VecSink>,
     tables: &[TableId],
-) -> Result<(Arc<StorageEngine>, RecoveryReport)> {
+) -> Result<(Arc<LogBuffer>, Arc<StorageEngine>, RecoveryReport)> {
     // Scan before constructing the engine: the new LogBuffer must start at
     // the post-truncation horizon or fresh appends would overlap the tail.
     let base = sink
@@ -146,14 +146,14 @@ pub fn recovered_engine(
     }
 
     let log = LogBuffer::starting_at(Arc::clone(&sink) as Arc<dyn LogSink>, durable);
-    let engine = StorageEngine::with_durability(LocalEpochSink::new(log));
+    let engine = StorageEngine::with_durability(LocalEpochSink::new(Arc::clone(&log)));
     for &table in tables {
         engine.create_table(table, TenantId::default());
     }
     let mut report = replay_records(&engine, &scan.records)?;
     report.durable_lsn = durable;
     report.truncated_bytes = truncated;
-    Ok((engine, report))
+    Ok((log, engine, report))
 }
 
 #[cfg(test)]
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn replay_rebuilds_committed_and_in_doubt() {
         let sink = crashed_sink();
-        let (e, report) = recovered_engine(sink, &[T]).unwrap();
+        let (_, e, report) = recovered_engine(sink, &[T]).unwrap();
         assert_eq!(report.committed, 1);
         assert_eq!(report.aborted, 1);
         assert_eq!(report.in_doubt, vec![(TrxId(3), 20, PEERS.to_vec())]);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn in_doubt_commit_after_recovery_becomes_visible() {
         let sink = crashed_sink();
-        let (e, report) = recovered_engine(sink, &[T]).unwrap();
+        let (_, e, report) = recovered_engine(sink, &[T]).unwrap();
         assert_eq!(report.in_doubt.len(), 1);
         // The resolver learns COMMIT from a peer and finishes phase 2.
         e.commit(TrxId(3), 25).unwrap();
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn in_doubt_abort_after_recovery_rolls_back() {
         let sink = crashed_sink();
-        let (e, _) = recovered_engine(sink, &[T]).unwrap();
+        let (_, e, _) = recovered_engine(sink, &[T]).unwrap();
         e.abort(TrxId(3));
         assert_eq!(e.read(T, &key(3), 100, None).unwrap(), None);
     }
@@ -288,7 +288,7 @@ mod tests {
         let full = sink.end_lsn();
         // Tear 3 bytes off the final flush (mid-record).
         sink.truncate_to(Lsn(full.raw() - 3));
-        let (e, report) = recovered_engine(Arc::clone(&sink), &[T]).unwrap();
+        let (_, e, report) = recovered_engine(Arc::clone(&sink), &[T]).unwrap();
         assert!(report.truncated_bytes > 0, "mid-record cut leaves a torn suffix");
         assert!(report.durable_lsn < full);
         // The sink now ends exactly at the durable horizon.
@@ -302,14 +302,14 @@ mod tests {
         assert!(!rescan.torn, "post-recovery log must be clean");
         assert!(sink.end_lsn() > report.durable_lsn);
         // And a second recovery over the extended log sees the new commit.
-        let (e2, _) = recovered_engine(sink, &[T]).unwrap();
+        let (_, e2, _) = recovered_engine(sink, &[T]).unwrap();
         assert_eq!(e2.read(T, &key(9), 40, None).unwrap(), Some(row(9, "post")));
     }
 
     #[test]
     fn empty_sink_recovers_to_empty_engine() {
         let sink = VecSink::new();
-        let (e, report) = recovered_engine(sink, &[T]).unwrap();
+        let (_, e, report) = recovered_engine(sink, &[T]).unwrap();
         assert_eq!(report.records, 0);
         assert_eq!(report.durable_lsn, Lsn::ZERO);
         assert_eq!(e.count_rows(T, u64::MAX).unwrap(), 0);

@@ -24,6 +24,7 @@ use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, VecSink};
 use crate::engine::{StorageEngine, WriteOp};
 use crate::feed::{CommittedTxn, RedoConsumer, TxnAssembler};
 use crate::mvcc::VersionStore;
+use crate::recovery::{recovered_engine, RecoveryReport};
 
 /// Session-consistency token: the RW LSN the client last observed. Reads
 /// routed to an RO must wait until the replica has applied at least this.
@@ -209,6 +210,49 @@ impl RwNode {
     /// Raw contents of the node's redo log (tests/debugging).
     pub fn log_sink_bytes(&self) -> Vec<u8> {
         self.sink.contiguous()
+    }
+
+    /// The durable medium under the node's log: what survives a crash and
+    /// what [`RwNode::restart`] recovers from. A harness that puts a sink of
+    /// its own under the engine's pipeline writes through to this one.
+    pub fn log_sink(&self) -> &Arc<VecSink> {
+        &self.sink
+    }
+
+    /// Amnesia restart: a new node over this one's durable log, its engine
+    /// rebuilt from that log alone ([`recovered_engine`]) with the
+    /// tables this node created, and taking over this node's replicas, feed
+    /// subscribers and shipping position — the feed only ever shipped what
+    /// the log made durable. A table handed to this node by reference has
+    /// history in another node's log, so a node holding one is refused.
+    pub fn restart(&self) -> Result<(Arc<RwNode>, RecoveryReport)> {
+        let tables = self.tables.lock().clone();
+        if tables.iter().any(|&(_, by_reference)| by_reference) {
+            return Err(Error::execution(format!(
+                "{}: a table handed here by reference cannot be recovered from this log",
+                self.id
+            )));
+        }
+        let ids: Vec<TableId> = tables.iter().map(|&(table, _)| table).collect();
+        let (log, engine, report) = recovered_engine(Arc::clone(&self.sink), &ids)?;
+        engine.record_like(&self.engine);
+        // The feed's position moves to the new node; a reader still holding
+        // this one ships nothing more from it, so nothing is applied twice.
+        let stopped = Feed { shipped: Lsn::MAX, ..Feed::default() };
+        let feed = std::mem::replace(&mut *self.feed.lock(), stopped);
+        let subscribers = self.subscribers.read().clone();
+        let node = RwNode {
+            id: self.id,
+            engine,
+            log,
+            sink: Arc::clone(&self.sink),
+            ros: RwLock::new(self.ros()),
+            subscribers: RwLock::new(subscribers),
+            feed: Mutex::new(feed),
+            next_ro: AtomicU64::new(self.next_ro.load(Ordering::Relaxed)),
+            tables: Mutex::new(tables),
+        };
+        Ok((Arc::new(node), report))
     }
 
     /// Registered RO replicas.

@@ -202,7 +202,7 @@ fn recovery_agrees(seed: u64, log: &[u8], oracle: &Oracle) -> bool {
     let cut = len / 2 + rng.below((len - len / 2) as u64) as usize;
     let sink = VecSink::new();
     sink.write(Lsn::ZERO, Bytes::copy_from_slice(&log[..cut])).unwrap();
-    let (recovered, report) = recovered_engine(sink, &[T]).unwrap();
+    let (_, recovered, report) = recovered_engine(sink, &[T]).unwrap();
     let durable = oracle.durable_at(cut);
     assert_eq!(report.durable_lsn, Lsn(durable as u64), "seed {seed}: recovered horizon");
     assert_eq!(report.truncated_bytes, (cut - durable) as u64, "seed {seed}: truncation");

@@ -969,7 +969,7 @@ mod tests {
         assert!(matches!(dns[0].engine.txn_state(trx), Some(TxnState::Prepared { .. })));
         // Resolution belongs to the participants: DN3 comes back, never
         // voted, and refuses when DN1 asks.
-        net.restart(NodeId(3));
+        net.restart_resume(NodeId(3));
         let now = crate::config::ResolverConfig { in_doubt_after: Duration::ZERO, ..Default::default() };
         dns[0].resolve_once(&net, &now);
         assert_eq!(dns[0].engine.txn_state(trx), Some(TxnState::Aborted));

@@ -28,9 +28,6 @@
 //! Clock-SI (local physical clocks; participants must *wait out* skew
 //! before serving a snapshot).
 //!
-//! [`checker`] provides the bank-invariant harness used to validate
-//! snapshot isolation under concurrency.
-//!
 //! # Fault tolerance
 //!
 //! The commit path is hardened against a lossy, crash-prone fabric:
@@ -48,7 +45,6 @@
 //! its own, and the happy path pays no extra round. See DESIGN.md's "An
 //! outcome any participant can compute".
 
-pub mod checker;
 pub mod config;
 pub mod coordinator;
 pub mod metrics;

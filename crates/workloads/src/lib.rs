@@ -1,10 +1,6 @@
-//! The paper's evaluation workloads, scaled for a laptop (§VII).
+//! The paper's evaluation workloads, scaled for a laptop (§VII). The
+//! Sysbench mixes of Fig 7 live with that figure in `crates/bench`.
 //!
-//! * [`sysbench`] — the Sysbench OLTP suite used for Fig 7 (cross-DC
-//!   transactions) and Fig 8 (elasticity): `oltp-point-select`,
-//!   `oltp-read-only` (ten point reads + four range queries),
-//!   `oltp-write-only` (deletes, inserts and index updates on different
-//!   rows) and `oltp-read-write`.
 //! * [`tpcc`] — TPC-C-lite: warehouses/districts/customers/orders with the
 //!   NewOrder + Payment mix; tpmC is NewOrder commits per minute (Fig 9).
 //! * [`tpch`] — TPC-H-lite: the eight-table schema, a seeded generator,
@@ -13,6 +9,5 @@
 //!   rewritten join/aggregate equivalents that preserve the operator mix;
 //!   each deviation is documented on the query constant.
 
-pub mod sysbench;
 pub mod tpcc;
 pub mod tpch;

@@ -16,18 +16,15 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
+use polardbx::{ClusterConfig, PolarDbx};
 use polardbx_common::testseed::{format_seed, seed_from_env};
-use polardbx_common::{
-    DcId, Error, IdGenerator, Key, Lsn, NodeId, Row, TableId, TenantId, TrxId, Value,
-};
+use polardbx_common::{DcId, Error, Key, Lsn, NodeId, Row, TableId, TrxId, Value};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
-use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, OneShot, OneShotFault, SimNet};
-use polardbx_storage::{StorageEngine, TxnState};
-use polardbx_txn::{
-    Coordinator, DnService, ResolverConfig, ResolverHandle, TxnConfig, TxnMsg, Vote, WireWriteOp,
-};
-use polardbx_wal::{LogSink, VecSink};
+use polardbx_simnet::{FaultPlan, Handler, LinkFaults, OneShot, OneShotFault, SimNet};
+use polardbx_storage::TxnState;
+use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, Vote, WireWriteOp};
+use polardbx_wal::{EpochConfig, LocalEpochSink, LogBuffer, LogSink, VecSink};
 
 fn key(n: i64) -> Key {
     Key::encode(&[Value::Int(n)])
@@ -37,38 +34,48 @@ fn row(n: i64) -> Row {
     Row::new(vec![Value::Int(n), Value::str("v")])
 }
 
-struct CnStub;
-impl Handler<TxnMsg> for CnStub {
-    fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-        m
-    }
-}
+/// The cluster's first DN (DC1), the two cross-DC participants (DC2 and
+/// DC3) and the CN of DC1, by the ids the cluster gives them.
+const DN1: NodeId = NodeId(1000);
+const DN2: NodeId = NodeId(1001);
+const DN3: NodeId = NodeId(1002);
+const CN: NodeId = NodeId(1);
 
-/// Three DNs in three DCs (NodeId 1..=3), a CN at NodeId(9) in DC1, and its
-/// coordinator.
-fn chaos_cluster() -> (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>) {
-    let net = SimNet::new(LatencyMatrix::zero());
-    let mut dns = Vec::new();
-    for i in 1..=3u64 {
-        let engine = StorageEngine::in_memory();
-        engine.create_table(TableId(1), TenantId(1));
-        let dn = DnService::new(NodeId(i), engine, Hlc::new());
-        net.register(NodeId(i), DcId(i), dn.clone() as Arc<dyn Handler<TxnMsg>>);
-        dns.push(dn);
-    }
-    net.register(NodeId(9), DcId(1), Arc::new(CnStub));
-    let coord = Coordinator::new(
-        NodeId(9),
-        Arc::clone(&net),
-        Hlc::new(),
-        Arc::new(IdGenerator::new()),
-    )
-    .with_config(TxnConfig {
+/// The suite's resolver timing.
+const RESOLVE: ResolverConfig = ResolverConfig {
+    interval: Duration::from_millis(10),
+    in_doubt_after: Duration::from_millis(50),
+    abandon_active_after: Duration::from_millis(150),
+};
+
+/// For scenarios that settle by hand, or not at all: the resolvers never
+/// find anything old enough to act on.
+const BY_HAND: ResolverConfig =
+    ResolverConfig { in_doubt_after: Duration::MAX, abandon_active_after: Duration::MAX, ..RESOLVE };
+
+/// The fabric, a coordinator and the DN services of a cluster.
+type Chaos = (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>, PolarDbx);
+
+/// `dns` DNs, DN `i` in DC `i + 1`, each holding table 1 and running its
+/// resolver at `resolver`; and a coordinator on the CN in DC1.
+fn cluster(dns: u32, resolver: ResolverConfig) -> Chaos {
+    let db = PolarDbx::builder(ClusterConfig { dcs: dns, cns_per_dc: 1, dns, ..Default::default() })
+        .resolver_timing(resolver)
+        .build()
+        .unwrap();
+    let services = (0..dns as usize)
+        .map(|i| {
+            let dn = db.dn(i);
+            dn.rw.create_table(TableId(1));
+            Arc::clone(&dn.service)
+        })
+        .collect();
+    let coord = db.coordinator(0, Hlc::new()).with_config(TxnConfig {
         max_attempts: 5,
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(8),
     });
-    (net, coord, dns)
+    (Arc::clone(db.net()), coord, services, db)
 }
 
 /// Insert `row(v)` under `key(k)` on both cross-DC participants: a `Write`
@@ -76,33 +83,28 @@ fn chaos_cluster() -> (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>) {
 /// them. False when a write was refused or lost (the caller aborts).
 fn write_pair(txn: &mut polardbx_txn::DistTxn<'_>, k: i64, v: i64, staged: bool) -> bool {
     if staged {
-        txn.stage_write(NodeId(2), TableId(1), key(k), WireWriteOp::Insert(row(v)));
-        txn.stage_write(NodeId(3), TableId(1), key(k), WireWriteOp::Insert(row(v)));
+        txn.stage_write(DN2, TableId(1), key(k), WireWriteOp::Insert(row(v)));
+        txn.stage_write(DN3, TableId(1), key(k), WireWriteOp::Insert(row(v)));
         return true;
     }
-    txn.write(NodeId(2), TableId(1), key(k), WireWriteOp::Insert(row(v)))
-        .and_then(|_| txn.write(NodeId(3), TableId(1), key(k), WireWriteOp::Insert(row(v))))
+    txn.write(DN2, TableId(1), key(k), WireWriteOp::Insert(row(v)))
+        .and_then(|_| txn.write(DN3, TableId(1), key(k), WireWriteOp::Insert(row(v))))
         .is_ok()
 }
 
-fn start_resolvers(net: &Arc<SimNet<TxnMsg>>, dns: &[Arc<DnService>]) -> Vec<ResolverHandle> {
-    let cfg = ResolverConfig {
-        interval: Duration::from_millis(10),
-        in_doubt_after: Duration::from_millis(50),
-        abandon_active_after: Duration::from_millis(150),
-    };
-    dns.iter().map(|d| d.start_resolver(Arc::clone(net), cfg).unwrap()).collect()
-}
-
+/// Whether every DN is left with nothing active and nothing in doubt
+/// within `timeout` (looked at once at least).
 fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
     let deadline = std::time::Instant::now() + timeout;
-    while std::time::Instant::now() < deadline {
+    loop {
         if dns.iter().all(|d| !d.engine.has_active_txns() && d.in_doubt_count() == 0) {
             return true;
         }
+        if std::time::Instant::now() >= deadline {
+            return false;
+        }
         std::thread::sleep(Duration::from_millis(5));
     }
-    false
 }
 
 /// The acceptance scenario: cross-DC links drop >= 5% of messages and
@@ -112,8 +114,7 @@ fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
 fn two_pc_atomic_under_lossy_duplicating_links() {
     let seed = seed_from_env(0xC4A0_5EED);
     eprintln!("two_pc_atomic_under_lossy_duplicating_links: POLARDBX_TEST_SEED={}", format_seed(seed));
-    let (net, coord, dns) = chaos_cluster();
-    let _resolvers = start_resolvers(&net, &dns);
+    let (net, coord, dns, _db) = cluster(3, RESOLVE);
     net.set_fault_plan(
         FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.08).with_duplicate(0.05)),
     );
@@ -175,15 +176,14 @@ fn coordinator_crash_mid_prepare_aborts_through_a_refusal() {
 }
 
 fn crash_mid_prepare_aborts_through_a_refusal(staged: bool) {
-    let (net, coord, dns) = chaos_cluster();
-    let _resolvers = start_resolvers(&net, &dns);
+    let (net, coord, dns, _db) = cluster(3, RESOLVE);
     // The CN's sends: two Writes unless staged, then Prepare to DN2 and to
     // DN3 — the CN dies on that last one.
     let crash_at = if staged { 2 } else { 4 };
     net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-        from: NodeId(9),
+        from: CN,
         after_sends: crash_at,
-        fault: OneShotFault::Crash(NodeId(9)),
+        fault: OneShotFault::Crash(CN),
     }));
 
     let mut txn = coord.begin();
@@ -205,19 +205,18 @@ fn crash_mid_prepare_aborts_through_a_refusal(staged: bool) {
 /// votes alone commit it, at the coordinator's own timestamp.
 #[test]
 fn coordinator_crash_after_the_votes_commits_through_the_peers() {
-    let (net, coord, dns) = chaos_cluster();
-    let _resolvers = start_resolvers(&net, &dns);
+    let (net, coord, dns, _db) = cluster(3, RESOLVE);
     let net_fp = Arc::clone(&net);
     let coord = coord.with_failpoint(Arc::new(move |point| {
         if point == "txn.after_votes" {
-            net_fp.crash(NodeId(9));
+            net_fp.crash(CN);
         }
     }));
 
     let mut txn = coord.begin();
     let trx = txn.id();
-    txn.write(NodeId(2), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
-    txn.write(NodeId(3), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
+    txn.write(DN2, TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
+    txn.write(DN3, TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
     let commit_ts = txn.commit().expect("every vote was yes; the commit stands");
 
     assert!(await_drained(&dns, Duration::from_secs(5)), "prepared txns must resolve");
@@ -267,7 +266,7 @@ impl Handler<TxnMsg> for FirstPrepareHook {
 /// application would be a DuplicateKey) and repeat the same vote.
 #[test]
 fn lost_reply_of_a_write_carrying_prepare_is_retried_without_reapplying() {
-    let (net, coord, dns) = chaos_cluster();
+    let (net, coord, dns, _db) = cluster(3, BY_HAND);
     // Every reply DN2 → CN is dropped until the hook lifts the plan. A call
     // rolls its reply against the plan in force when its request left, so
     // lifting it while the first Prepare is being served loses exactly that
@@ -280,7 +279,7 @@ fn lost_reply_of_a_write_carrying_prepare_is_retried_without_reapplying() {
         prepares_seen: Default::default(),
         votes: Default::default(),
     });
-    net.register(NodeId(2), DcId(2), Arc::clone(&dn2) as Arc<dyn Handler<TxnMsg>>);
+    net.register(DN2, DcId(2), Arc::clone(&dn2) as Arc<dyn Handler<TxnMsg>>);
 
     let mut txn = coord.begin();
     assert!(write_pair(&mut txn, 7, 7, true));
@@ -303,13 +302,13 @@ fn lost_reply_of_a_write_carrying_prepare_is_retried_without_reapplying() {
 /// must not fail the transaction with a DuplicateKey against itself.
 #[test]
 fn duplicated_commit_round_applies_a_staged_insert_once() {
-    let (net, coord, dns) = chaos_cluster();
+    let (net, coord, dns, _db) = cluster(3, BY_HAND);
     net.set_fault_plan(FaultPlan::new(1).with_cross_dc(LinkFaults::none().with_duplicate(1.0)));
     let mut txn = coord.begin();
     assert!(write_pair(&mut txn, 1, 1, true));
     txn.commit().expect("2PC: a duplicated Prepare must not re-apply its Insert");
     let mut txn = coord.begin();
-    txn.stage_write(NodeId(3), TableId(1), key(2), WireWriteOp::Insert(row(2)));
+    txn.stage_write(DN3, TableId(1), key(2), WireWriteOp::Insert(row(2)));
     txn.commit().expect("one-phase: a duplicated CommitLocal must not re-apply its Insert");
     net.clear_fault_plan();
 
@@ -346,25 +345,20 @@ impl LogSink for StalledSink {
 /// would commit what this DN aborts.
 #[test]
 fn a_prepare_still_persisting_casts_no_vote() {
-    let net = SimNet::new(LatencyMatrix::zero());
-    let sink = Arc::new(StalledSink { inner: VecSink::new(), verdict: Mutex::new(None) });
-    let engines = [StorageEngine::with_sink(Arc::clone(&sink) as _), StorageEngine::in_memory()];
-    let dns: Vec<Arc<DnService>> = (1..=2u64)
-        .zip(engines)
-        .map(|(n, engine)| {
-            engine.create_table(TableId(1), TenantId(1));
-            let dn = DnService::new(NodeId(n), engine, Hlc::new());
-            net.register(NodeId(n), DcId(n), dn.clone() as Arc<dyn Handler<TxnMsg>>);
-            dn
-        })
-        .collect();
+    let (net, _coord, dns, db) = cluster(2, BY_HAND);
+    let sink = Arc::new(StalledSink {
+        inner: Arc::clone(db.dn(0).rw.log_sink()),
+        verdict: Mutex::new(None),
+    });
+    let log = LogBuffer::new(Arc::clone(&sink) as Arc<dyn LogSink>);
+    dns[0].engine.pipeline().replace_sink(LocalEpochSink::new(log), EpochConfig::default());
     let now = ResolverConfig { in_doubt_after: Duration::ZERO, ..Default::default() };
     let prepare = |dn: &DnService, trx: TrxId, k: i64| {
         let op = WireWriteOp::Insert(row(k));
         let write = TxnMsg::Write { trx, snapshot_ts: 1, table: TableId(1), key: key(k), op };
-        assert!(matches!(dn.handle(NodeId(9), write), TxnMsg::Ok));
-        let peers = vec![NodeId(1), NodeId(2)];
-        dn.handle(NodeId(9), TxnMsg::Prepare { trx, staged: Default::default(), peers })
+        assert!(matches!(dn.handle(CN, write), TxnMsg::Ok));
+        let peers = vec![DN1, DN2];
+        dn.handle(CN, TxnMsg::Prepare { trx, staged: Default::default(), peers })
     };
     // DN2 voted yes, durably; DN1's prepare record waits on the sink.
     for (trx, persists) in [(TrxId(5), false), (TrxId(6), true)] {
@@ -376,7 +370,7 @@ fn a_prepare_still_persisting_casts_no_vote() {
             while !matches!(dns[0].engine.txn_state(trx), Some(TxnState::Prepared { .. })) {
                 std::thread::yield_now();
             }
-            let asked = dns[0].handle(NodeId(2), TxnMsg::Vote { trx });
+            let asked = dns[0].handle(DN2, TxnMsg::Vote { trx });
             assert!(matches!(asked, TxnMsg::Failed(_)), "a vote not yet durable: {asked:?}");
             dns[1].resolve_once(&net, &now);
             assert_eq!(dns[1].in_doubt_count(), 1, "DN2 must stay in doubt");
@@ -384,7 +378,7 @@ fn a_prepare_still_persisting_casts_no_vote() {
             let vote = voting.join().unwrap();
             assert_eq!(matches!(vote, TxnMsg::Prepared { .. }), persists, "{vote:?}");
         });
-        let asked = dns[0].handle(NodeId(2), TxnMsg::Vote { trx });
+        let asked = dns[0].handle(DN2, TxnMsg::Vote { trx });
         assert_eq!(matches!(asked, TxnMsg::Voted(Vote::Prepared(_))), persists, "{asked:?}");
         // DN2 now hears the durable answer: a refusal aborts, two yeses commit.
         dns[1].resolve_once(&net, &now);
@@ -403,7 +397,7 @@ fn a_prepare_still_persisting_casts_no_vote() {
 /// heal, then resolver-driven settlement. Returns everything observable
 /// that must be identical across same-seed runs.
 fn seeded_run(seed: u64) -> (Vec<bool>, Vec<(bool, bool)>, [u64; 5]) {
-    let (net, coord, dns) = chaos_cluster();
+    let (net, coord, dns, _db) = cluster(3, BY_HAND);
     net.set_fault_plan(
         FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.10).with_duplicate(0.08)),
     );
@@ -425,10 +419,20 @@ fn seeded_run(seed: u64) -> (Vec<bool>, Vec<(bool, bool)>, [u64; 5]) {
         net.fault_stats.duplicated_calls.get(),
         net.fault_stats.duplicated_posts.get(),
     ];
-    // Heal, then let resolvers settle the leftovers over reliable links.
+    // Heal, then settle the leftovers by their votes over reliable links:
+    // ask every peer now, and refuse what never voted.
     net.clear_fault_plan();
-    let _resolvers = start_resolvers(&net, &dns);
-    assert!(await_drained(&dns, Duration::from_secs(5)));
+    let settle = ResolverConfig {
+        in_doubt_after: Duration::ZERO,
+        abandon_active_after: Duration::ZERO,
+        ..RESOLVE
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !await_drained(&dns, Duration::ZERO) && std::time::Instant::now() < deadline {
+        dns.iter().for_each(|dn| dn.resolve_once(&net, &settle));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(await_drained(&dns, Duration::ZERO));
     let state = (0..15i64)
         .map(|i| {
             (
@@ -478,8 +482,7 @@ fn group_commit_chaos_settles_in_flight_txns() {
 
     let seed = seed_from_env(0x6C0_FFEE);
     eprintln!("group_commit_chaos_settles_in_flight_txns: POLARDBX_TEST_SEED={}", format_seed(seed));
-    let (net, coord, dns) = chaos_cluster();
-    let _resolvers = start_resolvers(&net, &dns);
+    let (net, coord, dns, _db) = cluster(3, RESOLVE);
     net.set_fault_plan(
         FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.08).with_duplicate(0.05)),
     );
@@ -491,7 +494,7 @@ fn group_commit_chaos_settles_in_flight_txns() {
     let commits_fp = Arc::clone(&commits_seen);
     let coord = Arc::new(coord.with_failpoint(Arc::new(move |point| {
         if point == "txn.after_votes" && commits_fp.fetch_add(1, Ordering::SeqCst) + 1 == 12 {
-            net_fp.crash(NodeId(9));
+            net_fp.crash(CN);
         }
     })));
 
@@ -507,9 +510,9 @@ fn group_commit_chaos_settles_in_flight_txns() {
                         let n = w * 100 + i;
                         let mut txn = coord.begin();
                         let wrote = txn
-                            .write(NodeId(2), TableId(1), key(n), WireWriteOp::Insert(row(n)))
+                            .write(DN2, TableId(1), key(n), WireWriteOp::Insert(row(n)))
                             .and_then(|_| {
-                                txn.write(NodeId(3), TableId(1), key(n), WireWriteOp::Insert(row(n)))
+                                txn.write(DN3, TableId(1), key(n), WireWriteOp::Insert(row(n)))
                             })
                             .is_ok();
                         if wrote {
@@ -625,7 +628,7 @@ fn consensus_converges_after_leader_crash_under_loss() {
     // leader's heartbeats drive the ack/resend repair loop, so the
     // restarted node gets backfilled even if an append races its restart.
     g.net.clear_fault_plan();
-    g.net.restart(leader.me);
+    g.net.restart_resume(leader.me);
     let new_ticker = follower.start_ticker(Duration::from_millis(5), Duration::from_secs(30)).unwrap();
     let final_lsn = follower
         .replicate_and_wait(&[paxos_payload(99)], Duration::from_secs(2))

@@ -11,21 +11,17 @@ use std::time::{Duration, Instant};
 
 use polardbx::{ClusterConfig, PolarDbx};
 use polardbx_common::testseed::{format_seed, seed_from_env};
-use polardbx_common::{
-    DcId, Error, IdGenerator, Key, NodeId, Row, TableId, TenantId, TenantQuotas, TrxId, Value,
-};
+use polardbx_common::{DcId, Error, Key, NodeId, Row, TableId, TenantId, TenantQuotas, TrxId, Value};
 use polardbx_front::{FrontClient, FrontDoor};
 use polardbx_optimizer::WorkloadClass;
 use rand::{Rng, SeedableRng};
 use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
 use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
+use polardbx_sitcheck::bank::{stress_seeded, BankHarness};
 use polardbx_storage::engine::RedoApplier;
 use polardbx_storage::{StorageEngine, TxnState, WriteOp};
-use polardbx_txn::{
-    checker, Coordinator, DnService, ResolverConfig, ResolverHandle, TxnConfig, TxnMsg,
-    WireWriteOp,
-};
+use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp};
 
 fn key(n: i64) -> Key {
     Key::encode(&[Value::Int(n)])
@@ -35,41 +31,37 @@ fn row(n: i64) -> Row {
     Row::new(vec![Value::Int(n), Value::str("v")])
 }
 
-/// Fabric, coordinator, DN services and their resolver threads.
-type ResolverCluster = (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>, Vec<ResolverHandle>);
+/// Fabric, coordinator, DN services and the cluster running their
+/// resolvers.
+type ResolverCluster = (Arc<SimNet<TxnMsg>>, Coordinator, Vec<Arc<DnService>>, PolarDbx);
+
+/// The cluster's two DNs (DC1, DC2), by the ids it gives them.
+const DN1: NodeId = NodeId(1000);
+const DN2: NodeId = NodeId(1001);
 
 /// Two DNs in two DCs with running in-doubt resolvers, plus a CN in DC1.
 fn resolver_cluster() -> ResolverCluster {
-    struct CnStub;
-    impl Handler<TxnMsg> for CnStub {
-        fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-            m
-        }
-    }
-    let net = SimNet::new(LatencyMatrix::zero());
-    let resolver_cfg = ResolverConfig {
-        interval: Duration::from_millis(10),
-        in_doubt_after: Duration::from_millis(40),
-        abandon_active_after: Duration::from_millis(80),
-    };
-    let mut dns = Vec::new();
-    let mut resolvers = Vec::new();
-    for i in 1..=2u64 {
-        let engine = StorageEngine::in_memory();
-        engine.create_table(TableId(1), TenantId(1));
-        let dn = DnService::new(NodeId(i), engine, Hlc::new());
-        net.register(NodeId(i), DcId(i), dn.clone() as Arc<dyn Handler<TxnMsg>>);
-        resolvers.push(dn.start_resolver(Arc::clone(&net), resolver_cfg).unwrap());
-        dns.push(dn);
-    }
-    net.register(NodeId(9), DcId(1), Arc::new(CnStub));
-    let coord = Coordinator::new(NodeId(9), Arc::clone(&net), Hlc::new(), Arc::new(IdGenerator::new()))
-        .with_config(TxnConfig {
-            max_attempts: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-        });
-    (net, coord, dns, resolvers)
+    let db = PolarDbx::builder(ClusterConfig { dcs: 2, cns_per_dc: 1, dns: 2, ..Default::default() })
+        .resolver_timing(ResolverConfig {
+            interval: Duration::from_millis(10),
+            in_doubt_after: Duration::from_millis(40),
+            abandon_active_after: Duration::from_millis(80),
+        })
+        .build()
+        .unwrap();
+    let dns = (0..2)
+        .map(|i| {
+            let dn = db.dn(i);
+            dn.rw.create_table(TableId(1));
+            Arc::clone(&dn.service)
+        })
+        .collect();
+    let coord = db.coordinator(0, Hlc::new()).with_config(TxnConfig {
+        max_attempts: 2,
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(2),
+    });
+    (Arc::clone(db.net()), coord, dns, db)
 }
 
 fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
@@ -89,10 +81,10 @@ fn await_drained(dns: &[Arc<DnService>], timeout: Duration) -> bool {
 /// voted and refuses — the transaction aborts on both.
 #[test]
 fn partition_during_prepare_drains_after_heal() {
-    let (net, coord, dns, _resolvers) = resolver_cluster();
+    let (net, coord, dns, _db) = resolver_cluster();
     let mut txn = coord.begin();
-    txn.write(NodeId(1), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
-    txn.write(NodeId(2), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
+    txn.write(DN1, TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
+    txn.write(DN2, TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
     net.partition(DcId(1), DcId(2));
     let err = txn.commit().unwrap_err();
     assert!(matches!(err, Error::InDoubt { .. }), "a partitioned vote is unheard: {err:?}");
@@ -109,7 +101,7 @@ fn partition_during_prepare_drains_after_heal() {
 /// never "half gone".
 #[test]
 fn partition_after_the_votes_drains_after_heal() {
-    let (net, coord, dns, _resolvers) = resolver_cluster();
+    let (net, coord, dns, _db) = resolver_cluster();
     // Sever the cross-DC link exactly after the votes are in and before
     // phase-two posts go out.
     let net_fp = Arc::clone(&net);
@@ -119,8 +111,8 @@ fn partition_after_the_votes_drains_after_heal() {
         }
     }));
     let mut txn = coord.begin();
-    txn.write(NodeId(1), TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
-    txn.write(NodeId(2), TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
+    txn.write(DN1, TableId(1), key(1), WireWriteOp::Insert(row(1))).unwrap();
+    txn.write(DN2, TableId(1), key(2), WireWriteOp::Insert(row(2))).unwrap();
     let commit_ts = txn.commit().expect("every vote was yes; commit succeeds");
     // DN2 is stranded PREPARED behind the partition.
     std::thread::sleep(Duration::from_millis(30));
@@ -241,6 +233,60 @@ fn a_dn_that_misses_phase_two_settles_through_its_peers() {
     assert_eq!(s.execute(&update(2)).unwrap(), 2);
     std::thread::sleep(2 * ResolverConfig::default().in_doubt_after + Duration::from_millis(50));
     assert_eq!(votes.load(Ordering::SeqCst), asked, "a statement that met no fault sent a Vote");
+    db.shutdown();
+}
+
+/// `PolarDbx::restart_amnesia` under a `Session`: rows acked before the
+/// crash are read after the restart, an UPDATE the crash left PREPARED on
+/// the DN — its phase two never arrived — settles through its peer and
+/// moves each of its rows once, and the RO replicas keep following.
+#[test]
+fn an_amnesia_restart_keeps_acked_rows_and_settles_a_prepared_update_once() {
+    let db = PolarDbx::build(ClusterConfig { dns: 2, ros_per_dn: 1, ..Default::default() }).unwrap();
+    let s = db.connect(DcId(1));
+    s.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))").unwrap();
+    let values: Vec<String> = (0..16).map(|i| format!("({i}, 0)")).collect();
+    s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
+    db.ship_now(); // the insert's phase two
+    let victim = db.dn(0);
+    let home = |id: i64| s.route("t", &[Value::Int(id)]).unwrap().1;
+    let a = (0..16).find(|&id| home(id) == victim.id).unwrap();
+    let b = (0..16).find(|&id| home(id) != victim.id).unwrap();
+    let wrapped = Arc::new(PhaseTwoLoss {
+        inner: Arc::clone(&victim.service),
+        lossy: true,
+        votes: Arc::new(AtomicU64::new(0)),
+        swallowed: Mutex::new(None),
+    });
+    db.net().register(victim.id, victim.dc, Arc::clone(&wrapped) as Arc<dyn Handler<TxnMsg>>);
+
+    // Acked once both DNs voted; the victim never hears the decision.
+    assert_eq!(s.execute(&format!("UPDATE t SET v = v + 1 WHERE id IN ({a}, {b})")).unwrap(), 2);
+    while wrapped.swallowed.lock().unwrap().is_none() {
+        std::thread::yield_now();
+    }
+    db.net().crash(victim.id);
+    let report = db.restart_amnesia(0).unwrap();
+    assert!(report.committed > 0 && report.in_doubt.len() == 1, "{report:?}");
+
+    // The read waits out the PREPARED rows until the restarted DN's
+    // resolver learns the commit from its peer.
+    let rows = |s: &polardbx::Session| -> Vec<(i64, i64)> {
+        let int = |v: &Value| v.as_int().unwrap();
+        let rows = s.query("SELECT id, v FROM t ORDER BY id").unwrap();
+        rows.iter().map(|r| (int(r.get(0).unwrap()), int(r.get(1).unwrap()))).collect()
+    };
+    let moved = |id: i64| i64::from(id == a || id == b);
+    assert_eq!(rows(&s), (0..16).map(|id| (id, moved(id))).collect::<Vec<_>>());
+    assert_eq!(db.dn(0).service.in_doubt_count(), 0);
+    // The restarted DN takes writes again.
+    assert_eq!(s.execute("UPDATE t SET v = v + 1 WHERE id < 16").unwrap(), 16);
+    assert_eq!(rows(&s), (0..16).map(|id| (id, moved(id) + 1)).collect::<Vec<_>>());
+    // The replicas follow the restarted DN's feed from where it stopped.
+    db.gms().record_rows("t", 10_000_000);
+    let (sum, class) = s.query_classified("SELECT SUM(v) FROM t").unwrap();
+    assert_eq!(db.dn(0).rw.ros().len(), 1);
+    assert_eq!((sum[0].get(0).unwrap(), class), (&Value::Int(18), WorkloadClass::Ap));
     db.shutdown();
 }
 
@@ -429,38 +475,22 @@ fn paxos_backed_engine_survives_failover() {
 /// harness's audits always see the conserved total with 1 ms RTTs.
 #[test]
 fn bank_invariant_under_cross_dc_latency() {
-    struct CnStub;
-    impl Handler<TxnMsg> for CnStub {
-        fn handle(&self, _f: NodeId, m: TxnMsg) -> TxnMsg {
-            m
-        }
-    }
-    let net = SimNet::new(LatencyMatrix {
+    let latency = LatencyMatrix {
         intra_dc: Duration::from_micros(20),
         inter_dc: Duration::from_micros(200),
         jitter: 0.05,
-    });
-    let mut dns = Vec::new();
-    for i in 1..=3u64 {
-        let engine = StorageEngine::in_memory();
-        engine.create_table(TableId(1), TenantId(1));
-        let dn = DnService::new(NodeId(i), engine, Hlc::new());
-        net.register(NodeId(i), DcId(i), dn as Arc<dyn Handler<TxnMsg>>);
-        dns.push(NodeId(i));
-    }
-    let ids = Arc::new(IdGenerator::new());
-    let mut coords = Vec::new();
-    for c in 0..3u64 {
-        let me = NodeId(100 + c);
-        net.register(me, DcId(1 + c), Arc::new(CnStub));
-        coords.push(Arc::new(Coordinator::new(me, Arc::clone(&net), Hlc::new(), Arc::clone(&ids))));
-    }
-    let harness = Arc::new(checker::BankHarness { table: TableId(1), dns, accounts: 9, initial: 100 });
+    };
+    let db = PolarDbx::build(ClusterConfig { dcs: 3, cns_per_dc: 1, dns: 3, latency, ..Default::default() })
+        .unwrap();
+    let dns: Vec<NodeId> = db.dns().iter().map(|dn| dn.id).collect();
+    db.dns().iter().for_each(|dn| dn.rw.create_table(TableId(1)));
+    let coords: Vec<_> = (0..3).map(|c| Arc::new(db.coordinator(c, Hlc::new()))).collect();
+    let harness = Arc::new(BankHarness { table: TableId(1), dns, accounts: 9, initial: 100 });
     harness.seed(&coords[0]).unwrap();
     std::thread::sleep(Duration::from_millis(3));
     let seed = seed_from_env(0xBA2C_0000);
     eprintln!("bank_invariant_under_cross_dc_latency: POLARDBX_TEST_SEED={}", format_seed(seed));
-    let totals = checker::stress_seeded(Arc::clone(&harness), coords.clone(), 3, 10, 2, seed);
+    let totals = stress_seeded(Arc::clone(&harness), coords.clone(), 3, 10, 2, seed);
     assert!(!totals.is_empty());
     for t in totals {
         assert_eq!(

@@ -5,6 +5,7 @@
 //! graph must stay acyclic. Run `cargo run -p polardbx-lint -- --workspace`
 //! for the full report.
 
+use polardbx_lint::census::CLASSES;
 use polardbx_lint::{lint_workspace, LintConfig, LintReport};
 use std::sync::OnceLock;
 
@@ -43,5 +44,31 @@ fn the_commit_pipeline_is_reached_from_the_product() {
         let entry = report.census.iter().find(|c| c.item == item);
         let reached = entry.map(|c| c.reached_from()).unwrap_or_else(|| panic!("{item}: not in the census"));
         assert!(reached.contains(&"product"), "{item} is reached only from {reached:?}");
+    }
+}
+
+/// One cluster for every harness: DNs and coordinators are built by
+/// `PolarDbx` (`crates/core/src/cluster.rs`), by `txn`'s own unit tests and
+/// by the Fig 7 harness, whose TSO-SI and Clock-SI baselines no `PolarDbx`
+/// runs — nowhere else. The census says no checker names a constructor;
+/// the suites and examples are read for one, and for a fabric stub.
+#[test]
+fn dns_and_coordinators_are_built_only_by_the_cluster() {
+    let checker = 1 << CLASSES.iter().position(|&c| c == "checker").expect("a checker class");
+    for item in ["txn::participant::DnService::new", "txn::coordinator::Coordinator::new"] {
+        let entry = report().census.iter().find(|c| c.item == item);
+        let entry = entry.unwrap_or_else(|| panic!("{item}: not in the census"));
+        assert_eq!(entry.direct & checker, 0, "{item} is called from a checker");
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for dir in ["tests", "examples"] {
+        for file in std::fs::read_dir(root.join(dir)).expect("list sources") {
+            let path = file.expect("list sources").path();
+            let src = std::fs::read_to_string(&path).unwrap_or_default();
+            for hand_built in ["DnService::new(", "Coordinator::new(", "struct CnStub"] {
+                let found = src.contains(hand_built) && !path.ends_with(file!());
+                assert!(!found, "{} builds its own cluster ({hand_built}…)", path.display());
+            }
+        }
     }
 }
