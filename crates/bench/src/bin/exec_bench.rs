@@ -146,7 +146,7 @@ fn main() {
     // interleaved (row, vectorized, row, …) so transient host noise lands
     // on both engines rather than skewing one measurement block; best-of
     // is taken per engine.
-    let pool = WorkloadManager::new(WORKERS, WORKERS, 1.0, 1.0);
+    let pool = WorkloadManager::new(WORKERS, 1.0, 1.0);
     let mpp = MppExecutor::with_pool(WORKERS, pool);
     let ctx = ExecCtx::unrestricted();
     // Warm-up both engines, then reset the counters so the report reflects

@@ -13,9 +13,9 @@ use std::time::Duration;
 use crate::time::mono_now;
 
 /// A gauge of work in flight, shared by `Arc`: every [`InFlight::enter`]
-/// counts one unit until its guard drops. The CN's TP pool and its
-/// coordinators raise one together, and the AP governor paces only while
-/// it is up.
+/// counts one unit until its guard drops. The CN's running TP jobs and
+/// its coordinators raise one together, and the AP governor paces only
+/// while it is up.
 #[derive(Debug, Clone, Default)]
 pub struct InFlight(Arc<AtomicU64>);
 

@@ -34,7 +34,8 @@ pub struct Gms {
     owners: RwLock<HashMap<TableId, TenantId>>,
     /// Table-group → anchor table placements (shared shard placement).
     group_anchor: RwLock<HashMap<String, TableId>>,
-    stats: RwLock<Statistics>,
+    /// Shared by every statement that reads it; writers copy on write.
+    stats: RwLock<Arc<Statistics>>,
     table_ids: IdGenerator,
     /// Auto-increment sequences for implicit primary keys.
     sequences: RwLock<HashMap<TableId, Arc<IdGenerator>>>,
@@ -56,7 +57,7 @@ impl Gms {
             placement: RwLock::new(HashMap::new()),
             owners: RwLock::new(HashMap::new()),
             group_anchor: RwLock::new(HashMap::new()),
-            stats: RwLock::new(Statistics::new()),
+            stats: RwLock::new(Arc::new(Statistics::new())),
             table_ids: IdGenerator::new(),
             sequences: RwLock::new(HashMap::new()),
             dns: RwLock::new(Vec::new()),
@@ -158,7 +159,7 @@ impl Gms {
         if schema.implicit_pk {
             self.sequences.write().insert(schema.id, Arc::new(IdGenerator::new()));
         }
-        self.stats.write().set(
+        Arc::make_mut(&mut self.stats.write()).set(
             &name,
             TableStats { rows: 0, avg_row_bytes: 100, ..Default::default() },
         );
@@ -229,13 +230,14 @@ impl Gms {
     }
 
     /// Current statistics snapshot.
-    pub fn statistics(&self) -> Statistics {
-        self.stats.read().clone()
+    pub fn statistics(&self) -> Arc<Statistics> {
+        Arc::clone(&self.stats.read())
     }
 
     /// Bump a table's row-count estimate by `delta` rows.
     pub fn record_rows(&self, name: &str, delta: i64) {
         let mut stats = self.stats.write();
+        let stats = Arc::make_mut(&mut stats);
         let mut ts = stats.get(name);
         ts.rows = (ts.rows as i64 + delta).max(0) as u64;
         stats.set(name, ts);
@@ -245,6 +247,7 @@ impl Gms {
     /// row/column choice, §VI-E).
     pub fn set_column_index(&self, name: &str, enabled: bool) {
         let mut stats = self.stats.write();
+        let stats = Arc::make_mut(&mut stats);
         let mut ts = stats.get(name);
         ts.has_column_index = enabled;
         stats.set(name, ts);

@@ -291,19 +291,16 @@ impl Session {
             WorkloadClass::Ap => Reservation::ap(Arc::clone(&self.inner.memory), bytes)?,
         };
         let snapshot_ts = self.cn.coordinator.clock().now().raw();
-        let provider: Arc<dyn TableProvider> =
-            Arc::new(self.build_provider(&plan, class, stats, snapshot_ts)?);
-        let inner = Arc::clone(&self.inner);
+        let provider = self.build_provider(&plan, class, stats, snapshot_ts)?;
+        let workload = &self.inner.workload;
         match class {
             WorkloadClass::Tp => {
-                // TP pool with a slice; overruns demote to AP, then slow
-                // (§VI-D's misclassification recovery).
-                let plan = Arc::new(plan);
-                let mgr = Arc::clone(&inner.workload);
-                let (result, _pool) =
-                    run_with_demotion(&mgr, JobClass::Tp, move |deadline, governor| {
+                // On this thread under the TP slice; overruns demote to AP,
+                // then slow (§VI-D's misclassification recovery).
+                let (result, _class) =
+                    run_with_demotion(workload, JobClass::Tp, move |deadline, governor| {
                         let ctx = ExecCtx::with_ticks(TickState::new(governor, deadline));
-                        match execute_plan(&plan, provider.as_ref(), &ctx) {
+                        match execute_plan(&plan, &provider, &ctx) {
                             Err(Error::Throttled { .. }) => None, // slice expired
                             other => Some(other),
                         }
@@ -314,14 +311,11 @@ impl Session {
                 // The MPP engine borrows morsel workers from the CN's own
                 // persistent pools, so concurrent AP queries share workers
                 // (under the AP governor) instead of each spawning threads.
-                let mpp = MppExecutor::with_pool(
-                    inner.config.mpp_workers,
-                    Arc::clone(&inner.workload),
-                );
-                let governor = inner.workload.governor_for(JobClass::Ap);
-                let plan = plan.clone();
-                let mgr = Arc::clone(&inner.workload);
-                mgr.run(JobClass::Ap, move || {
+                let mpp =
+                    MppExecutor::with_pool(self.inner.config.mpp_workers, Arc::clone(workload));
+                let governor = workload.governor_for(JobClass::Ap);
+                let provider: Arc<dyn TableProvider> = Arc::new(provider);
+                workload.run(JobClass::Ap, move || {
                     let ctx = ExecCtx::with_ticks(TickState::new(governor, None));
                     mpp.execute(&plan, &provider, &ctx)
                 })

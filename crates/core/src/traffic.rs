@@ -39,14 +39,17 @@ pub fn fingerprint(sql: &str) -> String {
                 out.push('?');
             }
             c if c.is_whitespace() => {
-                if !out.ends_with(' ') {
+                if !out.is_empty() && !out.ends_with(' ') {
                     out.push(' ');
                 }
             }
             c => out.push(c.to_ascii_lowercase()),
         }
     }
-    out.trim().to_string()
+    if out.ends_with(' ') {
+        out.pop();
+    }
+    out
 }
 
 #[derive(Debug, Default, Clone)]
@@ -104,7 +107,11 @@ impl TrafficControl {
         let fp = fingerprint(sql);
         let auto = self.auto.load(Ordering::Relaxed);
         let mut stats = self.stats.lock();
-        let entry = stats.entry(fp.clone()).or_default();
+        // Only a new fingerprint allocates its key.
+        if !stats.contains_key(&fp) {
+            stats.insert(fp.clone(), FingerprintStats::default());
+        }
+        let entry = stats.get_mut(&fp).expect("inserted above");
         if let Some(limit) = entry.limit {
             if entry.current >= limit {
                 entry.rejected += 1;
@@ -190,6 +197,10 @@ mod tests {
         assert_ne!(
             fingerprint("SELECT * FROM t WHERE id = 1"),
             fingerprint("SELECT * FROM u WHERE id = 1")
+        );
+        assert_eq!(
+            fingerprint(" \tSELECT  x FROM t WHERE id = 7 \n"),
+            "select x from t where id = ?"
         );
     }
 

@@ -23,11 +23,11 @@
 //!   columnar [`batch::RowBatch`]es (selection vectors, typed lanes,
 //!   hashed key slots) and the operator library over them (filter lanes,
 //!   projection, join build/probe, the hash-aggregation table).
-//! * [`scheduler`] — workload pools and the time-slicing discipline: the
-//!   TP pool is unrestricted, the AP and slow-AP pools run under CPU
-//!   governors that cap their share (standing in for cgroups), and a TP
-//!   job that overruns its slice is terminated and re-assigned to the AP
-//!   pool (§VI-D's misclassification recovery).
+//! * [`scheduler`] — workload classes and the time-slicing discipline: a
+//!   TP job runs unrestricted on the thread that received it, the AP and
+//!   slow-AP pools run under CPU governors that cap their share (standing
+//!   in for cgroups), and a TP job that overruns its slice is terminated
+//!   and re-assigned to the AP pool (§VI-D's misclassification recovery).
 //! * [`memory`] — TP/AP memory regions with asymmetric preemption: TP may
 //!   take AP memory and keep it until completion; AP must yield
 //!   immediately when TP asks (§VI-D).

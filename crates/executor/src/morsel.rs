@@ -51,7 +51,7 @@ pub fn shared_pool() -> Arc<WorkloadManager> {
     static POOL: OnceLock<Arc<WorkloadManager>> = OnceLock::new();
     Arc::clone(POOL.get_or_init(|| {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-        WorkloadManager::new(cores, cores, 1.0, 0.1)
+        WorkloadManager::new(cores, 1.0, 0.1)
     }))
 }
 
@@ -262,7 +262,7 @@ mod tests {
     use polardbx_common::Value;
 
     fn pool() -> Arc<WorkloadManager> {
-        WorkloadManager::new(2, 2, 1.0, 1.0)
+        WorkloadManager::new(2, 1.0, 1.0)
     }
 
     /// Sums column 0 and remembers which threads folded a batch.

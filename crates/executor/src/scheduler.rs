@@ -1,10 +1,13 @@
-//! Workload pools, CPU governors and time-slicing (§VI-C/D).
+//! Workload classes, CPU governors and time-slicing (§VI-C/D).
 //!
-//! The CN classifies query jobs into three pools:
+//! The CN classifies query jobs into three classes:
 //!
-//! * **TP Core Pool** — unrestricted CPU; but a job that runs longer than
-//!   its slice "will terminate its current time slice and be re-assigned
-//!   to AP Core Pool for subsequent execution";
+//! * **TP** — unrestricted CPU, on the thread that received the statement
+//!   (the connection thread of a wire client, the caller's own thread for
+//!   an embedded session). A TP job runs under its slice, and one that runs
+//!   longer "will terminate its current time slice and be re-assigned to
+//!   AP Core Pool for subsequent execution". The slice and the demotion
+//!   isolate TP; no pool of its own is needed for that;
 //! * **AP Core Pool** — CPU capped (cgroups in the paper, a cooperative
 //!   [`CpuGovernor`] here) while TP work is in flight;
 //! * **Slow Query AP Core Pool** — an even lower share for queries that
@@ -26,10 +29,10 @@ use polardbx_common::metrics::{Counter, InFlight};
 
 use crate::exec_metrics::exec_metrics;
 
-/// Which pool a job runs in.
+/// Which class a job runs in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobClass {
-    /// TP Core Pool.
+    /// TP: on the calling thread, under the TP slice.
     Tp,
     /// AP Core Pool.
     Ap,
@@ -125,12 +128,11 @@ fn spawn_pool(name: &str, threads: usize) -> Sender<Job> {
     tx
 }
 
-/// The CN's workload manager: three pools + governors + counters.
+/// The CN's workload manager: the two AP pools + governors + counters.
 pub struct WorkloadManager {
-    /// TP work in flight: jobs in the TP pool, plus the open transactions
-    /// of the coordinators that share it (`Coordinator::with_tp_work`).
+    /// TP work in flight: running TP jobs, plus the open transactions of
+    /// the coordinators that share it (`Coordinator::with_tp_work`).
     tp_work: InFlight,
-    tp: Sender<Job>,
     ap: Sender<Job>,
     slow: Sender<Job>,
     /// AP group governor (shared by all AP jobs).
@@ -150,16 +152,11 @@ pub struct WorkloadManager {
 }
 
 impl WorkloadManager {
-    /// Build with thread counts and CPU quotas for the AP groups.
-    pub fn new(
-        tp_threads: usize,
-        ap_threads: usize,
-        ap_quota: f64,
-        slow_quota: f64,
-    ) -> Arc<WorkloadManager> {
+    /// Build with the AP pool's thread count and CPU quotas for the AP
+    /// groups.
+    pub fn new(ap_threads: usize, ap_quota: f64, slow_quota: f64) -> Arc<WorkloadManager> {
         let tp_work = InFlight::new();
         Arc::new(WorkloadManager {
-            tp: spawn_pool("tp-core", tp_threads.max(1)),
             ap: spawn_pool("ap-core", ap_threads.max(1)),
             slow: spawn_pool("slow-ap", 1),
             ap_governor: CpuGovernor::new(ap_quota, tp_work.clone()),
@@ -173,10 +170,11 @@ impl WorkloadManager {
         })
     }
 
-    /// Typical CN sizing: TP gets the cores, AP a restricted slice.
+    /// Typical CN sizing: TP runs on the threads that receive statements,
+    /// AP gets half the cores and a restricted share.
     pub fn with_defaults() -> Arc<WorkloadManager> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8);
-        WorkloadManager::new(cores, (cores / 2).max(1), 0.5, 0.1)
+        WorkloadManager::new((cores / 2).max(1), 0.5, 0.1)
     }
 
     /// The TP-work gauge the governors read; a coordinator that shares it
@@ -208,28 +206,18 @@ impl WorkloadManager {
         }
     }
 
-    /// Submit a job to a pool.
+    /// Submit a job to an AP pool. TP has no pool: [`run_with_demotion`]
+    /// runs a TP job on the thread that received it.
     pub fn submit(&self, class: JobClass, job: impl FnOnce() + Send + 'static) {
         let pool = match class {
-            JobClass::Tp => &self.tp,
+            JobClass::Tp => unreachable!("a TP job runs on its caller's thread"),
             JobClass::Ap => &self.ap,
             JobClass::SlowAp => &self.slow,
         };
-        let job: Job = match class {
-            JobClass::Tp => {
-                // Queued or running, a TP job is TP work in flight.
-                let in_flight = self.tp_work.enter();
-                Box::new(move || {
-                    job();
-                    drop(in_flight);
-                })
-            }
-            JobClass::Ap | JobClass::SlowAp => Box::new(job),
-        };
-        let _ = pool.send(job);
+        let _ = pool.send(Box::new(job));
     }
 
-    /// Run a job synchronously in a pool and return its result.
+    /// Run an AP job synchronously in its pool and return its result.
     pub fn run<T: Send + 'static>(
         &self,
         class: JobClass,
@@ -244,43 +232,36 @@ impl WorkloadManager {
 }
 
 /// Helper implementing the slice-overrun → demote discipline: runs `job`
-/// in the TP pool with a deadline; on overrun the job aborts (it checks the
-/// deadline cooperatively) and re-runs in the AP pool, and so on to the
-/// slow pool. Returns the result together with the pool that completed it.
+/// with a deadline, a TP job on the calling thread; on overrun the job
+/// aborts (it checks the deadline cooperatively) and re-runs in the AP
+/// pool, and so on to the slow pool. Returns the result together with the
+/// class that completed it. Only a demoted job is moved to the heap.
 pub fn run_with_demotion<T: Send + 'static>(
-    mgr: &Arc<WorkloadManager>,
+    mgr: &WorkloadManager,
     start_class: JobClass,
     job: impl Fn(Option<Deadline>, Option<Arc<CpuGovernor>>) -> Option<T> + Send + Sync + 'static,
 ) -> (T, JobClass) {
-    let job = Arc::new(job);
     let mut class = start_class;
+    if class == JobClass::Tp {
+        let in_flight = mgr.tp_work.enter();
+        if let Some(v) = job(Some(Deadline::after(mgr.tp_slice)), None) {
+            return (v, class);
+        }
+        drop(in_flight);
+        mgr.tp_demotions.inc();
+        class = JobClass::Ap;
+    }
+    let job = Arc::new(job);
     loop {
-        let deadline = match class {
-            JobClass::Tp => Some(Deadline::after(mgr.tp_slice)),
-            JobClass::Ap => Some(Deadline::after(mgr.ap_slice)),
-            JobClass::SlowAp => None,
-        };
+        let deadline = (class == JobClass::Ap).then(|| Deadline::after(mgr.ap_slice));
         let governor = mgr.governor_for(class);
         let j = Arc::clone(&job);
-        let result = mgr.run(class, move || j(deadline, governor));
-        match result {
-            Some(v) => return (v, class),
-            None => {
-                class = match class {
-                    JobClass::Tp => {
-                        mgr.tp_demotions.inc();
-                        JobClass::Ap
-                    }
-                    JobClass::Ap => {
-                        mgr.ap_demotions.inc();
-                        JobClass::SlowAp
-                    }
-                    JobClass::SlowAp => {
-                        unreachable!("slow pool has no deadline")
-                    }
-                };
-            }
+        if let Some(v) = mgr.run(class, move || j(deadline, governor)) {
+            return (v, class);
         }
+        assert_eq!(class, JobClass::Ap, "the slow pool has no deadline");
+        mgr.ap_demotions.inc();
+        class = JobClass::SlowAp;
     }
 }
 
@@ -359,11 +340,38 @@ mod tests {
 
     #[test]
     fn pools_execute_jobs() {
-        let mgr = WorkloadManager::new(2, 2, 1.0, 1.0);
-        let out = mgr.run(JobClass::Tp, || 41 + 1);
-        assert_eq!(out, 42);
+        let mgr = WorkloadManager::new(2, 1.0, 1.0);
         let out = mgr.run(JobClass::Ap, || "ap".to_string());
         assert_eq!(out, "ap");
+        let out = mgr.run(JobClass::SlowAp, || 41 + 1);
+        assert_eq!(out, 42);
+    }
+
+    #[test]
+    fn a_tp_job_runs_on_the_callers_thread() {
+        let mgr = WorkloadManager::new(1, 0.5, 0.1);
+        let caller = std::thread::current().id();
+        let (ran_on, class) = run_with_demotion(&mgr, JobClass::Tp, |deadline, governor| {
+            assert!(deadline.is_some() && governor.is_none(), "TP runs ungoverned, in its slice");
+            Some(std::thread::current().id())
+        });
+        assert_eq!((ran_on, class), (caller, JobClass::Tp));
+        assert_eq!(mgr.tp_demotions.get(), 0);
+    }
+
+    #[test]
+    fn a_tp_job_that_overruns_its_slice_reruns_on_the_ap_pool() {
+        let mgr = WorkloadManager::new(1, 0.5, 0.1);
+        let caller = std::thread::current().id();
+        let (ran_on, class) = run_with_demotion(&mgr, JobClass::Tp, move |_, _| {
+            let me = std::thread::current();
+            // The TP attempt reports its slice expired; the AP re-run ends.
+            (me.id() != caller).then(|| me.name().map(str::to_string))
+        });
+        assert_eq!(class, JobClass::Ap);
+        assert!(ran_on.is_some_and(|name| name.starts_with("ap-core")), "re-run off the AP pool");
+        assert_eq!(mgr.tp_demotions.get(), 1);
+        assert_eq!(mgr.ap_demotions.get(), 0);
     }
 
     /// How long `g` takes over 200 paced quanta of 4 096 rows, and whether
@@ -406,11 +414,11 @@ mod tests {
 
     #[test]
     fn a_tp_job_is_tp_work_until_it_returns() {
-        let mgr = WorkloadManager::new(1, 1, 0.5, 0.1);
+        let mgr = WorkloadManager::new(1, 0.5, 0.1);
         assert!(!mgr.tp_work().any());
         let gauge = mgr.tp_work().clone();
-        assert!(mgr.run(JobClass::Tp, move || gauge.any()));
-        // The worker drops the job's guard right after the job hands back
+        assert!(run_with_demotion(&mgr, JobClass::Tp, move |_, _| Some(gauge.any())).0);
+        // The caller drops the job's guard right after the job hands back
         // its result.
         let deadline = mono_now() + Duration::from_secs(2);
         while mgr.tp_work().any() {
@@ -432,8 +440,8 @@ mod tests {
 
     #[test]
     fn misclassified_job_demotes_tp_to_ap() {
-        let mgr = WorkloadManager::new(2, 2, 1.0, 1.0);
-        // The job "runs long": it reports slice expiry in the TP pool, then
+        let mgr = WorkloadManager::new(2, 1.0, 1.0);
+        // The job "runs long": it reports slice expiry as a TP job, then
         // completes in the AP pool.
         let (result, class) = run_with_demotion(&mgr, JobClass::Tp, move |deadline, _gov| {
             if let Some(d) = deadline {
@@ -450,7 +458,7 @@ mod tests {
             }
             Some(7)
         });
-        // It must NOT have completed in the TP pool.
+        // It must NOT have completed as a TP job.
         assert_eq!(result, 7);
         assert_ne!(class, JobClass::Tp);
         assert!(mgr.tp_demotions.get() >= 1);
@@ -458,7 +466,7 @@ mod tests {
 
     #[test]
     fn isolation_switch_removes_governor() {
-        let mgr = WorkloadManager::new(1, 1, 0.5, 0.1);
+        let mgr = WorkloadManager::new(1, 0.5, 0.1);
         assert!(mgr.governor_for(JobClass::Ap).is_some());
         mgr.set_isolation(false);
         assert!(mgr.governor_for(JobClass::Ap).is_none());
@@ -469,7 +477,7 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_all_complete() {
-        let mgr = WorkloadManager::new(2, 2, 1.0, 1.0);
+        let mgr = WorkloadManager::new(2, 1.0, 1.0);
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..64 {
             let c = Arc::clone(&counter);

@@ -4,7 +4,7 @@
 //! classification, RO replicas, column index, workloads.
 
 use polardbx::{ClusterConfig, PolarDbx};
-use polardbx_common::{DcId, Value};
+use polardbx_common::{DcId, Error, Value};
 use polardbx_optimizer::WorkloadClass;
 
 fn cluster(dns: u32) -> PolarDbx {
@@ -82,13 +82,24 @@ fn snapshot_isolation_money_conservation_via_sql() {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     i = (i + 7) % 16;
                     let j = (i + 3) % 16;
-                    // Best-effort transfer; conflicts simply retry later.
-                    let _ = s.execute(&format!(
-                        "UPDATE bank SET balance = balance - 1 WHERE id = {i}"
-                    ));
-                    let _ = s.execute(&format!(
-                        "UPDATE bank SET balance = balance + 1 WHERE id = {j}"
-                    ));
+                    // A transfer is two statements, each retried until it
+                    // lands, so every −1 is followed by its +1: a half
+                    // transfer would create or destroy money.
+                    for sql in [
+                        format!("UPDATE bank SET balance = balance - 1 WHERE id = {i}"),
+                        format!("UPDATE bank SET balance = balance + 1 WHERE id = {j}"),
+                    ] {
+                        loop {
+                            match s.execute(&sql) {
+                                Ok(n) => {
+                                    assert_eq!(n, 1, "{sql}");
+                                    break;
+                                }
+                                Err(e) if matches!(e.root(), Error::WriteConflict { .. }) => {}
+                                Err(e) => panic!("{sql}: {e}"),
+                            }
+                        }
+                    }
                 }
             });
         }
@@ -101,11 +112,11 @@ fn snapshot_isolation_money_conservation_via_sql() {
                 for _ in 0..20 {
                     if let Ok(r) = s.query("SELECT SUM(balance) FROM bank") {
                         let total = r[0].get(0).unwrap().as_int().unwrap();
-                        // Single-statement transfers are not atomic pairs, so
-                        // totals may transiently differ by the in-flight gap;
-                        // but each SUM is one snapshot: it must never tear a
-                        // single UPDATE (which is atomic).
-                        if !(1500..=1700).contains(&total) {
+                        // A transfer is two statements, so a snapshot may
+                        // fall between a writer's −1 and its +1: each of the
+                        // 2 writers has at most one −1 not yet matched. Each
+                        // SUM is one snapshot and never tears an UPDATE.
+                        if !(1598..=1600).contains(&total) {
                             violations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
                     }

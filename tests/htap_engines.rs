@@ -166,7 +166,7 @@ fn ap_engine_reads_the_index_and_tp_engine_the_row_store() {
         assert!(partitions >= 1, "{sql}");
         counting.take("dim");
         for workers in [1, 4] {
-            let mpp = MppExecutor::with_pool(workers, WorkloadManager::new(2, 4, 1.0, 1.0));
+            let mpp = MppExecutor::with_pool(workers, WorkloadManager::new(4, 1.0, 1.0));
             let rows = sorted(mpp.execute(&plan, &provider, &ctx).unwrap());
             assert_eq!(rows, expect, "{workers} workers: {sql}");
             let (columnar, partitions) = counting.take("fact");
@@ -296,7 +296,7 @@ fn tpch_shapes_agree_across_engines_and_sources() {
         let rows_only: Arc<dyn TableProvider> = Arc::new(db.provider(false));
         let indexed: Arc<dyn TableProvider> = Arc::new(db.provider(true));
         let ctx = ExecCtx::unrestricted();
-        let pool = WorkloadManager::new(2, 4, 1.0, 1.0);
+        let pool = WorkloadManager::new(4, 1.0, 1.0);
         for q in 1..=22 {
             let plan = plan(&db, tpch::query_sql(q));
             let expect = execute_plan(&plan, rows_only.as_ref(), &ctx).unwrap();

@@ -826,7 +826,7 @@ fn mpp_vectorized_matches_serial_on_skewed_partitions() {
 
     let mut rng = rng_for("mpp_vectorized_matches_serial_on_skewed_partitions");
     let width = 3;
-    let pool = WorkloadManager::new(4, 4, 1.0, 1.0);
+    let pool = WorkloadManager::new(4, 1.0, 1.0);
     let mpp = MppExecutor::with_pool(4, pool);
     for case in 0..CASES / 4 {
         // Heavy skew: partition 0 carries most rows; some partitions empty.
