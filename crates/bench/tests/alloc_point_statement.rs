@@ -1,9 +1,14 @@
 //! Allocation ratchet for the point-statement path. After warm-up, one
-//! in-process `Session::query` point SELECT and one pushed `UPDATE … WHERE
-//! id = k` are counted, armed on the calling thread. A TP statement runs
-//! on the thread that received it, so the count covers admission, parse,
-//! plan, routing, execution and (for the UPDATE) the commit this thread
-//! waits on; work done on other threads (simnet delivery) is not counted.
+//! in-process `Session::query` point SELECT, one pushed `UPDATE … WHERE
+//! id = k` and one single-row INSERT are counted, armed on the calling
+//! thread. A TP statement runs
+//! on the thread that received it, so the count covers admission, the
+//! plan-cache hit (lex, bind) and the per-execution planning steps,
+//! routing, execution and (for the UPDATE) the commit this thread waits
+//! on; work done on other threads (simnet delivery) is not counted. Every
+//! counted SELECT and UPDATE is a plan-cache hit: the warm-up ran its
+//! shape. An INSERT skips the cache; its shape is admitted by traffic
+//! control, which allocates only for a shape it has not seen.
 //!
 //! The bounds are what the path allocates today, in an optimized build
 //! (an unoptimized one keeps clones the optimizer removes, so it only
@@ -15,9 +20,11 @@ use polardbx_bench::alloc_count;
 use polardbx_common::DcId;
 
 /// Allocations of one point SELECT.
-const SELECT_BOUND: u64 = 104;
+const SELECT_BOUND: u64 = 50;
 /// Allocations of one pushed single-key UPDATE.
-const UPDATE_BOUND: u64 = 102;
+const UPDATE_BOUND: u64 = 53;
+/// Allocations of one single-row INSERT.
+const INSERT_BOUND: u64 = 66;
 const ROWS: i64 = 64;
 const WARMUP: i64 = 2_000;
 const ROUNDS: i64 = 50;
@@ -40,8 +47,17 @@ fn update(s: &Session, k: i64) -> u64 {
     allocs
 }
 
+fn insert(s: &Session, k: i64) -> u64 {
+    let sql = format!("INSERT INTO b (id, v, pad) VALUES ({k}, 0, 'x')");
+    alloc_count::arm();
+    let affected = s.execute(&sql);
+    let allocs = alloc_count::disarm();
+    assert_eq!(affected.unwrap(), 1, "{sql}");
+    allocs
+}
+
 #[test]
-fn a_point_select_and_a_pushed_update_stay_within_their_allocation_bounds() {
+fn a_point_select_a_pushed_update_and_an_insert_stay_within_their_allocation_bounds() {
     if !alloc_count::ENABLED {
         eprintln!("count-alloc feature off — skipping");
         return;
@@ -60,16 +76,21 @@ fn a_point_select_and_a_pushed_update_stay_within_their_allocation_bounds() {
     for i in 0..WARMUP {
         select(&s, i % ROWS);
         update(&s, i % ROWS);
+        insert(&s, ROWS + i);
     }
     // The steady-state cost is the least seen over the rounds: a version
     // chain or a map now and then grows, which adds to one statement in
     // many.
-    let (mut of_select, mut of_update) = (u64::MAX, u64::MAX);
+    let (mut of_select, mut of_update, mut of_insert) = (u64::MAX, u64::MAX, u64::MAX);
     for i in 0..ROUNDS {
         of_select = of_select.min(select(&s, i % ROWS));
         of_update = of_update.min(update(&s, i % ROWS));
+        of_insert = of_insert.min(insert(&s, ROWS + WARMUP + i));
     }
-    eprintln!("a point SELECT allocates {of_select} times, a pushed UPDATE {of_update}");
+    eprintln!(
+        "a point SELECT allocates {of_select} times, a pushed UPDATE {of_update}, \
+         an INSERT {of_insert}"
+    );
     db.shutdown();
     if cfg!(debug_assertions) {
         return;
@@ -81,5 +102,9 @@ fn a_point_select_and_a_pushed_update_stay_within_their_allocation_bounds() {
     assert!(
         of_update <= UPDATE_BOUND,
         "a pushed UPDATE allocates {of_update} times (bound {UPDATE_BOUND})"
+    );
+    assert!(
+        of_insert <= INSERT_BOUND,
+        "an INSERT allocates {of_insert} times (bound {INSERT_BOUND})"
     );
 }

@@ -19,6 +19,7 @@ use polardbx_txn::{Coordinator, DnService, ResolverConfig, ResolverHandle, TxnMe
 use crate::gms::{shard_table_id, Gms};
 use crate::provider::ClusterProvider;
 use crate::session::Session;
+use crate::plan_cache::PlanCache;
 use crate::traffic::TrafficControl;
 
 /// How long a catch-up waits for a decision its snapshot may see.
@@ -110,6 +111,8 @@ pub(crate) struct Inner {
     /// TP/AP memory regions with preemption (§VI-D).
     pub(crate) memory: Arc<MemoryManager>,
     pub(crate) traffic: TrafficControl,
+    /// Statement shape → its plan template, shared by every CN.
+    pub(crate) plans: PlanCache,
     /// Route AP queries to RO replicas when available (§VI-A).
     pub(crate) htap_ro: AtomicBool,
     /// Cluster-wide transaction counters (shared by every CN coordinator,
@@ -214,6 +217,7 @@ impl ClusterBuilder {
             workload: WorkloadManager::with_defaults(),
             memory: MemoryManager::with_defaults(),
             traffic: TrafficControl::new(),
+            plans: PlanCache::new(),
             htap_ro: AtomicBool::new(true),
             txn_metrics: Arc::new(TxnMetrics::new()),
             sketch: Arc::new(CoAccessSketch::new()),

@@ -7,6 +7,7 @@
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use polardbx_common::{
@@ -27,6 +28,10 @@ pub fn shard_table_id(table: TableId, shard: u32) -> TableId {
 /// Catalog + placement + statistics.
 pub struct Gms {
     tables: RwLock<HashMap<String, TableSchema>>,
+    /// The catalog generation: bumped after every DDL has changed the
+    /// catalog. A cached plan is valid for the generation read before the
+    /// catalog it was built from.
+    generation: AtomicU64,
     /// (logical table, shard) → DN node hosting it.
     placement: RwLock<HashMap<(TableId, u32), NodeId>>,
     /// Logical table → the tenant owning it: the unit a tenant migration
@@ -54,6 +59,7 @@ impl Gms {
     pub fn new() -> Arc<Gms> {
         Arc::new(Gms {
             tables: RwLock::new(HashMap::new()),
+            generation: AtomicU64::new(0),
             placement: RwLock::new(HashMap::new()),
             owners: RwLock::new(HashMap::new()),
             group_anchor: RwLock::new(HashMap::new()),
@@ -164,7 +170,20 @@ impl Gms {
             TableStats { rows: 0, avg_row_bytes: 100, ..Default::default() },
         );
         self.tables.write().insert(name, schema);
+        self.catalog_changed();
         Ok(())
+    }
+
+    /// The catalog generation. Read it *before* reading the catalog: a plan
+    /// built from a catalog that a DDL changed meanwhile then carries the
+    /// older generation and is never used after that DDL.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Start a new catalog generation; every DDL calls it after its change.
+    pub(crate) fn catalog_changed(&self) {
+        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Look up a schema by name.
@@ -179,6 +198,7 @@ impl Gms {
     /// Replace a schema (DDL like CREATE INDEX).
     pub fn update_table(&self, schema: TableSchema) {
         self.tables.write().insert(schema.name.clone(), schema);
+        self.catalog_changed();
     }
 
     /// The tenant owning a table.

@@ -26,6 +26,8 @@
 //! * [`placer`] — the adaptive placer: co-access sketch → throttled re-homes.
 //! * [`session`] — a client session bound to one CN: SQL in, rows out
 //!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).
+//! * `plan_cache` — plan once per statement shape: one cache per cluster
+//!   binds each SELECT / UPDATE / DELETE's literals into a cached template.
 //! * [`traffic`] — automated traffic control: anomaly detection over query
 //!   fingerprints and concurrency limiting (§VIII).
 
@@ -33,6 +35,7 @@ pub mod access;
 pub mod cluster;
 pub mod durability;
 pub mod gms;
+mod plan_cache;
 pub mod placer;
 pub mod provider;
 pub mod rehome;
@@ -43,4 +46,4 @@ pub use cluster::{ClusterBuilder, ClusterConfig, PolarDbx};
 pub use gms::Gms;
 pub use placer::PlacerConfig;
 pub use provider::ClusterProvider;
-pub use session::Session;
+pub use session::{Outcome, Session};

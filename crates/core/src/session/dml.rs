@@ -4,13 +4,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polardbx_common::{Error, Key, NodeId, Result, Row, TableId, TableSchema, Value};
-use polardbx_sql::ast;
+use polardbx_sql::ast::{self, Statement};
 use polardbx_sql::expr::Expr;
+use polardbx_sql::Lexed;
 use polardbx_txn::{DistTxn, Edit, ReadOp, RowEdit, WireWriteOp};
 
 use super::Session;
 use crate::access::{key_access, key_columns, KeyAccess};
 use crate::gms::shard_table_id;
+use crate::plan_cache::Entry;
 
 /// Where a row an UPDATE / DELETE visits lives.
 struct Home {
@@ -28,11 +30,35 @@ struct Home {
 /// shipped to the row's DN and evaluated there (pushed).
 #[derive(Debug)]
 struct StatementEdit {
-    schema: TableSchema,
+    schema: Arc<TableSchema>,
     /// The WHERE clause.
     predicate: Option<Expr>,
     /// `SET` column ← expression; `None` for a DELETE.
     assignments: Option<Vec<(usize, Expr)>>,
+}
+
+/// An UPDATE / DELETE as the plan cache keeps it: its edit, resolved
+/// against the table and checked, with parameters for its operand
+/// literals, and the table's global-index tables. Valid for the catalog
+/// generation it was built at, so a CREATE INDEX rebuilds it.
+pub(crate) struct EditTemplate {
+    edit: StatementEdit,
+    gsis: Vec<TableSchema>,
+}
+
+impl EditTemplate {
+    /// The edit of one statement: the template with `literals` bound.
+    fn bind(&self, literals: &[Value]) -> StatementEdit {
+        StatementEdit {
+            schema: Arc::clone(&self.edit.schema),
+            predicate: self.edit.predicate.as_ref().map(|e| e.bind(literals)),
+            assignments: self
+                .edit
+                .assignments
+                .as_ref()
+                .map(|a| a.iter().map(|(idx, e)| (*idx, e.bind(literals))).collect()),
+        }
+    }
 }
 
 impl RowEdit for StatementEdit {
@@ -230,14 +256,31 @@ impl Session {
         names.iter().map(|n| self.inner.gms.table(n)).collect()
     }
 
+    /// The plan-cache entry of an UPDATE / DELETE: its resolved edit,
+    /// cached when `literals` fit it at the current catalog generation,
+    /// else built now.
+    pub(super) fn edit_template(
+        &self,
+        lexed: &Lexed<'_>,
+        literals: &[Value],
+    ) -> Result<Arc<Entry<EditTemplate>>> {
+        let generation = self.inner.gms.generation();
+        self.inner.plans.edits.get_or_build(lexed, literals, generation, |stmt| match stmt {
+            Statement::Update(u) => self.resolve_edit(&u.table, &u.predicate, Some(&u.assignments)),
+            Statement::Delete(d) => self.resolve_edit(&d.table, &d.predicate, None),
+            _ => Err(Error::invalid("not an UPDATE or DELETE")),
+        })
+    }
+
     /// Resolve an UPDATE's (`assignments` given) or DELETE's clauses against
-    /// `table`; also returns the table's global-index tables.
-    fn statement_edit(
+    /// `table`, with the table's global-index tables: the plan cache's
+    /// template of the statement.
+    fn resolve_edit(
         &self,
         table: &str,
         predicate: &Option<Expr>,
         assignments: Option<&[(String, Expr)]>,
-    ) -> Result<(StatementEdit, Vec<TableSchema>)> {
+    ) -> Result<EditTemplate> {
         let schema = self.inner.gms.table(table)?;
         let gsis = self.gsi_schemas(table)?;
         let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
@@ -262,25 +305,21 @@ impl Session {
                 schema.name, schema.columns[*idx].name
             )));
         }
-        Ok((StatementEdit { schema, predicate, assignments }, gsis))
+        let schema = Arc::new(schema);
+        Ok(EditTemplate { edit: StatementEdit { schema, predicate, assignments }, gsis })
     }
 
     /// `EXPLAIN` of an UPDATE / DELETE: the access path as for a SELECT, and
     /// the [`WritePath`].
-    pub(super) fn explain_dml(
-        &self,
-        table: &str,
-        predicate: &Option<Expr>,
-        assignments: Option<&[(String, Expr)]>,
-    ) -> Result<String> {
-        let (edit, gsis) = self.statement_edit(table, predicate, assignments)?;
-        let (access, write) = match edit.write_path(&gsis) {
+    pub(super) fn explain_dml(&self, template: &EditTemplate, literals: &[Value]) -> String {
+        let table = &template.edit.schema.name;
+        let (access, write) = match template.bind(literals).write_path(&template.gsis) {
             WritePath::Pushed(keys) => (KeyAccess::Keys(keys), "pushed (1 round)".to_string()),
             WritePath::ReadThenWrite { access, why } => {
                 (access, format!("read-then-write (2 rounds): {why}"))
             }
         };
-        Ok(format!("access {table}: {access}\nwrite {table}: {write}\n"))
+        format!("access {table}: {access}\nwrite {table}: {write}\n")
     }
 
     /// Where the rows under `keys` live, each shard routed fenced: the
@@ -344,22 +383,25 @@ impl Session {
         Ok(out)
     }
 
-    pub(super) fn update(&self, u: &ast::Update) -> Result<u64> {
-        let (edit, gsis) = self.statement_edit(&u.table, &u.predicate, Some(&u.assignments))?;
-        self.edit_rows(edit, &gsis)
-    }
-
-    pub(super) fn delete(&self, d: &ast::Delete) -> Result<u64> {
-        let (edit, gsis) = self.statement_edit(&d.table, &d.predicate, None)?;
-        let count = self.edit_rows(edit, &gsis)?;
-        self.inner.gms.record_rows(&d.table, -(count as i64));
+    /// Run an UPDATE / DELETE through the plan cache: bind its literals
+    /// into the cached edit and run it, retried wholesale on a re-home
+    /// bounce.
+    pub(super) fn edit(&self, lexed: &Lexed<'_>) -> Result<u64> {
+        let _permit = self.inner.traffic.admit(lexed)?;
+        let literals = lexed.literals();
+        let entry = self.edit_template(lexed, &literals)?;
+        let template = &entry.template;
+        let edit = Arc::new(template.bind(&literals));
+        let count = self.retry_dml(|| self.edit_rows(&edit, &template.gsis))?;
+        if edit.assignments.is_none() {
+            self.inner.gms.record_rows(&edit.schema.name, -(count as i64));
+        }
         Ok(count)
     }
 
     /// Run an UPDATE / DELETE down its [`WritePath`] in one transaction;
     /// returns the rows it changed.
-    fn edit_rows(&self, edit: StatementEdit, gsis: &[TableSchema]) -> Result<u64> {
-        let edit = Arc::new(edit);
+    fn edit_rows(&self, edit: &Arc<StatementEdit>, gsis: &[TableSchema]) -> Result<u64> {
         let schema = &edit.schema;
         let mut txn = self.cn.coordinator.begin();
         let access = match edit.write_path(gsis) {
@@ -369,7 +411,7 @@ impl Session {
                 // many rows it wrote.
                 for Home { stid, dn, epoch, key } in self.key_homes(schema, &keys)? {
                     txn.pin_epoch(stid, epoch)?;
-                    let edit = Arc::clone(&edit) as Arc<dyn RowEdit>;
+                    let edit = Arc::clone(edit) as Arc<dyn RowEdit>;
                     txn.stage_write(dn, stid, key, WireWriteOp::Edit(edit));
                 }
                 return Ok(txn.commit_counting()?.1);

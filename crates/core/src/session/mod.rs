@@ -1,8 +1,22 @@
 //! A client session: SQL in, rows or affected counts out.
 //!
-//! The session owns the statement surface (`execute` / `query` / `explain`),
-//! the SELECT path (plan, classify, run on the TP or AP engine) and DDL;
-//! [`dml`] holds INSERT / UPDATE / DELETE and global-index maintenance.
+//! The session owns the statement surface (`run` / `execute` / `query` /
+//! `explain`), the SELECT path (plan, classify, run on the TP or AP engine)
+//! and DDL; [`dml`] holds INSERT / UPDATE / DELETE and global-index
+//! maintenance.
+//!
+//! Every statement arrives as text, from the wire, a prepared statement or
+//! an embedded caller, and takes one path. The lexer's one pass gives its
+//! tokens and its shape, and the leading keyword tells its `Kind` once,
+//! for every entry point. INSERT and DDL are parsed and run. A SELECT,
+//! UPDATE or DELETE looks its shape up in the cluster's plan cache
+//! (`crate::plan_cache`) and binds its literals into the cached
+//! template; only a miss parses and plans. Per execution, as without a
+//! cache: a SELECT chooses its join build sides, estimates and
+//! classifies against the current statistics, passes both admission gates,
+//! reserves memory, routes fenced and picks each table's store; an UPDATE /
+//! DELETE decides its write path from its bound predicate. The shape is
+//! also the statement's traffic-control fingerprint, computed once.
 
 mod dml;
 
@@ -18,18 +32,52 @@ use polardbx_executor::memory::Reservation;
 use polardbx_executor::scheduler::{run_with_demotion, TickState};
 use polardbx_executor::{execute_plan, ExecCtx, JobClass, MppExecutor, TableProvider};
 use polardbx_optimizer::{
-    choose_storage, classify_cost, estimate, optimize_with_stats, PlanCost, Statistics,
+    choose_build_sides, choose_storage, classify_cost, estimate, optimize, PlanCost, Statistics,
     StorageChoice, WorkloadClass,
 };
 use polardbx_sql::ast::{self, IndexPlacement, Statement};
 use polardbx_sql::expr::Expr;
-use polardbx_sql::LogicalPlan;
+use polardbx_sql::{Lexed, LogicalPlan};
 use polardbx_txn::Coordinator;
 
 use crate::access::{key_access, KeyAccess};
 use crate::cluster::{CnNode, Inner};
 use crate::gms::shard_table_id;
+use crate::plan_cache::Entry;
 use crate::provider::ClusterProvider;
+
+pub(crate) use dml::EditTemplate;
+
+/// What a statement answers.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// A SELECT's rows.
+    Rows(Vec<Row>),
+    /// The rows any other statement affected.
+    Affected(u64),
+}
+
+/// What a statement is, told once by its leading keyword.
+enum Kind {
+    /// A SELECT: takes the plan cache.
+    Select,
+    /// An UPDATE or DELETE: takes the plan cache.
+    Edit,
+    /// An INSERT or DDL: parsed and run, no cache lookup.
+    Other,
+}
+
+impl Kind {
+    fn of(lexed: &Lexed<'_>) -> Kind {
+        if lexed.starts_with_kw("select") {
+            Kind::Select
+        } else if lexed.starts_with_kw("update") || lexed.starts_with_kw("delete") {
+            Kind::Edit
+        } else {
+            Kind::Other
+        }
+    }
+}
 
 /// A client session bound to one CN, acting for one tenant.
 pub struct Session {
@@ -89,30 +137,32 @@ impl Session {
         Ok((shard_table_id(schema.id, shard), dn, epoch))
     }
 
-    /// Execute a DDL/DML statement; returns affected row count.
-    pub fn execute(&self, sql: &str) -> Result<u64> {
-        let stmt = polardbx_sql::parse(sql)?;
-        self.execute_statement(sql, &stmt)
+    /// Run any statement: the rows of a SELECT, or the rows another
+    /// statement affected. Every entry point below takes this path.
+    pub fn run(&self, sql: &str) -> Result<Outcome> {
+        let lexed = polardbx_sql::lex(sql)?;
+        match Kind::of(&lexed) {
+            Kind::Select => self.select(&lexed).map(|(rows, _)| Outcome::Rows(rows)),
+            Kind::Edit => self.edit(&lexed).map(Outcome::Affected),
+            Kind::Other => self.other(&lexed).map(Outcome::Affected),
+        }
     }
 
-    /// Execute an already-parsed DDL/DML statement. The front door's
-    /// prepared-statement path parses once at PREPARE and replays the AST
-    /// here on every EXECUTE; `sql` is the original text, used only for
-    /// traffic-control fingerprinting.
-    pub fn execute_statement(&self, sql: &str, stmt: &Statement) -> Result<u64> {
-        let _permit = self.inner.traffic.admit(sql)?;
-        match stmt {
-            Statement::CreateTable(ct) => self.create_table(ct.clone()).map(|_| 0),
-            Statement::CreateIndex(ci) => self.create_index(ci.clone()).map(|_| 0),
-            // DML retries the whole statement on a re-home bounce: the
-            // retry re-routes and lands on the shard's new home.
-            Statement::Insert(ins) => self.retry_dml(|| self.insert(ins)),
-            Statement::Update(u) => self.retry_dml(|| self.update(u)),
-            Statement::Delete(d) => self.retry_dml(|| self.delete(d)),
-            Statement::Select(_) => {
-                Err(Error::invalid("use query() for SELECT statements"))
-            }
+    /// Execute a DDL/DML statement; returns affected row count.
+    pub fn execute(&self, sql: &str) -> Result<u64> {
+        let lexed = polardbx_sql::lex(sql)?;
+        match Kind::of(&lexed) {
+            Kind::Select => Err(Error::invalid("use query() for SELECT statements")),
+            Kind::Edit => self.edit(&lexed),
+            Kind::Other => self.other(&lexed),
         }
+    }
+
+    /// [`Session::execute`] for a caller that has parsed `sql` already:
+    /// `stmt` is what it parses to. The plan cache keys by the text, so
+    /// `stmt` is not read.
+    pub fn execute_statement(&self, sql: &str, _stmt: &Statement) -> Result<u64> {
+        self.execute(sql)
     }
 
     /// Execute a SELECT; returns result rows.
@@ -120,18 +170,83 @@ impl Session {
         self.query_classified(sql).map(|(rows, _)| rows)
     }
 
-    /// Plan, optimize, estimate and classify a SELECT against one
-    /// statistics snapshot.
-    fn plan_select(
+    /// Execute a SELECT and report how the optimizer classified it.
+    pub fn query_classified(&self, sql: &str) -> Result<(Vec<Row>, WorkloadClass)> {
+        let lexed = polardbx_sql::lex(sql)?;
+        match Kind::of(&lexed) {
+            Kind::Select => self.select(&lexed),
+            Kind::Edit | Kind::Other => Err(Error::invalid("query() only accepts SELECT")),
+        }
+    }
+
+    /// [`Session::query_classified`] for a caller that has parsed `sql`
+    /// already: `sel` is what it parses to. The plan cache keys by the
+    /// text, so `sel` is not read.
+    pub fn query_statement(
         &self,
-        sel: &ast::Select,
+        sql: &str,
+        _sel: &ast::Select,
+    ) -> Result<(Vec<Row>, WorkloadClass)> {
+        self.query_classified(sql)
+    }
+
+    /// An INSERT or DDL statement has no plan to cache: it is parsed and
+    /// run.
+    fn other(&self, lexed: &Lexed<'_>) -> Result<u64> {
+        let stmt = polardbx_sql::parse_lexed(lexed)?;
+        let _permit = self.inner.traffic.admit(lexed)?;
+        match stmt {
+            Statement::CreateTable(ct) => self.create_table(ct).map(|_| 0),
+            Statement::CreateIndex(ci) => self.create_index(ci).map(|_| 0),
+            // DML retries the whole statement on a re-home bounce: the
+            // retry re-routes and lands on the shard's new home.
+            Statement::Insert(ins) => self.retry_dml(|| self.insert(&ins)),
+            Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => {
+                Err(Error::invalid("a SELECT, UPDATE or DELETE takes the plan cache"))
+            }
+        }
+    }
+
+    /// The plan-cache entry of a SELECT: its statistics-free rewrite,
+    /// cached when `literals` fit it at the current catalog generation,
+    /// else built now.
+    fn select_template(
+        &self,
+        lexed: &Lexed<'_>,
+        literals: &[Value],
+    ) -> Result<Arc<Entry<LogicalPlan>>> {
+        let gms = &self.inner.gms;
+        let generation = gms.generation();
+        self.inner.plans.selects.get_or_build(lexed, literals, generation, |stmt| match stmt {
+            Statement::Select(sel) => Ok(optimize(polardbx_sql::build_plan(&sel, gms.as_ref())?)),
+            _ => Err(Error::invalid("not a SELECT")),
+        })
+    }
+
+    /// Run a SELECT through the plan cache.
+    fn select(&self, lexed: &Lexed<'_>) -> Result<(Vec<Row>, WorkloadClass)> {
+        let _permit = self.inner.traffic.admit(lexed)?;
+        let literals = lexed.literals();
+        let entry = self.select_template(lexed, &literals)?;
+        let stats = self.inner.gms.statistics();
+        let (plan, cost, class) = self.bind_select(&entry.template, &literals, &stats);
+        let rows = self.run_plan(plan, class, &cost, &stats)?;
+        Ok((rows, class))
+    }
+
+    /// One execution of a SELECT template: bind its literals, then the
+    /// steps that follow the current statistics — choose each join's build
+    /// side, estimate the cost and classify it.
+    fn bind_select(
+        &self,
+        template: &LogicalPlan,
+        literals: &[Value],
         stats: &Statistics,
-    ) -> Result<(LogicalPlan, PlanCost, WorkloadClass)> {
-        let plan = polardbx_sql::build_plan(sel, self.inner.gms.as_ref())?;
-        let plan = optimize_with_stats(plan, stats);
+    ) -> (LogicalPlan, PlanCost, WorkloadClass) {
+        let plan = choose_build_sides(template.bind(literals), stats);
         let cost = estimate(&plan, stats);
         let class = classify_cost(&cost, self.inner.config.ap_threshold);
-        Ok((plan, cost, class))
+        (plan, cost, class)
     }
 
     /// The store each table `plan` scans is read from (§VI-E): a TP plan
@@ -210,16 +325,20 @@ impl Session {
     /// statement writes — `pushed (1 round)`, or `read-then-write (2
     /// rounds)` and why the read cannot ride the write.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let sel = match polardbx_sql::parse(sql)? {
-            Statement::Select(sel) => sel,
-            Statement::Update(u) => {
-                return self.explain_dml(&u.table, &u.predicate, Some(&u.assignments))
+        let lexed = polardbx_sql::lex(sql)?;
+        let literals = lexed.literals();
+        let entry = match Kind::of(&lexed) {
+            Kind::Select => self.select_template(&lexed, &literals)?,
+            Kind::Edit => {
+                let entry = self.edit_template(&lexed, &literals)?;
+                return Ok(self.explain_dml(&entry.template, &literals));
             }
-            Statement::Delete(d) => return self.explain_dml(&d.table, &d.predicate, None),
-            _ => return Err(Error::invalid("EXPLAIN supports SELECT, UPDATE and DELETE only")),
+            Kind::Other => {
+                return Err(Error::invalid("EXPLAIN supports SELECT, UPDATE and DELETE only"))
+            }
         };
         let stats = self.inner.gms.statistics();
-        let (plan, cost, class) = self.plan_select(&sel, &stats)?;
+        let (plan, cost, class) = self.bind_select(&entry.template, &literals, &stats);
         let mut out = String::new();
         out.push_str(&format!(
             "class: {class:?} (est. cost {:.0}, rows {:.0})\n",
@@ -249,29 +368,6 @@ impl Session {
         }
         out.push_str(&plan.explain());
         Ok(out)
-    }
-
-    /// Execute a SELECT and report how the optimizer classified it.
-    pub fn query_classified(&self, sql: &str) -> Result<(Vec<Row>, WorkloadClass)> {
-        let Statement::Select(sel) = polardbx_sql::parse(sql)? else {
-            return Err(Error::invalid("query() only accepts SELECT"));
-        };
-        self.query_statement(sql, &sel)
-    }
-
-    /// Execute an already-parsed SELECT (the front door's parse-once
-    /// path); `sql` is the original text, used only for traffic-control
-    /// fingerprinting.
-    pub fn query_statement(
-        &self,
-        sql: &str,
-        sel: &ast::Select,
-    ) -> Result<(Vec<Row>, WorkloadClass)> {
-        let _permit = self.inner.traffic.admit(sql)?;
-        let stats = self.inner.gms.statistics();
-        let (plan, cost, class) = self.plan_select(sel, &stats)?;
-        let rows = self.run_plan(plan, class, &cost, &stats)?;
-        Ok((rows, class))
     }
 
     fn run_plan(
@@ -464,6 +560,9 @@ impl Session {
                 .entry(ci.table.clone())
                 .or_default()
                 .push(hidden_name.clone());
+            // From here on a write to the table maintains the index: no
+            // cached UPDATE / DELETE of the table outlives this.
+            self.inner.gms.catalog_changed();
             // Backfill from existing rows.
             let ts = self.cn.coordinator.clock().now().raw();
             for shard in 0..schema.partition.shard_count() {
@@ -486,10 +585,23 @@ impl Session {
 mod tests {
     use polardbx_common::DcId;
     use polardbx_executor::TableProvider;
-    use polardbx_sql::ast::Statement;
+    use polardbx_optimizer::{PlanCost, Statistics, WorkloadClass};
+    use polardbx_sql::LogicalPlan;
 
     use super::Session;
     use crate::cluster::{ClusterConfig, PolarDbx};
+
+    /// The plan, cost and class one execution of the SELECT `sql` gets.
+    fn planned(
+        s: &Session,
+        sql: &str,
+        stats: &Statistics,
+    ) -> (LogicalPlan, PlanCost, WorkloadClass) {
+        let lexed = polardbx_sql::lex(sql).unwrap();
+        let literals = lexed.literals();
+        let entry = s.select_template(&lexed, &literals).unwrap();
+        s.bind_select(&entry.template, &literals, stats)
+    }
 
     #[test]
     fn an_index_serves_no_snapshot_older_than_its_build() {
@@ -500,11 +612,8 @@ mod tests {
         db.enable_column_index("t").unwrap();
         let built_at = db.column_index("t").unwrap().floor();
 
-        let Statement::Select(sel) = polardbx_sql::parse("SELECT SUM(v) FROM t").unwrap() else {
-            unreachable!()
-        };
         let stats = db.gms().statistics();
-        let (plan, _, class) = s.plan_select(&sel, &stats).unwrap();
+        let (plan, _, class) = planned(&s, "SELECT SUM(v) FROM t", &stats);
         let attached = |snapshot_ts| {
             s.build_provider(&plan, class, &stats, snapshot_ts).unwrap().columnar("t").is_some()
         };
@@ -535,10 +644,7 @@ mod tests {
         db.gms().set_column_index("orders", true);
         let stats = db.gms().statistics();
         let choice = |sql: &str| {
-            let Statement::Select(sel) = polardbx_sql::parse(sql).unwrap() else {
-                unreachable!()
-            };
-            let (plan, _, class) = s.plan_select(&sel, &stats).unwrap();
+            let (plan, _, class) = planned(&s, sql, &stats);
             let accesses = s.scan_accesses(&plan).unwrap();
             Session::storage_choices(&plan, class, &stats, &accesses)[0].1
         };

@@ -9,51 +9,57 @@
 //! The reproduction keeps per-fingerprint concurrency telemetry, detects
 //! anomalies as concurrency surging far beyond a trained baseline (the
 //! "cache penetration" pattern), and throttles the offending fingerprint.
+//! A fingerprint is the statement's shape from the SQL lexer — the key of
+//! the CN's plan cache — so a statement is fingerprinted once, by the
+//! tokenizer pass every statement makes anyway. Admission looks the
+//! shape's stats up by that text: only a new fingerprint allocates a key,
+//! and a permit shares it.
 
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use polardbx_common::{Error, Result};
+use polardbx_sql::Lexed;
 
-/// Normalized query fingerprint: literals stripped, case folded. Queries
-/// differing only in constants share a fingerprint.
+/// Normalized query fingerprint: the statement's shape, with literals
+/// stripped and case folded. Queries differing only in constants share a
+/// fingerprint; identifiers are kept whole, so `t1` and `t2` do not.
+/// Text the lexer rejects is only lowercased.
 pub fn fingerprint(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                // Skip string literal.
-                for c2 in chars.by_ref() {
-                    if c2 == '\'' {
-                        break;
-                    }
-                }
-                out.push('?');
-            }
-            '0'..='9' => {
-                while chars.peek().is_some_and(|c| c.is_ascii_digit() || *c == '.') {
-                    chars.next();
-                }
-                out.push('?');
-            }
-            c if c.is_whitespace() => {
-                if !out.is_empty() && !out.ends_with(' ') {
-                    out.push(' ');
-                }
-            }
-            c => out.push(c.to_ascii_lowercase()),
-        }
+    match polardbx_sql::lex(sql) {
+        Ok(lexed) => lexed.into_shape(),
+        Err(_) => sql.trim().to_ascii_lowercase(),
     }
-    if out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
-#[derive(Debug, Default, Clone)]
+/// What [`TrafficControl::admit`] keys a statement by: its shape.
+pub trait Shape {
+    /// The shape.
+    fn shape(&self) -> Cow<'_, str>;
+}
+
+/// SQL text, fingerprinted on admission.
+impl Shape for &str {
+    fn shape(&self) -> Cow<'_, str> {
+        Cow::Owned(fingerprint(self))
+    }
+}
+
+/// A lexed statement: its shape is made already, and admitting a shape
+/// seen before allocates nothing.
+impl Shape for &Lexed<'_> {
+    fn shape(&self) -> Cow<'_, str> {
+        Cow::Borrowed(Lexed::shape(self))
+    }
+}
+
+#[derive(Debug, Clone)]
 struct FingerprintStats {
+    /// The fingerprint, shared with the map's key and every permit.
+    fp: Arc<str>,
     /// Current in-flight executions.
     current: u64,
     /// Trained baseline concurrency (EWMA of observed peaks).
@@ -66,9 +72,32 @@ struct FingerprintStats {
     rejected: u64,
 }
 
+impl FingerprintStats {
+    /// The stats of fingerprint `fp`, new ones if it has none: only a new
+    /// fingerprint allocates its key.
+    fn of<'m>(
+        stats: &'m mut HashMap<Arc<str>, FingerprintStats>,
+        fp: &str,
+    ) -> &'m mut FingerprintStats {
+        if !stats.contains_key(fp) {
+            let fp: Arc<str> = fp.into();
+            let new = FingerprintStats {
+                fp: Arc::clone(&fp),
+                current: 0,
+                baseline: 0.0,
+                limit: None,
+                total: 0,
+                rejected: 0,
+            };
+            stats.insert(fp, new);
+        }
+        stats.get_mut(fp).expect("inserted above")
+    }
+}
+
 /// The traffic controller.
 pub struct TrafficControl {
-    stats: Mutex<HashMap<String, FingerprintStats>>,
+    stats: Mutex<HashMap<Arc<str>, FingerprintStats>>,
     /// Multiplier over baseline that counts as an anomaly.
     anomaly_factor: f64,
     /// Auto-throttle on detection.
@@ -92,7 +121,7 @@ impl TrafficControl {
 
     /// Manually limit a fingerprint's concurrency (DBA override).
     pub fn limit(&self, fp: &str, max_concurrency: u64) {
-        self.stats.lock().entry(fp.to_string()).or_default().limit = Some(max_concurrency);
+        FingerprintStats::of(&mut self.stats.lock(), fp).limit = Some(max_concurrency);
     }
 
     /// Remove a limit.
@@ -102,20 +131,18 @@ impl TrafficControl {
         }
     }
 
-    /// Admit a query; returns a permit whose drop releases the slot.
-    pub fn admit(self: &TrafficControl, sql: &str) -> Result<Permit<'_>> {
-        let fp = fingerprint(sql);
+    /// Admit a statement by its [`Shape`]; returns a permit whose drop
+    /// releases the slot.
+    pub fn admit(&self, stmt: impl Shape) -> Result<Permit<'_>> {
+        let shape = stmt.shape();
         let auto = self.auto.load(Ordering::Relaxed);
         let mut stats = self.stats.lock();
-        // Only a new fingerprint allocates its key.
-        if !stats.contains_key(&fp) {
-            stats.insert(fp.clone(), FingerprintStats::default());
-        }
-        let entry = stats.get_mut(&fp).expect("inserted above");
+        let entry = FingerprintStats::of(&mut stats, &shape);
+        let fp = Arc::clone(&entry.fp);
         if let Some(limit) = entry.limit {
             if entry.current >= limit {
                 entry.rejected += 1;
-                return Err(Error::Throttled { rule: fp });
+                return Err(Error::Throttled { rule: fp.to_string() });
             }
         } else if auto
             && entry.baseline >= 0.5
@@ -125,7 +152,7 @@ impl TrafficControl {
             // Clamp this fingerprint at the anomaly threshold.
             entry.limit = Some((entry.baseline * self.anomaly_factor) as u64);
             entry.rejected += 1;
-            return Err(Error::Throttled { rule: fp });
+            return Err(Error::Throttled { rule: fp.to_string() });
         }
         entry.current += 1;
         entry.total += 1;
@@ -151,7 +178,7 @@ impl TrafficControl {
             .lock()
             .iter()
             .filter(|(_, s)| s.limit.is_some())
-            .map(|(f, _)| f.clone())
+            .map(|(f, _)| f.to_string())
             .collect()
     }
 
@@ -171,7 +198,7 @@ impl Default for TrafficControl {
 /// An admission permit; dropping it releases the concurrency slot.
 pub struct Permit<'a> {
     control: &'a TrafficControl,
-    fp: String,
+    fp: Arc<str>,
 }
 
 impl Drop for Permit<'_> {
@@ -202,6 +229,26 @@ mod tests {
             fingerprint(" \tSELECT  x FROM t WHERE id = 7 \n"),
             "select x from t where id = ?"
         );
+    }
+
+    /// A digit inside an identifier is part of the name: a limit on one
+    /// table's shape leaves the same statement on another table alone.
+    #[test]
+    fn a_limit_on_the_t1_shape_leaves_the_t2_shape_unthrottled() {
+        let tc = TrafficControl::new();
+        let t1 = fingerprint("SELECT v FROM t1 WHERE id = 1");
+        assert_eq!(t1, "select v from t1 where id = ?");
+        tc.limit(&t1, 0);
+        assert!(matches!(
+            tc.admit("SELECT v FROM t1 WHERE id = 7"),
+            Err(Error::Throttled { .. })
+        ));
+        assert!(tc.admit("SELECT v FROM t2 WHERE id = 7").is_ok());
+        let lexed = polardbx_sql::lex("SELECT v FROM t2 WHERE id = 1").unwrap();
+        assert!(tc.admit(&lexed).is_ok());
+        assert_eq!(tc.stats(lexed.shape()).1, 2, "text and lexed share one entry");
+        // One mark per literal: a string with a doubled quote is one.
+        assert_eq!(fingerprint("SELECT 'it''s', 1.5 FROM t"), "select ? , ? from t");
     }
 
     #[test]

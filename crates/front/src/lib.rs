@@ -15,8 +15,9 @@
 //! - [`admission`] — per-tenant token-bucket rate limits plus
 //!   concurrent-query and connection quotas; violations bounce with a
 //!   retryable `Throttled` instead of queueing.
-//! - [`stmt_cache`] — per-connection prepared statements keyed by their
-//!   exact SQL text, LRU bounded.
+//! - [`stmt_cache`] — per-connection prepared-statement ids, each mapped
+//!   to its exact SQL text, LRU bounded. Parsing and planning are cached
+//!   once per cluster, by statement shape, behind `Session`.
 //! - [`server`] — the threaded accept loop owning connection lifecycle.
 //! - [`client`] — a blocking client used by the bench harness and tests.
 

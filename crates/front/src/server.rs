@@ -12,9 +12,10 @@
 //!    its tenant (the tables it creates are the tenant's), pinned to one CN
 //!    (round-robin over the fleet) and a bounded per-connection
 //!    prepared-statement cache.
-//! 3. **Requests** — `Query` parses and runs; `Prepare`/`Execute` split
-//!    parse from run through the statement cache; `CloseStmt` frees a
-//!    slot; `Quit` answers `Bye` and closes.
+//! 3. **Requests** — `Query` runs its text through [`Session::run`];
+//!    `Prepare` checks a statement once and maps it to an id, and `Execute`
+//!    runs the id's text down the same path, so both share the cluster's
+//!    plan cache; `CloseStmt` frees a slot; `Quit` answers `Bye` and closes.
 //!
 //! Every `Query`/`Prepare`/`Execute` first passes per-tenant admission
 //! ([`AdmissionControl`]): an empty token bucket or full concurrency
@@ -35,10 +36,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use polardbx::{PolarDbx, Session};
+use polardbx::{Outcome, PolarDbx, Session};
 use polardbx_common::time::Timer;
 use polardbx_common::{Error, Result, TenantId};
-use polardbx_sql::ast::Statement;
 
 use crate::admission::AdmissionControl;
 use crate::metrics::FrontMetrics;
@@ -353,19 +353,17 @@ fn dispatch(
         // The permit covers the whole request; drop releases the slot.
         let _permit = shared.admission.admit(tenant)?;
         match req {
-            Frame::Query { sql } => {
-                let stmt = polardbx_sql::parse(&sql)?;
-                run_statement(session, &sql, &stmt)
-            }
+            Frame::Query { sql } => run_statement(session, &sql),
             Frame::Prepare { sql } => {
-                let (entry, cached) = cache.prepare(&sql, polardbx_sql::parse)?;
+                let check = |sql: &str| polardbx_sql::parse(sql).map(drop);
+                let (entry, cached) = cache.prepare(&sql, check)?;
                 Ok(Frame::Prepared { stmt_id: entry.id as u64, cached })
             }
             Frame::Execute { stmt_id } => {
                 let id = u32::try_from(stmt_id)
                     .map_err(|_| Error::invalid(format!("bad statement id {stmt_id}")))?;
                 let entry = cache.get(id)?;
-                run_statement(session, &entry.sql, &entry.stmt)
+                run_statement(session, &entry.sql)
             }
             _ => unreachable!("dispatch only sees Query/Prepare/Execute"),
         }
@@ -387,13 +385,10 @@ fn dispatch(
     }
 }
 
-/// Run a parsed statement on the session, producing the response frame.
-fn run_statement(session: &Session, sql: &str, stmt: &Statement) -> Result<Frame> {
-    match stmt {
-        Statement::Select(sel) => {
-            let (rows, _class) = session.query_statement(sql, sel)?;
-            Ok(Frame::Rows { rows })
-        }
-        other => session.execute_statement(sql, other).map(|n| Frame::Affected { n }),
-    }
+/// Run a statement on the session, producing the response frame.
+fn run_statement(session: &Session, sql: &str) -> Result<Frame> {
+    Ok(match session.run(sql)? {
+        Outcome::Rows(rows) => Frame::Rows { rows },
+        Outcome::Affected(n) => Frame::Affected { n },
+    })
 }

@@ -1,11 +1,11 @@
-//! Per-connection prepared-statement cache.
+//! Per-connection prepared-statement ids.
 //!
-//! `Prepare` parses once and hands back a statement id; `Execute` replays
-//! the parsed AST without re-parsing. Entries are keyed by their exact SQL
-//! text, so a connection that prepares the same statement twice gets the
-//! cached parse back instead of a second slot. Two statements that differ
-//! only in literals are two entries: replaying the wrong literals would be
-//! a correctness bug, not a cache hit.
+//! `Prepare` checks a statement once and hands back a statement id;
+//! `Execute` runs the id's text down the session's one text path, where the
+//! cluster's plan cache — keyed by the statement's shape — spares it the
+//! parse and the plan. This cache maps ids to texts only. Entries are keyed
+//! by their exact SQL text, so a connection that prepares the same
+//! statement twice gets the same id back instead of a second slot.
 //!
 //! The cache is bounded with LRU eviction. Evicting a slot invalidates its
 //! statement id (`Execute` on it returns a typed error) but any in-flight
@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use polardbx_common::{Error, Result};
-use polardbx_sql::ast::Statement;
 
 /// One cached prepared statement.
 pub struct PreparedStmt {
@@ -23,8 +22,6 @@ pub struct PreparedStmt {
     pub id: u32,
     /// Exact SQL text as prepared.
     pub sql: String,
-    /// Parsed AST, reused by every `Execute`.
-    pub stmt: Statement,
 }
 
 /// Bounded LRU cache of prepared statements for one connection.
@@ -64,14 +61,14 @@ impl StmtCache {
         self.lru.push(id);
     }
 
-    /// Prepare `sql`: reuse the cached parse when the exact text was
-    /// prepared before, otherwise parse via `parse` and insert (evicting
-    /// the least recently used slot if full). Returns the entry and
-    /// whether it was a cache hit.
+    /// Prepare `sql`: reuse the id when the exact text was prepared
+    /// before, otherwise check it with `check` and insert (evicting the
+    /// least recently used slot if full). Returns the entry and whether it
+    /// was a cache hit.
     pub fn prepare(
         &mut self,
         sql: &str,
-        parse: impl FnOnce(&str) -> Result<Statement>,
+        check: impl FnOnce(&str) -> Result<()>,
     ) -> Result<(Arc<PreparedStmt>, bool)> {
         if let Some(&id) = self.by_sql.get(sql) {
             let entry = Arc::clone(&self.by_id[&id]);
@@ -80,7 +77,7 @@ impl StmtCache {
             return Ok((entry, true));
         }
         self.misses += 1;
-        let stmt = parse(sql)?;
+        check(sql)?;
         if self.by_id.len() >= self.capacity {
             let victim = self.lru.remove(0);
             if let Some(old) = self.by_id.remove(&victim) {
@@ -90,7 +87,7 @@ impl StmtCache {
         }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let entry = Arc::new(PreparedStmt { id, sql: sql.to_string(), stmt });
+        let entry = Arc::new(PreparedStmt { id, sql: sql.to_string() });
         self.by_id.insert(id, Arc::clone(&entry));
         self.by_sql.insert(entry.sql.clone(), id);
         self.lru.push(id);
@@ -140,8 +137,8 @@ impl StmtCache {
 mod tests {
     use super::*;
 
-    fn parse(sql: &str) -> Result<Statement> {
-        polardbx_sql::parse(sql)
+    fn parse(sql: &str) -> Result<()> {
+        polardbx_sql::parse(sql).map(drop)
     }
 
     #[test]
@@ -151,7 +148,7 @@ mod tests {
         assert!(!hit);
         let (b, hit) = c
             .prepare("SELECT id FROM t WHERE id = 1", |_| {
-                panic!("cache hit must not re-parse")
+                panic!("cache hit must not re-check")
             })
             .unwrap();
         assert!(hit);
@@ -164,7 +161,7 @@ mod tests {
         let mut c = StmtCache::new(4);
         let (a, _) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
         let (b, hit) = c.prepare("SELECT id FROM t WHERE id = 2", parse).unwrap();
-        assert!(!hit, "different literals must not replay the wrong parse");
+        assert!(!hit, "different texts are different ids");
         assert_ne!(a.id, b.id);
     }
 
@@ -174,7 +171,7 @@ mod tests {
         let (a, _) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
         c.prepare("SELECT id FROM t WHERE id = 2", parse).unwrap();
         let (again, hit) = c
-            .prepare("SELECT id FROM t WHERE id = 1", |_| panic!("cache hit must not re-parse"))
+            .prepare("SELECT id FROM t WHERE id = 1", |_| panic!("cache hit must not re-check"))
             .unwrap();
         assert!(hit);
         assert_eq!(again.id, a.id);
@@ -204,7 +201,7 @@ mod tests {
         c.close(a.id);
         assert!(c.is_empty());
         assert!(c.get(a.id).is_err());
-        // Same text now re-parses into a fresh slot.
+        // Same text now gets a fresh slot.
         let (b, hit) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
         assert!(!hit);
         assert_ne!(a.id, b.id);

@@ -13,7 +13,9 @@
 //! * [`rewrite`] — logical rewrites: predicate pushdown toward scans
 //!   (operator push-down's planning half) and lifting equi-join keys out of
 //!   filters above cross joins so the executor can hash-join instead of
-//!   nested-loop over a cross product.
+//!   nested-loop over a cross product. `optimize` reads no statistics and
+//!   no literal value, so a CN caches its result per statement shape;
+//!   `choose_build_sides` follows the statistics and runs per execution.
 //! * [`storage`] — the row-store vs in-memory-column-index physical choice
 //!   (§VI-E): "large data scans and push-down plans with join or
 //!   aggregation prefer in-memory column index, while point queries choose
@@ -28,5 +30,5 @@ pub use classify::{
     classify, classify_cost, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD,
 };
 pub use cost::{estimate, PlanCost, Statistics, TableStats};
-pub use rewrite::{optimize, optimize_with_stats};
+pub use rewrite::{choose_build_sides, optimize, optimize_with_stats};
 pub use storage::{choose_storage, StorageChoice};

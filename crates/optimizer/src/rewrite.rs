@@ -11,7 +11,10 @@ use polardbx_sql::plan::{conjoin, split_conjuncts, LogicalPlan};
 
 use crate::cost::{estimate, Statistics};
 
-/// Optimize a plan: run rewrites to fixpoint (bounded).
+/// Optimize a plan: run rewrites to fixpoint (bounded). Uses no
+/// statistics and reads no literal's value, so it is what a cached plan
+/// template keeps; [`choose_build_sides`] is the step that follows the
+/// statistics and runs per execution.
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
     let mut p = plan;
     for _ in 0..8 {
@@ -32,7 +35,8 @@ pub fn optimize_with_stats(plan: LogicalPlan, stats: &Statistics) -> LogicalPlan
     choose_build_sides(optimize(plan), stats)
 }
 
-fn choose_build_sides(plan: LogicalPlan, stats: &Statistics) -> LogicalPlan {
+/// Cost-based build-side selection over an [`optimize`]d plan.
+pub fn choose_build_sides(plan: LogicalPlan, stats: &Statistics) -> LogicalPlan {
     match plan {
         LogicalPlan::Join { left, right, on, filter } => {
             let left = choose_build_sides(*left, stats);
@@ -56,12 +60,8 @@ fn choose_build_sides(plan: LogicalPlan, stats: &Statistics) -> LogicalPlan {
             let flipped: Vec<(usize, usize)> = on.iter().map(|&(l, r)| (r, l)).collect();
             let remap = |e: &Expr| {
                 e.transform(&|x| match x {
-                    Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx(if *i < la {
-                        ra + *i
-                    } else {
-                        *i - la
-                    })),
-                    other => Ok(other.clone()),
+                    Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx(if i < la { ra + i } else { i - la })),
+                    other => Ok(other),
                 })
                 .expect("infallible remap")
             };
@@ -191,8 +191,8 @@ fn rewrite(plan: LogicalPlan) -> (LogicalPlan, bool) {
                         .collect();
                     let remapped = predicate
                         .transform(&|e| match e {
-                            Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx(mapping[*i])),
-                            other => Ok(other.clone()),
+                            Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx(mapping[i])),
+                            other => Ok(other),
                         })
                         .expect("infallible remap");
                     (
@@ -273,8 +273,8 @@ fn col_set(e: &Expr) -> Vec<usize> {
 
 fn shift(e: &Expr, delta: isize) -> Expr {
     e.transform(&|x| match x {
-        Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx((*i as isize + delta) as usize)),
-        other => Ok(other.clone()),
+        Expr::ColumnIdx(i) => Ok(Expr::ColumnIdx((i as isize + delta) as usize)),
+        other => Ok(other),
     })
     .expect("infallible shift")
 }

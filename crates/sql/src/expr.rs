@@ -72,6 +72,9 @@ impl AggFunc {
 pub enum Expr {
     /// Literal value.
     Literal(Value),
+    /// The statement's `i`-th literal, left out of a cached plan template;
+    /// [`Expr::bind`] puts the value back before anything evaluates it.
+    Param(usize),
     /// Column by (optionally qualified) name, e.g. `l_qty` or `lineitem.l_qty`.
     Column(String),
     /// Column by position (after resolution).
@@ -182,13 +185,14 @@ impl Expr {
             hit.ok_or(Error::UnknownColumn { name: lname })
         };
         self.transform(&|e| match e {
-            Expr::Column(name) => Ok(Expr::ColumnIdx(lookup(name)?)),
-            other => Ok(other.clone()),
+            Expr::Column(name) => Ok(Expr::ColumnIdx(lookup(&name)?)),
+            other => Ok(other),
         })
     }
 
-    /// Bottom-up transformation.
-    pub fn transform(&self, f: &impl Fn(&Expr) -> Result<Expr>) -> Result<Expr> {
+    /// Bottom-up transformation: `f` maps each node, its children already
+    /// mapped.
+    pub fn transform(&self, f: &impl Fn(Expr) -> Result<Expr>) -> Result<Expr> {
         let rebuilt = match self {
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
@@ -233,7 +237,7 @@ impl Expr {
             },
             leaf => leaf.clone(),
         };
-        f(&rebuilt)
+        f(rebuilt)
     }
 
     /// Walk the tree, invoking `f` on every node (children first).
@@ -270,9 +274,19 @@ impl Expr {
                     a.visit(f);
                 }
             }
-            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx(_) => {}
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) | Expr::ColumnIdx(_) => {}
         }
         f(self);
+    }
+
+    /// This expression with every [`Expr::Param`]`(i)` replaced by the
+    /// literal `literals[i]`.
+    pub fn bind(&self, literals: &[Value]) -> Expr {
+        self.transform(&|e| match e {
+            Expr::Param(i) => Ok(Expr::Literal(literals[i].clone())),
+            other => Ok(other),
+        })
+        .expect("binding cannot fail")
     }
 
     /// Collect all referenced column names (pre-resolution).
@@ -289,6 +303,7 @@ impl Expr {
     pub fn eval(&self, row: &Row) -> Result<Value> {
         match self {
             Expr::Literal(v) => Ok(v.clone()),
+            Expr::Param(i) => Err(Error::execution(format!("unbound parameter {i}"))),
             Expr::Column(name) => {
                 Err(Error::execution(format!("unresolved column {name}")))
             }
@@ -478,6 +493,7 @@ impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Param(i) => write!(f, "?{i}"),
             Expr::Column(c) => write!(f, "{c}"),
             Expr::ColumnIdx(i) => write!(f, "#{i}"),
             Expr::Binary { op, left, right } => write!(f, "({left} {op:?} {right})"),
@@ -625,6 +641,25 @@ mod tests {
         assert!(Expr::col("a").resolve(&schema).is_err());
         // Unknown.
         assert!(Expr::col("zzz").resolve(&schema).is_err());
+    }
+
+    #[test]
+    fn bind_replaces_every_parameter_and_nothing_else() {
+        let e = Expr::binary(
+            BinOp::And,
+            Expr::binary(BinOp::Eq, Expr::ColumnIdx(0), Expr::Param(1)),
+            Expr::InList {
+                expr: Box::new(Expr::ColumnIdx(1)),
+                list: vec![Expr::Param(2), Expr::int(4)],
+                negated: false,
+            },
+        );
+        assert!(e.eval(&row()).is_err(), "a parameter does not evaluate");
+        let e = e.bind(&[Value::Int(99), Value::Int(10), Value::str("hello")]);
+        assert!(e.eval_bool(&row()).unwrap());
+        let mut params = 0;
+        e.visit(&mut |x| params += matches!(x, Expr::Param(_)) as usize);
+        assert_eq!(params, 0);
     }
 
     #[test]

@@ -4,26 +4,62 @@ use polardbx_common::{DataType, Error, Result, Value};
 
 use crate::ast::*;
 use crate::expr::{AggFunc, BinOp, Expr};
-use crate::token::{tokenize, Symbol, Token};
+use crate::token::{lex, Lexed, Symbol, Token};
 
 /// Parse one SQL statement.
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat_symbol(Symbol::Semi); // optional trailing semicolon
-    p.expect_eof()?;
-    Ok(stmt)
+    parse_lexed(&lex(sql)?)
+}
+
+/// Parse a lexed statement; every literal stays a literal.
+pub fn parse_lexed(lexed: &Lexed<'_>) -> Result<Statement> {
+    Parser::new(lexed, false).run().map(|(stmt, _)| stmt)
+}
+
+/// Parse a lexed statement for the plan cache. Every literal that is an
+/// operand of a `WHERE` or `SET` expression becomes [`Expr::Param`]`(i)`,
+/// `i` its place in [`Lexed::literals`]; the returned list names those
+/// places. Every other literal — `LIMIT n`, a `LIKE` pattern, the select
+/// list, `GROUP BY` / `HAVING` / `ORDER BY`, `JOIN … ON`, `VALUES` — stays a
+/// literal: the plan depends on its value.
+pub fn parse_with_params(lexed: &Lexed<'_>) -> Result<(Statement, Vec<usize>)> {
+    Parser::new(lexed, true).run()
 }
 
 /// The parser state.
-pub struct Parser {
-    tokens: Vec<(Token, usize)>,
+pub struct Parser<'t, 'a> {
+    tokens: &'t [(Token<'a>, usize)],
     pos: usize,
+    /// Literal tokens consumed so far.
+    literals: usize,
+    /// Turn operand literals into parameters.
+    with_params: bool,
+    /// Inside a `WHERE` or `SET` operand.
+    in_operand: bool,
+    /// The literals that became parameters.
+    params: Vec<usize>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'t, 'a> Parser<'t, 'a> {
+    fn new(lexed: &'t Lexed<'a>, with_params: bool) -> Parser<'t, 'a> {
+        Parser {
+            tokens: lexed.tokens(),
+            pos: 0,
+            literals: 0,
+            with_params,
+            in_operand: false,
+            params: Vec::new(),
+        }
+    }
+
+    fn run(mut self) -> Result<(Statement, Vec<usize>)> {
+        let stmt = self.statement()?;
+        self.eat_symbol(Symbol::Semi); // optional trailing semicolon
+        self.expect_eof()?;
+        Ok((stmt, self.params))
+    }
+
+    fn peek(&self) -> &'t Token<'a> {
         &self.tokens[self.pos].0
     }
 
@@ -31,12 +67,35 @@ impl Parser {
         self.tokens[self.pos].1
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].0.clone();
+    fn bump(&mut self) -> &'t Token<'a> {
+        let t = &self.tokens[self.pos].0;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
+        if t.is_literal() {
+            self.literals += 1;
+        }
         t
+    }
+
+    /// The literal just consumed: a parameter inside an operand of a
+    /// statement parsed with parameters, else its value.
+    fn literal(&mut self, value: impl FnOnce() -> Value) -> Expr {
+        if self.with_params && self.in_operand {
+            let i = self.literals - 1;
+            self.params.push(i);
+            Expr::Param(i)
+        } else {
+            Expr::Literal(value())
+        }
+    }
+
+    /// Parse a `WHERE` / `SET` operand.
+    fn operand(&mut self) -> Result<Expr> {
+        let outer = std::mem::replace(&mut self.in_operand, true);
+        let e = self.expr();
+        self.in_operand = outer;
+        e
     }
 
     fn err(&self, msg: impl Into<String>) -> Error {
@@ -93,7 +152,7 @@ impl Parser {
 
     fn integer(&mut self) -> Result<i64> {
         match self.bump() {
-            Token::Int(v) => Ok(v),
+            Token::Int(v) => Ok(*v),
             other => Err(self.err(format!("expected integer, found {other:?}"))),
         }
     }
@@ -271,19 +330,19 @@ impl Parser {
         loop {
             let col = self.ident()?;
             self.expect_symbol(Symbol::Eq)?;
-            assignments.push((col, self.expr()?));
+            assignments.push((col, self.operand()?));
             if !self.eat_symbol(Symbol::Comma) {
                 break;
             }
         }
-        let predicate = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let predicate = if self.eat_kw("where") { Some(self.operand()?) } else { None };
         Ok(Statement::Update(Update { table, assignments, predicate }))
     }
 
     fn delete(&mut self) -> Result<Statement> {
         self.expect_kw("from")?;
         let table = self.ident()?;
-        let predicate = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let predicate = if self.eat_kw("where") { Some(self.operand()?) } else { None };
         Ok(Statement::Delete(Delete { table, predicate }))
     }
 
@@ -291,11 +350,7 @@ impl Parser {
         let name = self.ident()?;
         // Optional alias: bare identifier that is not a clause keyword.
         let alias = match self.peek() {
-            Token::Ident(s)
-                if !is_clause_kw(s) =>
-            {
-                Some(self.ident()?)
-            }
+            Token::Ident(s) if !is_clause_kw(s) => Some(self.ident()?),
             _ => {
                 if self.eat_kw("as") {
                     Some(self.ident()?)
@@ -352,7 +407,7 @@ impl Parser {
                 break;
             }
         }
-        let predicate = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let predicate = if self.eat_kw("where") { Some(self.operand()?) } else { None };
         let mut group_by = Vec::new();
         if self.eat_kw("group") {
             self.expect_kw("by")?;
@@ -454,7 +509,7 @@ impl Parser {
         }
         if self.eat_kw("like") {
             let pattern = match self.bump() {
-                Token::Str(s) => s,
+                Token::Str(s) => s.to_string(),
                 other => return Err(self.err(format!("LIKE needs a string, got {other:?}"))),
             };
             let like = Expr::Like { expr: Box::new(left), pattern };
@@ -523,28 +578,28 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         match self.bump() {
-            Token::Int(v) => Ok(Expr::Literal(Value::Int(v))),
-            Token::Float(v) => Ok(Expr::Literal(Value::Double(v))),
-            Token::Str(s) => Ok(Expr::Literal(Value::Str(s))),
+            Token::Int(v) => Ok(self.literal(|| Value::Int(*v))),
+            Token::Float(v) => Ok(self.literal(|| Value::Double(*v))),
+            Token::Str(s) => Ok(self.literal(|| Value::Str(s.to_string()))),
             Token::Symbol(Symbol::LParen) => {
                 let e = self.expr()?;
                 self.expect_symbol(Symbol::RParen)?;
                 Ok(e)
             }
             Token::Ident(id) => {
-                let lid = id.to_ascii_lowercase();
-                if lid == "null" {
+                if id.eq_ignore_ascii_case("null") {
                     return Ok(Expr::Literal(Value::Null));
                 }
-                if lid == "true" {
+                if id.eq_ignore_ascii_case("true") {
                     return Ok(Expr::int(1));
                 }
-                if lid == "false" {
+                if id.eq_ignore_ascii_case("false") {
                     return Ok(Expr::int(0));
                 }
-                if lid == "case" {
+                if id.eq_ignore_ascii_case("case") {
                     return self.case_expr();
                 }
+                let lid = id.to_ascii_lowercase();
                 // Function call?
                 if *self.peek() == Token::Symbol(Symbol::LParen) {
                     self.bump();
@@ -590,36 +645,13 @@ impl Parser {
 }
 
 fn is_clause_kw(s: &str) -> bool {
-    matches!(
-        s.to_ascii_lowercase().as_str(),
-        "from"
-            | "where"
-            | "group"
-            | "having"
-            | "order"
-            | "limit"
-            | "join"
-            | "inner"
-            | "on"
-            | "as"
-            | "and"
-            | "or"
-            | "not"
-            | "asc"
-            | "desc"
-            | "set"
-            | "values"
-            | "between"
-            | "in"
-            | "like"
-            | "is"
-            | "when"
-            | "then"
-            | "else"
-            | "end"
-            | "partition"
-            | "tablegroup"
-    )
+    [
+        "from", "where", "group", "having", "order", "limit", "join", "inner", "on", "as", "and",
+        "or", "not", "asc", "desc", "set", "values", "between", "in", "like", "is", "when",
+        "then", "else", "end", "partition", "tablegroup",
+    ]
+    .iter()
+    .any(|kw| s.eq_ignore_ascii_case(kw))
 }
 
 #[cfg(test)]
@@ -752,6 +784,30 @@ mod tests {
         let s = parse("SELECT * FROM t WHERE a NOT BETWEEN 1 AND 2 AND b NOT IN (3)").unwrap();
         let Statement::Select(sel) = s else { panic!() };
         assert!(sel.predicate.is_some());
+    }
+
+    #[test]
+    fn only_where_and_set_operands_become_parameters() {
+        let sql = "SELECT a, 7 FROM t JOIN u ON t.x = u.x AND u.y = 1 \
+                   WHERE a IN (2, 3) AND b LIKE 'p%' AND c = 'x' AND d BETWEEN 4 AND -5 \
+                   GROUP BY a HAVING COUNT(*) > 6 ORDER BY a LIMIT 8";
+        let lexed = lex(sql).unwrap();
+        let (Statement::Select(sel), params) = parse_with_params(&lexed).unwrap() else {
+            panic!()
+        };
+        // Literals: 7, 1, 2, 3, 'p%', 'x', 4, 5, 6, 8.
+        assert_eq!(params, vec![2, 3, 5, 6, 7]);
+        assert_eq!(sel.limit, Some(8));
+        assert!(sel.joins[0].on.to_string().contains('1'));
+        let Statement::Select(plain) = parse(sql).unwrap() else { panic!() };
+        assert!(!format!("{:?}", plain.predicate).contains("Param"));
+
+        let lexed = lex("UPDATE t SET v = v + 1, w = 'z' WHERE id = 9").unwrap();
+        let (Statement::Update(u), params) = parse_with_params(&lexed).unwrap() else {
+            panic!()
+        };
+        assert_eq!(params, vec![0, 1, 2]);
+        assert_eq!(u.predicate, Some(Expr::binary(BinOp::Eq, Expr::col("id"), Expr::Param(2))));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! push-down) and the executor (vectorized operators, MPP fragments)
 //! consume.
 
-use polardbx_common::{Error, Result};
+use polardbx_common::{Error, Result, Value};
 
 use crate::ast::{Select, SelectItem};
 use crate::expr::{AggFunc, BinOp, Expr};
@@ -128,6 +128,42 @@ impl LogicalPlan {
                 t.extend(right.tables());
                 t
             }
+        }
+    }
+
+    /// This tree with every expression [`Expr::bind`]ed: a cached template
+    /// becomes the plan of one statement.
+    pub fn bind(&self, literals: &[Value]) -> LogicalPlan {
+        let input = |input: &LogicalPlan| Box::new(input.bind(literals));
+        let exprs = |exprs: &[Expr]| exprs.iter().map(|e| e.bind(literals)).collect();
+        match self {
+            LogicalPlan::Scan { .. } => self.clone(),
+            LogicalPlan::Filter { input: i, predicate } => {
+                LogicalPlan::Filter { input: input(i), predicate: predicate.bind(literals) }
+            }
+            LogicalPlan::Project { input: i, exprs: e, names } => {
+                LogicalPlan::Project { input: input(i), exprs: exprs(e), names: names.clone() }
+            }
+            LogicalPlan::Join { left, right, on, filter } => LogicalPlan::Join {
+                left: input(left),
+                right: input(right),
+                on: on.clone(),
+                filter: filter.as_ref().map(|f| f.bind(literals)),
+            },
+            LogicalPlan::Aggregate { input: i, group_by, aggs, names } => LogicalPlan::Aggregate {
+                input: input(i),
+                group_by: exprs(group_by),
+                aggs: aggs
+                    .iter()
+                    .map(|a| AggSpec { arg: a.arg.as_ref().map(|e| e.bind(literals)), ..*a })
+                    .collect(),
+                names: names.clone(),
+            },
+            LogicalPlan::Sort { input: i, keys } => LogicalPlan::Sort {
+                input: input(i),
+                keys: keys.iter().map(|(e, desc)| (e.bind(literals), *desc)).collect(),
+            },
+            LogicalPlan::Limit { input: i, n } => LogicalPlan::Limit { input: input(i), n: *n },
         }
     }
 
