@@ -1,14 +1,13 @@
 //! Allocation ratchet for the point-statement path. After warm-up, one
 //! in-process `Session::query` point SELECT, one pushed `UPDATE … WHERE
 //! id = k` and one single-row INSERT are counted, armed on the calling
-//! thread. A TP statement runs
-//! on the thread that received it, so the count covers admission, the
-//! plan-cache hit (lex, bind) and the per-execution planning steps,
-//! routing, execution and (for the UPDATE) the commit this thread waits
-//! on; work done on other threads (simnet delivery) is not counted. Every
-//! counted SELECT and UPDATE is a plan-cache hit: the warm-up ran its
-//! shape. An INSERT skips the cache; its shape is admitted by traffic
-//! control, which allocates only for a shape it has not seen.
+//! thread. A TP statement runs on the thread that received it, so the
+//! count covers the plan-cache hit (lex, bind) and the per-execution
+//! planning steps, routing, execution and (for the UPDATE) the commit this
+//! thread waits on; work done on other threads (simnet delivery) is not
+//! counted. An embedded session passes no admission step. Every counted
+//! SELECT and UPDATE is a plan-cache hit: the warm-up ran its shape. An
+//! INSERT skips the cache: it is parsed and run.
 //!
 //! The bounds are what the path allocates today, in an optimized build
 //! (an unoptimized one keeps clones the optimizer removes, so it only

@@ -20,7 +20,6 @@ use crate::gms::{shard_table_id, Gms};
 use crate::provider::ClusterProvider;
 use crate::session::Session;
 use crate::plan_cache::PlanCache;
-use crate::traffic::TrafficControl;
 
 /// How long a catch-up waits for a decision its snapshot may see.
 const CATCH_UP: Duration = Duration::from_millis(200);
@@ -110,7 +109,6 @@ pub(crate) struct Inner {
     pub(crate) workload: Arc<WorkloadManager>,
     /// TP/AP memory regions with preemption (§VI-D).
     pub(crate) memory: Arc<MemoryManager>,
-    pub(crate) traffic: TrafficControl,
     /// Statement shape → its plan template, shared by every CN.
     pub(crate) plans: PlanCache,
     /// Route AP queries to RO replicas when available (§VI-A).
@@ -216,7 +214,6 @@ impl ClusterBuilder {
             column_index_builds: Counter::new(),
             workload: WorkloadManager::with_defaults(),
             memory: MemoryManager::with_defaults(),
-            traffic: TrafficControl::new(),
             plans: PlanCache::new(),
             htap_ro: AtomicBool::new(true),
             txn_metrics: Arc::new(TxnMetrics::new()),
@@ -355,11 +352,6 @@ impl PolarDbx {
     /// The shared CN workload manager.
     pub fn workload(&self) -> &Arc<WorkloadManager> {
         &self.inner.workload
-    }
-
-    /// The traffic controller.
-    pub fn traffic(&self) -> &TrafficControl {
-        &self.inner.traffic
     }
 
     /// The CN memory manager (TP/AP regions, §VI-D).

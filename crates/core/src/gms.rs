@@ -82,18 +82,6 @@ impl Gms {
         id
     }
 
-    /// Update a registered tenant's quotas (DBA knob; the front door
-    /// re-reads them on the tenant's next handshake).
-    pub fn set_tenant_quotas(&self, id: TenantId, quotas: TenantQuotas) -> Result<()> {
-        match self.tenants.write().get_mut(&id) {
-            Some(meta) => {
-                meta.quotas = quotas;
-                Ok(())
-            }
-            None => Err(Error::invalid(format!("unknown tenant {id}"))),
-        }
-    }
-
     /// Tenant catalog lookup.
     pub fn tenant(&self, id: TenantId) -> Option<TenantMeta> {
         self.tenants.read().get(&id).cloned()
@@ -562,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_catalog_register_lookup_update() {
+    fn tenant_catalog_register_lookup() {
         let gms = gms_with_dns(1);
         let a = gms.register_tenant("alpha", TenantQuotas::rate_limited(100.0, 10.0));
         let b = gms.register_tenant("beta", TenantQuotas::unlimited());
@@ -571,9 +559,6 @@ mod tests {
         assert_eq!(meta.name, "alpha");
         assert_eq!(meta.quotas.rate_per_sec, 100.0);
         assert!(gms.tenant(TenantId(999)).is_none());
-        gms.set_tenant_quotas(a, TenantQuotas::rate_limited(7.0, 2.0)).unwrap();
-        assert_eq!(gms.tenant(a).unwrap().quotas.rate_per_sec, 7.0);
-        assert!(gms.set_tenant_quotas(TenantId(999), TenantQuotas::unlimited()).is_err());
         let names: Vec<String> = gms.tenants().into_iter().map(|t| t.name).collect();
         assert_eq!(names, vec!["alpha".to_string(), "beta".to_string()]);
     }

@@ -28,8 +28,9 @@
 //!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).
 //! * `plan_cache` — plan once per statement shape: one cache per cluster
 //!   binds each SELECT / UPDATE / DELETE's literals into a cached template.
-//! * [`traffic`] — automated traffic control: anomaly detection over query
-//!   fingerprints and concurrency limiting (§VIII).
+//! * Admission is the front door's alone (`polardbx_front::admission`,
+//!   per tenant): §VIII's per-fingerprint anomaly throttle is not
+//!   reproduced, and an embedded [`Session`] is admitted by nothing.
 
 pub mod access;
 pub mod cluster;
@@ -40,7 +41,6 @@ pub mod placer;
 pub mod provider;
 pub mod rehome;
 pub mod session;
-pub mod traffic;
 
 pub use cluster::{ClusterBuilder, ClusterConfig, PolarDbx};
 pub use gms::Gms;

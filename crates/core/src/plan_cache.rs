@@ -3,10 +3,10 @@
 //! The CN parses, optimizes and classifies every request (§II-A, §VI-B),
 //! but a client sends the same statement shapes again and again with new
 //! constants. An entry is keyed by the statement's shape — the lexer's text
-//! with one `?` per literal, also the §VIII traffic fingerprint — and holds
-//! a template built once: the statement's plan with every `WHERE` / `SET`
-//! operand literal left out as an [`polardbx_sql::Expr::Param`]. A hit
-//! binds the statement's literals into a copy of it.
+//! with one `?` per literal — and holds a template built once: the
+//! statement's plan with every `WHERE` / `SET` operand literal left out as
+//! an [`polardbx_sql::Expr::Param`]. A hit binds the statement's literals
+//! into a copy of it.
 //!
 //! An entry records, per literal of its shape, either the *type* of a
 //! parameter or the *value* of a structural literal (`LIMIT n`, a `LIKE`

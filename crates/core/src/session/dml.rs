@@ -387,7 +387,6 @@ impl Session {
     /// into the cached edit and run it, retried wholesale on a re-home
     /// bounce.
     pub(super) fn edit(&self, lexed: &Lexed<'_>) -> Result<u64> {
-        let _permit = self.inner.traffic.admit(lexed)?;
         let literals = lexed.literals();
         let entry = self.edit_template(lexed, &literals)?;
         let template = &entry.template;

@@ -13,10 +13,11 @@
 //! (`crate::plan_cache`) and binds its literals into the cached
 //! template; only a miss parses and plans. Per execution, as without a
 //! cache: a SELECT chooses its join build sides, estimates and
-//! classifies against the current statistics, passes both admission gates,
-//! reserves memory, routes fenced and picks each table's store; an UPDATE /
-//! DELETE decides its write path from its bound predicate. The shape is
-//! also the statement's traffic-control fingerprint, computed once.
+//! classifies against the current statistics, reserves memory from its
+//! class's region, routes fenced and picks each table's store; an UPDATE /
+//! DELETE decides its write path from its bound predicate. A session admits
+//! nothing itself: the front door's per-tenant gate is the one admission
+//! step.
 
 mod dml;
 
@@ -193,9 +194,7 @@ impl Session {
     /// An INSERT or DDL statement has no plan to cache: it is parsed and
     /// run.
     fn other(&self, lexed: &Lexed<'_>) -> Result<u64> {
-        let stmt = polardbx_sql::parse_lexed(lexed)?;
-        let _permit = self.inner.traffic.admit(lexed)?;
-        match stmt {
+        match polardbx_sql::parse_lexed(lexed)? {
             Statement::CreateTable(ct) => self.create_table(ct).map(|_| 0),
             Statement::CreateIndex(ci) => self.create_index(ci).map(|_| 0),
             // DML retries the whole statement on a re-home bounce: the
@@ -225,7 +224,6 @@ impl Session {
 
     /// Run a SELECT through the plan cache.
     fn select(&self, lexed: &Lexed<'_>) -> Result<(Vec<Row>, WorkloadClass)> {
-        let _permit = self.inner.traffic.admit(lexed)?;
         let literals = lexed.literals();
         let entry = self.select_template(lexed, &literals)?;
         let stats = self.inner.gms.statistics();

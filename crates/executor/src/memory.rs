@@ -71,7 +71,7 @@ impl MemoryManager {
 
     /// Release TP memory. Preempted AP memory is returned only when the
     /// *whole* region drains (query completion), matching the paper.
-    pub fn release_tp(&self, bytes: usize) {
+    pub(crate) fn release_tp(&self, bytes: usize) {
         let mut tp = self.tp.lock();
         tp.used = tp.used.saturating_sub(bytes);
         if tp.used == 0 && tp.preempted > 0 {
@@ -93,7 +93,7 @@ impl MemoryManager {
     }
 
     /// Release AP memory.
-    pub fn release_ap(&self, bytes: usize) {
+    pub(crate) fn release_ap(&self, bytes: usize) {
         let mut ap = self.ap.lock();
         ap.used = ap.used.saturating_sub(bytes);
     }

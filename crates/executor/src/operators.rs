@@ -487,27 +487,26 @@ impl TableProvider for MemTables {
     }
 }
 
-/// Convenience: parse, plan, optimize and execute a SQL SELECT against a
-/// provider (tests and examples).
-pub fn query(
-    sql: &str,
-    schemas: &dyn polardbx_sql::plan::SchemaProvider,
-    provider: &dyn TableProvider,
-    ctx: &ExecCtx,
-) -> Result<Vec<Row>> {
-    let stmt = polardbx_sql::parse(sql)?;
-    let polardbx_sql::Statement::Select(sel) = stmt else {
-        return Err(Error::invalid("query() only executes SELECT"));
-    };
-    let plan = polardbx_sql::build_plan(&sel, schemas)?;
-    let plan = polardbx_optimizer::optimize(plan);
-    execute_plan(&plan, provider, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polardbx_common::Result;
+
+    /// Parse, plan, optimize and execute a SQL SELECT against a provider.
+    fn query(
+        sql: &str,
+        schemas: &dyn polardbx_sql::plan::SchemaProvider,
+        provider: &dyn TableProvider,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<Row>> {
+        let stmt = polardbx_sql::parse(sql)?;
+        let polardbx_sql::Statement::Select(sel) = stmt else {
+            return Err(Error::invalid("query() only executes SELECT"));
+        };
+        let plan = polardbx_sql::build_plan(&sel, schemas)?;
+        let plan = polardbx_optimizer::optimize(plan);
+        execute_plan(&plan, provider, ctx)
+    }
 
     struct Schemas;
     impl polardbx_sql::plan::SchemaProvider for Schemas {

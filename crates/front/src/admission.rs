@@ -9,9 +9,10 @@
 //! Either gate bounces the request with a retryable
 //! [`Error::Throttled`] instead of queueing it: unbounded server-side
 //! queues convert overload into tail-latency collapse for *every* tenant,
-//! while a bounce pushes the wait to the offending client (§VIII of the
-//! paper applies the same philosophy to anomalous query fingerprints; this
-//! layer applies it per tenant at the door).
+//! while a bounce pushes the wait to the offending client. This is the
+//! cluster's one admission step; an embedded `Session` is admitted by
+//! nothing. (§VIII of the paper also limits anomalous query fingerprints
+//! in the CN; the reproduction does not model that throttle.)
 //!
 //! Connections hold a [`ConnPermit`] and queries a [`QueryPermit`]; both
 //! release on `Drop`, so an abrupt disconnect can never leak quota — the

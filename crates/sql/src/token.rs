@@ -4,7 +4,7 @@
 //! statement's *shape*: its tokens joined by single spaces, keywords and
 //! identifiers lowercased, and one `?` in place of each literal. Statements
 //! that differ only in their constants share a shape; it keys the cluster's
-//! plan cache and is the traffic-control fingerprint (§VIII).
+//! plan cache.
 
 use std::borrow::Cow;
 
@@ -125,11 +125,6 @@ impl<'a> Lexed<'a> {
     /// The statement's shape: `select v from t where id = ?`.
     pub fn shape(&self) -> &str {
         &self.shape
-    }
-
-    /// The shape, owned.
-    pub fn into_shape(self) -> String {
-        self.shape
     }
 
     /// Does the statement start with keyword `kw`?

@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use polardbx_common::{
     Error, HistoryRecorder, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId, TxnEvent,
 };
@@ -26,7 +25,7 @@ use polardbx_wal::{
     LogSink, Mtr, RedoPayload, VecSink, WalMetrics,
 };
 
-use crate::feed::{CommittedTxn, RowChange, TxnAssembler};
+use crate::feed::{CommittedTxn, RowChange};
 use crate::mvcc::{VersionOp, VersionStore};
 use crate::rowcodec::encode_row;
 use crate::shard::ShardedMap;
@@ -830,45 +829,10 @@ impl StorageEngine {
     }
 }
 
-/// Replays a redo stream onto an engine's stores: each committed
-/// transaction the [`TxnAssembler`] yields is applied with its commit
-/// timestamp. This is the apply loop of RO nodes (§II-C) and Paxos
-/// followers (§III); aborted transactions' ops are dropped.
-pub struct RedoApplier {
-    engine: Arc<StorageEngine>,
-    assembler: Mutex<TxnAssembler>,
-}
-
-impl RedoApplier {
-    /// An applier targeting `engine`.
-    pub fn new(engine: Arc<StorageEngine>) -> RedoApplier {
-        RedoApplier { engine, assembler: Mutex::new(TxnAssembler::default()) }
-    }
-
-    /// Feed one record.
-    pub fn apply(&self, record: &RedoPayload) {
-        let committed = self.assembler.lock().push(record.clone());
-        if let Some(txn) = committed {
-            self.engine.apply_committed(&txn);
-        }
-    }
-
-    /// Feed a whole byte run of encoded records.
-    pub fn apply_bytes(&self, bytes: Bytes) -> Result<()> {
-        let committed = self.assembler.lock().feed(bytes)?;
-        committed.iter().for_each(|txn| self.engine.apply_committed(txn));
-        Ok(())
-    }
-
-    /// Transactions whose commit record has not arrived yet.
-    pub fn in_flight(&self) -> usize {
-        self.assembler.lock().in_flight()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use polardbx_common::Value;
 
     fn key(n: i64) -> Key {
@@ -982,32 +946,6 @@ mod tests {
         let e2 = StorageEngine::in_memory();
         e2.attach_table(T, store);
         assert_eq!(e2.read(T, &key(1), 100, None).unwrap(), Some(row(1, "moved")));
-    }
-
-    #[test]
-    fn redo_applier_replays_committed_only() {
-        let src = engine();
-        let sink = VecSink::new();
-        let src2 = StorageEngine::with_sink(sink.clone() as Arc<dyn LogSink>);
-        src2.create_table(T, TEN);
-        // Committed transaction.
-        src2.begin(TrxId(1), 0);
-        src2.write(TrxId(1), T, key(1), WriteOp::Insert(row(1, "yes"))).unwrap();
-        src2.commit(TrxId(1), 10).unwrap();
-        // Aborted transaction.
-        src2.begin(TrxId(2), 10);
-        src2.write(TrxId(2), T, key(2), WriteOp::Insert(row(2, "no"))).unwrap();
-        src2.abort(TrxId(2));
-
-        // Replay the log into a replica engine.
-        let replica = StorageEngine::in_memory();
-        replica.create_table(T, TEN);
-        let applier = RedoApplier::new(Arc::clone(&replica));
-        applier.apply_bytes(Bytes::from(sink.contiguous())).unwrap();
-        assert_eq!(replica.read(T, &key(1), 100, None).unwrap(), Some(row(1, "yes")));
-        assert_eq!(replica.read(T, &key(2), 100, None).unwrap(), None);
-        assert_eq!(applier.in_flight(), 0);
-        drop(src);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
 use polardbx_simnet::{FaultPlan, Handler, LatencyMatrix, LinkFaults, SimNet};
 use polardbx_sitcheck::bank::{stress_seeded, BankHarness};
-use polardbx_storage::engine::RedoApplier;
-use polardbx_storage::{StorageEngine, TxnState, WriteOp};
+use polardbx_storage::{recovered_engine, StorageEngine, TxnAssembler, TxnState, WriteOp};
 use polardbx_txn::{Coordinator, DnService, ResolverConfig, TxnConfig, TxnMsg, WireWriteOp};
 
 fn key(n: i64) -> Key {
@@ -421,14 +420,18 @@ fn paxos_backed_engine_survives_failover() {
     );
     let leader = group.leader().unwrap();
 
-    // The follower maintains a replica engine by replaying applied frames.
+    // The follower maintains a replica engine by replaying applied frames:
+    // each transaction the assembler completes is applied at its commit
+    // timestamp.
     let replica_engine = StorageEngine::in_memory();
     replica_engine.create_table(TableId(1), TenantId(1));
-    let applier = Arc::new(RedoApplier::new(Arc::clone(&replica_engine)));
     {
-        let applier = Arc::clone(&applier);
+        let replica_engine = Arc::clone(&replica_engine);
+        let assembler = Mutex::new(TxnAssembler::default());
         group.replicas[1].set_apply(Box::new(move |frame| {
-            let _ = applier.apply_bytes(frame.payload.clone());
+            if let Ok(committed) = assembler.lock().unwrap().feed(frame.payload.clone()) {
+                committed.iter().for_each(|txn| replica_engine.apply_committed(txn));
+            }
         }));
     }
 
@@ -723,10 +726,7 @@ fn crash_recovery_replays_committed_state() {
     engine.write(TrxId(99), TableId(1), key(999), WriteOp::Insert(row(999))).unwrap();
     // (no commit — crash now)
 
-    let recovered = StorageEngine::in_memory();
-    recovered.create_table(TableId(1), TenantId(1));
-    let applier = RedoApplier::new(Arc::clone(&recovered));
-    applier.apply_bytes(bytes::Bytes::from(sink.contiguous())).unwrap();
+    let (_log, recovered, _report) = recovered_engine(sink, &[TableId(1)]).unwrap();
     assert_eq!(recovered.count_rows(TableId(1), u64::MAX).unwrap(), 10);
     assert_eq!(recovered.read(TableId(1), &key(999), u64::MAX, None).unwrap(), None);
     // Snapshots replay faithfully too: nothing visible before first commit.

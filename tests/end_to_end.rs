@@ -264,23 +264,6 @@ fn ro_replicas_of_a_rehomed_shard_neither_lose_nor_double_an_update() {
 }
 
 #[test]
-fn traffic_control_guards_the_endpoint() {
-    let db = cluster(1);
-    let s = db.connect(DcId(1));
-    s.execute("CREATE TABLE t (id BIGINT NOT NULL, PRIMARY KEY (id))").unwrap();
-    // A DBA limit on one statement shape.
-    let fp = polardbx::traffic::fingerprint("SELECT id FROM t WHERE id = 1");
-    db.traffic().limit(&fp, 0);
-    let err = s.query("SELECT id FROM t WHERE id = 42").unwrap_err();
-    assert!(matches!(err, polardbx_common::Error::Throttled { .. }));
-    // Other shapes unaffected.
-    s.query("SELECT COUNT(*) FROM t").unwrap();
-    db.traffic().unlimit(&fp);
-    s.query("SELECT id FROM t WHERE id = 42").unwrap();
-    db.shutdown();
-}
-
-#[test]
 fn sysbench_tpcc_tpch_smoke() {
     use polardbx_workloads::{tpcc, tpch};
     use rand::SeedableRng;

@@ -47,6 +47,30 @@ fn the_commit_pipeline_is_reached_from_the_product() {
     }
 }
 
+/// The most census items reached from tests alone. A ratchet: a new `pub`
+/// item only a test calls fails here; deleting or privatizing one lowers
+/// the bound with it.
+const TEST_ONLY_ITEMS: usize = 64;
+
+/// A `pub` item that only tests reach is code the product does not run.
+/// Each crate may hold up to a quarter of them (the census's crate gate);
+/// across the workspace their number only goes down.
+#[test]
+fn test_only_pub_items_do_not_grow() {
+    let test_only: Vec<&str> = report()
+        .census
+        .iter()
+        .filter(|c| c.reached_from() == ["test"])
+        .map(|c| c.item.as_str())
+        .collect();
+    assert!(
+        test_only.len() <= TEST_ONLY_ITEMS,
+        "{} pub items are reached only from tests (at most {TEST_ONLY_ITEMS}):\n{}",
+        test_only.len(),
+        test_only.join("\n")
+    );
+}
+
 /// One cluster for every harness: DNs and coordinators are built by
 /// `PolarDbx` (`crates/core/src/cluster.rs`), by `txn`'s own unit tests and
 /// by the Fig 7 harness, whose TSO-SI and Clock-SI baselines no `PolarDbx`
