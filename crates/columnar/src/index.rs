@@ -9,7 +9,11 @@
 //! The index lives across statements, so a snapshot does not copy it: each
 //! column sits behind an `Arc` the snapshot shares, and a write that finds
 //! a column shared copies it first (`Arc::make_mut`) — once per snapshot
-//! still alive at a write, not once per query.
+//! still alive at a write, not once per query. A string column's copy is
+//! its codes: the strings stay in dictionary blocks both copies share.
+//!
+//! Compaction re-codes: each string column's dictionary keeps only the
+//! entries a surviving row uses.
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -61,7 +65,6 @@ impl IndexState {
 
 /// The in-memory column index for one table.
 pub struct ColumnIndex {
-    types: Vec<DataType>,
     state: RwLock<IndexState>,
 }
 
@@ -106,7 +109,6 @@ impl ColumnIndex {
     pub fn new(types: Vec<DataType>) -> Arc<ColumnIndex> {
         let columns = types.iter().map(|t| Arc::new(ColumnData::new(*t))).collect();
         Arc::new(ColumnIndex {
-            types,
             state: RwLock::new(IndexState {
                 columns,
                 trx_ids: Vec::new(),
@@ -194,8 +196,9 @@ impl ColumnIndex {
 
     /// Compact: drop rows tombstoned at or before `horizon` and raise the
     /// floor to it — a snapshot older than `horizon` would read a hole
-    /// where a dropped image was, so it is refused instead. Snapshots
-    /// already taken keep the columns they share.
+    /// where a dropped image was, so it is refused instead. A string
+    /// column is re-coded and drops the dictionary entries only dropped
+    /// rows used. Snapshots already taken keep the columns they share.
     pub fn compact(&self, horizon: u64) {
         let st = &mut *self.state.write();
         st.floor = st.floor.max(horizon);
@@ -204,21 +207,14 @@ impl ColumnIndex {
         if keep.len() == st.created.len() {
             return;
         }
-        let mut new_cols: Vec<ColumnData> =
-            self.types.iter().map(|t| ColumnData::new(*t)).collect();
-        let mut remap: HashMap<usize, usize> = HashMap::with_capacity(keep.len());
-        for (new_id, &old_id) in keep.iter().enumerate() {
-            for (c, col) in new_cols.iter_mut().enumerate() {
-                col.push(&st.columns[c].get(old_id)).expect("same type");
-            }
-            remap.insert(old_id, new_id);
-        }
+        let remap: HashMap<usize, usize> =
+            keep.iter().enumerate().map(|(new_id, &old_id)| (old_id, new_id)).collect();
         st.key_index = st
             .key_index
             .iter()
             .filter_map(|(k, &old)| remap.get(&old).map(|&n| (k.clone(), n)))
             .collect();
-        st.columns = new_cols.into_iter().map(Arc::new).collect();
+        st.columns = st.columns.iter().map(|c| Arc::new(c.gather(&keep))).collect();
         st.trx_ids = keep.iter().map(|&i| st.trx_ids[i]).collect();
         st.created = keep.iter().map(|&i| st.created[i]).collect();
         st.deleted = keep.iter().map(|&i| st.deleted[i]).collect();
@@ -372,6 +368,59 @@ mod tests {
         drop(c);
         idx.apply_put(TrxId(3), 30, key(3), &row(3, 3.0)).unwrap();
         assert_eq!(Arc::as_ptr(&idx.snapshot(30).columns[0]), before);
+    }
+
+    fn str_index() -> Arc<ColumnIndex> {
+        ColumnIndex::new(vec![DataType::Int, DataType::Str])
+    }
+
+    fn srow(a: i64, s: Option<&str>) -> Row {
+        Row::new(vec![Value::Int(a), s.map(Value::str).unwrap_or(Value::Null)])
+    }
+
+    fn dict_len(snap: &ColumnSnapshot) -> usize {
+        match snap.columns[1].as_ref() {
+            ColumnData::Str(_, _, d) => {
+                assert_eq!(d.iter().count(), d.len());
+                d.len()
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn a_snapshot_never_sees_a_string_appended_after_it() {
+        let idx = str_index();
+        idx.apply_put(TrxId(1), 10, key(1), &srow(1, Some("MAIL"))).unwrap();
+        idx.apply_put(TrxId(2), 20, key(2), &srow(2, None)).unwrap();
+        let snap = idx.snapshot(20);
+        let before = snap.rows();
+        idx.apply_put(TrxId(3), 30, key(3), &srow(3, Some("SHIP"))).unwrap();
+        idx.apply_put(TrxId(4), 40, key(1), &srow(1, Some("AIR"))).unwrap();
+        assert_eq!(snap.rows(), before, "same rows after new distinct strings");
+        assert_eq!(dict_len(&snap), 1, "its dictionary did not grow under it");
+        let now = idx.snapshot(40);
+        assert_eq!(now.rows(), vec![srow(2, None), srow(3, Some("SHIP")), srow(1, Some("AIR"))]);
+        assert_eq!(dict_len(&now), 3, "MAIL, SHIP, AIR: each once");
+    }
+
+    #[test]
+    fn compaction_recodes_and_drops_dead_entries() {
+        let idx = str_index();
+        idx.apply_put(TrxId(1), 10, key(1), &srow(1, Some("gone"))).unwrap();
+        idx.apply_put(TrxId(2), 20, key(2), &srow(2, Some("kept"))).unwrap();
+        idx.apply_put(TrxId(3), 30, key(1), &srow(1, Some("kept"))).unwrap();
+        idx.apply_put(TrxId(4), 40, key(3), &srow(3, None)).unwrap();
+        let old = idx.snapshot(15);
+        assert_eq!(dict_len(&idx.snapshot(40)), 2);
+        idx.compact(40);
+        let s = idx.snapshot(40);
+        assert_eq!(dict_len(&s), 1, "only the entry a surviving row uses");
+        assert_eq!(s.rows(), vec![srow(2, Some("kept")), srow(1, Some("kept")), srow(3, None)]);
+        assert_eq!(old.rows(), vec![srow(1, Some("gone"))], "taken before: still whole");
+        // Appends after the re-code dedupe against the new dictionary.
+        idx.apply_put(TrxId(5), 50, key(4), &srow(4, Some("kept"))).unwrap();
+        assert_eq!(dict_len(&idx.snapshot(50)), 1);
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl CmpOp {
 /// Filter `selection` by comparing `column` against a constant, as
 /// `Value::sql_cmp` would: an `Int` column against a `Double` constant
 /// compares as `f64`, never by truncating the constant. NULL rows never
-/// match.
+/// match. A string column compares once per dictionary entry when the
+/// dictionary is no larger than the selection ([`Dictionary::select`]).
+///
+/// [`Dictionary::select`]: crate::Dictionary::select
 pub fn filter_cmp(
     column: &ColumnData,
     selection: &[u32],
@@ -85,13 +88,8 @@ pub fn filter_cmp(
                 }
             }
         }
-        (ColumnData::Str(data, nulls), Value::Str(c)) => {
-            for &id in selection {
-                let i = id as usize;
-                if !nulls[i] && op.keep(data[i].as_str().cmp(c.as_str())) {
-                    out.push(id);
-                }
-            }
+        (ColumnData::Str(codes, nulls, dict), Value::Str(c)) => {
+            return Ok(dict.select(codes, nulls, selection, false, |s| op.keep(s.cmp(c))));
         }
         (ColumnData::Date(data, nulls), c) => {
             let c = c.as_date()?;
@@ -174,6 +172,22 @@ mod tests {
         assert_eq!(filter_cmp(&c, &sel, CmpOp::Eq, &half).unwrap(), Vec::<u32>::new());
         assert_eq!(filter_cmp(&c, &sel, CmpOp::Eq, &Value::Double(10.0)).unwrap(), vec![1]);
         assert_eq!(filter_cmp(&c, &sel, CmpOp::Lt, &Value::Double(f64::NAN)).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn filter_cmp_str_per_entry_and_per_row() {
+        let mut c = ColumnData::new(DataType::Str);
+        for v in ["MAIL", "SHIP", "AIR", "MAIL"] {
+            c.push(&Value::str(v)).unwrap();
+        }
+        c.push(&Value::Null).unwrap();
+        let k = Value::str("MAIL");
+        // Three entries over five rows: once per entry.
+        assert_eq!(filter_cmp(&c, &all(5), CmpOp::Eq, &k).unwrap(), vec![0, 3]);
+        assert_eq!(filter_cmp(&c, &all(5), CmpOp::Neq, &k).unwrap(), vec![1, 2]);
+        // Over two rows: once per row, the same answer.
+        assert_eq!(filter_cmp(&c, &[2, 3], CmpOp::Lt, &k).unwrap(), vec![2]);
+        assert_eq!(filter_cmp(&c, &[1, 4], CmpOp::Gt, &k).unwrap(), vec![1]);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! `Arc` clones. Lanes are typed when the column is monomorphic
 //! (`ColumnData` reuse — the kernels' layout) and fall back to a `Value`
 //! vector for mixed or all-NULL columns so no value is ever coerced, which
-//! keeps the vectorized engine byte-identical to the row engine.
+//! keeps the vectorized engine byte-identical to the row engine. A string
+//! lane is dictionary-coded either way: a column-index lane shares the
+//! index's deduped dictionary, a lane cut from rows gives each value its
+//! own entry.
 //!
 //! Byte accounting is incremental: a batch's footprint is accumulated while
 //! the batch is built and cached per lane, so memory-accounting reads are
@@ -17,7 +20,7 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use polardbx_columnar::ColumnData;
+use polardbx_columnar::{ColumnData, Dictionary};
 use polardbx_common::{Row, Value};
 
 /// Target rows per batch.
@@ -132,6 +135,8 @@ impl Lane {
                         ColumnData::Double(d, nulls)
                     }
                     3 => {
+                        // Each value its own dictionary entry (a NULL's
+                        // is empty): the strings move, nothing is hashed.
                         let mut d = Vec::with_capacity(n);
                         let mut nulls = Vec::with_capacity(n);
                         for v in vals {
@@ -147,7 +152,7 @@ impl Lane {
                                 }
                             }
                         }
-                        ColumnData::Str(d, nulls)
+                        ColumnData::Str((0..n as u32).collect(), nulls, Dictionary::from_entries(d))
                     }
                     _ => {
                         let mut d = Vec::with_capacity(n);
@@ -245,12 +250,12 @@ impl Lane {
                     h.write_u64(d[i].to_bits());
                 }
             }
-            LaneRef::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(codes, n, dict)) => {
                 if n[i] {
                     h.write_u8(0);
                 } else {
                     h.write_u8(3);
-                    h.write(d[i].as_bytes());
+                    h.write(dict.get(codes[i]).as_bytes());
                     h.write_u8(0xff);
                 }
             }
@@ -276,15 +281,11 @@ impl Lane {
             LaneRef::Col(ColumnData::Double(d, n)) => {
                 if n[i] { Value::Null.sql_cmp(v) } else { Value::Double(d[i]).sql_cmp(v) }
             }
-            LaneRef::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(codes, n, dict)) => {
                 if n[i] {
                     Value::Null.sql_cmp(v)
                 } else {
-                    match v {
-                        Value::Null => Some(std::cmp::Ordering::Greater),
-                        Value::Str(s) => Some(d[i].as_str().cmp(s.as_str())),
-                        _ => None,
-                    }
+                    str_sql_cmp(dict.get(codes[i]), v)
                 }
             }
             LaneRef::Col(ColumnData::Date(d, n)) => {
@@ -308,9 +309,9 @@ impl Lane {
                 Value::Double(x) => !n[i] && d[i].to_bits() == x.to_bits(),
                 _ => false,
             },
-            LaneRef::Col(ColumnData::Str(d, n)) => match v {
+            LaneRef::Col(ColumnData::Str(codes, n, dict)) => match v {
                 Value::Null => n[i],
-                Value::Str(s) => !n[i] && d[i] == *s,
+                Value::Str(s) => !n[i] && dict.get(codes[i]) == s,
                 _ => false,
             },
             LaneRef::Col(ColumnData::Date(d, n)) => match v {
@@ -320,6 +321,16 @@ impl Lane {
             },
             LaneRef::Vals(vals) => ident_eq(&vals[i], v),
         }
+    }
+}
+
+/// [`Value::sql_cmp`] of a non-NULL string against `v`: NULL sorts first,
+/// another string compares by bytes, any other type is incomparable.
+pub(crate) fn str_sql_cmp(s: &str, v: &Value) -> Option<std::cmp::Ordering> {
+    match v {
+        Value::Null => Some(std::cmp::Ordering::Greater),
+        Value::Str(k) => Some(s.cmp(k.as_str())),
+        _ => None,
     }
 }
 
@@ -423,13 +434,13 @@ impl Lane {
             LaneRef::Col(ColumnData::Date(d, n)) => {
                 if n[i] { mix64(TAG_NULL) } else { mix64(d[i] as u64 ^ TAG_DATE) }
             }
-            LaneRef::Col(ColumnData::Str(d, n)) => {
+            LaneRef::Col(ColumnData::Str(codes, n, dict)) => {
                 if n[i] {
                     mix64(TAG_NULL)
                 } else {
                     let mut h = std::collections::hash_map::DefaultHasher::new();
                     h.write_u8(3);
-                    h.write(d[i].as_bytes());
+                    h.write(dict.get(codes[i]).as_bytes());
                     h.write_u8(0xff);
                     h.finish()
                 }

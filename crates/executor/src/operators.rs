@@ -308,21 +308,6 @@ impl AggState {
         }
     }
 
-    /// Vectorized fast path for a non-NULL numeric value when the caller
-    /// only needs count/sum lanes (Count/Sum/Avg, non-distinct): skips the
-    /// min/max comparisons and the `Value` clone entirely.
-    pub(crate) fn add_num(&mut self, d: f64, int: bool) {
-        self.count += 1;
-        self.sum += d;
-        self.int_only &= int;
-    }
-
-    /// Vectorized fast path for a non-NULL, non-numeric value under
-    /// Count/Sum/Avg: `as_double` fails, so only the count moves.
-    pub(crate) fn bump_count(&mut self) {
-        self.count += 1;
-    }
-
     /// Merge a partial state from another fragment.
     pub fn merge(&mut self, other: &AggState) {
         match (&mut self.distinct_set, &other.distinct_set) {
@@ -357,26 +342,23 @@ impl AggState {
     /// Final value.
     pub fn finish(&self) -> Value {
         match self.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.int_only {
-                    Value::Int(self.sum as i64)
-                } else {
-                    Value::Double(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(self.sum / self.count as f64)
-                }
-            }
             AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
+            func => numeric_result(func, self.count, self.sum, self.int_only),
         }
+    }
+}
+
+/// The value of a COUNT, SUM or AVG from its running count, sum and
+/// all-Int flag.
+pub(crate) fn numeric_result(func: AggFunc, count: u64, sum: f64, int_only: bool) -> Value {
+    match func {
+        AggFunc::Count => Value::Int(count as i64),
+        AggFunc::Sum | AggFunc::Avg if count == 0 => Value::Null,
+        AggFunc::Sum if int_only => Value::Int(sum as i64),
+        AggFunc::Sum => Value::Double(sum),
+        AggFunc::Avg => Value::Double(sum / count as f64),
+        AggFunc::Min | AggFunc::Max => unreachable!("not a numeric aggregate"),
     }
 }
 

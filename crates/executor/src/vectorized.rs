@@ -18,20 +18,18 @@
 //! join together (NULL keys match, `Int(5)` and `Double(5.0)` stay
 //! distinct).
 
-use std::collections::HashMap;
-
-use polardbx_columnar::ColumnData;
+use polardbx_columnar::{ColumnData, SlotIndex};
 use polardbx_common::time::Timer;
 use polardbx_common::{Error, Result, Row, Value};
 use polardbx_sql::expr::{like_match, AggFunc, BinOp, Expr};
 use polardbx_sql::plan::{split_conjuncts, AggSpec, LogicalPlan};
 
 use crate::batch::{
-    ident_eq, ident_hash_lanes, ident_hash_one, ident_hash_value, ident_hash_values, Lane,
-    RowBatch,
+    ident_eq, ident_hash_lanes, ident_hash_one, ident_hash_value, ident_hash_values,
+    str_sql_cmp, Lane, RowBatch,
 };
 use crate::exec_metrics::exec_metrics;
-use crate::operators::{AggState, ExecCtx};
+use crate::operators::{numeric_result, AggState, ExecCtx};
 
 // ------------------------------------------------------------------ filters
 
@@ -106,23 +104,7 @@ fn apply_conjunct(batch: &RowBatch, pred: &Expr, live: Vec<u32>) -> Result<Vec<u
                 (Expr::ColumnIdx(c), Expr::Literal(lo), Expr::Literal(hi))
                     if *c < batch.width() =>
                 {
-                    // BETWEEN is total in the row engine: incomparable
-                    // bounds are simply "no match", never an error.
-                    let lane = batch.lane(*c);
-                    let mut out = Vec::with_capacity(live.len());
-                    for &i in &live {
-                        use std::cmp::Ordering::*;
-                        let ge = matches!(
-                            lane.sql_cmp_const(i as usize, lo),
-                            Some(Greater | Equal)
-                        );
-                        let le =
-                            matches!(lane.sql_cmp_const(i as usize, hi), Some(Less | Equal));
-                        if ge && le {
-                            out.push(i);
-                        }
-                    }
-                    Ok(out)
+                    Ok(filter_between_lane(batch.lane(*c), &live, lo, hi))
                 }
                 _ => filter_scalar(batch, pred, &live),
             }
@@ -140,31 +122,23 @@ fn apply_conjunct(batch: &RowBatch, pred: &Expr, live: Vec<u32>) -> Result<Vec<u
         Expr::Like { expr, pattern } => match expr.as_ref() {
             Expr::ColumnIdx(c) if *c < batch.width() => {
                 match batch.lane(*c).column() {
-                    Some(ColumnData::Str(data, nulls)) => {
+                    Some(ColumnData::Str(codes, nulls, dict)) => {
+                        if live.iter().any(|&i| nulls[i as usize]) {
+                            // The row engine calls `as_str()` on the value,
+                            // which errors on NULL.
+                            return Err(Error::execution(format!(
+                                "expected string, got {}",
+                                Value::Null
+                            )));
+                        }
                         // Prefix patterns reduce to starts_with.
                         let prefix = (pattern.ends_with('%')
                             && !pattern[..pattern.len() - 1].contains(['%', '_']))
                         .then(|| &pattern[..pattern.len() - 1]);
-                        let mut out = Vec::with_capacity(live.len());
-                        for &i in &live {
-                            if nulls[i as usize] {
-                                // The row engine calls `as_str()` on the
-                                // value, which errors on NULL.
-                                return Err(Error::execution(format!(
-                                    "expected string, got {}",
-                                    Value::Null
-                                )));
-                            }
-                            let s = &data[i as usize];
-                            let keep = match prefix {
-                                Some(p) => s.starts_with(p),
-                                None => like_match(s, pattern),
-                            };
-                            if keep {
-                                out.push(i);
-                            }
-                        }
-                        Ok(out)
+                        Ok(dict.select(codes, nulls, &live, false, |s| match prefix {
+                            Some(p) => s.starts_with(p),
+                            None => like_match(s, pattern),
+                        }))
                     }
                     _ => filter_scalar(batch, pred, &live),
                 }
@@ -179,6 +153,9 @@ fn filter_cmp_lane(lane: &Lane, live: &[u32], op: BinOp, k: &Value) -> Result<Ve
     // NULL on either side of a comparison evaluates to NULL → not truthy.
     if k.is_null() {
         return Ok(Vec::new());
+    }
+    if let (Some(ColumnData::Str(codes, nulls, dict)), Value::Str(s)) = (lane.column(), k) {
+        return Ok(dict.select(codes, nulls, live, false, |e| cmp_keep(op, e.cmp(s))));
     }
     let mut out = Vec::with_capacity(live.len());
     match (lane.column(), k) {
@@ -219,13 +196,6 @@ fn filter_cmp_lane(lane: &Lane, live: &[u32], op: BinOp, k: &Value) -> Result<Ve
                 }
             }
         }
-        (Some(ColumnData::Str(data, nulls)), Value::Str(s)) => {
-            for &i in live {
-                if !nulls[i as usize] && cmp_keep(op, data[i as usize].as_str().cmp(s)) {
-                    out.push(i);
-                }
-            }
-        }
         (Some(ColumnData::Date(data, nulls)), Value::Date(d)) => {
             for &i in live {
                 if !nulls[i as usize] && cmp_keep(op, data[i as usize].cmp(d)) {
@@ -262,15 +232,42 @@ fn filter_cmp_lane(lane: &Lane, live: &[u32], op: BinOp, k: &Value) -> Result<Ve
 /// `col [NOT] IN (literals)` over one lane. The row engine tests members
 /// with `Value ==`: NULL equals NULL, Int against Double compares
 /// numerically, and an incomparable member is simply not equal — never an
-/// error.
+/// error. A string lane tests each dictionary entry once when it can
+/// (`Dictionary::select`).
 fn filter_in_lane(lane: &Lane, live: &[u32], members: &[&Value], negated: bool) -> Vec<u32> {
     use std::cmp::Ordering::Equal;
+    if let Some(ColumnData::Str(codes, nulls, dict)) = lane.column() {
+        let nulls_pass = members.iter().any(|m| Value::Null.sql_cmp(m) == Some(Equal)) != negated;
+        return dict.select(codes, nulls, live, nulls_pass, |s| {
+            members.iter().any(|m| str_sql_cmp(s, m) == Some(Equal)) != negated
+        });
+    }
     live.iter()
         .copied()
         .filter(|&i| {
             let found = members.iter().any(|m| lane.sql_cmp_const(i as usize, m) == Some(Equal));
             found != negated
         })
+        .collect()
+}
+
+/// `col BETWEEN lo AND hi` over one lane. BETWEEN is total in the row
+/// engine: incomparable bounds are simply "no match", never an error. A
+/// string lane tests each dictionary entry once when it can.
+fn filter_between_lane(lane: &Lane, live: &[u32], lo: &Value, hi: &Value) -> Vec<u32> {
+    use std::cmp::Ordering::{self, *};
+    let within = |lo: Option<Ordering>, hi: Option<Ordering>| {
+        matches!(lo, Some(Greater | Equal)) && matches!(hi, Some(Less | Equal))
+    };
+    if let Some(ColumnData::Str(codes, nulls, dict)) = lane.column() {
+        let nulls_pass = within(Value::Null.sql_cmp(lo), Value::Null.sql_cmp(hi));
+        return dict.select(codes, nulls, live, nulls_pass, |s| {
+            within(str_sql_cmp(s, lo), str_sql_cmp(s, hi))
+        });
+    }
+    live.iter()
+        .copied()
+        .filter(|&i| within(lane.sql_cmp_const(i as usize, lo), lane.sql_cmp_const(i as usize, hi)))
         .collect()
 }
 
@@ -360,20 +357,31 @@ pub(crate) fn apply_project_batch(batch: &RowBatch, exprs: &[Expr]) -> Result<Ro
 
 // -------------------------------------------------------------------- joins
 
-/// Build side of a hash join: hashed key slots over the build rows, with
-/// collision verification against the stored rows (no per-row key
-/// allocation or value clones).
+/// End of a build-row chain.
+const END: u32 = u32::MAX;
+
+/// Build side of a hash join: a [`SlotIndex`] from key hash to a chain of
+/// the build rows with that hash, in build order (a head and a tail per
+/// chain, a next-link per row). A probe walks its hash's chain and
+/// verifies each candidate against the stored row — no per-row key
+/// allocation or value clones.
 pub(crate) struct JoinBuild {
     rows: Vec<Row>,
     key_cols: Vec<usize>,
-    slots: HashMap<u64, Vec<u32>>,
+    index: SlotIndex,
+    /// The first build row of each chain.
+    heads: Vec<u32>,
+    /// The next build row of the same chain, or [`END`].
+    next: Vec<u32>,
 }
 
 impl JoinBuild {
     /// Hash `rows` on `key_cols`. NULL keys participate (they match other
     /// NULLs), exactly like the row engine's encoded keys.
     pub(crate) fn build(rows: Vec<Row>, key_cols: Vec<usize>) -> Result<JoinBuild> {
-        let mut slots: HashMap<u64, Vec<u32>> = HashMap::with_capacity(rows.len());
+        let mut index = SlotIndex::new();
+        let (mut heads, mut tails): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        let mut next = vec![END; rows.len()];
         for (idx, row) in rows.iter().enumerate() {
             let hash = if let [c] = key_cols.as_slice() {
                 ident_hash_one(row.get(*c)?)
@@ -384,9 +392,20 @@ impl JoinBuild {
                 }
                 std::hash::Hasher::finish(&h)
             };
-            slots.entry(hash).or_default().push(idx as u32);
+            match index.find(hash, |_| true) {
+                Some(chain) => {
+                    let tail = &mut tails[chain as usize];
+                    next[*tail as usize] = idx as u32;
+                    *tail = idx as u32;
+                }
+                None => {
+                    index.insert(hash, heads.len() as u32);
+                    heads.push(idx as u32);
+                    tails.push(idx as u32);
+                }
+            }
         }
-        Ok(JoinBuild { rows, key_cols, slots })
+        Ok(JoinBuild { rows, key_cols, index, heads, next })
     }
 
     /// Number of build rows.
@@ -411,27 +430,21 @@ impl JoinBuild {
         for &i in &batch.live_rows() {
             let phys = i as usize;
             let hash = ident_hash_lanes(batch.lanes(), probe_cols, phys);
-            let Some(candidates) = self.slots.get(&hash) else {
+            let Some(chain) = self.index.find(hash, |_| true) else {
                 continue;
             };
             let mut right_row: Option<Row> = None;
-            for &bidx in candidates {
-                let build_row = &self.rows[bidx as usize];
-                let matches = self
-                    .key_cols
-                    .iter()
-                    .zip(probe_cols)
-                    .all(|(&lc, &rc)| {
-                        build_row
-                            .get(lc)
-                            .map(|v| batch.lane(rc).ident_eq(phys, v))
-                            .unwrap_or(false)
-                    });
+            let mut b = self.heads[chain as usize];
+            while b != END {
+                let build_row = &self.rows[b as usize];
+                b = self.next[b as usize];
+                let matches = self.key_cols.iter().zip(probe_cols).all(|(&lc, &rc)| {
+                    build_row.get(lc).map(|v| batch.lane(rc).ident_eq(phys, v)).unwrap_or(false)
+                });
                 if !matches {
                     continue;
                 }
-                let right =
-                    right_row.get_or_insert_with(|| batch.row_at(phys));
+                let right = right_row.get_or_insert_with(|| batch.row_at(phys));
                 let joined = build_row.concat(right);
                 if match filter {
                     Some(f) => f.eval_bool(&joined)?,
@@ -525,279 +538,401 @@ fn to_f64(v: NumVec) -> Vec<f64> {
     }
 }
 
-/// How one group-key column is produced per row.
-enum KeyPlan {
-    Lane(usize),
-    Eval(Expr),
+/// How one group-key column is read per row.
+enum KeyPlan<'a> {
+    Lane(&'a Lane),
+    /// Evaluated, one value per live row.
+    Vals(Vec<Value>),
 }
 
-/// How one aggregate argument is produced per row.
-enum ArgPlan {
+/// How one aggregate argument is read per row.
+enum ArgPlan<'a> {
     Star,
-    Lane(usize),
+    Lane(&'a Lane),
     Num(NumVec, Vec<bool>),
-    Eval(Expr),
+    /// Evaluated, one value per live row.
+    Vals(Vec<Value>),
 }
 
-/// Open-addressed slot index mapping precomputed key hashes to group ids:
-/// linear probing over a power-of-two table of `(hash, gid)` pairs. The
-/// caller verifies candidate groups against the stored keys, so hash
-/// collisions are expected and safe. Compared with `HashMap<u64, Vec<u32>>`
-/// this skips re-hashing the already-mixed u64 and the per-slot `Vec`
-/// allocation — both of which sit on the per-row aggregation path.
-struct SlotIndex {
-    entries: Vec<(u64, u32)>,
-    mask: usize,
-    len: usize,
+/// Is `spec` a non-DISTINCT COUNT / SUM / AVG — an aggregate that keeps
+/// only a count, a sum and an all-Int flag?
+fn is_numeric(spec: &AggSpec) -> bool {
+    !spec.distinct && matches!(spec.func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg)
 }
 
-/// Free-slot marker; group ids are bounded well below `u32::MAX` groups.
-const EMPTY: u32 = u32::MAX;
+/// One group's state of a numeric aggregate ([`is_numeric`]): the row
+/// engine's count, sum and all-Int flag.
+#[derive(Clone, Copy)]
+struct NumState {
+    count: u64,
+    sum: f64,
+    int_only: bool,
+}
 
-impl SlotIndex {
-    fn new() -> SlotIndex {
-        SlotIndex { entries: vec![(0, EMPTY); 16], mask: 15, len: 0 }
-    }
+impl NumState {
+    const EMPTY: NumState = NumState { count: 0, sum: 0.0, int_only: true };
 
-    /// First gid stored under `hash` for which `matches` verifies. Probing
-    /// stops at the first free slot, so entries are never deleted.
-    fn find(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mut i = hash as usize & self.mask;
-        loop {
-            let (h, g) = self.entries[i];
-            if g == EMPTY {
-                return None;
-            }
-            if h == hash && matches(g) {
-                return Some(g);
-            }
-            i = (i + 1) & self.mask;
+    /// Fold one value as `AggState::update` does.
+    fn add(&mut self, v: &Value) {
+        match v {
+            Value::Null => {}
+            Value::Int(x) => self.add_num(*x as f64, true),
+            Value::Double(x) => self.add_num(*x, false),
+            // `as_double` fails: only the count moves.
+            _ => self.count += 1,
         }
     }
 
-    /// Record a new group id under `hash` (grows at 75% load).
-    fn insert(&mut self, hash: u64, gid: u32) {
-        if (self.len + 1) * 4 > self.entries.len() * 3 {
-            self.grow();
+    fn add_num(&mut self, d: f64, int: bool) {
+        self.count += 1;
+        self.sum += d;
+        self.int_only &= int;
+    }
+}
+
+/// One aggregate's state for every group, indexed by group id.
+enum AggColumn {
+    /// A numeric aggregate ([`is_numeric`]).
+    Num(Vec<NumState>),
+    /// MIN / MAX and DISTINCT: the row engine's state.
+    State(Vec<AggState>),
+}
+
+impl AggColumn {
+    fn new(spec: &AggSpec) -> AggColumn {
+        if is_numeric(spec) {
+            AggColumn::Num(Vec::new())
+        } else {
+            AggColumn::State(Vec::new())
         }
-        let mut i = hash as usize & self.mask;
-        while self.entries[i].1 != EMPTY {
-            i = (i + 1) & self.mask;
-        }
-        self.entries[i] = (hash, gid);
-        self.len += 1;
     }
 
-    fn grow(&mut self) {
-        let cap = self.entries.len() * 2;
-        let old = std::mem::replace(&mut self.entries, vec![(0, EMPTY); cap]);
-        self.mask = cap - 1;
-        for (h, g) in old {
-            if g != EMPTY {
-                let mut i = h as usize & self.mask;
-                while self.entries[i].1 != EMPTY {
-                    i = (i + 1) & self.mask;
+    fn push_group(&mut self, spec: &AggSpec) {
+        match self {
+            AggColumn::Num(st) => st.push(NumState::EMPTY),
+            AggColumn::State(st) => st.push(AggState::new(spec)),
+        }
+    }
+
+    /// Pass two: fold the argument of every live row into its group, in
+    /// row order. `gids[pos]` is the group of `live[pos]`.
+    fn fold(&mut self, arg: &ArgPlan, live: &[u32], gids: &[u32]) {
+        let rows = || gids.iter().map(|&g| g as usize).zip(live.iter().map(|&i| i as usize));
+        match (self, arg) {
+            (AggColumn::Num(st), ArgPlan::Star) => {
+                for &g in gids {
+                    st[g as usize].count += 1;
                 }
-                self.entries[i] = (h, g);
             }
+            (AggColumn::Num(st), ArgPlan::Lane(lane)) => match lane.column() {
+                Some(ColumnData::Int(d, n)) => {
+                    for (g, i) in rows() {
+                        if !n[i] {
+                            st[g].add_num(d[i] as f64, true);
+                        }
+                    }
+                }
+                Some(ColumnData::Double(d, n)) => {
+                    for (g, i) in rows() {
+                        if !n[i] {
+                            st[g].add_num(d[i], false);
+                        }
+                    }
+                }
+                // Strings and dates: `as_double` fails, only the count moves.
+                Some(c) => {
+                    for (g, i) in rows() {
+                        if !c.is_null(i) {
+                            st[g].count += 1;
+                        }
+                    }
+                }
+                None => {
+                    for (g, i) in rows() {
+                        st[g].add(lane.value_ref(i).expect("a value lane"));
+                    }
+                }
+            },
+            (AggColumn::Num(st), ArgPlan::Num(v, nulls)) => {
+                for (pos, &g) in gids.iter().enumerate() {
+                    if nulls[pos] {
+                        continue;
+                    }
+                    match v {
+                        NumVec::Int(d) => st[g as usize].add_num(d[pos] as f64, true),
+                        NumVec::Double(d) => st[g as usize].add_num(d[pos], false),
+                    }
+                }
+            }
+            (AggColumn::Num(st), ArgPlan::Vals(vals)) => {
+                for (&g, v) in gids.iter().zip(vals) {
+                    st[g as usize].add(v);
+                }
+            }
+            (AggColumn::State(st), ArgPlan::Star) => {
+                for &g in gids {
+                    st[g as usize].update(None);
+                }
+            }
+            (AggColumn::State(st), ArgPlan::Lane(lane)) => {
+                for (g, i) in rows() {
+                    if !lane.is_null(i) {
+                        st[g].update(Some(&lane.get(i)));
+                    }
+                }
+            }
+            (AggColumn::State(st), ArgPlan::Vals(vals)) => {
+                for (&g, v) in gids.iter().zip(vals) {
+                    st[g as usize].update(Some(v));
+                }
+            }
+            (AggColumn::State(_), ArgPlan::Num(..)) => {
+                unreachable!("a numeric vector feeds only a numeric aggregate")
+            }
+        }
+    }
+
+    /// Merge group `og` of `other`, a partial of the same aggregate, into
+    /// group `into`, or append it as a new group.
+    fn absorb(&mut self, into: Option<usize>, other: &AggColumn, og: usize) {
+        match (self, other) {
+            (AggColumn::Num(mine), AggColumn::Num(theirs)) => {
+                let t = theirs[og];
+                match into {
+                    Some(g) => {
+                        let m = &mut mine[g];
+                        m.count += t.count;
+                        m.sum += t.sum;
+                        m.int_only &= t.int_only;
+                    }
+                    None => mine.push(t),
+                }
+            }
+            (AggColumn::State(mine), AggColumn::State(theirs)) => match into {
+                Some(g) => mine[g].merge(&theirs[og]),
+                None => mine.push(theirs[og].clone()),
+            },
+            _ => unreachable!("partials of one aggregate"),
+        }
+    }
+
+    fn finish(&self, g: usize, func: AggFunc) -> Value {
+        match self {
+            AggColumn::Num(st) => numeric_result(func, st[g].count, st[g].sum, st[g].int_only),
+            AggColumn::State(st) => st[g].finish(),
         }
     }
 }
 
-/// Hash-aggregation over batches with hashed key slots: group keys hash
-/// straight out of the lanes (no `Vec<u8>` encode, no value clones); a
-/// collision is resolved by verifying against the group's stored key
-/// values. Group identity matches `Key::encode` exactly.
+/// Group ids by code tuple, for a batch whose keys are all dictionary-coded
+/// strings: each distinct tuple is resolved once. A key's radix is its
+/// dictionary's size plus one, digit 0 for NULL.
+struct CodeMemo<'a> {
+    /// `(codes, nulls, stride)` per key.
+    keys: Vec<(&'a [u32], &'a [bool], usize)>,
+    gids: Vec<u32>,
+}
+
+/// A [`CodeMemo`] slot not resolved yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+impl<'a> CodeMemo<'a> {
+    /// `None` unless every key is a coded lane and the code tuples number
+    /// no more than the `rows` the batch folds.
+    fn new(keys: &[KeyPlan<'a>], rows: usize) -> Option<CodeMemo<'a>> {
+        let mut parts = Vec::with_capacity(keys.len());
+        let mut stride = 1usize;
+        for key in keys {
+            let &KeyPlan::Lane(lane) = key else {
+                return None;
+            };
+            let Some(ColumnData::Str(codes, nulls, dict)) = lane.column() else {
+                return None;
+            };
+            parts.push((codes.as_slice(), nulls.as_slice(), stride));
+            stride = stride.checked_mul(dict.len() + 1).filter(|&n| n <= rows)?;
+        }
+        Some(CodeMemo { keys: parts, gids: vec![UNRESOLVED; stride] })
+    }
+
+    fn slot(&self, i: usize) -> usize {
+        self.keys
+            .iter()
+            .map(|&(codes, nulls, stride)| if nulls[i] { 0 } else { (codes[i] as usize + 1) * stride })
+            .sum()
+    }
+}
+
+/// Hash-aggregation over batches. Each batch folds in two passes: the
+/// group id of every row — hashed straight out of the lanes and verified
+/// against the group's stored key values, or, when every key is a coded
+/// string, resolved once per distinct code tuple — then one typed loop per
+/// aggregate over its flat per-group state array. Group keys are stored,
+/// hashed and merged as `Value`s; group identity matches `Key::encode`
+/// exactly, and each group adds its values in row order.
 pub struct VecAggTable {
     group_by: Vec<Expr>,
     aggs: Vec<AggSpec>,
     index: SlotIndex,
     keys: Vec<Vec<Value>>,
-    states: Vec<Vec<AggState>>,
+    /// One column per aggregate.
+    states: Vec<AggColumn>,
 }
 
 impl VecAggTable {
     /// Empty table for the given grouping.
     pub fn new(group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> VecAggTable {
-        VecAggTable {
-            group_by,
-            aggs,
-            index: SlotIndex::new(),
-            keys: Vec::new(),
-            states: Vec::new(),
-        }
+        let states = aggs.iter().map(AggColumn::new).collect();
+        VecAggTable { group_by, aggs, index: SlotIndex::new(), keys: Vec::new(), states }
     }
 
     /// Fold one batch. The caller ticks its rows.
     pub fn update_batch(&mut self, batch: &RowBatch) -> Result<()> {
         let live = batch.live_rows();
-        let key_plans: Vec<KeyPlan> = self
+        let mut keys: Vec<KeyPlan> = self
             .group_by
             .iter()
             .map(|g| match g {
-                Expr::ColumnIdx(c) if *c < batch.width() => KeyPlan::Lane(*c),
-                other => KeyPlan::Eval(other.clone()),
+                Expr::ColumnIdx(c) if *c < batch.width() => KeyPlan::Lane(batch.lane(*c)),
+                _ => KeyPlan::Vals(Vec::with_capacity(live.len())),
             })
             .collect();
-        let mut arg_plans: Vec<ArgPlan> = Vec::with_capacity(self.aggs.len());
-        for spec in &self.aggs {
-            let plan = match &spec.arg {
+        let mut args: Vec<ArgPlan> = self
+            .aggs
+            .iter()
+            .map(|spec| match &spec.arg {
                 None => ArgPlan::Star,
-                Some(Expr::ColumnIdx(c)) if *c < batch.width() => ArgPlan::Lane(*c),
-                Some(e) => {
-                    let fast = !spec.distinct
-                        && matches!(spec.func, AggFunc::Count | AggFunc::Sum | AggFunc::Avg);
-                    match fast.then(|| eval_num(e, batch, &live)).flatten() {
-                        Some((v, nulls)) => ArgPlan::Num(v, nulls),
-                        None => ArgPlan::Eval(e.clone()),
-                    }
-                }
-            };
-            arg_plans.push(plan);
+                Some(Expr::ColumnIdx(c)) if *c < batch.width() => ArgPlan::Lane(batch.lane(*c)),
+                Some(e) => match is_numeric(spec).then(|| eval_num(e, batch, &live)).flatten() {
+                    Some((v, nulls)) => ArgPlan::Num(v, nulls),
+                    None => ArgPlan::Vals(Vec::with_capacity(live.len())),
+                },
+            })
+            .collect();
+        self.eval_rows(batch, &live, &mut keys, &mut args)?;
+        let gids = self.group_ids(&keys, &live);
+        for (column, arg) in self.states.iter_mut().zip(&args) {
+            column.fold(arg, &live, &gids);
         }
-        let needs_row = key_plans.iter().any(|k| matches!(k, KeyPlan::Eval(_)))
-            || arg_plans.iter().any(|a| matches!(a, ArgPlan::Eval(_)));
+        Ok(())
+    }
 
-        let mut eval_keys: Vec<Value> = Vec::with_capacity(key_plans.len());
-        for (pos, &i) in live.iter().enumerate() {
-            let phys = i as usize;
-            let row = if needs_row { Some(batch.row_at(phys)) } else { None };
-            // Group hash straight from the lanes; single-column keys take
-            // the direct-mix fast path (consistent with
-            // `ident_hash_values`, which `merge` uses on stored keys).
-            eval_keys.clear();
-            let hash = if let [kp] = key_plans.as_slice() {
-                match kp {
-                    KeyPlan::Lane(c) => batch.lane(*c).ident_hash_row(phys),
-                    KeyPlan::Eval(e) => {
-                        let v = e.eval(row.as_ref().expect("row materialized"))?;
-                        let h = ident_hash_one(&v);
-                        eval_keys.push(v);
-                        h
-                    }
-                }
-            } else {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                for kp in &key_plans {
-                    match kp {
-                        KeyPlan::Lane(c) => batch.lane(*c).ident_hash(phys, &mut h),
-                        KeyPlan::Eval(e) => {
-                            let v = e.eval(row.as_ref().expect("row materialized"))?;
-                            ident_hash_value(&v, &mut h);
-                            eval_keys.push(v);
-                        }
-                    }
-                }
-                std::hash::Hasher::finish(&h)
-            };
-            // Find the group, verifying stored keys against the row
-            // (collision handling).
-            let keys = &self.keys;
-            let found = self.index.find(hash, |g| {
-                let stored = &keys[g as usize];
-                let mut ei = 0;
-                key_plans.iter().enumerate().all(|(k, kp)| match kp {
-                    KeyPlan::Lane(c) => batch.lane(*c).ident_eq(phys, &stored[k]),
-                    KeyPlan::Eval(_) => {
-                        let ok = ident_eq(&eval_keys[ei], &stored[k]);
-                        ei += 1;
-                        ok
-                    }
-                })
-            });
-            let gid = match found {
-                Some(g) => g as usize,
-                None => {
-                    let g = self.keys.len();
-                    let mut ei = 0;
-                    let key_vals: Vec<Value> = key_plans
-                        .iter()
-                        .map(|kp| match kp {
-                            KeyPlan::Lane(c) => batch.lane(*c).get(phys),
-                            KeyPlan::Eval(_) => {
-                                let v = eval_keys[ei].clone();
-                                ei += 1;
-                                v
-                            }
-                        })
-                        .collect();
-                    self.index.insert(hash, g as u32);
-                    self.keys.push(key_vals);
-                    self.states
-                        .push(self.aggs.iter().map(AggState::new).collect());
-                    g
-                }
-            };
-            // Fold the aggregates.
-            let states = &mut self.states[gid];
-            for ((state, spec), plan) in states.iter_mut().zip(&self.aggs).zip(&arg_plans) {
-                match plan {
-                    ArgPlan::Star => state.update(None),
-                    ArgPlan::Lane(c) => {
-                        let lane = batch.lane(*c);
-                        if lane.is_null(phys) {
-                            continue; // NULL never aggregates
-                        }
-                        if spec.distinct
-                            || matches!(spec.func, AggFunc::Min | AggFunc::Max)
-                        {
-                            state.update(Some(&lane.get(phys)));
-                        } else {
-                            match lane.column() {
-                                Some(ColumnData::Int(d, _)) => {
-                                    state.add_num(d[phys] as f64, true)
-                                }
-                                Some(ColumnData::Double(d, _)) => {
-                                    state.add_num(d[phys], false)
-                                }
-                                Some(_) => state.bump_count(),
-                                None => state.update(Some(
-                                    lane.value_ref(phys).expect("vals lane"),
-                                )),
-                            }
-                        }
-                    }
-                    ArgPlan::Num(v, nulls) => {
-                        if nulls[pos] {
-                            continue;
-                        }
-                        match v {
-                            NumVec::Int(d) => state.add_num(d[pos] as f64, true),
-                            NumVec::Double(d) => state.add_num(d[pos], false),
-                        }
-                    }
-                    ArgPlan::Eval(e) => {
-                        let v = e.eval(row.as_ref().expect("row materialized"))?;
-                        state.update(Some(&v));
-                    }
-                }
+    /// Evaluate, row by row, the keys and arguments no lane loop covers.
+    fn eval_rows(
+        &self,
+        batch: &RowBatch,
+        live: &[u32],
+        keys: &mut [KeyPlan],
+        args: &mut [ArgPlan],
+    ) -> Result<()> {
+        let mut evals: Vec<(&Expr, &mut Vec<Value>)> = Vec::new();
+        for (e, key) in self.group_by.iter().zip(keys) {
+            if let KeyPlan::Vals(out) = key {
+                evals.push((e, out));
+            }
+        }
+        for (spec, arg) in self.aggs.iter().zip(args) {
+            if let (Some(e), ArgPlan::Vals(out)) = (&spec.arg, arg) {
+                evals.push((e, out));
+            }
+        }
+        if evals.is_empty() {
+            return Ok(());
+        }
+        for &i in live {
+            let row = batch.row_at(i as usize);
+            for (e, out) in &mut evals {
+                out.push(e.eval(&row)?);
             }
         }
         Ok(())
     }
 
+    /// Pass one: the group id of every live row, new groups created in row
+    /// order.
+    fn group_ids(&mut self, keys: &[KeyPlan], live: &[u32]) -> Vec<u32> {
+        let mut gids = Vec::with_capacity(live.len());
+        match CodeMemo::new(keys, live.len()) {
+            Some(mut memo) => {
+                for (pos, &i) in live.iter().enumerate() {
+                    let slot = memo.slot(i as usize);
+                    if memo.gids[slot] == UNRESOLVED {
+                        memo.gids[slot] = self.resolve(keys, pos, i as usize);
+                    }
+                    gids.push(memo.gids[slot]);
+                }
+            }
+            None => {
+                for (pos, &i) in live.iter().enumerate() {
+                    gids.push(self.resolve(keys, pos, i as usize));
+                }
+            }
+        }
+        gids
+    }
+
+    /// The group of live row `pos` (physical row `phys`), created when new.
+    /// Single-column keys take the direct-mix hash (consistent with
+    /// `ident_hash_values`, which `merge` uses on stored keys).
+    fn resolve(&mut self, keys: &[KeyPlan], pos: usize, phys: usize) -> u32 {
+        let hash = match keys {
+            [KeyPlan::Lane(lane)] => lane.ident_hash_row(phys),
+            [KeyPlan::Vals(v)] => ident_hash_one(&v[pos]),
+            _ => {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                for key in keys {
+                    match key {
+                        KeyPlan::Lane(lane) => lane.ident_hash(phys, &mut h),
+                        KeyPlan::Vals(v) => ident_hash_value(&v[pos], &mut h),
+                    }
+                }
+                std::hash::Hasher::finish(&h)
+            }
+        };
+        let stored = &self.keys;
+        let found = self.index.find(hash, |g| {
+            keys.iter().zip(&stored[g as usize]).all(|(key, s)| match key {
+                KeyPlan::Lane(lane) => lane.ident_eq(phys, s),
+                KeyPlan::Vals(v) => ident_eq(&v[pos], s),
+            })
+        });
+        if let Some(g) = found {
+            return g;
+        }
+        let g = self.keys.len() as u32;
+        self.index.insert(hash, g);
+        self.keys.push(
+            keys.iter()
+                .map(|key| match key {
+                    KeyPlan::Lane(lane) => lane.get(phys),
+                    KeyPlan::Vals(v) => v[pos].clone(),
+                })
+                .collect(),
+        );
+        for (column, spec) in self.states.iter_mut().zip(&self.aggs) {
+            column.push_group(spec);
+        }
+        g
+    }
+
     /// Merge a partial table from another morsel worker.
     pub fn merge(&mut self, other: VecAggTable) {
-        for (key, states) in other.keys.into_iter().zip(other.states) {
+        for (og, key) in other.keys.into_iter().enumerate() {
             let hash = ident_hash_values(&key);
             let keys = &self.keys;
             let found = self.index.find(hash, |g| {
                 keys[g as usize].iter().zip(&key).all(|(a, b)| ident_eq(a, b))
             });
-            match found {
-                Some(g) => {
-                    for (mine, theirs) in
-                        self.states[g as usize].iter_mut().zip(&states)
-                    {
-                        mine.merge(theirs);
-                    }
-                }
+            let into = match found {
+                Some(g) => Some(g as usize),
                 None => {
-                    let g = self.keys.len() as u32;
-                    self.index.insert(hash, g);
+                    self.index.insert(hash, self.keys.len() as u32);
                     self.keys.push(key);
-                    self.states.push(states);
+                    None
                 }
+            };
+            for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
+                mine.absorb(into, theirs, og);
             }
         }
     }
@@ -810,9 +945,9 @@ impl VecAggTable {
             return Ok(vec![Row::new(states.iter().map(AggState::finish).collect())]);
         }
         let mut out = Vec::with_capacity(self.keys.len());
-        for (key, states) in self.keys.into_iter().zip(&self.states) {
+        for (g, key) in self.keys.into_iter().enumerate() {
             let mut row = key;
-            row.extend(states.iter().map(AggState::finish));
+            row.extend(self.states.iter().zip(&self.aggs).map(|(c, spec)| c.finish(g, spec.func)));
             out.push(Row::new(row));
         }
         Ok(out)
@@ -1033,6 +1168,36 @@ mod tests {
         };
         let rows = assert_same_over(p, &plan);
         assert_eq!(rows.len(), 2, "Int(5) and Double(5.0) are distinct keys");
+    }
+
+    #[test]
+    fn numeric_aggregates_over_mixed_values_match_row_engine() {
+        // A column mixing Int, Double, Str and NULL is a value lane: each
+        // value folds as the row engine's `AggState::update` folds it (a
+        // string counts but adds nothing; a Double makes SUM a Double).
+        let mut p = MemTables::new();
+        let vals = [Value::Int(2), Value::Double(0.5), Value::str("x"), Value::Null, Value::Int(3)];
+        let rows = vals
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Row::new(vec![Value::Int(i as i64 % 2), v.clone()]))
+            .collect();
+        p.add("m", vec![rows]);
+        let agg = |func| AggSpec { func, arg: Some(Expr::ColumnIdx(1)), distinct: false };
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Scan {
+                table: "m".into(),
+                schema: vec!["m.g".into(), "m.v".into()],
+            }),
+            group_by: vec![Expr::ColumnIdx(0)],
+            aggs: vec![agg(AggFunc::Count), agg(AggFunc::Sum), agg(AggFunc::Avg)],
+            names: vec!["g".into(), "c".into(), "s".into(), "a".into()],
+        };
+        let rows = assert_same_over(p, &plan);
+        let sums: Vec<(Value, Value)> =
+            rows.iter().map(|r| (r.get(1).unwrap().clone(), r.get(2).unwrap().clone())).collect();
+        assert!(sums.contains(&(Value::Int(3), Value::Int(5))), "2, 'x', 3: {rows:?}");
+        assert!(sums.contains(&(Value::Int(1), Value::Double(0.5))), "0.5, NULL: {rows:?}");
     }
 
     #[test]

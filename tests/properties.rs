@@ -577,8 +577,7 @@ fn diff_rand_aggregate(
     input: polardbx_sql::plan::LogicalPlan,
     width: usize,
 ) -> polardbx_sql::plan::LogicalPlan {
-    use polardbx_sql::expr::{AggFunc, BinOp, Expr};
-    use polardbx_sql::plan::{AggSpec, LogicalPlan};
+    use polardbx_sql::expr::{BinOp, Expr};
     // Group keys: empty (global), the NULL-laden column, or a composite.
     let group_by: Vec<Expr> = match rng.gen_range(0..4) {
         0 => vec![],
@@ -590,6 +589,19 @@ fn diff_rand_aggregate(
             Expr::int(rng.gen_range(1..4)),
         )],
     };
+    diff_rand_aggs(rng, input, group_by, width)
+}
+
+/// An aggregate over `input` grouped by `group_by`, with one to three
+/// random aggregates.
+fn diff_rand_aggs(
+    rng: &mut StdRng,
+    input: polardbx_sql::plan::LogicalPlan,
+    group_by: Vec<polardbx_sql::expr::Expr>,
+    width: usize,
+) -> polardbx_sql::plan::LogicalPlan {
+    use polardbx_sql::expr::{AggFunc, BinOp, Expr};
+    use polardbx_sql::plan::{AggSpec, LogicalPlan};
     let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
     let naggs = rng.gen_range(1..4);
     let aggs: Vec<AggSpec> = (0..naggs)
@@ -701,7 +713,9 @@ struct IndexedOnly {
 }
 
 impl IndexedOnly {
-    fn build(rng: &mut StdRng, rows: &[Row]) -> IndexedOnly {
+    /// Index `rows`, then insert and delete again `padding` rows of
+    /// strings no other row holds: dictionary entries no snapshot row uses.
+    fn build(rng: &mut StdRng, rows: &[Row], padding: usize) -> IndexedOnly {
         use polardbx_common::DataType;
         let types = vec![DataType::Int, DataType::Int, DataType::Double, DataType::Str];
         let index = polardbx_columnar::ColumnIndex::new(types);
@@ -726,6 +740,18 @@ impl IndexedOnly {
                 index.apply_delete(TrxId(ts), ts, &gone);
             }
         }
+        for p in 0..padding {
+            let gone = Key::encode(&[Value::Int(i64::MIN + p as i64)]);
+            let row = Row::new(vec![
+                Value::Int(0),
+                Value::Int(0),
+                Value::Double(0.0),
+                Value::str(format!("pad{p}")),
+            ]);
+            index.apply_put(TrxId(ts + 1), ts + 1, gone.clone(), &row).unwrap();
+            index.apply_delete(TrxId(ts + 2), ts + 2, &gone);
+            ts += 2;
+        }
         IndexedOnly { index, ts }
     }
 }
@@ -740,11 +766,72 @@ impl polardbx_executor::TableProvider for IndexedOnly {
     }
 }
 
+/// A string-led plan for the dictionary-coded paths: a GROUP BY on the
+/// string column alone, a composite key with the string column first (TPC-H
+/// Q1's shape), or a join on it, over scans filtered by string predicates.
+fn diff_coded_plan(rng: &mut StdRng, width: usize) -> polardbx_sql::plan::LogicalPlan {
+    use polardbx_sql::expr::{BinOp, Expr};
+    use polardbx_sql::plan::LogicalPlan;
+    const S: usize = 3;
+    let scan = || LogicalPlan::Scan {
+        table: "t".into(),
+        schema: (0..width).map(|i| format!("t.c{i}")).collect(),
+    };
+    let lit = |rng: &mut StdRng| match rng.gen_range(0..6) {
+        0 => Value::Null,
+        1 => Value::Int(rng.gen_range(-3..3)),
+        _ => Value::Str(rand_string(rng, b"abc", 3)),
+    };
+    let filtered = |rng: &mut StdRng| {
+        let predicate = match rng.gen_range(0..5) {
+            0 => {
+                let ops = [BinOp::Eq, BinOp::Neq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+                Expr::binary(ops[rng.gen_range(0..ops.len())], Expr::ColumnIdx(S), Expr::Literal(lit(rng)))
+            }
+            1 => Expr::Between {
+                expr: Box::new(Expr::ColumnIdx(S)),
+                low: Box::new(Expr::Literal(lit(rng))),
+                high: Box::new(Expr::Literal(lit(rng))),
+            },
+            2 => Expr::InList {
+                expr: Box::new(Expr::ColumnIdx(S)),
+                list: (0..rng.gen_range(1..4)).map(|_| Expr::Literal(lit(rng))).collect(),
+                negated: rng.gen_bool(0.3),
+            },
+            3 => Expr::Like {
+                expr: Box::new(Expr::ColumnIdx(S)),
+                pattern: format!("{}%", rand_string(rng, b"abc", 1)),
+            },
+            _ => Expr::IsNull { expr: Box::new(Expr::ColumnIdx(S)), negated: true },
+        };
+        LogicalPlan::Filter { input: Box::new(scan()), predicate }
+    };
+    let input = if rng.gen_bool(0.5) { filtered(rng) } else { scan() };
+    match rng.gen_range(0..3) {
+        0 => diff_rand_aggs(rng, input, vec![Expr::ColumnIdx(S)], width),
+        1 => {
+            let second = Expr::ColumnIdx(rng.gen_range(0..width));
+            diff_rand_aggs(rng, input, vec![Expr::ColumnIdx(S), second], width)
+        }
+        _ => LogicalPlan::Join {
+            left: Box::new(input),
+            right: Box::new(if rng.gen_bool(0.5) { filtered(rng) } else { scan() }),
+            on: vec![(S, S)],
+            filter: rng
+                .gen_bool(0.4)
+                .then(|| Expr::binary(BinOp::Lt, Expr::ColumnIdx(0), Expr::ColumnIdx(width))),
+        },
+    }
+}
+
 /// The AP engine is equivalent to the row engine on randomized plans over
 /// mixed-type data with NULLs — identical result multisets when both
 /// succeed, and agreement on failure — serial and fanned out, over the row
 /// partitions and over the same rows served by a column index (typed
-/// `Lane::from_column` lanes, tombstoned ids behind the selection).
+/// `Lane::from_column` lanes, tombstoned ids behind the selection). Each
+/// case also runs a string-led plan ([`diff_coded_plan`]), and the index's
+/// dictionary is padded with unused entries in half the cases, so string
+/// kernels and group keys run both once per entry and once per row.
 #[test]
 fn vectorized_engine_matches_row_engine() {
     use polardbx_executor::operators::MemTables;
@@ -754,6 +841,9 @@ fn vectorized_engine_matches_row_engine() {
     let width = 4;
     for seed in 0..3 {
         let mut rng = rng_for(&format!("vectorized_engine_matches_row_engine/{seed}"));
+        // String-led plans and dictionary padding draw from their own
+        // stream, so the cases the main stream draws stay as they were.
+        let mut coded = rng_for(&format!("vectorized_engine_matches_row_engine/coded/{seed}"));
         for case in 0..CASES {
             // Random partitioning: empty partitions and size skew included.
             let nparts = rng.gen_range(1..5);
@@ -787,27 +877,34 @@ fn vectorized_engine_matches_row_engine() {
                 })
                 .collect();
             let all_rows: Vec<Row> = parts.iter().flatten().cloned().collect();
-            let indexed: Arc<dyn TableProvider> = Arc::new(IndexedOnly::build(&mut rng, &all_rows));
+            // No padding (at most 41 entries: at or under most scans.
+            // rows), or more entries than any case has rows.
+            let padding = if coded.gen_bool(0.5) { 0 } else { coded.gen_range(200..400) };
+            let indexed: Arc<dyn TableProvider> =
+                Arc::new(IndexedOnly::build(&mut rng, &all_rows, padding));
             let mut mem = MemTables::new();
             mem.add("t", parts);
             let mem: Arc<dyn TableProvider> = Arc::new(mem);
             let plan = diff_rand_plan(&mut rng, width);
             let ctx = ExecCtx::unrestricted();
-            let slow = execute_plan(&plan, mem.as_ref(), &ctx);
-            for (source, provider) in [("partitions", &mem), ("index", &indexed)] {
-                for workers in [1, 4] {
-                    let fast = MppExecutor::new(workers).execute(&plan, provider, &ctx);
-                    match (&slow, fast) {
-                        (Ok(s), Ok(f)) => assert_eq!(
-                            diff_canon(s),
-                            diff_canon(&f),
-                            "seed {seed} case {case}, {source}, {workers} workers: {plan:?}"
-                        ),
-                        (Err(_), Err(_)) => {}
-                        (s, f) => panic!(
-                            "seed {seed} case {case}, {source}, {workers} workers: engines disagree: \
-                             {s:?} vs {f:?}\nplan: {plan:?}"
-                        ),
+            for plan in [plan, diff_coded_plan(&mut coded, width)] {
+                let slow = execute_plan(&plan, mem.as_ref(), &ctx);
+                for (source, provider) in [("partitions", &mem), ("index", &indexed)] {
+                    for workers in [1, 4] {
+                        let fast = MppExecutor::new(workers).execute(&plan, provider, &ctx);
+                        match (&slow, fast) {
+                            (Ok(s), Ok(f)) => assert_eq!(
+                                diff_canon(s),
+                                diff_canon(&f),
+                                "seed {seed} case {case}, {source}, {workers} workers, \
+                                 padding {padding}: {plan:?}"
+                            ),
+                            (Err(_), Err(_)) => {}
+                            (s, f) => panic!(
+                                "seed {seed} case {case}, {source}, {workers} workers, \
+                                 padding {padding}: engines disagree: {s:?} vs {f:?}\nplan: {plan:?}"
+                            ),
+                        }
                     }
                 }
             }
