@@ -106,20 +106,6 @@ pub enum TxnEvent {
     },
 }
 
-impl TxnEvent {
-    /// The transaction this event belongs to, if any.
-    pub fn trx(&self) -> Option<TrxId> {
-        match self {
-            TxnEvent::Begin { trx, .. }
-            | TxnEvent::Read { trx, .. }
-            | TxnEvent::Write { trx, .. }
-            | TxnEvent::Commit { trx, .. }
-            | TxnEvent::Abort { trx, .. } => Some(*trx),
-            TxnEvent::Note { .. } => None,
-        }
-    }
-}
-
 /// Append-only, totally-ordered event log. See the module docs for the
 /// locking discipline (single leaf mutex).
 #[derive(Default)]
@@ -177,8 +163,8 @@ mod tests {
         rec.note(NodeId(2), "leader-elected");
         assert_eq!(rec.len(), 2);
         let events = rec.snapshot();
-        assert_eq!(events[0].trx(), Some(TrxId(1)));
-        assert_eq!(events[1].trx(), None);
+        assert!(matches!(events[0], TxnEvent::Begin { trx: TrxId(1), .. }));
+        assert!(matches!(events[1], TxnEvent::Note { node: NodeId(2), .. }));
         let drained = rec.take();
         assert_eq!(drained.len(), 2);
         assert!(rec.is_empty());

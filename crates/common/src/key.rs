@@ -110,15 +110,6 @@ impl Key {
         self.0.is_empty()
     }
 
-    /// The smallest key strictly greater than every key that has `self` as a
-    /// prefix — used as an exclusive upper bound for prefix scans.
-    pub fn prefix_successor(&self) -> Key {
-        let mut b = self.0.clone();
-        b.push(0xFF);
-        b.push(0xFF);
-        Key(b)
-    }
-
     /// 64-bit hash of the encoded bytes (FNV-1a), used by hash partitioning.
     pub fn hash64(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
@@ -252,16 +243,6 @@ mod tests {
             Value::Date(19000),
         ];
         assert_eq!(Key::encode(&vals).decode(), vals);
-    }
-
-    #[test]
-    fn prefix_successor_bounds_prefix_scans() {
-        let p = k(&[Value::Int(7)]);
-        let inside = k(&[Value::Int(7), Value::str("x")]);
-        let outside = k(&[Value::Int(8)]);
-        let upper = p.prefix_successor();
-        assert!(inside < upper);
-        assert!(upper < outside);
     }
 
     #[test]

@@ -80,113 +80,6 @@ impl Counter {
     }
 }
 
-/// Histogram over plain `u64` values (group sizes, batch byte counts) in
-/// logarithmic buckets, two per power of two; percentiles report the
-/// bucket's upper bound. Used by the group-commit metrics, where "how many
-/// committers shared this flush" is a count, not a latency.
-#[derive(Debug)]
-pub struct ValueHistogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-const BUCKETS: usize = 48; // 2^(i/2) spacing covers 1 .. ~16 M
-
-impl Default for ValueHistogram {
-    fn default() -> Self {
-        ValueHistogram::new()
-    }
-}
-
-impl ValueHistogram {
-    /// New empty histogram.
-    pub fn new() -> ValueHistogram {
-        ValueHistogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_for(v: u64) -> usize {
-        if v <= 1 {
-            return 0;
-        }
-        // Two buckets per power of two.
-        let log2 = 63 - v.leading_zeros() as u64;
-        let half = if v >= (1 << log2) + (1 << log2.saturating_sub(1)) { 1 } else { 0 };
-        ((log2 * 2 + half) as usize).min(BUCKETS - 1)
-    }
-
-    fn bucket_upper(idx: usize) -> u64 {
-        let log2 = idx as u64 / 2;
-        let base = 1u64 << log2;
-        if idx.is_multiple_of(2) { base + base / 2 } else { base * 2 }
-    }
-
-    /// Record one observation.
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_for(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            return 0.0;
-        }
-        self.sum() as f64 / c as f64
-    }
-
-    /// Maximum observation.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Approximate percentile (bucket upper bound), 0 when empty.
-    pub fn percentile(&self, p: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * p).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return Self::bucket_upper(i);
-            }
-        }
-        self.max()
-    }
-
-    /// Reset to empty (between bench rounds).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Windowed throughput series: counts events into fixed-width time windows
 /// so harnesses can print "tpmC over time" curves (Fig 9a).
 #[derive(Debug)]
@@ -377,33 +270,6 @@ mod tests {
         c.inc();
         c.add(9);
         assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn bucket_mapping_monotonic() {
-        let mut prev = 0;
-        for v in [1u64, 2, 3, 7, 8, 100, 1000, 65_536, 10_000_000] {
-            let b = ValueHistogram::bucket_for(v);
-            assert!(b >= prev, "bucket decreased at {v}");
-            prev = b;
-        }
-    }
-
-    #[test]
-    fn value_histogram_tracks_counts() {
-        let h = ValueHistogram::new();
-        for v in [1u64, 1, 2, 4, 32, 32, 32, 64] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 168);
-        assert!((h.mean() - 21.0).abs() < 1e-9);
-        assert_eq!(h.max(), 64);
-        assert!(h.percentile(0.5) >= 2 && h.percentile(0.5) <= 8);
-        assert!(h.percentile(1.0) >= 64);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(0.9), 0);
     }
 
     #[test]

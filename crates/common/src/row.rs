@@ -55,15 +55,6 @@ impl Row {
         self.values.len()
     }
 
-    /// Project the given column indexes into a new row.
-    pub fn project(&self, cols: &[usize]) -> Result<Row> {
-        let mut vals = Vec::with_capacity(cols.len());
-        for &c in cols {
-            vals.push(self.get(c)?.clone());
-        }
-        Ok(Row::new(vals))
-    }
-
     /// Encode the given columns as an order-preserving key.
     pub fn key_of(&self, cols: &[usize]) -> Result<Key> {
         let mut vals = Vec::with_capacity(cols.len());
@@ -115,14 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn get_set_project() {
+    fn get_and_set() {
         let mut r = sample();
         assert_eq!(r.get(1).unwrap(), &Value::str("bob"));
         r.set(1, Value::str("alice")).unwrap();
-        let p = r.project(&[2, 0]).unwrap();
-        assert_eq!(p.values(), &[Value::Double(9.5), Value::Int(1)]);
+        assert_eq!(r.get(1).unwrap(), &Value::str("alice"));
         assert!(r.get(9).is_err());
-        assert!(r.project(&[9]).is_err());
     }
 
     #[test]

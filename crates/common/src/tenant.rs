@@ -44,18 +44,6 @@ impl TenantQuotas {
     pub fn rate_limited(rate_per_sec: f64, burst: f64) -> TenantQuotas {
         TenantQuotas { rate_per_sec, burst, ..TenantQuotas::unlimited() }
     }
-
-    /// Cap in-flight queries.
-    pub fn with_max_concurrent(mut self, n: u32) -> TenantQuotas {
-        self.max_concurrent = n;
-        self
-    }
-
-    /// Cap concurrent connections.
-    pub fn with_max_connections(mut self, n: u32) -> TenantQuotas {
-        self.max_connections = n;
-        self
-    }
 }
 
 impl Default for TenantQuotas {
@@ -80,14 +68,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_compose() {
-        let q = TenantQuotas::rate_limited(100.0, 10.0)
-            .with_max_concurrent(4)
-            .with_max_connections(2);
+    fn rate_limited_caps_only_the_rate() {
+        let q = TenantQuotas::rate_limited(100.0, 10.0);
         assert_eq!(q.rate_per_sec, 100.0);
         assert_eq!(q.burst, 10.0);
-        assert_eq!(q.max_concurrent, 4);
-        assert_eq!(q.max_connections, 2);
+        assert_eq!(q.max_concurrent, u32::MAX);
+        assert_eq!(q.max_connections, u32::MAX);
         let u = TenantQuotas::unlimited();
         assert!(u.rate_per_sec.is_infinite());
         assert_eq!(u.max_concurrent, u32::MAX);

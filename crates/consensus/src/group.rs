@@ -430,9 +430,8 @@ mod tests {
             .encode(&mut payload);
             cuts.push(payload.len());
         }
-        let lsn = leader
-            .replicate_raw_and_wait(&payload, &cuts, Duration::from_secs(2))
-            .unwrap();
+        let lsn = leader.replicate_raw(&payload, &cuts).unwrap();
+        leader.waiters.wait(lsn, Duration::from_secs(2)).unwrap();
         assert!(g.await_dlsn(lsn, Duration::from_secs(2)));
 
         // Reassembling every frame's payload recovers the epoch bytes, and

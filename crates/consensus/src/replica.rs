@@ -430,18 +430,6 @@ impl Replica {
         Ok(end_lsn)
     }
 
-    /// [`Replica::replicate_raw`] + block until the quorum acks it.
-    pub fn replicate_raw_and_wait(
-        &self,
-        payload: &[u8],
-        cuts: &[usize],
-        timeout: Duration,
-    ) -> Result<Lsn> {
-        let lsn = self.replicate_raw(payload, cuts)?;
-        self.waiters.wait(lsn, timeout)?;
-        Ok(lsn)
-    }
-
     /// Start a campaign (called by the ticker on election timeout, or
     /// directly by tests/GMS failover).
     pub fn campaign(&self) {
@@ -878,7 +866,8 @@ impl Replica {
         self.ticker_stop.store(true, Ordering::Relaxed);
     }
 
-    /// All decoded frames currently in the log (tests / catch-up).
+    /// All decoded frames currently in the log.
+    #[cfg(test)]
     pub fn log_frames(&self) -> Vec<PaxosFrame> {
         self.st.lock().log.clone()
     }

@@ -106,7 +106,8 @@ impl CommitWaiters {
         }
     }
 
-    /// Number of transactions parked (for tests / introspection).
+    /// Number of transactions parked.
+    #[cfg(test)]
     pub fn pending(&self) -> usize {
         self.map.lock().values().map(Vec::len).sum()
     }

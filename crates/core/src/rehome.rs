@@ -12,17 +12,10 @@ use crate::cluster::PolarDbx;
 use crate::gms::shard_table_id;
 
 impl PolarDbx {
-    /// Re-home one shard under **live traffic** — the adaptive-placement
-    /// cutover and the rebalancing primitive of §VIII ("we can migrate
-    /// shards to achieve a balanced state between DNs"). Returns how long
-    /// the shard's traffic was paused.
-    pub fn rehome_shard(&self, table: &str, shard: u32, dest: NodeId) -> Result<Duration> {
-        let schema = self.inner.gms.table(table)?;
-        self.rehome_shard_by_id(schema.id, shard, dest)
-    }
-
-    /// [`PolarDbx::rehome_shard`] by logical table id (the placer works on
-    /// ids, not names).
+    /// Re-home one shard of logical table `table` under **live traffic** —
+    /// the adaptive-placement cutover and the rebalancing primitive of
+    /// §VIII ("we can migrate shards to achieve a balanced state between
+    /// DNs"). Returns how long the shard's traffic was paused.
     pub fn rehome_shard_by_id(&self, table: TableId, shard: u32, dest: NodeId) -> Result<Duration> {
         self.move_shards(&[(table, shard)], dest)
     }
@@ -189,7 +182,7 @@ mod tests {
         for shard in 0..4u32 {
             let cur = db.gms().shard_dn(schema.id, shard).unwrap();
             let dest = *dns.iter().find(|&&d| d != cur).unwrap();
-            let pause = db.rehome_shard("t", shard, dest).unwrap();
+            let pause = db.rehome_shard_by_id(schema.id, shard, dest).unwrap();
             assert!(pause < Duration::from_secs(2), "cutover pause bounded");
             assert_eq!(db.gms().shard_dn(schema.id, shard).unwrap(), dest);
             std::thread::sleep(Duration::from_millis(5));
@@ -266,7 +259,7 @@ mod tests {
                 let dest = *dns.iter().find(|&&d| d != cur).unwrap();
                 // A drain can time out retryably under the hammering writers.
                 for attempt in 0.. {
-                    match db.rehome_shard("t", shard, dest) {
+                    match db.rehome_shard_by_id(schema.id, shard, dest) {
                         Ok(_) => break,
                         Err(_) if attempt < 20 => {
                             std::thread::sleep(Duration::from_millis(2))

@@ -51,7 +51,6 @@ pub struct CpuGovernor {
     quota_bits: AtomicU64,
     /// Work-to-time calibration: how long `pace(1)` of work represents.
     work_unit: Duration,
-    paused: AtomicBool,
     /// TP jobs and open coordinator transactions: the pressure that makes
     /// the quota bind.
     tp_work: InFlight,
@@ -63,7 +62,6 @@ impl CpuGovernor {
         Arc::new(CpuGovernor {
             quota_bits: AtomicU64::new(quota.clamp(0.01, 1.0).to_bits()),
             work_unit: Duration::from_nanos(50),
-            paused: AtomicBool::new(false),
             tp_work,
         })
     }
@@ -78,35 +76,22 @@ impl CpuGovernor {
         self.quota_bits.store(quota.clamp(0.01, 1.0).to_bits(), Ordering::Relaxed);
     }
 
-    /// Account `units` of work. While paused, stall; while TP work is in
-    /// flight, sleep long enough that the caller's duty cycle stays at the
-    /// quota: for quota q, every unit of work earns `(1-q)/q` units of
-    /// sleep. Otherwise return at once.
+    /// Account `units` of work. While TP work is in flight, sleep long
+    /// enough that the caller's duty cycle stays at the quota: for quota q,
+    /// every unit of work earns `(1-q)/q` units of sleep. Otherwise return
+    /// at once.
     pub fn pace(&self, units: u64) {
-        let t0 = Timer::start();
-        let mut slept = false;
-        while self.paused.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_micros(200));
-            slept = true;
-        }
         let quota = self.quota();
         if quota < 1.0 && self.tp_work.any() {
             let work = self.work_unit * units as u32;
             let sleep = work.mul_f64((1.0 - quota) / quota);
             if sleep > Duration::from_micros(10) {
+                let t0 = Timer::start();
                 std::thread::sleep(sleep);
-                slept = true;
+                exec_metrics().pacing_sleeps.inc();
+                exec_metrics().pacing_nanos.add(t0.elapsed().as_nanos() as u64);
             }
         }
-        if slept {
-            exec_metrics().pacing_sleeps.inc();
-            exec_metrics().pacing_nanos.add(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Fully pause (quota → 0) or resume the governed group.
-    pub fn set_paused(&self, paused: bool) {
-        self.paused.store(paused, Ordering::Relaxed);
     }
 }
 
@@ -374,24 +359,13 @@ mod tests {
         assert_eq!(mgr.ap_demotions.get(), 0);
     }
 
-    /// How long `g` takes over 200 paced quanta of 4 096 rows, and whether
-    /// `set_paused` stalls it for 20 ms.
-    fn paced(g: &Arc<CpuGovernor>) -> (Duration, Duration) {
+    /// How long `g` takes over 200 paced quanta of 4 096 rows.
+    fn paced(g: &Arc<CpuGovernor>) -> Duration {
         let t0 = Timer::start();
         for _ in 0..200 {
             g.pace(4096);
         }
-        let run = t0.elapsed();
-        g.set_paused(true);
-        let g2 = Arc::clone(g);
-        let h = std::thread::spawn(move || {
-            let t0 = Timer::start();
-            g2.pace(1);
-            t0.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        g.set_paused(false);
-        (run, h.join().unwrap())
+        t0.elapsed()
     }
 
     #[test]
@@ -400,14 +374,12 @@ mod tests {
         let capped = CpuGovernor::new(0.25, tp_work.clone());
         // Idle machine: 200 quanta earn 200 × 614 µs of sleep at quota
         // 0.25, none of which is taken.
-        let (idle, stalled) = paced(&capped);
+        let idle = paced(&capped);
         assert!(idle < Duration::from_millis(60), "paced without TP work: {idle:?}");
-        assert!(stalled >= Duration::from_millis(15), "pause ignored: {stalled:?}");
         // A TP job or an open transaction holds the cap at the quota.
         let guard = tp_work.enter();
-        let (busy, stalled) = paced(&capped);
+        let busy = paced(&capped);
         assert!(busy >= Duration::from_millis(100), "quota not enforced: {busy:?}");
-        assert!(stalled >= Duration::from_millis(15), "pause ignored: {stalled:?}");
         drop(guard);
         assert!(!tp_work.any());
     }

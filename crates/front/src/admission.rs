@@ -88,6 +88,7 @@ impl AdmissionControl {
     }
 
     /// Controller on an injected clock (deterministic bucket tests).
+    #[cfg(test)]
     pub fn with_time(time: Arc<dyn TimeSource>) -> AdmissionControl {
         AdmissionControl { tenants: RwLock::new(HashMap::new()), time: Some(time) }
     }
@@ -274,7 +275,7 @@ mod tests {
     fn concurrency_quota_bounces_and_releases() {
         let (_clock, ac) = controller();
         let t = TenantId(2);
-        ac.register(t, TenantQuotas::unlimited().with_max_concurrent(2));
+        ac.register(t, TenantQuotas { max_concurrent: 2, ..TenantQuotas::unlimited() });
         let a = ac.admit(t).unwrap();
         let _b = ac.admit(t).unwrap();
         let err = ac.admit(t).unwrap_err();
@@ -290,7 +291,7 @@ mod tests {
     fn connection_cap_bounces_and_releases() {
         let (_clock, ac) = controller();
         let t = TenantId(3);
-        ac.register(t, TenantQuotas::unlimited().with_max_connections(1));
+        ac.register(t, TenantQuotas { max_connections: 1, ..TenantQuotas::unlimited() });
         let c1 = ac.connect(t).unwrap();
         assert!(ac.connect(t).is_err());
         drop(c1);

@@ -34,9 +34,6 @@ pub struct StmtCache {
     by_sql: HashMap<String, u32>,
     /// LRU order, least recent first.
     lru: Vec<u32>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl StmtCache {
@@ -48,9 +45,6 @@ impl StmtCache {
             by_id: HashMap::new(),
             by_sql: HashMap::new(),
             lru: Vec::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -63,8 +57,9 @@ impl StmtCache {
 
     /// Prepare `sql`: reuse the id when the exact text was prepared
     /// before, otherwise check it with `check` and insert (evicting the
-    /// least recently used slot if full). Returns the entry and whether it
-    /// was a cache hit.
+    /// least recently used slot if full). A fresh id skips every id still
+    /// live, so ids that wrap past `u32::MAX` never alias a cached
+    /// statement. Returns the entry and whether it was a cache hit.
     pub fn prepare(
         &mut self,
         sql: &str,
@@ -72,21 +67,21 @@ impl StmtCache {
     ) -> Result<(Arc<PreparedStmt>, bool)> {
         if let Some(&id) = self.by_sql.get(sql) {
             let entry = Arc::clone(&self.by_id[&id]);
-            self.hits += 1;
             self.touch(id);
             return Ok((entry, true));
         }
-        self.misses += 1;
         check(sql)?;
         if self.by_id.len() >= self.capacity {
             let victim = self.lru.remove(0);
             if let Some(old) = self.by_id.remove(&victim) {
                 self.by_sql.remove(&old.sql);
-                self.evictions += 1;
             }
         }
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
+        let mut id = self.next_id;
+        while self.by_id.contains_key(&id) {
+            id = id.wrapping_add(1).max(1);
+        }
+        self.next_id = id.wrapping_add(1).max(1);
         let entry = Arc::new(PreparedStmt { id, sql: sql.to_string() });
         self.by_id.insert(id, Arc::clone(&entry));
         self.by_sql.insert(entry.sql.clone(), id);
@@ -126,11 +121,6 @@ impl StmtCache {
     pub fn is_empty(&self) -> bool {
         self.by_id.is_empty()
     }
-
-    /// `(hits, misses, evictions)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +143,6 @@ mod tests {
             .unwrap();
         assert!(hit);
         assert_eq!(a.id, b.id);
-        assert_eq!(c.stats(), (1, 1, 0));
     }
 
     #[test]
@@ -189,7 +178,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(c.get(a.id).is_ok(), "recently used survives");
         assert!(c.get(_b.id).is_err(), "evicted id is invalid");
-        assert_eq!(c.stats().2, 1);
         // The evicted Arc handle stays usable for in-flight executions.
         assert_eq!(_b.sql, "SELECT v FROM t WHERE id = 1");
     }
@@ -215,6 +203,22 @@ mod tests {
         let mut c = StmtCache::new(2);
         assert!(c.prepare("SELEKT nonsense", parse).is_err());
         assert!(c.is_empty());
-        assert_eq!(c.stats(), (0, 1, 0));
+    }
+
+    #[test]
+    fn a_wrapped_id_skips_a_live_one() {
+        let mut c = StmtCache::new(4);
+        let (first, _) = c.prepare("SELECT id FROM t WHERE id = 1", parse).unwrap();
+        assert_eq!(first.id, 1);
+        c.next_id = u32::MAX;
+        let (last, _) = c.prepare("SELECT id FROM t WHERE id = 2", parse).unwrap();
+        assert_eq!(last.id, u32::MAX);
+        // The counter wraps to 1, which is still live: the fresh statement
+        // takes the next free id and id 1 keeps its own text.
+        let (wrapped, _) = c.prepare("SELECT id FROM t WHERE id = 3", parse).unwrap();
+        assert_eq!(wrapped.id, 2);
+        assert_eq!(c.get(1).unwrap().sql, "SELECT id FROM t WHERE id = 1");
+        assert_eq!(c.get(2).unwrap().sql, "SELECT id FROM t WHERE id = 3");
+        assert_eq!(c.get(u32::MAX).unwrap().sql, "SELECT id FROM t WHERE id = 2");
     }
 }

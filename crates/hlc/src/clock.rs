@@ -108,8 +108,8 @@ pub trait Clock: Send + Sync {
 ///
 /// 1. `now` and `update` never increment `lc`, preserving the 16-bit logical
 ///    space;
-/// 2. `update` is a single max-CAS, so a 2PC coordinator can absorb the max
-///    of all participant timestamps with one call (`update_max` helper).
+/// 2. `update` is a single max-CAS, so a 2PC coordinator absorbs the max
+///    of all participant timestamps (the commit timestamp) with one call.
 pub struct Hlc {
     hlc: AtomicU64,
     physical: Arc<dyn PhysicalClock>,
@@ -125,15 +125,6 @@ impl Hlc {
     pub fn with_physical(physical: Arc<dyn PhysicalClock>) -> Arc<Hlc> {
         let start = HlcTimestamp::at_pt(physical.now_millis());
         Arc::new(Hlc { hlc: AtomicU64::new(start.raw()), physical })
-    }
-
-    /// `ClockUpdate` with the maximum of several observed timestamps — the
-    /// paper's batched form used by the 2PC coordinator after collecting
-    /// all `prepare_ts` values (one CAS instead of N).
-    pub fn update_max(&self, seen: impl IntoIterator<Item = HlcTimestamp>) {
-        if let Some(max) = seen.into_iter().max() {
-            self.update(max);
-        }
     }
 
     /// Raw value for debugging/tests.
@@ -242,20 +233,6 @@ mod tests {
         // A stale update is a no-op.
         hlc.update(HlcTimestamp::new(1500, 0));
         assert_eq!(hlc.peek(), remote);
-    }
-
-    #[test]
-    fn update_max_batches() {
-        let pc = TestClock::at(100);
-        let hlc = Hlc::with_physical(pc);
-        hlc.update_max([
-            HlcTimestamp::new(300, 1),
-            HlcTimestamp::new(500, 2),
-            HlcTimestamp::new(400, 9),
-        ]);
-        assert_eq!(hlc.peek(), HlcTimestamp::new(500, 2));
-        hlc.update_max(std::iter::empty());
-        assert_eq!(hlc.peek(), HlcTimestamp::new(500, 2));
     }
 
     #[test]

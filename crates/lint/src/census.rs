@@ -30,7 +30,7 @@ const MODIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
 const PRODUCT_ROOTS: [&str; 3] = ["PolarDbx", "Session", "FrontDoor"];
 /// The largest share of a product crate's `pub` items that may be reached
 /// from tests alone.
-pub const TEST_ONLY_SHARE: f64 = 0.25;
+pub const TEST_ONLY_SHARE: f64 = 0.20;
 const TEST_ONLY: u8 = 1 << 4;
 
 /// One `pub` item of a product crate and the roots that reach it.
@@ -268,10 +268,11 @@ fn test_heavy_crates(items: &[CensusItem], allows: &HashMap<String, String>) -> 
 mod tests {
     use super::*;
 
-    /// A product crate of four `pub` fns, a figure that calls `figure`,
+    /// A product crate of five `pub` fns, a figure that calls `figure`,
     /// and a test that calls `tested`.
     fn crate_gate(lib_head: &str, figure: &[&str], tested: &[&str]) -> Vec<Finding> {
-        let lib = format!("{lib_head}pub fn a() {{}}\npub fn b() {{}}\npub fn c() {{}}\npub fn d() {{}}\n");
+        let fns: String = ["a", "b", "c", "d", "e"].map(|f| format!("pub fn {f}() {{}}\n")).concat();
+        let lib = format!("{lib_head}{fns}");
         let call = |names: &[&str]| names.iter().map(|n| format!("{n}(); ")).collect::<String>();
         let sources = [
             ("crates/storage/src/lib.rs", lib),
@@ -284,15 +285,16 @@ mod tests {
     }
 
     #[test]
-    fn a_crate_more_than_a_quarter_test_only_is_a_finding() {
-        // One of four (25 %) is at the bar, not over it.
-        assert!(crate_gate("", &["a", "b", "c"], &["d"]).is_empty());
+    fn a_crate_more_than_a_fifth_test_only_is_a_finding() {
+        // One of five (20 %) is at the bar, not over it.
+        assert!(crate_gate("", &["a", "b", "c", "d"], &["e"]).is_empty());
         // Reached from a test *and* a figure is not test-only.
-        assert!(crate_gate("", &["a", "b", "c", "d"], &["c", "d"]).is_empty());
-        let over = crate_gate("", &["a", "b"], &["c", "d"]);
+        assert!(crate_gate("", &["a", "b", "c", "d", "e"], &["d", "e"]).is_empty());
+        let over = crate_gate("", &["a", "b", "c"], &["d", "e"]);
         assert_eq!(over.len(), 1, "{over:?}");
-        assert!(over[0].allowed.is_none() && over[0].message.contains("2 of 4"), "{over:?}");
-        let allowed = crate_gate("// lint:allow(unreached, a model kept for §II-A)\n", &["a", "b"], &["c", "d"]);
+        assert!(over[0].allowed.is_none() && over[0].message.contains("2 of 5"), "{over:?}");
+        let head = "// lint:allow(unreached, a model kept for §II-A)\n";
+        let allowed = crate_gate(head, &["a", "b", "c"], &["d", "e"]);
         assert_eq!(allowed[0].allowed.as_deref(), Some("a model kept for §II-A"));
     }
 }

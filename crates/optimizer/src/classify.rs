@@ -43,11 +43,6 @@ pub fn classify_with_threshold(
     classify_cost(&estimate(plan, stats), threshold)
 }
 
-/// Classify with the default threshold.
-pub fn classify(plan: &LogicalPlan, stats: &Statistics) -> WorkloadClass {
-    classify_with_threshold(plan, stats, DEFAULT_AP_THRESHOLD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,19 +79,19 @@ mod tests {
     #[test]
     fn point_read_is_tp() {
         let p = plan("SELECT a FROM sbtest WHERE id = 42");
-        assert_eq!(classify(&p, &stats()), WorkloadClass::Tp);
+        assert_eq!(classify_with_threshold(&p, &stats(), DEFAULT_AP_THRESHOLD), WorkloadClass::Tp);
     }
 
     #[test]
     fn full_scan_aggregation_is_ap() {
         let p = plan("SELECT a, SUM(b) FROM lineitem GROUP BY a");
-        assert_eq!(classify(&p, &stats()), WorkloadClass::Ap);
+        assert_eq!(classify_with_threshold(&p, &stats(), DEFAULT_AP_THRESHOLD), WorkloadClass::Ap);
     }
 
     #[test]
     fn big_join_is_ap() {
         let p = plan("SELECT lineitem.a FROM lineitem JOIN orders ON lineitem.id = orders.id");
-        assert_eq!(classify(&p, &stats()), WorkloadClass::Ap);
+        assert_eq!(classify_with_threshold(&p, &stats(), DEFAULT_AP_THRESHOLD), WorkloadClass::Ap);
     }
 
     #[test]
@@ -115,7 +110,11 @@ mod tests {
         let mut stale = Statistics::new();
         stale.set("lineitem", TableStats { rows: 10, avg_row_bytes: 100, ..Default::default() });
         let p = plan("SELECT a, SUM(b) FROM lineitem GROUP BY a");
-        assert_eq!(classify(&p, &stale), WorkloadClass::Tp, "stale stats → misclassified");
+        assert_eq!(
+            classify_with_threshold(&p, &stale, DEFAULT_AP_THRESHOLD),
+            WorkloadClass::Tp,
+            "stale stats → misclassified"
+        );
         // The executor's pool re-assignment (not the optimizer) fixes this
         // at runtime.
     }

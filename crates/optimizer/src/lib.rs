@@ -26,9 +26,7 @@ pub mod cost;
 pub mod rewrite;
 pub mod storage;
 
-pub use classify::{
-    classify, classify_cost, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD,
-};
+pub use classify::{classify_cost, classify_with_threshold, WorkloadClass, DEFAULT_AP_THRESHOLD};
 pub use cost::{estimate, PlanCost, Statistics, TableStats};
 pub use rewrite::{choose_build_sides, optimize, optimize_with_stats};
 pub use storage::{choose_storage, StorageChoice};

@@ -21,7 +21,7 @@
 //! The gate protects the *commit decision*, not delivery: phase-two
 //! `Commit` messages are posted asynchronously, so the cluster layer must
 //! additionally drain per-engine in-flight state after the gate drains —
-//! see `PolarDbx::rehome_shard`.
+//! see `PolarDbx::rehome_shard_by_id`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};

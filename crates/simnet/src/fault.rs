@@ -1,7 +1,7 @@
 //! Seeded, deterministic fault injection for the fabric.
 //!
 //! A [`FaultPlan`] describes *what can go wrong* on the wire: per-link drop
-//! probability, duplication, delay spikes, and one-shot scheduled faults
+//! probability, duplication, and one-shot scheduled faults
 //! ("crash node X on its Nth send"). All randomness flows from a single
 //! seeded RNG owned by the runtime [`FaultState`], so the same plan + seed
 //! reproduces the same fault sequence — which is what makes chaos tests
@@ -14,7 +14,6 @@
 //! * a dropped **reply** looks the same to the caller — but the handler DID
 //!   run, which is exactly the ambiguity 2PC in-doubt recovery exists for,
 //! * a **duplicated** message exercises participant idempotency,
-//! * a **delay spike** stretches a link's one-way latency for one message,
 //! * a **crashed** node black-holes all traffic to and from it and stays
 //!   registered (its delivery thread survives for a restart).
 
@@ -22,7 +21,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::time::Duration;
 
 use polardbx_common::metrics::Counter;
 use polardbx_common::{DcId, NodeId};
@@ -34,10 +32,6 @@ pub struct LinkFaults {
     pub drop: f64,
     /// Probability a message is delivered twice.
     pub duplicate: f64,
-    /// Probability a message suffers an extra [`LinkFaults::spike`] delay.
-    pub delay_spike: f64,
-    /// The extra delay added when a spike fires.
-    pub spike: Duration,
 }
 
 impl LinkFaults {
@@ -57,15 +51,8 @@ impl LinkFaults {
         self
     }
 
-    /// Builder: set delay-spike probability and magnitude.
-    pub fn with_delay_spike(mut self, p: f64, spike: Duration) -> LinkFaults {
-        self.delay_spike = p;
-        self.spike = spike;
-        self
-    }
-
     fn is_none(&self) -> bool {
-        self.drop == 0.0 && self.duplicate == 0.0 && self.delay_spike == 0.0
+        self.drop == 0.0 && self.duplicate == 0.0
     }
 }
 
@@ -195,7 +182,6 @@ impl FaultPlan {
 pub(crate) struct LinkDecision {
     pub drop: bool,
     pub duplicate: bool,
-    pub extra_delay: Option<Duration>,
 }
 
 /// Counters for injected faults, exported through `common::metrics` so the
@@ -212,8 +198,6 @@ pub struct FaultStats {
     pub duplicated_calls: Counter,
     /// One-way posts enqueued twice.
     pub duplicated_posts: Counter,
-    /// Messages that suffered an injected delay spike.
-    pub delay_spikes: Counter,
     /// Messages black-holed because an endpoint was crashed.
     pub blackholed: Counter,
     /// One-shot faults that fired.
@@ -227,13 +211,12 @@ impl FaultStats {
     /// Human-readable one-line report.
     pub fn report(&self) -> String {
         format!(
-            "drops: req={} reply={} post={} · dups: call={} post={} · spikes={} · blackholed={} · one-shots={} · amnesia-restarts={}",
+            "drops: req={} reply={} post={} · dups: call={} post={} · blackholed={} · one-shots={} · amnesia-restarts={}",
             self.dropped_requests.get(),
             self.dropped_replies.get(),
             self.dropped_posts.get(),
             self.duplicated_calls.get(),
             self.duplicated_posts.get(),
-            self.delay_spikes.get(),
             self.blackholed.get(),
             self.one_shots_fired.get(),
             self.amnesia_restarts.get(),
@@ -247,7 +230,6 @@ impl FaultStats {
             + self.dropped_posts.get()
             + self.duplicated_calls.get()
             + self.duplicated_posts.get()
-            + self.delay_spikes.get()
             + self.blackholed.get()
     }
 
@@ -258,7 +240,6 @@ impl FaultStats {
         self.dropped_posts.reset();
         self.duplicated_calls.reset();
         self.duplicated_posts.reset();
-        self.delay_spikes.reset();
         self.blackholed.reset();
         self.one_shots_fired.reset();
         self.amnesia_restarts.reset();
@@ -345,7 +326,7 @@ impl FaultState {
     pub(crate) fn decide(&self, from_dc: DcId, to_dc: DcId) -> LinkDecision {
         let f = self.plan.link_faults(from_dc, to_dc);
         if f.is_none() {
-            return LinkDecision { drop: false, duplicate: false, extra_delay: None };
+            return LinkDecision { drop: false, duplicate: false };
         }
         let seq = {
             let mut m = self.link_seq.lock();
@@ -364,9 +345,7 @@ impl FaultState {
         let mut rng = StdRng::seed_from_u64(h);
         let drop = f.drop > 0.0 && rng.gen_bool(f.drop);
         let duplicate = !drop && f.duplicate > 0.0 && rng.gen_bool(f.duplicate);
-        let extra_delay = (!drop && f.delay_spike > 0.0 && rng.gen_bool(f.delay_spike))
-            .then_some(f.spike);
-        LinkDecision { drop, duplicate, extra_delay }
+        LinkDecision { drop, duplicate }
     }
 }
 
@@ -393,11 +372,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_for_same_seed() {
         let plan = || {
-            FaultPlan::new(42).with_all_links(
-                LinkFaults::lossy(0.3)
-                    .with_duplicate(0.3)
-                    .with_delay_spike(0.2, Duration::from_millis(5)),
-            )
+            FaultPlan::new(42).with_all_links(LinkFaults::lossy(0.3).with_duplicate(0.3))
         };
         let a = FaultState::new(plan());
         let b = FaultState::new(plan());

@@ -40,17 +40,6 @@ impl LatencyMatrix {
         LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 }
     }
 
-    /// Scaled-down variant of the paper's testbed for fast benches: keeps
-    /// the inter/intra ratio while shrinking absolute delays by `factor`.
-    pub fn paper_scaled(factor: u32) -> LatencyMatrix {
-        let base = LatencyMatrix::paper_default();
-        LatencyMatrix {
-            intra_dc: base.intra_dc / factor,
-            inter_dc: base.inter_dc / factor,
-            jitter: base.jitter,
-        }
-    }
-
     /// Base one-way delay between `a` and `b` (no jitter applied).
     pub fn one_way_base(&self, a: DcId, b: DcId) -> Duration {
         if a == b { self.intra_dc } else { self.inter_dc }
@@ -97,13 +86,5 @@ mod tests {
     fn zero_matrix_is_zero() {
         let m = LatencyMatrix::zero();
         assert_eq!(m.one_way(DcId(0), DcId(5)), Duration::ZERO);
-    }
-
-    #[test]
-    fn scaled_preserves_ratio() {
-        let m = LatencyMatrix::paper_scaled(10);
-        let full = LatencyMatrix::paper_default();
-        assert_eq!(m.inter_dc, full.inter_dc / 10);
-        assert_eq!(m.intra_dc, full.intra_dc / 10);
     }
 }

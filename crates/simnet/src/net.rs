@@ -427,11 +427,7 @@ impl<M: Send + Clone + 'static> SimNet<M> {
         }
         let faults = self.faults.read().clone();
         let req = faults.as_ref().map(|f| f.decide(from_dc, to_dc));
-        let mut delay = self.latency.one_way(from_dc, to_dc);
-        if let Some(extra) = req.as_ref().and_then(|d| d.extra_delay) {
-            self.fault_stats.delay_spikes.inc();
-            delay += extra;
-        }
+        let delay = self.latency.one_way(from_dc, to_dc);
         let lost = drop_this || req.as_ref().is_some_and(|d| d.drop);
         if lost {
             self.fault_stats.dropped_requests.inc();
@@ -452,11 +448,7 @@ impl<M: Send + Clone + 'static> SimNet<M> {
             out.service.handle(from, msg)
         };
         let rep = out.faults.as_ref().map(|f| f.decide(out.to_dc, out.from_dc));
-        let mut delay = self.latency.one_way(out.to_dc, out.from_dc);
-        if let Some(extra) = rep.as_ref().and_then(|d| d.extra_delay) {
-            self.fault_stats.delay_spikes.inc();
-            delay += extra;
-        }
+        let delay = self.latency.one_way(out.to_dc, out.from_dc);
         let lost = rep.as_ref().is_some_and(|d| d.drop);
         if lost {
             self.fault_stats.dropped_replies.inc();
@@ -513,11 +505,7 @@ impl<M: Send + Clone + 'static> SimNet<M> {
             self.fault_stats.dropped_posts.inc();
             return Ok(());
         }
-        let mut delay = self.latency.one_way(from_dc, to_dc);
-        if let Some(extra) = dec.as_ref().and_then(|d| d.extra_delay) {
-            self.fault_stats.delay_spikes.inc();
-            delay += extra;
-        }
+        let delay = self.latency.one_way(from_dc, to_dc);
         // lint:allow(determinism, "latency-model pacing: delay is seed-derived; the real clock only anchors the arrival instant")
         let deliver_at = Instant::now() + delay;
         if dec.as_ref().is_some_and(|d| d.duplicate) {

@@ -435,10 +435,11 @@ impl RegisterRoute {
 }
 
 /// Live cutover of the REGISTERS partition from the register DN to DN1:
-/// [`polardbx_storage::RwNode::hand_off`], the cutover `PolarDbx::rehome_shard` runs, inside
-/// this world's own epoch freeze + drain, destination clock raise (the
-/// register DN's HLC base is 3 s ahead of DN1's — without the raise, moved
-/// versions would sit in DN1's timestamp future) and route flip.
+/// [`polardbx_storage::RwNode::hand_off`], the cutover
+/// `PolarDbx::rehome_shard_by_id` runs, inside this world's own epoch
+/// freeze + drain, destination clock raise (the register DN's HLC base is
+/// 3 s ahead of DN1's — without the raise, moved versions would sit in
+/// DN1's timestamp future) and route flip.
 ///
 /// `hand_off` attaches REGISTERS to DN1's RO too, which would re-apply DN1's
 /// redo into the shared store (ROADMAP item 7): the verdicts rely on the

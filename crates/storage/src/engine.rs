@@ -1018,7 +1018,8 @@ mod tests {
             assert_eq!(e.read(T, &key(n), 100, None).unwrap(), Some(row(n, "v")));
         }
         assert_eq!(pipe.metrics.commits.get(), 10);
-        assert_eq!(log.flushed(), log.head(), "every epoch flushed");
+        let durable = log.flushed();
+        assert_eq!(log.flush().unwrap(), durable, "every epoch flushed");
         // The durable stream decodes to each transaction's records as a run:
         // one row record + one commit record per transaction, in order.
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
@@ -1116,7 +1117,8 @@ mod tests {
         assert!(e.refuse(TrxId(3)).unwrap());
         assert!(!e.refuse(TrxId(3)).unwrap() && !e.refuse(TrxId(1)).unwrap());
         assert_eq!(pipe.metrics.commits.get(), 4, "prepare, abort, commit, abort");
-        assert_eq!(log.flushed(), log.head());
+        let durable = log.flushed();
+        assert_eq!(log.flush().unwrap(), durable, "every epoch flushed");
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
         // Insert+Prepare(T1), Abort(T2), Commit(T1) — submission order.
         assert!(matches!(records[0], RedoPayload::Insert { trx: TrxId(1), .. }));

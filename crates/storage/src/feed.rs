@@ -92,6 +92,7 @@ impl TxnAssembler {
     }
 
     /// Transactions whose decision has not arrived yet.
+    #[cfg(test)]
     pub fn in_flight(&self) -> usize {
         self.undecided.len()
     }

@@ -18,10 +18,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use polardbx_common::time::mono_now;
-use polardbx_common::{Error, Key, Lsn, NodeId, Result, Row, TableId, TenantId, TrxId};
+use polardbx_common::{Error, Key, Lsn, NodeId, Result, Row, TableId, TenantId};
 use polardbx_wal::{LocalEpochSink, LogBuffer, LogSink, VecSink};
 
-use crate::engine::{StorageEngine, WriteOp};
+use crate::engine::StorageEngine;
 use crate::feed::{CommittedTxn, RedoConsumer, TxnAssembler};
 use crate::mvcc::VersionStore;
 use crate::recovery::{recovered_engine, RecoveryReport};
@@ -435,32 +435,35 @@ impl RwNode {
         }
         result
     }
-
-    /// Convenience write path: run a single-row transaction and ship.
-    pub fn execute_write(
-        &self,
-        trx: TrxId,
-        snapshot_ts: u64,
-        commit_ts: u64,
-        table: TableId,
-        key: Key,
-        op: WriteOp,
-    ) -> Result<Lsn> {
-        self.engine.begin(trx, snapshot_ts);
-        if let Err(e) = self.engine.write(trx, table, key, op) {
-            self.engine.abort(trx);
-            return Err(e);
-        }
-        let lsn = self.engine.commit(trx, commit_ts)?;
-        self.ship();
-        Ok(lsn)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::Value;
+    use crate::engine::WriteOp;
+    use polardbx_common::{TrxId, Value};
+
+    impl RwNode {
+        /// Convenience write path: run a single-row transaction and ship.
+        fn execute_write(
+            &self,
+            trx: TrxId,
+            snapshot_ts: u64,
+            commit_ts: u64,
+            table: TableId,
+            key: Key,
+            op: WriteOp,
+        ) -> Result<Lsn> {
+            self.engine.begin(trx, snapshot_ts);
+            if let Err(e) = self.engine.write(trx, table, key, op) {
+                self.engine.abort(trx);
+                return Err(e);
+            }
+            let lsn = self.engine.commit(trx, commit_ts)?;
+            self.ship();
+            Ok(lsn)
+        }
+    }
 
     fn key(n: i64) -> Key {
         Key::encode(&[Value::Int(n)])

@@ -225,7 +225,8 @@ fn one_committer_writes_the_oracle_log_byte_for_byte_across_seeds() {
 
         let bytes = sink.contiguous();
         assert!(!bytes.is_empty(), "seed {seed}: workload produced no redo");
-        assert_eq!(log.flushed(), log.head(), "seed {seed}: unflushed redo");
+        let durable = log.flushed();
+        assert_eq!(log.flush().unwrap(), durable, "seed {seed}: unflushed redo");
         assert_eq!(
             bytes,
             oracle.log,
@@ -280,7 +281,8 @@ fn concurrent_committers_write_whole_runs_of_the_oracle_log_across_seeds() {
         // Fully durable and hole-free: every appended byte was flushed and
         // the sink writes tile the whole range.
         let bytes = sink.contiguous();
-        assert_eq!(log.flushed(), log.head(), "seed {seed}");
+        let durable = log.flushed();
+        assert_eq!(log.flush().unwrap(), durable, "seed {seed}: unflushed redo");
         assert_eq!(bytes.len() as u64, log.flushed().raw(), "seed {seed}: sink has holes");
 
         // The pipeline may interleave *transactions*, never the records

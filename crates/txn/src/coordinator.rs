@@ -305,12 +305,14 @@ impl DistTxn<'_> {
     }
 
     /// Participant DNs sent a message so far (reads included).
+    #[cfg(test)]
     pub fn participants(&self) -> usize {
         self.participants.len()
     }
 
     /// DNs written, staged writes included — the set that decides 1PC vs
     /// 2PC.
+    #[cfg(test)]
     pub fn write_participants(&self) -> usize {
         self.write_sets.len()
     }

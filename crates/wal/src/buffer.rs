@@ -245,7 +245,7 @@ impl LogBuffer {
     /// Flush all pending bytes to the sink; returns the new durable LSN.
     ///
     /// The sink write happens under the state lock: concurrent flushers
-    /// (every committer calls `append_sync`) must not let a later chunk
+    /// must not let a later chunk
     /// land — and advance `flushed` — while an earlier chunk is still in
     /// flight, or readers of `flushed` would observe a hole in the sink.
     /// Serializing flushes is group commit's ordering anyway.
@@ -267,7 +267,8 @@ impl LogBuffer {
     }
 
     /// Append then immediately flush (write-through), returning the MTR's
-    /// range, for callers with no commit pipeline in front of the log.
+    /// range: the epoch pipeline's serial reference.
+    #[cfg(test)]
     pub fn append_sync(&self, mtr: &Mtr) -> Result<(Lsn, Lsn)> {
         let range = self.append(mtr);
         self.flush()?;
@@ -275,6 +276,7 @@ impl LogBuffer {
     }
 
     /// Next LSN to be assigned.
+    #[cfg(test)]
     pub fn head(&self) -> Lsn {
         self.state.lock().head
     }

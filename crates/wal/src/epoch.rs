@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use polardbx_common::metrics::{Counter, HdrHistogram, ValueHistogram};
+use polardbx_common::metrics::{Counter, HdrHistogram};
 use polardbx_common::{Error, Lsn, Result, TrxId};
 
 /// Durability provider for sealed epochs: one call persists one epoch.
@@ -152,8 +152,9 @@ pub struct WalMetrics {
     pub commits: Counter,
     /// Epochs persisted (leaders only).
     pub flushes: Counter,
-    /// Submissions sharing each persist (1 = no grouping happened).
-    pub group_size: ValueHistogram,
+    /// Submissions released by persisted epochs; `released / flushes` is
+    /// the mean group size (1 = no grouping happened).
+    pub released: Counter,
     /// Time followers spent parked waiting for a leader's persist.
     pub wait_for_leader: HdrHistogram,
     /// Payload bytes persisted.
@@ -175,14 +176,12 @@ impl WalMetrics {
 
     /// One-line summary for harness output.
     pub fn report(&self) -> String {
+        let group = self.released.get() as f64 / self.flushes.get().max(1) as f64;
         format!(
-            "commits={} · flushes={} ({:.3} flushes/commit) · group size: mean={:.1} p95={} max={} · follower wait: mean={:?} p95={:?} · bytes={} · failures={}",
+            "commits={} · flushes={} ({:.3} flushes/commit) · group size: mean={group:.1} · follower wait: mean={:?} p95={:?} · bytes={} · failures={}",
             self.commits.get(),
             self.flushes.get(),
             self.flushes_per_commit(),
-            self.group_size.mean(),
-            self.group_size.percentile(0.95),
-            self.group_size.max(),
             self.wait_for_leader.mean(),
             self.wait_for_leader.percentile(0.95),
             self.bytes.get(),
@@ -385,7 +384,7 @@ impl EpochPipeline {
         let behind = match sink.persist(&epoch.buf, &epoch.cuts) {
             Ok(end) => {
                 self.metrics.flushes.inc();
-                self.metrics.group_size.record(epoch.cuts.len() as u64);
+                self.metrics.released.add(epoch.cuts.len() as u64);
                 self.metrics.bytes.add(epoch.buf.len() as u64);
                 // The horizon, then stability, then the tickets: the
                 // listener checks the epoch against the horizon, and a
@@ -643,7 +642,7 @@ mod tests {
         assert_eq!(tracking.stable.lock().len(), 100);
         assert!(tracking.failed.lock().is_empty());
         assert_eq!(pipe.metrics.flushes.get(), 1, "the first waiter persists the whole window");
-        assert_eq!(pipe.metrics.group_size.sum(), 100);
+        assert_eq!(pipe.metrics.released.get(), 100);
         let records = RedoPayload::decode_all(Bytes::from(sink.contiguous())).unwrap();
         assert_eq!(records.len(), 200);
     }
@@ -674,8 +673,7 @@ mod tests {
             m.flushes.get()
         );
         // Every submission was released by exactly one persist.
-        assert_eq!(m.group_size.sum(), commits);
-        assert_eq!(m.group_size.count(), m.flushes.get());
+        assert_eq!(m.released.get(), commits);
         assert!(m.wait_for_leader.count() > 0, "followers parked behind a leader");
         assert_eq!(tracking.stable.lock().len() as u64, commits);
         // Every record present exactly once, each transaction's run whole.

@@ -192,11 +192,6 @@ impl FrameBatcher {
         self.pending_bytes = 0;
         Some(frame)
     }
-
-    /// Index the next cut frame will carry.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +284,6 @@ mod tests {
     fn batcher_flush_empty_is_none() {
         let mut b = FrameBatcher::new(1, 0, Lsn(0));
         assert!(b.flush().is_none());
-        assert_eq!(b.next_index(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use bytes::{Bytes, BytesMut};
 
-use polardbx_common::{Lsn, Result};
+use polardbx_common::Result;
 
 use crate::record::RedoPayload;
 
@@ -54,12 +54,6 @@ impl Mtr {
     pub fn decode(bytes: Bytes) -> Result<Mtr> {
         Ok(Mtr { records: RedoPayload::decode_all(bytes)? })
     }
-
-    /// The LSN range `[at, at + len)` this MTR would occupy if appended at
-    /// `at`.
-    pub fn lsn_range(&self, at: Lsn) -> (Lsn, Lsn) {
-        (at, at.advance(self.encoded_len() as u64))
-    }
 }
 
 #[cfg(test)]
@@ -86,14 +80,6 @@ mod tests {
         let enc = m.encode();
         assert_eq!(enc.len(), m.encoded_len());
         assert_eq!(Mtr::decode(enc).unwrap(), m);
-    }
-
-    #[test]
-    fn lsn_range_spans_encoded_len() {
-        let m = sample();
-        let (s, e) = m.lsn_range(Lsn(100));
-        assert_eq!(s, Lsn(100));
-        assert_eq!(e, Lsn(100 + m.encoded_len() as u64));
     }
 
     #[test]

@@ -342,12 +342,6 @@ impl TpccDriver {
         Ok(())
     }
 
-    /// One Payment transaction.
-    pub fn payment(&self, s: &Session, rng: &mut StdRng) -> Result<()> {
-        let w = rng.gen_range(0..self.cfg.warehouses);
-        self.payment_at(s, rng, w)
-    }
-
     /// Payment pinned to warehouse `w`.
     pub fn payment_at(&self, s: &Session, rng: &mut StdRng, w: i64) -> Result<()> {
         let d = rng.gen_range(0..self.cfg.districts);
@@ -484,7 +478,7 @@ mod tests {
         let s = db.connect(polardbx_common::DcId(1));
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
-            let _ = driver.payment(&s, &mut rng);
+            let _ = driver.payment_at(&s, &mut rng, 0);
         }
         // Sum of warehouse ytd equals sum of customer ytd_payment.
         let w = s.query("SELECT SUM(w_ytd) FROM cc_warehouse").unwrap();

@@ -565,7 +565,7 @@ fn group_commit_chaos_settles_in_flight_txns() {
         assert!(m.flushes.get() <= m.commits.get());
         assert_eq!(m.failures.get(), 0);
         assert_eq!(
-            m.group_size.sum(),
+            m.released.get(),
             m.commits.get(),
             "every submission must be released by exactly one persist"
         );

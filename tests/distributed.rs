@@ -694,7 +694,10 @@ fn session_consistency_on_lagging_replica() {
     rw.create_table(TableId(1));
     let ro = rw.add_ro();
     ro.set_apply_delay(Duration::from_millis(25));
-    rw.execute_write(TrxId(1), 0, 10, TableId(1), key(1), WriteOp::Insert(row(1))).unwrap();
+    rw.engine.begin(TrxId(1), 0);
+    rw.engine.write(TrxId(1), TableId(1), key(1), WriteOp::Insert(row(1))).unwrap();
+    rw.engine.commit(TrxId(1), 10).unwrap();
+    rw.ship();
     let token = rw.session_token();
     // Without the token a racing reader could see emptiness; with it the
     // replica blocks until caught up.

@@ -235,7 +235,7 @@ fn ro_replicas_of_a_rehomed_shard_neither_lose_nor_double_an_update() {
         // One re-home round under the writers: there and back again.
         for dest in [away, home] {
             await_acks(100);
-            db.rehome_shard("t", shard, dest).expect("re-home under live traffic");
+            db.rehome_shard_by_id(schema.id, shard, dest).expect("re-home under live traffic");
         }
         await_acks(100);
         stop.store(true, Ordering::Relaxed);
@@ -332,7 +332,7 @@ fn shard_rebalancing_moves_data_without_copy() {
     let schema = db.gms().table("events").unwrap();
     let src = db.gms().shard_dn(schema.id, 0).unwrap();
     let dest = db.dns().into_iter().map(|d| d.id).find(|&id| id != src).unwrap();
-    db.rehome_shard("events", 0, dest).unwrap();
+    db.rehome_shard_by_id(schema.id, 0, dest).unwrap();
     assert_eq!(db.gms().shard_dn(schema.id, 0).unwrap(), dest);
 
     // All data still present and queryable after the move.
@@ -354,7 +354,7 @@ fn shard_rebalancing_moves_data_without_copy() {
 }
 
 /// `rebalance` under live traffic: every move is the per-shard cutover
-/// (`rehome_shard`), so writers only ever see retryable bounces, no
+/// (`rehome_shard_by_id`), so writers only ever see retryable bounces, no
 /// acknowledged `v = v + 1` is lost, and a transaction left open on
 /// another table of the source DN holds no move up. (The engine-wide
 /// drain it used to call waited for that transaction until it timed out.)
@@ -391,9 +391,10 @@ fn rebalance_under_live_traffic_loses_no_update() {
     let schema = db.gms().table("t").unwrap();
     let crowded = db.dns()[0].id;
     for shard in 0..8 {
-        db.rehome_shard("t", shard, crowded).unwrap();
+        db.rehome_shard_by_id(schema.id, shard, crowded).unwrap();
     }
-    db.rehome_shard("bystander", 0, crowded).unwrap();
+    let bystander = db.gms().table("bystander").unwrap().id;
+    db.rehome_shard_by_id(bystander, 0, crowded).unwrap();
     let (stid, dn, epoch) = s.route_fenced("bystander", &[Value::Int(1)]).unwrap();
     let mut open = s.coordinator().begin();
     open.pin_epoch(stid, epoch).unwrap();

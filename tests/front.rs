@@ -178,7 +178,7 @@ fn throttled_tenant_gets_retryable_bounce_over_the_wire() {
 fn abrupt_disconnect_releases_connection_quota() {
     let db = cluster();
     let tenant =
-        db.register_tenant("capped", TenantQuotas::unlimited().with_max_connections(1));
+        db.register_tenant("capped", TenantQuotas { max_connections: 1, ..TenantQuotas::unlimited() });
     let front = FrontDoor::start_default(db.clone()).unwrap();
 
     // Hold the single slot, then vanish without a Quit frame.
@@ -276,7 +276,7 @@ fn concurrent_wire_clients_survive_rehome_without_lost_updates() {
             let cur = db.gms().shard_dn(schema.id, shard).unwrap();
             let dest = *dns.iter().find(|&&d| d != cur).unwrap();
             for attempt in 0.. {
-                match db.rehome_shard("t", shard, dest) {
+                match db.rehome_shard_by_id(schema.id, shard, dest) {
                     Ok(_) => break,
                     Err(_) if attempt < 20 => std::thread::sleep(Duration::from_millis(2)),
                     Err(e) => panic!("rehome never succeeded: {e:?}"),

@@ -223,8 +223,12 @@ fn an_indexed_join_reads_the_column_indexes() {
 
 // ------------------------------------------------ isolation still holds
 
+/// With TP work in flight the AP governor paces an index-sourced query:
+/// at its floor quota of 1 %, each quantum of `TICK_EVERY` rows earns
+/// 1 024 × 50 ns × 99 ≈ 5.1 ms of sleep, and 3 000 rows are at least one
+/// quantum.
 #[test]
-fn paused_governor_stalls_an_index_sourced_query() {
+fn tp_work_paces_an_index_sourced_query() {
     let db = PolarDbx::build(ClusterConfig { ap_threshold: 0.0, ..Default::default() }).unwrap();
     let s = db.connect(DcId(1));
     s.execute("CREATE TABLE m (id BIGINT NOT NULL, v BIGINT, PRIMARY KEY (id))").unwrap();
@@ -244,19 +248,13 @@ fn paused_governor_stalls_an_index_sourced_query() {
         format!("(applied ts {floor}, floor {floor}, rows 3000 live / 3000 physical)\n");
     assert!(floor > 0 && explain.contains(&can_answer), "{explain}");
 
-    db.workload().ap_governor.set_paused(true);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let query = std::thread::spawn(move || {
-        let t0 = Instant::now();
-        let rows = s.query(sql).unwrap();
-        tx.send(()).unwrap();
-        (rows, t0.elapsed())
-    });
-    std::thread::sleep(Duration::from_millis(40));
-    assert!(rx.try_recv().is_err(), "the query finished under a paused AP governor");
-    db.workload().ap_governor.set_paused(false);
-    let (rows, elapsed) = query.join().unwrap();
-    assert!(elapsed >= Duration::from_millis(30), "never stalled: {elapsed:?}");
+    db.workload().ap_governor.set_quota(0.01);
+    let tp_job = db.workload().tp_work().enter();
+    let t0 = Instant::now();
+    let rows = s.query(sql).unwrap();
+    let paced = t0.elapsed();
+    drop(tp_job);
+    assert!(paced >= Duration::from_millis(5), "never paced: {paced:?}");
     assert_eq!(rows[0].values(), &[Value::Int(3000), Value::Int(13_500)]);
     db.shutdown();
 }
@@ -535,7 +533,7 @@ fn index_equals_row_store_at_every_commit(seed: u64) {
         let cur = db.gms().shard_dn(schema.id, shard).unwrap();
         let dest = *dns.iter().find(|&&d| d != cur).unwrap();
         // A drain can time out retryably under the writers.
-        let moved = (0..50).any(|_| match db.rehome_shard("t", shard, dest) {
+        let moved = (0..50).any(|_| match db.rehome_shard_by_id(schema.id, shard, dest) {
             Ok(_) => true,
             Err(Error::Timeout { .. }) => false,
             Err(e) => panic!("rehome of shard {shard}: {e:?}"),
