@@ -23,8 +23,16 @@
 //!   slots, morsels on the persistent worker pool). Per-operator metric
 //!   counters are printed at the end.
 //!
-//! Run: `cargo run --release -p polardbx-bench --bin fig10_mpp_column [--quick]`
+//! Best-of-`reps` in one process still moves by tens of percent from one
+//! process to the next (allocator and pool warm-up, placement on the
+//! host). `--processes N` re-runs the binary N times and prints each
+//! query's median per engine over those processes; compare two trees by
+//! that table.
+//!
+//! Run: `cargo run --release -p polardbx-bench --bin fig10_mpp_column [--quick]
+//! [--processes N]`
 
+use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,24 +55,85 @@ fn best_of(reps: usize, mut run: impl FnMut()) -> Duration {
         .unwrap()
 }
 
+/// A child run prints only this line per query: `times Q<q> <row ns>
+/// <column ns> <vectorized ns>`.
+const CHILD_FLAG: &str = "--per-query-times";
+
+/// The value of `--processes`, if given.
+fn processes() -> Option<usize> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--processes")?;
+    let n = args.get(at + 1).and_then(|n| n.parse().ok()).expect("--processes needs a number");
+    Some(n)
+}
+
+/// Run this binary `n` times and print each query's median per engine.
+fn median_of_processes(n: usize) {
+    let sf = if quick() { 0.02 } else { 0.08 };
+    println!("# Fig 10 — medians over {n} processes, TPC-H-lite SF {sf}");
+    println!();
+    let exe = std::env::current_exe().expect("own path");
+    // times[q][engine] — one sample per process.
+    let mut times: Vec<[Vec<Duration>; 3]> = (0..22).map(|_| Default::default()).collect();
+    for p in 0..n {
+        let mut child = Command::new(&exe);
+        child.arg(CHILD_FLAG);
+        if quick() {
+            child.arg("--quick");
+        }
+        let out = child.output().expect("spawn a run");
+        assert!(out.status.success(), "run {p} failed: {}", String::from_utf8_lossy(&out.stderr));
+        for line in String::from_utf8_lossy(&out.stdout).lines() {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            let ["times", q, rest @ ..] = f.as_slice() else { continue };
+            let q: usize = q.trim_start_matches('Q').parse().expect("a query number");
+            for (engine, ns) in rest.iter().enumerate() {
+                times[q - 1][engine].push(Duration::from_nanos(ns.parse().expect("nanoseconds")));
+            }
+        }
+        eprintln!("  process {}/{n} done", p + 1);
+    }
+    let median = |v: &mut Vec<Duration>| {
+        v.sort();
+        v[v.len() / 2]
+    };
+    let spread = |v: &[Duration]| format!("{}..{}", fmt_dur(v[0]), fmt_dur(v[v.len() - 1]));
+    header(&["query", "row serial", "column index", "col range", "vectorized", "vec range"]);
+    for (q, [t_row, t_col, t_vec]) in times.iter_mut().enumerate() {
+        row(&[
+            format!("Q{}", q + 1),
+            fmt_dur(median(t_row)),
+            fmt_dur(median(t_col)),
+            spread(t_col),
+            fmt_dur(median(t_vec)),
+            spread(t_vec),
+        ]);
+    }
+}
+
 fn main() {
+    if let Some(n) = processes() {
+        median_of_processes(n.max(1));
+        return;
+    }
+    let child = std::env::args().any(|a| a == CHILD_FLAG);
     let sf = if quick() { 0.02 } else { 0.08 };
     let reps = if quick() { 3 } else { 5 };
 
-    println!("# Fig 10 — MPP ×4 and in-memory column index, TPC-H-lite SF {sf}");
-    println!();
+    if !child {
+        println!("# Fig 10 — MPP ×4 and in-memory column index, TPC-H-lite SF {sf}");
+        println!();
+    }
 
     let db = PolarDbx::build(ClusterConfig { dns: 4, default_shards: 8, ..Default::default() })
         .unwrap();
     let s = db.connect(DcId(1));
     tpch::create_schema(&s, 8).unwrap();
     let lineitems = tpch::load(&db, tpch::ScaleFactor(sf), 99).unwrap();
-    println!("  loaded {} lineitem rows", lineitems);
     for t in ["lineitem", "orders", "customer", "part", "partsupp", "supplier", "nation", "region"]
     {
         db.enable_column_index(t).unwrap();
     }
-    println!();
 
     let stats = db.gms().statistics();
     let row_provider: Arc<dyn TableProvider> = Arc::new(db.provider(false));
@@ -75,7 +144,10 @@ fn main() {
     let mpp_serial = MppExecutor::new(1);
     exec_metrics().reset();
 
-    header(&[
+    if !child {
+        println!("  loaded {} lineitem rows", lineitems);
+        println!();
+        header(&[
         "query",
         "row serial",
         "MPP x4 (modeled)",
@@ -83,9 +155,10 @@ fn main() {
         "column index",
         "column gain",
         "vectorized",
-        "vec gain",
-        "f",
-    ]);
+            "vec gain",
+            "f",
+        ]);
+    }
 
     let mut mpp_over_100 = 0;
     let mut col_wins: Vec<(usize, f64)> = Vec::new();
@@ -108,6 +181,11 @@ fn main() {
         let t_vec = best_of(reps, || {
             mpp.execute(&plan, &row_provider, &ctx).unwrap();
         });
+        if child {
+            let ns = |t: Duration| t.as_nanos();
+            println!("times Q{q} {} {} {}", ns(t_row), ns(t_col), ns(t_vec));
+            continue;
+        }
         let f = parallel_fraction(&plan, &stats);
         let t_mpp = modeled_mpp_time(t_row, f, 4, Duration::from_micros(150));
 
@@ -133,6 +211,10 @@ fn main() {
         ]);
     }
 
+    if child {
+        db.shutdown();
+        return;
+    }
     println!();
     println!("  MPP: {mpp_over_100}/22 queries improved >100% (paper: 21/22; Q9 highest,");
     println!("  Q11/Q15 lowest — small inputs leave the CN unsaturated).");

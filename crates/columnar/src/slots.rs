@@ -23,6 +23,13 @@ impl SlotIndex {
         SlotIndex::default()
     }
 
+    /// An index for `n` ids at no more than half load, so that looking up
+    /// a hash it does not hold stops within a slot or two.
+    pub fn with_capacity(n: usize) -> SlotIndex {
+        let cap = (n * 2).next_power_of_two().max(16);
+        SlotIndex { entries: vec![(0, EMPTY); cap], len: 0 }
+    }
+
     /// The first id stored under `hash` for which `matches` verifies.
     /// Probing stops at the first free slot.
     pub fn find(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {

@@ -76,6 +76,11 @@ pub struct ExecMetrics {
     pub pacing_sleeps: Counter,
     /// Wall nanoseconds those calls slept.
     pub pacing_nanos: Counter,
+    /// Rows the AP engine built out of lanes: the answer's rows, built
+    /// once at the root, plus every row the scalar fallback evaluates an
+    /// expression no lane loop covers on. Equal to the rows returned when
+    /// every operator of a query ran on lanes.
+    pub materialized: Counter,
 }
 
 impl ExecMetrics {
@@ -91,6 +96,7 @@ impl ExecMetrics {
         self.steals.reset();
         self.pacing_sleeps.reset();
         self.pacing_nanos.reset();
+        self.materialized.reset();
     }
 
     /// Human-readable dump for bench harnesses.
@@ -117,6 +123,7 @@ impl ExecMetrics {
             self.pacing_sleeps.get(),
             self.pacing_nanos.get()
         ));
+        s.push_str(&format!("  rows materialized={}\n", self.materialized.get()));
         s
     }
 }

@@ -11,11 +11,15 @@
 //! leaf is a [`ScanSource`] — the column-index snapshot when the provider
 //! attaches one, the row partitions otherwise — drained morsel by morsel
 //! on a persistent worker pool (the `WorkloadManager` AP pool) by
-//! [`morsel_execute`]. What consumes the leaf's batches is the fragment's
-//! [`MorselWork`]: collect them as rows, fold them into a partial
-//! aggregate, or probe a join's build side. Pipeline breakers keep
-//! per-worker state merged once at the barrier; per-batch operator work is
-//! the operator library of [`crate::vectorized`].
+//! [`morsel_execute`]. A join on the way up from the leaf is a stage of
+//! the same pipeline: its build side runs first, into lanes, and each
+//! morsel worker probes it and runs the residual filter and the stages
+//! above it batch by batch. What consumes the pipeline's batches is the
+//! fragment's [`MorselWork`]: collect them, or fold them into a partial
+//! aggregate. Pipeline breakers keep per-worker state merged once at the
+//! barrier; per-batch operator work is the operator library of
+//! [`crate::vectorized`]. Every operator gives batches, so rows are built
+//! once, at the root.
 
 use std::sync::Arc;
 
@@ -24,12 +28,15 @@ use polardbx_common::{Result, Row};
 use polardbx_sql::expr::Expr;
 use polardbx_sql::plan::{AggSpec, LogicalPlan};
 
-use crate::batch::{batches_of, RowBatch};
+use crate::batch::RowBatch;
 use crate::exec_metrics::exec_metrics;
 use crate::morsel::{morsel_execute, shared_pool, MorselWork, ScanSource};
-use crate::operators::{apply_join, apply_sort, ExecCtx, TableProvider};
+use crate::operators::{ExecCtx, TableProvider};
 use crate::scheduler::{JobClass, WorkloadManager};
-use crate::vectorized::{pipeline_stages, run_stages, JoinBuild, StageOp, VecAggTable};
+use crate::vectorized::{
+    conjuncts, limit_batches, pipeline_stages, run_stages, sort_batches, JoinBuild, StageOp,
+    VecAggTable,
+};
 
 /// The MPP engine: a degree of parallelism (worker tasks ≈ CN nodes ×
 /// cores) on a persistent worker pool.
@@ -47,8 +54,7 @@ struct Local<T> {
     ctx: ExecCtx,
 }
 
-/// The fused `Filter*/Project*` stages every fragment runs over a batch
-/// before consuming it.
+/// The fused stages every fragment runs over a batch before consuming it.
 struct Pipeline {
     stages: Vec<StageOp>,
     ctx: ExecCtx,
@@ -64,17 +70,19 @@ impl Pipeline {
     }
 }
 
-/// Fragment that materializes the pipeline's output rows.
+/// Fragment that keeps the pipeline's output batches.
 struct Collect(Pipeline);
 
-impl MorselWork<Local<Vec<Row>>> for Collect {
-    fn new_local(&self) -> Local<Vec<Row>> {
+impl MorselWork<Local<Vec<RowBatch>>> for Collect {
+    fn new_local(&self) -> Local<Vec<RowBatch>> {
         self.0.local(Vec::new())
     }
-    fn process(&self, batch: RowBatch, local: &mut Local<Vec<Row>>) -> Result<()> {
+    fn process(&self, batch: RowBatch, local: &mut Local<Vec<RowBatch>>) -> Result<()> {
         let batch = self.0.run(batch, local)?;
         local.ctx.tick(batch.num_rows() as u64)?;
-        local.out.extend(batch.to_rows());
+        if batch.num_rows() > 0 {
+            local.out.push(batch);
+        }
         Ok(())
     }
 }
@@ -102,29 +110,6 @@ impl MorselWork<Local<VecAggTable>> for PartialAgg {
     }
 }
 
-/// Fragment that probes a join's build side and collects the joined rows.
-struct Probe {
-    pipeline: Pipeline,
-    build: JoinBuild,
-    probe_cols: Vec<usize>,
-    filter: Option<Expr>,
-}
-
-impl MorselWork<Local<Vec<Row>>> for Probe {
-    fn new_local(&self) -> Local<Vec<Row>> {
-        self.pipeline.local(Vec::new())
-    }
-    fn process(&self, batch: RowBatch, local: &mut Local<Vec<Row>>) -> Result<()> {
-        let batch = self.pipeline.run(batch, local)?;
-        local.ctx.tick(batch.num_rows() as u64)?;
-        let t0 = Timer::start();
-        let rows = self.build.probe_batch(&batch, &self.probe_cols, self.filter.as_ref())?;
-        exec_metrics().join.record(rows.len() as u64, 0, t0);
-        local.out.extend(rows);
-        Ok(())
-    }
-}
-
 impl MppExecutor {
     /// An engine with `workers` parallel tasks on the process-wide shared
     /// pool.
@@ -139,29 +124,37 @@ impl MppExecutor {
         MppExecutor { workers: workers.max(1), pool }
     }
 
-    /// Execute `plan` with MPP parallelism where fragments allow it.
+    /// Execute `plan` with MPP parallelism where fragments allow it. The
+    /// answer's rows are the only rows built.
     pub fn execute(
         &self,
         plan: &LogicalPlan,
         provider: &Arc<dyn TableProvider>,
         ctx: &ExecCtx,
     ) -> Result<Vec<Row>> {
+        let batches = self.batches(plan, provider, ctx)?;
+        Ok(batches.iter().flat_map(RowBatch::to_rows).collect())
+    }
+
+    /// `plan`'s output as batches.
+    fn batches(
+        &self,
+        plan: &LogicalPlan,
+        provider: &Arc<dyn TableProvider>,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<RowBatch>> {
         match plan {
             LogicalPlan::Limit { input, n } => {
-                let mut rows = self.execute(input, provider, ctx)?;
-                rows.truncate(*n);
-                Ok(rows)
+                Ok(limit_batches(self.batches(input, provider, ctx)?, *n))
             }
             LogicalPlan::Sort { input, keys } => {
-                let rows = self.execute(input, provider, ctx)?;
+                let input = self.batches(input, provider, ctx)?;
+                ctx.tick(input.iter().map(|b| b.num_rows() as u64).sum())?;
                 let t0 = Timer::start();
-                let rows = apply_sort(rows, keys, ctx)?;
-                exec_metrics().sort.record(rows.len() as u64, 0, t0);
-                Ok(rows)
-            }
-            LogicalPlan::Project { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Scan { .. } => {
-                let locals = self.drive(plan, provider, ctx, Collect)?;
-                Ok(locals.into_iter().flat_map(|l| l.out).collect())
+                let sorted = sort_batches(&input, keys)?;
+                let rows = sorted.as_ref().map_or(0, RowBatch::num_rows);
+                exec_metrics().sort.record(rows as u64, 0, t0);
+                Ok(sorted.into_iter().collect())
             }
             LogicalPlan::Aggregate { input, group_by, aggs, .. } => {
                 // Partial aggregation per worker, merged at the coordinator
@@ -176,40 +169,53 @@ impl MppExecutor {
                 for partial in partials {
                     merged.merge(partial);
                 }
-                merged.finish()
+                Ok(vec![merged.finish()])
             }
-            LogicalPlan::Join { left, right, on, filter } => {
-                // Build once (left), probe morsel-parallel (right).
-                let build_rows = self.execute(left, provider, ctx)?;
-                if on.is_empty() {
-                    // Cross join: row-engine nested loop.
-                    let probe = self.execute(right, provider, ctx)?;
-                    let t0 = Timer::start();
-                    let rows = apply_join(build_rows, probe, on, filter.as_ref(), ctx)?;
-                    exec_metrics().join.record(rows.len() as u64, 0, t0);
-                    return Ok(rows);
-                }
-                ctx.tick(build_rows.len() as u64)?;
-                let t0 = Timer::start();
-                let build = JoinBuild::build(build_rows, on.iter().map(|&(l, _)| l).collect())?;
-                exec_metrics().join.record(build.len() as u64, 0, t0);
-                let locals = self.drive(right, provider, ctx, |pipeline| Probe {
-                    pipeline,
-                    build,
-                    probe_cols: on.iter().map(|&(_, r)| r).collect(),
-                    filter: filter.clone(),
-                })?;
+            LogicalPlan::Project { .. }
+            | LogicalPlan::Filter { .. }
+            | LogicalPlan::Scan { .. }
+            | LogicalPlan::Join { .. } => {
+                let locals = self.drive(plan, provider, ctx, Collect)?;
                 Ok(locals.into_iter().flat_map(|l| l.out).collect())
             }
         }
     }
 
+    /// The leaf `plan`'s batches come from, and the stages each batch runs
+    /// on its way up: the `Filter*/Project*` nodes, and through each join
+    /// its probe and residual filter. A join's build side (left) runs here,
+    /// before any batch flows; its probe side (right) is the pipeline the
+    /// join continues.
+    fn pipeline<'p>(
+        &self,
+        plan: &'p LogicalPlan,
+        provider: &Arc<dyn TableProvider>,
+        ctx: &ExecCtx,
+    ) -> Result<(&'p LogicalPlan, Vec<StageOp>)> {
+        let (base, above) = pipeline_stages(plan);
+        let LogicalPlan::Join { left, right, on, filter } = base else {
+            return Ok((base, above));
+        };
+        let build = self.batches(left, provider, ctx)?;
+        ctx.tick(build.iter().map(|b| b.num_rows() as u64).sum())?;
+        let t0 = Timer::start();
+        let keys = on.iter().map(|&(l, _)| l).collect();
+        let build = JoinBuild::build(&build, left.schema().len(), keys)?;
+        exec_metrics().join.record(build.len() as u64, 0, t0);
+        let (leaf, mut stages) = self.pipeline(right, provider, ctx)?;
+        stages.push(StageOp::Probe(build, on.iter().map(|&(_, r)| r).collect()));
+        if let Some(filter) = filter {
+            stages.push(StageOp::Filter(conjuncts(filter)));
+        }
+        stages.extend(above);
+        Ok((leaf, stages))
+    }
+
     /// Feed every batch of `plan`'s output to the fragment `fragment`
-    /// builds around the plan's fused `Filter*/Project*` stages. Over a
-    /// `Scan` the fragment drains the table's [`ScanSource`] morsel by
-    /// morsel, on as many workers as the source has morsels for; over a
-    /// pipeline breaker, that runs first and its rows are fed through on
-    /// the calling thread.
+    /// builds around the plan's pipeline. Over a `Scan` leaf the fragment
+    /// drains the table's [`ScanSource`] morsel by morsel, on as many
+    /// workers as the source has morsels for; over a pipeline breaker, that
+    /// runs first and its batches are fed through on the calling thread.
     fn drive<W, T>(
         &self,
         plan: &LogicalPlan,
@@ -221,14 +227,14 @@ impl MppExecutor {
         W: Send + 'static,
         T: MorselWork<W> + 'static,
     {
-        let (base, stages) = pipeline_stages(plan);
+        let (leaf, stages) = self.pipeline(plan, provider, ctx)?;
         let work = fragment(Pipeline { stages, ctx: ctx.fork() });
-        if let LogicalPlan::Scan { table, .. } = base {
+        if let LogicalPlan::Scan { table, .. } = leaf {
             let source = ScanSource::open(provider, table);
             return morsel_execute(&self.pool, JobClass::Ap, self.workers, source, Arc::new(work));
         }
         let mut local = work.new_local();
-        for batch in batches_of(self.execute(base, provider, ctx)?) {
+        for batch in self.batches(leaf, provider, ctx)? {
             work.process(batch, &mut local)?;
         }
         Ok(vec![local])

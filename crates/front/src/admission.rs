@@ -29,7 +29,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use polardbx_common::metrics::Counter;
-use polardbx_common::time::{mono_now, TimeSource};
+use polardbx_common::time::mono_now;
+#[cfg(test)]
+use polardbx_common::time::TimeSource;
 use polardbx_common::{Error, Result, TenantId, TenantQuotas};
 
 /// Token-bucket state (guarded; the arithmetic is a handful of flops).
@@ -71,7 +73,9 @@ pub struct AdmissionStats {
 pub struct AdmissionControl {
     tenants: RwLock<HashMap<TenantId, Arc<TenantState>>>,
     /// Injected clock for deterministic tests; `None` reads
-    /// [`polardbx_common::time::mono_now`].
+    /// [`polardbx_common::time::mono_now`]. The product build has no
+    /// such field and reads `mono_now` directly.
+    #[cfg(test)]
     time: Option<Arc<dyn TimeSource>>,
 }
 
@@ -84,7 +88,11 @@ impl Default for AdmissionControl {
 impl AdmissionControl {
     /// Controller on the process monotonic clock.
     pub fn new() -> AdmissionControl {
-        AdmissionControl { tenants: RwLock::new(HashMap::new()), time: None }
+        AdmissionControl {
+            tenants: RwLock::new(HashMap::new()),
+            #[cfg(test)]
+            time: None,
+        }
     }
 
     /// Controller on an injected clock (deterministic bucket tests).
@@ -93,6 +101,12 @@ impl AdmissionControl {
         AdmissionControl { tenants: RwLock::new(HashMap::new()), time: Some(time) }
     }
 
+    #[cfg(not(test))]
+    fn now(&self) -> Duration {
+        mono_now()
+    }
+
+    #[cfg(test)]
     fn now(&self) -> Duration {
         match &self.time {
             Some(t) => t.mono_now(),

@@ -6,6 +6,8 @@
 //!   the provider attaches one — and then never from the row partitions —
 //!   while the TP engine (`execute_plan`) never asks for an index;
 //! * the one remaining join records its time;
+//! * the AP engine builds rows only for the answer: TPC-H's refresh
+//!   queries run on lanes from scan to root;
 //! * a filter on one table of a join makes no other table a point read;
 //! * an index-sourced query still runs under the AP governor;
 //! * all 22 TPC-H shapes agree across both engines, both sources and both
@@ -192,6 +194,50 @@ fn join_time_is_recorded() {
     // 4 build rows, and every fact row under the filter finds its dim row.
     assert!(join.rows.get() >= rows + 4 + 1_000, "join.rows did not grow");
     assert!(join.nanos.get() > nanos, "join.nanos did not grow");
+    db.shutdown();
+}
+
+/// Set in the child process that runs
+/// [`the_ap_engine_builds_rows_only_for_the_answer`] alone.
+const ALONE: &str = "POLARDBX_HTAP_ENGINES_ALONE";
+
+/// The refresh queries (Q1, Q6, Q3, Q12) on the indexed TPC-H-lite
+/// cluster build exactly the rows they return: joins, aggregates, sorts
+/// and limits all run on lanes, and `Collect` turns lanes into rows once,
+/// at the root. `ExecMetrics::materialized` is process-wide, so the check
+/// runs in a child process of this test binary that runs this test alone.
+#[test]
+fn the_ap_engine_builds_rows_only_for_the_answer() {
+    let name = "the_ap_engine_builds_rows_only_for_the_answer";
+    if std::env::var_os(ALONE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads", "1"])
+            .env(ALONE, "1")
+            .output()
+            .unwrap();
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success() && stdout.contains("1 passed"), "{stdout}\n{stderr}");
+        return;
+    }
+    let config =
+        ClusterConfig { dns: 2, default_shards: 4, ap_threshold: 0.0, ..Default::default() };
+    let db = PolarDbx::build(config).unwrap();
+    let s = db.connect(DcId(1));
+    tpch::create_schema(&s, 4).unwrap();
+    tpch::load(&db, tpch::ScaleFactor(0.01), 7).unwrap();
+    for t in ["lineitem", "orders", "customer"] {
+        db.enable_column_index(t).unwrap();
+    }
+    let materialized = &exec_metrics().materialized;
+    for q in [1, 6, 3, 12] {
+        let before = materialized.get();
+        let (rows, class) = s.query_classified(tpch::query_sql(q)).unwrap();
+        let built = materialized.get() - before;
+        assert_eq!(class, polardbx_optimizer::WorkloadClass::Ap, "Q{q}");
+        assert!(!rows.is_empty(), "Q{q} answered nothing");
+        assert_eq!(built, rows.len() as u64, "Q{q} built rows beside its answer's");
+    }
     db.shutdown();
 }
 

@@ -824,14 +824,115 @@ fn diff_coded_plan(rng: &mut StdRng, width: usize) -> polardbx_sql::plan::Logica
     }
 }
 
+/// Join shapes for the lane join: an aggregate grouping on both sides of
+/// a join (with a CASE argument over both sides), a join whose build side
+/// is a join (TPC-H Q3's), two-column keys, keys of NULLs and of Int
+/// against Double (SQL-equal values that are never the same key), and
+/// residual filters that read both sides.
+fn diff_join_plan(rng: &mut StdRng, width: usize) -> polardbx_sql::plan::LogicalPlan {
+    use polardbx_sql::expr::{AggFunc, BinOp, Expr};
+    use polardbx_sql::plan::{AggSpec, LogicalPlan};
+    let scan = || LogicalPlan::Scan {
+        table: "t".into(),
+        schema: (0..width).map(|i| format!("t.c{i}")).collect(),
+    };
+    let side = |rng: &mut StdRng| {
+        if rng.gen_bool(0.5) {
+            LogicalPlan::Filter { input: Box::new(scan()), predicate: diff_rand_pred(rng, width, 3) }
+        } else {
+            scan()
+        }
+    };
+    let c = Expr::ColumnIdx;
+    // A residual over `left` columns of one side and `width` of the other.
+    let residual = |rng: &mut StdRng, left: usize| match rng.gen_range(0..5) {
+        0 => None,
+        1 => Some(Expr::binary(BinOp::Lt, c(0), c(left))),
+        // Double against Double, or against the other side's Int.
+        2 => Some(Expr::binary(
+            BinOp::Or,
+            Expr::binary(BinOp::Lt, c(2), c(left + rng.gen_range(1..3))),
+            Expr::IsNull { expr: Box::new(c(left + 3)), negated: false },
+        )),
+        3 => Some(Expr::binary(BinOp::Neq, c(3), c(left + 3))),
+        _ => Some(Expr::binary(
+            BinOp::Gt,
+            Expr::binary(BinOp::Add, c(1), c(left + 1)),
+            Expr::int(rng.gen_range(-2..2)),
+        )),
+    };
+    let on = match rng.gen_range(0..4) {
+        0 => vec![(1, 1)],
+        1 => vec![(1, 2)],
+        2 => vec![(1, 1), (3, 3)],
+        _ => vec![(2, 2), (1, 1)],
+    };
+    let join = LogicalPlan::Join {
+        left: Box::new(side(rng)),
+        right: Box::new(side(rng)),
+        on,
+        filter: residual(rng, width),
+    };
+    let plan = match rng.gen_range(0..3) {
+        0 => join,
+        1 => {
+            // The build side is the join; the outer key is an id of either
+            // of its sides.
+            let key = if rng.gen_bool(0.5) { 0 } else { width };
+            LogicalPlan::Join {
+                left: Box::new(join),
+                right: Box::new(side(rng)),
+                on: vec![(key, 0)],
+                filter: residual(rng, 2 * width),
+            }
+        }
+        _ => {
+            let group_by = vec![c(rng.gen_range(0..width)), c(width + rng.gen_range(0..width))];
+            let mut plan = diff_rand_aggs(rng, join, group_by, 2 * width);
+            if let LogicalPlan::Aggregate { aggs, names, .. } = &mut plan {
+                // TPC-H Q8 / Q12 / Q14's argument: a CASE over both sides
+                // whose arms may differ in type (Double, Int, NULL).
+                let arm = |rng: &mut StdRng| match rng.gen_range(0..4) {
+                    0 => Expr::Literal(Value::Null),
+                    1 => Expr::int(rng.gen_range(0..3)),
+                    2 => Expr::binary(BinOp::Mul, c(2), Expr::binary(BinOp::Sub, Expr::int(1), c(width + 2))),
+                    _ => Expr::binary(BinOp::Add, c(1), c(width)),
+                };
+                let when = (0..rng.gen_range(1..3))
+                    .map(|_| (diff_rand_pred(rng, 2 * width, 3), arm(rng)))
+                    .collect();
+                let otherwise = rng.gen_bool(0.7).then(|| Box::new(arm(rng)));
+                let funcs = [AggFunc::Sum, AggFunc::Count, AggFunc::Avg, AggFunc::Max];
+                let func = funcs[rng.gen_range(0..funcs.len())];
+                aggs.push(AggSpec { func, arg: Some(Expr::Case { when, otherwise }), distinct: false });
+                names.push(format!("c{}", names.len()));
+            }
+            plan
+        }
+    };
+    if rng.gen_bool(0.3) {
+        // Sort by every output column, so a limit inside a tie range cuts
+        // identical rows.
+        let key_width = plan.schema().len();
+        let sorted = LogicalPlan::Sort {
+            input: Box::new(plan),
+            keys: (0..key_width).map(|k| (c(k), rng.gen_bool(0.5))).collect(),
+        };
+        LogicalPlan::Limit { input: Box::new(sorted), n: rng.gen_range(0..30) }
+    } else {
+        plan
+    }
+}
+
 /// The AP engine is equivalent to the row engine on randomized plans over
 /// mixed-type data with NULLs — identical result multisets when both
 /// succeed, and agreement on failure — serial and fanned out, over the row
 /// partitions and over the same rows served by a column index (typed
 /// `Lane::from_column` lanes, tombstoned ids behind the selection). Each
-/// case also runs a string-led plan ([`diff_coded_plan`]), and the index's
-/// dictionary is padded with unused entries in half the cases, so string
-/// kernels and group keys run both once per entry and once per row.
+/// case also runs a string-led plan ([`diff_coded_plan`]) and a join plan
+/// ([`diff_join_plan`]), and the index's dictionary is padded with unused
+/// entries in half the cases, so string kernels and group keys run both
+/// once per entry and once per row.
 #[test]
 fn vectorized_engine_matches_row_engine() {
     use polardbx_executor::operators::MemTables;
@@ -841,9 +942,11 @@ fn vectorized_engine_matches_row_engine() {
     let width = 4;
     for seed in 0..3 {
         let mut rng = rng_for(&format!("vectorized_engine_matches_row_engine/{seed}"));
-        // String-led plans and dictionary padding draw from their own
-        // stream, so the cases the main stream draws stay as they were.
+        // String-led plans, join plans and dictionary padding draw from
+        // their own streams, so the cases the main stream draws stay as
+        // they were.
         let mut coded = rng_for(&format!("vectorized_engine_matches_row_engine/coded/{seed}"));
+        let mut joins = rng_for(&format!("vectorized_engine_matches_row_engine/joins/{seed}"));
         for case in 0..CASES {
             // Random partitioning: empty partitions and size skew included.
             let nparts = rng.gen_range(1..5);
@@ -887,7 +990,8 @@ fn vectorized_engine_matches_row_engine() {
             let mem: Arc<dyn TableProvider> = Arc::new(mem);
             let plan = diff_rand_plan(&mut rng, width);
             let ctx = ExecCtx::unrestricted();
-            for plan in [plan, diff_coded_plan(&mut coded, width)] {
+            let shapes = [plan, diff_coded_plan(&mut coded, width), diff_join_plan(&mut joins, width)];
+            for plan in shapes {
                 let slow = execute_plan(&plan, mem.as_ref(), &ctx);
                 for (source, provider) in [("partitions", &mem), ("index", &indexed)] {
                     for workers in [1, 4] {
