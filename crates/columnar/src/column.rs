@@ -362,6 +362,23 @@ impl ColumnData {
         }
     }
 
+    /// A copy with room for as many rows again: what a write makes of a
+    /// column a snapshot still holds. A plain clone has no spare capacity,
+    /// so the append right after it would reallocate and copy once more.
+    pub(crate) fn copy_with_room(&self) -> ColumnData {
+        fn room<T: Copy>(v: &[T]) -> Vec<T> {
+            let mut copy = Vec::with_capacity(2 * v.len().max(8));
+            copy.extend_from_slice(v);
+            copy
+        }
+        match self {
+            ColumnData::Int(v, n) => ColumnData::Int(room(v), room(n)),
+            ColumnData::Double(v, n) => ColumnData::Double(room(v), room(n)),
+            ColumnData::Str(codes, n, dict) => ColumnData::Str(room(codes), room(n), dict.clone()),
+            ColumnData::Date(v, n) => ColumnData::Date(room(v), room(n)),
+        }
+    }
+
     /// Approximate heap footprint in bytes; a string column's dictionary
     /// keeps its own count, so this is O(1).
     pub fn heap_size(&self) -> usize {

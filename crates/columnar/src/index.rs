@@ -8,15 +8,25 @@
 //!
 //! The index lives across statements, so a snapshot does not copy it: each
 //! column sits behind an `Arc` the snapshot shares, and a write that finds
-//! a column shared copies it first (`Arc::make_mut`) — once per snapshot
-//! still alive at a write, not once per query. A string column's copy is
-//! its codes: the strings stay in dictionary blocks both copies share.
+//! a column shared copies it first, with room to grow — once per snapshot
+//! still alive at a write, not once per query; [`ColumnIndex::copies`]
+//! counts them. A string column's copy is its codes: the strings stay in
+//! dictionary blocks both copies share. The executor releases a snapshot's
+//! columns when its answer is built, so between refreshes nothing holds
+//! them and the feed's next write appends in place.
+//!
+//! A snapshot is O(1) — the column `Arc`s and a prefix of one shared run of
+//! row ids, no row's stamps read — when no stored image is dead and `ts`
+//! is at or past the newest image's commit: every row is visible. An older
+//! snapshot, or one taken while a tombstoned image awaits compaction,
+//! walks every row's `created` / `deleted` stamps.
 //!
 //! Compaction re-codes: each string column's dictionary keeps only the
 //! entries a surviving row uses.
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use polardbx_common::{DataType, Key, Result, Row, TrxId, Value};
@@ -44,6 +54,14 @@ struct IndexState {
     /// The oldest snapshot the index can answer: it holds no history from
     /// before it was built, nor images compacted away since.
     floor: u64,
+    /// No stored image was created after this: the highest `created`
+    /// stamp appended. Compaction leaves it, still an upper bound.
+    newest: u64,
+    /// `0, 1, 2, …` for at least every stored row: the selection of a
+    /// snapshot that sees them all is a prefix of it.
+    every_row: Arc<[u32]>,
+    /// Columns a write copied because a snapshot still held them.
+    copies: u64,
 }
 
 impl IndexState {
@@ -53,13 +71,23 @@ impl IndexState {
     }
 
     fn snapshot(&self, ts: u64) -> ColumnSnapshot {
-        let selection = (0..self.created.len())
+        let n = self.created.len();
+        let selection = if self.dead == 0 && ts >= self.newest {
+            Selection { ids: Arc::clone(&self.every_row), len: n }
+        } else {
+            self.visible(ts).into()
+        };
+        ColumnSnapshot { columns: self.columns.clone(), selection, ts }
+    }
+
+    /// The rows visible at `ts`, by each row's stamps.
+    fn visible(&self, ts: u64) -> Vec<u32> {
+        (0..self.created.len())
             .filter(|&i| {
                 self.created[i] <= ts && (self.deleted[i] == LIVE || ts < self.deleted[i])
             })
             .map(|i| i as u32)
-            .collect();
-        ColumnSnapshot { columns: self.columns.clone(), selection, ts }
+            .collect()
     }
 }
 
@@ -84,13 +112,22 @@ impl IndexWriter<'_> {
         // (the hidden implicit key) is cut to it.
         let values = row.values().iter().chain(std::iter::repeat(&Value::Null));
         for (column, v) in st.columns.iter_mut().zip(values) {
-            Arc::make_mut(column).push(v)?;
+            if Arc::get_mut(column).is_none() {
+                *column = Arc::new(column.copy_with_room());
+                st.copies += 1;
+            }
+            Arc::get_mut(column).expect("a fresh copy is unshared").push(v)?;
         }
         st.trx_ids.push(trx);
         st.created.push(commit_ts);
         st.deleted.push(LIVE);
-        st.key_index.insert(key, st.created.len() - 1);
+        let n = st.created.len();
+        if st.every_row.len() < n {
+            st.every_row = (0..(2 * n).max(1024) as u32).collect();
+        }
+        st.key_index.insert(key, n - 1);
         st.applied_ts = st.applied_ts.max(commit_ts);
+        st.newest = st.newest.max(commit_ts);
         Ok(())
     }
 
@@ -118,6 +155,9 @@ impl ColumnIndex {
                 key_index: HashMap::new(),
                 applied_ts: 0,
                 floor: 0,
+                newest: 0,
+                every_row: Arc::new([]),
+                copies: 0,
             }),
         })
     }
@@ -163,6 +203,12 @@ impl ColumnIndex {
     pub fn live_rows(&self) -> usize {
         let st = self.state.read();
         st.created.len() - st.dead
+    }
+
+    /// Columns a write has copied because a snapshot still held them. A
+    /// reader that drops its snapshot before the next write keeps it at 0.
+    pub fn copies(&self) -> u64 {
+        self.state.read().copies
     }
 
     /// Snapshot the index at `ts`: a consistent selection + column access.
@@ -236,9 +282,31 @@ pub struct ColumnSnapshot {
     /// The column vectors.
     pub columns: Vec<Arc<ColumnData>>,
     /// Live row ids at `ts`.
-    pub selection: Vec<u32>,
+    pub selection: Selection,
     /// Snapshot timestamp.
     pub ts: u64,
+}
+
+/// A snapshot's live row ids, ascending: a prefix of a shared run of ids.
+/// A snapshot that sees every row shares the index's run `0, 1, 2, …`; one
+/// that walked the rows' stamps holds its own.
+pub struct Selection {
+    ids: Arc<[u32]>,
+    len: usize,
+}
+
+impl Deref for Selection {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.ids[..self.len]
+    }
+}
+
+impl From<Vec<u32>> for Selection {
+    fn from(ids: Vec<u32>) -> Selection {
+        Selection { len: ids.len(), ids: ids.into() }
+    }
 }
 
 impl ColumnSnapshot {
@@ -362,12 +430,67 @@ mod tests {
         let c = idx.snapshot(20);
         assert!(!Arc::ptr_eq(&a.columns[0], &c.columns[0]));
         assert_eq!((a.rows(), c.len()), (vec![row(1, 1.0)], 2));
+        assert_eq!(idx.copies(), 2, "each of the two columns once");
         // With no snapshot alive the next write appends in place.
         drop((a, b));
         let before = Arc::as_ptr(&c.columns[0]);
         drop(c);
         idx.apply_put(TrxId(3), 30, key(3), &row(3, 3.0)).unwrap();
         assert_eq!(Arc::as_ptr(&idx.snapshot(30).columns[0]), before);
+        assert_eq!(idx.copies(), 2);
+    }
+
+    /// Random puts, deletes, compactions and reclaims: after each, at
+    /// every `ts` from the floor to past the newest image, the snapshot's
+    /// selection equals the per-row walk, on both of its paths.
+    #[test]
+    fn a_snapshot_selects_what_the_per_row_walk_does() {
+        use polardbx_common::testseed::{format_seed, seed_from_env};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let base = seed_from_env(0x5e1ec7);
+        let (mut every_row, mut walked) = (0, 0);
+        for seed in base..base + 6 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let idx = index();
+            let mut ts = 1;
+            for op in 0..100u64 {
+                ts += rng.gen_range(0..3u64);
+                match rng.gen_range(0..20) {
+                    0..=10 => {
+                        let k = rng.gen_range(0..40);
+                        idx.apply_put(TrxId(op), ts, key(k), &row(k, op as f64)).unwrap();
+                    }
+                    11..=14 => idx.apply_delete(TrxId(op), ts, &key(rng.gen_range(0..40))),
+                    15..=17 => {
+                        let (floor, version) = (idx.floor(), idx.version());
+                        let horizon = match rng.gen_bool(0.5) {
+                            true => version,
+                            false => rng.gen_range(floor..=version.max(floor)),
+                        };
+                        idx.compact(horizon);
+                    }
+                    _ => {
+                        idx.reclaim();
+                    }
+                }
+                let st = idx.state.read();
+                for at in st.floor..=st.newest + 2 {
+                    let snap = st.snapshot(at);
+                    assert_eq!(
+                        snap.selection.to_vec(),
+                        st.visible(at),
+                        "seed {} op {op} at {at}",
+                        format_seed(seed)
+                    );
+                    if st.dead == 0 && at >= st.newest {
+                        every_row += 1;
+                    } else {
+                        walked += 1;
+                    }
+                }
+            }
+        }
+        assert!(every_row > 0 && walked > 0, "both paths ran: {every_row} / {walked}");
     }
 
     fn str_index() -> Arc<ColumnIndex> {

@@ -347,16 +347,18 @@ impl Session {
         for (table, choice) in Self::storage_choices(&plan, class, &stats, &accesses) {
             out.push_str(&format!("scan {table}: {choice:?}"));
             // What the index can answer: how far the feed has brought it,
-            // the oldest snapshot it serves, and how much of it is dead.
+            // the oldest snapshot it serves, how much of it is dead, and
+            // how many columns its writes copied from under a snapshot.
             let index = self.inner.column_indexes.read().get(&table).cloned();
             if let (StorageChoice::ColumnIndex, Some(index)) = (choice, index) {
                 let index = index.index();
                 out.push_str(&format!(
-                    " (applied ts {}, floor {}, rows {} live / {} physical)",
+                    " (applied ts {}, floor {}, rows {} live / {} physical, copies {})",
                     index.version(),
                     index.floor(),
                     index.live_rows(),
-                    index.physical_rows()
+                    index.physical_rows(),
+                    index.copies()
                 ));
             }
             out.push('\n');

@@ -20,6 +20,12 @@
 //! single atomic — helpers `fetch_add` to announce themselves, the caller
 //! `fetch_or`s a CLOSED bit when the work is done — tells the caller
 //! exactly how many helper partials to collect.
+//!
+//! A helper waiting in the pool's queue holds the work only weakly. On a
+//! one-thread pool a helper submitted by a query running on that thread
+//! starts after the query has returned; it then finds nothing to hold, so
+//! the snapshot's columns and a join's build lanes are released at the
+//! answer, not whenever the pool next gets to the helper.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -124,8 +130,6 @@ struct MorselState {
     /// finishing or of a failure.
     queue: Mutex<Queue>,
     cv: Condvar,
-    /// Helper handshake word (count | CLOSED bit).
-    helpers: AtomicUsize,
 }
 
 impl MorselState {
@@ -221,23 +225,31 @@ where
         table: source.table,
         queue: Mutex::new(Queue { tasks: source.tasks, pending: tasks, error: None }),
         cv: Condvar::new(),
-        helpers: AtomicUsize::new(0),
     });
     let mut locals = Vec::with_capacity(helpers + 1);
     if helpers == 0 {
         locals.push(morsel_worker(work.as_ref(), &state));
     } else {
+        // Helper handshake word (count | CLOSED bit).
+        let announced = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = crossbeam::channel::unbounded::<W>();
         for _ in 0..helpers {
-            let state = Arc::clone(&state);
-            let work = Arc::clone(&work);
-            let tx = tx.clone();
+            let (state, work) = (Arc::downgrade(&state), Arc::downgrade(&work));
+            let (announced, tx) = (Arc::clone(&announced), tx.clone());
             mgr.submit(class, move || {
                 // Announce; if the caller already closed the work, stay out.
-                if state.helpers.fetch_add(1, Ordering::AcqRel) & CLOSED != 0 {
+                if announced.fetch_add(1, Ordering::AcqRel) & CLOSED != 0 {
                     return;
                 }
+                // Announced before the close: the caller holds both until
+                // this helper's partial arrives.
+                let (Some(state), Some(work)) = (state.upgrade(), work.upgrade()) else {
+                    unreachable!("the caller waits for every announced helper")
+                };
                 let local = morsel_worker(work.as_ref(), &state);
+                // Let go before reporting: once the caller has every
+                // partial, it holds the last references.
+                drop((state, work));
                 let _ = tx.send(local);
             });
         }
@@ -245,7 +257,7 @@ where
         locals.push(morsel_worker(work.as_ref(), &state));
         // Close the handshake: the returned count is exactly how many
         // helpers announced before the bit was set — each sends one partial.
-        let started = state.helpers.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED;
+        let started = announced.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED;
         for _ in 0..started {
             locals.push(rx.recv().expect("morsel helper died"));
         }
@@ -364,7 +376,7 @@ mod tests {
             let n = self.0 as usize;
             Some(ColumnSnapshot {
                 columns: vec![Arc::new(ColumnData::Int((0..self.0).collect(), vec![false; n]))],
-                selection: (0..n as u32).step_by(2).collect(),
+                selection: (0..n as u32).step_by(2).collect::<Vec<_>>().into(),
                 ts: 1,
             })
         }

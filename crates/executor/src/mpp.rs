@@ -478,6 +478,59 @@ mod tests {
         assert_eq!(parallel, serial);
     }
 
+    /// An aggregate over a join of two column-index scans, each more than
+    /// a morsel, run as a job on a one-thread pool: the morsel helpers it
+    /// submits can start only once the job has returned. By then the
+    /// snapshot's columns — shared with the index, and with the join's
+    /// build lanes — must be free again, or the index's next write copies
+    /// every column.
+    #[test]
+    fn a_query_on_a_one_thread_pool_releases_the_snapshot_at_its_answer() {
+        use polardbx_columnar::{ColumnIndex, ColumnSnapshot};
+        use polardbx_common::{DataType, Key, TrxId};
+
+        struct Indexed(Arc<ColumnIndex>);
+        impl TableProvider for Indexed {
+            fn partitions(&self, _t: &str) -> usize {
+                1
+            }
+            fn scan_partition(&self, _t: &str, _p: usize) -> Result<Vec<Row>> {
+                Err(Error::execution("the snapshot is the source"))
+            }
+            fn columnar(&self, _t: &str) -> Option<ColumnSnapshot> {
+                Some(self.0.snapshot(u64::MAX))
+            }
+        }
+        let index = ColumnIndex::new(vec![DataType::Int, DataType::Int]);
+        let n = crate::morsel::MORSEL_ROWS as i64 + 1_000;
+        for id in 0..n {
+            let row = Row::new(vec![Value::Int(id), Value::Int(id % 5)]);
+            index.apply_put(TrxId(1), 1, Key::encode(&[Value::Int(id)]), &row).unwrap();
+        }
+        let provider: Arc<dyn TableProvider> = Arc::new(Indexed(Arc::clone(&index)));
+        let side = || {
+            let schema = vec!["t.id".into(), "t.grp".into()];
+            Box::new(LogicalPlan::Scan { table: "t".into(), schema })
+        };
+        let join = LogicalPlan::Join { left: side(), right: side(), on: vec![(0, 0)], filter: None };
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(join),
+            group_by: vec![Expr::ColumnIdx(1)],
+            aggs: vec![AggSpec { func: AggFunc::Count, arg: None, distinct: false }],
+            names: vec!["grp".into(), "c".into()],
+        };
+        let pool = WorkloadManager::new(1, 1.0, 1.0);
+        let mpp = MppExecutor::with_pool(4, Arc::clone(&pool));
+        // Counted at the end of the job, while its helpers wait behind it.
+        let (groups, holders) = pool.run(JobClass::Ap, move || {
+            let rows = mpp.execute(&plan, &provider, &ExecCtx::unrestricted()).unwrap();
+            let held = index.snapshot(u64::MAX);
+            (rows.len(), held.columns.iter().map(Arc::strong_count).collect::<Vec<_>>())
+        });
+        assert_eq!(groups, 5, "one group per grp");
+        assert_eq!(holders, [2, 2], "each column held by the index and the job's own snapshot");
+    }
+
     #[test]
     fn concurrent_queries_share_the_pool() {
         // Many queries in flight at once must all complete correctly while

@@ -30,6 +30,11 @@ pub trait LogSink: Send + Sync {
 }
 
 /// An in-memory sink capturing everything, for tests and RO-replica feeds.
+///
+/// Its writes are kept sorted by offset, a write at an offset already held
+/// going after the ones there: a Paxos sink keys each write by its frame's
+/// offset and may re-send a frame, and concurrent flushes may land out of
+/// order. A write in order is an O(1) append.
 #[derive(Debug, Default)]
 pub struct VecSink {
     inner: Mutex<Vec<(Lsn, Bytes)>>,
@@ -41,33 +46,41 @@ impl VecSink {
         Arc::new(VecSink::default())
     }
 
-    /// Snapshot of all writes.
+    /// Snapshot of all writes, in offset order.
     pub fn writes(&self) -> Vec<(Lsn, Bytes)> {
         self.inner.lock().clone()
     }
 
     /// Copy of the byte range `[from, to)`, assembled from whichever writes
-    /// overlap it. Unlike [`VecSink::contiguous`] this never concatenates
-    /// the whole log — shipping the tail of a long-lived log stays
-    /// proportional to the tail, not the log's lifetime.
+    /// overlap it; of writes at one offset, the last. A binary search finds
+    /// the first of them, so the cost follows the range, not the number of
+    /// writes the log has taken: shipping a long-lived log's tail copies
+    /// the tail.
     ///
     /// Panics if the range is not fully covered by sink writes.
     pub fn range(&self, from: Lsn, to: Lsn) -> Vec<u8> {
         assert!(to >= from, "range end before start");
-        let len = (to.raw() - from.raw()) as usize;
-        let mut out = vec![0u8; len];
-        let mut covered = 0usize;
-        for (at, bytes) in self.inner.lock().iter() {
+        let writes = self.inner.lock();
+        let mut out = Vec::with_capacity((to.raw() - from.raw()) as usize);
+        // Writes do not overlap, so only the last one starting at or before
+        // `from` can hold it.
+        let first = writes.partition_point(|(at, _)| *at <= from).saturating_sub(1);
+        for (at, bytes) in last_at_each_offset(&writes[first..]) {
+            let next = from.raw() + out.len() as u64;
             let (ws, we) = (at.raw(), at.raw() + bytes.len() as u64);
-            let s = ws.max(from.raw());
-            let e = we.min(to.raw());
-            if s < e {
-                out[(s - from.raw()) as usize..(e - from.raw()) as usize]
-                    .copy_from_slice(&bytes[(s - ws) as usize..(e - ws) as usize]);
-                covered += (e - s) as usize;
+            if ws > next || next >= to.raw() {
+                break;
+            }
+            let end = we.min(to.raw());
+            if end > next {
+                out.extend_from_slice(&bytes[(next - ws) as usize..(end - ws) as usize]);
             }
         }
-        assert_eq!(covered, len, "sink range [{from:?}, {to:?}) not fully covered");
+        assert_eq!(
+            out.len() as u64,
+            to.raw() - from.raw(),
+            "sink range [{from:?}, {to:?}) not fully covered"
+        );
         out
     }
 
@@ -122,23 +135,13 @@ impl VecSink {
     /// the frame's MTR-space `lsn_start` while storing the wire encoding
     /// (64-byte header + payload), so writes are ordered and
     /// non-overlapping in LSN space but do *not* tile byte-for-byte the
-    /// way a record sink does. This sorts by offset, de-duplicates
-    /// retransmitted frames (same offset written twice keeps the last),
-    /// and concatenates — the shape [`crate::scan_frames`] expects.
+    /// way a record sink does. This de-duplicates retransmitted frames
+    /// (same offset written twice keeps the last) and concatenates — the
+    /// shape [`crate::scan_frames`] expects.
     pub fn frame_stream(&self) -> Vec<u8> {
-        let mut writes = self.inner.lock().clone();
-        // Stable sort: same-offset duplicates keep insertion order, so the
-        // `pop` below retains the most recent write at each offset.
-        writes.sort_by_key(|(at, _)| *at);
-        let mut dedup: Vec<(Lsn, Bytes)> = Vec::with_capacity(writes.len());
-        for w in writes {
-            if dedup.last().map(|(at, _)| *at) == Some(w.0) {
-                dedup.pop();
-            }
-            dedup.push(w);
-        }
+        let writes = self.inner.lock();
         let mut out = Vec::new();
-        for (_, bytes) in dedup.iter() {
+        for (_, bytes) in last_at_each_offset(&writes) {
             out.extend_from_slice(bytes);
         }
         out
@@ -154,11 +157,8 @@ impl VecSink {
     }
 
     /// Concatenated contiguous content, verifying offsets tile correctly.
-    /// Writes are sorted by offset first: concurrent flushes may land out
-    /// of order (each call is atomic, offsets never overlap).
     pub fn contiguous(&self) -> Vec<u8> {
-        let mut writes = self.inner.lock().clone();
-        writes.sort_by_key(|(at, _)| *at);
+        let writes = self.inner.lock();
         let mut out = Vec::new();
         let mut next = writes.first().map(|(l, _)| *l).unwrap_or(Lsn::ZERO);
         for (at, bytes) in writes.iter() {
@@ -170,9 +170,24 @@ impl VecSink {
     }
 }
 
+/// `writes` (sorted by offset) with each offset once: of writes at one
+/// offset, the last — a re-sent frame replaces the one sent before it.
+fn last_at_each_offset(writes: &[(Lsn, Bytes)]) -> impl Iterator<Item = &(Lsn, Bytes)> {
+    writes.iter().enumerate().filter_map(|(i, w)| match writes.get(i + 1) {
+        Some((later, _)) if *later == w.0 => None,
+        _ => Some(w),
+    })
+}
+
 impl LogSink for VecSink {
     fn write(&self, at: Lsn, bytes: Bytes) -> Result<()> {
-        self.inner.lock().push((at, bytes));
+        let mut writes = self.inner.lock();
+        if writes.last().is_some_and(|(last, _)| *last > at) {
+            let after_equal = writes.partition_point(|(held, _)| *held <= at);
+            writes.insert(after_equal, (at, bytes));
+        } else {
+            writes.push((at, bytes));
+        }
         Ok(())
     }
 
@@ -377,6 +392,57 @@ mod tests {
             );
         }
         assert!(sink.range(Lsn(head), Lsn(head)).is_empty());
+    }
+
+    /// Every `[from, to)` of `sink`'s first `end` bytes, starts inside a
+    /// write and on a write boundary alike, equals that slice of `whole`.
+    fn assert_ranges_match(sink: &VecSink, whole: &[u8], end: u64) {
+        for from in 0..=end {
+            for to in from..=end {
+                assert_eq!(
+                    sink.range(Lsn(from), Lsn(to)),
+                    whole[from as usize..to as usize],
+                    "range [{from}, {to})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn range_reads_out_of_order_resent_and_truncated_writes() {
+        // Writes of 1..=7 bytes tiling [0, 60), each byte its own offset.
+        let mut cuts = vec![0u64];
+        while *cuts.last().unwrap() < 60 {
+            let at = *cuts.last().unwrap();
+            cuts.push((at + 1 + at % 7).min(60));
+        }
+        let write = |sink: &VecSink, w: usize| {
+            let (at, end) = (cuts[w], cuts[w + 1]);
+            let bytes: Vec<u8> = (at..end).map(|b| b as u8).collect();
+            sink.write(Lsn(at), Bytes::from(bytes)).unwrap();
+        };
+        let writes = cuts.len() - 1;
+        // Out of offset order: odd writes first, then even ones backwards.
+        let sink = VecSink::new();
+        let odd = (0..writes).filter(|w| w % 2 == 1);
+        for w in odd.chain((0..writes).rev().filter(|w| w % 2 == 0)) {
+            write(&sink, w);
+        }
+        let whole = sink.contiguous();
+        assert_eq!(whole, (0..60u8).collect::<Vec<_>>());
+        assert_ranges_match(&sink, &whole, 60);
+        // After a cut inside a write, the prefix still reads.
+        let keep = cuts[writes / 2] + 1;
+        sink.truncate_to(Lsn(keep));
+        let cut = sink.contiguous();
+        assert_eq!(cut, whole[..keep as usize]);
+        assert_ranges_match(&sink, &cut, keep);
+        // Writes re-sent at offsets already held, in order and not.
+        for w in [writes / 2 - 1, 0, writes / 4, writes / 4] {
+            write(&sink, w);
+        }
+        assert_eq!(sink.frame_stream(), cut, "each offset read once");
+        assert_ranges_match(&sink, &cut, keep);
     }
 
     #[test]

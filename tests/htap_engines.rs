@@ -291,7 +291,7 @@ fn tp_work_paces_an_index_sourced_query() {
     // What the index can answer: the build stamped every row at its floor.
     let floor = db.column_index("m").unwrap().floor();
     let can_answer =
-        format!("(applied ts {floor}, floor {floor}, rows 3000 live / 3000 physical)\n");
+        format!("(applied ts {floor}, floor {floor}, rows 3000 live / 3000 physical, copies 0)\n");
     assert!(floor > 0 && explain.contains(&can_answer), "{explain}");
 
     db.workload().ap_governor.set_quota(0.01);
@@ -451,6 +451,54 @@ fn an_indexed_insert_appends_one_row_and_snapshots_share_the_columns() {
     db.ship_now();
     assert_eq!((a.len(), a.columns[0].len()), (2_001, 2_001));
     assert_eq!(index.snapshot(u64::MAX).len(), 2_002);
+    db.shutdown();
+}
+
+/// Rounds of inserts and refreshes, as `htap_mixed` runs them, on a
+/// TPC-H-lite cluster whose `lineitem` is more than a morsel: each refresh
+/// releases its snapshots at its answer, so the feed's next write appends
+/// to the indexes' columns in place and `EXPLAIN` counts no copy.
+#[test]
+fn inserts_between_refreshes_copy_no_index_column() {
+    let config =
+        ClusterConfig { dns: 2, default_shards: 4, ap_threshold: 0.0, ..Default::default() };
+    let db = PolarDbx::build(config).unwrap();
+    let s = db.connect(DcId(1));
+    tpch::create_schema(&s, 4).unwrap();
+    tpch::load(&db, tpch::ScaleFactor(0.15), 7).unwrap();
+    for t in ["lineitem", "orders"] {
+        db.enable_column_index(t).unwrap();
+    }
+    let lines = db.column_index("lineitem").unwrap().physical_rows();
+    assert!(lines > polardbx_executor::morsel::MORSEL_ROWS, "{lines} lines fit one morsel");
+    for round in 0..30 {
+        let o = 1_000_000 + round;
+        s.execute(&format!(
+            "INSERT INTO orders (o_orderkey, o_custkey, o_orderstatus, o_totalprice, \
+             o_orderdate, o_orderpriority, o_shippriority) VALUES \
+             ({o}, 1, 'O', 1000.0, 100, '3-MEDIUM', 0)"
+        ))
+        .unwrap();
+        s.execute(&format!(
+            "INSERT INTO lineitem (l_orderkey, l_partkey, l_suppkey, l_linenumber, \
+             l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, \
+             l_shipdate, l_commitdate, l_receiptdate, l_shipmode) VALUES \
+             ({o}, 1, 1, 0, 5, 900.0, 0.05, 0.02, 'N', 'O', 120, 130, 125, 'MAIL')"
+        ))
+        .unwrap();
+        for q in [1, 6, 3, 12] {
+            assert!(!s.query(tpch::query_sql(q)).unwrap().is_empty(), "Q{q}");
+        }
+    }
+    assert_eq!(db.column_index("lineitem").unwrap().physical_rows(), lines + 30);
+    let explain = s.explain(tpch::query_sql(3)).unwrap();
+    for table in ["orders", "lineitem"] {
+        let line = explain
+            .lines()
+            .find(|l| l.starts_with(&format!("scan {table}: ColumnIndex")))
+            .unwrap_or_else(|| panic!("{explain}"));
+        assert!(line.ends_with(", copies 0)"), "{line}");
+    }
     db.shutdown();
 }
 
