@@ -74,9 +74,9 @@ mod tests {
     fn now_tracks_physical_time() {
         let pc = TestClock::at(500);
         let c = ClockSiClock::new(pc.clone(), 5);
-        assert_eq!(c.now().pt(), 500);
-        pc.tick(100);
-        assert_eq!(c.now().pt(), 600);
+        assert_eq!(c.now(), HlcTimestamp::at_pt(500));
+        pc.set(600);
+        assert_eq!(c.now(), HlcTimestamp::at_pt(600));
     }
 
     #[test]
@@ -94,7 +94,7 @@ mod tests {
         let c = ClockSiClock::new(pc, 5);
         c.update(HlcTimestamp::at_pt(10_000));
         // Unlike HLC, the clock does NOT jump forward.
-        assert_eq!(c.now().pt(), 500);
+        assert_eq!(c.now(), HlcTimestamp::at_pt(500));
     }
 
     #[test]
@@ -125,9 +125,9 @@ mod tests {
         // Ticker moves the physical clock forward in real time.
         let pc2 = Arc::clone(&pc);
         let ticker = std::thread::spawn(move || {
-            for _ in 0..60 {
+            for ms in 1001..=1060 {
                 std::thread::sleep(Duration::from_millis(1));
-                pc2.tick(1);
+                pc2.set(ms);
             }
         });
         let future_snapshot = HlcTimestamp::at_pt(1010).raw();

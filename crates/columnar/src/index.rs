@@ -172,11 +172,6 @@ impl ColumnIndex {
         self.writer().put(trx, commit_ts, key, row)
     }
 
-    /// [`IndexWriter::delete`] of one key.
-    pub fn apply_delete(&self, _trx: TrxId, commit_ts: u64, key: &Key) {
-        self.writer().delete(commit_ts, key)
-    }
-
     /// The index version (highest applied commit timestamp).
     pub fn version(&self) -> u64 {
         self.state.read().applied_ts
@@ -379,7 +374,7 @@ mod tests {
     fn delete_hides_row() {
         let idx = index();
         idx.apply_put(TrxId(1), 10, key(1), &row(1, 1.0)).unwrap();
-        idx.apply_delete(TrxId(2), 20, &key(1));
+        idx.writer().delete(20, &key(1));
         assert_eq!(idx.snapshot(15).len(), 1);
         assert_eq!(idx.snapshot(20).len(), 0);
     }
@@ -460,7 +455,7 @@ mod tests {
                         let k = rng.gen_range(0..40);
                         idx.apply_put(TrxId(op), ts, key(k), &row(k, op as f64)).unwrap();
                     }
-                    11..=14 => idx.apply_delete(TrxId(op), ts, &key(rng.gen_range(0..40))),
+                    11..=14 => idx.writer().delete(ts, &key(rng.gen_range(0..40))),
                     15..=17 => {
                         let (floor, version) = (idx.floor(), idx.version());
                         let horizon = match rng.gen_bool(0.5) {
@@ -555,7 +550,7 @@ mod tests {
         assert!(!idx.reclaim(), "one dead image of three is under the share");
         let old = idx.snapshot_at(15).expect("nothing compacted yet");
         idx.apply_put(TrxId(4), 40, key(2), &row(2, 4.0)).unwrap();
-        idx.apply_delete(TrxId(5), 50, &key(1));
+        idx.writer().delete(50, &key(1));
         assert_eq!((idx.live_rows(), idx.physical_rows()), (1, 4));
         assert!(idx.reclaim(), "three dead images of four");
         assert_eq!((idx.live_rows(), idx.physical_rows(), idx.floor()), (1, 1, 50));

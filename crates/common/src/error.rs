@@ -95,11 +95,8 @@ impl Error {
     /// True when retrying the whole transaction may succeed (conflicts,
     /// lease races, throttling) as opposed to deterministic failures.
     pub fn is_retryable(&self) -> bool {
-        if let Error::Shared(inner) = self {
-            return inner.is_retryable();
-        }
         matches!(
-            self,
+            self.root(),
             Error::WriteConflict { .. }
                 | Error::TxnAborted { .. }
                 | Error::PrepareRejected { .. }

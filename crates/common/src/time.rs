@@ -1,75 +1,28 @@
-//! Injected monotonic time.
+//! Monotonic time.
 //!
 //! Protocol code must not read ambient clocks (`Instant::now`,
 //! `SystemTime::now`): chaos tests replay from a seed, and a wall-clock
 //! read is a hidden input that breaks the replay. Instead, durations and
-//! deadlines flow through [`mono_now`], a process-local monotonic reading
-//! backed by a swappable [`TimeSource`]. Production uses the real
-//! monotonic clock anchored at first use; tests may install a
-//! [`ManualTime`] and advance it explicitly.
+//! deadlines flow through [`mono_now`], the elapsed time since the
+//! process's first reading. A test that needs to drive time by hand takes
+//! `now` as an argument of the decision it checks, or holds a fake clock
+//! of its own; nothing overrides `mono_now` process-wide.
 //!
 //! This module is the one sanctioned home for the ambient read — it is on
 //! polarlint's determinism allowlist, everything else goes through it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// A monotonic time source. Readings are durations since an arbitrary
-/// (source-local) origin; only differences are meaningful.
-pub trait TimeSource: Send + Sync {
-    /// Current monotonic reading.
-    fn mono_now(&self) -> Duration;
-}
 
 fn origin() -> Instant {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     *ORIGIN.get_or_init(Instant::now)
 }
 
-static SOURCE: RwLock<Option<Arc<dyn TimeSource>>> = RwLock::new(None);
-
-/// Monotonic reading from the installed source (or the real clock).
+/// Monotonic reading: the time elapsed since the process's first reading.
+/// Only differences are meaningful.
 pub fn mono_now() -> Duration {
-    if let Some(src) = SOURCE.read().expect("time source lock").as_ref() {
-        return src.mono_now();
-    }
     origin().elapsed()
-}
-
-/// Install a process-wide time source (tests). Affects every subsequent
-/// [`mono_now`] caller; pair with [`reset_time_source`].
-pub fn set_time_source(src: Arc<dyn TimeSource>) {
-    *SOURCE.write().expect("time source lock") = Some(src);
-}
-
-/// Revert to the real monotonic clock.
-pub fn reset_time_source() {
-    *SOURCE.write().expect("time source lock") = None;
-}
-
-/// A hand-cranked time source for deterministic tests.
-#[derive(Default)]
-pub struct ManualTime {
-    nanos: AtomicU64,
-}
-
-impl ManualTime {
-    /// Starts at zero.
-    pub fn new() -> ManualTime {
-        ManualTime::default()
-    }
-
-    /// Move time forward.
-    pub fn advance(&self, d: Duration) {
-        self.nanos.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
-    }
-}
-
-impl TimeSource for ManualTime {
-    fn mono_now(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(Ordering::SeqCst))
-    }
 }
 
 /// Elapsed-time measurement over [`mono_now`] — the drop-in replacement
@@ -100,14 +53,6 @@ mod tests {
         let a = mono_now();
         let b = mono_now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_time_advances_only_by_hand() {
-        let mt = ManualTime::new();
-        assert_eq!(mt.mono_now(), Duration::ZERO);
-        mt.advance(Duration::from_millis(250));
-        assert_eq!(mt.mono_now(), Duration::from_millis(250));
     }
 
     #[test]

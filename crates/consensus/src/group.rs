@@ -1,7 +1,6 @@
 //! Group assembly helper and whole-group integration tests.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use polardbx_common::{DcId, NodeId};
 use polardbx_simnet::{LatencyMatrix, SimNet};
@@ -97,18 +96,6 @@ impl PaxosGroup {
     pub fn leader(&self) -> Option<Arc<Replica>> {
         self.replicas.iter().find(|r| r.status().role == Role::Leader).cloned()
     }
-
-    /// Block until every live replica's DLSN reaches `lsn` (or timeout).
-    pub fn await_dlsn(&self, lsn: polardbx_common::Lsn, timeout: Duration) -> bool {
-        let deadline = polardbx_common::time::mono_now() + timeout;
-        while polardbx_common::time::mono_now() < deadline {
-            if self.replicas.iter().all(|r| r.status().dlsn >= lsn) {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -116,10 +103,25 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use parking_lot::Mutex;
+    use polardbx_common::testseed::{format_seed, seed_from_env};
     use polardbx_common::{Key, Lsn, TableId, TrxId, Value};
     use polardbx_wal::{Mtr, RedoPayload};
-    use polardbx_simnet::Handler;
-    use std::time::Instant;
+    use polardbx_simnet::{FaultPlan, Handler, LinkFaults};
+    use std::time::{Duration, Instant};
+
+    impl PaxosGroup {
+        /// Block until every live replica's DLSN reaches `lsn` (or timeout).
+        fn await_dlsn(&self, lsn: Lsn, timeout: Duration) -> bool {
+            let deadline = Instant::now() + timeout;
+            while Instant::now() < deadline {
+                if self.replicas.iter().all(|r| r.status().dlsn >= lsn) {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            false
+        }
+    }
 
     fn mtr(n: i64) -> Mtr {
         Mtr::single(RedoPayload::Insert {
@@ -150,9 +152,9 @@ mod tests {
     #[test]
     fn async_commit_overlaps_replication() {
         // Many transactions wait concurrently; one ack stream commits all.
-        let g = PaxosGroup::build(
-            GroupConfig::three_dc(1).with_latency(LatencyMatrix::uniform(Duration::from_millis(2))),
-        );
+        let d = Duration::from_millis(2);
+        let latency = LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 };
+        let g = PaxosGroup::build(GroupConfig::three_dc(1).with_latency(latency));
         let leader = g.leader().unwrap();
         let t0 = Instant::now();
         let mut rxs = Vec::new();
@@ -330,17 +332,14 @@ mod tests {
         g.await_dlsn(lsn, Duration::from_secs(2));
         // Start follower ticker with a short election timeout, then silence
         // the leader by partitioning it away.
-        let h = g.replicas[1]
-            .start_ticker(Duration::from_millis(10), Duration::from_millis(50))
-            .unwrap();
+        let ticker = g.replicas[1].start_ticker(Duration::from_millis(10), Duration::from_millis(50));
         g.net.partition(DcId(1), DcId(2));
         g.net.partition(DcId(1), DcId(3));
         let deadline = Instant::now() + Duration::from_secs(3);
         while g.replicas[1].status().role != Role::Leader && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        g.replicas[1].stop_ticker();
-        let _ = h.join();
+        ticker.stop();
         assert_eq!(g.replicas[1].status().role, Role::Leader);
     }
 
@@ -490,5 +489,75 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(g.replicas[1].status().last_lsn >= lsn2, "follower must backfill the gap");
+    }
+
+    /// Consensus under chaos: lossy, duplicating cross-DC links while the
+    /// leader streams log, then the leader crashes mid-replication, a follower
+    /// is elected, and after heal + restart every replica converges on the new
+    /// leader's log.
+    #[test]
+    fn consensus_converges_after_leader_crash_under_loss() {
+        let seed = seed_from_env(0xBAD_CAB1E);
+        let name = "consensus_converges_after_leader_crash_under_loss";
+        eprintln!("{name}: POLARDBX_TEST_SEED={}", format_seed(seed));
+        let g = PaxosGroup::build(GroupConfig::three_dc(1));
+        g.net.set_fault_plan(
+            FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.10).with_duplicate(0.10)),
+        );
+        let leader = g.leader().unwrap();
+        // Heartbeats drive the ack/resend repair loop, so lost appends are
+        // retransmitted even with no new writes in flight.
+        let ticker = leader.start_ticker(Duration::from_millis(5), Duration::from_secs(30));
+        for i in 0..20 {
+            leader.replicate(&[mtr(i)]).unwrap();
+        }
+        // Wait until the DC2 follower holds the full log (repair under loss):
+        // a candidate missing majority-committed entries cannot win votes.
+        let target = leader.status().last_lsn;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while g.replicas[1].status().last_lsn < target && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(g.replicas[1].status().last_lsn >= target, "repair must backfill the follower");
+
+        // Crash the leader mid-replication; a DC2 follower must take over.
+        ticker.stop();
+        g.net.crash(leader.me);
+        let follower = g.replicas[1].clone();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while follower.status().role != Role::Leader && Instant::now() < deadline {
+            follower.campaign();
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(follower.status().role, Role::Leader, "follower must win the election");
+        for i in 20..30 {
+            follower.replicate(&[mtr(i)]).unwrap();
+        }
+
+        // Heal: stop injecting faults, bring the old leader back. The new
+        // leader's heartbeats drive the ack/resend repair loop, so the
+        // restarted node gets backfilled even if an append races its restart.
+        g.net.clear_fault_plan();
+        g.net.restart_resume(leader.me);
+        let new_ticker = follower.start_ticker(Duration::from_millis(5), Duration::from_secs(30));
+        let final_lsn = follower
+            .replicate_and_wait(&[mtr(99)], Duration::from_secs(2))
+            .expect("healed group must commit");
+        let converged = g.await_dlsn(final_lsn, Duration::from_secs(5));
+        new_ticker.stop();
+        assert!(converged, "all replicas must converge");
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while leader.status().role != Role::Follower && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(leader.status().role, Role::Follower, "deposed leader must step down");
+        for r in &g.replicas {
+            assert!(r.status().last_lsn >= final_lsn, "log must converge on {:?}", r.me);
+        }
+        assert!(follower.metrics.elections_won.get() >= 1);
+        let faults = &g.net.fault_stats;
+        let lossy = faults.dropped_posts.get() + faults.duplicated_posts.get();
+        assert!(lossy > 0, "the lossy links injected nothing: {}", faults.report());
     }
 }

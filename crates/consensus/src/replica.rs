@@ -2,7 +2,6 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -120,7 +119,6 @@ pub struct Replica {
     pub metrics: ConsensusMetrics,
     sink: Arc<dyn LogSink>,
     apply: Mutex<Option<ApplyFn>>,
-    ticker_stop: AtomicBool,
     /// Optional history tap: leadership changes are annotated into recorded
     /// histories so isolation witnesses carry their schedule context.
     recorder: Mutex<Option<Arc<polardbx_common::HistoryRecorder>>>,
@@ -160,7 +158,6 @@ impl Replica {
             metrics: ConsensusMetrics::default(),
             sink,
             apply: Mutex::new(None),
-            ticker_stop: AtomicBool::new(false),
             recorder: Mutex::new(None),
         })
     }
@@ -214,7 +211,6 @@ impl Replica {
             metrics: ConsensusMetrics::default(),
             sink,
             apply: Mutex::new(None),
-            ticker_stop: AtomicBool::new(false),
             recorder: Mutex::new(None),
         })
     }
@@ -235,6 +231,7 @@ impl Replica {
     }
 
     /// Install the apply callback (follower-side redo replay).
+    #[cfg(test)]
     pub fn set_apply(&self, f: ApplyFn) {
         *self.apply.lock() = Some(f);
     }
@@ -822,18 +819,22 @@ impl Replica {
     }
 
     /// Drive periodic work: leaders emit heartbeats; followers campaign
-    /// after `election_timeout` without leader contact. Returns a guard
-    /// thread handle; stop via [`Replica::stop_ticker`].
-    pub fn start_ticker(
+    /// after `election_timeout` without leader contact, until
+    /// [`Ticker::stop`].
+    #[cfg(test)]
+    pub(crate) fn start_ticker(
         self: &Arc<Self>,
         interval: Duration,
         election_timeout: Duration,
-    ) -> Result<std::thread::JoinHandle<()>> {
+    ) -> Ticker {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let me = Arc::clone(self);
-        std::thread::Builder::new()
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
             .name(format!("paxos-ticker-{}", self.me))
             .spawn(move || loop {
-                if me.ticker_stop.load(Ordering::Relaxed) {
+                if stopped.load(Ordering::Relaxed) {
                     break;
                 }
                 std::thread::sleep(interval);
@@ -847,7 +848,8 @@ impl Replica {
                     _ => {}
                 }
             })
-            .map_err(|e| Error::execution(format!("spawn paxos ticker: {e}")))
+            .expect("spawn paxos ticker");
+        Ticker { stop, thread }
     }
 
     /// Leader API: trigger a catch-up round now. Broadcasts an empty
@@ -861,15 +863,26 @@ impl Replica {
         self.broadcast_heartbeat();
     }
 
-    /// Signal the ticker thread to exit.
-    pub fn stop_ticker(&self) {
-        self.ticker_stop.store(true, Ordering::Relaxed);
-    }
-
     /// All decoded frames currently in the log.
     #[cfg(test)]
     pub fn log_frames(&self) -> Vec<PaxosFrame> {
         self.st.lock().log.clone()
+    }
+}
+
+/// A running [`Replica::start_ticker`] thread.
+#[cfg(test)]
+pub(crate) struct Ticker {
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+#[cfg(test)]
+impl Ticker {
+    /// Stop the thread and wait for it.
+    pub(crate) fn stop(self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let _ = self.thread.join();
     }
 }
 

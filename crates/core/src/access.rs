@@ -412,8 +412,8 @@ mod tests {
         let names: Vec<String> = t.columns.iter().map(|c| c.name.clone()).collect();
         let p = Expr::binary(
             BinOp::And,
-            Expr::binary(BinOp::Eq, Expr::col("id"), Expr::int(7)),
-            Expr::binary(BinOp::Eq, Expr::col("s"), Expr::Literal(Value::str("x"))),
+            Expr::binary(BinOp::Eq, Expr::Column("id".into()), Expr::int(7)),
+            Expr::binary(BinOp::Eq, Expr::Column("s".into()), Expr::Literal(Value::str("x"))),
         )
         .resolve(&names)
         .unwrap();

@@ -7,7 +7,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use polardbx_columnar::{ColumnIndex, ColumnIndexMaintainer};
-use polardbx_common::metrics::Counter;
 use polardbx_common::{DcId, Error, IdGenerator, NodeId, Result, Row, TenantId, TrxId};
 use polardbx_executor::{MemoryManager, WorkloadManager};
 use polardbx_hlc::{Clock, Hlc, HlcTimestamp};
@@ -102,8 +101,6 @@ pub(crate) struct Inner {
     pub(crate) gsi_tables: RwLock<HashMap<String, Vec<String>>>,
     /// Logical-table-name → its column index, fed by every DN's redo.
     pub(crate) column_indexes: RwLock<HashMap<String, Arc<ColumnIndexMaintainer>>>,
-    /// Initial builds of a column index (each scans every shard).
-    pub(crate) column_index_builds: Counter,
     /// CN-side workload pools (shared fleet-wide: the host has one CPU
     /// domain; per-CN pools would oversubscribe it meaninglessly).
     pub(crate) workload: Arc<WorkloadManager>,
@@ -211,7 +208,6 @@ impl ClusterBuilder {
             dns,
             gsi_tables: RwLock::new(HashMap::new()),
             column_indexes: RwLock::new(HashMap::new()),
-            column_index_builds: Counter::new(),
             workload: WorkloadManager::with_defaults(),
             memory: MemoryManager::with_defaults(),
             plans: PlanCache::new(),
@@ -354,11 +350,6 @@ impl PolarDbx {
         &self.inner.workload
     }
 
-    /// The CN memory manager (TP/AP regions, §VI-D).
-    pub fn memory(&self) -> &Arc<MemoryManager> {
-        &self.inner.memory
-    }
-
     /// Toggle routing of AP queries to RO replicas.
     pub fn set_htap_ro(&self, enabled: bool) {
         self.inner.htap_ro.store(enabled, Ordering::Relaxed);
@@ -423,7 +414,6 @@ impl PolarDbx {
         for dn in self.inner.dns() {
             dn.service.clock.update(ts);
         }
-        self.inner.column_index_builds.inc();
         for shard in shards {
             let rows = self.scan_shard(&schema, shard, ts.raw())?;
             let mut writer = index.writer();
@@ -466,12 +456,6 @@ impl PolarDbx {
         self.inner.column_indexes.read().get(table).map(|m| Arc::clone(m.index()))
     }
 
-    /// How many column-index builds (scans of every shard of a table) this
-    /// cluster has run.
-    pub fn column_index_builds(&self) -> u64 {
-        self.inner.column_index_builds.get()
-    }
-
     /// Stop background threads (drop hygiene for long test suites).
     pub fn shutdown(&self) {
         self.inner.stop_background();
@@ -480,12 +464,6 @@ impl PolarDbx {
     /// Cluster-wide transaction counters (shared by all CN coordinators).
     pub fn txn_metrics(&self) -> &Arc<TxnMetrics> {
         &self.inner.txn_metrics
-    }
-
-    /// The commit-time co-access sketch (benchmarks inspect/reset it
-    /// between phases).
-    pub fn sketch(&self) -> &Arc<CoAccessSketch> {
-        &self.inner.sketch
     }
 
     /// Build a snapshot provider over the RW engines, optionally exposing

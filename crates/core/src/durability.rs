@@ -148,10 +148,9 @@ mod tests {
         // Over a Paxos group: commits resolve once their epoch
         // reaches majority durability, and concurrent committers share
         // consensus rounds (one per epoch, not one per txn).
-        let group = PaxosGroup::build(
-            GroupConfig::three_dc(1)
-                .with_latency(LatencyMatrix::uniform(Duration::from_millis(2))),
-        );
+        let d = Duration::from_millis(2);
+        let latency = LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 };
+        let group = PaxosGroup::build(GroupConfig::three_dc(1).with_latency(latency));
         let leader = group.leader().unwrap();
         let engine = StorageEngine::in_memory();
         let sink = PaxosEpochSink::new(Arc::clone(&leader), Duration::from_secs(5));

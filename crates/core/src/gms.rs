@@ -261,31 +261,6 @@ impl Gms {
         stats.set(name, ts);
     }
 
-    /// Shard-level load distribution of a table (row counts supplied by the
-    /// caller); used by the rebalance planner.
-    pub fn plan_rebalance(
-        &self,
-        table: TableId,
-        shard_loads: &[(u32, u64)],
-        target_dns: &[NodeId],
-    ) -> Vec<(u32, NodeId)> {
-        // Greedy: biggest shards to least-loaded target.
-        let mut loads: HashMap<NodeId, u64> =
-            target_dns.iter().map(|&d| (d, 0)).collect();
-        let mut shards: Vec<(u32, u64)> = shard_loads.to_vec();
-        shards.sort_by_key(|s| std::cmp::Reverse(s.1));
-        let mut plan = Vec::new();
-        for (shard, load) in shards {
-            let (&dn, _) = loads.iter().min_by_key(|(_, &l)| l).expect("targets");
-            loads.insert(dn, loads[&dn] + load);
-            let current = self.shard_dn(table, shard).ok();
-            if current != Some(dn) {
-                plan.push((shard, dn));
-            }
-        }
-        plan
-    }
-
     /// Encode the full row key a SQL value-tuple produces (for routing).
     pub fn route_row(&self, schema: &TableSchema, row: &Row) -> Result<(u32, NodeId)> {
         let shard = schema.shard_of(row)?;
@@ -508,28 +483,6 @@ mod tests {
         assert_eq!(gms.statistics().get("t").rows, 400);
         gms.set_column_index("t", true);
         assert!(gms.statistics().get("t").has_column_index);
-    }
-
-    #[test]
-    fn rebalance_plan_balances() {
-        let gms = gms_with_dns(2);
-        gms.create_table(schema(&gms, "t", 4, None), TenantId::default()).unwrap();
-        let t = gms.table("t").unwrap();
-        // All load on two shards; plan across two DNs must split them.
-        let plan = gms.plan_rebalance(
-            t.id,
-            &[(0, 1000), (1, 1000), (2, 10), (3, 10)],
-            &[NodeId(1), NodeId(2)],
-        );
-        // Apply and verify both heavy shards land on different DNs.
-        for (shard, dn) in &plan {
-            gms.move_shard(t.id, *shard, *dn);
-        }
-        assert_ne!(
-            gms.shard_dn(t.id, 0).unwrap(),
-            gms.shard_dn(t.id, 1).unwrap(),
-            "heavy shards must separate"
-        );
     }
 
     #[test]

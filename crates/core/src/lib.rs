@@ -12,7 +12,7 @@
 //!
 //! * [`gms`] — the Global Meta Service: catalog with hash partitioning,
 //!   table groups and global/local indexes (§II-B), which tenant owns each
-//!   table, shard placement, statistics, and the rebalance planner.
+//!   table, shard placement, and statistics.
 //! * [`durability`] — plugs the X-Paxos group in as the DN durability path
 //!   for cross-DC deployments (§III).
 //! * [`access`] — which rows a predicate can name: primary-key routing for
@@ -22,7 +22,7 @@
 //! * [`cluster`] — the `PolarDbx` facade: build a cluster, connect
 //!   sessions through the locality-aware load balancer, set up column indexes.
 //! * [`rehome`] — the one cutover that moves shards under live traffic: a
-//!   shard re-home and rebalance (§VIII), a tenant migration (§V).
+//!   shard re-home (§VIII), a tenant migration (§V).
 //! * [`placer`] — the adaptive placer: co-access sketch → throttled re-homes.
 //! * [`session`] — a client session bound to one CN: SQL in, rows out
 //!   (statement surface, SELECT path, DDL, and the DML in `session::dml`).

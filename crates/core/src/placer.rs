@@ -109,7 +109,8 @@ impl PolarDbx {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use polardbx_common::{DcId, Result, Row, Value};
+    use crate::gms::shard_table_id;
+    use polardbx_common::{DcId, NodeId, Result, Row, Value};
     use polardbx_txn::WireWriteOp;
 
     fn cluster() -> PolarDbx {
@@ -191,6 +192,51 @@ mod tests {
             metrics.one_phase_commits.get(),
             metrics.two_phase_commits.get(),
         );
+        db.shutdown();
+    }
+
+    /// The placer's tap: a pushed UPDATE of one row on each of three DNs
+    /// records its write partitions, each at its home, as one cross-DN
+    /// commit.
+    #[test]
+    fn a_pushed_update_spanning_dns_reaches_the_sketch() {
+        let config = ClusterConfig { dcs: 3, cns_per_dc: 1, dns: 3, ..Default::default() };
+        let db = PolarDbx::build(config).unwrap();
+        let s = db.connect(DcId(1));
+        s.execute(
+            "CREATE TABLE t (id BIGINT NOT NULL, v INT, PRIMARY KEY (id)) \
+             PARTITION BY HASH(id) PARTITIONS 8",
+        )
+        .unwrap();
+        let values: Vec<String> = (0..96).map(|i| format!("({i}, 0)")).collect();
+        s.execute(&format!("INSERT INTO t (id, v) VALUES {}", values.join(", "))).unwrap();
+        let schema = db.gms().table("t").unwrap();
+        let home = |id: i64| db.gms().route_key(&schema, &[Value::Int(id)]).unwrap();
+        let mut ids: Vec<i64> = Vec::new();
+        for id in 0..96 {
+            if ids.iter().all(|&other| home(other).1 != home(id).1) {
+                ids.push(id);
+            }
+        }
+        assert_eq!(ids.len(), 3, "the table spans the three DNs");
+
+        db.inner.sketch.reset();
+        s.execute(&format!("UPDATE t SET v = v + 1 WHERE id IN ({}, {}, {})", ids[0], ids[1], ids[2]))
+            .unwrap();
+        let mut wrote: Vec<(u64, NodeId)> = ids
+            .iter()
+            .map(|&id| {
+                let (shard, dn) = home(id);
+                (shard_table_id(schema.id, shard).raw(), dn)
+            })
+            .collect();
+        wrote.sort_unstable();
+        let snap = db.inner.sketch.snapshot();
+        let mut seen: Vec<(u64, NodeId)> = snap.parts.iter().map(|p| (p.part, p.home)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, wrote);
+        assert!(snap.parts.iter().all(|p| p.count == 1));
+        assert_eq!((snap.commits, snap.one_phase, snap.edges.len()), (1, 0, 3));
         db.shutdown();
     }
 }

@@ -1,6 +1,6 @@
 //! Moving shards under live traffic: one cutover for any set of shards,
-//! and what is built on it — a shard re-home and rebalance (§VIII), and a
-//! tenant migration (§V).
+//! and what is built on it — a shard re-home (§VIII; the adaptive placer
+//! plans which shards move) and a tenant migration (§V).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -88,32 +88,6 @@ impl PolarDbx {
             epochs.unfreeze(stid);
         }
         result.map(|()| mono_now() - t0)
-    }
-
-    /// Balance a table's shards across all DNs by current row counts
-    /// (the GMS background-rebalance task of §II-A). Returns the number of
-    /// shards moved.
-    pub fn rebalance(&self, table: &str) -> Result<usize> {
-        let schema = self.inner.gms.table(table)?;
-        let mut loads = Vec::new();
-        for shard in 0..schema.partition.shard_count() {
-            // lint:allow(fence_completeness, planning-only load count: a stale home at worst mis-weighs one shard, and each move re-checks under its own epoch freeze)
-            let dn = self.inner.gms.shard_dn(schema.id, shard)?;
-            let rows = self.inner.dn(dn)
-                .rw
-                .engine
-                .count_rows(shard_table_id(schema.id, shard), u64::MAX)
-                .unwrap_or(0) as u64;
-            loads.push((shard, rows));
-        }
-        let targets: Vec<NodeId> = self.inner.dns().map(|dn| dn.id).collect();
-        let plan = self.inner.gms.plan_rebalance(schema.id, &loads, &targets);
-        let mut moved = 0;
-        for (shard, dest) in plan {
-            self.rehome_shard_by_id(schema.id, shard, dest)?;
-            moved += 1;
-        }
-        Ok(moved)
     }
 }
 

@@ -583,8 +583,10 @@ impl Session {
 
 #[cfg(test)]
 mod tests {
-    use polardbx_common::DcId;
+    use polardbx_common::{DcId, Error, Value};
+    use polardbx_executor::memory::Reservation;
     use polardbx_executor::TableProvider;
+    use std::sync::Arc;
     use polardbx_optimizer::{PlanCost, Statistics, WorkloadClass};
     use polardbx_sql::LogicalPlan;
 
@@ -601,6 +603,43 @@ mod tests {
         let literals = lexed.literals();
         let entry = s.select_template(&lexed, &literals).unwrap();
         s.bind_select(&entry.template, &literals, stats)
+    }
+
+    /// Working memory is reserved per query from the class's region
+    /// (§VI-D): an AP query that cannot reserve fails with
+    /// `MemoryExhausted` instead of hanging or thrashing, and TP preempts
+    /// AP headroom rather than failing.
+    #[test]
+    fn ap_memory_region_limits_and_tp_preempts() {
+        let db = PolarDbx::build(ClusterConfig { dns: 1, default_shards: 8, ..Default::default() })
+            .unwrap();
+        let s = db.connect(DcId(1));
+        s.execute("CREATE TABLE m (id BIGINT NOT NULL, PRIMARY KEY (id))").unwrap();
+        s.execute("INSERT INTO m (id) VALUES (1), (2), (3)").unwrap();
+        db.gms().record_rows("m", 50_000_000); // huge estimate → large AP reservation
+        let memory = &db.inner.memory;
+
+        // Exhaust the AP region; the AP query must fail with MemoryExhausted,
+        // not hang or thrash.
+        let hog = (0..13)
+            .map(|_| Reservation::ap(Arc::clone(memory), 64 << 20))
+            .take_while(|r| r.is_ok())
+            .collect::<Vec<_>>();
+        let err = s.query("SELECT COUNT(*) FROM m").unwrap_err();
+        assert!(matches!(err, Error::MemoryExhausted { .. }), "{err}");
+        drop(hog);
+        // With the region free again the query runs.
+        let rows = s.query("SELECT COUNT(*) FROM m").unwrap();
+        assert_eq!(rows[0].get(0).unwrap(), &Value::Int(3));
+
+        // TP is privileged: it preempts AP headroom rather than failing. The
+        // whole AP region (768 MB by default) fits before and not after.
+        let ap_max = 768 << 20;
+        drop(Reservation::ap(Arc::clone(memory), ap_max).expect("the AP region is free"));
+        let _tp = Reservation::tp(Arc::clone(memory), 380 << 20).expect("TP preempts");
+        let err = Reservation::ap(Arc::clone(memory), ap_max).err();
+        assert!(err.is_some(), "AP budget shrank under TP pressure");
+        db.shutdown();
     }
 
     #[test]

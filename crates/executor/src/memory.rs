@@ -98,7 +98,8 @@ impl MemoryManager {
         ap.used = ap.used.saturating_sub(bytes);
     }
 
-    /// (tp_used, ap_used, ap_max) snapshot for tests/monitoring.
+    /// (tp_used, ap_used, ap_max) snapshot.
+    #[cfg(test)]
     pub fn usage(&self) -> (usize, usize, usize) {
         let tp = self.tp.lock();
         let ap = self.ap.lock();

@@ -19,8 +19,8 @@
 //! connection handler's stack unwinds, the permits drop, the counters
 //! return.
 //!
-//! Time is injected ([`TimeSource`]) so unit tests drive the bucket with a
-//! hand-cranked clock instead of sleeping.
+//! The unit tests drive the bucket with a hand-cranked clock of their own
+//! instead of sleeping; the product build reads `mono_now`.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -28,10 +28,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use polardbx_common::metrics::Counter;
 use polardbx_common::time::mono_now;
-#[cfg(test)]
-use polardbx_common::time::TimeSource;
 use polardbx_common::{Error, Result, TenantId, TenantQuotas};
 
 /// Token-bucket state (guarded; the arithmetic is a handful of flops).
@@ -46,37 +43,16 @@ struct TenantState {
     bucket: Mutex<Bucket>,
     in_flight: AtomicU32,
     connections: AtomicU32,
-    admitted: Counter,
-    throttled_rate: Counter,
-    throttled_concurrency: Counter,
-    rejected_connections: Counter,
-}
-
-/// Observable admission counters for one tenant (tests, bench reporting).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Queries admitted.
-    pub admitted: u64,
-    /// Bounced by the token bucket.
-    pub throttled_rate: u64,
-    /// Bounced by the concurrent-query quota.
-    pub throttled_concurrency: u64,
-    /// Connections bounced by the connection cap.
-    pub rejected_connections: u64,
-    /// Current in-flight queries.
-    pub in_flight: u32,
-    /// Current open connections.
-    pub connections: u32,
 }
 
 /// The front door's admission controller.
 pub struct AdmissionControl {
     tenants: RwLock<HashMap<TenantId, Arc<TenantState>>>,
-    /// Injected clock for deterministic tests; `None` reads
+    /// The unit tests' hand-cranked clock; `None` reads
     /// [`polardbx_common::time::mono_now`]. The product build has no
     /// such field and reads `mono_now` directly.
     #[cfg(test)]
-    time: Option<Arc<dyn TimeSource>>,
+    time: Option<Arc<tests::FakeClock>>,
 }
 
 impl Default for AdmissionControl {
@@ -95,9 +71,9 @@ impl AdmissionControl {
         }
     }
 
-    /// Controller on an injected clock (deterministic bucket tests).
+    /// Controller on a hand-cranked clock (deterministic bucket tests).
     #[cfg(test)]
-    pub fn with_time(time: Arc<dyn TimeSource>) -> AdmissionControl {
+    fn with_time(time: Arc<tests::FakeClock>) -> AdmissionControl {
         AdmissionControl { tenants: RwLock::new(HashMap::new()), time: Some(time) }
     }
 
@@ -109,7 +85,7 @@ impl AdmissionControl {
     #[cfg(test)]
     fn now(&self) -> Duration {
         match &self.time {
-            Some(t) => t.mono_now(),
+            Some(t) => t.now(),
             None => mono_now(),
         }
     }
@@ -136,10 +112,6 @@ impl AdmissionControl {
                     }),
                     in_flight: AtomicU32::new(0),
                     connections: AtomicU32::new(0),
-                    admitted: Counter::new(),
-                    throttled_rate: Counter::new(),
-                    throttled_concurrency: Counter::new(),
-                    rejected_connections: Counter::new(),
                 });
                 tenants.insert(tenant, state);
             }
@@ -161,7 +133,6 @@ impl AdmissionControl {
         let cur = state.connections.fetch_add(1, Ordering::Relaxed) + 1;
         if cur > cap {
             state.connections.fetch_sub(1, Ordering::Relaxed);
-            state.rejected_connections.inc();
             return Err(Error::Throttled { rule: format!("tenant-connections:{tenant}") });
         }
         Ok(ConnPermit { state })
@@ -179,7 +150,6 @@ impl AdmissionControl {
             b.tokens = (b.tokens + dt * b.quotas.rate_per_sec).min(b.quotas.burst);
             b.last_refill = now;
             if b.tokens < 1.0 {
-                state.throttled_rate.inc();
                 return Err(Error::Throttled { rule: format!("tenant-rate:{tenant}") });
             }
             b.tokens -= 1.0;
@@ -188,34 +158,10 @@ impl AdmissionControl {
                 state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 // Refund the token: the query never ran.
                 b.tokens += 1.0;
-                state.throttled_concurrency.inc();
                 return Err(Error::Throttled { rule: format!("tenant-quota:{tenant}") });
             }
         }
-        state.admitted.inc();
         Ok(QueryPermit { state })
-    }
-
-    /// Counter snapshot for a tenant (zeroed stats for unknown tenants).
-    pub fn stats(&self, tenant: TenantId) -> AdmissionStats {
-        match self.tenants.read().get(&tenant) {
-            Some(s) => AdmissionStats {
-                admitted: s.admitted.get(),
-                throttled_rate: s.throttled_rate.get(),
-                throttled_concurrency: s.throttled_concurrency.get(),
-                rejected_connections: s.rejected_connections.get(),
-                in_flight: s.in_flight.load(Ordering::Relaxed),
-                connections: s.connections.load(Ordering::Relaxed),
-            },
-            None => AdmissionStats {
-                admitted: 0,
-                throttled_rate: 0,
-                throttled_concurrency: 0,
-                rejected_connections: 0,
-                in_flight: 0,
-                connections: 0,
-            },
-        }
     }
 }
 
@@ -250,12 +196,32 @@ impl Drop for QueryPermit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::time::ManualTime;
+    use std::sync::atomic::AtomicU64;
 
-    fn controller() -> (Arc<ManualTime>, AdmissionControl) {
-        let clock = Arc::new(ManualTime::new());
-        let ac = AdmissionControl::with_time(Arc::clone(&clock) as _);
+    /// A clock that moves only when a test advances it.
+    #[derive(Default)]
+    pub(super) struct FakeClock(AtomicU64);
+
+    impl FakeClock {
+        pub(super) fn now(&self) -> Duration {
+            Duration::from_nanos(self.0.load(Ordering::SeqCst))
+        }
+
+        fn advance(&self, d: Duration) {
+            self.0.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
+        }
+    }
+
+    fn controller() -> (Arc<FakeClock>, AdmissionControl) {
+        let clock = Arc::new(FakeClock::default());
+        let ac = AdmissionControl::with_time(Arc::clone(&clock));
         (clock, ac)
+    }
+
+    /// A tenant's (in-flight queries, open connections).
+    fn held(ac: &AdmissionControl, t: TenantId) -> (u32, u32) {
+        let s = ac.state(t).unwrap();
+        (s.in_flight.load(Ordering::Relaxed), s.connections.load(Ordering::Relaxed))
     }
 
     #[test]
@@ -263,26 +229,30 @@ mod tests {
         let (clock, ac) = controller();
         let t = TenantId(1);
         ac.register(t, TenantQuotas::rate_limited(10.0, 3.0));
+        let (mut admitted, mut throttled) = (0, 0);
+        let mut admit = |want: bool| {
+            let got = ac.admit(t);
+            assert_eq!(got.is_ok(), want, "{got:?}");
+            if let Err(err) = got {
+                assert!(err.is_retryable(), "rate bounce must be retryable: {err:?}");
+                assert!(matches!(err, Error::Throttled { ref rule } if rule.contains("tenant-rate")));
+                throttled += 1;
+            } else {
+                admitted += 1;
+            }
+        };
         // Burst of 3 admitted, 4th bounced.
-        for _ in 0..3 {
-            ac.admit(t).expect("burst admits");
-        }
-        let err = ac.admit(t).unwrap_err();
-        assert!(err.is_retryable(), "rate bounce must be retryable: {err:?}");
-        assert!(matches!(err, Error::Throttled { .. }));
+        (0..3).for_each(|_| admit(true));
+        admit(false);
         // 100 ms at 10/s refills one token.
         clock.advance(Duration::from_millis(100));
-        ac.admit(t).expect("refilled token");
-        assert!(ac.admit(t).is_err(), "bucket drained again");
+        admit(true);
+        admit(false);
         // Refill never exceeds the burst depth.
         clock.advance(Duration::from_secs(60));
-        for _ in 0..3 {
-            ac.admit(t).expect("full burst after idle");
-        }
-        assert!(ac.admit(t).is_err());
-        let s = ac.stats(t);
-        assert_eq!(s.admitted, 7);
-        assert_eq!(s.throttled_rate, 3);
+        (0..3).for_each(|_| admit(true));
+        admit(false);
+        assert_eq!((admitted, throttled), (7, 3));
     }
 
     #[test]
@@ -294,11 +264,10 @@ mod tests {
         let _b = ac.admit(t).unwrap();
         let err = ac.admit(t).unwrap_err();
         assert!(matches!(err, Error::Throttled { ref rule } if rule.contains("tenant-quota")));
-        assert_eq!(ac.stats(t).in_flight, 2);
+        assert_eq!(held(&ac, t).0, 2);
         drop(a);
-        assert_eq!(ac.stats(t).in_flight, 1);
+        assert_eq!(held(&ac, t).0, 1);
         let _c = ac.admit(t).expect("slot released by drop");
-        assert_eq!(ac.stats(t).throttled_concurrency, 1);
     }
 
     #[test]
@@ -307,11 +276,11 @@ mod tests {
         let t = TenantId(3);
         ac.register(t, TenantQuotas { max_connections: 1, ..TenantQuotas::unlimited() });
         let c1 = ac.connect(t).unwrap();
-        assert!(ac.connect(t).is_err());
+        let err = ac.connect(t).err().expect("the cap bounces a second connection");
+        assert!(matches!(err, Error::Throttled { ref rule } if rule.contains("tenant-connections")));
         drop(c1);
         let _c2 = ac.connect(t).expect("slot released");
-        assert_eq!(ac.stats(t).rejected_connections, 1);
-        assert_eq!(ac.stats(t).connections, 1);
+        assert_eq!(held(&ac, t).1, 1);
     }
 
     #[test]
@@ -322,13 +291,12 @@ mod tests {
         ac.register(hot, TenantQuotas::rate_limited(5.0, 2.0));
         ac.register(quiet, TenantQuotas::unlimited());
         // Hot exhausts its bucket…
-        while ac.admit(hot).is_ok() {}
+        let burst = std::iter::from_fn(|| ac.admit(hot).ok()).count();
+        assert_eq!(burst, 2, "the hot tenant gets its burst, then a bounce");
         // …and the quiet tenant is entirely unaffected.
         for _ in 0..1000 {
             ac.admit(quiet).expect("quiet tenant admitted");
         }
-        assert_eq!(ac.stats(quiet).throttled_rate, 0);
-        assert!(ac.stats(hot).throttled_rate > 0);
     }
 
     #[test]

@@ -108,30 +108,11 @@ impl FrontClient {
     }
 
     /// Execute a prepared statement, returning rows (SELECT) or the empty
-    /// vec (DML — pair with [`FrontClient::execute_prepared_count`]).
+    /// vec (DML).
     pub fn execute_prepared(&mut self, stmt_id: u64) -> Result<Vec<Row>> {
         match self.request(&Frame::Execute { stmt_id })? {
             Frame::Rows { rows } => Ok(rows),
             Frame::Affected { .. } => Ok(Vec::new()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Execute a prepared DML statement, returning the affected count.
-    pub fn execute_prepared_count(&mut self, stmt_id: u64) -> Result<u64> {
-        match self.request(&Frame::Execute { stmt_id })? {
-            Frame::Affected { n } => Ok(n),
-            Frame::Rows { .. } => {
-                Err(Error::invalid("prepared statement returned a result set"))
-            }
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Close a prepared statement handle.
-    pub fn close_stmt(&mut self, stmt_id: u64) -> Result<()> {
-        match self.request(&Frame::CloseStmt { stmt_id })? {
-            Frame::StmtClosed { .. } => Ok(()),
             other => Err(unexpected(other)),
         }
     }

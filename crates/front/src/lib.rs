@@ -28,7 +28,7 @@ pub mod server;
 pub mod stmt_cache;
 pub mod wire;
 
-pub use admission::{AdmissionControl, AdmissionStats, ConnPermit, QueryPermit};
+pub use admission::{AdmissionControl, ConnPermit, QueryPermit};
 pub use client::FrontClient;
 pub use metrics::FrontMetrics;
 pub use server::{FrontConfig, FrontDoor};

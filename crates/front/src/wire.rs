@@ -154,8 +154,8 @@ impl ErrCode {
 /// the payload a client needs to rebuild the same variant (e.g. the
 /// throttle rule string).
 pub fn classify_error(e: &Error) -> (ErrCode, bool, String) {
+    let e = e.root();
     match e {
-        Error::Shared(inner) => classify_error(inner),
         Error::Throttled { rule } => (ErrCode::Throttled, true, rule.clone()),
         Error::Parse { .. } => (ErrCode::Parse, false, e.to_string()),
         Error::UnknownTable { name } => (ErrCode::UnknownTable, false, name.clone()),
@@ -683,6 +683,25 @@ mod tests {
             rebuild_error(c, r, m),
             Error::Throttled { rule: "tenant-rate:9".into() }
         );
+    }
+
+    /// A failed epoch hands every committer the same `Shared` error, and
+    /// a client must see the error inside: a timeout or a conflict under
+    /// any number of `Shared` layers is a retryable transaction failure.
+    #[test]
+    fn a_shared_error_classifies_as_the_error_it_wraps() {
+        use std::sync::Arc;
+        let shared = |e: Error| Error::Shared(Arc::new(e));
+        let cases = [
+            shared(Error::Timeout { what: "epoch flush".into() }),
+            shared(shared(Error::WriteConflict { key: "k".into() })),
+        ];
+        for e in cases {
+            let (code, retryable, message) = classify_error(&e);
+            assert_eq!((code, retryable), (ErrCode::TxnRetry, true), "{e:?}");
+            assert_eq!(message, e.root().to_string());
+            assert!(rebuild_error(code, retryable, message).is_retryable(), "{e:?}");
+        }
     }
 
     #[test]

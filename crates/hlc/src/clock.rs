@@ -1,6 +1,6 @@
 //! The per-node hybrid logical clock and the `Clock` abstraction.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -36,11 +36,6 @@ impl TestClock {
         Arc::new(TestClock { millis: AtomicU64::new(millis) })
     }
 
-    /// Advance by `delta` milliseconds.
-    pub fn tick(&self, delta: u64) {
-        self.millis.fetch_add(delta, Ordering::SeqCst);
-    }
-
     /// Set absolute time.
     pub fn set(&self, millis: u64) {
         self.millis.store(millis, Ordering::SeqCst);
@@ -58,25 +53,20 @@ impl PhysicalClock for TestClock {
 /// that hurts Clock-SI.
 pub struct SkewedClock {
     inner: Arc<dyn PhysicalClock>,
-    skew_millis: AtomicI64,
+    skew_millis: i64,
 }
 
 impl SkewedClock {
-    /// Wrap `inner` with an initial skew.
+    /// Wrap `inner` with a constant skew.
     pub fn new(inner: Arc<dyn PhysicalClock>, skew_millis: i64) -> Arc<SkewedClock> {
-        Arc::new(SkewedClock { inner, skew_millis: AtomicI64::new(skew_millis) })
-    }
-
-    /// Change the skew at runtime.
-    pub fn set_skew(&self, skew_millis: i64) {
-        self.skew_millis.store(skew_millis, Ordering::SeqCst);
+        Arc::new(SkewedClock { inner, skew_millis })
     }
 }
 
 impl PhysicalClock for SkewedClock {
     fn now_millis(&self) -> u64 {
         let base = self.inner.now_millis() as i64;
-        (base + self.skew_millis.load(Ordering::SeqCst)).max(0) as u64
+        (base + self.skew_millis).max(0) as u64
     }
 }
 
@@ -187,7 +177,7 @@ mod tests {
         let t1 = hlc.now();
         assert_eq!(t1.pt(), 1000);
         assert_eq!(t1.lc(), 0);
-        pc.tick(5);
+        pc.set(1005);
         let t2 = hlc.now();
         assert_eq!(t2.pt(), 1005);
         // now() does not increment lc.
@@ -217,7 +207,7 @@ mod tests {
         for _ in 0..10 {
             hlc.advance();
         }
-        pc.tick(50);
+        pc.set(1050);
         let t = hlc.advance();
         assert_eq!(t.pt(), 1050);
         assert_eq!(t.lc(), 0);
@@ -272,10 +262,10 @@ mod tests {
     #[test]
     fn skewed_clock_applies_offset() {
         let base = TestClock::at(1000);
-        let skewed = SkewedClock::new(base.clone(), -200);
-        assert_eq!(skewed.now_millis(), 800);
-        skewed.set_skew(300);
-        assert_eq!(skewed.now_millis(), 1300);
+        let behind = SkewedClock::new(base.clone(), -200);
+        assert_eq!(behind.now_millis(), 800);
+        let ahead = SkewedClock::new(base.clone(), 300);
+        assert_eq!(ahead.now_millis(), 1300);
     }
 
     #[test]

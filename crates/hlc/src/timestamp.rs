@@ -7,7 +7,7 @@ pub const LC_BITS: u32 = 16;
 /// Number of bits for the physical-time component.
 pub const PT_BITS: u32 = 46;
 /// Mask for the logical component.
-pub const LC_MASK: u64 = (1 << LC_BITS) - 1;
+const LC_MASK: u64 = (1 << LC_BITS) - 1;
 /// Maximum physical-time value (milliseconds).
 pub const PT_MAX: u64 = (1 << PT_BITS) - 1;
 
@@ -41,12 +41,12 @@ impl HlcTimestamp {
     }
 
     /// Physical-time component in milliseconds.
-    pub fn pt(self) -> u64 {
+    pub(crate) fn pt(self) -> u64 {
         (self.0 >> LC_BITS) & PT_MAX
     }
 
     /// Logical-clock component.
-    pub fn lc(self) -> u16 {
+    pub(crate) fn lc(self) -> u16 {
         (self.0 & LC_MASK) as u16
     }
 

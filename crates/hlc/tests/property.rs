@@ -1,8 +1,9 @@
 //! Seeded property test: HLC monotonicity and causal ordering across
 //! simnet messages under injected clock skew.
 //!
-//! A ring of nodes, each with an [`Hlc`] over a [`SkewedClock`] whose skew
-//! is re-rolled mid-run, exchanges timestamps over the simnet fabric. Two
+//! A ring of nodes, each with an [`Hlc`] over a [`TestClock`] of its own
+//! that reads a shared base time plus the node's skew, which is re-rolled
+//! mid-run, exchanges timestamps over the simnet fabric. Two
 //! properties must hold no matter how physical clocks drift:
 //!
 //! * **Per-node monotonicity** — a node's issued timestamps (`advance`)
@@ -13,16 +14,14 @@
 //!   exchanges through random nodes yields a strictly increasing token.
 //!
 //! The walk is seeded (`POLARDBX_TEST_SEED` overrides; the seed prints on
-//! stderr so a failure can be replayed), and wall time is pinned with
-//! [`ManualTime`] so nothing outside the seeded walk influences the run.
+//! stderr so a failure can be replayed): the physical clocks move only as
+//! the walk sets them.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use polardbx_common::testseed::{format_seed, seed_from_env};
-use polardbx_common::time::{reset_time_source, set_time_source, ManualTime};
 use polardbx_common::{DcId, NodeId};
-use polardbx_hlc::{Clock, Hlc, HlcTimestamp, SkewedClock, TestClock};
+use polardbx_hlc::{Clock, Hlc, HlcTimestamp, TestClock};
 use polardbx_simnet::{Handler, LatencyMatrix, SimNet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -49,20 +48,20 @@ fn hlc_monotone_and_causal_across_skewed_simnet_messages() {
         "hlc_monotone_and_causal_across_skewed_simnet_messages: POLARDBX_TEST_SEED={}",
         format_seed(seed)
     );
-    let manual = Arc::new(ManualTime::new());
-    set_time_source(Arc::clone(&manual) as Arc<_>);
-
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = TestClock::at(10_000);
+    let mut base: u64 = 10_000;
     let net = SimNet::new(LatencyMatrix::zero());
     let mut clocks = Vec::new();
-    let mut skews = Vec::new();
+    let mut skews: Vec<i64> = Vec::new();
+    let mut physical = Vec::new();
     for i in 1..=NODES {
-        let skew = SkewedClock::new(base.clone(), rng.gen_range(-500..=500));
-        let clock = Hlc::with_physical(skew.clone());
+        let skew = rng.gen_range(-500..=500);
+        let pc = TestClock::at(base.saturating_add_signed(skew));
+        let clock = Hlc::with_physical(pc.clone());
         net.register(NodeId(i), DcId(1 + i % 3), Arc::new(Peer { clock: Arc::clone(&clock) }));
         clocks.push(clock);
         skews.push(skew);
+        physical.push(pc);
     }
 
     // The causal token: every exchange must hand back something larger.
@@ -74,13 +73,16 @@ fn hlc_monotone_and_causal_across_skewed_simnet_messages() {
         // Seeded clock churn: physical time creeps forward while individual
         // skews jump around (including backwards — NTP step corrections).
         if rng.gen_bool(0.3) {
-            base.tick(rng.gen_range(0..3));
+            base += rng.gen_range(0..3);
+            for (pc, &skew) in physical.iter().zip(&skews) {
+                pc.set(base.saturating_add_signed(skew));
+            }
         }
         if rng.gen_bool(0.1) {
             let n = rng.gen_range(0..NODES as usize);
-            skews[n].set_skew(rng.gen_range(-500..=500));
+            skews[n] = rng.gen_range(-500..=500);
+            physical[n].set(base.saturating_add_signed(skews[n]));
         }
-        manual.advance(Duration::from_micros(rng.gen_range(1..50)));
 
         let from = rng.gen_range(0..NODES as usize);
         let mut to = rng.gen_range(0..NODES as usize);
@@ -125,5 +127,4 @@ fn hlc_monotone_and_causal_across_skewed_simnet_messages() {
     }
 
     net.shutdown();
-    reset_time_source();
 }

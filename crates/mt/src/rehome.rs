@@ -4,9 +4,8 @@
 //! moves in one pass; applying them back-to-back would stack cutover
 //! pauses and violate the Fig 8 non-disruption claim. This executor is the
 //! policy layer between plan and mechanism: it spaces moves by a minimum
-//! gap (measured with `common::time`, so chaos tests can crank a
-//! [`polardbx_common::time::ManualTime`]), caps the number applied per
-//! pass, and *skips* — rather than waits for — anything the throttle
+//! gap (measured on `common::time::mono_now`; the unit tests run a pass
+//! on a clock of their own), caps the number applied per pass, and *skips* — rather than waits for — anything the throttle
 //! rejects, leaving it for a later pass when the co-access pattern still
 //! warrants it.
 //!
@@ -68,9 +67,18 @@ impl RehomeExecutor {
     /// freeze/drain/move/unfreeze and returns the traffic pause it caused.
     /// Failed moves are recorded and skipped — the placer will re-propose
     /// them if the pattern persists.
-    pub fn execute<F>(&self, moves: &[RehomeMove], mut cutover: F) -> RehomeReport
+    pub fn execute<F>(&self, moves: &[RehomeMove], cutover: F) -> RehomeReport
     where
         F: FnMut(&RehomeMove) -> Result<Duration>,
+    {
+        self.execute_at(moves, cutover, mono_now)
+    }
+
+    /// [`RehomeExecutor::execute`], reading the time from `now`.
+    fn execute_at<F, N>(&self, moves: &[RehomeMove], mut cutover: F, now: N) -> RehomeReport
+    where
+        F: FnMut(&RehomeMove) -> Result<Duration>,
+        N: Fn() -> Duration,
     {
         let mut report = RehomeReport { proposed: moves.len(), ..RehomeReport::default() };
         for mv in moves {
@@ -81,7 +89,7 @@ impl RehomeExecutor {
             {
                 let last = self.last_applied.lock();
                 if let Some(at) = *last {
-                    if mono_now() < at + self.cfg.min_gap {
+                    if now() < at + self.cfg.min_gap {
                         report.throttled += 1;
                         continue;
                     }
@@ -89,7 +97,7 @@ impl RehomeExecutor {
             }
             match cutover(mv) {
                 Ok(pause) => {
-                    *self.last_applied.lock() = Some(mono_now());
+                    *self.last_applied.lock() = Some(now());
                     report.applied += 1;
                     report.max_pause = report.max_pause.max(pause);
                 }
@@ -103,9 +111,8 @@ impl RehomeExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polardbx_common::time::{reset_time_source, set_time_source, ManualTime};
     use polardbx_common::{Error, NodeId};
-    use std::sync::Arc;
+    use std::cell::Cell;
 
     fn mv(part: u64) -> RehomeMove {
         RehomeMove { part, from: NodeId(1), to: NodeId(2), weight: 10 }
@@ -126,21 +133,20 @@ mod tests {
 
     #[test]
     fn min_gap_spaces_moves_across_passes() {
-        let clock = Arc::new(ManualTime::new());
-        set_time_source(Arc::clone(&clock) as _);
+        let clock = Cell::new(Duration::ZERO);
+        let now = || clock.get();
         let ex = RehomeExecutor::new(RehomeConfig {
             min_gap: Duration::from_secs(1),
             max_per_pass: 10,
         });
         let moves = [mv(1), mv(2)];
-        let r1 = ex.execute(&moves, |_| Ok(Duration::ZERO));
+        let r1 = ex.execute_at(&moves, |_| Ok(Duration::ZERO), now);
         assert_eq!((r1.applied, r1.throttled), (1, 1), "second move inside the gap");
-        let r2 = ex.execute(&moves[1..], |_| Ok(Duration::ZERO));
+        let r2 = ex.execute_at(&moves[1..], |_| Ok(Duration::ZERO), now);
         assert_eq!(r2.applied, 0, "gap not yet elapsed");
-        clock.advance(Duration::from_secs(2));
-        let r3 = ex.execute(&moves[1..], |_| Ok(Duration::ZERO));
+        clock.set(clock.get() + Duration::from_secs(2));
+        let r3 = ex.execute_at(&moves[1..], |_| Ok(Duration::ZERO), now);
         assert_eq!(r3.applied, 1);
-        reset_time_source();
     }
 
     #[test]

@@ -133,27 +133,9 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: faults on every link.
-    pub fn with_all_links(mut self, f: LinkFaults) -> FaultPlan {
-        self.all_links = f;
-        self
-    }
-
     /// Builder: faults on cross-DC links only.
     pub fn with_cross_dc(mut self, f: LinkFaults) -> FaultPlan {
         self.cross_dc = Some(f);
-        self
-    }
-
-    /// Builder: faults on one ordered link.
-    pub fn with_link(mut self, from: DcId, to: DcId, f: LinkFaults) -> FaultPlan {
-        self.per_link.push(((from, to), f));
-        self
-    }
-
-    /// Builder: schedule a one-shot fault.
-    pub fn with_one_shot(mut self, one_shot: OneShot) -> FaultPlan {
-        self.one_shots.push(one_shot);
         self
     }
 
@@ -221,16 +203,6 @@ impl FaultStats {
             self.one_shots_fired.get(),
             self.amnesia_restarts.get(),
         )
-    }
-
-    /// Total messages the fault layer interfered with.
-    pub fn total_injected(&self) -> u64 {
-        self.dropped_requests.get()
-            + self.dropped_replies.get()
-            + self.dropped_posts.get()
-            + self.duplicated_calls.get()
-            + self.duplicated_posts.get()
-            + self.blackholed.get()
     }
 
     /// Reset all counters (between chaos phases).
@@ -355,10 +327,12 @@ mod tests {
 
     #[test]
     fn link_faults_resolution_precedence() {
-        let plan = FaultPlan::new(1)
-            .with_all_links(LinkFaults::lossy(0.01))
-            .with_cross_dc(LinkFaults::lossy(0.10))
-            .with_link(DcId(1), DcId(3), LinkFaults::lossy(0.50));
+        let plan = FaultPlan {
+            all_links: LinkFaults::lossy(0.01),
+            cross_dc: Some(LinkFaults::lossy(0.10)),
+            per_link: vec![((DcId(1), DcId(3)), LinkFaults::lossy(0.50))],
+            ..FaultPlan::new(1)
+        };
         // intra-DC: all_links
         assert_eq!(plan.link_faults(DcId(1), DcId(1)).drop, 0.01);
         // cross-DC without override: cross_dc
@@ -372,7 +346,10 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_for_same_seed() {
         let plan = || {
-            FaultPlan::new(42).with_all_links(LinkFaults::lossy(0.3).with_duplicate(0.3))
+            FaultPlan {
+                all_links: LinkFaults::lossy(0.3).with_duplicate(0.3),
+                ..FaultPlan::new(42)
+            }
         };
         let a = FaultState::new(plan());
         let b = FaultState::new(plan());
@@ -384,7 +361,7 @@ mod tests {
     #[test]
     fn link_streams_are_independent_of_interleaving() {
         // Traffic on another link must not perturb this link's pattern.
-        let plan = || FaultPlan::new(5).with_all_links(LinkFaults::lossy(0.5));
+        let plan = || FaultPlan { all_links: LinkFaults::lossy(0.5), ..FaultPlan::new(5) };
         let quiet = FaultState::new(plan());
         let noisy = FaultState::new(plan());
         let mut a = Vec::new();
@@ -402,8 +379,14 @@ mod tests {
 
     #[test]
     fn different_seed_diverges() {
-        let a = FaultState::new(FaultPlan::new(1).with_all_links(LinkFaults::lossy(0.5)));
-        let b = FaultState::new(FaultPlan::new(2).with_all_links(LinkFaults::lossy(0.5)));
+        let a = FaultState::new(FaultPlan {
+            all_links: LinkFaults::lossy(0.5),
+            ..FaultPlan::new(1)
+        });
+        let b = FaultState::new(FaultPlan {
+            all_links: LinkFaults::lossy(0.5),
+            ..FaultPlan::new(2)
+        });
         let seq = |s: &FaultState| -> Vec<bool> {
             (0..64).map(|_| s.decide(DcId(1), DcId(2)).drop).collect()
         };
@@ -412,11 +395,10 @@ mod tests {
 
     #[test]
     fn one_shot_fires_once_at_threshold() {
-        let plan = FaultPlan::new(7).with_one_shot(OneShot {
-            from: NodeId(9),
-            after_sends: 3,
-            fault: OneShotFault::Crash(NodeId(9)),
-        });
+        let plan = FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(9), after_sends: 3, fault: OneShotFault::Crash(NodeId(9)) }],
+            ..FaultPlan::new(7)
+        };
         let st = FaultState::new(plan);
         assert!(st.on_send(NodeId(9)).is_empty()); // 1
         assert!(st.on_send(NodeId(1)).is_empty()); // other node
@@ -445,7 +427,10 @@ mod tests {
 
     #[test]
     fn drop_rate_roughly_matches_probability() {
-        let st = FaultState::new(FaultPlan::new(3).with_all_links(LinkFaults::lossy(0.25)));
+        let st = FaultState::new(FaultPlan {
+            all_links: LinkFaults::lossy(0.25),
+            ..FaultPlan::new(3)
+        });
         let drops = (0..10_000).filter(|_| st.decide(DcId(1), DcId(2)).drop).count();
         assert!((2_000..3_000).contains(&drops), "expected ~2500 drops, got {drops}");
     }
@@ -455,9 +440,14 @@ mod tests {
         let s = FaultStats::default();
         s.dropped_requests.add(3);
         s.duplicated_posts.inc();
-        assert_eq!(s.total_injected(), 4);
-        assert!(s.report().contains("req=3"));
+        let report = |req, dup_post| {
+            format!(
+                "drops: req={req} reply=0 post=0 · dups: call=0 post={dup_post} · blackholed=0 · \
+                 one-shots=0 · amnesia-restarts=0"
+            )
+        };
+        assert_eq!(s.report(), report(3, 1));
         s.reset();
-        assert_eq!(s.total_injected(), 0);
+        assert_eq!(s.report(), report(0, 0));
     }
 }

@@ -35,11 +35,6 @@ impl LatencyMatrix {
         LatencyMatrix { intra_dc: Duration::ZERO, inter_dc: Duration::ZERO, jitter: 0.0 }
     }
 
-    /// Uniform latency (same for intra- and inter-DC links).
-    pub fn uniform(d: Duration) -> LatencyMatrix {
-        LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 }
-    }
-
     /// Base one-way delay between `a` and `b` (no jitter applied).
     pub fn one_way_base(&self, a: DcId, b: DcId) -> Duration {
         if a == b { self.intra_dc } else { self.inter_dc }
@@ -54,11 +49,6 @@ impl LatencyMatrix {
         let j = rand::thread_rng().gen_range(0.0..self.jitter);
         base + Duration::from_secs_f64(base.as_secs_f64() * j)
     }
-
-    /// Round-trip time between `a` and `b` (no jitter).
-    pub fn rtt(&self, a: DcId, b: DcId) -> Duration {
-        self.one_way_base(a, b) * 2
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +59,6 @@ mod tests {
     fn inter_dc_slower_than_intra() {
         let m = LatencyMatrix::paper_default();
         assert!(m.one_way_base(DcId(1), DcId(2)) > m.one_way_base(DcId(1), DcId(1)));
-        assert_eq!(m.rtt(DcId(1), DcId(2)), m.one_way_base(DcId(1), DcId(2)) * 2);
     }
 
     #[test]

@@ -228,11 +228,6 @@ impl<M: Send + 'static> SimNet<M> {
         self.is_crashed(node)
     }
 
-    /// Datacenter of a node, if registered.
-    pub fn dc_of(&self, node: NodeId) -> Option<DcId> {
-        self.nodes.read().get(&node).map(|r| r.dc)
-    }
-
     /// Sever connectivity between two datacenters (both directions).
     pub fn partition(&self, a: DcId, b: DcId) {
         let mut p = self.partitions.write();
@@ -564,7 +559,8 @@ mod tests {
 
     #[test]
     fn rpc_latency_applied() {
-        let (net, _) = setup(LatencyMatrix::uniform(Duration::from_millis(2)));
+        let d = Duration::from_millis(2);
+        let (net, _) = setup(LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 });
         let t0 = Instant::now();
         net.call(NodeId(1), NodeId(2), 0).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(4), "RTT not applied");
@@ -636,7 +632,7 @@ mod tests {
     fn full_drop_plan_times_out_every_call() {
         use crate::fault::{FaultPlan, LinkFaults};
         let (net, _) = setup(LatencyMatrix::zero());
-        net.set_fault_plan(FaultPlan::new(1).with_all_links(LinkFaults::lossy(1.0)));
+        net.set_fault_plan(FaultPlan { all_links: LinkFaults::lossy(1.0), ..FaultPlan::new(1) });
         for _ in 0..5 {
             assert!(matches!(
                 net.call(NodeId(1), NodeId(2), 0),
@@ -653,8 +649,7 @@ mod tests {
         use crate::fault::{FaultPlan, LinkFaults};
         let (net, echo) = setup(LatencyMatrix::zero());
         net.set_fault_plan(
-            FaultPlan::new(1)
-                .with_all_links(LinkFaults::none().with_duplicate(1.0)),
+            FaultPlan { all_links: LinkFaults::none().with_duplicate(1.0), ..FaultPlan::new(1) },
         );
         net.post(NodeId(1), NodeId(2), 10).unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -669,11 +664,10 @@ mod tests {
     fn one_shot_crash_fires_on_nth_send() {
         use crate::fault::{FaultPlan, OneShot, OneShotFault};
         let (net, _) = setup(LatencyMatrix::zero());
-        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-            from: NodeId(1),
-            after_sends: 3,
-            fault: OneShotFault::Crash(NodeId(1)),
-        }));
+        net.set_fault_plan(FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(1), after_sends: 3, fault: OneShotFault::Crash(NodeId(1)) }],
+            ..FaultPlan::new(1)
+        });
         assert!(net.call(NodeId(1), NodeId(2), 0).is_ok());
         assert!(net.call(NodeId(1), NodeId(2), 0).is_ok());
         // Third send triggers the crash of the sender itself.
@@ -730,7 +724,7 @@ mod tests {
         let outcomes = |seed: u64| -> Vec<bool> {
             let (net, _) = setup(LatencyMatrix::zero());
             net.set_fault_plan(
-                FaultPlan::new(seed).with_all_links(LinkFaults::lossy(0.4)),
+                FaultPlan { all_links: LinkFaults::lossy(0.4), ..FaultPlan::new(seed) },
             );
             (0..50).map(|i| net.call(NodeId(1), NodeId(2), i).is_ok()).collect()
         };
@@ -804,11 +798,10 @@ mod tests {
         let (net, rec) = three_dcs(LatencyMatrix::zero());
         // The sender's 2nd send vanishes; an unknown destination and a
         // severed link are refused at send time. The rest go through.
-        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-            from: NodeId(9),
-            after_sends: 2,
-            fault: OneShotFault::DropNext,
-        }));
+        net.set_fault_plan(FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(9), after_sends: 2, fault: OneShotFault::DropNext }],
+            ..FaultPlan::new(1)
+        });
         net.partition(DcId(1), DcId(3));
         let replies = net.call_many(
             NodeId(9),
@@ -854,11 +847,10 @@ mod tests {
     fn call_many_sender_crash_mid_round_loses_every_reply() {
         use crate::fault::{FaultPlan, OneShot, OneShotFault};
         let (net, rec) = three_dcs(LatencyMatrix::zero());
-        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-            from: NodeId(9),
-            after_sends: 2,
-            fault: OneShotFault::Crash(NodeId(9)),
-        }));
+        net.set_fault_plan(FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(9), after_sends: 2, fault: OneShotFault::Crash(NodeId(9)) }],
+            ..FaultPlan::new(1)
+        });
         let replies = net.call_many(NodeId(9), vec![(NodeId(1), 1), (NodeId(2), 2), (NodeId(3), 3)]);
         assert!(replies.iter().all(|r| matches!(r, Err(Error::Timeout { .. }))));
         // The first request had left before the sender died: it was served,
@@ -870,7 +862,8 @@ mod tests {
     fn concurrent_calls_overlap() {
         // With a 5 ms one-way delay, 8 concurrent calls should take far less
         // than 8 * 10 ms if they truly overlap.
-        let (net, _) = setup(LatencyMatrix::uniform(Duration::from_millis(5)));
+        let d = Duration::from_millis(5);
+        let (net, _) = setup(LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 });
         let t0 = Instant::now();
         let handles: Vec<_> = (0..8)
             .map(|_| {

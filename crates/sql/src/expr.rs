@@ -151,6 +151,7 @@ impl Expr {
     }
 
     /// Shorthand: column reference.
+    #[cfg(test)]
     pub fn col(name: impl Into<String>) -> Expr {
         Expr::Column(name.into().to_ascii_lowercase())
     }

@@ -456,11 +456,13 @@ impl VersionStore {
     }
 
     /// Number of keys with any version.
+    #[cfg(test)]
     pub fn key_count(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Total number of versions (GC metric).
+    #[cfg(test)]
     pub fn version_count(&self) -> usize {
         self.shards.iter().map(|s| s.read().values().map(Vec::len).sum::<usize>()).sum()
     }

@@ -177,6 +177,11 @@ mod tests {
 
     /// A source engine over a shared sink, with one committed, one aborted,
     /// one prepared-undecided, and one still-active transaction.
+    /// One past the sink's last byte: a record sink tiles the log from 0.
+    fn end_of(sink: &VecSink) -> Lsn {
+        Lsn(sink.contiguous().len() as u64)
+    }
+
     fn crashed_sink() -> Arc<VecSink> {
         let sink = VecSink::new();
         let e = StorageEngine::with_sink(Arc::clone(&sink) as Arc<dyn LogSink>);
@@ -285,14 +290,14 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_appends_resume() {
         let sink = crashed_sink();
-        let full = sink.end_lsn();
+        let full = end_of(&sink);
         // Tear 3 bytes off the final flush (mid-record).
         sink.truncate_to(Lsn(full.raw() - 3));
         let (_, e, report) = recovered_engine(Arc::clone(&sink), &[T]).unwrap();
         assert!(report.truncated_bytes > 0, "mid-record cut leaves a torn suffix");
         assert!(report.durable_lsn < full);
         // The sink now ends exactly at the durable horizon.
-        assert_eq!(sink.end_lsn(), report.durable_lsn);
+        assert_eq!(end_of(&sink), report.durable_lsn);
         // New commits extend the log from the horizon and the result is a
         // clean stream again.
         e.begin(TrxId(50), 30);
@@ -300,7 +305,7 @@ mod tests {
         e.commit(TrxId(50), 40).unwrap();
         let rescan = scan_records(&sink.contiguous());
         assert!(!rescan.torn, "post-recovery log must be clean");
-        assert!(sink.end_lsn() > report.durable_lsn);
+        assert!(end_of(&sink) > report.durable_lsn);
         // And a second recovery over the extended log sees the new commit.
         let (_, e2, _) = recovered_engine(sink, &[T]).unwrap();
         assert_eq!(e2.read(T, &key(9), 40, None).unwrap(), Some(row(9, "post")));

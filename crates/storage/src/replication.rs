@@ -332,6 +332,7 @@ impl RwNode {
     }
 
     /// The log purge horizon: `min(lsn_ROi)` (step ⑧ of Fig 3).
+    #[cfg(test)]
     pub fn purge_horizon(&self) -> Lsn {
         self.ros
             .read()

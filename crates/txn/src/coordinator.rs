@@ -843,7 +843,7 @@ mod tests {
         let commit_ts = txn.commit().unwrap();
         // DN3's clock started at pt=3000, far ahead of the others; the max
         // rule means commit_ts reflects it.
-        assert!(HlcTimestamp::from_raw(commit_ts).pt() >= 3000);
+        assert!(HlcTimestamp::from_raw(commit_ts) >= HlcTimestamp::at_pt(3000));
         // And the coordinator's clock absorbed it (batched ClockUpdate).
         assert!(coord.clock().now().raw() >= commit_ts);
     }
@@ -935,11 +935,10 @@ mod tests {
         // Drop the CN's 2nd send: the write is send 1, CommitLocal is send
         // 2. The retry (send 3) must succeed and ack the SAME commit_ts the
         // participant already decided.
-        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-            from: NodeId(9),
-            after_sends: 2,
-            fault: OneShotFault::DropNext,
-        }));
+        net.set_fault_plan(FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(9), after_sends: 2, fault: OneShotFault::DropNext }],
+            ..FaultPlan::new(1)
+        });
         let mut txn = coord.begin();
         txn.write(NodeId(1), T, key(1), WireWriteOp::Insert(row(1, 1))).unwrap();
         let commit_ts = txn.commit().unwrap();
@@ -1176,7 +1175,7 @@ mod tests {
         assert_eq!(rounds(&net) - waits, 1);
         assert_eq!(coord.metrics().two_phase_commits.get(), 1);
         // DN3's clock is the furthest ahead; the max rule still applies.
-        assert!(HlcTimestamp::from_raw(commit_ts).pt() >= 3000);
+        assert!(HlcTimestamp::from_raw(commit_ts) >= HlcTimestamp::at_pt(3000));
         assert_eq!(await_visible(&dns[0], &key(1), Duration::from_secs(1)), Some(row(1, 100)));
         assert_eq!(await_visible(&dns[1], &key(2), Duration::from_secs(1)), Some(row(2, 200)));
         // Staged writes to one DN are applied in the order staged.
@@ -1295,7 +1294,10 @@ mod tests {
         seed_pairs(&coord, &dns);
         // Every message is delivered twice: each DN answers from the count
         // it remembered, and the sum is still one per row.
-        net.set_fault_plan(FaultPlan::new(1).with_all_links(LinkFaults::none().with_duplicate(1.0)));
+        net.set_fault_plan(FaultPlan {
+            all_links: LinkFaults::none().with_duplicate(1.0),
+            ..FaultPlan::new(1)
+        });
         let (calls, waits) = (net.stats.snapshot().0, rounds(&net));
         let mut txn = coord.begin();
         for n in 1..=3 {
@@ -1343,7 +1345,10 @@ mod tests {
         let lift = LiftOnCommitLocal { inner: Arc::clone(&dns[1]), net: Arc::clone(&net) };
         net.register(NodeId(2), DcId(2), Arc::new(lift));
         // A call rolls its reply against the plan in force when it left.
-        net.set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+        net.set_fault_plan(FaultPlan {
+            per_link: vec![((DcId(2), DcId(1)), LinkFaults::lossy(1.0))],
+            ..FaultPlan::new(1)
+        });
         let mut txn = coord.begin();
         txn.stage_write(NodeId(2), T, key(2), bump(99));
         txn.stage_write(NodeId(2), T, key(52), bump(99)); // no such row
@@ -1417,11 +1422,10 @@ mod tests {
         seed.commit().unwrap();
         // The CommitLocal (the CN's 2nd send from here) is lost and there is
         // no retry: the DN is left holding the write's ACTIVE intent.
-        net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-            from: NodeId(9),
-            after_sends: 2,
-            fault: OneShotFault::DropNext,
-        }));
+        net.set_fault_plan(FaultPlan {
+            one_shots: vec![OneShot { from: NodeId(9), after_sends: 2, fault: OneShotFault::DropNext }],
+            ..FaultPlan::new(1)
+        });
         let mut txn = coord.begin();
         txn.write(NodeId(1), T, key(1), WireWriteOp::Update(row(1, 1))).unwrap();
         let err = txn.commit().unwrap_err();

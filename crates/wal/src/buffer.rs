@@ -85,6 +85,7 @@ impl VecSink {
     }
 
     /// One past the highest byte this sink holds ([`Lsn::ZERO`] if empty).
+    #[cfg(test)]
     pub fn end_lsn(&self) -> Lsn {
         self.inner
             .lock()

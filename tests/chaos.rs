@@ -1,12 +1,13 @@
-//! Chaos suite: 2PC and consensus under seeded fault plans.
+//! Chaos suite: 2PC and the commit path under seeded fault plans.
 //!
 //! Every scenario here injects faults through the simnet fabric's
 //! [`FaultPlan`] — seeded message loss, duplication and node crashes —
 //! and asserts the end-to-end safety properties the paper's protocols
 //! promise: transactional atomicity (all-or-nothing on every DN), no
-//! transaction left PREPARED forever, replication convergence after the
-//! fabric heals, and bit-for-bit determinism when the same seed is
-//! replayed.
+//! transaction left PREPARED forever, and bit-for-bit determinism when
+//! the same seed is replayed. Paxos convergence after a leader crash under
+//! lossy links is `consensus`'s own unit test
+//! (`group::tests::consensus_converges_after_leader_crash_under_loss`).
 //!
 //! Fault seeds honor `POLARDBX_TEST_SEED` (hex or decimal); each scenario
 //! announces its seed on stderr, which the test harness surfaces exactly
@@ -19,7 +20,6 @@ use bytes::Bytes;
 use polardbx::{ClusterConfig, PolarDbx};
 use polardbx_common::testseed::{format_seed, seed_from_env};
 use polardbx_common::{DcId, Error, Key, Lsn, NodeId, Row, TableId, TrxId, Value};
-use polardbx_consensus::{GroupConfig, PaxosGroup, Role};
 use polardbx_hlc::Hlc;
 use polardbx_simnet::{FaultPlan, Handler, LinkFaults, OneShot, OneShotFault, SimNet};
 use polardbx_storage::TxnState;
@@ -180,11 +180,10 @@ fn crash_mid_prepare_aborts_through_a_refusal(staged: bool) {
     // The CN's sends: two Writes unless staged, then Prepare to DN2 and to
     // DN3 — the CN dies on that last one.
     let crash_at = if staged { 2 } else { 4 };
-    net.set_fault_plan(FaultPlan::new(1).with_one_shot(OneShot {
-        from: CN,
-        after_sends: crash_at,
-        fault: OneShotFault::Crash(CN),
-    }));
+    net.set_fault_plan(FaultPlan {
+        one_shots: vec![OneShot { from: CN, after_sends: crash_at, fault: OneShotFault::Crash(CN) }],
+        ..FaultPlan::new(1)
+    });
 
     let mut txn = coord.begin();
     let trx = txn.id();
@@ -271,7 +270,10 @@ fn lost_reply_of_a_write_carrying_prepare_is_retried_without_reapplying() {
     // rolls its reply against the plan in force when its request left, so
     // lifting it while the first Prepare is being served loses exactly that
     // one reply.
-    net.set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+    net.set_fault_plan(FaultPlan {
+        per_link: vec![((DcId(2), DcId(1)), LinkFaults::lossy(1.0))],
+        ..FaultPlan::new(1)
+    });
     let hook_net = Arc::clone(&net);
     let dn2 = Arc::new(FirstPrepareHook {
         inner: Arc::clone(&dns[1]),
@@ -548,10 +550,10 @@ fn group_commit_chaos_settles_in_flight_txns() {
         }
     }
 
-    // The chaos actually happened: faults injected, the CN black-holed.
+    // The chaos actually happened: the CN was crashed and black-holed.
     assert!(commits_seen.load(Ordering::SeqCst) >= 12, "the crash trigger must have fired");
-    assert!(net.fault_stats.total_injected() > 0, "{}", net.fault_stats.report());
-    assert!(net.fault_stats.blackholed.get() > 0, "the crashed CN must have been black-holed");
+    let report = net.fault_stats.report();
+    assert!(net.fault_stats.blackholed.get() > 0, "the crashed CN was not black-holed: {report}");
 
     // Commit-path accounting on every DN: prepares, commits and the
     // resolver's settlement storm all rode the one pipeline, every
@@ -570,82 +572,4 @@ fn group_commit_chaos_settles_in_flight_txns() {
             "every submission must be released by exactly one persist"
         );
     }
-}
-
-fn paxos_payload(n: i64) -> polardbx_wal::Mtr {
-    polardbx_wal::Mtr::single(polardbx_wal::RedoPayload::Insert {
-        trx: polardbx_common::TrxId(1),
-        table: TableId(1),
-        key: key(n),
-        row: bytes::Bytes::from(vec![b'x'; 32]),
-    })
-}
-
-/// Consensus under chaos: lossy, duplicating cross-DC links while the
-/// leader streams log, then the leader crashes mid-replication, a follower
-/// is elected, and after heal + restart every replica converges on the new
-/// leader's log.
-#[test]
-fn consensus_converges_after_leader_crash_under_loss() {
-    let seed = seed_from_env(0xBAD_CAB1E);
-    eprintln!("consensus_converges_after_leader_crash_under_loss: POLARDBX_TEST_SEED={}", format_seed(seed));
-    let g = PaxosGroup::build(GroupConfig::three_dc(1));
-    g.net.set_fault_plan(
-        FaultPlan::new(seed).with_cross_dc(LinkFaults::lossy(0.10).with_duplicate(0.10)),
-    );
-    let leader = g.leader().unwrap();
-    // Heartbeats drive the ack/resend repair loop, so lost appends are
-    // retransmitted even with no new writes in flight.
-    let ticker = leader.start_ticker(Duration::from_millis(5), Duration::from_secs(30)).unwrap();
-    for i in 0..20 {
-        leader.replicate(&[paxos_payload(i)]).unwrap();
-    }
-    // Wait until the DC2 follower holds the full log (repair under loss):
-    // a candidate missing majority-committed entries cannot win votes.
-    let target = leader.status().last_lsn;
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while g.replicas[1].status().last_lsn < target && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(g.replicas[1].status().last_lsn >= target, "repair must backfill the follower");
-
-    // Crash the leader mid-replication; a DC2 follower must take over.
-    leader.stop_ticker();
-    let _ = ticker.join();
-    g.net.crash(leader.me);
-    let follower = g.replicas[1].clone();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while follower.status().role != Role::Leader && std::time::Instant::now() < deadline {
-        follower.campaign();
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(follower.status().role, Role::Leader, "follower must win the election");
-    for i in 20..30 {
-        follower.replicate(&[paxos_payload(i)]).unwrap();
-    }
-
-    // Heal: stop injecting faults, bring the old leader back. The new
-    // leader's heartbeats drive the ack/resend repair loop, so the
-    // restarted node gets backfilled even if an append races its restart.
-    g.net.clear_fault_plan();
-    g.net.restart_resume(leader.me);
-    let new_ticker = follower.start_ticker(Duration::from_millis(5), Duration::from_secs(30)).unwrap();
-    let final_lsn = follower
-        .replicate_and_wait(&[paxos_payload(99)], Duration::from_secs(2))
-        .expect("healed group must commit");
-    let converged = g.await_dlsn(final_lsn, Duration::from_secs(5));
-    follower.stop_ticker();
-    let _ = new_ticker.join();
-    assert!(converged, "all replicas must converge");
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while leader.status().role != Role::Follower && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(leader.status().role, Role::Follower, "deposed leader must step down");
-    for r in &g.replicas {
-        assert!(r.status().last_lsn >= final_lsn, "log must converge on {:?}", r.me);
-    }
-    assert!(follower.metrics.elections_won.get() >= 1);
-    assert!(g.net.fault_stats.total_injected() > 0, "{}", g.net.fault_stats.report());
 }

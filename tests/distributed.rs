@@ -374,7 +374,10 @@ fn a_lost_vote_reply_is_in_doubt_and_applied_once() {
     let update = format!("UPDATE t SET v = v + 1 WHERE id IN ({a}, {b})");
 
     // Every reply from DC 2 to DC 1 is lost while the first statement runs.
-    db.net().set_fault_plan(FaultPlan::new(1).with_link(DcId(2), DcId(1), LinkFaults::lossy(1.0)));
+    db.net().set_fault_plan(FaultPlan {
+        per_link: vec![((DcId(2), DcId(1)), LinkFaults::lossy(1.0))],
+        ..FaultPlan::new(1)
+    });
     let (mut acked, mut in_doubt) = (0, 0);
     for _ in 0..4 {
         loop {
@@ -411,29 +414,14 @@ fn a_lost_vote_reply_is_in_doubt_and_applied_once() {
 }
 
 /// A DN whose commits ride a 3-DC Paxos group keeps all committed rows
-/// visible on the follower after a leader failover — and the follower's
-/// replayed state matches the leader's.
+/// after a leader failover: replaying the new leader's durable log — the
+/// follower's sink — into an engine of its own yields every committed row.
 #[test]
 fn paxos_backed_engine_survives_failover() {
-    let group = PaxosGroup::build(
-        GroupConfig::three_dc(1).with_latency(LatencyMatrix::uniform(Duration::from_micros(200))),
-    );
+    let d = Duration::from_micros(200);
+    let latency = LatencyMatrix { intra_dc: d, inter_dc: d, jitter: 0.0 };
+    let group = PaxosGroup::build(GroupConfig::three_dc(1).with_latency(latency));
     let leader = group.leader().unwrap();
-
-    // The follower maintains a replica engine by replaying applied frames:
-    // each transaction the assembler completes is applied at its commit
-    // timestamp.
-    let replica_engine = StorageEngine::in_memory();
-    replica_engine.create_table(TableId(1), TenantId(1));
-    {
-        let replica_engine = Arc::clone(&replica_engine);
-        let assembler = Mutex::new(TxnAssembler::default());
-        group.replicas[1].set_apply(Box::new(move |frame| {
-            if let Ok(committed) = assembler.lock().unwrap().feed(frame.payload.clone()) {
-                committed.iter().for_each(|txn| replica_engine.apply_committed(txn));
-            }
-        }));
-    }
 
     let engine = StorageEngine::in_memory();
     polardbx::durability::enable_paxos_epoch(
@@ -462,10 +450,22 @@ fn paxos_backed_engine_survives_failover() {
     }
     assert_eq!(group.replicas[1].status().role, Role::Leader);
 
-    // Every committed row is present in the follower's replayed engine.
+    // Replay the new leader's durable frames: each transaction the
+    // assembler completes is applied at its commit timestamp, and every
+    // committed row is there.
+    let replayed = || {
+        let replica_engine = StorageEngine::in_memory();
+        replica_engine.create_table(TableId(1), TenantId(1));
+        let mut assembler = TxnAssembler::default();
+        for frame in polardbx_wal::scan_frames(&group.sinks[1].frame_stream()).frames {
+            let committed = assembler.feed(frame.payload).unwrap();
+            committed.iter().for_each(|txn| replica_engine.apply_committed(txn));
+        }
+        replica_engine.count_rows(TableId(1), u64::MAX).unwrap()
+    };
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     loop {
-        let n = replica_engine.count_rows(TableId(1), u64::MAX).unwrap();
+        let n = replayed();
         if n == 30 || std::time::Instant::now() > deadline {
             assert_eq!(n, 30, "failover must not lose committed rows");
             break;

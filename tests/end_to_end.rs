@@ -345,19 +345,23 @@ fn shard_rebalancing_moves_data_without_copy() {
     s.execute("INSERT INTO events (id, v) VALUES (1000, 1000)").unwrap();
     assert_eq!(db.count_rows("events").unwrap(), 121);
 
-    // Full rebalance is a no-op-or-better and preserves every row.
-    db.rebalance("events").unwrap();
+    // Spreading every shard over the DNs preserves every row.
+    let dns: Vec<_> = db.dns().iter().map(|d| d.id).collect();
+    for (shard, &dest) in (0..6).zip(dns.iter().cycle()) {
+        db.rehome_shard_by_id(schema.id, shard, dest).unwrap();
+    }
     assert_eq!(db.count_rows("events").unwrap(), 121);
     let r = s.query("SELECT COUNT(*) FROM events WHERE id < 120").unwrap();
     assert_eq!(r[0].get(0).unwrap(), &Value::Int(120));
     db.shutdown();
 }
 
-/// `rebalance` under live traffic: every move is the per-shard cutover
-/// (`rehome_shard_by_id`), so writers only ever see retryable bounces, no
-/// acknowledged `v = v + 1` is lost, and a transaction left open on
-/// another table of the source DN holds no move up. (The engine-wide
-/// drain it used to call waited for that transaction until it timed out.)
+/// Spreading a crowded table over the DNs under live traffic: every move is
+/// the per-shard cutover (`rehome_shard_by_id`), so writers only ever see
+/// retryable bounces, no acknowledged `v = v + 1` is lost, and a
+/// transaction left open on another table of the source DN holds no move
+/// up. (An engine-wide drain would wait for that transaction until it
+/// timed out.)
 #[test]
 fn rebalance_under_live_traffic_loses_no_update() {
     use polardbx_common::{Key, Row};
@@ -386,8 +390,8 @@ fn rebalance_under_live_traffic_loses_no_update() {
          PARTITION BY HASH(id) PARTITIONS 1",
     )
     .unwrap();
-    // Pile every shard on one DN so the rebalance has shards to move, and
-    // leave a transaction open there on the other table.
+    // Pile every shard on one DN so there are shards to move, and leave a
+    // transaction open there on the other table.
     let schema = db.gms().table("t").unwrap();
     let crowded = db.dns()[0].id;
     for shard in 0..8 {
@@ -429,13 +433,23 @@ fn rebalance_under_live_traffic_loses_no_update() {
             });
         }
         await_acks(50);
-        let moved = db.rebalance("t");
+        // Deal the crowded shards round-robin over the DNs, one cutover each.
+        let dns: Vec<_> = db.dns().iter().map(|d| d.id).collect();
+        let spread = || -> polardbx_common::Result<usize> {
+            let mut moved = 0;
+            for (shard, &dest) in (0..8).zip(dns.iter().cycle()).filter(|&(_, &d)| d != crowded) {
+                db.rehome_shard_by_id(schema.id, shard, dest)?;
+                moved += 1;
+            }
+            Ok(moved)
+        };
+        let moved = spread();
         await_acks(50);
         stop.store(true, Ordering::Relaxed);
         moved
     });
     let acked = acked.into_inner();
-    let moved = moved.expect("rebalance must succeed under live traffic");
+    let moved = moved.expect("the moves must succeed under live traffic");
     open.commit().unwrap();
     assert_eq!(db.count_rows("bystander").unwrap(), 1);
     assert!(moved > 0, "a table crowded on one DN has shards to move");
@@ -467,38 +481,6 @@ fn explain_reports_class_and_storage_choice() {
     assert!(plan.contains("ColumnIndex"), "bulk aggregate prefers the column index: {plan}");
     assert!(plan.contains("Aggregate"), "{plan}");
     assert!(plan.contains("Scan big"), "{plan}");
-    db.shutdown();
-}
-
-#[test]
-fn ap_memory_region_limits_and_tp_preempts()  {
-    let db = cluster(1);
-    let s = db.connect(DcId(1));
-    s.execute("CREATE TABLE m (id BIGINT NOT NULL, PRIMARY KEY (id))").unwrap();
-    s.execute("INSERT INTO m (id) VALUES (1), (2), (3)").unwrap();
-    db.gms().record_rows("m", 50_000_000); // huge estimate → large AP reservation
-
-    // Exhaust the AP region; the AP query must fail with MemoryExhausted,
-    // not hang or thrash.
-    let hog = (0..13)
-        .map(|_| {
-            polardbx_executor::memory::Reservation::ap(db.memory().clone(), 64 << 20)
-        })
-        .take_while(|r| r.is_ok())
-        .collect::<Vec<_>>();
-    let err = s.query("SELECT COUNT(*) FROM m").unwrap_err();
-    assert!(matches!(err, polardbx_common::Error::MemoryExhausted { .. }), "{err}");
-    drop(hog);
-    // With the region free again the query runs.
-    let rows = s.query("SELECT COUNT(*) FROM m").unwrap();
-    assert_eq!(rows[0].get(0).unwrap(), &Value::Int(3));
-
-    // TP is privileged: it preempts AP headroom rather than failing.
-    let (_, _ap_used, before_max) = db.memory().usage();
-    let _tp = polardbx_executor::memory::Reservation::tp(db.memory().clone(), 380 << 20)
-        .expect("TP preempts");
-    let (_, _, after_max) = db.memory().usage();
-    assert!(after_max < before_max, "AP budget shrank under TP pressure");
     db.shutdown();
 }
 

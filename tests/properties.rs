@@ -223,7 +223,7 @@ fn columnar_matches_row_oracle() {
                 index.apply_put(TrxId(i as u64), ts, key, &row).unwrap();
                 oracle.insert(*k, i as i64);
             } else {
-                index.apply_delete(TrxId(i as u64), ts, &key);
+                index.writer().delete(ts, &key);
                 oracle.remove(k);
             }
             checkpoints.push((ts, oracle.clone()));
@@ -737,7 +737,7 @@ impl IndexedOnly {
                 ts += 1;
                 index.apply_put(TrxId(ts), ts, gone.clone(), &decoy).unwrap();
                 ts += 1;
-                index.apply_delete(TrxId(ts), ts, &gone);
+                index.writer().delete(ts, &gone);
             }
         }
         for p in 0..padding {
@@ -749,7 +749,7 @@ impl IndexedOnly {
                 Value::str(format!("pad{p}")),
             ]);
             index.apply_put(TrxId(ts + 1), ts + 1, gone.clone(), &row).unwrap();
-            index.apply_delete(TrxId(ts + 2), ts + 2, &gone);
+            index.writer().delete(ts + 2, &gone);
             ts += 2;
         }
         IndexedOnly { index, ts }
