@@ -14,7 +14,11 @@
 //!   with collision verification (no key allocation, no `Value` clones).
 //!
 //! Results (before/after and speedup) are written to `BENCH_exec.json`
-//! and the per-operator metric counters are printed.
+//! and the per-operator metric counters are printed. Then the same query
+//! and a join of a 16-row dimension with `t` run on one worker, and the
+//! wall nanoseconds per input row of the aggregate, the join build, the
+//! join probe and the row-partition scan are printed and written beside
+//! them (`ns_per_row`).
 //!
 //! Run: `cargo run --release -p polardbx-bench --bin exec_bench [--quick]`
 
@@ -54,7 +58,52 @@ fn build_provider(rows_per_part: usize) -> (Arc<dyn TableProvider>, usize) {
     }
     let mut mem = MemTables::new();
     mem.add("t", parts);
+    // The join's build side: one row per group, with a name.
+    let dim = (0..16).map(|g| Row::new(vec![Value::Int(g), Value::str(format!("g{g}"))]));
+    mem.add("d", vec![dim.collect()]);
     (Arc::new(mem), total)
+}
+
+/// `SELECT d.name, COUNT(*), SUM(t.v) FROM d JOIN t ON d.g = t.g WHERE
+/// t.v >= 500 GROUP BY d.name`: a build of 16 rows and a probe of every
+/// selected `t` row.
+fn join_plan() -> LogicalPlan {
+    let scan = |table: &str, cols: &[&str]| LogicalPlan::Scan {
+        table: table.into(),
+        schema: cols.iter().map(|c| format!("{table}.{c}")).collect(),
+    };
+    let join = LogicalPlan::Join {
+        left: Box::new(scan("d", &["g", "name"])),
+        right: Box::new(LogicalPlan::Filter {
+            input: Box::new(scan("t", &["id", "g", "v"])),
+            predicate: Expr::binary(BinOp::Ge, Expr::ColumnIdx(2), Expr::int(500)),
+        }),
+        on: vec![(0, 1)],
+        filter: None,
+    };
+    LogicalPlan::Aggregate {
+        input: Box::new(join),
+        group_by: vec![Expr::ColumnIdx(1)],
+        aggs: vec![
+            AggSpec { func: AggFunc::Count, arg: None, distinct: false },
+            AggSpec { func: AggFunc::Sum, arg: Some(Expr::ColumnIdx(4)), distinct: false },
+        ],
+        names: vec!["name".into(), "c".into(), "s".into()],
+    }
+}
+
+/// Wall nanoseconds per input row of each vectorized operator since the
+/// counters were last reset: (aggregate, join build, join probe,
+/// row-partition scan).
+fn ns_per_row() -> [f64; 4] {
+    let m = exec_metrics();
+    let per = |ns: u64, rows: u64| if rows == 0 { 0.0 } else { ns as f64 / rows as f64 };
+    [
+        per(m.aggregate.nanos.get(), m.aggregate.rows.get()),
+        per(m.build_nanos.get(), m.build_rows.get()),
+        per(m.join.nanos.get() - m.build_nanos.get(), m.probe_rows.get()),
+        per(m.scan.nanos.get(), m.scan.rows.get()),
+    ]
 }
 
 fn plan() -> LogicalPlan {
@@ -177,8 +226,30 @@ fn main() {
     println!();
     print!("{}", exec_metrics().report());
 
+    // Per-row costs on one worker — with more workers than cores, an
+    // operator's wall time would count the others' time slices: the
+    // aggregate query and a join query, each operator's time over its own
+    // input rows.
+    let serial = MppExecutor::with_pool(1, WorkloadManager::new(1, 1.0, 1.0));
+    let join = join_plan();
+    for plan in [&plan, &join] {
+        serial.execute(plan, &provider, &ctx).unwrap();
+    }
+    exec_metrics().reset();
+    for _ in 0..reps {
+        for plan in [&plan, &join] {
+            serial.execute(plan, &provider, &ctx).unwrap();
+        }
+    }
+    let [agg, build, probe, scan] = ns_per_row();
+    println!();
+    println!(
+        "  ns per input row, 1 worker: aggregate {agg:.1}, join build {build:.1}, join probe {probe:.1}, \
+         row-partition scan {scan:.1}"
+    );
+
     let json = format!(
-        "{{\n  \"benchmark\": \"exec_bench\",\n  \"rows\": {total},\n  \"workers\": {WORKERS},\n  \"partitions\": {PARTITIONS},\n  \"query\": \"SELECT g, COUNT(*), SUM(v*v) FROM t WHERE v >= 100 GROUP BY g\",\n  \"before_row_engine_ms\": {:.3},\n  \"after_vectorized_ms\": {:.3},\n  \"speedup\": {:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"exec_bench\",\n  \"rows\": {total},\n  \"workers\": {WORKERS},\n  \"partitions\": {PARTITIONS},\n  \"query\": \"SELECT g, COUNT(*), SUM(v*v) FROM t WHERE v >= 100 GROUP BY g\",\n  \"before_row_engine_ms\": {:.3},\n  \"after_vectorized_ms\": {:.3},\n  \"speedup\": {:.3},\n  \"ns_per_row\": {{\"aggregate\": {agg:.1}, \"join_build\": {build:.1}, \"join_probe\": {probe:.1}, \"row_partition_scan\": {scan:.1}}}\n}}\n",
         t_row.as_secs_f64() * 1e3,
         t_vec.as_secs_f64() * 1e3,
         speedup,

@@ -2,7 +2,7 @@
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -118,7 +118,10 @@ pub struct Replica {
     /// Recovery-path counters (retransmits, elections, duplicates).
     pub metrics: ConsensusMetrics,
     sink: Arc<dyn LogSink>,
-    apply: Mutex<Option<ApplyFn>>,
+    /// The follower-side apply callback, once installed. A DLSN advance
+    /// reads it without a lock; the mutex orders the applies of a replica
+    /// that has one.
+    apply: OnceLock<Mutex<ApplyFn>>,
     /// Optional history tap: leadership changes are annotated into recorded
     /// histories so isolation witnesses carry their schedule context.
     recorder: Mutex<Option<Arc<polardbx_common::HistoryRecorder>>>,
@@ -157,7 +160,7 @@ impl Replica {
             waiters: CommitWaiters::new(),
             metrics: ConsensusMetrics::default(),
             sink,
-            apply: Mutex::new(None),
+            apply: OnceLock::new(),
             recorder: Mutex::new(None),
         })
     }
@@ -210,7 +213,7 @@ impl Replica {
             waiters: CommitWaiters::new(),
             metrics: ConsensusMetrics::default(),
             sink,
-            apply: Mutex::new(None),
+            apply: OnceLock::new(),
             recorder: Mutex::new(None),
         })
     }
@@ -233,7 +236,7 @@ impl Replica {
     /// Install the apply callback (follower-side redo replay).
     #[cfg(test)]
     pub fn set_apply(&self, f: ApplyFn) {
-        *self.apply.lock() = Some(f);
+        assert!(self.apply.set(Mutex::new(f)).is_ok(), "one apply callback per replica");
     }
 
     /// Snapshot of current state.
@@ -547,8 +550,8 @@ impl Replica {
 
     /// Apply frames with `lsn_end <= dlsn` through the apply callback.
     fn apply_up_to(&self, dlsn: Lsn) {
-        let apply = self.apply.lock();
-        let Some(apply_fn) = apply.as_ref() else { return };
+        let Some(apply) = self.apply.get() else { return };
+        let apply_fn = apply.lock();
         loop {
             let frame = {
                 let mut st = self.st.lock();

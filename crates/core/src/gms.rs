@@ -183,6 +183,15 @@ impl Gms {
             .ok_or(Error::UnknownTable { name: name.into() })
     }
 
+    /// `read` over the schema of table `name`, without copying it.
+    pub fn with_table<T>(&self, name: &str, read: impl FnOnce(&TableSchema) -> T) -> Result<T> {
+        let tables = self.tables.read();
+        let schema = tables
+            .get(&name.to_ascii_lowercase())
+            .ok_or(Error::UnknownTable { name: name.into() })?;
+        Ok(read(schema))
+    }
+
     /// Replace a schema (DDL like CREATE INDEX).
     pub fn update_table(&self, schema: TableSchema) {
         self.tables.write().insert(schema.name.clone(), schema);

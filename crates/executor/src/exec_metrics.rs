@@ -62,6 +62,12 @@ pub struct ExecMetrics {
     pub project: OpMetrics,
     /// Hash joins (build + probe).
     pub join: OpMetrics,
+    /// Rows a join's build side chained: the input of the builds.
+    pub build_rows: Counter,
+    /// Wall nanoseconds of the builds, a part of `join.nanos`.
+    pub build_nanos: Counter,
+    /// Rows probed against a build side: the input of the probes.
+    pub probe_rows: Counter,
     /// Hash aggregation.
     pub aggregate: OpMetrics,
     /// Sorts.
@@ -90,6 +96,9 @@ impl ExecMetrics {
         self.filter.reset();
         self.project.reset();
         self.join.reset();
+        self.build_rows.reset();
+        self.build_nanos.reset();
+        self.probe_rows.reset();
         self.aggregate.reset();
         self.sort.reset();
         self.morsels.reset();
@@ -113,6 +122,12 @@ impl ExecMetrics {
             s.push_str(&m.line(name));
             s.push('\n');
         }
+        s.push_str(&format!(
+            "  join      built={:<10} build_ns={:<10} probed={}\n",
+            self.build_rows.get(),
+            self.build_nanos.get(),
+            self.probe_rows.get()
+        ));
         s.push_str(&format!(
             "  morsels={} stolen={}\n",
             self.morsels.get(),

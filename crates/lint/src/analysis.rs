@@ -948,23 +948,22 @@ pub(crate) fn prev_path_ident(toks: &[Tok], i: usize) -> Option<String> {
     None
 }
 
-/// Token-index mask: true where the token sits in `#[cfg(test)] mod { … }`
-/// or a `#[test] fn { … }` body.
+/// Token-index mask: true where the token sits in test code — an item,
+/// field or statement under `#[test]` or a `#[cfg(…)]` that needs `test`:
+/// a `mod { … }` or `fn { … }` through its body, a field through its `,`,
+/// a statement through its `;`.
 pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
-        // #[cfg(test)]  (also matches #[cfg(all(test, …))] via contains)
+        // #[test], #[cfg(test)], #[cfg(all(test, …))] — not #[cfg(not(test))].
         if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             let close = match matching(toks, i + 1, '[', ']') {
                 Some(c) => c,
                 None => break,
             };
-            let attr: Vec<&str> = toks[i + 2..close].iter().map(|t| t.text.as_str()).collect();
-            let is_test_attr = attr.first() == Some(&"test")
-                || (attr.first() == Some(&"cfg") && attr.contains(&"test"));
-            if is_test_attr {
-                // Skip any further attributes, then expect mod/fn … `{`.
+            if is_test_attr(&toks[i + 2..close]) {
+                // Skip any further attributes, then mask the item.
                 let mut j = close + 1;
                 while toks.get(j).is_some_and(|t| t.is_punct('#'))
                     && toks.get(j + 1).is_some_and(|t| t.is_punct('['))
@@ -974,20 +973,12 @@ pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
                         None => return mask,
                     }
                 }
-                // Find the opening brace of the item (skipping signatures).
-                let mut k = j;
-                while k < toks.len() && !toks[k].is_punct('{') && !toks[k].is_punct(';') {
-                    k += 1;
+                let end = attributed_end(toks, j);
+                for m in mask.iter_mut().take(end + 1).skip(i) {
+                    *m = true;
                 }
-                if k < toks.len() && toks[k].is_punct('{') {
-                    if let Some(end) = matching(toks, k, '{', '}') {
-                        for m in mask.iter_mut().take(end + 1).skip(i) {
-                            *m = true;
-                        }
-                        i = end + 1;
-                        continue;
-                    }
-                }
+                i = end + 1;
+                continue;
             }
             i = close + 1;
             continue;
@@ -995,6 +986,61 @@ pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
         i += 1;
     }
     mask
+}
+
+/// Is the attribute whose tokens (inside `#[…]`) are `attr` a test one:
+/// `test`, or a `cfg` that names `test` outside a `not(…)`?
+fn is_test_attr(attr: &[Tok]) -> bool {
+    if attr.first().is_some_and(|t| t.is_ident("test")) {
+        return true;
+    }
+    if !attr.first().is_some_and(|t| t.is_ident("cfg")) {
+        return false;
+    }
+    // The predicates enclosing each token: `not` negates what it holds.
+    let mut within: Vec<bool> = Vec::new();
+    for (k, t) in attr.iter().enumerate() {
+        if t.is_punct('(') {
+            within.push(k > 0 && attr[k - 1].is_ident("not"));
+        } else if t.is_punct(')') {
+            within.pop();
+        } else if t.is_ident("test") && !within.iter().any(|&not| not) {
+            return true;
+        }
+    }
+    false
+}
+
+/// The last token of the item, field or statement that starts at `j`
+/// after its attributes: the `}` closing its body when it has one, else
+/// the `;` or `,` that ends it, else the token before the `}` closing the
+/// block it sits in (a last field without a trailing comma).
+fn attributed_end(toks: &[Tok], j: usize) -> usize {
+    // `()` / `[]` nesting, and `<>` nesting, which only a `,` heeds: a
+    // comparison in a statement opens a `<` that never closes.
+    let (mut nest, mut angle) = (0i64, 0i64);
+    for (k, t) in toks.iter().enumerate().skip(j) {
+        if t.is_punct('(') || t.is_punct('[') {
+            nest += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            nest -= 1;
+        } else if t.is_punct('<') {
+            angle += 1;
+        } else if t.is_punct('>') && !toks[k - 1].is_punct('-') {
+            angle -= 1;
+        } else if nest <= 0 {
+            if t.is_punct('{') {
+                return matching(toks, k, '{', '}').unwrap_or(toks.len() - 1);
+            }
+            if t.is_punct(';') || (t.is_punct(',') && angle <= 0) {
+                return k;
+            }
+            if t.is_punct('}') {
+                return k.saturating_sub(1).max(j);
+            }
+        }
+    }
+    toks.len() - 1
 }
 
 /// Per-token enclosing `impl Type` / `trait Type` name. For
@@ -1600,4 +1646,44 @@ fn enclosing_symbol(table: &SymbolTable, file: &str, line: u32) -> Option<String
         .filter(|f| f.file == file && f.line <= line)
         .max_by_key(|f| f.line)
         .map(|f| f.symbol_path())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tokenizer::tokenize;
+
+    /// The identifiers `src`'s test mask leaves out.
+    fn product_idents(src: &str) -> Vec<String> {
+        let toks = tokenize(src).toks;
+        let mask = test_mask(&toks);
+        toks.iter()
+            .zip(mask)
+            .filter(|(t, test)| !test && t.text.chars().all(|c| c.is_alphanumeric() || c == '_'))
+            .map(|(t, _)| t.text.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_test_field_or_statement_masks_itself_not_what_follows() {
+        let src = "pub struct A { x: u32, #[cfg(test)] time: Option<Arc<T, U>>, y: u8 }
+            pub struct B { #[cfg(test)] time: Option<Arc<T>> }
+            impl Default for B { fn default() -> B { #[cfg(test)] let z = a < b; keep(); B {} } }";
+        let kept = product_idents(src);
+        for name in ["x", "y", "Default", "default", "keep"] {
+            assert!(kept.iter().any(|k| k == name), "{name} masked: {kept:?}");
+        }
+        for name in ["time", "z"] {
+            assert!(!kept.iter().any(|k| k == name), "{name} kept: {kept:?}");
+        }
+    }
+
+    #[test]
+    fn cfg_not_test_is_product_code() {
+        let src = "#[cfg(not(test))] pub fn live() {} #[cfg(test)] fn t() {}
+            #[cfg(all(test, not(loom)))] fn u() {} #[cfg(any(unix, not(test)))] fn v() {}";
+        let kept = product_idents(src);
+        assert!(kept.iter().any(|k| k == "live") && kept.iter().any(|k| k == "v"), "{kept:?}");
+        assert!(!kept.iter().any(|k| k == "t" || k == "u"), "{kept:?}");
+    }
 }

@@ -26,7 +26,7 @@ use polardbx_wal::{
 };
 
 use crate::feed::{CommittedTxn, RowChange};
-use crate::mvcc::{VersionOp, VersionStore};
+use crate::mvcc::{Snapshot, VersionOp, VersionStore};
 use crate::rowcodec::encode_row;
 use crate::shard::ShardedMap;
 use crate::txn::TxnTable;
@@ -449,6 +449,30 @@ impl StorageEngine {
     /// Full-table snapshot scan.
     pub fn scan_table(&self, table: TableId, snapshot_ts: u64) -> Result<Vec<(Key, Row)>> {
         self.scan(table, Bound::Unbounded, Bound::Unbounded, snapshot_ts, None)
+    }
+
+    /// Full-table snapshot scan that copies nothing itself: every visible
+    /// row, with its key, is handed to `visit` borrowed — lock shard by
+    /// lock shard, so in key order within a shard only — and the visitor
+    /// keeps what it needs. The same visibility and PREPARED-wait rules as
+    /// [`StorageEngine::scan_table`]; a wait restarts the pass from a fresh
+    /// `start()`.
+    pub fn scan_table_with<T>(
+        &self,
+        table: TableId,
+        snapshot_ts: u64,
+        start: impl FnMut() -> T,
+        mut visit: impl FnMut(&mut T, &Key, &Row),
+    ) -> Result<T> {
+        let read = Snapshot {
+            txns: &self.txns,
+            snapshot_ts,
+            me: None,
+            timeout: self.wait_timeout,
+            ignore_prepared: self.ignore_prepared_reads.load(Ordering::Acquire),
+        };
+        let all = (Bound::Unbounded, Bound::Unbounded);
+        self.store(table)?.visit(&read, all, start, |out, key, row, _| visit(out, key, row))
     }
 
     /// 2PC phase one: validate (already done at write time), mark PREPARED

@@ -51,6 +51,41 @@ pub enum ReadResult {
     MustWait(TrxId),
 }
 
+/// Who reads a [`VersionStore`], at what snapshot, and how long a
+/// PREPARED writer is waited for.
+#[derive(Clone, Copy)]
+pub(crate) struct Snapshot<'t> {
+    /// The node's transaction table.
+    pub(crate) txns: &'t TxnTable,
+    /// The read timestamp.
+    pub(crate) snapshot_ts: u64,
+    /// The reading transaction, which sees its own writes.
+    pub(crate) me: Option<TrxId>,
+    /// The longest wait for one writer's decision.
+    pub(crate) timeout: Duration,
+    /// Skip PREPARED writers instead of waiting — checker-validation mode
+    /// only.
+    pub(crate) ignore_prepared: bool,
+}
+
+/// What a snapshot sees of one key: [`ReadResult`] with the row borrowed
+/// from its version chain, for a reader that copies only what it keeps.
+enum Seen<'c> {
+    Row(&'c Row),
+    NotFound,
+    MustWait(TrxId),
+}
+
+impl Seen<'_> {
+    fn owned(self) -> ReadResult {
+        match self {
+            Seen::Row(r) => ReadResult::Row(r.clone()),
+            Seen::NotFound => ReadResult::NotFound,
+            Seen::MustWait(w) => ReadResult::MustWait(w),
+        }
+    }
+}
+
 /// Versioned key-value store for one table's primary data (or one hidden
 /// index table).
 ///
@@ -217,7 +252,7 @@ impl VersionStore {
         snapshot_ts: u64,
         me: Option<TrxId>,
     ) -> ReadResult {
-        self.visibility_observed(txns, chain, snapshot_ts, me, false).0
+        self.visibility_observed(txns, chain, snapshot_ts, me, false).0.owned()
     }
 
     /// [`VersionStore::visibility`] that also reports *which* version the
@@ -226,20 +261,20 @@ impl VersionStore {
     /// (`ignore_prepared = true`) used only to validate the isolation
     /// checker: it reads below the snapshot watermark, exactly the §IV
     /// case-2 violation HLC-SI exists to prevent.
-    fn visibility_observed(
+    fn visibility_observed<'c>(
         &self,
         txns: &TxnTable,
-        chain: &[Version],
+        chain: &'c [Version],
         snapshot_ts: u64,
         me: Option<TrxId>,
         ignore_prepared: bool,
-    ) -> (ReadResult, Option<VersionRef>) {
+    ) -> (Seen<'c>, Option<VersionRef>) {
         for v in chain.iter().rev() {
             if Some(v.trx) == me {
                 let observed = Some(VersionRef { writer: v.trx, commit_ts: v.decided_ts });
                 return match &v.op {
-                    VersionOp::Put(row) => (ReadResult::Row(row.clone()), observed),
-                    VersionOp::Delete => (ReadResult::NotFound, observed),
+                    VersionOp::Put(row) => (Seen::Row(row), observed),
+                    VersionOp::Delete => (Seen::NotFound, observed),
                 };
             }
             match v.decided_ts {
@@ -249,12 +284,12 @@ impl VersionStore {
                     // transaction — its commit could yet be rolled back by
                     // a torn epoch. Gate until the epoch resolves.
                     if txns.is_unstable(v.trx) {
-                        return (ReadResult::MustWait(v.trx), None);
+                        return (Seen::MustWait(v.trx), None);
                     }
                     let observed = Some(VersionRef { writer: v.trx, commit_ts: Some(ts) });
                     return match &v.op {
-                        VersionOp::Put(row) => (ReadResult::Row(row.clone()), observed),
-                        VersionOp::Delete => (ReadResult::NotFound, observed),
+                        VersionOp::Put(row) => (Seen::Row(row), observed),
+                        VersionOp::Delete => (Seen::NotFound, observed),
                     };
                 }
                 Some(_) => continue, // committed in the future of this snapshot
@@ -263,18 +298,18 @@ impl VersionStore {
                         if ignore_prepared {
                             continue;
                         }
-                        return (ReadResult::MustWait(v.trx), None);
+                        return (Seen::MustWait(v.trx), None);
                     }
                     Some(TxnState::Committed { commit_ts }) => {
                         if commit_ts <= snapshot_ts {
                             if txns.is_unstable(v.trx) {
-                                return (ReadResult::MustWait(v.trx), None);
+                                return (Seen::MustWait(v.trx), None);
                             }
                             let observed =
                                 Some(VersionRef { writer: v.trx, commit_ts: Some(commit_ts) });
                             return match &v.op {
-                                VersionOp::Put(row) => (ReadResult::Row(row.clone()), observed),
-                                VersionOp::Delete => (ReadResult::NotFound, observed),
+                                VersionOp::Put(row) => (Seen::Row(row), observed),
+                                VersionOp::Delete => (Seen::NotFound, observed),
                             };
                         }
                         continue;
@@ -284,7 +319,7 @@ impl VersionStore {
                 },
             }
         }
-        (ReadResult::NotFound, None)
+        (Seen::NotFound, None)
     }
 
     /// Point read at `snapshot_ts`. `me` marks the reading transaction so
@@ -333,7 +368,9 @@ impl VersionStore {
                 let map = self.shard(key).read();
                 match map.get(key) {
                     Some(chain) => {
-                        self.visibility_observed(txns, chain, snapshot_ts, me, ignore_prepared)
+                        let (seen, observed) =
+                            self.visibility_observed(txns, chain, snapshot_ts, me, ignore_prepared);
+                        (seen.owned(), observed)
                     }
                     None => (ReadResult::NotFound, None),
                 }
@@ -386,26 +423,45 @@ impl VersionStore {
         timeout: Duration,
         ignore_prepared: bool,
     ) -> Result<Vec<(Key, Row, VersionRef)>> {
+        let read = Snapshot { txns, snapshot_ts, me, timeout, ignore_prepared };
+        let mut out = self.visit(&read, (lower, upper), Vec::new, |out, k, r, observed| {
+            out.push((k.clone(), r.clone(), observed))
+        })?;
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
+    }
+
+    /// Hand every row visible to `read` within `bounds` to `visit`,
+    /// borrowed, with the version it resolved to: shard by shard under
+    /// each shard's read lock, so in key order within a shard only.
+    /// PREPARED writers are waited out: a MustWait abandons the pass, and
+    /// the retry visits every shard again into a fresh `start()`, so what
+    /// the visitor returns is still one consistent snapshot.
+    pub(crate) fn visit<T>(
+        &self,
+        read: &Snapshot,
+        bounds: (Bound<&Key>, Bound<&Key>),
+        mut start: impl FnMut() -> T,
+        mut visit: impl FnMut(&mut T, &Key, &Row, VersionRef),
+    ) -> Result<T> {
+        let Snapshot { txns, snapshot_ts, me, timeout, ignore_prepared } = *read;
         loop {
             let mut pending_writer = None;
-            let mut out = Vec::new();
+            let mut out = start();
             // Shards partition the key space by hash, not by range: every
-            // shard may hold keys inside the bounds, so visit them all and
-            // sort the merged result. A MustWait aborts the whole pass —
-            // the retry re-reads every shard, so the result is still one
-            // consistent snapshot.
+            // shard may hold keys inside the bounds, so visit them all.
             'shards: for shard in &self.shards {
                 let map = shard.read();
-                for (k, chain) in map.range::<Key, _>((lower, upper)) {
+                for (k, chain) in map.range::<Key, _>(bounds) {
                     match self.visibility_observed(txns, chain, snapshot_ts, me, ignore_prepared)
                     {
-                        (ReadResult::Row(r), observed) => {
+                        (Seen::Row(r), observed) => {
                             let observed = observed
                                 .unwrap_or(VersionRef { writer: TrxId(0), commit_ts: None });
-                            out.push((k.clone(), r, observed));
+                            visit(&mut out, k, r, observed);
                         }
-                        (ReadResult::NotFound, _) => {}
-                        (ReadResult::MustWait(w), _) => {
+                        (Seen::NotFound, _) => {}
+                        (Seen::MustWait(w), _) => {
                             pending_writer = Some(w);
                             break 'shards;
                         }
@@ -413,13 +469,8 @@ impl VersionStore {
                 }
             }
             match pending_writer {
-                None => {
-                    out.sort_by(|a, b| a.0.cmp(&b.0));
-                    return Ok(out);
-                }
-                Some(w) => {
-                    Self::wait_out(txns, w, timeout)?;
-                }
+                None => return Ok(out),
+                Some(w) => Self::wait_out(txns, w, timeout)?,
             }
         }
     }

@@ -924,6 +924,57 @@ fn diff_join_plan(rng: &mut StdRng, width: usize) -> polardbx_sql::plan::Logical
     }
 }
 
+/// Rows of the differential's shape `(id, g, d, s)` for the loops that
+/// only large or skewed inputs reach: `n` rows — past one morsel when
+/// `n > MORSEL_ROWS` — whose last `run` rows repeat one group key and one
+/// string, as appended rows do, ids whose Int sums come near 2^53 (exact
+/// in any order), and an all-NULL `d` when `null_args`.
+fn diff_shape_rows(rng: &mut StdRng, n: usize, run: usize, null_args: bool) -> Vec<Row> {
+    const NEAR: i64 = 700_000_000_000;
+    (0..n)
+        .map(|i| {
+            let appended = i >= n - run;
+            Row::new(vec![
+                Value::Int(NEAR + i as i64),
+                match (appended, rng.gen_bool(0.1)) {
+                    (true, _) => Value::Int(2),
+                    (false, true) => Value::Null,
+                    (false, false) => Value::Int(rng.gen_range(-3..3)),
+                },
+                match null_args {
+                    true => Value::Null,
+                    false => Value::Double(rng.gen_range(-40..40) as f64 * 0.5),
+                },
+                match appended {
+                    true => Value::str("no"),
+                    false => Value::Str(rand_string(rng, b"abc", 2)),
+                },
+            ])
+        })
+        .collect()
+}
+
+/// Serves table `t` from a column index and table `u` from row partitions:
+/// a join of the two compares strings of different dictionaries.
+struct IndexAndRows {
+    t: IndexedOnly,
+    u: polardbx_executor::operators::MemTables,
+}
+
+impl polardbx_executor::TableProvider for IndexAndRows {
+    fn partitions(&self, table: &str) -> usize {
+        self.u.partitions(table)
+    }
+
+    fn scan_partition(&self, table: &str, partition: usize) -> polardbx_common::Result<Vec<Row>> {
+        self.u.scan_partition(table, partition)
+    }
+
+    fn columnar(&self, table: &str) -> Option<polardbx_columnar::ColumnSnapshot> {
+        (table == "t").then(|| self.t.index.snapshot(self.t.ts))
+    }
+}
+
 /// The AP engine is equivalent to the row engine on randomized plans over
 /// mixed-type data with NULLs — identical result multisets when both
 /// succeed, and agreement on failure — serial and fanned out, over the row
@@ -1010,6 +1061,111 @@ fn vectorized_engine_matches_row_engine() {
                             ),
                         }
                     }
+                }
+            }
+        }
+    }
+    vectorized_engine_matches_row_engine_on_shapes();
+}
+
+/// The shapes [`vectorized_engine_matches_row_engine`] adds to its random
+/// cases: aggregates over more rows than one morsel holds, over long runs
+/// of one group key, over all-NULL arguments and over Int sums near 2^53;
+/// joins on duplicate and NULL keys, on two columns, and on strings whose
+/// two sides are coded by different dictionaries.
+fn vectorized_engine_matches_row_engine_on_shapes() {
+    use polardbx_executor::operators::MemTables;
+    use polardbx_executor::{execute_plan, ExecCtx, MppExecutor, TableProvider};
+    use polardbx_sql::expr::{AggFunc, Expr};
+    use polardbx_sql::plan::{AggSpec, LogicalPlan};
+    use std::sync::Arc;
+
+    let width = 4;
+    let c = Expr::ColumnIdx;
+    let scan = |table: &str| LogicalPlan::Scan {
+        table: table.into(),
+        schema: (0..width).map(|i| format!("{table}.c{i}")).collect(),
+    };
+    let numeric = |arg: usize| {
+        [AggFunc::Sum, AggFunc::Avg, AggFunc::Count, AggFunc::Min, AggFunc::Max]
+            .into_iter()
+            .map(move |func| AggSpec { func, arg: Some(Expr::ColumnIdx(arg)), distinct: false })
+    };
+    let aggregate = |input: LogicalPlan, group_by: Vec<Expr>| {
+        let aggs: Vec<AggSpec> = numeric(0)
+            .chain(numeric(2))
+            .chain([AggSpec { func: AggFunc::Count, arg: None, distinct: false }])
+            .collect();
+        let names = (0..group_by.len() + aggs.len()).map(|i| format!("c{i}")).collect();
+        LogicalPlan::Aggregate { input: Box::new(input), group_by, aggs, names }
+    };
+    let join = |left: &str, right: &str, on: Vec<(usize, usize)>| LogicalPlan::Join {
+        left: Box::new(scan(left)),
+        right: Box::new(scan(right)),
+        on,
+        filter: None,
+    };
+    let ctx = ExecCtx::unrestricted();
+    for seed in 0..2 {
+        let mut rng = rng_for(&format!("vectorized_engine_matches_row_engine/shapes/{seed}"));
+        // Aggregates: past a morsel, in runs, over NULL arguments.
+        let big = polardbx_executor::morsel::MORSEL_ROWS + rng.gen_range(100..4000);
+        for (n, run, null_args) in [(big, big / 2, false), (big, 300, true), (400, 390, false)] {
+            let rows = diff_shape_rows(&mut rng, n, run, null_args);
+            let indexed: Arc<dyn TableProvider> = Arc::new(IndexedOnly::build(&mut rng, &rows, 0));
+            let mut mem = MemTables::new();
+            let cut = rng.gen_range(0..n);
+            mem.add("t", vec![rows[..cut].to_vec(), rows[cut..].to_vec()]);
+            let mem: Arc<dyn TableProvider> = Arc::new(mem);
+            let plans = [
+                aggregate(scan("t"), vec![c(1)]),
+                aggregate(scan("t"), vec![c(3)]),
+                aggregate(scan("t"), vec![c(3), c(1)]),
+                aggregate(scan("t"), vec![]),
+            ];
+            for plan in &plans {
+                let slow = execute_plan(plan, mem.as_ref(), &ctx).unwrap();
+                for (source, provider) in [("partitions", &mem), ("index", &indexed)] {
+                    for workers in [1, 4] {
+                        let fast = MppExecutor::new(workers).execute(plan, provider, &ctx).unwrap();
+                        assert_eq!(
+                            diff_canon(&slow),
+                            diff_canon(&fast),
+                            "shapes seed {seed}, {n} rows, run {run}, {source}, {workers} workers: {plan:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Joins: duplicate and NULL keys (g), two columns, and strings of
+        // two dictionaries (`t` from the index, `u` from rows).
+        let t_rows = diff_shape_rows(&mut rng, 300, 40, false);
+        let u_rows = diff_shape_rows(&mut rng, 200, 30, false);
+        let mut mem = MemTables::new();
+        mem.add("t", vec![t_rows.clone()]);
+        mem.add("u", vec![u_rows[..100].to_vec(), u_rows[100..].to_vec()]);
+        let mem: Arc<dyn TableProvider> = Arc::new(mem);
+        let mut u = MemTables::new();
+        u.add("u", vec![u_rows[..100].to_vec(), u_rows[100..].to_vec()]);
+        let both: Arc<dyn TableProvider> =
+            Arc::new(IndexAndRows { t: IndexedOnly::build(&mut rng, &t_rows, 50), u });
+        let plans = [
+            join("t", "u", vec![(1, 1)]),
+            join("u", "t", vec![(1, 1), (3, 3)]),
+            join("t", "u", vec![(3, 3)]),
+            join("u", "t", vec![(3, 3)]),
+            join("u", "u", vec![(3, 3), (1, 1)]),
+        ];
+        for plan in &plans {
+            let slow = execute_plan(plan, mem.as_ref(), &ctx).unwrap();
+            for (source, provider) in [("partitions", &mem), ("index and rows", &both)] {
+                for workers in [1, 4] {
+                    let fast = MppExecutor::new(workers).execute(plan, provider, &ctx).unwrap();
+                    assert_eq!(
+                        diff_canon(&slow),
+                        diff_canon(&fast),
+                        "shapes seed {seed}, {source}, {workers} workers: {plan:?}"
+                    );
                 }
             }
         }
