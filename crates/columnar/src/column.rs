@@ -7,10 +7,9 @@
 //! variant keeps a slot for NULL rows (a default value; code 0 for strings)
 //! beside a null bitmap, so row ids index all columns uniformly.
 //!
-//! A column built by [`ColumnData::push`] — the column index's — holds each
-//! distinct string once. A string column cut from rows
-//! ([`Dictionary::from_entries`]) gives each value its own entry and hashes
-//! nothing.
+//! A column built by [`ColumnData::push`] — the column index's — or by
+//! [`Dictionary::intern`] — a string lane cut from rows — holds each
+//! distinct string once.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -65,14 +64,6 @@ fn hash_str(s: &str) -> u64 {
 }
 
 impl Dictionary {
-    /// One entry per string, in order, without hashing or deduping: code
-    /// `i` is `entries[i]`.
-    pub fn from_entries(entries: Vec<String>) -> Dictionary {
-        let bytes = entries.iter().map(|s| entry_bytes(s)).sum();
-        let len = u32::try_from(entries.len()).expect("fewer than 2^32 entries");
-        Dictionary { blocks: vec![(0, Arc::new(entries))], len, bytes, ..Dictionary::default() }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -489,16 +480,6 @@ mod tests {
         c.push(&Value::str("d")).unwrap();
         assert_eq!(dict(&c).blocks.len(), 1);
         assert_eq!(dict(&c).get(3), "d");
-    }
-
-    #[test]
-    fn rows_cut_into_entries_are_not_deduped() {
-        let d = Dictionary::from_entries(vec!["a".into(), "a".into()]);
-        assert_eq!((d.len(), d.get(1)), (2, "a"));
-        let mut c = ColumnData::Str(vec![0, 1], vec![false, false], d);
-        c.push(&Value::str("a")).unwrap();
-        let ColumnData::Str(codes, _, d) = &c else { unreachable!() };
-        assert_eq!((codes[2], d.len()), (0, 2), "a later push finds the first equal entry");
     }
 
     #[test]

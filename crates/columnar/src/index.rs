@@ -290,6 +290,13 @@ pub struct Selection {
     len: usize,
 }
 
+impl Selection {
+    /// The shared run of ids this selection is a prefix of.
+    pub fn ids(&self) -> &Arc<[u32]> {
+        &self.ids
+    }
+}
+
 impl Deref for Selection {
     type Target = [u32];
 

@@ -1,6 +1,8 @@
 //! The executor's view of the cluster: partitioned scans over DN shards.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,20 +107,37 @@ impl TableProvider for ClusterProvider {
             .collect())
     }
 
-    /// The partition's visible rows straight into column builders: the
+    /// The partitions' visible rows straight into column builders: the
     /// storage scan hands each row over borrowed, and only the SQL-visible
-    /// values the plan reads are copied, each into its column.
-    fn scan_lanes(&self, table: &str, partition: usize, read: &[bool]) -> Result<PartitionLanes> {
+    /// values the plan reads are copied, each into its column. A scan that
+    /// waits out a PREPARED writer restarts its partition's pass and drops
+    /// the rows that pass pushed; the partitions before it keep theirs.
+    fn scan_lanes(
+        &self,
+        table: &str,
+        partitions: Range<usize>,
+        read: &[bool],
+    ) -> Result<PartitionLanes> {
         let (id, visible) = self.gms.with_table(table, |s| (s.id, s.visible_arity()))?;
         let read: Vec<bool> = (0..visible).map(|c| read.get(c).copied().unwrap_or(true)).collect();
-        self.at_home(id, partition as u32, |engine, stid| {
-            engine.scan_table_with(
-                stid,
-                self.snapshot_ts,
-                || PartitionLanes::new(&read),
-                |lanes, key, row| lanes.push(key.as_bytes(), row.values()),
-            )
-        })
+        let lanes = RefCell::new(PartitionLanes::new(&read));
+        for p in partitions {
+            lanes.borrow_mut().next_partition();
+            self.at_home(id, p as u32, |engine, stid| {
+                engine.scan_table_with(
+                    stid,
+                    self.snapshot_ts,
+                    || lanes.borrow_mut().restart_partition(),
+                    |(), key, row| lanes.borrow_mut().push(key.as_bytes(), row.values()),
+                )
+            })?;
+        }
+        Ok(lanes.into_inner())
+    }
+
+    /// The optimizer's row count of the table (§II-A's statistics).
+    fn rows_estimate(&self, table: &str) -> Option<usize> {
+        Some(self.gms.statistics().get(table).rows as usize)
     }
 
     /// Point reads of the keys the predicate names (see [`key_access`]), at

@@ -15,9 +15,12 @@
 //! cache: a SELECT chooses its join build sides, estimates and
 //! classifies against the current statistics, reserves memory from its
 //! class's region, routes fenced and picks each table's store; an UPDATE /
-//! DELETE decides its write path from its bound predicate. A session admits
-//! nothing itself: the front door's per-tenant gate is the one admission
-//! step.
+//! DELETE decides its write path from its bound predicate. The one
+//! shortcut: an AP SELECT whose literals and read tables' statistics are
+//! those of its template's last AP execution takes that execution's plan,
+//! cost and stores (`plan_cache::ApBinding`), which the same steps would
+//! compute again. A session admits nothing itself: the front door's
+//! per-tenant gate is the one admission step.
 
 mod dml;
 
@@ -34,7 +37,7 @@ use polardbx_executor::scheduler::{run_with_demotion, TickState};
 use polardbx_executor::{execute_plan, ExecCtx, JobClass, MppExecutor, TableProvider};
 use polardbx_optimizer::{
     choose_build_sides, choose_storage, classify_cost, estimate, optimize, PlanCost, Statistics,
-    StorageChoice, WorkloadClass,
+    StorageChoice, TableStats, WorkloadClass,
 };
 use polardbx_sql::ast::{self, IndexPlacement, Statement};
 use polardbx_sql::expr::Expr;
@@ -44,7 +47,7 @@ use polardbx_txn::Coordinator;
 use crate::access::{key_access, KeyAccess};
 use crate::cluster::{CnNode, Inner};
 use crate::gms::shard_table_id;
-use crate::plan_cache::Entry;
+use crate::plan_cache::{ApBinding, Entry, SelectTemplate};
 use crate::provider::ClusterProvider;
 
 pub(crate) use dml::EditTemplate;
@@ -209,33 +212,49 @@ impl Session {
     /// The plan-cache entry of a SELECT: its statistics-free rewrite,
     /// cached when `literals` fit it at the current catalog generation,
     /// else built now.
-    fn select_template(
+    pub(crate) fn select_template(
         &self,
         lexed: &Lexed<'_>,
         literals: &[Value],
-    ) -> Result<Arc<Entry<LogicalPlan>>> {
+    ) -> Result<Arc<Entry<SelectTemplate>>> {
         let gms = &self.inner.gms;
         let generation = gms.generation();
         self.inner.plans.selects.get_or_build(lexed, literals, generation, |stmt| match stmt {
-            Statement::Select(sel) => Ok(optimize(polardbx_sql::build_plan(&sel, gms.as_ref())?)),
+            Statement::Select(sel) => {
+                let plan = optimize(polardbx_sql::build_plan(&sel, gms.as_ref())?);
+                Ok(SelectTemplate::new(plan))
+            }
             _ => Err(Error::invalid("not a SELECT")),
         })
     }
 
-    /// Run a SELECT through the plan cache.
+    /// Run a SELECT through the plan cache: an AP execution whose literals
+    /// and read tables' statistics are those of the template's last AP
+    /// binding takes that binding; any other binds now.
     fn select(&self, lexed: &Lexed<'_>) -> Result<(Vec<Row>, WorkloadClass)> {
         let literals = lexed.literals();
         let entry = self.select_template(lexed, &literals)?;
+        let template = &entry.template;
         let stats = self.inner.gms.statistics();
-        let (plan, cost, class) = self.bind_select(&entry.template, &literals, &stats);
-        let rows = self.run_plan(plan, class, &cost, &stats)?;
-        Ok((rows, class))
+        let binding = match template.memo(&literals, &stats) {
+            Some(binding) => binding,
+            None => {
+                let (plan, cost, class) = self.bind_select(&template.plan, &literals, &stats);
+                if class == WorkloadClass::Tp {
+                    return self.run_tp(plan, &cost).map(|rows| (rows, class));
+                }
+                let binding = Arc::new(self.bind_ap(plan, cost, literals, &stats)?);
+                template.remember(Arc::clone(&binding));
+                binding
+            }
+        };
+        self.run_ap(&binding).map(|rows| (rows, WorkloadClass::Ap))
     }
 
     /// One execution of a SELECT template: bind its literals, then the
     /// steps that follow the current statistics — choose each join's build
     /// side, estimate the cost and classify it.
-    fn bind_select(
+    pub(crate) fn bind_select(
         &self,
         template: &LogicalPlan,
         literals: &[Value],
@@ -247,13 +266,33 @@ impl Session {
         (plan, cost, class)
     }
 
+    /// An AP-classified `plan`, bound from `literals`, with the store each
+    /// table it reads is read from and that table's statistics now.
+    pub(crate) fn bind_ap(
+        &self,
+        plan: LogicalPlan,
+        cost: PlanCost,
+        literals: Vec<Value>,
+        stats: &Statistics,
+    ) -> Result<ApBinding> {
+        let accesses = self.scan_accesses(&plan)?;
+        let tables = Self::storage_choices(&plan, WorkloadClass::Ap, stats, &accesses)
+            .into_iter()
+            .map(|(table, choice)| {
+                let then = stats.get(&table);
+                (table, choice, then)
+            })
+            .collect();
+        Ok(ApBinding::new(literals, plan, cost, tables))
+    }
+
     /// The store each table `plan` scans is read from (§VI-E): a TP plan
     /// runs on the row engine, which reads the row store; an AP plan reads
     /// what the optimizer's `choose_storage` picks, told whether every scan
     /// of the table is a point read by `accesses`, the plan's
     /// [`Session::scan_accesses`]. This is the one decision: `EXPLAIN`
-    /// prints it and [`Session::build_provider`] attaches exactly the
-    /// column indexes it names.
+    /// prints it and [`Session::ap_provider`] attaches exactly the column
+    /// indexes it names.
     fn storage_choices(
         plan: &LogicalPlan,
         class: WorkloadClass,
@@ -336,7 +375,7 @@ impl Session {
             }
         };
         let stats = self.inner.gms.statistics();
-        let (plan, cost, class) = self.bind_select(&entry.template, &literals, &stats);
+        let (plan, cost, class) = self.bind_select(&entry.template.plan, &literals, &stats);
         let mut out = String::new();
         out.push_str(&format!(
             "class: {class:?} (est. cost {:.0}, rows {:.0})\n",
@@ -370,85 +409,79 @@ impl Session {
         Ok(out)
     }
 
-    fn run_plan(
-        &self,
-        plan: LogicalPlan,
-        class: WorkloadClass,
-        cost: &PlanCost,
-        stats: &Statistics,
-    ) -> Result<Vec<Row>> {
-        // Reserve working memory from the class's region before executing
-        // (§VI-D): TP reservations may preempt AP headroom; an AP query that
-        // cannot reserve fails with a retryable error instead of thrashing.
-        // Working-set proxy: rows the operators touch, not just output rows.
+    /// Reserve working memory for a plan of `cost` from `class`'s region
+    /// before executing it (§VI-D): TP reservations may preempt AP
+    /// headroom; an AP query that cannot reserve fails with a retryable
+    /// error instead of thrashing. Working-set proxy: rows the operators
+    /// touch, not just output rows.
+    fn reserve(&self, class: WorkloadClass, cost: &PlanCost) -> Result<Reservation> {
         let bytes = ((cost.cpu as usize).saturating_mul(8)).clamp(4 << 10, 64 << 20);
-        let _reservation = match class {
-            WorkloadClass::Tp => Reservation::tp(Arc::clone(&self.inner.memory), bytes)?,
-            WorkloadClass::Ap => Reservation::ap(Arc::clone(&self.inner.memory), bytes)?,
-        };
-        let snapshot_ts = self.cn.coordinator.clock().now().raw();
-        let provider = self.build_provider(&plan, class, stats, snapshot_ts)?;
-        let workload = &self.inner.workload;
+        let memory = Arc::clone(&self.inner.memory);
         match class {
-            WorkloadClass::Tp => {
-                // On this thread under the TP slice; overruns demote to AP,
-                // then slow (§VI-D's misclassification recovery).
-                let (result, _class) =
-                    run_with_demotion(workload, JobClass::Tp, move |deadline, governor| {
-                        let ctx = ExecCtx::with_ticks(TickState::new(governor, deadline));
-                        match execute_plan(&plan, &provider, &ctx) {
-                            Err(Error::Throttled { .. }) => None, // slice expired
-                            other => Some(other),
-                        }
-                    });
-                result
-            }
-            WorkloadClass::Ap => {
-                // The MPP engine borrows morsel workers from the CN's own
-                // persistent pools, so concurrent AP queries share workers
-                // (under the AP governor) instead of each spawning threads.
-                let mpp =
-                    MppExecutor::with_pool(self.inner.config.mpp_workers, Arc::clone(workload));
-                let governor = workload.governor_for(JobClass::Ap);
-                let provider: Arc<dyn TableProvider> = Arc::new(provider);
-                workload.run(JobClass::Ap, move || {
-                    let ctx = ExecCtx::with_ticks(TickState::new(governor, None));
-                    mpp.execute(&plan, &provider, &ctx)
-                })
-            }
+            WorkloadClass::Tp => Reservation::tp(memory, bytes),
+            WorkloadClass::Ap => Reservation::ap(memory, bytes),
         }
     }
 
-    fn build_provider(
+    /// Run a TP plan on the row engine, reading the RW engines and no
+    /// index, on this thread under the TP slice; an overrun demotes to AP,
+    /// then slow (§VI-D's misclassification recovery).
+    fn run_tp(&self, plan: LogicalPlan, cost: &PlanCost) -> Result<Vec<Row>> {
+        let _reservation = self.reserve(WorkloadClass::Tp, cost)?;
+        let snapshot_ts = self.cn.coordinator.clock().now().raw();
+        let provider = self.inner.provider_at(snapshot_ts, false, HashMap::new());
+        let (result, _class) =
+            run_with_demotion(&self.inner.workload, JobClass::Tp, move |deadline, governor| {
+                let ctx = ExecCtx::with_ticks(TickState::new(governor, deadline));
+                match execute_plan(&plan, &provider, &ctx) {
+                    Err(Error::Throttled { .. }) => None, // slice expired
+                    other => Some(other),
+                }
+            });
+        result
+    }
+
+    /// Run an AP binding on the MPP engine. It borrows morsel workers from
+    /// the CN's own persistent pools, so concurrent AP queries share
+    /// workers (under the AP governor) instead of each spawning threads.
+    fn run_ap(&self, binding: &ApBinding) -> Result<Vec<Row>> {
+        let _reservation = self.reserve(WorkloadClass::Ap, &binding.cost)?;
+        let snapshot_ts = self.cn.coordinator.clock().now().raw();
+        let provider: Arc<dyn TableProvider> =
+            Arc::new(self.ap_provider(&binding.tables, snapshot_ts));
+        let workload = &self.inner.workload;
+        let mpp = MppExecutor::with_pool(self.inner.config.mpp_workers, Arc::clone(workload));
+        let governor = workload.governor_for(JobClass::Ap);
+        let plan = Arc::clone(&binding.plan);
+        workload.run(JobClass::Ap, move || {
+            let ctx = ExecCtx::with_ticks(TickState::new(governor, None));
+            mpp.execute(&plan, &provider, &ctx)
+        })
+    }
+
+    /// The provider an AP plan reads at `snapshot_ts`: RO replicas when
+    /// present and HTAP routing is on, and exactly the column indexes its
+    /// `tables`' storage choices name — the executor reads an index iff the
+    /// provider has one. One that cannot answer at this snapshot — the
+    /// statement's snapshot is older than the index's floor — yields no
+    /// snapshot, and the row store answers.
+    fn ap_provider(
         &self,
-        plan: &LogicalPlan,
-        class: WorkloadClass,
-        stats: &Statistics,
+        tables: &[(String, StorageChoice, TableStats)],
         snapshot_ts: u64,
-    ) -> Result<ClusterProvider> {
-        // TP reads the RW engines and no index. AP queries read RO replicas
-        // when present and HTAP routing is on, and exactly the indexes
-        // `storage_choices` names: the executor reads an index iff the
-        // provider has one. One that cannot answer at this snapshot — the
-        // statement's snapshot is older than the index's floor — yields no
-        // snapshot, and the row store answers.
-        if class == WorkloadClass::Tp {
-            return Ok(self.inner.provider_at(snapshot_ts, false, HashMap::new()));
-        }
-        let accesses = self.scan_accesses(plan)?;
-        let choices = Self::storage_choices(plan, class, stats, &accesses);
+    ) -> ClusterProvider {
         let registered = self.inner.column_indexes.read();
-        let chosen = choices
-            .into_iter()
-            .filter(|(_, choice)| *choice == StorageChoice::ColumnIndex)
-            .filter_map(|(table, _)| {
-                let index = Arc::clone(registered.get(&table)?);
-                Some((table, index))
+        let chosen = tables
+            .iter()
+            .filter(|(_, choice, _)| *choice == StorageChoice::ColumnIndex)
+            .filter_map(|(table, ..)| {
+                let index = Arc::clone(registered.get(table)?);
+                Some((table.clone(), index))
             })
             .collect();
         drop(registered);
         let use_ro = self.inner.htap_ro.load(Ordering::Relaxed);
-        Ok(self.inner.provider_at(snapshot_ts, use_ro, chosen))
+        self.inner.provider_at(snapshot_ts, use_ro, chosen)
     }
 
     // ------------------------------------------------------------------- DDL
@@ -602,7 +635,7 @@ mod tests {
         let lexed = polardbx_sql::lex(sql).unwrap();
         let literals = lexed.literals();
         let entry = s.select_template(&lexed, &literals).unwrap();
-        s.bind_select(&entry.template, &literals, stats)
+        s.bind_select(&entry.template.plan, &literals, stats)
     }
 
     /// Working memory is reserved per query from the class's region
@@ -652,9 +685,11 @@ mod tests {
         let built_at = db.column_index("t").unwrap().floor();
 
         let stats = db.gms().statistics();
-        let (plan, _, class) = planned(&s, "SELECT SUM(v) FROM t", &stats);
+        let (plan, cost, class) = planned(&s, "SELECT SUM(v) FROM t", &stats);
+        assert_eq!(class, WorkloadClass::Ap);
+        let binding = s.bind_ap(plan, cost, Vec::new(), &stats).unwrap();
         let attached = |snapshot_ts| {
-            s.build_provider(&plan, class, &stats, snapshot_ts).unwrap().columnar("t").is_some()
+            s.ap_provider(&binding.tables, snapshot_ts).columnar("t").is_some()
         };
         assert!(attached(built_at), "the index serves its build timestamp and later");
         assert!(!attached(built_at - 1), "an older snapshot falls back to the row store");

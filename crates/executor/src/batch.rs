@@ -11,9 +11,10 @@
 //! is never copied. Lanes are typed when the column is monomorphic
 //! (`ColumnData` reuse — the kernels' layout) and fall back to a `Value`
 //! vector for mixed or all-NULL columns so no value is ever coerced, which
-//! keeps the vectorized engine byte-identical to the row engine. A string lane is dictionary-coded either way: a column-index
-//! lane shares the index's deduped dictionary, and so does every lane
-//! gathered out of it; a lane cut from rows gives each value its own entry.
+//! keeps the vectorized engine byte-identical to the row engine. A string
+//! lane is dictionary-coded either way: a column-index lane shares the
+//! index's deduped dictionary, and so does every lane gathered out of it;
+//! a lane cut from rows interns each distinct value once.
 //!
 //! Rows exist only where a batch is turned into them: the answer, counted
 //! in [`crate::ExecMetrics::materialized`], and the scalar fallback for an
@@ -24,6 +25,7 @@
 //! O(width) instead of O(rows) (`RowBatch::bytes`).
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -656,13 +658,14 @@ enum Building {
     Nulls(usize),
     Int(Vec<i64>, Vec<bool>),
     Double(Vec<f64>, Vec<bool>),
-    Str(Vec<String>, Vec<bool>),
+    /// Codes into a dictionary that holds each distinct string once.
+    Str(Vec<u32>, Vec<bool>, Dictionary),
     Date(Vec<i32>, Vec<bool>),
     Vals(Vec<Value>),
 }
 
 impl LaneBuilder {
-    /// Append `v`; a string moves in.
+    /// Append `v`.
     pub(crate) fn push(&mut self, v: Value) {
         self.bytes += v.heap_size();
         let v = match (&mut self.data, v) {
@@ -673,8 +676,8 @@ impl LaneBuilder {
             (Building::Double(d, n), Value::Null) => return push_slot(d, n, None),
             (Building::Date(d, n), Value::Date(x)) => return push_slot(d, n, Some(x)),
             (Building::Date(d, n), Value::Null) => return push_slot(d, n, None),
-            (Building::Str(d, n), Value::Str(s)) => return push_slot(d, n, Some(s)),
-            (Building::Str(d, n), Value::Null) => return push_slot(d, n, None),
+            (Building::Str(d, n, dict), Value::Str(s)) => return push_str(d, n, dict, Some(&s)),
+            (Building::Str(d, n, dict), Value::Null) => return push_str(d, n, dict, None),
             (Building::Vals(vals), v) => return vals.push(v),
             (_, v) => v,
         };
@@ -692,7 +695,11 @@ impl LaneBuilder {
                 Value::Int(x) => Some(typed(n, x)).map(|(d, n)| Building::Int(d, n)),
                 Value::Double(x) => Some(typed(n, x)).map(|(d, n)| Building::Double(d, n)),
                 Value::Date(x) => Some(typed(n, x)).map(|(d, n)| Building::Date(d, n)),
-                Value::Str(ref s) => Some(typed(n, s.clone())).map(|(d, n)| Building::Str(d, n)),
+                Value::Str(ref s) => {
+                    let mut dict = Dictionary::default();
+                    let code = dict.intern(s);
+                    Some(typed(n, code)).map(|(d, n)| Building::Str(d, n, dict))
+                }
                 _ => None,
             };
             if let Some(data) = data {
@@ -712,11 +719,11 @@ impl LaneBuilder {
             (Building::Int(d, n), Value::Int(x)) => push_slot(d, n, Some(*x)),
             (Building::Double(d, n), Value::Double(x)) => push_slot(d, n, Some(*x)),
             (Building::Date(d, n), Value::Date(x)) => push_slot(d, n, Some(*x)),
-            (Building::Str(d, n), Value::Str(s)) => push_slot(d, n, Some(s.clone())),
+            (Building::Str(d, n, dict), Value::Str(s)) => push_str(d, n, dict, Some(s)),
             (Building::Int(d, n), Value::Null) => push_slot(d, n, None),
             (Building::Double(d, n), Value::Null) => push_slot(d, n, None),
             (Building::Date(d, n), Value::Null) => push_slot(d, n, None),
-            (Building::Str(d, n), Value::Null) => push_slot(d, n, None),
+            (Building::Str(d, n, dict), Value::Null) => push_str(d, n, dict, None),
             _ => return self.push(v.clone()),
         }
         self.bytes += v.heap_size();
@@ -729,7 +736,7 @@ impl LaneBuilder {
             (Building::Int(d, n), KeyRef::Int(x)) => push_slot(d, n, Some(x)),
             (Building::Double(d, n), KeyRef::Double(b)) => push_slot(d, n, Some(f64::from_bits(b))),
             (Building::Date(d, n), KeyRef::Date(x)) => push_slot(d, n, Some(x)),
-            (Building::Str(d, n), KeyRef::Str(s)) => push_slot(d, n, Some(s.to_string())),
+            (Building::Str(d, n, dict), KeyRef::Str(s)) => push_str(d, n, dict, Some(s)),
             _ => return self.push(k.to_value()),
         }
         self.bytes += k.heap_size();
@@ -744,10 +751,27 @@ impl LaneBuilder {
         match &mut self.data {
             Building::Int(d, nulls) => slots(d, nulls, n),
             Building::Double(d, nulls) => slots(d, nulls, n),
-            Building::Str(d, nulls) => slots(d, nulls, n),
+            Building::Str(d, nulls, _) => slots(d, nulls, n),
             Building::Date(d, nulls) => slots(d, nulls, n),
             Building::Vals(v) => v.reserve(n),
             Building::Nulls(_) => {}
+        }
+    }
+
+    /// Keep the first `n` rows. A string a dropped row held stays in the
+    /// dictionary, and the dropped rows stay counted in the lane's bytes.
+    fn truncate(&mut self, n: usize) {
+        fn slots<T>(d: &mut Vec<T>, nulls: &mut Vec<bool>, n: usize) {
+            d.truncate(n);
+            nulls.truncate(n);
+        }
+        match &mut self.data {
+            Building::Int(d, nulls) => slots(d, nulls, n),
+            Building::Double(d, nulls) => slots(d, nulls, n),
+            Building::Str(d, nulls, _) => slots(d, nulls, n),
+            Building::Date(d, nulls) => slots(d, nulls, n),
+            Building::Vals(v) => v.truncate(n),
+            Building::Nulls(k) => *k = n.min(*k),
         }
     }
 
@@ -757,7 +781,7 @@ impl LaneBuilder {
             Building::Nulls(_) => KeyRef::Null,
             Building::Int(_, n)
             | Building::Double(_, n)
-            | Building::Str(_, n)
+            | Building::Str(_, n, _)
             | Building::Date(_, n)
                 if n[g] =>
             {
@@ -765,7 +789,7 @@ impl LaneBuilder {
             }
             Building::Int(d, _) => KeyRef::Int(d[g]),
             Building::Double(d, _) => KeyRef::Double(d[g].to_bits()),
-            Building::Str(d, _) => KeyRef::Str(&d[g]),
+            Building::Str(d, _, dict) => KeyRef::Str(dict.get(d[g])),
             Building::Date(d, _) => KeyRef::Date(d[g]),
             Building::Vals(v) => KeyRef::of(&v[g]),
         }
@@ -780,23 +804,21 @@ impl LaneBuilder {
             Building::Nulls(n) => vec![Value::Null; n],
             Building::Int(d, n) => values(d, n, Value::Int),
             Building::Double(d, n) => values(d, n, Value::Double),
-            Building::Str(d, n) => values(d, n, Value::Str),
+            Building::Str(d, n, dict) => values(d, n, |c| Value::Str(dict.get(c).to_string())),
             Building::Date(d, n) => values(d, n, Value::Date),
             Building::Vals(v) => v,
         }
     }
 
     /// The lane: typed unless the rows mixed types, held Bytes or were all
-    /// NULL. A string lane gives each row its own dictionary entry (a
-    /// NULL's is empty).
+    /// NULL. A string lane is coded into a dictionary of its distinct
+    /// strings.
     pub(crate) fn finish(mut self) -> Lane {
         let data = match std::mem::take(&mut self.data) {
             Building::Int(d, n) => ColumnData::Int(d, n),
             Building::Double(d, n) => ColumnData::Double(d, n),
             Building::Date(d, n) => ColumnData::Date(d, n),
-            Building::Str(d, n) => {
-                ColumnData::Str((0..d.len() as u32).collect(), n, Dictionary::from_entries(d))
-            }
+            Building::Str(d, n, dict) => ColumnData::Str(d, n, dict),
             other => {
                 self.data = other;
                 let vals = self.take_values();
@@ -818,12 +840,37 @@ fn push_slot<T: Default>(d: &mut Vec<T>, n: &mut Vec<bool>, x: Option<T>) {
     d.push(x.unwrap_or_default());
 }
 
+/// Append string `s` (NULL for `None`, code 0 as the column index keeps
+/// it) to a coded column: a string the dictionary holds already costs no
+/// allocation.
+fn push_str(d: &mut Vec<u32>, n: &mut Vec<bool>, dict: &mut Dictionary, s: Option<&str>) {
+    n.push(s.is_none());
+    d.push(s.map_or(0, |s| dict.intern(s)));
+}
+
 /// A columnar batch of rows: shared lanes plus a selection vector.
 #[derive(Debug, Clone)]
 pub struct RowBatch {
     lanes: Vec<Arc<Lane>>,
     /// Physical row ids that are live, in order; `None` means all rows.
-    sel: Option<Vec<u32>>,
+    sel: Option<Sel>,
+}
+
+/// A batch's selection: its own ids, or a range of ids it shares with
+/// the other morsels of one scan.
+#[derive(Debug, Clone)]
+enum Sel {
+    Own(Vec<u32>),
+    Shared(Arc<[u32]>, Range<usize>),
+}
+
+impl Sel {
+    fn ids(&self) -> &[u32] {
+        match self {
+            Sel::Own(ids) => ids,
+            Sel::Shared(ids, range) => &ids[range.clone()],
+        }
+    }
 }
 
 impl RowBatch {
@@ -848,7 +895,13 @@ impl RowBatch {
 
     /// Batch with the given lanes and selection.
     pub fn new(lanes: Vec<Arc<Lane>>, sel: Option<Vec<u32>>) -> RowBatch {
-        RowBatch { lanes, sel }
+        RowBatch { lanes, sel: sel.map(Sel::Own) }
+    }
+
+    /// Batch with the given lanes whose live rows are `ids[range]`, shared
+    /// not copied.
+    pub(crate) fn over(lanes: Vec<Arc<Lane>>, ids: &Arc<[u32]>, range: Range<usize>) -> RowBatch {
+        RowBatch { lanes, sel: Some(Sel::Shared(Arc::clone(ids), range)) }
     }
 
     /// Number of columns.
@@ -859,7 +912,7 @@ impl RowBatch {
     /// Number of live (selected) rows.
     pub fn num_rows(&self) -> usize {
         match &self.sel {
-            Some(s) => s.len(),
+            Some(s) => s.ids().len(),
             None => self.lanes.first().map(|l| l.len()).unwrap_or(0),
         }
     }
@@ -876,18 +929,18 @@ impl RowBatch {
 
     /// The selection vector, if narrowed.
     pub fn sel(&self) -> Option<&[u32]> {
-        self.sel.as_deref()
+        self.sel.as_ref().map(Sel::ids)
     }
 
     /// Replace the selection vector.
     pub fn with_sel(&self, sel: Vec<u32>) -> RowBatch {
-        RowBatch { lanes: self.lanes.clone(), sel: Some(sel) }
+        RowBatch { lanes: self.lanes.clone(), sel: Some(Sel::Own(sel)) }
     }
 
     /// Iterate physical row ids of live rows.
     pub fn live_rows(&self) -> Vec<u32> {
         match &self.sel {
-            Some(s) => s.clone(),
+            Some(s) => s.ids().to_vec(),
             None => (0..self.lanes.first().map(|l| l.len()).unwrap_or(0) as u32).collect(),
         }
     }
@@ -929,7 +982,7 @@ impl RowBatch {
         });
         if shared {
             let sel = batches.iter().flat_map(RowBatch::live_rows).collect();
-            return Some(RowBatch { lanes: first.lanes.clone(), sel: Some(sel) });
+            return Some(first.with_sel(sel));
         }
         let live: Vec<Arc<[u32]>> = batches.iter().map(|b| b.live_rows().into()).collect();
         let lanes = (0..first.width())
@@ -945,19 +998,22 @@ impl RowBatch {
     }
 }
 
-/// The visible rows of a row partition, built into lanes as a storage scan
-/// hands them over borrowed: no row and no key is copied, only each value
-/// the plan reads into its column; a column nothing reads is one shared
-/// all-NULL lane. The scan visits its lock shards one after another, so
-/// rows arrive in key order within a shard only; [`PartitionLanes::finish`]
-/// puts them in key order, as a scan returns them. Rows pushed with no key
-/// keep the order they came in.
+/// The visible rows of one or more row partitions, built into lanes as a
+/// storage scan hands them over borrowed: no row and no key is copied,
+/// only each value the plan reads into its column; a column nothing reads
+/// is one shared all-NULL lane. The scan visits a partition's lock shards
+/// one after another, so its rows arrive in key order within a shard only;
+/// [`PartitionLanes::finish`] puts each partition's rows in key order, as
+/// a scan returns them, the partitions one after another. Rows pushed with
+/// no key keep the order they came in.
 pub struct PartitionLanes {
     /// One builder per column read, `None` for a column nothing reads.
     cols: Vec<Option<LaneBuilder>>,
     /// Every row's encoded key, back to back: row `r`'s ends at `ends[r]`.
     keys: Vec<u8>,
     ends: Vec<usize>,
+    /// The first row of each partition but the first.
+    starts: Vec<usize>,
 }
 
 /// Rows a [`PartitionLanes`] makes room for up front: a partition of up to
@@ -971,7 +1027,26 @@ impl PartitionLanes {
     pub fn new(read: &[bool]) -> PartitionLanes {
         let cols = read.iter().map(|&r| r.then(LaneBuilder::default)).collect();
         let ends = Vec::with_capacity(PARTITION_ROWS);
-        PartitionLanes { cols, keys: Vec::with_capacity(PARTITION_ROWS * 16), ends }
+        let keys = Vec::with_capacity(PARTITION_ROWS * 16);
+        PartitionLanes { cols, keys, ends, starts: Vec::new() }
+    }
+
+    /// The rows pushed from here on are the next partition's.
+    pub fn next_partition(&mut self) {
+        if !self.ends.is_empty() {
+            self.starts.push(self.ends.len());
+        }
+    }
+
+    /// Drop the rows the current partition has pushed so far: a scan that
+    /// waited out a PREPARED writer visits it again from the start.
+    pub fn restart_partition(&mut self) {
+        let start = self.starts.last().copied().unwrap_or(0);
+        for col in self.cols.iter_mut().flatten() {
+            col.truncate(start);
+        }
+        self.ends.truncate(start);
+        self.keys.truncate(self.ends.last().copied().unwrap_or(0));
     }
 
     /// Append the row stored under `key`: the values of its first
@@ -996,17 +1071,22 @@ impl PartitionLanes {
         self.ends.len()
     }
 
-    /// The rows in key order, as batches of at most [`BATCH_ROWS`] that
-    /// share the partition's lanes.
+    /// The rows, each partition's in key order, as batches of at most
+    /// [`BATCH_ROWS`] that share the lanes and one run of row ids.
     pub fn finish(self) -> Vec<RowBatch> {
         let n = self.ends.len();
         if n == 0 {
             return Vec::new();
         }
         let key = |r: usize| &self.keys[if r == 0 { 0 } else { self.ends[r - 1] }..self.ends[r]];
-        let order = (1..n).any(|r| key(r - 1) > key(r)).then(|| {
+        let bounds: Vec<usize> =
+            std::iter::once(0).chain(self.starts.iter().copied()).chain([n]).collect();
+        let unsorted = |w: &[usize]| (w[0] + 1..w[1]).any(|r| key(r - 1) > key(r));
+        let order = bounds.windows(2).any(unsorted).then(|| {
             let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by(|&a, &b| key(a as usize).cmp(key(b as usize)));
+            for w in bounds.windows(2) {
+                order[w[0]..w[1]].sort_unstable_by(|&a, &b| key(a as usize).cmp(key(b as usize)));
+            }
             order
         });
         let unread = OnceLock::new();
@@ -1022,12 +1102,10 @@ impl PartitionLanes {
         if n <= BATCH_ROWS {
             return vec![RowBatch::new(lanes, None)];
         }
+        let ids: Arc<[u32]> = (0..n as u32).collect();
         (0..n)
             .step_by(BATCH_ROWS)
-            .map(|r0| {
-                let sel = (r0 as u32..n.min(r0 + BATCH_ROWS) as u32).collect();
-                RowBatch::new(lanes.clone(), Some(sel))
-            })
+            .map(|r0| RowBatch::over(lanes.clone(), &ids, r0..n.min(r0 + BATCH_ROWS)))
             .collect()
     }
 }
@@ -1124,6 +1202,43 @@ mod tests {
             .map(|k| Row::new(vec![Value::Int(k), Value::Null, Value::str(format!("s{k}"))]))
             .collect();
         assert_eq!(back, want);
+    }
+
+    #[test]
+    fn partition_lanes_order_each_partition_by_key_and_restart_the_current_one() {
+        let row = |k: u32, s: Value| [Value::Int(k as i64), s];
+        let mut lanes = PartitionLanes::new(&[true, true]);
+        lanes.next_partition();
+        for k in [3u32, 1, 2] {
+            lanes.push(&k.to_be_bytes(), &row(k, Value::str("a")));
+        }
+        lanes.next_partition();
+        lanes.push(&9u32.to_be_bytes(), &row(9, Value::Double(0.5)));
+        lanes.restart_partition();
+        for k in [5u32, 0] {
+            lanes.push(&k.to_be_bytes(), &row(k, Value::str("b")));
+        }
+        let back: Vec<Row> = lanes.finish().iter().flat_map(|b| b.to_rows()).collect();
+        let want: Vec<Row> = [(1, "a"), (2, "a"), (3, "a"), (0, "b"), (5, "b")]
+            .into_iter()
+            .map(|(k, s)| Row::new(row(k, Value::str(s)).to_vec()))
+            .collect();
+        assert_eq!(back, want, "each partition in key order, the restarted pass's row gone");
+    }
+
+    #[test]
+    fn a_string_lane_cut_from_rows_holds_each_distinct_string_once() {
+        let mut lanes = PartitionLanes::new(&[true]);
+        for (k, s) in ["x", "y", "x", "x", "y"].into_iter().enumerate() {
+            lanes.push(&[k as u8], &[Value::str(s)]);
+        }
+        lanes.push(&[9], &[Value::Null]);
+        let batch = &lanes.finish()[0];
+        let Some(ColumnData::Str(codes, nulls, dict)) = batch.lane(0).column() else {
+            panic!("a coded lane")
+        };
+        assert_eq!((dict.len(), &codes[..5]), (2, &[0, 1, 0, 0, 1][..]));
+        assert_eq!(nulls, &[false, false, false, false, false, true]);
     }
 
     fn strs(vals: &[Option<&str>]) -> RowBatch {

@@ -72,6 +72,11 @@ pub struct ExecMetrics {
     pub aggregate: OpMetrics,
     /// Sorts.
     pub sort: OpMetrics,
+    /// The engine's work outside the operators: cutting a column-index
+    /// snapshot into morsels, finishing a row scan's lanes, merging
+    /// partial aggregates and building the answer's rows. `rows` counts
+    /// the rows whose lanes were finished or that were built.
+    pub setup: OpMetrics,
     /// Morsels dispatched to the worker pool.
     pub morsels: Counter,
     /// Morsels executed by a worker other than the one that scanned the
@@ -101,6 +106,7 @@ impl ExecMetrics {
         self.probe_rows.reset();
         self.aggregate.reset();
         self.sort.reset();
+        self.setup.reset();
         self.morsels.reset();
         self.steals.reset();
         self.pacing_sleeps.reset();
@@ -118,6 +124,7 @@ impl ExecMetrics {
             ("join", &self.join),
             ("aggregate", &self.aggregate),
             ("sort", &self.sort),
+            ("setup", &self.setup),
         ] {
             s.push_str(&m.line(name));
             s.push('\n');

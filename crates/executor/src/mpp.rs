@@ -141,9 +141,14 @@ impl Reads {
                 self.walk(input, need);
             }
             LogicalPlan::Project { input, exprs, .. } => {
+                // A computed expression is evaluated whether or not
+                // anything above reads it; a plain column is passed on
+                // without reading it.
                 let mut under = vec![false; width(input)];
-                for (e, _) in exprs.iter().zip(&need).filter(|(_, &n)| n) {
-                    mark(e, &mut under);
+                for (e, &n) in exprs.iter().zip(&need) {
+                    if n || !matches!(e, Expr::ColumnIdx(_)) {
+                        mark(e, &mut under);
+                    }
                 }
                 self.walk(input, under);
             }
@@ -232,7 +237,10 @@ impl MppExecutor {
         ctx: &ExecCtx,
     ) -> Result<Vec<Row>> {
         let batches = self.batches(plan, provider, ctx, &Reads::of_plan(plan))?;
-        Ok(batches.iter().flat_map(RowBatch::to_rows).collect())
+        let t0 = Timer::start();
+        let rows: Vec<Row> = batches.iter().flat_map(RowBatch::to_rows).collect();
+        exec_metrics().setup.record(rows.len() as u64, 0, t0);
+        Ok(rows)
     }
 
     /// `plan`'s output as batches.
@@ -264,12 +272,15 @@ impl MppExecutor {
                     group_by: group_by.clone(),
                     aggs: aggs.clone(),
                 })?;
+                let t0 = Timer::start();
                 let mut partials = locals.into_iter().map(|l| l.out);
                 let mut merged = partials.next().expect("the caller's own partial");
                 for partial in partials {
                     merged.merge(partial);
                 }
-                Ok(vec![merged.finish()])
+                let out = merged.finish();
+                exec_metrics().setup.record(0, 0, t0);
+                Ok(vec![out])
             }
             LogicalPlan::Project { .. }
             | LogicalPlan::Filter { .. }
@@ -335,7 +346,7 @@ impl MppExecutor {
         let (leaf, stages) = self.pipeline(plan, provider, ctx, reads)?;
         let work = fragment(Pipeline { stages, ctx: ctx.fork() });
         if let LogicalPlan::Scan { table, .. } = leaf {
-            let source = ScanSource::open(provider, table, reads.of(leaf));
+            let source = ScanSource::open(provider, table, reads.of(leaf), self.workers);
             return morsel_execute(&self.pool, JobClass::Ap, self.workers, source, Arc::new(work));
         }
         let mut local = work.new_local();

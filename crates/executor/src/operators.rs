@@ -10,6 +10,7 @@
 //! executor-side half of §VI-C's time-slicing model.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use polardbx_common::{Error, Result, Row, Value};
 use polardbx_sql::expr::{AggFunc, Expr};
@@ -31,17 +32,33 @@ pub trait TableProvider: Send + Sync {
     /// Scan one partition of the table at the provider's snapshot.
     fn scan_partition(&self, table: &str, partition: usize) -> Result<Vec<Row>>;
 
-    /// Scan one partition into column builders: what the AP engine's scan
-    /// leaf reads, once [`PartitionLanes::finish`] has made them lanes.
-    /// `read[c]` says whether the plan reads column `c`; the others stay
-    /// all NULL. The default copies [`TableProvider::scan_partition`]'s
-    /// rows in; a provider that can hand rows over borrowed overrides it.
-    fn scan_lanes(&self, table: &str, partition: usize, read: &[bool]) -> Result<PartitionLanes> {
+    /// Scan the partitions `partitions`, one after another, into one set
+    /// of column builders: what the AP engine's scan leaf reads, once
+    /// [`PartitionLanes::finish`] has made them lanes. `read[c]` says
+    /// whether the plan reads column `c`; the others stay all NULL. The
+    /// default copies [`TableProvider::scan_partition`]'s rows in; a
+    /// provider that can hand rows over borrowed overrides it.
+    fn scan_lanes(
+        &self,
+        table: &str,
+        partitions: Range<usize>,
+        read: &[bool],
+    ) -> Result<PartitionLanes> {
         let mut lanes = PartitionLanes::new(read);
-        for row in self.scan_partition(table, partition)? {
-            lanes.push(&[], row.values());
+        for p in partitions {
+            lanes.next_partition();
+            for row in self.scan_partition(table, p)? {
+                lanes.push(&[], row.values());
+            }
         }
         Ok(lanes)
+    }
+
+    /// An estimate of the rows of `table`, when the provider has one: the
+    /// AP engine packs partitions it deems small into one morsel by it.
+    /// Without one, every partition is a morsel task of its own.
+    fn rows_estimate(&self, _table: &str) -> Option<usize> {
+        None
     }
 
     /// Scan the whole table.
@@ -472,6 +489,10 @@ impl Default for MemTables {
 impl TableProvider for MemTables {
     fn partitions(&self, table: &str) -> usize {
         self.tables.get(table).map(|p| p.len()).unwrap_or(0)
+    }
+
+    fn rows_estimate(&self, table: &str) -> Option<usize> {
+        self.tables.get(table).map(|parts| parts.iter().map(Vec::len).sum())
     }
 
     fn scan_partition(&self, table: &str, partition: usize) -> Result<Vec<Row>> {

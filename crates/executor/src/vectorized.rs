@@ -886,7 +886,7 @@ impl JoinBuild {
         });
         let rows = batch.live_rows();
         let mut index = SlotIndex::with_capacity(rows.len());
-        let (mut heads, mut tails) = (Vec::new(), Vec::<u32>::new());
+        let mut heads = Vec::with_capacity(rows.len());
         let mut next = vec![END; rows.len()];
         if !rows.is_empty() {
             if let Some(c) = key_cols.iter().find(|&&c| c >= batch.width()) {
@@ -894,17 +894,17 @@ impl JoinBuild {
             }
             let keys: Vec<(&Lane, &[u32])> =
                 key_cols.iter().map(|&c| (batch.lane(c), rows.as_slice())).collect();
-            for (b, hash) in hash_keys(&keys, rows.len()).into_iter().enumerate() {
+            // Last row first, each pushed on its chain's front: every chain
+            // then lists its rows in build order, and no tail is kept.
+            for (b, &hash) in hash_keys(&keys, rows.len()).iter().enumerate().rev() {
                 match index.find(hash, |_| true) {
                     Some(chain) => {
-                        let tail = &mut tails[chain as usize];
-                        next[*tail as usize] = b as u32;
-                        *tail = b as u32;
+                        next[b] = heads[chain as usize];
+                        heads[chain as usize] = b as u32;
                     }
                     None => {
                         index.insert(hash, heads.len() as u32);
                         heads.push(b as u32);
-                        tails.push(b as u32);
                     }
                 }
             }

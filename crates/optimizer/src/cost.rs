@@ -6,7 +6,7 @@ use polardbx_sql::expr::{BinOp, Expr};
 use polardbx_sql::plan::LogicalPlan;
 
 /// Per-table statistics kept by GMS ("statistics" in §II-A).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStats {
     /// Row count.
     pub rows: u64,

@@ -1071,8 +1071,10 @@ fn vectorized_engine_matches_row_engine() {
 /// The shapes [`vectorized_engine_matches_row_engine`] adds to its random
 /// cases: aggregates over more rows than one morsel holds, over long runs
 /// of one group key, over all-NULL arguments and over Int sums near 2^53;
-/// joins on duplicate and NULL keys, on two columns, and on strings whose
-/// two sides are coded by different dictionaries.
+/// row scans of many tiny partitions packed into one task and of a
+/// partition past a morsel split off its task; joins on duplicate and NULL
+/// keys, on two columns, and on strings whose two sides are coded by
+/// different dictionaries.
 fn vectorized_engine_matches_row_engine_on_shapes() {
     use polardbx_executor::operators::MemTables;
     use polardbx_executor::{execute_plan, ExecCtx, MppExecutor, TableProvider};
@@ -1134,6 +1136,47 @@ fn vectorized_engine_matches_row_engine_on_shapes() {
                             "shapes seed {seed}, {n} rows, run {run}, {source}, {workers} workers: {plan:?}"
                         );
                     }
+                }
+            }
+        }
+        // Row scans packed and split: many tiny partitions, a fourth of
+        // them empty, that pack into one morsel task; and one partition
+        // past a morsel among small ones, whose task splits its surplus.
+        let morsel = polardbx_executor::morsel::MORSEL_ROWS;
+        let tiny = diff_shape_rows(&mut rng, 120, 7, false);
+        let mut rest = &tiny[..];
+        let mut tiny_parts: Vec<Vec<Row>> = (0..40)
+            .map(|p| {
+                let n = if p % 4 == 3 { 0 } else { rng.gen_range(0..=6).min(rest.len()) };
+                let (part, more) = rest.split_at(n);
+                rest = more;
+                part.to_vec()
+            })
+            .collect();
+        tiny_parts.push(rest.to_vec());
+        let big = diff_shape_rows(&mut rng, morsel + 500, 200, false);
+        let (head, tail) = (&big[..50], &big[morsel + 300..]);
+        let skewed_parts = vec![head.to_vec(), big[50..morsel + 300].to_vec(), tail.to_vec(), vec![]];
+        for parts in [tiny_parts, skewed_parts] {
+            let nparts = parts.len();
+            let mut mem = MemTables::new();
+            mem.add("t", parts);
+            let mem: Arc<dyn TableProvider> = Arc::new(mem);
+            let plans = [
+                scan("t"),
+                aggregate(scan("t"), vec![c(1)]),
+                aggregate(scan("t"), vec![c(3), c(1)]),
+                aggregate(scan("t"), vec![]),
+            ];
+            for plan in &plans {
+                let slow = execute_plan(plan, mem.as_ref(), &ctx).unwrap();
+                for workers in [1, 4] {
+                    let fast = MppExecutor::new(workers).execute(plan, &mem, &ctx).unwrap();
+                    assert_eq!(
+                        diff_canon(&slow),
+                        diff_canon(&fast),
+                        "shapes seed {seed}, {nparts} partitions, {workers} workers: {plan:?}"
+                    );
                 }
             }
         }
